@@ -21,29 +21,8 @@ use dssp_net::{
     PROTOCOL_VERSION,
 };
 use dssp_ps::ShardedStore;
-use std::alloc::{GlobalAlloc, Layout, System};
+use dssp_testalloc::{process_allocations, CountingAlloc};
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -209,9 +188,9 @@ fn steady_state_tcp_round_trips_do_not_allocate_on_either_end() {
     // Measured window: the worker thread, the connection reader thread, the idle
     // metrics listener and this command loop are all in steady state — the global
     // counter must not move, event hooks and metric updates included.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = process_allocations();
     serve_iterations(&mut server, &mut store, &obs, MEASURED);
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let during = process_allocations() - before;
     assert_eq!(
         during, 0,
         "{MEASURED} steady-state push/pull round trips performed {during} heap allocations \

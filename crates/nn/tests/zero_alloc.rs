@@ -5,37 +5,10 @@
 use dssp_nn::models::{downsized_alexnet, resnet_cifar};
 use dssp_nn::{Model, Sequential, SoftmaxCrossEntropy, Workspace};
 use dssp_tensor::{uniform_init, Tensor};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use dssp_testalloc::{thread_allocations_during, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-fn allocations_during(body: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    body();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 fn assert_steady_state_steps_do_not_allocate(mut model: Sequential, arch: &str) {
     let x = uniform_init(&[8, 3, 8, 8], 1.0, 3);
@@ -55,7 +28,7 @@ fn assert_steady_state_steps_do_not_allocate(mut model: Sequential, arch: &str) 
     step(&mut model, &mut ws, &mut grad);
 
     for i in 0..3 {
-        let count = allocations_during(|| step(&mut model, &mut ws, &mut grad));
+        let count = thread_allocations_during(|| step(&mut model, &mut ws, &mut grad));
         assert_eq!(
             count, 0,
             "{arch}: steady-state training step #{i} performed {count} heap allocations"

@@ -7,37 +7,10 @@
 
 use dssp_nn::{LrSchedule, Sgd, SgdConfig};
 use dssp_ps::{AggregationMode, ParameterServer, PolicyKind, ServerConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use dssp_testalloc::{thread_allocations_during, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-fn allocations_during(body: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    body();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 fn server(aggregation: AggregationMode, dims: usize) -> ParameterServer {
     let sgd = Sgd::new(
@@ -69,7 +42,7 @@ fn assert_steady_state_pushes_do_not_allocate(aggregation: AggregationMode, labe
         s.handle_push_into((i % 2) as usize, &grads, i as f64, &mut released);
     }
     for i in 8..16u64 {
-        let count = allocations_during(|| {
+        let count = thread_allocations_during(|| {
             released.clear();
             s.handle_push_into((i % 2) as usize, &grads, i as f64, &mut released);
         });
