@@ -310,13 +310,14 @@ mod tests {
         };
         let img = uniform_init(&[32, 8, 4, 4], 1.0, 7);
         let mut cols_t = Tensor::default();
+        let mut plane = Vec::new();
         let imt = time_per_iter_ms(2000, || {
-            dssp_tensor::im2col_t_into(&img, 4, 4, &spec, &mut cols_t)
+            dssp_tensor::im2col_t_into(&img, 4, 4, &spec, &mut plane, &mut cols_t)
         });
         let gcols_t = uniform_init(&[72, 512], 1.0, 8);
         let mut gin = Tensor::default();
         let c2it = time_per_iter_ms(2000, || {
-            dssp_tensor::col2im_t_into(&gcols_t, 32, 4, 4, &spec, &mut gin)
+            dssp_tensor::col2im_t_into(&gcols_t, 32, 4, 4, &spec, &mut plane, &mut gin)
         });
         let g_t = uniform_init(&[8, 512], 1.0, 11);
         let mut dwb = Tensor::default();

@@ -30,7 +30,7 @@
 
 use dssp_data::BatchIter;
 use dssp_nn::models::ModelSpec;
-use dssp_nn::{accuracy, Model, Sequential, Sgd, SgdConfig, SoftmaxCrossEntropy, Workspace};
+use dssp_nn::{Evaluator, Model, Sequential, Sgd, SgdConfig, SoftmaxCrossEntropy, Workspace};
 use dssp_ps::{ParameterServer, PolicyKind, ServerConfig, SyncGate};
 use dssp_sim::{DataSpec, RunTrace, TracePoint, WorkerSummary};
 use dssp_tensor::Tensor;
@@ -481,6 +481,8 @@ pub struct WorkerStep {
     batches: BatchIter,
     loss_fn: SoftmaxCrossEntropy,
     ws: Workspace,
+    batch_x: Tensor,
+    batch_labels: Vec<usize>,
     grad_logits: Tensor,
     target: u64,
     completed: u64,
@@ -539,6 +541,8 @@ impl WorkerStep {
             batches,
             loss_fn: SoftmaxCrossEntropy::new(),
             ws: Workspace::new(),
+            batch_x: Tensor::default(),
+            batch_labels: Vec::new(),
             grad_logits: Tensor::default(),
             target,
             completed: 0,
@@ -600,7 +604,8 @@ impl WorkerStep {
             "cannot skip past the iteration target"
         );
         for _ in 0..completed {
-            let _ = self.batches.next_batch();
+            self.batches
+                .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
         }
         self.completed = completed;
     }
@@ -627,11 +632,12 @@ impl WorkerStep {
             std::thread::sleep(d);
         }
         self.model.set_params_flat(weights);
-        let (x, labels) = self.batches.next_batch();
-        let logits = self.model.forward_ws(&x, true, &mut self.ws);
+        self.batches
+            .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
+        let logits = self.model.forward_ws(&self.batch_x, true, &mut self.ws);
         let _ = self
             .loss_fn
-            .loss_and_grad_into(logits, &labels, &mut self.grad_logits);
+            .loss_and_grad_into(logits, &self.batch_labels, &mut self.grad_logits);
         self.model.zero_grads();
         self.model.backward_ws(&self.grad_logits, &mut self.ws);
         self.completed += 1;
@@ -713,9 +719,7 @@ enum Backend {
 /// periodic evaluation, and the run summary.
 pub struct ServerLoop {
     backend: Backend,
-    eval_model: Sequential,
-    eval_batch: (Tensor, Vec<usize>),
-    eval_ws: Workspace,
+    eval: Evaluator,
     eval_every: u64,
     last_eval: u64,
     points: Vec<TracePoint>,
@@ -809,9 +813,11 @@ impl ServerLoop {
         };
         Self {
             backend,
-            eval_model: reference,
-            eval_batch: dataset.test_batch(config.eval_max_examples),
-            eval_ws: Workspace::new(),
+            eval: Evaluator::new(
+                reference,
+                dataset.test_batch(config.eval_max_examples),
+                config.batch_size,
+            ),
             eval_every: config.eval_every_pushes,
             last_eval: 0,
             points: Vec::new(),
@@ -840,7 +846,7 @@ impl ServerLoop {
     /// replica knows the model size even when the weights live remotely), so a group
     /// coordinator can size its assembly buffers.
     pub fn param_len(&self) -> usize {
-        self.eval_model.param_len()
+        self.eval.param_len()
     }
 
     /// The underlying parameter server (weights, clocks, statistics).
@@ -1217,9 +1223,7 @@ impl ServerLoop {
             panic!("clock-only loops evaluate via record_eval_external");
         };
         push_eval_point(
-            &mut self.eval_model,
-            &self.eval_batch,
-            &mut self.eval_ws,
+            &mut self.eval,
             &mut self.points,
             ps.version(),
             ps.weights(),
@@ -1239,15 +1243,7 @@ impl ServerLoop {
     /// coordinator's view of its shard servers' slices, assembled in shard order).
     pub fn record_eval_external(&mut self, weights: &[f32], now: f64) {
         let pushes = self.version();
-        push_eval_point(
-            &mut self.eval_model,
-            &self.eval_batch,
-            &mut self.eval_ws,
-            &mut self.points,
-            pushes,
-            weights,
-            now,
-        );
+        push_eval_point(&mut self.eval, &mut self.points, pushes, weights, now);
     }
 
     /// Final evaluation and trace assembly. `wall_total` is the wall-clock duration of
@@ -1314,19 +1310,14 @@ impl ServerLoop {
 /// Evaluates `weights` on the held-out batch and appends the resulting trace point —
 /// the shared body of the local and external evaluation paths (free function so the
 /// field borrows stay disjoint).
-#[allow(clippy::too_many_arguments)]
 fn push_eval_point(
-    eval_model: &mut Sequential,
-    eval_batch: &(Tensor, Vec<usize>),
-    eval_ws: &mut Workspace,
+    eval: &mut Evaluator,
     points: &mut Vec<TracePoint>,
     pushes: u64,
     weights: &[f32],
     now: f64,
 ) {
-    eval_model.set_params_flat(weights);
-    let logits = eval_model.forward_ws(&eval_batch.0, false, eval_ws);
-    let acc = accuracy(logits, &eval_batch.1);
+    let acc = eval.accuracy(weights);
     points.push(TracePoint {
         time_s: now,
         pushes,

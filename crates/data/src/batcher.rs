@@ -60,16 +60,26 @@ impl BatchIter {
     }
 
     /// Produces the next mini-batch, advancing (and reshuffling at) epoch boundaries.
+    /// Allocating convenience over [`BatchIter::next_batch_into`].
     pub fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
+        let mut features = Tensor::default();
+        let mut labels = Vec::new();
+        self.next_batch_into(&mut features, &mut labels);
+        (features, labels)
+    }
+
+    /// [`BatchIter::next_batch`] writing into caller-provided buffers: no heap
+    /// allocation once they have held a full batch (the training hot path).
+    pub fn next_batch_into(&mut self, features: &mut Tensor, labels: &mut Vec<usize>) {
         if self.cursor >= self.order.len() {
             self.order.shuffle(&mut self.rng);
             self.cursor = 0;
             self.epoch += 1;
         }
         let end = (self.cursor + self.batch_size).min(self.order.len());
-        let indices: Vec<usize> = self.order[self.cursor..end].to_vec();
+        self.shard
+            .batch_into(&self.order[self.cursor..end], features, labels);
         self.cursor = end;
-        self.shard.batch(&indices)
     }
 }
 

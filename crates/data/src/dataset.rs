@@ -184,17 +184,36 @@ impl Shard {
     ///
     /// Panics if any index is out of range.
     pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let mut features = Vec::with_capacity(indices.len() * self.example_len);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
+        let mut features = Tensor::default();
+        let mut labels = Vec::new();
+        self.batch_into(indices, &mut features, &mut labels);
+        (features, labels)
+    }
+
+    /// [`Shard::batch`] writing into caller-provided buffers (both are overwritten and
+    /// reused without reallocation once they have held a batch of this size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn batch_into(&self, indices: &[usize], features: &mut Tensor, labels: &mut Vec<usize>) {
+        // The batch dims, built on the stack: `[N, example dims...]`.
+        let mut dims = [0usize; 8];
+        let rank = 1 + self.example_dims.len();
+        assert!(rank <= dims.len(), "examples of rank > 7 are not supported");
+        dims[0] = indices.len();
+        dims[1..rank].copy_from_slice(&self.example_dims);
+        features.ensure_shape(&dims[..rank]);
+        labels.clear();
+        for (&i, row) in indices
+            .iter()
+            .zip(features.as_mut_slice().chunks_exact_mut(self.example_len))
+        {
             assert!(i < self.len(), "shard index {i} out of range");
             let start = i * self.example_len;
-            features.extend_from_slice(&self.features[start..start + self.example_len]);
+            row.copy_from_slice(&self.features[start..start + self.example_len]);
             labels.push(self.labels[i]);
         }
-        let mut dims = vec![indices.len()];
-        dims.extend_from_slice(&self.example_dims);
-        (Tensor::from_vec(features, &dims), labels)
     }
 
     /// The label of a single local example.

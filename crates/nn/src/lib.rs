@@ -31,6 +31,7 @@
 
 mod adam;
 mod cost;
+mod evaluate;
 pub mod gradcheck;
 mod layer;
 mod layers;
@@ -44,6 +45,7 @@ mod workspace;
 
 pub use adam::{Adam, AdamConfig, Optimizer};
 pub use cost::CostProfile;
+pub use evaluate::Evaluator;
 pub use gradcheck::{check_model_gradients, GradCheckReport};
 pub use layer::{Layer, Model};
 pub use layers::{Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, ReluLayer, ResidualBlock};

@@ -73,11 +73,25 @@ impl SoftmaxCrossEntropy {
 ///
 /// Panics if `labels.len()` differs from the number of logit rows.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
-    let n = logits.rows();
-    assert_eq!(labels.len(), n, "one label per logit row required");
-    if n == 0 {
-        return 0.0;
+    let correct = correct_predictions(logits, labels);
+    if labels.is_empty() {
+        0.0
+    } else {
+        correct as f32 / labels.len() as f32
     }
+}
+
+/// Number of rows whose argmax logit (first maximum) equals the label.
+///
+/// # Panics
+///
+/// Panics if `labels.len()` differs from the number of logit rows.
+pub(crate) fn correct_predictions(logits: &Tensor, labels: &[usize]) -> usize {
+    assert_eq!(
+        labels.len(),
+        logits.rows(),
+        "one label per logit row required"
+    );
     let classes = logits.cols();
     let mut correct = 0usize;
     for (i, &label) in labels.iter().enumerate() {
@@ -92,7 +106,7 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
             correct += 1;
         }
     }
-    correct as f32 / n as f32
+    correct
 }
 
 #[cfg(test)]

@@ -6,9 +6,8 @@ use crate::worker::{SimWorker, WorkerState};
 use dssp_cluster::{ClusterSpec, TimeModel};
 use dssp_data::{BatchIter, Dataset, SyntheticImageSpec, SyntheticVectorSpec};
 use dssp_nn::models::ModelSpec;
-use dssp_nn::{accuracy, CostProfile, Model, Sequential, Sgd, SgdConfig};
+use dssp_nn::{CostProfile, Evaluator, Model, Sgd, SgdConfig};
 use dssp_ps::{ParameterServer, PolicyKind, ServerConfig};
-use dssp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Which synthetic dataset a run trains on.
@@ -117,9 +116,7 @@ pub struct Simulation {
     local_weights: Vec<Vec<f32>>,
     server: ParameterServer,
     time_model: TimeModel,
-    eval_model: Sequential,
-    eval_batch: (Tensor, Vec<usize>),
-    eval_ws: dssp_nn::Workspace,
+    eval: Evaluator,
     queue: EventQueue,
     trace: Vec<TracePoint>,
     last_eval_pushes: u64,
@@ -193,8 +190,11 @@ impl Simulation {
             TimeModel::new(config.cluster.clone(), cost, config.batch_size, config.seed);
         let comm_occupancy = time_model.link_occupancy_seconds();
         let comm_latency = time_model.link_latency_seconds();
-        let eval_batch = dataset.test_batch(config.eval_max_examples);
-        let eval_model = config.model.build(config.seed);
+        let eval = Evaluator::new(
+            config.model.build(config.seed),
+            dataset.test_batch(config.eval_max_examples),
+            config.batch_size,
+        );
 
         Self {
             config,
@@ -202,9 +202,7 @@ impl Simulation {
             local_weights,
             server,
             time_model,
-            eval_model,
-            eval_batch,
-            eval_ws: dssp_nn::Workspace::new(),
+            eval,
             queue: EventQueue::new(),
             trace: Vec::new(),
             last_eval_pushes: 0,
@@ -331,11 +329,7 @@ impl Simulation {
     /// cluster performs).
     fn record_eval(&mut self, now: f64) {
         self.last_eval_pushes = self.server.version();
-        self.eval_model.set_params_flat(self.server.weights());
-        let logits = self
-            .eval_model
-            .forward_ws(&self.eval_batch.0, false, &mut self.eval_ws);
-        let acc = accuracy(logits, &self.eval_batch.1);
+        let acc = self.eval.accuracy(self.server.weights());
         let total_iters: u64 = self.workers.iter().map(|w| w.iterations).sum();
         let total_loss: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
         let train_loss = if total_iters == 0 {

@@ -34,8 +34,10 @@ pub(crate) struct SimWorker {
     pub loss_sum: f64,
     loss_fn: SoftmaxCrossEntropy,
     /// Reusable scratch memory: after the first iteration, `compute_gradient` performs
-    /// no heap allocations in the model forward/backward passes.
+    /// no heap allocations.
     ws: Workspace,
+    batch_x: Tensor,
+    batch_labels: Vec<usize>,
     grad_logits: Tensor,
     grad_buf: Vec<f32>,
 }
@@ -55,6 +57,8 @@ impl SimWorker {
             loss_sum: 0.0,
             loss_fn: SoftmaxCrossEntropy::new(),
             ws: Workspace::new(),
+            batch_x: Tensor::default(),
+            batch_labels: Vec::new(),
             grad_logits: Tensor::default(),
             grad_buf,
         }
@@ -78,13 +82,14 @@ impl SimWorker {
     pub fn compute_gradient(&mut self, global_weights: &[f32]) -> &[f32] {
         // Line 3: replace local weights with the pulled global weights.
         self.model.set_params_flat(global_weights);
-        // Line 4: mini-batch gradient, computed on the reusable workspace so the
-        // steady-state step does not allocate.
-        let (x, labels) = self.batches.next_batch();
-        let logits = self.model.forward_ws(&x, true, &mut self.ws);
-        let loss = self
-            .loss_fn
-            .loss_and_grad_into(logits, &labels, &mut self.grad_logits);
+        // Line 4: mini-batch gradient, drawn into reused batch buffers and computed on
+        // the reusable workspace so the steady-state step does not allocate.
+        self.batches
+            .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
+        let logits = self.model.forward_ws(&self.batch_x, true, &mut self.ws);
+        let loss =
+            self.loss_fn
+                .loss_and_grad_into(logits, &self.batch_labels, &mut self.grad_logits);
         self.loss_sum += f64::from(loss);
         self.model.zero_grads();
         self.model.backward_ws(&self.grad_logits, &mut self.ws);

@@ -3,6 +3,10 @@
 //! These kernels are what make the "pure convolutional" models of the paper
 //! (ResNet-50/110 analogues) compute-heavy relative to their parameter count, which is
 //! the property the paper's Section V-C analysis hinges on.
+//!
+//! The column transforms ([`im2col_t_into`], [`col2im_t_into`]) work channel by channel
+//! on zero-bordered scratch planes and move fixed-width row runs, so nothing in the
+//! path tests for padding per element.
 
 use crate::Tensor;
 
@@ -180,117 +184,160 @@ pub fn col2im_into(
     }
 }
 
+/// Calls `$body::<W>(args)` with `W` the output width if that width has a fixed-width
+/// instance and the stride is 1 (the only stride the model zoo uses), and with `W = 0`
+/// — width and stride read at run time — otherwise. With the width a constant, a row
+/// run is a vector move (or add) or two instead of a `memcpy` call for 16 bytes.
+macro_rules! with_fixed_width {
+    ($g:expr, $body:ident($($arg:expr),*)) => {
+        match ($g.ow, $g.stride) {
+            (2, 1) => $body::<2>($($arg),*),
+            (4, 1) => $body::<4>($($arg),*),
+            (8, 1) => $body::<8>($($arg),*),
+            (16, 1) => $body::<16>($($arg),*),
+            _ => $body::<0>($($arg),*),
+        }
+    };
+}
 /// Transposed `im2col`: unrolls an `[N, C, H, W]` input into `[C * K * K, N * OH * OW]`
 /// column form (one *row* per kernel point, one *column* per output position).
 ///
 /// This is the layout the convolution kernels actually compute with: the GEMM's inner
 /// loop then runs over the long `N * OH * OW` dimension, which vectorizes, instead of
-/// over the (typically tiny) output-channel count. For `stride == 1` every valid span
-/// is a contiguous `copy_from_slice`.
-pub fn im2col_t_into(input: &Tensor, h: usize, w: usize, spec: &Conv2dSpec, out: &mut Tensor) {
+/// over the (typically tiny) output-channel count.
+///
+/// The transform works one channel at a time: the channel's `N` planes are copied into
+/// the interiors of `planes`, `N` zero-bordered `(H + 2p) x (W + 2p)` scratch planes,
+/// and each of the channel's `K * K` kernel points then fills its output row front to
+/// back by reading one shifted window of every plane — `OH` row runs of `OW` elements,
+/// with no padding test anywhere. `planes` is resized as needed and reused across
+/// calls; it holds one channel, never a padded copy of the whole input.
+pub fn im2col_t_into(
+    input: &Tensor,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    planes: &mut Vec<f32>,
+    out: &mut Tensor,
+) {
     let dims = input.shape().dims();
     let n = dims[0];
-    let c = spec.in_channels;
-    debug_assert_eq!(dims[1], c, "im2col channel mismatch");
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let k = spec.kernel;
-    let npos = n * oh * ow;
-    out.ensure_shape(&[c * k * k, npos]);
-    let o = out.as_mut_slice();
-    let x = input.as_slice();
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    let ohow = oh * ow;
-    for ci in 0..c {
-        for ky in 0..k {
-            // Valid oy span: 0 <= oy*stride + ky - pad < h (same for every image).
-            let (oy_lo, oy_hi) = valid_out_span(ky, pad, stride, h, oh);
-            for kx in 0..k {
-                let col = (ci * k + ky) * k + kx;
-                // Valid ox span: 0 <= ox*stride + kx - pad < w.
-                let (ox_lo, ox_hi) = valid_out_span(kx, pad, stride, w, ow);
-                for ni in 0..n {
-                    let block = &mut o[col * npos + ni * ohow..col * npos + (ni + 1) * ohow];
-                    if ox_lo >= ox_hi || oy_lo >= oy_hi {
-                        block.fill(0.0);
-                        continue;
-                    }
-                    // Padding rows above and below the valid oy span, filled in bulk.
-                    block[..oy_lo * ow].fill(0.0);
-                    block[oy_hi * ow..].fill(0.0);
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * stride + ky - pad as usize;
-                        let dst = &mut block[oy * ow..(oy + 1) * ow];
-                        dst[..ox_lo].fill(0.0);
-                        dst[ox_hi..].fill(0.0);
-                        let src_base = ((ni * c + ci) * h + iy) * w;
-                        let ix0 = (ox_lo * stride) as isize + kx as isize - pad;
-                        if stride == 1 {
-                            let s0 = (src_base as isize + ix0) as usize;
-                            dst[ox_lo..ox_hi].copy_from_slice(&x[s0..s0 + (ox_hi - ox_lo)]);
-                        } else {
-                            for (j, d) in dst[ox_lo..ox_hi].iter_mut().enumerate() {
-                                let ix = (ix0 as usize) + j * stride;
-                                *d = x[src_base + ix];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    debug_assert_eq!(dims[1], spec.in_channels, "im2col channel mismatch");
+    let g = Planes::new(n, h, w, spec);
+    out.ensure_shape(&[g.c * g.k * g.k, g.npos]);
+    // The borders are zeroed here and never written again; the interiors are
+    // overwritten by every channel.
+    planes.clear();
+    planes.resize(g.n * g.ph * g.pw, 0.0);
+    let (x, o) = (input.as_slice(), out.as_mut_slice());
+    with_fixed_width!(g, unroll_planes(&g, x, planes, o));
 }
 
 /// Adjoint of [`im2col_t_into`]: folds `[C * K * K, N * OH * OW]` column form back into
 /// `[N, C, H, W]`, accumulating overlapping contributions.
 ///
-/// The accumulation visits kernel points in row-major order (outermost loop), so the
-/// per-element summation order differs from [`col2im`]'s output-position-major order;
-/// the two agree to floating-point reassociation (the usual 1e-6 tolerance).
+/// Channel-wise like [`im2col_t_into`]: the `N` planes of one channel are accumulated in
+/// the zero-bordered scratch `planes` (contributions that fall on padding land in a
+/// border and are dropped) and their interiors are then copied out. Every input element
+/// receives its contributions in kernel-point order (`ky`, then `kx`, ascending) starting
+/// from 0.0, so the per-element summation order differs from [`col2im`]'s
+/// output-position-major order; the two agree to floating-point reassociation (the
+/// usual 1e-6 tolerance).
+///
+/// Why `N` planes and not one: consecutive kernel points add into the same plane rows
+/// at offsets one element apart. With a single plane those read-modify-writes follow
+/// each other within a few instructions and every load straddles a store still in
+/// flight; with the whole channel in the scratch, a row comes around again only
+/// `N * OH` runs later.
 pub fn col2im_t_into(
     cols_t: &Tensor,
     n: usize,
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
+    planes: &mut Vec<f32>,
     out: &mut Tensor,
 ) {
-    let c = spec.in_channels;
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let k = spec.kernel;
-    let npos = n * oh * ow;
-    out.ensure_shape(&[n, c, h, w]);
-    let o = out.as_mut_slice();
-    o.fill(0.0);
-    let src = cols_t.as_slice();
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    for ci in 0..c {
-        for ky in 0..k {
-            let (oy_lo, oy_hi) = valid_out_span(ky, pad, stride, h, oh);
-            for kx in 0..k {
-                let col = (ci * k + ky) * k + kx;
-                let (ox_lo, ox_hi) = valid_out_span(kx, pad, stride, w, ow);
-                if ox_lo >= ox_hi {
-                    continue;
+    let g = Planes::new(n, h, w, spec);
+    out.ensure_shape(&[n, g.c, h, w]);
+    planes.resize(g.n * g.ph * g.pw, 0.0);
+    let (src, o) = (cols_t.as_slice(), out.as_mut_slice());
+    with_fixed_width!(g, fold_planes(&g, src, planes, o));
+}
+
+/// The geometry both column transforms share.
+struct Planes {
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    pad: usize,
+    stride: usize,
+    /// Padded plane size.
+    ph: usize,
+    pw: usize,
+    oh: usize,
+    ow: usize,
+    /// Columns of the column matrix: `N * OH * OW`.
+    npos: usize,
+}
+
+impl Planes {
+    fn new(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Self {
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        Self {
+            n,
+            c: spec.in_channels,
+            h,
+            w,
+            k: spec.kernel,
+            pad: spec.padding,
+            stride: spec.stride,
+            ph: h + 2 * spec.padding,
+            pw: w + 2 * spec.padding,
+            oh,
+            ow,
+            npos: n * oh * ow,
+        }
+    }
+}
+
+/// The body of [`im2col_t_into`], see [`with_fixed_width`] for `W`.
+fn unroll_planes<const W: usize>(g: &Planes, x: &[f32], planes: &mut [f32], o: &mut [f32]) {
+    let (ow, stride) = if W > 0 { (W, 1) } else { (g.ow, g.stride) };
+    let (hw, phw) = (g.h * g.w, g.ph * g.pw);
+    let span = (ow - 1) * stride + 1;
+    for ci in 0..g.c {
+        for (ni, plane) in planes.chunks_exact_mut(phw).enumerate() {
+            let src = &x[(ni * g.c + ci) * hw..][..hw];
+            for (row, dst) in src
+                .chunks_exact(g.w)
+                .zip(plane[g.pad * g.pw + g.pad..].chunks_mut(g.pw))
+            {
+                // "Same" convolutions (`W == w`) also copy the plane in at fixed width.
+                if W > 0 && g.w == W {
+                    dst[..W].copy_from_slice(&row[..W]);
+                } else {
+                    dst[..g.w].copy_from_slice(row);
                 }
-                for ni in 0..n {
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * stride + ky - pad as usize;
-                        let src_base = col * npos + (ni * oh + oy) * ow;
-                        let s = &src[src_base + ox_lo..src_base + ox_hi];
-                        let dst_base = ((ni * c + ci) * h + iy) * w;
-                        let ix0 = ((ox_lo * stride) as isize + kx as isize - pad) as usize;
-                        if stride == 1 {
-                            let d = &mut o[dst_base + ix0..dst_base + ix0 + s.len()];
-                            for (dv, &sv) in d.iter_mut().zip(s) {
-                                *dv += sv;
-                            }
+            }
+        }
+        // One output row per kernel point, written front to back: image after image,
+        // output row after output row.
+        for ky in 0..g.k {
+            for kx in 0..g.k {
+                let col = (ci * g.k + ky) * g.k + kx;
+                let mut runs = o[col * g.npos..][..g.npos].chunks_exact_mut(ow);
+                for plane in planes.chunks_exact(phw) {
+                    let window = &plane[ky * g.pw + kx..];
+                    for (oy, dst) in runs.by_ref().take(g.oh).enumerate() {
+                        let run = &window[oy * g.pw * stride..][..span];
+                        if W > 0 {
+                            dst.copy_from_slice(run);
                         } else {
-                            for (j, &sv) in s.iter().enumerate() {
-                                o[dst_base + ix0 + j * stride] += sv;
+                            for (d, &v) in dst.iter_mut().zip(run.iter().step_by(stride)) {
+                                *d = v;
                             }
                         }
                     }
@@ -300,20 +347,52 @@ pub fn col2im_t_into(
     }
 }
 
-/// The half-open `ox` range for which `ox * stride + kx - pad` lands inside `[0, w)`.
-fn valid_out_span(kx: usize, pad: isize, stride: usize, w: usize, ow: usize) -> (usize, usize) {
-    let off = kx as isize - pad; // ix = ox*stride + off
-    let lo = if off >= 0 {
-        0
-    } else {
-        ((-off) as usize).div_ceil(stride)
-    };
-    let hi = if (w as isize) <= off {
-        0
-    } else {
-        ((w as isize - off - 1) as usize) / stride + 1
-    };
-    (lo.min(ow), hi.min(ow))
+/// The body of [`col2im_t_into`], see [`with_fixed_width`] for `W`.
+fn fold_planes<const W: usize>(g: &Planes, src: &[f32], planes: &mut [f32], o: &mut [f32]) {
+    let (ow, stride) = if W > 0 { (W, 1) } else { (g.ow, g.stride) };
+    let (hw, phw) = (g.h * g.w, g.ph * g.pw);
+    let span = (ow - 1) * stride + 1;
+    for ci in 0..g.c {
+        planes.fill(0.0);
+        for ky in 0..g.k {
+            for kx in 0..g.k {
+                let col = (ci * g.k + ky) * g.k + kx;
+                let mut runs = src[col * g.npos..][..g.npos].chunks_exact(ow);
+                for plane in planes.chunks_exact_mut(phw) {
+                    let window = &mut plane[ky * g.pw + kx..];
+                    for (oy, run) in runs.by_ref().take(g.oh).enumerate() {
+                        let dst = &mut window[oy * g.pw * stride..][..span];
+                        if W > 0 {
+                            // Loaded, summed and stored as one `W`-wide value.
+                            let mut sum = [0.0f32; W];
+                            sum.copy_from_slice(dst);
+                            for (s, &v) in sum.iter_mut().zip(run) {
+                                *s += v;
+                            }
+                            dst.copy_from_slice(&sum);
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(stride).zip(run) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for (ni, plane) in planes.chunks_exact(phw).enumerate() {
+            let dst = &mut o[(ni * g.c + ci) * hw..][..hw];
+            for (row, acc) in dst
+                .chunks_exact_mut(g.w)
+                .zip(plane[g.pad * g.pw + g.pad..].chunks(g.pw))
+            {
+                if W > 0 && g.w == W {
+                    row[..W].copy_from_slice(&acc[..W]);
+                } else {
+                    row.copy_from_slice(&acc[..g.w]);
+                }
+            }
+        }
+    }
 }
 
 /// Forward 2-D convolution.
@@ -356,6 +435,9 @@ pub struct ConvScratch {
     pub prod: Tensor,
     /// The filter matrix transposed to `[C*K*K, OC]` (used by the backward pass).
     pub weight_t: Tensor,
+    /// One channel's `N` zero-bordered `(H+2p) x (W+2p)` planes, shared by both column
+    /// transforms.
+    planes: Vec<f32>,
 }
 
 /// [`conv2d`] writing into caller-provided buffers.
@@ -385,7 +467,7 @@ pub fn conv2d_into(
     let n = input.shape().dims()[0];
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
-    im2col_t_into(input, h, w, spec, cols);
+    im2col_t_into(input, h, w, spec, &mut scratch.planes, cols);
     // [OC, C*K*K] x [C*K*K, N*OH*OW] -> [OC, N*OH*OW]
     let prod = &mut scratch.prod;
     weight.matmul_into(cols, prod);
@@ -494,7 +576,7 @@ pub fn conv2d_backward_into(
     // grad_cols_t = weight^T x g_t -> [C*K*K, N*OH*OW]
     weight.transposed_into(&mut scratch.weight_t);
     scratch.weight_t.matmul_into(g_t, grad_cols_t);
-    col2im_t_into(grad_cols_t, n, h, w, spec, grad_input);
+    col2im_t_into(grad_cols_t, n, h, w, spec, &mut scratch.planes, grad_input);
 }
 
 /// Forward 2-D max pooling over an `[N, C, H, W]` input.

@@ -18,6 +18,7 @@
 //! ```
 
 mod conv;
+mod gemm;
 mod init;
 mod ops;
 mod shape;

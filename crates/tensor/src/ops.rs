@@ -3,19 +3,17 @@
 //! Every allocating operation delegates to a `*_into` kernel that writes into a
 //! caller-provided buffer. The `*_into` kernels are the training hot path: together
 //! with the workspace machinery in `dssp-nn` they let a steady-state training step run
-//! without touching the allocator. The matrix kernels are cache-blocked but keep the
-//! per-element accumulation order of the naive loops (ascending shared dimension), so
-//! tiled and naive results are bitwise identical.
+//! without touching the allocator. `matmul_into` and `matmul_tn_into` are two layouts
+//! of one register-tiled microkernel (the private `gemm` module) that keeps the
+//! per-element accumulation order of the naive loops (ascending shared dimension from
+//! 0.0), so tiled and naive results are bitwise identical; `matmul_nt_into` is the one
+//! kernel that reassociates (see there).
 
+use crate::gemm::gemm;
 use crate::{Tensor, TensorError};
 
-/// Row-block size for the blocked matmul kernels: bounds the slice of `A` (and of the
-/// output) live in cache while a `K`-panel of `B` is streamed through it.
-const BLOCK_M: usize = 64;
-
-/// Shared-dimension block size: a `BLOCK_K x n` panel of `B` is reused across all
-/// `BLOCK_M` output rows before the kernel moves to the next panel.
-const BLOCK_K: usize = 256;
+/// Rows of `self` that share one pass over a row of `other` in `matmul_nt_into`.
+const NT_BLOCK_M: usize = 64;
 
 /// Dot product accumulated in eight interleaved lanes (lane `j` sums every eighth
 /// element starting at `j`), combined lane 0 through lane 7 and then the remainder in
@@ -294,11 +292,9 @@ impl Tensor {
 
     /// Matrix multiplication `(m x k) * (k x n) -> (m x n)` written into `out`.
     ///
-    /// The kernel is cache-blocked: a `BLOCK_K x n` panel of `other` is streamed
-    /// through up to `BLOCK_M` rows of `self` before moving on, keeping the panel hot
-    /// in cache for large shared dimensions. The inner loop stays contiguous over both
-    /// `other` and `out` (ikj order), and the shared dimension is always traversed in
-    /// ascending order so the result is bitwise identical to the naive triple loop.
+    /// Runs the register-tiled microkernel: each output tile is accumulated over the
+    /// whole shared dimension in ascending order from 0.0, so the result is bitwise
+    /// identical to the naive triple loop.
     ///
     /// # Panics
     ///
@@ -314,51 +310,14 @@ impl Tensor {
             m, k, k2, n
         );
         out.ensure_shape(&[m, n]);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let o = out.as_mut_slice();
-        o.fill(0.0);
-        for ib in (0..m).step_by(BLOCK_M) {
-            let i_end = (ib + BLOCK_M).min(m);
-            for pb in (0..k).step_by(BLOCK_K) {
-                let p_end = (pb + BLOCK_K).min(k);
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut o[i * n..(i + 1) * n];
-                    // Four shared-dimension steps per pass over the output row: the
-                    // row is loaded and stored once instead of four times. The adds
-                    // are written as an explicit left-to-right chain, preserving the
-                    // ascending-p accumulation order of the naive loop bitwise.
-                    let mut p = pb;
-                    while p + 4 <= p_end {
-                        let (a0, a1, a2, a3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-                        let b0 = &b[p * n..(p + 1) * n];
-                        let b1 = &b[(p + 1) * n..(p + 2) * n];
-                        let b2 = &b[(p + 2) * n..(p + 3) * n];
-                        let b3 = &b[(p + 3) * n..(p + 4) * n];
-                        for ((((ov, &v0), &v1), &v2), &v3) in
-                            out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                        {
-                            let mut acc = *ov;
-                            acc += a0 * v0;
-                            acc += a1 * v1;
-                            acc += a2 * v2;
-                            acc += a3 * v3;
-                            *ov = acc;
-                        }
-                        p += 4;
-                    }
-                    while p < p_end {
-                        let a_ip = a_row[p];
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for (ov, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
-                            *ov += a_ip * b_pj;
-                        }
-                        p += 1;
-                    }
-                }
-            }
-        }
+        gemm::<false>(
+            self.as_slice(),
+            other.as_slice(),
+            out.as_mut_slice(),
+            m,
+            k,
+            n,
+        );
     }
 
     /// Matrix multiplication with the left operand transposed: `A^T * B`.
@@ -376,9 +335,9 @@ impl Tensor {
 
     /// Transposed-left matrix multiplication `A^T * B` written into `out`.
     ///
-    /// `self` is `(k x m)`, `other` is `(k x n)`, the result is `(m x n)`. Blocked over
-    /// output rows so the touched slice of `out` stays cache-resident while the shared
-    /// dimension is streamed in ascending order (bitwise identical to the naive loop).
+    /// `self` is `(k x m)`, `other` is `(k x n)`, the result is `(m x n)`. The same
+    /// microkernel as [`Tensor::matmul_into`] reading its left operand column-wise;
+    /// bitwise identical to the naive loop over the explicit transpose.
     ///
     /// # Panics
     ///
@@ -390,52 +349,14 @@ impl Tensor {
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_tn shared dimension must agree");
         out.ensure_shape(&[m, n]);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let o = out.as_mut_slice();
-        o.fill(0.0);
-        for ib in (0..m).step_by(BLOCK_M) {
-            let i_end = (ib + BLOCK_M).min(m);
-            for pb in (0..k).step_by(BLOCK_K) {
-                let p_end = (pb + BLOCK_K).min(k);
-                for i in ib..i_end {
-                    let out_row = &mut o[i * n..(i + 1) * n];
-                    // Same four-step unroll as `matmul_into`, reading the transposed
-                    // operand column-wise (`a[p * m + i]`); the explicit add chain
-                    // keeps ascending-p order bitwise.
-                    let mut p = pb;
-                    while p + 4 <= p_end {
-                        let a0 = a[p * m + i];
-                        let a1 = a[(p + 1) * m + i];
-                        let a2 = a[(p + 2) * m + i];
-                        let a3 = a[(p + 3) * m + i];
-                        let b0 = &b[p * n..(p + 1) * n];
-                        let b1 = &b[(p + 1) * n..(p + 2) * n];
-                        let b2 = &b[(p + 2) * n..(p + 3) * n];
-                        let b3 = &b[(p + 3) * n..(p + 4) * n];
-                        for ((((ov, &v0), &v1), &v2), &v3) in
-                            out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                        {
-                            let mut acc = *ov;
-                            acc += a0 * v0;
-                            acc += a1 * v1;
-                            acc += a2 * v2;
-                            acc += a3 * v3;
-                            *ov = acc;
-                        }
-                        p += 4;
-                    }
-                    while p < p_end {
-                        let a_pi = a[p * m + i];
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for (ov, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
-                            *ov += a_pi * b_pj;
-                        }
-                        p += 1;
-                    }
-                }
-            }
-        }
+        gemm::<true>(
+            self.as_slice(),
+            other.as_slice(),
+            out.as_mut_slice(),
+            m,
+            k,
+            n,
+        );
     }
 
     /// Matrix multiplication with the right operand transposed: `A * B^T`.
@@ -459,9 +380,12 @@ impl Tensor {
     /// than once per output row.
     ///
     /// Each dot product accumulates in eight interleaved lanes that are combined in a
-    /// fixed order at the end (the internal `dot_lanes` helper): the result is deterministic but may
-    /// differ from the naive left-to-right sum by floating-point reassociation (within
-    /// the usual 1e-6 relative tolerance).
+    /// fixed order at the end (the internal `dot_lanes` helper): the result is
+    /// deterministic but may differ from the naive left-to-right sum by floating-point
+    /// reassociation (within the usual 1e-6 relative tolerance). This is the one GEMM
+    /// not on the register-tiled kernel: its caller is the dense layers' input
+    /// gradient, where `other` is the large operand (64 x 1024 at batch 4) and packing
+    /// it into the kernel's layout costs more than the kernel saves.
     ///
     /// # Panics
     ///
@@ -476,8 +400,8 @@ impl Tensor {
         let a = self.as_slice();
         let b = other.as_slice();
         let o = out.as_mut_slice();
-        for ib in (0..m).step_by(BLOCK_M) {
-            let i_end = (ib + BLOCK_M).min(m);
+        for ib in (0..m).step_by(NT_BLOCK_M) {
+            let i_end = (ib + NT_BLOCK_M).min(m);
             for j in 0..n {
                 let b_row = &b[j * k..(j + 1) * k];
                 for i in ib..i_end {

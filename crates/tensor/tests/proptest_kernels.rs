@@ -1,11 +1,18 @@
-//! Property-based equivalence suites for the tiled/blocked `*_into` kernels against
-//! naive reference implementations written independently in this file.
+//! Property-based equivalence suites for the `*_into` kernels against naive reference
+//! implementations written independently in this file.
 //!
-//! The `matmul_into` / `matmul_tn_into` kernels preserve the naive accumulation order
-//! exactly (bitwise equality is asserted); `matmul_nt_into` accumulates in interleaved
-//! lanes and is held to a 1e-5 relative tolerance. `im2col`/`col2im` (both layouts)
-//! are exact gathers/scatters and must be bitwise equal across random shapes, strides
-//! and paddings.
+//! * `matmul_into` / `matmul_tn_into` are two layouts of one register-tiled
+//!   microkernel that preserves the naive accumulation order exactly: bitwise equality
+//!   is asserted for `m, k, n` in `1..40`, which reaches every edge-tile combination
+//!   (the crate's own unit test walks them exhaustively, per compiled instance).
+//! * `matmul_nt_into` accumulates in interleaved lanes and is held to a 1e-5 relative
+//!   tolerance — the one kernel that reassociates.
+//! * `im2col` / `im2col_t` are exact gathers and must be bitwise equal to
+//!   `naive_im2col` across random `(N, C, H, W, K, stride, padding)`: square and
+//!   non-square planes, `stride = 2`, `padding = 0`, `K = 1`, and output widths with
+//!   and without a fixed-width row instance. `col2im_t` is checked bitwise against a
+//!   naive fold in its documented kernel-point-major order, and as the adjoint of
+//!   `im2col_t`.
 
 use dssp_tensor::{
     col2im_into, col2im_t_into, conv2d, conv2d_backward, im2col_into, im2col_t_into, Conv2dSpec,
@@ -77,11 +84,98 @@ fn naive_im2col(x: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
     Tensor::from_vec(out, &[n * oh * ow, ckk])
 }
 
+/// Folds `[C*K*K, N*OH*OW]` columns back into `[N, C, H, W]` the way `col2im_t_into`
+/// documents it: every input element sums its contributions in kernel-point order
+/// (`ky`, then `kx`, ascending), starting from 0.0.
+fn naive_col2im_t(cols_t: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
+    let (c, k) = (spec.in_channels, spec.kernel);
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let npos = n * oh * ow;
+    let mut out = vec![0.0f32; n * c * h * w];
+    for ni in 0..n {
+        for ci in 0..c {
+            for iy in 0..h {
+                for ix in 0..w {
+                    let mut acc = 0.0f32;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            // iy = oy * stride + ky - padding, likewise ix.
+                            let (py, px) = (iy + spec.padding, ix + spec.padding);
+                            if py < ky || px < kx {
+                                continue;
+                            }
+                            let (dy, dx) = (py - ky, px - kx);
+                            if dy % spec.stride != 0 || dx % spec.stride != 0 {
+                                continue;
+                            }
+                            let (oy, ox) = (dy / spec.stride, dx / spec.stride);
+                            if oy < oh && ox < ow {
+                                let col = (ci * k + ky) * k + kx;
+                                acc += cols_t.as_slice()[col * npos + (ni * oh + oy) * ow + ox];
+                            }
+                        }
+                    }
+                    out[((ni * c + ci) * h + iy) * w + ix] = acc;
+                }
+            }
+        }
+    }
+    out
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(&u, &v)| f64::from(u) * f64::from(v))
+        .sum()
+}
+
+/// Every output width from 1 to 20 — the four with a fixed-width row instance and the
+/// sixteen without — at strides 1 and 2, with and without padding, `K` of 1 and 3: both
+/// plane-wise transforms equal their naive references bit for bit.
+#[test]
+fn plane_transforms_match_naive_for_every_row_width() {
+    let mut plane = Vec::new();
+    for w in 3usize..=22 {
+        for stride in 1usize..=2 {
+            for padding in 0usize..=1 {
+                for k in [1usize, 3] {
+                    let (n, c, h) = (2, 2, 5);
+                    let spec = Conv2dSpec {
+                        in_channels: c,
+                        out_channels: 1,
+                        kernel: k,
+                        stride,
+                        padding,
+                    };
+                    let x = Tensor::from_vec(synth(n * c * h * w, w as u64), &[n, c, h, w]);
+                    let mut cols_t = Tensor::default();
+                    im2col_t_into(&x, h, w, &spec, &mut plane, &mut cols_t);
+                    let reference = naive_im2col(&x, h, w, &spec).transposed();
+                    assert_eq!(bits(cols_t.as_slice()), bits(reference.as_slice()));
+                    let g = Tensor::from_vec(synth(cols_t.len(), 99), cols_t.shape().dims());
+                    let mut folded = Tensor::default();
+                    col2im_t_into(&g, n, h, w, &spec, &mut plane, &mut folded);
+                    assert_eq!(
+                        bits(folded.as_slice()),
+                        bits(&naive_col2im_t(&g, n, h, w, &spec)),
+                        "w={w} stride={stride} padding={padding} k={k}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matmul_into_is_bitwise_equal_to_naive(m in 1usize..24, k in 1usize..40, n in 1usize..24, seed in 0u64..1000) {
+    fn matmul_into_is_bitwise_equal_to_naive(m in 1usize..40, k in 1usize..40, n in 1usize..40, seed in 0u64..1000) {
         let a = Tensor::from_vec(synth(m * k, seed), &[m, k]);
         let b = Tensor::from_vec(synth(k * n, seed + 1), &[k, n]);
         let mut tiled = Tensor::default();
@@ -90,9 +184,9 @@ proptest! {
     }
 
     #[test]
-    fn matmul_into_matches_naive_past_block_boundaries(m in 60usize..70, k in 250usize..260, seed in 0u64..100) {
-        // Shapes straddling BLOCK_M=64 / BLOCK_K=256 exercise the remainder tiles.
-        let n = 5usize;
+    fn matmul_into_matches_naive_on_long_shared_dimensions(m in 60usize..70, k in 250usize..260, seed in 0u64..100) {
+        // A shared dimension far longer than any tile, with ragged rows and columns.
+        let n = 21usize;
         let a = Tensor::from_vec(synth(m * k, seed), &[m, k]);
         let b = Tensor::from_vec(synth(k * n, seed + 1), &[k, n]);
         let mut tiled = Tensor::default();
@@ -101,7 +195,7 @@ proptest! {
     }
 
     #[test]
-    fn matmul_tn_into_is_bitwise_equal_to_naive_transpose(k in 1usize..32, m in 1usize..20, n in 1usize..20, seed in 0u64..1000) {
+    fn matmul_tn_into_is_bitwise_equal_to_naive_transpose(k in 1usize..40, m in 1usize..40, n in 1usize..40, seed in 0u64..1000) {
         let a = Tensor::from_vec(synth(k * m, seed), &[k, m]);
         let b = Tensor::from_vec(synth(k * n, seed + 2), &[k, n]);
         let mut tiled = Tensor::default();
@@ -134,15 +228,20 @@ proptest! {
     }
 
     #[test]
-    fn im2col_t_into_is_the_transpose_of_im2col(
-        n in 1usize..3, c in 1usize..4, h in 3usize..9,
+    fn im2col_t_into_is_the_transpose_of_naive_im2col(
+        n in 1usize..4, c in 1usize..4, h in 1usize..10, w in 1usize..20,
         k in 1usize..4, stride in 1usize..3, padding in 0usize..3, seed in 0u64..1000,
     ) {
+        // Widths 1..20 at strides 1 and 2 give output widths with a fixed-width row
+        // instance (2, 4, 8, 16 at stride 1) and without one (everything else).
+        let (h, w) = (h.max(k), w.max(k));
         let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel: k, stride, padding };
-        let x = Tensor::from_vec(synth(n * c * h * h, seed), &[n, c, h, h]);
+        let x = Tensor::from_vec(synth(n * c * h * w, seed), &[n, c, h, w]);
         let mut t = Tensor::default();
-        im2col_t_into(&x, h, h, &spec, &mut t);
-        let reference = naive_im2col(&x, h, h, &spec);
+        // A dirty, wrongly sized scratch plane must not leak into the result.
+        let mut plane = vec![f32::NAN; (seed % 50) as usize];
+        im2col_t_into(&x, h, w, &spec, &mut plane, &mut t);
+        let reference = naive_im2col(&x, h, w, &spec);
         let (rows, cols) = (reference.rows(), reference.cols());
         prop_assert_eq!(t.shape().dims(), &[cols, rows]);
         for r in 0..rows {
@@ -150,6 +249,31 @@ proptest! {
                 prop_assert_eq!(t.at2(cc, r).to_bits(), reference.at2(r, cc).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn col2im_t_into_is_bitwise_the_kernel_point_major_fold(
+        n in 1usize..4, c in 1usize..3, h in 1usize..9, w in 1usize..20,
+        k in 1usize..4, stride in 1usize..3, padding in 0usize..3, seed in 0u64..1000,
+    ) {
+        let (h, w) = (h.max(k), w.max(k));
+        let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel: k, stride, padding };
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let ckk = c * k * k;
+        let cols_t = Tensor::from_vec(synth(ckk * n * oh * ow, seed), &[ckk, n * oh * ow]);
+        let mut folded_t = Tensor::default();
+        let mut plane = vec![f32::NAN; (seed % 50) as usize];
+        col2im_t_into(&cols_t, n, h, w, &spec, &mut plane, &mut folded_t);
+        let reference = naive_col2im_t(&cols_t, n, h, w, &spec);
+        prop_assert_eq!(folded_t.shape().dims(), &[n, c, h, w]);
+        prop_assert_eq!(bits(folded_t.as_slice()), bits(&reference));
+        // Adjoint identity: <im2col_t(x), cols_t> == <x, col2im_t(cols_t)>.
+        let x = Tensor::from_vec(synth(n * c * h * w, seed + 7), &[n, c, h, w]);
+        let mut unrolled = Tensor::default();
+        im2col_t_into(&x, h, w, &spec, &mut plane, &mut unrolled);
+        let lhs = dot_f64(unrolled.as_slice(), cols_t.as_slice());
+        let rhs = dot_f64(x.as_slice(), folded_t.as_slice());
+        prop_assert!((lhs - rhs).abs() <= 1e-3 * (1.0 + lhs.abs().max(rhs.abs())));
     }
 
     #[test]
@@ -165,24 +289,14 @@ proptest! {
         col2im_into(&cols, n, h, h, &spec, &mut folded);
         // The transposed variant folds the same values (reassociated sum order).
         let mut folded_t = Tensor::default();
-        col2im_t_into(&cols.transposed(), n, h, h, &spec, &mut folded_t);
+        col2im_t_into(&cols.transposed(), n, h, h, &spec, &mut Vec::new(), &mut folded_t);
         prop_assert!(approx_eq(folded.as_slice(), folded_t.as_slice(), 1e-5));
         // Adjoint identity: <im2col(x), cols> == <x, col2im(cols)>.
         let x = Tensor::from_vec(synth(n * c * h * h, seed + 7), &[n, c, h, h]);
         let mut unrolled = Tensor::default();
         im2col_into(&x, h, h, &spec, &mut unrolled);
-        let lhs: f64 = unrolled
-            .as_slice()
-            .iter()
-            .zip(cols.as_slice())
-            .map(|(&u, &v)| f64::from(u) * f64::from(v))
-            .sum();
-        let rhs: f64 = x
-            .as_slice()
-            .iter()
-            .zip(folded.as_slice())
-            .map(|(&u, &v)| f64::from(u) * f64::from(v))
-            .sum();
+        let lhs = dot_f64(unrolled.as_slice(), cols.as_slice());
+        let rhs = dot_f64(x.as_slice(), folded.as_slice());
         prop_assert!((lhs - rhs).abs() <= 1e-3 * (1.0 + lhs.abs().max(rhs.abs())));
     }
 
