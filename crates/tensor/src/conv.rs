@@ -4,9 +4,13 @@
 //! (ResNet-50/110 analogues) compute-heavy relative to their parameter count, which is
 //! the property the paper's Section V-C analysis hinges on.
 //!
-//! The column transforms ([`im2col_t_into`], [`col2im_t_into`]) work channel by channel
-//! on zero-bordered scratch planes and move fixed-width row runs, so nothing in the
-//! path tests for padding per element.
+//! A convolution is one column transform plus GEMMs on the register-tiled kernel of
+//! [`Tensor::matmul_into`]: forward `W x cols_t`; backward `cols_t x g_tt` (weights),
+//! `W^T x g_t` (columns) and the fold back to the input. The column transforms
+//! ([`im2col_t_into`], [`col2im_t_into`]) work channel by channel on zero-bordered
+//! scratch planes and move fixed-width row runs, so nothing in the path tests for
+//! padding per element. Every sum is taken in ascending order from 0.0: forward output
+//! and all three gradients are bitwise equal to the naive `im2col` formulation.
 
 use crate::Tensor;
 
@@ -199,6 +203,7 @@ macro_rules! with_fixed_width {
         }
     };
 }
+
 /// Transposed `im2col`: unrolls an `[N, C, H, W]` input into `[C * K * K, N * OH * OW]`
 /// column form (one *row* per kernel point, one *column* per output position).
 ///
@@ -438,6 +443,10 @@ pub struct ConvScratch {
     /// One channel's `N` zero-bordered `(H+2p) x (W+2p)` planes, shared by both column
     /// transforms.
     planes: Vec<f32>,
+    /// The upstream gradient as `[N*OH*OW, OC]` and the weight gradient as
+    /// `[C*K*K, OC]`: the right operand and the result of the weight-gradient GEMM.
+    g_tt: Tensor,
+    grad_weight_t: Tensor,
 }
 
 /// [`conv2d`] writing into caller-provided buffers.
@@ -535,8 +544,14 @@ pub fn conv2d_backward(
 /// `cols_t` is the transposed column matrix cached by [`conv2d_into`]. `g_t` and
 /// `grad_cols_t` are pure scratch (the rearranged upstream gradient and the gradient
 /// of the column matrix, both in kernel-point-major layout); `scratch` provides the
-/// transposed filter matrix; `grad_input`, `grad_weight` and `grad_bias` receive the
-/// results (overwritten, not accumulated).
+/// transposed filter matrix and the operands of the weight-gradient GEMM;
+/// `grad_input`, `grad_weight` and `grad_bias` receive the results (overwritten, not
+/// accumulated).
+///
+/// All three GEMMs run on the register-tiled kernel of [`Tensor::matmul_into`], so
+/// every output — the weight gradient included — is bitwise equal to the naive
+/// formulation that sums over output positions (kernel points for the input gradient)
+/// in ascending order.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_into(
     grad_out: &Tensor,
@@ -558,19 +573,29 @@ pub fn conv2d_backward_into(
     let ow = spec.out_size(w);
     let ohow = oh * ow;
     let npos = n * ohow;
-    // Rearrange grad_out [N, OC, OH, OW] -> [OC, N*OH*OW]: pure contiguous copies.
+    // Rearrange grad_out [N, OC, OH, OW] twice: g_t [OC, N*OH*OW] (pure contiguous
+    // copies; the left operand of the input-gradient GEMM and the source of the bias
+    // sums) and its transpose g_tt [N*OH*OW, OC] (one small transpose per image; the
+    // right operand of the weight-gradient GEMM).
     g_t.ensure_shape(&[oc, npos]);
+    scratch.g_tt.ensure_shape(&[npos, oc]);
     let gd = g_t.as_mut_slice();
+    let gtt = scratch.g_tt.as_mut_slice();
     let src = grad_out.as_slice();
-    for co in 0..oc {
-        for ni in 0..n {
-            gd[co * npos + ni * ohow..co * npos + (ni + 1) * ohow]
-                .copy_from_slice(&src[(ni * oc + co) * ohow..(ni * oc + co + 1) * ohow]);
+    for ni in 0..n {
+        for co in 0..oc {
+            let run = &src[(ni * oc + co) * ohow..(ni * oc + co + 1) * ohow];
+            gd[co * npos + ni * ohow..co * npos + (ni + 1) * ohow].copy_from_slice(run);
+            for (pos, &v) in run.iter().enumerate() {
+                gtt[(ni * ohow + pos) * oc + co] = v;
+            }
         }
     }
-    // grad_weight = g_t x cols_t^T -> [OC, C*K*K] via the lane-reassociated nt kernel:
-    // equal to the naive g^T x cols formulation only to 1e-5 tolerance, not bitwise.
-    g_t.matmul_nt_into(cols_t, grad_weight);
+    // grad_weight^T = cols_t x g_tt -> [C*K*K, OC] on the register-tiled kernel: every
+    // element is the ascending-position sum of the naive g^T x cols formulation, bit
+    // for bit. The 576-element result is transposed back into [OC, C*K*K].
+    cols_t.matmul_into(&scratch.g_tt, &mut scratch.grad_weight_t);
+    scratch.grad_weight_t.transposed_into(grad_weight);
     // grad_bias = per-channel sums of g_t -> [OC]
     g_t.sum_cols_into(grad_bias);
     // grad_cols_t = weight^T x g_t -> [C*K*K, N*OH*OW]

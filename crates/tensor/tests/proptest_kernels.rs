@@ -7,6 +7,9 @@
 //!   (the crate's own unit test walks them exhaustively, per compiled instance).
 //! * `matmul_nt_into` accumulates in interleaved lanes and is held to a 1e-5 relative
 //!   tolerance — the one kernel that reassociates.
+//! * `conv2d` / `conv2d_backward` — output, weight, bias and input gradient — are
+//!   bitwise equal to the naive `im2col` formulation (`cols x W^T`, `g^T x cols`,
+//!   `g x W` folded back), each sum taken in ascending order.
 //! * `im2col` / `im2col_t` are exact gathers and must be bitwise equal to
 //!   `naive_im2col` across random `(N, C, H, W, K, stride, padding)`: square and
 //!   non-square planes, `stride = 2`, `padding = 0`, `K = 1`, and output widths with
@@ -313,6 +316,56 @@ proptest! {
         prop_assert_eq!(out.as_slice(), a.mul(&b).as_slice());
         a.map_into(&mut out, |v| v * 0.5 + 1.0);
         prop_assert_eq!(out.as_slice(), a.map(|v| v * 0.5 + 1.0).as_slice());
+    }
+
+    #[test]
+    fn conv2d_forward_and_backward_are_bitwise_the_naive_formulation(
+        n in 1usize..4, c in 1usize..4, oc in 1usize..10, h in 1usize..7, w in 1usize..10,
+        k in 1usize..4, stride in 1usize..3, padding in 0usize..2, seed in 0u64..1000,
+    ) {
+        let (h, w) = (h.max(k), w.max(k));
+        let spec = Conv2dSpec { in_channels: c, out_channels: oc, kernel: k, stride, padding };
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let (ohow, ckk) = (oh * ow, c * k * k);
+        let x = Tensor::from_vec(synth(n * c * h * w, seed), &[n, c, h, w]);
+        let wgt = Tensor::from_vec(synth(oc * ckk, seed + 1), &[oc, ckk]);
+        let bias = Tensor::from_vec(synth(oc, seed + 2), &[oc]);
+        let grad_out = Tensor::from_vec(synth(n * oc * ohow, seed + 3), &[n, oc, oh, ow]);
+        let (out, cols_t) = conv2d(&x, &wgt, &bias, h, w, &spec);
+        let (grad_x, grad_w, grad_b) = conv2d_backward(&grad_out, &cols_t, &wgt, n, h, w, &spec);
+
+        // The naive formulation: one row of `cols` per output position.
+        let cols = naive_im2col(&x, h, w, &spec);
+        // Forward: cols x W^T + b, rearranged to [N, OC, OH, OW].
+        let prod = naive_matmul(&cols, &wgt.transposed());
+        // g: grad_out as [N*OH*OW, OC].
+        let mut g = Tensor::zeros(&[n * ohow, oc]);
+        for ni in 0..n {
+            for co in 0..oc {
+                for pos in 0..ohow {
+                    let i = (ni * oc + co) * ohow + pos;
+                    let expected = prod.at2(ni * ohow + pos, co) + bias.as_slice()[co];
+                    prop_assert_eq!(out.as_slice()[i].to_bits(), expected.to_bits());
+                    g.set2(ni * ohow + pos, co, grad_out.as_slice()[i]);
+                }
+            }
+        }
+        // Weight gradient: g^T x cols, every element summed over positions in
+        // ascending order.
+        let naive_grad_w = naive_matmul(&g.transposed(), &cols);
+        prop_assert_eq!(bits(grad_w.as_slice()), bits(naive_grad_w.as_slice()));
+        // Bias gradient: per-channel sum over positions in ascending order.
+        for co in 0..oc {
+            let mut acc = 0.0f32;
+            for pos in 0..n * ohow {
+                acc += g.at2(pos, co);
+            }
+            prop_assert_eq!(grad_b.as_slice()[co].to_bits(), acc.to_bits());
+        }
+        // Input gradient: (g x W), folded in kernel-point-major order.
+        let grad_cols_t = naive_matmul(&g, &wgt).transposed();
+        let naive_grad_x = naive_col2im_t(&grad_cols_t, n, h, w, &spec);
+        prop_assert_eq!(bits(grad_x.as_slice()), bits(&naive_grad_x));
     }
 
     #[test]
