@@ -76,13 +76,14 @@ pub struct JobConfig {
     /// is never carried on the wire. Part of the config digest: a group worker cannot
     /// silently join a job with a different topology.
     pub servers: usize,
-    /// Whether networked workers request incremental pulls (`PullDelta` with their
-    /// cached per-shard versions, the server shipping only shards whose version
-    /// advanced) instead of re-downloading the full model every iteration. On by
+    /// Whether networked workers receive incremental weights — only the shards whose
+    /// version advanced past what they hold (the single server tracks what it last
+    /// shipped each rank; a group worker sends its cached per-shard versions with
+    /// `PullShards`) — instead of re-downloading the full model every iteration. On by
     /// default; bitwise-neutral (the reconstructed weights are identical either way).
     /// Included in the config digest so a delta-pulling worker cannot silently join a
-    /// full-pull job. Ignored by the simulator and the threaded runtime, which have no
-    /// pull step.
+    /// full-pull job. Ignored by the simulator and the threaded runtime, which move no
+    /// weights over a wire.
     pub delta_pulls: bool,
     /// Impose a canonical event order and a logical policy clock so runs are bitwise
     /// reproducible across substrates (see the module docs). Off by default.
@@ -669,10 +670,10 @@ pub enum WorkerEvent {
         /// Total time it spent waiting for deferred `OK`s, in seconds.
         waiting_time_s: f64,
     },
-    /// The worker asks for the current weights. Only the networked runtime uses this
-    /// variant — pulls are served by the transport layer and never reach
-    /// [`ServerLoop::handle`]; it exists so [`DeterministicGate`] can order pulls
-    /// relative to pushes.
+    /// The worker asks for the current weights: the explicit pull a networked worker
+    /// opens with. Only the networked runtime uses this variant — pulls are served by
+    /// the transport layer and never reach [`ServerLoop::handle`]; it exists so
+    /// [`DeterministicGate`] can hold every push back until all opening pulls are in.
     Pull {
         /// Pulling worker's rank.
         worker: usize,
@@ -692,7 +693,7 @@ impl WorkerEvent {
 
 /// An `OK` the server owes a worker after handling an event: the worker may start its
 /// next iteration. The substrate decides how to deliver it (channel send with fresh
-/// weights, or a `PushReply` frame followed by a served pull).
+/// weights, or a `PushReply` frame with the pull reply right behind it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OkReply {
     /// The worker to release.
@@ -1332,8 +1333,8 @@ fn push_eval_point(
 enum GateState {
     /// Computing; its next event will be a push (or its final push's `Done`).
     Running,
-    /// Released but yet to collect weights; its next event will be a pull
-    /// (pull-step substrates only).
+    /// Yet to collect its initial weights; its next event will be a pull (substrates
+    /// whose workers open with an explicit pull only).
     AwaitingPull,
     /// Blocked by the policy; it will send nothing until released.
     Blocked,
@@ -1354,6 +1355,14 @@ enum GateState {
 /// reports the outcome ([`DeterministicGate::on_push_processed`] /
 /// [`DeterministicGate::on_released`]) so the gate can track which workers are
 /// runnable.
+///
+/// Every substrate hands a released worker the weights as of its `OK` — inline with
+/// the `OK` on a channel, or right behind it on a socket — so once a worker runs, the
+/// gate orders pushes and `Done`s and nothing else. The one pull it knows is the
+/// **initial-pull barrier** of substrates whose workers open with an explicit pull
+/// (`initial_pull`): no push may be applied before every worker has collected its
+/// starting weights, or a late starter would begin from weights the other substrates
+/// never hand out as a starting point.
 #[derive(Debug)]
 pub struct DeterministicGate {
     queues: Vec<VecDeque<WorkerEvent>>,
@@ -1363,20 +1372,19 @@ pub struct DeterministicGate {
     /// next event therefore has key `last_key + 1`, which bounds how long dispatch must
     /// wait for it.
     last_key: Vec<u64>,
-    /// Whether released workers fetch weights with an explicit pull event (networked
-    /// runtime) or receive them inline with the `OK` (threaded runtime).
-    pull_step: bool,
 }
 
 impl DeterministicGate {
-    /// Creates a gate for workers with the given iteration targets. `pull_step` says
-    /// whether the substrate's workers send an explicit pull after each `OK`.
-    pub fn new(targets: Vec<u64>, pull_step: bool) -> Self {
+    /// Creates a gate for workers with the given iteration targets. `initial_pull`
+    /// says whether the substrate's workers open with an explicit pull (networked
+    /// runtime) or are handed their starting weights (threaded runtime, group
+    /// coordinator).
+    pub fn new(targets: Vec<u64>, initial_pull: bool) -> Self {
         let n = targets.len();
         Self {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             states: vec![
-                if pull_step {
+                if initial_pull {
                     GateState::AwaitingPull
                 } else {
                     GateState::Running
@@ -1385,7 +1393,6 @@ impl DeterministicGate {
             ],
             targets,
             last_key: vec![0; n],
-            pull_step,
         }
     }
 
@@ -1398,7 +1405,7 @@ impl DeterministicGate {
     /// # Panics
     ///
     /// Panics if `counts` and `targets` lengths differ or a count exceeds its target.
-    pub fn resume(targets: Vec<u64>, counts: &[u64], pull_step: bool) -> Self {
+    pub fn resume(targets: Vec<u64>, counts: &[u64], initial_pull: bool) -> Self {
         assert_eq!(targets.len(), counts.len(), "count/target length mismatch");
         let n = targets.len();
         let states = (0..n)
@@ -1407,7 +1414,7 @@ impl DeterministicGate {
                     counts[w] <= targets[w],
                     "restored count exceeds iteration target"
                 );
-                if pull_step {
+                if initial_pull {
                     // Every restarted worker re-pulls the weights before anything else.
                     GateState::AwaitingPull
                 } else if counts[w] >= targets[w] {
@@ -1422,7 +1429,6 @@ impl DeterministicGate {
             states,
             targets,
             last_key: counts.to_vec(),
-            pull_step,
         }
     }
 
@@ -1443,9 +1449,9 @@ impl DeterministicGate {
     /// Releases the next event in canonical order, or `None` if the gate must wait for
     /// more arrivals.
     pub fn next(&mut self) -> Option<WorkerEvent> {
-        // Phase 1: while any released worker still owes a pull, only pulls may pass —
-        // serving a push first would let the pulled weights drift from the `OK`-time
-        // snapshot the pull-less substrates hand out.
+        // Phase 1, the initial-pull barrier: while any worker still owes its opening
+        // pull, only pulls may pass — applying a push first would let its starting
+        // weights drift from the ones every other worker started from.
         let mut any_awaiting = false;
         for w in 0..self.states.len() {
             if self.states[w] == GateState::AwaitingPull {
@@ -1509,8 +1515,6 @@ impl DeterministicGate {
             GateState::Draining
         } else if !ok {
             GateState::Blocked
-        } else if self.pull_step {
-            GateState::AwaitingPull
         } else {
             GateState::Running
         };
@@ -1527,11 +1531,7 @@ impl DeterministicGate {
     /// Reports that a previously blocked worker received its deferred `OK`.
     pub fn on_released(&mut self, worker: usize) {
         if self.states[worker] == GateState::Blocked {
-            self.states[worker] = if self.pull_step {
-                GateState::AwaitingPull
-            } else {
-                GateState::Running
-            };
+            self.states[worker] = GateState::Running;
         }
     }
 }
@@ -1726,10 +1726,8 @@ mod tests {
         });
         assert_eq!(gate.next().unwrap().worker(), 0);
         gate.on_push_processed(0, 1, true);
-        // Worker 0 owes a pull again before worker 1's queued push may pass.
-        assert!(gate.next().is_none());
-        gate.offer(WorkerEvent::Pull { worker: 0 });
-        assert!(matches!(gate.next(), Some(WorkerEvent::Pull { worker: 0 })));
+        // The barrier is the opening pulls only: worker 0's `OK` carried its weights,
+        // so worker 1's queued push passes without waiting for another pull.
         assert_eq!(gate.next().unwrap().worker(), 1);
     }
 

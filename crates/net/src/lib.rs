@@ -11,7 +11,7 @@
 //!
 //! | module | provides |
 //! |---|---|
-//! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v3: 20 kinds incl. the multi-server group set), bulk LE fast paths |
+//! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v7: 33 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
 //! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`] traits + in-process [`transport::loopback`] |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
@@ -30,13 +30,17 @@
 //! workspace-level `net_equivalence` test asserts exactly that, and the TCP transport
 //! ships IEEE-754 bit patterns verbatim so the equality extends across real sockets.
 //!
-//! Since protocol v2 the steady-state frame path is **delta-pulling and
-//! allocation-free**: workers cache per-shard versions and request only the shards
-//! that advanced (`PullDelta`/`PullReplyDelta`, with a full-pull fallback on first
-//! contact or version mismatch), and the TCP transport reuses pooled encode/decode
-//! buffers, recycles bulk vectors between the command loop and each connection's
-//! reader, and writes frames with one vectored syscall — zero heap allocations per
-//! message on both ends once warm (enforced by a counting-allocator test).
+//! The steady-state round is **one round trip, delta-shipping, copy-once and
+//! allocation-free**. Since protocol v7 the `OK` carries the weights: the server
+//! follows every `PushReply` with the shards that advanced past what it last shipped
+//! that rank (`PullReplyDelta`; a full `PullReply` on first contact, with delta pulls
+//! off, or on a version mismatch), so a worker asks for weights exactly once, before
+//! its first iteration. The TCP transport writes every bulk frame as one vectored
+//! syscall of a stack header plus the run's own bytes and reads it from the socket
+//! straight into the buffer it is for — a gradient `Vec` recycled between the command
+//! loop and the connection's reader, the worker's own weight ranges — so no bulk byte
+//! is staged or copied twice, and neither end allocates per message once warm
+//! (enforced by a counting-allocator test).
 //!
 //! # Example (in-process loopback)
 //!

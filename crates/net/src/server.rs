@@ -3,17 +3,27 @@
 //!
 //! Connection reader threads (or loopback channels) feed one message stream; this loop
 //! is the only code that touches the [`dssp_ps::ParameterServer`], so the decision
-//! logic needs no mutex. Replies flow back through the transport: an `OK` becomes a
-//! `PushReply`, after which the worker fetches fresh weights with an explicit
-//! pull/reply exchange (two round trips per iteration, like the parameter-server
-//! systems in the paper's lineage). A pull is answered straight from a borrowed
-//! [`PullView`] of the store — incrementally when the worker sent its cached per-shard
-//! versions (`PullDelta`), fully otherwise — and the steady-state loop allocates
-//! nothing per message: pushes are applied through
-//! [`ServerLoop::handle_push_slice`] with reusable reply scratch, and consumed bulk
-//! buffers are recycled back to the transport's per-connection pools.
-//! (Deterministic mode queues owned events in the gate and keeps the simpler
-//! allocating path; it exists for equivalence testing, not throughput.)
+//! logic needs no mutex. A round is **one round trip**: the `OK` carries the weights.
+//! Whenever the loop grants a worker its `OK` — when the push arrives, or later, when
+//! another push, a `Done` or an eviction releases it — it writes the `PushReply` and,
+//! straight after it on the same connection, the pull reply the worker would
+//! otherwise have had to ask for: the weights as of the `OK`, which is exactly what
+//! the threaded runtime hands out as `WorkerCommand::Proceed(weights)`. The reply is
+//! cut from a borrowed [`PullView`] of the store against the per-shard versions this
+//! loop last shipped to that rank — it keeps that record itself, starts it empty in
+//! every server life and drops it with the rank's eviction — so it is a delta of the
+//! shards that advanced since, or a full reply when there is no usable record or the
+//! job runs with delta pulls off. Only the `OK` of a rank's final push travels alone:
+//! both ends know the rank's iteration target from the digest-checked job. An
+//! explicit `Pull` is first contact (and first contact after a restore): it is
+//! answered in full and resets the record.
+//!
+//! The steady-state loop allocates nothing per message: pushes are applied through
+//! [`ServerLoop::handle_push_slice`] with reusable reply scratch, and consumed
+//! gradient buffers are recycled back to the transport's per-connection pools.
+//! Deterministic mode runs the same round; it only queues owned events in the gate
+//! first (and so keeps the allocating [`ServerLoop::handle`] path — it exists for
+//! equivalence testing, not throughput).
 
 use crate::elastic::{CheckpointSink, FaultClock};
 use crate::obs::Obs;
@@ -23,7 +33,7 @@ use crate::NetError;
 use dssp_core::driver::{
     DeterministicGate, FaultRole, JobConfig, OkReply, ServerLoop, WorkerEvent,
 };
-use dssp_core::events::Role;
+use dssp_core::events::{EventKind, Role, NO_TRACE};
 use dssp_sim::RunTrace;
 use std::time::Instant;
 
@@ -74,69 +84,28 @@ pub fn serve(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<Run
     }
 }
 
-/// Per-rank stash of the `known_versions` a gated (deterministic-mode) `PullDelta`
-/// carried, consulted when the gate later releases that worker's pull event.
-struct PullState {
-    known: Vec<Vec<u64>>,
-    set: Vec<bool>,
-}
-
-impl PullState {
-    fn new(num_workers: usize) -> Self {
-        Self {
-            known: (0..num_workers).map(|_| Vec::new()).collect(),
-            set: vec![false; num_workers],
-        }
-    }
-
-    fn stash(&mut self, rank: usize, known: &[u64]) {
-        self.known[rank].clear();
-        self.known[rank].extend_from_slice(known);
-        self.set[rank] = true;
-    }
-
-    fn take(&mut self, rank: usize) -> Option<&[u64]> {
-        if self.set[rank] {
-            self.set[rank] = false;
-            Some(&self.known[rank])
-        } else {
-            None
-        }
-    }
-}
-
-/// The elasticity hooks every push runs through: the structured fault clock, the
-/// durable checkpoint cadence, and the digest checkpoints are stamped with.
-struct Elastic {
+/// Everything the command loop threads through one run.
+struct Serving<'a> {
+    sl: ServerLoop,
+    transport: &'a mut dyn ServerTransport,
+    gate: Option<DeterministicGate>,
+    /// The elasticity hooks every push runs through: the structured fault clock, the
+    /// durable checkpoint cadence, and the digest checkpoints are stamped with.
     fault: FaultClock,
     sink: CheckpointSink,
     digest: u64,
-}
-
-impl Elastic {
-    /// Runs the post-push hooks: the push-phase fault, the gate-phase fault when the
-    /// pusher was deferred, the cadence write (recorded in the observability bundle
-    /// when a file lands), and the checkpoint-phase fault.
-    fn after_push(
-        &mut self,
-        sl: &ServerLoop,
-        pusher_granted: bool,
-        obs: &Obs,
-    ) -> Result<(), NetError> {
-        self.fault.push()?;
-        if !pusher_granted {
-            self.fault.gate_blocked()?;
-        }
-        let digest = self.digest;
-        if self
-            .sink
-            .maybe_write(sl.version(), || sl.snapshot(digest))?
-        {
-            obs.on_checkpoint(sl.version());
-            self.fault.checkpoint()?;
-        }
-        Ok(())
-    }
+    obs: Obs,
+    /// Per-rank causal trace table: a worker has at most one operation in flight, so
+    /// its most recent trace id is the one its gate-block/release events — and the
+    /// weights that ride its `OK` — belong to. `NO_TRACE` for ranks that have not sent
+    /// a traced operation yet.
+    last_trace: Vec<u64>,
+    /// Per rank, the per-shard versions of the last pull reply shipped to it: what the
+    /// next `OK`'s delta is cut against. Empty until the rank's first reply in this
+    /// server life, and again after its eviction.
+    shipped: Vec<Vec<u64>>,
+    delta_pulls: bool,
+    start: Instant,
 }
 
 fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<RunTrace, NetError> {
@@ -145,7 +114,7 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
     // optimizer momentum, per-worker clocks and the policy's credit state all resume,
     // and every worker re-handshakes and is re-admitted at its restored push count.
     let restoring = job.checkpoint.as_ref().is_some_and(|c| c.restore);
-    let mut sl = if restoring {
+    let sl = if restoring {
         let spec = job.checkpoint.as_ref().expect("restoring implies a spec");
         let path = spec.dir.join(dssp_ps::server_checkpoint_name());
         let ckpt = dssp_ps::Checkpoint::load_for_job(&path, expected_digest)?;
@@ -161,26 +130,13 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
         ServerLoop::new(job)
     };
     let targets = sl.targets().to_vec();
-    let mut gate = job.deterministic.then(|| {
+    let gate = job.deterministic.then(|| {
         if restoring {
             DeterministicGate::resume(targets, &sl.push_counts(), true)
         } else {
             DeterministicGate::new(targets, true)
         }
     });
-    let mut pulls = PullState::new(job.num_workers);
-    // Per-rank causal trace table: a worker has at most one operation in flight, so
-    // its most recent trace id is the one its gate-block/release events belong to.
-    // NO_TRACE for ranks that have not sent a traced operation yet.
-    let mut last_trace = vec![dssp_core::events::NO_TRACE; job.num_workers];
-    let mut helloed = vec![false; job.num_workers];
-    let mut replies: Vec<OkReply> = Vec::new();
-    let mut elastic = Elastic {
-        // The classic single server plays the group's "server 0" in a fault plan.
-        fault: FaultClock::new(job, FaultRole::ShardServer(0)),
-        sink: CheckpointSink::new(job.checkpoint.as_ref(), &dssp_ps::server_checkpoint_name()),
-        digest: expected_digest,
-    };
     let obs = Obs::new(
         Role::Server,
         0,
@@ -188,234 +144,311 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
         job.metrics_addr.as_deref(),
     )?;
     obs.sync_loop(&sl);
-    let start = Instant::now();
-
-    while !sl.all_done() {
-        obs.mirror_transport(&transport.transport_stats());
-        // Deterministic mode: drain everything the gate is ready to release before
-        // blocking on the transport again.
-        loop {
-            let ready = gate.as_mut().and_then(|g| g.next());
-            match ready {
-                Some(event) => {
-                    process_event(
-                        &mut sl,
-                        transport,
-                        &mut gate,
-                        &mut pulls,
-                        event,
-                        &start,
-                        &mut elastic,
-                        &obs,
-                        &last_trace,
-                    )?;
-                    if sl.all_done() {
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-        if sl.all_done() {
-            break;
-        }
-
-        let (rank, msg) = match transport.recv() {
-            Ok(pair) => pair,
-            // A worker died mid-run: reap it instead of stalling the gate — reclaim
-            // its credits, retire its clock, and release anyone it was blocking.
-            Err(NetError::ClientLost { rank }) => {
-                evict_client(&mut sl, transport, &mut gate, rank, &start, &obs)?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        match msg {
-            Message::Hello {
-                version,
-                rank: hello_rank,
-                num_workers,
-                config_digest,
-            } => {
-                validate_hello(
-                    rank,
-                    version,
-                    hello_rank,
-                    num_workers,
-                    config_digest,
-                    job.num_workers,
-                    expected_digest,
-                    &mut helloed,
-                )?;
-                obs.on_join(rank);
-            }
-            Message::JoinRequest => {
-                require_helloed(&helloed, rank)?;
-                // Membership: admit the worker at the number of pushes this server
-                // has already confirmed from its rank — zero on a fresh run, the
-                // restored clock after a checkpoint restore.
-                let ack = Message::JoinAck {
-                    clock: sl.push_count(rank),
-                    epoch: 0,
-                    assignment: Vec::new(),
-                };
-                if transport.send(rank, &ack).is_err() {
-                    evict_client(&mut sl, transport, &mut gate, rank, &start, &obs)?;
-                }
-            }
-            Message::Evict { rank: victim } => {
-                require_helloed(&helloed, rank)?;
-                let victim = victim as usize;
-                if victim >= job.num_workers {
-                    return Err(NetError::Protocol(format!(
-                        "eviction of rank {victim}, job has {} workers",
-                        job.num_workers
-                    )));
-                }
-                evict_client(&mut sl, transport, &mut gate, victim, &start, &obs)?;
-            }
-            Message::Pull { trace } => {
-                require_helloed(&helloed, rank)?;
-                last_trace[rank] = trace;
-                match gate.as_mut() {
-                    Some(g) => g.offer(WorkerEvent::Pull { worker: rank }),
-                    None => {
-                        match serve_pull(&sl, transport, rank, None) {
-                            Ok(delta) => obs.on_pull(rank, delta, trace),
-                            Err(_) => {
-                                evict_client(&mut sl, transport, &mut gate, rank, &start, &obs)?
-                            }
-                        }
-                        elastic.fault.pull()?;
-                    }
-                }
-            }
-            Message::PullDelta {
-                trace,
-                known_versions,
-            } => {
-                require_helloed(&helloed, rank)?;
-                last_trace[rank] = trace;
-                match gate.as_mut() {
-                    Some(g) => {
-                        // The gate orders this like any pull; remember the versions it
-                        // carried until the gate releases it.
-                        pulls.stash(rank, &known_versions);
-                        g.offer(WorkerEvent::Pull { worker: rank });
-                    }
-                    None => {
-                        match serve_pull(&sl, transport, rank, Some(&known_versions)) {
-                            Ok(delta) => obs.on_pull(rank, delta, trace),
-                            Err(_) => {
-                                evict_client(&mut sl, transport, &mut gate, rank, &start, &obs)?
-                            }
-                        }
-                        elastic.fault.pull()?;
-                    }
-                }
-                transport.recycle_u64s(rank, known_versions);
-            }
-            Message::Push {
-                iteration,
-                trace,
-                grads,
-            } => {
-                require_helloed(&helloed, rank)?;
-                last_trace[rank] = trace;
-                match gate.as_mut() {
-                    Some(g) => g.offer(WorkerEvent::Push {
-                        worker: rank,
-                        iteration,
-                        grads,
-                    }),
-                    None => {
-                        // The allocation-free hot path: borrowed gradients, reusable
-                        // reply scratch, buffer recycled to the connection pool.
-                        let now = start.elapsed().as_secs_f64();
-                        replies.clear();
-                        let decision = sl.handle_push_slice(rank, &grads, now, &mut replies);
-                        transport.recycle_f32s(rank, grads);
-                        let granted = replies.iter().any(|r| r.worker == rank);
-                        obs.on_push(rank, Some(decision.staleness), &replies, &sl, &last_trace);
-                        deliver_replies(&mut sl, transport, &mut gate, &replies, &start, &obs)?;
-                        check_abort(&sl)?;
-                        elastic.after_push(&sl, granted, &obs)?;
-                    }
-                }
-            }
-            Message::Done {
-                iterations,
-                epochs,
-                waiting_time_s,
-            } => {
-                require_helloed(&helloed, rank)?;
-                let event = WorkerEvent::Done {
-                    worker: rank,
-                    iterations,
-                    epochs: epochs as usize,
-                    waiting_time_s,
-                };
-                match gate.as_mut() {
-                    Some(g) => g.offer(event),
-                    None => process_event(
-                        &mut sl,
-                        transport,
-                        &mut gate,
-                        &mut pulls,
-                        event,
-                        &start,
-                        &mut elastic,
-                        &obs,
-                        &last_trace,
-                    )?,
-                }
-            }
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "unexpected {other:?} from worker {rank}"
-                )))
-            }
-        }
-    }
-
-    // The run's terminal state is always durable, regardless of cadence alignment.
-    elastic.sink.finalize(|| sl.snapshot(expected_digest))?;
-    if job.checkpoint.is_some() {
-        obs.on_checkpoint(sl.version());
-    }
-    obs.sync_loop(&sl);
-    obs.mirror_transport(&transport.transport_stats());
-    obs.flush()?;
-    Ok(sl.finish(start.elapsed().as_secs_f64()))
+    let mut serving = Serving {
+        sl,
+        transport,
+        gate,
+        // The classic single server plays the group's "server 0" in a fault plan.
+        fault: FaultClock::new(job, FaultRole::ShardServer(0)),
+        sink: CheckpointSink::new(job.checkpoint.as_ref(), &dssp_ps::server_checkpoint_name()),
+        digest: expected_digest,
+        obs,
+        last_trace: vec![NO_TRACE; job.num_workers],
+        shipped: vec![Vec::new(); job.num_workers],
+        delta_pulls: job.delta_pulls,
+        start: Instant::now(),
+    };
+    serving.run(job.num_workers)?;
+    serving.finish(job.checkpoint.is_some())
 }
 
-/// Reaps one dead (or explicitly evicted) worker: reclaims its policy credits,
-/// retires its clock, forgets its queued deterministic-gate events, and delivers the
-/// `OK`s its departure releases to the survivors.
-fn evict_client(
-    sl: &mut ServerLoop,
-    transport: &mut dyn ServerTransport,
-    gate: &mut Option<DeterministicGate>,
-    worker: usize,
-    start: &Instant,
-    obs: &Obs,
-) -> Result<(), NetError> {
-    let released = sl.evict_worker(worker, start.elapsed().as_secs_f64());
-    obs.on_eviction(worker);
-    if let Some(g) = gate.as_mut() {
-        g.forget_worker(worker);
-        for reply in &released {
-            g.on_released(reply.worker);
+impl Serving<'_> {
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Closes a completed run: terminal checkpoint, final counters, event log, trace.
+    fn finish(mut self, checkpointing: bool) -> Result<RunTrace, NetError> {
+        // The run's terminal state is always durable, regardless of cadence alignment.
+        let (sl, digest) = (&self.sl, self.digest);
+        self.sink.finalize(|| sl.snapshot(digest))?;
+        if checkpointing {
+            self.obs.on_checkpoint(self.sl.version());
+        }
+        self.obs.sync_loop(&self.sl);
+        self.obs.mirror_transport(&self.transport.transport_stats());
+        self.obs.flush()?;
+        let wall = self.now();
+        Ok(self.sl.finish(wall))
+    }
+
+    /// Runs the post-push hooks: the push-phase fault, the gate-phase fault when the
+    /// pusher was deferred, the cadence write (recorded in the observability bundle
+    /// when a file lands), and the checkpoint-phase fault.
+    fn after_push(&mut self, pusher_granted: bool) -> Result<(), NetError> {
+        self.fault.push()?;
+        if !pusher_granted {
+            self.fault.gate_blocked()?;
+        }
+        let (sl, digest) = (&self.sl, self.digest);
+        if self
+            .sink
+            .maybe_write(sl.version(), || sl.snapshot(digest))?
+        {
+            self.obs.on_checkpoint(sl.version());
+            self.fault.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// The command loop: runs until every worker has reported `Done`.
+    fn run(&mut self, num_workers: usize) -> Result<(), NetError> {
+        let mut helloed = vec![false; num_workers];
+        let mut replies: Vec<OkReply> = Vec::new();
+        while !self.sl.all_done() {
+            self.obs.mirror_transport(&self.transport.transport_stats());
+            // Deterministic mode: drain everything the gate is ready to release before
+            // blocking on the transport again.
+            while let Some(event) = self.gate.as_mut().and_then(|g| g.next()) {
+                self.process_event(event)?;
+                if self.sl.all_done() {
+                    return Ok(());
+                }
+            }
+
+            let (rank, msg) = match self.transport.recv() {
+                Ok(pair) => pair,
+                // A worker died mid-run: reap it instead of stalling the gate — reclaim
+                // its credits, retire its clock, and release anyone it was blocking.
+                Err(NetError::ClientLost { rank }) => {
+                    self.evict_client(rank)?;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            match msg {
+                Message::Hello {
+                    version,
+                    rank: hello_rank,
+                    num_workers: hello_workers,
+                    config_digest,
+                } => {
+                    validate_hello(
+                        rank,
+                        version,
+                        hello_rank,
+                        hello_workers,
+                        config_digest,
+                        num_workers,
+                        self.digest,
+                        &mut helloed,
+                    )?;
+                    self.obs.on_join(rank);
+                }
+                Message::JoinRequest => {
+                    require_helloed(&helloed, rank)?;
+                    // Membership: admit the worker at the number of pushes this server
+                    // has already confirmed from its rank — zero on a fresh run, the
+                    // restored clock after a checkpoint restore.
+                    let ack = Message::JoinAck {
+                        clock: self.sl.push_count(rank),
+                        epoch: 0,
+                        assignment: Vec::new(),
+                    };
+                    if self.transport.send(rank, &ack).is_err() {
+                        self.evict_client(rank)?;
+                    }
+                }
+                Message::Evict { rank: victim } => {
+                    require_helloed(&helloed, rank)?;
+                    let victim = victim as usize;
+                    if victim >= num_workers {
+                        return Err(NetError::Protocol(format!(
+                            "eviction of rank {victim}, job has {num_workers} workers"
+                        )));
+                    }
+                    self.evict_client(victim)?;
+                }
+                Message::Pull { trace } => {
+                    require_helloed(&helloed, rank)?;
+                    self.last_trace[rank] = trace;
+                    self.offer_or_process(WorkerEvent::Pull { worker: rank })?;
+                }
+                Message::Push {
+                    iteration,
+                    trace,
+                    grads,
+                } => {
+                    require_helloed(&helloed, rank)?;
+                    self.last_trace[rank] = trace;
+                    match self.gate.as_mut() {
+                        Some(g) => g.offer(WorkerEvent::Push {
+                            worker: rank,
+                            iteration,
+                            grads,
+                        }),
+                        None => {
+                            // The allocation-free hot path: borrowed gradients, reusable
+                            // reply scratch, buffer recycled to the connection pool.
+                            let now = self.now();
+                            replies.clear();
+                            let decision =
+                                self.sl.handle_push_slice(rank, &grads, now, &mut replies);
+                            self.transport.recycle_f32s(rank, grads);
+                            let granted = replies.iter().any(|r| r.worker == rank);
+                            self.obs.on_push(
+                                rank,
+                                Some(decision.staleness),
+                                &replies,
+                                &self.sl,
+                                &self.last_trace,
+                            );
+                            self.deliver_replies(&replies)?;
+                            check_abort(&self.sl)?;
+                            self.after_push(granted)?;
+                        }
+                    }
+                }
+                Message::Done {
+                    iterations,
+                    epochs,
+                    waiting_time_s,
+                } => {
+                    require_helloed(&helloed, rank)?;
+                    self.offer_or_process(WorkerEvent::Done {
+                        worker: rank,
+                        iterations,
+                        epochs: epochs as usize,
+                        waiting_time_s,
+                    })?;
+                }
+                other => {
+                    return Err(NetError::Protocol(format!(
+                        "unexpected {other:?} from worker {rank}"
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Queues the event in the deterministic gate when there is one; processes it on
+    /// the spot otherwise.
+    fn offer_or_process(&mut self, event: WorkerEvent) -> Result<(), NetError> {
+        match self.gate.as_mut() {
+            Some(g) => {
+                g.offer(event);
+                Ok(())
+            }
+            None => self.process_event(event),
         }
     }
-    for reply in &released {
-        obs.event(
-            dssp_core::events::EventKind::GateRelease,
-            reply.worker as u64,
-        );
+
+    /// Reaps one dead (or explicitly evicted) worker: reclaims its policy credits,
+    /// retires its clock, forgets its queued deterministic-gate events and what was
+    /// last shipped to it, and delivers the `OK`s its departure releases to the
+    /// survivors.
+    fn evict_client(&mut self, worker: usize) -> Result<(), NetError> {
+        let released = self.sl.evict_worker(worker, self.now());
+        self.obs.on_eviction(worker);
+        self.shipped[worker].clear();
+        if let Some(g) = self.gate.as_mut() {
+            g.forget_worker(worker);
+            for reply in &released {
+                g.on_released(reply.worker);
+            }
+        }
+        for reply in &released {
+            self.obs.event(EventKind::GateRelease, reply.worker as u64);
+        }
+        self.obs.sync_loop(&self.sl);
+        self.deliver_replies(&released)
     }
-    obs.sync_loop(sl);
-    deliver_replies(sl, transport, gate, &released, start, obs)
+
+    /// Ships the current weights to `rank` from a borrowed view of the store — the
+    /// shards that advanced past what this loop last shipped to it when the job pulls
+    /// incrementally and that record fits the store, everything otherwise (an empty
+    /// record fits nothing) — and records what the rank now holds. A pure read served
+    /// at the transport level: it never enters the decision loop (and must not advance
+    /// its logical clock). A failed send means the rank died awaiting the reply; it is
+    /// reaped instead of crashing the run.
+    fn ship_weights(&mut self, rank: usize) -> Result<(), NetError> {
+        let store = self.sl.server().store();
+        let view = PullView {
+            clock: self.sl.version(),
+            versions: store.versions(),
+            offsets: store.offsets(),
+            weights: store.as_flat(),
+            known: self.delta_pulls.then_some(self.shipped[rank].as_slice()),
+        };
+        // Whether the reply ships as a delta: the exported delta-hit-rate signal.
+        let delta = view.delta_applicable();
+        match self.transport.send_pull_reply(rank, &view) {
+            Ok(()) => {
+                let shipped = &mut self.shipped[rank];
+                shipped.clear();
+                shipped.extend_from_slice(store.versions());
+                self.obs.on_pull(rank, delta, self.last_trace[rank]);
+            }
+            Err(_) => self.evict_client(rank)?,
+        }
+        self.fault.pull()
+    }
+
+    /// Delivers every released `OK`: the `PushReply` and, unless it answers the rank's
+    /// final push, the weights right behind it. A failed send means the recipient died
+    /// between its push and this reply — it is reaped like any other
+    /// [`NetError::ClientLost`] instead of the broken socket crashing the whole run,
+    /// and delivery continues with whatever its departure releases (each failure
+    /// retires one more worker, so the mutual recursion with
+    /// [`Serving::evict_client`] is bounded by the fleet size).
+    fn deliver_replies(&mut self, replies: &[OkReply]) -> Result<(), NetError> {
+        for reply in replies {
+            let rank = reply.worker;
+            let msg = Message::PushReply {
+                granted_extra: reply.granted_extra,
+                version: self.sl.version(),
+            };
+            if self.transport.send(rank, &msg).is_err() {
+                self.evict_client(rank)?;
+            } else if self.sl.push_count(rank) < self.sl.targets()[rank] {
+                self.ship_weights(rank)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies one event — gate-released in deterministic mode, straight off the
+    /// transport otherwise — and delivers the resulting protocol messages, then runs
+    /// the elasticity hooks for the phase the event concluded.
+    fn process_event(&mut self, event: WorkerEvent) -> Result<(), NetError> {
+        if let WorkerEvent::Pull { worker } = event {
+            // An explicit pull is a worker with an empty cache — first contact, or
+            // first contact after a restore: whatever was shipped to the rank before
+            // no longer describes what it holds.
+            self.shipped[worker].clear();
+            return self.ship_weights(worker);
+        }
+        let pusher = match &event {
+            WorkerEvent::Push { worker, .. } => Some(*worker),
+            _ => None,
+        };
+        let now = self.now();
+        let replies = self.sl.handle_gated(&mut self.gate, event, now);
+        if let Some(pusher) = pusher {
+            // The deterministic replay path has no per-push staleness sample (the
+            // decision is consumed inside `handle_gated`); events and counters still flow.
+            self.obs
+                .on_push(pusher, None, &replies, &self.sl, &self.last_trace);
+        }
+        self.deliver_replies(&replies)?;
+        check_abort(&self.sl)?;
+        if let Some(pusher) = pusher {
+            let granted = replies.iter().any(|r| r.worker == pusher);
+            self.after_push(granted)?;
+        }
+        Ok(())
+    }
 }
 
 /// Rejects traffic from a client that has not completed its handshake yet. Shared by
@@ -473,56 +506,6 @@ pub fn validate_hello(
     Ok(())
 }
 
-/// Answers one pull from a borrowed view of the server's store (full when `known` is
-/// `None` or incompatible, delta otherwise). Pulls are pure reads served at the
-/// transport level; they never enter the decision loop (and must not advance its
-/// logical clock). Returns whether the reply shipped as a delta (the exported
-/// delta-hit-rate signal).
-fn serve_pull(
-    sl: &ServerLoop,
-    transport: &mut dyn ServerTransport,
-    rank: usize,
-    known: Option<&[u64]>,
-) -> Result<bool, NetError> {
-    let store = sl.server().store();
-    let view = PullView {
-        clock: sl.version(),
-        versions: store.versions(),
-        offsets: store.offsets(),
-        weights: store.as_flat(),
-        known,
-    };
-    let delta = view.delta_applicable();
-    transport.send_pull_reply(rank, &view)?;
-    Ok(delta)
-}
-
-/// Delivers one `PushReply` per released `OK`. A failed send means the recipient
-/// died between its push and this reply — it is reaped like any other
-/// [`NetError::ClientLost`] instead of the broken socket crashing the whole run,
-/// and delivery continues with whatever its departure releases (each failure
-/// retires one more worker, so the mutual recursion with [`evict_client`] is
-/// bounded by the fleet size).
-fn deliver_replies(
-    sl: &mut ServerLoop,
-    transport: &mut dyn ServerTransport,
-    gate: &mut Option<DeterministicGate>,
-    replies: &[OkReply],
-    start: &Instant,
-    obs: &Obs,
-) -> Result<(), NetError> {
-    for reply in replies {
-        let msg = Message::PushReply {
-            granted_extra: reply.granted_extra,
-            version: sl.version(),
-        };
-        if transport.send(reply.worker, &msg).is_err() {
-            evict_client(sl, transport, gate, reply.worker, start, obs)?;
-        }
-    }
-    Ok(())
-}
-
 fn check_abort(sl: &ServerLoop) -> Result<(), NetError> {
     if sl.aborted() {
         Err(NetError::Aborted {
@@ -531,53 +514,4 @@ fn check_abort(sl: &ServerLoop) -> Result<(), NetError> {
     } else {
         Ok(())
     }
-}
-
-/// Applies one gate-released event to the decision loop and delivers the resulting
-/// protocol messages (deterministic mode, and the direct `Done` path), then runs the
-/// elasticity hooks for the phase the event concluded.
-#[allow(clippy::too_many_arguments)]
-fn process_event(
-    sl: &mut ServerLoop,
-    transport: &mut dyn ServerTransport,
-    gate: &mut Option<DeterministicGate>,
-    pulls: &mut PullState,
-    event: WorkerEvent,
-    start: &Instant,
-    elastic: &mut Elastic,
-    obs: &Obs,
-    last_trace: &[u64],
-) -> Result<(), NetError> {
-    if let WorkerEvent::Pull { worker } = event {
-        let known = pulls.take(worker);
-        let trace = last_trace
-            .get(worker)
-            .copied()
-            .unwrap_or(dssp_core::events::NO_TRACE);
-        // Split the borrow: `known` borrows `pulls`, which `serve_pull` does not touch.
-        match serve_pull(sl, transport, worker, known) {
-            Ok(delta) => obs.on_pull(worker, delta, trace),
-            // The puller died awaiting its reply: reap it instead of crashing the run.
-            Err(_) => evict_client(sl, transport, gate, worker, start, obs)?,
-        }
-        return elastic.fault.pull();
-    }
-    let pusher = match &event {
-        WorkerEvent::Push { worker, .. } => Some(*worker),
-        _ => None,
-    };
-    let now = start.elapsed().as_secs_f64();
-    let replies = sl.handle_gated(gate, event, now);
-    if let Some(pusher) = pusher {
-        // The deterministic replay path has no per-push staleness sample (the
-        // decision is consumed inside `handle_gated`); events and counters still flow.
-        obs.on_push(pusher, None, &replies, sl, last_trace);
-    }
-    deliver_replies(sl, transport, gate, &replies, start, obs)?;
-    check_abort(sl)?;
-    if let Some(pusher) = pusher {
-        let granted = replies.iter().any(|r| r.worker == pusher);
-        elastic.after_push(sl, granted, obs)?;
-    }
-    Ok(())
 }

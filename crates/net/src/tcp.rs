@@ -2,22 +2,27 @@
 //! connection.
 //!
 //! Threading model: the server binds a listener; an acceptor thread accepts exactly
-//! `num_workers` connections; each connection gets a reader thread that blocks on
-//! [`crate::wire::read_frame_payload`] and forwards decoded frames — attributed with
-//! the rank announced in the connection's leading `Hello` — into one crossbeam channel.
-//! The server's command loop is the only consumer of that channel and the only writer
-//! to the sockets, so the parameter server itself stays single-threaded and lock-free.
+//! `num_workers` connections; each connection gets a reader thread that blocks on the
+//! next frame and forwards it decoded — attributed with the rank announced in the
+//! connection's leading `Hello` — into one crossbeam channel. The server's command
+//! loop is the only consumer of that channel and the only writer to the sockets, so
+//! the parameter server itself stays single-threaded and lock-free.
 //!
-//! The steady-state frame path is allocation-free on both ends:
+//! On the training path every bulk byte is moved once per hop, by the socket copy
+//! itself, and nothing is allocated per frame on either end:
 //!
-//! * every connection reader reuses one payload buffer and decodes bulk messages
-//!   (`Push` gradients, `PullDelta` version vectors) into `Vec`s recycled back from
-//!   the command loop through per-rank pool channels;
-//! * every writer encodes into a reusable scratch buffer and ships header + payload
-//!   with one vectored `write_all` ([`crate::wire::write_frame_payload`]);
-//! * pull replies are encoded straight from a borrowed [`PullView`] of the server's
-//!   store — the weights are memcpy'd from the store into the frame buffer, never
-//!   into an intermediate vector.
+//! * frames that carry an `f32` run (`Push`, `PushSlice`, pull replies) are written
+//!   as one vectored write of a small stack header plus the run's own bytes — the
+//!   worker's gradient slice, the server store's shard ranges
+//!   ([`PullView::write_frame`]) — with no frame buffer in between;
+//! * they are read through [`FrameBody`]: length, tag and fixed fields come through
+//!   the connection's `BufReader` and are validated like the buffered decoders
+//!   validate them, then the run is read from that same reader straight into where it
+//!   belongs — on the server a gradient `Vec` recycled back from the command loop
+//!   through a per-rank pool channel, on the worker its own `weights[start..end]`;
+//! * every other frame is small: it is encoded into a reusable scratch buffer and
+//!   read into a reusable payload buffer (version vectors of `PullDelta` /
+//!   `PullShards` decode into pooled `Vec`s as well).
 //!
 //! A counting-allocator test (`tests/zero_alloc_net.rs`) enforces the zero-allocation
 //! property end to end, the same way the compute kernels' steady state is enforced.
@@ -28,8 +33,8 @@
 
 use crate::transport::{PullOutcome, PullView, ServerTransport, WorkerTransport};
 use crate::wire::{
-    self, read_frame_payload, write_frame_payload, Message, TAG_PULL_DELTA, TAG_PULL_REPLY,
-    TAG_PULL_REPLY_DELTA, TAG_PULL_SHARDS, TAG_PUSH, TAG_PUSH_SLICE,
+    self, read_frame_payload, write_frame_payload, FrameBody, Message, TAG_PULL_DELTA,
+    TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA, TAG_PULL_SHARDS, TAG_PUSH, TAG_PUSH_SLICE,
 };
 use crate::NetError;
 use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
@@ -62,9 +67,9 @@ struct RxCounters {
 }
 
 impl RxCounters {
-    fn record(&self, payload_len: usize) {
-        self.bytes
-            .fetch_add(payload_len as u64 + 4, Ordering::Relaxed);
+    /// Books one frame of `wire_len` bytes, length prefix included.
+    fn record(&self, wire_len: usize) {
+        self.bytes.fetch_add(wire_len as u64, Ordering::Relaxed);
         self.frames.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -150,16 +155,18 @@ impl TcpServerTransport {
         }
     }
 
-    /// Writes the already-encoded `scratch` payload to `rank`'s socket as one frame.
-    fn flush_scratch_to(&mut self, rank: usize) -> Result<(), NetError> {
-        let stream = self.writers[rank]
-            .as_mut()
-            .ok_or_else(|| NetError::Protocol(format!("worker {rank} never said Hello")))?;
-        write_frame_payload(stream, &self.scratch)?;
-        self.bytes_sent += self.scratch.len() as u64 + 4;
+    /// Books one written frame of `wire_len` bytes, length prefix included.
+    fn sent(&mut self, wire_len: usize) {
+        self.bytes_sent += wire_len as u64;
         self.frames_sent += 1;
-        Ok(())
     }
+}
+
+/// `rank`'s write half, once its connection has registered.
+fn writer_of(writers: &mut [Option<TcpStream>], rank: usize) -> Result<&mut TcpStream, NetError> {
+    writers[rank]
+        .as_mut()
+        .ok_or_else(|| NetError::Protocol(format!("worker {rank} never said Hello")))
 }
 
 impl Drop for TcpServerTransport {
@@ -230,7 +237,7 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
     // The first frame must be a Hello (or, on a shard server, a GroupHello)
     // announcing the connection's rank.
     let hello = match read_frame_payload(&mut reader, &mut payload).and_then(|len| {
-        rx.record(len);
+        rx.record(len + 4);
         Ok(wire::decode(&payload)?)
     }) {
         Ok(msg @ (Message::Hello { .. } | Message::GroupHello { .. })) => msg,
@@ -282,10 +289,7 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
         return;
     }
     loop {
-        let msg = read_frame_payload(&mut reader, &mut payload).and_then(|len| {
-            rx.record(len);
-            decode_pooled(&payload, &grads_pool, &known_pool)
-        });
+        let msg = read_pooled(&mut reader, &mut payload, &grads_pool, &known_pool, &rx);
         match msg {
             Ok(msg) => {
                 if tx.send(Event::Frame(rank, Ok(msg))).is_err() {
@@ -302,13 +306,16 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
     }
 }
 
-/// Decodes a payload, routing bulk message kinds into buffers recycled from the
-/// command loop (an empty pool falls back to a fresh `Vec`, so correctness never
-/// depends on the recycling).
-fn decode_pooled(
-    payload: &[u8],
+/// Reads the connection's next frame, routing the bulk kinds into buffers recycled
+/// from the command loop (an empty pool falls back to a fresh `Vec`, so correctness
+/// never depends on the recycling): gradients stream from the socket straight into
+/// their `Vec`, version vectors are decoded from the small buffered frame.
+fn read_pooled(
+    reader: &mut BufReader<TcpStream>,
+    payload: &mut Vec<u8>,
     grads_pool: &Receiver<Vec<f32>>,
     known_pool: &Receiver<Vec<u64>>,
+    rx: &RxCounters,
 ) -> Result<Message, NetError> {
     fn recycled<T>(pool: &Receiver<Vec<T>>) -> Vec<T> {
         match pool.try_recv() {
@@ -316,46 +323,55 @@ fn decode_pooled(
             Err(TryRecvError::Empty | TryRecvError::Disconnected) => Vec::new(),
         }
     }
-    match payload.first() {
-        Some(&TAG_PUSH) => {
+    let body = FrameBody::begin(reader)?;
+    let wire_len = body.wire_len();
+    let msg = match body.tag() {
+        TAG_PUSH => {
             let mut grads = recycled(grads_pool);
-            let (iteration, trace) = wire::decode_push_into(payload, &mut grads)?;
-            Ok(Message::Push {
+            let (iteration, trace) = body.push_into(&mut grads)?;
+            Message::Push {
                 iteration,
                 trace,
                 grads,
-            })
+            }
         }
-        Some(&TAG_PUSH_SLICE) => {
+        TAG_PUSH_SLICE => {
             let mut grads = recycled(grads_pool);
-            let (iteration, epoch, trace) = wire::decode_push_slice_into(payload, &mut grads)?;
-            Ok(Message::PushSlice {
+            let (iteration, epoch, trace) = body.push_slice_into(&mut grads)?;
+            Message::PushSlice {
                 iteration,
                 epoch,
                 trace,
                 grads,
-            })
+            }
         }
-        Some(&TAG_PULL_DELTA) => {
+        TAG_PULL_DELTA => {
+            body.buffer(payload)?;
             let mut known = recycled(known_pool);
             let trace = wire::decode_pull_delta_into(payload, &mut known)?;
-            Ok(Message::PullDelta {
+            Message::PullDelta {
                 trace,
                 known_versions: known,
-            })
+            }
         }
-        Some(&TAG_PULL_SHARDS) => {
+        TAG_PULL_SHARDS => {
+            body.buffer(payload)?;
             let mut known = recycled(known_pool);
             let (all, epoch, trace) = wire::decode_pull_shards_into(payload, &mut known)?;
-            Ok(Message::PullShards {
+            Message::PullShards {
                 known_versions: known,
                 all,
                 epoch,
                 trace,
-            })
+            }
         }
-        _ => Ok(wire::decode(payload)?),
-    }
+        _ => {
+            body.buffer(payload)?;
+            wire::decode(payload)?
+        }
+    };
+    rx.record(wire_len);
+    Ok(msg)
 }
 
 impl ServerTransport for TcpServerTransport {
@@ -407,24 +423,23 @@ impl ServerTransport for TcpServerTransport {
     fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError> {
         self.scratch.clear();
         wire::encode(msg, &mut self.scratch);
-        self.flush_scratch_to(rank)
+        write_frame_payload(writer_of(&mut self.writers, rank)?, &self.scratch)?;
+        self.sent(self.scratch.len() + 4);
+        Ok(())
     }
 
     fn send_pull_reply(&mut self, rank: usize, view: &PullView<'_>) -> Result<(), NetError> {
-        self.scratch.clear();
-        view.encode(&mut self.scratch);
-        self.flush_scratch_to(rank)
+        // Straight from the store to the socket: no frame buffer in between.
+        let wire_len = view.write_frame(writer_of(&mut self.writers, rank)?)?;
+        self.sent(wire_len);
+        Ok(())
     }
 
     fn send_payload(&mut self, rank: usize, payload: &[u8]) -> Result<(), NetError> {
         // The caller encoded straight into its own scratch; ship it as one frame
         // without a decode/re-encode round trip.
-        let stream = self.writers[rank]
-            .as_mut()
-            .ok_or_else(|| NetError::Protocol(format!("worker {rank} never said Hello")))?;
-        write_frame_payload(stream, payload)?;
-        self.bytes_sent += payload.len() as u64 + 4;
-        self.frames_sent += 1;
+        write_frame_payload(writer_of(&mut self.writers, rank)?, payload)?;
+        self.sent(payload.len() + 4);
         Ok(())
     }
 
@@ -554,9 +569,15 @@ impl TcpWorkerTransport {
 
     /// Writes the already-encoded `scratch` payload as one frame.
     fn flush_scratch(&mut self) -> Result<(), NetError> {
-        write_frame_payload(&mut self.writer, &self.scratch)
-            .map_err(|e| self.attribute(e.into()))?;
-        self.stats.bytes_sent += self.scratch.len() as u64 + 4;
+        let written = write_frame_payload(&mut self.writer, &self.scratch);
+        self.sent(written.map(|()| self.scratch.len() + 4))
+    }
+
+    /// Books one written frame (`written` is its size on the wire), or attributes the
+    /// write's failure to the peer.
+    fn sent(&mut self, written: std::io::Result<usize>) -> Result<(), NetError> {
+        let wire_len = written.map_err(|e| self.attribute(e.into()))?;
+        self.stats.bytes_sent += wire_len as u64;
         self.stats.frames_sent += 1;
         Ok(())
     }
@@ -645,9 +666,8 @@ impl WorkerTransport for TcpWorkerTransport {
     }
 
     fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
-        self.scratch.clear();
-        wire::encode_push(&mut self.scratch, iteration, trace, grads);
-        self.flush_scratch()
+        let written = wire::write_push_frame(&mut self.writer, iteration, trace, grads);
+        self.sent(written)
     }
 
     fn pull_into(
@@ -674,9 +694,9 @@ impl WorkerTransport for TcpWorkerTransport {
         trace: u64,
         grads: &[f32],
     ) -> Result<(), NetError> {
-        self.scratch.clear();
-        wire::encode_push_slice(&mut self.scratch, iteration, epoch, trace, grads);
-        self.flush_scratch()
+        let written =
+            wire::write_push_slice_frame(&mut self.writer, iteration, epoch, trace, grads);
+        self.sent(written)
     }
 
     fn send_pull_shards(
@@ -696,22 +716,36 @@ impl WorkerTransport for TcpWorkerTransport {
         weights: &mut Vec<f32>,
         versions: &mut Vec<u64>,
     ) -> Result<PullOutcome, NetError> {
-        self.read_payload()?;
-        match self.payload.first() {
-            Some(&TAG_PULL_REPLY) | Some(&TAG_PULL_REPLY_DELTA) => {
-                let applied = wire::apply_pull_reply(&self.payload, weights, versions)?;
-                Ok(PullOutcome::Applied(applied))
-            }
-            _ => match wire::decode(&self.payload)? {
-                Message::Shutdown { reason } => Ok(PullOutcome::Shutdown { reason }),
-                Message::EpochRefused { epoch, assignment } => {
-                    Err(NetError::EpochRefused { epoch, assignment })
+        let Self {
+            reader,
+            payload,
+            stats,
+            ..
+        } = self;
+        let received = (|| {
+            let body = FrameBody::begin(reader)?;
+            stats.bytes_received += body.wire_len() as u64;
+            stats.frames_received += 1;
+            match body.tag() {
+                // The weights go from the socket straight into the caller's cache.
+                TAG_PULL_REPLY | TAG_PULL_REPLY_DELTA => Ok(PullOutcome::Applied(
+                    body.pull_reply_apply(weights, versions)?,
+                )),
+                _ => {
+                    body.buffer(payload)?;
+                    match wire::decode(payload)? {
+                        Message::Shutdown { reason } => Ok(PullOutcome::Shutdown { reason }),
+                        Message::EpochRefused { epoch, assignment } => {
+                            Err(NetError::EpochRefused { epoch, assignment })
+                        }
+                        other => Err(NetError::Protocol(format!(
+                            "expected a pull reply, got {other:?}"
+                        ))),
+                    }
                 }
-                other => Err(NetError::Protocol(format!(
-                    "expected a pull reply, got {other:?}"
-                ))),
-            },
-        }
+            }
+        })();
+        received.map_err(|e| self.attribute(e))
     }
 }
 

@@ -6,31 +6,37 @@
 //! * [`crate::tcp`] — real sockets, one blocking reader thread per connection;
 //! * [`loopback`] — crossbeam channels inside one process, useful for tests and for
 //!   proving that the networked server is bitwise-equivalent to the threaded runtime
-//!   (no serialization happens, but the *protocol* — including the explicit pull step
-//!   and the delta-pull negotiation — is exercised in full).
+//!   (no serialization happens, but the *protocol* — the opening pull, the weights
+//!   that ride every `OK`, full versus delta replies — is exercised in full).
 //!
 //! Besides the owned-`Message` `send`/`recv` pair, both traits expose a buffer-reuse
 //! fast path for the steady-state hot loop: workers push borrowed gradient slices
-//! ([`WorkerTransport::send_push`]) and pull into caller-owned weight/version caches
-//! ([`WorkerTransport::pull_into`]); the server answers pulls from a borrowed
-//! [`PullView`] of its store ([`ServerTransport::send_pull_reply`]) and hands consumed
-//! bulk buffers back to the transport for recycling
-//! ([`ServerTransport::recycle_f32s`]). The TCP transport implements these with pooled
-//! encode/decode buffers so neither endpoint allocates per message; the loopback
-//! transport keeps the simple owned-message defaults (its purpose is equivalence
-//! testing, not throughput).
+//! ([`WorkerTransport::send_push`]) and receive weights into caller-owned
+//! weight/version caches ([`WorkerTransport::recv_pull_apply`]); the server ships
+//! weights from a borrowed [`PullView`] of its store
+//! ([`ServerTransport::send_pull_reply`]) and hands consumed bulk buffers back to the
+//! transport for recycling ([`ServerTransport::recycle_f32s`]). The TCP transport
+//! implements these without staging: bulk frames are written from, and read into,
+//! their final buffers, so neither endpoint copies a bulk byte twice or allocates per
+//! message; the loopback transport keeps the simple owned-message defaults (its
+//! purpose is equivalence testing, not throughput).
+//!
+//! [`WorkerTransport::pull_into`] — a request/reply pull carrying the *worker's*
+//! cached versions (`PullDelta`) — predates the fused round; `run_worker` no longer
+//! calls it and `serve` no longer answers `PullDelta`. It stays for the callers that
+//! run their own serving loop over these transports.
 
 use crate::wire::{self, Message, PullApplied, ShardUpdate};
 use crate::NetError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
 /// A borrowed snapshot of the server's parameter store, from which a pull reply —
-/// full or delta — is encoded without copying the weights anywhere first.
+/// full or delta — is written without copying the weights anywhere first.
 ///
 /// `offsets` and `versions` come straight from the server's
-/// [`dssp_ps::ShardedStore`]; `known` carries the requesting worker's cached
-/// per-shard versions when the request was a [`Message::PullDelta`] (`None` for a
-/// plain full pull).
+/// [`dssp_ps::ShardedStore`]; `known` is what the receiving worker is known to hold,
+/// per shard — the versions `serve` last shipped to that rank, or the ones a
+/// [`Message::PullDelta`] request carried (`None` for a plain full reply).
 #[derive(Debug, Clone, Copy)]
 pub struct PullView<'a> {
     /// Server weight version (total pushes applied).
@@ -42,7 +48,7 @@ pub struct PullView<'a> {
     pub offsets: &'a [usize],
     /// The flat weight vector.
     pub weights: &'a [f32],
-    /// The client's cached versions (`Some` for a delta request).
+    /// The client's cached versions (`Some` to answer incrementally when they fit).
     pub known: Option<&'a [u64]>,
 }
 
@@ -61,7 +67,7 @@ impl<'a> PullView<'a> {
     /// # Panics
     ///
     /// Panics if called without an applicable `known` vector.
-    pub fn stale_updates(&self) -> impl Iterator<Item = (u32, u64, &'a [f32])> + '_ {
+    pub fn stale_updates(&self) -> impl Iterator<Item = (u32, u64, &'a [f32])> + Clone + '_ {
         let known = self.known.expect("stale_updates requires a known vector");
         assert_eq!(known.len(), self.versions.len(), "shard count mismatch");
         (0..self.versions.len()).filter_map(move |i| {
@@ -84,6 +90,19 @@ impl<'a> PullView<'a> {
             wire::encode_pull_reply_delta(buf, self.clock, self.stale_updates());
         } else {
             wire::encode_pull_reply(buf, self.clock, self.versions, self.weights);
+        }
+    }
+
+    /// Writes the reply this view answers with as one frame, straight from the store —
+    /// stack headers plus the weights' own bytes in vectored writes, no frame buffer
+    /// in between (the TCP server's reply path). Byte-identical to
+    /// [`PullView::encode`] followed by [`wire::write_frame_payload`]. Returns the
+    /// bytes written, length prefix included.
+    pub fn write_frame<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<usize> {
+        if self.delta_applicable() {
+            wire::write_pull_reply_delta_frame(w, self.clock, self.stale_updates())
+        } else {
+            wire::write_pull_reply_frame(w, self.clock, self.versions, self.weights)
         }
     }
 
@@ -197,10 +216,11 @@ pub trait ServerTransport: Send {
     /// Sends a message to one worker.
     fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError>;
 
-    /// Answers a pull request from a borrowed snapshot of the server's store —
+    /// Ships a pull reply from a borrowed snapshot of the server's store —
     /// incrementally when `view.known` permits, fully otherwise. Implementations may
-    /// encode straight from the view (the TCP transport memcpys the stale shard
-    /// ranges into a pooled frame buffer); the default builds an owned message.
+    /// write straight from the view (the TCP transport hands the socket the stale
+    /// shard ranges themselves, [`PullView::write_frame`]); the default builds an owned
+    /// message.
     fn send_pull_reply(&mut self, rank: usize, view: &PullView<'_>) -> Result<(), NetError> {
         self.send(rank, &view.to_message())
     }
@@ -251,9 +271,8 @@ pub trait WorkerTransport: Send {
     fn recv(&mut self) -> Result<Message, NetError>;
 
     /// Pushes one iteration's gradients from a borrowed slice, stamped with the
-    /// worker's causal `trace` id. The TCP transport encodes the frame straight from
-    /// the slice into a pooled buffer; the default copies into an owned
-    /// [`Message::Push`].
+    /// worker's causal `trace` id. The TCP transport writes the frame to the socket
+    /// straight from the slice; the default copies into an owned [`Message::Push`].
     fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
         self.send(&Message::Push {
             iteration,
@@ -287,8 +306,8 @@ pub trait WorkerTransport: Send {
     }
 
     /// Pushes one iteration's gradient **slice** (a shard server's key range of the
-    /// full gradient vector) from a borrowed slice. The TCP transport encodes the
-    /// frame straight from the slice; the default copies into an owned
+    /// full gradient vector) from a borrowed slice. The TCP transport writes the
+    /// frame to the socket straight from the slice; the default copies into an owned
     /// [`Message::PushSlice`]. Part of a group worker's fan-out: requests go to every
     /// server first, then the [`Message::SliceAck`]s are collected, so the servers
     /// work concurrently.
@@ -326,10 +345,11 @@ pub trait WorkerTransport: Send {
         })
     }
 
-    /// Receives one pull reply and applies it to the caller's **global** weight and
-    /// version buffers in place (a shard server's reply carries global shard indices,
-    /// so each update lands in its own key range). The TCP transport applies straight
-    /// from the frame payload; the default goes through an owned message.
+    /// Receives one pull reply — requested, or riding an `OK` — and applies it to the
+    /// caller's **global** weight and version buffers in place (a shard server's reply
+    /// carries global shard indices, so each update lands in its own key range). The
+    /// TCP transport reads each run from the socket straight into its key range; the
+    /// default goes through an owned message.
     fn recv_pull_apply(
         &mut self,
         weights: &mut Vec<f32>,

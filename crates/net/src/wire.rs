@@ -12,10 +12,14 @@
 //! tags and oversized frames are all rejected rather than guessed at. `f32`/`f64`
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
-//! on. Bulk `f32`/`u64` runs are converted in one chunked byte-cast on little-endian
-//! hosts (a bounds-checked memcpy) with a per-element fallback elsewhere, so encoding
-//! and decoding a model-sized vector costs a memcpy, not a loop of `extend_from_slice`
-//! calls.
+//! on. On little-endian hosts a bulk `f32`/`u32`/`u64` run's in-memory bytes *are* its
+//! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on the
+//! training path, not copied at all: the streaming writers
+//! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`],
+//! [`write_pull_reply_delta_frame`]) hand the socket a small stack header plus the
+//! run's own bytes in one vectored write, and the streaming reader ([`FrameBody`])
+//! validates a frame's fixed fields and then reads the run straight into the buffer
+//! it is for. Big-endian hosts convert element-wise through the buffered codecs.
 //!
 //! Protocol flow (client = worker, server = parameter server):
 //!
@@ -26,21 +30,26 @@
 //!   | <----- PullReply{clock,weights} - |   initial weights (always full)
 //!   | == per iteration ================ |
 //!   | -- Push{iteration,grads} -------> |   gradients applied, policy consulted
-//!   | <-- PushReply{granted_extra} ---- |   (deferred while the policy blocks)
-//!   | -- PullDelta{known_versions} ---> |   worker's cached per-shard versions
-//!   | <-- PullReplyDelta{updates} ----- |   only shards whose version advanced
+//!   | <-- PushReply{granted_extra} ---- |   the OK (deferred while the policy blocks) ...
+//!   | <-- PullReplyDelta{updates} ----- |   ... and, right behind it, the weights
 //!   | ================================= |
 //!   | -- Done{iterations,...} --------> |   after the final push
 //!   | <-- Shutdown{reason} ------------ |   broadcast once every worker is done
 //! ```
 //!
-//! `PullDelta` is the protocol-v2 incremental pull: the worker keeps the per-shard
-//! versions of its last reply and the server ships only the shards that advanced,
-//! falling back to a full [`Message::PullReply`] on first contact or whenever the
-//! client's version vector is incompatible (wrong shard count, or versions from a
-//! server's earlier life). Workers that prefer the v1 behaviour simply keep sending
-//! plain `Pull`. Shard key ranges are never carried on the wire: both ends derive them
-//! from the parameter count and shard count via [`dssp_ps::shard_range`].
+//! Since protocol v7 a round is **one** round trip: the `OK` carries the weights. The
+//! server records the per-shard versions it last shipped to each rank and follows
+//! every `PushReply` with a [`Message::PullReplyDelta`] holding only the shards that
+//! advanced since — or a full [`Message::PullReply`] when it has no record for the
+//! rank, the job runs with delta pulls off, or the record is incompatible. The `OK`
+//! of a rank's final push is followed by nothing: both ends know the rank's iteration
+//! target from the digest-checked job. An explicit `Pull` happens on first contact
+//! and after a server restore only. [`Message::PullDelta`] — the protocol-v2 request
+//! that carried the *worker's* cached versions — is still understood by the
+//! transports (`WorkerTransport::pull_into`), but `run_worker` no longer sends it and
+//! `serve` no longer answers it. Shard key ranges are never carried on the wire: both
+//! ends derive them from the parameter count and shard count via
+//! [`dssp_ps::shard_range`].
 //!
 //! # Protocol v3: multi-server groups
 //!
@@ -76,6 +85,8 @@
 //! with [`Message::PullDone`] before the coordinator dispatches the next mutating
 //! event.
 
+use std::io::{self, IoSlice, Read, Write};
+
 /// Protocol version carried in [`Message::Hello`]; peers with a different version are
 /// rejected during the handshake. Version 2 added the incremental pull pair
 /// ([`Message::PullDelta`] / [`Message::PullReplyDelta`]); version 3 added the
@@ -88,8 +99,12 @@
 /// to every worker-originated operation (`Push`, `Pull`, `PullDelta`, `ClockPush`,
 /// `PushSlice`, `PullShards`) and to the coordinator-driven migration legs
 /// (`MigrateRequest`, `MigrateShard`), so receivers can stamp the id into their
-/// event logs and the offline analyzer can join per-role timelines.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// event logs and the offline analyzer can join per-role timelines; version 7 changed
+/// no frame layout but fused the single-server round — every `PushReply` except the
+/// one answering a rank's final push is followed by a pull reply the worker did not
+/// ask for — so a v6 peer, which would wait for a request that never comes, is
+/// refused at the handshake.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// The `shard` value in a [`Message::MigrateAck`] acknowledging a control step
 /// (prepare or commit) rather than one shard's transfer.
@@ -555,81 +570,69 @@ impl std::error::Error for WireError {}
 // ---------------------------------------------------------------------------
 // Bulk little-endian conversions.
 //
-// On little-endian hosts an `f32`/`u64` run's in-memory bytes *are* its wire bytes, so
-// the conversions below degenerate to bounds-checked memcpys. The big-endian fallback
-// converts element-wise. Both directions are exercised against the per-element
-// reference in the tests, and every decode keeps the strict truncation semantics: the
-// byte count is validated before a single element is converted.
+// On little-endian hosts an `f32`/`u32`/`u64` run's in-memory bytes *are* its wire
+// bytes, so a run is encoded, written to a socket or read from one through a plain
+// byte view of the slice. The two views below are the only `unsafe` in this crate;
+// big-endian hosts convert element-wise instead. Every decode keeps the strict
+// truncation semantics: the byte count is validated before a single element is
+// converted.
 // ---------------------------------------------------------------------------
 
-/// Appends the little-endian bytes of `values` to `buf` in one chunk.
-fn extend_f32_bytes(buf: &mut Vec<u8>, values: &[f32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: an f32 slice is valid to view as its raw bytes (alignment of u8 is
-        // 1, the length is exact, and the borrow of `values` outlives the view).
-        let bytes =
-            unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), values.len() * 4) };
-        buf.extend_from_slice(bytes);
-    }
+/// The element types of bulk runs. Each is plain data — no padding bytes, every bit
+/// pattern a valid value — which is what [`le_bytes`] and [`le_bytes_mut`] rely on.
+/// The trait is private, so the three impls below are the only ones there can be.
+trait LeScalar: Copy {
+    /// Appends the value's little-endian bytes (the element-wise fallback).
     #[cfg(not(target_endian = "little"))]
-    {
-        buf.reserve(values.len() * 4);
-        for v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
+    fn put_le(self, buf: &mut Vec<u8>);
+}
+
+macro_rules! le_scalar {
+    ($($t:ty),*) => {$(
+        impl LeScalar for $t {
+            #[cfg(not(target_endian = "little"))]
+            fn put_le(self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
         }
+    )*};
+}
+le_scalar!(f32, u32, u64);
+
+/// The wire bytes of a bulk run, viewed in place.
+#[cfg(target_endian = "little")]
+fn le_bytes<T: LeScalar>(values: &[T]) -> &[u8] {
+    // SAFETY: `T` is `f32`, `u32` or `u64` (the only `LeScalar`s): it has no padding,
+    // so all `size_of_val(values)` bytes are initialized; `u8` has alignment 1; and
+    // the view borrows `values`, so it can neither outlive the run nor overlap a
+    // mutable use of it.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
+}
+
+/// The wire bytes of an `f32` run, viewed in place for writing — what lets a socket
+/// read land in a gradient or weight buffer without a staging copy.
+#[cfg(target_endian = "little")]
+fn le_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    // SAFETY: as in `le_bytes`; in addition every bit pattern is a valid `f32`, so no
+    // write through the view can leave the run holding an invalid value, and the view
+    // holds the unique borrow of `values` for as long as it lives.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            values.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(values),
+        )
     }
 }
 
 /// Appends the little-endian bytes of `values` to `buf` in one chunk.
-fn extend_u64_bytes(buf: &mut Vec<u8>, values: &[u64]) {
+fn extend_le<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
     #[cfg(target_endian = "little")]
-    {
-        // SAFETY: as in `extend_f32_bytes` — a plain byte view of the u64 run.
-        let bytes =
-            unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), values.len() * 8) };
-        buf.extend_from_slice(bytes);
-    }
+    buf.extend_from_slice(le_bytes(values));
     #[cfg(not(target_endian = "little"))]
-    {
-        buf.reserve(values.len() * 8);
-        for v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Appends `bytes.len() / 4` f32s decoded from little-endian `bytes` to `out`.
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of 4 (callers validate the byte count
-/// against the declared element count first).
-pub(crate) fn append_f32s_from_le(bytes: &[u8], out: &mut Vec<f32>) {
-    assert_eq!(bytes.len() % 4, 0, "byte run is not a whole number of f32s");
-    let n = bytes.len() / 4;
-    #[cfg(target_endian = "little")]
-    {
-        out.reserve(n);
-        // SAFETY: `reserve` guarantees capacity for `n` more elements; the unaligned
-        // source bytes are memcpy'd into the (aligned) spare capacity, and every bit
-        // pattern is a valid f32, so `set_len` exposes only initialized values.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().add(out.len()).cast::<u8>(),
-                bytes.len(),
-            );
-            out.set_len(out.len() + n);
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
-        );
+    for v in values {
+        v.put_le(buf);
     }
 }
 
@@ -637,110 +640,19 @@ pub(crate) fn append_f32s_from_le(bytes: &[u8], out: &mut Vec<f32>) {
 ///
 /// # Panics
 ///
-/// Panics if `bytes.len() != out.len() * 4`.
-pub(crate) fn copy_f32s_from_le(bytes: &[u8], out: &mut [f32]) {
+/// Panics if `bytes.len() != out.len() * 4` (callers validate the byte count against
+/// the declared element count first).
+fn copy_f32s_from_le(bytes: &[u8], out: &mut [f32]) {
     assert_eq!(
         bytes.len(),
         out.len() * 4,
         "byte run / slice length mismatch"
     );
     #[cfg(target_endian = "little")]
-    {
-        // SAFETY: destination is exactly `bytes.len()` bytes of initialized f32s; the
-        // memcpy handles the (possibly unaligned) source.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().cast::<u8>(),
-                bytes.len(),
-            );
-        }
-    }
+    le_bytes_mut(out).copy_from_slice(bytes);
     #[cfg(not(target_endian = "little"))]
-    {
-        for (chunk, v) in bytes.chunks_exact(4).zip(out.iter_mut()) {
-            *v = f32::from_le_bytes(chunk.try_into().unwrap());
-        }
-    }
-}
-
-/// Appends `bytes.len() / 8` u64s decoded from little-endian `bytes` to `out`.
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of 8.
-pub(crate) fn append_u64s_from_le(bytes: &[u8], out: &mut Vec<u64>) {
-    assert_eq!(bytes.len() % 8, 0, "byte run is not a whole number of u64s");
-    let n = bytes.len() / 8;
-    #[cfg(target_endian = "little")]
-    {
-        out.reserve(n);
-        // SAFETY: as in `append_f32s_from_le`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().add(out.len()).cast::<u8>(),
-                bytes.len(),
-            );
-            out.set_len(out.len() + n);
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        out.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-        );
-    }
-}
-
-/// Appends the little-endian bytes of `values` to `buf` in one chunk.
-fn extend_u32_bytes(buf: &mut Vec<u8>, values: &[u32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: as in `extend_f32_bytes` — a plain byte view of the u32 run.
-        let bytes =
-            unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), values.len() * 4) };
-        buf.extend_from_slice(bytes);
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        buf.reserve(values.len() * 4);
-        for v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Appends `bytes.len() / 4` u32s decoded from little-endian `bytes` to `out`.
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of 4.
-pub(crate) fn append_u32s_from_le(bytes: &[u8], out: &mut Vec<u32>) {
-    assert_eq!(bytes.len() % 4, 0, "byte run is not a whole number of u32s");
-    let n = bytes.len() / 4;
-    #[cfg(target_endian = "little")]
-    {
-        out.reserve(n);
-        // SAFETY: as in `append_f32s_from_le`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().add(out.len()).cast::<u8>(),
-                bytes.len(),
-            );
-            out.set_len(out.len() + n);
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
+    for (chunk, v) in bytes.chunks_exact(4).zip(out.iter_mut()) {
+        *v = f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     }
 }
 
@@ -887,7 +799,7 @@ pub fn encode(msg: &Message, buf: &mut Vec<u8>) {
             buf.push(msg.tag());
             buf.extend_from_slice(&clock.to_le_bytes());
             buf.extend_from_slice(&epoch.to_le_bytes());
-            put_u32s(buf, assignment);
+            put_run(buf, assignment);
         }
         Message::Evict { rank } => {
             buf.push(msg.tag());
@@ -924,7 +836,7 @@ pub fn encode(msg: &Message, buf: &mut Vec<u8>) {
         | Message::EpochRefused { epoch, assignment } => {
             buf.push(msg.tag());
             buf.extend_from_slice(&epoch.to_le_bytes());
-            put_u32s(buf, assignment);
+            put_run(buf, assignment);
         }
         Message::Drain { server } => {
             buf.push(msg.tag());
@@ -952,7 +864,7 @@ pub fn encode_push(buf: &mut Vec<u8>, iteration: u64, trace: u64, grads: &[f32])
     buf.push(TAG_PUSH);
     buf.extend_from_slice(&iteration.to_le_bytes());
     buf.extend_from_slice(&trace.to_le_bytes());
-    put_f32s(buf, grads);
+    put_run(buf, grads);
 }
 
 /// Appends a [`Message::Pull`] payload.
@@ -965,7 +877,7 @@ pub fn encode_pull(buf: &mut Vec<u8>, trace: u64) {
 pub fn encode_pull_delta(buf: &mut Vec<u8>, trace: u64, known_versions: &[u64]) {
     buf.push(TAG_PULL_DELTA);
     buf.extend_from_slice(&trace.to_le_bytes());
-    put_u64s(buf, known_versions);
+    put_run(buf, known_versions);
 }
 
 /// Appends a [`Message::PushSlice`] payload built from a borrowed gradient slice — a
@@ -976,7 +888,7 @@ pub fn encode_push_slice(buf: &mut Vec<u8>, iteration: u64, epoch: u64, trace: u
     buf.extend_from_slice(&iteration.to_le_bytes());
     buf.extend_from_slice(&epoch.to_le_bytes());
     buf.extend_from_slice(&trace.to_le_bytes());
-    put_f32s(buf, grads);
+    put_run(buf, grads);
 }
 
 /// Appends a [`Message::PullShards`] payload built from a borrowed version slice (the
@@ -993,7 +905,7 @@ pub fn encode_pull_shards(
     buf.push(u8::from(all));
     buf.extend_from_slice(&epoch.to_le_bytes());
     buf.extend_from_slice(&trace.to_le_bytes());
-    put_u64s(buf, known_versions);
+    put_run(buf, known_versions);
 }
 
 /// Appends a [`Message::MigrateShard`] payload from borrowed store state — the source
@@ -1013,8 +925,8 @@ pub fn encode_migrate_shard(
     buf.extend_from_slice(&shard.to_le_bytes());
     buf.extend_from_slice(&version.to_le_bytes());
     buf.extend_from_slice(&trace.to_le_bytes());
-    put_f32s(buf, weights);
-    put_f32s(buf, velocity);
+    put_run(buf, weights);
+    put_run(buf, velocity);
 }
 
 /// Appends a [`Message::PullReply`] payload built from borrowed server state — the
@@ -1022,8 +934,8 @@ pub fn encode_migrate_shard(
 pub fn encode_pull_reply(buf: &mut Vec<u8>, clock: u64, shard_versions: &[u64], weights: &[f32]) {
     buf.push(TAG_PULL_REPLY);
     buf.extend_from_slice(&clock.to_le_bytes());
-    put_u64s(buf, shard_versions);
-    put_f32s(buf, weights);
+    put_run(buf, shard_versions);
+    put_run(buf, weights);
 }
 
 /// Appends a [`Message::PullReplyDelta`] payload from an iterator of
@@ -1043,28 +955,24 @@ pub fn encode_pull_reply_delta<'a>(
     for (shard, version, weights) in updates {
         buf.extend_from_slice(&shard.to_le_bytes());
         buf.extend_from_slice(&version.to_le_bytes());
-        put_f32s(buf, weights);
+        put_run(buf, weights);
         count += 1;
     }
     buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
-fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
-    let len = u32::try_from(values.len()).expect("vector fits in u32");
-    buf.extend_from_slice(&len.to_le_bytes());
-    extend_f32_bytes(buf, values);
+/// The `u32` length that prefixes every frame (payload bytes) and every embedded run
+/// (elements).
+fn len_prefix(len: usize) -> [u8; 4] {
+    u32::try_from(len)
+        .expect("length fits in u32")
+        .to_le_bytes()
 }
 
-fn put_u64s(buf: &mut Vec<u8>, values: &[u64]) {
-    let len = u32::try_from(values.len()).expect("vector fits in u32");
-    buf.extend_from_slice(&len.to_le_bytes());
-    extend_u64_bytes(buf, values);
-}
-
-fn put_u32s(buf: &mut Vec<u8>, values: &[u32]) {
-    let len = u32::try_from(values.len()).expect("vector fits in u32");
-    buf.extend_from_slice(&len.to_le_bytes());
-    extend_u32_bytes(buf, values);
+/// Appends a length-prefixed run.
+fn put_run<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
+    buf.extend_from_slice(&len_prefix(values.len()));
+    extend_le(buf, values);
 }
 
 // ---------------------------------------------------------------------------
@@ -1243,9 +1151,10 @@ pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
-/// Decodes a [`Message::Push`] payload into a caller-owned gradient buffer (cleared
-/// first; no allocation once warm) and returns the push's `(iteration, trace)` pair.
-/// Same strictness as [`decode`].
+/// Decodes a [`Message::Push`] payload into a caller-owned gradient buffer
+/// (overwritten; no allocation once warm) and returns the push's `(iteration, trace)`
+/// pair. Same strictness as [`decode`]. The buffered reference for
+/// [`FrameBody::push_into`], which the TCP transport uses.
 ///
 /// Returns [`WireError::UnknownTag`] if the payload is not a `Push`.
 pub fn decode_push_into(payload: &[u8], grads: &mut Vec<f32>) -> Result<(u64, u64), WireError> {
@@ -1256,14 +1165,13 @@ pub fn decode_push_into(payload: &[u8], grads: &mut Vec<f32>) -> Result<(u64, u6
     }
     let iteration = r.u64()?;
     let trace = r.u64()?;
-    grads.clear();
     r.f32s_into(grads)?;
     r.finish()?;
     Ok((iteration, trace))
 }
 
 /// Decodes a [`Message::PullDelta`] payload into a caller-owned version buffer
-/// (cleared first; no allocation once warm) and returns the pull's trace id. Same
+/// (overwritten; no allocation once warm) and returns the pull's trace id. Same
 /// strictness as [`decode`].
 ///
 /// Returns [`WireError::UnknownTag`] if the payload is not a `PullDelta`.
@@ -1274,15 +1182,15 @@ pub fn decode_pull_delta_into(payload: &[u8], known: &mut Vec<u64>) -> Result<u6
         return Err(WireError::UnknownTag(tag));
     }
     let trace = r.u64()?;
-    known.clear();
     r.u64s_into(known)?;
     r.finish()?;
     Ok(trace)
 }
 
 /// Decodes a [`Message::PushSlice`] payload into a caller-owned gradient buffer
-/// (cleared first; no allocation once warm) and returns the push's
-/// `(iteration, epoch, trace)` triple. Same strictness as [`decode`].
+/// (overwritten; no allocation once warm) and returns the push's
+/// `(iteration, epoch, trace)` triple. Same strictness as [`decode`]. The buffered
+/// reference for [`FrameBody::push_slice_into`], which the TCP transport uses.
 ///
 /// Returns [`WireError::UnknownTag`] if the payload is not a `PushSlice`.
 pub fn decode_push_slice_into(
@@ -1297,14 +1205,13 @@ pub fn decode_push_slice_into(
     let iteration = r.u64()?;
     let epoch = r.u64()?;
     let trace = r.u64()?;
-    grads.clear();
     r.f32s_into(grads)?;
     r.finish()?;
     Ok((iteration, epoch, trace))
 }
 
 /// Decodes a [`Message::PullShards`] payload into a caller-owned version buffer
-/// (cleared first; no allocation once warm) and returns the `(all, epoch, trace)`
+/// (overwritten; no allocation once warm) and returns the `(all, epoch, trace)`
 /// triple. Same strictness as [`decode`].
 ///
 /// Returns [`WireError::UnknownTag`] if the payload is not a `PullShards`.
@@ -1324,7 +1231,6 @@ pub fn decode_pull_shards_into(
     };
     let epoch = r.u64()?;
     let trace = r.u64()?;
-    known.clear();
     r.u64s_into(known)?;
     r.finish()?;
     Ok((all, epoch, trace))
@@ -1343,9 +1249,10 @@ pub struct PullApplied {
 
 /// Applies a pull reply payload — full ([`Message::PullReply`]) or incremental
 /// ([`Message::PullReplyDelta`]) — to a worker's cached weight vector and per-shard
-/// version vector, in place. This is the worker's zero-copy receive path: a full reply
-/// overwrites both buffers wholesale; a delta memcpys each update into its shard's key
-/// range (derived via [`dssp_ps::shard_range`]) and bumps that shard's cached version.
+/// version vector, in place: a full reply overwrites both buffers wholesale; a delta
+/// memcpys each update into its shard's key range (derived via
+/// [`dssp_ps::shard_range`]) and bumps that shard's cached version. The buffered
+/// reference for [`FrameBody::pull_reply_apply`], which the TCP transport uses.
 ///
 /// Strict like [`decode`], plus layout validation: a delta against an empty cache, an
 /// out-of-range shard index, or a weight run that does not exactly fill its shard's
@@ -1362,9 +1269,7 @@ pub fn apply_pull_reply(
     match tag {
         TAG_PULL_REPLY => {
             let clock = r.u64()?;
-            versions.clear();
             r.u64s_into(versions)?;
-            weights.clear();
             r.f32s_into(weights)?;
             r.finish()?;
             Ok(PullApplied {
@@ -1409,62 +1314,228 @@ pub fn apply_pull_reply(
 
 /// Writes one length-prefixed frame to `w`, reusing `scratch` as the serialization
 /// buffer (cleared first). The header and payload go out in one vectored write.
-pub fn write_frame<W: std::io::Write>(
-    w: &mut W,
-    msg: &Message,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
+pub fn write_frame<W: Write>(w: &mut W, msg: &Message, scratch: &mut Vec<u8>) -> io::Result<()> {
     scratch.clear();
     encode(msg, scratch);
     write_frame_payload(w, scratch)
 }
 
-/// Writes an already-encoded payload as one length-prefixed frame, using a vectored
-/// `write_all` so header and payload reach the socket in a single syscall without
-/// being copied into a combined buffer first.
-pub fn write_frame_payload<W: std::io::Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).expect("payload fits in u32");
-    let header = len.to_le_bytes();
-    let mut head: &[u8] = &header;
-    let mut body: &[u8] = payload;
-    while !head.is_empty() || !body.is_empty() {
-        let written = if head.is_empty() {
-            w.write(body)
-        } else {
-            let slices = [std::io::IoSlice::new(head), std::io::IoSlice::new(body)];
-            w.write_vectored(&slices)
-        };
-        match written {
+/// Writes every byte of `slices` to `w`, then flushes: one `write_vectored` when the
+/// writer takes it all, resumed where it stopped after a partial or interrupted
+/// write. The slices are advanced as they go out.
+fn write_gathered<W: Write>(w: &mut W, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+    // Drop leading empty slices, so "nothing left to write" is never read as `Ok(0)`.
+    IoSlice::advance_slices(&mut slices, 0);
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
             Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
                     "failed to write whole frame",
                 ))
             }
-            Ok(n) => {
-                let from_head = n.min(head.len());
-                head = &head[from_head..];
-                body = &body[n - from_head..];
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
     w.flush()
 }
 
-/// Reads one length-prefixed frame from `r` into the caller-owned `payload` buffer
-/// (cleared first; no allocation once the buffer reached the connection's steady-state
-/// frame size) and returns the payload length. Returns
-/// [`crate::NetError::Disconnected`] on a clean EOF at a frame boundary.
-pub fn read_frame_payload<R: std::io::Read>(
-    r: &mut R,
-    payload: &mut Vec<u8>,
-) -> Result<usize, crate::NetError> {
+/// Writes an already-encoded payload as one length-prefixed frame, using a vectored
+/// write so header and payload reach the socket in a single syscall without being
+/// copied into a combined buffer first.
+pub fn write_frame_payload<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    let prefix = len_prefix(payload.len());
+    write_gathered(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])
+}
+
+/// Concatenates the fixed-size leading fields of a frame — length prefix, tag,
+/// scalars, a run's element count — into a stack array of exactly their total size.
+#[cfg(target_endian = "little")]
+fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for field in fields {
+        out[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    assert_eq!(at, N, "the fields fill the header exactly");
+    out
+}
+
+/// The big-endian form of every streaming writer: the run's bytes are not its wire
+/// bytes there, so the frame is encoded into a buffer and written from it.
+#[cfg(not(target_endian = "little"))]
+fn write_encoded<W: Write>(w: &mut W, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+    let mut payload = Vec::new();
+    encode(&mut payload);
+    write_frame_payload(w, &payload)?;
+    Ok(payload.len() + 4)
+}
+
+/// Writes a [`Message::Push`] frame straight from the gradient slice: one vectored
+/// write of a stack header plus the run's own bytes — byte for byte what
+/// [`encode_push`] and [`write_frame_payload`] produce, without staging the run in a
+/// frame buffer first. Returns the bytes written, length prefix included.
+pub fn write_push_frame<W: Write>(
+    w: &mut W,
+    iteration: u64,
+    trace: u64,
+    grads: &[f32],
+) -> io::Result<usize> {
+    #[cfg(target_endian = "little")]
+    {
+        let payload_len = 21 + grads.len() * 4;
+        let head: [u8; 25] = header(&[
+            &len_prefix(payload_len),
+            &[TAG_PUSH],
+            &iteration.to_le_bytes(),
+            &trace.to_le_bytes(),
+            &len_prefix(grads.len()),
+        ]);
+        write_gathered(w, &mut [IoSlice::new(&head), IoSlice::new(le_bytes(grads))])?;
+        Ok(payload_len + 4)
+    }
+    #[cfg(not(target_endian = "little"))]
+    write_encoded(w, |buf| encode_push(buf, iteration, trace, grads))
+}
+
+/// Writes a [`Message::PushSlice`] frame straight from the gradient slice, like
+/// [`write_push_frame`]; byte for byte [`encode_push_slice`] and
+/// [`write_frame_payload`]. Returns the bytes written, length prefix included.
+pub fn write_push_slice_frame<W: Write>(
+    w: &mut W,
+    iteration: u64,
+    epoch: u64,
+    trace: u64,
+    grads: &[f32],
+) -> io::Result<usize> {
+    #[cfg(target_endian = "little")]
+    {
+        let payload_len = 29 + grads.len() * 4;
+        let head: [u8; 33] = header(&[
+            &len_prefix(payload_len),
+            &[TAG_PUSH_SLICE],
+            &iteration.to_le_bytes(),
+            &epoch.to_le_bytes(),
+            &trace.to_le_bytes(),
+            &len_prefix(grads.len()),
+        ]);
+        write_gathered(w, &mut [IoSlice::new(&head), IoSlice::new(le_bytes(grads))])?;
+        Ok(payload_len + 4)
+    }
+    #[cfg(not(target_endian = "little"))]
+    write_encoded(w, |buf| {
+        encode_push_slice(buf, iteration, epoch, trace, grads)
+    })
+}
+
+/// Writes a full [`Message::PullReply`] frame straight from the server's store; byte
+/// for byte [`encode_pull_reply`] and [`write_frame_payload`]. Returns the bytes
+/// written, length prefix included.
+pub fn write_pull_reply_frame<W: Write>(
+    w: &mut W,
+    clock: u64,
+    shard_versions: &[u64],
+    weights: &[f32],
+) -> io::Result<usize> {
+    #[cfg(target_endian = "little")]
+    {
+        let payload_len = 17 + shard_versions.len() * 8 + weights.len() * 4;
+        let head: [u8; 17] = header(&[
+            &len_prefix(payload_len),
+            &[TAG_PULL_REPLY],
+            &clock.to_le_bytes(),
+            &len_prefix(shard_versions.len()),
+        ]);
+        let weight_count = len_prefix(weights.len());
+        write_gathered(
+            w,
+            &mut [
+                IoSlice::new(&head),
+                IoSlice::new(le_bytes(shard_versions)),
+                IoSlice::new(&weight_count),
+                IoSlice::new(le_bytes(weights)),
+            ],
+        )?;
+        Ok(payload_len + 4)
+    }
+    #[cfg(not(target_endian = "little"))]
+    write_encoded(w, |buf| {
+        encode_pull_reply(buf, clock, shard_versions, weights)
+    })
+}
+
+/// Stale shards one vectored write of [`write_pull_reply_delta_frame`] gathers: each
+/// takes two slices (its 16-byte header, its weights), one more carries the frame's
+/// own header, and the total stays far below any platform's `IOV_MAX`.
+#[cfg(target_endian = "little")]
+const DELTA_SHARDS_PER_WRITE: usize = 16;
+
+/// Writes a [`Message::PullReplyDelta`] frame straight from the server's store: the
+/// frame header, then per stale shard a 16-byte stack header and the shard's own
+/// weight bytes, gathered 16 shards per vectored write through fixed stack arrays (no
+/// allocation, however many shards are stale). Byte for byte
+/// [`encode_pull_reply_delta`] and [`write_frame_payload`]. `updates` is walked twice
+/// — once to size the frame, once to write it — so it must be cheap to clone. Returns
+/// the bytes written, length prefix included.
+pub fn write_pull_reply_delta_frame<'a, W: Write>(
+    w: &mut W,
+    clock: u64,
+    updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
+) -> io::Result<usize> {
+    #[cfg(target_endian = "little")]
+    {
+        let (mut count, mut payload_len) = (0usize, 13usize);
+        for (_, _, weights) in updates.clone() {
+            count += 1;
+            payload_len += 16 + weights.len() * 4;
+        }
+        let frame_head: [u8; 17] = header(&[
+            &len_prefix(payload_len),
+            &[TAG_PULL_REPLY_DELTA],
+            &clock.to_le_bytes(),
+            &len_prefix(count),
+        ]);
+        let mut updates = updates;
+        // At least one write, so an empty delta still sends its frame header.
+        for chunk in 0..count.div_ceil(DELTA_SHARDS_PER_WRITE).max(1) {
+            let mut heads = [[0u8; 16]; DELTA_SHARDS_PER_WRITE];
+            let mut runs: [&[u8]; DELTA_SHARDS_PER_WRITE] = [&[]; DELTA_SHARDS_PER_WRITE];
+            let mut gathered = 0;
+            for (shard, version, weights) in updates.by_ref().take(DELTA_SHARDS_PER_WRITE) {
+                heads[gathered] = header(&[
+                    &shard.to_le_bytes(),
+                    &version.to_le_bytes(),
+                    &len_prefix(weights.len()),
+                ]);
+                runs[gathered] = le_bytes(weights);
+                gathered += 1;
+            }
+            let mut slices = [IoSlice::new(&[]); 1 + 2 * DELTA_SHARDS_PER_WRITE];
+            if chunk == 0 {
+                slices[0] = IoSlice::new(&frame_head);
+            }
+            for i in 0..gathered {
+                slices[1 + 2 * i] = IoSlice::new(&heads[i]);
+                slices[2 + 2 * i] = IoSlice::new(runs[i]);
+            }
+            write_gathered(w, &mut slices[..1 + 2 * gathered])?;
+        }
+        Ok(payload_len + 4)
+    }
+    #[cfg(not(target_endian = "little"))]
+    write_encoded(w, |buf| encode_pull_reply_delta(buf, clock, updates))
+}
+
+/// Reads a frame's length prefix. [`crate::NetError::Disconnected`] on a clean EOF at
+/// the frame boundary; [`WireError::Oversized`] before anything is sized from it.
+fn read_frame_prefix<R: Read>(r: &mut R) -> Result<usize, crate::NetError> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
             return Err(crate::NetError::Disconnected)
         }
         Err(e) => return Err(e.into()),
@@ -1473,8 +1544,25 @@ pub fn read_frame_payload<R: std::io::Read>(
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversized { len }.into());
     }
-    // No clear() first: resize alone truncates or zero-extends to exactly `len`, so a
-    // steady-state constant-size frame costs no memset before read_exact overwrites it.
+    Ok(len)
+}
+
+/// Reads one length-prefixed frame from `r` into the caller-owned `payload` buffer
+/// (no allocation once the buffer reached the connection's largest frame) and returns
+/// the payload length. Returns [`crate::NetError::Disconnected`] on a clean EOF at a
+/// frame boundary.
+///
+/// `resize` zero-fills whatever lies past the buffer's current length before
+/// `read_exact` overwrites it. That is free only while a connection's frames keep one
+/// size; a training connection alternates a 21-byte `PushReply` with a model-sized
+/// frame, which would cost a memset of the large frame every round — the reason the
+/// bulk kinds are read through [`FrameBody`] instead, and what still comes through
+/// here is small.
+pub fn read_frame_payload<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<usize, crate::NetError> {
+    let len = read_frame_prefix(r)?;
     payload.resize(len, 0);
     r.read_exact(payload)?;
     Ok(len)
@@ -1482,10 +1570,227 @@ pub fn read_frame_payload<R: std::io::Read>(
 
 /// Reads one length-prefixed frame from `r` and decodes it. Returns
 /// [`crate::NetError::Disconnected`] on a clean EOF at a frame boundary.
-pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Message, crate::NetError> {
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, crate::NetError> {
     let mut payload = Vec::new();
     read_frame_payload(r, &mut payload)?;
     Ok(decode(&payload)?)
+}
+
+/// One incoming frame, consumed from its stream field by field: the length prefix and
+/// the tag have been read, the rest is still on the stream. The streaming counterpart
+/// of the buffered decoders, for the frames that carry an `f32` run on the training
+/// path — it validates exactly what they validate, in the same order and with the
+/// same [`WireError`]s (field truncation, a run's declared count against the bytes
+/// left in the frame, shard index and key-range length, trailing bytes), and then
+/// reads the run from the stream straight into the buffer it is for, so a received
+/// gradient or weight byte is written once. Every read is bounded by the frame's
+/// declared length, so a malformed frame can neither make this read into the next
+/// frame nor size a buffer past [`MAX_FRAME_LEN`].
+///
+/// Read through the connection's one buffered reader: by the time a frame's tag is
+/// known that reader already holds the first kilobytes of its body.
+///
+/// A frame that fails part-way leaves the stream mid-frame; like every decoding
+/// failure it ends the connection.
+pub struct FrameBody<'r, R> {
+    r: &'r mut R,
+    /// Declared payload length.
+    len: usize,
+    /// Payload bytes not read yet.
+    left: usize,
+    tag: u8,
+}
+
+impl<'r, R: Read> FrameBody<'r, R> {
+    /// Reads the next frame's length prefix and tag. [`crate::NetError::Disconnected`]
+    /// on a clean EOF at the frame boundary, [`WireError::Oversized`] for a length
+    /// past [`MAX_FRAME_LEN`], and [`WireError::Truncated`] for an empty frame, which
+    /// is what every buffered decoder makes of one.
+    pub fn begin(r: &'r mut R) -> Result<Self, crate::NetError> {
+        let len = read_frame_prefix(r)?;
+        let mut body = Self {
+            r,
+            len,
+            left: len,
+            tag: 0,
+        };
+        [body.tag] = body.take()?;
+        Ok(body)
+    }
+
+    /// The frame's payload tag.
+    pub fn tag(&self) -> u8 {
+        self.tag
+    }
+
+    /// The frame's size on the wire, length prefix included.
+    pub fn wire_len(&self) -> usize {
+        self.len + 4
+    }
+
+    /// Reads the rest of the frame into `payload`, tag first, for the buffered
+    /// decoders — the path of every frame kind that carries no bulk run.
+    pub fn buffer(self, payload: &mut Vec<u8>) -> Result<(), crate::NetError> {
+        payload.resize(self.len, 0);
+        payload[0] = self.tag;
+        self.r.read_exact(&mut payload[1..])?;
+        Ok(())
+    }
+
+    /// Streams a [`Message::Push`] into a caller-owned gradient buffer (resized to the
+    /// run, otherwise untouched before the socket read fills it) and returns the
+    /// push's `(iteration, trace)` pair. Same value and errors as
+    /// [`decode_push_into`] on the buffered frame.
+    pub fn push_into(mut self, grads: &mut Vec<f32>) -> Result<(u64, u64), crate::NetError> {
+        self.expect_tag(TAG_PUSH)?;
+        let iteration = self.u64()?;
+        let trace = self.u64()?;
+        self.closing_f32_run(grads)?;
+        Ok((iteration, trace))
+    }
+
+    /// Streams a [`Message::PushSlice`] into a caller-owned gradient buffer and returns
+    /// the push's `(iteration, epoch, trace)` triple. Same value and errors as
+    /// [`decode_push_slice_into`] on the buffered frame.
+    pub fn push_slice_into(
+        mut self,
+        grads: &mut Vec<f32>,
+    ) -> Result<(u64, u64, u64), crate::NetError> {
+        self.expect_tag(TAG_PUSH_SLICE)?;
+        let iteration = self.u64()?;
+        let epoch = self.u64()?;
+        let trace = self.u64()?;
+        self.closing_f32_run(grads)?;
+        Ok((iteration, epoch, trace))
+    }
+
+    /// Streams a pull reply — full or delta — into a worker's cached weight and
+    /// version vectors: a full reply's weights are read into `weights` wholesale, a
+    /// delta's shard runs each into their own key range, and a shard's cached version
+    /// is written only once its run has arrived whole. Same value and errors as
+    /// [`apply_pull_reply`] on the buffered frame.
+    pub fn pull_reply_apply(
+        mut self,
+        weights: &mut Vec<f32>,
+        versions: &mut Vec<u64>,
+    ) -> Result<PullApplied, crate::NetError> {
+        match self.tag {
+            TAG_PULL_REPLY => {
+                let clock = self.u64()?;
+                let shards = self.run_len(8)?;
+                versions.clear();
+                for _ in 0..shards {
+                    versions.push(self.u64()?);
+                }
+                self.closing_f32_run(weights)?;
+                Ok(PullApplied {
+                    clock,
+                    full: true,
+                    shards_updated: shards,
+                })
+            }
+            TAG_PULL_REPLY_DELTA => {
+                let clock = self.u64()?;
+                // An update is at least its 16 header bytes, which bounds the count.
+                let count = self.run_len(16)?;
+                for _ in 0..count {
+                    let shard = self.u32()?;
+                    let version = self.u64()?;
+                    let declared = self.run_len(4)?;
+                    if (shard as usize) >= versions.len() {
+                        return Err(WireError::BadShard { shard }.into());
+                    }
+                    let (start, end) =
+                        dssp_ps::shard_range(weights.len(), versions.len(), shard as usize);
+                    if declared != end - start {
+                        return Err(WireError::BadShard { shard }.into());
+                    }
+                    self.f32s(&mut weights[start..end])?;
+                    versions[shard as usize] = version;
+                }
+                self.finish()?;
+                Ok(PullApplied {
+                    clock,
+                    full: false,
+                    shards_updated: count,
+                })
+            }
+            other => Err(WireError::UnknownTag(other).into()),
+        }
+    }
+
+    fn expect_tag(&self, tag: u8) -> Result<(), WireError> {
+        if self.tag == tag {
+            Ok(())
+        } else {
+            Err(WireError::UnknownTag(self.tag))
+        }
+    }
+
+    /// Reads one fixed-size field, refusing to read past the frame's end.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], crate::NetError> {
+        if N > self.left {
+            return Err(WireError::Truncated.into());
+        }
+        let mut bytes = [0u8; N];
+        self.r.read_exact(&mut bytes)?;
+        self.left -= N;
+        Ok(bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, crate::NetError> {
+        Ok(u32::from_le_bytes(self.take()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, crate::NetError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    /// Reads a run's element count and validates it against the bytes left in the
+    /// frame, at `elem_bytes` per element.
+    fn run_len(&mut self, elem_bytes: usize) -> Result<usize, crate::NetError> {
+        let declared = self.u32()? as usize;
+        if declared.saturating_mul(elem_bytes) > self.left {
+            return Err(WireError::BadLength { declared }.into());
+        }
+        Ok(declared)
+    }
+
+    /// Fills `out` from the stream. The caller has validated the run against the
+    /// frame ([`FrameBody::run_len`]).
+    fn f32s(&mut self, out: &mut [f32]) -> Result<(), crate::NetError> {
+        #[cfg(target_endian = "little")]
+        self.r.read_exact(le_bytes_mut(out))?;
+        #[cfg(not(target_endian = "little"))]
+        for v in out.iter_mut() {
+            let mut bytes = [0u8; 4];
+            self.r.read_exact(&mut bytes)?;
+            *v = f32::from_le_bytes(bytes);
+        }
+        self.left -= out.len() * 4;
+        Ok(())
+    }
+
+    /// Reads the length-prefixed f32 run that closes a frame into `out`. Because the
+    /// run is the frame's last field, trailing bytes are known — and refused — before
+    /// a byte of it is read.
+    fn closing_f32_run(mut self, out: &mut Vec<f32>) -> Result<(), crate::NetError> {
+        let declared = self.run_len(4)?;
+        let extra = self.left - declared * 4;
+        if extra > 0 {
+            return Err(WireError::TrailingBytes { extra }.into());
+        }
+        out.resize(declared, 0.0);
+        self.f32s(out)
+    }
+
+    fn finish(&self) -> Result<(), WireError> {
+        if self.left == 0 {
+            Ok(())
+        } else {
+            Err(WireError::TrailingBytes { extra: self.left })
+        }
+    }
 }
 
 /// Bounds-checked little-endian payload reader.
@@ -1540,11 +1845,14 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Appends a length-prefixed f32 run to `out` with one bulk conversion.
+    /// Overwrites `out` with a length-prefixed f32 run in one bulk conversion. A
+    /// buffer that already has the run's length is not touched before the copy, so
+    /// decoding same-sized frames into one buffer costs no zero-fill.
     fn f32s_into(&mut self, out: &mut Vec<f32>) -> Result<(), WireError> {
         let declared = self.f32_run_len()?;
         let bytes = self.take(declared * 4)?;
-        append_f32s_from_le(bytes, out);
+        out.resize(declared, 0.0);
+        copy_f32s_from_le(bytes, out);
         Ok(())
     }
 
@@ -1554,9 +1862,10 @@ impl<'a> Reader<'a> {
             return Err(WireError::BadLength { declared });
         }
         let bytes = self.take(declared * 4)?;
-        let mut out = Vec::new();
-        append_u32s_from_le(bytes, &mut out);
-        Ok(out)
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
     }
 
     fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
@@ -1565,14 +1874,20 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Appends a length-prefixed u64 run to `out` with one bulk conversion.
+    /// Overwrites `out` with a length-prefixed u64 run (version vectors: a handful of
+    /// elements, converted one by one).
     fn u64s_into(&mut self, out: &mut Vec<u64>) -> Result<(), WireError> {
         let declared = self.u32()? as usize;
         if declared.saturating_mul(8) > self.bytes.len() - self.pos {
             return Err(WireError::BadLength { declared });
         }
         let bytes = self.take(declared * 8)?;
-        append_u64s_from_le(bytes, out);
+        out.clear();
+        out.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
         Ok(())
     }
 
@@ -1883,14 +2198,14 @@ mod tests {
             .map(|i| f32::from_bits(0x9e37_79b9_u32.wrapping_mul(i as u32 + 1)))
             .collect();
         let mut bulk = Vec::new();
-        extend_f32_bytes(&mut bulk, &values);
+        extend_le(&mut bulk, &values);
         let mut reference = Vec::new();
         for v in &values {
             reference.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(bulk, reference);
-        let mut decoded = Vec::new();
-        append_f32s_from_le(&bulk, &mut decoded);
+        let mut decoded = vec![0.0f32; values.len()];
+        copy_f32s_from_le(&bulk, &mut decoded);
         assert_eq!(
             decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -1898,27 +2213,23 @@ mod tests {
 
         let u64s: Vec<u64> = (0..129).map(|i| u64::MAX / 3 + i * 0x1_0001).collect();
         let mut bulk = Vec::new();
-        extend_u64_bytes(&mut bulk, &u64s);
-        let mut reference = Vec::new();
+        put_run(&mut bulk, &u64s);
+        let mut reference = (u64s.len() as u32).to_le_bytes().to_vec();
         for v in &u64s {
             reference.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(bulk, reference);
-        let mut decoded = Vec::new();
-        append_u64s_from_le(&bulk, &mut decoded);
-        assert_eq!(decoded, u64s);
+        assert_eq!(Reader::new(&bulk).u64s(), Ok(u64s));
 
         let u32s: Vec<u32> = (0..67).map(|i| u32::MAX / 7 + i * 0x101).collect();
         let mut bulk = Vec::new();
-        extend_u32_bytes(&mut bulk, &u32s);
-        let mut reference = Vec::new();
+        put_run(&mut bulk, &u32s);
+        let mut reference = (u32s.len() as u32).to_le_bytes().to_vec();
         for v in &u32s {
             reference.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(bulk, reference);
-        let mut decoded = Vec::new();
-        append_u32s_from_le(&bulk, &mut decoded);
-        assert_eq!(decoded, u32s);
+        assert_eq!(Reader::new(&bulk).u32s(), Ok(u32s));
     }
 
     #[test]

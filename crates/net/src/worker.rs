@@ -2,16 +2,21 @@
 //! ([`dssp_core::driver::WorkerStep`]), talking to the server over a
 //! [`WorkerTransport`].
 //!
+//! A round is one round trip: the worker pushes, waits for its `OK` (`PushReply`) and
+//! reads the weights the server sends right behind it
+//! ([`WorkerTransport::recv_pull_apply`]) — it asks for nothing. Only the `OK` of its
+//! final push comes alone, and only its very first weights are requested, with an
+//! explicit `Pull` after the handshake: a fresh process (or one rejoining a restored
+//! server) holds nothing, so that reply is always a full one. After it, when
+//! `JobConfig::delta_pulls` is set (the default), the server ships only the shards
+//! that advanced past what it last sent this rank.
+//!
 //! The steady-state loop reuses three buffers across the whole run — the cached
 //! weight vector, the cached per-shard version vector, and the gradient vector — so a
 //! TCP worker performs zero heap allocations per message: gradients are computed into
-//! the reused buffer and encoded straight from it ([`WorkerTransport::send_push`]),
-//! and pull replies are applied in place ([`WorkerTransport::pull_into`]), with
-//! delta replies memcpy'd into the stale shards' key ranges only. When
-//! `JobConfig::delta_pulls` is set (the default) every pull after the first sends the
-//! cached versions so the server ships only the shards that advanced; a fresh process
-//! (or a reconnect) starts with an empty cache and therefore always begins with a
-//! full pull.
+//! the reused buffer and written to the socket straight from it
+//! ([`WorkerTransport::send_push`]), and the weights are read from the socket straight
+//! into the cache, a delta's shard runs each into their own key range.
 
 use crate::elastic::fault_due;
 use crate::transport::{PullOutcome, WorkerTransport};
@@ -88,7 +93,8 @@ pub struct WorkerReport {
 }
 
 /// Runs the worker side of a training job over the given transport: handshake, initial
-/// pull, then push/pull rounds until the iteration target is reached.
+/// pull, then one push → `OK` + weights round per iteration until the target is
+/// reached.
 ///
 /// A mid-run `Shutdown` from the server (abort paths) ends the loop cleanly with
 /// [`WorkerReport::shutdown_early`] set rather than erroring, so chaos-testing a server
@@ -177,10 +183,12 @@ fn run_worker_inner(
     let mut pulls_done: u64 = 0;
     let mut traces = TraceSource::new(rank);
 
-    // Initial pull: the version cache is empty, so this is always a full pull.
+    // The one pull this worker ever asks for: it holds nothing yet, so the reply is a
+    // full one. Every later set of weights arrives unrequested, behind an `OK`.
     let pull_trace = traces.next();
     ev_traced(log, EventKind::SpanBegin, SpanOp::Pull.code(), pull_trace);
-    match transport.pull_into(job.delta_pulls, pull_trace, &mut weights, &mut versions)? {
+    transport.send(&Message::Pull { trace: pull_trace })?;
+    match transport.recv_pull_apply(&mut weights, &mut versions)? {
         PullOutcome::Applied(applied) => {
             record_pull(&mut report, applied.full);
             ev_traced(log, EventKind::Pull, applied.clock, pull_trace);
@@ -200,15 +208,17 @@ fn run_worker_inner(
         step.compute_gradient_into(&weights, &mut grads);
         report.iterations = step.completed();
         report.epochs = step.epoch();
-        // One trace id per push; its span covers the send plus the gate wait, so the
-        // analyzer can split "network + apply" from "blocked on the DSSP gate".
+        // One trace id per round. The push span covers the send plus the gate wait, so
+        // the analyzer can split "network + apply" from "blocked on the DSSP gate"; the
+        // pull span that follows it covers the weights riding the `OK`, and shares the
+        // id the server stamps on both halves.
         let push_trace = traces.next();
         ev_traced(log, EventKind::SpanBegin, SpanOp::Push.code(), push_trace);
         transport.send_push(iter + 1, push_trace, &grads)?;
         ev_traced(log, EventKind::Push, iter + 1, push_trace);
         fault_due(fault.as_ref(), FaultPhase::Push, iter + 1)?;
         if iter + 1 == target {
-            // Final push: report Done without waiting for the OK.
+            // Final push: report Done without waiting for the OK (no weights follow it).
             ev_traced(log, EventKind::SpanEnd, SpanOp::Push.code(), push_trace);
             break;
         }
@@ -238,14 +248,14 @@ fn run_worker_inner(
             }
             other => return Err(unexpected(rank, &other)),
         }
-        let pull_trace = traces.next();
-        ev_traced(log, EventKind::SpanBegin, SpanOp::Pull.code(), pull_trace);
-        match transport.pull_into(job.delta_pulls, pull_trace, &mut weights, &mut versions)? {
+        // The weights as of the `OK` are already on their way: no request to send.
+        ev_traced(log, EventKind::SpanBegin, SpanOp::Pull.code(), push_trace);
+        match transport.recv_pull_apply(&mut weights, &mut versions)? {
             PullOutcome::Applied(applied) => {
                 record_pull(&mut report, applied.full);
                 transport.note_confirmed_clock(applied.clock);
-                ev_traced(log, EventKind::Pull, applied.clock, pull_trace);
-                ev_traced(log, EventKind::SpanEnd, SpanOp::Pull.code(), pull_trace);
+                ev_traced(log, EventKind::Pull, applied.clock, push_trace);
+                ev_traced(log, EventKind::SpanEnd, SpanOp::Pull.code(), push_trace);
             }
             PullOutcome::Shutdown { reason } => {
                 report.shutdown_early = reason != SHUTDOWN_OK || !step.finished();
@@ -264,7 +274,8 @@ fn run_worker_inner(
     })?;
 
     // Drain until the shutdown broadcast; a PushReply for the final push may still be
-    // in flight (the server answers every granted push, even the last one).
+    // in flight (the server answers every granted push, even the last one — that one
+    // without weights behind it).
     loop {
         match transport.recv()? {
             Message::Shutdown { reason } => {
@@ -275,7 +286,6 @@ fn run_worker_inner(
             Message::PushReply { granted_extra, .. } => {
                 report.granted_extra_total += granted_extra;
             }
-            Message::PullReply { .. } | Message::PullReplyDelta { .. } => {}
             other => return Err(unexpected(rank, &other)),
         }
     }

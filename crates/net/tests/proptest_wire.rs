@@ -1,9 +1,19 @@
 //! Property-based tests for the wire codec: encode→decode is the identity on every
 //! message kind, and corrupted frames (truncation, trailing bytes, absurd lengths) are
-//! rejected rather than misparsed.
+//! rejected rather than misparsed. The streaming path the TCP transport runs for the
+//! bulk frames — `FrameBody` in, the `write_*_frame` family out — is held to the
+//! buffered codecs as its reference: same values, same errors, same bytes, over
+//! streams that move only a few bytes per call.
 
-use dssp_net::wire::{decode, encode, Message, ShardUpdate, WireError, PROTOCOL_VERSION};
+use dssp_net::transport::PullView;
+use dssp_net::wire::{
+    self, decode, encode, FrameBody, Message, PullApplied, ShardUpdate, WireError, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
+};
+use dssp_net::NetError;
+use dssp_ps::{shard_range, ShardedStore};
 use proptest::prelude::*;
+use std::io::{IoSlice, Read, Write};
 
 /// Builds an arbitrary message from flat random draws (the proptest shim has no enum
 /// strategies, so the variant is picked by an index).
@@ -156,6 +166,258 @@ fn build_message(
     }
 }
 
+/// A stream that hands out its bytes a few at a time — `steps[i]` (at least one) on
+/// the `i`-th call, cycling — so every multi-byte field and every run is split across
+/// reads somewhere. `at` is how much it has given out.
+struct TrickleReader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    steps: &'a [usize],
+    calls: usize,
+}
+
+impl Read for TrickleReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = self.steps[self.calls % self.steps.len()].max(1);
+        self.calls += 1;
+        let n = step.min(buf.len()).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// A sink that accepts a few bytes per call, `steps[i]` on the `i`-th; a vectored
+/// write takes them across slice boundaries, so partial vectored writes end in the
+/// middle of a header, between slices and in the middle of a run.
+struct TrickleWriter<'a> {
+    out: Vec<u8>,
+    steps: &'a [usize],
+    calls: usize,
+}
+
+impl TrickleWriter<'_> {
+    fn budget(&mut self) -> usize {
+        self.calls += 1;
+        self.steps[(self.calls - 1) % self.steps.len()].max(1)
+    }
+}
+
+impl Write for TrickleWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.budget().min(buf.len());
+        self.out.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        let mut left = self.budget();
+        let mut taken = 0;
+        for buf in bufs {
+            let n = left.min(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            taken += n;
+            left -= n;
+        }
+        Ok(taken)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The bulk frame kinds of the training path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BulkKind {
+    Push,
+    PushSlice,
+    PullReply,
+    PullReplyDelta,
+}
+
+const BULK_KINDS: [BulkKind; 4] = [
+    BulkKind::Push,
+    BulkKind::PushSlice,
+    BulkKind::PullReply,
+    BulkKind::PullReplyDelta,
+];
+
+/// What a bulk frame decodes to, runs as bit patterns. For the pull replies: the
+/// summary and the receiving worker's cache after the reply was applied.
+#[derive(Debug, PartialEq)]
+enum Decoded {
+    Push(u64, u64, Vec<u32>),
+    PushSlice(u64, u64, u64, Vec<u32>),
+    Pull(PullApplied, Vec<u32>, Vec<u64>),
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A worker's cache before a reply arrives: `params` weights over `shards` shards.
+fn cache(params: usize, shards: usize) -> (Vec<f32>, Vec<u64>) {
+    (
+        (0..params).map(|i| i as f32 * 0.5 - 3.0).collect(),
+        (0..shards as u64).collect(),
+    )
+}
+
+/// A valid payload of `kind`. The pull replies fit the cache [`cache`] builds: the
+/// delta carries every shard whose bit is set in `pick`, each with its whole key
+/// range.
+fn bulk_payload(
+    kind: BulkKind,
+    a: u64,
+    b: u64,
+    floats: &[f32],
+    params: usize,
+    shards: usize,
+    pick: u64,
+) -> Vec<u8> {
+    let run = |len: usize| -> Vec<f32> { (0..len).map(|i| floats[i % floats.len()]).collect() };
+    let mut payload = Vec::new();
+    match kind {
+        BulkKind::Push => wire::encode_push(&mut payload, a, b, &run(params)),
+        BulkKind::PushSlice => wire::encode_push_slice(&mut payload, a, b % 1024, !b, &run(params)),
+        BulkKind::PullReply => {
+            let versions: Vec<u64> = (0..shards as u64).map(|i| b.wrapping_add(i)).collect();
+            wire::encode_pull_reply(&mut payload, a, &versions, &run(params));
+        }
+        BulkKind::PullReplyDelta => {
+            let updates: Vec<(u32, u64, Vec<f32>)> = (0..shards)
+                .filter(|i| pick >> (i % 64) & 1 == 1)
+                .map(|i| {
+                    let (start, end) = shard_range(params, shards, i);
+                    (i as u32, b.wrapping_add(i as u64), run(end - start))
+                })
+                .collect();
+            wire::encode_pull_reply_delta(
+                &mut payload,
+                a,
+                updates.iter().map(|(s, v, w)| (*s, *v, w.as_slice())),
+            );
+        }
+    }
+    payload
+}
+
+/// `payload` as it crosses a socket, followed by the start of a next frame that the
+/// reader of this one must leave alone.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut stream = (payload.len() as u32).to_le_bytes().to_vec();
+    stream.extend_from_slice(payload);
+    stream.extend_from_slice(&[0xee; 9]);
+    stream
+}
+
+fn wire_error(e: NetError) -> WireError {
+    match e {
+        NetError::Wire(e) => e,
+        other => panic!("expected a wire error, got {other:?}"),
+    }
+}
+
+/// The reference: the frame is read whole into a buffer, then decoded from it.
+fn buffered(
+    kind: BulkKind,
+    stream: &[u8],
+    params: usize,
+    shards: usize,
+) -> Result<Decoded, WireError> {
+    let mut payload = Vec::new();
+    wire::read_frame_payload(&mut &stream[..], &mut payload).map_err(wire_error)?;
+    let mut grads = Vec::new();
+    match kind {
+        BulkKind::Push => wire::decode_push_into(&payload, &mut grads)
+            .map(|(iteration, trace)| Decoded::Push(iteration, trace, bits(&grads))),
+        BulkKind::PushSlice => {
+            wire::decode_push_slice_into(&payload, &mut grads).map(|(iteration, epoch, trace)| {
+                Decoded::PushSlice(iteration, epoch, trace, bits(&grads))
+            })
+        }
+        BulkKind::PullReply | BulkKind::PullReplyDelta => {
+            let (mut weights, mut versions) = cache(params, shards);
+            wire::apply_pull_reply(&payload, &mut weights, &mut versions)
+                .map(|applied| Decoded::Pull(applied, bits(&weights), versions))
+        }
+    }
+}
+
+/// The streaming path, over a stream that trickles. Also returns how many bytes of
+/// the stream it consumed and the largest capacity it grew a bulk buffer to.
+fn streamed(
+    kind: BulkKind,
+    stream: &[u8],
+    params: usize,
+    shards: usize,
+    steps: &[usize],
+) -> (Result<Decoded, WireError>, usize, usize) {
+    let mut reader = TrickleReader {
+        bytes: stream,
+        at: 0,
+        steps,
+        calls: 0,
+    };
+    let mut grads = Vec::new();
+    let (mut weights, mut versions) = cache(params, shards);
+    let decoded = FrameBody::begin(&mut reader).and_then(|body| match kind {
+        BulkKind::Push => body
+            .push_into(&mut grads)
+            .map(|(iteration, trace)| Decoded::Push(iteration, trace, bits(&grads))),
+        BulkKind::PushSlice => body
+            .push_slice_into(&mut grads)
+            .map(|(iteration, epoch, trace)| {
+                Decoded::PushSlice(iteration, epoch, trace, bits(&grads))
+            }),
+        BulkKind::PullReply | BulkKind::PullReplyDelta => body
+            .pull_reply_apply(&mut weights, &mut versions)
+            .map(|applied| Decoded::Pull(applied, bits(&weights), versions.clone())),
+    });
+    let grown = grads.capacity().max(weights.capacity());
+    (decoded.map_err(wire_error), reader.at, grown)
+}
+
+/// Holds the streaming reader to the buffered one on `payload` (valid or not): same
+/// value or same error, no byte read past the frame's declared length, and no bulk
+/// buffer grown past what the frame (or the cache it applies to) can hold.
+fn assert_streams_like_buffered(
+    kind: BulkKind,
+    payload: &[u8],
+    params: usize,
+    shards: usize,
+    steps: &[usize],
+) -> Result<Decoded, WireError> {
+    let stream = framed(payload);
+    let reference = buffered(kind, &stream, params, shards);
+    let (decoded, consumed, grown) = streamed(kind, &stream, params, shards, steps);
+    assert_eq!(
+        decoded,
+        reference,
+        "{kind:?}, payload of {} bytes",
+        payload.len()
+    );
+    assert!(
+        consumed <= 4 + payload.len(),
+        "{kind:?}: read {consumed} bytes of a {}-byte frame",
+        4 + payload.len()
+    );
+    if decoded.is_ok() {
+        assert_eq!(
+            consumed,
+            4 + payload.len(),
+            "{kind:?}: frame not read to its end"
+        );
+    }
+    assert!(
+        grown * 4 <= payload.len().max(params * 4),
+        "{kind:?}: a buffer grew to {grown} elements for a {}-byte frame",
+        payload.len()
+    );
+    decoded
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -250,6 +512,154 @@ proptest! {
             let mut buf = vec![t];
             buf.extend_from_slice(&body);
             prop_assert!(matches!(decode(&buf), Err(WireError::UnknownTag(x)) if x == t));
+        }
+    }
+    #[test]
+    fn streaming_reader_yields_what_the_buffered_decoders_yield(
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+        floats in prop::collection::vec(-1.0e6f32..1.0e6, 24),
+        params in 40usize..160,
+        shards in 1usize..41,
+        pick in 0u64..u64::MAX,
+        steps in prop::collection::vec(1usize..48, 7),
+    ) {
+        for kind in BULK_KINDS {
+            let payload = bulk_payload(kind, a, b, &floats, params, shards, pick);
+            let decoded = assert_streams_like_buffered(kind, &payload, params, shards, &steps);
+            prop_assert!(decoded.is_ok(), "{kind:?}: a valid frame must decode: {decoded:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_reader_rejects_what_the_buffered_decoders_reject(
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+        floats in prop::collection::vec(-1.0e6f32..1.0e6, 24),
+        params in 40usize..96,
+        shards in 2usize..12,
+        pick in 0u64..u64::MAX,
+        steps in prop::collection::vec(1usize..48, 7),
+        bump in 1u32..u32::MAX,
+    ) {
+        for kind in BULK_KINDS {
+            // Shard 0 always ships, so the delta has an update to corrupt.
+            let payload = bulk_payload(kind, a, b, &floats, params, shards, pick | 1);
+            // Every truncation point, the empty frame included.
+            for cut in 0..payload.len() {
+                let decoded =
+                    assert_streams_like_buffered(kind, &payload[..cut], params, shards, &steps);
+                prop_assert!(decoded.is_err(), "{kind:?}: a {cut}-byte prefix decoded");
+            }
+            // One trailing byte.
+            let mut trailing = payload.clone();
+            trailing.push(0xab);
+            let decoded = assert_streams_like_buffered(kind, &trailing, params, shards, &steps);
+            prop_assert!(
+                matches!(decoded, Err(WireError::TrailingBytes { .. } | WireError::BadLength { .. })),
+                "{kind:?}: {decoded:?}"
+            );
+            // A corrupt count on the first f32 run: larger by `bump` (wrapping — so
+            // sometimes smaller), which no longer matches the bytes that follow.
+            let count_at = match kind {
+                BulkKind::Push => 17,
+                BulkKind::PushSlice => 25,
+                BulkKind::PullReply => 13 + shards * 8,
+                BulkKind::PullReplyDelta => 25,
+            };
+            let mut corrupt = payload.clone();
+            let count = u32::from_le_bytes(corrupt[count_at..count_at + 4].try_into().unwrap());
+            corrupt[count_at..count_at + 4]
+                .copy_from_slice(&count.wrapping_add(bump).to_le_bytes());
+            let decoded = assert_streams_like_buffered(kind, &corrupt, params, shards, &steps);
+            prop_assert!(decoded.is_err(), "{kind:?}: a corrupt run count decoded");
+        }
+
+        // A delta whose first update names a shard the worker does not have.
+        let delta = bulk_payload(BulkKind::PullReplyDelta, a, b, &floats, params, shards, pick | 1);
+        let mut stranger = delta.clone();
+        stranger[13..17].copy_from_slice(&(shards as u32 + bump % 1000).to_le_bytes());
+        let decoded =
+            assert_streams_like_buffered(BulkKind::PullReplyDelta, &stranger, params, shards, &steps);
+        prop_assert!(matches!(decoded, Err(WireError::BadShard { .. })), "{decoded:?}");
+        // A well-formed delta cut for a different layout: shard 0's run is one weight
+        // longer than the range this worker derives for it.
+        let wider = bulk_payload(BulkKind::PullReplyDelta, a, b, &floats, params + shards, shards, 1);
+        let decoded =
+            assert_streams_like_buffered(BulkKind::PullReplyDelta, &wider, params, shards, &steps);
+        prop_assert_eq!(decoded, Err(WireError::BadShard { shard: 0 }));
+
+        // A length prefix past the cap is refused before anything is sized from it.
+        let mut oversized = ((MAX_FRAME_LEN + 1 + (bump as usize % 1024)) as u32)
+            .to_le_bytes()
+            .to_vec();
+        oversized.extend_from_slice(&delta);
+        for kind in BULK_KINDS {
+            let reference = buffered(kind, &oversized, params, shards);
+            let (decoded, consumed, grown) = streamed(kind, &oversized, params, shards, &steps);
+            prop_assert!(matches!(decoded, Err(WireError::Oversized { .. })), "{decoded:?}");
+            prop_assert_eq!(decoded, reference);
+            prop_assert_eq!(consumed, 4);
+            prop_assert!(grown <= params);
+        }
+    }
+
+    #[test]
+    fn streaming_writers_produce_the_buffered_encoders_bytes(
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+        floats in prop::collection::vec(-1.0e6f32..1.0e6, 24),
+        params in 40usize..160,
+        shards in 1usize..41,
+        pick in 0u64..u64::MAX,
+        steps in prop::collection::vec(1usize..48, 7),
+    ) {
+        let sink = || TrickleWriter { out: Vec::new(), steps: &steps, calls: 0 };
+        let reference = |payload: &[u8]| {
+            let mut out = Vec::new();
+            wire::write_frame_payload(&mut out, payload).unwrap();
+            out
+        };
+        let grads: Vec<f32> = (0..params).map(|i| floats[i % floats.len()]).collect();
+
+        let mut w = sink();
+        let written = wire::write_push_frame(&mut w, a, b, &grads).unwrap();
+        let mut payload = Vec::new();
+        wire::encode_push(&mut payload, a, b, &grads);
+        prop_assert_eq!(&w.out, &reference(&payload));
+        prop_assert_eq!(written, w.out.len());
+
+        let mut w = sink();
+        let written = wire::write_push_slice_frame(&mut w, a, b % 1024, !b, &grads).unwrap();
+        let mut payload = Vec::new();
+        wire::encode_push_slice(&mut payload, a, b % 1024, !b, &grads);
+        prop_assert_eq!(&w.out, &reference(&payload));
+        prop_assert_eq!(written, w.out.len());
+
+        // Pull replies through the view the server answers from: full without a
+        // record, a delta of the shards `pick` made stale with one — more of them than
+        // one vectored write gathers whenever `shards` allows, and none at all when
+        // `pick` selects nobody.
+        let mut store = ShardedStore::new(grads.clone(), shards);
+        let known = store.versions().to_vec();
+        for shard in (0..shards).filter(|i| pick >> (i % 64) & 1 == 1) {
+            let (start, end) = store.key_range(shard);
+            store.apply_shard(shard, &grads[start..end], 0.5);
+        }
+        for known in [None, Some(known.as_slice())] {
+            let view = PullView {
+                clock: a,
+                versions: store.versions(),
+                offsets: store.offsets(),
+                weights: store.as_flat(),
+                known,
+            };
+            let mut w = sink();
+            let written = view.write_frame(&mut w).unwrap();
+            let mut payload = Vec::new();
+            view.encode(&mut payload);
+            prop_assert_eq!(&w.out, &reference(&payload));
+            prop_assert_eq!(written, w.out.len());
         }
     }
 }

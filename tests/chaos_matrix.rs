@@ -255,7 +255,10 @@ fn single_server_restart_cells_recover_bitwise() {
 
     let cells = [
         (FaultPhase::Push, 3),
-        (FaultPhase::Pull, 3),
+        // The weights ride the `OK`s, which go out before the round's checkpoint is
+        // written: pulls 1–2 are the opening ones, 3–4 close round 1 with nothing on
+        // disk yet, so the fifth is the first a restart can follow.
+        (FaultPhase::Pull, 5),
         // BSP defers every non-final push of each round, so the gate phase is
         // guaranteed to occur early.
         (FaultPhase::GateBlocked, 3),

@@ -4,11 +4,18 @@
 //! where worker speeds fluctuate. These tests inject transient slowdowns through the
 //! cluster model and check that (a) the synchronization invariants still hold and
 //! (b) DSSP's adaptive threshold reduces the waiting time that a fixed-threshold SSP
-//! suffers under the same disturbance.
+//! suffers under the same disturbance. The last one injects a death instead of a
+//! slowdown, over real sockets, at the one point the fused round added: between a
+//! worker's `OK` and the weights that follow it.
 
 use dssp_cluster::{ClusterSpec, DeviceProfile, LinkProfile, SlowdownEvent, WorkerSpec};
+use dssp_core::driver::{JobConfig, WorkerStep};
 use dssp_core::ExperimentBuilder;
 use dssp_data::SyntheticVectorSpec;
+use dssp_net::{
+    run_worker, serve, Message, PullOutcome, TcpServerTransport, TcpWorkerTransport,
+    WorkerTransport, PROTOCOL_VERSION,
+};
 use dssp_nn::models::ModelSpec;
 use dssp_ps::PolicyKind;
 use dssp_sim::RunTrace;
@@ -129,4 +136,68 @@ fn a_permanently_degraded_worker_does_not_stall_asp_or_dssp() {
             trace.policy
         );
     }
+}
+
+/// A worker that dies with its `OK` read and the weights behind it unread — the server
+/// may be anywhere in writing them — is reaped like any other lost client: the BSP
+/// round it was part of is not left waiting on it, and the survivor finishes alone.
+#[test]
+fn a_worker_killed_between_its_ok_and_the_weights_is_evicted_and_the_run_finishes() {
+    let mut job = JobConfig::small(PolicyKind::Bsp);
+    job.epochs = 1;
+    job.shards = 4;
+    let mut server = TcpServerTransport::bind("127.0.0.1:0", job.num_workers).expect("bind");
+    let addr = server.local_addr().to_string();
+
+    let survivor_job = job.clone();
+    let survivor_addr = addr.clone();
+    let survivor = std::thread::spawn(move || {
+        let mut t = TcpWorkerTransport::connect(&survivor_addr).expect("connect");
+        run_worker(&survivor_job, 0, &mut t).expect("survivor runs")
+    });
+
+    let victim_job = job.clone();
+    let victim = std::thread::spawn(move || {
+        let mut t = TcpWorkerTransport::connect(&addr).expect("connect");
+        t.send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            rank: 1,
+            num_workers: victim_job.num_workers as u32,
+            config_digest: victim_job.stable_digest(),
+        })
+        .expect("hello");
+        t.send(&Message::JoinRequest).expect("join request");
+        assert!(matches!(
+            t.recv().expect("join ack"),
+            Message::JoinAck { .. }
+        ));
+        t.send(&Message::Pull { trace: 0 }).expect("pull");
+        let (mut weights, mut versions) = (Vec::new(), Vec::new());
+        assert!(matches!(
+            t.recv_pull_apply(&mut weights, &mut versions)
+                .expect("opening weights"),
+            PullOutcome::Applied(_)
+        ));
+        t.send_push(1, 0, &vec![0.0; weights.len()]).expect("push");
+        // BSP holds this `OK` until the survivor's first push is in as well.
+        assert!(matches!(
+            t.recv().expect("the OK"),
+            Message::PushReply { .. }
+        ));
+        // Killed here: the weights frame is on its way, or about to be, and is never
+        // read. The dropped socket is all the server gets to know.
+    });
+
+    let trace = serve(&job, &mut server).expect("the run finishes without the victim");
+    victim.join().expect("victim thread");
+    let report = survivor.join().expect("survivor thread");
+
+    let target = WorkerStep::for_rank(&job, 0).target();
+    assert_eq!(
+        report.iterations, target,
+        "the survivor ran its whole shard"
+    );
+    assert!(!report.shutdown_early);
+    assert_eq!(trace.worker_summaries[1].iterations, 1);
+    assert_eq!(trace.total_pushes, target + 1);
 }
