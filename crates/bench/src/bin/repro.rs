@@ -7,22 +7,8 @@
 //!
 //! Experiments: `fig1 fig2 fig3a fig3b fig3c fig3d fig3e fig3f fig4 table1 throughput
 //! theory ablation all`. By default experiments run at the quick scale; `--full` uses
-//! the scale documented in EXPERIMENTS.md.
-//!
-//! The `bench` mode measures the training-step hot path and the parallel sweep runner
-//! and writes a machine-readable `BENCH_<id>.json` record:
-//!
-//! ```text
-//! cargo run --release -p dssp-bench --bin repro -- bench [--id <id>] [--iters <n>]
-//! ```
-//!
-//! The `bench-net` mode measures the networked pull path — full vs delta pulls over
-//! localhost TCP (bytes/pull, pulls/sec, end-to-end training wall time) — and writes
-//! the same kind of record (`BENCH_pr4.json` is the committed reference):
-//!
-//! ```text
-//! cargo run --release -p dssp-bench --bin repro -- bench-net [--id <id>] [--iters <n>]
-//! ```
+//! the scale documented in EXPERIMENTS.md. None of the modes measures speed: that is
+//! the round-cost ledger's job (`bash benchmark/run.sh`, see `benchmark/README.md`).
 //!
 //! The deployment modes run real networked training over TCP (`dssp-net`, and
 //! `dssp-coord` for multi-server groups). Job flags (`--model --policy --workers
@@ -354,58 +340,6 @@ fn run_launch_mode(args: &[String]) {
             std::process::exit(exit_code_for(&e));
         }
     }
-}
-
-fn run_bench_mode(args: &[String]) {
-    let id = flag_value(args, "--id").unwrap_or_else(|| "smoke".to_string());
-    let iters: u32 = flag_value(args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
-        .max(1);
-    let record = bench::perf::collect(&id, iters);
-    let path = format!("BENCH_{id}.json");
-    std::fs::write(&path, record.to_json()).unwrap_or_else(|e| {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", record.summary());
-    println!("wrote {path}");
-}
-
-fn run_bench_net_mode(args: &[String]) {
-    let id = flag_value(args, "--id").unwrap_or_else(|| "net_smoke".to_string());
-    let iters: u32 = flag_value(args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-        .max(1);
-    let max_servers: usize = flag_value(args, "--servers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let record = bench::netbench::collect(&id, iters, max_servers);
-    let path = format!("BENCH_{id}.json");
-    std::fs::write(&path, record.to_json()).unwrap_or_else(|e| {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", record.summary());
-    println!("wrote {path}");
-}
-
-fn run_bench_obs_mode(args: &[String]) {
-    let id = flag_value(args, "--id").unwrap_or_else(|| "obs_smoke".to_string());
-    let windows: u32 = flag_value(args, "--windows")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5)
-        .max(1);
-    let record = bench::obsbench::collect(&id, windows);
-    let path = format!("BENCH_{id}.json");
-    std::fs::write(&path, record.to_json()).unwrap_or_else(|e| {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", record.summary());
-    println!("wrote {path}");
 }
 
 /// Minimal JSON string escaping for the chaos-smoke record (error messages may
@@ -904,14 +838,6 @@ fn print_fleet_summary(addr: &str, exp: &dssp_net::metrics::Exposition) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench") => {
-            run_bench_mode(&args);
-            return;
-        }
-        Some("bench-net") => {
-            run_bench_net_mode(&args);
-            return;
-        }
         Some("serve") => {
             run_serve_mode(&args);
             return;
@@ -950,10 +876,6 @@ fn main() {
         }
         Some("analyze") => {
             run_analyze_mode(&args);
-            return;
-        }
-        Some("bench-obs") => {
-            run_bench_obs_mode(&args);
             return;
         }
         Some("stats") => {
@@ -1023,8 +945,8 @@ fn main() {
                 eprintln!(
                     "expected one of: fig1 fig2 fig3a fig3b fig3c fig3d fig3e fig3f fig4 \
                      table1 throughput theory ablation ablation_strict ablation_estimator \
-                     ablation_aggregation all bench bench-net serve coord worker launch \
-                     chaos-smoke drain rebalance migration-smoke trace analyze stats bench-obs"
+                     ablation_aggregation all serve coord worker launch chaos-smoke drain \
+                     rebalance migration-smoke trace analyze stats"
                 );
                 std::process::exit(2);
             }

@@ -642,7 +642,7 @@ impl<'job> Coordinator<'job> {
         if let Some(pusher) = pusher {
             let sample = self.sl.stats().staleness_sum - staleness_before;
             self.obs
-                .on_push(pusher, Some(sample), &replies, &self.sl, &self.last_trace);
+                .on_push(pusher, sample, &replies, &self.sl, &self.last_trace);
         }
         // A granted worker that has not run its final iteration will pull next; in
         // deterministic mode the coordinator must wait for that pull before the next

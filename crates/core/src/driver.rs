@@ -30,7 +30,7 @@
 
 use dssp_data::BatchIter;
 use dssp_nn::models::ModelSpec;
-use dssp_nn::{Evaluator, Model, Sequential, Sgd, SgdConfig, SoftmaxCrossEntropy, Workspace};
+use dssp_nn::{Evaluator, Model, Sgd, SgdConfig, TrainStep};
 use dssp_ps::{ParameterServer, PolicyKind, ServerConfig, SyncGate};
 use dssp_sim::{DataSpec, RunTrace, TracePoint, WorkerSummary};
 use dssp_tensor::Tensor;
@@ -478,13 +478,10 @@ fn fnv1a(canonical: &str) -> u64 {
 /// where gradients go.
 pub struct WorkerStep {
     rank: usize,
-    model: Sequential,
+    step: TrainStep,
     batches: BatchIter,
-    loss_fn: SoftmaxCrossEntropy,
-    ws: Workspace,
     batch_x: Tensor,
     batch_labels: Vec<usize>,
-    grad_logits: Tensor,
     target: u64,
     completed: u64,
     delay: Option<Duration>,
@@ -538,13 +535,10 @@ impl WorkerStep {
         );
         Self {
             rank,
-            model: config.model.build(config.seed),
+            step: TrainStep::new(config.model.build(config.seed)),
             batches,
-            loss_fn: SoftmaxCrossEntropy::new(),
-            ws: Workspace::new(),
             batch_x: Tensor::default(),
             batch_labels: Vec::new(),
-            grad_logits: Tensor::default(),
             target,
             completed: 0,
             delay: config
@@ -584,7 +578,7 @@ impl WorkerStep {
     /// Total number of model parameters (the flat weight/gradient vector length).
     /// Group workers size their global weight cache from this before the first pull.
     pub fn param_len(&self) -> usize {
-        self.model.param_len()
+        self.step.param_len()
     }
 
     /// Fast-forwards the worker past its first `completed` iterations without running
@@ -632,18 +626,11 @@ impl WorkerStep {
         if let Some(d) = self.delay {
             std::thread::sleep(d);
         }
-        self.model.set_params_flat(weights);
         self.batches
             .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
-        let logits = self.model.forward_ws(&self.batch_x, true, &mut self.ws);
-        let _ = self
-            .loss_fn
-            .loss_and_grad_into(logits, &self.batch_labels, &mut self.grad_logits);
-        self.model.zero_grads();
-        self.model.backward_ws(&self.grad_logits, &mut self.ws);
+        self.step
+            .gradient_into(weights, &self.batch_x, &self.batch_labels, out);
         self.completed += 1;
-        out.resize(self.model.param_len(), 0.0);
-        self.model.read_grads_into(out);
     }
 }
 

@@ -149,8 +149,7 @@ impl Obs {
             .store(sl.blocked_count() as u64, Relaxed);
     }
 
-    /// The per-push hook: a `push` event, the staleness sample (when the serving loop
-    /// has one — the borrowed hot path does, the deterministic replay path does not),
+    /// The per-push hook: a `push` event, the pusher's staleness sample,
     /// `gate-block`/`gate-release`/`credit-grant` events derived from the reply set,
     /// and a counter sync. `payload` conventions: the worker rank for `push`,
     /// `gate-block` and `gate-release`; the granted r* for `credit-grant`.
@@ -168,7 +167,7 @@ impl Obs {
     pub fn on_push(
         &self,
         pusher: usize,
-        staleness: Option<u64>,
+        staleness: u64,
         replies: &[OkReply],
         sl: &ServerLoop,
         traces: &[u64],
@@ -176,9 +175,7 @@ impl Obs {
         let now = now_us();
         let trace_of = |rank: usize| traces.get(rank).copied().unwrap_or(NO_TRACE);
         self.event_traced(EventKind::Push, pusher as u64, trace_of(pusher));
-        if let Some(staleness) = staleness {
-            self.metrics.observe_staleness(staleness);
-        }
+        self.metrics.observe_staleness(staleness);
         if pusher < MAX_STRAGGLER_RANKS {
             let prev = self.last_push_us[pusher].swap(now, Relaxed);
             if prev != 0 && now > prev {
@@ -359,7 +356,7 @@ mod tests {
         ];
         obs.on_push(
             0,
-            Some(5),
+            5,
             &[
                 OkReply {
                     worker: 0,
@@ -375,7 +372,7 @@ mod tests {
         );
         // Pusher blocked: no reply addressed to it (rank 2 is past the trace table,
         // so its events carry NO_TRACE — mixed-version fleets stay legal).
-        obs.on_push(2, Some(0), &[], &sl, &traces);
+        obs.on_push(2, 0, &[], &sl, &traces);
         let path = obs.flush().unwrap().expect("log enabled");
         let text = std::fs::read_to_string(&path).unwrap();
         for needle in [
@@ -414,18 +411,18 @@ mod tests {
         // sits blocked for a long window before being released, which should trip the
         // z-score check.
         for rank in 0..6 {
-            obs.on_push(rank, None, &[grant(rank)], &sl, &[]);
+            obs.on_push(rank, 0, &[grant(rank)], &sl, &[]);
         }
-        obs.on_push(3, None, &[], &sl, &[]); // blocked
+        obs.on_push(3, 0, &[], &sl, &[]); // blocked
         obs.blocked_since_us[3].store(1, Relaxed); // pretend the block started eons ago
-        obs.on_push(0, None, &[grant(0), grant(3)], &sl, &[]); // release rank 3
+        obs.on_push(0, 0, &[grant(0), grant(3)], &sl, &[]); // release rank 3
         let flags = obs.metrics().straggler_flags();
         assert_eq!(flags, 1 << 3, "only rank 3 should be flagged: {flags:#b}");
         // Wait totals equalize: flag must clear.
         for rank in (0..6).filter(|&r| r != 3) {
             obs.wait_total_us[rank].store(obs.wait_total_us[3].load(Relaxed), Relaxed);
         }
-        obs.on_push(1, None, &[grant(1)], &sl, &[]);
+        obs.on_push(1, 0, &[grant(1)], &sl, &[]);
         assert_eq!(obs.metrics().straggler_flags(), 0);
     }
 }

@@ -18,12 +18,12 @@
 //! explicit `Pull` is first contact (and first contact after a restore): it is
 //! answered in full and resets the record.
 //!
-//! The steady-state loop allocates nothing per message: pushes are applied through
-//! [`ServerLoop::handle_push_slice`] with reusable reply scratch, and consumed
-//! gradient buffers are recycled back to the transport's per-connection pools.
-//! Deterministic mode runs the same round; it only queues owned events in the gate
-//! first (and so keeps the allocating [`ServerLoop::handle`] path — it exists for
-//! equivalence testing, not throughput).
+//! The steady-state loop allocates nothing per message: every push is applied by the
+//! one `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
+//! scratch, the consumed gradient buffer recycled back to the transport's
+//! per-connection pool. Deterministic mode runs the same method; its gate only holds
+//! the event back until the canonical order says it is next, so the bitwise
+//! equivalence suites exercise the code wall-clock runs serve with.
 
 use crate::elastic::{CheckpointSink, FaultClock};
 use crate::obs::Obs;
@@ -105,6 +105,8 @@ struct Serving<'a> {
     /// server life, and again after its eviction.
     shipped: Vec<Vec<u64>>,
     delta_pulls: bool,
+    /// Reusable scratch for the `OK`s one push releases.
+    replies: Vec<OkReply>,
     start: Instant,
 }
 
@@ -156,6 +158,7 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
         last_trace: vec![NO_TRACE; job.num_workers],
         shipped: vec![Vec::new(); job.num_workers],
         delta_pulls: job.delta_pulls,
+        replies: Vec::new(),
         start: Instant::now(),
     };
     serving.run(job.num_workers)?;
@@ -204,7 +207,6 @@ impl Serving<'_> {
     /// The command loop: runs until every worker has reported `Done`.
     fn run(&mut self, num_workers: usize) -> Result<(), NetError> {
         let mut helloed = vec![false; num_workers];
-        let mut replies: Vec<OkReply> = Vec::new();
         while !self.sl.all_done() {
             self.obs.mirror_transport(&self.transport.transport_stats());
             // Deterministic mode: drain everything the gate is ready to release before
@@ -281,33 +283,11 @@ impl Serving<'_> {
                 } => {
                     require_helloed(&helloed, rank)?;
                     self.last_trace[rank] = trace;
-                    match self.gate.as_mut() {
-                        Some(g) => g.offer(WorkerEvent::Push {
-                            worker: rank,
-                            iteration,
-                            grads,
-                        }),
-                        None => {
-                            // The allocation-free hot path: borrowed gradients, reusable
-                            // reply scratch, buffer recycled to the connection pool.
-                            let now = self.now();
-                            replies.clear();
-                            let decision =
-                                self.sl.handle_push_slice(rank, &grads, now, &mut replies);
-                            self.transport.recycle_f32s(rank, grads);
-                            let granted = replies.iter().any(|r| r.worker == rank);
-                            self.obs.on_push(
-                                rank,
-                                Some(decision.staleness),
-                                &replies,
-                                &self.sl,
-                                &self.last_trace,
-                            );
-                            self.deliver_replies(&replies)?;
-                            check_abort(&self.sl)?;
-                            self.after_push(granted)?;
-                        }
-                    }
+                    self.offer_or_process(WorkerEvent::Push {
+                        worker: rank,
+                        iteration,
+                        grads,
+                    })?;
                 }
                 Message::Done {
                     iterations,
@@ -419,35 +399,60 @@ impl Serving<'_> {
     }
 
     /// Applies one event — gate-released in deterministic mode, straight off the
-    /// transport otherwise — and delivers the resulting protocol messages, then runs
-    /// the elasticity hooks for the phase the event concluded.
+    /// transport otherwise — and delivers the resulting protocol messages.
     fn process_event(&mut self, event: WorkerEvent) -> Result<(), NetError> {
-        if let WorkerEvent::Pull { worker } = event {
-            // An explicit pull is a worker with an empty cache — first contact, or
-            // first contact after a restore: whatever was shipped to the rank before
-            // no longer describes what it holds.
-            self.shipped[worker].clear();
-            return self.ship_weights(worker);
+        match event {
+            WorkerEvent::Pull { worker } => {
+                // An explicit pull is a worker with an empty cache — first contact, or
+                // first contact after a restore: whatever was shipped to the rank
+                // before no longer describes what it holds.
+                self.shipped[worker].clear();
+                self.ship_weights(worker)
+            }
+            WorkerEvent::Push {
+                worker,
+                iteration,
+                grads,
+            } => self.apply_push(worker, iteration, grads),
+            done @ WorkerEvent::Done { .. } => {
+                let now = self.now();
+                let replies = self.sl.handle_gated(&mut self.gate, done, now);
+                self.deliver_replies(&replies)?;
+                check_abort(&self.sl)
+            }
         }
-        let pusher = match &event {
-            WorkerEvent::Push { worker, .. } => Some(*worker),
-            _ => None,
-        };
+    }
+
+    /// The one place a push is applied, in both modes, without allocating: borrowed
+    /// gradients into reusable reply scratch, the buffer back to the connection pool,
+    /// the deterministic gate (when there is one) told who may run, the staleness
+    /// sample and events exported, the `OK`s delivered, then the elasticity hooks of
+    /// the push phase.
+    fn apply_push(&mut self, rank: usize, iteration: u64, grads: Vec<f32>) -> Result<(), NetError> {
         let now = self.now();
-        let replies = self.sl.handle_gated(&mut self.gate, event, now);
-        if let Some(pusher) = pusher {
-            // The deterministic replay path has no per-push staleness sample (the
-            // decision is consumed inside `handle_gated`); events and counters still flow.
-            self.obs
-                .on_push(pusher, None, &replies, &self.sl, &self.last_trace);
+        let mut replies = std::mem::take(&mut self.replies);
+        replies.clear();
+        let decision = self.sl.handle_push_slice(rank, &grads, now, &mut replies);
+        self.transport.recycle_f32s(rank, grads);
+        let granted = replies.iter().any(|r| r.worker == rank);
+        if let Some(g) = self.gate.as_mut() {
+            g.on_push_processed(rank, iteration, granted);
+            for reply in replies.iter().filter(|r| r.worker != rank) {
+                g.on_released(reply.worker);
+            }
         }
-        self.deliver_replies(&replies)?;
+        self.obs.on_push(
+            rank,
+            decision.staleness,
+            &replies,
+            &self.sl,
+            &self.last_trace,
+        );
+        let delivered = self.deliver_replies(&replies);
+        self.replies = replies;
+        delivered?;
         check_abort(&self.sl)?;
-        if let Some(pusher) = pusher {
-            let granted = replies.iter().any(|r| r.worker == pusher);
-            self.after_push(granted)?;
-        }
-        Ok(())
+        self.after_push(granted)
     }
 }
 

@@ -46,7 +46,8 @@ use std::thread;
 use std::time::Duration;
 
 /// Byte and frame counters of one transport endpoint, for benchmarks and reports
-/// (`repro -- bench-net` derives bytes/pull and messages/sec from these).
+/// (the ledger's `net.tcp.bytes_per_push` and `/metrics`' `dssp_bytes_total` read
+/// these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Total bytes written to the socket(s), including frame headers.

@@ -32,6 +32,22 @@ fn pull(store: &ShardedStore, clock: u64, cache: &mut Cache, delta: bool) -> boo
     };
     let mut payload = Vec::new();
     view.encode(&mut payload);
+    // The reply's exact size. A delta is a 13-byte header plus 16 + 4·len bytes for
+    // each stale shard and nothing for the others; a full reply is 17 + 8·shards +
+    // 4·params. So `k` stale shards carry only those `k` ranges, and the worst case —
+    // every shard stale, which is every reply under dense SGD — costs 8·shards − 4
+    // bytes more than the full reply it replaces.
+    let (versions, offsets) = (store.versions(), store.offsets());
+    let expected = match known.as_deref().filter(|_| view.delta_applicable()) {
+        Some(known) => {
+            let stale = (0..versions.len()).filter(|&i| versions[i] > known[i]);
+            13 + stale
+                .map(|i| 16 + 4 * (offsets[i + 1] - offsets[i]))
+                .sum::<usize>()
+        }
+        None => 17 + 8 * versions.len() + 4 * store.as_flat().len(),
+    };
+    assert_eq!(payload.len(), expected);
     let applied =
         apply_pull_reply(&payload, &mut cache.weights, &mut cache.versions).expect("reply applies");
     assert_eq!(applied.clock, clock);

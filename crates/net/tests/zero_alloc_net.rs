@@ -20,9 +20,15 @@
 //! structured-event recording on both ends — proving the instrumentation keeps the
 //! zero-allocation guarantee: [`dssp_core::events::EventLog::record`] claims a
 //! preallocated slot and the metric hooks are plain atomics.
+//!
+//! The job is deterministic, so every event also passes through the
+//! `DeterministicGate` before the server's one push method applies it: the window
+//! covers the gate as well as the path wall-clock runs take, and the live page must
+//! show one staleness sample per push in that mode too.
 
 use dssp_core::driver::{JobConfig, WorkerStep};
 use dssp_core::events::{trace_id, EventKind, EventLog, Role};
+use dssp_net::metrics::{parse_exposition, scrape};
 use dssp_net::{
     serve, Message, PullOutcome, TcpServerTransport, TcpWorkerTransport, WorkerTransport,
     PROTOCOL_VERSION,
@@ -89,8 +95,14 @@ fn steady_state_tcp_round_trips_do_not_allocate_on_either_end() {
         classes: 4,
     };
     job.eval_every_pushes = u64::MAX; // a mid-run evaluation is allowed to allocate
+    job.deterministic = true;
     job.event_log = Some(event_dir.clone());
-    job.metrics_addr = Some("127.0.0.1:0".into());
+    // A port that was free a moment ago, so the page can be scraped by address.
+    let metrics_addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .to_string();
+    job.metrics_addr = Some(metrics_addr.clone());
     let step = WorkerStep::for_rank(&job, 0);
     assert!(step.target() > WARMUP + MEASURED);
     let grads = vec![1e-3f32; step.param_len()];
@@ -148,6 +160,13 @@ fn steady_state_tcp_round_trips_do_not_allocate_on_either_end() {
          with observability enabled"
     );
     assert_eq!(log.dropped(), 0, "event log must not saturate in this test");
+
+    // The live page, mid-run: every push so far left its staleness sample.
+    let page = parse_exposition(&scrape(&metrics_addr).expect("scrape")).expect("page parses");
+    assert_eq!(
+        page.value("dssp_staleness_count", &[]),
+        Some((WARMUP + MEASURED) as f64)
+    );
 
     // Leaving is an eviction; with its only worker gone the run ends.
     drop(t);

@@ -7,9 +7,14 @@ use dssp_tensor::Tensor;
 /// A differentiable layer.
 ///
 /// Layers own their parameters and accumulated gradients. The forward pass caches
-/// whatever intermediate state the backward pass needs, so a layer instance must be used
-/// in strict `forward` → `backward` order for a given mini-batch (which is how both the
-/// simulator and the threaded runtime drive it).
+/// whatever intermediate state the backward pass needs **in the layer itself**, so a
+/// layer instance must be used in strict forward → backward order for a given
+/// mini-batch (which is how both the simulator and the threaded runtime drive it).
+///
+/// A layer implements the workspace-backed pair [`Layer::forward_ws`] /
+/// [`Layer::backward_ws`]; the allocating [`Layer::forward`] / [`Layer::backward`] are
+/// provided on top of it, so there is one implementation of every pass and no layer
+/// can fall off the zero-allocation path.
 ///
 /// Parameters and gradients are exposed as flat `f32` slices via offset-based reads and
 /// writes. That flat view is exactly what a worker pushes to the parameter server and
@@ -19,44 +24,45 @@ pub trait Layer: Send {
     /// Human-readable layer name used in diagnostics.
     fn name(&self) -> &str;
 
-    /// Runs the forward pass. `train` selects training-time behaviour where relevant.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Runs the backward pass given the gradient with respect to this layer's output,
-    /// accumulating parameter gradients internally, and returns the gradient with
-    /// respect to the layer input.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
-
-    /// Workspace-backed forward pass: writes the output into `out` and keeps any
-    /// intermediate state in `scratch`, so a warmed workspace runs without heap
-    /// allocations.
+    /// Forward pass: writes the output into `out`, taking any temporary it needs from
+    /// `scratch`, so a warmed workspace runs without heap allocations. `train` selects
+    /// training-time behaviour where relevant.
     ///
-    /// The default implementation falls back to the allocating [`Layer::forward`];
-    /// hot-path layers override it. Like `forward`/`backward`, the workspace pair must
-    /// be called in strict `forward_ws` → `backward_ws` order with the same scratch.
+    /// `scratch` holds reusable buffers only; it carries nothing from this call to the
+    /// matching [`Layer::backward_ws`] (that state lives in the layer), which is why
+    /// the provided allocating methods may hand each call a fresh one.
     fn forward_ws(
         &mut self,
         input: &Tensor,
         out: &mut Tensor,
         train: bool,
         scratch: &mut LayerScratch,
-    ) {
-        let _ = scratch;
-        *out = self.forward(input, train);
-    }
+    );
 
-    /// Workspace-backed backward pass: writes the input gradient into `grad_input`,
-    /// reusing `scratch` buffers from the matching [`Layer::forward_ws`] call.
-    ///
-    /// The default implementation falls back to the allocating [`Layer::backward`].
+    /// Backward pass given the gradient with respect to this layer's output:
+    /// accumulates parameter gradients internally and writes the gradient with respect
+    /// to the layer input into `grad_input`.
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
         grad_input: &mut Tensor,
         scratch: &mut LayerScratch,
-    ) {
-        let _ = scratch;
-        *grad_input = self.backward(grad_output);
+    );
+
+    /// Allocating forward pass: [`Layer::forward_ws`] into a fresh tensor with fresh
+    /// scratch (bitwise the same result).
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut out = Tensor::default();
+        self.forward_ws(input, &mut out, train, &mut LayerScratch::default());
+        out
+    }
+
+    /// Allocating backward pass: [`Layer::backward_ws`] into a fresh tensor with fresh
+    /// scratch; returns the gradient with respect to the layer input.
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let mut grad_input = Tensor::default();
+        self.backward_ws(grad_output, &mut grad_input, &mut LayerScratch::default());
+        grad_input
     }
 
     /// Number of learnable parameters in this layer.

@@ -1,10 +1,9 @@
 //! Concrete layer implementations: dense, convolution, pooling, activation, residual.
 //!
-//! Every hot-path layer implements both the allocating [`Layer::forward`] /
-//! [`Layer::backward`] API and the workspace-backed [`Layer::forward_ws`] /
-//! [`Layer::backward_ws`] pair. The two paths share the same kernels (the allocating
-//! tensor ops are thin wrappers over the `*_into` kernels) and produce bitwise-identical
-//! results; the workspace path reuses every intermediate buffer across iterations.
+//! Every layer implements the workspace-backed [`Layer::forward_ws`] /
+//! [`Layer::backward_ws`] pair on the `*_into` kernels, reusing every intermediate
+//! buffer across iterations; the allocating [`Layer::forward`] / [`Layer::backward`]
+//! are the trait's provided wrappers over that pair.
 
 use crate::workspace::LayerScratch;
 use crate::Layer;
@@ -74,23 +73,6 @@ impl Layer for DenseLayer {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        debug_assert_eq!(input.shape().dim(1), self.in_features);
-        self.cache_input(input);
-        input.matmul(&self.weight).add_row_broadcast(&self.bias)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        // dW += x^T g ; db += sum_rows(g) ; dx = g W^T
-        self.grad_weight.add_assign(&input.matmul_tn(grad_output));
-        self.grad_bias.add_assign(&grad_output.sum_rows());
-        grad_output.matmul_nt(&self.weight)
-    }
-
     fn forward_ws(
         &mut self,
         input: &Tensor,
@@ -114,6 +96,7 @@ impl Layer for DenseLayer {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
+        // dW += x^T g ; db += sum_rows(g) ; dx = g W^T
         let dw = scratch.buf(0);
         input.matmul_tn_into(grad_output, dw);
         self.grad_weight.add_assign(dw);
@@ -216,20 +199,6 @@ impl Conv2dLayer {
 impl Layer for Conv2dLayer {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.forward_ws(input, &mut out, train, &mut scratch);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.backward_ws(grad_output, &mut grad_input, &mut scratch);
-        grad_input
     }
 
     fn forward_ws(
@@ -341,20 +310,6 @@ impl Layer for ReluLayer {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.forward_ws(input, &mut out, train, &mut scratch);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.backward_ws(grad_output, &mut grad_input, &mut scratch);
-        grad_input
-    }
-
     fn forward_ws(
         &mut self,
         input: &Tensor,
@@ -434,20 +389,6 @@ impl Layer for MaxPool2dLayer {
         "maxpool"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.forward_ws(input, &mut out, train, &mut scratch);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.backward_ws(grad_output, &mut grad_input, &mut scratch);
-        grad_input
-    }
-
     fn forward_ws(
         &mut self,
         input: &Tensor,
@@ -497,17 +438,6 @@ impl Flatten {
 impl Layer for Flatten {
     fn name(&self) -> &str {
         "flatten"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.input_dims = input.shape().dims().to_vec();
-        let n = self.input_dims[0];
-        let rest: usize = self.input_dims[1..].iter().product();
-        input.reshaped(&[n, rest])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        grad_output.reshaped(&self.input_dims)
     }
 
     fn forward_ws(
@@ -593,20 +523,6 @@ impl ResidualBlock {
 impl Layer for ResidualBlock {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.forward_ws(input, &mut out, train, &mut scratch);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::default();
-        let mut scratch = LayerScratch::default();
-        self.backward_ws(grad_output, &mut grad_input, &mut scratch);
-        grad_input
     }
 
     fn forward_ws(

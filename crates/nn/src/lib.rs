@@ -29,7 +29,6 @@
 //! assert_eq!(logits.shape().dims(), &[2, 4]);
 //! ```
 
-mod adam;
 mod cost;
 mod evaluate;
 pub mod gradcheck;
@@ -38,12 +37,10 @@ mod layers;
 mod loss;
 pub mod models;
 mod optimizer;
-mod pooling;
-mod regularize;
 mod sequential;
+mod step;
 mod workspace;
 
-pub use adam::{Adam, AdamConfig, Optimizer};
 pub use cost::CostProfile;
 pub use evaluate::Evaluator;
 pub use gradcheck::{check_model_gradients, GradCheckReport};
@@ -51,7 +48,6 @@ pub use layer::{Layer, Model};
 pub use layers::{Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, ReluLayer, ResidualBlock};
 pub use loss::{accuracy, SoftmaxCrossEntropy};
 pub use optimizer::{LrSchedule, Sgd, SgdConfig};
-pub use pooling::{AvgPool2dLayer, GlobalAvgPool2dLayer};
-pub use regularize::DropoutLayer;
 pub use sequential::Sequential;
+pub use step::TrainStep;
 pub use workspace::{LayerScratch, Workspace};

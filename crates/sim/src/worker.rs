@@ -2,7 +2,7 @@
 //! described in Algorithm 1 (worker part).
 
 use dssp_data::BatchIter;
-use dssp_nn::{Model, Sequential, SoftmaxCrossEntropy, Workspace};
+use dssp_nn::{Sequential, TrainStep};
 use dssp_tensor::Tensor;
 
 /// The lifecycle state of a simulated worker.
@@ -19,7 +19,9 @@ pub(crate) enum WorkerState {
 /// One simulated worker.
 pub(crate) struct SimWorker {
     pub id: usize,
-    pub model: Sequential,
+    /// The model replica and the scratch of its gradient step; after the first
+    /// iteration `compute_gradient` performs no heap allocations.
+    step: TrainStep,
     pub batches: BatchIter,
     pub state: WorkerState,
     /// Completed iterations (pushes sent).
@@ -32,22 +34,16 @@ pub(crate) struct SimWorker {
     pub last_push_time: f64,
     /// Sum of training losses observed by this worker (for the running average).
     pub loss_sum: f64,
-    loss_fn: SoftmaxCrossEntropy,
-    /// Reusable scratch memory: after the first iteration, `compute_gradient` performs
-    /// no heap allocations.
-    ws: Workspace,
     batch_x: Tensor,
     batch_labels: Vec<usize>,
-    grad_logits: Tensor,
     grad_buf: Vec<f32>,
 }
 
 impl SimWorker {
     pub fn new(id: usize, model: Sequential, batches: BatchIter, target_iterations: u64) -> Self {
-        let grad_buf = vec![0.0; model.param_len()];
         Self {
             id,
-            model,
+            step: TrainStep::new(model),
             batches,
             state: WorkerState::Computing,
             iterations: 0,
@@ -55,12 +51,9 @@ impl SimWorker {
             waiting_time: 0.0,
             last_push_time: 0.0,
             loss_sum: 0.0,
-            loss_fn: SoftmaxCrossEntropy::new(),
-            ws: Workspace::new(),
             batch_x: Tensor::default(),
             batch_labels: Vec::new(),
-            grad_logits: Tensor::default(),
-            grad_buf,
+            grad_buf: Vec::new(),
         }
     }
 
@@ -80,20 +73,17 @@ impl SimWorker {
     /// The returned gradient is the mean over the mini-batch, matching the paper's
     /// `g ← (1/m) Σ ∂loss`.
     pub fn compute_gradient(&mut self, global_weights: &[f32]) -> &[f32] {
-        // Line 3: replace local weights with the pulled global weights.
-        self.model.set_params_flat(global_weights);
-        // Line 4: mini-batch gradient, drawn into reused batch buffers and computed on
-        // the reusable workspace so the steady-state step does not allocate.
+        // Line 4's mini-batch, drawn into reused batch buffers; line 3 (replace local
+        // weights with the pulled global weights) and the gradient are the shared step.
         self.batches
             .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
-        let logits = self.model.forward_ws(&self.batch_x, true, &mut self.ws);
-        let loss =
-            self.loss_fn
-                .loss_and_grad_into(logits, &self.batch_labels, &mut self.grad_logits);
+        let loss = self.step.gradient_into(
+            global_weights,
+            &self.batch_x,
+            &self.batch_labels,
+            &mut self.grad_buf,
+        );
         self.loss_sum += f64::from(loss);
-        self.model.zero_grads();
-        self.model.backward_ws(&self.grad_logits, &mut self.ws);
-        self.model.read_grads_into(&mut self.grad_buf);
         &self.grad_buf
     }
 
@@ -112,7 +102,11 @@ impl SimWorker {
 mod tests {
     use super::*;
     use dssp_data::{Dataset, SyntheticVectorSpec};
-    use dssp_nn::models;
+    use dssp_nn::{models, Model};
+
+    fn model() -> Sequential {
+        models::mlp(8, &[8], 3, 2)
+    }
 
     fn worker() -> SimWorker {
         let spec = SyntheticVectorSpec {
@@ -124,14 +118,13 @@ mod tests {
         };
         let data = Dataset::generate_vectors(&spec, 1);
         let shard = data.shard_train(1).remove(0);
-        let model = models::mlp(8, &[8], 3, 2);
-        SimWorker::new(0, model, BatchIter::new(shard, 10, 3), 6)
+        SimWorker::new(0, model(), BatchIter::new(shard, 10, 3), 6)
     }
 
     #[test]
     fn gradient_has_model_parameter_length() {
         let mut w = worker();
-        let params = w.model.params_flat();
+        let params = model().params_flat();
         let grad = w.compute_gradient(&params);
         assert_eq!(grad.len(), params.len());
         assert!(grad.iter().any(|&g| g != 0.0));
@@ -140,15 +133,17 @@ mod tests {
     #[test]
     fn compute_gradient_adopts_global_weights() {
         let mut w = worker();
-        let zeros = vec![0.0; w.model.param_len()];
+        let zeros = vec![0.0; model().param_len()];
         let _ = w.compute_gradient(&zeros);
-        assert!(w.model.params_flat().iter().all(|&p| p == 0.0));
+        // All-zero weights give all-zero logits, so the loss is exactly that of a
+        // uniform prediction over the 3 classes — not the initial replica's.
+        assert!((w.loss_sum - 3f64.ln()).abs() < 1e-6, "{}", w.loss_sum);
     }
 
     #[test]
     fn loss_accumulates_and_finished_flag_fires() {
         let mut w = worker();
-        let params = w.model.params_flat();
+        let params = model().params_flat();
         for i in 0..6 {
             assert!(!w.finished(), "not finished before iteration {i}");
             let _ = w.compute_gradient(&params);
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn epoch_tracks_batch_iterator() {
         let mut w = worker();
-        let params = w.model.params_flat();
+        let params = model().params_flat();
         assert_eq!(w.epoch(), 0);
         for _ in 0..4 {
             let _ = w.compute_gradient(&params);

@@ -11,7 +11,7 @@
 //! | module | crate | provides |
 //! |---|---|---|
 //! | [`tensor`] | `dssp-tensor` | dense `f32` tensors, matmul/conv kernels |
-//! | [`nn`] | `dssp-nn` | layers, models, loss, SGD/Adam optimizers |
+//! | [`nn`] | `dssp-nn` | layers, models, loss, SGD with momentum, the mini-batch gradient step |
 //! | [`data`] | `dssp-data` | synthetic datasets, sharding, batch iteration |
 //! | [`cluster`] | `dssp-cluster` | device/link profiles, per-iteration time model |
 //! | [`ps`] | `dssp-ps` | parameter server, BSP/ASP/SSP/DSSP policies |
@@ -19,7 +19,7 @@
 //! | [`core`](mod@core) | `dssp-core` | experiments, presets, metrics, shared driver, threaded runtime |
 //! | [`net`] | `dssp-net` | wire protocol, TCP/loopback transports, multi-process deployment |
 //! | [`coord`] | `dssp-coord` | multi-server groups: shard servers + clock/controller coordinator |
-//! | [`bench`](mod@bench) | `dssp-bench` | figure/table regeneration for the paper's evaluation |
+//! | [`bench`](mod@bench) | `dssp-bench` | figure/table regeneration for the paper's evaluation, the `repro` CLI |
 //!
 //! # Example
 //!
