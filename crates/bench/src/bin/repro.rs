@@ -72,7 +72,7 @@
 
 use dssp_bench as bench;
 use dssp_core::presets::Scale;
-use dssp_core::report;
+use dssp_core::{json, report};
 use dssp_net::cli::{flag_value, job_from_flags};
 
 /// Maps a run-ending error to the process exit code: a fired fault plan exits with
@@ -342,22 +342,6 @@ fn run_launch_mode(args: &[String]) {
     }
 }
 
-/// Minimal JSON string escaping for the chaos-smoke record (error messages may
-/// contain quotes and backslashes from paths).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if c.is_control() => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One kill+restart chaos cell per role over real processes: leg A launches the
 /// group with the cell's fault plan armed and must *fail*; leg B relaunches with
 /// `--restore` (fault dropped, as a supervisor would) and must either resume or be
@@ -446,10 +430,10 @@ fn run_chaos_smoke_mode(args: &[String]) {
         }
         println!("cell {spec}: leg A {leg_a}; leg B {leg_b}");
         records.push(format!(
-            "    {{\"cell\": \"{}\", \"leg_a\": \"{}\", \"leg_b\": \"{}\", \"ok\": {}}}",
-            json_escape(spec),
-            json_escape(&leg_a),
-            json_escape(&leg_b),
+            "    {{\"cell\": {}, \"leg_a\": {}, \"leg_b\": {}, \"ok\": {}}}",
+            json::escape(spec),
+            json::escape(&leg_a),
+            json::escape(&leg_b),
             cell_ok
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -593,8 +577,8 @@ fn run_migration_smoke_mode(args: &[String]) {
     );
     let json = format!(
         "{{\n  \"id\": \"migration_smoke\",\n  \"ok\": {ok},\n  \"live_epoch\": {live_epoch},\n  \
-         \"commit_in_log\": {committed_in_log},\n  \"detail\": \"{}\"\n}}\n",
-        json_escape(&detail)
+         \"commit_in_log\": {committed_in_log},\n  \"detail\": {}\n}}\n",
+        json::escape(&detail)
     );
     let _ = std::fs::remove_dir_all(&scratch);
     if let Err(e) = std::fs::write(&out_path, json) {

@@ -82,12 +82,6 @@ impl TimeModel {
             .iteration_cost(worker, &self.cost, self.batch_size)
     }
 
-    /// Seconds needed to move one model's worth of parameters (or gradients) one way
-    /// between a worker and the server, including link latency.
-    pub fn one_way_comm_seconds(&self) -> f64 {
-        self.cluster.link.transfer_seconds(self.cost.param_bytes())
-    }
-
     /// Seconds for which one parameter/gradient transfer occupies the server's link
     /// (serialization time, excluding latency).
     ///

@@ -9,24 +9,27 @@
 //! weights into a reused buffer, delta-incrementally), end-of-run statistics
 //! collection, and shutdown propagation.
 //!
+//! The loop has the shape of every serving loop: offer each arriving `ClockPush` /
+//! `Done` to the [`ServerLoop`], drain what it is ready to release, apply it (a clock
+//! push is [`ServerLoop::handle_push_slice`] with no gradients) and deliver the
+//! grants. A reply that cannot be delivered — the worker died between its message and
+//! the answer — evicts that worker; it never fails the group.
+//!
 //! # Deterministic mode
 //!
-//! Under [`JobConfig::deterministic`] the coordinator serializes the group so an
-//! N-server run is bitwise equal to a single server: incoming `ClockPush`/`Done`
-//! events are buffered in the shared `DeterministicGate` and released in canonical
-//! `(iteration, rank)` order; a released push is granted back to its worker
-//! ([`Message::PushGrant`]) and the clock only advances once the worker confirms
-//! every shard server acked its slices ([`Message::PushApplied`]); granted workers'
-//! pulls are awaited ([`Message::PullDone`]) before the next mutating event is
-//! dispatched. No gradient application, pull, or evaluation can therefore interleave
-//! with another mutation — the exact serialization a single server's command loop
-//! gets for free.
+//! Under [`JobConfig::deterministic`] the coordinator additionally serializes the
+//! group so an N-server run is bitwise equal to a single server: the loop releases
+//! events in canonical `(iteration, rank)` order; a released push is granted back to
+//! its worker ([`Message::PushGrant`]) and the clock only advances once the worker
+//! confirms every shard server acked its slices ([`Message::PushApplied`]); granted
+//! workers' pulls are awaited ([`Message::PullDone`]) before the next mutating event
+//! is dispatched. No gradient application, pull, or evaluation can therefore
+//! interleave with another mutation — the exact serialization a single server's
+//! command loop gets for free.
 
 use crate::client::{FanOutcome, ServerLink, ShardFan};
 use crate::layout::MigrationPlan;
-use dssp_core::driver::{
-    DeterministicGate, FaultRole, JobConfig, MigrationCommand, ServerLoop, WorkerEvent,
-};
+use dssp_core::driver::{FaultRole, JobConfig, MigrationCommand, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{trace_id, EventKind, Role, NO_TRACE};
 use dssp_net::wire::{MIGRATE_CONTROL, PROTOCOL_VERSION, SHUTDOWN_OK, SHUTDOWN_SERVER_ERROR};
 use dssp_net::{
@@ -34,7 +37,7 @@ use dssp_net::{
     ServerTransport,
 };
 use dssp_ps::{CheckpointError, LayoutSnapshot};
-use dssp_sim::{GroupServerStats, RunTrace};
+use dssp_sim::{GroupServerStats, RunTrace, WorkerSummary};
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
@@ -128,7 +131,7 @@ pub fn coordinate(
         if restoring {
             check_restore_skew(&sl, &mut fan)?;
         }
-        Coordinator::new(job, sl, restoring, admin, &obs).run(transport, &mut fan)
+        Coordinator::new(job, sl, admin, &obs).run(transport, &mut fan)
     });
     // Best-effort on the error path (the Ok path already flushed with `?`): a crashed
     // run should still leave its coordinator timeline behind when possible.
@@ -166,8 +169,6 @@ pub fn coordinate(
 struct Coordinator<'job> {
     job: &'job JobConfig,
     sl: ServerLoop,
-    gate: Option<DeterministicGate>,
-    targets: Vec<u64>,
     helloed: Vec<bool>,
     /// Last announced ClockPush iteration per worker (a granted worker whose push was
     /// final will never pull again, so no PullDone is expected from it).
@@ -180,7 +181,7 @@ struct Coordinator<'job> {
     coord_seq: u32,
     /// The granted push we are waiting on (deterministic mode).
     pending_apply: Option<WorkerEvent>,
-    /// A gate-released event we could not dispatch yet (pulls still in flight).
+    /// A released event we could not dispatch yet (pulls still in flight).
     held: Option<WorkerEvent>,
     /// Which workers have a granted pull in flight (everyone's initial pull at the
     /// start). Per-worker so evicting a dead worker cancels exactly its pull.
@@ -228,39 +229,20 @@ struct ArmedMigration {
 }
 
 impl<'job> Coordinator<'job> {
-    fn new(
-        job: &'job JobConfig,
-        sl: ServerLoop,
-        restoring: bool,
-        admin: Option<usize>,
-        obs: &'job Obs,
-    ) -> Self {
-        let targets = sl.targets().to_vec();
+    fn new(job: &'job JobConfig, sl: ServerLoop, admin: Option<usize>, obs: &'job Obs) -> Self {
         let det = job.deterministic;
-        // On a restore the gate's dispatch bookkeeping resumes from the checkpointed
-        // push counts; every worker — finished or not — re-pulls before anything else.
-        let gate = det.then(|| {
-            if restoring {
-                DeterministicGate::resume(targets.clone(), &sl.push_counts(), false)
-            } else {
-                DeterministicGate::new(targets.clone(), false)
-            }
-        });
-        let last_iter = if restoring {
-            sl.push_counts()
-        } else {
-            vec![0u64; job.num_workers]
-        };
+        // Zero on a fresh run, the checkpointed clocks after a restore.
+        let last_iter = sl.push_counts();
         Self {
             job,
-            gate,
-            targets,
             helloed: vec![false; job.num_workers],
             last_iter,
             last_trace: vec![NO_TRACE; job.num_workers],
             coord_seq: 0,
             pending_apply: None,
             held: None,
+            // Deterministic mode: every worker — finished or not, on a restore —
+            // pulls before anything else.
             pull_pending: vec![det; job.num_workers],
             fault: FaultClock::new(job, FaultRole::Coordinator),
             sink: CheckpointSink::new(job.checkpoint.as_ref(), &dssp_ps::coord_checkpoint_name()),
@@ -290,7 +272,7 @@ impl<'job> Coordinator<'job> {
     }
 
     /// Reaps one dead (or explicitly evicted) worker: cancels whatever it had in
-    /// flight (a granted-but-unconfirmed push, a pending pull, queued gate events),
+    /// flight (a granted-but-unconfirmed push, a pending pull, queued events),
     /// reclaims its policy credits, retires its clock, and delivers the grants its
     /// departure releases to the survivors.
     fn evict(&mut self, transport: &mut dyn ServerTransport, rank: usize) -> Result<(), NetError> {
@@ -305,15 +287,12 @@ impl<'job> Coordinator<'job> {
             self.held = None;
         }
         self.pull_pending[rank] = false;
+        self.finished[rank] = true;
+        self.awaiting_grant[rank] = false;
         let now = self.start.elapsed().as_secs_f64();
-        let released = self.sl.evict_worker(rank, now);
+        let mut released = Vec::new();
+        self.sl.evict_worker(rank, now, &mut released);
         self.obs.on_eviction(rank);
-        if let Some(g) = self.gate.as_mut() {
-            g.forget_worker(rank);
-            for reply in &released {
-                g.on_released(reply.worker);
-            }
-        }
         for reply in &released {
             self.obs.event_traced(
                 EventKind::GateRelease,
@@ -325,9 +304,26 @@ impl<'job> Coordinator<'job> {
         for reply in &released {
             self.send_grant(transport, reply.worker, reply.granted_extra)?;
         }
-        self.finished[rank] = true;
-        self.awaiting_grant[rank] = false;
         Ok(())
+    }
+
+    /// Sends `msg` to a worker and reports whether it went out. A failed send means
+    /// the worker died between its last message and this reply: it is reaped like any
+    /// other [`NetError::ClientLost`] instead of the broken link aborting the whole
+    /// group, and the caller carries on with the survivors. Each failure retires one
+    /// more worker, so the mutual recursion with [`Coordinator::evict`] (whose
+    /// released grants come back through here) is bounded by the fleet size.
+    fn send_or_evict(
+        &mut self,
+        transport: &mut dyn ServerTransport,
+        worker: usize,
+        msg: &Message,
+    ) -> Result<bool, NetError> {
+        if transport.send(worker, msg).is_ok() {
+            return Ok(true);
+        }
+        self.evict(transport, worker)?;
+        Ok(false)
     }
 
     /// Delivers one clock grant — or withholds it while a migration is armed in
@@ -347,11 +343,12 @@ impl<'job> Coordinator<'job> {
         };
         if self.armed.is_some() && !self.job.deterministic {
             self.withheld.push((worker, msg));
-        } else {
-            transport.send(worker, &msg)?;
+        } else if self.send_or_evict(transport, worker, &msg)? {
             self.awaiting_grant[worker] = false;
+        } else {
+            return Ok(());
         }
-        if self.job.deterministic && self.last_iter[worker] < self.targets[worker] {
+        if self.job.deterministic && self.last_iter[worker] < self.sl.targets()[worker] {
             self.pull_pending[worker] = true;
         }
         Ok(())
@@ -361,8 +358,9 @@ impl<'job> Coordinator<'job> {
     /// refused/rolled-back migration disarms).
     fn flush_withheld(&mut self, transport: &mut dyn ServerTransport) -> Result<(), NetError> {
         for (worker, msg) in std::mem::take(&mut self.withheld) {
-            transport.send(worker, &msg)?;
-            self.awaiting_grant[worker] = false;
+            if self.send_or_evict(transport, worker, &msg)? {
+                self.awaiting_grant[worker] = false;
+            }
         }
         Ok(())
     }
@@ -390,10 +388,12 @@ impl<'job> Coordinator<'job> {
             // (admin requests arm inside the message loop instead); execution always
             // waits for group quiescence below.
             self.maybe_arm(fan);
-            // Deterministic mode: dispatch everything the gate can release under the
-            // serialization rules before blocking on the transport again.
-            while det && self.pending_apply.is_none() && !self.sl.all_done() {
-                if self.armed.is_some() {
+            // Dispatch everything the loop is ready to release — under deterministic
+            // mode's serialization rules: one granted push at a time, no mutation
+            // while a granted pull is in flight — before blocking on the transport
+            // again.
+            while self.pending_apply.is_none() && !self.sl.all_done() {
+                if det && self.armed.is_some() {
                     // Freeze point: release nothing more while armed. Once every
                     // granted pull has drained the group is quiescent (no granted
                     // push is pending either — `pending_apply` is `None` here).
@@ -404,7 +404,7 @@ impl<'job> Coordinator<'job> {
                     continue;
                 }
                 if self.held.is_none() {
-                    self.held = self.gate.as_mut().and_then(|g| g.next());
+                    self.held = self.sl.next_ready();
                 }
                 let Some(event) = self.held.take() else { break };
                 // Mutating events wait until every granted pull completed.
@@ -413,14 +413,14 @@ impl<'job> Coordinator<'job> {
                     break;
                 }
                 match event {
-                    WorkerEvent::Push { worker, .. } => {
+                    WorkerEvent::Push { worker, .. } if det => {
                         // Grant the apply slot; the clock advances on PushApplied.
-                        transport.send(worker, &Message::PushGrant)?;
-                        self.pending_apply = Some(event);
+                        if self.send_or_evict(transport, worker, &Message::PushGrant)? {
+                            self.pending_apply = Some(event);
+                        }
                     }
-                    done @ WorkerEvent::Done { .. } => {
-                        self.apply_event(transport, fan, done)?;
-                    }
+                    WorkerEvent::Push { worker, .. } => self.apply_push(transport, fan, worker)?,
+                    WorkerEvent::Done(summary) => self.apply_done(transport, fan, summary)?,
                     WorkerEvent::Pull { .. } => {
                         unreachable!("group coordinators never offer Pull events")
                     }
@@ -480,18 +480,16 @@ impl<'job> Coordinator<'job> {
                     // layout, so a (re)joiner of a migrated group routes correctly
                     // from its very first fan-out.
                     let epoch = fan.layout().epoch();
-                    transport.send(
-                        rank,
-                        &Message::JoinAck {
-                            clock: self.sl.push_count(rank),
-                            epoch,
-                            assignment: if epoch == 0 {
-                                Vec::new()
-                            } else {
-                                fan.layout().assignment().to_vec()
-                            },
+                    let ack = Message::JoinAck {
+                        clock: self.sl.push_count(rank),
+                        epoch,
+                        assignment: if epoch == 0 {
+                            Vec::new()
+                        } else {
+                            fan.layout().assignment().to_vec()
                         },
-                    )?;
+                    };
+                    self.send_or_evict(transport, rank, &ack)?;
                 }
                 Message::Evict { rank: victim } => {
                     require_helloed(&self.helloed, rank)?;
@@ -511,32 +509,25 @@ impl<'job> Coordinator<'job> {
                     self.awaiting_grant[rank] = true;
                     self.last_iter[rank] = iteration;
                     self.last_trace[rank] = trace;
-                    let event = WorkerEvent::Push {
+                    self.sl.offer(WorkerEvent::Push {
                         worker: rank,
                         iteration,
                         grads: Vec::new(), // the gradients went to the shard servers
-                    };
-                    match self.gate.as_mut() {
-                        Some(g) => g.offer(event),
-                        None => self.apply_event(transport, fan, event)?,
-                    }
+                    });
                 }
                 Message::PushApplied { iteration } => {
                     require_helloed(&self.helloed, rank)?;
-                    let event = match self.pending_apply.take() {
+                    match self.pending_apply.take() {
+                        Some(WorkerEvent::Push {
+                            worker,
+                            iteration: granted,
+                            ..
+                        }) if worker == rank && granted == iteration => {}
                         Some(ev) => {
-                            let matches = matches!(
-                                &ev,
-                                WorkerEvent::Push { worker, iteration: granted, .. }
-                                    if *worker == rank && *granted == iteration
-                            );
-                            if !matches {
-                                return Err(NetError::Protocol(format!(
-                                    "PushApplied({iteration}) from worker {rank} does not \
-                                     match the granted push {ev:?}"
-                                )));
-                            }
-                            ev
+                            return Err(NetError::Protocol(format!(
+                                "PushApplied({iteration}) from worker {rank} does not \
+                                 match the granted push {ev:?}"
+                            )))
                         }
                         None => {
                             return Err(NetError::Protocol(format!(
@@ -544,8 +535,8 @@ impl<'job> Coordinator<'job> {
                                  granted push"
                             )))
                         }
-                    };
-                    self.apply_event(transport, fan, event)?;
+                    }
+                    self.apply_push(transport, fan, rank)?;
                 }
                 Message::PullDone => {
                     require_helloed(&self.helloed, rank)?;
@@ -568,16 +559,12 @@ impl<'job> Coordinator<'job> {
                 } => {
                     require_helloed(&self.helloed, rank)?;
                     self.finished[rank] = true;
-                    let event = WorkerEvent::Done {
+                    self.sl.offer(WorkerEvent::Done(WorkerSummary {
                         worker: rank,
                         iterations,
                         epochs: epochs as usize,
                         waiting_time_s,
-                    };
-                    match self.gate.as_mut() {
-                        Some(g) => g.offer(event),
-                        None => self.apply_event(transport, fan, event)?,
-                    }
+                    }));
                 }
                 other => {
                     return Err(NetError::Protocol(format!(
@@ -621,33 +608,70 @@ impl<'job> Coordinator<'job> {
         Ok(trace)
     }
 
-    /// Applies one worker event to the decision loop, delivers the resulting grants,
-    /// and runs any evaluation that came due (pulling the group's weights first).
-    fn apply_event(
+    /// Applies one clock push (released by the loop, or confirmed by its worker's
+    /// `PushApplied` in deterministic mode): the gradients already sit on the shard
+    /// servers, so only the synchronization state advances. Delivers the resulting
+    /// grants, then runs the elasticity hooks — the coordinator's push phase is a
+    /// processed clock push, its gate phase a deferred one, and its checkpoint covers
+    /// the clock state.
+    fn apply_push(
         &mut self,
         transport: &mut dyn ServerTransport,
         fan: &mut ShardFan,
-        event: WorkerEvent,
+        pusher: usize,
     ) -> Result<(), NetError> {
-        let pusher = match &event {
-            WorkerEvent::Push { worker, .. } => Some(*worker),
-            _ => None,
-        };
         let now = self.start.elapsed().as_secs_f64();
-        // Every processed push adds exactly the pusher's lead to the cumulative
-        // staleness sum, so the delta across `handle_gated` recovers the per-push
-        // sample the histogram needs without touching the decision API.
-        let staleness_before = self.sl.stats().staleness_sum;
-        let replies = self.sl.handle_gated(&mut self.gate, event, now);
-        if let Some(pusher) = pusher {
-            let sample = self.sl.stats().staleness_sum - staleness_before;
-            self.obs
-                .on_push(pusher, sample, &replies, &self.sl, &self.last_trace);
+        let mut replies = Vec::new();
+        let decision = self.sl.handle_push_slice(pusher, &[], now, &mut replies);
+        self.obs.on_push(
+            pusher,
+            decision.staleness,
+            &replies,
+            &self.sl,
+            &self.last_trace,
+        );
+        self.deliver(transport, fan, &replies)?;
+        self.fault.push()?;
+        if !replies.iter().any(|r| r.worker == pusher) {
+            self.fault.gate_blocked()?;
         }
+        let digest = self.digest;
+        let sl = &self.sl;
+        if self
+            .sink
+            .maybe_write(sl.version(), || sl.snapshot(digest))?
+        {
+            self.obs.on_checkpoint(self.sl.version());
+            self.fault.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Applies one worker's `Done` and delivers the grants its retirement releases.
+    fn apply_done(
+        &mut self,
+        transport: &mut dyn ServerTransport,
+        fan: &mut ShardFan,
+        summary: WorkerSummary,
+    ) -> Result<(), NetError> {
+        let now = self.start.elapsed().as_secs_f64();
+        let mut replies = Vec::new();
+        self.sl.handle_done(summary, now, &mut replies);
+        self.deliver(transport, fan, &replies)
+    }
+
+    /// Delivers the grants one applied event released and runs any evaluation that
+    /// came due (pulling the group's weights first).
+    fn deliver(
+        &mut self,
+        transport: &mut dyn ServerTransport,
+        fan: &mut ShardFan,
+        replies: &[OkReply],
+    ) -> Result<(), NetError> {
         // A granted worker that has not run its final iteration will pull next; in
         // deterministic mode the coordinator must wait for that pull before the next
         // mutation (tracked inside `send_grant`).
-        for reply in &replies {
+        for reply in replies {
             self.send_grant(transport, reply.worker, reply.granted_extra)?;
         }
         if let Some(eval_now) = self.sl.take_pending_eval() {
@@ -666,23 +690,6 @@ impl<'job> Coordinator<'job> {
             return Err(NetError::Aborted {
                 pushes: self.sl.version(),
             });
-        }
-        // Elasticity hooks: the coordinator's push phase is a processed clock push,
-        // its gate phase a deferred one, and its checkpoint covers the clock state.
-        if let Some(pusher) = pusher {
-            self.fault.push()?;
-            if !replies.iter().any(|r| r.worker == pusher) {
-                self.fault.gate_blocked()?;
-            }
-            let digest = self.digest;
-            let sl = &self.sl;
-            if self
-                .sink
-                .maybe_write(sl.version(), || sl.snapshot(digest))?
-            {
-                self.obs.on_checkpoint(self.sl.version());
-                self.fault.checkpoint()?;
-            }
         }
         Ok(())
     }

@@ -12,7 +12,7 @@
 //!   `dssp_ps::shard_range`, so ownership is never wire-carried — and do nothing but
 //!   apply gradient slices and serve (delta) pulls for their slice;
 //! * **one coordinator** ([`coordinate`]) owns the `ClockTable`/`IntervalTracker`/
-//!   `SyncPolicy` state (a clock-only `dssp_core::driver::ServerLoop` over
+//!   staleness-rule state (a clock-only `dssp_core::driver::ServerLoop` over
 //!   `dssp_ps::SyncGate`) and exchanges only tiny `ClockPush`/`ClockGrant` messages
 //!   with workers — the synchronization decision lives apart from the storage path;
 //! * **workers** ([`run_group_worker`]) run the unchanged `WorkerStep` compute loop

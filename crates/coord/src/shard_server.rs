@@ -125,11 +125,6 @@ impl ShardServerState {
         self.pushes
     }
 
-    /// `(pulls_full, pulls_delta)` served so far.
-    pub fn pull_counts(&self) -> (u64, u64) {
-        (self.pulls_full, self.pulls_delta)
-    }
-
     /// The slice weights, for tests and eval assembly.
     pub fn weights(&self) -> &[f32] {
         self.store.as_flat()

@@ -1,10 +1,14 @@
 //! End-to-end group runs over real localhost TCP: correctness, chaos shutdown, and
-//! the timeout hardening that names a lost shard server.
+//! the timeout hardening that names a lost shard server — plus one loopback run that
+//! scripts a worker dying before its grant.
 
-use dssp_coord::{connect_links, coordinate, run_group_threads, run_group_worker, serve_shard};
+use dssp_coord::{
+    connect_links, coordinate, run_group_threads, run_group_worker, serve_shard, ServerLink,
+};
 use dssp_core::driver::{FaultPlan, JobConfig};
+use dssp_net::transport::loopback;
 use dssp_net::wire::PROTOCOL_VERSION;
-use dssp_net::{Message, NetError, TcpServerTransport, TcpWorkerTransport};
+use dssp_net::{Message, NetError, TcpServerTransport, TcpWorkerTransport, WorkerTransport};
 use dssp_ps::PolicyKind;
 use std::time::Duration;
 
@@ -141,6 +145,75 @@ fn group_server_stats_survive_a_mid_run_eviction() {
         );
     }
     assert!(trace.total_pushes > 0);
+}
+
+#[test]
+fn a_worker_that_dies_before_its_grant_is_evicted_not_fatal() {
+    // Worker 1 announces its first push and hangs up at once. Under BSP its grant is
+    // owed only when workers 0 and 2 have pushed too, long after its end of the link
+    // is gone: the failed send must evict rank 1, not abort the group. (Loopback
+    // links report no `ClientLost`, so the send is the only place the loss shows.)
+    let mut job = group_job(PolicyKind::Bsp, 1);
+    job.num_workers = 3;
+    let (mut shard_transport, mut shard_ends) = loopback(job.num_workers + 1);
+    let (mut coord_transport, mut coord_ends) = loopback(job.num_workers);
+    let link = |end| vec![ServerLink::new(Box::new(end), "shard server 0 (loopback)")];
+
+    let mut dying = coord_ends.remove(1);
+    dying
+        .send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            rank: 1,
+            num_workers: job.num_workers as u32,
+            config_digest: job.stable_digest(),
+        })
+        .unwrap();
+    dying
+        .send(&Message::ClockPush {
+            iteration: 1,
+            trace: dssp_core::events::NO_TRACE,
+        })
+        .unwrap();
+    drop(dying);
+
+    let coord_link = link(shard_ends.pop().expect("the coordinator's end"));
+    drop(shard_ends.remove(1));
+    let shard_job = job.clone();
+    let shard = std::thread::spawn(move || serve_shard(&shard_job, 0, &mut shard_transport));
+    let workers: Vec<_> = [0usize, 2]
+        .into_iter()
+        .zip(coord_ends.into_iter().zip(shard_ends))
+        .map(|(rank, (mut coord_end, shard_end))| {
+            let job = job.clone();
+            let links = link(shard_end);
+            std::thread::spawn(move || run_group_worker(&job, rank, &mut coord_end, links))
+        })
+        .collect();
+
+    let trace = coordinate(&job, &mut coord_transport, coord_link)
+        .expect("the run finishes without the dead worker");
+    let reports: Vec<_> = workers
+        .into_iter()
+        .map(|h| h.join().expect("worker thread").expect("survivor finishes"))
+        .collect();
+    shard
+        .join()
+        .expect("shard server thread")
+        .expect("shard server exits cleanly");
+
+    // Rank 1 was evicted at the one push it announced; the survivors ran everything.
+    assert_eq!(trace.worker_summaries[1].iterations, 1);
+    assert_eq!(trace.worker_summaries[1].epochs, 0);
+    for report in &reports {
+        assert!(!report.shutdown_early, "rank {}", report.rank);
+        assert_eq!(
+            report.iterations,
+            trace.worker_summaries[report.rank].iterations
+        );
+    }
+    let survivors: u64 = reports.iter().map(|r| r.iterations).sum();
+    assert!(survivors > 2);
+    assert_eq!(trace.total_pushes, survivors + 1);
 }
 
 #[test]

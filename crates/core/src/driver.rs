@@ -12,17 +12,23 @@
 //!
 //! The simulator keeps its own event loop (virtual time needs one), but the threaded
 //! and networked runtimes are thin substrate adapters over [`WorkerStep`] and
-//! [`ServerLoop`].
+//! [`ServerLoop`]. The path from an arriving push to the `OK`s it releases exists once:
+//! a serving loop offers each event to the [`ServerLoop`], drains what it is ready to
+//! release, applies it ([`ServerLoop::handle_push_slice`] / [`ServerLoop::handle_done`],
+//! or [`ServerLoop::evict_worker`] for a dead worker) and delivers the `OK`s appended
+//! to its reply scratch. In which order events come back out, and what that order
+//! needs to know about each outcome, is the loop's own business.
 //!
 //! # Deterministic mode
 //!
 //! Real-time substrates are racy: which worker's push reaches the server first depends
 //! on OS scheduling, so two runs — or the same run on two substrates — differ bitwise
-//! even with identical seeds. Setting [`JobConfig::deterministic`] imposes a canonical
-//! event order with [`DeterministicGate`]: the server buffers incoming events and only
-//! processes a push when every runnable worker's next event has arrived, always picking
-//! the lowest-ranked one, and the policy clock becomes a logical event counter instead
-//! of wall time. Two deterministic runs of the same job produce bitwise-identical
+//! even with identical seeds. Setting [`JobConfig::deterministic`] makes
+//! [`ServerLoop::next_ready`] impose a canonical event order (a private
+//! `DeterministicGate` instead of the arrival-order queue): the loop buffers offered
+//! events and only releases a push when every runnable worker's next event has arrived,
+//! always picking the lowest-ranked one, and the policy clock becomes a logical event
+//! counter instead of wall time. Two deterministic runs of the same job produce bitwise-identical
 //! weights, accuracies and synchronization statistics on *any* substrate (threads,
 //! loopback channels, TCP sockets); only wall-clock fields differ (see
 //! [`dssp_sim::RunTrace::with_times_zeroed`]). The cost is lockstep-ish pacing, so the
@@ -238,8 +244,9 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Parses the CLI form `role:phase:action:after` where role is `worker<rank>`,
-    /// `server<index>` or `coord`; phase is `push`, `pull`, `gate` or `ckpt`; action
-    /// is `restart` or `evict`. Returns `None` on any malformed component.
+    /// `server<index>` or `coord`; phase is `push`, `pull`, `gate`, `ckpt`, `prepare`,
+    /// `transfer` or `commit` (one spelling per [`FaultPhase`]); action is `restart` or
+    /// `evict`. Returns `None` on any malformed component.
     pub fn parse(spec: &str) -> Option<Self> {
         let mut parts = spec.split(':');
         let role = parts.next()?;
@@ -408,69 +415,60 @@ impl JobConfig {
 
     /// A stable fingerprint of every training-relevant field (FNV-1a over a canonical
     /// rendering). The networked runtime embeds it in the `Hello` handshake so a server
-    /// and its workers refuse to train under silently different configurations.
-    pub fn digest(&self) -> u64 {
-        let canonical = format!(
-            "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            self.stable_canonical(),
-            self.fail_after_pushes,
-            self.fault_plan,
-            self.checkpoint,
-            self.event_log,
-            self.metrics_addr,
-            self.migration,
-            self.migrate_threshold,
-        );
-        fnv1a(&canonical)
-    }
-
-    /// Like [`JobConfig::digest`] but masking the chaos, persistence and
-    /// observability hooks (`fail_after_pushes`, `fault_plan`, `checkpoint`,
-    /// `event_log`, `metrics_addr`, `migration`, `migrate_threshold`), which change
-    /// how a run is interrupted, stored, observed or re-sharded but not what it
-    /// computes. Checkpoints record *this* digest, so a
+    /// and its workers refuse to train under silently different configurations, and
+    /// checkpoints record it so only the job that wrote one restores from it.
+    ///
+    /// The chaos, persistence and observability hooks (`fail_after_pushes`,
+    /// `fault_plan`, `checkpoint`, `stall_timeout_ms`, `event_log`, `metrics_addr`,
+    /// `migration`, `migrate_threshold`) are masked: they change how a run is
+    /// interrupted, stored, observed or re-sharded but not what it computes, so a
     /// restarted process — which runs without the fault plan that killed its
     /// predecessor — still accepts the predecessor's checkpoints.
     pub fn stable_digest(&self) -> u64 {
-        fnv1a(&self.stable_canonical())
-    }
-
-    /// Canonical rendering of the training-relevant (chaos-masked) fields.
-    fn stable_canonical(&self) -> String {
-        format!(
-            "{:?}|{:?}|{}|{:?}|{}|{}|{:?}|{}|{}|{}|{:?}|{}|{}|{}|{}",
-            self.model,
-            self.data,
-            self.num_workers,
-            self.policy,
-            self.batch_size,
-            self.epochs,
-            self.sgd,
-            self.seed,
-            self.eval_every_pushes,
-            self.eval_max_examples,
-            self.extra_compute_delay_ms,
-            self.shards,
-            self.servers,
-            self.delta_pulls,
-            self.deterministic,
-        )
+        // Exhaustive on purpose (no `..`): a new field does not compile until it is
+        // classified here as hashed or masked, so it cannot silently miss the handshake.
+        let Self {
+            model,
+            data,
+            num_workers,
+            policy,
+            batch_size,
+            epochs,
+            sgd,
+            seed,
+            eval_every_pushes,
+            eval_max_examples,
+            extra_compute_delay_ms,
+            shards,
+            servers,
+            delta_pulls,
+            deterministic,
+            fail_after_pushes: _,
+            fault_plan: _,
+            checkpoint: _,
+            stall_timeout_ms: _,
+            event_log: _,
+            metrics_addr: _,
+            migration: _,
+            migrate_threshold: _,
+        } = self;
+        let canonical = format!(
+            "{model:?}|{data:?}|{num_workers}|{policy:?}|{batch_size}|{epochs}|{sgd:?}|{seed}|\
+             {eval_every_pushes}|{eval_max_examples}|{extra_compute_delay_ms:?}|{shards}|\
+             {servers}|{delta_pulls}|{deterministic}"
+        );
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in canonical.as_bytes() {
+            hash ^= u64::from(*byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
     }
 
     /// Per-worker iteration target for a shard of `shard_len` examples.
     fn target_iterations(&self, shard_len: usize) -> u64 {
         (self.epochs as u64) * (shard_len.div_ceil(self.batch_size) as u64)
     }
-}
-
-/// FNV-1a over a canonical string rendering (the digest hash both fingerprints share).
-fn fnv1a(canonical: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in canonical.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One worker's training step-loop state: its model replica, shard iterator and scratch
@@ -643,24 +641,16 @@ pub enum WorkerEvent {
         worker: usize,
         /// 1-based iteration number of this push.
         iteration: u64,
-        /// Flat gradient vector.
+        /// Flat gradient vector (empty at a group coordinator, whose workers apply
+        /// their gradients on the shard servers).
         grads: Vec<f32>,
     },
-    /// The worker finished all of its iterations.
-    Done {
-        /// Finishing worker's rank.
-        worker: usize,
-        /// Iterations it completed.
-        iterations: u64,
-        /// Epochs it completed.
-        epochs: usize,
-        /// Total time it spent waiting for deferred `OK`s, in seconds.
-        waiting_time_s: f64,
-    },
+    /// The worker finished all of its iterations; the summary it reports.
+    Done(WorkerSummary),
     /// The worker asks for the current weights: the explicit pull a networked worker
-    /// opens with. Only the networked runtime uses this variant — pulls are served by
-    /// the transport layer and never reach [`ServerLoop::handle`]; it exists so
-    /// [`DeterministicGate`] can hold every push back until all opening pulls are in.
+    /// opens with. Pulls are served by the transport layer and change no server
+    /// state; the variant exists so deterministic mode can hold every push back until
+    /// all opening pulls are in ([`ServerLoop::expect_opening_pulls`]).
     Pull {
         /// Pulling worker's rank.
         worker: usize,
@@ -671,9 +661,8 @@ impl WorkerEvent {
     /// The rank the event came from.
     pub fn worker(&self) -> usize {
         match *self {
-            WorkerEvent::Push { worker, .. }
-            | WorkerEvent::Done { worker, .. }
-            | WorkerEvent::Pull { worker } => worker,
+            WorkerEvent::Push { worker, .. } | WorkerEvent::Pull { worker } => worker,
+            WorkerEvent::Done(ref summary) => summary.worker,
         }
     }
 }
@@ -703,16 +692,26 @@ enum Backend {
 }
 
 /// The server decision-loop state shared by the threaded and networked runtimes: owns
-/// the [`ParameterServer`] (or, in a group coordinator, just its gating half),
-/// periodic evaluation, and the run summary.
+/// the [`ParameterServer`] (or, in a group coordinator, just its gating half), the
+/// order events are processed in, periodic evaluation, and the run summary.
+///
+/// Every serving loop drives it the same way: [`ServerLoop::offer`] each arriving
+/// event, drain [`ServerLoop::next_ready`], apply what comes out with
+/// [`ServerLoop::handle_push_slice`] / [`ServerLoop::handle_done`] (and
+/// [`ServerLoop::evict_worker`] when a worker dies), and deliver the `OK`s those
+/// append to the caller's reply scratch.
 pub struct ServerLoop {
     backend: Backend,
+    /// Deterministic mode's canonical event order; `None` processes events in arrival
+    /// order through `arrivals`.
+    order: Option<DeterministicGate>,
+    arrivals: VecDeque<WorkerEvent>,
     eval: Evaluator,
     eval_every: u64,
     last_eval: u64,
     points: Vec<TracePoint>,
-    /// Reusable scratch for the workers released by a push, so the networked hot path
-    /// ([`ServerLoop::handle_push_slice`]) allocates nothing per message.
+    /// Reusable scratch for the workers released by an event, so the networked hot
+    /// path ([`ServerLoop::handle_push_slice`]) allocates nothing per message.
     released_scratch: Vec<usize>,
     summaries: Vec<Option<WorkerSummary>>,
     done: Vec<bool>,
@@ -721,7 +720,6 @@ pub struct ServerLoop {
     policy_label: String,
     model_name: String,
     num_workers: usize,
-    deterministic: bool,
     tick: f64,
     fail_after: Option<u64>,
     aborted: bool,
@@ -767,9 +765,9 @@ impl ServerLoop {
     /// Builds the **gating-only** server side of a job: the same evaluation batch, run
     /// summary and decision logic as [`ServerLoop::new`], but no parameter storage —
     /// the weights live on remote shard servers. This is the group coordinator's loop:
-    /// it handles [`WorkerEvent::Push`] events with empty gradient vectors (only the
-    /// clock matters), raises [`ServerLoop::take_pending_eval`] when an evaluation is
-    /// due, and is finished with [`ServerLoop::finish_external`].
+    /// it applies pushes with empty gradient slices (only the clock matters), raises
+    /// [`ServerLoop::take_pending_eval`] when an evaluation is due, and is finished
+    /// with [`ServerLoop::finish_external`].
     ///
     /// # Panics
     ///
@@ -801,6 +799,10 @@ impl ServerLoop {
         };
         Self {
             backend,
+            order: config
+                .deterministic
+                .then(|| DeterministicGate::new(targets.clone())),
+            arrivals: VecDeque::new(),
             eval: Evaluator::new(
                 reference,
                 dataset.test_batch(config.eval_max_examples),
@@ -817,7 +819,6 @@ impl ServerLoop {
             policy_label: config.policy.label(),
             model_name: config.model.display_name(),
             num_workers: config.num_workers,
-            deterministic: config.deterministic,
             tick: 0.0,
             fail_after: config.fail_after_pushes,
             aborted: false,
@@ -825,7 +826,7 @@ impl ServerLoop {
         }
     }
 
-    /// Per-worker iteration targets (used by workers, the gate, and launch tooling).
+    /// Per-worker iteration targets (used by workers and launch tooling).
     pub fn targets(&self) -> &[u64] {
         &self.targets
     }
@@ -849,10 +850,12 @@ impl ServerLoop {
         }
     }
 
-    /// Whether this loop holds the weights locally (`false` for a group coordinator,
-    /// whose weights live on its shard servers).
-    pub fn has_store(&self) -> bool {
-        matches!(self.backend, Backend::Local(_))
+    /// The gating half, wherever it lives.
+    fn gate(&self) -> &SyncGate {
+        match &self.backend {
+            Backend::Local(ps) => ps.gate(),
+            Backend::Clock(gate) => gate,
+        }
     }
 
     /// Copies the current global weights (what an `OK` or pull reply ships). The
@@ -869,29 +872,30 @@ impl ServerLoop {
 
     /// Total pushes applied so far.
     pub fn version(&self) -> u64 {
-        match &self.backend {
-            Backend::Local(ps) => ps.version(),
-            Backend::Clock(gate) => gate.version(),
-        }
+        self.gate().version()
     }
 
     /// Number of workers currently blocked by the synchronization policy (waiting for
     /// the slowest worker to catch up). Feeds the serving loops' blocked-worker gauge.
     pub fn blocked_count(&self) -> usize {
-        match &self.backend {
-            Backend::Local(ps) => ps.blocked_workers().len(),
-            Backend::Clock(gate) => gate.blocked_workers().len(),
-        }
+        self.gate().blocked_workers().len()
     }
 
-    /// Whether every worker has reported [`WorkerEvent::Done`].
+    /// Whether every worker has reported `Done` (or been evicted).
     pub fn all_done(&self) -> bool {
         self.done_count >= self.num_workers
     }
 
-    /// Whether one specific worker has reported [`WorkerEvent::Done`].
-    pub fn worker_done(&self, worker: usize) -> bool {
+    /// Whether the loop knows this worker is not dead: it reported `Done` (or was
+    /// evicted), or an event of its is still queued. Stall detectors use this so a
+    /// worker whose final `Done` is held back by the deterministic order while a slow
+    /// peer computes is not misdiagnosed as crashed.
+    pub fn worker_accounted_for(&self, worker: usize) -> bool {
         self.done[worker]
+            || match &self.order {
+                Some(order) => order.has_queued(worker),
+                None => self.arrivals.iter().any(|e| e.worker() == worker),
+            }
     }
 
     /// Whether the chaos hook ([`JobConfig::fail_after_pushes`]) has tripped; the
@@ -900,31 +904,20 @@ impl ServerLoop {
         self.aborted
     }
 
-    /// Whether this loop runs on the logical clock (deterministic mode).
-    pub fn deterministic(&self) -> bool {
-        self.deterministic
-    }
-
     /// The number of pushes received from one worker so far (the clock a rejoining
     /// worker is admitted at).
     pub fn push_count(&self, worker: usize) -> u64 {
-        match &self.backend {
-            Backend::Local(ps) => ps.clocks().count(worker),
-            Backend::Clock(gate) => gate.clocks().count(worker),
-        }
+        self.gate().clocks().count(worker)
     }
 
     /// All per-worker push counts, in rank order.
     pub fn push_counts(&self) -> Vec<u64> {
-        (0..self.num_workers).map(|w| self.push_count(w)).collect()
+        self.gate().clocks().counts().to_vec()
     }
 
     /// The synchronization statistics accumulated so far (both backends).
     pub fn stats(&self) -> &dssp_ps::ServerStats {
-        match &self.backend {
-            Backend::Local(ps) => ps.stats(),
-            Backend::Clock(gate) => gate.stats(),
-        }
+        self.gate().stats()
     }
 
     /// Captures this loop's durable state as a [`dssp_ps::Checkpoint`] stamped with
@@ -932,27 +925,24 @@ impl ServerLoop {
     /// gate for a local loop, gate only for a clock-only loop, plus the logical tick so
     /// a restored loop keeps feeding the interval table monotonic timestamps.
     pub fn snapshot(&self, job_digest: u64) -> dssp_ps::Checkpoint {
-        let (store, gate) = match &self.backend {
+        let store = match &self.backend {
             Backend::Local(ps) => {
                 let s = ps.store();
-                (
-                    Some(dssp_ps::StoreSnapshot {
-                        flat: s.as_flat().to_vec(),
-                        offsets: s.offsets().iter().map(|&o| o as u64).collect(),
-                        versions: s.versions().to_vec(),
-                        velocity: ps.optimizer().velocity().to_vec(),
-                        epoch: ps.optimizer().current_epoch() as u64,
-                    }),
-                    Some(ps.gate().snapshot()),
-                )
+                Some(dssp_ps::StoreSnapshot {
+                    flat: s.as_flat().to_vec(),
+                    offsets: s.offsets().iter().map(|&o| o as u64).collect(),
+                    versions: s.versions().to_vec(),
+                    velocity: ps.optimizer().velocity().to_vec(),
+                    epoch: ps.optimizer().current_epoch() as u64,
+                })
             }
-            Backend::Clock(g) => (None, Some(g.snapshot())),
+            Backend::Clock(_) => None,
         };
         dssp_ps::Checkpoint {
             job_digest,
             tick: self.tick,
             store,
-            gate,
+            gate: Some(self.gate().snapshot()),
             layout: None,
         }
     }
@@ -960,7 +950,10 @@ impl ServerLoop {
     /// Rebuilds a server loop from a checkpoint taken by [`ServerLoop::snapshot`]
     /// under the same (chaos-masked) job configuration. Worker `Done` bookkeeping
     /// restarts empty: every worker — including ones already at their target —
-    /// reconnects and re-announces its completion, repopulating the summaries.
+    /// reconnects and re-announces its completion, repopulating the summaries. The
+    /// deterministic order resumes from the checkpointed push counts, so a rejoining
+    /// worker's first push (iteration `count + 1`) sorts exactly where it would have in
+    /// the unfailed run.
     ///
     /// # Panics
     ///
@@ -1005,50 +998,49 @@ impl ServerLoop {
                 ServerConfig::new(config.num_workers, config.policy).with_shards(config.shards),
             ))
         };
+        if let Some(order) = sl.order.as_mut() {
+            order.resume_from(&gate_snap.counts);
+        }
         sl.tick = ckpt.tick;
         sl.last_eval = sl.version();
         sl
     }
 
-    /// Evicts a dead worker mid-run: reclaims its DSSP credits, retires its clock so
-    /// the gate stops waiting on it, synthesizes the worker summary its `Done` will
-    /// never deliver (its push count so far, zero waiting time), and returns the `OK`s
-    /// its departure releases. Idempotent per worker.
-    pub fn evict_worker(&mut self, worker: usize, wall_now: f64) -> Vec<OkReply> {
-        if self.done[worker] {
-            return Vec::new();
+    /// Tells the loop its workers open with an explicit pull (the networked runtime;
+    /// threads and group workers are handed their starting weights): in deterministic
+    /// mode no push is then released before every worker's opening
+    /// [`WorkerEvent::Pull`] has been, so all of them start from the same weights.
+    pub fn expect_opening_pulls(&mut self) {
+        if let Some(order) = self.order.as_mut() {
+            order.await_opening_pulls();
         }
-        let now = self.clock(wall_now);
-        let mut released = Vec::new();
-        match &mut self.backend {
-            Backend::Local(ps) => {
-                let (_, r) = ps.evict_worker(worker, now);
-                released = r;
-            }
-            Backend::Clock(gate) => {
-                gate.evict_into(worker, now, &mut released);
-            }
-        }
-        self.summaries[worker] = Some(WorkerSummary {
-            worker,
-            iterations: self.push_count(worker),
-            epochs: 0,
-            waiting_time_s: 0.0,
-        });
-        self.done[worker] = true;
-        self.done_count += 1;
-        released
-            .into_iter()
-            .filter(|&r| !self.done[r])
-            .map(|r| OkReply {
-                worker: r,
-                granted_extra: 0,
-            })
-            .collect()
     }
 
+    /// Queues an arriving event. Nothing is applied until [`ServerLoop::next_ready`]
+    /// hands the event back.
+    pub fn offer(&mut self, event: WorkerEvent) {
+        match self.order.as_mut() {
+            Some(order) => order.offer(event),
+            None => self.arrivals.push_back(event),
+        }
+    }
+
+    /// The next event to apply, or `None` when the loop must wait for more arrivals:
+    /// arrival order normally, the canonical `(iteration, rank)` order in
+    /// deterministic mode (see the module docs). The caller applies a push with
+    /// [`ServerLoop::handle_push_slice`] and a `Done` with
+    /// [`ServerLoop::handle_done`], and serves a pull from the store itself.
+    pub fn next_ready(&mut self) -> Option<WorkerEvent> {
+        match self.order.as_mut() {
+            Some(order) => order.next(),
+            None => self.arrivals.pop_front(),
+        }
+    }
+
+    /// The policy clock for one more event: the logical tick in deterministic mode,
+    /// wall time otherwise.
     fn clock(&mut self, wall_now: f64) -> f64 {
-        if self.deterministic {
+        if self.order.is_some() {
             self.tick += 1.0;
             self.tick
         } else {
@@ -1056,67 +1048,31 @@ impl ServerLoop {
         }
     }
 
-    /// Handles one worker event at wall-clock time `wall_now` (seconds since run start;
-    /// ignored in deterministic mode, where a logical event counter feeds the policy).
-    ///
-    /// Returns the `OK`s now owed, pusher first when its push was granted. Workers that
-    /// already reported `Done` are filtered out (their `OK`s have nowhere to go).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`WorkerEvent::Pull`] — pulls are transport-level and must be served
-    /// by the substrate.
-    pub fn handle(&mut self, event: WorkerEvent, wall_now: f64) -> Vec<OkReply> {
-        match event {
-            WorkerEvent::Push { worker, grads, .. } => {
-                let mut replies = Vec::new();
-                self.handle_push_slice(worker, &grads, wall_now, &mut replies);
-                replies
-            }
-            WorkerEvent::Done {
-                worker,
-                iterations,
-                epochs,
-                waiting_time_s,
-            } => {
-                let now = self.clock(wall_now);
-                if self.done[worker] {
-                    return Vec::new();
-                }
-                self.summaries[worker] = Some(WorkerSummary {
-                    worker,
-                    iterations,
-                    epochs,
-                    waiting_time_s,
+    /// Turns the workers in `released_scratch` into the `OK`s now owed (workers that
+    /// already reported `Done` are skipped: their `OK`s have nowhere to go) and tells
+    /// the deterministic order they are runnable again.
+    fn owe_released(&mut self, replies: &mut Vec<OkReply>) {
+        for &released in &self.released_scratch {
+            if !self.done[released] {
+                replies.push(OkReply {
+                    worker: released,
+                    granted_extra: 0,
                 });
-                self.done[worker] = true;
-                self.done_count += 1;
-                let mut released = Vec::new();
-                match &mut self.backend {
-                    Backend::Local(ps) => released = ps.retire_worker(worker, now),
-                    Backend::Clock(gate) => gate.retire_into(worker, now, &mut released),
+                if let Some(order) = self.order.as_mut() {
+                    order.on_released(released);
                 }
-                released
-                    .into_iter()
-                    .filter(|&released| !self.done[released])
-                    .map(|released| OkReply {
-                        worker: released,
-                        granted_extra: 0,
-                    })
-                    .collect()
-            }
-            WorkerEvent::Pull { worker } => {
-                panic!("pull from worker {worker} reached ServerLoop::handle; pulls are transport-level")
             }
         }
     }
 
-    /// The borrowed-gradient push path: applies one push and appends the `OK`s now
-    /// owed (pusher first when granted) to the caller-owned `replies` buffer, which is
-    /// **not** cleared first. Equivalent to [`ServerLoop::handle`] with a
-    /// [`WorkerEvent::Push`], but the gradient is borrowed and all bookkeeping reuses
-    /// member scratch, so the networked server's steady-state command loop performs no
-    /// heap allocation per push (periodic evaluations excepted).
+    /// Applies one push at wall-clock time `wall_now` (seconds since run start;
+    /// ignored in deterministic mode, where a logical event counter feeds the policy)
+    /// and appends the `OK`s now owed (pusher first when granted) to the caller-owned
+    /// `replies` buffer, which is **not** cleared first. The gradient is borrowed and
+    /// all bookkeeping reuses member scratch, so the networked server's steady-state
+    /// command loop performs no heap allocation per push (periodic evaluations
+    /// excepted). A clock-only loop takes an empty slice: its workers applied their
+    /// gradients on the shard servers.
     ///
     /// Returns the policy's [`dssp_ps::PushDecision`] for this push — whether the
     /// pusher proceeds, any r* credit granted, and the pusher's staleness — so serving
@@ -1135,25 +1091,21 @@ impl ServerLoop {
             Backend::Local(ps) => {
                 ps.handle_push_into(worker, grads, now, &mut self.released_scratch)
             }
-            // Clock-only loops receive no gradients (the worker applied them on the
-            // shard servers); only the synchronization state advances here.
             Backend::Clock(gate) => gate.on_push(worker, now, &mut self.released_scratch),
         };
-        if decision.ok_now && !self.done[worker] {
+        let granted = decision.ok_now && !self.done[worker];
+        if granted {
             replies.push(OkReply {
                 worker,
                 granted_extra: decision.granted_extra,
             });
         }
-        for i in 0..self.released_scratch.len() {
-            let released = self.released_scratch[i];
-            if !self.done[released] {
-                replies.push(OkReply {
-                    worker: released,
-                    granted_extra: 0,
-                });
-            }
+        // The push carried the pusher's iteration number: its push count.
+        let iteration = self.push_count(worker);
+        if let Some(order) = self.order.as_mut() {
+            order.on_push_processed(worker, iteration, granted);
         }
+        self.owe_released(replies);
         if self.version() - self.last_eval >= self.eval_every {
             match &self.backend {
                 Backend::Local(_) => self.record_eval(now),
@@ -1174,35 +1126,64 @@ impl ServerLoop {
         decision
     }
 
-    /// [`ServerLoop::handle`] plus the deterministic-gate bookkeeping both substrates
-    /// need: reports the push outcome and releases to the gate (when one is active) so
-    /// its view of which workers are runnable stays in lockstep with the policy. The
-    /// caller only delivers the returned `OK`s.
-    pub fn handle_gated(
+    /// Applies one worker's `Done` — records its summary and retires its clock so the
+    /// gate stops waiting on it — and appends the `OK`s its retirement releases to
+    /// `replies` (not cleared first). A repeated `Done` changes nothing.
+    pub fn handle_done(
         &mut self,
-        gate: &mut Option<DeterministicGate>,
-        event: WorkerEvent,
+        summary: WorkerSummary,
         wall_now: f64,
-    ) -> Vec<OkReply> {
-        let pushed = match &event {
-            WorkerEvent::Push {
-                worker, iteration, ..
-            } => Some((*worker, *iteration)),
-            _ => None,
-        };
-        let replies = self.handle(event, wall_now);
-        if let Some(g) = gate.as_mut() {
-            if let Some((pusher, iteration)) = pushed {
-                let ok = replies.iter().any(|r| r.worker == pusher);
-                g.on_push_processed(pusher, iteration, ok);
+        replies: &mut Vec<OkReply>,
+    ) {
+        // A `Done` is an event on the logical clock even though no rule reads its time.
+        self.clock(wall_now);
+        let worker = summary.worker;
+        if self.done[worker] {
+            return;
+        }
+        self.summaries[worker] = Some(summary);
+        self.done[worker] = true;
+        self.done_count += 1;
+        self.released_scratch.clear();
+        match &mut self.backend {
+            Backend::Local(ps) => ps.retire_worker(worker, &mut self.released_scratch),
+            Backend::Clock(gate) => gate.retire_into(worker, &mut self.released_scratch),
+        }
+        self.owe_released(replies);
+    }
+
+    /// Evicts a dead worker mid-run: reclaims its DSSP credits, retires its clock so
+    /// the gate stops waiting on it, drops whatever it still had queued, synthesizes
+    /// the worker summary its `Done` will never deliver (its push count so far, zero
+    /// waiting time), and appends the `OK`s its departure releases to `replies` (not
+    /// cleared first). Idempotent per worker.
+    pub fn evict_worker(&mut self, worker: usize, wall_now: f64, replies: &mut Vec<OkReply>) {
+        match self.order.as_mut() {
+            Some(order) => order.forget_worker(worker),
+            None => self.arrivals.retain(|e| e.worker() != worker),
+        }
+        if self.done[worker] {
+            return;
+        }
+        self.clock(wall_now);
+        self.released_scratch.clear();
+        match &mut self.backend {
+            Backend::Local(ps) => {
+                ps.evict_worker(worker, &mut self.released_scratch);
             }
-            for reply in &replies {
-                if pushed.map(|(p, _)| p) != Some(reply.worker) {
-                    g.on_released(reply.worker);
-                }
+            Backend::Clock(gate) => {
+                gate.evict_into(worker, &mut self.released_scratch);
             }
         }
-        replies
+        self.summaries[worker] = Some(WorkerSummary {
+            worker,
+            iterations: self.push_count(worker),
+            epochs: 0,
+            waiting_time_s: 0.0,
+        });
+        self.done[worker] = true;
+        self.done_count += 1;
+        self.owe_released(replies);
     }
 
     fn record_eval(&mut self, now: f64) {
@@ -1243,11 +1224,7 @@ impl ServerLoop {
     /// [`ServerLoop::all_done`] / [`ServerLoop::aborted`] first), or on a clock-only
     /// loop (use [`ServerLoop::finish_external`]).
     pub fn finish(mut self, wall_total: f64) -> RunTrace {
-        let total = if self.deterministic {
-            self.tick
-        } else {
-            wall_total
-        };
+        let total = self.total_time(wall_total);
         self.record_eval(total);
         self.into_trace(total)
     }
@@ -1259,37 +1236,37 @@ impl ServerLoop {
     ///
     /// Panics if some worker never reported `Done`.
     pub fn finish_external(mut self, weights: &[f32], wall_total: f64) -> RunTrace {
-        let total = if self.deterministic {
-            self.tick
-        } else {
-            wall_total
-        };
+        let total = self.total_time(wall_total);
         self.last_eval = self.version();
         self.record_eval_external(weights, total);
         self.into_trace(total)
     }
 
+    /// The run's duration on the policy clock.
+    fn total_time(&self, wall_total: f64) -> f64 {
+        if self.order.is_some() {
+            self.tick
+        } else {
+            wall_total
+        }
+    }
+
     fn into_trace(self, total: f64) -> RunTrace {
-        let stats = match &self.backend {
-            Backend::Local(ps) => ps.stats().clone(),
-            Backend::Clock(gate) => gate.stats().clone(),
-        };
+        let server_stats = self.stats().clone();
+        let total_pushes = self.version();
         RunTrace {
             policy: self.policy_label,
             model: self.model_name,
             workers: self.num_workers,
             points: self.points,
             total_time_s: total,
-            total_pushes: match &self.backend {
-                Backend::Local(ps) => ps.version(),
-                Backend::Clock(gate) => gate.version(),
-            },
+            total_pushes,
             worker_summaries: self
                 .summaries
                 .into_iter()
                 .map(|s| s.expect("summary recorded for every worker"))
                 .collect(),
-            server_stats: stats,
+            server_stats,
             group_servers: Vec::new(),
         }
     }
@@ -1332,26 +1309,26 @@ enum GateState {
 }
 
 /// Imposes a canonical, arrival-order-independent processing order on worker events
-/// (see the module docs on deterministic mode).
+/// (see the module docs on deterministic mode). Private to [`ServerLoop`], which
+/// feeds every offered event through [`DeterministicGate::offer`], drains
+/// [`DeterministicGate::next`], and reports each outcome itself.
 ///
-/// The substrate feeds every incoming event through [`DeterministicGate::offer`] and
-/// drains [`DeterministicGate::next`]; an event is only released once every worker that
-/// could still produce one has delivered its next event, and among the queued heads the
-/// smallest `(iteration, rank)` key wins — a Kahn-style merge that is fair across
-/// workers and independent of arrival timing. After processing a push the substrate
-/// reports the outcome ([`DeterministicGate::on_push_processed`] /
-/// [`DeterministicGate::on_released`]) so the gate can track which workers are
-/// runnable.
+/// An event is only released once every worker that could still produce one has
+/// delivered its next event, and among the queued heads the smallest
+/// `(iteration, rank)` key wins — a Kahn-style merge that is fair across workers and
+/// independent of arrival timing. After a push is applied the loop reports the outcome
+/// ([`DeterministicGate::on_push_processed`] / [`DeterministicGate::on_released`]) so
+/// the gate can track which workers are runnable.
 ///
 /// Every substrate hands a released worker the weights as of its `OK` — inline with
 /// the `OK` on a channel, or right behind it on a socket — so once a worker runs, the
 /// gate orders pushes and `Done`s and nothing else. The one pull it knows is the
 /// **initial-pull barrier** of substrates whose workers open with an explicit pull
-/// (`initial_pull`): no push may be applied before every worker has collected its
-/// starting weights, or a late starter would begin from weights the other substrates
-/// never hand out as a starting point.
+/// ([`DeterministicGate::await_opening_pulls`]): no push may be applied before every
+/// worker has collected its starting weights, or a late starter would begin from
+/// weights the other substrates never hand out as a starting point.
 #[derive(Debug)]
-pub struct DeterministicGate {
+struct DeterministicGate {
     queues: Vec<VecDeque<WorkerEvent>>,
     states: Vec<GateState>,
     targets: Vec<u64>,
@@ -1362,80 +1339,68 @@ pub struct DeterministicGate {
 }
 
 impl DeterministicGate {
-    /// Creates a gate for workers with the given iteration targets. `initial_pull`
-    /// says whether the substrate's workers open with an explicit pull (networked
-    /// runtime) or are handed their starting weights (threaded runtime, group
-    /// coordinator).
-    pub fn new(targets: Vec<u64>, initial_pull: bool) -> Self {
+    /// Creates a gate for workers with the given iteration targets, all of them
+    /// running their first iteration.
+    fn new(targets: Vec<u64>) -> Self {
         let n = targets.len();
         Self {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
-            states: vec![
-                if initial_pull {
-                    GateState::AwaitingPull
-                } else {
-                    GateState::Running
-                };
-                n
-            ],
+            states: vec![GateState::Running; n],
             targets,
             last_key: vec![0; n],
         }
     }
 
-    /// Creates a gate for a run restored from a checkpoint where each worker has
+    /// Moves a fresh gate to a run restored from a checkpoint where each worker has
     /// already pushed `counts[w]` times: dispatch bookkeeping starts from those
-    /// iteration keys instead of zero, so a rejoining worker's first push (iteration
-    /// `counts[w] + 1`) sorts exactly where it would have in the unfailed run. Workers
-    /// already at their target are expected to re-announce only their `Done`.
+    /// iteration keys instead of zero. Workers already at their target are expected
+    /// to re-announce only their `Done`.
     ///
     /// # Panics
     ///
-    /// Panics if `counts` and `targets` lengths differ or a count exceeds its target.
-    pub fn resume(targets: Vec<u64>, counts: &[u64], initial_pull: bool) -> Self {
-        assert_eq!(targets.len(), counts.len(), "count/target length mismatch");
-        let n = targets.len();
-        let states = (0..n)
-            .map(|w| {
-                assert!(
-                    counts[w] <= targets[w],
-                    "restored count exceeds iteration target"
-                );
-                if initial_pull {
-                    // Every restarted worker re-pulls the weights before anything else.
-                    GateState::AwaitingPull
-                } else if counts[w] >= targets[w] {
-                    GateState::Draining
-                } else {
-                    GateState::Running
-                }
-            })
-            .collect();
-        Self {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            states,
-            targets,
-            last_key: counts.to_vec(),
+    /// Panics if `counts` and the targets differ in length or a count exceeds its
+    /// target.
+    fn resume_from(&mut self, counts: &[u64]) {
+        assert_eq!(
+            self.targets.len(),
+            counts.len(),
+            "count/target length mismatch"
+        );
+        for (w, &count) in counts.iter().enumerate() {
+            assert!(
+                count <= self.targets[w],
+                "restored count exceeds iteration target"
+            );
+            if count >= self.targets[w] {
+                self.states[w] = GateState::Draining;
+            }
         }
+        self.last_key.copy_from_slice(counts);
+    }
+
+    /// Every worker opens — or, after a restore, re-opens — with an explicit pull
+    /// before anything else.
+    fn await_opening_pulls(&mut self) {
+        self.states.fill(GateState::AwaitingPull);
     }
 
     /// Removes an evicted worker from dispatch: its queued events are dropped and it
     /// never again gates other workers' dispatch. Anything it still had in flight is
     /// gone with it.
-    pub fn forget_worker(&mut self, worker: usize) {
+    fn forget_worker(&mut self, worker: usize) {
         self.queues[worker].clear();
         self.states[worker] = GateState::Done;
     }
 
     /// Enqueues an incoming event.
-    pub fn offer(&mut self, event: WorkerEvent) {
+    fn offer(&mut self, event: WorkerEvent) {
         let worker = event.worker();
         self.queues[worker].push_back(event);
     }
 
     /// Releases the next event in canonical order, or `None` if the gate must wait for
     /// more arrivals.
-    pub fn next(&mut self) -> Option<WorkerEvent> {
+    fn next(&mut self) -> Option<WorkerEvent> {
         // Phase 1, the initial-pull barrier: while any worker still owes its opening
         // pull, only pulls may pass — applying a push first would let its starting
         // weights drift from the ones every other worker started from.
@@ -1478,7 +1443,7 @@ impl DeterministicGate {
         let event = self.queues[w].pop_front();
         match &event {
             Some(WorkerEvent::Push { iteration, .. }) => self.last_key[w] = *iteration,
-            Some(WorkerEvent::Done { .. }) => self.states[w] = GateState::Done,
+            Some(WorkerEvent::Done(_)) => self.states[w] = GateState::Done,
             _ => {}
         }
         event
@@ -1489,14 +1454,14 @@ impl DeterministicGate {
     fn event_key(event: &WorkerEvent) -> u64 {
         match event {
             WorkerEvent::Push { iteration, .. } => *iteration,
-            WorkerEvent::Done { iterations, .. } => iterations + 1,
+            WorkerEvent::Done(summary) => summary.iterations + 1,
             WorkerEvent::Pull { .. } => 0,
         }
     }
 
     /// Reports the outcome of a dispatched push: whether the pusher was granted its
     /// `OK` (`ok`), and which 1-based iteration the push carried.
-    pub fn on_push_processed(&mut self, worker: usize, iteration: u64, ok: bool) {
+    fn on_push_processed(&mut self, worker: usize, iteration: u64, ok: bool) {
         self.states[worker] = if iteration >= self.targets[worker] {
             // The final push is followed by `Done` without waiting for the OK.
             GateState::Draining
@@ -1507,16 +1472,13 @@ impl DeterministicGate {
         };
     }
 
-    /// Whether the gate has heard from this worker recently enough to know it is not
-    /// dead: either an event of its is still queued, or its `Done` was dispatched.
-    /// (Stall detectors use this so a worker whose final `Done` is gate-held while a
-    /// slow peer computes is not misdiagnosed as crashed.)
-    pub fn worker_accounted_for(&self, worker: usize) -> bool {
-        !self.queues[worker].is_empty() || self.states[worker] == GateState::Done
+    /// Whether an event of this worker is still queued.
+    fn has_queued(&self, worker: usize) -> bool {
+        !self.queues[worker].is_empty()
     }
 
     /// Reports that a previously blocked worker received its deferred `OK`.
-    pub fn on_released(&mut self, worker: usize) {
+    fn on_released(&mut self, worker: usize) {
         if self.states[worker] == GateState::Blocked {
             self.states[worker] = GateState::Running;
         }
@@ -1531,12 +1493,23 @@ mod tests {
     fn job_digest_is_stable_and_sensitive() {
         let a = JobConfig::small(PolicyKind::Bsp);
         let b = JobConfig::small(PolicyKind::Bsp);
-        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.stable_digest(), b.stable_digest());
         let mut c = JobConfig::small(PolicyKind::Bsp);
         c.seed += 1;
-        assert_ne!(a.digest(), c.digest());
+        assert_ne!(a.stable_digest(), c.stable_digest());
         let d = JobConfig::small(PolicyKind::Asp);
-        assert_ne!(a.digest(), d.digest());
+        assert_ne!(a.stable_digest(), d.stable_digest());
+        // Checkpoints record the digest, so its value for an existing job must never
+        // change: this literal was read off the function before it destructured.
+        let mut e = JobConfig::small(PolicyKind::Ssp { s: 1 });
+        e.num_workers = 3;
+        e.epochs = 8;
+        assert_eq!(e.stable_digest(), 0x14ac_4b7f_9b9f_cae3);
+        // The masked hooks change how a run is interrupted or observed, not the job.
+        e.fail_after_pushes = Some(3);
+        e.stall_timeout_ms += 1;
+        e.event_log = Some("events".into());
+        assert_eq!(e.stable_digest(), 0x14ac_4b7f_9b9f_cae3);
     }
 
     #[test]
@@ -1557,20 +1530,23 @@ mod tests {
         assert!(!a.finished());
     }
 
+    fn done(worker: usize, iterations: u64) -> WorkerSummary {
+        WorkerSummary {
+            worker,
+            iterations,
+            epochs: 1,
+            waiting_time_s: 0.0,
+        }
+    }
+
     #[test]
     fn server_loop_tracks_done_workers_and_finishes() {
         let mut config = JobConfig::small(PolicyKind::Asp);
         config.num_workers = 2;
         let mut sl = ServerLoop::new(&config);
-        let dims = sl.pull().len();
-        let replies = sl.handle(
-            WorkerEvent::Push {
-                worker: 0,
-                iteration: 1,
-                grads: vec![0.0; dims],
-            },
-            0.1,
-        );
+        let grads = vec![0.0; sl.param_len()];
+        let mut replies = Vec::new();
+        sl.handle_push_slice(0, &grads, 0.1, &mut replies);
         assert_eq!(
             replies,
             vec![OkReply {
@@ -1580,15 +1556,7 @@ mod tests {
         );
         assert!(!sl.all_done());
         for w in 0..2 {
-            sl.handle(
-                WorkerEvent::Done {
-                    worker: w,
-                    iterations: 1,
-                    epochs: 1,
-                    waiting_time_s: 0.0,
-                },
-                0.2,
-            );
+            sl.handle_done(done(w, 1), 0.2, &mut replies);
         }
         assert!(sl.all_done());
         let trace = sl.finish(0.3);
@@ -1601,23 +1569,16 @@ mod tests {
         let mut config = JobConfig::small(PolicyKind::Asp);
         config.fail_after_pushes = Some(2);
         let mut sl = ServerLoop::new(&config);
-        let dims = sl.pull().len();
+        let grads = vec![0.0; sl.param_len()];
         for i in 0..2u64 {
-            sl.handle(
-                WorkerEvent::Push {
-                    worker: 0,
-                    iteration: i + 1,
-                    grads: vec![0.0; dims],
-                },
-                i as f64,
-            );
+            sl.handle_push_slice(0, &grads, i as f64, &mut Vec::new());
         }
         assert!(sl.aborted());
     }
 
     #[test]
     fn gate_orders_concurrent_pushes_by_iteration_then_rank() {
-        let mut gate = DeterministicGate::new(vec![2, 2], false);
+        let mut gate = DeterministicGate::new(vec![2, 2]);
         // Worker 1's push arrives first, but the gate holds it until worker 0's is in.
         gate.offer(WorkerEvent::Push {
             worker: 1,
@@ -1659,7 +1620,7 @@ mod tests {
 
     #[test]
     fn gate_blocked_workers_do_not_stall_dispatch() {
-        let mut gate = DeterministicGate::new(vec![3, 3], false);
+        let mut gate = DeterministicGate::new(vec![3, 3]);
         gate.offer(WorkerEvent::Push {
             worker: 0,
             iteration: 1,
@@ -1688,7 +1649,8 @@ mod tests {
 
     #[test]
     fn gate_with_pull_step_serves_pulls_before_any_push() {
-        let mut gate = DeterministicGate::new(vec![2, 2], true);
+        let mut gate = DeterministicGate::new(vec![2, 2]);
+        gate.await_opening_pulls();
         // Worker 1 pulled and even pushed already; worker 0 still owes its initial
         // pull, so nothing mutating may pass.
         gate.offer(WorkerEvent::Pull { worker: 1 });
@@ -1720,7 +1682,7 @@ mod tests {
 
     #[test]
     fn gate_final_push_expects_done_even_when_blocked() {
-        let mut gate = DeterministicGate::new(vec![1, 2], false);
+        let mut gate = DeterministicGate::new(vec![1, 2]);
         gate.offer(WorkerEvent::Push {
             worker: 0,
             iteration: 1,
@@ -1735,16 +1697,11 @@ mod tests {
         // Final push of worker 0, blocked by the policy: its Done is still expected
         // (key 2), but worker 1's queued iteration-1 push sorts first.
         gate.on_push_processed(0, 1, false);
-        gate.offer(WorkerEvent::Done {
-            worker: 0,
-            iterations: 1,
-            epochs: 1,
-            waiting_time_s: 0.0,
-        });
+        gate.offer(WorkerEvent::Done(done(0, 1)));
         assert_eq!(gate.next().unwrap().worker(), 1);
         gate.on_push_processed(1, 1, true);
         let ev = gate.next().unwrap();
-        assert!(matches!(ev, WorkerEvent::Done { worker: 0, .. }));
+        assert_eq!(ev, WorkerEvent::Done(done(0, 1)));
         // After Done, worker 0 no longer gates worker 1's second push.
         assert!(gate.next().is_none(), "waits for worker 1's next event");
         gate.offer(WorkerEvent::Push {

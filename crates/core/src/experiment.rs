@@ -1,7 +1,7 @@
 //! Experiment configuration and execution on the simulator.
 
 use dssp_cluster::ClusterSpec;
-use dssp_data::{SyntheticImageSpec, SyntheticVectorSpec};
+use dssp_data::SyntheticVectorSpec;
 use dssp_nn::models::ModelSpec;
 use dssp_nn::{LrSchedule, SgdConfig};
 use dssp_ps::PolicyKind;
@@ -97,12 +97,6 @@ impl ExperimentBuilder {
     /// Sets the model architecture.
     pub fn model(mut self, model: ModelSpec) -> Self {
         self.config.model = model;
-        self
-    }
-
-    /// Trains on a synthetic image dataset.
-    pub fn image_data(mut self, spec: SyntheticImageSpec) -> Self {
-        self.config.data = DataSpec::Image(spec);
         self
     }
 

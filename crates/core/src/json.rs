@@ -387,6 +387,11 @@ mod tests {
     }
 
     #[test]
+    fn json_strings_are_escaped() {
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    #[test]
     fn resolves_unicode_escapes_and_surrogate_pairs() {
         assert_eq!(parse(r#""é😀""#).unwrap(), Value::String("é😀".to_string()));
         assert!(parse(r#""\ud83d""#).is_err());

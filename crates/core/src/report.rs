@@ -1,5 +1,6 @@
 //! Plain-text rendering of traces and tables (CSV for plotting, Markdown for reports).
 
+use crate::json::escape;
 use crate::metrics::{ThroughputSummary, TimeToAccuracyRow};
 use dssp_sim::RunTrace;
 use std::fmt::Write as _;
@@ -85,8 +86,8 @@ pub fn throughput_markdown(summaries: &[ThroughputSummary]) -> String {
 /// `repro -- serve` / `repro -- launch` subcommands write and CI uploads.
 pub fn trace_json(trace: &RunTrace) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"policy\": {},", json_str(&trace.policy));
-    let _ = writeln!(out, "  \"model\": {},", json_str(&trace.model));
+    let _ = writeln!(out, "  \"policy\": {},", escape(&trace.policy));
+    let _ = writeln!(out, "  \"model\": {},", escape(&trace.model));
     let _ = writeln!(out, "  \"workers\": {},", trace.workers);
     let _ = writeln!(out, "  \"total_time_s\": {:.6},", trace.total_time_s);
     let _ = writeln!(out, "  \"total_pushes\": {},", trace.total_pushes);
@@ -145,24 +146,6 @@ pub fn trace_json(trace: &RunTrace) -> String {
         });
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -265,10 +248,5 @@ mod tests {
              \"pulls_full\": 4, \"pulls_delta\": 6, \"bytes_sent\": 1000, \
              \"bytes_received\": 2000}"
         ));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

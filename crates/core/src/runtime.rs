@@ -9,7 +9,10 @@
 //!
 //! The worker step-loop and server decision-loop live in [`crate::driver`] and are
 //! shared with the networked runtime (`dssp-net`): one driver, three substrates —
-//! simulator events, threads + channels, and processes + sockets.
+//! simulator events, threads + channels, and processes + sockets. The server thread
+//! here is the smallest of the serving loops, and has their one shape: offer each
+//! event off the channel to the `ServerLoop`, drain what it is ready to release, send
+//! each `OK` it appends as [`WorkerCommand::Proceed`] with the weights of that moment.
 //!
 //! Heterogeneity can be emulated by giving workers artificial per-iteration compute
 //! delays (`extra_compute_delay_ms`), which plays the role of the mixed GPU models in
@@ -23,9 +26,9 @@
 //! so no worker thread is ever leaked — [`run_threaded`] either returns a complete
 //! trace or panics with every thread reaped.
 
-use crate::driver::{DeterministicGate, JobConfig, OkReply, ServerLoop, WorkerEvent, WorkerStep};
+use crate::driver::{JobConfig, OkReply, ServerLoop, WorkerEvent, WorkerStep};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dssp_sim::RunTrace;
+use dssp_sim::{RunTrace, WorkerSummary};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -99,7 +102,6 @@ pub fn try_run_threaded(config: ThreadedConfig) -> Result<RunTrace, RuntimeError
     let dataset = config.data.generate(config.seed);
     let mut sl = ServerLoop::with_dataset(&config, &dataset);
     let initial_params = sl.pull();
-    let targets = sl.targets().to_vec();
 
     let (push_tx, push_rx): (Sender<WorkerEvent>, Receiver<WorkerEvent>) = unbounded();
     let mut ok_txs: Vec<Sender<WorkerCommand>> = Vec::with_capacity(config.num_workers);
@@ -125,7 +127,7 @@ pub fn try_run_threaded(config: ThreadedConfig) -> Result<RunTrace, RuntimeError
     // worker death, or a panic inside the decision logic — falls through to the
     // broadcast + join below, so threads are never leaked.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        server_loop(&config, &mut sl, &push_rx, &ok_txs, &handles, targets)
+        server_loop(&config, &mut sl, &push_rx, &ok_txs, &handles)
     }));
 
     for tx in &ok_txs {
@@ -153,59 +155,62 @@ pub fn try_run_threaded(config: ThreadedConfig) -> Result<RunTrace, RuntimeError
 }
 
 /// Runs the server decision-loop to completion, returning the elapsed wall-clock
-/// seconds.
+/// seconds: offer every arriving event, apply whatever the loop is ready to release
+/// (arrival order, or the canonical order in deterministic mode), deliver the `OK`s.
 fn server_loop(
     config: &JobConfig,
     sl: &mut ServerLoop,
     push_rx: &Receiver<WorkerEvent>,
     ok_txs: &[Sender<WorkerCommand>],
     handles: &[JoinHandle<()>],
-    targets: Vec<u64>,
 ) -> Result<f64, RuntimeError> {
     let start = Instant::now();
     let stall = Duration::from_millis(config.stall_timeout_ms.max(1));
-    let mut gate = config
-        .deterministic
-        .then(|| DeterministicGate::new(targets, false));
+    let mut replies: Vec<OkReply> = Vec::new();
 
-    'run: while !sl.all_done() {
-        // In deterministic mode, drain every event the gate is ready to release before
-        // waiting on the channel again.
-        loop {
-            let ready = match gate.as_mut() {
-                Some(g) => g.next(),
-                None => None,
-            };
-            match ready {
-                Some(event) => {
-                    dispatch(sl, ok_txs, &mut gate, event, &start)?;
-                    if sl.all_done() {
-                        break 'run;
-                    }
+    loop {
+        while let Some(event) = sl.next_ready() {
+            let now = start.elapsed().as_secs_f64();
+            replies.clear();
+            match event {
+                WorkerEvent::Push { worker, grads, .. } => {
+                    sl.handle_push_slice(worker, &grads, now, &mut replies);
                 }
-                None => break,
+                WorkerEvent::Done(summary) => sl.handle_done(summary, now, &mut replies),
+                WorkerEvent::Pull { worker } => {
+                    unreachable!("worker thread {worker} was handed its weights; it never pulls")
+                }
+            }
+            for reply in &replies {
+                // A send can only fail if the worker already exited after its final
+                // push; that is expected and harmless.
+                let _ = ok_txs[reply.worker].send(WorkerCommand::Proceed(sl.pull()));
+            }
+            if sl.aborted() {
+                return Err(RuntimeError::Aborted {
+                    pushes: sl.version(),
+                });
             }
         }
-        let event = match push_rx.recv_timeout(stall) {
-            Ok(event) => event,
+        if sl.all_done() {
+            return Ok(start.elapsed().as_secs_f64());
+        }
+        match push_rx.recv_timeout(stall) {
+            Ok(event) => sl.offer(event),
             Err(RecvTimeoutError::Timeout) => {
                 // A finished thread is only *dead* if its worker never reported Done —
                 // cleanly completed workers exit while slower peers keep training, and
-                // in deterministic mode a Done can sit gate-held for a while.
+                // in deterministic mode a Done can sit queued for a while.
                 let dead: Vec<usize> = handles
                     .iter()
                     .enumerate()
-                    .filter(|(rank, h)| {
-                        h.is_finished()
-                            && !sl.worker_done(*rank)
-                            && !gate.as_ref().is_some_and(|g| g.worker_accounted_for(*rank))
-                    })
+                    .filter(|(rank, h)| h.is_finished() && !sl.worker_accounted_for(*rank))
                     .map(|(rank, _)| rank)
                     .collect();
-                if dead.is_empty() {
-                    continue; // workers are just slow; keep waiting
+                if !dead.is_empty() {
+                    return Err(RuntimeError::WorkersFailed { workers: dead });
                 }
-                return Err(RuntimeError::WorkersFailed { workers: dead });
+                // Otherwise workers are just slow; keep waiting.
             }
             Err(RecvTimeoutError::Disconnected) => {
                 // Every worker hung up without all of them reporting Done.
@@ -213,36 +218,8 @@ fn server_loop(
                     workers: (0..config.num_workers).collect(),
                 });
             }
-        };
-        if gate.is_some() {
-            gate.as_mut().expect("checked").offer(event);
-        } else {
-            dispatch(sl, ok_txs, &mut gate, event, &start)?;
         }
     }
-    Ok(start.elapsed().as_secs_f64())
-}
-
-fn dispatch(
-    sl: &mut ServerLoop,
-    ok_txs: &[Sender<WorkerCommand>],
-    gate: &mut Option<DeterministicGate>,
-    event: WorkerEvent,
-    start: &Instant,
-) -> Result<(), RuntimeError> {
-    let now = start.elapsed().as_secs_f64();
-    let replies: Vec<OkReply> = sl.handle_gated(gate, event, now);
-    for reply in &replies {
-        // A send can only fail if the worker already exited after its final push; that
-        // is expected and harmless.
-        let _ = ok_txs[reply.worker].send(WorkerCommand::Proceed(sl.pull()));
-    }
-    if sl.aborted() {
-        return Err(RuntimeError::Aborted {
-            pushes: sl.version(),
-        });
-    }
-    Ok(())
 }
 
 fn worker_loop(
@@ -278,12 +255,12 @@ fn worker_loop(
             }
         }
     }
-    let _ = tx.send(WorkerEvent::Done {
+    let _ = tx.send(WorkerEvent::Done(WorkerSummary {
         worker,
         iterations: target,
         epochs: step.epoch(),
         waiting_time_s,
-    });
+    }));
 }
 
 #[cfg(test)]

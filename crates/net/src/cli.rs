@@ -294,6 +294,11 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Every field of the job, for round-trip comparisons.
+    fn dump(job: &JobConfig) -> String {
+        format!("{job:?}")
+    }
+
     #[test]
     fn policy_specs_round_trip() {
         for spec in ["bsp", "asp", "ssp:3", "dssp:1:8", "dssp-strict:2:5"] {
@@ -334,7 +339,7 @@ mod tests {
         assert_eq!(job.extra_compute_delay_ms, vec![0, 0, 7]);
         assert!(job.deterministic);
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
-        assert_eq!(job.digest(), rebuilt.digest());
+        assert_eq!(dump(&job), dump(&rebuilt));
     }
 
     #[test]
@@ -344,10 +349,10 @@ mod tests {
         let off = job_from_flags(&strings(&["--delta-pulls", "off"])).unwrap();
         assert!(!off.delta_pulls);
         // Mixed-mode jobs must be rejected at handshake: the digest differs.
-        assert_ne!(on.digest(), off.digest());
+        assert_ne!(on.stable_digest(), off.stable_digest());
         let rebuilt = job_from_flags(&job_args(&off)).unwrap();
         assert!(!rebuilt.delta_pulls);
-        assert_eq!(off.digest(), rebuilt.digest());
+        assert_eq!(dump(&off), dump(&rebuilt));
         assert!(job_from_flags(&strings(&["--delta-pulls", "maybe"])).is_err());
     }
 
@@ -356,10 +361,10 @@ mod tests {
         let job = job_from_flags(&strings(&["--shards", "8", "--servers", "2"])).unwrap();
         assert_eq!(job.servers, 2);
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
-        assert_eq!(job.digest(), rebuilt.digest());
+        assert_eq!(dump(&job), dump(&rebuilt));
         // Topology is part of the digest: a 1-server worker cannot join a 2-server job.
         let single = job_from_flags(&strings(&["--shards", "8"])).unwrap();
-        assert_ne!(job.digest(), single.digest());
+        assert_ne!(job.stable_digest(), single.stable_digest());
         // More servers than shards is rejected up front.
         assert!(job_from_flags(&strings(&["--shards", "2", "--servers", "4"])).is_err());
         assert!(job_from_flags(&strings(&["--servers", "0"])).is_err());
@@ -372,7 +377,7 @@ mod tests {
         assert_eq!(job.num_workers, 2);
         assert_eq!(job.extra_compute_delay_ms, vec![0, 4]);
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
-        assert_eq!(job.digest(), rebuilt.digest());
+        assert_eq!(dump(&job), dump(&rebuilt));
     }
 
     #[test]
@@ -400,11 +405,11 @@ mod tests {
         assert_eq!(ckpt.every_pushes, 5);
         assert!(ckpt.restore);
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
-        assert_eq!(job.digest(), rebuilt.digest());
-        // The chaos knobs change the full digest but are masked from the handshake
-        // digest: a restarted process without its fault plan still interoperates.
+        assert_eq!(dump(&job), dump(&rebuilt));
+        // The chaos knobs change the job but are masked from the handshake digest: a
+        // restarted process without its fault plan still interoperates.
         let clean = job_from_flags(&[]).unwrap();
-        assert_ne!(job.digest(), clean.digest());
+        assert_ne!(dump(&job), dump(&clean));
         assert_eq!(job.stable_digest(), clean.stable_digest());
     }
 
@@ -420,11 +425,11 @@ mod tests {
         assert_eq!(job.event_log, Some(std::path::PathBuf::from("/tmp/events")));
         assert_eq!(job.metrics_addr.as_deref(), Some("127.0.0.1:9180"));
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
-        assert_eq!(job.digest(), rebuilt.digest());
+        assert_eq!(dump(&job), dump(&rebuilt));
         // Observing a run does not change what it computes: the handshake-stable
         // digest ignores the observability knobs (mirroring the chaos flags).
         let dark = job_from_flags(&[]).unwrap();
-        assert_ne!(job.digest(), dark.digest());
+        assert_ne!(dump(&job), dump(&dark));
         assert_eq!(job.stable_digest(), dark.stable_digest());
         assert!(job_from_flags(&strings(&["--metrics-addr", "no-port"])).is_err());
     }
@@ -448,12 +453,12 @@ mod tests {
         assert_eq!(spec.at_version, 64);
         assert_eq!(job.migrate_threshold, Some(2));
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
-        assert_eq!(job.digest(), rebuilt.digest());
+        assert_eq!(dump(&job), dump(&rebuilt));
         // Migrations move shard ownership, never shard boundaries or arithmetic, so
         // the handshake-stable digest masks the triggers (like the chaos flags): a
         // worker launched without them still joins the migrating group.
         let fixed = job_from_flags(&strings(&["--shards", "4", "--servers", "3"])).unwrap();
-        assert_ne!(job.digest(), fixed.digest());
+        assert_ne!(dump(&job), dump(&fixed));
         assert_eq!(job.stable_digest(), fixed.stable_digest());
         // Rebalance specs round-trip too, and malformed ones are rejected.
         let reb = job_from_flags(&strings(&["--migrate", "rebalance:10"])).unwrap();

@@ -18,23 +18,24 @@
 //! explicit `Pull` is first contact (and first contact after a restore): it is
 //! answered in full and resets the record.
 //!
-//! The steady-state loop allocates nothing per message: every push is applied by the
-//! one `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
+//! The loop has one shape in every mode: **offer** each arriving event to the
+//! [`ServerLoop`], **drain** what it is ready to release — arrival order, or the
+//! canonical order of deterministic mode, which this module never sees — and
+//! **deliver** the `OK`s each applied event appends to the reply scratch. The
+//! steady-state loop allocates nothing per message: every push is applied by the one
+//! `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
 //! scratch, the consumed gradient buffer recycled back to the transport's
-//! per-connection pool. Deterministic mode runs the same method; its gate only holds
-//! the event back until the canonical order says it is next, so the bitwise
-//! equivalence suites exercise the code wall-clock runs serve with.
+//! per-connection pool — so the bitwise equivalence suites exercise the code
+//! wall-clock runs serve with.
 
 use crate::elastic::{CheckpointSink, FaultClock};
 use crate::obs::Obs;
 use crate::transport::{PullView, ServerTransport};
 use crate::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_OK, SHUTDOWN_SERVER_ERROR};
 use crate::NetError;
-use dssp_core::driver::{
-    DeterministicGate, FaultRole, JobConfig, OkReply, ServerLoop, WorkerEvent,
-};
+use dssp_core::driver::{FaultRole, JobConfig, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{EventKind, Role, NO_TRACE};
-use dssp_sim::RunTrace;
+use dssp_sim::{RunTrace, WorkerSummary};
 use std::time::Instant;
 
 /// Runs a full training job as the server side of the given transport and returns the
@@ -88,7 +89,6 @@ pub fn serve(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<Run
 struct Serving<'a> {
     sl: ServerLoop,
     transport: &'a mut dyn ServerTransport,
-    gate: Option<DeterministicGate>,
     /// The elasticity hooks every push runs through: the structured fault clock, the
     /// durable checkpoint cadence, and the digest checkpoints are stamped with.
     fault: FaultClock,
@@ -116,7 +116,7 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
     // optimizer momentum, per-worker clocks and the policy's credit state all resume,
     // and every worker re-handshakes and is re-admitted at its restored push count.
     let restoring = job.checkpoint.as_ref().is_some_and(|c| c.restore);
-    let sl = if restoring {
+    let mut sl = if restoring {
         let spec = job.checkpoint.as_ref().expect("restoring implies a spec");
         let path = spec.dir.join(dssp_ps::server_checkpoint_name());
         let ckpt = dssp_ps::Checkpoint::load_for_job(&path, expected_digest)?;
@@ -131,14 +131,9 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
     } else {
         ServerLoop::new(job)
     };
-    let targets = sl.targets().to_vec();
-    let gate = job.deterministic.then(|| {
-        if restoring {
-            DeterministicGate::resume(targets, &sl.push_counts(), true)
-        } else {
-            DeterministicGate::new(targets, true)
-        }
-    });
+    // Networked workers open every life — first contact, or first contact after a
+    // restore — with an explicit pull.
+    sl.expect_opening_pulls();
     let obs = Obs::new(
         Role::Server,
         0,
@@ -149,7 +144,6 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
     let mut serving = Serving {
         sl,
         transport,
-        gate,
         // The classic single server plays the group's "server 0" in a fault plan.
         fault: FaultClock::new(job, FaultRole::ShardServer(0)),
         sink: CheckpointSink::new(job.checkpoint.as_ref(), &dssp_ps::server_checkpoint_name()),
@@ -207,16 +201,16 @@ impl Serving<'_> {
     /// The command loop: runs until every worker has reported `Done`.
     fn run(&mut self, num_workers: usize) -> Result<(), NetError> {
         let mut helloed = vec![false; num_workers];
-        while !self.sl.all_done() {
-            self.obs.mirror_transport(&self.transport.transport_stats());
-            // Deterministic mode: drain everything the gate is ready to release before
-            // blocking on the transport again.
-            while let Some(event) = self.gate.as_mut().and_then(|g| g.next()) {
+        loop {
+            // Apply everything the loop is ready to release before blocking on the
+            // transport again.
+            while let Some(event) = self.sl.next_ready() {
                 self.process_event(event)?;
-                if self.sl.all_done() {
-                    return Ok(());
-                }
             }
+            if self.sl.all_done() {
+                return Ok(());
+            }
+            self.obs.mirror_transport(&self.transport.transport_stats());
 
             let (rank, msg) = match self.transport.recv() {
                 Ok(pair) => pair,
@@ -274,7 +268,7 @@ impl Serving<'_> {
                 Message::Pull { trace } => {
                     require_helloed(&helloed, rank)?;
                     self.last_trace[rank] = trace;
-                    self.offer_or_process(WorkerEvent::Pull { worker: rank })?;
+                    self.sl.offer(WorkerEvent::Pull { worker: rank });
                 }
                 Message::Push {
                     iteration,
@@ -283,11 +277,11 @@ impl Serving<'_> {
                 } => {
                     require_helloed(&helloed, rank)?;
                     self.last_trace[rank] = trace;
-                    self.offer_or_process(WorkerEvent::Push {
+                    self.sl.offer(WorkerEvent::Push {
                         worker: rank,
                         iteration,
                         grads,
-                    })?;
+                    });
                 }
                 Message::Done {
                     iterations,
@@ -295,12 +289,12 @@ impl Serving<'_> {
                     waiting_time_s,
                 } => {
                     require_helloed(&helloed, rank)?;
-                    self.offer_or_process(WorkerEvent::Done {
+                    self.sl.offer(WorkerEvent::Done(WorkerSummary {
                         worker: rank,
                         iterations,
                         epochs: epochs as usize,
                         waiting_time_s,
-                    })?;
+                    }));
                 }
                 other => {
                     return Err(NetError::Protocol(format!(
@@ -309,35 +303,19 @@ impl Serving<'_> {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Queues the event in the deterministic gate when there is one; processes it on
-    /// the spot otherwise.
-    fn offer_or_process(&mut self, event: WorkerEvent) -> Result<(), NetError> {
-        match self.gate.as_mut() {
-            Some(g) => {
-                g.offer(event);
-                Ok(())
-            }
-            None => self.process_event(event),
-        }
     }
 
     /// Reaps one dead (or explicitly evicted) worker: reclaims its policy credits,
-    /// retires its clock, forgets its queued deterministic-gate events and what was
-    /// last shipped to it, and delivers the `OK`s its departure releases to the
-    /// survivors.
+    /// retires its clock, forgets its queued events and what was last shipped to it,
+    /// and delivers the `OK`s its departure releases to the survivors. The replies
+    /// are a fresh vector, not the member scratch: a failed delivery reaps the next
+    /// rank from inside this one's delivery loop.
     fn evict_client(&mut self, worker: usize) -> Result<(), NetError> {
-        let released = self.sl.evict_worker(worker, self.now());
+        let now = self.now();
+        let mut released = Vec::new();
+        self.sl.evict_worker(worker, now, &mut released);
         self.obs.on_eviction(worker);
         self.shipped[worker].clear();
-        if let Some(g) = self.gate.as_mut() {
-            g.forget_worker(worker);
-            for reply in &released {
-                g.on_released(reply.worker);
-            }
-        }
         for reply in &released {
             self.obs.event(EventKind::GateRelease, reply.worker as u64);
         }
@@ -398,8 +376,8 @@ impl Serving<'_> {
         Ok(())
     }
 
-    /// Applies one event — gate-released in deterministic mode, straight off the
-    /// transport otherwise — and delivers the resulting protocol messages.
+    /// Applies one event the loop released and delivers the resulting protocol
+    /// messages.
     fn process_event(&mut self, event: WorkerEvent) -> Result<(), NetError> {
         match event {
             WorkerEvent::Pull { worker } => {
@@ -409,14 +387,11 @@ impl Serving<'_> {
                 self.shipped[worker].clear();
                 self.ship_weights(worker)
             }
-            WorkerEvent::Push {
-                worker,
-                iteration,
-                grads,
-            } => self.apply_push(worker, iteration, grads),
-            done @ WorkerEvent::Done { .. } => {
+            WorkerEvent::Push { worker, grads, .. } => self.apply_push(worker, grads),
+            WorkerEvent::Done(summary) => {
                 let now = self.now();
-                let replies = self.sl.handle_gated(&mut self.gate, done, now);
+                let mut replies = Vec::new();
+                self.sl.handle_done(summary, now, &mut replies);
                 self.deliver_replies(&replies)?;
                 check_abort(&self.sl)
             }
@@ -425,22 +400,15 @@ impl Serving<'_> {
 
     /// The one place a push is applied, in both modes, without allocating: borrowed
     /// gradients into reusable reply scratch, the buffer back to the connection pool,
-    /// the deterministic gate (when there is one) told who may run, the staleness
-    /// sample and events exported, the `OK`s delivered, then the elasticity hooks of
-    /// the push phase.
-    fn apply_push(&mut self, rank: usize, iteration: u64, grads: Vec<f32>) -> Result<(), NetError> {
+    /// the staleness sample and events exported, the `OK`s delivered, then the
+    /// elasticity hooks of the push phase.
+    fn apply_push(&mut self, rank: usize, grads: Vec<f32>) -> Result<(), NetError> {
         let now = self.now();
         let mut replies = std::mem::take(&mut self.replies);
         replies.clear();
         let decision = self.sl.handle_push_slice(rank, &grads, now, &mut replies);
         self.transport.recycle_f32s(rank, grads);
         let granted = replies.iter().any(|r| r.worker == rank);
-        if let Some(g) = self.gate.as_mut() {
-            g.on_push_processed(rank, iteration, granted);
-            for reply in replies.iter().filter(|r| r.worker != rank) {
-                g.on_released(reply.worker);
-            }
-        }
         self.obs.on_push(
             rank,
             decision.staleness,

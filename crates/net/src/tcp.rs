@@ -538,16 +538,6 @@ impl TcpWorkerTransport {
         self.peer = label.into();
     }
 
-    /// The peer label used in error messages.
-    pub fn peer_label(&self) -> &str {
-        &self.peer
-    }
-
-    /// The address this transport connected to.
-    pub fn peer_addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Arms (or disarms, with `None`) a socket read timeout. A blocking `recv` that
     /// sees no frame within the window fails with [`NetError::PeerTimeout`] naming the
     /// peer, instead of stalling forever on a dead shard server. The connection is not

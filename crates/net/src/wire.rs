@@ -1568,14 +1568,6 @@ pub fn read_frame_payload<R: Read>(
     Ok(len)
 }
 
-/// Reads one length-prefixed frame from `r` and decodes it. Returns
-/// [`crate::NetError::Disconnected`] on a clean EOF at a frame boundary.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, crate::NetError> {
-    let mut payload = Vec::new();
-    read_frame_payload(r, &mut payload)?;
-    Ok(decode(&payload)?)
-}
-
 /// One incoming frame, consumed from its stream field by field: the length prefix and
 /// the tag have been read, the rest is still on the stream. The streaming counterpart
 /// of the buffered decoders, for the frames that carry an `f32` run on the training
@@ -1921,6 +1913,13 @@ mod tests {
         let mut buf = Vec::new();
         encode(msg, &mut buf);
         decode(&buf).expect("decodes")
+    }
+
+    /// Reads one length-prefixed frame through the buffered path and decodes it.
+    fn read_frame<R: Read>(r: &mut R) -> Result<Message, crate::NetError> {
+        let mut payload = Vec::new();
+        read_frame_payload(r, &mut payload)?;
+        Ok(decode(&payload)?)
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl ClockTable {
         assert_eq!(counts.len(), retired.len(), "flag/count length mismatch");
         Self { counts, retired }
     }
-
-    /// Sets a worker's counter outright — the admission path for a worker joining (or
-    /// rejoining) mid-run at the clock the coordinator assigns it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker id is out of range.
-    pub fn set_count(&mut self, worker: WorkerId, count: u64) {
-        self.counts[worker] = count;
-    }
 }
 
 /// Table `A` of Algorithm 2: the two most recent push timestamps per worker.

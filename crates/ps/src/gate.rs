@@ -11,7 +11,7 @@
 //! tables, policy state and statistics).
 
 use crate::clock::{ClockTable, IntervalTracker, WorkerId};
-use crate::policy::{PolicyCtx, PolicyKind, SyncPolicy};
+use crate::policy::{PolicyKind, StalenessRule};
 use crate::server::{PushDecision, ServerStats};
 use crate::staleness::StalenessTracker;
 
@@ -56,7 +56,7 @@ pub struct GateSnapshot {
 }
 
 /// The synchronization state of Algorithms 1 and 2 without any parameter storage:
-/// per-worker clocks, the push-timestamp table, the gating policy, the blocked set and
+/// per-worker clocks, the push-timestamp table, the staleness rule, the blocked set and
 /// the synchronization statistics.
 ///
 /// [`crate::ParameterServer`] embeds one of these next to its weight store; a
@@ -65,7 +65,8 @@ pub struct GateSnapshot {
 pub struct SyncGate {
     clocks: ClockTable,
     intervals: IntervalTracker,
-    policy: Box<dyn SyncPolicy>,
+    kind: PolicyKind,
+    rule: StalenessRule,
     blocked: Vec<WorkerId>,
     /// Reusable scratch for [`SyncGate::drain_released_into`] so the still-blocked
     /// survivors can be rebuilt without allocating on the push path.
@@ -79,7 +80,7 @@ pub struct SyncGate {
 impl std::fmt::Debug for SyncGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncGate")
-            .field("policy", &self.policy.name())
+            .field("policy", &self.kind.label())
             .field("version", &self.version)
             .field("blocked", &self.blocked)
             .finish()
@@ -97,7 +98,8 @@ impl SyncGate {
         Self {
             clocks: ClockTable::new(num_workers),
             intervals: IntervalTracker::new(num_workers),
-            policy: policy.build(num_workers),
+            kind: policy,
+            rule: policy.build(num_workers),
             blocked: Vec::new(),
             blocked_scratch: Vec::new(),
             stats: ServerStats::default(),
@@ -139,12 +141,7 @@ impl SyncGate {
 
     /// The active policy's display name.
     pub fn policy_name(&self) -> String {
-        self.policy.name()
-    }
-
-    /// Direct access to the policy, for introspection.
-    pub fn policy(&self) -> &dyn SyncPolicy {
-        self.policy.as_ref()
+        self.kind.label()
     }
 
     /// Workers currently waiting for a deferred `OK`.
@@ -178,21 +175,14 @@ impl SyncGate {
         self.stats.staleness_max = self.stats.staleness_max.max(lead);
         self.staleness.record(worker, lead);
 
-        let credits_before = self.policy.credits_granted();
-        let ok_now = self.policy.on_push(PolicyCtx {
-            worker,
-            now,
-            clocks: &self.clocks,
-            intervals: &self.intervals,
-        });
-        let granted_extra = self.policy.credits_granted() - credits_before;
+        let (ok_now, granted_extra) = self.rule.on_push(worker, &self.clocks, &self.intervals);
         self.stats.credits_granted += granted_extra;
         if !ok_now {
             self.stats.blocked_pushes += 1;
             self.blocked.push(worker);
         }
 
-        self.drain_released_into(now, if ok_now { None } else { Some(worker) }, released);
+        self.drain_released_into(if ok_now { None } else { Some(worker) }, released);
         PushDecision {
             ok_now,
             version: self.version,
@@ -203,9 +193,9 @@ impl SyncGate {
 
     /// Marks a worker as retired (it has completed its configured epochs and will push
     /// no more), appending any workers this releases to `released` (not cleared first).
-    pub fn retire_into(&mut self, worker: WorkerId, now: f64, released: &mut Vec<WorkerId>) {
+    pub fn retire_into(&mut self, worker: WorkerId, released: &mut Vec<WorkerId>) {
         self.clocks.retire(worker);
-        self.drain_released_into(now, None, released);
+        self.drain_released_into(None, released);
     }
 
     /// Evicts a dead worker: retires its clock, forgets its interval measurements,
@@ -217,14 +207,14 @@ impl SyncGate {
     /// # Panics
     ///
     /// Panics if the worker id is out of range.
-    pub fn evict_into(&mut self, worker: WorkerId, now: f64, released: &mut Vec<WorkerId>) -> u64 {
+    pub fn evict_into(&mut self, worker: WorkerId, released: &mut Vec<WorkerId>) -> u64 {
         assert!(worker < self.num_workers, "worker id out of range");
-        let reclaimed = self.policy.reclaim_credits(worker);
+        let reclaimed = self.rule.reclaim_credits(worker);
         self.stats.credits_reclaimed += reclaimed;
         self.intervals.forget(worker);
         self.clocks.retire(worker);
         self.blocked.retain(|&w| w != worker);
-        self.drain_released_into(now, None, released);
+        self.drain_released_into(None, released);
         reclaimed
     }
 
@@ -248,9 +238,9 @@ impl SyncGate {
             staleness_pushes: self.staleness.per_worker_push_counts().to_vec(),
             staleness_max: self.staleness.max(),
             version: self.version,
-            credits: self.policy.credits_snapshot(),
-            credits_granted: self.policy.credits_granted(),
-            controller_invocations: self.policy.controller_invocations(),
+            credits: self.rule.credits().to_vec(),
+            credits_granted: self.rule.credits_granted(),
+            controller_invocations: self.rule.controller_invocations(),
         }
     }
 
@@ -266,7 +256,8 @@ impl SyncGate {
         let mut restored = Self {
             clocks: ClockTable::restore(snap.counts.clone(), snap.retired.clone()),
             intervals: IntervalTracker::restore(snap.latest.clone(), snap.previous.clone()),
-            policy: policy.build(num_workers),
+            kind: policy,
+            rule: policy.build(num_workers),
             blocked: snap.blocked.clone(),
             blocked_scratch: Vec::new(),
             stats: snap.stats.clone(),
@@ -280,7 +271,7 @@ impl SyncGate {
             num_workers,
         };
         if !snap.credits.is_empty() {
-            restored.policy.restore_credits(
+            restored.rule.restore_credits(
                 &snap.credits,
                 snap.credits_granted,
                 snap.controller_invocations,
@@ -294,7 +285,6 @@ impl SyncGate {
     /// once the member scratch is warm.
     fn drain_released_into(
         &mut self,
-        now: f64,
         just_blocked: Option<WorkerId>,
         released: &mut Vec<WorkerId>,
     ) {
@@ -307,13 +297,7 @@ impl SyncGate {
                 self.blocked.push(w);
                 continue;
             }
-            let free = self.policy.may_release(PolicyCtx {
-                worker: w,
-                now,
-                clocks: &self.clocks,
-                intervals: &self.intervals,
-            });
-            if free {
+            if self.rule.may_release(w, &self.clocks) {
                 self.stats.releases += 1;
                 released.push(w);
             } else {
@@ -349,7 +333,7 @@ mod tests {
         let mut g = SyncGate::new(2, PolicyKind::Bsp);
         let mut released = Vec::new();
         assert!(!g.on_push(0, 1.0, &mut released).ok_now);
-        g.retire_into(1, 2.0, &mut released);
+        g.retire_into(1, &mut released);
         assert_eq!(released, vec![0]);
         assert!(g.blocked_workers().is_empty());
     }

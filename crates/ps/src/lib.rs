@@ -6,8 +6,9 @@
 //! * [`ClockTable`] — the array `t` of Algorithm 1 (push requests received per worker);
 //! * [`IntervalTracker`] — table `A` of Algorithm 2 (the two most recent push
 //!   timestamps per worker, from which iteration intervals are measured, Figure 1);
-//! * [`SyncPolicy`] — the server-side decision logic with the four paradigms:
-//!   [`Bsp`], [`Asp`], [`Ssp`] and [`Dssp`];
+//! * [`StalenessRule`] — the server-side decision logic: one rule over the staleness
+//!   range `[s_L, s_L + r_max]`, of which the four paradigms are points ([`PolicyKind`]:
+//!   SSP is `r_max = 0`, BSP is SSP at `s = 0`, ASP is SSP at `s = ∞`);
 //! * [`SyncController`] — Algorithm 2: the DSSP synchronization controller that
 //!   simulates the next `r_max` iterations of the fastest and slowest workers and picks
 //!   the number of extra iterations `r*` minimizing the predicted waiting time
@@ -57,7 +58,7 @@ pub use checkpoint::{
 pub use clock::{ClockTable, IntervalTracker, WorkerId};
 pub use controller::{ControllerDecision, IntervalEstimator, SyncController};
 pub use gate::{GateSnapshot, SyncGate};
-pub use policy::{Asp, Bsp, Dssp, PolicyCtx, PolicyKind, Ssp, SyncPolicy};
+pub use policy::{PolicyKind, StalenessRule};
 pub use server::{ParameterServer, PushDecision, PushResult, ServerConfig, ServerStats};
 pub use sharded::{delta_compatible, shard_range, ShardedStore};
 pub use staleness::StalenessTracker;

@@ -1,12 +1,18 @@
-//! Server-side synchronization policies: BSP, ASP, SSP and DSSP.
+//! The server-side synchronization rule: BSP, ASP, SSP and DSSP as one staleness range.
 //!
-//! A policy answers one question for the parameter server (Algorithm 1, server part):
+//! The rule answers one question for the parameter server (Algorithm 1, server part):
 //! after worker `p`'s push has been applied, may `p` start its next iteration now, or
 //! must it wait until other workers catch up? Blocked workers are re-evaluated whenever
 //! any other worker pushes.
+//!
+//! The paper defines DSSP as SSP whose fixed threshold became a range
+//! `[s_L, s_U = s_L + r_max]`, so the four paradigms are points on one axis and
+//! [`StalenessRule`] is the only implementation: SSP is the range of width zero
+//! (`r_max = 0`), BSP is SSP at `s = 0`, ASP is SSP at `s = ∞`. [`PolicyKind`] is how
+//! configurations spell those points.
 
 use crate::clock::{ClockTable, IntervalTracker, WorkerId};
-use crate::controller::{ControllerDecision, SyncController};
+use crate::controller::SyncController;
 use serde::{Deserialize, Serialize};
 
 /// Serializable description of a synchronization policy, used in experiment configs.
@@ -49,15 +55,17 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Builds the runtime policy object for `num_workers` workers.
-    pub fn build(&self, num_workers: usize) -> Box<dyn SyncPolicy> {
+    /// Builds the runtime rule for `num_workers` workers: BSP is the point `(0, 0)` of
+    /// the `(s_l, r_max)` plane, ASP `(∞, 0)`, SSP `(s, 0)`, and the DSSP kinds their
+    /// own range.
+    pub fn build(&self, num_workers: usize) -> StalenessRule {
         match *self {
-            PolicyKind::Bsp => Box::new(Bsp::new(num_workers)),
-            PolicyKind::Asp => Box::new(Asp::new()),
-            PolicyKind::Ssp { s } => Box::new(Ssp::new(s)),
-            PolicyKind::Dssp { s_l, r_max } => Box::new(Dssp::new(num_workers, s_l, r_max)),
+            PolicyKind::Bsp => StalenessRule::fixed(0),
+            PolicyKind::Asp => StalenessRule::fixed(u64::MAX),
+            PolicyKind::Ssp { s } => StalenessRule::fixed(s),
+            PolicyKind::Dssp { s_l, r_max } => StalenessRule::range(num_workers, s_l, r_max, false),
             PolicyKind::DsspStrict { s_l, r_max } => {
-                Box::new(Dssp::strict(num_workers, s_l, r_max))
+                StalenessRule::range(num_workers, s_l, r_max, true)
             }
         }
     }
@@ -80,221 +88,51 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// Read-only view of the server state handed to a policy when it makes a decision.
-#[derive(Debug)]
-pub struct PolicyCtx<'a> {
-    /// The worker the decision is about.
-    pub worker: WorkerId,
-    /// Current time in seconds (virtual or wall-clock, depending on the runtime).
-    pub now: f64,
-    /// Push counters for all workers.
-    pub clocks: &'a ClockTable,
-    /// Push timestamp table (table `A` of Algorithm 2).
-    pub intervals: &'a IntervalTracker,
-}
-
-/// A server-side synchronization policy.
-pub trait SyncPolicy: Send {
-    /// The policy's display name.
-    fn name(&self) -> String;
-
-    /// Called after `ctx.worker`'s push has been applied and its clock incremented.
-    /// Returns `true` if the worker may start its next iteration immediately.
-    fn on_push(&mut self, ctx: PolicyCtx<'_>) -> bool;
-
-    /// Called for a currently blocked worker whenever any clock has advanced.
-    /// Returns `true` if that worker may now be released.
-    fn may_release(&mut self, ctx: PolicyCtx<'_>) -> bool;
-
-    /// The most recent controller decision, if this policy uses one (DSSP only).
-    fn last_controller_decision(&self) -> Option<&ControllerDecision> {
-        None
-    }
-
-    /// Cumulative extra-iteration credits granted so far (0 for policies without a
-    /// controller). The server differences this across a push to learn the `r*` granted
-    /// at that push.
-    fn credits_granted(&self) -> u64 {
-        0
-    }
-
-    /// Per-worker remaining extra-iteration credit balances, for checkpointing. Empty
-    /// for policies without credits.
-    fn credits_snapshot(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Cumulative controller invocations, for checkpointing (0 for policies without a
-    /// controller).
-    fn controller_invocations(&self) -> u64 {
-        0
-    }
-
-    /// Restores checkpointed credit/controller state. A no-op for policies without
-    /// credits; policies with credits panic if `credits` has the wrong length.
-    fn restore_credits(&mut self, credits: &[u64], granted: u64, invocations: u64) {
-        let _ = (credits, granted, invocations);
-    }
-
-    /// Removes a worker's remaining credits from the pool (the eviction path) and
-    /// returns the reclaimed amount (0 for policies without credits).
-    fn reclaim_credits(&mut self, worker: WorkerId) -> u64 {
-        let _ = worker;
-        0
-    }
-}
-
-/// Bulk Synchronous Parallel: a worker may proceed only when no other worker is behind
-/// it, i.e. everyone has pushed the same number of times.
-#[derive(Debug, Clone)]
-pub struct Bsp {
-    num_workers: usize,
-}
-
-impl Bsp {
-    /// Creates a BSP policy for `num_workers` workers.
-    pub fn new(num_workers: usize) -> Self {
-        Self { num_workers }
-    }
-
-    fn everyone_caught_up(&self, ctx: &PolicyCtx<'_>) -> bool {
-        let mine = ctx.clocks.count(ctx.worker);
-        (0..self.num_workers)
-            .filter(|&w| ctx.clocks.is_active(w) || w == ctx.worker)
-            .all(|w| ctx.clocks.count(w) >= mine)
-    }
-}
-
-impl SyncPolicy for Bsp {
-    fn name(&self) -> String {
-        "BSP".to_string()
-    }
-
-    fn on_push(&mut self, ctx: PolicyCtx<'_>) -> bool {
-        self.everyone_caught_up(&ctx)
-    }
-
-    fn may_release(&mut self, ctx: PolicyCtx<'_>) -> bool {
-        self.everyone_caught_up(&ctx)
-    }
-}
-
-/// Asynchronous Parallel: never blocks anyone.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Asp;
-
-impl Asp {
-    /// Creates an ASP policy.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl SyncPolicy for Asp {
-    fn name(&self) -> String {
-        "ASP".to_string()
-    }
-
-    fn on_push(&mut self, _ctx: PolicyCtx<'_>) -> bool {
-        true
-    }
-
-    fn may_release(&mut self, _ctx: PolicyCtx<'_>) -> bool {
-        true
-    }
-}
-
-/// Stale Synchronous Parallel with a fixed threshold `s`: a worker may proceed as long
-/// as it is no more than `s` iterations ahead of the slowest worker.
-#[derive(Debug, Clone, Copy)]
-pub struct Ssp {
-    s: u64,
-}
-
-impl Ssp {
-    /// Creates an SSP policy with staleness threshold `s`.
-    pub fn new(s: u64) -> Self {
-        Self { s }
-    }
-
-    /// The staleness threshold.
-    pub fn threshold(&self) -> u64 {
-        self.s
-    }
-
-    fn within_threshold(&self, ctx: &PolicyCtx<'_>) -> bool {
-        ctx.clocks.lead_over_slowest(ctx.worker) <= self.s
-    }
-}
-
-impl SyncPolicy for Ssp {
-    fn name(&self) -> String {
-        format!("SSP s={}", self.s)
-    }
-
-    fn on_push(&mut self, ctx: PolicyCtx<'_>) -> bool {
-        self.within_threshold(&ctx)
-    }
-
-    fn may_release(&mut self, ctx: PolicyCtx<'_>) -> bool {
-        self.within_threshold(&ctx)
-    }
-}
-
-/// Dynamic Stale Synchronous Parallel (the paper's contribution, Algorithm 1 + 2).
+/// The one synchronization rule (Algorithm 1 + 2): a worker may proceed while its lead
+/// over the slowest active worker is within the staleness range `[s_L, s_L + r_max]`.
 ///
-/// Behaves like SSP with threshold `s_L` until the fastest worker exceeds `s_L`; at that
-/// point the [`SyncController`] predicts how many extra iterations (up to `r_max`) the
-/// worker should run to minimise its waiting time, and the worker receives that many
-/// credits (`r_p` in Algorithm 1). Credits are consumed one per push, can be held by
-/// different workers simultaneously, and can change over time — which is exactly the
-/// paper's claim of per-worker, time-varying thresholds.
-pub struct Dssp {
+/// Up to `s_L` it always proceeds. When the fastest worker exceeds `s_L` and the range
+/// has width (`r_max > 0`), the [`SyncController`] predicts how many extra iterations
+/// (up to `r_max`) the worker should run to minimise its waiting time, and the worker
+/// receives that many credits (`r_p` in Algorithm 1). Credits are consumed one per
+/// push, can be held by different workers simultaneously, and can change over time —
+/// which is exactly the paper's claim of per-worker, time-varying thresholds. A range
+/// of width zero never consults the controller and never holds a credit: that is SSP,
+/// with BSP (`s_L = 0`) and ASP (`s_L = u64::MAX`) as its end points.
+#[derive(Debug)]
+pub struct StalenessRule {
     s_l: u64,
     r_max: u64,
     strict: bool,
+    /// Remaining extra-iteration credits per worker (`r_p`). Empty for the
+    /// fixed-threshold kinds, so their checkpoints carry no credit table.
     credits: Vec<u64>,
     controller: SyncController,
-    last_decision: Option<ControllerDecision>,
     credits_granted: u64,
 }
 
-impl std::fmt::Debug for Dssp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Dssp")
-            .field("s_l", &self.s_l)
-            .field("r_max", &self.r_max)
-            .field("strict", &self.strict)
-            .field("credits", &self.credits)
-            .finish()
+impl StalenessRule {
+    /// The fixed threshold `s` (BSP, ASP, SSP): the range `[s, s]`.
+    fn fixed(s: u64) -> Self {
+        Self::range(0, s, 0, false)
     }
-}
 
-impl Dssp {
-    /// Creates a DSSP policy with staleness range `[s_l, s_l + r_max]`, following the
-    /// paper's Algorithm 1 literally (no cumulative cap on the realized lead).
-    pub fn new(num_workers: usize, s_l: u64, r_max: u64) -> Self {
+    /// The range `[s_l, s_l + r_max]` over `num_workers` credit balances. `strict`
+    /// additionally caps the worker's cumulative lead at `s_U = s_l + r_max` (the
+    /// strict-range ablation of DESIGN.md §6); without it Algorithm 1 is followed
+    /// literally.
+    fn range(num_workers: usize, s_l: u64, r_max: u64, strict: bool) -> Self {
         Self {
             s_l,
             r_max,
-            strict: false,
+            strict,
             credits: vec![0; num_workers],
             controller: SyncController::new(num_workers, r_max),
-            last_decision: None,
             credits_granted: 0,
         }
     }
 
-    /// Creates a DSSP policy that additionally caps the worker's cumulative lead at
-    /// `s_U = s_l + r_max` (the strict-range ablation of DESIGN.md §6).
-    pub fn strict(num_workers: usize, s_l: u64, r_max: u64) -> Self {
-        Self {
-            strict: true,
-            ..Self::new(num_workers, s_l, r_max)
-        }
-    }
-
-    /// Whether this policy enforces the upper staleness bound on the cumulative lead.
+    /// Whether this rule enforces the upper staleness bound on the cumulative lead.
     pub fn is_strict(&self) -> bool {
         self.strict
     }
@@ -309,11 +147,6 @@ impl Dssp {
         self.r_max
     }
 
-    /// The remaining extra-iteration credit of a worker (`r_p`).
-    pub fn credit(&self, worker: WorkerId) -> u64 {
-        self.credits[worker]
-    }
-
     /// Total number of extra-iteration credits granted so far.
     pub fn credits_granted(&self) -> u64 {
         self.credits_granted
@@ -323,77 +156,75 @@ impl Dssp {
     pub fn controller_invocations(&self) -> u64 {
         self.controller.invocations()
     }
-}
 
-impl SyncPolicy for Dssp {
-    fn name(&self) -> String {
-        if self.strict {
-            format!("DSSP-strict s={}, r={}", self.s_l, self.r_max)
-        } else {
-            format!("DSSP s={}, r={}", self.s_l, self.r_max)
-        }
+    /// Per-worker remaining extra-iteration credit balances, for checkpointing. Empty
+    /// for the fixed-threshold kinds.
+    pub fn credits(&self) -> &[u64] {
+        &self.credits
     }
 
-    fn on_push(&mut self, ctx: PolicyCtx<'_>) -> bool {
-        let p = ctx.worker;
+    /// Called after `worker`'s push has been applied and its clock incremented.
+    /// Returns whether the worker may start its next iteration immediately, and the
+    /// extra iterations `r*` the controller granted at this push.
+    pub fn on_push(
+        &mut self,
+        worker: WorkerId,
+        clocks: &ClockTable,
+        intervals: &IntervalTracker,
+    ) -> (bool, u64) {
+        let lead = clocks.lead_over_slowest(worker);
+        if self.r_max == 0 {
+            return (lead <= self.s_l, 0);
+        }
         // Algorithm 1, server lines 3-5: spend an existing credit.
-        if self.credits[p] > 0 {
-            self.credits[p] -= 1;
-            return true;
+        if self.credits[worker] > 0 {
+            self.credits[worker] -= 1;
+            return (true, 0);
         }
         // Lines 7-9: within the lower bound, proceed.
-        if ctx.clocks.lead_over_slowest(p) <= self.s_l {
-            return true;
+        if lead <= self.s_l {
+            return (true, 0);
         }
         // Lines 11-15: only the current fastest worker consults the controller (the
         // paper calls the controller only for the fastest worker to save server time).
-        if ctx.clocks.is_fastest(p) {
-            let slowest = ctx.clocks.slowest_worker();
-            let decision = self.controller.decide(p, slowest, ctx.intervals);
+        if clocks.is_fastest(worker) {
+            let decision = self
+                .controller
+                .decide(worker, clocks.slowest_worker(), intervals);
             // Algorithm 1 grants the controller's r* outright; the strict variant
             // additionally caps the grant so the worker's lead over the slowest worker
             // never exceeds s_U = s_L + r_max (the range Theorem 2 reasons about).
             let granted = if self.strict {
-                let lead = ctx.clocks.lead_over_slowest(p);
                 let available = (self.s_l + self.r_max + 1).saturating_sub(lead);
                 decision.extra_iterations.min(available)
             } else {
                 decision.extra_iterations
             };
-            self.last_decision = Some(decision);
             if granted > 0 {
                 self.credits_granted += granted;
                 // The worker runs exactly `granted` extra iterations: this OK starts the
                 // first one, the remaining `granted - 1` are spent at future pushes.
-                self.credits[p] = granted - 1;
-                return true;
+                self.credits[worker] = granted - 1;
+                return (true, granted);
             }
         }
         // Line 17: wait until the slowest worker catches up to within s_L.
-        false
+        (false, 0)
     }
 
-    fn may_release(&mut self, ctx: PolicyCtx<'_>) -> bool {
-        ctx.clocks.lead_over_slowest(ctx.worker) <= self.s_l
+    /// Called for a currently blocked worker whenever any clock has advanced. Returns
+    /// `true` if that worker may now be released: a waiter is only ever let go at the
+    /// lower bound, never on credit.
+    pub fn may_release(&self, worker: WorkerId, clocks: &ClockTable) -> bool {
+        clocks.lead_over_slowest(worker) <= self.s_l
     }
 
-    fn last_controller_decision(&self) -> Option<&ControllerDecision> {
-        self.last_decision.as_ref()
-    }
-
-    fn credits_granted(&self) -> u64 {
-        self.credits_granted
-    }
-
-    fn credits_snapshot(&self) -> Vec<u64> {
-        self.credits.clone()
-    }
-
-    fn controller_invocations(&self) -> u64 {
-        self.controller.invocations()
-    }
-
-    fn restore_credits(&mut self, credits: &[u64], granted: u64, invocations: u64) {
+    /// Restores checkpointed credit/controller state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `credits` has the wrong length.
+    pub fn restore_credits(&mut self, credits: &[u64], granted: u64, invocations: u64) {
         assert_eq!(
             credits.len(),
             self.credits.len(),
@@ -404,8 +235,10 @@ impl SyncPolicy for Dssp {
         self.controller.set_invocations(invocations);
     }
 
-    fn reclaim_credits(&mut self, worker: WorkerId) -> u64 {
-        std::mem::take(&mut self.credits[worker])
+    /// Removes a worker's remaining credits from the pool (the eviction path) and
+    /// returns the reclaimed amount.
+    pub fn reclaim_credits(&mut self, worker: WorkerId) -> u64 {
+        self.credits.get_mut(worker).map_or(0, std::mem::take)
     }
 }
 
@@ -416,7 +249,6 @@ mod tests {
     struct Harness {
         clocks: ClockTable,
         intervals: IntervalTracker,
-        now: f64,
     }
 
     impl Harness {
@@ -424,37 +256,25 @@ mod tests {
             Self {
                 clocks: ClockTable::new(workers),
                 intervals: IntervalTracker::new(workers),
-                now: 0.0,
             }
         }
 
-        /// Simulates worker `w` pushing at time `now` and asks the policy for a decision.
-        fn push(&mut self, policy: &mut dyn SyncPolicy, w: WorkerId, now: f64) -> bool {
-            self.now = now;
+        /// Simulates worker `w` pushing at time `now` and asks the rule for a decision.
+        fn push(&mut self, rule: &mut StalenessRule, w: WorkerId, now: f64) -> bool {
             self.clocks.increment(w);
             self.intervals.record_push(w, now);
-            policy.on_push(PolicyCtx {
-                worker: w,
-                now,
-                clocks: &self.clocks,
-                intervals: &self.intervals,
-            })
+            rule.on_push(w, &self.clocks, &self.intervals).0
         }
 
-        fn release(&self, policy: &mut dyn SyncPolicy, w: WorkerId) -> bool {
-            policy.may_release(PolicyCtx {
-                worker: w,
-                now: self.now,
-                clocks: &self.clocks,
-                intervals: &self.intervals,
-            })
+        fn release(&self, rule: &StalenessRule, w: WorkerId) -> bool {
+            rule.may_release(w, &self.clocks)
         }
     }
 
     #[test]
     fn bsp_blocks_until_everyone_pushes() {
         let mut h = Harness::new(3);
-        let mut bsp = Bsp::new(3);
+        let mut bsp = PolicyKind::Bsp.build(3);
         assert!(
             !h.push(&mut bsp, 0, 1.0),
             "first pusher must wait for the rest"
@@ -465,14 +285,14 @@ mod tests {
             "last pusher completes the superstep"
         );
         // After worker 2's push all three are at clock 1, so the blocked ones release.
-        assert!(h.release(&mut bsp, 0));
-        assert!(h.release(&mut bsp, 1));
+        assert!(h.release(&bsp, 0));
+        assert!(h.release(&bsp, 1));
     }
 
     #[test]
     fn asp_never_blocks() {
         let mut h = Harness::new(2);
-        let mut asp = Asp::new();
+        let mut asp = PolicyKind::Asp.build(2);
         for i in 0..10 {
             assert!(h.push(&mut asp, 0, i as f64));
         }
@@ -481,32 +301,29 @@ mod tests {
     #[test]
     fn ssp_allows_lead_up_to_threshold() {
         let mut h = Harness::new(2);
-        let mut ssp = Ssp::new(2);
+        let mut ssp = PolicyKind::Ssp { s: 2 }.build(2);
         // Worker 0 pushes repeatedly while worker 1 never pushes.
         assert!(h.push(&mut ssp, 0, 1.0)); // lead 1
         assert!(h.push(&mut ssp, 0, 2.0)); // lead 2
         assert!(!h.push(&mut ssp, 0, 3.0), "lead 3 exceeds threshold 2");
         // Once worker 1 pushes, worker 0's lead drops to 2 and it can be released.
-        assert!(!h.release(&mut ssp, 0));
+        assert!(!h.release(&ssp, 0));
         h.push(&mut ssp, 1, 4.0);
-        assert!(h.release(&mut ssp, 0));
+        assert!(h.release(&ssp, 0));
     }
 
     #[test]
     fn ssp_zero_threshold_degenerates_to_bsp_like_lockstep() {
         let mut h = Harness::new(2);
-        let mut ssp = Ssp::new(0);
+        let mut ssp = PolicyKind::Ssp { s: 0 }.build(2);
         assert!(!h.push(&mut ssp, 0, 1.0));
         assert!(h.push(&mut ssp, 1, 2.0));
     }
 
     #[test]
     fn dssp_with_zero_range_behaves_like_ssp_at_lower_bound() {
-        let mut ha = Harness::new(2);
-        let mut hb = Harness::new(2);
-        let mut dssp = Dssp::new(2, 2, 0);
-        let mut ssp = Ssp::new(2);
-        // Same push sequence must give identical decisions.
+        // The general statement: every kind that spells the same `(s_l, 0)` point makes
+        // the same decisions, never consults the controller and never grants a credit.
         let sequence: Vec<(WorkerId, f64)> = vec![
             (0, 1.0),
             (0, 2.0),
@@ -516,17 +333,36 @@ mod tests {
             (0, 6.0),
             (1, 7.0),
         ];
-        for &(w, t) in &sequence {
-            let a = ha.push(&mut dssp, w, t);
-            let b = hb.push(&mut ssp, w, t);
-            assert_eq!(a, b, "divergence at push ({w}, {t})");
+        let decisions = |kind: PolicyKind| {
+            let mut h = Harness::new(2);
+            let mut rule = kind.build(2);
+            let oks: Vec<bool> = sequence
+                .iter()
+                .map(|&(w, t)| h.push(&mut rule, w, t))
+                .collect();
+            assert_eq!(rule.controller_invocations(), 0, "{kind}");
+            assert_eq!(rule.credits_granted(), 0, "{kind}");
+            oks
+        };
+        for s in [0, 1, 2, 5] {
+            let ssp = decisions(PolicyKind::Ssp { s });
+            assert_eq!(ssp, decisions(PolicyKind::Dssp { s_l: s, r_max: 0 }));
+            assert_eq!(ssp, decisions(PolicyKind::DsspStrict { s_l: s, r_max: 0 }));
         }
+        assert_eq!(
+            decisions(PolicyKind::Bsp),
+            decisions(PolicyKind::Ssp { s: 0 })
+        );
+        assert_eq!(
+            decisions(PolicyKind::Asp),
+            decisions(PolicyKind::Ssp { s: u64::MAX })
+        );
     }
 
     #[test]
     fn dssp_grants_extra_iterations_to_a_fast_worker() {
         let mut h = Harness::new(2);
-        let mut dssp = Dssp::new(2, 1, 8);
+        let mut dssp = PolicyKind::Dssp { s_l: 1, r_max: 8 }.build(2);
         // Build interval history: worker 0 pushes every second, worker 1 every 10 s.
         assert!(h.push(&mut dssp, 0, 1.0)); // lead 1 <= s_l
         assert!(h.push(&mut dssp, 1, 10.0)); // lead 0
@@ -538,13 +374,13 @@ mod tests {
         let ok = h.push(&mut dssp, 0, 4.0);
         assert!(ok, "controller should let the fast worker run ahead");
         assert!(dssp.credits_granted() > 0);
-        assert!(dssp.last_controller_decision().is_some());
+        assert_eq!(dssp.controller_invocations(), 1);
     }
 
     #[test]
     fn dssp_strict_credits_are_spent_one_per_push_and_lead_stays_in_range() {
         let mut h = Harness::new(2);
-        let mut dssp = Dssp::strict(2, 1, 4);
+        let mut dssp = PolicyKind::DsspStrict { s_l: 1, r_max: 4 }.build(2);
         // Worker 0 is fast (interval 1 s), worker 1 is slow (interval 10 s).
         assert!(h.push(&mut dssp, 0, 1.0));
         assert!(h.push(&mut dssp, 1, 10.0));
@@ -579,7 +415,7 @@ mod tests {
         // iterations, so a much faster worker keeps making progress well past
         // s_U = s_L + r_max instead of degenerating into SSP at the upper bound.
         let mut h = Harness::new(2);
-        let mut dssp = Dssp::new(2, 1, 4);
+        let mut dssp = PolicyKind::Dssp { s_l: 1, r_max: 4 }.build(2);
         assert!(h.push(&mut dssp, 0, 1.0));
         assert!(h.push(&mut dssp, 1, 10.0));
         assert!(h.push(&mut dssp, 0, 2.0));
@@ -623,8 +459,8 @@ mod tests {
         ];
         let mut ha = Harness::new(2);
         let mut hb = Harness::new(2);
-        let mut literal = Dssp::new(2, 1, 2);
-        let mut strict = Dssp::strict(2, 1, 2);
+        let mut literal = PolicyKind::Dssp { s_l: 1, r_max: 2 }.build(2);
+        let mut strict = PolicyKind::DsspStrict { s_l: 1, r_max: 2 }.build(2);
         for &(w, t) in &sequence {
             let a = ha.push(&mut literal, w, t);
             let b = hb.push(&mut strict, w, t);
@@ -640,28 +476,48 @@ mod tests {
     #[test]
     fn dssp_blocked_worker_released_when_slowest_catches_up() {
         let mut h = Harness::new(2);
-        let mut dssp = Dssp::new(2, 1, 2);
+        let mut dssp = PolicyKind::Dssp { s_l: 1, r_max: 2 }.build(2);
         h.push(&mut dssp, 0, 1.0);
         h.push(&mut dssp, 0, 2.0);
         // Without interval data for worker 1 the controller returns 0, so worker 0 blocks.
         assert!(!h.push(&mut dssp, 0, 3.0));
-        assert!(!h.release(&mut dssp, 0));
+        assert!(!h.release(&dssp, 0));
         h.push(&mut dssp, 1, 4.0);
         h.push(&mut dssp, 1, 5.0);
-        assert!(h.release(&mut dssp, 0));
+        assert!(h.release(&dssp, 0));
     }
 
     #[test]
     fn policy_kind_builds_and_labels() {
-        assert_eq!(PolicyKind::Bsp.build(2).name(), "BSP");
-        assert_eq!(PolicyKind::Asp.build(2).name(), "ASP");
-        assert_eq!(PolicyKind::Ssp { s: 5 }.build(2).name(), "SSP s=5");
+        let point = |kind: PolicyKind| {
+            let rule = kind.build(2);
+            (rule.s_l(), rule.r_max(), rule.is_strict())
+        };
+        assert_eq!(point(PolicyKind::Bsp), (0, 0, false));
+        assert_eq!(point(PolicyKind::Asp), (u64::MAX, 0, false));
+        assert_eq!(point(PolicyKind::Ssp { s: 5 }), (5, 0, false));
         assert_eq!(
-            PolicyKind::Dssp { s_l: 3, r_max: 12 }.build(2).name(),
+            point(PolicyKind::Dssp { s_l: 3, r_max: 12 }),
+            (3, 12, false)
+        );
+        assert_eq!(
+            point(PolicyKind::DsspStrict { s_l: 3, r_max: 12 }),
+            (3, 12, true)
+        );
+        // Only the DSSP kinds carry a credit table (and so checkpoint one).
+        assert!(PolicyKind::Ssp { s: 5 }.build(2).credits().is_empty());
+        assert_eq!(
+            PolicyKind::Dssp { s_l: 3, r_max: 0 }.build(2).credits(),
+            [0, 0]
+        );
+        assert_eq!(PolicyKind::Bsp.label(), "BSP");
+        assert_eq!(PolicyKind::Asp.label(), "ASP");
+        assert_eq!(
+            PolicyKind::Dssp { s_l: 3, r_max: 12 }.label(),
             "DSSP s=3, r=12"
         );
         assert_eq!(
-            PolicyKind::DsspStrict { s_l: 3, r_max: 12 }.build(2).name(),
+            PolicyKind::DsspStrict { s_l: 3, r_max: 12 }.label(),
             "DSSP-strict s=3, r=12"
         );
         assert_eq!(PolicyKind::Ssp { s: 5 }.to_string(), "SSP s=5");

@@ -3,7 +3,7 @@
 use crate::aggregator::{AggregationMode, GradientBuffer};
 use crate::clock::{ClockTable, IntervalTracker, WorkerId};
 use crate::gate::SyncGate;
-use crate::policy::{PolicyKind, SyncPolicy};
+use crate::policy::PolicyKind;
 use crate::sharded::ShardedStore;
 use crate::staleness::StalenessTracker;
 use dssp_nn::Sgd;
@@ -131,7 +131,7 @@ impl ServerStats {
 }
 
 /// The parameter server: holds the globally shared weights, applies pushed gradients via
-/// SGD, and gates workers according to the configured [`SyncPolicy`].
+/// SGD, and gates workers according to the configured [`PolicyKind`].
 ///
 /// The server is runtime-agnostic — it never blocks a thread itself. `handle_push`
 /// reports whether the pushing worker may continue and which previously blocked workers
@@ -231,11 +231,6 @@ impl ParameterServer {
     /// Workers currently waiting for a deferred `OK`.
     pub fn blocked_workers(&self) -> &[WorkerId] {
         self.gate.blocked_workers()
-    }
-
-    /// Direct access to the policy, for introspection (e.g. DSSP controller decisions).
-    pub fn policy(&self) -> &dyn SyncPolicy {
-        self.gate.policy()
     }
 
     /// The gating-only half: clocks, intervals, policy state and statistics. This is
@@ -377,21 +372,18 @@ impl ParameterServer {
 
     /// Marks a worker as retired (it has completed its configured epochs and will push
     /// no more). Retired workers no longer count as the "slowest" worker, so workers
-    /// that were waiting on them can be released; any such releases are returned.
-    pub fn retire_worker(&mut self, worker: WorkerId, now: f64) -> Vec<WorkerId> {
-        let mut released = Vec::new();
-        self.gate.retire_into(worker, now, &mut released);
-        released
+    /// that were waiting on them can be released; any such releases are appended to
+    /// the caller-owned `released` buffer (not cleared first).
+    pub fn retire_worker(&mut self, worker: WorkerId, released: &mut Vec<WorkerId>) {
+        self.gate.retire_into(worker, released);
     }
 
     /// Evicts a worker that died mid-run: reclaims its unspent DSSP credits into
     /// [`ServerStats::credits_reclaimed`], forgets its pace measurements, retires its
-    /// clock, and releases anyone who was blocked on it. Returns the reclaimed credit
-    /// count and the released workers.
-    pub fn evict_worker(&mut self, worker: WorkerId, now: f64) -> (u64, Vec<WorkerId>) {
-        let mut released = Vec::new();
-        let reclaimed = self.gate.evict_into(worker, now, &mut released);
-        (reclaimed, released)
+    /// clock, and appends anyone who was blocked on it to `released` (not cleared
+    /// first). Returns the reclaimed credit count.
+    pub fn evict_worker(&mut self, worker: WorkerId, released: &mut Vec<WorkerId>) -> u64 {
+        self.gate.evict_into(worker, released)
     }
 
     /// The per-push staleness distribution observed so far.
@@ -528,7 +520,8 @@ mod tests {
         let mut s = server(PolicyKind::Bsp, 2, 1);
         let r = s.handle_push(0, &[0.0], 1.0);
         assert!(!r.ok_now);
-        let released = s.retire_worker(1, 2.0);
+        let mut released = Vec::new();
+        s.retire_worker(1, &mut released);
         assert_eq!(released, vec![0]);
         assert!(s.blocked_workers().is_empty());
     }

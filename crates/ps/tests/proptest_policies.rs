@@ -6,7 +6,7 @@
 //! the `released` list of later pushes.
 
 use dssp_nn::{LrSchedule, Sgd, SgdConfig};
-use dssp_ps::{ParameterServer, PolicyKind, ServerConfig};
+use dssp_ps::{ParameterServer, PolicyKind, ServerConfig, SyncGate};
 use proptest::prelude::*;
 
 /// A deterministic replay of a distributed run: worker `w` performs an iteration taking
@@ -73,6 +73,74 @@ fn run_schedule(
         }
     }
     (server, max_spread, total)
+}
+
+/// Drives a [`SyncGate`] under `policy` through a random interleaving of pushes,
+/// retirements and evictions and checks every decision and every release against
+/// `may_proceed`, the paradigm's reference predicate on a worker's lead over the
+/// slowest active worker. Only runnable workers push (a blocked or departed worker
+/// sends nothing), but a blocked worker may still retire: its final push does not wait
+/// for the `OK`.
+fn check_against_reference(
+    policy: PolicyKind,
+    may_proceed: impl Fn(u64) -> bool,
+    workers: usize,
+    events: &[u64],
+) {
+    let mut gate = SyncGate::new(workers, policy);
+    let mut blocked: Vec<usize> = Vec::new();
+    let mut gone = vec![false; workers];
+    let (mut blocked_pushes, mut releases) = (0u64, 0u64);
+    let mut released = Vec::new();
+    for (step, &event) in events.iter().enumerate() {
+        let w = (event / 25) as usize % workers;
+        if gone[w] {
+            continue;
+        }
+        released.clear();
+        let mut just_blocked = None;
+        match event % 25 {
+            0..=22 if blocked.contains(&w) => continue,
+            0..=22 => {
+                let decision = gate.on_push(w, step as f64, &mut released);
+                let lead = gate.clocks().lead_over_slowest(w);
+                prop_assert_eq!(decision.staleness, lead);
+                prop_assert_eq!(decision.ok_now, may_proceed(lead), "push {step} by {w}");
+                prop_assert_eq!(decision.granted_extra, 0);
+                if !decision.ok_now {
+                    blocked.push(w);
+                    blocked_pushes += 1;
+                    just_blocked = Some(w);
+                }
+            }
+            23 => {
+                gone[w] = true;
+                gate.retire_into(w, &mut released);
+            }
+            _ => {
+                gone[w] = true;
+                blocked.retain(|&b| b != w);
+                gate.evict_into(w, &mut released);
+            }
+        }
+        // Waiters go in blocking order, each as soon as the predicate lets it; the
+        // worker this very push blocked cannot be released by it.
+        let (free, still): (Vec<usize>, Vec<usize>) = blocked.iter().partition(|&&b| {
+            Some(b) != just_blocked && may_proceed(gate.clocks().lead_over_slowest(b))
+        });
+        prop_assert_eq!(&released, &free, "releases at step {step}");
+        releases += free.len() as u64;
+        blocked = still;
+    }
+    let snap = gate.snapshot();
+    prop_assert_eq!(&snap.blocked, &blocked);
+    prop_assert_eq!(snap.stats.blocked_pushes, blocked_pushes);
+    prop_assert_eq!(snap.stats.releases, releases);
+    // No fixed-threshold kind ever consults the controller or holds a credit, so its
+    // checkpoint carries neither.
+    prop_assert_eq!(snap.controller_invocations, 0);
+    prop_assert_eq!(snap.credits_granted, 0);
+    prop_assert!(snap.credits.is_empty());
 }
 
 fn durations_strategy(workers: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -163,6 +231,19 @@ proptest! {
             dssp_server.stats().blocked_pushes
         );
         prop_assert_eq!(ssp_server.stats().staleness_sum, dssp_server.stats().staleness_sum);
+    }
+
+    /// BSP, ASP and SSP are the points `lead == 0`, `true` and `lead <= s` of the one
+    /// staleness rule, under any interleaving of pushes, retirements and evictions.
+    #[test]
+    fn fixed_threshold_kinds_match_their_reference_predicates(
+        workers in 1usize..6,
+        s in 0u64..4,
+        events in prop::collection::vec(0u64..10_000, 160),
+    ) {
+        check_against_reference(PolicyKind::Bsp, |lead| lead == 0, workers, &events);
+        check_against_reference(PolicyKind::Asp, |_| true, workers, &events);
+        check_against_reference(PolicyKind::Ssp { s }, |lead| lead <= s, workers, &events);
     }
 
     /// ASP never blocks anyone, and every worker finishes all its iterations.

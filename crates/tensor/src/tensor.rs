@@ -115,11 +115,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the element at a 2-D index. Only valid for rank-2 tensors.
     ///
     /// # Panics

@@ -6,7 +6,7 @@
 //! (`tests/chaos_matrix.rs`) covers crashes at precise protocol phases; this suite
 //! covers the fleet-composition events those crashes decompose into.
 
-use dssp::core::driver::{CheckpointSpec, JobConfig, ServerLoop, WorkerEvent, WorkerStep};
+use dssp::core::driver::{CheckpointSpec, JobConfig, ServerLoop, WorkerStep};
 use dssp::net::{
     run_worker, serve, Message, TcpServerTransport, TcpWorkerTransport, WorkerTransport,
 };
@@ -226,17 +226,10 @@ fn eviction_reclaims_unspent_credits() {
 
     let mut sl = ServerLoop::new(&job);
     let grads = vec![0.0f32; sl.param_len()];
-    let mut iters = [0u64; 2];
-    let push = |sl: &mut ServerLoop, iters: &mut [u64; 2], worker: usize, now: f64| {
-        iters[worker] += 1;
-        sl.handle(
-            WorkerEvent::Push {
-                worker,
-                iteration: iters[worker],
-                grads: grads.clone(),
-            },
-            now,
-        )
+    let push = |sl: &mut ServerLoop, worker: usize, now: f64| {
+        let mut replies = Vec::new();
+        sl.handle_push_slice(worker, &grads, now, &mut replies);
+        replies
     };
 
     // Worker 0 pushes every second, worker 1 every ten: once both have interval
@@ -247,7 +240,7 @@ fn eviction_reclaims_unspent_credits() {
         [(0, 1.0), (1, 10.0), (0, 2.0), (1, 20.0), (0, 3.0), (0, 4.0)];
     let mut granted = false;
     for (worker, now) in schedule {
-        for reply in push(&mut sl, &mut iters, worker, now) {
+        for reply in push(&mut sl, worker, now) {
             if reply.worker == 0 && reply.granted_extra > 0 {
                 granted = true;
             }
@@ -259,7 +252,7 @@ fn eviction_reclaims_unspent_credits() {
     );
 
     // Evict the grantee before it can spend what it was given.
-    sl.evict_worker(0, 5.0);
+    sl.evict_worker(0, 5.0, &mut Vec::new());
     let stats = sl.stats().clone();
     assert!(
         stats.credits_granted > 0,
