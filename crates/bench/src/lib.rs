@@ -311,8 +311,8 @@ pub fn theory() -> String {
     out
 }
 
-/// Ablation (DESIGN.md §6): DSSP controller look-ahead `r_max` on the heterogeneous
-/// cluster. `r_max = 0` degenerates to SSP at the lower bound.
+/// Ablation (`repro ablation`): DSSP controller look-ahead `r_max` on the
+/// heterogeneous cluster. `r_max = 0` degenerates to SSP at the lower bound.
 pub fn ablation_rmax(scale: Scale) -> String {
     let mut out =
         String::from("Ablation — DSSP controller look-ahead r_max (heterogeneous cluster)\n\n");
@@ -339,9 +339,9 @@ pub fn ablation_rmax(scale: Scale) -> String {
     out
 }
 
-/// Ablation (DESIGN.md §6): literal Algorithm-1 DSSP versus the strict-range variant
-/// that hard-caps the realized staleness at `s_U`, on the heterogeneous cluster where
-/// the two differ most.
+/// Ablation (`repro ablation_strict`): literal Algorithm-1 DSSP versus the strict-range
+/// variant that hard-caps the realized staleness at `s_U`, on the heterogeneous cluster
+/// where the two differ most.
 ///
 /// The literal policy keeps re-granting extra iterations to the persistently faster
 /// worker, so it tracks ASP's progress (the paper's Figure 4 behaviour); the strict
@@ -378,9 +378,9 @@ pub fn ablation_strict(scale: Scale) -> String {
     out
 }
 
-/// Ablation (DESIGN.md §6): the controller's interval estimator — the paper's
-/// last-interval estimate versus an exponentially weighted moving average — evaluated on
-/// a jittery synthetic push-timestamp stream.
+/// Ablation (`repro ablation_estimator`): the controller's interval estimator — the
+/// paper's last-interval estimate versus an exponentially weighted moving average —
+/// evaluated on a jittery synthetic push-timestamp stream.
 ///
 /// For each estimator the table reports the mean absolute error between the predicted
 /// waiting time and the waiting time actually realized if the fast worker stops after
@@ -438,9 +438,9 @@ pub fn ablation_estimator() -> String {
     out
 }
 
-/// Ablation (DESIGN.md §6): server-side aggregation granularity — applying every push
-/// immediately versus buffering `k` pushes and applying their average — measured on the
-/// raw parameter server with a fixed synthetic push schedule.
+/// Ablation (`repro ablation_aggregation`): server-side aggregation granularity —
+/// applying every push immediately versus buffering `k` pushes and applying their
+/// average — measured on the raw parameter server with a fixed synthetic push schedule.
 pub fn ablation_aggregation() -> String {
     use dssp_nn::{LrSchedule, Sgd, SgdConfig};
     use dssp_ps::{AggregationMode, ParameterServer, ServerConfig};

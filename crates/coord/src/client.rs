@@ -1,5 +1,5 @@
-//! The worker side of a group: per-server links, the pipelined fan-out, and the full
-//! group worker loop.
+//! The worker side of a group: per-server links, the pipelined fan-out, and the
+//! group's [`WorkerLink`].
 //!
 //! A [`ShardFan`] holds one [`WorkerTransport`] per shard server plus the closed-form
 //! [`GroupLayout`], and runs every bulk exchange as a **pipelined fan-out**: requests
@@ -11,34 +11,26 @@
 //! slice the caller's global gradient buffer by each server's key range without
 //! copying.
 //!
-//! [`run_group_worker`] is the group analogue of `dssp_net::run_worker`: the same
-//! [`WorkerStep`] compute loop, with weights fanned over the servers and only clock
-//! messages exchanged with the coordinator.
+//! [`run_group_worker`] is `dssp_net::run_worker`'s loop
+//! ([`dssp_net::worker::run_worker_loop`]) over a different link: weights fanned over
+//! the servers, and only clock messages exchanged with the coordinator. The loop,
+//! its events, trace ids and fault points are not repeated here.
 
 use crate::layout::GroupLayout;
-use dssp_core::driver::{FaultPhase, FaultRole, JobConfig, WorkerStep};
-use dssp_core::events::{trace_id, EventKind, EventLog, Role, SpanOp};
+use dssp_core::driver::{FaultRole, JobConfig};
+use dssp_core::events::{EventKind, EventLog};
 use dssp_net::tcp::TcpWorkerTransport;
 use dssp_net::transport::PullOutcome;
-use dssp_net::wire::{PROTOCOL_VERSION, SHUTDOWN_OK};
-use dssp_net::worker::WorkerReport;
-use dssp_net::{fault_due, Message, NetError, WorkerTransport};
+use dssp_net::wire::PROTOCOL_VERSION;
+use dssp_net::worker::{run_worker_loop, LinkEnd, WorkerLink, WorkerReport};
+use dssp_net::{FaultClock, Message, NetError, WorkerTransport};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Records one structured event when the group client's event log is enabled.
-#[inline]
-fn ev(log: Option<&Arc<EventLog>>, kind: EventKind, payload: u64) {
+/// Records a successful re-dial of shard server `index` when the fan has an event log.
+fn note_reconnect(log: Option<&Arc<EventLog>>, index: usize) {
     if let Some(log) = log {
-        log.record(kind, payload);
-    }
-}
-
-/// Records one traced event when the group client's event log is enabled.
-#[inline]
-fn ev_traced(log: Option<&Arc<EventLog>>, kind: EventKind, payload: u64, trace: u64) {
-    if let Some(log) = log {
-        log.record_traced(kind, payload, trace);
+        log.record(EventKind::Reconnect, index as u64);
     }
 }
 
@@ -89,7 +81,7 @@ pub enum FanOutcome {
     Applied,
     /// A server relayed the coordinator's shutdown instead of answering.
     Shutdown {
-        /// [`SHUTDOWN_OK`] or the error reason.
+        /// [`dssp_net::wire::SHUTDOWN_OK`] or the error reason.
         reason: u8,
     },
 }
@@ -253,7 +245,7 @@ impl ShardFan {
                     return Err(e);
                 }
                 reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                ev(self.log.as_ref(), EventKind::Reconnect, i as u64);
+                note_reconnect(self.log.as_ref(), i);
                 reconnected = true;
                 link.transport
                     .send_push_slice(iteration, epoch, trace, &grads[start..end])
@@ -270,7 +262,7 @@ impl ShardFan {
                     // replay the handshake, and re-apply the slice to the restored
                     // store (the original application died with the old process).
                     reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                    ev(self.log.as_ref(), EventKind::Reconnect, i as u64);
+                    note_reconnect(self.log.as_ref(), i);
                     reconnected = true;
                     let (start, end) = self.layout.key_range(i);
                     link.transport
@@ -360,7 +352,7 @@ impl ShardFan {
                     return Err(e);
                 }
                 reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                ev(self.log.as_ref(), EventKind::Reconnect, i as u64);
+                note_reconnect(self.log.as_ref(), i);
                 reconnected = true;
                 // A restored server may be behind our cache; ask for everything.
                 link.transport
@@ -415,7 +407,7 @@ impl ShardFan {
                     Err(e) if !redialed && recoverable(&e, link, &self.hello_replay) => {
                         redialed = true; // one re-dial per link per round, like a push
                         reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                        ev(self.log.as_ref(), EventKind::Reconnect, i as u64);
+                        note_reconnect(self.log.as_ref(), i);
                         reconnected = true;
                         let (lo, hi) = self.layout.shard_span(i);
                         link.transport
@@ -569,7 +561,7 @@ enum FreezeEnd {
     },
     /// The server relayed the coordinator's shutdown instead.
     Shutdown {
-        /// [`SHUTDOWN_OK`] or the error reason.
+        /// [`dssp_net::wire::SHUTDOWN_OK`] or the error reason.
         reason: u8,
     },
 }
@@ -678,17 +670,13 @@ fn reconnect(
     Ok(())
 }
 
-/// Runs the worker side of a **group** training job: handshake with the coordinator
-/// and every shard server, initial fan-out pull, then per-iteration push/clock/pull
-/// rounds until the iteration target is reached.
-///
-/// In deterministic mode the worker additionally follows the serialization handshake
-/// (waits for [`Message::PushGrant`] before applying slices, confirms with
-/// [`Message::PushApplied`], reports each completed pull with [`Message::PullDone`])
-/// so the coordinator can impose the canonical event order across the group.
+/// Runs the worker side of a **group** training job: the one worker loop
+/// ([`run_worker_loop`]) over a link that handshakes with the coordinator and every
+/// shard server, fans weights and gradients over the servers, and exchanges clocks
+/// with the coordinator.
 ///
 /// A mid-run `Shutdown` — from the coordinator directly, or relayed by a shard server
-/// during a fan-out — ends the loop cleanly with `shutdown_early` set, exactly like
+/// during a fan-out — ends the run cleanly with `shutdown_early` set, exactly like
 /// the single-server worker.
 ///
 /// # Panics
@@ -700,77 +688,77 @@ pub fn run_group_worker(
     coord: &mut dyn WorkerTransport,
     links: Vec<ServerLink>,
 ) -> Result<WorkerReport, NetError> {
-    // The group worker's event timeline (`--event-log DIR` →
-    // `DIR/worker-<rank>.ndjson`), flushed on every exit path so an evicted or
-    // chaos-killed worker still leaves its timeline behind. The fan shares the log to
-    // surface shard-server re-dials as `reconnect` events.
-    let log = job
-        .event_log
-        .as_ref()
-        .map(|_| Arc::new(EventLog::new(Role::Worker, rank as u32)));
-    let result = run_group_worker_inner(job, rank, coord, links, log.as_ref());
-    if let (Some(log), Some(dir)) = (&log, &job.event_log) {
-        let flushed = log.flush_to_dir(dir);
-        if result.is_ok() {
-            flushed?;
+    run_worker_loop(job, rank, |param_len, log| {
+        let mut fan = ShardFan::new(job, param_len, links);
+        // The fan shares the worker's log to surface shard-server re-dials.
+        fan.set_event_log(log.cloned());
+        GroupLink {
+            job,
+            rank,
+            coord,
+            fan,
+            fault: FaultClock::new(job, FaultRole::Worker(rank)),
+            in_rounds: false,
         }
-    }
-    result
+    })
 }
 
-fn run_group_worker_inner(
-    job: &JobConfig,
+/// The link to a group: clocks with the coordinator, bulk data with the shard servers.
+struct GroupLink<'a> {
+    job: &'a JobConfig,
     rank: usize,
-    coord: &mut dyn WorkerTransport,
-    links: Vec<ServerLink>,
-    log: Option<&Arc<EventLog>>,
-) -> Result<WorkerReport, NetError> {
-    let mut step = WorkerStep::for_rank(job, rank);
-    let mut fan = ShardFan::new(job, step.param_len(), links);
-    fan.set_event_log(log.cloned());
-    let det = job.deterministic;
-    let mut report = WorkerReport {
-        rank,
-        iterations: 0,
-        epochs: 0,
-        waiting_time_s: 0.0,
-        granted_extra_total: 0,
-        last_shard_versions: Vec::new(),
-        full_pulls: 0,
-        delta_pulls: 0,
-        shutdown_early: false,
-    };
-    // The buffers of the steady-state loop, reused across the whole run: the global
-    // weight cache, the global per-shard version cache, and the gradient vector.
-    let mut weights: Vec<f32> = Vec::new();
-    let mut versions: Vec<u64> = Vec::new();
-    let mut grads: Vec<f32> = Vec::new();
+    coord: &'a mut dyn WorkerTransport,
+    fan: ShardFan,
+    /// Chaos cell `workerN:commit:*`: die right after adopting the `after`-th layout
+    /// committed between this worker's join and its `Done`.
+    fault: FaultClock,
+    /// Whether a `LayoutUpdate` counts toward that cell (after join, before `Done`).
+    in_rounds: bool,
+}
 
-    coord.send(&Message::Hello {
-        version: PROTOCOL_VERSION,
-        rank: rank as u32,
-        num_workers: job.num_workers as u32,
-        config_digest: job.stable_digest(),
-    })?;
-    fan.hello(job, rank as u32)?;
-
-    macro_rules! finish_early {
-        ($reason:expr) => {{
-            report.shutdown_early = $reason != SHUTDOWN_OK || !step.finished();
-            report.full_pulls = fan.full_pulls;
-            report.delta_pulls = fan.delta_pulls;
-            report.last_shard_versions = versions;
-            return Ok(report);
-        }};
+impl GroupLink<'_> {
+    /// The coordinator's next message that is not a `LayoutUpdate`; those are
+    /// adopted on the way. A migration that commits while this worker waits is
+    /// broadcast *before* the withheld grants are flushed, so the adoption always
+    /// precedes the next fan-out.
+    fn recv_coord(&mut self) -> Result<Message, LinkEnd> {
+        loop {
+            match self.coord.recv()? {
+                Message::LayoutUpdate { epoch, assignment } => {
+                    self.fan.adopt(epoch, &assignment)?;
+                    if self.in_rounds {
+                        self.fault.migrate_commit()?;
+                    }
+                }
+                other => return Ok(other),
+            }
+        }
     }
 
-    // Membership handshake: the coordinator answers with the number of pushes it has
-    // already confirmed from this rank — zero on a fresh run, the restored count when
-    // the fleet came back from a checkpoint. The worker fast-forwards its batch
-    // schedule to that point and resumes at the next iteration.
-    coord.send(&Message::JoinRequest)?;
-    let resume_from = loop {
-        match coord.recv()? {
+    /// A fan-out's outcome as an exchange's: a relayed shutdown ends the link.
+    fn fanned(outcome: FanOutcome) -> Result<(), LinkEnd> {
+        match outcome {
+            FanOutcome::Applied => Ok(()),
+            FanOutcome::Shutdown { reason } => Err(LinkEnd::Shutdown(reason)),
+        }
+    }
+}
+
+impl WorkerLink for GroupLink<'_> {
+    fn ok_carries_weights(&self) -> bool {
+        false
+    }
+
+    fn join(&mut self) -> Result<u64, LinkEnd> {
+        self.coord.send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            rank: self.rank as u32,
+            num_workers: self.job.num_workers as u32,
+            config_digest: self.job.stable_digest(),
+        })?;
+        self.fan.hello(self.job, self.rank as u32)?;
+        self.coord.send(&Message::JoinRequest)?;
+        match self.recv_coord()? {
             Message::JoinAck {
                 clock,
                 epoch,
@@ -779,173 +767,77 @@ fn run_group_worker_inner(
                 // A worker (re)joining a group that already migrated learns the
                 // committed layout from the ack itself.
                 if epoch != 0 {
-                    fan.adopt(epoch, &assignment)?;
+                    self.fan.adopt(epoch, &assignment)?;
                 }
-                break clock;
+                self.in_rounds = true;
+                Ok(clock)
             }
-            Message::LayoutUpdate { epoch, assignment } => fan.adopt(epoch, &assignment)?,
-            Message::Shutdown { reason } => finish_early!(reason),
-            other => return Err(unexpected(rank, &other)),
-        }
-    };
-    ev(log, EventKind::Join, resume_from);
-    if resume_from > 0 {
-        step.skip_to(resume_from.min(step.target()));
-        report.iterations = step.completed();
-        report.epochs = step.epoch();
-    }
-
-    // This process's structured chaos hook, if the plan targets this rank.
-    let fault = job.fault_plan.filter(|p| p.role == FaultRole::Worker(rank));
-    let mut pulls_done: u64 = 0;
-    // Chaos cell `workerN:commit:*`: die right after adopting a committed layout.
-    let mut layout_adoptions: u64 = 0;
-    // Causal trace ids: one per worker-originated operation, sequence starting at 1
-    // (see `dssp_core::events::trace_id`); the same id stamps the ClockPush and the
-    // fan slices of one push, so the coordinator's gate decision and every shard
-    // server's apply join back to this iteration.
-    let mut trace_seq: u32 = 0;
-    let mut next_trace = move || {
-        trace_seq = trace_seq.wrapping_add(1);
-        trace_id(rank as u32, trace_seq)
-    };
-
-    // Initial pull: the cache is cold, so every server ships all of its shards.
-    let pull_trace = next_trace();
-    ev_traced(log, EventKind::SpanBegin, SpanOp::Pull.code(), pull_trace);
-    match fan.pull_group(job.delta_pulls, pull_trace, &mut weights, &mut versions)? {
-        FanOutcome::Applied => {}
-        FanOutcome::Shutdown { reason } => finish_early!(reason),
-    }
-    pulls_done += 1;
-    ev_traced(log, EventKind::Pull, pulls_done, pull_trace);
-    ev_traced(log, EventKind::SpanEnd, SpanOp::Pull.code(), pull_trace);
-    fault_due(fault.as_ref(), FaultPhase::Pull, pulls_done)?;
-    if det {
-        coord.send(&Message::PullDone)?;
-    }
-
-    let target = step.target();
-    for iter in step.completed()..target {
-        step.compute_gradient_into(&weights, &mut grads);
-        report.iterations = step.completed();
-        report.epochs = step.epoch();
-        let iteration = iter + 1;
-        let push_trace = next_trace();
-        ev_traced(log, EventKind::SpanBegin, SpanOp::Push.code(), push_trace);
-        if det {
-            // Canonical order: announce the push, wait to be granted the apply slot,
-            // fan the slices out, and confirm so the coordinator's clock can advance.
-            coord.send(&Message::ClockPush {
-                iteration,
-                trace: push_trace,
-            })?;
-            loop {
-                match coord.recv()? {
-                    Message::PushGrant => break,
-                    Message::LayoutUpdate { epoch, assignment } => {
-                        fan.adopt(epoch, &assignment)?;
-                        layout_adoptions += 1;
-                        fault_due(fault.as_ref(), FaultPhase::MigrateCommit, layout_adoptions)?;
-                    }
-                    Message::Shutdown { reason } => finish_early!(reason),
-                    other => return Err(unexpected(rank, &other)),
-                }
-            }
-            match fan.push_slices(iteration, push_trace, &grads)? {
-                FanOutcome::Applied => {}
-                FanOutcome::Shutdown { reason } => finish_early!(reason),
-            }
-            coord.send(&Message::PushApplied { iteration })?;
-        } else {
-            match fan.push_slices(iteration, push_trace, &grads)? {
-                FanOutcome::Applied => {}
-                FanOutcome::Shutdown { reason } => finish_early!(reason),
-            }
-            coord.send(&Message::ClockPush {
-                iteration,
-                trace: push_trace,
-            })?;
-        }
-        ev_traced(log, EventKind::Push, iteration, push_trace);
-        fault_due(fault.as_ref(), FaultPhase::Push, iteration)?;
-        if iteration == target {
-            // Final push: report Done without waiting for the OK.
-            ev_traced(log, EventKind::SpanEnd, SpanOp::Push.code(), push_trace);
-            break;
-        }
-        fault_due(fault.as_ref(), FaultPhase::GateBlocked, iteration)?;
-        ev_traced(log, EventKind::GateBlock, iteration, push_trace);
-        let wait_start = Instant::now();
-        loop {
-            match coord.recv()? {
-                Message::ClockGrant { granted_extra, .. } => {
-                    let waited = wait_start.elapsed();
-                    report.waiting_time_s += waited.as_secs_f64();
-                    report.granted_extra_total += granted_extra;
-                    coord.note_confirmed_clock(iteration);
-                    ev_traced(
-                        log,
-                        EventKind::GateRelease,
-                        waited.as_micros() as u64,
-                        push_trace,
-                    );
-                    if granted_extra > 0 {
-                        ev_traced(log, EventKind::CreditGrant, granted_extra, push_trace);
-                    }
-                    ev_traced(log, EventKind::SpanEnd, SpanOp::Push.code(), push_trace);
-                    break;
-                }
-                // A migration committed while this worker was blocked at the gate:
-                // the coordinator broadcasts the new layout *before* flushing the
-                // withheld grants, so the adoption always precedes the next fan-out.
-                Message::LayoutUpdate { epoch, assignment } => {
-                    fan.adopt(epoch, &assignment)?;
-                    layout_adoptions += 1;
-                    fault_due(fault.as_ref(), FaultPhase::MigrateCommit, layout_adoptions)?;
-                }
-                Message::Shutdown { reason } => finish_early!(reason),
-                other => return Err(unexpected(rank, &other)),
-            }
-        }
-        let pull_trace = next_trace();
-        ev_traced(log, EventKind::SpanBegin, SpanOp::Pull.code(), pull_trace);
-        match fan.pull_group(job.delta_pulls, pull_trace, &mut weights, &mut versions)? {
-            FanOutcome::Applied => {}
-            FanOutcome::Shutdown { reason } => finish_early!(reason),
-        }
-        pulls_done += 1;
-        ev_traced(log, EventKind::Pull, pulls_done, pull_trace);
-        ev_traced(log, EventKind::SpanEnd, SpanOp::Pull.code(), pull_trace);
-        fault_due(fault.as_ref(), FaultPhase::Pull, pulls_done)?;
-        if det {
-            coord.send(&Message::PullDone)?;
+            other => Err(LinkEnd::unexpected(self.rank, other)),
         }
     }
 
-    coord.send(&Message::Done {
-        iterations: step.completed(),
-        epochs: step.epoch() as u64,
-        waiting_time_s: report.waiting_time_s,
-    })?;
+    /// Always asks: each server ships the owned shards that advanced (all of them
+    /// while the cache is cold or with delta pulls off).
+    fn pull(
+        &mut self,
+        _ask: bool,
+        trace: u64,
+        weights: &mut Vec<f32>,
+        versions: &mut Vec<u64>,
+    ) -> Result<(bool, u64), LinkEnd> {
+        let full_before = self.fan.full_pulls;
+        let delta = self.job.delta_pulls;
+        Self::fanned(self.fan.pull_group(delta, trace, weights, versions)?)?;
+        let rounds = self.fan.full_pulls + self.fan.delta_pulls;
+        Ok((self.fan.full_pulls > full_before, rounds))
+    }
 
-    // Drain until the shutdown broadcast; the final push's ClockGrant may still be in
-    // flight (the coordinator answers every granted push, even the last one).
-    loop {
-        match coord.recv()? {
-            Message::Shutdown { reason } => {
-                report.shutdown_early = reason != SHUTDOWN_OK;
-                report.full_pulls = fan.full_pulls;
-                report.delta_pulls = fan.delta_pulls;
-                report.last_shard_versions = versions;
-                return Ok(report);
-            }
+    /// Deterministic mode: the coordinator holds the next mutating event until every
+    /// granted worker's pull is reported complete.
+    fn pulled(&mut self) -> Result<(), LinkEnd> {
+        if self.job.deterministic {
+            self.coord.send(&Message::PullDone)?;
+        }
+        Ok(())
+    }
+
+    /// The same trace id stamps the `ClockPush` and the fan slices, so the
+    /// coordinator's gate decision and every shard server's apply join back to this
+    /// iteration.
+    fn push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), LinkEnd> {
+        let clock_push = Message::ClockPush { iteration, trace };
+        if !self.job.deterministic {
+            Self::fanned(self.fan.push_slices(iteration, trace, grads)?)?;
+            return Ok(self.coord.send(&clock_push)?);
+        }
+        // Canonical order: announce the push, wait to be granted the apply slot, fan
+        // the slices out, and confirm so the coordinator's clock can advance.
+        self.coord.send(&clock_push)?;
+        match self.recv_coord()? {
+            Message::PushGrant => {}
+            other => return Err(LinkEnd::unexpected(self.rank, other)),
+        }
+        Self::fanned(self.fan.push_slices(iteration, trace, grads)?)?;
+        Ok(self.coord.send(&Message::PushApplied { iteration })?)
+    }
+
+    fn await_ok(&mut self, iteration: u64) -> Result<u64, LinkEnd> {
+        match self.recv_coord()? {
             Message::ClockGrant { granted_extra, .. } => {
-                report.granted_extra_total += granted_extra;
+                self.coord.note_confirmed_clock(iteration);
+                Ok(granted_extra)
             }
-            Message::LayoutUpdate { epoch, assignment } => fan.adopt(epoch, &assignment)?,
-            other => return Err(unexpected(rank, &other)),
+            other => Err(LinkEnd::unexpected(self.rank, other)),
         }
+    }
+
+    fn done(&mut self, iterations: u64, epochs: u64, waiting_time_s: f64) -> Result<(), LinkEnd> {
+        self.in_rounds = false;
+        Ok(self.coord.send(&Message::Done {
+            iterations,
+            epochs,
+            waiting_time_s,
+        })?)
     }
 }
 
@@ -1002,8 +894,4 @@ pub fn run_admin_command(
             }
         }
     }
-}
-
-fn unexpected(rank: usize, msg: &Message) -> NetError {
-    NetError::Protocol(format!("group worker {rank} received unexpected {msg:?}"))
 }

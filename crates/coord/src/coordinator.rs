@@ -81,26 +81,28 @@ pub fn coordinate(
     let sl = if restoring {
         let spec = job.checkpoint.as_ref().expect("restoring implies a spec");
         let path = spec.dir.join(dssp_ps::coord_checkpoint_name());
-        match dssp_ps::Checkpoint::load_for_job(&path, job.stable_digest()) {
-            Ok(ckpt) if ckpt.has_retired_workers() => {
-                transport.broadcast(&Message::Shutdown {
-                    reason: SHUTDOWN_SERVER_ERROR,
-                });
-                return Err(NetError::Protocol(format!(
-                    "cannot restore from {}: the checkpoint records retired workers \
-                     (a finished run or a post-eviction snapshot is not resumable)",
-                    path.display()
-                )));
-            }
-            Ok(ckpt) => {
-                restored_layout = ckpt.layout.clone();
-                ServerLoop::restore(job, &ckpt, true)
+        let restored = dssp_ps::Checkpoint::load_for_job(&path, job.stable_digest())
+            .map_err(NetError::from)
+            .and_then(|ckpt| {
+                if ckpt.has_retired_workers() {
+                    return Err(NetError::Protocol(format!(
+                        "cannot restore from {}: the checkpoint records retired workers \
+                         (a finished run or a post-eviction snapshot is not resumable)",
+                        path.display()
+                    )));
+                }
+                Ok((ServerLoop::restore(job, &ckpt, true)?, ckpt.layout))
+            });
+        match restored {
+            Ok((sl, layout)) => {
+                restored_layout = layout;
+                sl
             }
             Err(e) => {
                 transport.broadcast(&Message::Shutdown {
                     reason: SHUTDOWN_SERVER_ERROR,
                 });
-                return Err(e.into());
+                return Err(e);
             }
         }
     } else {

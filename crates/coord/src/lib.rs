@@ -15,9 +15,9 @@
 //!   staleness-rule state (a clock-only `dssp_core::driver::ServerLoop` over
 //!   `dssp_ps::SyncGate`) and exchanges only tiny `ClockPush`/`ClockGrant` messages
 //!   with workers — the synchronization decision lives apart from the storage path;
-//! * **workers** ([`run_group_worker`]) run the unchanged `WorkerStep` compute loop
-//!   and fan their bulk traffic directly over the owning shard servers
-//!   ([`ShardFan`]): pipelined slice pushes (acked, so `Done` implies applied) and
+//! * **workers** ([`run_group_worker`]) run the single-server worker's loop
+//!   (`dssp_net::worker::run_worker_loop`) over a group link that fans their bulk
+//!   traffic directly over the owning shard servers ([`ShardFan`]): pipelined slice pushes (acked, so `Done` implies applied) and
 //!   pull assembly straight into the same reused global weight/version buffers the
 //!   single-server worker uses, with per-server delta pulls preserved.
 //!
@@ -46,7 +46,7 @@
 //! | [`layout`] | [`GroupLayout`]: epoch-versioned shard→server assignment + [`MigrationPlan`] |
 //! | [`shard_server`] | [`ShardServerState`] + [`serve_shard`]: the storage-only loop |
 //! | [`coordinator`] | [`coordinate`]: the clock/controller service + migration driver |
-//! | [`client`] | [`ShardFan`] fan-out + [`run_group_worker`] + [`run_admin_command`] |
+//! | [`client`] | [`ShardFan`] fan-out + [`run_group_worker`] (the one worker loop over the group's link) + [`run_admin_command`] |
 //! | [`run`] | [`run_group_threads`]: whole group over TCP in one process |
 //! | [`launch`] | [`launch_group`]: real server/worker processes + in-process coordinator |
 

@@ -40,7 +40,7 @@ use dssp_net::{
     ServerTransport,
 };
 use dssp_nn::{Model, Sgd};
-use dssp_ps::{Checkpoint, LayoutSnapshot, ShardedStore, StoreSnapshot};
+use dssp_ps::{Checkpoint, CheckpointError, LayoutSnapshot, ShardedStore, StoreSnapshot};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// One shard server's storage and counters, independent of any transport. Benchmarks
@@ -334,11 +334,15 @@ impl ShardServerState {
     /// counters restart at zero — they are served-traffic statistics, not state a
     /// restored run depends on.
     ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint has no store section or its slice does not match the
-    /// layout this job implies for `index`.
-    pub fn restore(job: &JobConfig, index: usize, ckpt: &Checkpoint) -> Self {
+    /// Refuses, with [`CheckpointError::RoleMismatch`], a checkpoint that has no store
+    /// section or whose slice does not match the key range its layout — or, absent
+    /// one, the job — gives server `index`: the coordinator and every shard server
+    /// of a group share one job digest, so another role's or shard's file gets here.
+    pub fn restore(
+        job: &JobConfig,
+        index: usize,
+        ckpt: &Checkpoint,
+    ) -> Result<Self, CheckpointError> {
         let mut fresh = Self::from_job(job, index);
         // A post-migration checkpoint carries the layout it was taken under; rebuild
         // ownership from it so the restored server serves the migrated assignment,
@@ -350,18 +354,10 @@ impl ShardServerState {
                 snap.assignment.clone(),
                 snap.epoch,
             )
-            .expect("checkpointed layout assignment is well-formed");
+            .map_err(|_| CheckpointError::RoleMismatch("malformed layout assignment"))?;
         }
-        let snap = ckpt
-            .store
-            .as_ref()
-            .expect("shard-server checkpoint carries a store section");
-        let (start, end) = fresh.layout.key_range(index);
-        assert_eq!(
-            snap.flat.len(),
-            end - start,
-            "checkpointed slice length disagrees with server {index}'s key range"
-        );
+        ckpt.require_role(None, Some(&fresh.layout.local_offsets(index)))?;
+        let snap = ckpt.store.as_ref().expect("require_role checked the store");
         fresh.store = ShardedStore::restore(
             snap.flat.clone(),
             snap.offsets.iter().map(|&o| o as usize).collect(),
@@ -369,7 +365,7 @@ impl ShardServerState {
         );
         fresh.sgd = Sgd::restore(job.sgd.clone(), snap.velocity.clone(), snap.epoch as usize);
         fresh.pushes = snap.versions.iter().copied().max().unwrap_or(0);
-        fresh
+        Ok(fresh)
     }
 
     /// Encodes the reply to a [`Message::PullShards`] into `buf` (appended): a
@@ -492,7 +488,7 @@ fn serve_shard_inner(
     let mut state = if let Some(spec) = job.checkpoint.as_ref().filter(|c| c.restore) {
         let path = spec.dir.join(dssp_ps::shard_checkpoint_name(index));
         let ckpt = Checkpoint::load_for_job(&path, expected_digest)?;
-        ShardServerState::restore(job, index, &ckpt)
+        ShardServerState::restore(job, index, &ckpt)?
     } else {
         ShardServerState::from_job(job, index)
     };

@@ -12,7 +12,9 @@
 //!
 //! The simulator keeps its own event loop (virtual time needs one), but the threaded
 //! and networked runtimes are thin substrate adapters over [`WorkerStep`] and
-//! [`ServerLoop`]. The path from an arriving push to the `OK`s it releases exists once:
+//! [`ServerLoop`]. The networked worker's run around [`WorkerStep`] — join, resume,
+//! pull, push, await `OK`, done, drain — exists once as well, in
+//! `dssp_net::worker::run_worker_loop`, over two links: one server, or a group. The path from an arriving push to the `OK`s it releases exists once:
 //! a serving loop offers each event to the [`ServerLoop`], drains what it is ready to
 //! release, applies it ([`ServerLoop::handle_push_slice`] / [`ServerLoop::handle_done`],
 //! or [`ServerLoop::evict_worker`] for a dead worker) and delivers the `OK`s appended
@@ -307,6 +309,14 @@ impl FaultPlan {
             FaultAction::KillEvict => "evict",
         };
         format!("{role}:{phase}:{action}:{}", self.after)
+    }
+
+    /// Whether the plan fires at the `count`-th occurrence (1-based) of `phase`. It
+    /// fires on `count >= after` rather than equality, so a plan accidentally left
+    /// in place on a process that resumes past `after` still fires instead of being
+    /// skipped over. The caller has already matched [`FaultPlan::role`].
+    pub fn due(&self, phase: FaultPhase, count: u64) -> bool {
+        self.phase == phase && count >= self.after
     }
 }
 
@@ -955,32 +965,30 @@ impl ServerLoop {
     /// worker's first push (iteration `count + 1`) sorts exactly where it would have in
     /// the unfailed run.
     ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's sections do not match the loop kind implied by the
-    /// configuration (`clock_only` needs a gate section; a full loop needs both), or
-    /// if restored table sizes disagree with the configuration.
-    pub fn restore(config: &JobConfig, ckpt: &dssp_ps::Checkpoint, clock_only: bool) -> Self {
+    /// Refuses, with [`dssp_ps::CheckpointError::RoleMismatch`], a checkpoint whose
+    /// sections do not match the loop kind implied by the configuration (`clock_only`
+    /// needs a gate section; a full loop needs both) or whose table and store sizes
+    /// disagree with it — a group's processes share one job digest, so another
+    /// role's file gets this far.
+    pub fn restore(
+        config: &JobConfig,
+        ckpt: &dssp_ps::Checkpoint,
+        clock_only: bool,
+    ) -> Result<Self, dssp_ps::CheckpointError> {
         config.validate();
         let dataset = config.data.generate(config.seed);
         let mut sl = Self::build(config, &dataset, clock_only);
-        let gate_snap = ckpt
-            .gate
-            .as_ref()
-            .expect("checkpoint for a server loop carries a gate section");
-        assert_eq!(
-            gate_snap.counts.len(),
-            config.num_workers,
-            "checkpointed worker count disagrees with the configuration"
-        );
+        let store_offsets = match &sl.backend {
+            Backend::Local(ps) => Some(ps.store().offsets()),
+            Backend::Clock(_) => None,
+        };
+        ckpt.require_role(Some(config.num_workers), store_offsets)?;
+        let gate_snap = ckpt.gate.as_ref().expect("require_role checked the gate");
         let gate = SyncGate::restore(config.policy, gate_snap);
         sl.backend = if clock_only {
             Backend::Clock(gate)
         } else {
-            let store_snap = ckpt
-                .store
-                .as_ref()
-                .expect("checkpoint for a storage-owning loop carries a store section");
+            let store_snap = ckpt.store.as_ref().expect("require_role checked the store");
             let store = dssp_ps::ShardedStore::restore(
                 store_snap.flat.clone(),
                 store_snap.offsets.iter().map(|&o| o as usize).collect(),
@@ -1003,7 +1011,7 @@ impl ServerLoop {
         }
         sl.tick = ckpt.tick;
         sl.last_eval = sl.version();
-        sl
+        Ok(sl)
     }
 
     /// Tells the loop its workers open with an explicit pull (the networked runtime;

@@ -5,8 +5,8 @@
 //! binaries; instead it generates deterministic synthetic image-classification tasks
 //! with the same interface (image tensors + integer labels, train/test split, per-worker
 //! shards) and a tunable difficulty, so that accuracy-versus-time curves exhibit the
-//! same gradual convergence the paper's figures show. See DESIGN.md §1 for the
-//! substitution rationale.
+//! same gradual convergence the paper's figures show. See PAPER.md ("Two deliberate
+//! substitutions") for the rationale.
 //!
 //! # Example
 //!

@@ -27,12 +27,9 @@ use std::path::PathBuf;
 /// [`FaultClock::pull`] after a pull is served, [`FaultClock::gate_blocked`] when a
 /// push is deferred by the synchronization policy, and [`FaultClock::checkpoint`]
 /// right after a checkpoint file lands. A plan for a *different* role is ignored, so
-/// every process can carry the full job config unchanged.
-///
-/// The plan fires on `count >= after` rather than strict equality: a restarted
-/// process that is *not* given the plan again (the harness drops `--fault` on
-/// restart legs) runs clean, while a plan accidentally left in place still fires
-/// instead of being skipped over.
+/// every process can carry the full job config unchanged. When a count makes the plan
+/// fire is [`FaultPlan::due`]'s rule. A restarted process is *not* given the plan
+/// again (the harness drops `--fault` on restart legs), so it runs clean.
 #[derive(Debug, Clone)]
 pub struct FaultClock {
     plan: Option<FaultPlan>,
@@ -104,22 +101,9 @@ impl FaultClock {
 
     fn due(&self, phase: FaultPhase, count: u64) -> Result<(), NetError> {
         match self.plan {
-            Some(p) if p.phase == phase && count >= p.after => {
-                Err(NetError::FaultInjected { plan: p.to_spec() })
-            }
+            Some(plan) if plan.due(phase, count) => Err(plan.into()),
             _ => Ok(()),
         }
-    }
-}
-
-/// Standalone form of [`FaultClock`]'s due-check for loops that count occurrences
-/// themselves (the worker step-loop counts iterations, not server-side events).
-pub fn fault_due(plan: Option<&FaultPlan>, phase: FaultPhase, count: u64) -> Result<(), NetError> {
-    match plan {
-        Some(p) if p.phase == phase && count >= p.after => {
-            Err(NetError::FaultInjected { plan: p.to_spec() })
-        }
-        _ => Ok(()),
     }
 }
 

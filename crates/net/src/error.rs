@@ -168,3 +168,12 @@ impl From<dssp_ps::CheckpointError> for NetError {
         NetError::Checkpoint(e)
     }
 }
+
+/// A fault plan that came due becomes the error its process dies with.
+impl From<dssp_core::driver::FaultPlan> for NetError {
+    fn from(plan: dssp_core::driver::FaultPlan) -> Self {
+        NetError::FaultInjected {
+            plan: plan.to_spec(),
+        }
+    }
+}

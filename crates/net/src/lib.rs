@@ -15,7 +15,7 @@
 //! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`] traits + in-process [`transport::loopback`] |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
-//! | [`worker`] | [`run_worker`]: the client step-loop (shared with the threaded runtime) |
+//! | [`worker`] | [`worker::run_worker_loop`]: the worker's run, once, over a [`worker::WorkerLink`]; [`run_worker`] is it over the single-server link |
 //! | [`launch`] | [`launch::launch`]: server in-process + one child process per worker |
 //! | [`cli`] | flag parsing shared by the `repro` subcommands and the launchers |
 //! | [`metrics`] | atomic counter registry + hand-rolled Prometheus `GET /metrics` endpoint (`--metrics-addr`) |
@@ -81,7 +81,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use elastic::{fault_due, CheckpointSink, FaultClock};
+pub use elastic::{CheckpointSink, FaultClock};
 pub use error::{NetError, FAULT_EXIT_CODE};
 pub use metrics::{Metrics, MetricsServer};
 pub use obs::Obs;

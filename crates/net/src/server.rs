@@ -127,7 +127,7 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
                 path.display()
             )));
         }
-        ServerLoop::restore(job, &ckpt, false)
+        ServerLoop::restore(job, &ckpt, false)?
     } else {
         ServerLoop::new(job)
     };

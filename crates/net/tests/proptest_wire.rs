@@ -1,6 +1,7 @@
 //! Property-based tests for the wire codec: encode→decode is the identity on every
 //! message kind, and corrupted frames (truncation, trailing bytes, absurd lengths) are
-//! rejected rather than misparsed. The streaming path the TCP transport runs for the
+//! rejected rather than misparsed; frames with arbitrary bytes overwritten never panic
+//! a decoder or make it size a buffer past what the frame holds. The streaming path the TCP transport runs for the
 //! bulk frames — `FrameBody` in, the `write_*_frame` family out — is held to the
 //! buffered codecs as its reference: same values, same errors, same bytes, over
 //! streams that move only a few bytes per call.
@@ -601,6 +602,58 @@ proptest! {
             prop_assert_eq!(decoded, reference);
             prop_assert_eq!(consumed, 4);
             prop_assert!(grown <= params);
+        }
+    }
+
+    #[test]
+    fn decoders_survive_arbitrary_byte_mutations(
+        a in 0u64..u64::MAX,
+        b in 0u64..u64::MAX,
+        c in -1.0e12f64..1.0e12,
+        floats in prop::collection::vec(-1.0e6f32..1.0e6, 24),
+        float_len in 0usize..25,
+        versions in prop::collection::vec(0u64..u64::MAX, 8),
+        version_len in 0usize..9,
+        params in 40usize..96,
+        shards in 2usize..12,
+        pick in 0u64..u64::MAX,
+        steps in prop::collection::vec(1usize..48, 7),
+        edits in prop::collection::vec(0u64..u64::MAX, 3),
+        edit_count in 1usize..4,
+        cut in 0u64..u64::MAX,
+    ) {
+        // Every kind once per case: the four bulk payloads, then the 33 owned kinds.
+        for variant in 0..37u32 {
+            let mut bytes = match BULK_KINDS.get(variant as usize) {
+                Some(&kind) => bulk_payload(kind, a, b, &floats, params, shards, pick | 1),
+                None => {
+                    let msg = build_message(
+                        variant - 4, a, b, c, floats.clone(), float_len, versions.clone(), version_len,
+                    );
+                    let mut buf = Vec::new();
+                    encode(&msg, &mut buf);
+                    buf
+                }
+            };
+            // Overwrite one to three bytes anywhere — tag, counts, lengths, runs — with
+            // a draw that also depends on the kind, then (half the time) truncate.
+            for edit in &edits[..edit_count] {
+                let edit = edit.rotate_left(variant);
+                let at = (edit >> 8) as usize % bytes.len();
+                bytes[at] = edit as u8;
+            }
+            if cut % 2 == 1 {
+                bytes.truncate((cut >> 1) as usize % (bytes.len() + 1));
+            }
+            // Arbitrary bytes may still be a message; what they may not do is panic a
+            // decoder or make one size a buffer from a count the bytes cannot back
+            // (the helper's bound, far below `MAX_FRAME_LEN`). Every bulk reader is
+            // tried on every kind's bytes, buffered and streaming, and the two must
+            // reach the same verdict.
+            let _ = decode(&bytes);
+            for kind in BULK_KINDS {
+                let _ = assert_streams_like_buffered(kind, &bytes, params, shards, &steps);
+            }
         }
     }
 

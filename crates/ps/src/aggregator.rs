@@ -5,10 +5,10 @@
 //! The reproduction exposes that choice explicitly: the server can apply every push the
 //! moment it arrives ([`AggregationMode::PerPush`], the behaviour the rest of the paper
 //! assumes) or buffer pushes and apply their average once enough have accumulated
-//! ([`AggregationMode::Buffered`]), which is DESIGN.md §6's "aggregation granularity"
-//! ablation. Buffering trades update latency for lower gradient variance — with a
-//! buffer the size of the worker count it behaves like synchronous mini-batch
-//! accumulation even under an asynchronous paradigm.
+//! ([`AggregationMode::Buffered`]), which is the "aggregation granularity" ablation
+//! (`repro ablation_aggregation`). Buffering trades update latency for lower gradient
+//! variance — with a buffer the size of the worker count it behaves like synchronous
+//! mini-batch accumulation even under an asynchronous paradigm.
 
 use serde::{Deserialize, Serialize};
 

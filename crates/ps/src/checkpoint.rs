@@ -124,6 +124,12 @@ pub enum CheckpointError {
         /// Layout epoch the group currently runs at.
         expected: u64,
     },
+    /// The checkpoint is well-formed but not one the restoring role can build from: a
+    /// section it owns is absent (a coordinator's file handed to a shard server), or
+    /// a table or slice is sized for another fleet or another server's key range.
+    /// Every process of a group shares one job digest, so the digest cannot tell
+    /// these apart. The message names what disagrees.
+    RoleMismatch(&'static str),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -150,6 +156,9 @@ impl std::fmt::Display for CheckpointError {
                 "checkpoint restore skew: layout epoch {found} but the group runs at epoch \
                  {expected} (a live migration happened in between)"
             ),
+            CheckpointError::RoleMismatch(what) => {
+                write!(f, "checkpoint does not fit the restoring role: {what}")
+            }
         }
     }
 }
@@ -532,6 +541,61 @@ impl Checkpoint {
         Self::decode_for_job(&bytes, job_digest)
     }
 
+    /// Checks that a role can build from this checkpoint, before it does — the
+    /// `restore` constructors treat what is checked here as internal invariants.
+    /// `workers` is the fleet size when the role owns the gate (the section must be
+    /// present with every per-worker table sized to it); `store_offsets` is the
+    /// boundary vector ([`crate::ShardedStore::offsets`]) of the key range the job
+    /// gives the role when it owns weights (the section must be present and its
+    /// slice, boundaries, versions and velocity must have exactly that shape).
+    pub fn require_role(
+        &self,
+        workers: Option<usize>,
+        store_offsets: Option<&[usize]>,
+    ) -> Result<(), CheckpointError> {
+        if let Some(n) = workers {
+            let Some(g) = &self.gate else {
+                return Err(CheckpointError::RoleMismatch("no gate section"));
+            };
+            let per_worker = [
+                g.counts.len(),
+                g.retired.len(),
+                g.latest.len(),
+                g.previous.len(),
+                g.staleness_sums.len(),
+                g.staleness_pushes.len(),
+            ];
+            if per_worker.iter().any(|&len| len != n)
+                || !(g.credits.is_empty() || g.credits.len() == n)
+                || g.blocked.iter().any(|&w| w >= n)
+                || g.staleness_buckets.is_empty()
+            {
+                return Err(CheckpointError::RoleMismatch(
+                    "gate tables are not sized for this job's workers",
+                ));
+            }
+        }
+        if let Some(offsets) = store_offsets {
+            let Some(s) = &self.store else {
+                return Err(CheckpointError::RoleMismatch("no store section"));
+            };
+            let len = offsets.last().copied().unwrap_or(0);
+            if s.flat.len() != len
+                || s.velocity.len() != len
+                || s.versions.len() + 1 != offsets.len()
+                || !offsets
+                    .iter()
+                    .map(|&o| o as u64)
+                    .eq(s.offsets.iter().copied())
+            {
+                return Err(CheckpointError::RoleMismatch(
+                    "store slice does not match this server's key range",
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Whether the gating half records any retired (finished or evicted) worker.
     ///
     /// Elastic restore resumes a *full* fleet: every worker reconnects and replays
@@ -767,5 +831,48 @@ mod tests {
         assert_eq!(bare.layout_epoch(), 0);
         assert!(bare.require_layout_epoch(0).is_ok());
         assert!(bare.require_layout_epoch(1).is_err());
+    }
+
+    #[test]
+    fn a_role_refuses_absent_sections_and_foreign_shapes() {
+        let mismatch = |c: &Checkpoint, workers, offsets: Option<&[usize]>| {
+            matches!(
+                c.require_role(workers, offsets),
+                Err(CheckpointError::RoleMismatch(_))
+            )
+        };
+        let c = sample(); // 2 workers; a 4-key store split [0, 2, 4]
+        assert!(c.require_role(Some(2), Some(&[0, 2, 4])).is_ok());
+        assert!(
+            c.require_role(None, None).is_ok(),
+            "nothing owned, nothing asked"
+        );
+        assert!(
+            mismatch(&c, Some(3), None),
+            "tables sized for another fleet"
+        );
+        assert!(mismatch(&c, None, Some(&[0, 3, 4])), "other boundaries");
+        assert!(mismatch(&c, None, Some(&[0, 2, 5])), "another key range");
+        assert!(mismatch(&c, None, Some(&[0, 4])), "another shard count");
+
+        let mut no_gate = sample();
+        no_gate.gate = None;
+        assert!(mismatch(&no_gate, Some(2), None));
+        let mut no_store = sample();
+        no_store.store = None;
+        assert!(mismatch(&no_store, None, Some(&[0, 2, 4])));
+
+        let mut torn = sample();
+        torn.store.as_mut().unwrap().velocity.pop();
+        assert!(
+            mismatch(&torn, None, Some(&[0, 2, 4])),
+            "velocity of another length"
+        );
+        let mut stray = sample();
+        stray.gate.as_mut().unwrap().blocked = vec![2];
+        assert!(
+            mismatch(&stray, Some(2), None),
+            "a blocked id past the fleet"
+        );
     }
 }

@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 /// How the iteration interval of a worker is estimated from its push timestamps.
 ///
 /// The paper uses the single most recent interval (`A[i][0] − A[i][1]`). The
-/// exponentially-weighted variant is provided as an ablation (DESIGN.md §6): it smooths
-/// jittery measurements at the cost of adapting more slowly to speed changes.
+/// exponentially-weighted variant is provided as an ablation (`repro
+/// ablation_estimator`): it smooths jittery measurements at the cost of adapting more
+/// slowly to speed changes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum IntervalEstimator {
     /// Use the latest interval only (the paper's method).

@@ -45,7 +45,8 @@ pub enum PolicyKind {
     /// DSSP with strict range enforcement: like [`PolicyKind::Dssp`] but the worker's
     /// cumulative lead over the slowest worker is additionally capped at
     /// `s_U = s_l + r_max`, so the realized staleness never leaves the range Theorem 2
-    /// assumes. Provided as an ablation of the design choice (DESIGN.md §6).
+    /// assumes. Provided as an ablation of the design choice (PAPER.md, "DSSP decision
+    /// logic"; `repro ablation_strict`).
     DsspStrict {
         /// Lower bound of the staleness threshold range (`s_L`).
         s_l: u64,
@@ -119,8 +120,8 @@ impl StalenessRule {
 
     /// The range `[s_l, s_l + r_max]` over `num_workers` credit balances. `strict`
     /// additionally caps the worker's cumulative lead at `s_U = s_l + r_max` (the
-    /// strict-range ablation of DESIGN.md §6); without it Algorithm 1 is followed
-    /// literally.
+    /// strict-range ablation, [`PolicyKind::DsspStrict`]); without it Algorithm 1 is
+    /// followed literally.
     fn range(num_workers: usize, s_l: u64, r_max: u64, strict: bool) -> Self {
         Self {
             s_l,

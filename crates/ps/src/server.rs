@@ -16,7 +16,8 @@ pub struct ServerConfig {
     pub num_workers: usize,
     /// The synchronization policy to apply.
     pub policy: PolicyKind,
-    /// How pushed gradients are folded into the weights (DESIGN.md §6 ablation).
+    /// How pushed gradients are folded into the weights (the `repro
+    /// ablation_aggregation` experiment; see [`AggregationMode`]).
     #[serde(default)]
     pub aggregation: AggregationMode,
     /// Number of contiguous key-range shards the parameter storage is split into.
@@ -68,6 +69,8 @@ pub struct PushDecision {
     /// The pushing worker's staleness at push time (its clock lead over the slowest
     /// active worker) — the per-push sample behind the staleness histogram, surfaced
     /// here so networked serving loops can export it without re-deriving clock state.
+    /// Taken after this push advanced the pusher's clock and before the rule decided
+    /// (see [`StalenessTracker`]), so a push the rule blocks at `s_U` reads `s_U + 1`.
     pub staleness: u64,
 }
 
@@ -99,7 +102,9 @@ pub struct ServerStats {
     pub releases: u64,
     /// Histogram source: sum of the pusher's lead over the slowest worker at push time.
     pub staleness_sum: u64,
-    /// Maximum observed lead over the slowest worker at push time.
+    /// Maximum observed lead over the slowest worker at push time. The sample
+    /// includes the push being judged ([`StalenessTracker`]), so under a rule bounded
+    /// by `s_U` it reads `s_U + 1` at most: the lead of the push that was then blocked.
     pub staleness_max: u64,
     /// Total extra-iteration credits granted by the DSSP synchronization controller
     /// (sum of every `r*` decision; 0 unless the policy is a DSSP variant).

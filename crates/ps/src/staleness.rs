@@ -7,12 +7,28 @@
 //! per-push distribution so experiments can report not just the mean and maximum but the
 //! whole histogram and its percentiles, which is what the ablation benches compare
 //! across paradigms.
+//!
+//! **Where the sample is taken.** [`crate::SyncGate::on_push`] records it after the
+//! pusher's clock has been incremented for this push and before the staleness rule
+//! decides whether the push gets its `OK`. The sample therefore counts the push being
+//! judged: a worker that was allowed to start an iteration at lead `s_U` pushes at
+//! lead `s_U + 1`, the rule sees that and withholds the `OK`, and `s_U + 1` is what
+//! the histogram and [`crate::ServerStats::staleness_max`] show. A rule bounded by
+//! `s_U` (SSP at `s`, strict DSSP at `s_L + r_max`) thus reads `s_U + 1` at most — by
+//! construction, not an off-by-one in the gate: no worker ever *computes* on weights
+//! more than `s_U` clocks behind. Literal Algorithm 1 can re-grant credits and has no
+//! such bound.
 
 use crate::clock::WorkerId;
 use serde::{Deserialize, Serialize};
 
 /// A histogram of per-push staleness (the pushing worker's lead over the slowest active
 /// worker at push time), with per-worker totals.
+///
+/// The sample is taken after the pusher's clock advanced for the push and before the
+/// rule decided on it, so it counts the push being judged: a rule bounded by `s_U`
+/// reads `s_U + 1` at most — the lead of the push that is then blocked — and no worker
+/// computes on weights more than `s_U` clocks behind.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StalenessTracker {
     /// `buckets[s]` counts pushes made with staleness exactly `s`; the last bucket
