@@ -150,7 +150,8 @@ pub struct Conv2dLayer {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Option<Tensor>,
+    /// The input as the convolution kernels packed it (`[C, H+2p, W+2p, N]`).
+    cached_packed: Option<Tensor>,
     cached_batch: usize,
     conv_scratch: ConvScratch,
 }
@@ -174,7 +175,7 @@ impl Conv2dLayer {
             bias: Tensor::zeros(&[spec.out_channels]),
             grad_weight: Tensor::zeros(&[spec.out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[spec.out_channels]),
-            cached_cols: None,
+            cached_packed: None,
             cached_batch: 0,
             conv_scratch: ConvScratch::default(),
         }
@@ -209,7 +210,7 @@ impl Layer for Conv2dLayer {
         _scratch: &mut LayerScratch,
     ) {
         self.cached_batch = input.shape().dim(0);
-        let cols = self.cached_cols.get_or_insert_with(Tensor::default);
+        let packed = self.cached_packed.get_or_insert_with(Tensor::default);
         conv2d_into(
             input,
             &self.weight,
@@ -217,7 +218,7 @@ impl Layer for Conv2dLayer {
             self.in_h,
             self.in_w,
             &self.spec,
-            cols,
+            packed,
             &mut self.conv_scratch,
             out,
         );
@@ -229,24 +230,24 @@ impl Layer for Conv2dLayer {
         grad_input: &mut Tensor,
         scratch: &mut LayerScratch,
     ) {
-        let cols = self
-            .cached_cols
+        let packed = self
+            .cached_packed
             .as_ref()
             .expect("backward called before forward");
         let (bufs, _) = scratch.parts(4, 0);
-        let (g, rest) = bufs.split_at_mut(1);
-        let (grad_cols, rest) = rest.split_at_mut(1);
+        let (packed_grad, rest) = bufs.split_at_mut(1);
+        let (packed_grad_input, rest) = rest.split_at_mut(1);
         let (dw, db) = rest.split_at_mut(1);
         conv2d_backward_into(
             grad_output,
-            cols,
+            packed,
             &self.weight,
             self.cached_batch,
             self.in_h,
             self.in_w,
             &self.spec,
-            &mut g[0],
-            &mut grad_cols[0],
+            &mut packed_grad[0],
+            &mut packed_grad_input[0],
             &mut self.conv_scratch,
             grad_input,
             &mut dw[0],

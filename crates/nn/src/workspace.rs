@@ -1,7 +1,7 @@
 //! Reusable scratch memory for allocation-free training steps.
 //!
 //! Every training iteration of the original layer API allocated fresh tensors for
-//! activations, gradients, `im2col` matrices and masks. [`Workspace`] owns all of those
+//! activations, gradients, packed convolution operands and masks. [`Workspace`] owns all of those
 //! buffers instead: a ping-pong pair of activation/gradient tensors driven by
 //! [`crate::Sequential`], plus one [`LayerScratch`] arena per layer. After the first
 //! (warm-up) step every buffer has reached its steady-state size and subsequent steps

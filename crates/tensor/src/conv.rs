@@ -1,17 +1,40 @@
-//! Convolution and pooling kernels (NCHW layout) built on `im2col`.
+//! Direct convolution and pooling kernels (NCHW tensors in and out).
 //!
 //! These kernels are what make the "pure convolutional" models of the paper
 //! (ResNet-50/110 analogues) compute-heavy relative to their parameter count, which is
 //! the property the paper's Section V-C analysis hinges on.
 //!
-//! A convolution is one column transform plus GEMMs on the register-tiled kernel of
-//! [`Tensor::matmul_into`]: forward `W x cols_t`; backward `cols_t x g_tt` (weights),
-//! `W^T x g_t` (columns) and the fold back to the input. The column transforms
-//! ([`im2col_t_into`], [`col2im_t_into`]) work channel by channel on zero-bordered
-//! scratch planes and move fixed-width row runs, so nothing in the path tests for
-//! padding per element. Every sum is taken in ascending order from 0.0: forward output
-//! and all three gradients are bitwise equal to the naive `im2col` formulation.
+//! **Layout.** [`conv2d_into`] packs the input once into a zero-bordered
+//! `[C][H+2p][W+2p][N]` buffer: the batch is the innermost dimension, so one pixel of
+//! one channel is `N` contiguous values and the batch is the vector lane of the forward
+//! and the input-gradient kernel. That buffer is all the backward pass needs of the
+//! input; the upstream gradient is packed the same way (`[OC][OH][OW][N]`) and once more
+//! as `[N*OH*OW][OC]`, where the output channel is the lane of the weight-gradient
+//! kernel. No column matrix exists anywhere.
+//!
+//! **Kernels.** Three bodies run on the tile cascade of `tiles.rs`, as the GEMM does
+//! (baseline and AVX2 instances that agree bit for bit): an `R × L` tile of the result
+//! lives in registers while one flat list of taps is walked.
+//!
+//! **Summation orders** are those of the naive `im2col` formulation, each sum starting
+//! from 0.0:
+//!
+//! * forward output: ascending `(ci, ky, kx)`, the bias added last;
+//! * input gradient: per kernel point the ascending-`oc` sum, the kernel points then
+//!   added in ascending `(ky, kx)`;
+//! * weight and bias gradient: ascending `(n, oy, ox)`.
+//!
+//! **Padding.** The forward kernel skips the taps that would read the border. A sum that
+//! starts at +0.0 never becomes -0.0, so adding the `w * 0.0 = ±0.0` of such a tap
+//! never changes it: for finite weights the result is bit for bit the one that reads
+//! the zeros. A weight of `inf` or NaN differs: its tap on the border would contribute
+//! `inf * 0.0 = NaN` to every edge output, and here contributes nothing. The
+//! input-gradient kernel visits exactly the kernel points that reach an output position
+//! (the others do not exist in the naive fold either), and the weight-gradient kernel
+//! reads the zero border, so neither depends on the operands being finite.
 
+use crate::ops::transpose;
+use crate::tiles::{run_tiles, Tiles};
 use crate::Tensor;
 
 /// Static description of a 2-D convolution.
@@ -72,330 +95,279 @@ impl Pool2dSpec {
     }
 }
 
-/// Unrolls an `[N, C, H, W]` input into column form `[N * OH * OW, C * K * K]`.
-///
-/// Each output row contains the receptive field of one output position, so the
-/// convolution reduces to a single matrix multiplication with the filter matrix.
-pub fn im2col(input: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
-    let mut out = Tensor::default();
-    im2col_into(input, h, w, spec, &mut out);
-    out
-}
-
-/// [`im2col`] writing into a caller-provided buffer.
-///
-/// Every output element is written (padding positions get explicit zeros), so the
-/// buffer never needs pre-zeroing and can be reused across iterations without any
-/// allocator traffic once warmed.
-pub fn im2col_into(input: &Tensor, h: usize, w: usize, spec: &Conv2dSpec, out: &mut Tensor) {
-    let dims = input.shape().dims();
-    let n = dims[0];
-    let c = spec.in_channels;
-    debug_assert_eq!(dims[1], c, "im2col channel mismatch");
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let k = spec.kernel;
-    let cols_per_row = c * k * k;
-    out.ensure_shape(&[n * oh * ow, cols_per_row]);
-    let o = out.as_mut_slice();
-    let x = input.as_slice();
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * cols_per_row;
-                // The valid kx span is the same for every channel and kernel row:
-                // ix = ox*stride + kx - pad must land in [0, w).
-                let x0 = (ox * stride) as isize - pad;
-                let kx_lo = (-x0).clamp(0, k as isize) as usize;
-                let kx_hi = (w as isize - x0).clamp(0, k as isize) as usize;
-                for ci in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * stride) as isize + ky as isize - pad;
-                        let col = (ci * k + ky) * k;
-                        let dst = &mut o[row + col..row + col + k];
-                        if iy < 0 || (iy as usize) >= h || kx_lo >= kx_hi {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        let in_base = ((ni * c + ci) * h + iy as usize) * w;
-                        dst[..kx_lo].fill(0.0);
-                        let src0 = (in_base as isize + x0 + kx_lo as isize) as usize;
-                        dst[kx_lo..kx_hi].copy_from_slice(&x[src0..src0 + (kx_hi - kx_lo)]);
-                        dst[kx_hi..].fill(0.0);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Folds column form `[N * OH * OW, C * K * K]` back into `[N, C, H, W]`, accumulating
-/// overlapping contributions. This is the adjoint of [`im2col`], used for the gradient
-/// with respect to the convolution input.
-pub fn col2im(cols: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
-    let mut out = Tensor::default();
-    col2im_into(cols, n, h, w, spec, &mut out);
-    out
-}
-
-/// [`col2im`] writing into a caller-provided buffer (zeroed, then accumulated).
-pub fn col2im_into(
-    cols: &Tensor,
-    n: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    out: &mut Tensor,
-) {
-    let c = spec.in_channels;
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let k = spec.kernel;
-    let cols_per_row = c * k * k;
-    out.ensure_shape(&[n, c, h, w]);
-    let out = out.as_mut_slice();
-    out.fill(0.0);
-    let src = cols.as_slice();
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * cols_per_row;
-                let x0 = (ox * stride) as isize - pad;
-                let kx_lo = (-x0).clamp(0, k as isize) as usize;
-                let kx_hi = (w as isize - x0).clamp(0, k as isize) as usize;
-                for ci in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * stride) as isize + ky as isize - pad;
-                        if iy < 0 || (iy as usize) >= h || kx_lo >= kx_hi {
-                            continue;
-                        }
-                        let col = (ci * k + ky) * k;
-                        let src_row = &src[row + col + kx_lo..row + col + kx_hi];
-                        let dst0 =
-                            (((ni * c + ci) * h + iy as usize) * w) as isize + x0 + kx_lo as isize;
-                        let dst = &mut out[dst0 as usize..dst0 as usize + src_row.len()];
-                        for (d, &s) in dst.iter_mut().zip(src_row) {
-                            *d += s;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Calls `$body::<W>(args)` with `W` the output width if that width has a fixed-width
-/// instance and the stride is 1 (the only stride the model zoo uses), and with `W = 0`
-/// — width and stride read at run time — otherwise. With the width a constant, a row
-/// run is a vector move (or add) or two instead of a `memcpy` call for 16 bytes.
-macro_rules! with_fixed_width {
-    ($g:expr, $body:ident($($arg:expr),*)) => {
-        match ($g.ow, $g.stride) {
-            (2, 1) => $body::<2>($($arg),*),
-            (4, 1) => $body::<4>($($arg),*),
-            (8, 1) => $body::<8>($($arg),*),
-            (16, 1) => $body::<16>($($arg),*),
-            _ => $body::<0>($($arg),*),
-        }
-    };
-}
-
-/// Transposed `im2col`: unrolls an `[N, C, H, W]` input into `[C * K * K, N * OH * OW]`
-/// column form (one *row* per kernel point, one *column* per output position).
-///
-/// This is the layout the convolution kernels actually compute with: the GEMM's inner
-/// loop then runs over the long `N * OH * OW` dimension, which vectorizes, instead of
-/// over the (typically tiny) output-channel count.
-///
-/// The transform works one channel at a time: the channel's `N` planes are copied into
-/// the interiors of `planes`, `N` zero-bordered `(H + 2p) x (W + 2p)` scratch planes,
-/// and each of the channel's `K * K` kernel points then fills its output row front to
-/// back by reading one shifted window of every plane — `OH` row runs of `OW` elements,
-/// with no padding test anywhere. `planes` is resized as needed and reused across
-/// calls; it holds one channel, never a padded copy of the whole input.
-pub fn im2col_t_into(
-    input: &Tensor,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    planes: &mut Vec<f32>,
-    out: &mut Tensor,
-) {
-    let dims = input.shape().dims();
-    let n = dims[0];
-    debug_assert_eq!(dims[1], spec.in_channels, "im2col channel mismatch");
-    let g = Planes::new(n, h, w, spec);
-    out.ensure_shape(&[g.c * g.k * g.k, g.npos]);
-    // The borders are zeroed here and never written again; the interiors are
-    // overwritten by every channel.
-    planes.clear();
-    planes.resize(g.n * g.ph * g.pw, 0.0);
-    let (x, o) = (input.as_slice(), out.as_mut_slice());
-    with_fixed_width!(g, unroll_planes(&g, x, planes, o));
-}
-
-/// Adjoint of [`im2col_t_into`]: folds `[C * K * K, N * OH * OW]` column form back into
-/// `[N, C, H, W]`, accumulating overlapping contributions.
-///
-/// Channel-wise like [`im2col_t_into`]: the `N` planes of one channel are accumulated in
-/// the zero-bordered scratch `planes` (contributions that fall on padding land in a
-/// border and are dropped) and their interiors are then copied out. Every input element
-/// receives its contributions in kernel-point order (`ky`, then `kx`, ascending) starting
-/// from 0.0, so the per-element summation order differs from [`col2im`]'s
-/// output-position-major order; the two agree to floating-point reassociation (the
-/// usual 1e-6 tolerance).
-///
-/// Why `N` planes and not one: consecutive kernel points add into the same plane rows
-/// at offsets one element apart. With a single plane those read-modify-writes follow
-/// each other within a few instructions and every load straddles a store still in
-/// flight; with the whole channel in the scratch, a row comes around again only
-/// `N * OH` runs later.
-pub fn col2im_t_into(
-    cols_t: &Tensor,
-    n: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    planes: &mut Vec<f32>,
-    out: &mut Tensor,
-) {
-    let g = Planes::new(n, h, w, spec);
-    out.ensure_shape(&[n, g.c, h, w]);
-    planes.resize(g.n * g.ph * g.pw, 0.0);
-    let (src, o) = (cols_t.as_slice(), out.as_mut_slice());
-    with_fixed_width!(g, fold_planes(&g, src, planes, o));
-}
-
-/// The geometry both column transforms share.
-struct Planes {
+/// Every size the kernels derive from `(n, h, w, spec)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Geometry {
     n: usize,
     c: usize,
+    oc: usize,
     h: usize,
     w: usize,
     k: usize,
-    pad: usize,
     stride: usize,
+    pad: usize,
     /// Padded plane size.
     ph: usize,
     pw: usize,
     oh: usize,
     ow: usize,
-    /// Columns of the column matrix: `N * OH * OW`.
-    npos: usize,
+    /// Columns of the filter matrix: `C * K * K`.
+    ckk: usize,
 }
 
-impl Planes {
+impl Geometry {
     fn new(n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Self {
-        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
         Self {
             n,
             c: spec.in_channels,
+            oc: spec.out_channels,
             h,
             w,
             k: spec.kernel,
-            pad: spec.padding,
             stride: spec.stride,
+            pad: spec.padding,
             ph: h + 2 * spec.padding,
             pw: w + 2 * spec.padding,
-            oh,
-            ow,
-            npos: n * oh * ow,
+            oh: spec.out_size(h),
+            ow: spec.out_size(w),
+            ckk: spec.in_channels * spec.kernel * spec.kernel,
         }
     }
 }
 
-/// The body of [`im2col_t_into`], see [`with_fixed_width`] for `W`.
-fn unroll_planes<const W: usize>(g: &Planes, x: &[f32], planes: &mut [f32], o: &mut [f32]) {
-    let (ow, stride) = if W > 0 { (W, 1) } else { (g.ow, g.stride) };
-    let (hw, phw) = (g.h * g.w, g.ph * g.pw);
-    let span = (ow - 1) * stride + 1;
-    for ci in 0..g.c {
-        for (ni, plane) in planes.chunks_exact_mut(phw).enumerate() {
-            let src = &x[(ni * g.c + ci) * hw..][..hw];
-            for (row, dst) in src
-                .chunks_exact(g.w)
-                .zip(plane[g.pad * g.pw + g.pad..].chunks_mut(g.pw))
-            {
-                // "Same" convolutions (`W == w`) also copy the plane in at fixed width.
-                if W > 0 && g.w == W {
-                    dst[..W].copy_from_slice(&row[..W]);
-                } else {
-                    dst[..g.w].copy_from_slice(row);
-                }
-            }
+/// An offset into a packed buffer. Half the size of a `usize`, so the tap lists take
+/// half the cache.
+fn offset(i: usize) -> u32 {
+    u32::try_from(i).expect("packed convolution buffers are indexed with u32")
+}
+
+/// The taps an output position's window reads: a range of [`TapLists::fwd_taps`] and
+/// the offset of the window's origin in the packed input.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    taps: (u32, u32),
+    origin: u32,
+}
+
+/// The flat tap lists of one geometry, built once into reused storage.
+#[derive(Debug, Default)]
+struct TapLists {
+    /// The geometry the lists were built for.
+    built_for: Option<Geometry>,
+    /// Forward: `(filter column, offset from the window origin in the packed input)` of
+    /// every tap that does not read the border, in ascending `(ci, ky, kx)`. Output
+    /// positions whose windows meet the border the same way share one list.
+    fwd_taps: Vec<(u32, u32)>,
+    /// The distinct `(valid ky range, valid kx range)` met so far, with their lists.
+    fwd_classes: Vec<([usize; 4], (u32, u32))>,
+    /// One window per output position, in `(oy, ox)` order.
+    windows: Vec<Window>,
+    /// Input gradient: `(ky * K + kx, offset of the output position in the packed
+    /// gradient)` of every kernel point that reaches an output position, in ascending
+    /// `(ky, kx)`; `bwd_ends[i]` closes the list of input position `i`.
+    bwd_taps: Vec<(u32, u32)>,
+    bwd_ends: Vec<u32>,
+}
+
+impl TapLists {
+    fn prepare(&mut self, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Geometry {
+        let g = Geometry::new(n, h, w, spec);
+        if self.built_for == Some(g) {
+            return g;
         }
-        // One output row per kernel point, written front to back: image after image,
-        // output row after output row.
-        for ky in 0..g.k {
-            for kx in 0..g.k {
-                let col = (ci * g.k + ky) * g.k + kx;
-                let mut runs = o[col * g.npos..][..g.npos].chunks_exact_mut(ow);
-                for plane in planes.chunks_exact(phw) {
-                    let window = &plane[ky * g.pw + kx..];
-                    for (oy, dst) in runs.by_ref().take(g.oh).enumerate() {
-                        let run = &window[oy * g.pw * stride..][..span];
-                        if W > 0 {
-                            dst.copy_from_slice(run);
-                        } else {
-                            for (d, &v) in dst.iter_mut().zip(run.iter().step_by(stride)) {
-                                *d = v;
+        self.built_for = Some(g);
+        self.fwd_taps.clear();
+        self.fwd_classes.clear();
+        self.windows.clear();
+        // The kernel rows (columns) of the window at output row (column) `o` that land
+        // inside an input of side `side`.
+        let valid = |o: usize, side: usize| {
+            let lo = g.pad.saturating_sub(o * g.stride);
+            [lo, (g.pad + side).saturating_sub(o * g.stride).min(g.k)]
+        };
+        for oy in 0..g.oh {
+            for ox in 0..g.ow {
+                let ([ky_lo, ky_hi], [kx_lo, kx_hi]) = (valid(oy, h), valid(ox, w));
+                let class = [ky_lo, ky_hi, kx_lo, kx_hi];
+                let taps = match self.fwd_classes.iter().find(|(key, _)| *key == class) {
+                    Some(&(_, taps)) => taps,
+                    None => {
+                        let start = offset(self.fwd_taps.len());
+                        for ci in 0..g.c {
+                            for ky in ky_lo..ky_hi {
+                                for kx in kx_lo..kx_hi {
+                                    self.fwd_taps.push((
+                                        offset((ci * g.k + ky) * g.k + kx),
+                                        offset(((ci * g.ph + ky) * g.pw + kx) * n),
+                                    ));
+                                }
                             }
                         }
+                        let taps = (start, offset(self.fwd_taps.len()));
+                        self.fwd_classes.push((class, taps));
+                        taps
                     }
+                };
+                let origin = offset((oy * g.stride * g.pw + ox * g.stride) * n);
+                self.windows.push(Window { taps, origin });
+            }
+        }
+        self.bwd_taps.clear();
+        self.bwd_ends.clear();
+        for iy in 0..h {
+            for ix in 0..w {
+                for ky in 0..g.k {
+                    for kx in 0..g.k {
+                        // (iy, ix) is read by the window at (oy, ox) through (ky, kx)
+                        // when oy * stride + ky == iy + pad, likewise in x.
+                        let (py, px) = (iy + g.pad, ix + g.pad);
+                        if py < ky || px < kx {
+                            continue;
+                        }
+                        let (dy, dx) = (py - ky, px - kx);
+                        let (oy, ox) = (dy / g.stride, dx / g.stride);
+                        if dy % g.stride == 0 && dx % g.stride == 0 && oy < g.oh && ox < g.ow {
+                            self.bwd_taps
+                                .push((offset(ky * g.k + kx), offset((oy * g.ow + ox) * n)));
+                        }
+                    }
+                }
+                self.bwd_ends.push(offset(self.bwd_taps.len()));
+            }
+        }
+        g
+    }
+}
+
+/// `acc[r][l] += scale[r] * v[l]`: the one update every kernel's inner loop makes.
+/// Indexed on purpose: zipping over `scale` by value keeps the accumulators out of
+/// vector registers (six times slower at the residual-block shape).
+#[inline(always)]
+fn axpy_tile<const R: usize, const L: usize>(acc: &mut [[f32; L]; R], scale: [f32; R], v: &[f32]) {
+    let v: &[f32; L] = v[..L].try_into().expect("an L-lane segment");
+    for r in 0..R {
+        for l in 0..L {
+            acc[r][l] += scale[r] * v[l];
+        }
+    }
+}
+
+/// Forward: rows are output channels, lanes are examples. Reads the packed input,
+/// writes the output as `[OC][OH][OW][N]`.
+struct Forward<'a> {
+    g: Geometry,
+    lists: &'a TapLists,
+    weight: &'a [f32],
+    bias: &'a [f32],
+    packed: &'a [f32],
+    packed_out: &'a mut [f32],
+}
+
+impl Tiles for Forward<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const L: usize>(&mut self, oc0: usize, n0: usize) {
+        let (ckk, ohow) = (self.g.ckk, self.g.oh * self.g.ow);
+        let filters: [&[f32]; R] = std::array::from_fn(|r| &self.weight[(oc0 + r) * ckk..][..ckk]);
+        for (pos, window) in self.lists.windows.iter().enumerate() {
+            let x = &self.packed[window.origin as usize + n0..];
+            let mut acc = [[0.0f32; L]; R];
+            for &(col, at) in &self.lists.fwd_taps[window.taps.0 as usize..window.taps.1 as usize] {
+                let w = filters.map(|f| f[col as usize]);
+                axpy_tile(&mut acc, w, &x[at as usize..]);
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                let b = self.bias[oc0 + r];
+                let dst = &mut self.packed_out[((oc0 + r) * ohow + pos) * self.g.n + n0..][..L];
+                for (d, &a) in dst.iter_mut().zip(acc_row) {
+                    *d = a + b;
                 }
             }
         }
     }
 }
 
-/// The body of [`col2im_t_into`], see [`with_fixed_width`] for `W`.
-fn fold_planes<const W: usize>(g: &Planes, src: &[f32], planes: &mut [f32], o: &mut [f32]) {
-    let (ow, stride) = if W > 0 { (W, 1) } else { (g.ow, g.stride) };
-    let (hw, phw) = (g.h * g.w, g.ph * g.pw);
-    let span = (ow - 1) * stride + 1;
-    for ci in 0..g.c {
-        planes.fill(0.0);
-        for ky in 0..g.k {
-            for kx in 0..g.k {
-                let col = (ci * g.k + ky) * g.k + kx;
-                let mut runs = src[col * g.npos..][..g.npos].chunks_exact(ow);
-                for plane in planes.chunks_exact_mut(phw) {
-                    let window = &mut plane[ky * g.pw + kx..];
-                    for (oy, run) in runs.by_ref().take(g.oh).enumerate() {
-                        let dst = &mut window[oy * g.pw * stride..][..span];
-                        if W > 0 {
-                            // Loaded, summed and stored as one `W`-wide value.
-                            let mut sum = [0.0f32; W];
-                            sum.copy_from_slice(dst);
-                            for (s, &v) in sum.iter_mut().zip(run) {
-                                *s += v;
-                            }
-                            dst.copy_from_slice(&sum);
-                        } else {
-                            for (d, &v) in dst.iter_mut().step_by(stride).zip(run) {
-                                *d += v;
-                            }
-                        }
+/// Input gradient: rows are input channels, lanes are examples. Reads the packed
+/// upstream gradient, writes the input gradient as `[C][H][W][N]`.
+struct InputGrad<'a> {
+    g: Geometry,
+    lists: &'a TapLists,
+    weight: &'a [f32],
+    packed_grad: &'a [f32],
+    packed_grad_input: &'a mut [f32],
+}
+
+impl Tiles for InputGrad<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const L: usize>(&mut self, ci0: usize, n0: usize) {
+        let g = &self.g;
+        let (kk, ckk, hw) = (g.k * g.k, g.ckk, g.h * g.w);
+        let channel_stride = g.oh * g.ow * g.n;
+        // Row r's filter column for kernel point t in output channel oc is
+        // `columns[r][oc * ckk + t]`.
+        let columns: [&[f32]; R] = std::array::from_fn(|r| &self.weight[(ci0 + r) * kk..]);
+        let mut start = 0;
+        for (pos, &end) in self.lists.bwd_ends.iter().enumerate() {
+            let mut acc = [[0.0f32; L]; R];
+            for &(t, at) in &self.lists.bwd_taps[start..end as usize] {
+                let mut point = [[0.0f32; L]; R];
+                let channels = self.packed_grad[at as usize + n0..].chunks(channel_stride);
+                for (oc, grad) in channels.enumerate() {
+                    let w = columns.map(|c| c[oc * ckk + t as usize]);
+                    axpy_tile(&mut point, w, grad);
+                }
+                for (acc_row, point_row) in acc.iter_mut().zip(&point) {
+                    for (a, &p) in acc_row.iter_mut().zip(point_row) {
+                        *a += p;
                     }
                 }
             }
-        }
-        for (ni, plane) in planes.chunks_exact(phw).enumerate() {
-            let dst = &mut o[(ni * g.c + ci) * hw..][..hw];
-            for (row, acc) in dst
-                .chunks_exact_mut(g.w)
-                .zip(plane[g.pad * g.pw + g.pad..].chunks(g.pw))
-            {
-                if W > 0 && g.w == W {
-                    row[..W].copy_from_slice(&acc[..W]);
-                } else {
-                    row.copy_from_slice(&acc[..g.w]);
-                }
+            start = end as usize;
+            for (r, acc_row) in acc.iter().enumerate() {
+                self.packed_grad_input[((ci0 + r) * hw + pos) * g.n + n0..][..L]
+                    .copy_from_slice(acc_row);
             }
+        }
+    }
+}
+
+/// Weight gradient: rows are filter columns `(ci, ky, kx)`, lanes are output channels.
+/// Reads the packed input (border included: a tap there contributes the same `g * 0.0`
+/// the column matrix's zero did) and the upstream gradient as `[N*OH*OW][OC]`, writes
+/// the weight gradient as `[C*K*K][OC]`.
+struct WeightGrad<'a> {
+    g: Geometry,
+    lists: &'a TapLists,
+    packed: &'a [f32],
+    grad_rows: &'a [f32],
+    grad_weight_t: &'a mut [f32],
+}
+
+impl Tiles for WeightGrad<'_> {
+    #[inline(always)]
+    fn tile<const R: usize, const L: usize>(&mut self, col0: usize, oc0: usize) {
+        let g = &self.g;
+        // Each row's kernel point as the window slides, from the first example of the
+        // first window to the last example of the last: slices of one length, so that
+        // one bounds check serves the R reads of a step.
+        let span = ((g.oh - 1) * g.stride * g.pw + (g.ow - 1) * g.stride + 1) * g.n;
+        let taps: [&[f32]; R] = std::array::from_fn(|r| {
+            let (ci, ky, kx) = (
+                (col0 + r) / (g.k * g.k),
+                (col0 + r) / g.k % g.k,
+                (col0 + r) % g.k,
+            );
+            &self.packed[((ci * g.ph + ky) * g.pw + kx) * g.n..][..span]
+        });
+        let mut acc = [[0.0f32; L]; R];
+        let mut grads = self.grad_rows.chunks_exact(g.oc);
+        for n in 0..g.n {
+            for (window, grad) in self.lists.windows.iter().zip(&mut grads) {
+                let x = taps.map(|t| t[window.origin as usize + n]);
+                axpy_tile(&mut acc, x, &grad[oc0..]);
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            self.grad_weight_t[(col0 + r) * g.oc + oc0..][..L].copy_from_slice(acc_row);
         }
     }
 }
@@ -406,8 +378,8 @@ fn fold_planes<const W: usize>(g: &Planes, src: &[f32], planes: &mut [f32], o: &
 /// * `weight` — `[OC, C*K*K]` (filters flattened row-major)
 /// * `bias`   — `[OC]`
 ///
-/// Returns `[N, OC, OH, OW]` along with the cached transposed `im2col` matrix
-/// (`[C*K*K, N*OH*OW]`, see [`im2col_t_into`]), which the backward pass consumes.
+/// Returns `[N, OC, OH, OW]` along with the packed input (`[C, H+2p, W+2p, N]`, see
+/// [`conv2d_into`]), which the backward pass consumes.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -416,9 +388,8 @@ pub fn conv2d(
     w: usize,
     spec: &Conv2dSpec,
 ) -> (Tensor, Tensor) {
-    let mut cols = Tensor::default();
     let mut scratch = ConvScratch::default();
-    let mut out = Tensor::default();
+    let [mut packed, mut out]: [Tensor; 2] = Default::default();
     conv2d_into(
         input,
         weight,
@@ -426,41 +397,36 @@ pub fn conv2d(
         h,
         w,
         spec,
-        &mut cols,
+        &mut packed,
         &mut scratch,
         &mut out,
     );
-    (out, cols)
+    (out, packed)
 }
 
-/// Scratch buffers for the convolution kernels, reused across iterations.
+/// Scratch of the convolution kernels, reused across iterations.
 #[derive(Debug, Default)]
 pub struct ConvScratch {
-    /// The `weight x cols_t` product (`[OC, N*OH*OW]`) before layout rearrangement.
-    pub prod: Tensor,
-    /// The filter matrix transposed to `[C*K*K, OC]` (used by the backward pass).
-    pub weight_t: Tensor,
-    /// One channel's `N` zero-bordered `(H+2p) x (W+2p)` planes, shared by both column
-    /// transforms.
-    planes: Vec<f32>,
+    /// The tap lists of the geometry last seen, rebuilt only when it changes.
+    lists: TapLists,
+    /// The forward output as `[OC*OH*OW, N]`, before it is unpacked into NCHW.
+    packed_out: Tensor,
     /// The upstream gradient as `[N*OH*OW, OC]` and the weight gradient as
-    /// `[C*K*K, OC]`: the right operand and the result of the weight-gradient GEMM.
-    g_tt: Tensor,
+    /// `[C*K*K, OC]`: the operand and the result of the weight-gradient kernel, whose
+    /// lane is the output channel.
+    grad_rows: Tensor,
     grad_weight_t: Tensor,
 }
 
 /// [`conv2d`] writing into caller-provided buffers.
 ///
-/// * `cols` receives the **transposed** `im2col` matrix (`[C*K*K, N*OH*OW]`, needed
-///   again by the backward pass);
-/// * `scratch` holds the pre-rearrangement product;
+/// * `packed` receives the input as zero-bordered `[C, H+2p, W+2p, N]` (needed again
+///   by the backward pass);
+/// * `scratch` holds the tap lists and the output before it is unpacked;
 /// * `out` receives the `[N, OC, OH, OW]` activation.
 ///
-/// The product `weight x cols_t` runs the GEMM inner loop over the long
-/// `N*OH*OW` dimension (vectorizable) while accumulating the shared kernel-point
-/// dimension in ascending order — bitwise identical to the naive
-/// `im2col x weight^T` formulation. The bias addition is fused into the layout
-/// rearrangement, which copies one contiguous `OH*OW` run per `(image, channel)` pair.
+/// Every output element is the ascending-`(ci, ky, kx)` sum of its window from 0.0,
+/// plus the bias — bitwise the naive `im2col x weight^T` formulation (module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_into(
     input: &Tensor,
@@ -469,46 +435,48 @@ pub fn conv2d_into(
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
-    cols: &mut Tensor,
+    packed: &mut Tensor,
     scratch: &mut ConvScratch,
     out: &mut Tensor,
 ) {
-    let n = input.shape().dims()[0];
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    im2col_t_into(input, h, w, spec, &mut scratch.planes, cols);
-    // [OC, C*K*K] x [C*K*K, N*OH*OW] -> [OC, N*OH*OW]
-    let prod = &mut scratch.prod;
-    weight.matmul_into(cols, prod);
-    // Rearrange [OC, N*OH*OW] into [N, OC, OH, OW], adding the bias on the way; both
-    // sides are contiguous OH*OW runs.
-    let oc = spec.out_channels;
-    let ohow = oh * ow;
-    let npos = n * ohow;
-    out.ensure_shape(&[n, oc, oh, ow]);
-    let o = out.as_mut_slice();
-    let src = prod.as_slice();
-    let b = bias.as_slice();
-    for co in 0..oc {
-        let bias_c = b[co];
-        for ni in 0..n {
-            let s = &src[co * npos + ni * ohow..co * npos + (ni + 1) * ohow];
-            let d = &mut o[(ni * oc + co) * ohow..(ni * oc + co + 1) * ohow];
-            for (dv, &sv) in d.iter_mut().zip(s) {
-                *dv = sv + bias_c;
-            }
-        }
+    let dims = input.shape().dims();
+    let n = dims[0];
+    assert_eq!(dims[1..], [spec.in_channels, h, w], "conv2d input shape");
+    let g = scratch.lists.prepare(n, h, w, spec);
+    assert_eq!(weight.len(), g.oc * g.ckk, "conv2d weight length");
+    assert_eq!(bias.len(), g.oc, "conv2d bias length");
+    packed.ensure_shape(&[g.c, g.ph, g.pw, n]);
+    let (x, xp) = (input.as_slice(), packed.as_mut_slice());
+    if g.pad > 0 {
+        xp.fill(0.0);
     }
+    // One image row of one channel at a time: W pixels of N examples each.
+    for row in 0..g.c * h {
+        let (ci, iy) = (row / h, row % h);
+        let at = ((ci * g.ph + iy + g.pad) * g.pw + g.pad) * n;
+        transpose(&x[row * w..], g.c * h * w, n, &mut xp[at..at + w * n]);
+    }
+    scratch.packed_out.ensure_shape(&[g.oc * g.oh * g.ow, n]);
+    let mut kernel = Forward {
+        g,
+        lists: &scratch.lists,
+        weight: weight.as_slice(),
+        bias: bias.as_slice(),
+        packed: xp,
+        packed_out: scratch.packed_out.as_mut_slice(),
+    };
+    run_tiles(&mut kernel, g.oc, n);
+    scratch.packed_out.transposed_into(out);
+    out.reshape_inplace(&[n, g.oc, g.oh, g.ow]);
 }
 
 /// Backward 2-D convolution.
 ///
-/// Given the upstream gradient `grad_out` (`[N, OC, OH, OW]`), the cached `im2col`
-/// matrix from the forward pass, and the filter matrix, returns
-/// `(grad_input, grad_weight, grad_bias)`.
+/// Given the upstream gradient `grad_out` (`[N, OC, OH, OW]`), the packed input from the
+/// forward pass, and the filter matrix, returns `(grad_input, grad_weight, grad_bias)`.
 pub fn conv2d_backward(
     grad_out: &Tensor,
-    cols: &Tensor,
+    packed: &Tensor,
     weight: &Tensor,
     n: usize,
     h: usize,
@@ -516,21 +484,18 @@ pub fn conv2d_backward(
     spec: &Conv2dSpec,
 ) -> (Tensor, Tensor, Tensor) {
     let mut scratch = ConvScratch::default();
-    let mut g = Tensor::default();
-    let mut grad_cols = Tensor::default();
-    let mut grad_input = Tensor::default();
-    let mut grad_weight = Tensor::default();
-    let mut grad_bias = Tensor::default();
+    let [mut packed_grad, mut packed_grad_input]: [Tensor; 2] = Default::default();
+    let [mut grad_input, mut grad_weight, mut grad_bias]: [Tensor; 3] = Default::default();
     conv2d_backward_into(
         grad_out,
-        cols,
+        packed,
         weight,
         n,
         h,
         w,
         spec,
-        &mut g,
-        &mut grad_cols,
+        &mut packed_grad,
+        &mut packed_grad_input,
         &mut scratch,
         &mut grad_input,
         &mut grad_weight,
@@ -541,67 +506,72 @@ pub fn conv2d_backward(
 
 /// [`conv2d_backward`] writing into caller-provided buffers.
 ///
-/// `cols_t` is the transposed column matrix cached by [`conv2d_into`]. `g_t` and
-/// `grad_cols_t` are pure scratch (the rearranged upstream gradient and the gradient
-/// of the column matrix, both in kernel-point-major layout); `scratch` provides the
-/// transposed filter matrix and the operands of the weight-gradient GEMM;
-/// `grad_input`, `grad_weight` and `grad_bias` receive the results (overwritten, not
-/// accumulated).
+/// `packed` is the packed input cached by [`conv2d_into`]. `packed_grad` and
+/// `packed_grad_input` are pure scratch (the upstream gradient as `[OC, OH, OW, N]` and
+/// the input gradient as `[C*H*W, N]`); `scratch` provides the tap lists and the
+/// operands of the weight-gradient kernel; `grad_input`, `grad_weight` and `grad_bias`
+/// receive the results (overwritten, not accumulated).
 ///
-/// All three GEMMs run on the register-tiled kernel of [`Tensor::matmul_into`], so
-/// every output — the weight gradient included — is bitwise equal to the naive
-/// formulation that sums over output positions (kernel points for the input gradient)
-/// in ascending order.
+/// Every output is bitwise equal to the naive formulation that sums over output
+/// positions (per kernel point over output channels for the input gradient) in
+/// ascending order (module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_into(
     grad_out: &Tensor,
-    cols_t: &Tensor,
+    packed: &Tensor,
     weight: &Tensor,
     n: usize,
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
-    g_t: &mut Tensor,
-    grad_cols_t: &mut Tensor,
+    packed_grad: &mut Tensor,
+    packed_grad_input: &mut Tensor,
     scratch: &mut ConvScratch,
     grad_input: &mut Tensor,
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) {
-    let oc = spec.out_channels;
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let ohow = oh * ow;
-    let npos = n * ohow;
-    // Rearrange grad_out [N, OC, OH, OW] twice: g_t [OC, N*OH*OW] (pure contiguous
-    // copies; the left operand of the input-gradient GEMM and the source of the bias
-    // sums) and its transpose g_tt [N*OH*OW, OC] (one small transpose per image; the
-    // right operand of the weight-gradient GEMM).
-    g_t.ensure_shape(&[oc, npos]);
-    scratch.g_tt.ensure_shape(&[npos, oc]);
-    let gd = g_t.as_mut_slice();
-    let gtt = scratch.g_tt.as_mut_slice();
-    let src = grad_out.as_slice();
-    for ni in 0..n {
-        for co in 0..oc {
-            let run = &src[(ni * oc + co) * ohow..(ni * oc + co + 1) * ohow];
-            gd[co * npos + ni * ohow..co * npos + (ni + 1) * ohow].copy_from_slice(run);
-            for (pos, &v) in run.iter().enumerate() {
-                gtt[(ni * ohow + pos) * oc + co] = v;
-            }
-        }
+    let g = scratch.lists.prepare(n, h, w, spec);
+    let (ohow, ckk) = (g.oh * g.ow, g.ckk);
+    assert_eq!(grad_out.len(), n * g.oc * ohow, "upstream gradient length");
+    assert_eq!(packed.len(), g.c * g.ph * g.pw * n, "packed input length");
+    assert_eq!(weight.len(), g.oc * ckk, "conv2d_backward weight length");
+    // grad_out [N, OC, OH, OW] twice over: with the example innermost for the input
+    // gradient, and per example with the output channel innermost for the weight
+    // gradient.
+    let grad = grad_out.as_slice();
+    packed_grad.ensure_shape(&[g.oc, g.oh, g.ow, n]);
+    transpose(grad, g.oc * ohow, n, packed_grad.as_mut_slice());
+    scratch.grad_rows.ensure_shape(&[n * ohow, g.oc]);
+    let grad_rows = scratch.grad_rows.as_mut_slice();
+    for (src, dst) in grad
+        .chunks_exact(g.oc * ohow)
+        .zip(grad_rows.chunks_exact_mut(ohow * g.oc))
+    {
+        transpose(src, ohow, g.oc, dst);
     }
-    // grad_weight^T = cols_t x g_tt -> [C*K*K, OC] on the register-tiled kernel: every
-    // element is the ascending-position sum of the naive g^T x cols formulation, bit
-    // for bit. The 576-element result is transposed back into [OC, C*K*K].
-    cols_t.matmul_into(&scratch.g_tt, &mut scratch.grad_weight_t);
+    scratch.grad_rows.sum_rows_into(grad_bias);
+    scratch.grad_weight_t.ensure_shape(&[ckk, g.oc]);
+    let mut kernel = WeightGrad {
+        g,
+        lists: &scratch.lists,
+        packed: packed.as_slice(),
+        grad_rows: scratch.grad_rows.as_slice(),
+        grad_weight_t: scratch.grad_weight_t.as_mut_slice(),
+    };
+    run_tiles(&mut kernel, ckk, g.oc);
     scratch.grad_weight_t.transposed_into(grad_weight);
-    // grad_bias = per-channel sums of g_t -> [OC]
-    g_t.sum_cols_into(grad_bias);
-    // grad_cols_t = weight^T x g_t -> [C*K*K, N*OH*OW]
-    weight.transposed_into(&mut scratch.weight_t);
-    scratch.weight_t.matmul_into(g_t, grad_cols_t);
-    col2im_t_into(grad_cols_t, n, h, w, spec, &mut scratch.planes, grad_input);
+    packed_grad_input.ensure_shape(&[g.c * h * w, n]);
+    let mut kernel = InputGrad {
+        g,
+        lists: &scratch.lists,
+        weight: weight.as_slice(),
+        packed_grad: packed_grad.as_slice(),
+        packed_grad_input: packed_grad_input.as_mut_slice(),
+    };
+    run_tiles(&mut kernel, g.c, n);
+    packed_grad_input.transposed_into(grad_input);
+    grad_input.reshape_inplace(&[n, g.c, h, w]);
 }
 
 /// Forward 2-D max pooling over an `[N, C, H, W]` input.
@@ -617,6 +587,11 @@ pub fn max_pool2d(input: &Tensor, h: usize, w: usize, spec: &Pool2dSpec) -> (Ten
 
 /// [`max_pool2d`] writing the pooled output and winner indices into caller-provided
 /// buffers (both are reused without reallocation once warmed).
+///
+/// A window's winner is its first maximum in `(ky, kx)` order: the search starts at the
+/// window's first element and moves on under strict `>`, as a select, not a branch. A
+/// NaN therefore wins only from the first slot, and a window of nothing but `-inf` or
+/// NaN routes its gradient to its own first element.
 pub fn max_pool2d_into(
     input: &Tensor,
     h: usize,
@@ -627,35 +602,50 @@ pub fn max_pool2d_into(
 ) {
     let dims = input.shape().dims();
     let (n, c) = (dims[0], dims[1]);
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let x = input.as_slice();
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     out.ensure_shape(&[n, c, oh, ow]);
-    let out = out.as_mut_slice();
     idx.resize(n * c * oh * ow, 0);
-    for ni in 0..n {
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = 0usize;
-                    for ky in 0..spec.kernel {
-                        for kx in 0..spec.kernel {
-                            let iy = oy * spec.stride + ky;
-                            let ix = ox * spec.stride + kx;
-                            if iy < h && ix < w {
-                                let i = ((ni * c + ci) * h + iy) * w + ix;
-                                if x[i] > best {
-                                    best = x[i];
-                                    best_i = i;
-                                }
-                            }
-                        }
-                    }
-                    let o = ((ni * c + ci) * oh + oy) * ow + ox;
-                    out[o] = best;
-                    idx[o] = best_i;
-                }
+    if oh * ow == 0 {
+        return;
+    }
+    let window = (spec.kernel, spec.stride);
+    let planes = input.as_slice().chunks_exact(h * w);
+    let results = out.as_mut_slice().chunks_exact_mut(oh * ow);
+    for (i, ((plane, best), best_i)) in planes
+        .zip(results)
+        .zip(idx.chunks_exact_mut(oh * ow))
+        .enumerate()
+    {
+        // 2x2 / stride 2 is the only pooling the model zoo has: the same body with both
+        // constants known, so the window loops unroll into four compares and selects.
+        if window == (2, 2) {
+            pool_plane(plane, i * h * w, w, ow, (2, 2), best, best_i);
+        } else {
+            pool_plane(plane, i * h * w, w, ow, window, best, best_i);
+        }
+    }
+}
+
+/// Pools one `H × W` plane whose first element has flat index `base`.
+#[inline(always)]
+fn pool_plane(
+    plane: &[f32],
+    base: usize,
+    w: usize,
+    ow: usize,
+    (kernel, stride): (usize, usize),
+    best: &mut [f32],
+    best_i: &mut [usize],
+) {
+    for (o, (best, best_i)) in best.iter_mut().zip(best_i).enumerate() {
+        let first = (o / ow * w + o % ow) * stride;
+        (*best, *best_i) = (plane[first], base + first);
+        for ky in 0..kernel {
+            for kx in 0..kernel {
+                let i = first + ky * w + kx;
+                let wins = plane[i] > *best;
+                *best = if wins { plane[i] } else { *best };
+                *best_i = if wins { base + i } else { *best_i };
             }
         }
     }
@@ -691,6 +681,7 @@ pub fn max_pool2d_backward_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiles::cover;
 
     fn spec(c: usize, oc: usize, k: usize, stride: usize, pad: usize) -> Conv2dSpec {
         Conv2dSpec {
@@ -748,14 +739,16 @@ mod tests {
     }
 
     #[test]
-    fn col2im_is_adjoint_of_im2col_for_sum() {
-        // <im2col(x), y> == <x, col2im(y)> for arbitrary y: check with a simple case.
+    fn input_gradient_is_adjoint_of_forward() {
+        // <conv(x), y> == <x, conv_backward_input(y)> with a zero bias: check with a
+        // simple case.
         let s = spec(1, 1, 2, 1, 0);
         let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 1, 3, 3]);
-        let cols = im2col(&x, 3, 3, &s);
-        let y = Tensor::ones(&[cols.shape().dim(0), cols.shape().dim(1)]);
-        let lhs: f32 = cols.mul(&y).sum();
-        let back = col2im(&y, 1, 3, 3, &s);
+        let weight = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[1, 4]);
+        let (out, packed) = conv2d(&x, &weight, &Tensor::zeros(&[1]), 3, 3, &s);
+        let y = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.5], out.shape().dims());
+        let lhs: f32 = out.mul(&y).sum();
+        let (back, _, _) = conv2d_backward(&y, &packed, &weight, 1, 3, 3, &s);
         let rhs: f32 = x.mul(&back).sum();
         assert!((lhs - rhs).abs() < 1e-4);
     }
@@ -835,6 +828,25 @@ mod tests {
         let (out, idx) = max_pool2d(&x, 4, 4, &p);
         assert_eq!(out.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
         assert_eq!(idx, vec![5, 7, 13, 15]);
+        // A window with nothing above -inf keeps its own first element: the gradient
+        // must not leak to element 0 of the batch (another example's pixel).
+        let mut values = vec![1.0f32; 2 * 16];
+        for i in [16 + 10, 16 + 11, 16 + 14, 16 + 15] {
+            values[i] = f32::NEG_INFINITY;
+        }
+        values[16 + 11] = f32::NAN;
+        let x = Tensor::from_vec(values, &[2, 1, 4, 4]);
+        let (out, idx) = max_pool2d(&x, 4, 4, &p);
+        assert_eq!(out.as_slice()[7], f32::NEG_INFINITY);
+        assert_eq!(idx[7], 16 + 10);
+        // The generic loop agrees with the fixed 2x2 path.
+        let generic = Pool2dSpec {
+            kernel: 2,
+            stride: 1,
+        };
+        let (out, idx) = max_pool2d(&x, 4, 4, &generic);
+        assert_eq!(out.as_slice()[9 + 8], f32::NEG_INFINITY);
+        assert_eq!(idx[9 + 8], 16 + 10);
     }
 
     #[test]
@@ -857,6 +869,111 @@ mod tests {
         assert_eq!(gi.as_slice()[13], 3.0);
         assert_eq!(gi.as_slice()[15], 4.0);
         assert_eq!(gi.sum(), 10.0);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every step of the lane cascade (batches and output-channel counts of 1..=19 and
+    /// 33 leave every remainder of the 16- and 8-wide strips) and of the row cascade,
+    /// at strides 1 and 2 with and without padding: each of the three kernels run on
+    /// the baseline instance writes, bit for bit, what the dispatched one wrote, which
+    /// is the AVX2 instance wherever the CPU has AVX2. (That both equal the naive
+    /// formulation is `tests/proptest_kernels.rs`.)
+    #[test]
+    fn baseline_and_dispatched_instances_agree_bitwise() {
+        for size in (1..20).chain([33]) {
+            for (stride, pad) in [(1, 1), (2, 0)] {
+                // `size` examples over few channels, then few examples over `size`
+                // channels in and out.
+                for (n, c, oc) in [(size, 3, 5), (2, size.min(7), size)] {
+                    let (h, w, s) = (4, 5, spec(c, oc, 3, stride, pad));
+                    let x = crate::uniform_init(&[n, c, h, w], 1.0, size as u64);
+                    let weight = crate::uniform_init(&[oc, c * 9], 1.0, 1);
+                    let bias = crate::uniform_init(&[oc], 1.0, 2);
+                    let mut scratch = ConvScratch::default();
+                    let (mut packed, mut out) = (Tensor::default(), Tensor::default());
+                    conv2d_into(
+                        &x,
+                        &weight,
+                        &bias,
+                        h,
+                        w,
+                        &s,
+                        &mut packed,
+                        &mut scratch,
+                        &mut out,
+                    );
+                    let grad_out = crate::uniform_init(out.shape().dims(), 1.0, 3);
+                    let (mut packed_grad, mut packed_grad_input) =
+                        (Tensor::default(), Tensor::default());
+                    let (mut gi, mut gw, mut gb) =
+                        (Tensor::default(), Tensor::default(), Tensor::default());
+                    conv2d_backward_into(
+                        &grad_out,
+                        &packed,
+                        &weight,
+                        n,
+                        h,
+                        w,
+                        &s,
+                        &mut packed_grad,
+                        &mut packed_grad_input,
+                        &mut scratch,
+                        &mut gi,
+                        &mut gw,
+                        &mut gb,
+                    );
+                    let g = Geometry::new(n, h, w, &s);
+                    let case = format!("n={n} c={c} oc={oc} stride={stride} pad={pad}");
+                    // NaN-filled outputs: every element must be overwritten.
+                    let mut baseline = vec![f32::NAN; scratch.packed_out.len()];
+                    let mut kernel = Forward {
+                        g,
+                        lists: &scratch.lists,
+                        weight: weight.as_slice(),
+                        bias: bias.as_slice(),
+                        packed: packed.as_slice(),
+                        packed_out: &mut baseline,
+                    };
+                    cover::<8, _>(&mut kernel, oc, n);
+                    assert_eq!(
+                        bits(&baseline),
+                        bits(scratch.packed_out.as_slice()),
+                        "forward {case}"
+                    );
+                    let mut baseline = vec![f32::NAN; packed_grad_input.len()];
+                    let mut kernel = InputGrad {
+                        g,
+                        lists: &scratch.lists,
+                        weight: weight.as_slice(),
+                        packed_grad: packed_grad.as_slice(),
+                        packed_grad_input: &mut baseline,
+                    };
+                    cover::<8, _>(&mut kernel, c, n);
+                    assert_eq!(
+                        bits(&baseline),
+                        bits(packed_grad_input.as_slice()),
+                        "input gradient {case}"
+                    );
+                    let mut baseline = vec![f32::NAN; scratch.grad_weight_t.len()];
+                    let mut kernel = WeightGrad {
+                        g,
+                        lists: &scratch.lists,
+                        packed: packed.as_slice(),
+                        grad_rows: scratch.grad_rows.as_slice(),
+                        grad_weight_t: &mut baseline,
+                    };
+                    cover::<8, _>(&mut kernel, g.ckk, oc);
+                    assert_eq!(
+                        bits(&baseline),
+                        bits(scratch.grad_weight_t.as_slice()),
+                        "weight gradient {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,11 @@ mod init;
 mod ops;
 mod shape;
 mod tensor;
+mod tiles;
 
 pub use conv::{
-    col2im, col2im_into, col2im_t_into, conv2d, conv2d_backward, conv2d_backward_into, conv2d_into,
-    im2col, im2col_into, im2col_t_into, max_pool2d, max_pool2d_backward, max_pool2d_backward_into,
-    max_pool2d_into, Conv2dSpec, ConvScratch, Pool2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, max_pool2d, max_pool2d_backward,
+    max_pool2d_backward_into, max_pool2d_into, Conv2dSpec, ConvScratch, Pool2dSpec,
 };
 pub use init::{he_normal, uniform_init, xavier_uniform};
 pub use shape::Shape;

@@ -432,13 +432,7 @@ impl Tensor {
         assert_eq!(self.shape().rank(), 2, "transpose requires a rank-2 tensor");
         let (m, n) = (self.rows(), self.cols());
         out.ensure_shape(&[n, m]);
-        let o = out.as_mut_slice();
-        let src = self.as_slice();
-        for (i, row) in src.chunks(n).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                o[j * m + i] = v;
-            }
-        }
+        transpose(self.as_slice(), n, m, out.as_mut_slice());
     }
 
     /// Adds a bias row vector to every row of a rank-2 tensor, returning a new tensor.
@@ -478,30 +472,6 @@ impl Tensor {
         let mut out = Tensor::default();
         self.sum_rows_into(&mut out);
         out
-    }
-
-    /// Sums a rank-2 tensor over its columns into `out` (one sum per row, length
-    /// `rows`). Each row is accumulated left to right.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn sum_cols_into(&self, out: &mut Tensor) {
-        assert_eq!(self.shape().rank(), 2, "sum_cols requires rank-2");
-        let (m, n) = (self.rows(), self.cols());
-        out.ensure_shape(&[m]);
-        let o = out.as_mut_slice();
-        if n == 0 {
-            o.fill(0.0);
-            return;
-        }
-        for (ov, row) in o.iter_mut().zip(self.as_slice().chunks(n)) {
-            let mut acc = 0.0f32;
-            for &v in row {
-                acc += v;
-            }
-            *ov = acc;
-        }
     }
 
     /// Sums a rank-2 tensor over its rows into `out` (a row vector of length `cols`).
@@ -558,6 +528,33 @@ impl Tensor {
                     *v /= sum;
                 }
             }
+        }
+    }
+}
+
+/// `dst[j * rows + i] = src[i * stride + j]` for every `i < rows` and every `j` that
+/// `dst` (a dense `[cols][rows]`) has room for: a transpose whose source rows are
+/// `stride` apart. Moved in 4x4 blocks — four row loads, register shuffles, four row
+/// stores — with the ragged edges element by element.
+pub(crate) fn transpose(src: &[f32], stride: usize, rows: usize, dst: &mut [f32]) {
+    let cols = dst.len().checked_div(rows).unwrap_or(0);
+    let (block_rows, block_cols) = (rows / 4 * 4, cols / 4 * 4);
+    for j0 in (0..block_cols).step_by(4) {
+        for i0 in (0..block_rows).step_by(4) {
+            let block: [[f32; 4]; 4] = std::array::from_fn(|i| {
+                src[(i0 + i) * stride + j0..][..4]
+                    .try_into()
+                    .expect("four columns")
+            });
+            for j in 0..4 {
+                let column: [f32; 4] = std::array::from_fn(|i| block[i][j]);
+                dst[(j0 + j) * rows + i0..][..4].copy_from_slice(&column);
+            }
+        }
+    }
+    for j in 0..cols {
+        for i in if j < block_cols { block_rows } else { 0 }..rows {
+            dst[j * rows + i] = src[i * stride + j];
         }
     }
 }

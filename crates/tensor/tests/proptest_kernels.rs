@@ -9,17 +9,18 @@
 //!   tolerance — the one kernel that reassociates.
 //! * `conv2d` / `conv2d_backward` — output, weight, bias and input gradient — are
 //!   bitwise equal to the naive `im2col` formulation (`cols x W^T`, `g^T x cols`,
-//!   `g x W` folded back), each sum taken in ascending order.
-//! * `im2col` / `im2col_t` are exact gathers and must be bitwise equal to
-//!   `naive_im2col` across random `(N, C, H, W, K, stride, padding)`: square and
-//!   non-square planes, `stride = 2`, `padding = 0`, `K = 1`, and output widths with
-//!   and without a fixed-width row instance. `col2im_t` is checked bitwise against a
-//!   naive fold in its documented kernel-point-major order, and as the adjoint of
-//!   `im2col_t`.
+//!   `g x W` folded back in kernel-point-major order), each sum taken in ascending
+//!   order, across random `(N, C, OC, H, W, K, stride, padding)`: batches through
+//!   every step of the lane cascade, channel counts through the row cascade,
+//!   non-square planes, `K = 1`, `padding = 0`. `naive_im2col` and `naive_col2im_t`
+//!   are that formulation's private references; the library has no column matrix.
+//! * The packed input `conv2d` hands to the backward pass is the zero-bordered,
+//!   batch-innermost copy of the input, whatever the reused buffer held before.
+//! * `max_pool2d` picks the winners of the plain loop it replaced (kept here as the
+//!   reference): ties, odd sides, `stride != kernel`.
 
 use dssp_tensor::{
-    col2im_into, col2im_t_into, conv2d, conv2d_backward, im2col_into, im2col_t_into, Conv2dSpec,
-    Tensor,
+    conv2d, conv2d_backward, conv2d_into, max_pool2d, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -87,9 +88,9 @@ fn naive_im2col(x: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
     Tensor::from_vec(out, &[n * oh * ow, ckk])
 }
 
-/// Folds `[C*K*K, N*OH*OW]` columns back into `[N, C, H, W]` the way `col2im_t_into`
-/// documents it: every input element sums its contributions in kernel-point order
-/// (`ky`, then `kx`, ascending), starting from 0.0.
+/// Folds `[C*K*K, N*OH*OW]` columns back into `[N, C, H, W]` in the order the input
+/// gradient documents: every input element sums its contributions in kernel-point
+/// order (`ky`, then `kx`, ascending), starting from 0.0.
 fn naive_col2im_t(cols_t: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
     let (c, k) = (spec.in_channels, spec.kernel);
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
@@ -137,41 +138,31 @@ fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
-/// Every output width from 1 to 20 — the four with a fixed-width row instance and the
-/// sixteen without — at strides 1 and 2, with and without padding, `K` of 1 and 3: both
-/// plane-wise transforms equal their naive references bit for bit.
-#[test]
-fn plane_transforms_match_naive_for_every_row_width() {
-    let mut plane = Vec::new();
-    for w in 3usize..=22 {
-        for stride in 1usize..=2 {
-            for padding in 0usize..=1 {
-                for k in [1usize, 3] {
-                    let (n, c, h) = (2, 2, 5);
-                    let spec = Conv2dSpec {
-                        in_channels: c,
-                        out_channels: 1,
-                        kernel: k,
-                        stride,
-                        padding,
-                    };
-                    let x = Tensor::from_vec(synth(n * c * h * w, w as u64), &[n, c, h, w]);
-                    let mut cols_t = Tensor::default();
-                    im2col_t_into(&x, h, w, &spec, &mut plane, &mut cols_t);
-                    let reference = naive_im2col(&x, h, w, &spec).transposed();
-                    assert_eq!(bits(cols_t.as_slice()), bits(reference.as_slice()));
-                    let g = Tensor::from_vec(synth(cols_t.len(), 99), cols_t.shape().dims());
-                    let mut folded = Tensor::default();
-                    col2im_t_into(&g, n, h, w, &spec, &mut plane, &mut folded);
-                    assert_eq!(
-                        bits(folded.as_slice()),
-                        bits(&naive_col2im_t(&g, n, h, w, &spec)),
-                        "w={w} stride={stride} padding={padding} k={k}"
-                    );
+/// The pooling loop `max_pool2d_into` replaced: the first maximum in `(ky, kx)` order
+/// under strict `>`, searched with a branch per element.
+fn naive_max_pool(x: &Tensor, h: usize, w: usize, spec: &Pool2dSpec) -> (Vec<f32>, Vec<usize>) {
+    let (planes, oh, ow) = (x.len() / (h * w), spec.out_size(h), spec.out_size(w));
+    let (mut out, mut idx) = (Vec::new(), Vec::new());
+    for plane in 0..planes {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_i = 0usize;
+                for ky in 0..spec.kernel {
+                    for kx in 0..spec.kernel {
+                        let i = (plane * h + oy * spec.stride + ky) * w + ox * spec.stride + kx;
+                        if x.as_slice()[i] > best {
+                            best = x.as_slice()[i];
+                            best_i = i;
+                        }
+                    }
                 }
+                out.push(best);
+                idx.push(best_i);
             }
         }
     }
+    (out, idx)
 }
 
 proptest! {
@@ -217,90 +208,65 @@ proptest! {
     }
 
     #[test]
-    fn im2col_into_is_bitwise_equal_to_naive(
-        n in 1usize..3, c in 1usize..4, h in 3usize..9,
-        k in 1usize..4, stride in 1usize..3, padding in 0usize..3, seed in 0u64..1000,
-    ) {
-        let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel: k, stride, padding };
-        let x = Tensor::from_vec(synth(n * c * h * h, seed), &[n, c, h, h]);
-        let mut fast = Tensor::default();
-        im2col_into(&x, h, h, &spec, &mut fast);
-        let reference = naive_im2col(&x, h, h, &spec);
-        prop_assert_eq!(fast.as_slice(), reference.as_slice());
-        prop_assert_eq!(fast.shape().dims(), reference.shape().dims());
-    }
-
-    #[test]
-    fn im2col_t_into_is_the_transpose_of_naive_im2col(
+    fn packed_input_is_the_zero_bordered_batch_innermost_copy(
         n in 1usize..4, c in 1usize..4, h in 1usize..10, w in 1usize..20,
         k in 1usize..4, stride in 1usize..3, padding in 0usize..3, seed in 0u64..1000,
     ) {
-        // Widths 1..20 at strides 1 and 2 give output widths with a fixed-width row
-        // instance (2, 4, 8, 16 at stride 1) and without one (everything else).
         let (h, w) = (h.max(k), w.max(k));
         let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel: k, stride, padding };
         let x = Tensor::from_vec(synth(n * c * h * w, seed), &[n, c, h, w]);
-        let mut t = Tensor::default();
-        // A dirty, wrongly sized scratch plane must not leak into the result.
-        let mut plane = vec![f32::NAN; (seed % 50) as usize];
-        im2col_t_into(&x, h, w, &spec, &mut plane, &mut t);
-        let reference = naive_im2col(&x, h, w, &spec);
-        let (rows, cols) = (reference.rows(), reference.cols());
-        prop_assert_eq!(t.shape().dims(), &[cols, rows]);
-        for r in 0..rows {
-            for cc in 0..cols {
-                prop_assert_eq!(t.at2(cc, r).to_bits(), reference.at2(r, cc).to_bits());
-            }
+        let (ph, pw) = (h + 2 * padding, w + 2 * padding);
+        // A dirty buffer — wrongly sized, or of the right size — must not leak into
+        // the border.
+        let dirty = if seed % 2 == 0 { (seed % 50) as usize } else { c * ph * pw * n };
+        let mut packed = Tensor::from_vec(vec![f32::NAN; dirty], &[dirty]);
+        let (wgt, bias) = (Tensor::ones(&[1, c * k * k]), Tensor::zeros(&[1]));
+        let (mut scratch, mut out) = (ConvScratch::default(), Tensor::default());
+        conv2d_into(&x, &wgt, &bias, h, w, &spec, &mut packed, &mut scratch, &mut out);
+        prop_assert_eq!(packed.shape().dims(), &[c, ph, pw, n]);
+        for (i, &v) in packed.as_slice().iter().enumerate() {
+            let (ni, px, py, ci) = (i % n, i / n % pw, i / (n * pw) % ph, i / (n * pw * ph));
+            let inside = (padding..padding + h).contains(&py) && (padding..padding + w).contains(&px);
+            let expected = if inside {
+                x.as_slice()[((ni * c + ci) * h + py - padding) * w + px - padding]
+            } else {
+                0.0
+            };
+            prop_assert_eq!(v.to_bits(), expected.to_bits());
         }
     }
 
     #[test]
-    fn col2im_t_into_is_bitwise_the_kernel_point_major_fold(
-        n in 1usize..4, c in 1usize..3, h in 1usize..9, w in 1usize..20,
-        k in 1usize..4, stride in 1usize..3, padding in 0usize..3, seed in 0u64..1000,
+    fn conv2d_input_gradient_is_the_adjoint_of_the_forward_map(
+        n in 1usize..3, c in 1usize..3, oc in 1usize..3, h in 3usize..8,
+        k in 1usize..4, stride in 1usize..3, padding in 0usize..2, seed in 0u64..1000,
     ) {
-        let (h, w) = (h.max(k), w.max(k));
-        let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel: k, stride, padding };
-        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-        let ckk = c * k * k;
-        let cols_t = Tensor::from_vec(synth(ckk * n * oh * ow, seed), &[ckk, n * oh * ow]);
-        let mut folded_t = Tensor::default();
-        let mut plane = vec![f32::NAN; (seed % 50) as usize];
-        col2im_t_into(&cols_t, n, h, w, &spec, &mut plane, &mut folded_t);
-        let reference = naive_col2im_t(&cols_t, n, h, w, &spec);
-        prop_assert_eq!(folded_t.shape().dims(), &[n, c, h, w]);
-        prop_assert_eq!(bits(folded_t.as_slice()), bits(&reference));
-        // Adjoint identity: <im2col_t(x), cols_t> == <x, col2im_t(cols_t)>.
-        let x = Tensor::from_vec(synth(n * c * h * w, seed + 7), &[n, c, h, w]);
-        let mut unrolled = Tensor::default();
-        im2col_t_into(&x, h, w, &spec, &mut plane, &mut unrolled);
-        let lhs = dot_f64(unrolled.as_slice(), cols_t.as_slice());
-        let rhs = dot_f64(x.as_slice(), folded_t.as_slice());
+        // <conv(x), y> == <x, grad_input(y)> for a zero bias.
+        let spec = Conv2dSpec { in_channels: c, out_channels: oc, kernel: k, stride, padding };
+        let x = Tensor::from_vec(synth(n * c * h * h, seed), &[n, c, h, h]);
+        let wgt = Tensor::from_vec(synth(oc * c * k * k, seed + 1), &[oc, c * k * k]);
+        let (out, packed) = conv2d(&x, &wgt, &Tensor::zeros(&[oc]), h, h, &spec);
+        let y = Tensor::from_vec(synth(out.len(), seed + 7), out.shape().dims());
+        let (grad_x, _, _) = conv2d_backward(&y, &packed, &wgt, n, h, h, &spec);
+        let lhs = dot_f64(out.as_slice(), y.as_slice());
+        let rhs = dot_f64(x.as_slice(), grad_x.as_slice());
         prop_assert!((lhs - rhs).abs() <= 1e-3 * (1.0 + lhs.abs().max(rhs.abs())));
     }
 
     #[test]
-    fn col2im_variants_are_adjoint_and_agree(
-        n in 1usize..3, c in 1usize..3, h in 3usize..8,
-        k in 1usize..4, stride in 1usize..3, padding in 0usize..2, seed in 0u64..1000,
+    fn max_pool2d_picks_the_winners_of_the_plain_loop(
+        n in 1usize..3, c in 1usize..4, h in 1usize..10, w in 1usize..10,
+        kernel in 1usize..4, stride in 1usize..4, levels in 1u64..6, seed in 0u64..1000,
     ) {
-        let spec = Conv2dSpec { in_channels: c, out_channels: 1, kernel: k, stride, padding };
-        let (oh, ow) = (spec.out_size(h), spec.out_size(h));
-        let ckk = c * k * k;
-        let cols = Tensor::from_vec(synth(n * oh * ow * ckk, seed), &[n * oh * ow, ckk]);
-        let mut folded = Tensor::default();
-        col2im_into(&cols, n, h, h, &spec, &mut folded);
-        // The transposed variant folds the same values (reassociated sum order).
-        let mut folded_t = Tensor::default();
-        col2im_t_into(&cols.transposed(), n, h, h, &spec, &mut Vec::new(), &mut folded_t);
-        prop_assert!(approx_eq(folded.as_slice(), folded_t.as_slice(), 1e-5));
-        // Adjoint identity: <im2col(x), cols> == <x, col2im(cols)>.
-        let x = Tensor::from_vec(synth(n * c * h * h, seed + 7), &[n, c, h, h]);
-        let mut unrolled = Tensor::default();
-        im2col_into(&x, h, h, &spec, &mut unrolled);
-        let lhs = dot_f64(unrolled.as_slice(), cols.as_slice());
-        let rhs = dot_f64(x.as_slice(), folded.as_slice());
-        prop_assert!((lhs - rhs).abs() <= 1e-3 * (1.0 + lhs.abs().max(rhs.abs())));
+        // Few distinct values, so most windows hold a tie.
+        let values = synth(n * c * h * w, seed).iter().map(|v| (v * levels as f32).round()).collect();
+        let x = Tensor::from_vec(values, &[n, c, h, w]);
+        let spec = Pool2dSpec { kernel, stride };
+        let (out, idx) = max_pool2d(&x, h, w, &spec);
+        let (naive_out, naive_idx) = naive_max_pool(&x, h, w, &spec);
+        prop_assert_eq!(out.shape().dims(), &[n, c, spec.out_size(h), spec.out_size(w)]);
+        prop_assert_eq!(bits(out.as_slice()), bits(&naive_out));
+        prop_assert_eq!(idx, naive_idx);
     }
 
     #[test]
@@ -320,8 +286,8 @@ proptest! {
 
     #[test]
     fn conv2d_forward_and_backward_are_bitwise_the_naive_formulation(
-        n in 1usize..4, c in 1usize..4, oc in 1usize..10, h in 1usize..7, w in 1usize..10,
-        k in 1usize..4, stride in 1usize..3, padding in 0usize..2, seed in 0u64..1000,
+        n in 1usize..41, c in 1usize..11, oc in 1usize..11, h in 1usize..7, w in 1usize..10,
+        k in 1usize..4, stride in 1usize..4, padding in 0usize..2, seed in 0u64..1000,
     ) {
         let (h, w) = (h.max(k), w.max(k));
         let spec = Conv2dSpec { in_channels: c, out_channels: oc, kernel: k, stride, padding };
@@ -331,8 +297,8 @@ proptest! {
         let wgt = Tensor::from_vec(synth(oc * ckk, seed + 1), &[oc, ckk]);
         let bias = Tensor::from_vec(synth(oc, seed + 2), &[oc]);
         let grad_out = Tensor::from_vec(synth(n * oc * ohow, seed + 3), &[n, oc, oh, ow]);
-        let (out, cols_t) = conv2d(&x, &wgt, &bias, h, w, &spec);
-        let (grad_x, grad_w, grad_b) = conv2d_backward(&grad_out, &cols_t, &wgt, n, h, w, &spec);
+        let (out, packed) = conv2d(&x, &wgt, &bias, h, w, &spec);
+        let (grad_x, grad_w, grad_b) = conv2d_backward(&grad_out, &packed, &wgt, n, h, w, &spec);
 
         // The naive formulation: one row of `cols` per output position.
         let cols = naive_im2col(&x, h, w, &spec);
