@@ -900,12 +900,6 @@ fn main() {
             "theory" => print_experiment("theory", bench::theory()),
             "ablation" => print_experiment("ablation", bench::ablation_rmax(scale)),
             "ablation_strict" => print_experiment("ablation_strict", bench::ablation_strict(scale)),
-            "ablation_estimator" => {
-                print_experiment("ablation_estimator", bench::ablation_estimator())
-            }
-            "ablation_aggregation" => {
-                print_experiment("ablation_aggregation", bench::ablation_aggregation())
-            }
             "all" => {
                 print_experiment("fig1", bench::fig1());
                 print_experiment("fig2", bench::fig2());
@@ -921,16 +915,13 @@ fn main() {
                 print_experiment("theory", bench::theory());
                 print_experiment("ablation", bench::ablation_rmax(scale));
                 print_experiment("ablation_strict", bench::ablation_strict(scale));
-                print_experiment("ablation_estimator", bench::ablation_estimator());
-                print_experiment("ablation_aggregation", bench::ablation_aggregation());
             }
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!(
                     "expected one of: fig1 fig2 fig3a fig3b fig3c fig3d fig3e fig3f fig4 \
-                     table1 throughput theory ablation ablation_strict ablation_estimator \
-                     ablation_aggregation all serve coord worker launch chaos-smoke drain \
-                     rebalance migration-smoke trace analyze stats"
+                     table1 throughput theory ablation ablation_strict all serve coord worker \
+                     launch chaos-smoke drain rebalance migration-smoke trace analyze stats"
                 );
                 std::process::exit(2);
             }

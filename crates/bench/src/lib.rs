@@ -123,18 +123,25 @@ pub fn fig2() -> String {
     tracker.record_push(0, 10.0); // fast worker: interval 1 s
     tracker.record_push(1, 6.0);
     tracker.record_push(1, 10.0); // slow worker: interval 4 s
-    let mut controller = SyncController::new(2, 8);
+    let r_max = 8;
+    let mut controller = SyncController::new(2, r_max);
     let decision = controller.decide(0, 1, &tracker);
+    // The two timelines Algorithm 2 evaluates, from the same table `A` entries.
+    let timeline = |worker, first: u64| {
+        let (latest, interval) = (
+            tracker.latest(worker).unwrap(),
+            tracker.interval(worker).unwrap(),
+        );
+        (first..=first + r_max).map(move |i| latest + i as f64 * interval)
+    };
     let _ = writeln!(
         out,
         "{:>4} {:>18} {:>22} {:>16}",
         "r", "fast stops at (s)", "nearest slow push (s)", "predicted wait (s)"
     );
-    for (r, &fast_t) in decision.fast_timeline.iter().enumerate() {
-        let (nearest, wait) = decision
-            .slow_timeline
-            .iter()
-            .map(|&s| (s, (s - fast_t).abs()))
+    for (r, fast_t) in timeline(0, 0).enumerate() {
+        let (nearest, wait) = timeline(1, 1)
+            .map(|s| (s, (s - fast_t).abs()))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
         let marker = if r as u64 == decision.extra_iterations {
@@ -378,134 +385,6 @@ pub fn ablation_strict(scale: Scale) -> String {
     out
 }
 
-/// Ablation (`repro ablation_estimator`): the controller's interval estimator — the
-/// paper's last-interval estimate versus an exponentially weighted moving average —
-/// evaluated on a jittery synthetic push-timestamp stream.
-///
-/// For each estimator the table reports the mean absolute error between the predicted
-/// waiting time and the waiting time actually realized if the fast worker stops after
-/// the granted number of extra iterations.
-pub fn ablation_estimator() -> String {
-    use dssp_ps::IntervalEstimator;
-    let mut out =
-        String::from("Ablation — controller interval estimator on a jittery two-worker stream\n\n");
-    let estimators = [
-        ("last-interval (paper)", IntervalEstimator::LastInterval),
-        ("EWMA alpha=0.5", IntervalEstimator::Ewma { alpha: 0.5 }),
-        ("EWMA alpha=0.2", IntervalEstimator::Ewma { alpha: 0.2 }),
-    ];
-    let _ = writeln!(
-        out,
-        "{:<24} {:>18} {:>16}",
-        "estimator", "mean |wait error|", "mean r*"
-    );
-    for (label, estimator) in estimators {
-        let mut controller = dssp_ps::SyncController::with_estimator(2, 8, estimator);
-        let mut tracker = IntervalTracker::new(2);
-        // Deterministic jittery speeds: fast ≈ 1 s/iter ±30 %, slow ≈ 4 s/iter ±20 %.
-        let mut fast_t = 0.0;
-        let mut slow_t = 0.0;
-        let mut total_error = 0.0;
-        let mut total_r = 0.0;
-        let rounds = 200;
-        for k in 0..rounds {
-            let fast_interval = 1.0 + 0.3 * ((k as f64 * 0.7).sin());
-            let slow_interval = 4.0 + 0.8 * ((k as f64 * 1.3).cos());
-            tracker.record_push(0, fast_t);
-            fast_t += fast_interval;
-            tracker.record_push(0, fast_t);
-            tracker.record_push(1, slow_t);
-            slow_t += slow_interval;
-            tracker.record_push(1, slow_t);
-            let decision = controller.decide(0, 1, &tracker);
-            // Realized wait if the fast worker runs r* more iterations at its *true* next
-            // speed and then waits for the slow worker's next push.
-            let true_fast_next = 1.0 + 0.3 * (((k + 1) as f64 * 0.7).sin());
-            let stop_at = fast_t + decision.extra_iterations as f64 * true_fast_next;
-            let true_slow_next = slow_t + 4.0 + 0.8 * (((k + 1) as f64 * 1.3).cos());
-            let realized_wait = (true_slow_next - stop_at).abs();
-            total_error += (realized_wait - decision.predicted_wait).abs();
-            total_r += decision.extra_iterations as f64;
-        }
-        let _ = writeln!(
-            out,
-            "{:<24} {:>18.3} {:>16.2}",
-            label,
-            total_error / rounds as f64,
-            total_r / rounds as f64
-        );
-    }
-    out
-}
-
-/// Ablation (`repro ablation_aggregation`): server-side aggregation granularity —
-/// applying every push immediately versus buffering `k` pushes and applying their
-/// average — measured on the raw parameter server with a fixed synthetic push schedule.
-pub fn ablation_aggregation() -> String {
-    use dssp_nn::{LrSchedule, Sgd, SgdConfig};
-    use dssp_ps::{AggregationMode, ParameterServer, ServerConfig};
-    let mut out =
-        String::from("Ablation — server aggregation granularity (4 workers, ASP schedule)\n\n");
-    let _ = writeln!(
-        out,
-        "{:<16} {:>16} {:>18} {:>18}",
-        "mode", "weight updates", "final weight[0]", "update variance"
-    );
-    for mode in [
-        AggregationMode::PerPush,
-        AggregationMode::Buffered { capacity: 2 },
-        AggregationMode::Buffered { capacity: 4 },
-    ] {
-        let sgd = Sgd::new(
-            SgdConfig {
-                schedule: LrSchedule::constant(0.1),
-                momentum: 0.0,
-                weight_decay: 0.0,
-            },
-            1,
-        );
-        let config = ServerConfig::new(4, PolicyKind::Asp).with_aggregation(mode);
-        let mut server = ParameterServer::new(vec![0.0], sgd, config);
-        // Workers push alternating-sign gradients of different magnitudes; buffered
-        // aggregation averages them and produces a smoother weight trajectory.
-        let mut prev = 0.0f32;
-        let mut squared_steps = 0.0f64;
-        let mut steps = 0u64;
-        for round in 0..64u64 {
-            for worker in 0..4usize {
-                let sign = if (round as usize + worker) % 2 == 0 {
-                    1.0
-                } else {
-                    -1.0
-                };
-                let magnitude = 1.0 + worker as f32;
-                server.handle_push(worker, &[sign * magnitude], round as f64);
-                let w = server.weights()[0];
-                if w != prev {
-                    squared_steps += f64::from(w - prev) * f64::from(w - prev);
-                    steps += 1;
-                    prev = w;
-                }
-            }
-        }
-        server.flush_aggregation();
-        let variance = if steps == 0 {
-            0.0
-        } else {
-            squared_steps / steps as f64
-        };
-        let _ = writeln!(
-            out,
-            "{:<16} {:>16} {:>18.4} {:>18.5}",
-            mode.label(),
-            server.updates_applied(),
-            server.weights()[0],
-            variance
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,24 +454,5 @@ mod tests {
         // BSP reaches both targets by construction, so its row holds two times.
         let bsp_row = text.lines().find(|l| l.starts_with("| BSP |")).unwrap();
         assert!(!bsp_row.contains('−'), "{bsp_row}");
-    }
-
-    #[test]
-    fn estimator_ablation_lists_every_estimator() {
-        let text = ablation_estimator();
-        assert!(text.contains("last-interval (paper)"));
-        assert!(text.contains("EWMA alpha=0.5"));
-        assert!(text.contains("EWMA alpha=0.2"));
-    }
-
-    #[test]
-    fn aggregation_ablation_reports_fewer_updates_for_larger_buffers() {
-        let text = ablation_aggregation();
-        assert!(text.contains("per-push"));
-        assert!(text.contains("buffered x4"));
-        // The per-push row reports 256 updates (64 rounds × 4 workers); the x4 buffer
-        // reports a quarter of that.
-        assert!(text.contains("256"));
-        assert!(text.contains("64"));
     }
 }

@@ -166,17 +166,6 @@ impl ClusterSpec {
         Self::new(workers, LinkProfile::infiniband_edr())
     }
 
-    /// An idealised fully homogeneous variant of [`ClusterSpec::soscip_like`] with no
-    /// parameter-server co-location overhead, used by ablations that want to isolate the
-    /// effect of the asymmetry.
-    pub fn soscip_like_ideal() -> Self {
-        Self::homogeneous(
-            4,
-            WorkerSpec::multi(DeviceProfile::p100(), 4),
-            LinkProfile::infiniband_edr(),
-        )
-    }
-
     /// The paper's heterogeneous testbed (Figure 4 / Table I): two workers, one with a
     /// GTX 1060 and one with a GTX 1080 Ti, on a shared Ethernet-class link.
     ///
@@ -270,7 +259,8 @@ mod tests {
         // the idealised variant is perfectly homogeneous.
         let soscip = ClusterSpec::soscip_like();
         assert!(!soscip.is_homogeneous());
-        assert!(ClusterSpec::soscip_like_ideal().is_homogeneous());
+        let p100s = WorkerSpec::multi(DeviceProfile::p100(), 4);
+        assert!(ClusterSpec::homogeneous(4, p100s, LinkProfile::infiniband_edr()).is_homogeneous());
         assert_eq!(soscip.num_workers(), 4);
         let ps_host = soscip.workers[0].effective_flops_per_sec();
         let peer = soscip.workers[1].effective_flops_per_sec();

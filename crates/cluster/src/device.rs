@@ -62,19 +62,6 @@ impl DeviceProfile {
     pub fn gtx1060() -> Self {
         Self::new("GTX1060", 100.0e6, 0.04)
     }
-
-    /// A hypothetical device `factor`× faster than a GTX 1060, for sweeps over the
-    /// degree of heterogeneity.
-    pub fn scaled_gtx1060(factor: f64) -> Self {
-        assert!(factor > 0.0, "speed factor must be positive");
-        Self::new(format!("GTX1060x{factor:.2}"), 100.0e6 * factor, 0.04)
-    }
-
-    /// Seconds of compute for `flops` floating-point operations on this device (before
-    /// jitter).
-    pub fn compute_seconds(&self, flops: u64) -> f64 {
-        flops as f64 / self.flops_per_sec
-    }
 }
 
 #[cfg(test)]
@@ -93,19 +80,6 @@ mod tests {
             (1.5..2.5).contains(&ratio),
             "1080Ti/1060 ratio {ratio} out of range"
         );
-    }
-
-    #[test]
-    fn compute_seconds_is_inverse_throughput() {
-        let d = DeviceProfile::new("unit", 100.0, 0.0);
-        assert!((d.compute_seconds(1_000) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_device_multiplies_throughput() {
-        let base = DeviceProfile::gtx1060();
-        let double = DeviceProfile::scaled_gtx1060(2.0);
-        assert!((double.flops_per_sec / base.flops_per_sec - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -121,10 +121,9 @@ impl ShardFan {
     ///
     /// # Panics
     ///
-    /// Panics if the link count differs from the job's server count or the job is
-    /// inconsistent.
+    /// Panics if the link count differs from the job's server count or the job's
+    /// shard and server counts make no layout ([`GroupLayout::new`]).
     pub fn new(job: &JobConfig, param_len: usize, links: Vec<ServerLink>) -> Self {
-        job.validate();
         assert_eq!(
             links.len(),
             job.servers,

@@ -314,13 +314,7 @@ impl ShardServerState {
         Checkpoint {
             job_digest,
             tick: 0.0, // shard servers keep no logical clock
-            store: Some(StoreSnapshot {
-                flat: self.store.as_flat().to_vec(),
-                offsets: self.store.offsets().iter().map(|&o| o as u64).collect(),
-                versions: self.store.versions().to_vec(),
-                velocity: self.sgd.velocity().to_vec(),
-                epoch: self.sgd.current_epoch() as u64,
-            }),
+            store: Some(StoreSnapshot::capture(&self.store, &self.sgd)),
             gate: None,
             layout: Some(LayoutSnapshot {
                 epoch: self.layout.epoch(),
@@ -358,12 +352,7 @@ impl ShardServerState {
         }
         ckpt.require_role(None, Some(&fresh.layout.local_offsets(index)))?;
         let snap = ckpt.store.as_ref().expect("require_role checked the store");
-        fresh.store = ShardedStore::restore(
-            snap.flat.clone(),
-            snap.offsets.iter().map(|&o| o as usize).collect(),
-            snap.versions.clone(),
-        );
-        fresh.sgd = Sgd::restore(job.sgd.clone(), snap.velocity.clone(), snap.epoch as usize);
+        (fresh.store, fresh.sgd) = snap.rebuild(job.sgd.clone());
         fresh.pushes = snap.versions.iter().copied().max().unwrap_or(0);
         Ok(fresh)
     }

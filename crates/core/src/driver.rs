@@ -38,7 +38,7 @@
 
 use dssp_data::BatchIter;
 use dssp_nn::models::ModelSpec;
-use dssp_nn::{Evaluator, Model, Sgd, SgdConfig, TrainStep};
+use dssp_nn::{Evaluator, LrSchedule, Model, Sgd, SgdConfig, TrainStep};
 use dssp_ps::{ParameterServer, PolicyKind, ServerConfig, SyncGate};
 use dssp_sim::{DataSpec, RunTrace, TracePoint, WorkerSummary};
 use dssp_tensor::Tensor;
@@ -394,13 +394,31 @@ impl JobConfig {
         }
     }
 
-    /// Checks internal consistency.
+    /// Checks that a substrate can run this job; every substrate's entry point
+    /// (`run_threaded`, `serve`, the coordinator, the shard servers, the launchers)
+    /// calls it first.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero workers, class mismatch, zero
-    /// shards, or a delay vector whose length differs from the worker count).
+    /// shards, or a delay vector whose length differs from the worker count), or if
+    /// `sgd.schedule` is not [`LrSchedule::Constant`]: no substrate tells the
+    /// server-side optimizer the epoch, so any other schedule would train at its base
+    /// rate forever while the same spec decays on the simulator.
     pub fn validate(&self) {
+        self.check_shape();
+        assert!(
+            matches!(self.sgd.schedule, LrSchedule::Constant { .. }),
+            "sgd.schedule must be LrSchedule::Constant: only the simulator steps the \
+             schedule's epoch, so {:?} would never leave its base rate here",
+            self.sgd.schedule
+        );
+    }
+
+    /// The consistency [`WorkerStep`] and [`ServerLoop`] are built on. They do not ask
+    /// for the schedule: the round-cost ledger hand-drives both, one round at a time,
+    /// on the simulator presets' jobs, whose step schedule nothing steps there either.
+    fn check_shape(&self) {
         assert!(self.num_workers > 0, "need at least one worker");
         assert!(self.shards > 0, "need at least one storage shard");
         assert!(self.servers > 0, "need at least one shard server");
@@ -514,7 +532,7 @@ impl WorkerStep {
     ///
     /// Panics if the configuration is inconsistent or `rank` is out of range.
     pub fn for_rank(config: &JobConfig, rank: usize) -> Self {
-        config.validate();
+        config.check_shape();
         assert!(rank < config.num_workers, "worker rank out of range");
         let dataset = config.data.generate(config.seed);
         let shard = dataset
@@ -533,7 +551,7 @@ impl WorkerStep {
     ///
     /// Panics if the configuration is inconsistent or `rank` is out of range.
     pub fn with_shard(config: &JobConfig, rank: usize, shard: dssp_data::Shard) -> Self {
-        config.validate();
+        config.check_shape();
         assert!(rank < config.num_workers, "worker rank out of range");
         let target = config.target_iterations(shard.len());
         let batches = BatchIter::new(
@@ -757,7 +775,6 @@ impl ServerLoop {
     ///
     /// Panics if the configuration is inconsistent.
     pub fn new(config: &JobConfig) -> Self {
-        config.validate();
         let dataset = config.data.generate(config.seed);
         Self::with_dataset(config, &dataset)
     }
@@ -783,13 +800,12 @@ impl ServerLoop {
     ///
     /// Panics if the configuration is inconsistent.
     pub fn clock_only(config: &JobConfig) -> Self {
-        config.validate();
         let dataset = config.data.generate(config.seed);
         Self::build(config, &dataset, true)
     }
 
     fn build(config: &JobConfig, dataset: &dssp_data::Dataset, clock_only: bool) -> Self {
-        config.validate();
+        config.check_shape();
         let targets: Vec<u64> = dataset
             .shard_train(config.num_workers)
             .iter()
@@ -936,16 +952,7 @@ impl ServerLoop {
     /// a restored loop keeps feeding the interval table monotonic timestamps.
     pub fn snapshot(&self, job_digest: u64) -> dssp_ps::Checkpoint {
         let store = match &self.backend {
-            Backend::Local(ps) => {
-                let s = ps.store();
-                Some(dssp_ps::StoreSnapshot {
-                    flat: s.as_flat().to_vec(),
-                    offsets: s.offsets().iter().map(|&o| o as u64).collect(),
-                    versions: s.versions().to_vec(),
-                    velocity: ps.optimizer().velocity().to_vec(),
-                    epoch: ps.optimizer().current_epoch() as u64,
-                })
-            }
+            Backend::Local(ps) => Some(dssp_ps::StoreSnapshot::capture(ps.store(), ps.optimizer())),
             Backend::Clock(_) => None,
         };
         dssp_ps::Checkpoint {
@@ -975,7 +982,6 @@ impl ServerLoop {
         ckpt: &dssp_ps::Checkpoint,
         clock_only: bool,
     ) -> Result<Self, dssp_ps::CheckpointError> {
-        config.validate();
         let dataset = config.data.generate(config.seed);
         let mut sl = Self::build(config, &dataset, clock_only);
         let store_offsets = match &sl.backend {
@@ -989,16 +995,7 @@ impl ServerLoop {
             Backend::Clock(gate)
         } else {
             let store_snap = ckpt.store.as_ref().expect("require_role checked the store");
-            let store = dssp_ps::ShardedStore::restore(
-                store_snap.flat.clone(),
-                store_snap.offsets.iter().map(|&o| o as usize).collect(),
-                store_snap.versions.clone(),
-            );
-            let sgd = Sgd::restore(
-                config.sgd.clone(),
-                store_snap.velocity.clone(),
-                store_snap.epoch as usize,
-            );
+            let (store, sgd) = store_snap.rebuild(config.sgd.clone());
             Backend::Local(ParameterServer::restore(
                 store,
                 sgd,
@@ -1079,8 +1076,10 @@ impl ServerLoop {
     /// `replies` buffer, which is **not** cleared first. The gradient is borrowed and
     /// all bookkeeping reuses member scratch, so the networked server's steady-state
     /// command loop performs no heap allocation per push (periodic evaluations
-    /// excepted). A clock-only loop takes an empty slice: its workers applied their
-    /// gradients on the shard servers.
+    /// excepted) under every policy — `dssp-ps`'s `zero_alloc_push` suite counts the
+    /// decision path with the DSSP controller consulted, `dssp-net`'s `zero_alloc_net`
+    /// the whole round. A clock-only loop takes an empty slice: its workers applied
+    /// their gradients on the shard servers.
     ///
     /// Returns the policy's [`dssp_ps::PushDecision`] for this push — whether the
     /// pusher proceeds, any r* credit granted, and the pusher's staleness — so serving
@@ -1518,6 +1517,16 @@ mod tests {
         e.stall_timeout_ms += 1;
         e.event_log = Some("events".into());
         assert_eq!(e.stable_digest(), 0x14ac_4b7f_9b9f_cae3);
+    }
+
+    #[test]
+    #[should_panic(expected = "sgd.schedule must be LrSchedule::Constant")]
+    fn a_schedule_no_serving_loop_would_step_is_refused() {
+        let mut config = JobConfig::small(PolicyKind::Bsp);
+        config.sgd.schedule = LrSchedule::step(0.05, 0.1, &[1]);
+        // A hand-driven loop can still be built on it (the ledger's trace mode does).
+        let _ = ServerLoop::new(&config);
+        config.validate();
     }
 
     #[test]

@@ -222,11 +222,6 @@ pub fn trace_id(rank: u32, seq: u32) -> u64 {
     (u64::from(rank) << 32) | u64::from(seq)
 }
 
-/// Unpacks a [`trace_id`] back into `(rank, seq)`.
-pub fn trace_parts(trace: u64) -> (u32, u32) {
-    ((trace >> 32) as u32, trace as u32)
-}
-
 /// The trace id of an untraced event (no causal context).
 pub const NO_TRACE: u64 = 0;
 
@@ -535,11 +530,8 @@ mod tests {
     #[test]
     fn trace_ids_pack_and_unpack() {
         assert_eq!(trace_id(0, 1), 1);
-        assert_eq!(trace_parts(trace_id(7, 42)), (7, 42));
-        assert_eq!(
-            trace_parts(trace_id(u32::MAX, u32::MAX)),
-            (u32::MAX, u32::MAX)
-        );
+        assert_eq!(trace_id(7, 42), (7 << 32) | 42);
+        assert_eq!(trace_id(u32::MAX, u32::MAX), u64::MAX);
         assert_eq!(NO_TRACE, 0);
         for op in [SpanOp::Push, SpanOp::Pull, SpanOp::Clock] {
             assert_eq!(SpanOp::from_code(op.code()), Some(op));

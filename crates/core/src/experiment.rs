@@ -17,11 +17,6 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Wraps an explicit simulator configuration.
-    pub fn from_config(config: SimConfig) -> Self {
-        Self { config }
-    }
-
     /// The underlying simulator configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -56,11 +51,6 @@ pub struct ExperimentBuilder {
 }
 
 impl ExperimentBuilder {
-    /// Starts from an explicit simulator configuration.
-    pub fn from_config(config: SimConfig) -> Self {
-        Self { config }
-    }
-
     /// A small MLP on a synthetic vector task over the heterogeneous two-worker cluster:
     /// quick enough for tests and the quickstart example.
     pub fn small_mlp() -> Self {

@@ -44,11 +44,6 @@ impl BatchIter {
         }
     }
 
-    /// Number of batches that constitute one epoch over this shard.
-    pub fn batches_per_epoch(&self) -> usize {
-        self.shard.len().div_ceil(self.batch_size)
-    }
-
     /// The number of completed epochs.
     pub fn epoch(&self) -> usize {
         self.epoch
@@ -106,8 +101,8 @@ mod tests {
     #[test]
     fn epoch_advances_after_visiting_all_examples() {
         let mut it = BatchIter::new(shard(), 8, 1);
-        assert_eq!(it.batches_per_epoch(), 7); // ceil(50 / 8)
         for _ in 0..7 {
+            // ceil(50 / 8) batches make one epoch
             it.next_batch();
         }
         assert_eq!(it.epoch(), 0);

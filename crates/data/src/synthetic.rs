@@ -82,12 +82,6 @@ impl SyntheticImageSpec {
         self
     }
 
-    /// Enables random distortion with the given probability.
-    pub fn with_distortion(mut self, prob: f32) -> Self {
-        self.distortion_prob = prob;
-        self
-    }
-
     /// Number of feature values per example.
     pub fn example_len(&self) -> usize {
         3 * self.image_side * self.image_side
@@ -347,10 +341,10 @@ mod tests {
 
     #[test]
     fn distortion_zeroes_a_channel_sometimes() {
-        let spec = SyntheticImageSpec::cifar10_like()
+        let mut spec = SyntheticImageSpec::cifar10_like()
             .with_sizes(50, 10)
-            .with_image_side(8)
-            .with_distortion(1.0);
+            .with_image_side(8);
+        spec.distortion_prob = 1.0;
         let raw = generate_images(&spec, 5, 50, true);
         let side2 = 8 * 8;
         let mut found_zeroed = false;

@@ -22,11 +22,11 @@
 //! [`ServerLoop`], **drain** what it is ready to release — arrival order, or the
 //! canonical order of deterministic mode, which this module never sees — and
 //! **deliver** the `OK`s each applied event appends to the reply scratch. The
-//! steady-state loop allocates nothing per message: every push is applied by the one
-//! `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
-//! scratch, the consumed gradient buffer recycled back to the transport's
-//! per-connection pool — so the bitwise equivalence suites exercise the code
-//! wall-clock runs serve with.
+//! steady-state loop allocates nothing per message under any policy (`zero_alloc_net.rs`;
+//! the DSSP decision path in `dssp-ps`'s `zero_alloc_push.rs`): every push is applied by
+//! the one `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
+//! scratch, the consumed gradient buffer recycled back to the transport's per-connection
+//! pool — so the bitwise equivalence suites exercise the code wall-clock runs serve with.
 
 use crate::elastic::{CheckpointSink, FaultClock};
 use crate::obs::Obs;

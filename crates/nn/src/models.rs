@@ -97,15 +97,6 @@ impl ModelSpec {
         )
     }
 
-    /// Whether the model consumes image tensors (`[N, 3, side, side]`) rather than flat
-    /// feature vectors.
-    pub fn is_convolutional(&self) -> bool {
-        matches!(
-            self,
-            ModelSpec::DownsizedAlexNet { .. } | ModelSpec::ResNetCifar { .. }
-        )
-    }
-
     /// Number of output classes.
     pub fn classes(&self) -> usize {
         match self {
@@ -331,7 +322,6 @@ mod tests {
         let m = spec.build(11);
         assert_eq!(m.arch_name(), "downsized-alexnet");
         assert!(spec.has_fc_layers());
-        assert!(spec.is_convolutional());
         assert_eq!(spec.classes(), 10);
         let spec2 = ModelSpec::ResNetCifar {
             image_side: 16,

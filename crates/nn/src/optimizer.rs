@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper uses the step variant for the ResNets ("learning rate 0.05 and decay 0.1
 /// twice at epoch 200 and 250 in 300 epochs") and a constant rate for the downsized
-/// AlexNet; cosine annealing and linear warm-up are provided for users extending the
-/// library beyond the paper's exact settings.
+/// AlexNet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LrSchedule {
     /// A constant learning rate.
@@ -23,23 +22,6 @@ pub enum LrSchedule {
         decay_factor: f32,
         /// Epochs at which the decay is applied.
         milestones: Vec<usize>,
-    },
-    /// Cosine annealing from `base_lr` down to `min_lr` over `total_epochs`.
-    Cosine {
-        /// The epoch-0 learning rate.
-        base_lr: f32,
-        /// The floor the rate anneals towards.
-        min_lr: f32,
-        /// Length of the annealing horizon in epochs.
-        total_epochs: usize,
-    },
-    /// Linear warm-up from `base_lr / warmup_epochs` to `base_lr` over `warmup_epochs`,
-    /// then constant.
-    Warmup {
-        /// The post-warm-up learning rate.
-        base_lr: f32,
-        /// Number of warm-up epochs (0 behaves like a constant schedule).
-        warmup_epochs: usize,
     },
 }
 
@@ -60,28 +42,6 @@ impl LrSchedule {
         }
     }
 
-    /// Cosine annealing from `base_lr` to `min_lr` over `total_epochs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_epochs` is zero.
-    pub fn cosine(base_lr: f32, min_lr: f32, total_epochs: usize) -> Self {
-        assert!(total_epochs > 0, "cosine schedule needs at least one epoch");
-        LrSchedule::Cosine {
-            base_lr,
-            min_lr,
-            total_epochs,
-        }
-    }
-
-    /// Linear warm-up to `base_lr` over `warmup_epochs`, then constant.
-    pub fn warmup(base_lr: f32, warmup_epochs: usize) -> Self {
-        LrSchedule::Warmup {
-            base_lr,
-            warmup_epochs,
-        }
-    }
-
     /// Learning rate to use during `epoch` (0-based).
     pub fn lr_at_epoch(&self, epoch: usize) -> f32 {
         match self {
@@ -94,35 +54,13 @@ impl LrSchedule {
                 let passed = milestones.iter().filter(|&&m| epoch >= m).count() as i32;
                 base_lr * decay_factor.powi(passed)
             }
-            LrSchedule::Cosine {
-                base_lr,
-                min_lr,
-                total_epochs,
-            } => {
-                let t = (epoch.min(*total_epochs) as f32) / (*total_epochs as f32);
-                min_lr + 0.5 * (base_lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-            LrSchedule::Warmup {
-                base_lr,
-                warmup_epochs,
-            } => {
-                if *warmup_epochs == 0 || epoch >= *warmup_epochs {
-                    *base_lr
-                } else {
-                    base_lr * (epoch + 1) as f32 / *warmup_epochs as f32
-                }
-            }
         }
     }
 
-    /// The base learning rate (the rate at epoch 0 for constant/step schedules, the peak
-    /// rate for cosine and warm-up schedules).
+    /// The base learning rate (the rate at epoch 0).
     pub fn base_lr(&self) -> f32 {
         match self {
-            LrSchedule::Constant { base_lr }
-            | LrSchedule::Step { base_lr, .. }
-            | LrSchedule::Cosine { base_lr, .. }
-            | LrSchedule::Warmup { base_lr, .. } => *base_lr,
+            LrSchedule::Constant { base_lr } | LrSchedule::Step { base_lr, .. } => *base_lr,
         }
     }
 }
@@ -246,41 +184,6 @@ mod tests {
         assert!((s.lr_at_epoch(200) - 0.005).abs() < 1e-9);
         assert!((s.lr_at_epoch(249) - 0.005).abs() < 1e-9);
         assert!((s.lr_at_epoch(250) - 0.0005).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cosine_schedule_anneals_from_base_to_min() {
-        let s = LrSchedule::cosine(1.0, 0.1, 10);
-        assert!((s.lr_at_epoch(0) - 1.0).abs() < 1e-6);
-        assert!((s.lr_at_epoch(10) - 0.1).abs() < 1e-6);
-        assert!(
-            (s.lr_at_epoch(100) - 0.1).abs() < 1e-6,
-            "clamps past the horizon"
-        );
-        // Midpoint sits halfway between base and min.
-        assert!((s.lr_at_epoch(5) - 0.55).abs() < 1e-6);
-        // Monotone non-increasing.
-        for e in 0..10 {
-            assert!(s.lr_at_epoch(e + 1) <= s.lr_at_epoch(e) + 1e-9);
-        }
-        assert_eq!(s.base_lr(), 1.0);
-    }
-
-    #[test]
-    fn warmup_schedule_ramps_linearly_then_holds() {
-        let s = LrSchedule::warmup(0.8, 4);
-        assert!((s.lr_at_epoch(0) - 0.2).abs() < 1e-6);
-        assert!((s.lr_at_epoch(1) - 0.4).abs() < 1e-6);
-        assert!((s.lr_at_epoch(3) - 0.8).abs() < 1e-6);
-        assert!((s.lr_at_epoch(50) - 0.8).abs() < 1e-6);
-        // Zero warm-up epochs degenerate to a constant schedule.
-        assert!((LrSchedule::warmup(0.8, 0).lr_at_epoch(0) - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn zero_length_cosine_rejected() {
-        LrSchedule::cosine(1.0, 0.0, 0);
     }
 
     #[test]

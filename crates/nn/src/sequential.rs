@@ -44,16 +44,6 @@ impl Sequential {
         self.layers.push(layer);
     }
 
-    /// Number of layers in the stack.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Names of all layers, in execution order.
-    pub fn layer_names(&self) -> Vec<String> {
-        self.layers.iter().map(|l| l.name().to_string()).collect()
-    }
-
     /// Workspace-backed forward pass over the whole stack.
     ///
     /// Activations ping-pong between the workspace's two activation buffers, and each
@@ -294,8 +284,8 @@ mod tests {
     #[test]
     fn layer_names_and_counts() {
         let m = tiny_mlp();
-        assert_eq!(m.layer_count(), 3);
-        assert_eq!(m.layer_names()[1], "relu");
+        assert_eq!(m.layers.len(), 3);
+        assert_eq!(m.layers[1].name(), "relu");
         assert!(!format!("{m:?}").is_empty());
     }
 

@@ -18,6 +18,8 @@
 
 use crate::gate::GateSnapshot;
 use crate::server::ServerStats;
+use crate::sharded::ShardedStore;
+use dssp_nn::{Sgd, SgdConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -53,6 +55,37 @@ pub struct StoreSnapshot {
     pub velocity: Vec<f32>,
     /// The epoch the learning-rate schedule currently operates at.
     pub epoch: u64,
+}
+
+impl StoreSnapshot {
+    /// Captures the storage half of a server: the store and the optimizer stepping it.
+    pub fn capture(store: &ShardedStore, sgd: &Sgd) -> Self {
+        Self {
+            flat: store.as_flat().to_vec(),
+            offsets: store.offsets().iter().map(|&o| o as u64).collect(),
+            versions: store.versions().to_vec(),
+            velocity: sgd.velocity().to_vec(),
+            epoch: sgd.current_epoch() as u64,
+        }
+    }
+
+    /// Rebuilds the store and its optimizer. The hyper-parameters are not part of the
+    /// snapshot — `config` is the restoring job's, which the checkpoint's job digest
+    /// ties to the one that wrote it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the boundaries or versions do not fit the weights; restore paths run
+    /// [`Checkpoint::require_role`] first.
+    pub fn rebuild(&self, config: SgdConfig) -> (ShardedStore, Sgd) {
+        let store = ShardedStore::restore(
+            self.flat.clone(),
+            self.offsets.iter().map(|&o| o as usize).collect(),
+            self.versions.clone(),
+        );
+        let sgd = Sgd::restore(config, self.velocity.clone(), self.epoch as usize);
+        (store, sgd)
+    }
 }
 
 /// The group-layout section of a checkpoint: the epoch-stamped shard→server
@@ -708,6 +741,30 @@ mod tests {
             let decoded = Checkpoint::decode(&c.encode()).expect("decode");
             assert_eq!(decoded, c);
         }
+    }
+
+    #[test]
+    fn capture_rebuild_capture_is_the_identity() {
+        let config = SgdConfig {
+            schedule: dssp_nn::LrSchedule::step(0.3, 0.5, &[1]),
+            momentum: 0.9,
+            weight_decay: 0.01,
+        };
+        let mut store = ShardedStore::new((0..7).map(|i| (i as f32).sin()).collect(), 3);
+        let mut sgd = Sgd::new(config.clone(), store.len());
+        sgd.set_epoch(2);
+        for i in 0..3 {
+            let grads: Vec<f32> = (0..7).map(|j| ((i * 7 + j) as f32).cos()).collect();
+            sgd.step(store.flat_mut(), &grads);
+            store.bump_all_versions();
+        }
+        store.apply_shard(1, &[0.5, -0.5], 0.1); // versions differ per shard
+        let snap = StoreSnapshot::capture(&store, &sgd);
+        assert_eq!((snap.epoch, &snap.versions[..]), (2, &[3, 4, 3][..]));
+        assert!(snap.velocity.iter().any(|&v| v != 0.0));
+        let (rebuilt, rebuilt_sgd) = snap.rebuild(config);
+        assert_eq!(rebuilt, store);
+        assert_eq!(StoreSnapshot::capture(&rebuilt, &rebuilt_sgd), snap);
     }
 
     #[test]

@@ -111,16 +111,6 @@ impl ClockTable {
             .expect("non-empty")
     }
 
-    /// An active worker with the largest counter (lowest id wins ties).
-    pub fn fastest_worker(&self) -> WorkerId {
-        let max = self.fastest_count();
-        self.counts
-            .iter()
-            .enumerate()
-            .position(|(w, &c)| c == max && (self.is_active(w) || self.retired.iter().all(|&r| r)))
-            .expect("non-empty")
-    }
-
     /// Whether `worker` currently has the (joint) largest counter.
     pub fn is_fastest(&self, worker: WorkerId) -> bool {
         self.counts[worker] == self.fastest_count()
@@ -218,11 +208,6 @@ impl IntervalTracker {
         }
     }
 
-    /// Whether the tracker has a full interval estimate for every worker.
-    pub fn all_measured(&self) -> bool {
-        (0..self.latest.len()).all(|w| self.interval(w).is_some())
-    }
-
     /// Number of workers tracked.
     pub fn num_workers(&self) -> usize {
         self.latest.len()
@@ -274,7 +259,6 @@ mod tests {
         assert_eq!(t.count(0), 2);
         assert_eq!(t.slowest_count(), 0);
         assert_eq!(t.slowest_worker(), 2);
-        assert_eq!(t.fastest_worker(), 0);
         assert!(t.is_fastest(0));
         assert!(!t.is_fastest(1));
         assert_eq!(t.spread(), 2);
@@ -289,7 +273,7 @@ mod tests {
         t.increment(2);
         // workers 1 and 2 tie at 1, worker 0 is slowest
         assert_eq!(t.slowest_worker(), 0);
-        assert_eq!(t.fastest_worker(), 1);
+        assert!(t.is_fastest(1) && t.is_fastest(2));
     }
 
     #[test]
@@ -336,10 +320,9 @@ mod tests {
         a.record_push(0, 3.5);
         assert_eq!(a.interval(0), Some(2.5));
         assert_eq!(a.latest(0), Some(3.5));
-        assert!(!a.all_measured());
+        assert!(a.interval(1).is_none());
         a.record_push(1, 2.0);
         a.record_push(1, 6.0);
-        assert!(a.all_measured());
         assert_eq!(a.interval(1), Some(4.0));
     }
 

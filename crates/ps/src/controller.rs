@@ -11,64 +11,35 @@
 use crate::clock::{IntervalTracker, WorkerId};
 use serde::{Deserialize, Serialize};
 
-/// How the iteration interval of a worker is estimated from its push timestamps.
-///
-/// The paper uses the single most recent interval (`A[i][0] − A[i][1]`). The
-/// exponentially-weighted variant is provided as an ablation (`repro
-/// ablation_estimator`): it smooths jittery measurements at the cost of adapting more
-/// slowly to speed changes.
+/// The outcome of one controller invocation. The two simulated timelines are evaluated,
+/// not stored: `Sim_p[r] = A[p][0] + r·I_p` and `Sim_slowest[k] = A[slowest][0] +
+/// (k+1)·I_slowest` for `r, k = 0..=r_max`, where `I` is the latest interval of table
+/// `A` — whoever wants to display them (`repro fig2`) rebuilds them from
+/// [`IntervalTracker::latest`] and [`IntervalTracker::interval`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum IntervalEstimator {
-    /// Use the latest interval only (the paper's method).
-    LastInterval,
-    /// Exponentially-weighted moving average with the given smoothing factor in `(0,1]`
-    /// (1.0 degenerates to `LastInterval`).
-    Ewma {
-        /// Weight given to the newest observation.
-        alpha: f64,
-    },
-}
-
-/// The outcome of one controller invocation, including the simulated timelines, so that
-/// the Figure-2 reproduction can display exactly what the controller predicted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerDecision {
     /// The chosen number of extra iterations `r*` (0 means "wait now").
     pub extra_iterations: u64,
     /// Predicted waiting time (seconds) if the fast worker stops after `r*` extra
     /// iterations.
     pub predicted_wait: f64,
-    /// Predicted completion times of the fast worker for `r = 0..=r_max` extra
-    /// iterations (`Sim_p` in Algorithm 2).
-    pub fast_timeline: Vec<f64>,
-    /// Predicted completion times of the slowest worker's next `r_max + 1` iterations
-    /// (`Sim_slowest` in Algorithm 2).
-    pub slow_timeline: Vec<f64>,
 }
 
 /// The DSSP synchronization controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyncController {
     r_max: u64,
-    estimator: IntervalEstimator,
-    /// Smoothed interval estimates, one per worker (used only by the EWMA estimator).
-    smoothed: Vec<Option<f64>>,
     invocations: u64,
 }
 
 impl SyncController {
     /// Creates a controller allowing at most `r_max` extra iterations
-    /// (`r_max = s_U − s_L`).
-    pub fn new(num_workers: usize, r_max: u64) -> Self {
-        Self::with_estimator(num_workers, r_max, IntervalEstimator::LastInterval)
-    }
-
-    /// Creates a controller with an explicit interval estimator.
-    pub fn with_estimator(num_workers: usize, r_max: u64, estimator: IntervalEstimator) -> Self {
+    /// (`r_max = s_U − s_L`). It keeps no per-worker state — every interval is read
+    /// from the [`IntervalTracker`] handed to [`SyncController::decide`] — so
+    /// `_num_workers` is unused.
+    pub fn new(_num_workers: usize, r_max: u64) -> Self {
         Self {
             r_max,
-            estimator,
-            smoothed: vec![None; num_workers],
             invocations: 0,
         }
     }
@@ -89,28 +60,12 @@ impl SyncController {
         self.invocations = invocations;
     }
 
-    /// Feeds a new measured interval into the estimator state.
-    fn update_estimate(&mut self, worker: WorkerId, measured: f64) -> f64 {
-        match self.estimator {
-            IntervalEstimator::LastInterval => measured,
-            IntervalEstimator::Ewma { alpha } => {
-                let prev = self.smoothed[worker];
-                let est = match prev {
-                    Some(p) => alpha * measured + (1.0 - alpha) * p,
-                    None => measured,
-                };
-                self.smoothed[worker] = Some(est);
-                est
-            }
-        }
-    }
-
     /// Runs Algorithm 2 and returns the number of extra iterations the fastest worker
-    /// `fast` should be allowed beyond `s_L`, together with the simulated timelines.
+    /// `fast` should be allowed beyond `s_L`, with the waiting time it predicts.
     ///
     /// If either worker's iteration interval cannot be measured yet (fewer than two
     /// pushes observed), the controller conservatively returns `r* = 0`, i.e. plain SSP
-    /// behaviour at the lower bound.
+    /// behaviour at the lower bound. Allocates nothing.
     pub fn decide(
         &mut self,
         fast: WorkerId,
@@ -118,55 +73,43 @@ impl SyncController {
         tracker: &IntervalTracker,
     ) -> ControllerDecision {
         self.invocations += 1;
-        let fallback = ControllerDecision {
-            extra_iterations: 0,
-            predicted_wait: 0.0,
-            fast_timeline: Vec::new(),
-            slow_timeline: Vec::new(),
+        let (Some(fast_interval), Some(slow_interval), Some(fast_latest), Some(slow_latest)) = (
+            tracker.interval(fast),
+            tracker.interval(slowest),
+            tracker.latest(fast),
+            tracker.latest(slowest),
+        ) else {
+            return ControllerDecision {
+                extra_iterations: 0,
+                predicted_wait: 0.0,
+            };
         };
-        let (Some(fast_interval), Some(slow_interval)) =
-            (tracker.interval(fast), tracker.interval(slowest))
-        else {
-            return fallback;
-        };
-        let (Some(fast_latest), Some(slow_latest)) =
-            (tracker.latest(fast), tracker.latest(slowest))
-        else {
-            return fallback;
-        };
-        let fast_interval = self.update_estimate(fast, fast_interval).max(0.0);
-        let slow_interval = self.update_estimate(slowest, slow_interval).max(0.0);
-
-        let n = (self.r_max + 1) as usize;
-        // Sim_p[r]: the fast worker's predicted push time after r extra iterations.
-        let fast_timeline: Vec<f64> = (0..n)
-            .map(|r| fast_latest + r as f64 * fast_interval)
-            .collect();
-        // Sim_slowest[k]: the slowest worker's predicted push times, starting from its
-        // *next* push (Algorithm 2 line 7: Sim_slowest[0] = A[slowest][0] + I_slowest).
-        let slow_timeline: Vec<f64> = (0..n)
-            .map(|k| slow_latest + (k + 1) as f64 * slow_interval)
-            .collect();
+        let fast_interval = fast_interval.max(0.0);
+        let slow_interval = slow_interval.max(0.0);
 
         // Pick the r whose predicted stop time is closest to one of the slowest worker's
         // predicted push times; ties resolve to the smaller r (less staleness).
-        let mut best_r = 0usize;
+        let mut best_r = 0;
         let mut best_gap = f64::INFINITY;
-        for (r, &fast_t) in fast_timeline.iter().enumerate() {
-            let gap = slow_timeline
-                .iter()
-                .map(|&slow_t| (slow_t - fast_t).abs())
-                .fold(f64::INFINITY, f64::min);
+        for r in 0..=self.r_max {
+            // Sim_p[r]: the fast worker's predicted push time after r extra iterations.
+            let fast_t = fast_latest + r as f64 * fast_interval;
+            let mut gap = f64::INFINITY;
+            for k in 0..=self.r_max {
+                // Sim_slowest[k]: the slowest worker's predicted push times, starting
+                // from its *next* push (Algorithm 2 line 7: Sim_slowest[0] =
+                // A[slowest][0] + I_slowest).
+                let slow_t = slow_latest + (k + 1) as f64 * slow_interval;
+                gap = gap.min((slow_t - fast_t).abs());
+            }
             if gap + 1e-12 < best_gap {
                 best_gap = gap;
                 best_r = r;
             }
         }
         ControllerDecision {
-            extra_iterations: best_r as u64,
+            extra_iterations: best_r,
             predicted_wait: best_gap,
-            fast_timeline,
-            slow_timeline,
         }
     }
 }
@@ -227,8 +170,6 @@ mod tests {
         let mut c = SyncController::new(2, 5);
         let d = c.decide(0, 1, &tracker(1.0, 1000.0));
         assert!(d.extra_iterations <= 5);
-        assert_eq!(d.fast_timeline.len(), 6);
-        assert_eq!(d.slow_timeline.len(), 6);
     }
 
     #[test]
@@ -242,34 +183,15 @@ mod tests {
     fn predicted_wait_is_minimal_over_the_timelines() {
         let mut c = SyncController::new(2, 10);
         let d = c.decide(0, 1, &tracker(1.3, 5.7));
-        // Recompute the minimum by brute force and compare.
+        // Recompute the minimum by brute force over both timelines and compare.
         let mut best = f64::INFINITY;
-        for &f in &d.fast_timeline {
-            for &s in &d.slow_timeline {
+        for r in 0..=10 {
+            for k in 0..=10 {
+                let (f, s) = (1.3 + r as f64 * 1.3, 5.7 + (k + 1) as f64 * 5.7);
                 best = best.min((s - f).abs());
             }
         }
         assert!((d.predicted_wait - best).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_estimator_smooths_interval_changes() {
-        let mut c = SyncController::with_estimator(2, 4, IntervalEstimator::Ewma { alpha: 0.5 });
-        // First call establishes the estimate; second call with a much larger measured
-        // interval should use a smoothed (smaller) value than the raw measurement, which
-        // we can observe through the fast timeline spacing.
-        let _ = c.decide(0, 1, &tracker(1.0, 3.0));
-        let mut t2 = IntervalTracker::new(2);
-        t2.record_push(0, 0.0);
-        t2.record_push(0, 9.0); // raw interval 9.0, smoothed should be 5.0
-        t2.record_push(1, 0.0);
-        t2.record_push(1, 3.0);
-        let d = c.decide(0, 1, &t2);
-        let spacing = d.fast_timeline[1] - d.fast_timeline[0];
-        assert!(
-            (spacing - 5.0).abs() < 1e-9,
-            "expected smoothed 5.0, got {spacing}"
-        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   simulates the next `r_max` iterations of the fastest and slowest workers and picks
 //!   the number of extra iterations `r*` minimizing the predicted waiting time
 //!   (Figure 2);
-//! * [`ParameterServer`] — the server of Algorithm 1: applies pushed gradients to the
-//!   globally shared weights via SGD and gates each worker's next iteration with an
-//!   `OK` decision;
+//! * [`ParameterServer`] — the server of Algorithm 1: one push path,
+//!   [`ParameterServer::handle_push_into`], that applies the pushed gradient to the
+//!   globally shared weights via SGD at once and gates the worker's next iteration
+//!   with an `OK` decision ([`SyncGate::on_push`]);
 //! * [`theory`] — numeric helpers for the regret bounds of Theorems 1 and 2.
 //!
 //! The crate is runtime-agnostic: it contains no threads and no virtual clock. Both the
@@ -32,13 +33,13 @@
 //! let config = ServerConfig::new(2, PolicyKind::Dssp { s_l: 3, r_max: 12 });
 //! let sgd = Sgd::new(SgdConfig::default(), 4);
 //! let mut server = ParameterServer::new(vec![0.0; 4], sgd, config);
-//! let result = server.handle_push(0, &[0.1, 0.1, 0.1, 0.1], 1.0);
-//! assert!(result.ok_now);
+//! let mut released = Vec::new(); // reused across pushes: workers this push unblocks
+//! let decision = server.handle_push_into(0, &[0.1, 0.1, 0.1, 0.1], 1.0, &mut released);
+//! assert!(decision.ok_now);
 //! ```
 
 #![deny(missing_docs)]
 
-mod aggregator;
 mod checkpoint;
 mod clock;
 mod controller;
@@ -49,16 +50,15 @@ mod sharded;
 mod staleness;
 pub mod theory;
 
-pub use aggregator::{AggregationMode, GradientBuffer};
 pub use checkpoint::{
     coord_checkpoint_name, server_checkpoint_name, shard_checkpoint_name, Checkpoint,
     CheckpointError, LayoutSnapshot, StoreSnapshot, CHECKPOINT_MAGIC, CHECKPOINT_TMP_SUFFIX,
     CHECKPOINT_VERSION, MAX_CHECKPOINT_LEN,
 };
 pub use clock::{ClockTable, IntervalTracker, WorkerId};
-pub use controller::{ControllerDecision, IntervalEstimator, SyncController};
+pub use controller::{ControllerDecision, SyncController};
 pub use gate::{GateSnapshot, SyncGate};
 pub use policy::{PolicyKind, StalenessRule};
-pub use server::{ParameterServer, PushDecision, PushResult, ServerConfig, ServerStats};
+pub use server::{ParameterServer, PushDecision, ServerConfig, ServerStats};
 pub use sharded::{delta_compatible, shard_range, ShardedStore};
 pub use staleness::StalenessTracker;

@@ -133,11 +133,6 @@ impl StalenessRule {
         }
     }
 
-    /// Whether this rule enforces the upper staleness bound on the cumulative lead.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// The lower staleness bound `s_L`.
     pub fn s_l(&self) -> u64 {
         self.s_l
@@ -406,7 +401,7 @@ mod tests {
         }
         // The realized lead never exceeds s_U = s_l + r_max under the strict variant.
         assert!(h.clocks.spread() <= 1 + 4 + 1);
-        assert!(dssp.is_strict());
+        assert!(dssp.strict);
     }
 
     #[test]
@@ -440,7 +435,7 @@ mod tests {
             h.clocks.spread()
         );
         assert!(dssp.controller_invocations() >= 2);
-        assert!(!dssp.is_strict());
+        assert!(!dssp.strict);
     }
 
     #[test]
@@ -492,7 +487,7 @@ mod tests {
     fn policy_kind_builds_and_labels() {
         let point = |kind: PolicyKind| {
             let rule = kind.build(2);
-            (rule.s_l(), rule.r_max(), rule.is_strict())
+            (rule.s_l(), rule.r_max(), rule.strict)
         };
         assert_eq!(point(PolicyKind::Bsp), (0, 0, false));
         assert_eq!(point(PolicyKind::Asp), (u64::MAX, 0, false));

@@ -1,6 +1,5 @@
 //! The parameter server of Algorithm 1 (server part).
 
-use crate::aggregator::{AggregationMode, GradientBuffer};
 use crate::clock::{ClockTable, IntervalTracker, WorkerId};
 use crate::gate::SyncGate;
 use crate::policy::PolicyKind;
@@ -16,10 +15,6 @@ pub struct ServerConfig {
     pub num_workers: usize,
     /// The synchronization policy to apply.
     pub policy: PolicyKind,
-    /// How pushed gradients are folded into the weights (the `repro
-    /// ablation_aggregation` experiment; see [`AggregationMode`]).
-    #[serde(default)]
-    pub aggregation: AggregationMode,
     /// Number of contiguous key-range shards the parameter storage is split into.
     /// `1` is the classic flat store; larger values exercise the key-sharded storage a
     /// multi-server deployment would use (per-shard version counters are reported by
@@ -28,21 +23,14 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Creates a configuration for `num_workers` workers under `policy`, applying each
-    /// push to the weights immediately, with unsharded (single-shard) storage.
+    /// Creates a configuration for `num_workers` workers under `policy` with unsharded
+    /// (single-shard) storage.
     pub fn new(num_workers: usize, policy: PolicyKind) -> Self {
         Self {
             num_workers,
             policy,
-            aggregation: AggregationMode::PerPush,
             shards: 1,
         }
-    }
-
-    /// Switches the server to the given aggregation mode, returning `self` for chaining.
-    pub fn with_aggregation(mut self, aggregation: AggregationMode) -> Self {
-        self.aggregation = aggregation;
-        self
     }
 
     /// Splits the parameter storage into `shards` contiguous key ranges, returning
@@ -53,8 +41,8 @@ impl ServerConfig {
     }
 }
 
-/// Outcome of one push request as reported by the allocation-free
-/// [`ParameterServer::handle_push_into`] (releases go to a caller-owned buffer).
+/// Outcome of one push request ([`ParameterServer::handle_push_into`],
+/// [`SyncGate::on_push`]); the workers it releases go to a caller-owned buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushDecision {
     /// Whether the pushing worker may start its next iteration immediately
@@ -72,23 +60,6 @@ pub struct PushDecision {
     /// Taken after this push advanced the pusher's clock and before the rule decided
     /// (see [`StalenessTracker`]), so a push the rule blocks at `s_U` reads `s_U + 1`.
     pub staleness: u64,
-}
-
-/// Outcome of one push request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PushResult {
-    /// Whether the pushing worker may start its next iteration immediately
-    /// (the `OK` signal of Algorithm 1).
-    pub ok_now: bool,
-    /// Other workers that become unblocked as a consequence of this push and should now
-    /// receive their deferred `OK`.
-    pub released: Vec<WorkerId>,
-    /// The server weight version (total pushes applied) after this push.
-    pub version: u64,
-    /// Extra-iteration credits the DSSP controller granted *at this push* (`r*` of
-    /// Algorithm 2; always 0 for BSP/ASP/SSP and for pushes that spend an existing
-    /// credit). Networked deployments echo this to the worker in its push reply.
-    pub granted_extra: u64,
 }
 
 /// Aggregate statistics the server keeps about synchronization behaviour.
@@ -138,17 +109,20 @@ impl ServerStats {
 /// The parameter server: holds the globally shared weights, applies pushed gradients via
 /// SGD, and gates workers according to the configured [`PolicyKind`].
 ///
-/// The server is runtime-agnostic — it never blocks a thread itself. `handle_push`
-/// reports whether the pushing worker may continue and which previously blocked workers
-/// are released; the surrounding runtime (simulator or thread pool) is responsible for
-/// actually delivering the `OK` signals.
+/// A push has one way in, [`ParameterServer::handle_push_into`], and it is Algorithm 1's
+/// server part read top to bottom: the SGD step on the store (`w ← w − η·g`, every push
+/// at once), the version bump, then [`SyncGate::on_push`].
+///
+/// The server is runtime-agnostic — it never blocks a thread itself. A push reports
+/// whether the pushing worker may continue and which previously blocked workers are
+/// released; the surrounding runtime (simulator, thread pool or socket loop) is
+/// responsible for actually delivering the `OK` signals.
 pub struct ParameterServer {
     store: ShardedStore,
     optimizer: Sgd,
     /// The gating-only half (clocks, intervals, policy, statistics) — the same state a
     /// multi-server group's coordinator runs without any storage.
     gate: SyncGate,
-    buffer: GradientBuffer,
     config: ServerConfig,
 }
 
@@ -177,13 +151,10 @@ impl ParameterServer {
     /// Panics if the configuration has zero workers or zero shards.
     pub fn new(initial_params: Vec<f32>, optimizer: Sgd, config: ServerConfig) -> Self {
         assert!(config.num_workers > 0, "need at least one worker");
-        let gate = SyncGate::new(config.num_workers, config.policy);
-        let buffer = GradientBuffer::new(initial_params.len(), config.aggregation);
         Self {
             store: ShardedStore::new(initial_params, config.shards),
             optimizer,
-            gate,
-            buffer,
+            gate: SyncGate::new(config.num_workers, config.policy),
             config,
         }
     }
@@ -252,11 +223,8 @@ impl ParameterServer {
     /// Rebuilds a server from checkpointed parts: the parameter store (weights, shard
     /// layout, and per-shard versions), the optimizer (with its momentum velocity and
     /// schedule epoch), and the gate (clocks, intervals, policy credits, statistics).
-    ///
-    /// The gradient aggregation buffer restarts empty: checkpoints are taken between
-    /// pushes, where the default per-push aggregation never holds pending state. A
-    /// buffered-aggregation run that checkpoints mid-buffer loses (only) the unapplied
-    /// partial buffer, exactly as a crash would.
+    /// That is all of a server's state: every push is applied before the next arrives,
+    /// so nothing is pending between pushes, where checkpoints are taken.
     ///
     /// # Panics
     ///
@@ -272,12 +240,10 @@ impl ParameterServer {
             config.shards,
             "restored store shard count disagrees with the configuration"
         );
-        let buffer = GradientBuffer::new(store.len(), config.aggregation);
         Self {
             store,
             optimizer,
             gate,
-            buffer,
             config,
         }
     }
@@ -289,33 +255,15 @@ impl ParameterServer {
     }
 
     /// Handles a push request from `worker` carrying mini-batch gradients, at time
-    /// `now` (seconds). Allocating convenience over
-    /// [`ParameterServer::handle_push_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len()` differs from the parameter vector length or the worker id
-    /// is out of range.
-    pub fn handle_push(&mut self, worker: WorkerId, grads: &[f32], now: f64) -> PushResult {
-        let mut released = Vec::new();
-        let decision = self.handle_push_into(worker, grads, now, &mut released);
-        PushResult {
-            ok_now: decision.ok_now,
-            released,
-            version: decision.version,
-            granted_extra: decision.granted_extra,
-        }
-    }
-
-    /// Handles a push request from `worker` carrying mini-batch gradients, at time
     /// `now` (seconds), appending any released workers to the caller-owned `released`
     /// buffer (not cleared first).
     ///
     /// The gradients are applied to the global weights immediately (Algorithm 1, server
     /// line 2), the worker's clock is incremented, and the policy decides whether the
-    /// worker gets its `OK` now or must wait. This is the networked server's hot path:
-    /// with warm buffers it performs no heap allocation (gradient aggregation
-    /// accumulates in place, the release scan reuses member scratch).
+    /// worker gets its `OK` now or must wait. This is every substrate's hot path: with
+    /// a warm `released` it performs no heap allocation under any policy (the DSSP
+    /// controller evaluates its two timelines without storing them, the release scan
+    /// reuses member scratch; `tests/zero_alloc_push.rs` counts it).
     ///
     /// # Panics
     ///
@@ -337,14 +285,8 @@ impl ParameterServer {
         );
         assert!(worker < self.config.num_workers, "worker id out of range");
 
-        // Fold the push into the weights according to the aggregation mode: per-push
-        // aggregation applies the pushed gradient itself (no copy), buffered
-        // aggregation applies the in-place buffer average once enough accumulated.
-        if self.buffer.add_in_place(grads) {
-            let update = self.buffer.pending_update().unwrap_or(grads);
-            self.optimizer.step(self.store.flat_mut(), update);
-            self.store.bump_all_versions();
-        }
+        self.optimizer.step(self.store.flat_mut(), grads);
+        self.store.bump_all_versions();
         self.gate.on_push(worker, now, released)
     }
 
@@ -395,26 +337,6 @@ impl ParameterServer {
     pub fn staleness(&self) -> &StalenessTracker {
         self.gate.staleness()
     }
-
-    /// Applies whatever gradients are still sitting in the aggregation buffer (a no-op
-    /// under per-push aggregation). Call at the end of training so buffered aggregation
-    /// does not silently drop the trailing partial buffer.
-    pub fn flush_aggregation(&mut self) {
-        if self.buffer.flush_in_place() {
-            let update = self
-                .buffer
-                .pending_update()
-                .expect("flush_in_place returned true");
-            self.optimizer.step(self.store.flat_mut(), update);
-            self.store.bump_all_versions();
-        }
-    }
-
-    /// Number of weight updates actually applied (equals [`ParameterServer::version`]
-    /// under per-push aggregation, smaller under buffered aggregation).
-    pub fn updates_applied(&self) -> u64 {
-        self.buffer.emitted()
-    }
 }
 
 #[cfg(test)]
@@ -434,10 +356,28 @@ mod tests {
         ParameterServer::new(vec![0.0; dims], sgd, ServerConfig::new(workers, policy))
     }
 
+    /// One push through [`ParameterServer::handle_push_into`] with a fresh `released`
+    /// buffer: what it decided and whom it released.
+    struct Pushed {
+        ok_now: bool,
+        released: Vec<WorkerId>,
+        granted_extra: u64,
+    }
+
+    fn push(s: &mut ParameterServer, worker: WorkerId, grads: &[f32], now: f64) -> Pushed {
+        let mut released = Vec::new();
+        let decision = s.handle_push_into(worker, grads, now, &mut released);
+        Pushed {
+            ok_now: decision.ok_now,
+            released,
+            granted_extra: decision.granted_extra,
+        }
+    }
+
     #[test]
     fn push_applies_gradient_to_weights() {
         let mut s = server(PolicyKind::Asp, 1, 3);
-        s.handle_push(0, &[1.0, 2.0, 3.0], 0.0);
+        push(&mut s, 0, &[1.0, 2.0, 3.0], 0.0);
         assert_eq!(s.weights(), &[-1.0, -2.0, -3.0]);
         assert_eq!(s.version(), 1);
         let mut pulled = Vec::new();
@@ -448,12 +388,12 @@ mod tests {
     #[test]
     fn bsp_releases_waiters_when_last_worker_pushes() {
         let mut s = server(PolicyKind::Bsp, 3, 1);
-        let r0 = s.handle_push(0, &[0.1], 1.0);
+        let r0 = push(&mut s, 0, &[0.1], 1.0);
         assert!(!r0.ok_now);
-        let r1 = s.handle_push(1, &[0.1], 2.0);
+        let r1 = push(&mut s, 1, &[0.1], 2.0);
         assert!(!r1.ok_now);
         assert!(r1.released.is_empty());
-        let r2 = s.handle_push(2, &[0.1], 3.0);
+        let r2 = push(&mut s, 2, &[0.1], 3.0);
         assert!(r2.ok_now);
         let mut released = r2.released.clone();
         released.sort_unstable();
@@ -465,7 +405,7 @@ mod tests {
     fn asp_never_blocks_any_worker() {
         let mut s = server(PolicyKind::Asp, 2, 1);
         for i in 0..20 {
-            let r = s.handle_push(0, &[0.0], i as f64);
+            let r = push(&mut s, 0, &[0.0], i as f64);
             assert!(r.ok_now);
             assert!(r.released.is_empty());
         }
@@ -476,12 +416,12 @@ mod tests {
     #[test]
     fn ssp_blocks_beyond_threshold_and_releases_after_catch_up() {
         let mut s = server(PolicyKind::Ssp { s: 1 }, 2, 1);
-        assert!(s.handle_push(0, &[0.0], 1.0).ok_now);
-        let r = s.handle_push(0, &[0.0], 2.0);
+        assert!(push(&mut s, 0, &[0.0], 1.0).ok_now);
+        let r = push(&mut s, 0, &[0.0], 2.0);
         assert!(!r.ok_now, "lead 2 exceeds threshold 1");
         assert_eq!(s.blocked_workers(), &[0]);
         // Worker 1 pushes once: lead of worker 0 drops to 1, so it gets released.
-        let r = s.handle_push(1, &[0.0], 3.0);
+        let r = push(&mut s, 1, &[0.0], 3.0);
         assert!(r.ok_now);
         assert_eq!(r.released, vec![0]);
         assert_eq!(s.stats().releases, 1);
@@ -490,8 +430,8 @@ mod tests {
     #[test]
     fn stats_track_staleness_and_blocking() {
         let mut s = server(PolicyKind::Ssp { s: 0 }, 2, 1);
-        s.handle_push(0, &[0.0], 1.0); // lead 1, blocked
-        s.handle_push(1, &[0.0], 2.0); // lead 0, ok + releases worker 0
+        push(&mut s, 0, &[0.0], 1.0); // lead 1, blocked
+        push(&mut s, 1, &[0.0], 2.0); // lead 0, ok + releases worker 0
         let st = s.stats();
         assert_eq!(st.pushes, 2);
         assert_eq!(st.blocked_pushes, 1);
@@ -511,10 +451,10 @@ mod tests {
             1,
         );
         let mut s = ParameterServer::new(vec![0.0], sgd, ServerConfig::new(1, PolicyKind::Asp));
-        s.handle_push(0, &[1.0], 0.0);
+        push(&mut s, 0, &[1.0], 0.0);
         assert!((s.weights()[0] + 1.0).abs() < 1e-6);
         s.set_epoch(1);
-        s.handle_push(0, &[1.0], 1.0);
+        push(&mut s, 0, &[1.0], 1.0);
         assert!((s.weights()[0] + 1.1).abs() < 1e-6);
     }
 
@@ -523,7 +463,7 @@ mod tests {
         // Two-worker BSP: worker 0 pushes and waits for worker 1. If worker 1 has
         // finished training, retiring it must release worker 0.
         let mut s = server(PolicyKind::Bsp, 2, 1);
-        let r = s.handle_push(0, &[0.0], 1.0);
+        let r = push(&mut s, 0, &[0.0], 1.0);
         assert!(!r.ok_now);
         let mut released = Vec::new();
         s.retire_worker(1, &mut released);
@@ -535,52 +475,21 @@ mod tests {
     #[should_panic(expected = "does not match parameter length")]
     fn wrong_gradient_length_panics() {
         let mut s = server(PolicyKind::Asp, 1, 2);
-        s.handle_push(0, &[1.0], 0.0);
-    }
-
-    #[test]
-    fn buffered_aggregation_applies_the_average_once_the_buffer_fills() {
-        let sgd = Sgd::new(
-            SgdConfig {
-                schedule: LrSchedule::constant(1.0),
-                momentum: 0.0,
-                weight_decay: 0.0,
-            },
-            1,
-        );
-        let config = ServerConfig::new(2, PolicyKind::Asp)
-            .with_aggregation(AggregationMode::Buffered { capacity: 2 });
-        let mut s = ParameterServer::new(vec![0.0], sgd, config);
-        s.handle_push(0, &[1.0], 0.0);
-        // The first push is buffered: weights unchanged, but the push still counts.
-        assert_eq!(s.weights(), &[0.0]);
-        assert_eq!(s.version(), 1);
-        assert_eq!(s.updates_applied(), 0);
-        s.handle_push(1, &[3.0], 1.0);
-        // The buffer emits the average (2.0), applied with lr 1.0.
-        assert_eq!(s.weights(), &[-2.0]);
-        assert_eq!(s.updates_applied(), 1);
-        // A trailing partial buffer is applied by the explicit flush.
-        s.handle_push(0, &[4.0], 2.0);
-        assert_eq!(s.weights(), &[-2.0]);
-        s.flush_aggregation();
-        assert_eq!(s.weights(), &[-6.0]);
-        assert_eq!(s.updates_applied(), 2);
+        push(&mut s, 0, &[1.0], 0.0);
     }
 
     #[test]
     fn staleness_histogram_matches_the_aggregate_stats() {
         let mut s = server(PolicyKind::Asp, 2, 1);
         for i in 0..5 {
-            s.handle_push(0, &[0.0], i as f64);
+            push(&mut s, 0, &[0.0], i as f64);
         }
-        s.handle_push(1, &[0.0], 5.0);
+        push(&mut s, 1, &[0.0], 5.0);
         let hist = s.staleness();
         assert_eq!(hist.total_pushes(), s.stats().pushes);
         assert_eq!(hist.max(), s.stats().staleness_max);
         assert!((hist.mean() - s.stats().mean_staleness()).abs() < 1e-12);
-        assert_eq!(hist.worker_pushes(0), 5);
-        assert_eq!(hist.worker_pushes(1), 1);
+        assert_eq!(hist.per_worker_push_counts(), [5, 1]);
     }
 
     #[test]
@@ -611,8 +520,8 @@ mod tests {
                 .map(|j| ((i as f32) * 0.3 + j as f32).cos())
                 .collect();
             let worker = (i % 2) as usize;
-            flat.handle_push(worker, &grads, i as f64);
-            sharded.handle_push(worker, &grads, i as f64);
+            push(&mut flat, worker, &grads, i as f64);
+            push(&mut sharded, worker, &grads, i as f64);
             assert_eq!(flat.weights(), sharded.weights(), "diverged at push {i}");
         }
         let (mut flat_pull, mut sharded_pull) = (Vec::new(), Vec::new());
@@ -639,12 +548,12 @@ mod tests {
     fn push_result_reports_dssp_controller_grants() {
         let mut s = server(PolicyKind::Dssp { s_l: 1, r_max: 8 }, 2, 1);
         // Build interval history: worker 0 pushes every 1 s, worker 1 every 10 s.
-        assert_eq!(s.handle_push(0, &[0.0], 1.0).granted_extra, 0);
-        assert_eq!(s.handle_push(1, &[0.0], 10.0).granted_extra, 0);
-        assert_eq!(s.handle_push(0, &[0.0], 2.0).granted_extra, 0);
-        assert_eq!(s.handle_push(1, &[0.0], 20.0).granted_extra, 0);
-        assert_eq!(s.handle_push(0, &[0.0], 3.0).granted_extra, 0); // lead 1 <= s_l
-        let r = s.handle_push(0, &[0.0], 4.0); // lead 2 > s_l: controller consulted
+        assert_eq!(push(&mut s, 0, &[0.0], 1.0).granted_extra, 0);
+        assert_eq!(push(&mut s, 1, &[0.0], 10.0).granted_extra, 0);
+        assert_eq!(push(&mut s, 0, &[0.0], 2.0).granted_extra, 0);
+        assert_eq!(push(&mut s, 1, &[0.0], 20.0).granted_extra, 0);
+        assert_eq!(push(&mut s, 0, &[0.0], 3.0).granted_extra, 0); // lead 1 <= s_l
+        let r = push(&mut s, 0, &[0.0], 4.0); // lead 2 > s_l: controller consulted
         assert!(r.ok_now);
         assert!(r.granted_extra > 0, "fast worker should be granted extras");
         assert_eq!(s.stats().credits_granted, r.granted_extra);
@@ -654,7 +563,7 @@ mod tests {
     fn non_dssp_policies_never_grant_extras() {
         let mut s = server(PolicyKind::Ssp { s: 1 }, 2, 1);
         for i in 0..6 {
-            let r = s.handle_push(i % 2, &[0.0], i as f64);
+            let r = push(&mut s, i % 2, &[0.0], i as f64);
             assert_eq!(r.granted_extra, 0);
         }
         assert_eq!(s.stats().credits_granted, 0);

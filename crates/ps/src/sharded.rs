@@ -153,20 +153,6 @@ impl ShardedStore {
         self.len() == 0
     }
 
-    /// The shard that owns the flat parameter index `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range.
-    pub fn shard_of(&self, key: usize) -> usize {
-        assert!(key < self.len(), "key {key} out of range ({})", self.len());
-        // offsets is sorted; find the last offset <= key.
-        match self.offsets.binary_search(&key) {
-            Ok(i) => i.min(self.num_shards() - 1),
-            Err(i) => i - 1,
-        }
-    }
-
     /// The key range `[start, end)` owned by `shard`.
     pub fn key_range(&self, shard: usize) -> (usize, usize) {
         (self.offsets[shard], self.offsets[shard + 1])
@@ -201,17 +187,6 @@ impl ShardedStore {
     pub fn pull_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend_from_slice(&self.flat);
-    }
-
-    /// Appends shard `shard`'s current weights to `out` (a bounds-checked memcpy of
-    /// that key range; the caller owns the buffer, nothing is allocated here beyond
-    /// `out`'s amortized growth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn pull_shard_into(&self, shard: usize, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.shard(shard));
     }
 
     /// Whether `known` is a per-shard version vector this store can answer with a
@@ -271,19 +246,6 @@ impl ShardedStore {
         self.versions[shard] += 1;
     }
 
-    /// Applies a full-model gradient by splitting it across all shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient length differs from the total parameter count.
-    pub fn apply_all(&mut self, grads: &[f32], lr: f32) {
-        assert_eq!(grads.len(), self.len(), "gradient length mismatch");
-        for shard in 0..self.num_shards() {
-            let (start, end) = self.key_range(shard);
-            self.apply_shard(shard, &grads[start..end], lr);
-        }
-    }
-
     /// The whole parameter vector as one contiguous slice (zero-copy whole-model view).
     pub fn as_flat(&self) -> &[f32] {
         &self.flat
@@ -303,22 +265,20 @@ impl ShardedStore {
             *v += 1;
         }
     }
-
-    /// Reassembles the full flat parameter vector (what a whole-model pull returns).
-    pub fn pull_all(&self) -> Vec<f32> {
-        self.flat.clone()
-    }
-
-    /// The lowest shard version — how many whole-model updates are guaranteed to be
-    /// visible in every shard.
-    pub fn min_version(&self) -> u64 {
-        self.versions.iter().copied().min().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A full-model gradient applied shard by shard.
+    fn apply_all(store: &mut ShardedStore, grads: &[f32], lr: f32) {
+        assert_eq!(grads.len(), store.len(), "gradient length mismatch");
+        for shard in 0..store.num_shards() {
+            let (start, end) = store.key_range(shard);
+            store.apply_shard(shard, &grads[start..end], lr);
+        }
+    }
 
     #[test]
     fn splits_parameters_into_near_equal_contiguous_shards() {
@@ -332,20 +292,9 @@ mod tests {
         assert_eq!(store.key_range(0), (0, 4));
         assert_eq!(store.key_range(2), (7, 10));
         assert_eq!(
-            store.pull_all(),
+            store.as_flat(),
             (0..10).map(|i| i as f32).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn shard_of_maps_keys_to_their_owner() {
-        let store = ShardedStore::new(vec![0.0; 10], 3);
-        assert_eq!(store.shard_of(0), 0);
-        assert_eq!(store.shard_of(3), 0);
-        assert_eq!(store.shard_of(4), 1);
-        assert_eq!(store.shard_of(6), 1);
-        assert_eq!(store.shard_of(7), 2);
-        assert_eq!(store.shard_of(9), 2);
     }
 
     #[test]
@@ -354,7 +303,6 @@ mod tests {
         store.apply_shard(1, &[1.0, 1.0, 1.0], 0.5);
         assert_eq!(store.version(0), 0);
         assert_eq!(store.version(1), 1);
-        assert_eq!(store.min_version(), 0);
         assert_eq!(store.shard(1), &[-0.5, -0.5, -0.5]);
         assert_eq!(store.shard(0), &[0.0, 0.0, 0.0]);
     }
@@ -362,24 +310,24 @@ mod tests {
     #[test]
     fn whole_model_update_touches_every_shard() {
         let mut store = ShardedStore::new(vec![1.0; 5], 2);
-        store.apply_all(&[1.0; 5], 1.0);
-        assert_eq!(store.pull_all(), vec![0.0; 5]);
-        assert_eq!(store.min_version(), 1);
+        apply_all(&mut store, &[1.0; 5], 1.0);
+        assert_eq!(store.as_flat(), [0.0; 5]);
+        assert_eq!(store.versions(), [1, 1]);
     }
 
     #[test]
     fn single_shard_behaves_like_a_flat_store() {
         let mut store = ShardedStore::new(vec![0.0; 4], 1);
-        store.apply_all(&[2.0; 4], 0.25);
-        assert_eq!(store.pull_all(), vec![-0.5; 4]);
-        assert_eq!(store.shard_of(3), 0);
+        apply_all(&mut store, &[2.0; 4], 0.25);
+        assert_eq!(store.as_flat(), [-0.5; 4]);
+        assert_eq!(store.key_range(0), (0, 4));
     }
 
     #[test]
     fn empty_store_is_permitted() {
         let store = ShardedStore::new(vec![], 2);
         assert!(store.is_empty());
-        assert_eq!(store.pull_all(), Vec::<f32>::new());
+        assert_eq!(store.as_flat(), [] as [f32; 0]);
     }
 
     #[test]
@@ -395,20 +343,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_key_rejected() {
-        ShardedStore::new(vec![0.0; 4], 2).shard_of(4);
-    }
-
-    #[test]
     fn flat_view_is_contiguous_and_matches_pull_all() {
         let mut store = ShardedStore::new((0..7).map(|i| i as f32).collect(), 3);
-        assert_eq!(store.as_flat(), store.pull_all().as_slice());
+        let mut pulled = Vec::new();
+        store.pull_into(&mut pulled);
+        assert_eq!(store.as_flat(), pulled);
         store.flat_mut()[6] = -1.0;
         store.bump_all_versions();
         assert_eq!(store.shard(2), &[5.0, -1.0]);
         assert_eq!(store.versions(), &[1, 1, 1]);
-        assert_eq!(store.min_version(), 1);
     }
 
     #[test]
@@ -454,9 +397,9 @@ mod tests {
         let (mut meta, mut weights) = (Vec::new(), Vec::new());
         assert_eq!(store.pull_delta_into(&[], &mut meta, &mut weights), 0);
         let mut store = store;
-        store.apply_all(&[], 0.1); // a zero-length push round is a no-op
+        apply_all(&mut store, &[], 0.1); // a zero-length push round is a no-op
         store.bump_all_versions();
-        assert_eq!(store.min_version(), 0);
+        assert!(store.versions().is_empty());
     }
 
     #[test]
@@ -471,9 +414,6 @@ mod tests {
         let mut out = vec![9.0; 10]; // stale content and excess length
         store.pull_into(&mut out);
         assert_eq!(out, (0..6).map(|i| i as f32).collect::<Vec<_>>());
-        let mut shard_out = Vec::new();
-        store.pull_shard_into(1, &mut shard_out);
-        assert_eq!(shard_out, vec![3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -510,8 +450,8 @@ mod tests {
         let grads: Vec<f32> = (0..23).map(|i| (i as f32 * 0.7).cos()).collect();
         let mut whole = ShardedStore::new(initial.clone(), 1);
         let mut split = ShardedStore::new(initial, 5);
-        whole.apply_all(&grads, 0.05);
-        split.apply_all(&grads, 0.05);
+        apply_all(&mut whole, &grads, 0.05);
+        apply_all(&mut split, &grads, 0.05);
         assert_eq!(whole.as_flat(), split.as_flat());
         assert_eq!(split.versions(), &[1; 5]);
     }

@@ -99,20 +99,6 @@ impl StalenessTracker {
         sum as f64 / total as f64
     }
 
-    /// Mean staleness of one worker's pushes.
-    pub fn worker_mean(&self, worker: WorkerId) -> f64 {
-        if self.per_worker_pushes[worker] == 0 {
-            0.0
-        } else {
-            self.per_worker_sum[worker] as f64 / self.per_worker_pushes[worker] as f64
-        }
-    }
-
-    /// Number of pushes recorded for one worker.
-    pub fn worker_pushes(&self, worker: WorkerId) -> u64 {
-        self.per_worker_pushes[worker]
-    }
-
     /// The smallest staleness value `s` such that at least `q` (in `[0, 1]`) of all
     /// recorded pushes had staleness at most `s`. Returns 0 when nothing was recorded.
     ///
@@ -137,16 +123,6 @@ impl StalenessTracker {
             }
         }
         (self.buckets.len() - 1) as u64
-    }
-
-    /// Fraction of pushes whose staleness was zero (fresh updates).
-    pub fn fresh_fraction(&self) -> f64 {
-        let total = self.total_pushes();
-        if total == 0 {
-            0.0
-        } else {
-            self.buckets[0] as f64 / total as f64
-        }
     }
 
     /// Per-worker sums of recorded staleness values (for checkpointing).
@@ -185,29 +161,6 @@ impl StalenessTracker {
             max_seen,
         }
     }
-
-    /// Renders the histogram as a small markdown table (staleness, count, share).
-    pub fn to_markdown(&self) -> String {
-        use std::fmt::Write as _;
-        let total = self.total_pushes().max(1);
-        let mut out = String::from("| staleness | pushes | share |\n|---|---|---|\n");
-        for (s, &count) in self.buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let label = if s == self.buckets.len() - 1 && self.max_seen as usize >= s {
-                format!(">={s}")
-            } else {
-                s.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "| {label} | {count} | {:.1}% |",
-                100.0 * count as f64 / total as f64
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -224,10 +177,9 @@ mod tests {
         assert_eq!(t.total_pushes(), 4);
         assert_eq!(t.max(), 4);
         assert!((t.mean() - 1.5).abs() < 1e-12);
-        assert!((t.worker_mean(0) - 1.0).abs() < 1e-12);
-        assert!((t.worker_mean(1) - 2.0).abs() < 1e-12);
-        assert_eq!(t.worker_pushes(0), 2);
-        assert!((t.fresh_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(t.per_worker_sums(), [2, 4]);
+        assert_eq!(t.per_worker_push_counts(), [2, 2]);
+        assert_eq!(t.buckets()[0], 2);
     }
 
     #[test]
@@ -257,19 +209,6 @@ mod tests {
         assert_eq!(t.total_pushes(), 0);
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.quantile(0.5), 0);
-        assert_eq!(t.fresh_fraction(), 0.0);
-        assert_eq!(t.worker_mean(2), 0.0);
-    }
-
-    #[test]
-    fn markdown_table_lists_only_populated_buckets() {
-        let mut t = StalenessTracker::new(1, 4);
-        t.record(0, 0);
-        t.record(0, 3);
-        let md = t.to_markdown();
-        assert!(md.contains("| 0 | 1 |"));
-        assert!(md.contains("| 3 | 1 |"));
-        assert!(!md.contains("| 2 |"));
     }
 
     #[test]

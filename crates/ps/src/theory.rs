@@ -60,12 +60,6 @@ pub fn regret_rate(bound: f64, t: u64) -> f64 {
     }
 }
 
-/// The SSP learning-rate constant `σ = F L / sqrt(2 (s + 1) P)` used in Theorem 1
-/// (`η_t = σ / sqrt(t)`).
-pub fn ssp_sigma(params: &BoundParams, s: u64) -> f64 {
-    params.f * params.l / (2.0 * (s as f64 + 1.0) * params.p as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,12 +97,6 @@ mod tests {
         let b1 = ssp_regret_bound(&p, 3, 10_000);
         let b4 = ssp_regret_bound(&p, 3, 40_000);
         assert!((b4 / b1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sigma_decreases_with_staleness() {
-        let p = BoundParams::default();
-        assert!(ssp_sigma(&p, 10) < ssp_sigma(&p, 1));
     }
 
     #[test]

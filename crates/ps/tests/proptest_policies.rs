@@ -51,7 +51,8 @@ fn run_schedule(
             break;
         };
         next_push[w] = None;
-        let result = server.handle_push(w, &[0.0], t);
+        let mut released = Vec::new();
+        let result = server.handle_push_into(w, &[0.0], t, &mut released);
         done[w] += 1;
         total += 1;
         max_spread = max_spread.max(server.clocks().spread());
@@ -63,7 +64,7 @@ fn run_schedule(
         } else {
             blocked[w] = true;
         }
-        for r in result.released {
+        for r in released {
             if blocked[r] && done[r] < iterations_per_worker {
                 blocked[r] = false;
                 next_push[r] = Some(t + iteration_time(r, done[r]));

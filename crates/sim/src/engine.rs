@@ -121,6 +121,8 @@ pub struct Simulation {
     trace: Vec<TracePoint>,
     last_eval_pushes: u64,
     now: f64,
+    /// Workers the push being handled released (reused across pushes).
+    released: Vec<usize>,
     /// Time at which the parameter server's link becomes free again. Every push and pull
     /// transfer occupies the link exclusively for its serialization time, which models
     /// the parameter-server communication bottleneck responsible for BSP's
@@ -207,6 +209,7 @@ impl Simulation {
             trace: Vec::new(),
             last_eval_pushes: 0,
             now: 0.0,
+            released: Vec::new(),
             nic_free_at: 0.0,
             comm_occupancy,
             comm_latency,
@@ -286,7 +289,10 @@ impl Simulation {
     /// Processes the arrival of a worker's push request at the server.
     fn handle_push_arrival(&mut self, worker: usize, now: f64) {
         let grad = self.workers[worker].compute_gradient(&self.local_weights[worker]);
-        let result = self.server.handle_push(worker, grad, now);
+        self.released.clear();
+        let result = self
+            .server
+            .handle_push_into(worker, grad, now, &mut self.released);
         self.workers[worker].iterations += 1;
         self.workers[worker].last_push_time = now;
 
@@ -302,7 +308,8 @@ impl Simulation {
             self.workers[worker].state = WorkerState::Blocked;
         }
 
-        for released in result.released {
+        for i in 0..self.released.len() {
+            let released = self.released[i];
             if self.workers[released].state != WorkerState::Blocked {
                 continue;
             }

@@ -82,14 +82,6 @@ impl Tensor {
         Ok(Self { shape, data })
     }
 
-    /// Creates a 1-D tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Self {
-            shape: Shape::new(&[data.len()]),
-            data: data.to_vec(),
-        }
-    }
-
     /// Returns the shape of the tensor.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -135,25 +127,6 @@ impl Tensor {
         assert_eq!(self.shape.rank(), 2, "set2 requires a rank-2 tensor");
         let cols = self.shape.dim(1);
         self.data[i * cols + j] = v;
-    }
-
-    /// Returns a copy of this tensor with a new shape holding the same number of
-    /// elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape has a different volume.
-    pub fn reshaped(&self, dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.volume(),
-            self.data.len(),
-            "reshape must preserve element count"
-        );
-        Self {
-            shape,
-            data: self.data.clone(),
-        }
     }
 
     /// Reshapes the tensor in place.
@@ -259,20 +232,6 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::try_from_vec(vec![1.0, 2.0], &[3]).is_err());
         assert!(Tensor::try_from_vec(vec![1.0, 2.0, 3.0], &[3]).is_ok());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let r = t.reshaped(&[4]);
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert_eq!(r.shape().dims(), &[4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape must preserve element count")]
-    fn reshape_with_wrong_volume_panics() {
-        Tensor::zeros(&[4]).reshaped(&[5]);
     }
 
     #[test]
