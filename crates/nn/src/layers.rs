@@ -1,5 +1,10 @@
 //! Concrete layer implementations: dense, convolution, pooling, activation, residual.
 //!
+//! The convolutional family — [`Conv2dLayer`], [`MaxPool2dLayer`], [`ResidualBlock`] —
+//! takes and returns batch-lane `[C, H, W, N]` tensors (the layout of `dssp_tensor`'s
+//! kernels). [`PackLanes`] at the front of a model moves the `[N, C, H, W]` batch into
+//! it once and [`Flatten`] moves it out once, in front of the dense head.
+//!
 //! Every layer implements the workspace-backed [`Layer::forward_ws`] /
 //! [`Layer::backward_ws`] pair on the `*_into` kernels, reusing every intermediate
 //! buffer across iterations; the allocating [`Layer::forward`] / [`Layer::backward`]
@@ -8,8 +13,8 @@
 use crate::workspace::LayerScratch;
 use crate::Layer;
 use dssp_tensor::{
-    conv2d_backward_into, conv2d_into, he_normal, max_pool2d_backward_into, max_pool2d_into,
-    xavier_uniform, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
+    conv2d_lanes_backward_into, conv2d_lanes_into, he_normal, max_pool2d_backward_into,
+    max_pool2d_into, xavier_uniform, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
 };
 
 /// Fully connected (dense) layer: `y = x W + b`.
@@ -139,7 +144,41 @@ impl Layer for DenseLayer {
     }
 }
 
-/// 2-D convolution layer over NCHW input with square kernels.
+/// Moves an `[N, C, H, W]` batch into the batch-lane layout `[C, H, W, N]` of the
+/// convolutional family: the one packing pass of a model, at its front.
+#[derive(Debug)]
+pub struct PackLanes;
+
+impl Layer for PackLanes {
+    fn name(&self) -> &str {
+        "pack-lanes"
+    }
+
+    fn forward_ws(
+        &mut self,
+        input: &Tensor,
+        out: &mut Tensor,
+        _train: bool,
+        _scratch: &mut LayerScratch,
+    ) {
+        input.batch_to_lanes_into(out);
+    }
+
+    fn backward_ws(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+        _scratch: &mut LayerScratch,
+    ) {
+        grad_output.lanes_to_batch_into(grad_input);
+    }
+
+    fn flops_per_example(&self) -> u64 {
+        0
+    }
+}
+
+/// 2-D convolution layer over `[C, H, W, N]` input with square kernels.
 #[derive(Debug)]
 pub struct Conv2dLayer {
     name: String,
@@ -152,7 +191,6 @@ pub struct Conv2dLayer {
     grad_bias: Tensor,
     /// The input as the convolution kernels packed it (`[C, H+2p, W+2p, N]`).
     cached_packed: Option<Tensor>,
-    cached_batch: usize,
     conv_scratch: ConvScratch,
 }
 
@@ -176,7 +214,6 @@ impl Conv2dLayer {
             grad_weight: Tensor::zeros(&[spec.out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[spec.out_channels]),
             cached_packed: None,
-            cached_batch: 0,
             conv_scratch: ConvScratch::default(),
         }
     }
@@ -209,9 +246,8 @@ impl Layer for Conv2dLayer {
         _train: bool,
         _scratch: &mut LayerScratch,
     ) {
-        self.cached_batch = input.shape().dim(0);
         let packed = self.cached_packed.get_or_insert_with(Tensor::default);
-        conv2d_into(
+        conv2d_lanes_into(
             input,
             &self.weight,
             &self.bias,
@@ -234,20 +270,15 @@ impl Layer for Conv2dLayer {
             .cached_packed
             .as_ref()
             .expect("backward called before forward");
-        let (bufs, _) = scratch.parts(4, 0);
-        let (packed_grad, rest) = bufs.split_at_mut(1);
-        let (packed_grad_input, rest) = rest.split_at_mut(1);
-        let (dw, db) = rest.split_at_mut(1);
-        conv2d_backward_into(
+        let (bufs, _) = scratch.parts(2, 0);
+        let (dw, db) = bufs.split_at_mut(1);
+        conv2d_lanes_backward_into(
             grad_output,
             packed,
             &self.weight,
-            self.cached_batch,
             self.in_h,
             self.in_w,
             &self.spec,
-            &mut packed_grad[0],
-            &mut packed_grad_input[0],
             &mut self.conv_scratch,
             grad_input,
             &mut dw[0],
@@ -357,14 +388,13 @@ impl Layer for ReluLayer {
     }
 }
 
-/// 2-D max pooling layer over NCHW input.
+/// 2-D max pooling layer over `[C, H, W, N]` input.
 #[derive(Debug)]
 pub struct MaxPool2dLayer {
     spec: Pool2dSpec,
     in_h: usize,
     in_w: usize,
-    input_dims: Vec<usize>,
-    winners: Vec<usize>,
+    winners: Vec<u32>,
 }
 
 impl MaxPool2dLayer {
@@ -374,7 +404,6 @@ impl MaxPool2dLayer {
             spec: Pool2dSpec { kernel, stride },
             in_h,
             in_w,
-            input_dims: Vec::new(),
             winners: Vec::new(),
         }
     }
@@ -397,8 +426,6 @@ impl Layer for MaxPool2dLayer {
         _train: bool,
         _scratch: &mut LayerScratch,
     ) {
-        self.input_dims.clear();
-        self.input_dims.extend_from_slice(input.shape().dims());
         max_pool2d_into(
             input,
             self.in_h,
@@ -415,7 +442,10 @@ impl Layer for MaxPool2dLayer {
         grad_input: &mut Tensor,
         _scratch: &mut LayerScratch,
     ) {
-        max_pool2d_backward_into(grad_output, &self.winners, &self.input_dims, grad_input);
+        // `[C, OH, OW, N]` came back; `[C, H, W, N]` went in.
+        let (c, n) = (grad_output.shape().dim(0), grad_output.shape().dim(3));
+        let input_dims = [c, self.in_h, self.in_w, n];
+        max_pool2d_backward_into(grad_output, &self.winners, &input_dims, grad_input);
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -423,7 +453,9 @@ impl Layer for MaxPool2dLayer {
     }
 }
 
-/// Flattens `[N, C, H, W]` activations into `[N, C*H*W]` for the dense head.
+/// Moves batch-lane `[C, H, W, N]` activations out into `[N, C*H*W]` rows for the dense
+/// head — the features of a row in `(c, y, x)` order, as a flattened `[N, C, H, W]`
+/// batch has them. The one unpacking pass of a model.
 #[derive(Debug, Default)]
 pub struct Flatten {
     input_dims: Vec<usize>,
@@ -450,10 +482,9 @@ impl Layer for Flatten {
     ) {
         self.input_dims.clear();
         self.input_dims.extend_from_slice(input.shape().dims());
-        let n = self.input_dims[0];
-        let rest: usize = self.input_dims[1..].iter().product();
-        out.assign(input);
-        out.reshape_inplace(&[n, rest]);
+        input.lanes_to_batch_into(out);
+        let n = out.shape().dim(0);
+        out.reshape_inplace(&[n, out.len() / n.max(1)]);
     }
 
     fn backward_ws(
@@ -462,7 +493,7 @@ impl Layer for Flatten {
         grad_input: &mut Tensor,
         _scratch: &mut LayerScratch,
     ) {
-        grad_input.assign(grad_output);
+        grad_output.batch_to_lanes_into(grad_input);
         grad_input.reshape_inplace(&self.input_dims);
     }
 
@@ -678,23 +709,57 @@ mod tests {
     #[test]
     fn flatten_round_trips_shape() {
         let mut f = Flatten::new();
-        let x = uniform_init(&[2, 3, 4, 4], 1.0, 3);
+        let x = uniform_init(&[3, 4, 4, 2], 1.0, 3);
         let y = f.forward(&x, true);
         assert_eq!(y.shape().dims(), &[2, 48]);
         let g = f.backward(&y);
-        assert_eq!(g.shape().dims(), &[2, 3, 4, 4]);
+        assert_eq!(g.shape().dims(), &[3, 4, 4, 2]);
         assert_eq!(g.as_slice(), x.as_slice());
+    }
+
+    #[test]
+    fn pack_lanes_and_flatten_compose_to_the_nchw_flatten() {
+        let x = uniform_init(&[5, 3, 4, 2], 1.0, 3);
+        let lanes = PackLanes.forward(&x, true);
+        assert_eq!(lanes.shape().dims(), &[3, 4, 2, 5]);
+        assert_eq!(lanes.as_slice()[7 * 5 + 2], x.as_slice()[2 * 24 + 7]);
+        let rows = Flatten::new().forward(&lanes, true);
+        assert_eq!(rows.shape().dims(), &[5, 24]);
+        assert_eq!(rows.as_slice(), x.as_slice());
+        let back = PackLanes.backward(&lanes);
+        assert_eq!(back.shape().dims(), x.shape().dims());
+        assert_eq!(back.as_slice(), x.as_slice());
     }
 
     #[test]
     fn maxpool_layer_halves_spatial_size() {
         let mut p = MaxPool2dLayer::new(2, 2, 4, 4);
-        let x = uniform_init(&[1, 2, 4, 4], 1.0, 5);
+        let x = uniform_init(&[2, 4, 4, 1], 1.0, 5);
         let y = p.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[1, 2, 2, 2]);
+        assert_eq!(y.shape().dims(), &[2, 2, 2, 1]);
         let g = p.backward(&Tensor::ones(y.shape().dims()));
-        assert_eq!(g.shape().dims(), &[1, 2, 4, 4]);
+        assert_eq!(g.shape().dims(), &[2, 4, 4, 1]);
         assert_eq!(g.sum(), 8.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_pool2d input has shape [2, 6, 6, 1], expected [2, 4, 4]")]
+    fn maxpool_layer_rejects_a_plane_of_another_side() {
+        // 36 pixels a plane cut as 16-pixel planes would pool across plane boundaries.
+        MaxPool2dLayer::new(2, 2, 4, 4).forward(&Tensor::zeros(&[2, 6, 6, 1]), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d input has shape [5, 2, 8, 8], expected [2, 8, 8]")]
+    fn conv_layer_rejects_an_nchw_batch() {
+        let spec = Conv2dSpec {
+            in_channels: 2,
+            out_channels: 4,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        Conv2dLayer::new(spec, 8, 8, 11).forward(&Tensor::zeros(&[5, 2, 8, 8]), true);
     }
 
     #[test]
@@ -719,7 +784,7 @@ mod tests {
     #[test]
     fn residual_block_preserves_shape_and_has_skip_path() {
         let mut block = ResidualBlock::new(4, 6, 6, 3);
-        let x = uniform_init(&[2, 4, 6, 6], 1.0, 4);
+        let x = uniform_init(&[4, 6, 6, 2], 1.0, 4);
         let y = block.forward(&x, true);
         assert_eq!(y.shape().dims(), x.shape().dims());
         let g = block.backward(&Tensor::ones(y.shape().dims()));
@@ -732,7 +797,7 @@ mod tests {
     #[test]
     fn residual_block_gradient_check() {
         let mut block = ResidualBlock::new(2, 4, 4, 9);
-        let x = uniform_init(&[1, 2, 4, 4], 1.0, 10);
+        let x = uniform_init(&[2, 4, 4, 1], 1.0, 10);
         let y = block.forward(&x, true);
         let grad_out = Tensor::ones(y.shape().dims());
         block.zero_grads();

@@ -45,7 +45,9 @@ pub use cost::CostProfile;
 pub use evaluate::Evaluator;
 pub use gradcheck::{check_model_gradients, GradCheckReport};
 pub use layer::{Layer, Model};
-pub use layers::{Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, ReluLayer, ResidualBlock};
+pub use layers::{
+    Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, PackLanes, ReluLayer, ResidualBlock,
+};
 pub use loss::{accuracy, SoftmaxCrossEntropy};
 pub use optimizer::{LrSchedule, Sgd, SgdConfig};
 pub use sequential::Sequential;

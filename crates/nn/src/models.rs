@@ -14,7 +14,9 @@
 //! a CPU. [`ModelSpec`] is the serializable description used by experiment configs so
 //! each simulated worker can build an identical replica.
 
-use crate::layers::{Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, ReluLayer, ResidualBlock};
+use crate::layers::{
+    Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, PackLanes, ReluLayer, ResidualBlock,
+};
 use crate::Sequential;
 use dssp_tensor::Conv2dSpec;
 use serde::{Deserialize, Serialize};
@@ -164,6 +166,7 @@ pub fn downsized_alexnet(image_side: usize, classes: usize, seed: u64) -> Sequen
         padding: 1,
     };
     let mut m = Sequential::new("downsized-alexnet");
+    m.add(Box::new(PackLanes));
     m.add(Box::new(Conv2dLayer::new(
         conv(3, 8),
         s,
@@ -227,6 +230,7 @@ pub fn resnet_cifar(image_side: usize, blocks: usize, classes: usize, seed: u64)
     // "compute-bound, few parameters" category.
     let channels = 8usize;
     let mut m = Sequential::new(format!("resnet-cifar-{blocks}b"));
+    m.add(Box::new(PackLanes));
     // Stem: 3 -> channels, then halve spatial size to keep block compute bounded.
     m.add(Box::new(Conv2dLayer::new(
         Conv2dSpec {

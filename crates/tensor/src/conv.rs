@@ -1,16 +1,25 @@
-//! Direct convolution and pooling kernels (NCHW tensors in and out).
+//! Direct convolution and pooling kernels over batch-lane `[C][H][W][N]` tensors.
 //!
 //! These kernels are what make the "pure convolutional" models of the paper
 //! (ResNet-50/110 analogues) compute-heavy relative to their parameter count, which is
 //! the property the paper's Section V-C analysis hinges on.
 //!
-//! **Layout.** [`conv2d_into`] packs the input once into a zero-bordered
-//! `[C][H+2p][W+2p][N]` buffer: the batch is the innermost dimension, so one pixel of
-//! one channel is `N` contiguous values and the batch is the vector lane of the forward
-//! and the input-gradient kernel. That buffer is all the backward pass needs of the
-//! input; the upstream gradient is packed the same way (`[OC][OH][OW][N]`) and once more
-//! as `[N*OH*OW][OC]`, where the output channel is the lane of the weight-gradient
-//! kernel. No column matrix exists anywhere.
+//! **Layout.** The convolutional family exchanges activations and gradients as
+//! `[C][H][W][N]`: the batch is the innermost dimension, so one pixel of one channel is
+//! `N` contiguous values and the batch is the vector lane of the forward kernel, the
+//! input-gradient kernel and the pooling window search. A model packs its `[N, C, H, W]`
+//! batch once ([`Tensor::batch_to_lanes_into`]) and unpacks once, in front of its dense
+//! head ([`Tensor::lanes_to_batch_into`]). [`conv2d_lanes_into`] copies its input row by
+//! row (`W * N` contiguous values) into a zero-bordered `[C][H+2p][W+2p][N]` buffer,
+//! which is all the backward pass needs of the input, and the forward kernel writes the
+//! output tensor itself. In [`conv2d_lanes_backward_into`] the upstream gradient is read
+//! where it lies, the input-gradient kernel writes the input gradient itself, and one
+//! operand is still permuted: the upstream gradient as `[N*OH*OW][OC]`, where the output
+//! channel is the lane of the weight-gradient kernel. No column matrix exists anywhere.
+//!
+//! [`conv2d_into`] and [`conv2d_backward_into`] take and return `[N, C, H, W]`: shells
+//! that transpose in, run the same kernels, and transpose out. No layer calls them; the
+//! property tests do, as the oracle the lane entry points are compared with.
 //!
 //! **Kernels.** Three bodies run on the tile cascade of `tiles.rs`, as the GEMM does
 //! (baseline and AVX2 instances that agree bit for bit): an `R × L` tile of the result
@@ -253,14 +262,14 @@ fn axpy_tile<const R: usize, const L: usize>(acc: &mut [[f32; L]; R], scale: [f3
 }
 
 /// Forward: rows are output channels, lanes are examples. Reads the packed input,
-/// writes the output as `[OC][OH][OW][N]`.
+/// writes the output, `[OC][OH][OW][N]`.
 struct Forward<'a> {
     g: Geometry,
     lists: &'a TapLists,
     weight: &'a [f32],
     bias: &'a [f32],
     packed: &'a [f32],
-    packed_out: &'a mut [f32],
+    out: &'a mut [f32],
 }
 
 impl Tiles for Forward<'_> {
@@ -277,7 +286,7 @@ impl Tiles for Forward<'_> {
             }
             for (r, acc_row) in acc.iter().enumerate() {
                 let b = self.bias[oc0 + r];
-                let dst = &mut self.packed_out[((oc0 + r) * ohow + pos) * self.g.n + n0..][..L];
+                let dst = &mut self.out[((oc0 + r) * ohow + pos) * self.g.n + n0..][..L];
                 for (d, &a) in dst.iter_mut().zip(acc_row) {
                     *d = a + b;
                 }
@@ -286,14 +295,14 @@ impl Tiles for Forward<'_> {
     }
 }
 
-/// Input gradient: rows are input channels, lanes are examples. Reads the packed
-/// upstream gradient, writes the input gradient as `[C][H][W][N]`.
+/// Input gradient: rows are input channels, lanes are examples. Reads the upstream
+/// gradient, `[OC][OH][OW][N]`, writes the input gradient, `[C][H][W][N]`.
 struct InputGrad<'a> {
     g: Geometry,
     lists: &'a TapLists,
     weight: &'a [f32],
-    packed_grad: &'a [f32],
-    packed_grad_input: &'a mut [f32],
+    grad_out: &'a [f32],
+    grad_input: &'a mut [f32],
 }
 
 impl Tiles for InputGrad<'_> {
@@ -310,7 +319,7 @@ impl Tiles for InputGrad<'_> {
             let mut acc = [[0.0f32; L]; R];
             for &(t, at) in &self.lists.bwd_taps[start..end as usize] {
                 let mut point = [[0.0f32; L]; R];
-                let channels = self.packed_grad[at as usize + n0..].chunks(channel_stride);
+                let channels = self.grad_out[at as usize + n0..].chunks(channel_stride);
                 for (oc, grad) in channels.enumerate() {
                     let w = columns.map(|c| c[oc * ckk + t as usize]);
                     axpy_tile(&mut point, w, grad);
@@ -323,8 +332,7 @@ impl Tiles for InputGrad<'_> {
             }
             start = end as usize;
             for (r, acc_row) in acc.iter().enumerate() {
-                self.packed_grad_input[((ci0 + r) * hw + pos) * g.n + n0..][..L]
-                    .copy_from_slice(acc_row);
+                self.grad_input[((ci0 + r) * hw + pos) * g.n + n0..][..L].copy_from_slice(acc_row);
             }
         }
     }
@@ -372,14 +380,144 @@ impl Tiles for WeightGrad<'_> {
     }
 }
 
-/// Forward 2-D convolution.
+/// Scratch of the convolution kernels, reused across iterations.
+#[derive(Debug, Default)]
+pub struct ConvScratch {
+    /// The tap lists of the geometry last seen, rebuilt only when it changes.
+    lists: TapLists,
+    /// The upstream gradient as `[N*OH*OW, OC]` and the weight gradient as
+    /// `[C*K*K, OC]`: the operand and the result of the weight-gradient kernel, whose
+    /// lane is the output channel.
+    grad_rows: Tensor,
+    grad_weight_t: Tensor,
+}
+
+/// The batch size of a batch-lane tensor whose other dimensions must be `expected`.
+fn lanes_of(what: &str, t: &Tensor, expected: [usize; 3]) -> usize {
+    let dims = t.shape().dims();
+    assert!(
+        dims.len() == 4 && dims[..3] == expected,
+        "{what} has shape {dims:?}, expected {expected:?} with the batch last"
+    );
+    dims[3]
+}
+
+/// Forward 2-D convolution over a batch-lane input.
 ///
-/// * `input`  — `[N, C, H, W]`
+/// * `input`  — `[C, H, W, N]`
 /// * `weight` — `[OC, C*K*K]` (filters flattened row-major)
 /// * `bias`   — `[OC]`
+/// * `packed` receives the input as zero-bordered `[C, H+2p, W+2p, N]` (needed again
+///   by the backward pass);
+/// * `scratch` holds the tap lists;
+/// * `out` receives the `[OC, OH, OW, N]` activation, written by the kernel itself.
 ///
-/// Returns `[N, OC, OH, OW]` along with the packed input (`[C, H+2p, W+2p, N]`, see
-/// [`conv2d_into`]), which the backward pass consumes.
+/// Every output element is the ascending-`(ci, ky, kx)` sum of its window from 0.0,
+/// plus the bias — bitwise the naive `im2col x weight^T` formulation (module docs).
+///
+/// # Panics
+///
+/// Panics if `input` is not `[C, h, w, N]` or the parameters do not fit `spec`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_lanes_into(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    packed: &mut Tensor,
+    scratch: &mut ConvScratch,
+    out: &mut Tensor,
+) {
+    let n = lanes_of("conv2d input", input, [spec.in_channels, h, w]);
+    let x = input.as_slice();
+    // One image row of one channel at a time: W pixels of N examples each, as they lie.
+    let copy_row = |row: usize, dst: &mut [f32]| dst.copy_from_slice(&x[row * w * n..][..w * n]);
+    forward(n, weight, bias, h, w, spec, packed, scratch, out, copy_row);
+}
+
+/// [`conv2d_lanes_into`] for an `[N, C, H, W]` input and an `[N, OC, OH, OW]` output:
+/// the input is transposed into `packed`, the output transposed out of its lane layout.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_into(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    packed: &mut Tensor,
+    scratch: &mut ConvScratch,
+    out: &mut Tensor,
+) {
+    let dims = input.shape().dims();
+    let n = dims[0];
+    assert_eq!(dims[1..], [spec.in_channels, h, w], "conv2d input shape");
+    let (x, example) = (input.as_slice(), spec.in_channels * h * w);
+    let transpose_row =
+        |row: usize, dst: &mut [f32]| transpose(&x[row * w..], example, dst, n, n, w);
+    // The lane-layout output borrows the buffer of the weight-gradient operand, which
+    // a backward pass fills before it reads it and a forward pass never touches.
+    let mut lanes = std::mem::take(&mut scratch.grad_rows);
+    forward(
+        n,
+        weight,
+        bias,
+        h,
+        w,
+        spec,
+        packed,
+        scratch,
+        &mut lanes,
+        transpose_row,
+    );
+    lanes.lanes_to_batch_into(out);
+    scratch.grad_rows = lanes;
+}
+
+/// The forward pass both entry points share: `pack_row(row, dst)` writes row
+/// `row = ci * h + iy` of the input, `[W][N]`, into its place in the packed buffer.
+#[allow(clippy::too_many_arguments)]
+fn forward(
+    n: usize,
+    weight: &Tensor,
+    bias: &Tensor,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    packed: &mut Tensor,
+    scratch: &mut ConvScratch,
+    out: &mut Tensor,
+    pack_row: impl Fn(usize, &mut [f32]),
+) {
+    let g = scratch.lists.prepare(n, h, w, spec);
+    assert_eq!(weight.len(), g.oc * g.ckk, "conv2d weight length");
+    assert_eq!(bias.len(), g.oc, "conv2d bias length");
+    packed.ensure_shape(&[g.c, g.ph, g.pw, n]);
+    let xp = packed.as_mut_slice();
+    if g.pad > 0 {
+        xp.fill(0.0);
+    }
+    for row in 0..g.c * h {
+        let (ci, iy) = (row / h, row % h);
+        let at = ((ci * g.ph + iy + g.pad) * g.pw + g.pad) * n;
+        pack_row(row, &mut xp[at..at + w * n]);
+    }
+    out.ensure_shape(&[g.oc, g.oh, g.ow, n]);
+    let mut kernel = Forward {
+        g,
+        lists: &scratch.lists,
+        weight: weight.as_slice(),
+        bias: bias.as_slice(),
+        packed: xp,
+        out: out.as_mut_slice(),
+    };
+    run_tiles(&mut kernel, g.oc, n);
+}
+
+/// [`conv2d_into`] into fresh tensors: returns the `[N, OC, OH, OW]` activation and the
+/// packed input, which the backward pass consumes.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -404,76 +542,110 @@ pub fn conv2d(
     (out, packed)
 }
 
-/// Scratch of the convolution kernels, reused across iterations.
-#[derive(Debug, Default)]
-pub struct ConvScratch {
-    /// The tap lists of the geometry last seen, rebuilt only when it changes.
-    lists: TapLists,
-    /// The forward output as `[OC*OH*OW, N]`, before it is unpacked into NCHW.
-    packed_out: Tensor,
-    /// The upstream gradient as `[N*OH*OW, OC]` and the weight gradient as
-    /// `[C*K*K, OC]`: the operand and the result of the weight-gradient kernel, whose
-    /// lane is the output channel.
-    grad_rows: Tensor,
-    grad_weight_t: Tensor,
-}
-
-/// [`conv2d`] writing into caller-provided buffers.
+/// Backward 2-D convolution over a batch-lane gradient.
 ///
-/// * `packed` receives the input as zero-bordered `[C, H+2p, W+2p, N]` (needed again
-///   by the backward pass);
-/// * `scratch` holds the tap lists and the output before it is unpacked;
-/// * `out` receives the `[N, OC, OH, OW]` activation.
+/// `grad_out` is the upstream gradient, `[OC, OH, OW, N]`, and `packed` the packed
+/// input cached by the forward pass; `scratch` provides the tap lists and the operands
+/// of the weight-gradient kernel. `grad_input` (`[C, H, W, N]`, written by the kernel
+/// itself), `grad_weight` and `grad_bias` receive the results (overwritten, not
+/// accumulated).
 ///
-/// Every output element is the ascending-`(ci, ky, kx)` sum of its window from 0.0,
-/// plus the bias — bitwise the naive `im2col x weight^T` formulation (module docs).
+/// Every output is bitwise equal to the naive formulation that sums over output
+/// positions (per kernel point over output channels for the input gradient) in
+/// ascending order (module docs).
+///
+/// # Panics
+///
+/// Panics if `grad_out` is not `[OC, OH, OW, N]` or `packed` and `weight` do not fit.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_into(
-    input: &Tensor,
+pub fn conv2d_lanes_backward_into(
+    grad_out: &Tensor,
+    packed: &Tensor,
     weight: &Tensor,
-    bias: &Tensor,
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
-    packed: &mut Tensor,
     scratch: &mut ConvScratch,
-    out: &mut Tensor,
+    grad_input: &mut Tensor,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
 ) {
-    let dims = input.shape().dims();
-    let n = dims[0];
-    assert_eq!(dims[1..], [spec.in_channels, h, w], "conv2d input shape");
+    let out_dims = [spec.out_channels, spec.out_size(h), spec.out_size(w)];
+    let n = lanes_of("conv2d upstream gradient", grad_out, out_dims);
     let g = scratch.lists.prepare(n, h, w, spec);
-    assert_eq!(weight.len(), g.oc * g.ckk, "conv2d weight length");
-    assert_eq!(bias.len(), g.oc, "conv2d bias length");
-    packed.ensure_shape(&[g.c, g.ph, g.pw, n]);
-    let (x, xp) = (input.as_slice(), packed.as_mut_slice());
-    if g.pad > 0 {
-        xp.fill(0.0);
+    let (ohow, ckk) = (g.oh * g.ow, g.ckk);
+    assert_eq!(packed.len(), g.c * g.ph * g.pw * n, "packed input length");
+    assert_eq!(weight.len(), g.oc * ckk, "conv2d_backward weight length");
+    // The one operand still permuted: per output position, `[OC][N]` (rows a channel
+    // apart) becomes `[N][OC]` (rows an example apart).
+    let grad = grad_out.as_slice();
+    scratch.grad_rows.ensure_shape(&[n * ohow, g.oc]);
+    let grad_rows = scratch.grad_rows.as_mut_slice();
+    for pos in 0..ohow {
+        let (src, dst) = (&grad[pos * n..], &mut grad_rows[pos * g.oc..]);
+        transpose(src, ohow * n, dst, ohow * g.oc, g.oc, n);
     }
-    // One image row of one channel at a time: W pixels of N examples each.
-    for row in 0..g.c * h {
-        let (ci, iy) = (row / h, row % h);
-        let at = ((ci * g.ph + iy + g.pad) * g.pw + g.pad) * n;
-        transpose(&x[row * w..], g.c * h * w, n, &mut xp[at..at + w * n]);
-    }
-    scratch.packed_out.ensure_shape(&[g.oc * g.oh * g.ow, n]);
-    let mut kernel = Forward {
+    scratch.grad_rows.sum_rows_into(grad_bias);
+    scratch.grad_weight_t.ensure_shape(&[ckk, g.oc]);
+    let mut kernel = WeightGrad {
+        g,
+        lists: &scratch.lists,
+        packed: packed.as_slice(),
+        grad_rows: scratch.grad_rows.as_slice(),
+        grad_weight_t: scratch.grad_weight_t.as_mut_slice(),
+    };
+    run_tiles(&mut kernel, ckk, g.oc);
+    scratch.grad_weight_t.transposed_into(grad_weight);
+    grad_input.ensure_shape(&[g.c, h, w, n]);
+    let mut kernel = InputGrad {
         g,
         lists: &scratch.lists,
         weight: weight.as_slice(),
-        bias: bias.as_slice(),
-        packed: xp,
-        packed_out: scratch.packed_out.as_mut_slice(),
+        grad_out: grad,
+        grad_input: grad_input.as_mut_slice(),
     };
-    run_tiles(&mut kernel, g.oc, n);
-    scratch.packed_out.transposed_into(out);
-    out.reshape_inplace(&[n, g.oc, g.oh, g.ow]);
+    run_tiles(&mut kernel, g.c, n);
 }
 
-/// Backward 2-D convolution.
-///
-/// Given the upstream gradient `grad_out` (`[N, OC, OH, OW]`), the packed input from the
-/// forward pass, and the filter matrix, returns `(grad_input, grad_weight, grad_bias)`.
+/// [`conv2d_lanes_backward_into`] for an `[N, OC, OH, OW]` gradient and an
+/// `[N, C, H, W]` input gradient. `packed_grad` and `packed_grad_input` are pure
+/// scratch: the two in their lane layout, before and after the kernels.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_into(
+    grad_out: &Tensor,
+    packed: &Tensor,
+    weight: &Tensor,
+    n: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    packed_grad: &mut Tensor,
+    packed_grad_input: &mut Tensor,
+    scratch: &mut ConvScratch,
+    grad_input: &mut Tensor,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) {
+    let dims = [n, spec.out_channels, spec.out_size(h), spec.out_size(w)];
+    assert_eq!(grad_out.shape().dims(), dims, "upstream gradient shape");
+    grad_out.batch_to_lanes_into(packed_grad);
+    conv2d_lanes_backward_into(
+        packed_grad,
+        packed,
+        weight,
+        h,
+        w,
+        spec,
+        scratch,
+        packed_grad_input,
+        grad_weight,
+        grad_bias,
+    );
+    packed_grad_input.lanes_to_batch_into(grad_input);
+}
+
+/// [`conv2d_backward_into`] into fresh tensors: returns
+/// `(grad_input, grad_weight, grad_bias)`.
 pub fn conv2d_backward(
     grad_out: &Tensor,
     packed: &Tensor,
@@ -504,81 +676,11 @@ pub fn conv2d_backward(
     (grad_input, grad_weight, grad_bias)
 }
 
-/// [`conv2d_backward`] writing into caller-provided buffers.
+/// Forward 2-D max pooling over a `[C, H, W, N]` input.
 ///
-/// `packed` is the packed input cached by [`conv2d_into`]. `packed_grad` and
-/// `packed_grad_input` are pure scratch (the upstream gradient as `[OC, OH, OW, N]` and
-/// the input gradient as `[C*H*W, N]`); `scratch` provides the tap lists and the
-/// operands of the weight-gradient kernel; `grad_input`, `grad_weight` and `grad_bias`
-/// receive the results (overwritten, not accumulated).
-///
-/// Every output is bitwise equal to the naive formulation that sums over output
-/// positions (per kernel point over output channels for the input gradient) in
-/// ascending order (module docs).
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_into(
-    grad_out: &Tensor,
-    packed: &Tensor,
-    weight: &Tensor,
-    n: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    packed_grad: &mut Tensor,
-    packed_grad_input: &mut Tensor,
-    scratch: &mut ConvScratch,
-    grad_input: &mut Tensor,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut Tensor,
-) {
-    let g = scratch.lists.prepare(n, h, w, spec);
-    let (ohow, ckk) = (g.oh * g.ow, g.ckk);
-    assert_eq!(grad_out.len(), n * g.oc * ohow, "upstream gradient length");
-    assert_eq!(packed.len(), g.c * g.ph * g.pw * n, "packed input length");
-    assert_eq!(weight.len(), g.oc * ckk, "conv2d_backward weight length");
-    // grad_out [N, OC, OH, OW] twice over: with the example innermost for the input
-    // gradient, and per example with the output channel innermost for the weight
-    // gradient.
-    let grad = grad_out.as_slice();
-    packed_grad.ensure_shape(&[g.oc, g.oh, g.ow, n]);
-    transpose(grad, g.oc * ohow, n, packed_grad.as_mut_slice());
-    scratch.grad_rows.ensure_shape(&[n * ohow, g.oc]);
-    let grad_rows = scratch.grad_rows.as_mut_slice();
-    for (src, dst) in grad
-        .chunks_exact(g.oc * ohow)
-        .zip(grad_rows.chunks_exact_mut(ohow * g.oc))
-    {
-        transpose(src, ohow, g.oc, dst);
-    }
-    scratch.grad_rows.sum_rows_into(grad_bias);
-    scratch.grad_weight_t.ensure_shape(&[ckk, g.oc]);
-    let mut kernel = WeightGrad {
-        g,
-        lists: &scratch.lists,
-        packed: packed.as_slice(),
-        grad_rows: scratch.grad_rows.as_slice(),
-        grad_weight_t: scratch.grad_weight_t.as_mut_slice(),
-    };
-    run_tiles(&mut kernel, ckk, g.oc);
-    scratch.grad_weight_t.transposed_into(grad_weight);
-    packed_grad_input.ensure_shape(&[g.c * h * w, n]);
-    let mut kernel = InputGrad {
-        g,
-        lists: &scratch.lists,
-        weight: weight.as_slice(),
-        packed_grad: packed_grad.as_slice(),
-        packed_grad_input: packed_grad_input.as_mut_slice(),
-    };
-    run_tiles(&mut kernel, g.c, n);
-    packed_grad_input.transposed_into(grad_input);
-    grad_input.reshape_inplace(&[n, g.c, h, w]);
-}
-
-/// Forward 2-D max pooling over an `[N, C, H, W]` input.
-///
-/// Returns the pooled output `[N, C, OH, OW]` and the flat indices of the winning
+/// Returns the pooled output `[C, OH, OW, N]` and the flat indices of the winning
 /// elements (needed to route gradients in the backward pass).
-pub fn max_pool2d(input: &Tensor, h: usize, w: usize, spec: &Pool2dSpec) -> (Tensor, Vec<usize>) {
+pub fn max_pool2d(input: &Tensor, h: usize, w: usize, spec: &Pool2dSpec) -> (Tensor, Vec<u32>) {
     let mut out = Tensor::default();
     let mut idx = Vec::new();
     max_pool2d_into(input, h, w, spec, &mut out, &mut idx);
@@ -589,73 +691,120 @@ pub fn max_pool2d(input: &Tensor, h: usize, w: usize, spec: &Pool2dSpec) -> (Ten
 /// buffers (both are reused without reallocation once warmed).
 ///
 /// A window's winner is its first maximum in `(ky, kx)` order: the search starts at the
-/// window's first element and moves on under strict `>`, as a select, not a branch. A
-/// NaN therefore wins only from the first slot, and a window of nothing but `-inf` or
-/// NaN routes its gradient to its own first element.
+/// window's first element and moves on under strict `>`, as a select over the examples
+/// of a pixel, not a branch. A NaN therefore wins only from the first slot, and a window
+/// of nothing but `-inf` or NaN routes its gradient to its own first element.
+///
+/// # Panics
+///
+/// Panics if `input` is not `[C, h, w, N]`.
 pub fn max_pool2d_into(
     input: &Tensor,
     h: usize,
     w: usize,
     spec: &Pool2dSpec,
     out: &mut Tensor,
-    idx: &mut Vec<usize>,
+    idx: &mut Vec<u32>,
 ) {
-    let dims = input.shape().dims();
-    let (n, c) = (dims[0], dims[1]);
+    let c = input.shape().dims().first().copied().unwrap_or(0);
+    let n = lanes_of("max_pool2d input", input, [c, h, w]);
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    out.ensure_shape(&[n, c, oh, ow]);
-    idx.resize(n * c * oh * ow, 0);
-    if oh * ow == 0 {
+    out.ensure_shape(&[c, oh, ow, n]);
+    idx.resize(c * oh * ow * n, 0);
+    if out.is_empty() {
         return;
     }
-    let window = (spec.kernel, spec.stride);
-    let planes = input.as_slice().chunks_exact(h * w);
-    let results = out.as_mut_slice().chunks_exact_mut(oh * ow);
-    for (i, ((plane, best), best_i)) in planes
-        .zip(results)
-        .zip(idx.chunks_exact_mut(oh * ow))
-        .enumerate()
-    {
-        // 2x2 / stride 2 is the only pooling the model zoo has: the same body with both
-        // constants known, so the window loops unroll into four compares and selects.
-        if window == (2, 2) {
-            pool_plane(plane, i * h * w, w, ow, (2, 2), best, best_i);
-        } else {
-            pool_plane(plane, i * h * w, w, ow, window, best, best_i);
+    // Every winner is an index into the input: checked once, cast freely below.
+    offset(input.len());
+    let (x, sides, window) = (input.as_slice(), [h, w, oh, ow], (spec.kernel, spec.stride));
+    // 2x2 / stride 2 is the only pooling the model zoo has: the same body with both
+    // constants known, so the window loops unroll into four compares and selects.
+    if window == (2, 2) {
+        pool_planes(x, sides, n, (2, 2), out.as_mut_slice(), idx);
+    } else {
+        pool_planes(x, sides, n, window, out.as_mut_slice(), idx);
+    }
+}
+
+/// Pools every `H × W` plane of an `[C, H, W, N]` input: per output position its `N`
+/// windows, eight examples at a time and then one at a time.
+#[inline(always)]
+fn pool_planes(
+    x: &[f32],
+    [h, w, oh, ow]: [usize; 4],
+    n: usize,
+    (kernel, stride): (usize, usize),
+    best: &mut [f32],
+    best_i: &mut [u32],
+) {
+    let lanes = best.chunks_exact_mut(n).zip(best_i.chunks_exact_mut(n));
+    for (o, (best, best_i)) in lanes.enumerate() {
+        let (plane, o) = (o / (oh * ow), o % (oh * ow));
+        let first = ((plane * h + o / ow * stride) * w + o % ow * stride) * n;
+        let mut l = 0;
+        while l + 8 <= n {
+            pool_lanes::<8>(
+                x,
+                first + l,
+                w * n,
+                n,
+                kernel,
+                &mut best[l..],
+                &mut best_i[l..],
+            );
+            l += 8;
+        }
+        while l < n {
+            pool_lanes::<1>(
+                x,
+                first + l,
+                w * n,
+                n,
+                kernel,
+                &mut best[l..],
+                &mut best_i[l..],
+            );
+            l += 1;
         }
     }
 }
 
-/// Pools one `H × W` plane whose first element has flat index `base`.
+/// `L` examples of the window whose first elements are `x[first..first + L]`, its rows
+/// `row` and its columns `col` apart. Fixed-size arrays of `f32` values beside `u32`
+/// indices: what lets the selects run as vector blends (a `usize` index is twice as wide
+/// as the value it travels with, and the loop stays scalar).
 #[inline(always)]
-fn pool_plane(
-    plane: &[f32],
-    base: usize,
-    w: usize,
-    ow: usize,
-    (kernel, stride): (usize, usize),
+fn pool_lanes<const L: usize>(
+    x: &[f32],
+    first: usize,
+    row: usize,
+    col: usize,
+    kernel: usize,
     best: &mut [f32],
-    best_i: &mut [usize],
+    best_i: &mut [u32],
 ) {
-    for (o, (best, best_i)) in best.iter_mut().zip(best_i).enumerate() {
-        let first = (o / ow * w + o % ow) * stride;
-        (*best, *best_i) = (plane[first], base + first);
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let i = first + ky * w + kx;
-                let wins = plane[i] > *best;
-                *best = if wins { plane[i] } else { *best };
-                *best_i = if wins { base + i } else { *best_i };
+    let mut top: [f32; L] = x[first..][..L].try_into().expect("L lanes");
+    let mut top_i: [u32; L] = std::array::from_fn(|l| (first + l) as u32);
+    for ky in 0..kernel {
+        for kx in 0..kernel {
+            let at = first + ky * row + kx * col;
+            let v: &[f32; L] = x[at..][..L].try_into().expect("L lanes");
+            for l in 0..L {
+                let wins = v[l] > top[l];
+                top[l] = if wins { v[l] } else { top[l] };
+                top_i[l] = if wins { (at + l) as u32 } else { top_i[l] };
             }
         }
     }
+    best[..L].copy_from_slice(&top);
+    best_i[..L].copy_from_slice(&top_i);
 }
 
 /// Backward 2-D max pooling: routes each upstream gradient element to the input position
 /// that won the corresponding pooling window.
 pub fn max_pool2d_backward(
     grad_out: &Tensor,
-    winner_indices: &[usize],
+    winner_indices: &[u32],
     input_dims: &[usize],
 ) -> Tensor {
     let mut grad_in = Tensor::default();
@@ -666,7 +815,7 @@ pub fn max_pool2d_backward(
 /// [`max_pool2d_backward`] writing into a caller-provided buffer.
 pub fn max_pool2d_backward_into(
     grad_out: &Tensor,
-    winner_indices: &[usize],
+    winner_indices: &[u32],
     input_dims: &[usize],
     grad_in: &mut Tensor,
 ) {
@@ -674,7 +823,7 @@ pub fn max_pool2d_backward_into(
     let gi = grad_in.as_mut_slice();
     gi.fill(0.0);
     for (g, &i) in grad_out.as_slice().iter().zip(winner_indices) {
-        gi[i] += *g;
+        gi[i as usize] += *g;
     }
 }
 
@@ -823,30 +972,31 @@ mod tests {
             vec![
                 1., 2., 3., 4., 5., 6., 7., 8., 9., 10., 11., 12., 13., 14., 15., 16.,
             ],
-            &[1, 1, 4, 4],
+            &[1, 4, 4, 1],
         );
         let (out, idx) = max_pool2d(&x, 4, 4, &p);
         assert_eq!(out.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
         assert_eq!(idx, vec![5, 7, 13, 15]);
         // A window with nothing above -inf keeps its own first element: the gradient
-        // must not leak to element 0 of the batch (another example's pixel).
-        let mut values = vec![1.0f32; 2 * 16];
-        for i in [16 + 10, 16 + 11, 16 + 14, 16 + 15] {
-            values[i] = f32::NEG_INFINITY;
+        // must not leak to element 0 of the batch (another example's pixel). Two
+        // examples, pixel `i` of example `e` at `2 * i + e`.
+        let mut values = vec![1.0f32; 16 * 2];
+        for i in [10, 11, 14, 15] {
+            values[2 * i + 1] = f32::NEG_INFINITY;
         }
-        values[16 + 11] = f32::NAN;
-        let x = Tensor::from_vec(values, &[2, 1, 4, 4]);
+        values[2 * 11 + 1] = f32::NAN;
+        let x = Tensor::from_vec(values, &[1, 4, 4, 2]);
         let (out, idx) = max_pool2d(&x, 4, 4, &p);
-        assert_eq!(out.as_slice()[7], f32::NEG_INFINITY);
-        assert_eq!(idx[7], 16 + 10);
+        assert_eq!(out.as_slice()[2 * 3 + 1], f32::NEG_INFINITY);
+        assert_eq!(idx[2 * 3 + 1], 2 * 10 + 1);
         // The generic loop agrees with the fixed 2x2 path.
         let generic = Pool2dSpec {
             kernel: 2,
             stride: 1,
         };
         let (out, idx) = max_pool2d(&x, 4, 4, &generic);
-        assert_eq!(out.as_slice()[9 + 8], f32::NEG_INFINITY);
-        assert_eq!(idx[9 + 8], 16 + 10);
+        assert_eq!(out.as_slice()[2 * 8 + 1], f32::NEG_INFINITY);
+        assert_eq!(idx[2 * 8 + 1], 2 * 10 + 1);
     }
 
     #[test]
@@ -859,11 +1009,11 @@ mod tests {
             vec![
                 1., 2., 3., 4., 5., 6., 7., 8., 9., 10., 11., 12., 13., 14., 15., 16.,
             ],
-            &[1, 1, 4, 4],
+            &[1, 4, 4, 1],
         );
         let (out, idx) = max_pool2d(&x, 4, 4, &p);
         let g = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], out.shape().dims());
-        let gi = max_pool2d_backward(&g, &idx, &[1, 1, 4, 4]);
+        let gi = max_pool2d_backward(&g, &idx, &[1, 4, 4, 1]);
         assert_eq!(gi.as_slice()[5], 1.0);
         assert_eq!(gi.as_slice()[7], 2.0);
         assert_eq!(gi.as_slice()[13], 3.0);
@@ -889,12 +1039,12 @@ mod tests {
                 // channels in and out.
                 for (n, c, oc) in [(size, 3, 5), (2, size.min(7), size)] {
                     let (h, w, s) = (4, 5, spec(c, oc, 3, stride, pad));
-                    let x = crate::uniform_init(&[n, c, h, w], 1.0, size as u64);
+                    let x = crate::uniform_init(&[c, h, w, n], 1.0, size as u64);
                     let weight = crate::uniform_init(&[oc, c * 9], 1.0, 1);
                     let bias = crate::uniform_init(&[oc], 1.0, 2);
                     let mut scratch = ConvScratch::default();
                     let (mut packed, mut out) = (Tensor::default(), Tensor::default());
-                    conv2d_into(
+                    conv2d_lanes_into(
                         &x,
                         &weight,
                         &bias,
@@ -906,20 +1056,15 @@ mod tests {
                         &mut out,
                     );
                     let grad_out = crate::uniform_init(out.shape().dims(), 1.0, 3);
-                    let (mut packed_grad, mut packed_grad_input) =
-                        (Tensor::default(), Tensor::default());
                     let (mut gi, mut gw, mut gb) =
                         (Tensor::default(), Tensor::default(), Tensor::default());
-                    conv2d_backward_into(
+                    conv2d_lanes_backward_into(
                         &grad_out,
                         &packed,
                         &weight,
-                        n,
                         h,
                         w,
                         &s,
-                        &mut packed_grad,
-                        &mut packed_grad_input,
                         &mut scratch,
                         &mut gi,
                         &mut gw,
@@ -928,33 +1073,29 @@ mod tests {
                     let g = Geometry::new(n, h, w, &s);
                     let case = format!("n={n} c={c} oc={oc} stride={stride} pad={pad}");
                     // NaN-filled outputs: every element must be overwritten.
-                    let mut baseline = vec![f32::NAN; scratch.packed_out.len()];
+                    let mut baseline = vec![f32::NAN; out.len()];
                     let mut kernel = Forward {
                         g,
                         lists: &scratch.lists,
                         weight: weight.as_slice(),
                         bias: bias.as_slice(),
                         packed: packed.as_slice(),
-                        packed_out: &mut baseline,
+                        out: &mut baseline,
                     };
                     cover::<8, _>(&mut kernel, oc, n);
-                    assert_eq!(
-                        bits(&baseline),
-                        bits(scratch.packed_out.as_slice()),
-                        "forward {case}"
-                    );
-                    let mut baseline = vec![f32::NAN; packed_grad_input.len()];
+                    assert_eq!(bits(&baseline), bits(out.as_slice()), "forward {case}");
+                    let mut baseline = vec![f32::NAN; gi.len()];
                     let mut kernel = InputGrad {
                         g,
                         lists: &scratch.lists,
                         weight: weight.as_slice(),
-                        packed_grad: packed_grad.as_slice(),
-                        packed_grad_input: &mut baseline,
+                        grad_out: grad_out.as_slice(),
+                        grad_input: &mut baseline,
                     };
                     cover::<8, _>(&mut kernel, c, n);
                     assert_eq!(
                         bits(&baseline),
-                        bits(packed_grad_input.as_slice()),
+                        bits(gi.as_slice()),
                         "input gradient {case}"
                     );
                     let mut baseline = vec![f32::NAN; scratch.grad_weight_t.len()];

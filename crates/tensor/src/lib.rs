@@ -26,8 +26,9 @@ mod tensor;
 mod tiles;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, max_pool2d, max_pool2d_backward,
-    max_pool2d_backward_into, max_pool2d_into, Conv2dSpec, ConvScratch, Pool2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, conv2d_lanes_backward_into,
+    conv2d_lanes_into, max_pool2d, max_pool2d_backward, max_pool2d_backward_into, max_pool2d_into,
+    Conv2dSpec, ConvScratch, Pool2dSpec,
 };
 pub use init::{he_normal, uniform_init, xavier_uniform};
 pub use shape::Shape;

@@ -430,9 +430,38 @@ impl Tensor {
     /// Panics if the tensor is not rank 2.
     pub fn transposed_into(&self, out: &mut Tensor) {
         assert_eq!(self.shape().rank(), 2, "transpose requires a rank-2 tensor");
-        let (m, n) = (self.rows(), self.cols());
-        out.ensure_shape(&[n, m]);
-        transpose(self.as_slice(), n, m, out.as_mut_slice());
+        self.transposed_as(self.rows(), 1, out);
+    }
+
+    /// Writes the tensor with its first dimension moved last into `out`: `[N, d...]`
+    /// becomes `[d..., N]`, the batch-lane layout of the convolutional family (one
+    /// element of one example's feature map is `N` contiguous values, see `conv.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor has rank 0.
+    pub fn batch_to_lanes_into(&self, out: &mut Tensor) {
+        self.transposed_as(self.shape().dim(0), 1, out);
+    }
+
+    /// The inverse of [`Tensor::batch_to_lanes_into`]: `[d..., N]` becomes `[N, d...]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor has rank 0.
+    pub fn lanes_to_batch_into(&self, out: &mut Tensor) {
+        let last = self.shape().rank() - 1;
+        let n = self.shape().dim(last);
+        self.transposed_as(self.len() / n.max(1), last, out);
+    }
+
+    /// Reads the tensor as a `[rows, len / rows]` matrix and writes its transpose into
+    /// `out`, under this tensor's dimensions rotated `rotate` places to the left.
+    fn transposed_as(&self, rows: usize, rotate: usize, out: &mut Tensor) {
+        let cols = self.len() / rows.max(1);
+        out.ensure_shape(self.shape().dims());
+        out.rotate_dims_left(rotate);
+        transpose(self.as_slice(), cols, out.as_mut_slice(), rows, rows, cols);
     }
 
     /// Adds a bias row vector to every row of a rank-2 tensor, returning a new tensor.
@@ -532,29 +561,35 @@ impl Tensor {
     }
 }
 
-/// `dst[j * rows + i] = src[i * stride + j]` for every `i < rows` and every `j` that
-/// `dst` (a dense `[cols][rows]`) has room for: a transpose whose source rows are
-/// `stride` apart. Moved in 4x4 blocks — four row loads, register shuffles, four row
-/// stores — with the ragged edges element by element.
-pub(crate) fn transpose(src: &[f32], stride: usize, rows: usize, dst: &mut [f32]) {
-    let cols = dst.len().checked_div(rows).unwrap_or(0);
+/// `dst[j * dst_stride + i] = src[i * src_stride + j]` for every `i < rows` and
+/// `j < cols`: a transpose whose source rows are `src_stride` apart and whose
+/// destination rows are `dst_stride` apart. Moved in 4x4 blocks — four row loads,
+/// register shuffles, four row stores — with the ragged edges element by element.
+pub(crate) fn transpose(
+    src: &[f32],
+    src_stride: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+    rows: usize,
+    cols: usize,
+) {
     let (block_rows, block_cols) = (rows / 4 * 4, cols / 4 * 4);
     for j0 in (0..block_cols).step_by(4) {
         for i0 in (0..block_rows).step_by(4) {
             let block: [[f32; 4]; 4] = std::array::from_fn(|i| {
-                src[(i0 + i) * stride + j0..][..4]
+                src[(i0 + i) * src_stride + j0..][..4]
                     .try_into()
                     .expect("four columns")
             });
             for j in 0..4 {
                 let column: [f32; 4] = std::array::from_fn(|i| block[i][j]);
-                dst[(j0 + j) * rows + i0..][..4].copy_from_slice(&column);
+                dst[(j0 + j) * dst_stride + i0..][..4].copy_from_slice(&column);
             }
         }
     }
     for j in 0..cols {
         for i in if j < block_cols { block_rows } else { 0 }..rows {
-            dst[j * rows + i] = src[i * stride + j];
+            dst[j * dst_stride + i] = src[i * src_stride + j];
         }
     }
 }

@@ -40,6 +40,12 @@ impl Shape {
         self.dims.extend_from_slice(dims);
     }
 
+    /// Rotates the extents `by` places to the left in place: `[a, b, c]` becomes
+    /// `[b, c, a]` for `by == 1`.
+    pub(crate) fn rotate_left(&mut self, by: usize) {
+        self.dims.rotate_left(by);
+    }
+
     /// Returns the number of dimensions (the rank).
     pub fn rank(&self) -> usize {
         self.dims.len()

@@ -143,6 +143,14 @@ impl Tensor {
         self.shape.set_dims(dims);
     }
 
+    /// Rotates the dimension list `by` places to the left without moving an element:
+    /// `[a, b, c, d]` becomes `[b, c, d, a]` for `by == 1`. Like
+    /// [`Tensor::reshape_inplace`] it relabels the same row-major data; it never
+    /// allocates.
+    pub(crate) fn rotate_dims_left(&mut self, by: usize) {
+        self.shape.rotate_left(by);
+    }
+
     /// Fills the tensor with `value`.
     pub fn fill(&mut self, value: f32) {
         for v in &mut self.data {

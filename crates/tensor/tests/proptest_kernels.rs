@@ -7,20 +7,25 @@
 //!   (the crate's own unit test walks them exhaustively, per compiled instance).
 //! * `matmul_nt_into` accumulates in interleaved lanes and is held to a 1e-5 relative
 //!   tolerance — the one kernel that reassociates.
-//! * `conv2d` / `conv2d_backward` — output, weight, bias and input gradient — are
-//!   bitwise equal to the naive `im2col` formulation (`cols x W^T`, `g^T x cols`,
-//!   `g x W` folded back in kernel-point-major order), each sum taken in ascending
-//!   order, across random `(N, C, OC, H, W, K, stride, padding)`: batches through
-//!   every step of the lane cascade, channel counts through the row cascade,
-//!   non-square planes, `K = 1`, `padding = 0`. `naive_im2col` and `naive_col2im_t`
-//!   are that formulation's private references; the library has no column matrix.
+//! * `conv2d` / `conv2d_backward` (the `[N, C, H, W]` shells) — output, weight, bias and
+//!   input gradient — are bitwise equal to the naive `im2col` formulation (`cols x W^T`,
+//!   `g^T x cols`, `g x W` folded back in kernel-point-major order), each sum taken in
+//!   ascending order, across random `(N, C, OC, H, W, K, stride, padding)`: batches
+//!   through every step of the lane cascade, channel counts through the row cascade,
+//!   non-square planes, `K = 1`, `padding = 0`. `naive_im2col` and `naive_col2im_t` are
+//!   that formulation's private references; the library has no column matrix. The lane
+//!   entry points the layers call (`[C, H, W, N]` in and out) are held bitwise to the
+//!   shells in the same property.
 //! * The packed input `conv2d` hands to the backward pass is the zero-bordered,
 //!   batch-innermost copy of the input, whatever the reused buffer held before.
-//! * `max_pool2d` picks the winners of the plain loop it replaced (kept here as the
-//!   reference): ties, odd sides, `stride != kernel`.
+//! * `max_pool2d` (`[C, H, W, N]`) picks the winners of the plain `[N, C, H, W]` loop it
+//!   replaced (kept here as the reference) and routes gradients as that loop's scatter
+//!   does: ties, odd sides, `stride != kernel`, batches through the 8-lane body and the
+//!   1-lane tail.
 
 use dssp_tensor::{
-    conv2d, conv2d_backward, conv2d_into, max_pool2d, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
+    conv2d, conv2d_backward, conv2d_into, conv2d_lanes_backward_into, conv2d_lanes_into,
+    max_pool2d, max_pool2d_backward, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -138,8 +143,22 @@ fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
-/// The pooling loop `max_pool2d_into` replaced: the first maximum in `(ky, kx)` order
-/// under strict `>`, searched with a branch per element.
+/// `[N, d...]` as `[d..., N]`.
+fn to_lanes(t: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    t.batch_to_lanes_into(&mut out);
+    out
+}
+
+/// `[d..., N]` as `[N, d...]`.
+fn to_batch(t: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    t.lanes_to_batch_into(&mut out);
+    out
+}
+
+/// The pooling loop `max_pool2d_into` replaced, over `[N, C, H, W]`: the first maximum
+/// in `(ky, kx)` order under strict `>`, searched with a branch per element.
 fn naive_max_pool(x: &Tensor, h: usize, w: usize, spec: &Pool2dSpec) -> (Vec<f32>, Vec<usize>) {
     let (planes, oh, ow) = (x.len() / (h * w), spec.out_size(h), spec.out_size(w));
     let (mut out, mut idx) = (Vec::new(), Vec::new());
@@ -255,18 +274,38 @@ proptest! {
 
     #[test]
     fn max_pool2d_picks_the_winners_of_the_plain_loop(
-        n in 1usize..3, c in 1usize..4, h in 1usize..10, w in 1usize..10,
+        n in 1usize..41, c in 1usize..4, h in 1usize..10, w in 1usize..10,
         kernel in 1usize..4, stride in 1usize..4, levels in 1u64..6, seed in 0u64..1000,
     ) {
         // Few distinct values, so most windows hold a tie.
         let values = synth(n * c * h * w, seed).iter().map(|v| (v * levels as f32).round()).collect();
         let x = Tensor::from_vec(values, &[n, c, h, w]);
         let spec = Pool2dSpec { kernel, stride };
-        let (out, idx) = max_pool2d(&x, h, w, &spec);
+        let (lane_out, lane_idx) = max_pool2d(&to_lanes(&x), h, w, &spec);
+        prop_assert_eq!(lane_out.shape().dims(), &[c, spec.out_size(h), spec.out_size(w), n]);
+        // Output `j` of example `e` lies at `j * n + e`, and so does input pixel `j`.
+        let out = to_batch(&lane_out);
+        let per_example = lane_idx.len() / n;
+        let idx: Vec<usize> = (0..lane_idx.len())
+            .map(|i| {
+                let winner = lane_idx[i % per_example * n + i / per_example] as usize;
+                winner % n * c * h * w + winner / n
+            })
+            .collect();
         let (naive_out, naive_idx) = naive_max_pool(&x, h, w, &spec);
         prop_assert_eq!(out.shape().dims(), &[n, c, spec.out_size(h), spec.out_size(w)]);
         prop_assert_eq!(bits(out.as_slice()), bits(&naive_out));
-        prop_assert_eq!(idx, naive_idx);
+        prop_assert_eq!(&idx, &naive_idx);
+        // Backward: overlapping windows add into one pixel in ascending output order.
+        let grad = Tensor::from_vec(synth(out.len(), seed + 1), out.shape().dims());
+        let mut naive_grad = vec![0.0f32; x.len()];
+        for (g, &i) in grad.as_slice().iter().zip(&naive_idx) {
+            naive_grad[i] += g;
+        }
+        let lane_dims = [c, h, w, n];
+        let lane_grad = max_pool2d_backward(&to_lanes(&grad), &lane_idx, &lane_dims);
+        prop_assert_eq!(lane_grad.shape().dims(), &lane_dims);
+        prop_assert_eq!(bits(to_batch(&lane_grad).as_slice()), bits(&naive_grad));
     }
 
     #[test]
@@ -332,6 +371,24 @@ proptest! {
         let grad_cols_t = naive_matmul(&g, &wgt).transposed();
         let naive_grad_x = naive_col2im_t(&grad_cols_t, n, h, w, &spec);
         prop_assert_eq!(bits(grad_x.as_slice()), bits(&naive_grad_x));
+
+        // The lane entry points, called as the layers call them, against the shells.
+        let mut scratch = ConvScratch::default();
+        let [mut lane_packed, mut lane_out]: [Tensor; 2] = Default::default();
+        conv2d_lanes_into(&to_lanes(&x), &wgt, &bias, h, w, &spec, &mut lane_packed, &mut scratch, &mut lane_out);
+        prop_assert_eq!(lane_out.shape().dims(), &[oc, oh, ow, n]);
+        prop_assert_eq!(bits(lane_out.as_slice()), bits(to_lanes(&out).as_slice()));
+        prop_assert_eq!(lane_packed.shape().dims(), packed.shape().dims());
+        prop_assert_eq!(bits(lane_packed.as_slice()), bits(packed.as_slice()));
+        let [mut lane_grad_x, mut lane_grad_w, mut lane_grad_b]: [Tensor; 3] = Default::default();
+        conv2d_lanes_backward_into(
+            &to_lanes(&grad_out), &lane_packed, &wgt, h, w, &spec, &mut scratch,
+            &mut lane_grad_x, &mut lane_grad_w, &mut lane_grad_b,
+        );
+        prop_assert_eq!(lane_grad_x.shape().dims(), &[c, h, w, n]);
+        prop_assert_eq!(bits(lane_grad_x.as_slice()), bits(to_lanes(&grad_x).as_slice()));
+        prop_assert_eq!(bits(lane_grad_w.as_slice()), bits(grad_w.as_slice()));
+        prop_assert_eq!(bits(lane_grad_b.as_slice()), bits(grad_b.as_slice()));
     }
 
     #[test]
