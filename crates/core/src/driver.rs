@@ -6,7 +6,8 @@
 //! the server decision-loop (apply push, gate, evaluate, summarize). This module
 //! extracts those pieces so that every substrate drives the same code:
 //!
-//! * the discrete-event simulator (`dssp-sim`) — virtual time, single thread;
+//! * the discrete-event simulator (`dssp-sim`) — virtual time, one event loop with its
+//!   gradients and evaluations as tasks on every core;
 //! * the threaded runtime ([`crate::runtime`]) — real threads, channels;
 //! * the networked runtime (`dssp-net`) — real processes, TCP or loopback transports.
 //!

@@ -1,14 +1,17 @@
-//! The simulation engine: configuration and the main event loop.
+//! The simulation engine: configuration, the main event loop, and the lanes it hands
+//! every gradient and evaluation to.
 
 use crate::event::{EventKind, EventQueue};
+use crate::pool::{helpers_for, lock, Pool, Tasks};
 use crate::trace::{RunTrace, TracePoint, WorkerSummary};
-use crate::worker::{SimWorker, WorkerState};
+use crate::worker::{ComputeLane, SimWorker, WorkerState};
 use dssp_cluster::{ClusterSpec, TimeModel};
 use dssp_data::{BatchIter, Dataset, SyntheticImageSpec, SyntheticVectorSpec};
 use dssp_nn::models::ModelSpec;
 use dssp_nn::{CostProfile, Evaluator, Model, Sgd, SgdConfig};
 use dssp_ps::{ParameterServer, PolicyKind, ServerConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Which synthetic dataset a run trains on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,14 +114,53 @@ impl SimConfig {
 
 /// A discrete-event simulation of one training run.
 pub struct Simulation {
+    events: EventLoop,
+    lanes: Lanes,
+}
+
+/// The pool lane of the evaluator.
+const EVAL_LANE: usize = 0;
+
+/// The pool lane of worker `w`'s gradients.
+fn worker_lane(w: usize) -> usize {
+    1 + w
+}
+
+/// The evaluator's lane: a replica and the snapshot of the server weights it scores.
+struct EvalLane {
+    evaluator: Evaluator,
+    weights: Vec<f32>,
+    accuracy: f32,
+}
+
+/// What `run`'s pool runs: [`EVAL_LANE`] scores its weight snapshot, lane
+/// [`worker_lane`]`(w)` computes worker `w`'s gradient.
+struct Lanes {
+    eval: Mutex<EvalLane>,
+    workers: Vec<Mutex<ComputeLane>>,
+}
+
+impl Tasks for Lanes {
+    fn run(&self, lane: usize) {
+        if lane == EVAL_LANE {
+            let eval = &mut *lock(&self.eval);
+            eval.accuracy = eval.evaluator.accuracy(&eval.weights);
+        } else {
+            lock(&self.workers[lane - 1]).compute_gradient();
+        }
+    }
+}
+
+/// The event loop's state: everything but the lanes.
+struct EventLoop {
     config: SimConfig,
     workers: Vec<SimWorker>,
-    local_weights: Vec<Vec<f32>>,
     server: ParameterServer,
     time_model: TimeModel,
-    eval: Evaluator,
     queue: EventQueue,
     trace: Vec<TracePoint>,
+    /// The trace point whose accuracy the evaluator's lane is computing.
+    pending_eval: Option<usize>,
     last_eval_pushes: u64,
     now: f64,
     /// Workers the push being handled released (reused across pushes).
@@ -137,9 +179,9 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("policy", &self.config.policy.label())
-            .field("workers", &self.workers.len())
-            .field("now", &self.now)
+            .field("policy", &self.events.config.policy.label())
+            .field("workers", &self.events.workers.len())
+            .field("now", &self.events.now)
             .finish()
     }
 }
@@ -167,7 +209,7 @@ impl Simulation {
             .cost_override
             .unwrap_or_else(|| CostProfile::of_model(&reference, config.model.has_fc_layers()));
 
-        let workers: Vec<SimWorker> = shards
+        let (workers, compute): (Vec<SimWorker>, Vec<Mutex<ComputeLane>>) = shards
             .into_iter()
             .enumerate()
             .map(|(w, shard)| {
@@ -177,10 +219,20 @@ impl Simulation {
                     config.batch_size,
                     config.seed.wrapping_add(w as u64 + 1),
                 );
-                SimWorker::new(w, config.model.build(config.seed), batches, target)
+                let model = config.model.build(config.seed);
+                let lane = ComputeLane::new(model, batches, initial_params.clone());
+                (SimWorker::new(w, target), Mutex::new(lane))
             })
-            .collect();
-        let local_weights = vec![initial_params.clone(); num_workers];
+            .unzip();
+        let eval = EvalLane {
+            evaluator: Evaluator::new(
+                config.model.build(config.seed),
+                dataset.test_batch(config.eval_max_examples),
+                config.batch_size,
+            ),
+            weights: initial_params.clone(),
+            accuracy: 0.0,
+        };
 
         let sgd = Sgd::new(config.sgd.clone(), initial_params.len());
         let server = ParameterServer::new(
@@ -192,47 +244,73 @@ impl Simulation {
             TimeModel::new(config.cluster.clone(), cost, config.batch_size, config.seed);
         let comm_occupancy = time_model.link_occupancy_seconds();
         let comm_latency = time_model.link_latency_seconds();
-        let eval = Evaluator::new(
-            config.model.build(config.seed),
-            dataset.test_batch(config.eval_max_examples),
-            config.batch_size,
-        );
 
         Self {
-            config,
-            workers,
-            local_weights,
-            server,
-            time_model,
-            eval,
-            queue: EventQueue::new(),
-            trace: Vec::new(),
-            last_eval_pushes: 0,
-            now: 0.0,
-            released: Vec::new(),
-            nic_free_at: 0.0,
-            comm_occupancy,
-            comm_latency,
+            events: EventLoop {
+                config,
+                workers,
+                server,
+                time_model,
+                queue: EventQueue::new(),
+                trace: Vec::new(),
+                pending_eval: None,
+                last_eval_pushes: 0,
+                now: 0.0,
+                released: Vec::new(),
+                nic_free_at: 0.0,
+                comm_occupancy,
+                comm_latency,
+            },
+            lanes: Lanes {
+                eval: Mutex::new(eval),
+                workers: compute,
+            },
         }
     }
 
     /// The configuration this simulation was built from.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.events.config
     }
 
     /// Runs the simulation to completion and returns the trace.
-    pub fn run(mut self) -> RunTrace {
+    ///
+    /// The event loop runs on the calling thread; the gradients and evaluations run on
+    /// a pool of `available_parallelism() − 1` helpers (see the crate docs). The
+    /// trace is the same, bit for bit, on any number of cores.
+    pub fn run(self) -> RunTrace {
+        let helpers = helpers_for(1 + self.lanes.workers.len());
+        self.run_on(helpers)
+    }
+
+    /// [`Simulation::run`] with `helpers` helper threads; with 0 every task runs on the
+    /// event loop at its join.
+    fn run_on(self, helpers: usize) -> RunTrace {
+        let Simulation { mut events, lanes } = self;
+        let lane_count = 1 + lanes.workers.len();
+        let pool = Pool::new(lanes, lane_count, helpers);
+        std::thread::scope(|scope| {
+            let _shutdown = pool.start(scope);
+            events.run(&pool);
+        });
+        events.finish()
+    }
+}
+
+impl EventLoop {
+    fn run(&mut self, pool: &Pool<Lanes>) {
         // Every worker pulls the initial weights and starts its first iteration at t=0.
         for w in 0..self.workers.len() {
-            self.start_iteration(w, 0.0);
+            self.start_iteration(pool, w, 0.0);
         }
         loop {
             while let Some(event) = self.queue.pop() {
                 self.now = event.time;
                 match event.kind {
                     EventKind::ComputeDone => self.handle_compute_done(event.worker, event.time),
-                    EventKind::PushArrives => self.handle_push_arrival(event.worker, event.time),
+                    EventKind::PushArrives => {
+                        self.handle_push_arrival(pool, event.worker, event.time)
+                    }
                 }
             }
             // End-of-training drain: workers can remain blocked forever if the workers
@@ -250,11 +328,11 @@ impl Simulation {
             for w in stuck {
                 let wait_start = self.workers[w].last_push_time;
                 self.workers[w].waiting_time += self.now - wait_start;
-                self.start_iteration(w, self.now);
+                self.start_iteration(pool, w, self.now);
             }
         }
-        self.record_eval(self.now);
-        self.finish()
+        self.record_eval(pool, self.now);
+        self.join_eval(pool);
     }
 
     /// Reserves the server link for one transfer starting no earlier than `now` and
@@ -267,11 +345,14 @@ impl Simulation {
     }
 
     /// Pulls the global weights for `worker` (queuing the pull transfer on the server
-    /// link), runs the compute phase, and schedules the `ComputeDone` event.
-    fn start_iteration(&mut self, worker: usize, now: f64) {
-        // Copy the global weights into the worker's reusable local buffer (same length
-        // every iteration, so no allocation).
-        self.local_weights[worker].copy_from_slice(self.server.weights());
+    /// link), submits its gradient to the pool, and schedules the `ComputeDone` event.
+    fn start_iteration(&mut self, pool: &Pool<Lanes>, worker: usize, now: f64) {
+        // Copy the global weights into the worker's lane (same length every iteration,
+        // so no allocation). The lane is idle: its last gradient was joined at its push.
+        lock(&pool.tasks().workers[worker])
+            .weights
+            .copy_from_slice(self.server.weights());
+        pool.submit(worker_lane(worker));
         let pull_done = self.reserve_link(now);
         let cost = self.time_model.sample_iteration(worker, now);
         self.workers[worker].state = WorkerState::Computing;
@@ -287,12 +368,15 @@ impl Simulation {
     }
 
     /// Processes the arrival of a worker's push request at the server.
-    fn handle_push_arrival(&mut self, worker: usize, now: f64) {
-        let grad = self.workers[worker].compute_gradient(&self.local_weights[worker]);
+    fn handle_push_arrival(&mut self, pool: &Pool<Lanes>, worker: usize, now: f64) {
+        pool.join(worker_lane(worker));
+        let lane = lock(&pool.tasks().workers[worker]);
+        let grad = self.workers[worker].publish(&lane);
         self.released.clear();
         let result = self
             .server
             .handle_push_into(worker, grad, now, &mut self.released);
+        drop(lane);
         self.workers[worker].iterations += 1;
         self.workers[worker].last_push_time = now;
 
@@ -303,7 +387,7 @@ impl Simulation {
         if self.workers[worker].finished() {
             self.workers[worker].state = WorkerState::Done;
         } else if result.ok_now {
-            self.start_iteration(worker, now);
+            self.start_iteration(pool, worker, now);
         } else {
             self.workers[worker].state = WorkerState::Blocked;
         }
@@ -318,12 +402,12 @@ impl Simulation {
             if self.workers[released].finished() {
                 self.workers[released].state = WorkerState::Done;
             } else {
-                self.start_iteration(released, now);
+                self.start_iteration(pool, released, now);
             }
         }
 
         if self.server.version() - self.last_eval_pushes >= self.config.eval_every_pushes {
-            self.record_eval(now);
+            self.record_eval(pool, now);
         }
     }
 
@@ -331,12 +415,18 @@ impl Simulation {
         self.workers.iter().map(|w| w.epoch()).min().unwrap_or(0)
     }
 
-    /// Evaluates the current global weights on the held-out batch and appends a trace
-    /// point. Evaluation happens outside simulated time (it is measurement, not work the
-    /// cluster performs).
-    fn record_eval(&mut self, now: f64) {
+    /// Appends a trace point and submits the evaluation of a snapshot of the current
+    /// global weights on the held-out batch; [`EventLoop::join_eval`] writes its
+    /// accuracy into the point. Evaluation happens outside simulated time (it is
+    /// measurement, not work the cluster performs).
+    fn record_eval(&mut self, pool: &Pool<Lanes>, now: f64) {
+        self.join_eval(pool);
         self.last_eval_pushes = self.server.version();
-        let acc = self.eval.accuracy(self.server.weights());
+        lock(&pool.tasks().eval)
+            .weights
+            .copy_from_slice(self.server.weights());
+        pool.submit(EVAL_LANE);
+        self.pending_eval = Some(self.trace.len());
         let total_iters: u64 = self.workers.iter().map(|w| w.iterations).sum();
         let total_loss: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
         let train_loss = if total_iters == 0 {
@@ -348,9 +438,17 @@ impl Simulation {
             time_s: now,
             pushes: self.server.version(),
             epoch: self.min_epoch(),
-            test_accuracy: f64::from(acc),
+            test_accuracy: 0.0,
             train_loss,
         });
+    }
+
+    /// Joins the evaluation in flight, if any, and writes its accuracy into its point.
+    fn join_eval(&mut self, pool: &Pool<Lanes>) {
+        if let Some(point) = self.pending_eval.take() {
+            pool.join(EVAL_LANE);
+            self.trace[point].test_accuracy = f64::from(lock(&pool.tasks().eval).accuracy);
+        }
     }
 
     fn finish(self) -> RunTrace {
@@ -431,12 +529,91 @@ mod tests {
         assert!(!trace.points.is_empty());
     }
 
+    /// A small convolutional run (`DownsizedAlexNet` on 8×8 images).
+    fn conv_config(cluster: ClusterSpec, policy: PolicyKind) -> SimConfig {
+        SimConfig {
+            model: ModelSpec::DownsizedAlexNet {
+                image_side: 8,
+                classes: 4,
+            },
+            data: DataSpec::Image(
+                SyntheticImageSpec::cifar10_like()
+                    .with_classes(4)
+                    .with_image_side(8)
+                    .with_sizes(64, 32),
+            ),
+            cluster,
+            policy,
+            batch_size: 8,
+            epochs: 1,
+            sgd: SgdConfig::default(),
+            seed: 3,
+            eval_every_pushes: 4,
+            eval_max_examples: 32,
+            cost_override: None,
+        }
+    }
+
+    /// The gradients and evaluations run on the pool in whatever order the threads
+    /// take them; the trace must not see it. With no helper every task runs at its
+    /// join, in the one-thread simulator's order: that run is the reference. The conv
+    /// run has the deepest tasks, the 4-worker run more lanes than a 2-core host has
+    /// threads.
     #[test]
     fn same_seed_gives_identical_traces() {
-        let config = vector_config(PolicyKind::Dssp { s_l: 1, r_max: 4 });
-        let a = Simulation::new(config.clone()).run();
-        let b = Simulation::new(config).run();
-        assert_eq!(a, b);
+        let configs = [
+            vector_config(PolicyKind::Dssp { s_l: 1, r_max: 4 }),
+            conv_config(
+                ClusterSpec::heterogeneous_pair(),
+                PolicyKind::Dssp { s_l: 1, r_max: 4 },
+            ),
+            SimConfig {
+                cluster: ClusterSpec::homogeneous(
+                    4,
+                    WorkerSpec::single(DeviceProfile::gtx1060()),
+                    LinkProfile::infiniband_edr(),
+                ),
+                eval_every_pushes: 3,
+                ..vector_config(PolicyKind::Ssp { s: 1 })
+            },
+        ];
+        for config in configs {
+            let reference = Simulation::new(config.clone()).run_on(0);
+            for helpers in [1, 2] {
+                assert_eq!(reference, Simulation::new(config.clone()).run_on(helpers));
+            }
+            for _ in 0..4 {
+                assert_eq!(reference, Simulation::new(config.clone()).run());
+            }
+        }
+    }
+
+    /// `Simulation::new` checks class counts but not input width, so this run panics
+    /// in its first gradient — on the event loop or on a helper, whichever takes the
+    /// first task. Either way `run` must end in a panic, not wait forever for a task
+    /// that will never finish.
+    #[test]
+    fn a_panicking_gradient_ends_run_instead_of_hanging() {
+        let mut config = vector_config(PolicyKind::Asp);
+        config.data = DataSpec::Vector(SyntheticVectorSpec {
+            classes: 4,
+            dim: 8, // the model reads 16
+            train_size: 240,
+            test_size: 80,
+            noise_std: 0.7,
+        });
+        for attempt in 0..8 {
+            let (done, outcome) = std::sync::mpsc::channel();
+            let config = config.clone();
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| Simulation::new(config).run());
+                let _ = done.send(run.is_err());
+            });
+            let panicked = outcome
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("run {attempt} still running after 30 s"));
+            assert!(panicked, "run {attempt} returned a trace");
+        }
     }
 
     #[test]
@@ -534,31 +711,14 @@ mod tests {
 
     #[test]
     fn homogeneous_cluster_runs_image_model() {
-        let config = SimConfig {
-            model: ModelSpec::DownsizedAlexNet {
-                image_side: 8,
-                classes: 4,
-            },
-            data: DataSpec::Image(
-                SyntheticImageSpec::cifar10_like()
-                    .with_classes(4)
-                    .with_image_side(8)
-                    .with_sizes(64, 32),
-            ),
-            cluster: ClusterSpec::homogeneous(
+        let config = conv_config(
+            ClusterSpec::homogeneous(
                 2,
                 WorkerSpec::single(DeviceProfile::p100()),
                 LinkProfile::infiniband_edr(),
             ),
-            policy: PolicyKind::Dssp { s_l: 3, r_max: 12 },
-            batch_size: 8,
-            epochs: 1,
-            sgd: SgdConfig::default(),
-            seed: 3,
-            eval_every_pushes: 4,
-            eval_max_examples: 32,
-            cost_override: None,
-        };
+            PolicyKind::Dssp { s_l: 3, r_max: 12 },
+        );
         let trace = Simulation::new(config).run();
         assert_eq!(trace.model, "downsized-alexnet");
         assert!(trace.total_pushes > 0);

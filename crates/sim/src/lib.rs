@@ -17,6 +17,36 @@
 //! a mini-batch gradient, pushes it, and may start its next iteration only after the
 //! server's `OK`. Blocked workers are woken by the pushes that release them.
 //!
+//! # What runs where
+//!
+//! One event loop, on the thread that calls `Simulation::run`, owns the queue, the
+//! virtual clock, the server link, the parameter server and the trace. The real
+//! training work runs as tasks on a pool private to `run`, with
+//! `available_parallelism() − 1` helper threads (none on a 1-core host):
+//!
+//! * **A gradient is a task from its pull to its push.** The event loop copies the
+//!   global weights into the worker's compute lane and submits the lane's task when
+//!   the iteration starts. It joins the task when the worker's push arrives and applies
+//!   the gradient there.
+//! * **An evaluation is a task on a weight snapshot.** At an evaluation point the event
+//!   loop copies the server weights into the evaluator's lane, pushes the trace point
+//!   and submits the task. It joins the task at the next evaluation point or at the
+//!   end of the run and writes the accuracy into that point.
+//!
+//! The evaluator and the first worker live on helper 1, and the other workers are
+//! dealt round-robin over the helpers, then the event loop. When a task's home thread
+//! has not started it by its join, the event loop runs it in place.
+//!
+//! Why the trace stays bit for bit the one-thread trace, on any number of cores: a
+//! gradient depends only on the weights its pull copied, its worker's replica and its
+//! worker's batch stream, and nothing else touches those between the submit and the
+//! join. An evaluation reads only its snapshot and the evaluator's replica. Every
+//! server update, every clock read and every RNG draw of the time model stays on the
+//! event loop, in event order. The loss and the epoch of a gradient are published at
+//! its push, not when the lane draws its batch: the lane may already be drawing the
+//! next batch, which can open a new epoch and would move the step learning-rate
+//! schedule the server follows.
+//!
 //! # Example
 //!
 //! ```
@@ -43,6 +73,7 @@
 
 mod engine;
 mod event;
+mod pool;
 mod trace;
 mod worker;
 

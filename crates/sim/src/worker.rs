@@ -1,5 +1,7 @@
-//! A simulated worker: a model replica, a data shard, and the per-iteration state
-//! described in Algorithm 1 (worker part).
+//! A simulated worker — Algorithm 1, worker part — in the two halves the simulator's
+//! pool cuts it into: the event loop's bookkeeping ([`SimWorker`]) and the compute
+//! lane ([`ComputeLane`]) whose gradient task runs between the worker's pull and its
+//! push.
 
 use dssp_data::BatchIter;
 use dssp_nn::{Sequential, TrainStep};
@@ -16,13 +18,10 @@ pub(crate) enum WorkerState {
     Done,
 }
 
-/// One simulated worker.
+/// The event loop's side of one worker: what the gate, the learning-rate schedule and
+/// the trace read, all of it as of the worker's last push.
 pub(crate) struct SimWorker {
     pub id: usize,
-    /// The model replica and the scratch of its gradient step; after the first
-    /// iteration `compute_gradient` performs no heap allocations.
-    step: TrainStep,
-    pub batches: BatchIter,
     pub state: WorkerState,
     /// Completed iterations (pushes sent).
     pub iterations: u64,
@@ -32,28 +31,23 @@ pub(crate) struct SimWorker {
     pub waiting_time: f64,
     /// Virtual time at which the worker last pushed (used to attribute waiting time).
     pub last_push_time: f64,
-    /// Sum of training losses observed by this worker (for the running average).
+    /// Sum of the training losses of the pushed gradients (for the running average).
     pub loss_sum: f64,
-    batch_x: Tensor,
-    batch_labels: Vec<usize>,
-    grad_buf: Vec<f32>,
+    /// Completed passes over the shard when the last pushed batch was drawn.
+    epoch: usize,
 }
 
 impl SimWorker {
-    pub fn new(id: usize, model: Sequential, batches: BatchIter, target_iterations: u64) -> Self {
+    pub fn new(id: usize, target_iterations: u64) -> Self {
         Self {
             id,
-            step: TrainStep::new(model),
-            batches,
             state: WorkerState::Computing,
             iterations: 0,
             target_iterations,
             waiting_time: 0.0,
             last_push_time: 0.0,
             loss_sum: 0.0,
-            batch_x: Tensor::default(),
-            batch_labels: Vec::new(),
-            grad_buf: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -62,29 +56,20 @@ impl SimWorker {
         self.iterations >= self.target_iterations
     }
 
-    /// The worker's local epoch (completed passes over its shard).
+    /// The worker's local epoch (completed passes over its shard) as of its last push.
     pub fn epoch(&self) -> usize {
-        self.batches.epoch()
+        self.epoch
     }
 
-    /// Runs one mini-batch forward/backward pass against the supplied global weights
-    /// (Algorithm 1, worker lines 2–5) and returns the gradient to push.
-    ///
-    /// The returned gradient is the mean over the mini-batch, matching the paper's
-    /// `g ← (1/m) Σ ∂loss`.
-    pub fn compute_gradient(&mut self, global_weights: &[f32]) -> &[f32] {
-        // Line 4's mini-batch, drawn into reused batch buffers; line 3 (replace local
-        // weights with the pulled global weights) and the gradient are the shared step.
-        self.batches
-            .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
-        let loss = self.step.gradient_into(
-            global_weights,
-            &self.batch_x,
-            &self.batch_labels,
-            &mut self.grad_buf,
-        );
-        self.loss_sum += f64::from(loss);
-        &self.grad_buf
+    /// Publishes the gradient `lane` computed and returns it for the push: its loss
+    /// joins the running sum and its batch's epoch becomes the worker's. Call it at the
+    /// push and read the epoch only from here: once the lane's next task runs, its
+    /// batch iterator may already be in the next epoch, which would move the server's
+    /// learning-rate schedule early.
+    pub fn publish<'l>(&mut self, lane: &'l ComputeLane) -> &'l [f32] {
+        self.loss_sum += f64::from(lane.loss);
+        self.epoch = lane.epoch;
+        &lane.grad
     }
 
     /// Mean training loss observed by this worker so far.
@@ -98,6 +83,59 @@ impl SimWorker {
     }
 }
 
+/// The compute side of one worker: everything its gradient depends on — the weights
+/// it pulled, its replica and its batch stream — and what the gradient produces.
+pub(crate) struct ComputeLane {
+    /// The global weights pulled at the start of the iteration.
+    pub weights: Vec<f32>,
+    /// The model replica and the scratch of its gradient step; after the first
+    /// iteration `compute_gradient` performs no heap allocations.
+    step: TrainStep,
+    batches: BatchIter,
+    batch_x: Tensor,
+    batch_labels: Vec<usize>,
+    grad: Vec<f32>,
+    loss: f32,
+    /// The batch iterator's epoch after the draw.
+    epoch: usize,
+}
+
+impl ComputeLane {
+    /// A lane whose replica is `model`, drawing from `batches`, with `weights` pulled.
+    pub fn new(model: Sequential, batches: BatchIter, weights: Vec<f32>) -> Self {
+        Self {
+            weights,
+            step: TrainStep::new(model),
+            batches,
+            batch_x: Tensor::default(),
+            batch_labels: Vec::new(),
+            grad: Vec::new(),
+            loss: 0.0,
+            epoch: 0,
+        }
+    }
+
+    /// Runs one mini-batch forward/backward pass against the pulled weights
+    /// (Algorithm 1, worker lines 2–5) and keeps the gradient, its loss and the epoch
+    /// until [`SimWorker::publish`].
+    ///
+    /// The gradient is the mean over the mini-batch, matching the paper's
+    /// `g ← (1/m) Σ ∂loss`.
+    pub fn compute_gradient(&mut self) {
+        // Line 4's mini-batch, drawn into reused batch buffers; line 3 (replace local
+        // weights with the pulled global weights) and the gradient are the shared step.
+        self.batches
+            .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
+        self.loss = self.step.gradient_into(
+            &self.weights,
+            &self.batch_x,
+            &self.batch_labels,
+            &mut self.grad,
+        );
+        self.epoch = self.batches.epoch();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +146,7 @@ mod tests {
         models::mlp(8, &[8], 3, 2)
     }
 
-    fn worker() -> SimWorker {
+    fn worker() -> (SimWorker, ComputeLane) {
         let spec = SyntheticVectorSpec {
             classes: 3,
             dim: 8,
@@ -118,23 +156,31 @@ mod tests {
         };
         let data = Dataset::generate_vectors(&spec, 1);
         let shard = data.shard_train(1).remove(0);
-        SimWorker::new(0, model(), BatchIter::new(shard, 10, 3), 6)
+        let lane = ComputeLane::new(model(), BatchIter::new(shard, 10, 3), model().params_flat());
+        (SimWorker::new(0, 6), lane)
+    }
+
+    /// One iteration as the event loop runs it: pull, the gradient task, the push.
+    fn iterate<'l>(w: &mut SimWorker, lane: &'l mut ComputeLane, weights: &[f32]) -> &'l [f32] {
+        lane.weights.copy_from_slice(weights);
+        lane.compute_gradient();
+        w.publish(lane)
     }
 
     #[test]
     fn gradient_has_model_parameter_length() {
-        let mut w = worker();
+        let (mut w, mut lane) = worker();
         let params = model().params_flat();
-        let grad = w.compute_gradient(&params);
+        let grad = iterate(&mut w, &mut lane, &params);
         assert_eq!(grad.len(), params.len());
         assert!(grad.iter().any(|&g| g != 0.0));
     }
 
     #[test]
     fn compute_gradient_adopts_global_weights() {
-        let mut w = worker();
+        let (mut w, mut lane) = worker();
         let zeros = vec![0.0; model().param_len()];
-        let _ = w.compute_gradient(&zeros);
+        let _ = iterate(&mut w, &mut lane, &zeros);
         // All-zero weights give all-zero logits, so the loss is exactly that of a
         // uniform prediction over the 3 classes — not the initial replica's.
         assert!((w.loss_sum - 3f64.ln()).abs() < 1e-6, "{}", w.loss_sum);
@@ -142,11 +188,11 @@ mod tests {
 
     #[test]
     fn loss_accumulates_and_finished_flag_fires() {
-        let mut w = worker();
+        let (mut w, mut lane) = worker();
         let params = model().params_flat();
         for i in 0..6 {
             assert!(!w.finished(), "not finished before iteration {i}");
-            let _ = w.compute_gradient(&params);
+            let _ = iterate(&mut w, &mut lane, &params);
             w.iterations += 1;
         }
         assert!(w.finished());
@@ -155,12 +201,27 @@ mod tests {
 
     #[test]
     fn epoch_tracks_batch_iterator() {
-        let mut w = worker();
+        let (mut w, mut lane) = worker();
         let params = model().params_flat();
         assert_eq!(w.epoch(), 0);
         for _ in 0..4 {
-            let _ = w.compute_gradient(&params);
+            let _ = iterate(&mut w, &mut lane, &params);
         }
+        assert_eq!(w.epoch(), 1);
+    }
+
+    #[test]
+    fn epoch_moves_at_the_push_not_at_the_draw() {
+        let (mut w, mut lane) = worker();
+        let params = model().params_flat();
+        for _ in 0..3 {
+            let _ = iterate(&mut w, &mut lane, &params);
+        }
+        // The fourth batch opens epoch 1; until its gradient is pushed the worker (and
+        // so the server's schedule) is still in epoch 0.
+        lane.compute_gradient();
+        assert_eq!(w.epoch(), 0);
+        let _ = w.publish(&lane);
         assert_eq!(w.epoch(), 1);
     }
 }
