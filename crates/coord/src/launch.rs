@@ -13,6 +13,7 @@
 use crate::coordinator::coordinate;
 use crate::run::connect_links;
 use dssp_core::driver::JobConfig;
+use dssp_net::launch::reap;
 use dssp_net::{NetError, TcpServerTransport};
 use dssp_sim::RunTrace;
 use std::io::{BufRead, BufReader};
@@ -24,6 +25,9 @@ use std::time::Duration;
 /// The stdout line prefix a `serve --server-index` child uses to announce its bound
 /// address to the launcher.
 pub const LISTEN_LINE_PREFIX: &str = "DSSP_LISTEN ";
+
+/// How [`reap`] names a child of a group launch: by its index in spawn order.
+const GROUP_CHILD: &str = "group child";
 
 /// The result of a multi-process group launch.
 #[derive(Debug)]
@@ -71,7 +75,7 @@ pub fn launch_group(
         let mut child = match spawned {
             Ok(child) => child,
             Err(e) => {
-                reap(&mut children, true);
+                reap(&mut children, true, GROUP_CHILD);
                 clean_checkpoint_tmps(job);
                 return Err(NetError::WorkerProcess(format!(
                     "failed to spawn shard server {index}: {e}"
@@ -83,7 +87,7 @@ pub fn launch_group(
             Err(e) => {
                 let _ = child.kill();
                 let _ = child.wait();
-                reap(&mut children, true);
+                reap(&mut children, true, GROUP_CHILD);
                 clean_checkpoint_tmps(job);
                 return Err(NetError::WorkerProcess(format!(
                     "shard server {index} never announced its address: {e}"
@@ -102,7 +106,7 @@ pub fn launch_group(
     let mut transport = match bind {
         Ok(t) => t,
         Err(e) => {
-            reap(&mut children, true);
+            reap(&mut children, true, GROUP_CHILD);
             clean_checkpoint_tmps(job);
             return Err(e);
         }
@@ -112,7 +116,7 @@ pub fn launch_group(
     let links = match connect_links(&server_addrs, timeout) {
         Ok(links) => links,
         Err(e) => {
-            reap(&mut children, true);
+            reap(&mut children, true, GROUP_CHILD);
             clean_checkpoint_tmps(job);
             return Err(e);
         }
@@ -134,7 +138,7 @@ pub fn launch_group(
         match spawned {
             Ok(child) => children.push(child),
             Err(e) => {
-                reap(&mut children, true);
+                reap(&mut children, true, GROUP_CHILD);
                 clean_checkpoint_tmps(job);
                 return Err(NetError::WorkerProcess(format!(
                     "failed to spawn worker {rank}: {e}"
@@ -145,15 +149,17 @@ pub fn launch_group(
 
     let result = coordinate(job, &mut transport, links);
     let kill = result.is_err();
-    let failures = reap(&mut children, kill);
+    let failures = reap(&mut children, kill, GROUP_CHILD);
     if kill {
         clean_checkpoint_tmps(job);
     }
 
     let trace = result?;
-    if !failures.is_empty() {
+    if let Some(failures) = failures {
         return Err(NetError::WorkerProcess(format!(
-            "group child processes exited unsuccessfully: {failures:?}"
+            "group child processes exited unsuccessfully (children 0..{} are the shard \
+             servers, the workers follow in rank order): {failures}",
+            job.servers
         )));
     }
     Ok(GroupLaunchOutcome {
@@ -192,28 +198,6 @@ fn read_listen_line(child: &mut Child) -> Result<String, String> {
         }
         print!("{line}");
     }
-}
-
-/// Waits for every child (killing first if `kill`), returning the indices that failed.
-fn reap(children: &mut [Child], kill: bool) -> Vec<usize> {
-    let mut failures = Vec::new();
-    for (i, child) in children.iter_mut().enumerate() {
-        if kill {
-            let _ = child.kill();
-        }
-        match child.wait() {
-            Ok(status) if status.success() || kill => {}
-            Ok(status) => {
-                eprintln!("group child {i} exited with {status}");
-                failures.push(i);
-            }
-            Err(e) => {
-                eprintln!("failed to wait for group child {i}: {e}");
-                failures.push(i);
-            }
-        }
-    }
-    failures
 }
 
 /// Sweeps checkpoint temp files out of the job's checkpoint directory. A child

@@ -25,6 +25,7 @@ use crate::json::{self, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Which process role emitted an event.
@@ -359,6 +360,16 @@ impl EventLog {
         }
     }
 
+    /// A shared log that will flush to `dir`, registered so [`live_logs`] can read it
+    /// while its role still runs: a role that hangs never flushes.
+    pub fn for_dir(role: Role, rank: u32, dir: &Path) -> Arc<Self> {
+        let log = Arc::new(Self::new(role, rank));
+        let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+        live.retain(|(_, weak)| weak.strong_count() > 0);
+        live.push((dir.to_path_buf(), Arc::downgrade(&log)));
+        log
+    }
+
     /// The emitting role this log was built for.
     pub fn role(&self) -> Role {
         self.role
@@ -463,6 +474,21 @@ impl EventLog {
         std::fs::write(&path, self.to_ndjson())?;
         Ok(path)
     }
+}
+
+/// Every log built by [`EventLog::for_dir`], with the directory it flushes to. Its
+/// lock is taken poisoned or not: a `retain` of dead entries or a `push` leaves the
+/// list valid at every step.
+static LIVE: Mutex<Vec<(PathBuf, Weak<EventLog>)>> = Mutex::new(Vec::new());
+
+/// The logs built by [`EventLog::for_dir`] for `dir` that are still alive, in the
+/// order they were built — how a watchdog reads a hung run's last events.
+pub fn live_logs(dir: &Path) -> Vec<Arc<EventLog>> {
+    let live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+    live.iter()
+        .filter(|(at, _)| at == dir)
+        .filter_map(|(_, weak)| weak.upgrade())
+        .collect()
 }
 
 /// Reads and merges every `*.ndjson` file in `dir`, sorted by timestamp (ties broken
@@ -633,5 +659,21 @@ mod tests {
             "merged stream is time-sorted across roles"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn live_logs_are_the_running_logs_of_one_directory() {
+        let (a, b) = (Path::new("live-a"), Path::new("live-b"));
+        let worker = EventLog::for_dir(Role::Worker, 1, a);
+        let shard = EventLog::for_dir(Role::ShardServer, 0, a);
+        let other = EventLog::for_dir(Role::Coordinator, 0, b);
+        worker.record(EventKind::Push, 7);
+        let live = live_logs(a);
+        assert_eq!(live.len(), 2);
+        assert_eq!(live[0].events().last().map(|e| e.payload), Some(7));
+        assert_eq!(live[1].role(), Role::ShardServer);
+        drop((live, shard));
+        assert_eq!(live_logs(a).len(), 1, "a dropped log is no longer live");
+        assert_eq!(live_logs(b)[0].role(), other.role());
     }
 }

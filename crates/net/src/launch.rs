@@ -56,7 +56,7 @@ pub fn launch(job: &JobConfig, listen: &str, worker_exe: &Path) -> Result<Launch
         match spawned {
             Ok(child) => children.push(child),
             Err(e) => {
-                reap(&mut children, true);
+                reap(&mut children, true, "worker");
                 return Err(NetError::WorkerProcess(format!(
                     "failed to spawn worker {rank}: {e}"
                 )));
@@ -66,35 +66,60 @@ pub fn launch(job: &JobConfig, listen: &str, worker_exe: &Path) -> Result<Launch
 
     let result = serve(job, &mut transport);
     let kill = result.is_err();
-    let failures = reap(&mut children, kill);
+    let failures = reap(&mut children, kill, "worker");
 
     let trace = result?;
-    if !failures.is_empty() {
+    if let Some(failures) = failures {
         return Err(NetError::WorkerProcess(format!(
-            "worker processes exited unsuccessfully: {failures:?}"
+            "worker processes exited unsuccessfully: {failures}"
         )));
     }
     Ok(LaunchOutcome { trace, addr })
 }
 
-/// Waits for every child (killing first if `kill`), returning the ranks that failed.
-fn reap(children: &mut [Child], kill: bool) -> Vec<usize> {
-    let mut failures = Vec::new();
-    for (rank, child) in children.iter_mut().enumerate() {
-        if kill {
-            let _ = child.kill();
-        }
-        match child.wait() {
-            Ok(status) if status.success() || kill => {}
-            Ok(status) => failures.push({
-                eprintln!("worker {rank} exited with {status}");
-                rank
-            }),
-            Err(e) => failures.push({
-                eprintln!("failed to wait for worker {rank}: {e}");
-                rank
-            }),
-        }
+/// Waits for every child, killing it first if `kill`. Returns one `<what> <index>
+/// exited with <status>` (or failed-to-wait) clause per child that failed, joined by
+/// `; `, or `None` if none did. A child killed here has not failed.
+pub fn reap(children: &mut [Child], kill: bool, what: &str) -> Option<String> {
+    let failures: Vec<String> = children
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, child)| {
+            if kill {
+                let _ = child.kill();
+            }
+            match child.wait() {
+                Ok(status) if status.success() || kill => None,
+                Ok(status) => Some(format!("{what} {i} exited with {status}")),
+                Err(e) => Some(format!("failed to wait for {what} {i}: {e}")),
+            }
+        })
+        .collect();
+    (!failures.is_empty()).then(|| failures.join("; "))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn exiting(code: u32) -> Child {
+        Command::new("sh")
+            .arg("-c")
+            .arg(format!("exit {code}"))
+            .spawn()
+            .expect("spawn sh")
     }
-    failures
+
+    #[test]
+    fn reap_names_each_failed_child_and_its_status() {
+        let mut children = [exiting(0), exiting(3), exiting(0), exiting(4)];
+        let failures = reap(&mut children, false, "worker").expect("two children failed");
+        let clauses: Vec<&str> = failures.split("; ").collect();
+        assert_eq!(clauses.len(), 2, "{failures}");
+        assert!(clauses[0].starts_with("worker 1 exited with ") && clauses[0].ends_with('3'));
+        assert!(clauses[1].starts_with("worker 3 exited with ") && clauses[1].ends_with('4'));
+        assert_eq!(reap(&mut [exiting(0)], false, "worker"), None);
+        // A child the launcher kills has not failed, whatever its status.
+        assert_eq!(reap(&mut [exiting(5)], true, "worker"), None);
+    }
 }

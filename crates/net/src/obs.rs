@@ -69,7 +69,7 @@ impl Obs {
         event_dir: Option<&Path>,
         metrics_addr: Option<&str>,
     ) -> Result<Self, NetError> {
-        let log = event_dir.map(|_| Arc::new(EventLog::new(role, rank)));
+        let log = event_dir.map(|dir| EventLog::for_dir(role, rank, dir));
         let metrics = Arc::new(Metrics::new(role, rank));
         let server =
             match metrics_addr {

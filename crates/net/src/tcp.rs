@@ -698,7 +698,7 @@ impl WorkerTransport for TcpWorkerTransport {
         trace: u64,
     ) -> Result<(), NetError> {
         self.scratch.clear();
-        wire::encode_pull_shards(&mut self.scratch, known_versions, all, epoch, trace);
+        wire::encode_pull_shards(&mut self.scratch, all, epoch, trace, known_versions);
         self.flush_scratch()
     }
 

@@ -161,7 +161,7 @@ pub fn run_worker_loop<L: WorkerLink>(
     let log = job
         .event_log
         .as_ref()
-        .map(|_| Arc::new(EventLog::new(Role::Worker, rank as u32)));
+        .map(|dir| EventLog::for_dir(Role::Worker, rank as u32, dir));
     let ev = |kind: EventKind, payload: u64, trace: u64| {
         if let Some(log) = &log {
             log.record_traced(kind, payload, trace);

@@ -228,6 +228,9 @@ impl Write for TrickleWriter<'_> {
     }
 }
 
+/// The payload tag of `Message::PushSlice` (`golden_frames.rs` pins it).
+const PUSH_SLICE_TAG: u8 = 15;
+
 /// The bulk frame kinds of the training path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BulkKind {
@@ -333,11 +336,20 @@ fn buffered(
     match kind {
         BulkKind::Push => wire::decode_push_into(&payload, &mut grads)
             .map(|(iteration, trace)| Decoded::Push(iteration, trace, bits(&grads))),
-        BulkKind::PushSlice => {
-            wire::decode_push_slice_into(&payload, &mut grads).map(|(iteration, epoch, trace)| {
-                Decoded::PushSlice(iteration, epoch, trace, bits(&grads))
-            })
-        }
+        // The owned codec, narrowed the way the streaming reader narrows: another tag
+        // is refused before any field is read.
+        BulkKind::PushSlice => match payload.first() {
+            Some(&tag) if tag != PUSH_SLICE_TAG => Err(WireError::UnknownTag(tag)),
+            _ => decode(&payload).map(|msg| match msg {
+                Message::PushSlice {
+                    iteration,
+                    epoch,
+                    trace,
+                    grads,
+                } => Decoded::PushSlice(iteration, epoch, trace, bits(&grads)),
+                other => unreachable!("tag {PUSH_SLICE_TAG} decoded as {other:?}"),
+            }),
+        },
         BulkKind::PullReply | BulkKind::PullReplyDelta => {
             let (mut weights, mut versions) = cache(params, shards);
             wire::apply_pull_reply(&payload, &mut weights, &mut versions)

@@ -1,13 +1,23 @@
 //! Property-based tests of the checkpoint codec: encode→decode is the bitwise
 //! identity on arbitrary snapshots, and every mutilated payload — truncation, bit
 //! flips, version skew, digest skew — is rejected (or at least never misparses back
-//! into the original), mirroring the wire codec's strictness discipline.
+//! into the original) without sizing a buffer from a count the payload cannot back,
+//! mirroring the wire codec's strictness discipline.
 
 use dssp_ps::{
     Checkpoint, CheckpointError, GateSnapshot, LayoutSnapshot, ServerStats, StoreSnapshot,
     CHECKPOINT_VERSION,
 };
+use dssp_testalloc::{thread_bytes_during, CountingAlloc};
 use proptest::prelude::*;
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// The most memory a decoded checkpoint takes per payload byte: a `None` timestamp is
+/// one byte on disk and a 16-byte `Option<f64>` in memory. A decoder that sized a
+/// buffer from an unchecked count could ask for far more.
+const BYTES_PER_PAYLOAD_BYTE: u64 = 16;
 
 /// Builds an arbitrary checkpoint from flat random draws (the proptest shim has no
 /// enum/recursive strategies, so section presence and vector shapes are derived from
@@ -162,6 +172,45 @@ proptest! {
                 bit, pos
             ),
         }
+    }
+
+    /// Whatever the bytes — a valid checkpoint with one byte overwritten, one bit
+    /// flipped and, half the time, the tail cut off — decoding asks the allocator for
+    /// at most [`BYTES_PER_PAYLOAD_BYTE`] per payload byte: every declared count is
+    /// checked against the bytes left before anything is sized from it.
+    #[test]
+    fn decoding_never_sizes_a_buffer_past_the_payload(
+        digest in 0u64..u64::MAX,
+        sections in 0u32..u32::MAX,
+        floats in floats_strategy(),
+        float_len in 1usize..48,
+        counts in counts_strategy(),
+        count_len in 1usize..12,
+        workers in 1usize..6,
+        pos in 0u64..u64::MAX,
+        value in 0u32..256,
+        bit in 0u32..8,
+        cut in 0u64..u64::MAX,
+    ) {
+        let ckpt = build_checkpoint(
+            digest, 4.0, sections, &floats, float_len, &counts, count_len, workers,
+        );
+        let mut bytes = ckpt.encode();
+        let len = bytes.len();
+        bytes[pos as usize % len] = value as u8;
+        bytes[(pos >> 32) as usize % len] ^= 1 << bit;
+        if cut % 2 == 1 {
+            bytes.truncate((cut >> 1) as usize % (len + 1));
+        }
+        let requested = thread_bytes_during(|| {
+            let _ = Checkpoint::decode(&bytes);
+        });
+        prop_assert!(
+            requested <= BYTES_PER_PAYLOAD_BYTE * bytes.len() as u64,
+            "decoding {} bytes asked for {} bytes",
+            bytes.len(),
+            requested
+        );
     }
 
     /// Any format version other than the one this build writes is refused, in both

@@ -2,7 +2,7 @@
 //!
 //! A test binary installs it with
 //! `#[global_allocator] static COUNTER: CountingAlloc = CountingAlloc;` and then reads
-//! one of two counters:
+//! one of three counters:
 //!
 //! * [`thread_allocations_during`] counts what **the calling thread** allocated. The
 //!   test harness runs the `#[test]`s of one binary on parallel threads, so a claim
@@ -23,19 +23,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static PROCESS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it from inside the
+    // Const-initialised and without a destructor, so touching them from inside the
     // allocator neither allocates nor registers a thread-exit hook.
     static THREAD: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     PROCESS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: an allocation made while the thread tears its locals down is not
     // this thread's test body and may go uncounted there.
     let _ = THREAD.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
-/// The system allocator, counting every `alloc`, `alloc_zeroed` and `realloc`.
+/// The system allocator, counting every `alloc`, `alloc_zeroed` and `realloc`, and
+/// the bytes each asks for (a `realloc`'s new size).
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
@@ -43,19 +46,19 @@ pub struct CountingAlloc;
 // unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are exactly `System.alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System` underneath, and the
         // caller's remaining obligations are exactly `System.realloc`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -73,6 +76,15 @@ pub fn thread_allocations_during(body: impl FnOnce()) -> u64 {
     let before = THREAD.with(Cell::get);
     body();
     THREAD.with(Cell::get) - before
+}
+
+/// Bytes the calling thread asks the allocator for while `body` runs (a `realloc`
+/// counts its new size; 0 forever when [`CountingAlloc`] is not the global
+/// allocator).
+pub fn thread_bytes_during(body: impl FnOnce()) -> u64 {
+    let before = THREAD_BYTES.with(Cell::get);
+    body();
+    THREAD_BYTES.with(Cell::get) - before
 }
 
 /// Heap allocations made by any thread of the process so far.

@@ -9,7 +9,9 @@
 //!    a collapsed fleet are refused with a descriptive [`NetError`],
 //!
 //! and never in a hang or a leaked thread (every leg is wall-clock bounded and every
-//! helper joins all the threads it spawned).
+//! helper joins all the threads it spawned). Each leg runs under a watchdog
+//! ([`watched`]): a leg that outlives its bound fails its test with a report naming
+//! the cell, its fault plan and each role's last event, instead of hanging the suite.
 //!
 //! Cells absent from the matrix, and why:
 //! - `worker*:ckpt:*` — workers persist nothing, so the phase never occurs.
@@ -26,19 +28,24 @@ use dssp::core::driver::{
     CheckpointSpec, FaultAction, FaultPhase, FaultPlan, FaultRole, JobConfig, MigrationCommand,
     MigrationSpec,
 };
+use dssp::core::events::{encode_line, live_logs};
 use dssp::net::{
     run_worker, serve, NetError, TcpServerTransport, TcpWorkerTransport, WorkerReport,
 };
 use dssp::{PolicyKind, RunTrace};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for a single-server leg (a typical leg finishes in well under
-/// a second; the bound only exists to convert a hang into a loud failure).
+/// Wall-clock ceiling for a single-server leg, and its watchdog's deadline (a leg
+/// finishes in under 0.1 s; the bound only exists to convert a hang into a loud
+/// failure).
 const SINGLE_BOUND_S: u64 = 60;
-/// Wall-clock ceiling for a group leg (a collapsing fleet waits out the bounded
-/// reconnect schedule before aborting).
+/// Wall-clock ceiling for a group leg, and its watchdog's deadline: about six times
+/// the slowest leg (a fleet collapsing after a shard server's death waits out the
+/// bounded reconnect schedule, about 30 s; every other group leg takes under 10 s).
 const GROUP_BOUND_S: u64 = 180;
 
 /// A per-cell scratch directory under the system temp dir, removed on drop.
@@ -61,6 +68,73 @@ impl Drop for ScratchDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Runs one leg of `cell` — `leg(job)`, with the roles logging events into a fresh
+/// directory — on its own thread, and returns what it returns. If the leg is still
+/// running after `bound_s` seconds, prints the cell, the fault plan and each role's
+/// last event, then fails the test: a hung leg ends its test instead of the suite.
+fn watched<T: Send + 'static>(
+    cell: &str,
+    job: &JobConfig,
+    bound_s: u64,
+    leg: fn(&JobConfig) -> T,
+) -> T {
+    static LEGS: AtomicUsize = AtomicUsize::new(0);
+    let events = ScratchDir::new(&format!("events{}", LEGS.fetch_add(1, Ordering::Relaxed)));
+    let mut job = job.clone();
+    job.event_log = Some(events.path());
+    let plan = job
+        .fault_plan
+        .as_ref()
+        .map_or("none".to_string(), FaultPlan::to_spec);
+    let (done, finished) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let _ = done.send(leg(&job));
+    });
+    match finished.recv_timeout(Duration::from_secs(bound_s)) {
+        Ok(out) => {
+            runner.join().expect("the leg returned");
+            out
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("the leg panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            // The hung leg's thread cannot be joined; the test binary exits without it.
+            let last = last_events(&events.path());
+            panic!("{cell}: leg still running after {bound_s} s; fault plan {plan}\n{last}");
+        }
+    }
+}
+
+/// Each role's last event in `dir`: a running role's from its live log, a finished
+/// role's from the file it flushed.
+fn last_events(dir: &Path) -> String {
+    let mut report = String::new();
+    for log in live_logs(dir) {
+        let last = log
+            .events()
+            .last()
+            .map_or("no event".to_string(), encode_line);
+        report += &format!("  running  {}: {last}\n", log.file_name());
+    }
+    let mut flushed: Vec<_> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.path())
+        .collect();
+    flushed.sort();
+    for path in flushed {
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        report += &format!(
+            "  finished {name}: {}\n",
+            text.lines().last().unwrap_or("no event")
+        );
+    }
+    report
 }
 
 /// Checkpoint cadence for every cell: one write per BSP round (`num_workers`
@@ -246,7 +320,8 @@ fn single_server_restart_cells_recover_bitwise() {
     let ref_dir = ScratchDir::new("single_ref");
     let mut ref_job = single_job(PolicyKind::Bsp);
     ref_job.checkpoint = checkpointing(ref_dir.path(), false);
-    let (ref_trace, ref_workers) = run_single(&ref_job);
+    let (ref_trace, ref_workers) =
+        watched("server0 reference", &ref_job, SINGLE_BOUND_S, run_single);
     let ref_trace = ref_trace.expect("reference run completes");
     for w in &ref_workers {
         w.as_ref().expect("reference worker completes");
@@ -279,7 +354,7 @@ fn single_server_restart_cells_recover_bitwise() {
             after,
         });
         let started = Instant::now();
-        let (served, workers) = run_single(&job);
+        let (served, workers) = watched(&format!("{cell} leg A"), &job, SINGLE_BOUND_S, run_single);
         assert!(
             matches!(served, Err(NetError::FaultInjected { .. })),
             "{cell}: leg A must die on the injected fault, got {served:?}"
@@ -302,7 +377,7 @@ fn single_server_restart_cells_recover_bitwise() {
         job.fault_plan = None;
         job.checkpoint = checkpointing(dir.path(), true);
         let started = Instant::now();
-        let (served, workers) = run_single(&job);
+        let (served, workers) = watched(&format!("{cell} leg B"), &job, SINGLE_BOUND_S, run_single);
         let trace = served.unwrap_or_else(|e| panic!("{cell}: restart leg must complete: {e}"));
         for (rank, w) in workers.iter().enumerate() {
             assert!(w.is_ok(), "{cell}: restarted worker {rank} failed: {w:?}");
@@ -345,7 +420,7 @@ fn single_server_dssp_restart_resumes_deterministically() {
         action: FaultAction::KillRestart,
         after: 3,
     });
-    let (served, _) = run_single(&job);
+    let (served, _) = watched(&format!("{cell} leg A"), &job, SINGLE_BOUND_S, run_single);
     assert!(
         matches!(served, Err(NetError::FaultInjected { .. })),
         "{cell}: leg A must die on the injected fault, got {served:?}"
@@ -365,7 +440,12 @@ fn single_server_dssp_restart_resumes_deterministically() {
         .expect("seed the leg's checkpoint");
         job.checkpoint = checkpointing(leg_dir.path(), true);
         let started = Instant::now();
-        let (served, workers) = run_single(&job);
+        let (served, workers) = watched(
+            &format!("{cell} restart leg {leg}"),
+            &job,
+            SINGLE_BOUND_S,
+            run_single,
+        );
         let trace =
             served.unwrap_or_else(|e| panic!("{cell}: restart leg {leg} must complete: {e}"));
         for (rank, w) in workers.iter().enumerate() {
@@ -438,7 +518,7 @@ fn worker_death_cells_complete_with_survivors() {
                 after,
             });
             let started = Instant::now();
-            let (served, workers) = run_single(&job);
+            let (served, workers) = watched(&cell, &job, SINGLE_BOUND_S, run_single);
             let trace = served.unwrap_or_else(|e| panic!("{cell}: fleet must survive: {e}"));
             assert!(
                 matches!(&workers[1], Err(NetError::FaultInjected { .. })),
@@ -482,7 +562,13 @@ fn group_reference(policy: PolicyKind, tag: &str) -> (ScratchDir, Vec<(String, V
     let dir = ScratchDir::new(&format!("group_ref_{tag}"));
     let mut job = group_job(policy);
     job.checkpoint = checkpointing(dir.path(), false);
-    run_group_threads(&job).expect("reference group run completes");
+    watched(
+        &format!("group reference ({tag})"),
+        &job,
+        GROUP_BOUND_S,
+        run_group_threads,
+    )
+    .expect("reference group run completes");
     let names = [
         dssp::ps::coord_checkpoint_name(),
         dssp::ps::shard_checkpoint_name(0),
@@ -528,7 +614,13 @@ fn run_group_cell(
     });
 
     let started = Instant::now();
-    let err = run_group_threads(&job).expect_err("the injected fault must end the run");
+    let err = watched(
+        &format!("{cell} leg A"),
+        &job,
+        GROUP_BOUND_S,
+        run_group_threads,
+    )
+    .expect_err("the injected fault must end the run");
     if matches!(role, FaultRole::Coordinator) {
         assert!(
             matches!(err, NetError::FaultInjected { .. }),
@@ -548,7 +640,13 @@ fn run_group_cell(
     job.fault_plan = None;
     job.checkpoint = checkpointing(dir.path(), true);
     let started = Instant::now();
-    let outcome = run_group_threads(&job).map(|_| ());
+    let outcome = watched(
+        &format!("{cell} leg B"),
+        &job,
+        GROUP_BOUND_S,
+        run_group_threads,
+    )
+    .map(|_| ());
     assert!(
         started.elapsed().as_secs() < GROUP_BOUND_S,
         "{cell}: leg B took {:?}",
@@ -716,8 +814,13 @@ fn migration_cells_end_typed_and_restart_or_refuse() {
             });
 
             let started = Instant::now();
-            let err = run_group_threads(&job)
-                .expect_err("a mid-migration death must end the run with a typed error");
+            let err = watched(
+                &format!("{cell} leg A"),
+                &job,
+                GROUP_BOUND_S,
+                run_group_threads,
+            )
+            .expect_err("a mid-migration death must end the run with a typed error");
             if matches!(role, FaultRole::Coordinator) {
                 assert!(
                     matches!(err, NetError::FaultInjected { .. }),
@@ -741,7 +844,13 @@ fn migration_cells_end_typed_and_restart_or_refuse() {
             job.fault_plan = None;
             job.checkpoint = checkpointing(dir.path(), true);
             let started = Instant::now();
-            let outcome = run_group_threads(&job).map(|_| ());
+            let outcome = watched(
+                &format!("{cell} leg B"),
+                &job,
+                GROUP_BOUND_S,
+                run_group_threads,
+            )
+            .map(|_| ());
             assert!(
                 started.elapsed().as_secs() < GROUP_BOUND_S,
                 "{cell}: leg B took {:?}",
@@ -820,7 +929,7 @@ fn worker_death_at_migration_commit_leaves_survivors_running() {
         after: 1,
     });
     let started = Instant::now();
-    let (served, workers) = run_group_split(&job);
+    let (served, workers) = watched(cell, &job, GROUP_BOUND_S, run_group_split);
     let trace = served.unwrap_or_else(|e| panic!("{cell}: the fleet must survive the victim: {e}"));
     assert!(
         started.elapsed().as_secs() < GROUP_BOUND_S,
@@ -879,7 +988,8 @@ fn restore_refuses_layout_epoch_skew_across_roles() {
     let mut job = migration_job(dssp);
     job.checkpoint = checkpointing(migrated.path(), false);
     job.fault_plan = mid_run_coordinator_kill.clone();
-    run_group_threads(&job).expect_err("the migrated donor dies by plan");
+    watched("migrated donor", &job, GROUP_BOUND_S, run_group_threads)
+        .expect_err("the migrated donor dies by plan");
 
     // The same job, never migrated, killed at the same point: its checkpoints all
     // record epoch 0. (`migration` and `fault_plan` are digest-masked, so every
@@ -889,7 +999,13 @@ fn restore_refuses_layout_epoch_skew_across_roles() {
     flat_job.migration = None;
     flat_job.checkpoint = checkpointing(flat.path(), false);
     flat_job.fault_plan = mid_run_coordinator_kill;
-    run_group_threads(&flat_job).expect_err("the unmigrated donor dies by plan");
+    watched(
+        "unmigrated donor",
+        &flat_job,
+        GROUP_BOUND_S,
+        run_group_threads,
+    )
+    .expect_err("the unmigrated donor dies by plan");
 
     // Splice: epoch-1 coordinator + epoch-0 shard server 1.
     let spliced = ScratchDir::new("mig_skew_spliced");
@@ -908,8 +1024,13 @@ fn restore_refuses_layout_epoch_skew_across_roles() {
     let mut restore_job = migration_job(dssp);
     restore_job.migration = None;
     restore_job.checkpoint = checkpointing(spliced.path(), true);
-    let err = run_group_threads(&restore_job)
-        .expect_err("a layout-skewed checkpoint set must be refused");
+    let err = watched(
+        "spliced restore",
+        &restore_job,
+        GROUP_BOUND_S,
+        run_group_threads,
+    )
+    .expect_err("a layout-skewed checkpoint set must be refused");
     let msg = err.to_string().to_lowercase();
     assert!(
         msg.contains("restore skew") && msg.contains("layout epoch"),
