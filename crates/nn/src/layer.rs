@@ -40,12 +40,18 @@ pub trait Layer: Send {
     );
 
     /// Backward pass given the gradient with respect to this layer's output:
-    /// accumulates parameter gradients internally and writes the gradient with respect
-    /// to the layer input into `grad_input`.
+    /// accumulates parameter gradients internally and, when `grad_input` is `Some`,
+    /// writes the gradient with respect to the layer input into it.
+    ///
+    /// `None` means nobody reads the input gradient: the layer accumulates its
+    /// parameter gradients, bitwise as with `Some`, and computes nothing else (a layer
+    /// without parameters does nothing at all). The training backward,
+    /// [`crate::Sequential::backward_params_ws`], passes `None` to a model's first
+    /// layer with parameters and runs no layer below it.
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
     );
 
@@ -61,7 +67,11 @@ pub trait Layer: Send {
     /// scratch; returns the gradient with respect to the layer input.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let mut grad_input = Tensor::default();
-        self.backward_ws(grad_output, &mut grad_input, &mut LayerScratch::default());
+        self.backward_ws(
+            grad_output,
+            Some(&mut grad_input),
+            &mut LayerScratch::default(),
+        );
         grad_input
     }
 

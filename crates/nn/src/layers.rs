@@ -94,21 +94,21 @@ impl Layer for DenseLayer {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
     ) {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // dW += x^T g ; db += sum_rows(g) ; dx = g W^T
-        let dw = scratch.buf(0);
-        input.matmul_tn_into(grad_output, dw);
-        self.grad_weight.add_assign(dw);
-        let db = scratch.buf(1);
+        // dW += x^T g (in one pass) ; db += sum_rows(g) ; dx = g W^T if asked for
+        self.grad_weight.add_matmul_tn(input, grad_output);
+        let db = scratch.buf(0);
         grad_output.sum_rows_into(db);
         self.grad_bias.add_assign(db);
-        grad_output.matmul_nt_into(&self.weight, grad_input);
+        if let Some(grad_input) = grad_input {
+            grad_output.matmul_nt_into(&self.weight, grad_input);
+        }
     }
 
     fn param_len(&self) -> usize {
@@ -167,10 +167,12 @@ impl Layer for PackLanes {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
     ) {
-        grad_output.lanes_to_batch_into(grad_input);
+        if let Some(grad_input) = grad_input {
+            grad_output.lanes_to_batch_into(grad_input);
+        }
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -263,7 +265,7 @@ impl Layer for Conv2dLayer {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
     ) {
         let packed = self
@@ -369,9 +371,12 @@ impl Layer for ReluLayer {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
     ) {
+        let Some(grad_input) = grad_input else {
+            return;
+        };
         grad_input.ensure_shape(&self.shape);
         for ((o, &g), &m) in grad_input
             .as_mut_slice()
@@ -439,9 +444,12 @@ impl Layer for MaxPool2dLayer {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
     ) {
+        let Some(grad_input) = grad_input else {
+            return;
+        };
         // `[C, OH, OW, N]` came back; `[C, H, W, N]` went in.
         let (c, n) = (grad_output.shape().dim(0), grad_output.shape().dim(3));
         let input_dims = [c, self.in_h, self.in_w, n];
@@ -490,11 +498,13 @@ impl Layer for Flatten {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
     ) {
-        grad_output.batch_to_lanes_into(grad_input);
-        grad_input.reshape_inplace(&self.input_dims);
+        if let Some(grad_input) = grad_input {
+            grad_output.batch_to_lanes_into(grad_input);
+            grad_input.reshape_inplace(&self.input_dims);
+        }
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -578,22 +588,29 @@ impl Layer for ResidualBlock {
     fn backward_ws(
         &mut self,
         grad_output: &Tensor,
-        grad_input: &mut Tensor,
+        grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
     ) {
-        let (bufs, kids) = scratch.parts(2, 4);
-        let (a, b) = bufs.split_at_mut(1);
-        let (a, b) = (&mut a[0], &mut b[0]);
-        // grad_input first holds g_sum, the gradient at the skip-join point.
+        let (bufs, kids) = scratch.parts(3, 4);
+        let [a, b, own_sum, ..] = bufs else {
+            unreachable!("parts(3, _) gives at least three buffers")
+        };
+        // g_sum, the gradient at the skip-join point, lives in grad_input when there is
+        // one and in scratch otherwise.
+        let wants_input = grad_input.is_some();
+        let g_sum = grad_input.unwrap_or(own_sum);
         self.relu_out
-            .backward_ws(grad_output, grad_input, &mut kids[3]);
+            .backward_ws(grad_output, Some(&mut *g_sum), &mut kids[3]);
         // Branch path: conv2 -> relu1 -> conv1.
-        self.conv2.backward_ws(grad_input, a, &mut kids[2]);
-        self.relu1.backward_ws(a, b, &mut kids[1]);
-        self.conv1.backward_ws(b, a, &mut kids[0]);
-        // Skip path contributes g_sum directly: grad_input = g_branch + g_sum.
-        for (o, &branch) in grad_input.as_mut_slice().iter_mut().zip(a.as_slice()) {
-            *o = branch + *o;
+        self.conv2.backward_ws(g_sum, Some(&mut *a), &mut kids[2]);
+        self.relu1.backward_ws(a, Some(&mut *b), &mut kids[1]);
+        self.conv1
+            .backward_ws(b, wants_input.then_some(&mut *a), &mut kids[0]);
+        if wants_input {
+            // Skip path contributes g_sum directly: grad_input = g_branch + g_sum.
+            for (o, &branch) in g_sum.as_mut_slice().iter_mut().zip(a.as_slice()) {
+                *o = branch + *o;
+            }
         }
     }
 

@@ -81,22 +81,49 @@ impl Sequential {
     /// [`Model::backward`]; the returned reference is the gradient with respect to the
     /// model input (owned by `ws`).
     pub fn backward_ws<'w>(&mut self, grad_output: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
+        if self.layers.is_empty() {
+            ws.input_grad.assign(grad_output);
+        }
+        self.backward_layers(grad_output, ws, true);
+        &ws.input_grad
+    }
+
+    /// The training backward: accumulates every parameter gradient, bit for bit as
+    /// [`Sequential::backward_ws`] does, and computes no gradient that only the model
+    /// input's would need. It stops at the first layer with parameters, which computes
+    /// no input gradient, and runs no layer below it (an image model's
+    /// [`crate::PackLanes`]).
+    pub fn backward_params_ws(&mut self, grad_output: &Tensor, ws: &mut Workspace) {
+        self.backward_layers(grad_output, ws, false);
+    }
+
+    /// The one backward loop. Gradients ping-pong between the workspace's two buffers
+    /// from the top layer down. With `input_grad` every layer runs and the bottom one
+    /// writes the model input's gradient into `ws.input_grad`; without, the loop ends at
+    /// the first layer with parameters, which is handed no input-gradient buffer.
+    fn backward_layers(&mut self, grad_output: &Tensor, ws: &mut Workspace, input_grad: bool) {
         ws.ensure_layers(self.layers.len());
+        let bottom = if input_grad {
+            0
+        } else {
+            let first = self.layers.iter().position(|l| l.param_len() > 0);
+            first.unwrap_or(self.layers.len())
+        };
         ws.ping.assign(grad_output);
         let mut flip = false;
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().skip(bottom).rev() {
             let (src, dst) = if flip {
                 (&ws.pong, &mut ws.ping)
             } else {
                 (&ws.ping, &mut ws.pong)
             };
+            let dst = if i > bottom {
+                Some(dst)
+            } else {
+                input_grad.then_some(&mut ws.input_grad)
+            };
             layer.backward_ws(src, dst, &mut ws.layers[i]);
             flip = !flip;
-        }
-        if flip {
-            &ws.pong
-        } else {
-            &ws.ping
         }
     }
 

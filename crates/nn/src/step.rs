@@ -34,10 +34,11 @@ impl TrainStep {
         self.model.param_len()
     }
 
-    /// Installs `weights` in the replica, runs the forward and backward pass over the
-    /// mini-batch `(x, labels)` and writes the flat gradient — the mean over the
-    /// mini-batch, the paper's `g ← (1/m) Σ ∂loss` — into `out` (resized to the
-    /// parameter count). Returns the mini-batch training loss.
+    /// Installs `weights` in the replica, runs the forward and the training backward
+    /// pass ([`Sequential::backward_params_ws`]: no input gradient below the first
+    /// layer with parameters) over the mini-batch `(x, labels)` and writes the flat
+    /// gradient — the mean over the mini-batch, the paper's `g ← (1/m) Σ ∂loss` — into
+    /// `out` (resized to the parameter count). Returns the mini-batch training loss.
     ///
     /// # Panics
     ///
@@ -55,7 +56,8 @@ impl TrainStep {
             .loss_fn
             .loss_and_grad_into(logits, labels, &mut self.grad_logits);
         self.model.zero_grads();
-        self.model.backward_ws(&self.grad_logits, &mut self.ws);
+        self.model
+            .backward_params_ws(&self.grad_logits, &mut self.ws);
         out.resize(self.model.param_len(), 0.0);
         self.model.read_grads_into(out);
         loss

@@ -3,9 +3,10 @@
 //! Every training iteration of the original layer API allocated fresh tensors for
 //! activations, gradients, packed convolution operands and masks. [`Workspace`] owns all of those
 //! buffers instead: a ping-pong pair of activation/gradient tensors driven by
-//! [`crate::Sequential`], plus one [`LayerScratch`] arena per layer. After the first
-//! (warm-up) step every buffer has reached its steady-state size and subsequent steps
-//! perform **zero heap allocations** in the forward and backward passes.
+//! [`crate::Sequential`], the model input's gradient, plus one [`LayerScratch`] arena
+//! per layer. After the first (warm-up) step every buffer has reached its steady-state
+//! size and subsequent steps perform **zero heap allocations** in the forward and
+//! backward passes.
 //!
 //! A workspace is tied to the model that warmed it only by buffer shapes, so it can be
 //! reused across models of identical architecture, and it tolerates varying batch
@@ -90,6 +91,10 @@ pub struct Workspace {
     /// by the `Sequential` driver.
     pub(crate) ping: Tensor,
     pub(crate) pong: Tensor,
+    /// The gradient with respect to the model input. Only
+    /// [`crate::Sequential::backward_ws`] writes it; a workspace that only trains
+    /// ([`crate::Sequential::backward_params_ws`]) never sizes it.
+    pub(crate) input_grad: Tensor,
     /// One scratch arena per layer position.
     pub(crate) layers: Vec<LayerScratch>,
 }
@@ -114,6 +119,7 @@ impl Workspace {
     pub fn total_capacity(&self) -> usize {
         self.ping.capacity()
             + self.pong.capacity()
+            + self.input_grad.capacity()
             + self
                 .layers
                 .iter()

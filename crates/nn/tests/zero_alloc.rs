@@ -1,9 +1,10 @@
 //! The zero-allocation guarantee, enforced with a counting global allocator: once a
 //! [`Workspace`] is warmed by one training step, subsequent steps must perform **zero**
-//! heap allocations in the model forward/backward passes and the loss kernel.
+//! heap allocations in the model forward/backward passes and the loss kernel, and so
+//! must a warm [`TrainStep`] (weights in, training backward, flat gradient out).
 
-use dssp_nn::models::{downsized_alexnet, resnet_cifar};
-use dssp_nn::{Model, Sequential, SoftmaxCrossEntropy, Workspace};
+use dssp_nn::models::{downsized_alexnet, logistic_regression, mlp, resnet_cifar};
+use dssp_nn::{Model, Sequential, SoftmaxCrossEntropy, TrainStep, Workspace};
 use dssp_tensor::{uniform_init, Tensor};
 use dssp_testalloc::{thread_allocations_during, CountingAlloc};
 
@@ -44,4 +45,33 @@ fn alexnet_steady_state_steps_are_allocation_free() {
 #[test]
 fn resnet_steady_state_steps_are_allocation_free() {
     assert_steady_state_steps_do_not_allocate(resnet_cifar(8, 3, 10, 1), "resnet-cifar");
+}
+
+#[test]
+fn warm_train_steps_are_allocation_free_for_every_preset() {
+    let image = uniform_init(&[8, 3, 8, 8], 1.0, 3);
+    let vector = uniform_init(&[8, 24], 1.0, 4);
+    let cases = [
+        ("mlp", mlp(24, &[40], 10, 1), &vector),
+        ("logreg", logistic_regression(24, 10, 2), &vector),
+        ("downsized-alexnet", downsized_alexnet(8, 10, 3), &image),
+        ("resnet-cifar", resnet_cifar(8, 3, 10, 4), &image),
+    ];
+    let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
+    for (arch, model, x) in cases {
+        let weights = model.params_flat();
+        let mut step = TrainStep::new(model);
+        let mut grads = Vec::new();
+        // Warm-up: buffers grow here, allocations are expected and uncounted.
+        step.gradient_into(&weights, x, &labels, &mut grads);
+        for i in 0..3 {
+            let count = thread_allocations_during(|| {
+                step.gradient_into(&weights, x, &labels, &mut grads);
+            });
+            assert_eq!(
+                count, 0,
+                "{arch}: warm train step #{i} performed {count} heap allocations"
+            );
+        }
+    }
 }

@@ -13,9 +13,10 @@
 //! row (`W * N` contiguous values) into a zero-bordered `[C][H+2p][W+2p][N]` buffer,
 //! which is all the backward pass needs of the input, and the forward kernel writes the
 //! output tensor itself. In [`conv2d_lanes_backward_into`] the upstream gradient is read
-//! where it lies, the input-gradient kernel writes the input gradient itself, and one
-//! operand is still permuted: the upstream gradient as `[N*OH*OW][OC]`, where the output
-//! channel is the lane of the weight-gradient kernel. No column matrix exists anywhere.
+//! where it lies, the input-gradient kernel (which runs only when an input gradient is
+//! asked for) writes the input gradient itself, and one operand is still permuted: the
+//! upstream gradient as `[N*OH*OW][OC]`, where the output channel is the lane of the
+//! weight-gradient kernel. No column matrix exists anywhere.
 //!
 //! [`conv2d_into`] and [`conv2d_backward_into`] take and return `[N, C, H, W]`: shells
 //! that transpose in, run the same kernels, and transpose out. No layer calls them; the
@@ -548,7 +549,8 @@ pub fn conv2d(
 /// input cached by the forward pass; `scratch` provides the tap lists and the operands
 /// of the weight-gradient kernel. `grad_input` (`[C, H, W, N]`, written by the kernel
 /// itself), `grad_weight` and `grad_bias` receive the results (overwritten, not
-/// accumulated).
+/// accumulated). With `grad_input` `None` the input-gradient kernel does not run; the
+/// weight and bias gradients are the same either way.
 ///
 /// Every output is bitwise equal to the naive formulation that sums over output
 /// positions (per kernel point over output channels for the input gradient) in
@@ -566,7 +568,7 @@ pub fn conv2d_lanes_backward_into(
     w: usize,
     spec: &Conv2dSpec,
     scratch: &mut ConvScratch,
-    grad_input: &mut Tensor,
+    grad_input: Option<&mut Tensor>,
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) {
@@ -596,6 +598,9 @@ pub fn conv2d_lanes_backward_into(
     };
     run_tiles(&mut kernel, ckk, g.oc);
     scratch.grad_weight_t.transposed_into(grad_weight);
+    let Some(grad_input) = grad_input else {
+        return;
+    };
     grad_input.ensure_shape(&[g.c, h, w, n]);
     let mut kernel = InputGrad {
         g,
@@ -637,7 +642,7 @@ pub fn conv2d_backward_into(
         w,
         spec,
         scratch,
-        packed_grad_input,
+        Some(packed_grad_input),
         grad_weight,
         grad_bias,
     );
@@ -1066,7 +1071,7 @@ mod tests {
                         w,
                         &s,
                         &mut scratch,
-                        &mut gi,
+                        Some(&mut gi),
                         &mut gw,
                         &mut gb,
                     );

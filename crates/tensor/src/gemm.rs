@@ -1,5 +1,6 @@
-//! The one GEMM microkernel behind [`Tensor::matmul_into`] and
-//! [`Tensor::matmul_tn_into`](crate::Tensor::matmul_tn_into).
+//! The GEMM microkernels behind [`Tensor::matmul_into`],
+//! [`Tensor::matmul_tn_into`](crate::Tensor::matmul_tn_into) and its accumulate form
+//! [`Tensor::add_matmul_tn`](crate::Tensor::add_matmul_tn).
 //!
 //! `C = op(A) · B` is computed tile by tile on the cascade of `tiles.rs` (rows of `C`
 //! are its rows, columns its lanes): an `R × NR` tile of `C` lives in registers while
@@ -10,6 +11,12 @@
 //! the outer loop, so the `k × NR` strip of `B` a strip reads stays cache-resident
 //! while every row band passes over it and `B` is streamed from memory once per
 //! product.
+//!
+//! The accumulate form adds each finished tile into `C`: an element becomes
+//! `c + (0.0 + Σ)`, bit for bit the product into a scratch followed by an elementwise
+//! add, without the scratch or the second pass. Its callers are the dense layers'
+//! weight gradients, whose shared dimension is the mini-batch, so it has a kernel of its
+//! own (see [`AddTn`]).
 //!
 //! [`Tensor::matmul_into`]: crate::Tensor::matmul_into
 
@@ -37,6 +44,81 @@ pub(crate) fn gemm<const TA: bool>(
         return;
     }
     run_tiles(&mut Gemm::<TA> { a, b, c, m, k, n }, m, n);
+}
+
+/// `C[m×n] += A^T · B[k×n]` with `A` stored `k × m` row-major: every element becomes
+/// `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending `p`.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k`, `n`.
+pub(crate) fn gemm_tn_add(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), k * m, "gemm lhs length");
+    assert_eq!(b.len(), k * n, "gemm rhs length");
+    assert_eq!(c.len(), m * n, "gemm output length");
+    // Row bands are the outer loop, the cascade's strips run inside each band, so `C`
+    // is read and written in row order. Strips outermost would walk each strip down
+    // every row of `C`, a row apart: 4 KB at the 1024-wide dense gradient, one cache set
+    // for every row of the strip (1.6x slower there).
+    for band in (0..m).step_by(4) {
+        let rows = 4.min(m - band);
+        let c = &mut c[band * n..][..rows * n];
+        run_tiles(
+            &mut AddTn {
+                a,
+                b,
+                c,
+                band,
+                m,
+                k,
+                n,
+            },
+            rows,
+            n,
+        );
+    }
+}
+
+/// One row band of an accumulated `A^T · B`, as the tile cascade sees it: `c` holds the
+/// band's rows of `C`, the first of which is row `band`.
+struct AddTn<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    c: &'a mut [f32],
+    band: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl Tiles for AddTn<'_> {
+    /// One `R × NR` tile of `C` at `(i0, j0)`: summed in registers from 0.0 over the
+    /// shared dimension, then added into `C` (an empty sum adds 0.0). The shared
+    /// dimension is a mini-batch, a handful of rows, so the operands are indexed
+    /// directly: `Gemm`'s per-tile chunk iterators cost more than the sums at that
+    /// size, and with them the accumulating store kept the 4 × 16 tile out of vector
+    /// registers (4x slower).
+    #[inline(always)]
+    fn tile<const R: usize, const NR: usize>(&mut self, i0: usize, j0: usize) {
+        let (a, b, m, n) = (self.a, self.b, self.m, self.n);
+        let a0 = self.band + i0;
+        let mut acc = [[0.0f32; NR]; R];
+        for p in 0..self.k {
+            let av: [f32; R] = std::array::from_fn(|r| a[p * m + a0 + r]);
+            let bv: &[f32; NR] = b[p * n + j0..][..NR].try_into().expect("NR-wide segment");
+            for r in 0..R {
+                for l in 0..NR {
+                    acc[r][l] += av[r] * bv[l];
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let dst = &mut self.c[(i0 + r) * n + j0..][..NR];
+            for (d, &v) in dst.iter_mut().zip(acc_row) {
+                *d += v;
+            }
+        }
+    }
 }
 
 /// One product, as the tile cascade sees it.
@@ -188,10 +270,83 @@ mod tests {
         }
     }
 
+    /// `synth` with every seventh value -0.0, +0.0, +inf, -inf or NaN in turn.
+    fn special(len: usize, seed: u64) -> Vec<f32> {
+        const SPECIAL: [f32; 5] = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut v = synth(len, seed);
+        for (i, x) in v.iter_mut().enumerate().skip(seed as usize % 7).step_by(7) {
+            *x = SPECIAL[i % SPECIAL.len()];
+        }
+        v
+    }
+
+    /// Bit patterns with every NaN mapped to one: IEEE 754 leaves a NaN result's
+    /// payload open, so two equal computations may differ there.
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// The accumulate crosses every strip and band edge (`m` and `n` in 1..=33: a
+    /// 16-wide strip, every narrower one, every row remainder; `k` in 1..=9), with
+    /// -0.0, ±inf and NaN in both operands and in the accumulator. On the baseline
+    /// instance and on the dispatched one (AVX2 where the CPU has it) it equals the
+    /// product into a scratch followed by an elementwise add, bit for bit.
+    #[test]
+    fn accumulate_is_the_product_then_an_add_on_every_instance() {
+        for m in 1..=33 {
+            for n in 1..=33 {
+                for k in 1..=9 {
+                    let a = special(k * m, (m * 64 + n) as u64);
+                    let b = special(k * n, (n * 64 + k) as u64);
+                    let c0 = special(m * n, (k * 64 + m) as u64);
+                    let mut product = vec![f32::NAN; m * n];
+                    gemm::<true>(&a, &b, &mut product, m, k, n);
+                    let expect: Vec<f32> = c0.iter().zip(&product).map(|(c, p)| c + p).collect();
+                    let expect = canonical_bits(&expect);
+                    let mut c = c0.clone();
+                    for band in (0..m).step_by(4) {
+                        let rows = 4.min(m - band);
+                        let c = &mut c[band * n..][..rows * n];
+                        cover::<8, _>(
+                            &mut AddTn {
+                                a: &a,
+                                b: &b,
+                                c,
+                                band,
+                                m,
+                                k,
+                                n,
+                            },
+                            rows,
+                            n,
+                        );
+                    }
+                    assert_eq!(canonical_bits(&c), expect, "baseline {m}x{k}x{n}");
+                    let mut c = c0;
+                    gemm_tn_add(&a, &b, &mut c, m, k, n);
+                    assert_eq!(canonical_bits(&c), expect, "dispatched {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_shared_dimension_gives_zeros() {
         let mut c = vec![f32::NAN; 6];
         gemm::<false>(&[], &[], &mut c, 2, 0, 3);
         assert_eq!(c, vec![0.0; 6]);
+        // Accumulating the empty sum adds 0.0, which turns -0.0 into +0.0.
+        let mut c = vec![-0.0, 1.5, -0.0, f32::NEG_INFINITY, 2.0, -0.0];
+        gemm_tn_add(&[], &[], &mut c, 6, 0, 1);
+        let expect = [0.0, 1.5, 0.0, f32::NEG_INFINITY, 2.0, 0.0];
+        assert_eq!(canonical_bits(&c), canonical_bits(&expect));
     }
 }

@@ -4,12 +4,12 @@
 //! caller-provided buffer. The `*_into` kernels are the training hot path: together
 //! with the workspace machinery in `dssp-nn` they let a steady-state training step run
 //! without touching the allocator. `matmul_into` and `matmul_tn_into` are two layouts
-//! of one register-tiled microkernel (the private `gemm` module) that keeps the
-//! per-element accumulation order of the naive loops (ascending shared dimension from
-//! 0.0), so tiled and naive results are bitwise identical; `matmul_nt_into` is the one
-//! kernel that reassociates (see there).
+//! of one register-tiled microkernel (the private `gemm` module), and `add_matmul_tn`
+//! is its accumulate form; all three keep the per-element accumulation order of the
+//! naive loops (ascending shared dimension from 0.0), so tiled and naive results are
+//! bitwise identical; `matmul_nt_into` is the one kernel that reassociates (see there).
 
-use crate::gemm::gemm;
+use crate::gemm::{gemm, gemm_tn_add};
 use crate::{Tensor, TensorError};
 
 /// Rows of `self` that share one pass over a row of `other` in `matmul_nt_into`.
@@ -359,6 +359,31 @@ impl Tensor {
         );
     }
 
+    /// Adds `a^T * b` into `self` in place: the accumulate form of
+    /// [`Tensor::matmul_tn_into`], for a weight gradient that sums over mini-batches.
+    ///
+    /// `a` is `(k x m)`, `b` is `(k x n)`, `self` is `(m x n)`. Every element becomes
+    /// `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending `p`: bit for bit
+    /// `matmul_tn_into` into a scratch followed by [`Tensor::add_assign`], in one pass
+    /// over `self` on the same tile cascade and without the scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not rank 2 or the shapes disagree.
+    pub fn add_matmul_tn(&mut self, a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape().rank(), 2, "add_matmul_tn lhs must be rank-2");
+        assert_eq!(b.shape().rank(), 2, "add_matmul_tn rhs must be rank-2");
+        let (k, m) = (a.rows(), a.cols());
+        let (k2, n) = (b.rows(), b.cols());
+        assert_eq!(k, k2, "add_matmul_tn shared dimension must agree");
+        assert_eq!(
+            self.shape().dims(),
+            [m, n],
+            "add_matmul_tn accumulator must be {m}x{n}"
+        );
+        gemm_tn_add(a.as_slice(), b.as_slice(), self.as_mut_slice(), m, k, n);
+    }
+
     /// Matrix multiplication with the right operand transposed: `A * B^T`.
     ///
     /// `self` is `(m x k)`, `other` is `(n x k)`, the result is `(m x n)`.
@@ -383,9 +408,14 @@ impl Tensor {
     /// fixed order at the end (the internal `dot_lanes` helper): the result is
     /// deterministic but may differ from the naive left-to-right sum by floating-point
     /// reassociation (within the usual 1e-6 relative tolerance). This is the one GEMM
-    /// not on the register-tiled kernel: its caller is the dense layers' input
-    /// gradient, where `other` is the large operand (64 x 1024 at batch 4) and packing
-    /// it into the kernel's layout costs more than the kernel saves.
+    /// not on the register-tiled kernel. Its callers are the dense layers' input
+    /// gradients, which training computes for every dense layer but a model's first
+    /// (that one gets none): the MLPs' classifier heads (`[4, 10] x [1024, 10]^T` on
+    /// the `tcp_comm` job) and the dense layers of the image models. Packing `other`
+    /// into the tiled kernel's layout cost more than the kernel saved at the `tcp_comm`
+    /// shape. A tiled kernel that keeps the `dot_lanes` order (ROADMAP 6(a)) waits for
+    /// a faster server round (4(a)): on `tcp_comm` a shorter step mostly lengthens the
+    /// wait for the server's reply, and that kernel took `busy_share` past its bound.
     ///
     /// # Panics
     ///

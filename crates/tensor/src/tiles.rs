@@ -1,5 +1,5 @@
 //! The register-tile cascade every kernel of this crate runs on: the GEMM of `gemm.rs`
-//! and the three convolution kernels of `conv.rs`.
+//! and its accumulate form, and the three convolution kernels of `conv.rs`.
 //!
 //! A kernel produces an `R × L` tile of its result in registers. The result is covered
 //! by lane strips (`NR`, 8, 4, 2, 1 lanes wide, outermost, so what a strip reads stays

@@ -5,6 +5,9 @@
 //!   microkernel that preserves the naive accumulation order exactly: bitwise equality
 //!   is asserted for `m, k, n` in `1..40`, which reaches every edge-tile combination
 //!   (the crate's own unit test walks them exhaustively, per compiled instance).
+//! * `add_matmul_tn` (the dense layers' weight-gradient accumulate) is bitwise
+//!   `matmul_tn_into` followed by `add_assign`, with -0.0, ±inf and NaN among the
+//!   operands and the accumulator (NaN compared as NaN, whatever its payload).
 //! * `matmul_nt_into` accumulates in interleaved lanes and is held to a 1e-5 relative
 //!   tolerance — the one kernel that reassociates.
 //! * `conv2d` / `conv2d_backward` (the `[N, C, H, W]` shells) — output, weight, bias and
@@ -15,7 +18,8 @@
 //!   non-square planes, `K = 1`, `padding = 0`. `naive_im2col` and `naive_col2im_t` are
 //!   that formulation's private references; the library has no column matrix. The lane
 //!   entry points the layers call (`[C, H, W, N]` in and out) are held bitwise to the
-//!   shells in the same property.
+//!   shells in the same property, and so are the weight and bias gradients of the lane
+//!   backward asked for no input gradient.
 //! * The packed input `conv2d` hands to the backward pass is the zero-bordered,
 //!   batch-innermost copy of the input, whatever the reused buffer held before.
 //! * `max_pool2d` (`[C, H, W, N]`) picks the winners of the plain `[N, C, H, W]` loop it
@@ -134,6 +138,34 @@ fn naive_col2im_t(cols_t: &Tensor, n: usize, h: usize, w: usize, spec: &Conv2dSp
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `synth` with about one value in six replaced by -0.0, +0.0, ±inf or NaN.
+fn special(len: usize, seed: u64) -> Vec<f32> {
+    const SPECIAL: [f32; 5] = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let picks = synth(len, seed ^ 0x5EED);
+    synth(len, seed)
+        .into_iter()
+        .zip(picks)
+        .map(|(v, p)| {
+            let slot = ((p + 1.0) * 15.0) as usize;
+            SPECIAL.get(slot).copied().unwrap_or(v)
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN mapped to one: IEEE 754 leaves a NaN result's payload
+/// and sign open, so two equal computations may differ there.
+fn canonical_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
 }
 
 fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
@@ -383,12 +415,36 @@ proptest! {
         let [mut lane_grad_x, mut lane_grad_w, mut lane_grad_b]: [Tensor; 3] = Default::default();
         conv2d_lanes_backward_into(
             &to_lanes(&grad_out), &lane_packed, &wgt, h, w, &spec, &mut scratch,
-            &mut lane_grad_x, &mut lane_grad_w, &mut lane_grad_b,
+            Some(&mut lane_grad_x), &mut lane_grad_w, &mut lane_grad_b,
         );
         prop_assert_eq!(lane_grad_x.shape().dims(), &[c, h, w, n]);
         prop_assert_eq!(bits(lane_grad_x.as_slice()), bits(to_lanes(&grad_x).as_slice()));
         prop_assert_eq!(bits(lane_grad_w.as_slice()), bits(grad_w.as_slice()));
         prop_assert_eq!(bits(lane_grad_b.as_slice()), bits(grad_b.as_slice()));
+        // Asked for no input gradient (a model's first layer in training), the
+        // parameter gradients are those of the full call.
+        let [mut param_grad_w, mut param_grad_b]: [Tensor; 2] = Default::default();
+        conv2d_lanes_backward_into(
+            &to_lanes(&grad_out), &lane_packed, &wgt, h, w, &spec, &mut scratch,
+            None, &mut param_grad_w, &mut param_grad_b,
+        );
+        prop_assert_eq!(bits(param_grad_w.as_slice()), bits(grad_w.as_slice()));
+        prop_assert_eq!(bits(param_grad_b.as_slice()), bits(grad_b.as_slice()));
+    }
+
+    #[test]
+    fn add_matmul_tn_is_bitwise_matmul_tn_then_add_assign(
+        k in 1usize..10, m in 1usize..34, n in 1usize..34, seed in 0u64..1000,
+    ) {
+        let (a, b, c) = (special(k * m, seed), special(k * n, seed + 1), special(m * n, seed + 2));
+        let (a, b) = (Tensor::from_vec(a, &[k, m]), Tensor::from_vec(b, &[k, n]));
+        let mut expected = Tensor::from_vec(c.clone(), &[m, n]);
+        let mut product = Tensor::default();
+        a.matmul_tn_into(&b, &mut product);
+        expected.add_assign(&product);
+        let mut acc = Tensor::from_vec(c, &[m, n]);
+        acc.add_matmul_tn(&a, &b);
+        prop_assert_eq!(canonical_bits(acc.as_slice()), canonical_bits(expected.as_slice()));
     }
 
     #[test]
