@@ -15,6 +15,30 @@
 //! ([`dssp_net::worker::run_worker_loop`]) over a different link: weights fanned over
 //! the servers, and only clock messages exchanged with the coordinator. The loop,
 //! its events, trace ids and fault points are not repeated here.
+//!
+//! **A round is two exchanges.** The push round asks every server for its shards
+//! ([`ShardFan::push_and_pull`]): each answers its slice with a `SliceApplied` — per
+//! rank, the highest iteration it has applied — and all its shards in the same write,
+//! and the worker reads both from every link into its weight and version buffers
+//! before it sends `ClockPush`. The coordinator's `GroupGrant` carries the gate's
+//! per-rank push counts at the decision. The worker keeps the weights it holds iff
+//! every counted push is in them ([`keeps_weights`]); otherwise it pulls exactly as
+//! before the fusion. The rule is exact:
+//!
+//! * the gate counts a push only once every server acked its slices (free-running:
+//!   `ClockPush` follows the acks; deterministic: the clock advances on
+//!   `PushApplied`), so every counted push is applied everywhere before any grant it
+//!   causes, and a pull after the grant sees them all;
+//! * the fused weights are each server's store at this worker's own apply, and a
+//!   rank's pushes reach a server in iteration order, so they lack a counted push
+//!   only if it reached some server afterwards: `counted[w] > applied_i[w]`;
+//! * `applied` is a highest iteration, not a count, so a slice a restarted worker
+//!   replays cannot stand in for another rank's missing push, and a restored server
+//!   reports zeros until it has seen each rank again.
+//!
+//! The weights are read right behind each link's ack, never left in the socket while
+//! the worker waits at the gate: a server blocked writing to a parked worker could
+//! stall a peer the gate is waiting for.
 
 use crate::layout::GroupLayout;
 use dssp_core::driver::{FaultRole, JobConfig};
@@ -26,6 +50,24 @@ use dssp_net::worker::{run_worker_loop, LinkEnd, WorkerLink, WorkerReport};
 use dssp_net::{FaultClock, Message, NetError, WorkerTransport};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The keep-or-re-pull rule of a group round: whether weights fused into a push
+/// round hold every push a grant counted. `counted[w]` is how many of rank `w`'s
+/// pushes the gate had counted at the decision (`GroupGrant::counted`); each item of
+/// `applied` is one shard server's `SliceApplied::applied`, the highest iteration of
+/// each rank it had applied when it wrote its shards (a rank it has no entry for reads
+/// as 0). They do iff `counted[w] ≤ applied_i[w]` for every rank and server.
+pub fn keeps_weights<'a>(counted: &[u64], applied: impl IntoIterator<Item = &'a [u64]>) -> bool {
+    applied.into_iter().all(|server| {
+        counted
+            .iter()
+            .enumerate()
+            .all(|(w, &c)| c <= server.get(w).copied().unwrap_or(0))
+    })
+}
+
+/// The caller's global weight and version buffers, filled by a pulling push round.
+type Fetch<'b> = Option<(&'b mut Vec<f32>, &'b mut Vec<u64>)>;
 
 /// Records a successful re-dial of shard server `index` when the fan has an event log.
 fn note_reconnect(log: Option<&Arc<EventLog>>, index: usize) {
@@ -105,9 +147,17 @@ pub struct ShardFan {
     warm: bool,
     /// The handshake to replay on a reconnected link (set by [`ShardFan::hello`]).
     hello_replay: Option<HelloReplay>,
-    /// Fan-out pull rounds whose per-server requests asked for every owned shard.
+    /// Per link, the `SliceApplied::applied` of the last pulling push round.
+    applied: Vec<Vec<u64>>,
+    /// Whether the caller's buffers hold what the last push round fetched, from
+    /// every link and without a re-dial — the weights [`ShardFan::keeps_weights`]
+    /// judges.
+    fetched: bool,
+    /// Fan-out pull rounds whose per-server requests asked for every owned shard
+    /// (and kept push-round weights, counted as the pull they replace).
     pub full_pulls: u64,
-    /// Fan-out pull rounds answered incrementally.
+    /// Fan-out pull rounds answered incrementally (and kept push-round weights,
+    /// counted as the pull they replace).
     pub delta_pulls: u64,
     /// Links that were successfully re-dialed after a mid-run loss.
     pub reconnects: u64,
@@ -130,10 +180,12 @@ impl ShardFan {
             "need exactly one link per shard server"
         );
         Self {
+            applied: vec![Vec::new(); links.len()],
             links,
             layout: GroupLayout::new(param_len, job.shards, job.servers),
             warm: false,
             hello_replay: None,
+            fetched: false,
             full_pulls: 0,
             delta_pulls: 0,
             reconnects: 0,
@@ -204,16 +256,57 @@ impl ShardFan {
         trace: u64,
         grads: &[f32],
     ) -> Result<FanOutcome, NetError> {
+        self.push_rounds(iteration, trace, grads, None)
+    }
+
+    /// A pulling push round: [`ShardFan::push_slices`], with every server asked to
+    /// write all its shards right behind its ack. Each link's answer — the
+    /// [`Message::SliceApplied`] and the shards — is read into the caller's global
+    /// buffers (sized here on first use) before the next link's, wherever a slice
+    /// answer is read: the first read, the re-send after a re-dial, a frozen server's
+    /// probes and the round re-sliced after a re-adoption. [`ShardFan::keeps_weights`]
+    /// then says whether those weights hold the pushes a grant counted. A round that
+    /// re-dialed a link leaves nothing to keep: the next pull asks for every shard.
+    pub fn push_and_pull(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        weights: &mut Vec<f32>,
+        versions: &mut Vec<u64>,
+    ) -> Result<FanOutcome, NetError> {
+        weights.resize(self.layout.params(), 0.0);
+        versions.resize(self.layout.shards(), 0);
+        self.push_rounds(iteration, trace, grads, Some((weights, versions)))
+    }
+
+    /// Whether the weights the last push round fetched hold every push a grant
+    /// `counted` ([`keeps_weights`] over every link's ack). False when that round
+    /// fetched nothing, or re-dialed a link, or a pull has run since.
+    pub fn keeps_weights(&self, counted: &[u64]) -> bool {
+        self.fetched && keeps_weights(counted, self.applied.iter().map(Vec::as_slice))
+    }
+
+    /// The push round behind [`ShardFan::push_slices`] and
+    /// [`ShardFan::push_and_pull`]: one attempt, and one more after a re-adoption.
+    fn push_rounds(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        mut fetch: Fetch<'_>,
+    ) -> Result<FanOutcome, NetError> {
         assert_eq!(
             grads.len(),
             self.layout.params(),
             "gradient length mismatch"
         );
+        self.fetched = false;
         // One re-adoption per round is the legitimate race (a commit landed between
         // our last layout update and this push); a second means the group is
         // committing migrations faster than we can push, which is a protocol anomaly.
         for _ in 0..2 {
-            match self.push_round(iteration, trace, grads)? {
+            match self.push_round(iteration, trace, grads, reborrow(&mut fetch))? {
                 PushRound::Done(outcome) => return Ok(outcome),
                 PushRound::Readopted => continue,
             }
@@ -230,14 +323,17 @@ impl ShardFan {
         iteration: u64,
         trace: u64,
         grads: &[f32],
+        mut fetch: Fetch<'_>,
     ) -> Result<PushRound, NetError> {
         let epoch = self.layout.epoch();
+        let pull = fetch.is_some();
         let mut reconnected = false;
         for (i, link) in self.links.iter_mut().enumerate() {
             let (start, end) = self.layout.key_range(i);
+            let slice = &grads[start..end];
             if let Err(e) = link
                 .transport
-                .send_push_slice(iteration, epoch, trace, &grads[start..end])
+                .send_push_slice(iteration, epoch, trace, pull, slice)
                 .map_err(|e| at_link(link, e))
             {
                 if !recoverable(&e, link, &self.hello_replay) {
@@ -247,14 +343,17 @@ impl ShardFan {
                 note_reconnect(self.log.as_ref(), i);
                 reconnected = true;
                 link.transport
-                    .send_push_slice(iteration, epoch, trace, &grads[start..end])
+                    .send_push_slice(iteration, epoch, trace, pull, slice)
                     .map_err(|e| at_link(link, e))?;
             }
         }
         let mut acked = 0usize;
         let mut committed: Option<(u64, Vec<u32>)> = None;
         for (i, link) in self.links.iter_mut().enumerate() {
-            let msg = match link.transport.recv().map_err(|e| at_link(link, e)) {
+            let (start, end) = self.layout.key_range(i);
+            let slice = &grads[start..end];
+            let applied = &mut self.applied[i];
+            let msg = match recv_slice_answer(link, applied, reborrow(&mut fetch)) {
                 Ok(msg) => msg,
                 Err(e) if recoverable(&e, link, &self.hello_replay) => {
                     // The server died between our request and its ack: re-dial it,
@@ -263,16 +362,15 @@ impl ShardFan {
                     reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
                     note_reconnect(self.log.as_ref(), i);
                     reconnected = true;
-                    let (start, end) = self.layout.key_range(i);
                     link.transport
-                        .send_push_slice(iteration, epoch, trace, &grads[start..end])
+                        .send_push_slice(iteration, epoch, trace, pull, slice)
                         .map_err(|e| at_link(link, e))?;
-                    link.transport.recv().map_err(|e| at_link(link, e))?
+                    recv_slice_answer(link, applied, reborrow(&mut fetch))?
                 }
                 Err(e) => return Err(e),
             };
             match msg {
-                Message::SliceAck { .. } => acked += 1,
+                Message::SliceAck { .. } | Message::SliceApplied { .. } => acked += 1,
                 Message::Shutdown { reason } => {
                     return Ok(PushRound::Done(FanOutcome::Shutdown { reason }))
                 }
@@ -281,8 +379,13 @@ impl ShardFan {
                     assignment,
                 } => {
                     if assignment.is_empty() {
-                        let (start, end) = self.layout.key_range(i);
-                        match wait_out_freeze(link, iteration, epoch, trace, &grads[start..end])? {
+                        let probe = Probe {
+                            iteration,
+                            epoch,
+                            trace,
+                            slice,
+                        };
+                        match wait_out_freeze(link, &probe, applied, reborrow(&mut fetch))? {
                             FreezeEnd::Acked => acked += 1,
                             FreezeEnd::Committed { epoch, assignment } => {
                                 committed = Some((epoch, assignment));
@@ -297,7 +400,7 @@ impl ShardFan {
                 }
                 other => {
                     return Err(NetError::Protocol(format!(
-                        "expected SliceAck from {}, got {other:?}",
+                        "expected a slice ack from {}, got {other:?}",
                         link.label
                     )))
                 }
@@ -320,6 +423,10 @@ impl ShardFan {
             // pull round must request everything to resynchronize.
             self.warm = false;
             self.reconnects += 1;
+        } else if pull {
+            // Every server shipped every shard it owns: the cache is whole.
+            self.warm = true;
+            self.fetched = true;
         }
         Ok(PushRound::Done(FanOutcome::Applied))
     }
@@ -337,6 +444,7 @@ impl ShardFan {
     ) -> Result<FanOutcome, NetError> {
         weights.resize(self.layout.params(), 0.0);
         versions.resize(self.layout.shards(), 0);
+        self.fetched = false;
         let all = !prefer_delta || !self.warm;
         let mut reconnected = false;
         let epoch = self.layout.epoch();
@@ -575,23 +683,32 @@ const FREEZE_PROBES: usize = 500;
 /// Delay between two probes of a frozen shard server.
 const FREEZE_PROBE_INTERVAL: Duration = Duration::from_millis(4);
 
-/// Re-sends one push slice to a frozen server until the migration resolves: a
-/// rollback yields the ack, a commit yields the new layout, and a freeze that
-/// outlives [`FREEZE_PROBES`] yields a typed error (the never-hang guarantee).
-fn wait_out_freeze(
-    link: &mut ServerLink,
+/// One push slice, as a frozen server's probes re-send it.
+struct Probe<'g> {
     iteration: u64,
     epoch: u64,
     trace: u64,
-    slice: &[f32],
+    slice: &'g [f32],
+}
+
+/// Re-sends one push slice to a frozen server until the migration resolves: a
+/// rollback yields the ack (and, on a pulling round, the shards behind it), a commit
+/// yields the new layout, and a freeze that outlives [`FREEZE_PROBES`] yields a typed
+/// error (the never-hang guarantee).
+fn wait_out_freeze(
+    link: &mut ServerLink,
+    probe: &Probe<'_>,
+    applied: &mut Vec<u64>,
+    mut fetch: Fetch<'_>,
 ) -> Result<FreezeEnd, NetError> {
+    let pull = fetch.is_some();
     for _ in 0..FREEZE_PROBES {
         std::thread::sleep(FREEZE_PROBE_INTERVAL);
         link.transport
-            .send_push_slice(iteration, epoch, trace, slice)
+            .send_push_slice(probe.iteration, probe.epoch, probe.trace, pull, probe.slice)
             .map_err(|e| at_link(link, e))?;
-        match link.transport.recv().map_err(|e| at_link(link, e))? {
-            Message::SliceAck { .. } => return Ok(FreezeEnd::Acked),
+        match recv_slice_answer(link, applied, reborrow(&mut fetch))? {
+            Message::SliceAck { .. } | Message::SliceApplied { .. } => return Ok(FreezeEnd::Acked),
             Message::EpochRefused { assignment, .. } if assignment.is_empty() => continue,
             Message::EpochRefused { epoch, assignment } => {
                 return Ok(FreezeEnd::Committed { epoch, assignment })
@@ -599,7 +716,7 @@ fn wait_out_freeze(
             Message::Shutdown { reason } => return Ok(FreezeEnd::Shutdown { reason }),
             other => {
                 return Err(NetError::Protocol(format!(
-                    "expected SliceAck from {}, got {other:?}",
+                    "expected a slice ack from {}, got {other:?}",
                     link.label
                 )))
             }
@@ -609,6 +726,47 @@ fn wait_out_freeze(
         "migration freeze at {} never resolved (no commit or rollback within {} probes)",
         link.label, FREEZE_PROBES
     )))
+}
+
+/// Reads one server's answer to a push slice. A pulling slice (`fetch` set) must be
+/// answered with a [`Message::SliceApplied`], whose per-rank run lands in `applied`
+/// and whose shards, right behind it, are read into `fetch`'s buffers before this
+/// returns; a plain one with a [`Message::SliceAck`]. A refusal or a relayed shutdown
+/// comes alone, and a shutdown relayed in place of the shards reads as the shutdown.
+fn recv_slice_answer(
+    link: &mut ServerLink,
+    applied: &mut Vec<u64>,
+    fetch: Fetch<'_>,
+) -> Result<Message, NetError> {
+    let msg = link
+        .transport
+        .recv_with_run(applied)
+        .map_err(|e| at_link(link, e))?;
+    match (&msg, fetch) {
+        (Message::SliceApplied { .. }, Some((weights, versions))) => {
+            match link
+                .transport
+                .recv_pull_apply(weights, versions)
+                .map_err(|e| at_link(link, e))?
+            {
+                PullOutcome::Applied(shards) => link.transport.note_confirmed_clock(shards.clock),
+                PullOutcome::Shutdown { reason } => return Ok(Message::Shutdown { reason }),
+            }
+        }
+        (Message::SliceApplied { .. }, None) | (Message::SliceAck { .. }, Some(_)) => {
+            return Err(NetError::Protocol(format!(
+                "{} answered a slice with {msg:?}, which does not match its pull flag",
+                link.label
+            )))
+        }
+        _ => {}
+    }
+    Ok(msg)
+}
+
+/// A shorter-lived copy of a round's buffers, for one read.
+fn reborrow<'s>(fetch: &'s mut Fetch<'_>) -> Fetch<'s> {
+    fetch.as_mut().map(|(w, v)| (&mut **w, &mut **v))
 }
 
 /// Attributes an anonymous transport failure to the link it happened on, unless the
@@ -698,6 +856,7 @@ pub fn run_group_worker(
             fan,
             fault: FaultClock::new(job, FaultRole::Worker(rank)),
             in_rounds: false,
+            counted: Vec::new(),
         }
     })
 }
@@ -713,6 +872,8 @@ struct GroupLink<'a> {
     fault: FaultClock,
     /// Whether a `LayoutUpdate` counts toward that cell (after join, before `Done`).
     in_rounds: bool,
+    /// The per-rank push counts of the last `GroupGrant`, decoded in place.
+    counted: Vec<u64>,
 }
 
 impl GroupLink<'_> {
@@ -722,7 +883,7 @@ impl GroupLink<'_> {
     /// precedes the next fan-out.
     fn recv_coord(&mut self) -> Result<Message, LinkEnd> {
         loop {
-            match self.coord.recv()? {
+            match self.coord.recv_with_run(&mut self.counted)? {
                 Message::LayoutUpdate { epoch, assignment } => {
                     self.fan.adopt(epoch, &assignment)?;
                     if self.in_rounds {
@@ -744,8 +905,10 @@ impl GroupLink<'_> {
 }
 
 impl WorkerLink for GroupLink<'_> {
+    /// The shard servers write their weights behind every slice ack of a push round
+    /// but the final one.
     fn ok_carries_weights(&self) -> bool {
-        false
+        true
     }
 
     fn join(&mut self) -> Result<u64, LinkEnd> {
@@ -775,18 +938,28 @@ impl WorkerLink for GroupLink<'_> {
         }
     }
 
-    /// Always asks: each server ships the owned shards that advanced (all of them
+    /// Unasked, keeps the weights the push round fetched when they hold every push
+    /// the grant counted — one pull round, full or delta as the pull it replaces.
+    /// Otherwise asks: each server ships the owned shards that advanced (all of them
     /// while the cache is cold or with delta pulls off).
     fn pull(
         &mut self,
-        _ask: bool,
+        ask: bool,
         trace: u64,
         weights: &mut Vec<f32>,
         versions: &mut Vec<u64>,
     ) -> Result<(bool, u64), LinkEnd> {
         let full_before = self.fan.full_pulls;
         let delta = self.job.delta_pulls;
-        Self::fanned(self.fan.pull_group(delta, trace, weights, versions)?)?;
+        if !ask && self.fan.keeps_weights(&self.counted) {
+            if delta {
+                self.fan.delta_pulls += 1;
+            } else {
+                self.fan.full_pulls += 1;
+            }
+        } else {
+            Self::fanned(self.fan.pull_group(delta, trace, weights, versions)?)?;
+        }
         let rounds = self.fan.full_pulls + self.fan.delta_pulls;
         Ok((self.fan.full_pulls > full_before, rounds))
     }
@@ -802,27 +975,41 @@ impl WorkerLink for GroupLink<'_> {
 
     /// The same trace id stamps the `ClockPush` and the fan slices, so the
     /// coordinator's gate decision and every shard server's apply join back to this
-    /// iteration.
-    fn push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), LinkEnd> {
+    /// iteration. The weights come back with the slice acks, before the coordinator
+    /// hears of the push.
+    fn push(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        weights: Option<(&mut Vec<f32>, &mut Vec<u64>)>,
+    ) -> Result<(), LinkEnd> {
         let clock_push = Message::ClockPush { iteration, trace };
-        if !self.job.deterministic {
-            Self::fanned(self.fan.push_slices(iteration, trace, grads)?)?;
-            return Ok(self.coord.send(&clock_push)?);
+        if self.job.deterministic {
+            // Canonical order: announce the push, wait to be granted the apply slot,
+            // fan the slices out, and confirm so the coordinator's clock can advance.
+            self.coord.send(&clock_push)?;
+            match self.recv_coord()? {
+                Message::PushGrant => {}
+                other => return Err(LinkEnd::unexpected(self.rank, other)),
+            }
         }
-        // Canonical order: announce the push, wait to be granted the apply slot, fan
-        // the slices out, and confirm so the coordinator's clock can advance.
-        self.coord.send(&clock_push)?;
-        match self.recv_coord()? {
-            Message::PushGrant => {}
-            other => return Err(LinkEnd::unexpected(self.rank, other)),
+        let fanned = match weights {
+            Some((weights, versions)) => self
+                .fan
+                .push_and_pull(iteration, trace, grads, weights, versions)?,
+            None => self.fan.push_slices(iteration, trace, grads)?,
+        };
+        Self::fanned(fanned)?;
+        if self.job.deterministic {
+            return Ok(self.coord.send(&Message::PushApplied { iteration })?);
         }
-        Self::fanned(self.fan.push_slices(iteration, trace, grads)?)?;
-        Ok(self.coord.send(&Message::PushApplied { iteration })?)
+        Ok(self.coord.send(&clock_push)?)
     }
 
     fn await_ok(&mut self, iteration: u64) -> Result<u64, LinkEnd> {
         match self.recv_coord()? {
-            Message::ClockGrant { granted_extra, .. } => {
+            Message::GroupGrant { granted_extra, .. } => {
                 self.coord.note_confirmed_clock(iteration);
                 Ok(granted_extra)
             }

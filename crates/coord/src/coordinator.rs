@@ -4,10 +4,18 @@
 //! worker clocks, the interval table, the synchronization policy — via a clock-only
 //! [`ServerLoop`] (`dssp_ps::SyncGate` underneath), and never touches bulk data:
 //! workers push and pull weight shards directly against the shard servers and
-//! exchange only tiny `ClockPush`/`ClockGrant` messages here. The coordinator also
+//! exchange only tiny `ClockPush`/`GroupGrant` messages here. The coordinator also
 //! keeps one client link per shard server for evaluation pulls (assembling the global
 //! weights into a reused buffer, delta-incrementally), end-of-run statistics
 //! collection, and shutdown propagation.
+//!
+//! A group round is two exchanges: the push round, in which every shard server
+//! writes its weights right behind the slice ack, and this clock hop. Every grant
+//! ([`Message::GroupGrant`]) carries the gate's per-rank push counts at the moment of
+//! the decision, and the worker keeps the weights it already holds iff every counted
+//! push is in them (`dssp_coord::keeps_weights`); the gate counts a push only after
+//! all its slices were acked, so a pull after the grant would see every counted push
+//! and the rule is exact.
 //!
 //! The loop has the shape of every serving loop: offer each arriving `ClockPush` /
 //! `Done` to the [`ServerLoop`], drain what it is ready to release, apply it (a clock
@@ -339,9 +347,12 @@ impl<'job> Coordinator<'job> {
         worker: usize,
         granted_extra: u64,
     ) -> Result<(), NetError> {
-        let msg = Message::ClockGrant {
+        let msg = Message::GroupGrant {
             granted_extra,
             version: self.sl.version(),
+            counted: (0..self.job.num_workers)
+                .map(|w| self.sl.push_count(w))
+                .collect(),
         };
         if self.armed.is_some() && !self.job.deterministic {
             self.withheld.push((worker, msg));
@@ -369,8 +380,9 @@ impl<'job> Coordinator<'job> {
 
     /// Non-deterministic quiescence: every worker is finished or blocked at the gate
     /// awaiting a grant. A worker sends `ClockPush` only after its push fan-out fully
-    /// acked, and it pulls only after receiving a grant — so when all are blocked, no
-    /// slice or pull is in flight anywhere in the group.
+    /// acked and the weights behind the acks are read, and it pulls again only after
+    /// receiving a grant — so when all are blocked, no slice or pull is in flight
+    /// anywhere in the group.
     fn quiescent(&self) -> bool {
         (0..self.job.num_workers).all(|w| self.finished[w] || self.awaiting_grant[w])
     }

@@ -13,13 +13,17 @@
 //!   apply gradient slices and serve (delta) pulls for their slice;
 //! * **one coordinator** ([`coordinate`]) owns the `ClockTable`/`IntervalTracker`/
 //!   staleness-rule state (a clock-only `dssp_core::driver::ServerLoop` over
-//!   `dssp_ps::SyncGate`) and exchanges only tiny `ClockPush`/`ClockGrant` messages
+//!   `dssp_ps::SyncGate`) and exchanges only tiny `ClockPush`/`GroupGrant` messages
 //!   with workers — the synchronization decision lives apart from the storage path;
 //! * **workers** ([`run_group_worker`]) run the single-server worker's loop
 //!   (`dssp_net::worker::run_worker_loop`) over a group link that fans their bulk
-//!   traffic directly over the owning shard servers ([`ShardFan`]): pipelined slice pushes (acked, so `Done` implies applied) and
-//!   pull assembly straight into the same reused global weight/version buffers the
-//!   single-server worker uses, with per-server delta pulls preserved.
+//!   traffic directly over the owning shard servers ([`ShardFan`]): pipelined slice
+//!   pushes (acked, so `Done` implies applied) with every server's shards written
+//!   right behind its ack, assembled straight into the same reused global
+//!   weight/version buffers the single-server worker uses. A round is two exchanges:
+//!   the grant's per-rank push counts say whether those weights may be kept
+//!   ([`keeps_weights`]); when not, the worker pulls again, with per-server delta
+//!   pulls preserved.
 //!
 //! Because SGD is elementwise, each server's slice (weights *and* optimizer state)
 //! evolves bitwise identically to the corresponding slice of a single server that
@@ -59,7 +63,9 @@ pub mod layout;
 pub mod run;
 pub mod shard_server;
 
-pub use client::{run_admin_command, run_group_worker, FanOutcome, ServerLink, ShardFan};
+pub use client::{
+    keeps_weights, run_admin_command, run_group_worker, FanOutcome, ServerLink, ShardFan,
+};
 pub use coordinator::coordinate;
 pub use launch::{launch_group, GroupLaunchOutcome, LISTEN_LINE_PREFIX};
 pub use layout::{GroupLayout, MigrationPlan, ShardMove};

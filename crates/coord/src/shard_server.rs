@@ -3,13 +3,25 @@
 //! A shard server owns a contiguous slice of the model (the key ranges of the global
 //! shards [`crate::GroupLayout`] assigns to it), an [`Sgd`] optimizer for exactly that
 //! slice, and nothing else — no clocks, no policy, no notion of which worker is ahead.
-//! It applies every [`Message::PushSlice`] on receipt (acknowledged with a
-//! [`Message::SliceAck`], so a worker's `Done` implies its gradients are in the
-//! weights) and answers [`Message::PullShards`] from its store — incrementally when
-//! the client's version vector permits, fully otherwise. Because SGD is elementwise,
-//! a slice of the optimizer state evolves bitwise identically to the corresponding
-//! slice of a whole-model optimizer; that is what makes an N-server group bitwise
-//! equal to a single server under deterministic scheduling.
+//! It applies every [`Message::PushSlice`] on receipt and acknowledges it, so a
+//! worker's `Done` implies its gradients are in the weights. Because SGD is
+//! elementwise, a slice of the optimizer state evolves bitwise identically to the
+//! corresponding slice of a whole-model optimizer; that is what makes an N-server
+//! group bitwise equal to a single server under deterministic scheduling.
+//!
+//! **A group round is two exchanges.** A slice with `pull` set is answered with a
+//! [`Message::SliceApplied`] and, in the same gathered write straight from the store,
+//! a [`Message::PullReplyDelta`] of every owned shard (global shard indices). The ack
+//! carries, per rank, the highest iteration this server has applied from it, which
+//! is what the worker checks its grant against to keep those weights or pull again.
+//! The record is not checkpointed: a restored server starts from zeros, so workers
+//! pull again until it has seen each rank. A rank's final slice asks for nothing and
+//! gets a plain [`Message::SliceAck`]. For every counter and hook the fused reply is
+//! one served pull — counted as the pull it replaces would have been (a delta pull,
+//! or a full one with delta pulls off), recorded as a `Pull` event with the push's
+//! trace, and passed through the `pull` fault point. Explicit [`Message::PullShards`]
+//! requests are answered by the same streaming writer — incrementally when the
+//! client's version vector permits, fully otherwise.
 //!
 //! The loop tolerates worker disconnects (finished workers drop their connections
 //! while slower peers keep training) and exits on the coordinator's `Shutdown`, which
@@ -33,10 +45,9 @@ use crate::layout::GroupLayout;
 use dssp_core::driver::{FaultRole, JobConfig};
 use dssp_core::events::{EventKind, Role};
 use dssp_net::metrics::derive_metrics_addr;
-use dssp_net::wire;
 use dssp_net::wire::MIGRATE_CONTROL;
 use dssp_net::{
-    require_helloed, validate_hello, CheckpointSink, FaultClock, Message, NetError, Obs,
+    require_helloed, validate_hello, CheckpointSink, FaultClock, Message, NetError, Obs, PullView,
     ServerTransport,
 };
 use dssp_nn::{Model, Sgd};
@@ -357,50 +368,29 @@ impl ShardServerState {
         Ok(fresh)
     }
 
-    /// Encodes the reply to a [`Message::PullShards`] into `buf` (appended): a
-    /// [`Message::PullReplyDelta`] whose updates carry **global** shard indices, built
-    /// zero-copy from the store. Ships every owned shard when `all` is set or the
-    /// client's vector is incompatible (counted as a full pull), only the stale
-    /// shards otherwise.
-    ///
-    /// Returns an error if `known` does not have one entry per owned shard.
-    pub fn encode_pull(
-        &mut self,
-        known: &[u64],
-        all: bool,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
-        if known.len() != self.store.num_shards() {
-            return Err(NetError::Protocol(format!(
-                "pull for server {} carries {} versions, it owns {} shards",
-                self.index,
-                known.len(),
-                self.store.num_shards()
-            )));
-        }
-        let (lo, _) = self.layout.shard_span(self.index);
-        let full = all || !self.store.delta_compatible(known);
-        if full {
-            self.pulls_full += 1;
-            let versions = self.store.versions();
-            wire::encode_pull_reply_delta(
-                buf,
-                self.pushes,
-                (0..self.store.num_shards())
-                    .map(|i| ((lo + i) as u32, versions[i], self.store.shard(i))),
-            );
-        } else {
+    /// The view a pull of this server's shards is answered from, and the global
+    /// index of its first owned shard: the reply ships the stale shards when `known`
+    /// (the client's versions of exactly the owned shards) is compatible, every owned
+    /// shard otherwise.
+    fn pull_view<'a>(&'a self, known: Option<&'a [u64]>) -> (u32, PullView<'a>) {
+        let (first, _) = self.layout.shard_span(self.index);
+        let view = PullView {
+            clock: self.pushes,
+            versions: self.store.versions(),
+            offsets: self.store.offsets(),
+            weights: self.store.as_flat(),
+            known,
+        };
+        (first as u32, view)
+    }
+
+    /// Counts one served pull, incremental or full.
+    fn count_pull(&mut self, delta: bool) {
+        if delta {
             self.pulls_delta += 1;
-            let versions = self.store.versions();
-            wire::encode_pull_reply_delta(
-                buf,
-                self.pushes,
-                self.store
-                    .stale_shards(known)
-                    .map(|i| ((lo + i) as u32, versions[i], self.store.shard(i))),
-            );
+        } else {
+            self.pulls_full += 1;
         }
-        Ok(())
     }
 }
 
@@ -487,7 +477,9 @@ fn serve_shard_inner(
         &dssp_ps::shard_checkpoint_name(index),
     );
     let mut helloed = vec![false; job.num_workers + 1];
-    let mut reply_buf: Vec<u8> = Vec::new();
+    // Per rank, the highest iteration applied since this server started: what a
+    // `SliceApplied` tells the worker its weights hold.
+    let mut applied = vec![0u64; job.num_workers];
     obs.set_layout(state.epoch(), state.owned_shards() as u64);
 
     // Builds the typed, retryable refusal for an epoch-stale or mid-migration
@@ -549,9 +541,10 @@ fn serve_shard_inner(
                 obs.on_join(rank);
             }
             Message::PushSlice {
-                iteration: _,
+                iteration,
                 epoch,
                 trace,
+                pull,
                 grads,
             } => {
                 require_helloed(&helloed, rank)?;
@@ -562,21 +555,37 @@ fn serve_shard_inner(
                 }
                 if state.pending_epoch().is_some() || epoch != state.epoch() {
                     // Frozen mid-migration, or the worker routed by a retired
-                    // layout: refuse retryably instead of corrupting the slice.
+                    // layout: refuse retryably instead of corrupting the slice. The
+                    // refusal comes alone; the worker retries the whole slice.
                     let reply = refusal(&state);
                     transport.recycle_f32s(rank, grads);
                     transport.send(rank, &reply)?;
                     continue;
                 }
                 let version = state.apply_slice(&grads);
+                // Max, not assignment: a slice replayed by a restarted worker must not
+                // lower what this server vouches for.
+                applied[rank] = applied[rank].max(iteration);
                 transport.recycle_f32s(rank, grads);
-                transport.send(rank, &Message::SliceAck { version })?;
+                if pull {
+                    let (first, view) = state.pull_view(None);
+                    transport.send_shard_reply(rank, Some((version, &applied)), first, &view)?;
+                    state.count_pull(job.delta_pulls);
+                } else {
+                    transport.send(rank, &Message::SliceAck { version })?;
+                }
                 // A shard server has no gate: its pushes counter is also its local
                 // clock, so the version gauge mirrors it.
                 obs.event_traced(EventKind::Push, rank as u64, trace);
                 obs.metrics().pushes.store(state.pushes, Relaxed);
                 obs.metrics().version.store(state.pushes, Relaxed);
+                if pull {
+                    on_pull(obs, &state, rank, trace);
+                }
                 fault.push()?;
+                if pull {
+                    fault.pull()?;
+                }
                 if sink.maybe_write(state.pushes, || state.snapshot(expected_digest))? {
                     obs.on_checkpoint(state.pushes);
                     fault.checkpoint()?;
@@ -595,14 +604,19 @@ fn serve_shard_inner(
                     transport.send(rank, &reply)?;
                     continue;
                 }
-                reply_buf.clear();
-                state.encode_pull(&known_versions, all, &mut reply_buf)?;
-                transport.send_payload(rank, &reply_buf)?;
+                if known_versions.len() != state.owned_shards() {
+                    return Err(NetError::Protocol(format!(
+                        "pull for server {index} carries {} versions, it owns {} shards",
+                        known_versions.len(),
+                        state.owned_shards()
+                    )));
+                }
+                let (first, view) = state.pull_view((!all).then_some(&known_versions[..]));
+                let delta = view.delta_applicable();
+                transport.send_shard_reply(rank, None, first, &view)?;
+                state.count_pull(delta);
                 transport.recycle_u64s(rank, known_versions);
-                // `encode_pull` classified the pull internally; mirror its totals.
-                obs.event_traced(EventKind::Pull, rank as u64, trace);
-                obs.metrics().pulls_full.store(state.pulls_full, Relaxed);
-                obs.metrics().pulls_delta.store(state.pulls_delta, Relaxed);
+                on_pull(obs, &state, rank, trace);
                 fault.pull()?;
             }
             // --- Migration protocol (coordinator-only, two-phase) -------------
@@ -638,22 +652,18 @@ fn serve_shard_inner(
                     )));
                 }
                 fault.migrate_transfer()?;
-                reply_buf.clear();
-                {
-                    let (version, weights, velocity) = state.extract(epoch, shard)?;
-                    // The outgoing shard carries the migration's trace, so the
-                    // destination's stage event joins the same causal chain.
-                    wire::encode_migrate_shard(
-                        &mut reply_buf,
-                        epoch,
-                        shard,
-                        version,
-                        trace,
-                        weights,
-                        velocity,
-                    );
-                }
-                transport.send_payload(rank, &reply_buf)?;
+                let (version, weights, velocity) = state.extract(epoch, shard)?;
+                // The outgoing shard carries the migration's trace, so the
+                // destination's stage event joins the same causal chain.
+                let payload = Message::MigrateShard {
+                    epoch,
+                    shard,
+                    version,
+                    trace,
+                    weights: weights.to_vec(),
+                    velocity: velocity.to_vec(),
+                };
+                transport.send(rank, &payload)?;
                 obs.event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
             }
             Message::MigrateShard {
@@ -767,6 +777,14 @@ fn serve_shard_inner(
             }
         }
     }
+}
+
+/// Records one served pull — a `PullShards` reply, or the shards behind a
+/// `SliceApplied` — with the pulling operation's trace, and mirrors the pull counters.
+fn on_pull(obs: &Obs, state: &ShardServerState, rank: usize, trace: u64) {
+    obs.event_traced(EventKind::Pull, rank as u64, trace);
+    obs.metrics().pulls_full.store(state.pulls_full, Relaxed);
+    obs.metrics().pulls_delta.store(state.pulls_delta, Relaxed);
 }
 
 /// Builds the full model's initial weights the way every worker and server does (from

@@ -77,6 +77,36 @@ fn group_runs_with_delta_pulls_off_use_full_fanouts() {
 }
 
 #[test]
+fn a_free_running_group_both_keeps_and_re_pulls_the_pushed_weights() {
+    // Free-running BSP with a straggler: worker 0 pushes first and waits at the gate
+    // for worker 1's push, which its weights lack, so it pulls again; worker 1 pushes
+    // 5 ms later onto stores that hold worker 0's push and keeps what came back.
+    let mut job = group_job(PolicyKind::Bsp, 2);
+    job.extra_compute_delay_ms = vec![0, 5];
+    job.eval_every_pushes = u64::MAX; // the coordinator pulls once, at the end
+    let outcome = run_group_threads(&job).expect("group run completes");
+    let trace = outcome.trace;
+    // Every round but a rank's last fetches the weights behind its slice acks, and
+    // every one of those rounds then either kept them or pulled again. Besides, each
+    // server served every worker's opening pull and the closing evaluation's.
+    let fetched = trace.total_pushes - job.num_workers as u64;
+    for gs in &trace.group_servers {
+        let served = gs.pulls_full + gs.pulls_delta;
+        let re_pulls = served - fetched - job.num_workers as u64 - 1;
+        let kept = fetched - re_pulls;
+        assert!(re_pulls > 0, "server {}: no round pulled again", gs.server);
+        assert!(kept > 0, "server {}: no round kept its weights", gs.server);
+    }
+    for report in &outcome.workers {
+        assert!(!report.shutdown_early);
+        // One pull per round: the opening one in full, every later one a delta,
+        // kept or pulled again.
+        assert_eq!(report.full_pulls, 1);
+        assert_eq!(report.delta_pulls, report.iterations - 1);
+    }
+}
+
+#[test]
 fn group_server_stats_survive_a_mid_run_eviction() {
     // Worker 1 dies after its second push and is evicted; the survivors finish the
     // run. The graceful-shutdown stats snapshot must still populate the trace's

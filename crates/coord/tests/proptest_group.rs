@@ -1,11 +1,14 @@
 //! Property tests of the group storage path: for random layouts (params, shards,
 //! servers) and random per-server update histories, a client that delta-pulls from
-//! every shard server reconstructs exactly the weights a full fan-out pull downloads.
+//! every shard server reconstructs exactly the weights a full fan-out pull downloads;
+//! and the rule that keeps or re-pulls the weights a push round fetched keeps them
+//! exactly when they hold every push the grant counted.
 
-use dssp_coord::GroupLayout;
+use dssp_coord::{keeps_weights, GroupLayout};
 use dssp_net::wire::{self};
 use dssp_ps::ShardedStore;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Builds each server's slice store over a deterministic initial vector.
 fn build_stores(layout: &GroupLayout, initial: &[f32]) -> Vec<ShardedStore> {
@@ -49,8 +52,98 @@ fn pull_from_server(
     wire::apply_pull_reply(&buf, weights, versions).expect("reply applies");
 }
 
+/// A tiny deterministic generator for the histories below (xorshift64*).
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self, below: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % below
+    }
+}
+
+/// One shard server's slice applies since it started, as `(rank, iteration)` in
+/// arrival order: each rank's iterations `1..=reached[rank]` in order, ranks
+/// interleaved at random, and now and then the slice just applied again — what a
+/// worker that died between its acks and its `ClockPush` replays after a restart.
+fn history(reached: &[u64], draws: &mut Draws) -> Vec<(usize, u64)> {
+    let mut next = vec![1u64; reached.len()];
+    let mut out = Vec::new();
+    loop {
+        let open: Vec<usize> = (0..reached.len())
+            .filter(|&w| next[w] <= reached[w])
+            .collect();
+        if open.is_empty() {
+            return out;
+        }
+        let rank = open[draws.next(open.len() as u64) as usize];
+        out.push((rank, next[rank]));
+        if draws.next(4) == 0 {
+            out.push((rank, next[rank]));
+        }
+        next[rank] += 1;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_pushed_weights_are_kept_exactly_when_no_counted_push_is_missing(
+        ranks in 1usize..6,
+        servers in 1usize..5,
+        counts in prop::collection::vec(0u64..6, 5),
+        seed in 1u64..u64::MAX,
+    ) {
+        let mut draws = Draws(seed);
+        let counted = &counts[..ranks];
+        // Per server: restored (it has applied nothing since, whatever its store
+        // holds), or it reached, per rank, up to one past that rank's count — one
+        // entry in eight lags behind.
+        let histories: Vec<Vec<(usize, u64)>> = (0..servers)
+            .map(|_| {
+                if draws.next(6) == 0 {
+                    return Vec::new();
+                }
+                let reached: Vec<u64> = counted
+                    .iter()
+                    .map(|&c| match draws.next(8) {
+                        0 => draws.next(c + 1),
+                        1 => c + 1,
+                        _ => c,
+                    })
+                    .collect();
+                history(&reached, &mut draws)
+            })
+            .collect();
+        // What each server's `SliceApplied` reports: the highest iteration per rank,
+        // folded the way the shard server folds it.
+        let applied: Vec<Vec<u64>> = histories
+            .iter()
+            .map(|h| {
+                let mut applied = vec![0u64; ranks];
+                for &(rank, iteration) in h {
+                    applied[rank] = applied[rank].max(iteration);
+                }
+                applied
+            })
+            .collect();
+        // The oracle: every counted push `(w, 1..=counted[w])` is among the applies of
+        // every server.
+        let none_missing = histories.iter().all(|h| {
+            let held: HashSet<&(usize, u64)> = h.iter().collect();
+            (0..ranks).all(|w| (1..=counted[w]).all(|k| held.contains(&(w, k))))
+        });
+        prop_assert_eq!(
+            keeps_weights(counted, applied.iter().map(Vec::as_slice)),
+            none_missing,
+            "counted {:?}, applied {:?}",
+            counted,
+            applied
+        );
+    }
 
     #[test]
     fn random_group_update_histories_reconstruct_via_deltas(

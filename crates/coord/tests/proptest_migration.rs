@@ -241,15 +241,15 @@ proptest! {
             {
                 let (version, weights, velocity) =
                     states[from].extract(epoch, mv.shard).expect("extract");
-                dssp_net::wire::encode_migrate_shard(
-                    &mut buf,
+                let payload = Message::MigrateShard {
                     epoch,
-                    mv.shard,
+                    shard: mv.shard,
                     version,
-                    dssp_core::events::NO_TRACE,
-                    weights,
-                    velocity,
-                );
+                    trace: dssp_core::events::NO_TRACE,
+                    weights: weights.to_vec(),
+                    velocity: velocity.to_vec(),
+                };
+                dssp_net::wire::encode(&payload, &mut buf);
             }
             match decode(&buf).expect("relayed frame decodes") {
                 Message::MigrateShard {

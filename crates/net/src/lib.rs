@@ -11,7 +11,7 @@
 //!
 //! | module | provides |
 //! |---|---|
-//! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v7: 33 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
+//! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v8: 35 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
 //! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`] traits + in-process [`transport::loopback`] |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |

@@ -14,7 +14,8 @@
 //! * frames that carry an `f32` run (`Push`, `PushSlice`, pull replies) are written
 //!   as one vectored write of a small stack header plus the run's own bytes — the
 //!   worker's gradient slice, the server store's shard ranges
-//!   ([`PullView::write_frame`]) — with no frame buffer in between;
+//!   ([`PullView::write_frame`]; a shard server's slice ack rides in front of its
+//!   shards in the same write) — with no frame buffer in between;
 //! * they are read through [`FrameBody`]: length, tag and fixed fields come through
 //!   the connection's `BufReader` and are validated like the buffered decoders
 //!   validate them, then the run is read from that same reader straight into where it
@@ -22,7 +23,8 @@
 //!   through a per-rank pool channel, on the worker its own `weights[start..end]`;
 //! * every other frame is small: it is encoded into a reusable scratch buffer and
 //!   read into a reusable payload buffer (version vectors of `PullDelta` /
-//!   `PullShards` decode into pooled `Vec`s as well).
+//!   `PullShards` decode into pooled `Vec`s as well, and the per-rank runs of
+//!   `SliceApplied` / `GroupGrant` into the worker's own buffer).
 //!
 //! A counting-allocator test (`tests/zero_alloc_net.rs`) enforces the zero-allocation
 //! property end to end, the same way the compute kernels' steady state is enforced.
@@ -338,11 +340,12 @@ fn read_pooled(
         }
         TAG_PUSH_SLICE => {
             let mut grads = recycled(grads_pool);
-            let (iteration, epoch, trace) = body.push_slice_into(&mut grads)?;
+            let (iteration, epoch, trace, pull) = body.push_slice_into(&mut grads)?;
             Message::PushSlice {
                 iteration,
                 epoch,
                 trace,
+                pull,
                 grads,
             }
         }
@@ -433,6 +436,27 @@ impl ServerTransport for TcpServerTransport {
         // Straight from the store to the socket: no frame buffer in between.
         let wire_len = view.write_frame(writer_of(&mut self.writers, rank)?)?;
         self.sent(wire_len);
+        Ok(())
+    }
+
+    fn send_shard_reply(
+        &mut self,
+        rank: usize,
+        ack: Option<(u64, &[u64])>,
+        first_shard: u32,
+        view: &PullView<'_>,
+    ) -> Result<(), NetError> {
+        // Straight from the store to the socket, the ack in the same gathered write.
+        let w = writer_of(&mut self.writers, rank)?;
+        let updates = view.shard_updates(first_shard);
+        let wire_len = match ack {
+            Some((version, applied)) => {
+                wire::write_slice_applied_frames(w, version, applied, view.clock, updates)?
+            }
+            None => wire::write_pull_reply_delta_frame(w, view.clock, updates)?,
+        };
+        self.sent(wire_len);
+        self.frames_sent += u64::from(ack.is_some());
         Ok(())
     }
 
@@ -656,6 +680,11 @@ impl WorkerTransport for TcpWorkerTransport {
         Ok(wire::decode(&self.payload)?)
     }
 
+    fn recv_with_run(&mut self, run: &mut Vec<u64>) -> Result<Message, NetError> {
+        self.read_payload()?;
+        Ok(wire::decode_with_run(&self.payload, run)?)
+    }
+
     fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
         let written = wire::write_push_frame(&mut self.writer, iteration, trace, grads);
         self.sent(written)
@@ -683,10 +712,11 @@ impl WorkerTransport for TcpWorkerTransport {
         iteration: u64,
         epoch: u64,
         trace: u64,
+        pull: bool,
         grads: &[f32],
     ) -> Result<(), NetError> {
         let written =
-            wire::write_push_slice_frame(&mut self.writer, iteration, epoch, trace, grads);
+            wire::write_push_slice_frame(&mut self.writer, iteration, epoch, trace, pull, grads);
         self.sent(written)
     }
 

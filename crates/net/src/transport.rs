@@ -14,7 +14,8 @@
 //! ([`WorkerTransport::send_push`]) and receive weights into caller-owned
 //! weight/version caches ([`WorkerTransport::recv_pull_apply`]); the server ships
 //! weights from a borrowed [`PullView`] of its store
-//! ([`ServerTransport::send_pull_reply`]) and hands consumed bulk buffers back to the
+//! ([`ServerTransport::send_pull_reply`]; a shard server through
+//! [`ServerTransport::send_shard_reply`]) and hands consumed bulk buffers back to the
 //! transport for recycling ([`ServerTransport::recycle_f32s`]). The TCP transport
 //! implements these without staging: bulk frames are written from, and read into,
 //! their final buffers, so neither endpoint copies a bulk byte twice or allocates per
@@ -61,24 +62,20 @@ impl<'a> PullView<'a> {
             .is_some_and(|known| dssp_ps::delta_compatible(self.versions, known))
     }
 
-    /// The stale shards a delta reply ships: `(shard, version, weights)` for every
-    /// shard whose version advanced past the client's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without an applicable `known` vector.
-    pub fn stale_updates(&self) -> impl Iterator<Item = (u32, u64, &'a [f32])> + Clone + '_ {
-        let known = self.known.expect("stale_updates requires a known vector");
-        assert_eq!(known.len(), self.versions.len(), "shard count mismatch");
-        (0..self.versions.len()).filter_map(move |i| {
-            (self.versions[i] > known[i]).then(|| {
-                (
-                    i as u32,
-                    self.versions[i],
-                    &self.weights[self.offsets[i]..self.offsets[i + 1]],
-                )
+    /// The shards a delta reply ships, as `(shard, version, weights)` with the shard
+    /// indices numbered from `first`: the ones whose version advanced past the
+    /// client's when the view can answer incrementally, every shard otherwise. A
+    /// single server numbers from 0; a shard server from its first owned global
+    /// shard.
+    pub fn shard_updates(&self, first: u32) -> impl Iterator<Item = (u32, u64, &'a [f32])> + Clone {
+        let known = self.known.filter(|_| self.delta_applicable());
+        let (versions, offsets, weights) = (self.versions, self.offsets, self.weights);
+        (0..versions.len())
+            .filter(move |&i| known.is_none_or(|known| versions[i] > known[i]))
+            .map(move |i| {
+                let run = &weights[offsets[i]..offsets[i + 1]];
+                (first + i as u32, versions[i], run)
             })
-        })
     }
 
     /// Encodes the reply this view answers with — a delta when applicable, a full
@@ -87,7 +84,7 @@ impl<'a> PullView<'a> {
     /// zero-copy path).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         if self.delta_applicable() {
-            wire::encode_pull_reply_delta(buf, self.clock, self.stale_updates());
+            wire::encode_pull_reply_delta(buf, self.clock, self.shard_updates(0));
         } else {
             wire::encode_pull_reply(buf, self.clock, self.versions, self.weights);
         }
@@ -100,7 +97,7 @@ impl<'a> PullView<'a> {
     /// bytes written, length prefix included.
     pub fn write_frame<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<usize> {
         if self.delta_applicable() {
-            wire::write_pull_reply_delta_frame(w, self.clock, self.stale_updates())
+            wire::write_pull_reply_delta_frame(w, self.clock, self.shard_updates(0))
         } else {
             wire::write_pull_reply_frame(w, self.clock, self.versions, self.weights)
         }
@@ -111,23 +108,28 @@ impl<'a> PullView<'a> {
     /// serializing them.
     pub fn to_message(&self) -> Message {
         if self.delta_applicable() {
-            Message::PullReplyDelta {
-                clock: self.clock,
-                updates: self
-                    .stale_updates()
-                    .map(|(shard, version, weights)| ShardUpdate {
-                        shard,
-                        version,
-                        weights: weights.to_vec(),
-                    })
-                    .collect(),
-            }
+            self.delta_message(0)
         } else {
             Message::PullReply {
                 clock: self.clock,
                 shard_versions: self.versions.to_vec(),
                 weights: self.weights.to_vec(),
             }
+        }
+    }
+
+    /// The owned [`Message::PullReplyDelta`] of [`PullView::shard_updates`].
+    fn delta_message(&self, first: u32) -> Message {
+        Message::PullReplyDelta {
+            clock: self.clock,
+            updates: self
+                .shard_updates(first)
+                .map(|(shard, version, weights)| ShardUpdate {
+                    shard,
+                    version,
+                    weights: weights.to_vec(),
+                })
+                .collect(),
         }
     }
 }
@@ -233,9 +235,29 @@ pub trait ServerTransport: Send {
     /// back to the transport for reuse by `rank`'s connection. Default: drop it.
     fn recycle_u64s(&mut self, _rank: usize, _buf: Vec<u64>) {}
 
-    /// Sends an already-encoded payload as one frame to `rank` — the zero-copy path
-    /// for replies encoded straight from borrowed state (a shard server's
-    /// `PullReplyDelta`, built from its store without intermediate vectors). The
+    /// Ships a shard server's reply from a borrowed view of its store: a
+    /// [`Message::PullReplyDelta`] of [`PullView::shard_updates`] numbered from the
+    /// server's first owned global shard `first_shard`, preceded by a
+    /// [`Message::SliceApplied`] `{ version, applied }` when `ack` is set (the answer
+    /// to a pulling [`Message::PushSlice`]). The TCP transport writes both frames
+    /// straight from the store in one gathered write
+    /// ([`wire::write_slice_applied_frames`]); the default sends owned messages.
+    fn send_shard_reply(
+        &mut self,
+        rank: usize,
+        ack: Option<(u64, &[u64])>,
+        first_shard: u32,
+        view: &PullView<'_>,
+    ) -> Result<(), NetError> {
+        if let Some((version, applied)) = ack {
+            let applied = applied.to_vec();
+            self.send(rank, &Message::SliceApplied { version, applied })?;
+        }
+        self.send(rank, &view.delta_message(first_shard))
+    }
+
+    /// Sends an already-encoded payload as one frame to `rank`, for callers that run
+    /// their own serving loop over a transport and encode replies themselves. The
     /// default decodes and re-sends as an owned message, so transports that move
     /// messages instead of bytes (loopback) stay correct.
     fn send_payload(&mut self, rank: usize, payload: &[u8]) -> Result<(), NetError> {
@@ -269,6 +291,22 @@ pub trait WorkerTransport: Send {
 
     /// Blocks for the next message from the server.
     fn recv(&mut self) -> Result<Message, NetError>;
+
+    /// Blocks for the next message like [`WorkerTransport::recv`], except that the
+    /// per-rank run of a [`Message::SliceApplied`] or [`Message::GroupGrant`] lands in
+    /// `run` (overwritten) and the message holds an empty one: what keeps a warm
+    /// group round allocation-free. The TCP transport decodes into `run`
+    /// ([`wire::decode_with_run`]); the default moves the run out of the message.
+    fn recv_with_run(&mut self, run: &mut Vec<u64>) -> Result<Message, NetError> {
+        let mut msg = self.recv()?;
+        if let Message::SliceApplied { applied: got, .. }
+        | Message::GroupGrant { counted: got, .. } = &mut msg
+        {
+            run.clear();
+            run.append(got);
+        }
+        Ok(msg)
+    }
 
     /// Pushes one iteration's gradients from a borrowed slice, stamped with the
     /// worker's causal `trace` id. The TCP transport writes the frame to the socket
@@ -306,22 +344,25 @@ pub trait WorkerTransport: Send {
     }
 
     /// Pushes one iteration's gradient **slice** (a shard server's key range of the
-    /// full gradient vector) from a borrowed slice. The TCP transport writes the
-    /// frame to the socket straight from the slice; the default copies into an owned
+    /// full gradient vector) from a borrowed slice, asking for the server's shards
+    /// behind the ack when `pull` is set. The TCP transport writes the frame to the
+    /// socket straight from the slice; the default copies into an owned
     /// [`Message::PushSlice`]. Part of a group worker's fan-out: requests go to every
-    /// server first, then the [`Message::SliceAck`]s are collected, so the servers
-    /// work concurrently.
+    /// server first, then the answers are collected, so the servers work
+    /// concurrently.
     fn send_push_slice(
         &mut self,
         iteration: u64,
         epoch: u64,
         trace: u64,
+        pull: bool,
         grads: &[f32],
     ) -> Result<(), NetError> {
         self.send(&Message::PushSlice {
             iteration,
             epoch,
             trace,
+            pull,
             grads: grads.to_vec(),
         })
     }
@@ -499,8 +540,19 @@ mod tests {
         let known = [3u64, 3];
         let v = view(7, &versions, &offsets, &weights, Some(&known));
         assert!(v.delta_applicable());
-        let updates: Vec<_> = v.stale_updates().collect();
+        let updates: Vec<_> = v.shard_updates(0).collect();
         assert_eq!(updates, vec![(1u32, 4u64, &weights[2..4])]);
+        // Numbered from a shard server's first global shard; without a usable
+        // record, every shard.
+        let updates: Vec<_> = v.shard_updates(6).collect();
+        assert_eq!(updates, vec![(7u32, 4u64, &weights[2..4])]);
+        let every: Vec<_> = view(7, &versions, &offsets, &weights, Some(&future))
+            .shard_updates(6)
+            .collect();
+        assert_eq!(
+            every,
+            vec![(6u32, 3u64, &weights[..2]), (7, 4, &weights[2..4])]
+        );
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on the
 //! training path, not copied at all: the streaming writers
 //! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`],
-//! [`write_pull_reply_delta_frame`]) hand the socket a small stack header plus the
-//! run's own bytes in one vectored write, and the streaming reader ([`FrameBody`])
-//! validates a frame's fixed fields and then reads the run straight into the buffer
-//! it is for. Big-endian hosts convert element-wise through the buffered codecs.
+//! [`write_pull_reply_delta_frame`], [`write_slice_applied_frames`]) hand the socket
+//! a small stack header plus the run's own bytes in one vectored write, and the
+//! streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
+//! the run straight into the buffer it is for. Big-endian hosts convert element-wise
+//! through the buffered codecs.
 //!
 //! # The message table
 //!
@@ -33,9 +34,9 @@
 //! handling in the roles that send and receive it. A new or changed row changes the
 //! protocol: bump [`PROTOCOL_VERSION`] and recapture `tests/golden_frames.rs`, which
 //! pins every kind's bytes. The streaming codecs and the `decode_*_into` /
-//! [`apply_pull_reply`] readers of the training path stay hand-written;
-//! `tests/proptest_wire.rs` holds them to the table's codec byte for byte and error
-//! for error.
+//! [`decode_with_run`] / [`apply_pull_reply`] readers of the training path stay
+//! hand-written; `tests/proptest_wire.rs` holds them to the table's codec byte for
+//! byte and error for error.
 //!
 //! Protocol flow (client = worker, server = parameter server):
 //!
@@ -82,17 +83,28 @@
 //!   | ------------------------------ PullShards{all} ---> |
 //!   | <----------------------------- PullReplyDelta ----- |  (global shard ids)
 //!   | == per iteration ====== |                           |
-//!   | ------------------------------ PushSlice ---------> |  (server's key range)
-//!   | <----------------------------- SliceAck ----------- |
+//!   | ------------------------------ PushSlice{pull} ---> |  (server's key range)
+//!   | <----------------------------- SliceApplied ------- |  applied[w]: per rank ...
+//!   | <----------------------------- PullReplyDelta ----- |  ... and every owned shard
 //!   | -- ClockPush ---------> |   gate + policy, no grads |
-//!   | <-- ClockGrant -------- |   the OK (r* credits)     |
-//!   | ------------------------------ PullShards --------> |  (stale shards only)
-//!   | <----------------------------- PullReplyDelta ----- |
+//!   | <-- GroupGrant -------- |   the OK + counted[w]     |
+//!   | ------------------------------ PullShards --------> |  only if a counted push is
+//!   | <----------------------------- PullReplyDelta ----- |  missing from the weights
 //!   | ======================= |                           |
 //!   | -- Done --------------> |                           |
 //!   |                         | -- StatsRequest/Reply --> |  (per-server counters)
 //!   | <-- Shutdown ---------- | -- Shutdown ------------> |
 //! ```
+//!
+//! Since protocol v8 a group round is **two** exchanges. A [`Message::PushSlice`]
+//! with `pull` set is answered with a [`Message::SliceApplied`] — carrying, per rank,
+//! the highest iteration the server has applied — and, in the same write, a
+//! [`Message::PullReplyDelta`] of every shard the server owns. The worker reads both
+//! before it announces the push. The coordinator grants with a
+//! [`Message::GroupGrant`] that carries the gate's per-rank push counts at the
+//! decision; the worker keeps the weights it holds when every counted push is in
+//! them (`counted[w] ≤ applied[w]` on every server) and pulls as before otherwise.
+//! A rank's final push asks for no weights and is acked with a [`Message::SliceAck`].
 //!
 //! Deterministic mode adds a serialization handshake so an N-server group is bitwise
 //! equal to a single server: the coordinator answers each `ClockPush` with a
@@ -119,8 +131,11 @@ use std::io::{self, IoSlice, Read, Write};
 /// no frame layout but fused the single-server round — every `PushReply` except the
 /// one answering a rank's final push is followed by a pull reply the worker did not
 /// ask for — so a v6 peer, which would wait for a request that never comes, is
-/// refused at the handshake.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// refused at the handshake; version 8 fused the group round the same way:
+/// `PushSlice` gained its `pull` flag, answered with the new `SliceApplied` plus every
+/// owned shard, and the coordinator grants with the new `GroupGrant`, whose per-rank
+/// push counts say whether those weights may be kept.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// The `shard` value in a [`Message::MigrateAck`] acknowledging a control step
 /// (prepare or commit) rather than one shard's transfer.
@@ -383,9 +398,9 @@ messages! {
         /// Causal trace id (`dssp_core::events::trace_id`), or 0 for untraced.
         trace: u64,
     },
-    /// Coordinator → worker: the `OK` of Algorithm 1 for a group run (the group
-    /// analogue of [`Message::PushReply`]). Sent immediately or deferred, according to
-    /// the policy.
+    /// Coordinator → worker: the `OK` of Algorithm 1 for a group run before protocol
+    /// v8, which grants with [`Message::GroupGrant`] instead. No role of the program
+    /// sends it any more; the row stays for callers that time a bare clock hop.
     12 TAG_CLOCK_GRANT ClockGrant {
         /// Extra iterations the DSSP controller granted at this push (`r*`).
         granted_extra: u64,
@@ -404,9 +419,10 @@ messages! {
         iteration: u64,
     },
     /// Worker → shard server: the gradient slice covering exactly the server's owned
-    /// key range, for one iteration. Always acknowledged with [`Message::SliceAck`]
-    /// once applied, so a worker's `Done` implies every slice it pushed is in the
-    /// weights.
+    /// key range, for one iteration. Always acknowledged once applied — with
+    /// [`Message::SliceAck`], or with [`Message::SliceApplied`] and the server's
+    /// shards when `pull` is set — so a worker's `Done` implies every slice it pushed
+    /// is in the weights.
     15 TAG_PUSH_SLICE PushSlice => encode_push_slice {
         /// 1-based iteration number of this push.
         iteration: u64,
@@ -416,6 +432,10 @@ messages! {
         epoch: u64,
         /// Causal trace id (`dssp_core::events::trace_id`), or 0 for untraced.
         trace: u64,
+        /// Answer with [`Message::SliceApplied`] followed by a
+        /// [`Message::PullReplyDelta`] of every owned shard (global indices), written
+        /// straight after the apply: the group round's pull, fused into its push.
+        pull: bool,
         /// The gradient run for the server's key range (its owned shards, in order).
         grads: [f32],
     },
@@ -507,7 +527,7 @@ messages! {
     /// One migrating shard's complete state. Source server → coordinator in reply to
     /// [`Message::MigrateRequest`]; relayed verbatim coordinator → destination server
     /// (servers never dial each other — the coordinator owns the only server links).
-    26 TAG_MIGRATE_SHARD MigrateShard => encode_migrate_shard {
+    26 TAG_MIGRATE_SHARD MigrateShard {
         /// The epoch the group is migrating to.
         epoch: u64,
         /// Global index of the shard.
@@ -575,6 +595,28 @@ messages! {
         accepted: bool,
         /// Why the command was refused; empty on success.
         reason: str,
+    },
+    /// Shard server → worker: the slice of a [`Message::PushSlice`] with `pull` set
+    /// has been applied. A [`Message::PullReplyDelta`] of every shard the server
+    /// owns follows in the same write; `applied` says which pushes those weights hold.
+    34 TAG_SLICE_APPLIED SliceApplied => encode_slice_applied {
+        /// The server's local weight version (slice pushes applied) after this one.
+        version: u64,
+        /// Per rank, the highest iteration the server has applied from it since it
+        /// started (a restored server starts from zeros).
+        applied: [u64],
+    },
+    /// Coordinator → worker: the `OK` of Algorithm 1 for a group run (the group
+    /// analogue of [`Message::PushReply`]). Sent immediately or deferred, according to
+    /// the policy.
+    35 TAG_GROUP_GRANT GroupGrant {
+        /// Extra iterations the DSSP controller granted at this push (`r*`).
+        granted_extra: u64,
+        /// Coordinator clock (total pushes) when the grant was issued.
+        version: u64,
+        /// Per rank, the pushes the gate had counted when it decided. The worker's
+        /// weights must hold every one of them.
+        counted: [u64],
     },
 }
 
@@ -959,6 +1001,37 @@ pub fn decode_pull_shards_into(
     Ok((all, epoch, trace))
 }
 
+/// Decodes one payload like [`decode`], except that the per-rank run of a
+/// [`Message::SliceApplied`] or a [`Message::GroupGrant`] goes into the caller-owned
+/// `run` (overwritten; no allocation once warm) and the message comes back holding an
+/// empty one. Same strictness as [`decode`]; no other kind writes to `run`.
+pub fn decode_with_run(payload: &[u8], run: &mut Vec<u64>) -> Result<Message, WireError> {
+    let mut r = Reader::new(payload);
+    let msg = match r.u8()? {
+        TAG_SLICE_APPLIED => {
+            let version = r.u64()?;
+            r.u64s_into(run)?;
+            Message::SliceApplied {
+                version,
+                applied: Vec::new(),
+            }
+        }
+        TAG_GROUP_GRANT => {
+            let granted_extra = r.u64()?;
+            let version = r.u64()?;
+            r.u64s_into(run)?;
+            Message::GroupGrant {
+                granted_extra,
+                version,
+                counted: Vec::new(),
+            }
+        }
+        _ => return decode(payload),
+    };
+    r.finish()?;
+    Ok(msg)
+}
+
 /// What [`apply_pull_reply`] reconstructed from a pull reply payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PullApplied {
@@ -1133,17 +1206,19 @@ pub fn write_push_slice_frame<W: Write>(
     iteration: u64,
     epoch: u64,
     trace: u64,
+    pull: bool,
     grads: &[f32],
 ) -> io::Result<usize> {
     #[cfg(target_endian = "little")]
     {
-        let payload_len = 29 + grads.len() * 4;
-        let head: [u8; 33] = header(&[
+        let payload_len = 30 + grads.len() * 4;
+        let head: [u8; 34] = header(&[
             &len_prefix(payload_len),
             &[TAG_PUSH_SLICE],
             &iteration.to_le_bytes(),
             &epoch.to_le_bytes(),
             &trace.to_le_bytes(),
+            &[u8::from(pull)],
             &len_prefix(grads.len()),
         ]);
         write_gathered(w, &mut [IoSlice::new(&head), IoSlice::new(le_bytes(grads))])?;
@@ -1151,7 +1226,7 @@ pub fn write_push_slice_frame<W: Write>(
     }
     #[cfg(not(target_endian = "little"))]
     write_encoded(w, |buf| {
-        encode_push_slice(buf, iteration, epoch, trace, grads)
+        encode_push_slice(buf, iteration, epoch, trace, pull, grads)
     })
 }
 
@@ -1192,8 +1267,9 @@ pub fn write_pull_reply_frame<W: Write>(
 }
 
 /// Stale shards one vectored write of [`write_pull_reply_delta_frame`] gathers: each
-/// takes two slices (its 16-byte header, its weights), one more carries the frame's
-/// own header, and the total stays far below any platform's `IOV_MAX`.
+/// takes two slices (its 16-byte header, its weights), three more carry the frame's
+/// own header and an acknowledgement riding in front of it, and the total stays far
+/// below any platform's `IOV_MAX`.
 #[cfg(target_endian = "little")]
 const DELTA_SHARDS_PER_WRITE: usize = 16;
 
@@ -1210,47 +1286,94 @@ pub fn write_pull_reply_delta_frame<'a, W: Write>(
     updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
 ) -> io::Result<usize> {
     #[cfg(target_endian = "little")]
-    {
-        let (mut count, mut payload_len) = (0usize, 13usize);
-        for (_, _, weights) in updates.clone() {
-            count += 1;
-            payload_len += 16 + weights.len() * 4;
-        }
-        let frame_head: [u8; 17] = header(&[
-            &len_prefix(payload_len),
-            &[TAG_PULL_REPLY_DELTA],
-            &clock.to_le_bytes(),
-            &len_prefix(count),
-        ]);
-        let mut updates = updates;
-        // At least one write, so an empty delta still sends its frame header.
-        for chunk in 0..count.div_ceil(DELTA_SHARDS_PER_WRITE).max(1) {
-            let mut heads = [[0u8; 16]; DELTA_SHARDS_PER_WRITE];
-            let mut runs: [&[u8]; DELTA_SHARDS_PER_WRITE] = [&[]; DELTA_SHARDS_PER_WRITE];
-            let mut gathered = 0;
-            for (shard, version, weights) in updates.by_ref().take(DELTA_SHARDS_PER_WRITE) {
-                heads[gathered] = header(&[
-                    &shard.to_le_bytes(),
-                    &version.to_le_bytes(),
-                    &len_prefix(weights.len()),
-                ]);
-                runs[gathered] = le_bytes(weights);
-                gathered += 1;
-            }
-            let mut slices = [IoSlice::new(&[]); 1 + 2 * DELTA_SHARDS_PER_WRITE];
-            if chunk == 0 {
-                slices[0] = IoSlice::new(&frame_head);
-            }
-            for i in 0..gathered {
-                slices[1 + 2 * i] = IoSlice::new(&heads[i]);
-                slices[2 + 2 * i] = IoSlice::new(runs[i]);
-            }
-            write_gathered(w, &mut slices[..1 + 2 * gathered])?;
-        }
-        Ok(payload_len + 4)
-    }
+    return write_delta_frame_after(w, [&[], &[]], clock, updates);
     #[cfg(not(target_endian = "little"))]
     write_encoded(w, |buf| encode_pull_reply_delta(buf, clock, updates))
+}
+
+/// Writes a [`Message::SliceApplied`] frame and, right behind it, a
+/// [`Message::PullReplyDelta`] frame straight from the server's store: a shard
+/// server's answer to a [`Message::PushSlice`] with `pull` set. The acknowledgement
+/// rides in the first vectored write of [`write_pull_reply_delta_frame`], so a reply
+/// of up to 16 shards reaches the socket in one syscall and wakes its reader once.
+/// Byte for byte [`encode_slice_applied`] and [`encode_pull_reply_delta`], each
+/// through [`write_frame_payload`]. Returns the bytes written, both length prefixes
+/// included.
+pub fn write_slice_applied_frames<'a, W: Write>(
+    w: &mut W,
+    version: u64,
+    applied: &[u64],
+    clock: u64,
+    updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
+) -> io::Result<usize> {
+    #[cfg(target_endian = "little")]
+    {
+        let ack_len = 13 + applied.len() * 8;
+        let ack_head: [u8; 17] = header(&[
+            &len_prefix(ack_len),
+            &[TAG_SLICE_APPLIED],
+            &version.to_le_bytes(),
+            &len_prefix(applied.len()),
+        ]);
+        let written = write_delta_frame_after(w, [&ack_head, le_bytes(applied)], clock, updates)?;
+        Ok(ack_len + 4 + written)
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let ack = write_encoded(w, |buf| encode_slice_applied(buf, version, applied))?;
+        Ok(ack + write_pull_reply_delta_frame(w, clock, updates)?)
+    }
+}
+
+/// The delta-frame writer behind [`write_pull_reply_delta_frame`] and
+/// [`write_slice_applied_frames`]: `lead`'s bytes go out first, in the same vectored
+/// write as the frame's header and first shards. Returns the delta frame's bytes.
+#[cfg(target_endian = "little")]
+fn write_delta_frame_after<'a, W: Write>(
+    w: &mut W,
+    lead: [&[u8]; 2],
+    clock: u64,
+    updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
+) -> io::Result<usize> {
+    let (mut count, mut payload_len) = (0usize, 13usize);
+    for (_, _, weights) in updates.clone() {
+        count += 1;
+        payload_len += 16 + weights.len() * 4;
+    }
+    let frame_head: [u8; 17] = header(&[
+        &len_prefix(payload_len),
+        &[TAG_PULL_REPLY_DELTA],
+        &clock.to_le_bytes(),
+        &len_prefix(count),
+    ]);
+    let mut updates = updates;
+    // At least one write, so an empty delta still sends its frame header.
+    for chunk in 0..count.div_ceil(DELTA_SHARDS_PER_WRITE).max(1) {
+        let mut heads = [[0u8; 16]; DELTA_SHARDS_PER_WRITE];
+        let mut runs: [&[u8]; DELTA_SHARDS_PER_WRITE] = [&[]; DELTA_SHARDS_PER_WRITE];
+        let mut gathered = 0;
+        for (shard, version, weights) in updates.by_ref().take(DELTA_SHARDS_PER_WRITE) {
+            heads[gathered] = header(&[
+                &shard.to_le_bytes(),
+                &version.to_le_bytes(),
+                &len_prefix(weights.len()),
+            ]);
+            runs[gathered] = le_bytes(weights);
+            gathered += 1;
+        }
+        let mut slices = [IoSlice::new(&[]); 3 + 2 * DELTA_SHARDS_PER_WRITE];
+        if chunk == 0 {
+            slices[0] = IoSlice::new(lead[0]);
+            slices[1] = IoSlice::new(lead[1]);
+            slices[2] = IoSlice::new(&frame_head);
+        }
+        for i in 0..gathered {
+            slices[3 + 2 * i] = IoSlice::new(&heads[i]);
+            slices[4 + 2 * i] = IoSlice::new(runs[i]);
+        }
+        write_gathered(w, &mut slices[..3 + 2 * gathered])?;
+    }
+    Ok(payload_len + 4)
 }
 
 /// Reads a frame's length prefix. [`crate::NetError::Disconnected`] on a clean EOF at
@@ -1366,18 +1489,23 @@ impl<'r, R: Read> FrameBody<'r, R> {
     }
 
     /// Streams a [`Message::PushSlice`] into a caller-owned gradient buffer and returns
-    /// the push's `(iteration, epoch, trace)` triple. Same value and errors as
+    /// the push's `(iteration, epoch, trace, pull)` fields. Same value and errors as
     /// [`decode`] on the buffered frame, once the tag is known to be `PushSlice`.
     pub fn push_slice_into(
         mut self,
         grads: &mut Vec<f32>,
-    ) -> Result<(u64, u64, u64), crate::NetError> {
+    ) -> Result<(u64, u64, u64, bool), crate::NetError> {
         self.expect_tag(TAG_PUSH_SLICE)?;
         let iteration = self.u64()?;
         let epoch = self.u64()?;
         let trace = self.u64()?;
+        let pull = match self.take::<1>()? {
+            [0] => false,
+            [1] => true,
+            [other] => return Err(WireError::UnknownTag(other).into()),
+        };
         self.closing_f32_run(grads)?;
-        Ok((iteration, epoch, trace))
+        Ok((iteration, epoch, trace, pull))
     }
 
     /// Streams a pull reply — full or delta — into a worker's cached weight and
@@ -1688,9 +1816,19 @@ mod tests {
                 iteration: 9,
                 epoch: 1,
                 trace: (3u64 << 32) | 9,
+                pull: true,
                 grads: vec![0.5, -2.0, 1e-6],
             },
             Message::SliceAck { version: 9 },
+            Message::SliceApplied {
+                version: 9,
+                applied: vec![9, 0, 4],
+            },
+            Message::GroupGrant {
+                granted_extra: 1,
+                version: 40,
+                counted: vec![12, 11],
+            },
             Message::PullShards {
                 known_versions: vec![7, 7, 8],
                 all: false,
@@ -1892,6 +2030,39 @@ mod tests {
         let mut known = vec![0u64; 3];
         assert_eq!(decode_pull_delta_into(&buf, &mut known), Ok(100));
         assert_eq!(known, vec![5, 6]);
+
+        // The per-rank runs of the group round land in the caller's buffer.
+        let mut run = vec![7u64; 5];
+        let mut buf = Vec::new();
+        encode_slice_applied(&mut buf, 4, &[3, 1]);
+        assert_eq!(
+            decode_with_run(&buf, &mut run),
+            Ok(Message::SliceApplied {
+                version: 4,
+                applied: Vec::new()
+            })
+        );
+        assert_eq!(run, vec![3, 1]);
+        let grant = Message::GroupGrant {
+            granted_extra: 2,
+            version: 9,
+            counted: vec![5, 4, 0],
+        };
+        let mut buf = Vec::new();
+        encode(&grant, &mut buf);
+        assert!(matches!(
+            decode_with_run(&buf, &mut run),
+            Ok(Message::GroupGrant { granted_extra: 2, version: 9, ref counted }) if counted.is_empty()
+        ));
+        assert_eq!(run, vec![5, 4, 0]);
+        // Every other kind decodes as usual and leaves the buffer alone.
+        let mut buf = Vec::new();
+        encode(&Message::SliceAck { version: 3 }, &mut buf);
+        assert_eq!(
+            decode_with_run(&buf, &mut run),
+            Ok(Message::SliceAck { version: 3 })
+        );
+        assert_eq!(run, vec![5, 4, 0]);
     }
 
     #[test]
@@ -1993,7 +2164,17 @@ mod tests {
                 iteration: 2,
                 epoch: 0,
                 trace: 9,
+                pull: false,
                 grads: vec![1.0],
+            },
+            Message::SliceApplied {
+                version: 3,
+                applied: vec![2, 1],
+            },
+            Message::GroupGrant {
+                granted_extra: 0,
+                version: 5,
+                counted: vec![3, 2],
             },
             Message::PullShards {
                 known_versions: vec![5],

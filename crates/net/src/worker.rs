@@ -19,7 +19,10 @@
 //! explicit `Pull` after the handshake: a fresh process (or one rejoining a restored
 //! server) holds nothing, so that reply is always a full one. After it, when
 //! `JobConfig::delta_pulls` is set (the default), the server ships only the shards
-//! that advanced past what it last sent this rank.
+//! that advanced past what it last sent this rank. Against a group the weights come
+//! behind the slice acks of the push instead, read into the same buffers; the pull
+//! after the `OK` keeps them when they hold every push the grant counted and asks
+//! again otherwise.
 //!
 //! Because the buffers are reused, a TCP worker performs zero heap allocations per
 //! round: gradients are computed into the reused buffer and written to the socket
@@ -96,8 +99,9 @@ impl LinkEnd {
 /// shutdown — and each yields its value or the [`LinkEnd`] it met. A test drives the
 /// loop through a scripted implementation.
 pub trait WorkerLink {
-    /// Whether an `OK` is followed by the weights unasked; otherwise every pull has
-    /// to ask, not just the opening one.
+    /// Whether the weights reach the worker unasked once a round's `OK` is in — behind
+    /// the `OK` of a single server, behind the slice acks of a group's shard servers
+    /// — so that only the opening pull has to ask.
     fn ok_carries_weights(&self) -> bool;
 
     /// Handshake and admission. Yields the number of this rank's pushes the server
@@ -124,8 +128,18 @@ pub trait WorkerLink {
         Ok(())
     }
 
-    /// Ships iteration `iteration`'s gradients.
-    fn push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), LinkEnd>;
+    /// Ships iteration `iteration`'s gradients. Every push but a rank's final one is
+    /// handed the loop's weight and version buffers: a link whose servers answer a
+    /// push with their weights (a group's shard servers) reads them in before it
+    /// returns, and its next unasked [`WorkerLink::pull`] keeps them or pulls again.
+    /// A single server's weights ride the `OK` instead, so it ignores the buffers.
+    fn push(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        weights: Option<(&mut Vec<f32>, &mut Vec<u64>)>,
+    ) -> Result<(), LinkEnd>;
 
     /// Blocks for the next `OK` — the one for push `iteration`, or after `done` a
     /// late one for the final push — and yields the extra iterations it granted.
@@ -233,7 +247,8 @@ pub fn run_worker_loop<L: WorkerLink>(
             // the analyzer can split "network + apply" from "blocked on the DSSP gate".
             push_trace = fresh_trace();
             ev(EventKind::SpanBegin, SpanOp::Push.code(), push_trace);
-            link.push(iteration, push_trace, &grads)?;
+            let fetch = (iteration < target).then_some((&mut weights, &mut versions));
+            link.push(iteration, push_trace, &grads, fetch)?;
             ev(EventKind::Push, iteration, push_trace);
             due(FaultPhase::Push, iteration)?;
             if iteration == target {
@@ -352,7 +367,13 @@ impl WorkerLink for SingleServer<'_> {
         }
     }
 
-    fn push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), LinkEnd> {
+    fn push(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        _weights: Option<(&mut Vec<f32>, &mut Vec<u64>)>,
+    ) -> Result<(), LinkEnd> {
         Ok(self.transport.send_push(iteration, trace, grads)?)
     }
 

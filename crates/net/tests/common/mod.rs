@@ -17,10 +17,12 @@ pub enum Exchange {
     },
     Pulled,
     /// `grads` is a checksum of the gradient bits: equal batches on equal weights.
+    /// `weights` is whether the loop handed the push its weight buffers.
     Push {
         iteration: u64,
         trace: u64,
         grads: u64,
+        weights: bool,
     },
     AwaitOk {
         iteration: u64,
@@ -123,7 +125,13 @@ impl WorkerLink for ScriptedLink<'_> {
         self.asked(Exchange::Pulled)
     }
 
-    fn push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), LinkEnd> {
+    fn push(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        weights: Option<(&mut Vec<f32>, &mut Vec<u64>)>,
+    ) -> Result<(), LinkEnd> {
         if let Some(hook) = self.on_push.as_mut() {
             hook();
         }
@@ -134,6 +142,7 @@ impl WorkerLink for ScriptedLink<'_> {
             iteration,
             trace,
             grads,
+            weights: weights.is_some(),
         })
     }
 

@@ -19,7 +19,7 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// One instance of each of the 33 kinds, in tag order, with its payload bytes.
+/// One instance of each of the 35 kinds, in tag order, with its payload bytes.
 fn golden_messages() -> Vec<(Message, &'static str)> {
     vec![
         (
@@ -29,7 +29,7 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
                 num_workers: 5,
                 config_digest: 0xdead_beef_cafe_f00d,
             },
-            "01 44535350 0700 02000000 05000000 0df0fecaefbeadde",
+            "01 44535350 0800 02000000 05000000 0df0fecaefbeadde",
         ),
         (
             Message::Push {
@@ -108,7 +108,7 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
                 servers: 4,
                 server_index: 1,
             },
-            "0a 44535350 0700 03000000 06000000 efcdab8967452301 04000000 01000000",
+            "0a 44535350 0800 03000000 06000000 efcdab8967452301 04000000 01000000",
         ),
         (
             Message::ClockPush {
@@ -131,9 +131,10 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
                 iteration: 9,
                 epoch: 1,
                 trace: (3 << 32) | 9,
+                pull: true,
                 grads: vec![0.5, -2.0],
             },
-            "0f 0900000000000000 0100000000000000 0900000003000000 02000000 0000003f 000000c0",
+            "0f 0900000000000000 0100000000000000 0900000003000000 01 02000000 0000003f 000000c0",
         ),
         (Message::SliceAck { version: 19 }, "10 1300000000000000"),
         (
@@ -220,33 +221,53 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
             },
             "21 0900000000000000 00 04000000 62757379",
         ),
+        (
+            Message::SliceApplied {
+                version: 34,
+                applied: vec![12, 0, 11],
+            },
+            "22 2200000000000000 03000000 0c00000000000000 0000000000000000 0b00000000000000",
+        ),
+        (
+            Message::GroupGrant {
+                granted_extra: 3,
+                version: 35,
+                counted: vec![13, 10],
+            },
+            "23 0300000000000000 2300000000000000 02000000 0d00000000000000 0a00000000000000",
+        ),
     ]
 }
 
-/// The four streaming writers' frames (length prefix included).
+/// The five streaming writers' frames (length prefix included).
 fn golden_streamed_frames() -> Vec<(&'static str, Vec<u8>, &'static str)> {
     let mut push = Vec::new();
     wire::write_push_frame(&mut push, 21, (1 << 32) | 21, &[0.5, -1.5]).unwrap();
     let mut push_slice = Vec::new();
-    wire::write_push_slice_frame(&mut push_slice, 22, 4, (2 << 32) | 22, &[3.0]).unwrap();
+    wire::write_push_slice_frame(&mut push_slice, 22, 4, (2 << 32) | 22, false, &[3.0]).unwrap();
     let mut pull_reply = Vec::new();
     wire::write_pull_reply_frame(&mut pull_reply, 23, &[5, 6], &[-1.0, 0.75, 4.0]).unwrap();
     let mut pull_reply_delta = Vec::new();
     let updates = [(0u32, 24u64, &[2.5f32][..]), (2, 25, &[-3.0, 0.5][..])];
     wire::write_pull_reply_delta_frame(&mut pull_reply_delta, 26, updates.into_iter()).unwrap();
+    let mut slice_applied = Vec::new();
+    let updates = [(5u32, 28u64, &[1.25f32, -6.0][..])];
+    wire::write_slice_applied_frames(&mut slice_applied, 27, &[9, 8], 29, updates.into_iter())
+        .unwrap();
     vec![
         ("write_push_frame", push, "1d000000 02 1500000000000000 1500000001000000 02000000 0000003f 0000c0bf"),
-        ("write_push_slice_frame", push_slice, "21000000 0f 1600000000000000 0400000000000000 1600000002000000 01000000 00004040"),
+        ("write_push_slice_frame", push_slice, "22000000 0f 1600000000000000 0400000000000000 1600000002000000 00 01000000 00004040"),
         ("write_pull_reply_frame", pull_reply, "2d000000 05 1700000000000000 02000000 0500000000000000 0600000000000000 03000000 000080bf 0000403f 00008040"),
         ("write_pull_reply_delta_frame", pull_reply_delta, "39000000 09 1a00000000000000 02000000 00000000 1800000000000000 01000000 00002040 02000000 1900000000000000 02000000 000040c0 0000003f"),
+        ("write_slice_applied_frames", slice_applied, "1d000000 22 1b00000000000000 02000000 0900000000000000 0800000000000000 25000000 09 1d00000000000000 01000000 05000000 1c00000000000000 02000000 0000a03f 0000c0c0"),
     ]
 }
 
 #[test]
 fn every_kind_encodes_to_its_golden_bytes() {
-    assert_eq!(PROTOCOL_VERSION, 7, "a protocol bump recaptures this table");
+    assert_eq!(PROTOCOL_VERSION, 8, "a protocol bump recaptures this table");
     let messages = golden_messages();
-    assert_eq!(messages.len(), 33, "one instance of every kind");
+    assert_eq!(messages.len(), 35, "one instance of every kind");
     let mut report = String::new();
     let mut changed = 0;
     for (i, (msg, golden)) in messages.iter().enumerate() {

@@ -32,7 +32,7 @@ fn build_message(
     let floats = floats[..float_len.min(floats.len())].to_vec();
     let versions = versions[..version_len.min(versions.len())].to_vec();
     let assignment: Vec<u32> = versions.iter().map(|&v| (v % 64) as u32).collect();
-    match variant % 33 {
+    match variant % 35 {
         0 => Message::Hello {
             version: PROTOCOL_VERSION,
             rank: (a % 1024) as u32,
@@ -100,6 +100,7 @@ fn build_message(
             iteration: a,
             epoch: b % 1024,
             trace: a.rotate_right(9),
+            pull: a % 3 == 0,
             grads: floats,
         },
         15 => Message::SliceAck { version: a },
@@ -159,10 +160,19 @@ fn build_message(
             server: (a % 64) as u32,
         },
         31 => Message::Rebalance,
-        _ => Message::AdminAck {
+        32 => Message::AdminAck {
             epoch: a,
             accepted: b % 2 == 0,
             reason: format!("r{}", a % 1000),
+        },
+        33 => Message::SliceApplied {
+            version: a,
+            applied: versions,
+        },
+        _ => Message::GroupGrant {
+            granted_extra: a % 64,
+            version: b,
+            counted: versions,
         },
     }
 }
@@ -252,7 +262,7 @@ const BULK_KINDS: [BulkKind; 4] = [
 #[derive(Debug, PartialEq)]
 enum Decoded {
     Push(u64, u64, Vec<u32>),
-    PushSlice(u64, u64, u64, Vec<u32>),
+    PushSlice(u64, u64, u64, bool, Vec<u32>),
     Pull(PullApplied, Vec<u32>, Vec<u64>),
 }
 
@@ -284,7 +294,9 @@ fn bulk_payload(
     let mut payload = Vec::new();
     match kind {
         BulkKind::Push => wire::encode_push(&mut payload, a, b, &run(params)),
-        BulkKind::PushSlice => wire::encode_push_slice(&mut payload, a, b % 1024, !b, &run(params)),
+        BulkKind::PushSlice => {
+            wire::encode_push_slice(&mut payload, a, b % 1024, !b, a % 2 == 0, &run(params))
+        }
         BulkKind::PullReply => {
             let versions: Vec<u64> = (0..shards as u64).map(|i| b.wrapping_add(i)).collect();
             wire::encode_pull_reply(&mut payload, a, &versions, &run(params));
@@ -345,8 +357,9 @@ fn buffered(
                     iteration,
                     epoch,
                     trace,
+                    pull,
                     grads,
-                } => Decoded::PushSlice(iteration, epoch, trace, bits(&grads)),
+                } => Decoded::PushSlice(iteration, epoch, trace, pull, bits(&grads)),
                 other => unreachable!("tag {PUSH_SLICE_TAG} decoded as {other:?}"),
             }),
         },
@@ -379,11 +392,12 @@ fn streamed(
         BulkKind::Push => body
             .push_into(&mut grads)
             .map(|(iteration, trace)| Decoded::Push(iteration, trace, bits(&grads))),
-        BulkKind::PushSlice => body
-            .push_slice_into(&mut grads)
-            .map(|(iteration, epoch, trace)| {
-                Decoded::PushSlice(iteration, epoch, trace, bits(&grads))
-            }),
+        BulkKind::PushSlice => {
+            body.push_slice_into(&mut grads)
+                .map(|(iteration, epoch, trace, pull)| {
+                    Decoded::PushSlice(iteration, epoch, trace, pull, bits(&grads))
+                })
+        }
         BulkKind::PullReply | BulkKind::PullReplyDelta => body
             .pull_reply_apply(&mut weights, &mut versions)
             .map(|applied| Decoded::Pull(applied, bits(&weights), versions.clone())),
@@ -431,12 +445,37 @@ fn assert_streams_like_buffered(
     decoded
 }
 
+/// Holds [`wire::decode_with_run`] to [`decode`] on `payload` (valid or not): the
+/// same verdict, and the same message once the run it kept aside is moved back in.
+/// Any other kind leaves the caller's run as it was.
+fn assert_decodes_with_run_like_decode(payload: &[u8]) {
+    let stale = vec![u64::MAX; 3];
+    let mut run = stale.clone();
+    let got = wire::decode_with_run(payload, &mut run);
+    let reference = decode(payload);
+    match (got, &reference) {
+        (Ok(mut msg), Ok(_)) => {
+            match &mut msg {
+                Message::SliceApplied { applied: kept, .. }
+                | Message::GroupGrant { counted: kept, .. } => {
+                    assert!(kept.is_empty(), "the run goes to the caller's buffer");
+                    *kept = run;
+                }
+                _ => assert_eq!(run, stale, "another kind wrote the run"),
+            }
+            assert_eq!(Ok(msg), reference);
+        }
+        (Err(e), Err(reference)) => assert_eq!(&e, reference),
+        (got, _) => panic!("decode_with_run gave {got:?}, decode {reference:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn encode_then_decode_is_the_identity(
-        variant in 0u32..33,
+        variant in 0u32..35,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in -1.0e12f64..1.0e12,
@@ -450,11 +489,12 @@ proptest! {
         encode(&msg, &mut buf);
         let decoded = decode(&buf);
         prop_assert_eq!(decoded.as_ref(), Ok(&msg));
+        assert_decodes_with_run_like_decode(&buf);
     }
 
     #[test]
     fn every_strict_prefix_is_rejected(
-        variant in 0u32..33,
+        variant in 0u32..35,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in -1.0e12f64..1.0e12,
@@ -475,7 +515,7 @@ proptest! {
 
     #[test]
     fn trailing_garbage_is_rejected(
-        variant in 0u32..33,
+        variant in 0u32..35,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in -1.0e12f64..1.0e12,
@@ -514,11 +554,11 @@ proptest! {
 
     #[test]
     fn unknown_tags_are_rejected(
-        tag in 34u32..256,
+        tag in 36u32..256,
         body in prop::collection::vec(0u32..256, 16),
         body_len in 0usize..17,
     ) {
-        // Tags 1..=33 are assigned; everything else (including the reserved 0) must
+        // Tags 1..=35 are assigned; everything else (including the reserved 0) must
         // come back as UnknownTag, whatever bytes follow.
         let body: Vec<u8> = body[..body_len.min(body.len())].iter().map(|&b| b as u8).collect();
         for t in [0u8, tag as u8] {
@@ -576,7 +616,7 @@ proptest! {
             // sometimes smaller), which no longer matches the bytes that follow.
             let count_at = match kind {
                 BulkKind::Push => 17,
-                BulkKind::PushSlice => 25,
+                BulkKind::PushSlice => 26,
                 BulkKind::PullReply => 13 + shards * 8,
                 BulkKind::PullReplyDelta => 25,
             };
@@ -634,8 +674,8 @@ proptest! {
         edit_count in 1usize..4,
         cut in 0u64..u64::MAX,
     ) {
-        // Every kind once per case: the four bulk payloads, then the 33 owned kinds.
-        for variant in 0..37u32 {
+        // Every kind once per case: the four bulk payloads, then the 35 owned kinds.
+        for variant in 0..39u32 {
             let mut bytes = match BULK_KINDS.get(variant as usize) {
                 Some(&kind) => bulk_payload(kind, a, b, &floats, params, shards, pick | 1),
                 None => {
@@ -662,7 +702,7 @@ proptest! {
             // (the helper's bound, far below `MAX_FRAME_LEN`). Every bulk reader is
             // tried on every kind's bytes, buffered and streaming, and the two must
             // reach the same verdict.
-            let _ = decode(&bytes);
+            assert_decodes_with_run_like_decode(&bytes);
             for kind in BULK_KINDS {
                 let _ = assert_streams_like_buffered(kind, &bytes, params, shards, &steps);
             }
@@ -695,9 +735,10 @@ proptest! {
         prop_assert_eq!(written, w.out.len());
 
         let mut w = sink();
-        let written = wire::write_push_slice_frame(&mut w, a, b % 1024, !b, &grads).unwrap();
+        let pull = a % 2 == 1;
+        let written = wire::write_push_slice_frame(&mut w, a, b % 1024, !b, pull, &grads).unwrap();
         let mut payload = Vec::new();
-        wire::encode_push_slice(&mut payload, a, b % 1024, !b, &grads);
+        wire::encode_push_slice(&mut payload, a, b % 1024, !b, pull, &grads);
         prop_assert_eq!(&w.out, &reference(&payload));
         prop_assert_eq!(written, w.out.len());
 
@@ -724,6 +765,23 @@ proptest! {
             let mut payload = Vec::new();
             view.encode(&mut payload);
             prop_assert_eq!(&w.out, &reference(&payload));
+            prop_assert_eq!(written, w.out.len());
+
+            // A shard server's answer to a pulling slice: the ack and the shards in
+            // the same gathered writes, numbered from its first global shard.
+            let applied: Vec<u64> = (0..shards as u64 % 5).map(|r| b.rotate_left(r as u32)).collect();
+            let first = (a % 64) as u32;
+            let mut w = sink();
+            let written =
+                wire::write_slice_applied_frames(&mut w, b, &applied, a, view.shard_updates(first))
+                    .unwrap();
+            let mut ack = Vec::new();
+            wire::encode_slice_applied(&mut ack, b, &applied);
+            let mut shards_payload = Vec::new();
+            wire::encode_pull_reply_delta(&mut shards_payload, a, view.shard_updates(first));
+            let mut expected = reference(&ack);
+            expected.extend(reference(&shards_payload));
+            prop_assert_eq!(&w.out, &expected);
             prop_assert_eq!(written, w.out.len());
         }
     }

@@ -252,7 +252,11 @@ fn a_protocol_v6_hello_is_refused_with_the_version_error() {
     });
     match serve(&job, &mut server) {
         Err(NetError::Protocol(msg)) => {
-            assert!(msg.contains("protocol v6") && msg.contains("v7"), "{msg}")
+            let current = format!("v{PROTOCOL_VERSION}");
+            assert!(
+                msg.contains("protocol v6") && msg.contains(&current),
+                "{msg}"
+            )
         }
         other => panic!("expected the version refusal, got {other:?}"),
     }

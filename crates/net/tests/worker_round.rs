@@ -77,6 +77,15 @@ fn fresh_run_when_the_ok_carries_the_weights() {
             "ok(3)", // the drain meets the shutdown broadcast
         ]
     );
+    // Every push but the final one is handed the weight buffers.
+    let handed: Vec<bool> = calls
+        .iter()
+        .filter_map(|c| match c {
+            Exchange::Push { weights, .. } => Some(*weights),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(handed, [true, true, false]);
     // Rank 0's trace sequence starts at 1; weights riding an `OK` share its push's id.
     assert_eq!(
         traces(&calls),

@@ -1,28 +1,30 @@
 #!/usr/bin/env bash
-# Parent-vs-change pairs of one benchmark workload, judged the way a claimed gain is.
+# Parent-vs-change pairs of benchmark workloads, judged the way a claimed gain is.
 #
-#   bash scripts/ab-pairs.sh <parent-rev> <workload> [pairs] [seconds]
+#   bash scripts/ab-pairs.sh <parent-rev> <workload>[,<workload>...] [pairs] [seconds]
 #
 # The change is this working tree, uncommitted edits included; the parent is
 # <parent-rev>, extracted with `git archive` into a temporary directory. Each tree's
-# benchmark is built into a CARGO_TARGET_DIR of its own before any run (and the build's
-# writes are flushed: a run right after a build read up to 2x slow). Then `pairs`
-# (default 10) pairs of runs alternate, each run the contract
-# form `benchmark/run.sh --workload W --seed S --seconds T --trace 0` (default 22 s):
-# both runs of a pair share one seed, and which tree runs first flips from pair to
-# pair. Every run's metrics are printed as they come. At the end, for each end-to-end
-# metric of BENCHMARK.json: both medians with their quartiles, the change's median over
-# the parent's, the pairs the change won and tied, and whether the median moved the
-# metric's better way by more than the parent's inter-quartile range. A gain is claimed
-# only if both hold: at least 9 of 10 pairs won, and the median gap beyond that range.
-# The script exits non-zero if any run fails its output checks. No file under
-# benchmark/ is touched.
+# benchmark is built into a CARGO_TARGET_DIR of its own once, before any run (and the
+# build's writes are flushed: a run right after a build read up to 2x slow). Then, for
+# each workload of the comma-separated list in turn, `pairs` (default 10) pairs of runs
+# alternate, each run the contract form
+# `benchmark/run.sh --workload W --seed S --seconds T --trace 0` (default 22 s): both
+# runs of a pair share one seed, and which tree runs first flips from pair to pair.
+# Every run's metrics are printed as they come. After each workload's pairs, for each
+# end-to-end metric of BENCHMARK.json: both medians with their quartiles, the change's
+# median over the parent's, the pairs the change won and tied, and whether the median
+# moved the metric's better way by more than the parent's inter-quartile range. A gain
+# is claimed only if both hold: at least 9 of 10 pairs won, and the median gap beyond
+# that range. The script exits non-zero if any run fails its output checks. No file
+# under benchmark/ is touched.
 set -euo pipefail
 if [[ $# -lt 2 ]]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs] [seconds]" >&2
+    echo "usage: $0 <parent-rev> <workload>[,<workload>...] [pairs] [seconds]" >&2
     exit 2
 fi
-parent_rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-22}
+parent_rev=$1 pairs=${3:-10} seconds=${4:-22}
+IFS=, read -r -a workloads <<<"$2"
 change="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -36,28 +38,19 @@ for side in parent change; do
 done
 sync
 
-# One run of one tree: appends `<side> <pair> <result JSON>` to the record.
+# One run of one tree: appends `<side> <pair> <result JSON>` to the workload's record.
 run() {
-    local side=$1 pair=$2 seed=$3 out
+    local workload=$1 side=$2 pair=$3 seed=$4 out
     out="$(CARGO_TARGET_DIR="$work/target-$side" bash "$(tree "$side")/benchmark/run.sh" \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)"
     local result="${out##*$'\n'}"
-    printf '%s %s %s\n' "$side" "$pair" "$result" >>"$work/record"
-    printf '%-6s pair %2d seed %d: %s\n' "$side" "$pair" "$seed" "$result"
+    printf '%s %s %s\n' "$side" "$pair" "$result" >>"$work/record-$workload"
+    printf '%-13s %-6s pair %2d seed %d: %s\n' "$workload" "$side" "$pair" "$seed" "$result"
 }
 
-for ((i = 0; i < pairs; i++)); do
-    seed=$((2019 + i))
-    if ((i % 2 == 0)); then
-        run parent "$i" "$seed"
-        run change "$i" "$seed"
-    else
-        run change "$i" "$seed"
-        run parent "$i" "$seed"
-    fi
-done
-
-python3 - "$change/BENCHMARK.json" "$work/record" <<'PY'
+# The verdict table of one workload's record.
+verdict() {
+    python3 - "$change/BENCHMARK.json" "$work/record-$1" <<'PY'
 import json
 import statistics
 import sys
@@ -97,3 +90,23 @@ for m in spec["end_to_end"]:
 print("claimable gains (>= 9 of 10 pairs won and gap > iqr):", ", ".join(claims) or "none")
 sys.exit(1 if failed else 0)
 PY
+}
+
+status=0
+for workload in "${workloads[@]}"; do
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((2019 + i))
+        if ((i % 2 == 0)); then
+            run "$workload" parent "$i" "$seed"
+            run "$workload" change "$i" "$seed"
+        else
+            run "$workload" change "$i" "$seed"
+            run "$workload" parent "$i" "$seed"
+        fi
+    done
+    echo
+    echo "== $workload"
+    verdict "$workload" || status=1
+done
+exit "$status"
+

@@ -11,11 +11,12 @@
 //! neither perturbs a single bit.
 
 use dssp::coord::run_group_threads;
-use dssp::core::driver::JobConfig;
+use dssp::core::driver::{CheckpointSpec, JobConfig};
 use dssp::core::runtime::run_threaded;
 use dssp::net::transport::loopback;
 use dssp::net::{run_worker, serve, TcpServerTransport, TcpWorkerTransport};
 use dssp::{PolicyKind, RunTrace};
+use std::path::Path;
 use std::thread;
 
 /// A classic single-server run over real TCP sockets (server + workers on threads).
@@ -176,4 +177,75 @@ fn delta_pulls_match_the_threaded_runtime_bitwise() {
     let threaded = run_threaded(job.clone());
     let networked = run_loopback(&job);
     assert_eq!(threaded.with_times_zeroed(), networked.with_times_zeroed());
+}
+
+/// The weight and momentum bits a finished run's servers persisted, stitched in key
+/// order: a single server's store, or each shard server's slice in server order.
+fn final_store(dir: &Path, servers: usize) -> (Vec<u32>, Vec<u32>) {
+    let names: Vec<String> = if servers == 1 {
+        vec![dssp::ps::server_checkpoint_name()]
+    } else {
+        (0..servers).map(dssp::ps::shard_checkpoint_name).collect()
+    };
+    let (mut weights, mut velocity) = (Vec::new(), Vec::new());
+    for name in names {
+        let ckpt = dssp::ps::Checkpoint::load(&dir.join(name)).expect("final checkpoint");
+        let store = ckpt.store.expect("a store section");
+        weights.extend(store.flat.iter().map(|w| w.to_bits()));
+        velocity.extend(store.velocity.iter().map(|v| v.to_bits()));
+    }
+    (weights, velocity)
+}
+
+/// A deterministic 3-worker group on 2 shard servers against the threaded runtime
+/// (the trace) and a single server (the final weights and momentum, bit for bit).
+/// Three ranks is the first worker count at which a grant's per-rank push counts say
+/// more than its clock, so the rule that keeps or re-pulls the weights fetched by a
+/// push round is exercised rank by rank; a worker that kept weights lacking a counted
+/// push would push a different gradient, which the final weights show even where a
+/// coarse test accuracy does not.
+fn assert_three_worker_group_equivalent(policy: PolicyKind, tag: &str) {
+    let mut job = JobConfig::small_alexnet(policy);
+    job.deterministic = true;
+    job.num_workers = 3;
+    job.shards = 4;
+    let threaded = run_threaded(job.clone()).with_times_zeroed();
+    assert!(threaded.total_pushes > 0);
+
+    let dir = std::env::temp_dir().join(format!("dssp-three-{tag}-{}", std::process::id()));
+    let (single_dir, group_dir) = (dir.join("single"), dir.join("group"));
+    for d in [&single_dir, &group_dir] {
+        std::fs::create_dir_all(d).expect("scratch dir");
+    }
+    let checkpoint = |d: &Path| CheckpointSpec {
+        dir: d.to_path_buf(),
+        every_pushes: u64::MAX, // the final write only
+        restore: false,
+    };
+    job.checkpoint = Some(checkpoint(&single_dir));
+    run_loopback(&job);
+    job.servers = 2;
+    job.checkpoint = Some(checkpoint(&group_dir));
+    let group = run_group(&job).with_times_zeroed();
+    let (single_store, group_store) = (final_store(&single_dir, 1), final_store(&group_dir, 2));
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(
+        threaded, group,
+        "3-worker group diverged from the threaded runtime under {policy:?}"
+    );
+    assert!(
+        single_store == group_store,
+        "3-worker group ended on other weights than a single server under {policy:?}"
+    );
+}
+
+#[test]
+fn bsp_three_worker_group_is_bitwise_equal_to_the_threaded_runtime() {
+    assert_three_worker_group_equivalent(PolicyKind::Bsp, "bsp");
+}
+
+#[test]
+fn dssp_three_worker_group_is_bitwise_equal_to_the_threaded_runtime() {
+    assert_three_worker_group_equivalent(PolicyKind::Dssp { s_l: 1, r_max: 4 }, "dssp");
 }
