@@ -39,6 +39,22 @@
 //! The weights are read right behind each link's ack, never left in the socket while
 //! the worker waits at the gate: a server blocked writing to a parked worker could
 //! stall a peer the gate is waiting for.
+//!
+//! **One failure policy.** Push and pull rounds meet a lost, frozen or re-laid-out
+//! shard server in one place, the per-link exchange behind both:
+//!
+//! * a lost link is re-dialed once per round, wherever the loss is met, its
+//!   `GroupHello` replayed and its request sent again; a re-dialed link's restored
+//!   server may be behind the version cache, so its pull, and the next round's, asks
+//!   for every shard, and the round leaves no weights to keep;
+//! * a frozen server (mid-migration, its refusal withholding the layout) is asked
+//!   again with bounded probes until the migration resolves, and a freeze that
+//!   outlives them is a typed error, never a hang;
+//! * a committed layout goes back to the round, which adopts it. A push round
+//!   re-slices and re-sends the whole round, sound only while no server applied a
+//!   slice of it, so a commit behind an applied slice is the typed torn-round
+//!   refusal. A pull round re-requests just that link by its new span, since replies
+//!   carry global shard indices.
 
 use crate::layout::GroupLayout;
 use dssp_core::driver::{FaultRole, JobConfig};
@@ -69,13 +85,6 @@ pub fn keeps_weights<'a>(counted: &[u64], applied: impl IntoIterator<Item = &'a 
 /// The caller's global weight and version buffers, filled by a pulling push round.
 type Fetch<'b> = Option<(&'b mut Vec<f32>, &'b mut Vec<u64>)>;
 
-/// Records a successful re-dial of shard server `index` when the fan has an event log.
-fn note_reconnect(log: Option<&Arc<EventLog>>, index: usize) {
-    if let Some(log) = log {
-        log.record(EventKind::Reconnect, index as u64);
-    }
-}
-
 /// One connection to a shard server, with the label used to attribute failures.
 pub struct ServerLink {
     /// The transport to the server.
@@ -103,8 +112,8 @@ impl ServerLink {
 
     /// Makes the link reconnectable: when the server vanishes mid-fan-out
     /// ([`NetError::PeerLost`] / [`NetError::PeerTimeout`]), the fan re-dials `addr`,
-    /// re-arms `read_timeout`, replays the `GroupHello`, and retries the exchange
-    /// once before giving up.
+    /// re-arms `read_timeout`, replays the `GroupHello`, and sends the request again,
+    /// once per round before giving up.
     pub fn with_reconnect(
         mut self,
         addr: impl Into<String>,
@@ -149,6 +158,8 @@ pub struct ShardFan {
     hello_replay: Option<HelloReplay>,
     /// Per link, the `SliceApplied::applied` of the last pulling push round.
     applied: Vec<Vec<u64>>,
+    /// Per link, whether it was re-dialed this round (at most once).
+    redialed: Vec<bool>,
     /// Whether the caller's buffers hold what the last push round fetched, from
     /// every link and without a re-dial — the weights [`ShardFan::keeps_weights`]
     /// judges.
@@ -181,6 +192,7 @@ impl ShardFan {
         );
         Self {
             applied: vec![Vec::new(); links.len()],
+            redialed: vec![false; links.len()],
             links,
             layout: GroupLayout::new(param_len, job.shards, job.servers),
             warm: false,
@@ -246,27 +258,26 @@ impl ShardFan {
     /// One push round: ships `grads` sliced by each server's key range (requests
     /// first, then all [`Message::SliceAck`]s), so a completed round means every
     /// server applied its slice. Every slice is stamped with the fan's layout epoch;
-    /// a server that refuses the stamp ([`Message::EpochRefused`]) is either frozen
-    /// mid-migration (waited out with bounded probes) or already committed a newer
-    /// layout (adopted, and the whole round re-sliced and re-sent — sound because a
-    /// commit implies no server applied this round's slices).
+    /// a server that refuses the stamp is frozen mid-migration (waited out) or
+    /// already committed a newer layout (adopted, and the whole round re-sliced and
+    /// re-sent — sound because a commit implies no server applied this round's
+    /// slices). The module docs give the whole failure policy.
     pub fn push_slices(
         &mut self,
         iteration: u64,
         trace: u64,
         grads: &[f32],
     ) -> Result<FanOutcome, NetError> {
-        self.push_rounds(iteration, trace, grads, None)
+        self.push_round(iteration, trace, grads, None)
     }
 
     /// A pulling push round: [`ShardFan::push_slices`], with every server asked to
     /// write all its shards right behind its ack. Each link's answer — the
     /// [`Message::SliceApplied`] and the shards — is read into the caller's global
-    /// buffers (sized here on first use) before the next link's, wherever a slice
-    /// answer is read: the first read, the re-send after a re-dial, a frozen server's
-    /// probes and the round re-sliced after a re-adoption. [`ShardFan::keeps_weights`]
-    /// then says whether those weights hold the pushes a grant counted. A round that
-    /// re-dialed a link leaves nothing to keep: the next pull asks for every shard.
+    /// buffers (sized here on first use) before the next link's, whichever request
+    /// of the round it answers. [`ShardFan::keeps_weights`] then says whether those
+    /// weights hold the pushes a grant counted. A round that re-dialed a link leaves
+    /// nothing to keep: the next pull asks for every shard.
     pub fn push_and_pull(
         &mut self,
         iteration: u64,
@@ -277,7 +288,7 @@ impl ShardFan {
     ) -> Result<FanOutcome, NetError> {
         weights.resize(self.layout.params(), 0.0);
         versions.resize(self.layout.shards(), 0);
-        self.push_rounds(iteration, trace, grads, Some((weights, versions)))
+        self.push_round(iteration, trace, grads, Some((weights, versions)))
     }
 
     /// Whether the weights the last push round fetched hold every push a grant
@@ -289,12 +300,15 @@ impl ShardFan {
 
     /// The push round behind [`ShardFan::push_slices`] and
     /// [`ShardFan::push_and_pull`]: one attempt, and one more after a re-adoption.
-    fn push_rounds(
+    /// One re-adoption per round is the legitimate race (a commit landed between our
+    /// last layout update and this push); a second means the group is committing
+    /// migrations faster than we can push, which is a protocol anomaly.
+    fn push_round(
         &mut self,
         iteration: u64,
         trace: u64,
         grads: &[f32],
-        mut fetch: Fetch<'_>,
+        fetch: Fetch<'_>,
     ) -> Result<FanOutcome, NetError> {
         assert_eq!(
             grads.len(),
@@ -302,133 +316,47 @@ impl ShardFan {
             "gradient length mismatch"
         );
         self.fetched = false;
-        // One re-adoption per round is the legitimate race (a commit landed between
-        // our last layout update and this push); a second means the group is
-        // committing migrations faster than we can push, which is a protocol anomaly.
-        for _ in 0..2 {
-            match self.push_round(iteration, trace, grads, reborrow(&mut fetch))? {
-                PushRound::Done(outcome) => return Ok(outcome),
-                PushRound::Readopted => continue,
-            }
-        }
-        Err(NetError::Protocol(format!(
-            "push round {iteration} kept hitting retired layouts after re-adoption"
-        )))
-    }
-
-    /// One attempt at a push round under the current layout; see
-    /// [`ShardFan::push_slices`].
-    fn push_round(
-        &mut self,
-        iteration: u64,
-        trace: u64,
-        grads: &[f32],
-        mut fetch: Fetch<'_>,
-    ) -> Result<PushRound, NetError> {
-        let epoch = self.layout.epoch();
+        self.redialed.fill(false);
         let pull = fetch.is_some();
-        let mut reconnected = false;
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let (start, end) = self.layout.key_range(i);
-            let slice = &grads[start..end];
-            if let Err(e) = link
-                .transport
-                .send_push_slice(iteration, epoch, trace, pull, slice)
-                .map_err(|e| at_link(link, e))
-            {
-                if !recoverable(&e, link, &self.hello_replay) {
-                    return Err(e);
-                }
-                reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                note_reconnect(self.log.as_ref(), i);
-                reconnected = true;
-                link.transport
-                    .send_push_slice(iteration, epoch, trace, pull, slice)
-                    .map_err(|e| at_link(link, e))?;
+        let mut ask = Ask::Push {
+            iteration,
+            trace,
+            grads,
+            fetch,
+        };
+        for _ in 0..2 {
+            for i in 0..self.links.len() {
+                self.request(i, &ask)?;
             }
-        }
-        let mut acked = 0usize;
-        let mut committed: Option<(u64, Vec<u32>)> = None;
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let (start, end) = self.layout.key_range(i);
-            let slice = &grads[start..end];
-            let applied = &mut self.applied[i];
-            let msg = match recv_slice_answer(link, applied, reborrow(&mut fetch)) {
-                Ok(msg) => msg,
-                Err(e) if recoverable(&e, link, &self.hello_replay) => {
-                    // The server died between our request and its ack: re-dial it,
-                    // replay the handshake, and re-apply the slice to the restored
-                    // store (the original application died with the old process).
-                    reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                    note_reconnect(self.log.as_ref(), i);
-                    reconnected = true;
-                    link.transport
-                        .send_push_slice(iteration, epoch, trace, pull, slice)
-                        .map_err(|e| at_link(link, e))?;
-                    recv_slice_answer(link, applied, reborrow(&mut fetch))?
-                }
-                Err(e) => return Err(e),
-            };
-            match msg {
-                Message::SliceAck { .. } | Message::SliceApplied { .. } => acked += 1,
-                Message::Shutdown { reason } => {
-                    return Ok(PushRound::Done(FanOutcome::Shutdown { reason }))
-                }
-                Message::EpochRefused {
-                    epoch: srv_epoch,
-                    assignment,
-                } => {
-                    if assignment.is_empty() {
-                        let probe = Probe {
-                            iteration,
-                            epoch,
-                            trace,
-                            slice,
-                        };
-                        match wait_out_freeze(link, &probe, applied, reborrow(&mut fetch))? {
-                            FreezeEnd::Acked => acked += 1,
-                            FreezeEnd::Committed { epoch, assignment } => {
-                                committed = Some((epoch, assignment));
-                            }
-                            FreezeEnd::Shutdown { reason } => {
-                                return Ok(PushRound::Done(FanOutcome::Shutdown { reason }))
-                            }
-                        }
-                    } else {
-                        committed = Some((srv_epoch, assignment));
+            let mut acked = 0usize;
+            let mut committed = None;
+            for i in 0..self.links.len() {
+                match self.exchange(i, &mut ask)? {
+                    Answer::Answered(FanOutcome::Applied) => acked += 1,
+                    Answer::Answered(shutdown) => return Ok(shutdown),
+                    Answer::Committed { epoch, assignment } => {
+                        committed = Some((epoch, assignment));
                     }
                 }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected a slice ack from {}, got {other:?}",
-                        link.label
-                    )))
-                }
             }
-        }
-        if let Some((new_epoch, assignment)) = committed {
+            let Some((new_epoch, assignment)) = committed else {
+                self.fetched = self.settle(pull);
+                return Ok(FanOutcome::Applied);
+            };
             if acked > 0 {
                 // Unreachable when the coordinator migrates at quiescence; kept as
                 // the typed terminal refusal for torn states under chaos.
                 return Err(NetError::Protocol(format!(
                     "torn push round at iteration {iteration}: {acked} server(s) applied \
-                     epoch-{epoch} slices but the group committed epoch {new_epoch} mid-round"
+                     epoch-{} slices but the group committed epoch {new_epoch} mid-round",
+                    self.layout.epoch()
                 )));
             }
             self.adopt(new_epoch, &assignment)?;
-            return Ok(PushRound::Readopted);
         }
-        if reconnected {
-            // A restored server may hold shard versions behind our cache; the next
-            // pull round must request everything to resynchronize.
-            self.warm = false;
-            self.reconnects += 1;
-        } else if pull {
-            // Every server shipped every shard it owns: the cache is whole.
-            self.warm = true;
-            self.fetched = true;
-        }
-        Ok(PushRound::Done(FanOutcome::Applied))
+        Err(NetError::Protocol(format!(
+            "push round {iteration} kept hitting retired layouts after re-adoption"
+        )))
     }
 
     /// One pull round against the caller's global buffers (sized here on first use):
@@ -445,105 +373,193 @@ impl ShardFan {
         weights.resize(self.layout.params(), 0.0);
         versions.resize(self.layout.shards(), 0);
         self.fetched = false;
+        self.redialed.fill(false);
         let all = !prefer_delta || !self.warm;
-        let mut reconnected = false;
-        let epoch = self.layout.epoch();
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let (lo, hi) = self.layout.shard_span(i);
-            if let Err(e) = link
-                .transport
-                .send_pull_shards(&versions[lo..hi], all, epoch, trace)
-                .map_err(|e| at_link(link, e))
-            {
-                if !recoverable(&e, link, &self.hello_replay) {
-                    return Err(e);
+        let mut ask = Ask::Pull {
+            trace,
+            all,
+            weights,
+            versions,
+        };
+        for i in 0..self.links.len() {
+            self.request(i, &ask)?;
+        }
+        for i in 0..self.links.len() {
+            // Pull replies carry global shard indices, so a commit re-routes this link
+            // alone: shards the retired owners already shipped stay valid.
+            loop {
+                match self.exchange(i, &mut ask)? {
+                    Answer::Answered(FanOutcome::Applied) => break,
+                    Answer::Answered(shutdown) => return Ok(shutdown),
+                    Answer::Committed { epoch, assignment } => {
+                        self.adopt(epoch, &assignment)?;
+                        self.request(i, &ask)?;
+                    }
                 }
-                reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                note_reconnect(self.log.as_ref(), i);
-                reconnected = true;
-                // A restored server may be behind our cache; ask for everything.
-                link.transport
-                    .send_pull_shards(&versions[lo..hi], true, epoch, trace)
-                    .map_err(|e| at_link(link, e))?;
             }
         }
-        for (i, link) in self.links.iter_mut().enumerate() {
-            // Pull replies carry global shard indices, so each link resolves its
-            // refusals independently: wait out a freeze with bounded probes, adopt a
-            // committed layout and re-request by the new span — shards the retired
-            // owners already shipped stay valid in the global buffers.
-            let mut probes = 0usize;
-            let mut redialed = false;
-            let outcome = loop {
-                match link
-                    .transport
-                    .recv_pull_apply(weights, versions)
-                    .map_err(|e| at_link(link, e))
-                {
-                    Ok(outcome) => break outcome,
-                    Err(NetError::EpochRefused {
-                        epoch: srv_epoch,
-                        assignment,
-                    }) => {
-                        if assignment.is_empty() {
-                            probes += 1;
-                            if probes > FREEZE_PROBES {
-                                return Err(NetError::Protocol(format!(
-                                    "migration freeze at {} never resolved during a pull \
-                                     (no commit or rollback within {} probes)",
-                                    link.label, FREEZE_PROBES
-                                )));
-                            }
-                            std::thread::sleep(FREEZE_PROBE_INTERVAL);
-                        } else if srv_epoch != self.layout.epoch() {
-                            // Inline adoption (split field borrow: `link` holds
-                            // `self.links`); semantics of [`ShardFan::adopt`].
-                            self.layout = GroupLayout::from_parts(
-                                self.layout.params(),
-                                self.layout.servers(),
-                                assignment,
-                                srv_epoch,
-                            )
-                            .map_err(NetError::Protocol)?;
-                        }
-                        let (lo, hi) = self.layout.shard_span(i);
-                        link.transport
-                            .send_pull_shards(&versions[lo..hi], true, self.layout.epoch(), trace)
-                            .map_err(|e| at_link(link, e))?;
-                    }
-                    Err(e) if !redialed && recoverable(&e, link, &self.hello_replay) => {
-                        redialed = true; // one re-dial per link per round, like a push
-                        reconnect(link, &self.hello_replay.unwrap(), i as u32)?;
-                        note_reconnect(self.log.as_ref(), i);
-                        reconnected = true;
-                        let (lo, hi) = self.layout.shard_span(i);
-                        link.transport
-                            .send_pull_shards(&versions[lo..hi], true, self.layout.epoch(), trace)
-                            .map_err(|e| at_link(link, e))?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            match outcome {
-                PullOutcome::Applied(applied) => {
-                    // Reconnect context: remember the server clock this link confirmed,
-                    // so a later PeerLost error says where the session stood.
-                    link.transport.note_confirmed_clock(applied.clock);
-                }
-                PullOutcome::Shutdown { reason } => return Ok(FanOutcome::Shutdown { reason }),
-            }
-        }
-        self.warm = true;
-        if reconnected {
-            self.warm = false;
-            self.reconnects += 1;
-        }
+        self.settle(true);
         if all {
             self.full_pulls += 1;
         } else {
             self.delta_pulls += 1;
         }
         Ok(FanOutcome::Applied)
+    }
+
+    /// Ends a round every link answered. After a re-dial a restored server may hold
+    /// shard versions behind the cache, so the next pull asks for every shard;
+    /// otherwise a round that `fetched` every server's shards leaves the cache whole.
+    /// Yields whether the caller's buffers hold what the round fetched.
+    fn settle(&mut self, fetched: bool) -> bool {
+        if self.redialed.contains(&true) {
+            self.warm = false;
+            return false;
+        }
+        self.warm |= fetched;
+        fetched
+    }
+
+    /// Sends link `i` its request under the current layout, re-dialing the link once
+    /// if it is lost.
+    fn request(&mut self, i: usize, ask: &Ask<'_>) -> Result<(), NetError> {
+        if let Err(e) = self.send_request(i, ask) {
+            self.redial(i, e)?;
+            self.send_request(i, ask)?;
+        }
+        Ok(())
+    }
+
+    /// Writes link `i`'s request: its key range of a push's gradients, or its span of
+    /// the version cache — asking for every shard after a re-dial.
+    fn send_request(&mut self, i: usize, ask: &Ask<'_>) -> Result<(), NetError> {
+        let epoch = self.layout.epoch();
+        let link = &mut self.links[i];
+        match ask {
+            Ask::Push {
+                iteration,
+                trace,
+                grads,
+                fetch,
+            } => {
+                let (start, end) = self.layout.key_range(i);
+                let (pull, slice) = (fetch.is_some(), &grads[start..end]);
+                link.transport
+                    .send_push_slice(*iteration, epoch, *trace, pull, slice)
+            }
+            Ask::Pull {
+                trace,
+                all,
+                versions,
+                ..
+            } => {
+                let (lo, hi) = self.layout.shard_span(i);
+                let all = *all || self.redialed[i];
+                link.transport
+                    .send_pull_shards(&versions[lo..hi], all, epoch, *trace)
+            }
+        }
+        .map_err(|e| at_link(link, e))
+    }
+
+    /// Link `i`'s exchange once its request is out: the one place a round meets a
+    /// lost, frozen or re-laid-out server. A lost link is re-dialed (once per round,
+    /// wherever the loss is met) and asked again. A frozen server is asked again
+    /// every [`FREEZE_PROBE_INTERVAL`] until its migration resolves, and a freeze
+    /// that outlives [`FREEZE_PROBES`] probes is a typed error rather than a hang. A
+    /// committed layout goes back to the caller to adopt and re-route by.
+    fn exchange(&mut self, i: usize, ask: &mut Ask<'_>) -> Result<Answer, NetError> {
+        let mut probes = 0;
+        loop {
+            match self.recv(i, ask) {
+                Ok(outcome) => return Ok(Answer::Answered(outcome)),
+                Err(NetError::EpochRefused { epoch, assignment }) if !assignment.is_empty() => {
+                    return Ok(Answer::Committed { epoch, assignment })
+                }
+                Err(NetError::EpochRefused { .. }) if probes < FREEZE_PROBES => {
+                    probes += 1;
+                    std::thread::sleep(FREEZE_PROBE_INTERVAL);
+                }
+                Err(NetError::EpochRefused { .. }) => {
+                    return Err(NetError::Protocol(format!(
+                        "migration freeze at {} never resolved (no commit or rollback \
+                         within {FREEZE_PROBES} probes)",
+                        self.links[i].label
+                    )))
+                }
+                Err(e) => self.redial(i, e)?,
+            }
+            self.request(i, ask)?;
+        }
+    }
+
+    /// Reads link `i`'s answer into the round's buffers. A pulling slice is answered
+    /// with a [`Message::SliceApplied`], whose per-rank run lands in the link's
+    /// `applied`, and the shards behind it; a plain one with a [`Message::SliceAck`];
+    /// a pull with the shards. A shutdown relayed in place of any of them reads as the
+    /// shutdown, and a refusal comes back as [`NetError::EpochRefused`] whichever
+    /// request it answers.
+    fn recv(&mut self, i: usize, ask: &mut Ask<'_>) -> Result<FanOutcome, NetError> {
+        let link = &mut self.links[i];
+        let shards = match ask {
+            Ask::Pull {
+                weights, versions, ..
+            } => link.transport.recv_pull_apply(weights, versions),
+            Ask::Push { fetch, .. } => {
+                let pull = fetch.is_some();
+                let ack = link
+                    .transport
+                    .recv_with_run(&mut self.applied[i])
+                    .map_err(|e| at_link(link, e))?;
+                match (ack, fetch) {
+                    (Message::SliceApplied { .. }, Some((weights, versions))) => {
+                        link.transport.recv_pull_apply(weights, versions)
+                    }
+                    (Message::SliceAck { .. }, None) => return Ok(FanOutcome::Applied),
+                    (Message::Shutdown { reason }, _) => {
+                        return Ok(FanOutcome::Shutdown { reason })
+                    }
+                    (Message::EpochRefused { epoch, assignment }, _) => {
+                        return Err(NetError::EpochRefused { epoch, assignment })
+                    }
+                    (other, _) => {
+                        return Err(NetError::Protocol(format!(
+                            "{} answered a slice (pull {pull}) with {other:?}",
+                            link.label
+                        )))
+                    }
+                }
+            }
+        };
+        match shards.map_err(|e| at_link(link, e))? {
+            PullOutcome::Applied(shards) => {
+                // Reconnect context: the server clock this link confirmed, so a later
+                // PeerLost error says where the session stood.
+                link.transport.note_confirmed_clock(shards.clock);
+                Ok(FanOutcome::Applied)
+            }
+            PullOutcome::Shutdown { reason } => Ok(FanOutcome::Shutdown { reason }),
+        }
+    }
+
+    /// Re-dials lost link `i` and replays its handshake, or hands `e` back: when it
+    /// is not a loss, when the link cannot be re-dialed (no address, or no handshake
+    /// to replay yet), or when it already was this round.
+    fn redial(&mut self, i: usize, e: NetError) -> Result<(), NetError> {
+        let lost = matches!(e, NetError::PeerLost { .. } | NetError::PeerTimeout { .. });
+        let link = &mut self.links[i];
+        match (link.addr.clone(), self.hello_replay) {
+            (Some(addr), Some(replay)) if lost && !self.redialed[i] => {
+                reconnect(link, &addr, &hello_message(&replay, i as u32))?;
+            }
+            _ => return Err(e),
+        }
+        self.redialed[i] = true;
+        self.reconnects += 1;
+        if let Some(log) = &self.log {
+            log.record(EventKind::Reconnect, i as u64);
+        }
+        Ok(())
     }
 
     /// Best-effort send to every server (shutdown propagation).
@@ -645,31 +661,35 @@ impl ShardFan {
     }
 }
 
-/// Outcome of one attempted push round: finished, or re-routed by a layout the group
-/// committed mid-round (retry under the adopted layout).
-enum PushRound {
-    /// The round completed (every server acked, or the run is shutting down).
-    Done(FanOutcome),
-    /// Every server refused the round's epoch with a committed newer layout before
-    /// any had applied; the fan adopted it and the caller re-slices and re-sends.
-    Readopted,
+/// What a round asks each link for, with the caller's buffers the answers land in.
+enum Ask<'b> {
+    /// The link's key range of `grads`; with `fetch`, the server writes all its shards
+    /// behind the ack, read into those buffers.
+    Push {
+        iteration: u64,
+        trace: u64,
+        grads: &'b [f32],
+        fetch: Fetch<'b>,
+    },
+    /// The link's owned shards: the stale ones, or every one when `all`.
+    Pull {
+        trace: u64,
+        all: bool,
+        weights: &'b mut Vec<f32>,
+        versions: &'b mut Vec<u64>,
+    },
 }
 
-/// How a bounded wait on a frozen (mid-migration) shard server ended.
-enum FreezeEnd {
-    /// The migration rolled back and the server acked the original slice.
-    Acked,
-    /// The migration committed; the refusal carried the new layout.
+/// How one link's exchange ended.
+enum Answer {
+    /// The server answered, or relayed the coordinator's shutdown.
+    Answered(FanOutcome),
+    /// The group committed a newer layout; the round adopts it and re-routes.
     Committed {
         /// The committed epoch.
         epoch: u64,
         /// The committed shard→server assignment.
         assignment: Vec<u32>,
-    },
-    /// The server relayed the coordinator's shutdown instead.
-    Shutdown {
-        /// [`dssp_net::wire::SHUTDOWN_OK`] or the error reason.
-        reason: u8,
     },
 }
 
@@ -682,92 +702,6 @@ const FREEZE_PROBES: usize = 500;
 
 /// Delay between two probes of a frozen shard server.
 const FREEZE_PROBE_INTERVAL: Duration = Duration::from_millis(4);
-
-/// One push slice, as a frozen server's probes re-send it.
-struct Probe<'g> {
-    iteration: u64,
-    epoch: u64,
-    trace: u64,
-    slice: &'g [f32],
-}
-
-/// Re-sends one push slice to a frozen server until the migration resolves: a
-/// rollback yields the ack (and, on a pulling round, the shards behind it), a commit
-/// yields the new layout, and a freeze that outlives [`FREEZE_PROBES`] yields a typed
-/// error (the never-hang guarantee).
-fn wait_out_freeze(
-    link: &mut ServerLink,
-    probe: &Probe<'_>,
-    applied: &mut Vec<u64>,
-    mut fetch: Fetch<'_>,
-) -> Result<FreezeEnd, NetError> {
-    let pull = fetch.is_some();
-    for _ in 0..FREEZE_PROBES {
-        std::thread::sleep(FREEZE_PROBE_INTERVAL);
-        link.transport
-            .send_push_slice(probe.iteration, probe.epoch, probe.trace, pull, probe.slice)
-            .map_err(|e| at_link(link, e))?;
-        match recv_slice_answer(link, applied, reborrow(&mut fetch))? {
-            Message::SliceAck { .. } | Message::SliceApplied { .. } => return Ok(FreezeEnd::Acked),
-            Message::EpochRefused { assignment, .. } if assignment.is_empty() => continue,
-            Message::EpochRefused { epoch, assignment } => {
-                return Ok(FreezeEnd::Committed { epoch, assignment })
-            }
-            Message::Shutdown { reason } => return Ok(FreezeEnd::Shutdown { reason }),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected a slice ack from {}, got {other:?}",
-                    link.label
-                )))
-            }
-        }
-    }
-    Err(NetError::Protocol(format!(
-        "migration freeze at {} never resolved (no commit or rollback within {} probes)",
-        link.label, FREEZE_PROBES
-    )))
-}
-
-/// Reads one server's answer to a push slice. A pulling slice (`fetch` set) must be
-/// answered with a [`Message::SliceApplied`], whose per-rank run lands in `applied`
-/// and whose shards, right behind it, are read into `fetch`'s buffers before this
-/// returns; a plain one with a [`Message::SliceAck`]. A refusal or a relayed shutdown
-/// comes alone, and a shutdown relayed in place of the shards reads as the shutdown.
-fn recv_slice_answer(
-    link: &mut ServerLink,
-    applied: &mut Vec<u64>,
-    fetch: Fetch<'_>,
-) -> Result<Message, NetError> {
-    let msg = link
-        .transport
-        .recv_with_run(applied)
-        .map_err(|e| at_link(link, e))?;
-    match (&msg, fetch) {
-        (Message::SliceApplied { .. }, Some((weights, versions))) => {
-            match link
-                .transport
-                .recv_pull_apply(weights, versions)
-                .map_err(|e| at_link(link, e))?
-            {
-                PullOutcome::Applied(shards) => link.transport.note_confirmed_clock(shards.clock),
-                PullOutcome::Shutdown { reason } => return Ok(Message::Shutdown { reason }),
-            }
-        }
-        (Message::SliceApplied { .. }, None) | (Message::SliceAck { .. }, Some(_)) => {
-            return Err(NetError::Protocol(format!(
-                "{} answered a slice with {msg:?}, which does not match its pull flag",
-                link.label
-            )))
-        }
-        _ => {}
-    }
-    Ok(msg)
-}
-
-/// A shorter-lived copy of a round's buffers, for one read.
-fn reborrow<'s>(fetch: &'s mut Fetch<'_>) -> Fetch<'s> {
-    fetch.as_mut().map(|(w, v)| (&mut **w, &mut **v))
-}
 
 /// Attributes an anonymous transport failure to the link it happened on, unless the
 /// transport already named a peer (the TCP transport's timeout/disconnect paths do).
@@ -796,33 +730,19 @@ fn hello_message(replay: &HelloReplay, server_index: u32) -> Message {
     }
 }
 
-/// Whether a fan-out failure is worth one reconnect attempt: the peer vanished or
-/// stalled (rather than violating the protocol), the link knows its address, and the
-/// handshake has been recorded for replay.
-fn recoverable(e: &NetError, link: &ServerLink, replay: &Option<HelloReplay>) -> bool {
-    matches!(e, NetError::PeerLost { .. } | NetError::PeerTimeout { .. })
-        && link.addr.is_some()
-        && replay.is_some()
-}
-
-/// Re-dials a lost link with exponential backoff, re-arms its read timeout, and
-/// replays the `GroupHello` so the restored server admits this client again.
+/// Re-dials `addr` with exponential backoff, re-arms the link's read timeout, and
+/// sends `hello` so the restored server admits this client again.
 ///
 /// The retry schedule (12 attempts, 50 ms doubling to the transport's 2 s cap) gives
 /// a restarted server a ~10 s window to come back while keeping the *failure* path —
 /// a server that is gone for good — bounded, so a collapsing fleet aborts in seconds
 /// rather than minutes (the chaos matrix runs dozens of these collapses).
-fn reconnect(
-    link: &mut ServerLink,
-    replay: &HelloReplay,
-    server_index: u32,
-) -> Result<(), NetError> {
-    let addr = link.addr.clone().expect("recoverable() checked addr");
+fn reconnect(link: &mut ServerLink, addr: &str, hello: &Message) -> Result<(), NetError> {
     let mut transport =
-        TcpWorkerTransport::connect_with_retry(&addr, 12, Duration::from_millis(50))?;
+        TcpWorkerTransport::connect_with_retry(addr, 12, Duration::from_millis(50))?;
     transport.set_peer_label(link.label.clone());
     transport.set_read_timeout(link.read_timeout)?;
-    transport.send(&hello_message(replay, server_index))?;
+    transport.send(hello)?;
     link.transport = Box::new(transport);
     Ok(())
 }
@@ -905,12 +825,6 @@ impl GroupLink<'_> {
 }
 
 impl WorkerLink for GroupLink<'_> {
-    /// The shard servers write their weights behind every slice ack of a push round
-    /// but the final one.
-    fn ok_carries_weights(&self) -> bool {
-        true
-    }
-
     fn join(&mut self) -> Result<u64, LinkEnd> {
         self.coord.send(&Message::Hello {
             version: PROTOCOL_VERSION,
@@ -1079,5 +993,58 @@ pub fn run_admin_command(
                 )))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dssp_net::wire;
+    use dssp_ps::PolicyKind;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A push round re-dials a server lost while the fan probes it through a
+    /// freeze, exactly as a pull round does.
+    #[test]
+    fn a_push_round_re_dials_a_server_lost_during_freeze_probes() {
+        let mut job = JobConfig::small(PolicyKind::Asp);
+        (job.num_workers, job.shards, job.servers) = (1, 2, 1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut payload, mut scratch) = (Vec::new(), Vec::new());
+            let mut next = |stream: &mut TcpStream| {
+                wire::read_frame_payload(stream, &mut payload).unwrap();
+                wire::decode(&payload).unwrap()
+            };
+            let (mut first, _) = listener.accept().unwrap();
+            assert!(matches!(next(&mut first), Message::GroupHello { .. }));
+            assert!(matches!(next(&mut first), Message::PushSlice { .. }));
+            let frozen = Message::EpochRefused {
+                epoch: 1,
+                assignment: Vec::new(),
+            };
+            wire::write_frame(&mut first, &frozen, &mut scratch).unwrap();
+            // The probe reaches a server that dies holding it.
+            assert!(matches!(next(&mut first), Message::PushSlice { .. }));
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            assert!(matches!(next(&mut second), Message::GroupHello { .. }));
+            assert!(matches!(
+                next(&mut second),
+                Message::PushSlice { iteration: 1, .. }
+            ));
+            let ack = Message::SliceAck { version: 1 };
+            wire::write_frame(&mut second, &ack, &mut scratch).unwrap();
+        });
+        let links = crate::run::connect_links(&[addr], Some(Duration::from_secs(10))).unwrap();
+        let mut fan = ShardFan::new(&job, 4, links);
+        fan.hello(&job, 0).unwrap();
+        assert_eq!(
+            fan.push_slices(1, 0, &[0.5; 4]).unwrap(),
+            FanOutcome::Applied
+        );
+        assert_eq!(fan.reconnects, 1);
+        server.join().unwrap();
     }
 }

@@ -82,39 +82,29 @@ pub fn coordinate(
     // tick) from the coordinator's durable checkpoint. A load failure still shuts the
     // fleet down cleanly: workers get the broadcast, and the dropped shard-server
     // links tell the shard servers their coordinator is gone.
-    let restoring = job.checkpoint.as_ref().is_some_and(|c| c.restore);
+    let restoring = job.checkpoint.as_ref().filter(|c| c.restore);
     // The layout the coordinator's checkpoint recorded, if the group had migrated
     // before the crash; adopted into the fan before any traffic flows.
     let mut restored_layout: Option<LayoutSnapshot> = None;
-    let sl = if restoring {
-        let spec = job.checkpoint.as_ref().expect("restoring implies a spec");
-        let path = spec.dir.join(dssp_ps::coord_checkpoint_name());
-        let restored = dssp_ps::Checkpoint::load_for_job(&path, job.stable_digest())
-            .map_err(NetError::from)
-            .and_then(|ckpt| {
-                if ckpt.has_retired_workers() {
-                    return Err(NetError::Protocol(format!(
-                        "cannot restore from {}: the checkpoint records retired workers \
-                         (a finished run or a post-eviction snapshot is not resumable)",
-                        path.display()
-                    )));
+    let sl = match restoring {
+        Some(spec) => {
+            let path = spec.dir.join(dssp_ps::coord_checkpoint_name());
+            let restored = dssp_ps::Checkpoint::load_for_job(&path, job.stable_digest())
+                .and_then(|ckpt| Ok((ServerLoop::restore(job, &ckpt, true)?, ckpt.layout)));
+            match restored {
+                Ok((sl, layout)) => {
+                    restored_layout = layout;
+                    sl
                 }
-                Ok((ServerLoop::restore(job, &ckpt, true)?, ckpt.layout))
-            });
-        match restored {
-            Ok((sl, layout)) => {
-                restored_layout = layout;
-                sl
-            }
-            Err(e) => {
-                transport.broadcast(&Message::Shutdown {
-                    reason: SHUTDOWN_SERVER_ERROR,
-                });
-                return Err(e);
+                Err(e) => {
+                    transport.broadcast(&Message::Shutdown {
+                        reason: SHUTDOWN_SERVER_ERROR,
+                    });
+                    return Err(e.into());
+                }
             }
         }
-    } else {
-        ServerLoop::clock_only(job)
+        None => ServerLoop::clock_only(job),
     };
     // The coordinator's observability bundle: events to `coord.ndjson`, metrics at
     // the base `--metrics-addr` (shard servers derive their own ports from it).
@@ -138,7 +128,7 @@ pub fn coordinate(
         if let Some(l) = restored_layout.filter(|l| l.epoch != 0) {
             fan.adopt(l.epoch, &l.assignment)?;
         }
-        if restoring {
+        if restoring.is_some() {
             check_restore_skew(&sl, &mut fan)?;
         }
         Coordinator::new(job, sl, admin, &obs).run(transport, &mut fan)

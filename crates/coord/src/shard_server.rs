@@ -429,7 +429,8 @@ pub fn serve_shard(
     let metrics_addr = job
         .metrics_addr
         .as_deref()
-        .and_then(|base| derive_metrics_addr(base, 1 + index as u16));
+        .map(|base| derive_metrics_addr(base, 1 + index as u16))
+        .transpose()?;
     let obs = Obs::new(
         Role::ShardServer,
         index as u32,

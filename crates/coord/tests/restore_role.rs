@@ -104,3 +104,20 @@ fn a_shard_server_refuses_another_shards_slice() {
     let (mut transport, _clients) = loopback(job.num_workers + 1);
     refuses_as_role_mismatch(serve_shard(&job, 0, &mut transport));
 }
+
+#[test]
+fn a_restore_refuses_a_snapshot_that_records_retired_workers() {
+    let job = JobConfig::small(PolicyKind::Dssp { s_l: 1, r_max: 4 });
+    let mut ckpt = ServerLoop::clock_only(&job).snapshot(job.stable_digest());
+    ckpt.gate.as_mut().expect("a gate section").retired[0] = true;
+    match ServerLoop::restore(&job, &ckpt, true) {
+        Err(e @ CheckpointError::RetiredWorkers) => {
+            // What the chaos matrix's designed outcomes match.
+            assert!(e.to_string().contains("retired"), "{e}");
+        }
+        other => panic!(
+            "expected the retired-workers refusal, got {:?}",
+            other.err()
+        ),
+    }
+}

@@ -977,7 +977,10 @@ impl ServerLoop {
     /// sections do not match the loop kind implied by the configuration (`clock_only`
     /// needs a gate section; a full loop needs both) or whose table and store sizes
     /// disagree with it — a group's processes share one job digest, so another
-    /// role's file gets this far.
+    /// role's file gets this far. Refuses, with
+    /// [`dssp_ps::CheckpointError::RetiredWorkers`], one that records retired
+    /// workers: a restore resumes a full fleet, and a retired worker's replayed
+    /// pushes would corrupt the clock array.
     pub fn restore(
         config: &JobConfig,
         ckpt: &dssp_ps::Checkpoint,
@@ -990,6 +993,9 @@ impl ServerLoop {
             Backend::Clock(_) => None,
         };
         ckpt.require_role(Some(config.num_workers), store_offsets)?;
+        if ckpt.has_retired_workers() {
+            return Err(dssp_ps::CheckpointError::RetiredWorkers);
+        }
         let gate_snap = ckpt.gate.as_ref().expect("require_role checked the gate");
         let gate = SyncGate::restore(config.policy, gate_snap);
         sl.backend = if clock_only {

@@ -203,7 +203,7 @@ pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
     job.metrics_addr = match flag_value(args, "--metrics-addr") {
         None => None,
         Some(addr) => {
-            if crate::metrics::derive_metrics_addr(&addr, 0).is_none() {
+            if crate::metrics::derive_metrics_addr(&addr, 0).is_err() {
                 return Err(format!(
                     "invalid value '{addr}' for --metrics-addr (expected HOST:PORT)"
                 ));

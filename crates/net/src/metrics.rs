@@ -17,6 +17,7 @@
 //! `repro -- stats` fleet summary and by the golden-format tests (HELP/TYPE
 //! discipline, label escaping, histogram bucket monotonicity).
 
+use crate::NetError;
 use dssp_core::events::Role;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -604,13 +605,23 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
 }
 
 /// Derives the listen address for a role `offset` ports above the base
-/// `--metrics-addr` (shard server `i` listens at `port + 1 + i`). `None` if the base
-/// does not end in a numeric port or the port would overflow.
-pub fn derive_metrics_addr(base: &str, offset: u16) -> Option<String> {
-    let (host, port) = base.rsplit_once(':')?;
-    let port: u16 = port.parse().ok()?;
-    let port = port.checked_add(offset)?;
-    Some(format!("{host}:{port}"))
+/// `--metrics-addr` (shard server `i` listens at `port + 1 + i`). Port 0 stays 0, so
+/// every role binds an ephemeral port of its own. A base that does not end in a
+/// numeric port, or a derived port past 65535, is an error: a scrape target the
+/// operator asked for must exist.
+pub fn derive_metrics_addr(base: &str, offset: u16) -> Result<String, NetError> {
+    let bad = |why: &str| NetError::Protocol(format!("--metrics-addr '{base}': {why}"));
+    let (host, port) = base
+        .rsplit_once(':')
+        .ok_or_else(|| bad("expected HOST:PORT"))?;
+    let port: u16 = port.parse().map_err(|_| bad("expected HOST:PORT"))?;
+    let port = match port {
+        0 => 0,
+        _ => port
+            .checked_add(offset)
+            .ok_or_else(|| bad(&format!("no port {offset} above it")))?,
+    };
+    Ok(format!("{host}:{port}"))
 }
 
 /// The dedicated `GET /metrics` listener: accepts plain HTTP/1.x requests on its own
@@ -829,10 +840,30 @@ mod tests {
     #[test]
     fn derive_addr_offsets_the_port() {
         assert_eq!(
-            derive_metrics_addr("127.0.0.1:9100", 2).as_deref(),
-            Some("127.0.0.1:9102")
+            derive_metrics_addr("127.0.0.1:9100", 2).unwrap(),
+            "127.0.0.1:9102"
         );
-        assert_eq!(derive_metrics_addr("bad", 1), None);
+        assert!(derive_metrics_addr("bad", 1).is_err());
+    }
+
+    #[test]
+    fn derive_addr_keeps_an_ephemeral_port_ephemeral() {
+        for offset in [0, 1, 7] {
+            assert_eq!(
+                derive_metrics_addr("127.0.0.1:0", offset).unwrap(),
+                "127.0.0.1:0"
+            );
+        }
+    }
+
+    #[test]
+    fn derive_addr_past_the_last_port_is_an_error() {
+        assert_eq!(
+            derive_metrics_addr("127.0.0.1:65534", 1).unwrap(),
+            "127.0.0.1:65535"
+        );
+        let err = derive_metrics_addr("127.0.0.1:65535", 1).unwrap_err();
+        assert!(err.to_string().contains("65535"), "{err}");
     }
 
     #[test]

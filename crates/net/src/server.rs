@@ -115,21 +115,13 @@ fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<R
     // Start fresh, or pick the run back up from the durable checkpoint: weights,
     // optimizer momentum, per-worker clocks and the policy's credit state all resume,
     // and every worker re-handshakes and is re-admitted at its restored push count.
-    let restoring = job.checkpoint.as_ref().is_some_and(|c| c.restore);
-    let mut sl = if restoring {
-        let spec = job.checkpoint.as_ref().expect("restoring implies a spec");
-        let path = spec.dir.join(dssp_ps::server_checkpoint_name());
-        let ckpt = dssp_ps::Checkpoint::load_for_job(&path, expected_digest)?;
-        if ckpt.has_retired_workers() {
-            return Err(NetError::Protocol(format!(
-                "cannot restore from {}: the checkpoint records retired workers \
-                 (a finished run or a post-eviction snapshot is not resumable)",
-                path.display()
-            )));
+    let mut sl = match job.checkpoint.as_ref().filter(|c| c.restore) {
+        Some(spec) => {
+            let path = spec.dir.join(dssp_ps::server_checkpoint_name());
+            let ckpt = dssp_ps::Checkpoint::load_for_job(&path, expected_digest)?;
+            ServerLoop::restore(job, &ckpt, false)?
         }
-        ServerLoop::restore(job, &ckpt, false)?
-    } else {
-        ServerLoop::new(job)
+        None => ServerLoop::new(job),
     };
     // Networked workers open every life — first contact, or first contact after a
     // restore — with an explicit pull.

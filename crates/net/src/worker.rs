@@ -99,21 +99,18 @@ impl LinkEnd {
 /// shutdown — and each yields its value or the [`LinkEnd`] it met. A test drives the
 /// loop through a scripted implementation.
 pub trait WorkerLink {
-    /// Whether the weights reach the worker unasked once a round's `OK` is in — behind
-    /// the `OK` of a single server, behind the slice acks of a group's shard servers
-    /// — so that only the opening pull has to ask.
-    fn ok_carries_weights(&self) -> bool;
-
     /// Handshake and admission. Yields the number of this rank's pushes the server
     /// side has already confirmed: zero on a fresh run, the restored clock when it
     /// came back from a checkpoint.
     fn join(&mut self) -> Result<u64, LinkEnd>;
 
     /// Brings the caller's weight and per-shard version caches up to date, asking
-    /// for the weights first when `ask` is set (they are already on their way
-    /// otherwise). Yields whether a full model arrived (versus a delta) and the
-    /// payload of the worker's `pull` event: a single server's weight version; a
-    /// group has no one version and counts its pull rounds.
+    /// for the weights first when `ask` is set: the opening pull. Every later pull's
+    /// weights are already on their way, behind the `OK` of a single server or
+    /// behind the slice acks of a group's shard servers. Yields whether a full model
+    /// arrived (versus a delta) and the payload of the worker's `pull` event: a
+    /// single server's weight version; a group has no one version and counts its pull
+    /// rounds.
     fn pull(
         &mut self,
         ask: bool,
@@ -273,7 +270,7 @@ pub fn run_worker_loop<L: WorkerLink>(
                 ev(EventKind::CreditGrant, granted_extra, push_trace);
             }
             ev(EventKind::SpanEnd, SpanOp::Push.code(), push_trace);
-            ask = !link.ok_carries_weights();
+            ask = false;
         }
         link.done(step.completed(), step.epoch() as u64, report.waiting_time_s)?;
         // Drain until the shutdown broadcast; an `OK` for the final push may still be
@@ -330,10 +327,6 @@ struct SingleServer<'a> {
 }
 
 impl WorkerLink for SingleServer<'_> {
-    fn ok_carries_weights(&self) -> bool {
-        true
-    }
-
     fn join(&mut self) -> Result<u64, LinkEnd> {
         self.transport.send(&Message::Hello {
             version: PROTOCOL_VERSION,

@@ -33,10 +33,8 @@ pub enum Exchange {
 }
 
 /// How the scripted server side behaves.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Script {
-    /// [`WorkerLink::ok_carries_weights`].
-    pub carries: bool,
     /// The clock `join` admits the worker at.
     pub resume_from: u64,
     /// What every `OK` grants.
@@ -46,18 +44,6 @@ pub struct Script {
     /// Answer the exchange with this index (0-based, over all recorded exchanges)
     /// with an error shutdown instead of its value.
     pub shutdown_at: Option<usize>,
-}
-
-impl Script {
-    pub fn new(carries: bool) -> Self {
-        Self {
-            carries,
-            resume_from: 0,
-            granted_extra: 0,
-            late_oks: 0,
-            shutdown_at: None,
-        }
-    }
 }
 
 pub const SHARDS: usize = 4;
@@ -95,10 +81,6 @@ impl<'a> ScriptedLink<'a> {
 }
 
 impl WorkerLink for ScriptedLink<'_> {
-    fn ok_carries_weights(&self) -> bool {
-        self.script.carries
-    }
-
     fn join(&mut self) -> Result<u64, LinkEnd> {
         self.asked(Exchange::Join)?;
         Ok(self.script.resume_from)

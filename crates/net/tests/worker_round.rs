@@ -56,7 +56,7 @@ fn traces(calls: &[Exchange]) -> Vec<(&'static str, u64)> {
 
 #[test]
 fn fresh_run_when_the_ok_carries_the_weights() {
-    let (result, calls) = run(&job(3), Script::new(true));
+    let (result, calls) = run(&job(3), Script::default());
     let report = result.expect("clean run");
     assert_eq!(
         shape(&calls),
@@ -113,23 +113,6 @@ fn fresh_run_when_the_ok_carries_the_weights() {
 }
 
 #[test]
-fn fresh_run_when_every_pull_has_to_ask() {
-    let (result, calls) = run(&job(3), Script::new(false));
-    assert!(!result.expect("clean run").shutdown_early);
-    let asks: Vec<bool> = calls
-        .iter()
-        .filter_map(|c| match c {
-            Exchange::Pull { ask, .. } => Some(*ask),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(asks, [true, true, true]);
-    // Every pull is an operation of its own: six operations, six ids.
-    let ids: Vec<u64> = traces(&calls).iter().map(|(_, t)| *t).collect();
-    assert_eq!(ids, [1, 2, 3, 4, 5, 6]);
-}
-
-#[test]
 fn resume_replays_the_batch_schedule_and_pushes_from_the_next_clock() {
     let pushes = |calls: &[Exchange]| -> Vec<(u64, u64)> {
         calls
@@ -142,14 +125,14 @@ fn resume_replays_the_batch_schedule_and_pushes_from_the_next_clock() {
             })
             .collect()
     };
-    let (_, fresh) = run(&job(6), Script::new(true));
+    let (_, fresh) = run(&job(6), Script::default());
     let fresh = pushes(&fresh);
     assert_eq!(fresh.len(), 6);
     let (result, resumed) = run(
         &job(6),
         Script {
             resume_from: 2,
-            ..Script::new(true)
+            ..Script::default()
         },
     );
     assert_eq!(result.expect("resumed run").iterations, 6);
@@ -163,7 +146,7 @@ fn resume_at_the_target_pulls_and_reports_done_without_pushing() {
     for resume_from in [3, 9] {
         let script = Script {
             resume_from,
-            ..Script::new(true)
+            ..Script::default()
         };
         let (result, calls) = run(&job(3), script);
         assert_eq!(
@@ -177,34 +160,32 @@ fn resume_at_the_target_pulls_and_reports_done_without_pushing() {
 
 #[test]
 fn a_shutdown_at_any_exchange_ends_the_run_cleanly_and_early() {
-    for carries in [true, false] {
-        let (_, clean) = run(&job(3), Script::new(carries));
-        // Every exchange but the last, which is where the clean run's shutdown is.
-        for at in 0..clean.len() - 1 {
-            let script = Script {
-                shutdown_at: Some(at),
-                ..Script::new(carries)
-            };
-            let (result, calls) = run(&job(3), script);
-            assert_eq!(
-                calls,
-                clean[..=at],
-                "nothing is attempted after the shutdown"
-            );
-            let report = result.expect("a shutdown is not a worker failure");
-            assert!(report.shutdown_early, "exchange {at}: {:?}", clean[at]);
-            // Whatever the version cache held: the count of pulls that completed.
-            let pulls = calls[..at]
-                .iter()
-                .filter(|c| matches!(c, Exchange::Pull { .. }))
-                .count() as u64;
-            let held = if pulls == 0 {
-                Vec::new()
-            } else {
-                vec![pulls; SHARDS]
-            };
-            assert_eq!(report.last_shard_versions, held, "exchange {at}");
-        }
+    let (_, clean) = run(&job(3), Script::default());
+    // Every exchange but the last, which is where the clean run's shutdown is.
+    for at in 0..clean.len() - 1 {
+        let script = Script {
+            shutdown_at: Some(at),
+            ..Script::default()
+        };
+        let (result, calls) = run(&job(3), script);
+        assert_eq!(
+            calls,
+            clean[..=at],
+            "nothing is attempted after the shutdown"
+        );
+        let report = result.expect("a shutdown is not a worker failure");
+        assert!(report.shutdown_early, "exchange {at}: {:?}", clean[at]);
+        // Whatever the version cache held: the count of pulls that completed.
+        let pulls = calls[..at]
+            .iter()
+            .filter(|c| matches!(c, Exchange::Pull { .. }))
+            .count() as u64;
+        let held = if pulls == 0 {
+            Vec::new()
+        } else {
+            vec![pulls; SHARDS]
+        };
+        assert_eq!(report.last_shard_versions, held, "exchange {at}");
     }
 }
 
@@ -213,7 +194,7 @@ fn granted_extras_are_summed_over_awaited_and_late_oks() {
     let script = Script {
         granted_extra: 2,
         late_oks: 1,
-        ..Script::new(true)
+        ..Script::default()
     };
     let (result, calls) = run(&job(3), script);
     assert_eq!(
@@ -238,7 +219,7 @@ fn worker_faults_fire_at_their_occurrence_before_the_next_exchange() {
     for (spec, last) in cells {
         let mut job = job(3);
         job.fault_plan = FaultPlan::parse(spec);
-        let (result, calls) = run(&job, Script::new(true));
+        let (result, calls) = run(&job, Script::default());
         match result {
             Err(NetError::FaultInjected { plan }) => assert_eq!(plan, spec),
             other => panic!("{spec}: expected the fault to fire, got {other:?}"),
@@ -258,6 +239,6 @@ fn worker_faults_fire_at_their_occurrence_before_the_next_exchange() {
     for spec in ["worker0:gate:evict:3", "worker1:push:evict:1"] {
         let mut job = job(3);
         job.fault_plan = FaultPlan::parse(spec);
-        assert!(run(&job, Script::new(true)).0.is_ok(), "{spec}");
+        assert!(run(&job, Script::default()).0.is_ok(), "{spec}");
     }
 }

@@ -27,7 +27,7 @@ fn a_warm_worker_round_allocates_nothing() {
     let mut sample = || samples.push(process_allocations());
     let report = run_worker_loop(&job, 0, |param_len, log| {
         assert!(log.is_some(), "the event log is on");
-        let mut link = ScriptedLink::new(Script::new(true), param_len, &mut calls);
+        let mut link = ScriptedLink::new(Script::default(), param_len, &mut calls);
         link.on_push = Some(&mut sample);
         link
     })

@@ -163,6 +163,9 @@ pub enum CheckpointError {
     /// Every process of a group shares one job digest, so the digest cannot tell
     /// these apart. The message names what disagrees.
     RoleMismatch(&'static str),
+    /// The gating half records retired workers ([`Checkpoint::has_retired_workers`]):
+    /// a finished run or a post-eviction snapshot, which a restore cannot resume.
+    RetiredWorkers,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -192,6 +195,11 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::RoleMismatch(what) => {
                 write!(f, "checkpoint does not fit the restoring role: {what}")
             }
+            CheckpointError::RetiredWorkers => write!(
+                f,
+                "checkpoint records retired workers (a finished run or a post-eviction \
+                 snapshot is not resumable)"
+            ),
         }
     }
 }
@@ -634,8 +642,9 @@ impl Checkpoint {
     /// Elastic restore resumes a *full* fleet: every worker reconnects and replays
     /// from its checkpointed clock. A checkpoint holding retired workers — a finished
     /// run's terminal snapshot, or a snapshot taken after an eviction — cannot be
-    /// resumed that way, so restore paths refuse it up front instead of letting a
-    /// retired worker's replayed pushes corrupt the clock array.
+    /// resumed that way, so a restore refuses it up front
+    /// ([`CheckpointError::RetiredWorkers`]) instead of letting a retired worker's
+    /// replayed pushes corrupt the clock array.
     pub fn has_retired_workers(&self) -> bool {
         self.gate
             .as_ref()
