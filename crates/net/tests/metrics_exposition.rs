@@ -29,6 +29,162 @@ fn populated() -> Metrics {
     m
 }
 
+/// Every series on the page set through the public API, each scalar to its own
+/// value, every histogram with a sample past its last bound, and straggler verdicts
+/// for ranks 0 (flagged) and 5 (flagged, then cleared).
+fn every_series() -> Metrics {
+    let m = Metrics::new(Role::Coordinator, 2);
+    for (i, field) in [
+        &m.pushes,
+        &m.blocked_pushes,
+        &m.pulls_full,
+        &m.pulls_delta,
+        &m.bytes_sent,
+        &m.bytes_received,
+        &m.blocked_workers,
+        &m.version,
+        &m.credits_granted,
+        &m.credits_reclaimed,
+        &m.checkpoints_written,
+        &m.checkpoint_last_unix,
+        &m.reconnects,
+        &m.evictions,
+        &m.joins,
+        &m.events_dropped,
+        &m.layout_epoch,
+        &m.shards_owned,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        field.store(101 + i as u64, Relaxed);
+    }
+    for s in [0, 1, 3, 3, 17, 99] {
+        m.observe_staleness(s);
+    }
+    for us in [80, 300, 7_000, 60_000, 3_000_000] {
+        m.observe_round_time(us);
+    }
+    for us in [0, 0, 120, 2_000, 1_500_000] {
+        m.observe_push_latency(us);
+    }
+    m.set_straggler(0, true);
+    m.set_straggler(5, true);
+    m.set_straggler(5, false);
+    m
+}
+
+/// The page [`every_series`] renders, byte for byte: series order, labels, HELP
+/// text and number formatting.
+const EVERY_SERIES_PAGE: &str = r#"
+# HELP dssp_pushes_total Gradient pushes applied (clock pushes gated, on the coordinator).
+# TYPE dssp_pushes_total counter
+dssp_pushes_total{role="coord",rank="2"} 101
+# HELP dssp_blocked_pushes_total Pushes whose worker was blocked by the synchronization gate.
+# TYPE dssp_blocked_pushes_total counter
+dssp_blocked_pushes_total{role="coord",rank="2"} 102
+# HELP dssp_credits_granted_total Extra-iteration credits granted by the DSSP controller (sum of r*).
+# TYPE dssp_credits_granted_total counter
+dssp_credits_granted_total{role="coord",rank="2"} 109
+# HELP dssp_credits_reclaimed_total Unspent credits reclaimed from evicted workers.
+# TYPE dssp_credits_reclaimed_total counter
+dssp_credits_reclaimed_total{role="coord",rank="2"} 110
+# HELP dssp_checkpoints_written_total Checkpoints written by this process.
+# TYPE dssp_checkpoints_written_total counter
+dssp_checkpoints_written_total{role="coord",rank="2"} 111
+# HELP dssp_reconnects_total Worker-to-server links re-established after a drop.
+# TYPE dssp_reconnects_total counter
+dssp_reconnects_total{role="coord",rank="2"} 113
+# HELP dssp_evictions_total Workers evicted from the run.
+# TYPE dssp_evictions_total counter
+dssp_evictions_total{role="coord",rank="2"} 114
+# HELP dssp_joins_total Join and Hello handshakes completed.
+# TYPE dssp_joins_total counter
+dssp_joins_total{role="coord",rank="2"} 115
+# HELP dssp_events_dropped_total Structured events dropped because the event log was full.
+# TYPE dssp_events_dropped_total counter
+dssp_events_dropped_total{role="coord",rank="2"} 116
+# HELP dssp_pulls_total Pulls served, by mode.
+# TYPE dssp_pulls_total counter
+dssp_pulls_total{role="coord",rank="2",mode="full"} 103
+dssp_pulls_total{role="coord",rank="2",mode="delta"} 104
+# HELP dssp_bytes_total Bytes moved over the data transport, by direction.
+# TYPE dssp_bytes_total counter
+dssp_bytes_total{role="coord",rank="2",direction="sent"} 105
+dssp_bytes_total{role="coord",rank="2",direction="received"} 106
+# HELP dssp_blocked_workers Workers currently blocked waiting for a deferred OK.
+# TYPE dssp_blocked_workers gauge
+dssp_blocked_workers{role="coord",rank="2"} 107
+# HELP dssp_model_version Current model version (total pushes applied).
+# TYPE dssp_model_version gauge
+dssp_model_version{role="coord",rank="2"} 108
+# HELP dssp_checkpoint_last_timestamp_seconds Unix time of the most recent checkpoint (0 = none).
+# TYPE dssp_checkpoint_last_timestamp_seconds gauge
+dssp_checkpoint_last_timestamp_seconds{role="coord",rank="2"} 112
+# HELP dssp_layout_epoch Layout epoch this process runs at (bumped by each committed migration).
+# TYPE dssp_layout_epoch gauge
+dssp_layout_epoch{role="coord",rank="2"} 117
+# HELP dssp_shards_owned Shards this process currently owns (group total on the coordinator).
+# TYPE dssp_shards_owned gauge
+dssp_shards_owned{role="coord",rank="2"} 118
+# HELP dssp_staleness Per-push staleness (clock lead over the slowest worker).
+# TYPE dssp_staleness histogram
+dssp_staleness_bucket{role="coord",rank="2",le="0"} 1
+dssp_staleness_bucket{role="coord",rank="2",le="1"} 2
+dssp_staleness_bucket{role="coord",rank="2",le="2"} 2
+dssp_staleness_bucket{role="coord",rank="2",le="4"} 4
+dssp_staleness_bucket{role="coord",rank="2",le="8"} 4
+dssp_staleness_bucket{role="coord",rank="2",le="16"} 4
+dssp_staleness_bucket{role="coord",rank="2",le="32"} 5
+dssp_staleness_bucket{role="coord",rank="2",le="+Inf"} 6
+dssp_staleness_sum{role="coord",rank="2"} 123
+dssp_staleness_count{role="coord",rank="2"} 6
+# HELP dssp_round_time Per-worker round time in microseconds (inter-push gap at this role).
+# TYPE dssp_round_time histogram
+dssp_round_time_bucket{role="coord",rank="2",le="100"} 1
+dssp_round_time_bucket{role="coord",rank="2",le="250"} 1
+dssp_round_time_bucket{role="coord",rank="2",le="500"} 2
+dssp_round_time_bucket{role="coord",rank="2",le="1000"} 2
+dssp_round_time_bucket{role="coord",rank="2",le="2500"} 2
+dssp_round_time_bucket{role="coord",rank="2",le="5000"} 2
+dssp_round_time_bucket{role="coord",rank="2",le="10000"} 3
+dssp_round_time_bucket{role="coord",rank="2",le="50000"} 3
+dssp_round_time_bucket{role="coord",rank="2",le="250000"} 4
+dssp_round_time_bucket{role="coord",rank="2",le="1000000"} 4
+dssp_round_time_bucket{role="coord",rank="2",le="+Inf"} 5
+dssp_round_time_sum{role="coord",rank="2"} 3067380
+dssp_round_time_count{role="coord",rank="2"} 5
+# HELP dssp_push_latency Cross-role push latency in microseconds (gradient apply to clock grant).
+# TYPE dssp_push_latency histogram
+dssp_push_latency_bucket{role="coord",rank="2",le="50"} 2
+dssp_push_latency_bucket{role="coord",rank="2",le="100"} 2
+dssp_push_latency_bucket{role="coord",rank="2",le="250"} 3
+dssp_push_latency_bucket{role="coord",rank="2",le="500"} 3
+dssp_push_latency_bucket{role="coord",rank="2",le="1000"} 3
+dssp_push_latency_bucket{role="coord",rank="2",le="2500"} 4
+dssp_push_latency_bucket{role="coord",rank="2",le="10000"} 4
+dssp_push_latency_bucket{role="coord",rank="2",le="50000"} 4
+dssp_push_latency_bucket{role="coord",rank="2",le="250000"} 4
+dssp_push_latency_bucket{role="coord",rank="2",le="1000000"} 4
+dssp_push_latency_bucket{role="coord",rank="2",le="+Inf"} 5
+dssp_push_latency_sum{role="coord",rank="2"} 1502120
+dssp_push_latency_count{role="coord",rank="2"} 5
+# HELP dssp_straggler Whether a worker's gate-wait share is a z-score outlier.
+# TYPE dssp_straggler gauge
+dssp_straggler{role="coord",rank="2",worker="0"} 1
+dssp_straggler{role="coord",rank="2",worker="5"} 0
+"#;
+
+#[test]
+fn every_series_renders_the_golden_page() {
+    let page = every_series().render();
+    assert_eq!(
+        page,
+        EVERY_SERIES_PAGE.trim_start(),
+        "the page changed; it is now:\n{page}"
+    );
+}
+
 #[test]
 fn rendered_page_parses_and_keeps_help_type_discipline() {
     let page = populated().render();
