@@ -37,13 +37,58 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// A worker is flagged as a straggler when its total gate-wait time exceeds the
-/// fleet mean by more than this many standard deviations (matches the live
-/// detector in `dssp-net`'s observability layer).
+/// fleet mean by more than this many standard deviations ([`Spread::is_straggler`],
+/// the rule of this report and of the live `dssp_straggler` gauge alike).
 pub const STRAGGLER_Z: f64 = 2.0;
 
 /// Rounds whose wall time exceeds the mean by more than this many standard
 /// deviations are reported as slow, with their dominant worker and component.
 pub const SLOW_ROUND_Z: f64 = 2.0;
+
+/// The population mean and standard deviation of a sample: what every z-test here
+/// (stragglers, slow rounds) and the live straggler gauge measure against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The sample mean.
+    pub mean: f64,
+    /// The population standard deviation (divided by n, not n − 1).
+    pub std: f64,
+}
+
+impl Spread {
+    /// The spread of `values`, in two passes over the iterator and without
+    /// allocating; `None` for fewer than two values, which no z-test can judge.
+    pub fn of<I: Iterator<Item = f64> + Clone>(values: I) -> Option<Self> {
+        let (n, sum) = values
+            .clone()
+            .fold((0usize, 0.0), |(n, sum), x| (n + 1, sum + x));
+        if n < 2 {
+            return None;
+        }
+        let n = n as f64;
+        let mean = sum / n;
+        let var = values.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+        Some(Self {
+            mean,
+            std: var.sqrt(),
+        })
+    }
+
+    /// The z-score of `x`: 0 when every value is equal.
+    pub fn z(&self, x: f64) -> f64 {
+        if self.std > 0.0 {
+            (x - self.mean) / self.std
+        } else {
+            0.0
+        }
+    }
+
+    /// The straggler rule: a gate wait more than [`STRAGGLER_Z`] standard deviations
+    /// above the mean.
+    pub fn is_straggler(&self, wait: f64) -> bool {
+        self.z(wait) > STRAGGLER_Z
+    }
+}
 
 /// One worker's time breakdown within one round (one push iteration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,25 +388,10 @@ pub fn analyze(events: &[Event]) -> Analysis {
         }
     }
     let mut workers: Vec<WorkerTotals> = totals.into_values().collect();
-    if workers.len() >= 2 {
-        let n = workers.len() as f64;
-        let mean = workers.iter().map(|w| w.gate_wait_us as f64).sum::<f64>() / n;
-        let var = workers
-            .iter()
-            .map(|w| {
-                let d = w.gate_wait_us as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        let std = var.sqrt();
+    if let Some(spread) = Spread::of(workers.iter().map(|w| w.gate_wait_us as f64)) {
         for w in &mut workers {
-            w.z_score = if std > 0.0 {
-                (w.gate_wait_us as f64 - mean) / std
-            } else {
-                0.0
-            };
-            w.straggler = w.z_score > STRAGGLER_Z;
+            w.z_score = spread.z(w.gate_wait_us as f64);
+            w.straggler = spread.is_straggler(w.gate_wait_us as f64);
         }
     }
 
@@ -410,16 +440,10 @@ fn cdf(sorted: &[u64]) -> Vec<(u64, f64)> {
 /// Flags rounds whose wall time exceeds mean + [`SLOW_ROUND_Z`]·σ, naming the
 /// slowest worker and its dominant component.
 fn detect_slow_rounds(rounds: &[RoundReport]) -> Vec<SlowRound> {
-    if rounds.len() < 2 {
+    let walls = rounds.iter().map(|r| r.wall_us() as f64);
+    let Some(Spread { mean, std }) = Spread::of(walls).filter(|s| s.std > 0.0) else {
         return Vec::new();
-    }
-    let walls: Vec<f64> = rounds.iter().map(|r| r.wall_us() as f64).collect();
-    let n = walls.len() as f64;
-    let mean = walls.iter().sum::<f64>() / n;
-    let std = (walls.iter().map(|w| (w - mean) * (w - mean)).sum::<f64>() / n).sqrt();
-    if std <= 0.0 {
-        return Vec::new();
-    }
+    };
     let threshold = mean + SLOW_ROUND_Z * std;
     rounds
         .iter()

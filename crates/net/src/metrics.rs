@@ -2,20 +2,26 @@
 //! text-format `GET /metrics` endpoint.
 //!
 //! Every serving role (single server, shard server, coordinator) owns a [`Metrics`]
-//! registry — a fixed set of `AtomicU64` counters, gauges and one staleness histogram
-//! — and, when `--metrics-addr` is set, a [`MetricsServer`]: a tiny dedicated
-//! listener that answers `GET /metrics` with the Prometheus text exposition format
-//! (version 0.0.4). There is no HTTP library in this offline workspace and none is
-//! needed: the endpoint reads one request head and writes one `Content-Length`
-//! response.
+//! registry and, when `--metrics-addr` is set, a [`MetricsServer`]: a tiny listener
+//! that answers `GET /metrics` in the Prometheus text exposition format (0.0.4). No
+//! HTTP library is needed: the endpoint reads one request head and writes one
+//! `Content-Length` response.
 //!
-//! The hot-path contract matches PR 4's zero-allocation guarantee: every update is a
-//! plain `fetch_add`/`store` on a preallocated atomic — rendering (which does
-//! allocate) happens only on the scrape thread, never on the serving loop.
+//! Each family on the page is one row of the `registry!` table below: its type, name
+//! and HELP text, and its fields — an `AtomicU64` per series (with an optional label
+//! pair; the series of one family share its header) or a [`Histogram`] with its
+//! `const` bounds. The fields, [`Metrics::new`], the page [`Metrics::render`] writes
+//! and [`Metrics::CATALOG`] are generated from it. Only the per-rank straggler gauge,
+//! whose series depend on which ranks have had a verdict, is written by hand. A
+//! [`Histogram`] holds a bucket per bound plus `+Inf`, a sum and a count; its
+//! [`observe`](Histogram::observe) is the one bucket search and its rendering the one
+//! writer of `_bucket` lines. `tests/metrics_exposition.rs` pins the page byte for
+//! byte, and `tests/catalog.rs` holds README's catalog to [`Metrics::CATALOG`].
 //!
-//! [`parse_exposition`] is the inverse of [`Metrics::render`], used by the
-//! `repro -- stats` fleet summary and by the golden-format tests (HELP/TYPE
-//! discipline, label escaping, histogram bucket monotonicity).
+//! Updates are relaxed `fetch_add`/`store`s on preallocated atomics, so a serving loop
+//! never allocates for them; rendering happens on the scrape thread.
+//! [`parse_exposition`] is the inverse of [`Metrics::render`], used by `repro -- stats`
+//! and the golden-format tests.
 
 use crate::NetError;
 use dssp_core::events::Role;
@@ -32,176 +38,236 @@ use std::time::Duration;
 /// threshold.
 pub const STALENESS_LE: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 
-const BUCKETS: usize = STALENESS_LE.len() + 1;
-
-/// Upper bounds (µs) of the `dssp_round_time` histogram buckets — the per-worker
-/// inter-push gap observed at the serving role. Spans sub-millisecond loopback
-/// rounds to multi-second straggler rounds.
+/// Upper bounds (µs) of the round-time histogram buckets — the per-worker inter-push
+/// gap observed at the serving role. Spans sub-millisecond loopback rounds to
+/// multi-second straggler rounds.
 pub const ROUND_TIME_LE: [u64; 10] = [
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000, 1_000_000,
 ];
 
-const ROUND_BUCKETS: usize = ROUND_TIME_LE.len() + 1;
-
-/// Upper bounds (µs) of the `dssp_push_latency` histogram buckets — the time between
-/// a push's apply and its grant (0 for immediate grants; the gate wait for deferred
+/// Upper bounds (µs) of the push-latency histogram buckets — the time between a
+/// push's apply and its grant (0 for immediate grants; the gate wait for deferred
 /// ones).
 pub const PUSH_LATENCY_LE: [u64; 10] = [
     50, 100, 250, 500, 1_000, 2_500, 10_000, 50_000, 250_000, 1_000_000,
 ];
 
-const LATENCY_BUCKETS: usize = PUSH_LATENCY_LE.len() + 1;
-
 /// Highest worker rank the per-rank straggler bitmask gauges can represent.
 pub const MAX_STRAGGLER_RANKS: usize = 64;
 
-/// The fixed metric registry of one serving role. All fields are plain atomics so
-/// serving loops update them allocation-free; [`Metrics::render`] snapshots them into
-/// the Prometheus text format on the scrape thread.
-#[derive(Debug)]
-pub struct Metrics {
-    role: Role,
-    rank: u32,
-    /// Pushes applied (or, on the coordinator, clock pushes gated).
-    pub pushes: AtomicU64,
-    /// Pushes whose worker was blocked by the synchronization gate.
-    pub blocked_pushes: AtomicU64,
-    /// Full-model pulls served.
-    pub pulls_full: AtomicU64,
-    /// Incremental (delta) pulls served.
-    pub pulls_delta: AtomicU64,
-    /// Bytes written to the data transport (frames + length prefixes).
-    pub bytes_sent: AtomicU64,
-    /// Bytes read from the data transport.
-    pub bytes_received: AtomicU64,
-    /// Gauge: workers currently blocked waiting for a deferred `OK`.
-    pub blocked_workers: AtomicU64,
-    /// Gauge: the current model version (total pushes applied).
-    pub version: AtomicU64,
-    /// Extra-iteration credits granted by the DSSP controller (sum of r*).
-    pub credits_granted: AtomicU64,
-    /// Unspent credits reclaimed from evicted workers.
-    pub credits_reclaimed: AtomicU64,
-    /// Checkpoints written by this process.
-    pub checkpoints_written: AtomicU64,
-    /// Gauge: Unix seconds of the most recent checkpoint (0 = none yet).
-    pub checkpoint_last_unix: AtomicU64,
-    /// Worker↔server links re-established after a drop.
-    pub reconnects: AtomicU64,
-    /// Workers evicted from the run.
-    pub evictions: AtomicU64,
-    /// Join/Hello handshakes completed.
-    pub joins: AtomicU64,
-    /// Structured events dropped because the event log was full.
-    pub events_dropped: AtomicU64,
-    /// Gauge: the layout epoch this process currently runs at (bumped by each
-    /// committed live migration).
-    pub layout_epoch: AtomicU64,
-    /// Gauge: shards this process currently owns (coordinator reports the group
-    /// total; a drained server reports 0).
-    pub shards_owned: AtomicU64,
-    staleness_buckets: [AtomicU64; BUCKETS],
-    staleness_sum: AtomicU64,
-    staleness_count: AtomicU64,
-    round_time_buckets: [AtomicU64; ROUND_BUCKETS],
-    round_time_sum: AtomicU64,
-    round_time_count: AtomicU64,
-    push_latency_buckets: [AtomicU64; LATENCY_BUCKETS],
-    push_latency_sum: AtomicU64,
-    push_latency_count: AtomicU64,
-    /// Bitmask of ranks (< [`MAX_STRAGGLER_RANKS`]) that ever had a straggler verdict.
-    straggler_seen: AtomicU64,
-    /// Bitmask of ranks currently flagged as stragglers.
-    straggler_flags: AtomicU64,
+/// One family of the page as [`Metrics::CATALOG`] lists it: its name, its Prometheus
+/// type and its HELP text.
+pub type Family = (&'static str, &'static str, &'static str);
+
+/// The straggler gauge, the one family outside the table: one series per rank that
+/// has had a verdict, labelled `worker`.
+const STRAGGLER: Family = (
+    "dssp_straggler",
+    "gauge",
+    "Whether a worker's gate-wait share is a z-score outlier.",
+);
+
+/// Generates the registry from its table, whose two sections are in page order. A
+/// scalar row is `counter|gauge "family" "HELP" { field (key = "value")?, ... }`, a
+/// field per series (its label pair follows the role/rank labels); a histogram row is
+/// `"family" "HELP" { field: BOUNDS }`.
+macro_rules! registry {
+    (
+        scalars { $(
+            $kind:ident $family:literal $help:literal {
+                $( $field:ident $(($key:ident = $value:literal))? ),+ $(,)?
+            }
+        )* }
+        histograms { $(
+            $h_family:literal $h_help:literal { $h_field:ident: $le:ident }
+        )* }
+    ) => {
+        /// The fixed metric registry of one serving role. All fields are plain atomics
+        /// so serving loops update them allocation-free; [`Metrics::render`] snapshots
+        /// them into the Prometheus text format on the scrape thread.
+        #[derive(Debug)]
+        pub struct Metrics {
+            role: Role,
+            rank: u32,
+            $($(
+                #[doc = concat!(
+                    $help $(, " The `", stringify!($key), "=\"", $value, "\"` series.")?
+                )]
+                pub $field: AtomicU64,
+            )+)*
+            $(
+                #[doc = $h_help]
+                pub $h_field: Histogram<{ $le.len() }>,
+            )*
+            /// Bitmask of ranks (< [`MAX_STRAGGLER_RANKS`]) that ever had a straggler
+            /// verdict.
+            straggler_seen: AtomicU64,
+            /// Bitmask of ranks currently flagged as stragglers.
+            straggler_flags: AtomicU64,
+        }
+
+        impl Metrics {
+            /// A zeroed registry labelled `role`/`rank` (the labels on every exported
+            /// series).
+            pub fn new(role: Role, rank: u32) -> Self {
+                Self {
+                    role,
+                    rank,
+                    $($( $field: AtomicU64::new(0), )+)*
+                    $( $h_field: Histogram::new($le), )*
+                    straggler_seen: AtomicU64::new(0),
+                    straggler_flags: AtomicU64::new(0),
+                }
+            }
+
+            /// Every family the page can carry, in page order: the table's rows, then
+            /// the straggler gauge (on the page once a rank has had a verdict).
+            pub const CATALOG: &'static [Family] = &[
+                $( ($family, stringify!($kind), $help), )*
+                $( ($h_family, "histogram", $h_help), )*
+                STRAGGLER,
+            ];
+
+            /// Writes the table's families: a header each, then each of its series.
+            fn render_table(&self, out: &mut String, labels: &str) {
+                $(
+                    header(out, ($family, stringify!($kind), $help));
+                    $(
+                        let _ = writeln!(
+                            out,
+                            concat!(
+                                $family, "{{{}" $(, ",", stringify!($key), "=\"", $value, "\"")?,
+                                "}} {}"
+                            ),
+                            labels,
+                            self.$field.load(Ordering::Relaxed),
+                        );
+                    )+
+                )*
+                $(
+                    header(out, ($h_family, "histogram", $h_help));
+                    self.$h_field.render(out, $h_family, labels);
+                )*
+            }
+        }
+    };
 }
 
-impl Metrics {
-    /// A zeroed registry labelled `role`/`rank` (the labels on every exported series).
-    pub fn new(role: Role, rank: u32) -> Self {
+registry! {
+    scalars {
+        counter "dssp_pushes_total"
+            "Gradient pushes applied (clock pushes gated, on the coordinator)." { pushes }
+        counter "dssp_blocked_pushes_total"
+            "Pushes whose worker was blocked by the synchronization gate." { blocked_pushes }
+        counter "dssp_credits_granted_total"
+            "Extra-iteration credits granted by the DSSP controller (sum of r*)."
+            { credits_granted }
+        counter "dssp_credits_reclaimed_total"
+            "Unspent credits reclaimed from evicted workers." { credits_reclaimed }
+        counter "dssp_checkpoints_written_total"
+            "Checkpoints written by this process." { checkpoints_written }
+        counter "dssp_reconnects_total"
+            "Worker-to-server links re-established after a drop." { reconnects }
+        counter "dssp_evictions_total" "Workers evicted from the run." { evictions }
+        counter "dssp_joins_total" "Join and Hello handshakes completed." { joins }
+        counter "dssp_events_dropped_total"
+            "Structured events dropped because the event log was full." { events_dropped }
+        counter "dssp_pulls_total" "Pulls served, by mode." {
+            pulls_full (mode = "full"),
+            pulls_delta (mode = "delta"),
+        }
+        counter "dssp_bytes_total" "Bytes moved over the data transport, by direction." {
+            bytes_sent (direction = "sent"),
+            bytes_received (direction = "received"),
+        }
+        gauge "dssp_blocked_workers"
+            "Workers currently blocked waiting for a deferred OK." { blocked_workers }
+        gauge "dssp_model_version" "Current model version (total pushes applied)." { version }
+        gauge "dssp_checkpoint_last_timestamp_seconds"
+            "Unix time of the most recent checkpoint (0 = none)." { checkpoint_last_unix }
+        gauge "dssp_layout_epoch"
+            "Layout epoch this process runs at (bumped by each committed migration)."
+            { layout_epoch }
+        gauge "dssp_shards_owned"
+            "Shards this process currently owns (group total on the coordinator)."
+            { shards_owned }
+    }
+    histograms {
+        "dssp_staleness" "Per-push staleness (clock lead over the slowest worker)."
+            { staleness: STALENESS_LE }
+        "dssp_round_time"
+            "Per-worker round time in microseconds (inter-push gap at this role)."
+            { round_time: ROUND_TIME_LE }
+        "dssp_push_latency"
+            "Cross-role push latency in microseconds (gradient apply to clock grant)."
+            { push_latency: PUSH_LATENCY_LE }
+    }
+}
+
+/// Writes a family's `# HELP` and `# TYPE` lines.
+fn header(out: &mut String, (name, kind, help): Family) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// A cumulative Prometheus histogram over `N` `const` upper bounds, with an implicit
+/// `+Inf` bucket past the last one.
+#[derive(Debug)]
+pub struct Histogram<const N: usize> {
+    le: [u64; N],
+    buckets: [AtomicU64; N],
+    /// Samples above the last bound: what the `+Inf` bucket adds.
+    above: AtomicU64,
+    sum: AtomicU64,
+    count: AtomicU64,
+}
+
+impl<const N: usize> Histogram<N> {
+    fn new(le: [u64; N]) -> Self {
         Self {
-            role,
-            rank,
-            pushes: AtomicU64::new(0),
-            blocked_pushes: AtomicU64::new(0),
-            pulls_full: AtomicU64::new(0),
-            pulls_delta: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            blocked_workers: AtomicU64::new(0),
-            version: AtomicU64::new(0),
-            credits_granted: AtomicU64::new(0),
-            credits_reclaimed: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoint_last_unix: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
-            events_dropped: AtomicU64::new(0),
-            layout_epoch: AtomicU64::new(0),
-            shards_owned: AtomicU64::new(0),
-            staleness_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            staleness_sum: AtomicU64::new(0),
-            staleness_count: AtomicU64::new(0),
-            round_time_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            round_time_sum: AtomicU64::new(0),
-            round_time_count: AtomicU64::new(0),
-            push_latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            push_latency_sum: AtomicU64::new(0),
-            push_latency_count: AtomicU64::new(0),
-            straggler_seen: AtomicU64::new(0),
-            straggler_flags: AtomicU64::new(0),
+            le,
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            above: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
         }
     }
 
-    /// The role label value.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
-    /// The rank label value.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// Records one per-push staleness sample into the histogram. Allocation-free:
-    /// one bucket `fetch_add` plus sum/count updates.
+    /// Records one sample in the first bucket whose bound it does not exceed (`+Inf`
+    /// past the last), plus the sum and the count. Allocation-free: three relaxed
+    /// `fetch_add`s.
     #[inline]
-    pub fn observe_staleness(&self, staleness: u64) {
-        let idx = STALENESS_LE
-            .iter()
-            .position(|le| staleness <= *le)
-            .unwrap_or(BUCKETS - 1);
-        self.staleness_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.staleness_sum.fetch_add(staleness, Ordering::Relaxed);
-        self.staleness_count.fetch_add(1, Ordering::Relaxed);
+    pub fn observe(&self, value: u64) {
+        let bucket = match self.le.iter().position(|le| value <= *le) {
+            Some(i) => &self.buckets[i],
+            None => &self.above,
+        };
+        bucket.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one per-worker round time (inter-push gap, µs) into the
-    /// `dssp_round_time` histogram. Allocation-free.
-    #[inline]
-    pub fn observe_round_time(&self, us: u64) {
-        let idx = ROUND_TIME_LE
-            .iter()
-            .position(|le| us <= *le)
-            .unwrap_or(ROUND_BUCKETS - 1);
-        self.round_time_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.round_time_sum.fetch_add(us, Ordering::Relaxed);
-        self.round_time_count.fetch_add(1, Ordering::Relaxed);
+    /// Writes the series of family `name`: the cumulative `_bucket`s (`+Inf` last),
+    /// `_sum` and `_count`.
+    fn render(&self, out: &mut String, name: &str, labels: &str) {
+        let mut cumulative = 0u64;
+        for (le, bucket) in self.le.iter().zip(&self.buckets) {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
+        }
+        cumulative += self.above.load(Ordering::Relaxed);
+        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cumulative}");
+        let (sum, count) = (
+            self.sum.load(Ordering::Relaxed),
+            self.count.load(Ordering::Relaxed),
+        );
+        let _ = writeln!(
+            out,
+            "{name}_sum{{{labels}}} {sum}\n{name}_count{{{labels}}} {count}"
+        );
     }
+}
 
-    /// Records one cross-role push latency sample (apply → grant, µs) into the
-    /// `dssp_push_latency` histogram. Allocation-free.
-    #[inline]
-    pub fn observe_push_latency(&self, us: u64) {
-        let idx = PUSH_LATENCY_LE
-            .iter()
-            .position(|le| us <= *le)
-            .unwrap_or(LATENCY_BUCKETS - 1);
-        self.push_latency_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.push_latency_sum.fetch_add(us, Ordering::Relaxed);
-        self.push_latency_count.fetch_add(1, Ordering::Relaxed);
-    }
-
+impl Metrics {
     /// Sets the straggler verdict for one rank (z-score of its cumulative gate wait
     /// above threshold → 1, otherwise 0). Two bitmask updates; ranks at or beyond
     /// [`MAX_STRAGGLER_RANKS`] are silently unrepresented.
@@ -226,8 +292,8 @@ impl Metrics {
     }
 
     /// Renders the registry in the Prometheus text exposition format (0.0.4):
-    /// `# HELP` / `# TYPE` headers, `role`/`rank` labels on every series, and a
-    /// cumulative `dssp_staleness` histogram.
+    /// `# HELP` / `# TYPE` headers, `role`/`rank` labels on every series, the table's
+    /// families in order, then the straggler gauge of every rank with a verdict.
     pub fn render(&self) -> String {
         let labels = format!(
             "role=\"{}\",rank=\"{}\"",
@@ -235,202 +301,15 @@ impl Metrics {
             self.rank
         );
         let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, value: u64, extra: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name}{{{labels}{extra}}} {value}");
-        };
-        counter(
-            "dssp_pushes_total",
-            "Gradient pushes applied (clock pushes gated, on the coordinator).",
-            self.pushes.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_blocked_pushes_total",
-            "Pushes whose worker was blocked by the synchronization gate.",
-            self.blocked_pushes.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_credits_granted_total",
-            "Extra-iteration credits granted by the DSSP controller (sum of r*).",
-            self.credits_granted.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_credits_reclaimed_total",
-            "Unspent credits reclaimed from evicted workers.",
-            self.credits_reclaimed.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_checkpoints_written_total",
-            "Checkpoints written by this process.",
-            self.checkpoints_written.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_reconnects_total",
-            "Worker-to-server links re-established after a drop.",
-            self.reconnects.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_evictions_total",
-            "Workers evicted from the run.",
-            self.evictions.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_joins_total",
-            "Join and Hello handshakes completed.",
-            self.joins.load(Ordering::Relaxed),
-            "",
-        );
-        counter(
-            "dssp_events_dropped_total",
-            "Structured events dropped because the event log was full.",
-            self.events_dropped.load(Ordering::Relaxed),
-            "",
-        );
-
-        // Labelled counter families share one HELP/TYPE header.
-        let _ = writeln!(out, "# HELP dssp_pulls_total Pulls served, by mode.");
-        let _ = writeln!(out, "# TYPE dssp_pulls_total counter");
-        let _ = writeln!(
-            out,
-            "dssp_pulls_total{{{labels},mode=\"full\"}} {}",
-            self.pulls_full.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "dssp_pulls_total{{{labels},mode=\"delta\"}} {}",
-            self.pulls_delta.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# HELP dssp_bytes_total Bytes moved over the data transport, by direction."
-        );
-        let _ = writeln!(out, "# TYPE dssp_bytes_total counter");
-        let _ = writeln!(
-            out,
-            "dssp_bytes_total{{{labels},direction=\"sent\"}} {}",
-            self.bytes_sent.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "dssp_bytes_total{{{labels},direction=\"received\"}} {}",
-            self.bytes_received.load(Ordering::Relaxed)
-        );
-
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{{{labels}}} {value}");
-        };
-        gauge(
-            "dssp_blocked_workers",
-            "Workers currently blocked waiting for a deferred OK.",
-            self.blocked_workers.load(Ordering::Relaxed),
-        );
-        gauge(
-            "dssp_model_version",
-            "Current model version (total pushes applied).",
-            self.version.load(Ordering::Relaxed),
-        );
-        gauge(
-            "dssp_checkpoint_last_timestamp_seconds",
-            "Unix time of the most recent checkpoint (0 = none).",
-            self.checkpoint_last_unix.load(Ordering::Relaxed),
-        );
-        gauge(
-            "dssp_layout_epoch",
-            "Layout epoch this process runs at (bumped by each committed migration).",
-            self.layout_epoch.load(Ordering::Relaxed),
-        );
-        gauge(
-            "dssp_shards_owned",
-            "Shards this process currently owns (group total on the coordinator).",
-            self.shards_owned.load(Ordering::Relaxed),
-        );
-
-        let _ = writeln!(
-            out,
-            "# HELP dssp_staleness Per-push staleness (clock lead over the slowest worker)."
-        );
-        let _ = writeln!(out, "# TYPE dssp_staleness histogram");
-        let mut cumulative = 0u64;
-        for (i, le) in STALENESS_LE.iter().enumerate() {
-            cumulative += self.staleness_buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "dssp_staleness_bucket{{{labels},le=\"{le}\"}} {cumulative}"
-            );
-        }
-        cumulative += self.staleness_buckets[BUCKETS - 1].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "dssp_staleness_bucket{{{labels},le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(
-            out,
-            "dssp_staleness_sum{{{labels}}} {}",
-            self.staleness_sum.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "dssp_staleness_count{{{labels}}} {}",
-            self.staleness_count.load(Ordering::Relaxed)
-        );
-
-        let mut histogram =
-            |name: &str, help: &str, le: &[u64], buckets: &[AtomicU64], sum: u64, count: u64| {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                let mut cumulative = 0u64;
-                for (i, le) in le.iter().enumerate() {
-                    cumulative += buckets[i].load(Ordering::Relaxed);
-                    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
-                }
-                cumulative += buckets[le.len()].load(Ordering::Relaxed);
-                let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cumulative}");
-                let _ = writeln!(out, "{name}_sum{{{labels}}} {sum}");
-                let _ = writeln!(out, "{name}_count{{{labels}}} {count}");
-            };
-        histogram(
-            "dssp_round_time",
-            "Per-worker round time in microseconds (inter-push gap at this role).",
-            &ROUND_TIME_LE,
-            &self.round_time_buckets,
-            self.round_time_sum.load(Ordering::Relaxed),
-            self.round_time_count.load(Ordering::Relaxed),
-        );
-        histogram(
-            "dssp_push_latency",
-            "Cross-role push latency in microseconds (gradient apply to clock grant).",
-            &PUSH_LATENCY_LE,
-            &self.push_latency_buckets,
-            self.push_latency_sum.load(Ordering::Relaxed),
-            self.push_latency_count.load(Ordering::Relaxed),
-        );
-
+        self.render_table(&mut out, &labels);
         let seen = self.straggler_seen.load(Ordering::Relaxed);
         let flags = self.straggler_flags.load(Ordering::Relaxed);
         if seen != 0 {
-            let _ = writeln!(
-                out,
-                "# HELP dssp_straggler Whether a worker's gate-wait share is a z-score outlier."
-            );
-            let _ = writeln!(out, "# TYPE dssp_straggler gauge");
-            for rank in 0..MAX_STRAGGLER_RANKS {
-                if seen & (1u64 << rank) != 0 {
-                    let flagged = u64::from(flags & (1u64 << rank) != 0);
-                    let _ = writeln!(
-                        out,
-                        "dssp_straggler{{{labels},worker=\"{rank}\"}} {flagged}"
-                    );
-                }
+            header(&mut out, STRAGGLER);
+            let (name, ..) = STRAGGLER;
+            for rank in (0..MAX_STRAGGLER_RANKS).filter(|rank| seen & (1u64 << rank) != 0) {
+                let flagged = (flags >> rank) & 1;
+                let _ = writeln!(out, "{name}{{{labels},worker=\"{rank}\"}} {flagged}");
             }
         }
         out
@@ -763,7 +642,7 @@ mod tests {
         let m = Metrics::new(Role::Server, 0);
         m.pushes.store(42, Ordering::Relaxed);
         for s in [0, 0, 1, 3, 9, 100] {
-            m.observe_staleness(s);
+            m.staleness.observe(s);
         }
         let page = parse_exposition(&m.render()).expect("rendered page parses");
         assert_eq!(
@@ -789,10 +668,10 @@ mod tests {
     fn latency_histograms_and_straggler_gauges_render() {
         let m = Metrics::new(Role::Coordinator, 0);
         for us in [80, 900, 4_000, 2_000_000] {
-            m.observe_round_time(us);
+            m.round_time.observe(us);
         }
         for us in [0, 40, 700, 90_000] {
-            m.observe_push_latency(us);
+            m.push_latency.observe(us);
         }
         m.set_straggler(0, false);
         m.set_straggler(2, true);

@@ -3,11 +3,11 @@
 //! is set), wired together behind methods the serving loops call from their hot
 //! paths.
 //!
-//! Everything here respects PR 4's zero-allocation guarantee: when observability is
-//! enabled, each hook is a handful of relaxed atomic operations (an [`EventLog`]
-//! slot claim plus counter updates); when disabled, the event hooks reduce to an
-//! `Option` check and the metric stores still land in the preallocated registry
-//! (nobody scrapes them, but keeping them unconditional keeps the hot path
+//! Nothing here allocates on a serving loop (`tests/zero_alloc_net.rs` counts it):
+//! when observability is enabled, each hook is a handful of relaxed atomic operations
+//! (an [`EventLog`] slot claim plus counter updates); when disabled, the event hooks
+//! reduce to an `Option` check and the metric stores still land in the preallocated
+//! registry (nobody scrapes them, but keeping them unconditional keeps the hot path
 //! branch-free). Rendering, serving and NDJSON flushing all happen off the serving
 //! loop — on the scrape thread or after the run.
 //!
@@ -18,6 +18,7 @@
 use crate::metrics::{Metrics, MetricsServer, MAX_STRAGGLER_RANKS};
 use crate::tcp::TransportStats;
 use crate::NetError;
+use dssp_core::analyze::Spread;
 use dssp_core::driver::{OkReply, ServerLoop};
 use dssp_core::events::{EventKind, EventLog, Role, NO_TRACE};
 use std::net::SocketAddr;
@@ -26,10 +27,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Z-score threshold above which a worker's cumulative gate wait flags it as a
-/// straggler on the `dssp_straggler` gauge.
-pub const STRAGGLER_Z: f64 = 2.0;
 
 /// Current Unix time in microseconds (the clock the event log shares, so live
 /// latency windows and offline analysis agree).
@@ -175,18 +172,18 @@ impl Obs {
         let now = now_us();
         let trace_of = |rank: usize| traces.get(rank).copied().unwrap_or(NO_TRACE);
         self.event_traced(EventKind::Push, pusher as u64, trace_of(pusher));
-        self.metrics.observe_staleness(staleness);
+        self.metrics.staleness.observe(staleness);
         if pusher < MAX_STRAGGLER_RANKS {
             let prev = self.last_push_us[pusher].swap(now, Relaxed);
             if prev != 0 && now > prev {
-                self.metrics.observe_round_time(now - prev);
+                self.metrics.round_time.observe(now - prev);
             }
         }
         let mut granted = false;
         for reply in replies {
             if reply.worker == pusher {
                 granted = true;
-                self.metrics.observe_push_latency(0);
+                self.metrics.push_latency.observe(0);
                 if reply.granted_extra > 0 {
                     self.event_traced(
                         EventKind::CreditGrant,
@@ -204,7 +201,7 @@ impl Obs {
                     let since = self.blocked_since_us[reply.worker].swap(0, Relaxed);
                     if since != 0 && now > since {
                         let wait = now - since;
-                        self.metrics.observe_push_latency(wait);
+                        self.metrics.push_latency.observe(wait);
                         self.wait_total_us[reply.worker].fetch_add(wait, Relaxed);
                     }
                 }
@@ -220,36 +217,24 @@ impl Obs {
         self.sync_loop(sl);
     }
 
-    /// Re-runs the z-score straggler check over every rank that has pushed at least
-    /// once: a rank whose cumulative gate wait sits more than [`STRAGGLER_Z`]
-    /// standard deviations above the fleet mean is flagged on the `dssp_straggler`
-    /// gauge, and unflagged once it catches back up. A fixed sweep over the
-    /// preallocated per-rank slots — no allocation, called from the push hot path.
+    /// Re-runs the straggler check over every rank that has pushed at least once,
+    /// with the offline analyzer's rule ([`Spread::is_straggler`]): a rank whose
+    /// cumulative gate wait sits more than
+    /// [`STRAGGLER_Z`](dssp_core::analyze::STRAGGLER_Z) standard deviations above
+    /// the fleet mean is flagged on the `dssp_straggler` gauge, and unflagged once it
+    /// catches back up. Sweeps over the preallocated per-rank slots — no allocation,
+    /// called from the push hot path.
     #[inline]
     fn update_stragglers(&self) {
-        let mut n = 0u64;
-        let mut sum = 0u64;
-        let mut sumsq = 0u128;
-        for rank in 0..MAX_STRAGGLER_RANKS {
-            if self.last_push_us[rank].load(Relaxed) != 0 {
-                let wait = self.wait_total_us[rank].load(Relaxed);
-                n += 1;
-                sum += wait;
-                sumsq += (wait as u128) * (wait as u128);
-            }
-        }
-        if n < 2 {
+        let active =
+            (0..MAX_STRAGGLER_RANKS).filter(|&rank| self.last_push_us[rank].load(Relaxed) != 0);
+        let wait = |rank: usize| self.wait_total_us[rank].load(Relaxed) as f64;
+        let Some(spread) = Spread::of(active.clone().map(wait)) else {
             return;
-        }
-        let mean = sum as f64 / n as f64;
-        let var = (sumsq as f64 / n as f64 - mean * mean).max(0.0);
-        let std = var.sqrt();
-        for rank in 0..MAX_STRAGGLER_RANKS {
-            if self.last_push_us[rank].load(Relaxed) != 0 {
-                let wait = self.wait_total_us[rank].load(Relaxed) as f64;
-                let flagged = std > 0.0 && (wait - mean) / std > STRAGGLER_Z;
-                self.metrics.set_straggler(rank, flagged);
-            }
+        };
+        for rank in active {
+            self.metrics
+                .set_straggler(rank, spread.is_straggler(wait(rank)));
         }
     }
 
@@ -326,8 +311,53 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dssp_core::analyze::analyze;
     use dssp_core::driver::JobConfig;
+    use dssp_core::events::{trace_id, Event, SpanOp};
     use dssp_ps::PolicyKind;
+
+    /// The live gauge and the offline analyzer judge the same per-rank gate waits
+    /// alike: too few ranks, no spread, and one clear outlier.
+    #[test]
+    fn straggler_verdicts_match_the_analyzer() {
+        let cases: [&[u64]; 3] = [&[500], &[700; 4], &[10, 12, 9, 11, 10, 10, 5_000]];
+        let mut verdicts = Vec::new();
+        for waits in cases {
+            let obs = Obs::new(Role::Server, 0, None, None).unwrap();
+            let mut events = Vec::new();
+            for (rank, &wait) in waits.iter().enumerate() {
+                obs.last_push_us[rank].store(1, Relaxed);
+                obs.wait_total_us[rank].store(wait, Relaxed);
+                let (rank, trace) = (rank as u32, trace_id(rank as u32, 1));
+                let push = SpanOp::Push.code();
+                for (ts, kind, payload) in [
+                    (0, EventKind::SpanBegin, push),
+                    (1, EventKind::Push, 1),
+                    (1 + wait, EventKind::GateRelease, wait),
+                    (2 + wait, EventKind::SpanEnd, push),
+                ] {
+                    events.push(Event {
+                        ts,
+                        role: Role::Worker,
+                        rank,
+                        kind,
+                        payload,
+                        trace,
+                    });
+                }
+            }
+            events.sort_by_key(|e| e.ts);
+            obs.update_stragglers();
+            let offline = analyze(&events)
+                .workers
+                .iter()
+                .filter(|w| w.straggler)
+                .fold(0u64, |flags, w| flags | 1 << w.rank);
+            assert_eq!(obs.metrics().straggler_flags(), offline, "waits {waits:?}");
+            verdicts.push(offline);
+        }
+        assert_eq!(verdicts, [0, 0, 1 << 6]);
+    }
 
     #[test]
     fn disabled_bundle_is_inert_and_flushes_to_nothing() {

@@ -813,8 +813,9 @@ trait LeScalar: Copy {
     /// Appends the value's little-endian bytes (the element-wise fallback).
     #[cfg(not(target_endian = "little"))]
     fn put_le(self, buf: &mut Vec<u8>);
-    /// The value whose little-endian bytes are `bytes` (exactly its size).
-    fn from_le_chunk(bytes: &[u8]) -> Self;
+    /// Appends the values whose little-endian bytes are `bytes` (a whole number of
+    /// elements).
+    fn extend_from_le(out: &mut Vec<Self>, bytes: &[u8]);
 }
 
 macro_rules! le_scalar {
@@ -824,8 +825,9 @@ macro_rules! le_scalar {
             fn put_le(self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
-            fn from_le_chunk(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
+            fn extend_from_le(out: &mut Vec<Self>, bytes: &[u8]) {
+                let (elems, _) = bytes.as_chunks::<{ std::mem::size_of::<$t>() }>();
+                out.extend(elems.iter().map(|e| <$t>::from_le_bytes(*e)));
             }
         }
     )*};
@@ -884,8 +886,8 @@ fn copy_f32s_from_le(bytes: &[u8], out: &mut [f32]) {
     #[cfg(target_endian = "little")]
     le_bytes_mut(out).copy_from_slice(bytes);
     #[cfg(not(target_endian = "little"))]
-    for (chunk, v) in bytes.chunks_exact(4).zip(out.iter_mut()) {
-        *v = f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+    for (chunk, v) in bytes.as_chunks::<4>().0.iter().zip(out.iter_mut()) {
+        *v = f32::from_le_bytes(*chunk);
     }
 }
 
@@ -1659,7 +1661,11 @@ impl<'a> Reader<'a> {
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("took N bytes"))
+        let bytes = *self.bytes[self.pos..]
+            .first_chunk()
+            .ok_or(WireError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -1689,8 +1695,9 @@ impl<'a> Reader<'a> {
     fn run<T: LeScalar>(&mut self) -> Result<Vec<T>, WireError> {
         let size = std::mem::size_of::<T>();
         let declared = self.run_len(size)?;
-        let bytes = self.take(declared * size)?;
-        Ok(bytes.chunks_exact(size).map(T::from_le_chunk).collect())
+        let mut out = Vec::with_capacity(declared);
+        T::extend_from_le(&mut out, self.take(declared * size)?);
+        Ok(out)
     }
 
     /// Overwrites `out` with a length-prefixed f32 run in one bulk conversion. A
@@ -1710,7 +1717,7 @@ impl<'a> Reader<'a> {
         let declared = self.run_len(8)?;
         let bytes = self.take(declared * 8)?;
         out.clear();
-        out.extend(bytes.chunks_exact(8).map(u64::from_le_chunk));
+        u64::extend_from_le(out, bytes);
         Ok(())
     }
 

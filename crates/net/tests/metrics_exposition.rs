@@ -24,7 +24,7 @@ fn populated() -> Metrics {
     m.evictions.store(1, Relaxed);
     m.joins.store(4, Relaxed);
     for s in [0, 0, 1, 3, 5, 40] {
-        m.observe_staleness(s);
+        m.staleness.observe(s);
     }
     m
 }
@@ -60,13 +60,13 @@ fn every_series() -> Metrics {
         field.store(101 + i as u64, Relaxed);
     }
     for s in [0, 1, 3, 3, 17, 99] {
-        m.observe_staleness(s);
+        m.staleness.observe(s);
     }
     for us in [80, 300, 7_000, 60_000, 3_000_000] {
-        m.observe_round_time(us);
+        m.round_time.observe(us);
     }
     for us in [0, 0, 120, 2_000, 1_500_000] {
-        m.observe_push_latency(us);
+        m.push_latency.observe(us);
     }
     m.set_straggler(0, true);
     m.set_straggler(5, true);

@@ -258,12 +258,20 @@ impl<'a> Reader<'a> {
         }
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let bytes = *self.buf[self.pos..]
+            .first_chunk()
+            .ok_or(CheckpointError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
@@ -284,34 +292,15 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let count = self.len(4)?;
-        let raw = self.take(count * 4)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in raw.chunks_exact(4) {
-            out.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        Ok(out)
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let count = self.len(8)?;
-        let raw = self.take(count * 8)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in raw.chunks_exact(8) {
-            out.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        Ok(out)
-    }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
-        let count = self.len(4)?;
-        let raw = self.take(count * 4)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in raw.chunks_exact(4) {
-            out.push(u32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        Ok(out)
+    /// A length-prefixed vector of `N`-byte little-endian elements, each decoded by
+    /// `from_le` (`f32::from_le_bytes`, `u64::from_le_bytes`, ...).
+    fn vec<const N: usize, T>(
+        &mut self,
+        from_le: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let count = self.len(N)?;
+        let (elems, _) = self.take(count * N)?.as_chunks();
+        Ok(elems.iter().map(|e| from_le(*e)).collect())
     }
 
     fn bools(&mut self, what: &'static str) -> Result<Vec<bool>, CheckpointError> {
@@ -467,22 +456,22 @@ impl Checkpoint {
         let tick = r.f64()?;
         let store = if r.bool("store presence flag")? {
             Some(StoreSnapshot {
-                flat: r.f32s()?,
-                offsets: r.u64s()?,
-                versions: r.u64s()?,
-                velocity: r.f32s()?,
+                flat: r.vec(f32::from_le_bytes)?,
+                offsets: r.vec(u64::from_le_bytes)?,
+                versions: r.vec(u64::from_le_bytes)?,
+                velocity: r.vec(f32::from_le_bytes)?,
                 epoch: r.u64()?,
             })
         } else {
             None
         };
         let gate = if r.bool("gate presence flag")? {
-            let counts = r.u64s()?;
+            let counts = r.vec(u64::from_le_bytes)?;
             let retired = r.bools("retired flag")?;
             let latest = r.opt_f64s("latest timestamp flag")?;
             let previous = r.opt_f64s("previous timestamp flag")?;
             let blocked = r
-                .u64s()?
+                .vec(u64::from_le_bytes)?
                 .into_iter()
                 .map(|w| usize::try_from(w).map_err(|_| CheckpointError::Corrupt("blocked worker")))
                 .collect::<Result<Vec<_>, _>>()?;
@@ -502,12 +491,12 @@ impl Checkpoint {
                 previous,
                 blocked,
                 stats,
-                staleness_buckets: r.u64s()?,
-                staleness_sums: r.u64s()?,
-                staleness_pushes: r.u64s()?,
+                staleness_buckets: r.vec(u64::from_le_bytes)?,
+                staleness_sums: r.vec(u64::from_le_bytes)?,
+                staleness_pushes: r.vec(u64::from_le_bytes)?,
                 staleness_max: r.u64()?,
                 version: r.u64()?,
-                credits: r.u64s()?,
+                credits: r.vec(u64::from_le_bytes)?,
                 credits_granted: r.u64()?,
                 controller_invocations: r.u64()?,
             })
@@ -517,7 +506,7 @@ impl Checkpoint {
         let layout = if r.bool("layout presence flag")? {
             Some(LayoutSnapshot {
                 epoch: r.u64()?,
-                assignment: r.u32s()?,
+                assignment: r.vec(u32::from_le_bytes)?,
             })
         } else {
             None
