@@ -37,7 +37,8 @@
 //! `--checkpoint-dir D [--checkpoint-every N] [--restore]`; a process whose own
 //! fault plan fires exits with the distinct code [`dssp_net::FAULT_EXIT_CODE`] so a
 //! supervisor can tell a planned kill from a real crash. The `chaos-smoke` mode runs
-//! one kill+restart cell per role (worker, shard server, coordinator) over real
+//! one kill+restart cell per role (worker, shard server, coordinator), plus a
+//! coordinator kill half a second into the run that must resume, over real
 //! processes (`launch --servers 2 --workers 3`) and writes the per-cell outcomes to
 //! `TRACE_chaos_smoke.json`, exiting nonzero if any cell ends outside its designed
 //! outcome set:
@@ -359,15 +360,25 @@ fn run_chaos_smoke_mode(args: &[String]) {
     };
     let scratch = std::env::temp_dir().join(format!("dssp_chaos_smoke_{}", std::process::id()));
 
-    // One restart cell per role, all at the push phase (the one every role has).
+    // Each cell is `(fault, policy, straggler delay in ms, leg B must resume)`. One
+    // restart cell per role at the push phase (the one every role has), milliseconds
+    // into the run; the coordinator's push cell always tears (the shard servers hold
+    // the push its checkpoint misses), so it ends in a designed refusal. The last cell
+    // kills the coordinator right after a consistent cut, ≈ 0.5 s into a wall-clock
+    // run: under BSP behind an 80 ms-per-iteration straggler, checkpoint 20 follows
+    // the second fast worker's push of round 7 of 11, when both fast workers wait at
+    // the gate and only the straggler computes. Its leg B must resume, and the
+    // restored coordinator's policy clock must carry on from the checkpoint's.
+    let dssp = dssp_ps::PolicyKind::Dssp { s_l: 1, r_max: 2 };
     let cells = [
-        "worker1:push:restart:3",
-        "server0:push:restart:3",
-        "coord:push:restart:3",
+        ("worker1:push:restart:3", dssp, 0, false),
+        ("server0:push:restart:3", dssp, 0, false),
+        ("coord:push:restart:3", dssp, 0, false),
+        ("coord:ckpt:restart:20", dssp_ps::PolicyKind::Bsp, 80, true),
     ];
     let mut records = Vec::new();
     let mut all_ok = true;
-    for spec in cells {
+    for (spec, policy, straggler_ms, must_resume) in cells {
         let plan = FaultPlan::parse(spec).expect("smoke cell spec parses");
         let dir = scratch.join(spec.replace(':', "_"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -376,8 +387,12 @@ fn run_chaos_smoke_mode(args: &[String]) {
             std::process::exit(1);
         }
 
-        let mut job = JobConfig::small(dssp_ps::PolicyKind::Dssp { s_l: 1, r_max: 2 });
+        let mut job = JobConfig::small(policy);
         job.num_workers = 3;
+        if straggler_ms > 0 {
+            // The last rank, the one straggler the worker command line can carry.
+            job.extra_compute_delay_ms = vec![0, 0, straggler_ms];
+        }
         job.shards = 4;
         job.servers = 2;
         job.epochs = 1;
@@ -417,7 +432,7 @@ fn run_chaos_smoke_mode(args: &[String]) {
                 let designed = lower.contains("restore skew")
                     || lower.contains("retired")
                     || lower.contains("checkpoint");
-                if designed {
+                if designed && !must_resume {
                     format!("refused: {msg}")
                 } else {
                     cell_ok = false;

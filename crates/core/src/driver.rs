@@ -749,7 +749,13 @@ pub struct ServerLoop {
     policy_label: String,
     model_name: String,
     num_workers: usize,
+    /// The policy clock at the last event ([`ServerLoop::clock`]): a logical event
+    /// counter in deterministic mode, `origin` plus wall time otherwise.
     tick: f64,
+    /// Where this life's wall clock starts on the policy clock: 0 for a fresh loop,
+    /// the checkpointed tick for a restored one, so a restored wall-clock loop keeps
+    /// feeding the interval table monotonic timestamps.
+    origin: f64,
     fail_after: Option<u64>,
     aborted: bool,
     /// Set when a clock-only loop crosses its evaluation threshold: the logical/wall
@@ -847,6 +853,7 @@ impl ServerLoop {
             model_name: config.model.display_name(),
             num_workers: config.num_workers,
             tick: 0.0,
+            origin: 0.0,
             fail_after: config.fail_after_pushes,
             aborted: false,
             pending_eval: None,
@@ -949,7 +956,7 @@ impl ServerLoop {
 
     /// Captures this loop's durable state as a [`dssp_ps::Checkpoint`] stamped with
     /// `job_digest` (callers pass [`JobConfig::stable_digest`]): store + optimizer +
-    /// gate for a local loop, gate only for a clock-only loop, plus the logical tick so
+    /// gate for a local loop, gate only for a clock-only loop, plus the policy clock so
     /// a restored loop keeps feeding the interval table monotonic timestamps.
     pub fn snapshot(&self, job_digest: u64) -> dssp_ps::Checkpoint {
         let store = match &self.backend {
@@ -1013,7 +1020,7 @@ impl ServerLoop {
         if let Some(order) = sl.order.as_mut() {
             order.resume_from(&gate_snap.counts);
         }
-        sl.tick = ckpt.tick;
+        (sl.tick, sl.origin) = (ckpt.tick, ckpt.tick);
         sl.last_eval = sl.version();
         Ok(sl)
     }
@@ -1050,14 +1057,14 @@ impl ServerLoop {
     }
 
     /// The policy clock for one more event: the logical tick in deterministic mode,
-    /// wall time otherwise.
+    /// wall time since this life's start past `origin` otherwise.
     fn clock(&mut self, wall_now: f64) -> f64 {
-        if self.order.is_some() {
-            self.tick += 1.0;
-            self.tick
+        self.tick = if self.order.is_some() {
+            self.tick + 1.0
         } else {
-            wall_now
-        }
+            self.origin + wall_now
+        };
+        self.tick
     }
 
     /// Turns the workers in `released_scratch` into the `OK`s now owed (workers that
@@ -1261,7 +1268,7 @@ impl ServerLoop {
         if self.order.is_some() {
             self.tick
         } else {
-            wall_total
+            self.origin + wall_total
         }
     }
 
@@ -1586,6 +1593,28 @@ mod tests {
         let trace = sl.finish(0.3);
         assert_eq!(trace.total_pushes, 1);
         assert_eq!(trace.worker_summaries.len(), 2);
+    }
+
+    #[test]
+    fn a_restored_wall_clock_loop_continues_the_policy_clock() {
+        let config = JobConfig::small(PolicyKind::Asp);
+        let mut sl = ServerLoop::new(&config);
+        let grads = vec![0.0; sl.param_len()];
+        for now in [1.0, 2.0] {
+            sl.handle_push_slice(0, &grads, now, &mut Vec::new());
+        }
+        let digest = config.stable_digest();
+        let bytes = sl.snapshot(digest).encode();
+        let ckpt = dssp_ps::Checkpoint::decode_for_job(&bytes, digest).unwrap();
+        // The restarted process's wall clock starts again at 0; the policy clock
+        // carries on from the checkpoint's 2.0 s.
+        let mut sl = ServerLoop::restore(&config, &ckpt, false).unwrap();
+        sl.handle_push_slice(0, &grads, 0.1, &mut Vec::new());
+        assert_eq!(sl.gate().intervals().latest(0), Some(2.0 + 0.1));
+        for w in 0..2 {
+            sl.handle_done(done(w, 3), 0.2, &mut Vec::new());
+        }
+        assert_eq!(sl.finish(0.3).total_time_s, 2.0 + 0.3);
     }
 
     #[test]

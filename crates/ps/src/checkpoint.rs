@@ -28,8 +28,12 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"DSSPCKPT";
 
 /// Format version written by this build; decoding rejects anything else. Version 2
 /// added the optional layout section (epoch-stamped shard→server assignment) after
-/// the gate section.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// the gate section. Version 3 dropped six gate fields that copied other ones or
+/// that nothing read: the staleness histogram buckets, its per-worker sums and push
+/// counts and its maximum, the weight version (the push count in the statistics) and
+/// the rule's grant total (the statistics' `credits_granted`). It also made `tick`
+/// the policy clock of wall-clock runs as well as deterministic ones.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Hard ceiling on the size of a checkpoint this decoder will accept, so a corrupt
 /// length prefix cannot drive a huge allocation.
@@ -112,8 +116,9 @@ pub struct Checkpoint {
     /// Digest of the job configuration this checkpoint was taken under; restoring
     /// under a different job is refused (version/config skew).
     pub job_digest: u64,
-    /// The deterministic-mode logical clock at snapshot time, so a restored run's
-    /// interval table keeps receiving monotonically increasing timestamps.
+    /// The policy clock at snapshot time — the logical event counter in deterministic
+    /// mode, run time in seconds otherwise — which a restored run continues from, so
+    /// its interval table keeps receiving monotonically increasing timestamps.
     pub tick: f64,
     /// The storage half, if this process owns weights.
     pub store: Option<StoreSnapshot>,
@@ -415,13 +420,7 @@ impl Checkpoint {
                 put_u64(&mut out, g.stats.staleness_max);
                 put_u64(&mut out, g.stats.credits_granted);
                 put_u64(&mut out, g.stats.credits_reclaimed);
-                put_u64s(&mut out, &g.staleness_buckets);
-                put_u64s(&mut out, &g.staleness_sums);
-                put_u64s(&mut out, &g.staleness_pushes);
-                put_u64(&mut out, g.staleness_max);
-                put_u64(&mut out, g.version);
                 put_u64s(&mut out, &g.credits);
-                put_u64(&mut out, g.credits_granted);
                 put_u64(&mut out, g.controller_invocations);
             }
             None => out.push(0),
@@ -491,13 +490,7 @@ impl Checkpoint {
                 previous,
                 blocked,
                 stats,
-                staleness_buckets: r.vec(u64::from_le_bytes)?,
-                staleness_sums: r.vec(u64::from_le_bytes)?,
-                staleness_pushes: r.vec(u64::from_le_bytes)?,
-                staleness_max: r.u64()?,
-                version: r.u64()?,
                 credits: r.vec(u64::from_le_bytes)?,
-                credits_granted: r.u64()?,
                 controller_invocations: r.u64()?,
             })
         } else {
@@ -592,13 +585,10 @@ impl Checkpoint {
                 g.retired.len(),
                 g.latest.len(),
                 g.previous.len(),
-                g.staleness_sums.len(),
-                g.staleness_pushes.len(),
             ];
             if per_worker.iter().any(|&len| len != n)
                 || !(g.credits.is_empty() || g.credits.len() == n)
                 || g.blocked.iter().any(|&w| w >= n)
-                || g.staleness_buckets.is_empty()
             {
                 return Err(CheckpointError::RoleMismatch(
                     "gate tables are not sized for this job's workers",
@@ -693,13 +683,7 @@ mod tests {
                 credits_granted: 5,
                 credits_reclaimed: 1,
             },
-            staleness_buckets: vec![1, 2, 1],
-            staleness_sums: vec![3, 0],
-            staleness_pushes: vec![3, 1],
-            staleness_max: 2,
-            version: 4,
             credits: vec![2, 0],
-            credits_granted: 5,
             controller_invocations: 3,
         }
     }

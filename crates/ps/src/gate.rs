@@ -9,15 +9,24 @@
 //! its storage, so the single-process decision logic is *the same code* the
 //! coordinator runs — a push through either path updates identical clocks, interval
 //! tables, policy state and statistics).
+//!
+//! The gate keeps each fact once: the clock array `t`, table `A`, the credits `r_p`
+//! (inside the rule), the blocked set, and [`ServerStats`], whose push count is the
+//! weight version and whose grant counter is the only one.
+//!
+//! **Where the staleness sample is taken.** [`SyncGate::on_push`] takes it after the
+//! pusher's clock has been incremented for this push and before the staleness rule
+//! decides whether the push gets its `OK`. The sample therefore counts the push being
+//! judged: a worker that was allowed to start an iteration at lead `s_U` pushes at
+//! lead `s_U + 1`, the rule sees that and withholds the `OK`, and `s_U + 1` is what
+//! [`ServerStats::staleness_max`] shows. A rule bounded by `s_U` (SSP at `s`, strict
+//! DSSP at `s_L + r_max`) thus reads `s_U + 1` at most — by construction, not an
+//! off-by-one in the gate: no worker ever *computes* on weights more than `s_U`
+//! clocks behind. Literal Algorithm 1 can re-grant credits and has no such bound.
 
 use crate::clock::{ClockTable, IntervalTracker, WorkerId};
 use crate::policy::{PolicyKind, StalenessRule};
 use crate::server::{PushDecision, ServerStats};
-use crate::staleness::StalenessTracker;
-
-/// Number of exact histogram buckets kept by the staleness tracker; pushes with a
-/// larger lead share the final overflow bucket (their exact maximum is still tracked).
-pub(crate) const STALENESS_BUCKETS: u64 = 64;
 
 /// A full copy of a [`SyncGate`]'s mutable state, as captured by
 /// [`SyncGate::snapshot`] and replayed by [`SyncGate::restore`]. This is the
@@ -35,22 +44,11 @@ pub struct GateSnapshot {
     pub previous: Vec<Option<f64>>,
     /// Workers waiting for a deferred `OK`, in blocking order.
     pub blocked: Vec<WorkerId>,
-    /// Synchronization statistics accumulated so far.
+    /// Synchronization statistics accumulated so far (`stats.pushes` is the weight
+    /// version).
     pub stats: ServerStats,
-    /// Staleness histogram buckets.
-    pub staleness_buckets: Vec<u64>,
-    /// Per-worker staleness sums.
-    pub staleness_sums: Vec<u64>,
-    /// Per-worker staleness push counts.
-    pub staleness_pushes: Vec<u64>,
-    /// Largest staleness value ever recorded.
-    pub staleness_max: u64,
-    /// Total pushes recorded (the weight version).
-    pub version: u64,
     /// Per-worker remaining DSSP credits (empty for policies without credits).
     pub credits: Vec<u64>,
-    /// Cumulative credits granted by the controller.
-    pub credits_granted: u64,
     /// Cumulative controller invocations.
     pub controller_invocations: u64,
 }
@@ -72,8 +70,6 @@ pub struct SyncGate {
     /// survivors can be rebuilt without allocating on the push path.
     blocked_scratch: Vec<WorkerId>,
     stats: ServerStats,
-    staleness: StalenessTracker,
-    version: u64,
     num_workers: usize,
 }
 
@@ -81,7 +77,7 @@ impl std::fmt::Debug for SyncGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncGate")
             .field("policy", &self.kind.label())
-            .field("version", &self.version)
+            .field("version", &self.version())
             .field("blocked", &self.blocked)
             .finish()
     }
@@ -103,8 +99,6 @@ impl SyncGate {
             blocked: Vec::new(),
             blocked_scratch: Vec::new(),
             stats: ServerStats::default(),
-            staleness: StalenessTracker::new(num_workers, STALENESS_BUCKETS),
-            version: 0,
             num_workers,
         }
     }
@@ -116,7 +110,7 @@ impl SyncGate {
 
     /// Total pushes recorded so far (the server weight version).
     pub fn version(&self) -> u64 {
-        self.version
+        self.stats.pushes
     }
 
     /// The per-worker push counters (array `t` of Algorithm 1).
@@ -134,26 +128,17 @@ impl SyncGate {
         &self.stats
     }
 
-    /// The per-push staleness distribution observed so far.
-    pub fn staleness(&self) -> &StalenessTracker {
-        &self.staleness
-    }
-
-    /// The active policy's display name.
-    pub fn policy_name(&self) -> String {
-        self.kind.label()
-    }
-
     /// Workers currently waiting for a deferred `OK`.
     pub fn blocked_workers(&self) -> &[WorkerId] {
         &self.blocked
     }
 
     /// Records one push from `worker` at time `now`: increments its clock, updates the
-    /// interval table and staleness statistics, consults the policy, and appends any
-    /// workers this push releases to the caller-owned `released` buffer (not cleared
-    /// first). No weights are touched — the caller applies the gradient to whatever
-    /// storage it owns (in place, or remotely on a group of shard servers).
+    /// interval table and staleness statistics (sampled before the rule decides; see
+    /// [`ServerStats::staleness_max`]), consults the policy, and appends any workers
+    /// this push releases to the caller-owned `released` buffer (not cleared first). No
+    /// weights are touched — the caller applies the gradient to whatever storage it
+    /// owns (in place, or remotely on a group of shard servers).
     ///
     /// # Panics
     ///
@@ -165,7 +150,6 @@ impl SyncGate {
         released: &mut Vec<WorkerId>,
     ) -> PushDecision {
         assert!(worker < self.num_workers, "worker id out of range");
-        self.version += 1;
         self.clocks.increment(worker);
         self.intervals.record_push(worker, now);
 
@@ -173,7 +157,6 @@ impl SyncGate {
         let lead = self.clocks.lead_over_slowest(worker);
         self.stats.staleness_sum += lead;
         self.stats.staleness_max = self.stats.staleness_max.max(lead);
-        self.staleness.record(worker, lead);
 
         let (ok_now, granted_extra) = self.rule.on_push(worker, &self.clocks, &self.intervals);
         self.stats.credits_granted += granted_extra;
@@ -185,7 +168,7 @@ impl SyncGate {
         self.drain_released_into(if ok_now { None } else { Some(worker) }, released);
         PushDecision {
             ok_now,
-            version: self.version,
+            version: self.version(),
             granted_extra,
             staleness: lead,
         }
@@ -233,13 +216,7 @@ impl SyncGate {
                 .collect(),
             blocked: self.blocked.clone(),
             stats: self.stats.clone(),
-            staleness_buckets: self.staleness.buckets().to_vec(),
-            staleness_sums: self.staleness.per_worker_sums().to_vec(),
-            staleness_pushes: self.staleness.per_worker_push_counts().to_vec(),
-            staleness_max: self.staleness.max(),
-            version: self.version,
             credits: self.rule.credits().to_vec(),
-            credits_granted: self.rule.credits_granted(),
             controller_invocations: self.rule.controller_invocations(),
         }
     }
@@ -261,21 +238,12 @@ impl SyncGate {
             blocked: snap.blocked.clone(),
             blocked_scratch: Vec::new(),
             stats: snap.stats.clone(),
-            staleness: StalenessTracker::restore(
-                snap.staleness_buckets.clone(),
-                snap.staleness_sums.clone(),
-                snap.staleness_pushes.clone(),
-                snap.staleness_max,
-            ),
-            version: snap.version,
             num_workers,
         };
         if !snap.credits.is_empty() {
-            restored.rule.restore_credits(
-                &snap.credits,
-                snap.credits_granted,
-                snap.controller_invocations,
-            );
+            restored
+                .rule
+                .restore_credits(&snap.credits, snap.controller_invocations);
         }
         restored
     }

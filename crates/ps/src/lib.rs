@@ -47,7 +47,6 @@ mod gate;
 mod policy;
 mod server;
 mod sharded;
-mod staleness;
 pub mod theory;
 
 pub use checkpoint::{
@@ -61,4 +60,3 @@ pub use gate::{GateSnapshot, SyncGate};
 pub use policy::{PolicyKind, StalenessRule};
 pub use server::{ParameterServer, PushDecision, ServerConfig, ServerStats};
 pub use sharded::{delta_compatible, shard_range, ShardedStore};
-pub use staleness::StalenessTracker;

@@ -109,7 +109,6 @@ pub struct StalenessRule {
     /// fixed-threshold kinds, so their checkpoints carry no credit table.
     credits: Vec<u64>,
     controller: SyncController,
-    credits_granted: u64,
 }
 
 impl StalenessRule {
@@ -129,7 +128,6 @@ impl StalenessRule {
             strict,
             credits: vec![0; num_workers],
             controller: SyncController::new(num_workers, r_max),
-            credits_granted: 0,
         }
     }
 
@@ -141,11 +139,6 @@ impl StalenessRule {
     /// The range width `r_max = s_U − s_L`.
     pub fn r_max(&self) -> u64 {
         self.r_max
-    }
-
-    /// Total number of extra-iteration credits granted so far.
-    pub fn credits_granted(&self) -> u64 {
-        self.credits_granted
     }
 
     /// Number of controller invocations so far.
@@ -197,7 +190,6 @@ impl StalenessRule {
                 decision.extra_iterations
             };
             if granted > 0 {
-                self.credits_granted += granted;
                 // The worker runs exactly `granted` extra iterations: this OK starts the
                 // first one, the remaining `granted - 1` are spent at future pushes.
                 self.credits[worker] = granted - 1;
@@ -215,19 +207,20 @@ impl StalenessRule {
         clocks.lead_over_slowest(worker) <= self.s_l
     }
 
-    /// Restores checkpointed credit/controller state.
+    /// Restores checkpointed credit/controller state. How many credits were ever
+    /// granted is the gate's count ([`crate::ServerStats::credits_granted`]), not the
+    /// rule's.
     ///
     /// # Panics
     ///
     /// Panics if `credits` has the wrong length.
-    pub fn restore_credits(&mut self, credits: &[u64], granted: u64, invocations: u64) {
+    pub fn restore_credits(&mut self, credits: &[u64], invocations: u64) {
         assert_eq!(
             credits.len(),
             self.credits.len(),
             "checkpointed credit table has the wrong worker count"
         );
         self.credits.copy_from_slice(credits);
-        self.credits_granted = granted;
         self.controller.set_invocations(invocations);
     }
 
@@ -245,6 +238,8 @@ mod tests {
     struct Harness {
         clocks: ClockTable,
         intervals: IntervalTracker,
+        /// Credits the rule granted over every push so far.
+        granted: u64,
     }
 
     impl Harness {
@@ -252,6 +247,7 @@ mod tests {
             Self {
                 clocks: ClockTable::new(workers),
                 intervals: IntervalTracker::new(workers),
+                granted: 0,
             }
         }
 
@@ -259,7 +255,9 @@ mod tests {
         fn push(&mut self, rule: &mut StalenessRule, w: WorkerId, now: f64) -> bool {
             self.clocks.increment(w);
             self.intervals.record_push(w, now);
-            rule.on_push(w, &self.clocks, &self.intervals).0
+            let (ok, granted) = rule.on_push(w, &self.clocks, &self.intervals);
+            self.granted += granted;
+            ok
         }
 
         fn release(&self, rule: &StalenessRule, w: WorkerId) -> bool {
@@ -337,7 +335,7 @@ mod tests {
                 .map(|&(w, t)| h.push(&mut rule, w, t))
                 .collect();
             assert_eq!(rule.controller_invocations(), 0, "{kind}");
-            assert_eq!(rule.credits_granted(), 0, "{kind}");
+            assert_eq!(h.granted, 0, "{kind}");
             oks
         };
         for s in [0, 1, 2, 5] {
@@ -369,7 +367,7 @@ mod tests {
                                             // because worker 0 is much faster than worker 1.
         let ok = h.push(&mut dssp, 0, 4.0);
         assert!(ok, "controller should let the fast worker run ahead");
-        assert!(dssp.credits_granted() > 0);
+        assert!(h.granted > 0);
         assert_eq!(dssp.controller_invocations(), 1);
     }
 
@@ -386,7 +384,7 @@ mod tests {
                                             // Exceed s_l: the controller grants extra iterations (clamped to r_max = 4).
         let ok = h.push(&mut dssp, 0, 4.0);
         assert!(ok);
-        let granted = dssp.credits_granted();
+        let granted = h.granted;
         assert!(granted > 0 && granted <= 4, "granted={granted}");
         let mut extra_ok = 0;
         let mut t = 5.0;

@@ -1,10 +1,9 @@
 //! The parameter server of Algorithm 1 (server part).
 
-use crate::clock::{ClockTable, IntervalTracker, WorkerId};
+use crate::clock::WorkerId;
 use crate::gate::SyncGate;
 use crate::policy::PolicyKind;
 use crate::sharded::ShardedStore;
-use crate::staleness::StalenessTracker;
 use dssp_nn::Sgd;
 use serde::{Deserialize, Serialize};
 
@@ -55,10 +54,11 @@ pub struct PushDecision {
     /// credit).
     pub granted_extra: u64,
     /// The pushing worker's staleness at push time (its clock lead over the slowest
-    /// active worker) — the per-push sample behind the staleness histogram, surfaced
-    /// here so networked serving loops can export it without re-deriving clock state.
-    /// Taken after this push advanced the pusher's clock and before the rule decided
-    /// (see [`StalenessTracker`]), so a push the rule blocks at `s_U` reads `s_U + 1`.
+    /// active worker) — the per-push sample behind [`ServerStats`]'s staleness sum and
+    /// maximum, surfaced here so networked serving loops can export it without
+    /// re-deriving clock state. Taken after this push advanced the pusher's clock and
+    /// before the rule decided (see [`ServerStats::staleness_max`]), so a push the rule
+    /// blocks at `s_U` reads `s_U + 1`.
     pub staleness: u64,
 }
 
@@ -71,11 +71,14 @@ pub struct ServerStats {
     pub blocked_pushes: u64,
     /// Number of deferred `OK`s that were eventually sent (worker releases).
     pub releases: u64,
-    /// Histogram source: sum of the pusher's lead over the slowest worker at push time.
+    /// Sum of the pusher's lead over the slowest worker at push time.
     pub staleness_sum: u64,
-    /// Maximum observed lead over the slowest worker at push time. The sample
-    /// includes the push being judged ([`StalenessTracker`]), so under a rule bounded
-    /// by `s_U` it reads `s_U + 1` at most: the lead of the push that was then blocked.
+    /// Maximum observed lead over the slowest worker at push time. The sample is taken
+    /// after the pusher's clock advanced for the push and before the rule decided on
+    /// it, so it counts the push being judged: under a rule bounded by `s_U` it reads
+    /// `s_U + 1` at most — the lead of the push that was then blocked — while no worker
+    /// computes on weights more than `s_U` clocks behind ([`SyncGate::on_push`] takes
+    /// the sample). Literal DSSP re-grants credits and has no such bound.
     pub staleness_max: u64,
     /// Total extra-iteration credits granted by the DSSP synchronization controller
     /// (sum of every `r*` decision; 0 unless the policy is a DSSP variant).
@@ -131,7 +134,7 @@ impl std::fmt::Debug for ParameterServer {
         f.debug_struct("ParameterServer")
             .field("params", &self.store.len())
             .field("shards", &self.store.num_shards())
-            .field("policy", &self.gate.policy_name())
+            .field("policy", &self.config.policy.label())
             .field("version", &self.gate.version())
             .field("blocked", &self.gate.blocked_workers())
             .finish()
@@ -179,34 +182,14 @@ impl ParameterServer {
         self.gate.version()
     }
 
-    /// The per-worker push counters.
-    pub fn clocks(&self) -> &ClockTable {
-        self.gate.clocks()
-    }
-
-    /// The push-timestamp table (table `A` of Algorithm 2).
-    pub fn intervals(&self) -> &IntervalTracker {
-        self.gate.intervals()
-    }
-
     /// Synchronization statistics accumulated so far.
     pub fn stats(&self) -> &ServerStats {
         self.gate.stats()
     }
 
-    /// The active policy's display name.
-    pub fn policy_name(&self) -> String {
-        self.gate.policy_name()
-    }
-
     /// The configuration this server was built with.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    /// Workers currently waiting for a deferred `OK`.
-    pub fn blocked_workers(&self) -> &[WorkerId] {
-        self.gate.blocked_workers()
     }
 
     /// The gating-only half: clocks, intervals, policy state and statistics. This is
@@ -332,11 +315,6 @@ impl ParameterServer {
     pub fn evict_worker(&mut self, worker: WorkerId, released: &mut Vec<WorkerId>) -> u64 {
         self.gate.evict_into(worker, released)
     }
-
-    /// The per-push staleness distribution observed so far.
-    pub fn staleness(&self) -> &StalenessTracker {
-        self.gate.staleness()
-    }
 }
 
 #[cfg(test)]
@@ -398,7 +376,7 @@ mod tests {
         let mut released = r2.released.clone();
         released.sort_unstable();
         assert_eq!(released, vec![0, 1]);
-        assert!(s.blocked_workers().is_empty());
+        assert!(s.gate().blocked_workers().is_empty());
     }
 
     #[test]
@@ -419,7 +397,7 @@ mod tests {
         assert!(push(&mut s, 0, &[0.0], 1.0).ok_now);
         let r = push(&mut s, 0, &[0.0], 2.0);
         assert!(!r.ok_now, "lead 2 exceeds threshold 1");
-        assert_eq!(s.blocked_workers(), &[0]);
+        assert_eq!(s.gate().blocked_workers(), &[0]);
         // Worker 1 pushes once: lead of worker 0 drops to 1, so it gets released.
         let r = push(&mut s, 1, &[0.0], 3.0);
         assert!(r.ok_now);
@@ -468,7 +446,7 @@ mod tests {
         let mut released = Vec::new();
         s.retire_worker(1, &mut released);
         assert_eq!(released, vec![0]);
-        assert!(s.blocked_workers().is_empty());
+        assert!(s.gate().blocked_workers().is_empty());
     }
 
     #[test]
@@ -476,20 +454,6 @@ mod tests {
     fn wrong_gradient_length_panics() {
         let mut s = server(PolicyKind::Asp, 1, 2);
         push(&mut s, 0, &[1.0], 0.0);
-    }
-
-    #[test]
-    fn staleness_histogram_matches_the_aggregate_stats() {
-        let mut s = server(PolicyKind::Asp, 2, 1);
-        for i in 0..5 {
-            push(&mut s, 0, &[0.0], i as f64);
-        }
-        push(&mut s, 1, &[0.0], 5.0);
-        let hist = s.staleness();
-        assert_eq!(hist.total_pushes(), s.stats().pushes);
-        assert_eq!(hist.max(), s.stats().staleness_max);
-        assert!((hist.mean() - s.stats().mean_staleness()).abs() < 1e-12);
-        assert_eq!(hist.per_worker_push_counts(), [5, 1]);
     }
 
     #[test]
@@ -572,8 +536,7 @@ mod tests {
     #[test]
     fn debug_output_mentions_policy() {
         let s = server(PolicyKind::Dssp { s_l: 3, r_max: 12 }, 2, 1);
-        assert!(format!("{s:?}").contains("DSSP"));
-        assert_eq!(s.policy_name(), "DSSP s=3, r=12");
+        assert!(format!("{s:?}").contains("DSSP s=3, r=12"));
         assert_eq!(s.config().num_workers, 2);
     }
 }

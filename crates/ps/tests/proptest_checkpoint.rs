@@ -68,13 +68,7 @@ fn build_checkpoint(
             credits_granted: take(5),
             credits_reclaimed: take(6),
         },
-        staleness_buckets: counts.iter().map(|&c| c % 97).collect(),
-        staleness_sums: counts.iter().map(|&c| c % 89).collect(),
-        staleness_pushes: counts.iter().map(|&c| c % 83).collect(),
-        staleness_max: take(7) % 32,
-        version: take(8),
         credits: (0..workers).map(|w| take(w + 5) % 8).collect(),
-        credits_granted: take(9),
         controller_invocations: take(10),
     });
     let layout = (sections % 5 != 0).then(|| LayoutSnapshot {

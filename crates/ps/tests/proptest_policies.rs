@@ -55,7 +55,7 @@ fn run_schedule(
         let result = server.handle_push_into(w, &[0.0], t, &mut released);
         done[w] += 1;
         total += 1;
-        max_spread = max_spread.max(server.clocks().spread());
+        max_spread = max_spread.max(server.gate().clocks().spread());
 
         if result.ok_now {
             if done[w] < iterations_per_worker {
@@ -79,49 +79,80 @@ fn run_schedule(
 /// Drives a [`SyncGate`] under `policy` through a random interleaving of pushes,
 /// retirements and evictions and checks every decision and every release against
 /// `may_proceed`, the paradigm's reference predicate on a worker's lead over the
-/// slowest active worker. Only runnable workers push (a blocked or departed worker
-/// sends nothing), but a blocked worker may still retire: its final push does not wait
-/// for the `OK`.
+/// slowest active worker (`lead <= s_L` for the DSSP kinds): a waiter is released
+/// exactly when it holds, and a push that neither spends nor is granted a credit
+/// proceeds exactly when it holds. Pushes carry monotone timestamps with uneven gaps
+/// drawn from the events, so under the DSSP kinds the real controller sees varied
+/// intervals and grants varied `r*`. At every step it also checks that no clock
+/// decreases, that every credit granted is held, spent or reclaimed (a grant spends
+/// its first credit at once), and that the strict kind never pushes at a lead past
+/// `s_L + r_max + 1`. Only runnable workers push (a blocked or departed worker sends
+/// nothing), but a blocked worker may still retire: its final push does not wait for
+/// the `OK`.
 fn check_against_reference(
     policy: PolicyKind,
     may_proceed: impl Fn(u64) -> bool,
     workers: usize,
     events: &[u64],
 ) {
+    // The range width (`None` for a fixed threshold) and the lead no push may pass.
+    let (range, lead_cap) = match policy {
+        PolicyKind::Dssp { r_max, .. } => (Some(r_max), u64::MAX),
+        PolicyKind::DsspStrict { s_l, r_max } => (Some(r_max), s_l + r_max + 1),
+        _ => (None, u64::MAX),
+    };
     let mut gate = SyncGate::new(workers, policy);
     let mut blocked: Vec<usize> = Vec::new();
     let mut gone = vec![false; workers];
     let (mut blocked_pushes, mut releases) = (0u64, 0u64);
+    // The test's own credit ledger: what each worker holds, and what was spent.
+    let (mut held, mut spent) = (vec![0u64; workers], 0u64);
+    let mut clocks = vec![0u64; workers];
     let mut released = Vec::new();
+    let mut now = 0.0;
     for (step, &event) in events.iter().enumerate() {
-        let w = (event / 25) as usize % workers;
+        let w = (event / 128) as usize % workers;
         if gone[w] {
             continue;
         }
+        now += (event % 8) as f64 * 0.25;
         released.clear();
         let mut just_blocked = None;
-        match event % 25 {
-            0..=22 if blocked.contains(&w) => continue,
-            0..=22 => {
-                let decision = gate.on_push(w, step as f64, &mut released);
+        match event % 128 {
+            0..=125 if blocked.contains(&w) => continue,
+            0..=125 => {
+                let decision = gate.on_push(w, now, &mut released);
                 let lead = gate.clocks().lead_over_slowest(w);
                 prop_assert_eq!(decision.staleness, lead);
-                prop_assert_eq!(decision.ok_now, may_proceed(lead), "push {step} by {w}");
-                prop_assert_eq!(decision.granted_extra, 0);
+                prop_assert!(lead <= lead_cap, "push {step} by {w} at lead {lead}");
+                prop_assert!(decision.granted_extra <= range.unwrap_or(0));
+                if held[w] > 0 {
+                    // A held credit is spent before the lead is looked at.
+                    prop_assert!(decision.ok_now && decision.granted_extra == 0);
+                    held[w] -= 1;
+                    spent += 1;
+                } else if decision.granted_extra > 0 {
+                    prop_assert!(decision.ok_now && !may_proceed(lead), "grant at {step}");
+                    held[w] = decision.granted_extra - 1;
+                    spent += 1;
+                } else {
+                    prop_assert_eq!(decision.ok_now, may_proceed(lead), "push {step} by {w}");
+                }
                 if !decision.ok_now {
                     blocked.push(w);
                     blocked_pushes += 1;
                     just_blocked = Some(w);
                 }
             }
-            23 => {
+            126 => {
                 gone[w] = true;
                 gate.retire_into(w, &mut released);
             }
             _ => {
                 gone[w] = true;
                 blocked.retain(|&b| b != w);
-                gate.evict_into(w, &mut released);
+                let reclaimed = gate.evict_into(w, &mut released);
+                prop_assert_eq!(reclaimed, std::mem::take(&mut held[w]));
             }
         }
         // Waiters go in blocking order, each as soon as the predicate lets it; the
@@ -132,16 +163,36 @@ fn check_against_reference(
         prop_assert_eq!(&released, &free, "releases at step {step}");
         releases += free.len() as u64;
         blocked = still;
+
+        let snap = gate.snapshot();
+        prop_assert!(
+            snap.counts
+                .iter()
+                .zip(&clocks)
+                .all(|(after, before)| after >= before),
+            "a clock went back at step {step}"
+        );
+        clocks = snap.counts;
+        if range.is_some() {
+            prop_assert_eq!(&snap.credits, &held, "credits held at step {step}");
+        }
+        prop_assert_eq!(
+            snap.stats.credits_granted,
+            held.iter().sum::<u64>() + spent + snap.stats.credits_reclaimed,
+            "credits granted, held, spent and reclaimed at step {step}"
+        );
     }
     let snap = gate.snapshot();
     prop_assert_eq!(&snap.blocked, &blocked);
     prop_assert_eq!(snap.stats.blocked_pushes, blocked_pushes);
     prop_assert_eq!(snap.stats.releases, releases);
-    // No fixed-threshold kind ever consults the controller or holds a credit, so its
-    // checkpoint carries neither.
-    prop_assert_eq!(snap.controller_invocations, 0);
-    prop_assert_eq!(snap.credits_granted, 0);
-    prop_assert!(snap.credits.is_empty());
+    if range.is_none() {
+        // No fixed-threshold kind ever consults the controller or holds a credit, so
+        // its checkpoint carries neither.
+        prop_assert_eq!(snap.controller_invocations, 0);
+        prop_assert_eq!(snap.stats.credits_granted, 0);
+        prop_assert!(snap.credits.is_empty());
+    }
 }
 
 fn durations_strategy(workers: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -245,6 +296,23 @@ proptest! {
         check_against_reference(PolicyKind::Bsp, |lead| lead == 0, workers, &events);
         check_against_reference(PolicyKind::Asp, |_| true, workers, &events);
         check_against_reference(PolicyKind::Ssp { s }, |lead| lead <= s, workers, &events);
+    }
+
+    /// Both DSSP kinds, with the real controller answering: under any interleaving of
+    /// pushes, retirements and evictions credits are conserved, clocks never go back,
+    /// a waiter leaves exactly when its lead is back within `s_L`, and the strict kind
+    /// never pushes at a lead past `s_L + r_max + 1`. Literal DSSP's worst-case lead
+    /// is not asserted: it has no stated bound.
+    #[test]
+    fn dssp_kinds_conserve_credits_and_release_at_the_lower_bound(
+        workers in 1usize..6,
+        s_l in 0u64..4,
+        r_max in 0u64..8,
+        events in prop::collection::vec(0u64..1_000_000, 1000),
+    ) {
+        for policy in [PolicyKind::Dssp { s_l, r_max }, PolicyKind::DsspStrict { s_l, r_max }] {
+            check_against_reference(policy, |lead| lead <= s_l, workers, &events);
+        }
     }
 
     /// ASP never blocks anyone, and every worker finishes all its iterations.
