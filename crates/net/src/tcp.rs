@@ -43,7 +43,7 @@ use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -98,10 +98,20 @@ enum Event {
     Unattributed(NetError),
 }
 
+/// Every connection the acceptor took, and whether the transport is gone. `Drop` and
+/// the acceptor meet under its lock, so each accepted socket is shut down by exactly
+/// one of them: by `Drop` if it was accepted before, by the acceptor if after.
+#[derive(Default)]
+struct Accepted {
+    streams: Vec<TcpStream>,
+    closed: bool,
+}
+
 /// Server end of the TCP transport.
 pub struct TcpServerTransport {
     local_addr: SocketAddr,
     num_workers: usize,
+    accepted: Arc<Mutex<Accepted>>,
     events: Receiver<Event>,
     writers: Vec<Option<TcpStream>>,
     pools: Vec<Option<RankPools>>,
@@ -125,13 +135,24 @@ impl TcpServerTransport {
         let (event_tx, events) = unbounded();
         let rx = Arc::new(RxCounters::default());
         let rx_for_readers = Arc::clone(&rx);
+        let accepted = Arc::new(Mutex::new(Accepted::default()));
+        let accepted_for_loop = Arc::clone(&accepted);
         thread::Builder::new()
             .name("dssp-net-acceptor".into())
-            .spawn(move || accept_loop(listener, num_workers, event_tx, rx_for_readers))
+            .spawn(move || {
+                accept_loop(
+                    listener,
+                    num_workers,
+                    &accepted_for_loop,
+                    event_tx,
+                    rx_for_readers,
+                )
+            })
             .expect("spawn acceptor thread");
         Ok(Self {
             local_addr,
             num_workers,
+            accepted,
             events,
             writers: (0..num_workers).map(|_| None).collect(),
             pools: (0..num_workers).map(|_| None).collect(),
@@ -178,16 +199,17 @@ impl Drop for TcpServerTransport {
     /// duplicated FDs, so merely dropping the write halves would leave the sockets
     /// open — and a worker with nothing left to send would block forever on a reply
     /// that cannot come. `shutdown` acts on the socket itself, across every
-    /// duplicate, unblocking both the peer and this connection's reader thread.
+    /// duplicate, unblocking both the peer and this connection's reader thread. It
+    /// reaches every connection the acceptor took, registered or not: a reader thread
+    /// that registers during the drop has its write half parked in the event channel,
+    /// where no shutdown of the known writers would find it.
     fn drop(&mut self) {
-        while let Ok(event) = self.events.try_recv() {
-            if let Event::Register { stream, .. } = event {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        for stream in self.writers.iter().flatten() {
+        let mut accepted = self.accepted.lock().unwrap_or_else(PoisonError::into_inner);
+        accepted.closed = true;
+        for stream in accepted.streams.drain(..) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
+        drop(accepted);
         // Unblock the acceptor if any client slot was never claimed (a coordinator
         // binds an optional admin slot that only `repro -- drain/rebalance` dials):
         // a bounded burst of self-connects makes `accept` return so the thread can
@@ -207,12 +229,26 @@ impl Drop for TcpServerTransport {
 fn accept_loop(
     listener: TcpListener,
     num_workers: usize,
+    accepted: &Mutex<Accepted>,
     event_tx: Sender<Event>,
     rx: Arc<RxCounters>,
 ) {
     for _ in 0..num_workers {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
+        let stream = match listener.accept().and_then(|(stream, _)| {
+            let kept = stream.try_clone()?;
+            Ok((stream, kept))
+        }) {
+            Ok((stream, kept)) => {
+                let mut accepted = accepted.lock().unwrap_or_else(PoisonError::into_inner);
+                if accepted.closed {
+                    // The transport is gone: this is one of its drop's self-connects,
+                    // or a client that came too late. Either way nobody will serve it.
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    continue;
+                }
+                accepted.streams.push(kept);
+                stream
+            }
             Err(e) => {
                 let _ = event_tx.send(Event::Unattributed(e.into()));
                 return;
