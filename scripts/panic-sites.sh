@@ -2,11 +2,16 @@
 # Panic sites in the serving crates: every `.unwrap()`, `.expect(`, `panic!` and
 # `unreachable!` in the non-test part of crates/{net,coord,ps}/src (each file up to,
 # not including, its first `#[cfg(test)]`, as scripts/src-lines.sh delimits it).
-# Code only: a comment, doc comments included, does not count. Informational; prints
-# `file:line code` per line that holds a site, then the number of sites.
+# Code only: a comment, doc comments included, does not count. Prints `file:line code`
+# per line that holds a site, then the number of sites.
+#
+# A gate: every site must be listed in scripts/panic-sites.allow, one `file code` per
+# line (the printed line without its line number, so moving code does not touch the
+# list). It exits 1 and names each site the list lacks. A listed site that is gone is
+# only reported: take its line out of the list in the change that removed it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-find crates/net/src crates/coord/src crates/ps/src -name '*.rs' | sort | xargs awk '
+sites=$(find crates/net/src crates/coord/src crates/ps/src -name '*.rs' | sort | xargs awk '
     FNR == 1 { test = 0 }
     /#\[cfg\(test\)\]/ { test = 1 }
     test { next }
@@ -19,11 +24,22 @@ find crates/net/src crates/coord/src crates/ps/src -name '*.rs' | sort | xargs a
             rest = substr(rest, RSTART + RLENGTH)
         }
         if (n) {
-            sites += n
             line = $0
             sub(/^[ \t]+/, "", line)
             printf "%s:%d %s\n", FILENAME, FNR, line
         }
     }
-    END { printf "%d panic sites\n", sites }
-'
+')
+printf '%s\n' "$sites"
+printf '%d panic sites\n' "$(printf '%s\n' "$sites" | grep -c . || true)"
+keys=$(printf '%s\n' "$sites" | sed -E 's/^([^:]+):[0-9]+ /\1 /' | grep . || true)
+allow=$(grep -v '^#' scripts/panic-sites.allow | grep . || true)
+unlisted=$(comm -23 <(printf '%s\n' "$keys" | sort) <(printf '%s\n' "$allow" | sort) | grep . || true)
+gone=$(comm -13 <(printf '%s\n' "$keys" | sort) <(printf '%s\n' "$allow" | sort) | grep . || true)
+if [ -n "$gone" ]; then
+    printf 'listed in scripts/panic-sites.allow but gone (take them out):\n%s\n' "$gone"
+fi
+if [ -n "$unlisted" ]; then
+    printf 'panic sites not in scripts/panic-sites.allow (type the failure, or list the site):\n%s\n' "$unlisted"
+    exit 1
+fi
