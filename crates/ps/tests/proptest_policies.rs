@@ -289,7 +289,7 @@ proptest! {
     /// staleness rule, under any interleaving of pushes, retirements and evictions.
     #[test]
     fn fixed_threshold_kinds_match_their_reference_predicates(
-        workers in 1usize..6,
+        workers in 1usize..7,
         s in 0u64..4,
         events in prop::collection::vec(0u64..10_000, 160),
     ) {
@@ -305,7 +305,7 @@ proptest! {
     /// is not asserted: it has no stated bound.
     #[test]
     fn dssp_kinds_conserve_credits_and_release_at_the_lower_bound(
-        workers in 1usize..6,
+        workers in 1usize..7,
         s_l in 0u64..4,
         r_max in 0u64..8,
         events in prop::collection::vec(0u64..1_000_000, 1000),
