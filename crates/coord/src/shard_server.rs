@@ -417,13 +417,20 @@ pub struct ShardServeReport {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is inconsistent or `index` is out of range.
+/// Panics if the configuration is inconsistent or `index` is out of range, or if
+/// `sgd.schedule` is not constant: a shard server applies slices without the gate's
+/// push counts, so it cannot step a schedule's epoch the way `ServerLoop` does.
 pub fn serve_shard(
     job: &JobConfig,
     index: usize,
     transport: &mut dyn ServerTransport,
 ) -> Result<ShardServeReport, NetError> {
     job.validate();
+    assert!(
+        matches!(job.sgd.schedule, dssp_nn::LrSchedule::Constant { .. }),
+        "a group's shard servers cannot step {:?}: use a constant schedule",
+        job.sgd.schedule
+    );
     // Shard server i scrapes at the base `--metrics-addr` port + 1 + i — the base
     // port belongs to the coordinator, which shares the host in in-process runs.
     let metrics_addr = job

@@ -46,7 +46,7 @@
 
 pub mod analyze;
 pub mod chrome_trace;
-pub mod driver;
+pub use dssp_sim::driver;
 pub mod events;
 mod experiment;
 pub mod json;

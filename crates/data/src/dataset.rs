@@ -80,6 +80,21 @@ impl Dataset {
         self.batch(Split::Test, &indices)
     }
 
+    /// The example count of each worker's [`Dataset::shard_train`] block, without
+    /// copying the examples: the first `train_len % workers` blocks hold one example
+    /// more than the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn shard_sizes(&self, workers: usize) -> Vec<usize> {
+        assert!(workers > 0, "cannot shard across zero workers");
+        let n = self.train_len();
+        (0..workers)
+            .map(|w| n / workers + usize::from(w < n % workers))
+            .collect()
+    }
+
     /// Splits the training set into `workers` equal-sized shards (the paper's data
     /// parallelism: "the training data is partitioned based on the number of workers").
     ///
@@ -91,21 +106,13 @@ impl Dataset {
     ///
     /// Panics if `workers` is zero.
     pub fn shard_train(&self, workers: usize) -> Vec<Shard> {
-        assert!(workers > 0, "cannot shard across zero workers");
-        let n = self.train_len();
-        let base = n / workers;
-        let remainder = n % workers;
-        let mut shards: Vec<Vec<usize>> = Vec::with_capacity(workers);
         let mut start = 0usize;
-        for w in 0..workers {
-            let size = base + usize::from(w < remainder);
-            shards.push((start..start + size).collect());
-            start += size;
-        }
-        shards
+        self.shard_sizes(workers)
             .into_iter()
             .enumerate()
-            .map(|(worker, indices)| {
+            .map(|(worker, size)| {
+                let indices: Vec<usize> = (start..start + size).collect();
+                start += size;
                 let (features, labels) = gather(&self.train, &indices);
                 Shard {
                     worker,

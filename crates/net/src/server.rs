@@ -400,6 +400,10 @@ impl Serving<'_> {
         replies.clear();
         let decision = self.sl.handle_push_slice(rank, &grads, now, &mut replies);
         self.transport.recycle_f32s(rank, grads);
+        if let Some(mut point) = self.sl.take_pending_eval() {
+            point.test_accuracy = f64::from(self.sl.accuracy(self.sl.server().weights()));
+            self.sl.record_eval(point);
+        }
         let granted = replies.iter().any(|r| r.worker == rank);
         self.obs.on_push(
             rank,

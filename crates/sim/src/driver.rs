@@ -1,26 +1,25 @@
 //! The transport-agnostic training driver.
 //!
 //! The DSSP decision logic (`dssp_ps::ParameterServer`) is runtime-agnostic; what *was*
-//! duplicated between runtimes was everything around it: building the job (dataset,
-//! shards, model replicas, server), the worker step-loop (pull → compute → push) and
-//! the server decision-loop (apply push, gate, evaluate, summarize). This module
-//! extracts those pieces so that every substrate drives the same code:
+//! duplicated between runtimes was everything around it: building the job, the worker
+//! step-loop (pull → compute → push) and the server decision-loop (apply push, gate,
+//! step the schedule, evaluate, summarize). Four substrates drive these pieces: the
+//! simulator ([`crate::Simulation`], virtual time), the threaded runtime
+//! (`dssp_core::runtime`), the networked server (`dssp-net`, TCP or loopback) and the
+//! group coordinator (`dssp-coord`, a clock-only loop). The simulator keeps only its
+//! event loop — queue, clock, link, time model — and hands every push to the same
+//! [`ServerLoop::handle_push_slice`] a serving loop calls; the networked worker's round
+//! exists once too, in `dssp_net::worker::run_worker_loop`. A serving loop offers each
+//! event to the [`ServerLoop`], drains what it is ready to release, applies it
+//! ([`ServerLoop::handle_push_slice`] / [`ServerLoop::handle_done`], or
+//! [`ServerLoop::evict_worker`] for a dead worker) and delivers the `OK`s appended to
+//! its reply scratch; the order events come back out in is the loop's own business.
 //!
-//! * the discrete-event simulator (`dssp-sim`) — virtual time, one event loop with its
-//!   gradients and evaluations as tasks on every core;
-//! * the threaded runtime ([`crate::runtime`]) — real threads, channels;
-//! * the networked runtime (`dssp-net`) — real processes, TCP or loopback transports.
-//!
-//! The simulator keeps its own event loop (virtual time needs one), but the threaded
-//! and networked runtimes are thin substrate adapters over [`WorkerStep`] and
-//! [`ServerLoop`]. The networked worker's run around [`WorkerStep`] — join, resume,
-//! pull, push, await `OK`, done, drain — exists once as well, in
-//! `dssp_net::worker::run_worker_loop`, over two links: one server, or a group. The path from an arriving push to the `OK`s it releases exists once:
-//! a serving loop offers each event to the [`ServerLoop`], drains what it is ready to
-//! release, applies it ([`ServerLoop::handle_push_slice`] / [`ServerLoop::handle_done`],
-//! or [`ServerLoop::evict_worker`] for a dead worker) and delivers the `OK`s appended
-//! to its reply scratch. In which order events come back out, and what that order
-//! needs to know about each outcome, is the loop's own business.
+//! Three rules live here once. After each push the optimizer's epoch becomes the
+//! slowest worker's, derived from the push counts. The loop decides when an evaluation
+//! is due and keeps the trace points; the substrate decides who scores the weights
+//! ([`ServerLoop::take_pending_eval`]). Every worker's summary arrives through
+//! [`ServerLoop::handle_done`].
 //!
 //! # Deterministic mode
 //!
@@ -34,20 +33,22 @@
 //! counter instead of wall time. Two deterministic runs of the same job produce bitwise-identical
 //! weights, accuracies and synchronization statistics on *any* substrate (threads,
 //! loopback channels, TCP sockets); only wall-clock fields differ (see
-//! [`dssp_sim::RunTrace::with_times_zeroed`]). The cost is lockstep-ish pacing, so the
+//! [`RunTrace::with_times_zeroed`]). The cost is lockstep-ish pacing, so the
 //! mode is for equivalence testing and debugging, not throughput.
 
+use crate::pool::lock;
+use crate::{DataSpec, RunTrace, TracePoint, WorkerSummary};
 use dssp_data::BatchIter;
 use dssp_nn::models::ModelSpec;
-use dssp_nn::{Evaluator, LrSchedule, Model, Sgd, SgdConfig, TrainStep};
+use dssp_nn::{Evaluator, Model, Sgd, SgdConfig, TrainStep};
 use dssp_ps::{ParameterServer, PolicyKind, ServerConfig, SyncGate};
-use dssp_sim::{DataSpec, RunTrace, TracePoint, WorkerSummary};
 use dssp_tensor::Tensor;
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Configuration of one distributed training job, shared by the threaded and networked
-/// runtimes (the simulator has its own `SimConfig` because it also models the cluster).
+/// Configuration of one distributed training job, shared by every substrate (the
+/// simulator maps its `SimConfig`, which also models the cluster, onto one).
 #[derive(Debug, Clone)]
 pub struct JobConfig {
     /// Model architecture replicated by every worker.
@@ -397,29 +398,13 @@ impl JobConfig {
 
     /// Checks that a substrate can run this job; every substrate's entry point
     /// (`run_threaded`, `serve`, the coordinator, the shard servers, the launchers)
-    /// calls it first.
+    /// calls it first, and so do [`WorkerStep`] and [`ServerLoop`].
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero workers, class mismatch, zero
-    /// shards, or a delay vector whose length differs from the worker count), or if
-    /// `sgd.schedule` is not [`LrSchedule::Constant`]: no substrate tells the
-    /// server-side optimizer the epoch, so any other schedule would train at its base
-    /// rate forever while the same spec decays on the simulator.
+    /// shards, or a delay vector whose length differs from the worker count).
     pub fn validate(&self) {
-        self.check_shape();
-        assert!(
-            matches!(self.sgd.schedule, LrSchedule::Constant { .. }),
-            "sgd.schedule must be LrSchedule::Constant: only the simulator steps the \
-             schedule's epoch, so {:?} would never leave its base rate here",
-            self.sgd.schedule
-        );
-    }
-
-    /// The consistency [`WorkerStep`] and [`ServerLoop`] are built on. They do not ask
-    /// for the schedule: the round-cost ledger hand-drives both, one round at a time,
-    /// on the simulator presets' jobs, whose step schedule nothing steps there either.
-    fn check_shape(&self) {
         assert!(self.num_workers > 0, "need at least one worker");
         assert!(self.shards > 0, "need at least one storage shard");
         assert!(self.servers > 0, "need at least one shard server");
@@ -494,9 +479,14 @@ impl JobConfig {
         hash
     }
 
+    /// Iterations of one pass over a shard of `shard_len` examples.
+    fn epoch_len(&self, shard_len: usize) -> u64 {
+        shard_len.div_ceil(self.batch_size) as u64
+    }
+
     /// Per-worker iteration target for a shard of `shard_len` examples.
     fn target_iterations(&self, shard_len: usize) -> u64 {
-        (self.epochs as u64) * (shard_len.div_ceil(self.batch_size) as u64)
+        self.epochs as u64 * self.epoch_len(shard_len)
     }
 }
 
@@ -511,6 +501,7 @@ pub struct WorkerStep {
     batch_labels: Vec<usize>,
     target: u64,
     completed: u64,
+    loss: f32,
     delay: Option<Duration>,
 }
 
@@ -533,7 +524,7 @@ impl WorkerStep {
     ///
     /// Panics if the configuration is inconsistent or `rank` is out of range.
     pub fn for_rank(config: &JobConfig, rank: usize) -> Self {
-        config.check_shape();
+        config.validate();
         assert!(rank < config.num_workers, "worker rank out of range");
         let dataset = config.data.generate(config.seed);
         let shard = dataset
@@ -552,7 +543,7 @@ impl WorkerStep {
     ///
     /// Panics if the configuration is inconsistent or `rank` is out of range.
     pub fn with_shard(config: &JobConfig, rank: usize, shard: dssp_data::Shard) -> Self {
-        config.check_shape();
+        config.validate();
         assert!(rank < config.num_workers, "worker rank out of range");
         let target = config.target_iterations(shard.len());
         let batches = BatchIter::new(
@@ -568,6 +559,7 @@ impl WorkerStep {
             batch_labels: Vec::new(),
             target,
             completed: 0,
+            loss: 0.0,
             delay: config
                 .extra_compute_delay_ms
                 .get(rank)
@@ -655,9 +647,15 @@ impl WorkerStep {
         }
         self.batches
             .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
-        self.step
+        self.loss = self
+            .step
             .gradient_into(weights, &self.batch_x, &self.batch_labels, out);
         self.completed += 1;
+    }
+
+    /// The training loss of the last iteration's mini-batch (0 before the first).
+    pub fn loss(&self) -> f32 {
+        self.loss
     }
 }
 
@@ -714,15 +712,15 @@ enum Backend {
     /// substrate uses.
     Local(ParameterServer),
     /// Gating only: the weights live on remote shard servers and only clock messages
-    /// reach this loop (the `dssp-coord` coordinator). Pushes carry no gradients and
-    /// evaluation weights are supplied externally
-    /// ([`ServerLoop::record_eval_external`]).
+    /// reach this loop (the `dssp-coord` coordinator). Pushes carry no gradients, and
+    /// the coordinator assembles the weights every evaluation scores.
     Clock(SyncGate),
 }
 
-/// The server decision-loop state shared by the threaded and networked runtimes: owns
-/// the [`ParameterServer`] (or, in a group coordinator, just its gating half), the
-/// order events are processed in, periodic evaluation, and the run summary.
+/// The server decision-loop state every substrate shares: owns the [`ParameterServer`]
+/// (or, in a group coordinator, just its gating half), the order events are processed
+/// in, the learning-rate schedule's epoch, the evaluation cadence and trace points,
+/// and the run summary.
 ///
 /// Every serving loop drives it the same way: [`ServerLoop::offer`] each arriving
 /// event, drain [`ServerLoop::next_ready`], apply what comes out with
@@ -735,10 +733,15 @@ pub struct ServerLoop {
     /// order through `arrivals`.
     order: Option<DeterministicGate>,
     arrivals: VecDeque<WorkerEvent>,
-    eval: Evaluator,
+    /// The job's one evaluator replica, shared with whichever thread scores an
+    /// evaluation ([`ServerLoop::evaluator`]).
+    eval: Arc<Mutex<Evaluator>>,
     eval_every: u64,
     last_eval: u64,
     points: Vec<TracePoint>,
+    /// Iterations of one pass over each worker's shard: what turns a push count into
+    /// the epoch the schedule follows.
+    epoch_lens: Vec<u64>,
     /// Reusable scratch for the workers released by an event, so the networked hot
     /// path ([`ServerLoop::handle_push_slice`]) allocates nothing per message.
     released_scratch: Vec<usize>,
@@ -758,10 +761,9 @@ pub struct ServerLoop {
     origin: f64,
     fail_after: Option<u64>,
     aborted: bool,
-    /// Set when a clock-only loop crosses its evaluation threshold: the logical/wall
-    /// time the pending evaluation must be stamped with. The coordinator assembles the
-    /// group's weights and calls [`ServerLoop::record_eval_external`].
-    pending_eval: Option<f64>,
+    /// The point of an evaluation a push made due, until the substrate takes it
+    /// ([`ServerLoop::take_pending_eval`]).
+    pending_eval: Option<TracePoint>,
 }
 
 impl std::fmt::Debug for ServerLoop {
@@ -799,9 +801,9 @@ impl ServerLoop {
     /// Builds the **gating-only** server side of a job: the same evaluation batch, run
     /// summary and decision logic as [`ServerLoop::new`], but no parameter storage —
     /// the weights live on remote shard servers. This is the group coordinator's loop:
-    /// it applies pushes with empty gradient slices (only the clock matters), raises
-    /// [`ServerLoop::take_pending_eval`] when an evaluation is due, and is finished
-    /// with [`ServerLoop::finish_external`].
+    /// it applies pushes with empty gradient slices (only the clock matters), scores
+    /// the group's assembled weights when [`ServerLoop::take_pending_eval`] hands it an
+    /// evaluation, and is finished with [`ServerLoop::finish_external`].
     ///
     /// # Panics
     ///
@@ -812,11 +814,11 @@ impl ServerLoop {
     }
 
     fn build(config: &JobConfig, dataset: &dssp_data::Dataset, clock_only: bool) -> Self {
-        config.check_shape();
-        let targets: Vec<u64> = dataset
-            .shard_train(config.num_workers)
+        config.validate();
+        let shard_sizes = dataset.shard_sizes(config.num_workers);
+        let targets: Vec<u64> = shard_sizes
             .iter()
-            .map(|shard| config.target_iterations(shard.len()))
+            .map(|&len| config.target_iterations(len))
             .collect();
         let reference = config.model.build(config.seed);
         let backend = if clock_only {
@@ -836,14 +838,18 @@ impl ServerLoop {
                 .deterministic
                 .then(|| DeterministicGate::new(targets.clone())),
             arrivals: VecDeque::new(),
-            eval: Evaluator::new(
+            eval: Arc::new(Mutex::new(Evaluator::new(
                 reference,
                 dataset.test_batch(config.eval_max_examples),
                 config.batch_size,
-            ),
+            ))),
             eval_every: config.eval_every_pushes,
             last_eval: 0,
             points: Vec::new(),
+            epoch_lens: shard_sizes
+                .iter()
+                .map(|&len| config.epoch_len(len))
+                .collect(),
             released_scratch: Vec::new(),
             summaries: vec![None; config.num_workers],
             done: vec![false; config.num_workers],
@@ -869,7 +875,7 @@ impl ServerLoop {
     /// replica knows the model size even when the weights live remotely), so a group
     /// coordinator can size its assembly buffers.
     pub fn param_len(&self) -> usize {
-        self.eval.param_len()
+        lock(&self.eval).param_len()
     }
 
     /// The underlying parameter server (weights, clocks, statistics).
@@ -1084,10 +1090,12 @@ impl ServerLoop {
         }
     }
 
-    /// Applies one push at wall-clock time `wall_now` (seconds since run start;
-    /// ignored in deterministic mode, where a logical event counter feeds the policy)
-    /// and appends the `OK`s now owed (pusher first when granted) to the caller-owned
-    /// `replies` buffer, which is **not** cleared first. The gradient is borrowed and
+    /// Applies one push at wall-clock time `wall_now` (seconds since run start, virtual
+    /// time on the simulator; ignored in deterministic mode, where a logical event
+    /// counter feeds the policy), steps the schedule's epoch, notes whether an
+    /// evaluation came due, and appends the `OK`s now owed (pusher first when granted,
+    /// then the workers it released) to the caller-owned `replies` buffer, which is
+    /// **not** cleared first. The gradient is borrowed and
     /// all bookkeeping reuses member scratch, so the networked server's steady-state
     /// command loop performs no heap allocation per push (periodic evaluations
     /// excepted) under every policy — `dssp-ps`'s `zero_alloc_push` suite counts the
@@ -1127,17 +1135,14 @@ impl ServerLoop {
             order.on_push_processed(worker, iteration, granted);
         }
         self.owe_released(replies);
+        // The schedule follows the slowest worker: the next push is applied at its rate.
+        let epoch = self.slowest_epoch();
+        if let Backend::Local(ps) = &mut self.backend {
+            ps.set_epoch(epoch);
+        }
         if self.version() - self.last_eval >= self.eval_every {
-            match &self.backend {
-                Backend::Local(_) => self.record_eval(now),
-                // The weights are remote: remember the evaluation is due and at what
-                // clock value; the coordinator pulls the group's weights and calls
-                // `record_eval_external` before processing the next event.
-                Backend::Clock(_) => {
-                    self.last_eval = self.version();
-                    self.pending_eval = Some(now);
-                }
-            }
+            self.last_eval = self.version();
+            self.pending_eval = Some(self.point_at(now));
         }
         if let Some(limit) = self.fail_after {
             if self.version() >= limit {
@@ -1207,33 +1212,56 @@ impl ServerLoop {
         self.owe_released(replies);
     }
 
-    fn record_eval(&mut self, now: f64) {
-        self.last_eval = self.version();
-        let Backend::Local(ps) = &self.backend else {
-            panic!("clock-only loops evaluate via record_eval_external");
-        };
-        push_eval_point(
-            &mut self.eval,
-            &mut self.points,
-            ps.version(),
-            ps.weights(),
-            now,
-        );
+    /// The slowest active worker's epoch (every worker's once all have retired),
+    /// from the push counts alone: a worker that pushed `k ≥ 1` times has drawn `k`
+    /// batches, so its batch iterator is in epoch `(k − 1) / epoch_len`.
+    fn slowest_epoch(&self) -> usize {
+        let clocks = self.gate().clocks();
+        let all_retired = (0..self.num_workers).all(|w| !clocks.is_active(w));
+        (0..self.num_workers)
+            .filter(|&w| all_retired || clocks.is_active(w))
+            .map(|w| clocks.count(w).saturating_sub(1) / self.epoch_lens[w].max(1))
+            .min()
+            .unwrap_or(0) as usize
     }
 
-    /// Takes the pending evaluation raised by a clock-only push, if any: the returned
-    /// value is the clock time the evaluation point must be stamped with. The caller
-    /// assembles the group's current weights and passes both to
-    /// [`ServerLoop::record_eval_external`].
-    pub fn take_pending_eval(&mut self) -> Option<f64> {
+    /// A trace point stamped at policy time `now` with the current version and epoch;
+    /// its accuracy is the evaluation's to fill.
+    fn point_at(&self, now: f64) -> TracePoint {
+        TracePoint {
+            time_s: now,
+            pushes: self.version(),
+            epoch: self.slowest_epoch(),
+            test_accuracy: 0.0,
+            train_loss: 0.0,
+        }
+    }
+
+    /// Takes the evaluation the last push made due, if any: its trace point, stamped
+    /// with the policy clock, the version and the slowest worker's epoch. The caller
+    /// scores the global weights of that moment — the store's, or a group's assembled
+    /// slices — in place with [`ServerLoop::accuracy`] or on another thread with
+    /// [`ServerLoop::evaluator`], writes the accuracy into the point, and hands it back
+    /// with [`ServerLoop::record_eval`].
+    pub fn take_pending_eval(&mut self) -> Option<TracePoint> {
         self.pending_eval.take()
     }
 
-    /// Records an evaluation point from externally supplied weights (a group
-    /// coordinator's view of its shard servers' slices, assembled in shard order).
-    pub fn record_eval_external(&mut self, weights: &[f32], now: f64) {
-        let pushes = self.version();
-        push_eval_point(&mut self.eval, &mut self.points, pushes, weights, now);
+    /// Appends an evaluated point (see [`ServerLoop::take_pending_eval`]) to the trace.
+    pub fn record_eval(&mut self, point: TracePoint) {
+        self.points.push(point);
+    }
+
+    /// Scores `weights` on the held-out batch with the job's evaluator replica.
+    pub fn accuracy(&self, weights: &[f32]) -> f32 {
+        lock(&self.eval).accuracy(weights)
+    }
+
+    /// The job's evaluator replica, for a substrate that scores evaluations off its
+    /// event loop (the simulator's pool). It is the replica [`ServerLoop::accuracy`]
+    /// and the closing evaluation use: there is one per job.
+    pub fn evaluator(&self) -> Arc<Mutex<Evaluator>> {
+        Arc::clone(&self.eval)
     }
 
     /// Final evaluation and trace assembly. `wall_total` is the wall-clock duration of
@@ -1244,10 +1272,9 @@ impl ServerLoop {
     /// Panics if some worker never reported `Done` (callers must check
     /// [`ServerLoop::all_done`] / [`ServerLoop::aborted`] first), or on a clock-only
     /// loop (use [`ServerLoop::finish_external`]).
-    pub fn finish(mut self, wall_total: f64) -> RunTrace {
-        let total = self.total_time(wall_total);
-        self.record_eval(total);
-        self.into_trace(total)
+    pub fn finish(self, wall_total: f64) -> RunTrace {
+        let accuracy = self.accuracy(self.server().weights());
+        self.close(accuracy, wall_total)
     }
 
     /// [`ServerLoop::finish`] for clock-only loops: the final evaluation runs on the
@@ -1256,23 +1283,23 @@ impl ServerLoop {
     /// # Panics
     ///
     /// Panics if some worker never reported `Done`.
-    pub fn finish_external(mut self, weights: &[f32], wall_total: f64) -> RunTrace {
-        let total = self.total_time(wall_total);
-        self.last_eval = self.version();
-        self.record_eval_external(weights, total);
-        self.into_trace(total)
+    pub fn finish_external(self, weights: &[f32], wall_total: f64) -> RunTrace {
+        let accuracy = self.accuracy(weights);
+        self.close(accuracy, wall_total)
     }
 
-    /// The run's duration on the policy clock.
-    fn total_time(&self, wall_total: f64) -> f64 {
-        if self.order.is_some() {
+    /// Appends the closing evaluation's point and assembles the trace; the run lasted
+    /// until the policy clock's last tick in deterministic mode.
+    fn close(mut self, accuracy: f32, wall_total: f64) -> RunTrace {
+        let total = if self.order.is_some() {
             self.tick
         } else {
             self.origin + wall_total
-        }
-    }
-
-    fn into_trace(self, total: f64) -> RunTrace {
+        };
+        self.points.push(TracePoint {
+            test_accuracy: f64::from(accuracy),
+            ..self.point_at(total)
+        });
         let server_stats = self.stats().clone();
         let total_pushes = self.version();
         RunTrace {
@@ -1291,26 +1318,6 @@ impl ServerLoop {
             group_servers: Vec::new(),
         }
     }
-}
-
-/// Evaluates `weights` on the held-out batch and appends the resulting trace point —
-/// the shared body of the local and external evaluation paths (free function so the
-/// field borrows stay disjoint).
-fn push_eval_point(
-    eval: &mut Evaluator,
-    points: &mut Vec<TracePoint>,
-    pushes: u64,
-    weights: &[f32],
-    now: f64,
-) {
-    let acc = eval.accuracy(weights);
-    points.push(TracePoint {
-        time_s: now,
-        pushes,
-        epoch: 0,
-        test_accuracy: f64::from(acc),
-        train_loss: 0.0,
-    });
 }
 
 /// Gate state of one worker, from the server's point of view.
@@ -1533,14 +1540,37 @@ mod tests {
         assert_eq!(e.stable_digest(), 0x14ac_4b7f_9b9f_cae3);
     }
 
+    /// The optimizer follows the slowest worker, whose push count alone gives its
+    /// epoch: the decay lands on the push that brings the slowest worker's count into
+    /// the milestone epoch, not on a faster worker's, and the trace points carry it.
     #[test]
-    #[should_panic(expected = "sgd.schedule must be LrSchedule::Constant")]
-    fn a_schedule_no_serving_loop_would_step_is_refused() {
-        let mut config = JobConfig::small(PolicyKind::Bsp);
-        config.sgd.schedule = LrSchedule::step(0.05, 0.1, &[1]);
-        // A hand-driven loop can still be built on it (the ledger's trace mode does).
-        let _ = ServerLoop::new(&config);
+    fn a_step_schedule_decays_when_the_slowest_worker_enters_the_milestone_epoch() {
+        let mut config = JobConfig::small(PolicyKind::Asp);
+        config.sgd.schedule = dssp_nn::LrSchedule::step(0.1, 0.1, &[1]);
+        config.eval_every_pushes = 1;
         config.validate();
+        let mut sl = ServerLoop::new(&config);
+        // 512 examples over 2 workers in batches of 16: 16 pushes per epoch.
+        let epoch_len = 16;
+        let grads = vec![0.0; sl.param_len()];
+        let (base, decayed) = (
+            config.sgd.schedule.lr_at_epoch(0),
+            config.sgd.schedule.lr_at_epoch(1),
+        );
+        let push = |sl: &mut ServerLoop, worker: usize| {
+            sl.handle_push_slice(worker, &grads, 0.0, &mut Vec::new());
+            let point = sl.take_pending_eval().expect("every push evaluates");
+            (sl.server().optimizer().current_lr(), point.epoch)
+        };
+        for _ in 0..=epoch_len {
+            // Worker 0 ends in epoch 1, but worker 1 has not pushed yet.
+            assert_eq!(push(&mut sl, 0), (base, 0));
+        }
+        for _ in 0..epoch_len {
+            assert_eq!(push(&mut sl, 1), (base, 0));
+        }
+        assert_eq!(push(&mut sl, 1), (decayed, 1));
+        assert_eq!(push(&mut sl, 0), (decayed, 1));
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The simulation engine: configuration, the main event loop, and the lanes it hands
-//! every gradient and evaluation to.
+//! every gradient and evaluation to. The server side is the shared
+//! [`ServerLoop`](crate::driver::ServerLoop); the event loop keeps what virtual time
+//! needs.
 
+use crate::driver::{JobConfig, OkReply, ServerLoop, WorkerStep};
 use crate::event::{EventKind, EventQueue};
 use crate::pool::{helpers_for, lock, Pool, Tasks};
 use crate::trace::{RunTrace, TracePoint, WorkerSummary};
-use crate::worker::{ComputeLane, SimWorker, WorkerState};
+use crate::worker::{SimWorker, WorkerLane, WorkerState};
 use dssp_cluster::{ClusterSpec, TimeModel};
-use dssp_data::{BatchIter, Dataset, SyntheticImageSpec, SyntheticVectorSpec};
+use dssp_data::{Dataset, SyntheticImageSpec, SyntheticVectorSpec};
 use dssp_nn::models::ModelSpec;
-use dssp_nn::{CostProfile, Evaluator, Model, Sgd, SgdConfig};
-use dssp_ps::{ParameterServer, PolicyKind, ServerConfig};
+use dssp_nn::{CostProfile, Evaluator, SgdConfig};
+use dssp_ps::PolicyKind;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Which synthetic dataset a run trains on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,9 +109,21 @@ impl SimConfig {
         }
     }
 
-    /// Per-worker iteration target for a given shard size.
-    fn target_iterations(&self, shard_len: usize) -> u64 {
-        (self.epochs as u64) * (shard_len.div_ceil(self.batch_size) as u64)
+    /// The job the shared driver runs: this run's model, data, policy and training
+    /// schedule on one flat server, with no fault, persistence or observability hook.
+    fn job(&self) -> JobConfig {
+        JobConfig {
+            model: self.model.clone(),
+            data: self.data.clone(),
+            num_workers: self.cluster.num_workers(),
+            batch_size: self.batch_size,
+            epochs: self.epochs,
+            sgd: self.sgd.clone(),
+            seed: self.seed,
+            eval_every_pushes: self.eval_every_pushes,
+            eval_max_examples: self.eval_max_examples,
+            ..JobConfig::small(self.policy)
+        }
     }
 }
 
@@ -126,9 +141,10 @@ fn worker_lane(w: usize) -> usize {
     1 + w
 }
 
-/// The evaluator's lane: a replica and the snapshot of the server weights it scores.
+/// The evaluator's lane: the job's evaluator and the snapshot of the server weights it
+/// scores.
 struct EvalLane {
-    evaluator: Evaluator,
+    evaluator: Arc<Mutex<Evaluator>>,
     weights: Vec<f32>,
     accuracy: f32,
 }
@@ -137,14 +153,14 @@ struct EvalLane {
 /// [`worker_lane`]`(w)` computes worker `w`'s gradient.
 struct Lanes {
     eval: Mutex<EvalLane>,
-    workers: Vec<Mutex<ComputeLane>>,
+    workers: Vec<Mutex<WorkerLane>>,
 }
 
 impl Tasks for Lanes {
     fn run(&self, lane: usize) {
         if lane == EVAL_LANE {
             let eval = &mut *lock(&self.eval);
-            eval.accuracy = eval.evaluator.accuracy(&eval.weights);
+            eval.accuracy = lock(&eval.evaluator).accuracy(&eval.weights);
         } else {
             lock(&self.workers[lane - 1]).compute_gradient();
         }
@@ -153,18 +169,15 @@ impl Tasks for Lanes {
 
 /// The event loop's state: everything but the lanes.
 struct EventLoop {
-    config: SimConfig,
     workers: Vec<SimWorker>,
-    server: ParameterServer,
+    server: ServerLoop,
     time_model: TimeModel,
     queue: EventQueue,
-    trace: Vec<TracePoint>,
     /// The trace point whose accuracy the evaluator's lane is computing.
-    pending_eval: Option<usize>,
-    last_eval_pushes: u64,
+    pending_eval: Option<TracePoint>,
     now: f64,
-    /// Workers the push being handled released (reused across pushes).
-    released: Vec<usize>,
+    /// The `OK`s the push being handled owes (reused across pushes).
+    replies: Vec<OkReply>,
     /// Time at which the parameter server's link becomes free again. Every push and pull
     /// transfer occupies the link exclusively for its serialization time, which models
     /// the parameter-server communication bottleneck responsible for BSP's
@@ -179,8 +192,7 @@ struct EventLoop {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("policy", &self.events.config.policy.label())
-            .field("workers", &self.events.workers.len())
+            .field("server", &self.events.server)
             .field("now", &self.events.now)
             .finish()
     }
@@ -194,52 +206,30 @@ impl Simulation {
     ///
     /// Panics if the model's class count differs from the dataset's.
     pub fn new(config: SimConfig) -> Self {
-        assert_eq!(
-            config.model.classes(),
-            config.data.classes(),
-            "model and dataset class counts must agree"
-        );
+        let job = config.job();
         let dataset = config.data.generate(config.seed);
-        let num_workers = config.cluster.num_workers();
-        let shards = dataset.shard_train(num_workers);
-
-        let reference = config.model.build(config.seed);
-        let initial_params = reference.params_flat();
-        let cost = config
-            .cost_override
-            .unwrap_or_else(|| CostProfile::of_model(&reference, config.model.has_fc_layers()));
-
-        let (workers, compute): (Vec<SimWorker>, Vec<Mutex<ComputeLane>>) = shards
+        let server = ServerLoop::with_dataset(&job, &dataset);
+        let initial_params = server.pull();
+        let cost = config.cost_override.unwrap_or_else(|| {
+            CostProfile::of_model(
+                &config.model.build(config.seed),
+                config.model.has_fc_layers(),
+            )
+        });
+        let workers = dataset
+            .shard_train(job.num_workers)
             .into_iter()
             .enumerate()
-            .map(|(w, shard)| {
-                let target = config.target_iterations(shard.len());
-                let batches = BatchIter::new(
-                    shard,
-                    config.batch_size,
-                    config.seed.wrapping_add(w as u64 + 1),
-                );
-                let model = config.model.build(config.seed);
-                let lane = ComputeLane::new(model, batches, initial_params.clone());
-                (SimWorker::new(w, target), Mutex::new(lane))
+            .map(|(rank, shard)| {
+                let step = WorkerStep::with_shard(&job, rank, shard);
+                Mutex::new(WorkerLane::new(step, initial_params.clone()))
             })
-            .unzip();
+            .collect();
         let eval = EvalLane {
-            evaluator: Evaluator::new(
-                config.model.build(config.seed),
-                dataset.test_batch(config.eval_max_examples),
-                config.batch_size,
-            ),
-            weights: initial_params.clone(),
+            evaluator: server.evaluator(),
+            weights: initial_params,
             accuracy: 0.0,
         };
-
-        let sgd = Sgd::new(config.sgd.clone(), initial_params.len());
-        let server = ParameterServer::new(
-            initial_params,
-            sgd,
-            ServerConfig::new(num_workers, config.policy),
-        );
         let time_model =
             TimeModel::new(config.cluster.clone(), cost, config.batch_size, config.seed);
         let comm_occupancy = time_model.link_occupancy_seconds();
@@ -247,30 +237,22 @@ impl Simulation {
 
         Self {
             events: EventLoop {
-                config,
-                workers,
+                workers: (0..job.num_workers).map(|_| SimWorker::default()).collect(),
                 server,
                 time_model,
                 queue: EventQueue::new(),
-                trace: Vec::new(),
                 pending_eval: None,
-                last_eval_pushes: 0,
                 now: 0.0,
-                released: Vec::new(),
+                replies: Vec::new(),
                 nic_free_at: 0.0,
                 comm_occupancy,
                 comm_latency,
             },
             lanes: Lanes {
                 eval: Mutex::new(eval),
-                workers: compute,
+                workers,
             },
         }
-    }
-
-    /// The configuration this simulation was built from.
-    pub fn config(&self) -> &SimConfig {
-        &self.events.config
     }
 
     /// Runs the simulation to completion and returns the trace.
@@ -316,11 +298,8 @@ impl EventLoop {
             // End-of-training drain: workers can remain blocked forever if the workers
             // that would have released them already finished. Release them so every
             // worker completes its configured epochs, as in the paper's fixed-epoch runs.
-            let stuck: Vec<usize> = self
-                .workers
-                .iter()
-                .filter(|w| w.state == WorkerState::Blocked && !w.finished())
-                .map(|w| w.id)
+            let stuck: Vec<usize> = (0..self.workers.len())
+                .filter(|&w| self.workers[w].state == WorkerState::Blocked && !self.finished(w))
                 .collect();
             if stuck.is_empty() {
                 break;
@@ -331,8 +310,28 @@ impl EventLoop {
                 self.start_iteration(pool, w, self.now);
             }
         }
-        self.record_eval(pool, self.now);
         self.join_eval(pool);
+        // Every worker reports its summary once the drain is over, the slowest last:
+        // while a slowest one is still active, retiring the others moves neither the
+        // gate's slowest count nor any blocked worker's lead, so no release is counted
+        // that the run did not make.
+        let mut order: Vec<usize> = (0..self.workers.len()).collect();
+        order.sort_by_key(|&w| std::cmp::Reverse(self.server.push_count(w)));
+        for w in order {
+            let summary = WorkerSummary {
+                worker: w,
+                iterations: self.server.push_count(w),
+                epochs: lock(&pool.tasks().workers[w]).epoch(),
+                waiting_time_s: self.workers[w].waiting_time,
+            };
+            self.server
+                .handle_done(summary, self.now, &mut self.replies);
+        }
+    }
+
+    /// Whether `worker` has pushed its last iteration.
+    fn finished(&self, worker: usize) -> bool {
+        self.server.push_count(worker) >= self.server.targets()[worker]
     }
 
     /// Reserves the server link for one transfer starting no earlier than `now` and
@@ -351,7 +350,7 @@ impl EventLoop {
         // so no allocation). The lane is idle: its last gradient was joined at its push.
         lock(&pool.tasks().workers[worker])
             .weights
-            .copy_from_slice(self.server.weights());
+            .copy_from_slice(self.server.server().weights());
         pool.submit(worker_lane(worker));
         let pull_done = self.reserve_link(now);
         let cost = self.time_model.sample_iteration(worker, now);
@@ -367,112 +366,91 @@ impl EventLoop {
             .schedule(push_done, worker, EventKind::PushArrives);
     }
 
-    /// Processes the arrival of a worker's push request at the server.
+    /// Processes the arrival of a worker's push request at the server: the shared
+    /// loop applies it, then the `OK`s it owes start their workers' next iterations —
+    /// the pusher's first, then the released workers', in the loop's order.
     fn handle_push_arrival(&mut self, pool: &Pool<Lanes>, worker: usize, now: f64) {
         pool.join(worker_lane(worker));
         let lane = lock(&pool.tasks().workers[worker]);
-        let grad = self.workers[worker].publish(&lane);
-        self.released.clear();
-        let result = self
+        self.workers[worker].loss_sum += f64::from(lane.loss());
+        self.replies.clear();
+        let decision = self
             .server
-            .handle_push_into(worker, grad, now, &mut self.released);
+            .handle_push_slice(worker, &lane.grad, now, &mut self.replies);
         drop(lane);
-        self.workers[worker].iterations += 1;
         self.workers[worker].last_push_time = now;
 
-        // Keep the server-side learning-rate schedule in step with the slowest worker.
-        let min_epoch = self.min_epoch();
-        self.server.set_epoch(min_epoch);
-
-        if self.workers[worker].finished() {
+        if self.finished(worker) {
             self.workers[worker].state = WorkerState::Done;
-        } else if result.ok_now {
+        } else if decision.ok_now {
             self.start_iteration(pool, worker, now);
         } else {
             self.workers[worker].state = WorkerState::Blocked;
         }
 
-        for i in 0..self.released.len() {
-            let released = self.released[i];
+        for i in usize::from(decision.ok_now)..self.replies.len() {
+            let released = self.replies[i].worker;
             if self.workers[released].state != WorkerState::Blocked {
                 continue;
             }
             let wait_start = self.workers[released].last_push_time;
             self.workers[released].waiting_time += now - wait_start;
-            if self.workers[released].finished() {
+            if self.finished(released) {
                 self.workers[released].state = WorkerState::Done;
             } else {
                 self.start_iteration(pool, released, now);
             }
         }
 
-        if self.server.version() - self.last_eval_pushes >= self.config.eval_every_pushes {
-            self.record_eval(pool, now);
+        if let Some(point) = self.server.take_pending_eval() {
+            self.start_eval(pool, point);
         }
     }
 
-    fn min_epoch(&self) -> usize {
-        self.workers.iter().map(|w| w.epoch()).min().unwrap_or(0)
+    /// Mean training loss of every gradient pushed so far, summed per worker in rank
+    /// order.
+    fn mean_loss(&self) -> f64 {
+        let pushes = self.server.version();
+        if pushes == 0 {
+            return 0.0;
+        }
+        self.workers.iter().map(|w| w.loss_sum).sum::<f64>() / pushes as f64
     }
 
-    /// Appends a trace point and submits the evaluation of a snapshot of the current
-    /// global weights on the held-out batch; [`EventLoop::join_eval`] writes its
-    /// accuracy into the point. Evaluation happens outside simulated time (it is
-    /// measurement, not work the cluster performs).
-    fn record_eval(&mut self, pool: &Pool<Lanes>, now: f64) {
+    /// Submits the evaluation of a snapshot of the current global weights on the
+    /// held-out batch, for the point the server loop found due; [`EventLoop::join_eval`]
+    /// writes its accuracy into the point and hands it back. Evaluation happens outside
+    /// simulated time (it is measurement, not work the cluster performs).
+    fn start_eval(&mut self, pool: &Pool<Lanes>, point: TracePoint) {
         self.join_eval(pool);
-        self.last_eval_pushes = self.server.version();
         lock(&pool.tasks().eval)
             .weights
-            .copy_from_slice(self.server.weights());
+            .copy_from_slice(self.server.server().weights());
         pool.submit(EVAL_LANE);
-        self.pending_eval = Some(self.trace.len());
-        let total_iters: u64 = self.workers.iter().map(|w| w.iterations).sum();
-        let total_loss: f64 = self.workers.iter().map(|w| w.loss_sum).sum();
-        let train_loss = if total_iters == 0 {
-            0.0
-        } else {
-            total_loss / total_iters as f64
-        };
-        self.trace.push(TracePoint {
-            time_s: now,
-            pushes: self.server.version(),
-            epoch: self.min_epoch(),
-            test_accuracy: 0.0,
-            train_loss,
+        self.pending_eval = Some(TracePoint {
+            train_loss: self.mean_loss(),
+            ..point
         });
     }
 
-    /// Joins the evaluation in flight, if any, and writes its accuracy into its point.
+    /// Joins the evaluation in flight, if any, and records its point.
     fn join_eval(&mut self, pool: &Pool<Lanes>) {
-        if let Some(point) = self.pending_eval.take() {
+        if let Some(mut point) = self.pending_eval.take() {
             pool.join(EVAL_LANE);
-            self.trace[point].test_accuracy = f64::from(lock(&pool.tasks().eval).accuracy);
+            point.test_accuracy = f64::from(lock(&pool.tasks().eval).accuracy);
+            self.server.record_eval(point);
         }
     }
 
+    /// The trace: the server loop closes it with an evaluation of the final weights,
+    /// whose training loss is the run's.
     fn finish(self) -> RunTrace {
-        let worker_summaries = self
-            .workers
-            .iter()
-            .map(|w| WorkerSummary {
-                worker: w.id,
-                iterations: w.iterations,
-                epochs: w.epoch(),
-                waiting_time_s: w.waiting_time,
-            })
-            .collect();
-        RunTrace {
-            policy: self.config.policy.label(),
-            model: self.config.model.display_name(),
-            workers: self.workers.len(),
-            points: self.trace,
-            total_time_s: self.now,
-            total_pushes: self.server.version(),
-            worker_summaries,
-            server_stats: self.server.stats().clone(),
-            group_servers: Vec::new(),
+        let train_loss = self.mean_loss();
+        let mut trace = self.server.finish(self.now);
+        if let Some(last) = trace.points.last_mut() {
+            last.train_loss = train_loss;
         }
+        trace
     }
 }
 

@@ -19,19 +19,26 @@
 //!
 //! # What runs where
 //!
-//! One event loop, on the thread that calls `Simulation::run`, owns the queue, the
-//! virtual clock, the server link, the parameter server and the trace. The real
-//! training work runs as tasks on a pool private to `run`, with
-//! `available_parallelism() − 1` helper threads (none on a 1-core host):
+//! The server side is the shared [`driver::ServerLoop`]: it applies and gates every
+//! push, steps the learning-rate schedule, decides when an evaluation is due and
+//! assembles the [`RunTrace`]. One event loop, on the thread that calls
+//! `Simulation::run`, keeps only what virtual time needs: the queue, the clock, the
+//! server link, the time model, and each worker's state and waiting time. It hands a
+//! push arrival to [`driver::ServerLoop::handle_push_slice`] and starts the `OK`s it
+//! returns in order, the pusher first; after the end-of-training drain, every worker's
+//! summary goes in through [`driver::ServerLoop::handle_done`]. The real training work
+//! runs as tasks on a pool private to `run`, with `available_parallelism() − 1` helper
+//! threads (none on a 1-core host):
 //!
 //! * **A gradient is a task from its pull to its push.** The event loop copies the
-//!   global weights into the worker's compute lane and submits the lane's task when
-//!   the iteration starts. It joins the task when the worker's push arrives and applies
-//!   the gradient there.
-//! * **An evaluation is a task on a weight snapshot.** At an evaluation point the event
-//!   loop copies the server weights into the evaluator's lane, pushes the trace point
-//!   and submits the task. It joins the task at the next evaluation point or at the
-//!   end of the run and writes the accuracy into that point.
+//!   global weights into the worker's lane (its [`driver::WorkerStep`], pulled weights
+//!   and gradient) and submits the lane's task when the iteration starts. It joins the
+//!   task when the worker's push arrives and hands the gradient to the server loop.
+//! * **An evaluation is a task on a weight snapshot.** When the server loop hands out
+//!   a due evaluation, the event loop copies the server weights into the evaluator's
+//!   lane, which scores them with the job's one evaluator replica, and submits the
+//!   task. It joins the task at the next evaluation or at the end of the run and hands
+//!   the point back with its accuracy and training loss.
 //!
 //! The evaluator and the first worker live on helper 1, and the other workers are
 //! dealt round-robin over the helpers, then the event loop. When a task's home thread
@@ -42,10 +49,8 @@
 //! worker's batch stream, and nothing else touches those between the submit and the
 //! join. An evaluation reads only its snapshot and the evaluator's replica. Every
 //! server update, every clock read and every RNG draw of the time model stays on the
-//! event loop, in event order. The loss and the epoch of a gradient are published at
-//! its push, not when the lane draws its batch: the lane may already be drawing the
-//! next batch, which can open a new epoch and would move the step learning-rate
-//! schedule the server follows.
+//! event loop, in event order, and the schedule's epoch comes from the push counts,
+//! never from a lane that may already be drawing its next batch.
 //!
 //! # Example
 //!
@@ -71,6 +76,7 @@
 //! assert!(trace.total_pushes > 0);
 //! ```
 
+pub mod driver;
 mod engine;
 mod event;
 mod pool;

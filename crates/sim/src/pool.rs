@@ -45,7 +45,8 @@ impl<F: Fn(usize) + Sync> Tasks for F {
 }
 
 /// Locks `mutex`, also after a panic elsewhere poisoned it: the pool's schedule says
-/// which lanes are usable, not the poison flag.
+/// which lanes are usable, not the poison flag (an evaluator keeps no state across
+/// scores).
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
