@@ -70,16 +70,17 @@ pub fn run_group_threads(job: &JobConfig) -> Result<GroupRunOutcome, NetError> {
     let mut coord_transport = TcpServerTransport::bind("127.0.0.1:0", job.num_workers)?;
     let coord_addr = coord_transport.local_addr().to_string();
 
+    // Every worker connects before the coordinator starts: a worker thread that only
+    // dialed once the run had already aborted would retry the closed listeners for a
+    // minute instead of reading the `Shutdown` waiting on its connections.
     let timeout = Some(Duration::from_millis(job.stall_timeout_ms.max(1)));
     let mut worker_handles = Vec::with_capacity(job.num_workers);
     for rank in 0..job.num_workers {
         let job = job.clone();
-        let coord_addr = coord_addr.clone();
-        let server_addrs = server_addrs.clone();
+        let mut coord = TcpWorkerTransport::connect(&coord_addr)?;
+        let links = connect_links(&server_addrs, timeout)?;
         worker_handles.push(std::thread::spawn(
             move || -> Result<WorkerReport, NetError> {
-                let mut coord = TcpWorkerTransport::connect(&coord_addr)?;
-                let links = connect_links(&server_addrs, timeout)?;
                 run_group_worker(&job, rank, &mut coord, links)
             },
         ));
