@@ -136,18 +136,10 @@ impl TcpServerTransport {
         let rx = Arc::new(RxCounters::default());
         let rx_for_readers = Arc::clone(&rx);
         let accepted = Arc::new(Mutex::new(Accepted::default()));
-        let accepted_for_loop = Arc::clone(&accepted);
+        let taken = Arc::clone(&accepted);
         thread::Builder::new()
             .name("dssp-net-acceptor".into())
-            .spawn(move || {
-                accept_loop(
-                    listener,
-                    num_workers,
-                    &accepted_for_loop,
-                    event_tx,
-                    rx_for_readers,
-                )
-            })
+            .spawn(move || accept_loop(listener, num_workers, &taken, event_tx, rx_for_readers))
             .expect("spawn acceptor thread");
         Ok(Self {
             local_addr,
