@@ -678,7 +678,7 @@ impl<'job> Coordinator<'job> {
         for reply in replies {
             self.send_grant(transport, reply.worker, reply.granted_extra)?;
         }
-        if let Some(mut point) = self.sl.take_pending_eval() {
+        if let Some(point) = self.sl.take_pending_eval() {
             let eval_trace = self.next_coord_trace();
             pull_for_eval(
                 self.job,
@@ -687,8 +687,8 @@ impl<'job> Coordinator<'job> {
                 &mut self.eval_weights,
                 &mut self.eval_versions,
             )?;
-            point.test_accuracy = f64::from(self.sl.accuracy(&self.eval_weights));
-            self.sl.record_eval(point);
+            let accuracy = self.sl.accuracy(&self.eval_weights);
+            self.sl.record_eval(point, accuracy);
             self.fault.pull()?;
         }
         if self.sl.aborted() {

@@ -175,9 +175,8 @@ fn server_loop(
             match event {
                 WorkerEvent::Push { worker, grads, .. } => {
                     sl.handle_push_slice(worker, &grads, now, &mut replies);
-                    if let Some(mut point) = sl.take_pending_eval() {
-                        point.test_accuracy = f64::from(sl.accuracy(sl.server().weights()));
-                        sl.record_eval(point);
+                    if let Some(point) = sl.take_pending_eval() {
+                        sl.record_eval(point, sl.accuracy(sl.server().weights()));
                     }
                 }
                 WorkerEvent::Done(summary) => sl.handle_done(summary, now, &mut replies),

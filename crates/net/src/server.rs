@@ -400,9 +400,9 @@ impl Serving<'_> {
         replies.clear();
         let decision = self.sl.handle_push_slice(rank, &grads, now, &mut replies);
         self.transport.recycle_f32s(rank, grads);
-        if let Some(mut point) = self.sl.take_pending_eval() {
-            point.test_accuracy = f64::from(self.sl.accuracy(self.sl.server().weights()));
-            self.sl.record_eval(point);
+        if let Some(point) = self.sl.take_pending_eval() {
+            let accuracy = self.sl.accuracy(self.sl.server().weights());
+            self.sl.record_eval(point, accuracy);
         }
         let granted = replies.iter().any(|r| r.worker == rank);
         self.obs.on_push(

@@ -1241,15 +1241,19 @@ impl ServerLoop {
     /// with the policy clock, the version and the slowest worker's epoch. The caller
     /// scores the global weights of that moment — the store's, or a group's assembled
     /// slices — in place with [`ServerLoop::accuracy`] or on another thread with
-    /// [`ServerLoop::evaluator`], writes the accuracy into the point, and hands it back
-    /// with [`ServerLoop::record_eval`].
+    /// [`ServerLoop::evaluator`], and hands the point back with
+    /// [`ServerLoop::record_eval`].
     pub fn take_pending_eval(&mut self) -> Option<TracePoint> {
         self.pending_eval.take()
     }
 
-    /// Appends an evaluated point (see [`ServerLoop::take_pending_eval`]) to the trace.
-    pub fn record_eval(&mut self, point: TracePoint) {
-        self.points.push(point);
+    /// Appends a point taken with [`ServerLoop::take_pending_eval`] to the trace, with
+    /// the accuracy its weights scored.
+    pub fn record_eval(&mut self, point: TracePoint, accuracy: f32) {
+        self.points.push(TracePoint {
+            test_accuracy: f64::from(accuracy),
+            ..point
+        });
     }
 
     /// Scores `weights` on the held-out batch with the job's evaluator replica.
@@ -1296,10 +1300,7 @@ impl ServerLoop {
         } else {
             self.origin + wall_total
         };
-        self.points.push(TracePoint {
-            test_accuracy: f64::from(accuracy),
-            ..self.point_at(total)
-        });
+        self.record_eval(self.point_at(total), accuracy);
         let server_stats = self.stats().clone();
         let total_pushes = self.version();
         RunTrace {

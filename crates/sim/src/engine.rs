@@ -435,10 +435,10 @@ impl EventLoop {
 
     /// Joins the evaluation in flight, if any, and records its point.
     fn join_eval(&mut self, pool: &Pool<Lanes>) {
-        if let Some(mut point) = self.pending_eval.take() {
+        if let Some(point) = self.pending_eval.take() {
             pool.join(EVAL_LANE);
-            point.test_accuracy = f64::from(lock(&pool.tasks().eval).accuracy);
-            self.server.record_eval(point);
+            let accuracy = lock(&pool.tasks().eval).accuracy;
+            self.server.record_eval(point, accuracy);
         }
     }
 

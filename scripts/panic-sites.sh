@@ -7,8 +7,7 @@
 #
 # A gate: every site must be listed in scripts/panic-sites.allow, one `file code` per
 # line (the printed line without its line number, so moving code does not touch the
-# list). It exits 1 and names each site the list lacks. A listed site that is gone is
-# only reported: take its line out of the list in the change that removed it.
+# list). It exits 1 and names each site the list lacks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 sites=$(find crates/net/src crates/coord/src crates/ps/src -name '*.rs' | sort | xargs awk '
@@ -35,10 +34,6 @@ printf '%d panic sites\n' "$(printf '%s\n' "$sites" | grep -c . || true)"
 keys=$(printf '%s\n' "$sites" | sed -E 's/^([^:]+):[0-9]+ /\1 /' | grep . || true)
 allow=$(grep -v '^#' scripts/panic-sites.allow | grep . || true)
 unlisted=$(comm -23 <(printf '%s\n' "$keys" | sort) <(printf '%s\n' "$allow" | sort) | grep . || true)
-gone=$(comm -13 <(printf '%s\n' "$keys" | sort) <(printf '%s\n' "$allow" | sort) | grep . || true)
-if [ -n "$gone" ]; then
-    printf 'listed in scripts/panic-sites.allow but gone (take them out):\n%s\n' "$gone"
-fi
 if [ -n "$unlisted" ]; then
     printf 'panic sites not in scripts/panic-sites.allow (type the failure, or list the site):\n%s\n' "$unlisted"
     exit 1
