@@ -13,8 +13,8 @@
 //! The deployment modes run real networked training over TCP (`dssp-net`, and
 //! `dssp-coord` for multi-server groups). Job flags (`--model --policy --workers
 //! --epochs --batch-size --seed --shards --servers --eval-every --straggler-ms
-//! --deterministic --fail-after`) are shared by every mode and must match between all
-//! processes of a job (enforced by a config digest in the handshakes):
+//! --deterministic`) are shared by every mode and must match between all processes of
+//! a job (enforced by a config digest in the handshakes):
 //!
 //! ```text
 //! # classic single server (--servers 1, the default)
@@ -35,8 +35,10 @@
 //!
 //! Chaos: every deployment mode accepts `--fault role:phase:action:after` and
 //! `--checkpoint-dir D [--checkpoint-every N] [--restore]`; a process whose own
-//! fault plan fires exits with the distinct code [`dssp_net::FAULT_EXIT_CODE`] so a
-//! supervisor can tell a planned kill from a real crash. The `chaos-smoke` mode runs
+//! kill plan (`restart`, `evict`) fires exits with the distinct code
+//! [`dssp_net::FAULT_EXIT_CODE`] so a supervisor can tell a planned kill from a real
+//! crash, while an `abort` plan (`server0:push:abort:N`, `coord:push:abort:N`) stops
+//! the run with the shutdown broadcast and exits 1, as any failed run does. The `chaos-smoke` mode runs
 //! one kill+restart cell per role (worker, shard server, coordinator), plus a
 //! coordinator kill half a second into the run that must resume, over real
 //! processes (`launch --servers 2 --workers 3`) and writes the per-cell outcomes to
@@ -49,8 +51,7 @@
 //!
 //! Live migration: a running group can move shard ownership between its servers
 //! without stopping. `--migrate drain:<server>:<at_version>` /
-//! `--migrate rebalance:<at_version>` schedule one declaratively,
-//! `--migrate-threshold N` auto-rebalances on owned-shard skew, and two admin
+//! `--migrate rebalance:<at_version>` schedule one declaratively, and two admin
 //! subcommands drive one from the outside (they dial the coordinator's spare admin
 //! slot and exit once the migration commits or is refused):
 //!

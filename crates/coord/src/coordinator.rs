@@ -55,8 +55,9 @@ use std::time::Instant;
 /// `transport` serves the workers (one slot per rank); `links` are fresh connections
 /// to the shard servers, in server order (the coordinator handshakes them itself,
 /// announcing rank `num_workers`). On every exit path — success, protocol failure, or
-/// the `fail_after_pushes` chaos abort — `Shutdown` is broadcast to all workers *and*
-/// propagated to every shard server, so no group process is ever leaked.
+/// an `abort` fault plan (`coord:push:abort:N`) — `Shutdown` is broadcast to all
+/// workers *and* propagated to every shard server, so no group process is ever
+/// leaked; only a kill plan dies without it, as a crash would.
 ///
 /// # Panics
 ///
@@ -203,8 +204,8 @@ struct Coordinator<'job> {
     admin: Option<usize>,
     /// Whether the admin slot has handshaked (version-checked `Hello`).
     admin_helloed: bool,
-    /// A migration armed (by the admin channel, the declarative spec, or the skew
-    /// threshold) and waiting for group quiescence to execute.
+    /// A migration armed (by the admin channel or the declarative spec) and waiting
+    /// for group quiescence to execute.
     armed: Option<ArmedMigration>,
     /// Non-deterministic mode: clock grants produced while a migration is armed are
     /// withheld here and flushed after the commit's `LayoutUpdate` broadcast — the
@@ -223,8 +224,8 @@ struct Coordinator<'job> {
 struct ArmedMigration {
     /// The drain or rebalance to run.
     command: MigrationCommand,
-    /// The admin rank to answer with [`Message::AdminAck`], `None` when the spec or
-    /// the skew threshold armed the migration.
+    /// The admin rank to answer with [`Message::AdminAck`], `None` when the spec
+    /// armed the migration.
     requester: Option<usize>,
 }
 
@@ -388,9 +389,9 @@ impl<'job> Coordinator<'job> {
             .set_layout(fan.layout().epoch(), fan.layout().shards() as u64);
 
         while !self.sl.all_done() {
-            // Arm a declarative or threshold-triggered migration, if one came due
-            // (admin requests arm inside the message loop instead); execution always
-            // waits for group quiescence below.
+            // Arm the declarative migration, if it came due (admin requests arm
+            // inside the message loop instead); execution always waits for group
+            // quiescence below.
             self.maybe_arm(fan);
             // Dispatch everything the loop is ready to release — under deterministic
             // mode's serialization rules: one granted push at a time, no mutation
@@ -691,19 +692,12 @@ impl<'job> Coordinator<'job> {
             self.sl.record_eval(point, accuracy);
             self.fault.pull()?;
         }
-        if self.sl.aborted() {
-            return Err(NetError::Aborted {
-                pushes: self.sl.version(),
-            });
-        }
         Ok(())
     }
 
-    /// Arms the declarative migration spec or the skew-threshold rebalance when one
-    /// comes due. The spec fires at most once per group life — only from the launch
-    /// layout (epoch 0), so a coordinator restored after its commit does not migrate
-    /// again. The threshold only arms when a rebalance actually has moves, so an
-    /// already-balanced (or unbalanceable) group never re-arms a no-op forever.
+    /// Arms the declarative migration spec when it comes due. It fires at most once
+    /// per group life — only from the launch layout (epoch 0), so a coordinator
+    /// restored after its commit does not migrate again.
     fn maybe_arm(&mut self, fan: &ShardFan) {
         if self.armed.is_some() {
             return;
@@ -712,15 +706,6 @@ impl<'job> Coordinator<'job> {
             if fan.layout().epoch() == 0 && self.sl.version() >= spec.at_version {
                 self.armed = Some(ArmedMigration {
                     command: spec.command,
-                    requester: None,
-                });
-                return;
-            }
-        }
-        if let Some(threshold) = self.job.migrate_threshold {
-            if fan.layout().skew() as u64 > threshold && fan.layout().rebalance_plan().is_ok() {
-                self.armed = Some(ArmedMigration {
-                    command: MigrationCommand::Rebalance,
                     requester: None,
                 });
             }

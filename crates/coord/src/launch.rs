@@ -6,9 +6,9 @@
 //! line (the [`LISTEN_LINE_PREFIX`] contract with the `repro serve --server-index`
 //! mode); the launcher reads that line, forwards the rest of the child's output, and
 //! passes every address to the workers. All children are reaped on every exit path —
-//! success, coordinator failure, or a `fail_after_pushes` chaos abort (where the
-//! shutdown broadcast reaches workers both directly and relayed via their shard
-//! servers).
+//! success, coordinator failure, or an `abort` fault plan such as `coord:push:abort:N`
+//! (where the shutdown broadcast reaches workers both directly and relayed via their
+//! shard servers).
 
 use crate::coordinator::coordinate;
 use crate::run::connect_links;

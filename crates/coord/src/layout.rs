@@ -190,19 +190,6 @@ impl GroupLayout {
         self.owned_shards(server) > 0
     }
 
-    /// The owned-shard imbalance among active servers (max minus min); 0 when one
-    /// server is active. The `--migrate-threshold` auto-trigger fires on this.
-    pub fn skew(&self) -> usize {
-        let counts: Vec<usize> = (0..self.servers)
-            .map(|s| self.owned_shards(s))
-            .filter(|&c| c > 0)
-            .collect();
-        match (counts.iter().max(), counts.iter().min()) {
-            (Some(max), Some(min)) => max - min,
-            _ => 0,
-        }
-    }
-
     /// The key range `[start, end)` of the flat parameter vector that `server` owns
     /// (the concatenation of its shards' key ranges); `(0, 0)` for a drained server.
     pub fn key_range(&self, server: usize) -> (usize, usize) {
@@ -433,7 +420,8 @@ mod tests {
         let l = GroupLayout::new(10, 4, 3);
         let drained = l.apply(&l.drain_plan(0).unwrap()); // [1, 1, 1, 2]
         assert_eq!(drained.assignment(), &[1, 1, 1, 2]);
-        assert_eq!(drained.skew(), 2);
+        let owned = |l: &GroupLayout| (0..3).map(|s| l.owned_shards(s)).collect::<Vec<_>>();
+        assert_eq!(owned(&drained), [0, 3, 1]);
         let plan = drained.rebalance_plan().unwrap();
         assert_eq!(plan.assignment, vec![1, 1, 2, 2]);
         assert_eq!(
@@ -446,7 +434,7 @@ mod tests {
         );
         let balanced = drained.apply(&plan);
         assert_eq!(balanced.epoch(), 2);
-        assert_eq!(balanced.skew(), 0);
+        assert_eq!(owned(&balanced), [0, 2, 2]);
         assert!(
             !balanced.active(0),
             "rebalance must not reactivate a drained server"

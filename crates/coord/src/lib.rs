@@ -41,9 +41,9 @@
 //! shard's weights and momentum → commit the new assignment everywhere, or roll
 //! back). Operators trigger one with `repro -- drain <server>` / `repro -- rebalance`
 //! (the admin channel, [`run_admin_command`]); jobs can schedule one declaratively
-//! (`--migrate drain:2:64`) or let the skew threshold auto-rebalance. Every push and
-//! pull is epoch-stamped, and a stale route gets a typed, retryable
-//! `NetError::EpochRefused` — never silent misapplication, never a hang.
+//! (`--migrate drain:2:64`). Every push and pull is epoch-stamped, and a stale route
+//! gets a typed, retryable `NetError::EpochRefused` — never silent misapplication,
+//! never a hang.
 //!
 //! | module | provides |
 //! |---|---|

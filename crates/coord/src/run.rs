@@ -46,9 +46,9 @@ pub fn connect_links(
 /// Runs a whole group job — N shard servers, M workers, one coordinator — over
 /// localhost TCP inside this process and returns the trace plus every worker report.
 ///
-/// A run the coordinator aborts (the `fail_after_pushes` chaos hook) returns that
-/// error *after* joining every thread: the shutdown broadcast reaches workers both
-/// directly and relayed through the shard servers, so nothing is leaked.
+/// A run the coordinator aborts (an `abort` fault plan such as `coord:push:abort:N`)
+/// returns that error *after* joining every thread: the shutdown broadcast reaches
+/// workers both directly and relayed through the shard servers, so nothing is leaked.
 ///
 /// # Panics
 ///

@@ -45,7 +45,7 @@ use crate::layout::GroupLayout;
 use dssp_core::driver::{FaultRole, JobConfig};
 use dssp_core::events::{EventKind, Role};
 use dssp_net::metrics::derive_metrics_addr;
-use dssp_net::wire::MIGRATE_CONTROL;
+use dssp_net::wire::{MIGRATE_CONTROL, SHUTDOWN_SERVER_ERROR};
 use dssp_net::{
     require_helloed, validate_hello, CheckpointSink, FaultClock, Message, NetError, Obs, PullView,
     ServerTransport,
@@ -413,7 +413,9 @@ pub struct ShardServeReport {
 /// client handshakes with a [`Message::GroupHello`] whose topology and config digest
 /// must match the server's own job. Worker disconnects are tolerated at any time
 /// (the coordinator is the authority on run health); a coordinator disconnect without
-/// a preceding `Shutdown` is an error.
+/// a preceding `Shutdown` is an error. On any error but an injected kill — an `abort`
+/// fault plan (`server1:push:abort:N`) included — the server broadcasts the
+/// server-error `Shutdown` to every client before it returns.
 ///
 /// # Panics
 ///
@@ -449,8 +451,15 @@ pub fn serve_shard(
         Ok(_) => {
             obs.flush()?;
         }
-        // A chaos-killed shard server still leaves its timeline behind, best effort.
-        Err(_) => {
+        Err(e) => {
+            // Like every serving loop, a failing shard server tells its clients; only
+            // an injected kill dies without the goodbye, as a real crash would.
+            if !matches!(e, NetError::FaultInjected { .. }) {
+                transport.broadcast(&Message::Shutdown {
+                    reason: SHUTDOWN_SERVER_ERROR,
+                });
+            }
+            // A failed shard server still leaves its timeline behind, best effort.
             let _ = obs.flush();
         }
     }

@@ -249,7 +249,7 @@ fn a_worker_that_dies_before_its_grant_is_evicted_not_fatal() {
 #[test]
 fn chaos_abort_at_group_scale_shuts_every_role_down() {
     let mut job = group_job(PolicyKind::Asp, 2);
-    job.fail_after_pushes = Some(3);
+    job.fault_plan = FaultPlan::parse("coord:push:abort:3");
     let started = std::time::Instant::now();
     let err = run_group_threads(&job).expect_err("chaos hook must abort the run");
     assert!(
@@ -259,6 +259,83 @@ fn chaos_abort_at_group_scale_shuts_every_role_down() {
     // run_group_threads joins every worker and shard-server thread before returning;
     // a leaked blocked worker would hang well past this bound.
     assert!(started.elapsed() < Duration::from_secs(20));
+}
+
+/// How every role of one group run ended.
+#[derive(Debug)]
+struct RoleEndings {
+    coordinator: Result<dssp_sim::RunTrace, NetError>,
+    servers: Vec<Result<dssp_coord::ShardServeReport, NetError>>,
+    workers: Vec<Result<dssp_net::WorkerReport, NetError>>,
+}
+
+/// Runs `job` with every role on its own thread, as `run_group_threads` lays them
+/// out, but keeps each role's result. Fails the test if the roles have not all
+/// ended within `bound`.
+fn run_every_role(job: &JobConfig, bound: Duration) -> RoleEndings {
+    let job = job.clone();
+    let (done, ended) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut server_addrs = Vec::new();
+        let mut servers = Vec::new();
+        for index in 0..job.servers {
+            let mut transport =
+                TcpServerTransport::bind("127.0.0.1:0", job.num_workers + 1).unwrap();
+            server_addrs.push(transport.local_addr().to_string());
+            let job = job.clone();
+            servers.push(std::thread::spawn(move || {
+                serve_shard(&job, index, &mut transport)
+            }));
+        }
+        let mut coord_transport = TcpServerTransport::bind("127.0.0.1:0", job.num_workers).unwrap();
+        let coord_addr = coord_transport.local_addr().to_string();
+        let timeout = Some(Duration::from_millis(job.stall_timeout_ms));
+        let workers: Vec<_> = (0..job.num_workers)
+            .map(|rank| {
+                let mut coord = TcpWorkerTransport::connect(&coord_addr).unwrap();
+                let links = connect_links(&server_addrs, timeout).unwrap();
+                let job = job.clone();
+                std::thread::spawn(move || run_group_worker(&job, rank, &mut coord, links))
+            })
+            .collect();
+        let links = connect_links(&server_addrs, timeout).unwrap();
+        let coordinator = coordinate(&job, &mut coord_transport, links);
+        drop(coord_transport);
+        fn join<T>(handle: std::thread::JoinHandle<T>) -> T {
+            handle.join().expect("no role panics")
+        }
+        let _ = done.send(RoleEndings {
+            coordinator,
+            servers: servers.into_iter().map(join).collect(),
+            workers: workers.into_iter().map(join).collect(),
+        });
+    });
+    ended
+        .recv_timeout(bound)
+        .unwrap_or_else(|e| panic!("the roles did not all end within {bound:?}: {e}"))
+}
+
+#[test]
+fn a_shard_server_abort_ends_every_role_without_a_hang() {
+    let mut job = group_job(PolicyKind::Asp, 2);
+    job.fault_plan = FaultPlan::parse("server1:push:abort:3");
+    // The wall-clock bound of the chaos matrix's group cells, `server0:push:evict`'s
+    // among them.
+    let endings = run_every_role(&job, Duration::from_secs(180));
+    assert!(
+        matches!(endings.servers[1], Err(NetError::Aborted { pushes }) if pushes >= 3),
+        "{endings:?}"
+    );
+    // The aborting server's `Shutdown` reaches the workers mid-round and the
+    // coordinator at its next read of that link; the coordinator's own broadcast then
+    // shuts server 0 down.
+    assert!(endings.coordinator.is_err(), "{endings:?}");
+    for worker in &endings.workers {
+        assert!(
+            worker.as_ref().map_or(true, |r| r.shutdown_early),
+            "{endings:?}"
+        );
+    }
 }
 
 #[test]

@@ -20,11 +20,12 @@
 //!
 //! # Shutdown behaviour
 //!
-//! The server loop owns the run: when it finishes, aborts (the
-//! [`JobConfig::fail_after_pushes`] chaos hook), or panics, it broadcasts
-//! [`WorkerCommand::Shutdown`] to every worker and joins all threads before returning,
-//! so no worker thread is ever leaked — [`run_threaded`] either returns a complete
-//! trace or panics with every thread reaped.
+//! The server loop owns the run: when it finishes, finds a dead worker thread, or
+//! panics, it broadcasts [`WorkerCommand::Shutdown`] to every worker and joins all
+//! threads before returning, so no worker thread is ever leaked — [`run_threaded`]
+//! either returns a complete trace or panics with every thread reaped. Stopping a run
+//! from inside is a fault plan's `abort` (`server0:push:abort:N`), which the serving
+//! loops of `dssp-net` and `dssp-coord` run; this runtime runs no fault plan.
 
 use crate::driver::{JobConfig, OkReply, ServerLoop, WorkerEvent, WorkerStep};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -50,12 +51,6 @@ pub enum WorkerCommand {
 /// Why a threaded run ended without a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// The server aborted after the configured number of pushes
-    /// ([`JobConfig::fail_after_pushes`]).
-    Aborted {
-        /// Pushes applied when the abort tripped.
-        pushes: u64,
-    },
     /// One or more worker threads died (panicked or exited early) before reporting
     /// `Done`.
     WorkersFailed {
@@ -67,9 +62,6 @@ pub enum RuntimeError {
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::Aborted { pushes } => {
-                write!(f, "server aborted after {pushes} pushes (chaos hook)")
-            }
             RuntimeError::WorkersFailed { workers } => {
                 write!(f, "worker threads {workers:?} died before finishing")
             }
@@ -123,9 +115,9 @@ pub fn try_run_threaded(config: ThreadedConfig) -> Result<RunTrace, RuntimeError
     }
     drop(push_tx);
 
-    // Server loop on the current thread. Any outcome — normal completion, chaos abort,
-    // worker death, or a panic inside the decision logic — falls through to the
-    // broadcast + join below, so threads are never leaked.
+    // Server loop on the current thread. Any outcome — normal completion, worker
+    // death, or a panic inside the decision logic — falls through to the broadcast +
+    // join below, so threads are never leaked.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         server_loop(&config, &mut sl, &push_rx, &ok_txs, &handles)
     }));
@@ -188,11 +180,6 @@ fn server_loop(
                 // A send can only fail if the worker already exited after its final
                 // push; that is expected and harmless.
                 let _ = ok_txs[reply.worker].send(WorkerCommand::Proceed(sl.pull()));
-            }
-            if sl.aborted() {
-                return Err(RuntimeError::Aborted {
-                    pushes: sl.version(),
-                });
             }
         }
         if sl.all_done() {
@@ -327,22 +314,6 @@ mod tests {
         config.extra_compute_delay_ms = vec![1];
         config.num_workers = 3;
         run_threaded(config);
-    }
-
-    #[test]
-    fn chaos_abort_shuts_workers_down_instead_of_leaking_them() {
-        let mut config = ThreadedConfig::small(PolicyKind::Asp);
-        config.fail_after_pushes = Some(3);
-        let started = Instant::now();
-        let err = try_run_threaded(config).expect_err("chaos hook must abort the run");
-        assert!(
-            matches!(err, RuntimeError::Aborted { pushes } if pushes >= 3),
-            "unexpected error: {err}"
-        );
-        // try_run_threaded joins every worker before returning; if Shutdown were not
-        // propagated the blocked workers would keep the join (and this test) hanging
-        // until their full epoch budget elapsed.
-        assert!(started.elapsed() < Duration::from_secs(20));
     }
 
     #[test]

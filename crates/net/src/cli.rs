@@ -88,19 +88,18 @@ pub fn policy_spec(policy: &PolicyKind) -> String {
 /// | `--straggler-ms MS` | 4 | extra per-iteration delay of the last worker (0 = homogeneous) |
 /// | `--delta-pulls on\|off` | `on` | incremental pulls (workers fetch only shards whose version advanced) |
 /// | `--deterministic` | off | canonical event order + logical clock |
-/// | `--fail-after N` | off | chaos hook: server aborts after N pushes |
-/// | `--fault SPEC` | off | structured chaos: `role:phase:action:after` (see `FaultPlan::parse`) |
+/// | `--fault SPEC` | off | structured chaos: `role:phase:action:after` (see `FaultPlan::parse`); `server0:push:abort:N` stops the run after N pushes |
 /// | `--checkpoint-dir D` | off | write role-conventional checkpoint files under `D` |
 /// | `--checkpoint-every N` | 1 | applied pushes between checkpoint writes |
 /// | `--restore` | off | restore from `--checkpoint-dir` instead of starting fresh |
 /// | `--event-log D` | off | flush a structured NDJSON event log per role under `D` |
 /// | `--metrics-addr H:P` | off | serve Prometheus `GET /metrics` (base port; shard server `i` at `P+1+i`) |
 /// | `--migrate SPEC` | off | declarative live migration: `drain:<server>:<at_version>` or `rebalance:<at_version>` |
-/// | `--migrate-threshold N` | off | auto-rebalance a group when the owned-shard skew exceeds N |
 ///
 /// `--delta-pulls` is part of the config digest, so a server and a worker that
 /// disagree on it are rejected at the `Hello` handshake rather than silently mixing
-/// pull modes.
+/// pull modes. A `--fault` plan naming a worker rank or shard-server index the job
+/// does not have is refused: it would never fire.
 pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
     let policy =
         parse_policy(&flag_value(args, "--policy").unwrap_or_else(|| "dssp:1:8".to_string()))?;
@@ -164,16 +163,21 @@ pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
         }
     };
     job.deterministic = args.iter().any(|a| a == "--deterministic");
-    job.fail_after_pushes = parse_flag::<u64>(args, "--fail-after")?;
     job.fault_plan = match flag_value(args, "--fault") {
         None => None,
         Some(spec) => Some(FaultPlan::parse(&spec).ok_or_else(|| {
             format!(
                 "invalid fault spec '{spec}' (expected role:phase:action:after, e.g. \
-                 worker0:push:restart:2)"
+                 worker0:push:restart:2; only server<i> and coord may abort)"
             )
         })?),
     };
+    if let Some(why) = job
+        .fault_plan
+        .and_then(|plan| plan.misfit(job.num_workers, job.servers))
+    {
+        return Err(why);
+    }
     job.checkpoint = match flag_value(args, "--checkpoint-dir") {
         None => {
             if args.iter().any(|a| a == "--restore") {
@@ -198,7 +202,6 @@ pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
             )
         })?),
     };
-    job.migrate_threshold = parse_flag::<u64>(args, "--migrate-threshold")?;
     job.event_log = flag_value(args, "--event-log").map(std::path::PathBuf::from);
     job.metrics_addr = match flag_value(args, "--metrics-addr") {
         None => None,
@@ -250,10 +253,6 @@ pub fn job_args(job: &JobConfig) -> Vec<String> {
     if job.deterministic {
         args.push("--deterministic".to_string());
     }
-    if let Some(n) = job.fail_after_pushes {
-        args.push("--fail-after".to_string());
-        args.push(n.to_string());
-    }
     if let Some(plan) = &job.fault_plan {
         args.push("--fault".to_string());
         args.push(plan.to_spec());
@@ -270,10 +269,6 @@ pub fn job_args(job: &JobConfig) -> Vec<String> {
     if let Some(spec) = &job.migration {
         args.push("--migrate".to_string());
         args.push(spec.to_spec());
-    }
-    if let Some(threshold) = job.migrate_threshold {
-        args.push("--migrate-threshold".to_string());
-        args.push(threshold.to_string());
     }
     if let Some(dir) = &job.event_log {
         args.push("--event-log".to_string());
@@ -437,21 +432,11 @@ mod tests {
     #[test]
     fn migration_flags_round_trip_but_stay_out_of_the_stable_digest() {
         use dssp_core::driver::MigrationCommand;
-        let args = strings(&[
-            "--shards",
-            "4",
-            "--servers",
-            "3",
-            "--migrate",
-            "drain:2:64",
-            "--migrate-threshold",
-            "2",
-        ]);
+        let args = strings(&["--shards", "4", "--servers", "3", "--migrate", "drain:2:64"]);
         let job = job_from_flags(&args).unwrap();
         let spec = job.migration.expect("migration spec parsed");
         assert_eq!(spec.command, MigrationCommand::Drain(2));
         assert_eq!(spec.at_version, 64);
-        assert_eq!(job.migrate_threshold, Some(2));
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
         assert_eq!(dump(&job), dump(&rebuilt));
         // Migrations move shard ownership, never shard boundaries or arithmetic, so
@@ -471,6 +456,23 @@ mod tests {
     fn malformed_chaos_flags_are_rejected() {
         assert!(job_from_flags(&strings(&["--fault", "worker0:nap:restart:1"])).is_err());
         assert!(job_from_flags(&strings(&["--fault", "coord:push:restart:0"])).is_err());
+        assert!(job_from_flags(&strings(&["--fault", "worker0:push:abort:1"])).is_err());
         assert!(job_from_flags(&strings(&["--restore"])).is_err());
+    }
+
+    /// A plan for a role the job does not have would parse and never fire, so a
+    /// chaos run would pass without its fault.
+    #[test]
+    fn a_fault_plan_for_a_missing_role_is_refused() {
+        let flags = |extra: &[&str]| {
+            let mut args = strings(&["--workers", "2", "--shards", "2", "--servers", "2"]);
+            args.extend(strings(extra));
+            job_from_flags(&args)
+        };
+        assert!(flags(&["--fault", "worker5:push:evict:1"]).is_err());
+        assert!(flags(&["--fault", "server3:push:evict:1"]).is_err());
+        assert!(flags(&["--fault", "worker1:push:evict:1"]).is_ok());
+        assert!(flags(&["--fault", "server1:push:abort:3"]).is_ok());
+        assert!(flags(&["--fault", "coord:push:abort:3"]).is_ok());
     }
 }

@@ -6,7 +6,9 @@
 //! die after N", a [`FaultClock`] owns the per-role occurrence counters and returns
 //! [`NetError::FaultInjected`] the moment the configured plan comes due — the loop
 //! propagates that error and the process exits *without* a protocol goodbye, so
-//! peers observe the same abrupt connection loss a real crash produces.
+//! peers observe the same abrupt connection loss a real crash produces. An `abort`
+//! plan returns [`NetError::Aborted`] instead: the one way to stop a run from inside,
+//! through the role's ordinary error path and its `Shutdown` broadcast.
 //!
 //! [`CheckpointSink`] is the durable half: it decides *when* a snapshot is due
 //! (every [`CheckpointSpec::every_pushes`] applied pushes) and writes it atomically
@@ -15,7 +17,7 @@
 //! `--restore`.
 
 use crate::NetError;
-use dssp_core::driver::{CheckpointSpec, FaultPhase, FaultPlan, FaultRole, JobConfig};
+use dssp_core::driver::{CheckpointSpec, FaultAction, FaultPhase, FaultPlan, FaultRole, JobConfig};
 use dssp_ps::Checkpoint;
 use std::path::PathBuf;
 
@@ -99,9 +101,17 @@ impl FaultClock {
         self.due(FaultPhase::MigrateCommit, self.commits)
     }
 
+    /// An `abort` plan ends the role's run with [`NetError::Aborted`], the ordinary
+    /// error its serving loop answers with the server-error `Shutdown` broadcast;
+    /// the kill actions with [`NetError::FaultInjected`], an abrupt death.
     fn due(&self, phase: FaultPhase, count: u64) -> Result<(), NetError> {
         match self.plan {
-            Some(plan) if plan.due(phase, count) => Err(plan.into()),
+            Some(plan) if plan.due(phase, count) => Err(match plan.action {
+                FaultAction::Abort => NetError::Aborted {
+                    pushes: self.pushes,
+                },
+                FaultAction::KillRestart | FaultAction::KillEvict => plan.into(),
+            }),
             _ => Ok(()),
         }
     }
@@ -193,5 +203,42 @@ impl CheckpointSink {
             self.written += 1;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dssp_ps::PolicyKind;
+
+    /// A clock for `role` armed with `spec`, run through `n` pushes: the first
+    /// error, if one came due.
+    fn pushes(spec: &str, role: FaultRole, n: u64) -> Option<NetError> {
+        let mut job = JobConfig::small(PolicyKind::Asp);
+        job.fault_plan = FaultPlan::parse(spec);
+        let mut clock = FaultClock::new(&job, role);
+        (0..n).find_map(|_| clock.push().err())
+    }
+
+    #[test]
+    fn an_abort_plan_ends_the_run_at_its_push_and_the_kill_plans_die() {
+        let server = FaultRole::ShardServer(0);
+        assert!(matches!(
+            pushes("server0:push:abort:3", server, 5),
+            Some(NetError::Aborted { pushes: 3 })
+        ));
+        assert!(pushes("server0:push:abort:3", server, 2).is_none());
+        assert!(matches!(
+            pushes("coord:push:abort:1", FaultRole::Coordinator, 1),
+            Some(NetError::Aborted { pushes: 1 })
+        ));
+        for spec in ["server0:push:restart:3", "server0:push:evict:3"] {
+            match pushes(spec, server, 5) {
+                Some(NetError::FaultInjected { plan }) => assert_eq!(plan, spec),
+                other => panic!("{spec}: expected FaultInjected, got {other:?}"),
+            }
+        }
+        // Another role's plan never fires here.
+        assert!(pushes("server1:push:abort:1", server, 5).is_none());
     }
 }

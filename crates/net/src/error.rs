@@ -19,10 +19,11 @@ pub enum NetError {
     Disconnected,
     /// The peer violated the protocol (wrong message, bad handshake, config mismatch).
     Protocol(String),
-    /// The server aborted the run (the `fail_after_pushes` chaos hook) and shut the
-    /// cluster down.
+    /// A serving role stopped the run on its `abort` fault plan
+    /// (`--fault server0:push:abort:N`, `coord:push:abort:N`) and broadcast the
+    /// server-error `Shutdown`.
     Aborted {
-        /// Pushes applied when the abort tripped.
+        /// Pushes the aborting role had applied when the plan came due.
         pushes: u64,
     },
     /// A spawned worker process failed.
@@ -51,8 +52,9 @@ pub enum NetError {
         last_clock: Option<u64>,
     },
     /// The structured chaos hook fired: this process killed itself on schedule
-    /// according to its fault plan. Distinct from [`NetError::Aborted`] so the chaos
-    /// matrix can tell a planned fault from an incidental failure.
+    /// according to its `restart` or `evict` fault plan. Distinct from
+    /// [`NetError::Aborted`] so the chaos matrix can tell a planned kill from an
+    /// orderly stop or an incidental failure.
     FaultInjected {
         /// The plan that fired, in the CLI `role:phase:action:after` form.
         plan: String,
@@ -88,7 +90,7 @@ impl std::fmt::Display for NetError {
             NetError::Disconnected => write!(f, "peer disconnected mid-run"),
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             NetError::Aborted { pushes } => {
-                write!(f, "server aborted after {pushes} pushes (chaos hook)")
+                write!(f, "run aborted after {pushes} pushes (abort fault plan)")
             }
             NetError::WorkerProcess(msg) => write!(f, "worker process failed: {msg}"),
             NetError::PeerTimeout { peer, timeout_ms } => {
@@ -169,7 +171,7 @@ impl From<dssp_ps::CheckpointError> for NetError {
     }
 }
 
-/// A fault plan that came due becomes the error its process dies with.
+/// A kill plan that came due becomes the error its process dies with.
 impl From<dssp_core::driver::FaultPlan> for NetError {
     fn from(plan: dssp_core::driver::FaultPlan) -> Self {
         NetError::FaultInjected {

@@ -384,8 +384,7 @@ impl Serving<'_> {
                 let now = self.now();
                 let mut replies = Vec::new();
                 self.sl.handle_done(summary, now, &mut replies);
-                self.deliver_replies(&replies)?;
-                check_abort(&self.sl)
+                self.deliver_replies(&replies)
             }
         }
     }
@@ -415,7 +414,6 @@ impl Serving<'_> {
         let delivered = self.deliver_replies(&replies);
         self.replies = replies;
         delivered?;
-        check_abort(&self.sl)?;
         self.after_push(granted)
     }
 }
@@ -473,14 +471,4 @@ pub fn validate_hello(
     }
     helloed[rank] = true;
     Ok(())
-}
-
-fn check_abort(sl: &ServerLoop) -> Result<(), NetError> {
-    if sl.aborted() {
-        Err(NetError::Aborted {
-            pushes: sl.version(),
-        })
-    } else {
-        Ok(())
-    }
 }

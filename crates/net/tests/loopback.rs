@@ -115,7 +115,7 @@ fn pull_replies_report_monotonically_complete_shard_versions() {
 #[test]
 fn chaos_abort_shuts_workers_down_cleanly() {
     let mut job = small_job(PolicyKind::Asp);
-    job.fail_after_pushes = Some(3);
+    job.fault_plan = dssp_core::driver::FaultPlan::parse("server0:push:abort:3");
     let (result, reports) = run_loopback(&job);
     match result {
         Err(NetError::Aborted { pushes }) => assert!(pushes >= 3),

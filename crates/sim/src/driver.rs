@@ -98,22 +98,20 @@ pub struct JobConfig {
     /// Impose a canonical event order and a logical policy clock so runs are bitwise
     /// reproducible across substrates (see the module docs). Off by default.
     pub deterministic: bool,
-    /// Chaos hook: make the server abort the run after this many applied pushes, as if
-    /// it had failed. Exercises the graceful-shutdown path (workers receive a shutdown
-    /// command instead of being leaked). `None` disables the hook.
-    pub fail_after_pushes: Option<u64>,
-    /// Structured chaos hook generalizing [`JobConfig::fail_after_pushes`]: which
-    /// process dies, in which protocol phase, and whether the run is expected to be
-    /// restarted from checkpoints or to continue after eviction. `None` disables the
-    /// hook. Excluded from [`JobConfig::stable_digest`] so a restarted (fault-free)
-    /// process accepts checkpoints taken by its faulted predecessor.
+    /// Chaos hook: which process stops, in which protocol phase, and whether the run
+    /// is expected to be restarted from checkpoints, to continue after eviction, or
+    /// to be aborted with the shutdown broadcast. `None` disables the hook. Excluded
+    /// from [`JobConfig::stable_digest`] so a restarted (fault-free) process accepts
+    /// checkpoints taken by its faulted predecessor.
     pub fault_plan: Option<FaultPlan>,
     /// Checkpoint persistence: directory, cadence and restore flag. `None` disables
     /// checkpointing. Excluded from [`JobConfig::stable_digest`] (where a run stores
     /// its state does not change what it computes).
     pub checkpoint: Option<CheckpointSpec>,
-    /// How long the threaded runtime's server waits without any worker message before
-    /// checking for dead worker threads, in milliseconds.
+    /// How long a peer may stay silent, in milliseconds: the threaded runtime's server
+    /// waits this long without any worker message before checking for dead worker
+    /// threads, and a group's links to its shard servers (`run_group_threads`,
+    /// `launch_group`, `repro`) use it as their read timeout.
     pub stall_timeout_ms: u64,
     /// Observability: directory the networked roles flush their structured event logs
     /// to as NDJSON, one file per role (`server.ndjson`, `coord.ndjson`,
@@ -130,16 +128,11 @@ pub struct JobConfig {
     pub metrics_addr: Option<String>,
     /// Declarative live-migration trigger for group runs: run this drain/rebalance
     /// once the coordinator's clock reaches the spec's version (at the next quiescent
-    /// round boundary). `None` means migrations happen only via the admin channel or
-    /// the skew threshold. Excluded from [`JobConfig::stable_digest`]: migration moves
-    /// shard ownership between servers, never shard boundaries or weight arithmetic,
-    /// so the computed model is bitwise unchanged.
+    /// round boundary). `None` means migrations happen only via the admin channel.
+    /// Excluded from [`JobConfig::stable_digest`]: migration moves shard ownership
+    /// between servers, never shard boundaries or weight arithmetic, so the computed
+    /// model is bitwise unchanged.
     pub migration: Option<MigrationSpec>,
-    /// Auto-rebalance trigger for group runs: when the owned-shard imbalance among
-    /// active servers exceeds this, the coordinator schedules a rebalance at the next
-    /// round boundary. `None` disables the trigger. Excluded from
-    /// [`JobConfig::stable_digest`] like [`JobConfig::migration`].
-    pub migrate_threshold: Option<u64>,
 }
 
 /// Which layout change a [`MigrationSpec`] runs.
@@ -222,25 +215,32 @@ pub enum FaultPhase {
     MigrateCommit,
 }
 
-/// What happens after a [`FaultPlan`] kills its process.
+/// What happens when a [`FaultPlan`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// The process is restarted from its checkpoint and the run completes.
+    /// The process dies abruptly (no protocol goodbye), is restarted from its
+    /// checkpoint, and the run completes.
     KillRestart,
-    /// The process is evicted: workers are reaped via the `ClientLost` path and the
-    /// run continues (or, for servers, aborts with a typed error).
+    /// The process dies abruptly and is evicted: workers are reaped via the
+    /// `ClientLost` path and the run continues (or, for servers, ends with a typed
+    /// error).
     KillEvict,
+    /// A serving role (shard server or coordinator, never a worker) stops the run:
+    /// it leaves through its ordinary error path, `dssp_net::NetError::Aborted`, and
+    /// broadcasts the server-error `Shutdown` so no peer is leaked.
+    Abort,
 }
 
-/// A structured fault injection: `role` dies in `phase` after `after` occurrences of
-/// that phase, with `action` deciding whether the chaos harness restarts or evicts it.
+/// A structured fault injection: `role` stops in `phase` after `after` occurrences of
+/// that phase, with `action` deciding whether it is killed (and then restarted or
+/// evicted by the chaos harness) or aborts the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Which process dies.
+    /// Which process stops.
     pub role: FaultRole,
-    /// In which protocol phase it dies.
+    /// In which protocol phase it stops.
     pub phase: FaultPhase,
-    /// Restart from checkpoint, or evict.
+    /// Killed and restarted from checkpoint, killed and evicted, or aborting.
     pub action: FaultAction,
     /// Fire after this many occurrences of the phase (1-based: `1` = first).
     pub after: u64,
@@ -249,8 +249,9 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Parses the CLI form `role:phase:action:after` where role is `worker<rank>`,
     /// `server<index>` or `coord`; phase is `push`, `pull`, `gate`, `ckpt`, `prepare`,
-    /// `transfer` or `commit` (one spelling per [`FaultPhase`]); action is `restart` or
-    /// `evict`. Returns `None` on any malformed component.
+    /// `transfer` or `commit` (one spelling per [`FaultPhase`]); action is `restart`,
+    /// `evict` or `abort`. Returns `None` on any malformed component, and for a worker
+    /// that aborts (only a serving role can stop the run).
     pub fn parse(spec: &str) -> Option<Self> {
         let mut parts = spec.split(':');
         let role = parts.next()?;
@@ -276,6 +277,7 @@ impl FaultPlan {
         let action = match parts.next()? {
             "restart" => FaultAction::KillRestart,
             "evict" => FaultAction::KillEvict,
+            "abort" if !matches!(role, FaultRole::Worker(_)) => FaultAction::Abort,
             _ => return None,
         };
         let after: u64 = parts.next()?.parse().ok()?;
@@ -309,8 +311,32 @@ impl FaultPlan {
         let action = match self.action {
             FaultAction::KillRestart => "restart",
             FaultAction::KillEvict => "evict",
+            FaultAction::Abort => "abort",
         };
         format!("{role}:{phase}:{action}:{}", self.after)
+    }
+
+    /// Why a job of `num_workers` workers on `servers` shard servers cannot carry this
+    /// plan, or `None` when it can. A plan naming a worker rank or shard-server index
+    /// the job lacks would never fire, and a worker that aborts is not a plan
+    /// [`FaultPlan::parse`] accepts. (The coordinator is not checked: any job may run
+    /// as a group.)
+    pub fn misfit(&self, num_workers: usize, servers: usize) -> Option<String> {
+        match (self.role, self.action) {
+            (FaultRole::Worker(_), FaultAction::Abort) => Some(format!(
+                "fault plan {}: a worker cannot abort the run",
+                self.to_spec()
+            )),
+            (FaultRole::Worker(rank), _) if rank >= num_workers => Some(format!(
+                "fault plan {} names worker {rank}, the job has {num_workers} workers",
+                self.to_spec()
+            )),
+            (FaultRole::ShardServer(index), _) if index >= servers => Some(format!(
+                "fault plan {} names server {index}, the job has {servers} servers",
+                self.to_spec()
+            )),
+            _ => None,
+        }
     }
 
     /// Whether the plan fires at the `count`-th occurrence (1-based) of `phase`. It
@@ -362,14 +388,12 @@ impl JobConfig {
             servers: 1,
             delta_pulls: true,
             deterministic: false,
-            fail_after_pushes: None,
             fault_plan: None,
             checkpoint: None,
             stall_timeout_ms: 30_000,
             event_log: None,
             metrics_addr: None,
             migration: None,
-            migrate_threshold: None,
         }
     }
 
@@ -403,7 +427,8 @@ impl JobConfig {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero workers, class mismatch, zero
-    /// shards, or a delay vector whose length differs from the worker count).
+    /// shards, a delay vector whose length differs from the worker count, or a fault
+    /// plan the job cannot carry, see [`FaultPlan::misfit`]).
     pub fn validate(&self) {
         assert!(self.num_workers > 0, "need at least one worker");
         assert!(self.shards > 0, "need at least one storage shard");
@@ -425,6 +450,12 @@ impl JobConfig {
                 || self.extra_compute_delay_ms.len() == self.num_workers,
             "extra_compute_delay_ms must be empty or have one entry per worker"
         );
+        if let Some(why) = self
+            .fault_plan
+            .and_then(|plan| plan.misfit(self.num_workers, self.servers))
+        {
+            panic!("{why}");
+        }
     }
 
     /// A stable fingerprint of every training-relevant field (FNV-1a over a canonical
@@ -432,12 +463,11 @@ impl JobConfig {
     /// and its workers refuse to train under silently different configurations, and
     /// checkpoints record it so only the job that wrote one restores from it.
     ///
-    /// The chaos, persistence and observability hooks (`fail_after_pushes`,
-    /// `fault_plan`, `checkpoint`, `stall_timeout_ms`, `event_log`, `metrics_addr`,
-    /// `migration`, `migrate_threshold`) are masked: they change how a run is
-    /// interrupted, stored, observed or re-sharded but not what it computes, so a
-    /// restarted process — which runs without the fault plan that killed its
-    /// predecessor — still accepts the predecessor's checkpoints.
+    /// The chaos, persistence and observability hooks (`fault_plan`, `checkpoint`,
+    /// `stall_timeout_ms`, `event_log`, `metrics_addr`, `migration`) are masked: they
+    /// change how a run is interrupted, stored, observed or re-sharded but not what it
+    /// computes, so a restarted process — which runs without the fault plan that
+    /// killed its predecessor — still accepts the predecessor's checkpoints.
     pub fn stable_digest(&self) -> u64 {
         // Exhaustive on purpose (no `..`): a new field does not compile until it is
         // classified here as hashed or masked, so it cannot silently miss the handshake.
@@ -457,14 +487,12 @@ impl JobConfig {
             servers,
             delta_pulls,
             deterministic,
-            fail_after_pushes: _,
             fault_plan: _,
             checkpoint: _,
             stall_timeout_ms: _,
             event_log: _,
             metrics_addr: _,
             migration: _,
-            migrate_threshold: _,
         } = self;
         let canonical = format!(
             "{model:?}|{data:?}|{num_workers}|{policy:?}|{batch_size}|{epochs}|{sgd:?}|{seed}|\
@@ -759,8 +787,6 @@ pub struct ServerLoop {
     /// the checkpointed tick for a restored one, so a restored wall-clock loop keeps
     /// feeding the interval table monotonic timestamps.
     origin: f64,
-    fail_after: Option<u64>,
-    aborted: bool,
     /// The point of an evaluation a push made due, until the substrate takes it
     /// ([`ServerLoop::take_pending_eval`]).
     pending_eval: Option<TracePoint>,
@@ -860,8 +886,6 @@ impl ServerLoop {
             num_workers: config.num_workers,
             tick: 0.0,
             origin: 0.0,
-            fail_after: config.fail_after_pushes,
-            aborted: false,
             pending_eval: None,
         }
     }
@@ -936,12 +960,6 @@ impl ServerLoop {
                 Some(order) => order.has_queued(worker),
                 None => self.arrivals.iter().any(|e| e.worker() == worker),
             }
-    }
-
-    /// Whether the chaos hook ([`JobConfig::fail_after_pushes`]) has tripped; the
-    /// substrate must stop the run and shut workers down.
-    pub fn aborted(&self) -> bool {
-        self.aborted
     }
 
     /// The number of pushes received from one worker so far (the clock a rejoining
@@ -1144,11 +1162,6 @@ impl ServerLoop {
             self.last_eval = self.version();
             self.pending_eval = Some(self.point_at(now));
         }
-        if let Some(limit) = self.fail_after {
-            if self.version() >= limit {
-                self.aborted = true;
-            }
-        }
         decision
     }
 
@@ -1274,8 +1287,8 @@ impl ServerLoop {
     /// # Panics
     ///
     /// Panics if some worker never reported `Done` (callers must check
-    /// [`ServerLoop::all_done`] / [`ServerLoop::aborted`] first), or on a clock-only
-    /// loop (use [`ServerLoop::finish_external`]).
+    /// [`ServerLoop::all_done`] first), or on a clock-only loop (use
+    /// [`ServerLoop::finish_external`]).
     pub fn finish(self, wall_total: f64) -> RunTrace {
         let accuracy = self.accuracy(self.server().weights());
         self.close(accuracy, wall_total)
@@ -1535,7 +1548,7 @@ mod tests {
         e.epochs = 8;
         assert_eq!(e.stable_digest(), 0x14ac_4b7f_9b9f_cae3);
         // The masked hooks change how a run is interrupted or observed, not the job.
-        e.fail_after_pushes = Some(3);
+        e.fault_plan = FaultPlan::parse("coord:push:abort:3");
         e.stall_timeout_ms += 1;
         e.event_log = Some("events".into());
         assert_eq!(e.stable_digest(), 0x14ac_4b7f_9b9f_cae3);
@@ -1649,15 +1662,47 @@ mod tests {
     }
 
     #[test]
-    fn chaos_hook_trips_after_the_configured_push_count() {
-        let mut config = JobConfig::small(PolicyKind::Asp);
-        config.fail_after_pushes = Some(2);
-        let mut sl = ServerLoop::new(&config);
-        let grads = vec![0.0; sl.param_len()];
-        for i in 0..2u64 {
-            sl.handle_push_slice(0, &grads, i as f64, &mut Vec::new());
+    fn fault_plans_round_trip_every_action_and_no_worker_aborts() {
+        for spec in [
+            "worker1:gate:restart:2",
+            "server0:ckpt:evict:1",
+            "server1:push:abort:3",
+            "coord:commit:abort:4",
+        ] {
+            let plan = FaultPlan::parse(spec).unwrap_or_else(|| panic!("{spec} parses"));
+            assert_eq!(plan.to_spec(), spec);
         }
-        assert!(sl.aborted());
+        assert_eq!(
+            FaultPlan::parse("coord:push:abort:3").map(|p| p.action),
+            Some(FaultAction::Abort)
+        );
+        assert_eq!(FaultPlan::parse("worker0:push:abort:1"), None);
+    }
+
+    /// A plan for a worker rank or a server index the job lacks would never fire.
+    #[test]
+    fn a_fault_plan_must_name_a_role_the_job_has() {
+        let plan = |spec| FaultPlan::parse(spec).unwrap();
+        assert_eq!(plan("worker1:push:evict:1").misfit(2, 1), None);
+        assert_eq!(plan("server1:push:abort:1").misfit(2, 2), None);
+        assert_eq!(plan("coord:push:abort:1").misfit(2, 1), None);
+        assert!(plan("worker5:push:evict:1").misfit(2, 1).is_some());
+        assert!(plan("server3:push:evict:1").misfit(2, 2).is_some());
+        let built = FaultPlan {
+            role: FaultRole::Worker(0),
+            phase: FaultPhase::Push,
+            action: FaultAction::Abort,
+            after: 1,
+        };
+        assert!(built.misfit(2, 1).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "names worker 5")]
+    fn validate_refuses_a_fault_plan_for_a_missing_worker() {
+        let mut config = JobConfig::small(PolicyKind::Asp);
+        config.fault_plan = FaultPlan::parse("worker5:push:evict:1");
+        config.validate();
     }
 
     #[test]

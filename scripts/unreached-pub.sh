@@ -4,10 +4,16 @@
 # scripts/src-lines.sh delimits it) whose name occurs nowhere else in the non-test
 # source of crates/, benchmark/src, examples/ and src/ — comments aside, so a doc link
 # does not count as a use. Matching is by bare name: a name that is also a trait method
-# or a field reads as reached. Informational; prints `file:line name`, or nothing.
+# or a field reads as reached. Prints `file:line name` per unreached function, then the
+# number of them.
+#
+# A gate: every name must be listed in scripts/unreached-pub.allow, one `file name` per
+# line (the printed line without its line number, so moving code does not touch the
+# list). It exits 1 and names each function the list lacks: delete it, or reach it from
+# a program path, or list it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-find crates/*/src benchmark/src examples src -name '*.rs' | sort | xargs awk '
+names=$(find crates/*/src benchmark/src examples src -name '*.rs' | sort | xargs awk '
     FNR == 1 { test = 0 }
     /#\[cfg\(test\)\]/ { test = 1 }
     test { next }
@@ -29,4 +35,13 @@ find crates/*/src benchmark/src examples src -name '*.rs' | sort | xargs awk '
         defining = 0
     }
     END { for (name in where) if (seen[name] == defined[name]) printf "%s", where[name] }
-' | sort
+' | sort)
+printf '%s\n' "$names" | grep . || true
+printf '%d unreached public functions\n' "$(printf '%s\n' "$names" | grep -c . || true)"
+keys=$(printf '%s\n' "$names" | sed -E 's/^([^:]+):[0-9]+ /\1 /' | grep . || true)
+allow=$(grep -v '^#' scripts/unreached-pub.allow | grep . || true)
+unlisted=$(comm -23 <(printf '%s\n' "$keys" | sort) <(printf '%s\n' "$allow" | sort) | grep . || true)
+if [ -n "$unlisted" ]; then
+    printf 'public functions nothing reaches, not in scripts/unreached-pub.allow (delete, reach or list them):\n%s\n' "$unlisted"
+    exit 1
+fi
