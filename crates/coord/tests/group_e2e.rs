@@ -181,8 +181,9 @@ fn group_server_stats_survive_a_mid_run_eviction() {
 fn a_worker_that_dies_before_its_grant_is_evicted_not_fatal() {
     // Worker 1 announces its first push and hangs up at once. Under BSP its grant is
     // owed only when workers 0 and 2 have pushed too, long after its end of the link
-    // is gone: the failed send must evict rank 1, not abort the group. (Loopback
-    // links report no `ClientLost`, so the send is the only place the loss shows.)
+    // is gone: the loss must evict rank 1, not abort the group. (The loopback link
+    // reports the dropped end as `ClientLost` right behind the push, as a socket's EOF
+    // would; a failed send of the grant is the other place a loss can show.)
     let mut job = group_job(PolicyKind::Bsp, 1);
     job.num_workers = 3;
     let (mut shard_transport, mut shard_ends) = loopback(job.num_workers + 1);

@@ -89,8 +89,9 @@ pub fn run_threaded(config: ThreadedConfig) -> RunTrace {
 /// panicking. Worker threads are always joined before this returns.
 pub fn try_run_threaded(config: ThreadedConfig) -> Result<RunTrace, RuntimeError> {
     config.validate();
-    // One dataset generation serves the evaluation batch and every worker's shard
-    // (separate processes in the networked runtime each regenerate it instead).
+    // One dataset generation serves the evaluation batch and every worker's shard. (In
+    // the networked runtime each process generates only the split it reads: a worker
+    // the training split, a server the test split.)
     let dataset = config.data.generate(config.seed);
     let mut sl = ServerLoop::with_dataset(&config, &dataset);
     let initial_params = sl.pull();

@@ -1,9 +1,8 @@
 //! In-memory datasets, train/test splits and per-worker shards.
 
-use crate::synthetic::{
-    generate_images, generate_vectors, RawExamples, SyntheticImageSpec, SyntheticVectorSpec,
-};
+use crate::synthetic::{SyntheticImageSpec, SyntheticVectorSpec};
 use dssp_tensor::Tensor;
+use std::ops::Range;
 
 /// Which portion of a dataset an operation refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -14,27 +13,111 @@ pub enum Split {
     Test,
 }
 
-/// A complete in-memory dataset with a train and a test split.
-#[derive(Debug, Clone)]
-pub struct Dataset {
-    train: RawExamples,
-    test: RawExamples,
+/// The example count of each worker's block when `train_len` training examples are
+/// split over `workers`: the first `train_len % workers` blocks hold one example more
+/// than the rest. The one place that arithmetic lives ([`Dataset::shard_train`],
+/// [`Examples::into_shard`] and every server's iteration targets use it).
+///
+/// # Panics
+///
+/// Panics if `workers` is zero.
+pub fn shard_sizes(train_len: usize, workers: usize) -> Vec<usize> {
+    assert!(workers > 0, "cannot shard across zero workers");
+    (0..workers)
+        .map(|w| train_len / workers + usize::from(w < train_len % workers))
+        .collect()
 }
 
-impl Dataset {
-    /// Generates a synthetic image dataset from a spec with the given seed.
-    pub fn generate(spec: &SyntheticImageSpec, seed: u64) -> Self {
-        Self {
-            train: generate_images(spec, seed, spec.train_size, true),
-            test: generate_images(spec, seed, spec.test_size, false),
+/// One generated split: flat features plus labels, in generation order. A role that
+/// reads one split generates only it (`SyntheticImageSpec::generate_split`) and moves
+/// out what it reads.
+#[derive(Debug, Clone)]
+pub struct Examples {
+    pub(crate) features: Vec<f32>,
+    pub(crate) labels: Vec<usize>,
+    pub(crate) example_len: usize,
+    pub(crate) example_dims: Vec<usize>,
+    pub(crate) classes: usize,
+}
+
+impl Examples {
+    /// Worker `rank`'s shard of this (training) split over `workers`, moved out in
+    /// place: the same examples as `Dataset::shard_train(workers)[rank]`, without
+    /// copying the other workers' blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero or `rank` is out of range.
+    pub fn into_shard(mut self, workers: usize, rank: usize) -> Shard {
+        let sizes = shard_sizes(self.labels.len(), workers);
+        assert!(
+            rank < workers,
+            "worker rank {rank} out of range for {workers} workers"
+        );
+        let start: usize = sizes[..rank].iter().sum();
+        let (end, len) = (start + sizes[rank], self.example_len);
+        self.features.truncate(end * len);
+        self.features.drain(..start * len);
+        self.features.shrink_to_fit();
+        self.labels.truncate(end);
+        self.labels.drain(..start);
+        self.labels.shrink_to_fit();
+        Shard {
+            worker: rank,
+            features: self.features,
+            labels: self.labels,
+            example_len: len,
+            example_dims: self.example_dims,
         }
     }
 
-    /// Generates a synthetic flat-vector dataset from a spec with the given seed.
+    /// The first `max_examples` examples as one batch, moved rather than copied: the
+    /// same batch as [`Dataset::test_batch`] when this is the test split.
+    pub fn into_batch(mut self, max_examples: usize) -> (Tensor, Vec<usize>) {
+        let n = self.labels.len().min(max_examples);
+        self.features.truncate(n * self.example_len);
+        self.labels.truncate(n);
+        let mut dims = vec![n];
+        dims.extend_from_slice(&self.example_dims);
+        (Tensor::from_vec(self.features, &dims), self.labels)
+    }
+
+    /// A copy of the block `range` as worker `worker`'s shard.
+    fn shard(&self, worker: usize, range: Range<usize>) -> Shard {
+        let len = self.example_len;
+        Shard {
+            worker,
+            features: self.features[range.start * len..range.end * len].to_vec(),
+            labels: self.labels[range].to_vec(),
+            example_len: len,
+            example_dims: self.example_dims.clone(),
+        }
+    }
+}
+
+/// A complete in-memory dataset with a train and a test split.
+#[derive(Debug, Clone)]
+pub struct Dataset {
+    train: Examples,
+    test: Examples,
+}
+
+impl Dataset {
+    /// Generates a synthetic image dataset from a spec with the given seed: both of
+    /// [`SyntheticImageSpec::generate_split`]'s splits.
+    pub fn generate(spec: &SyntheticImageSpec, seed: u64) -> Self {
+        Self {
+            train: spec.generate_split(seed, Split::Train),
+            test: spec.generate_split(seed, Split::Test),
+        }
+    }
+
+    /// Generates a synthetic flat-vector dataset from a spec with the given seed: both
+    /// of [`SyntheticVectorSpec::generate_split`]'s splits.
     pub fn generate_vectors(spec: &SyntheticVectorSpec, seed: u64) -> Self {
         Self {
-            train: generate_vectors(spec, seed, spec.train_size, true),
-            test: generate_vectors(spec, seed, spec.test_size, false),
+            train: spec.generate_split(seed, Split::Train),
+            test: spec.generate_split(seed, Split::Test),
         }
     }
 
@@ -81,18 +164,13 @@ impl Dataset {
     }
 
     /// The example count of each worker's [`Dataset::shard_train`] block, without
-    /// copying the examples: the first `train_len % workers` blocks hold one example
-    /// more than the rest.
+    /// copying the examples (see [`shard_sizes`]).
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub fn shard_sizes(&self, workers: usize) -> Vec<usize> {
-        assert!(workers > 0, "cannot shard across zero workers");
-        let n = self.train_len();
-        (0..workers)
-            .map(|w| n / workers + usize::from(w < n % workers))
-            .collect()
+        shard_sizes(self.train_len(), workers)
     }
 
     /// Splits the training set into `workers` equal-sized shards (the paper's data
@@ -106,38 +184,19 @@ impl Dataset {
     ///
     /// Panics if `workers` is zero.
     pub fn shard_train(&self, workers: usize) -> Vec<Shard> {
-        let mut start = 0usize;
-        self.shard_sizes(workers)
+        let mut start = 0;
+        shard_sizes(self.train_len(), workers)
             .into_iter()
             .enumerate()
-            .map(|(worker, size)| {
-                let indices: Vec<usize> = (start..start + size).collect();
+            .map(|(rank, size)| {
                 start += size;
-                let (features, labels) = gather(&self.train, &indices);
-                Shard {
-                    worker,
-                    features,
-                    labels,
-                    example_len: self.train.example_len,
-                    example_dims: self.train.example_dims.clone(),
-                }
+                self.train.shard(rank, start - size..start)
             })
             .collect()
     }
 }
 
-fn gather(raw: &RawExamples, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
-    let mut features = Vec::with_capacity(indices.len() * raw.example_len);
-    let mut labels = Vec::with_capacity(indices.len());
-    for &i in indices {
-        let start = i * raw.example_len;
-        features.extend_from_slice(&raw.features[start..start + raw.example_len]);
-        labels.push(raw.labels[i]);
-    }
-    (features, labels)
-}
-
-fn assemble_batch(raw: &RawExamples, indices: &[usize]) -> (Tensor, Vec<usize>) {
+fn assemble_batch(raw: &Examples, indices: &[usize]) -> (Tensor, Vec<usize>) {
     let mut features = Vec::with_capacity(indices.len() * raw.example_len);
     let mut labels = Vec::with_capacity(indices.len());
     for &i in indices {
@@ -236,7 +295,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SyntheticImageSpec;
+    use crate::{SyntheticImageSpec, SyntheticVectorSpec};
 
     fn small_dataset() -> Dataset {
         let spec = SyntheticImageSpec::cifar10_like()
@@ -310,6 +369,53 @@ mod tests {
         let (from_dataset, label_dataset) = d.batch(Split::Train, &[53]);
         assert_eq!(from_shard.as_slice(), from_dataset.as_slice());
         assert_eq!(label_shard, label_dataset);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each split generated alone is bit for bit the split the whole dataset holds,
+    /// and a shard or the evaluation batch moved out of it is the one copied out of
+    /// the dataset: for every rank of a training set that 4 does not divide.
+    #[test]
+    fn split_wise_generation_is_bitwise_the_whole_dataset() {
+        let mut image = SyntheticImageSpec::cifar10_like()
+            .with_sizes(103, 20)
+            .with_image_side(8);
+        image.distortion_prob = 0.5; // the training stream makes extra draws
+        let vector = SyntheticVectorSpec::small().with_sizes(103, 20);
+        let cases = [
+            (
+                Dataset::generate(&image, 4),
+                image.generate_split(4, Split::Train),
+                image.generate_split(4, Split::Test),
+            ),
+            (
+                Dataset::generate_vectors(&vector, 4),
+                vector.generate_split(4, Split::Train),
+                vector.generate_split(4, Split::Test),
+            ),
+        ];
+        for (whole, train, test) in cases {
+            for (alone, held) in [(&train, &whole.train), (&test, &whole.test)] {
+                assert_eq!(bits(&alone.features), bits(&held.features));
+                assert_eq!(alone.labels, held.labels);
+            }
+            assert_eq!(whole.shard_sizes(4), vec![26, 26, 26, 25]);
+            for (rank, copied) in whole.shard_train(4).into_iter().enumerate() {
+                let moved = train.clone().into_shard(4, rank);
+                assert_eq!(moved.worker(), copied.worker());
+                assert_eq!(bits(&moved.features), bits(&copied.features));
+                assert_eq!(moved.labels, copied.labels);
+                assert_eq!(moved.example_dims(), copied.example_dims());
+            }
+            let (x, y) = test.into_batch(8);
+            let (copied_x, copied_y) = whole.test_batch(8);
+            assert_eq!(x.shape(), copied_x.shape());
+            assert_eq!(bits(x.as_slice()), bits(copied_x.as_slice()));
+            assert_eq!(y, copied_y);
+        }
     }
 
     #[test]

@@ -26,5 +26,5 @@ mod dataset;
 mod synthetic;
 
 pub use batcher::BatchIter;
-pub use dataset::{Dataset, Shard, Split};
+pub use dataset::{shard_sizes, Dataset, Examples, Shard, Split};
 pub use synthetic::{SyntheticImageSpec, SyntheticVectorSpec};

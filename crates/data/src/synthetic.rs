@@ -1,5 +1,6 @@
 //! Deterministic synthetic dataset specifications and generators.
 
+use crate::dataset::{Examples, Split};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -185,22 +186,42 @@ fn smooth_field(rng: &mut ChaCha8Rng, side: usize, scale: f32) -> Vec<f32> {
     out
 }
 
-/// Generated examples: flat features plus labels.
-#[derive(Debug, Clone)]
-pub(crate) struct RawExamples {
-    pub features: Vec<f32>,
-    pub labels: Vec<usize>,
-    pub example_len: usize,
-    pub example_dims: Vec<usize>,
-    pub classes: usize,
+impl SyntheticImageSpec {
+    /// Generates one split of this task alone. The class prototypes come from the
+    /// seed alone and each split draws its examples from a ChaCha stream of its own
+    /// (stream 1 for training, 2 for test), so the split is bit for bit the one
+    /// [`Dataset::generate`](crate::Dataset::generate) holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has fewer than two classes.
+    pub fn generate_split(&self, seed: u64, split: Split) -> Examples {
+        let (count, train) = match split {
+            Split::Train => (self.train_size, true),
+            Split::Test => (self.test_size, false),
+        };
+        generate_images(self, seed, count, train)
+    }
 }
 
-pub(crate) fn generate_images(
-    spec: &SyntheticImageSpec,
-    seed: u64,
-    count: usize,
-    train: bool,
-) -> RawExamples {
+impl SyntheticVectorSpec {
+    /// Generates one split of this task alone, bit for bit the one
+    /// [`Dataset::generate_vectors`](crate::Dataset::generate_vectors) holds (see
+    /// [`SyntheticImageSpec::generate_split`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has fewer than two classes.
+    pub fn generate_split(&self, seed: u64, split: Split) -> Examples {
+        let (count, train) = match split {
+            Split::Train => (self.train_size, true),
+            Split::Test => (self.test_size, false),
+        };
+        generate_vectors(self, seed, count, train)
+    }
+}
+
+fn generate_images(spec: &SyntheticImageSpec, seed: u64, count: usize, train: bool) -> Examples {
     assert!(spec.classes >= 2, "need at least two classes");
     let mut proto_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC1A5_5E5A);
     let side2 = spec.image_side * spec.image_side;
@@ -249,7 +270,7 @@ pub(crate) fn generate_images(
         }
         labels.push(label);
     }
-    RawExamples {
+    Examples {
         features,
         labels,
         example_len: len,
@@ -258,12 +279,7 @@ pub(crate) fn generate_images(
     }
 }
 
-pub(crate) fn generate_vectors(
-    spec: &SyntheticVectorSpec,
-    seed: u64,
-    count: usize,
-    train: bool,
-) -> RawExamples {
+fn generate_vectors(spec: &SyntheticVectorSpec, seed: u64, count: usize, train: bool) -> Examples {
     assert!(spec.classes >= 2, "need at least two classes");
     let mut proto_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFEED_BEEF);
     let prototypes: Vec<Vec<f32>> = (0..spec.classes)
@@ -284,7 +300,7 @@ pub(crate) fn generate_vectors(
         }
         labels.push(label);
     }
-    RawExamples {
+    Examples {
         features,
         labels,
         example_len: spec.dim,
@@ -302,8 +318,8 @@ mod tests {
         let spec = SyntheticImageSpec::cifar10_like()
             .with_sizes(64, 16)
             .with_image_side(8);
-        let a = generate_images(&spec, 7, 64, true);
-        let b = generate_images(&spec, 7, 64, true);
+        let a = spec.generate_split(7, Split::Train);
+        let b = spec.generate_split(7, Split::Train);
         assert_eq!(a.features, b.features);
         assert_eq!(a.labels, b.labels);
     }
@@ -313,8 +329,8 @@ mod tests {
         let spec = SyntheticImageSpec::cifar10_like()
             .with_sizes(32, 32)
             .with_image_side(8);
-        let train = generate_images(&spec, 7, 32, true);
-        let test = generate_images(&spec, 7, 32, false);
+        let train = spec.generate_split(7, Split::Train);
+        let test = spec.generate_split(7, Split::Test);
         assert_ne!(train.features, test.features);
     }
 
@@ -323,7 +339,7 @@ mod tests {
         let spec = SyntheticImageSpec::cifar10_like()
             .with_sizes(100, 10)
             .with_image_side(8);
-        let raw = generate_images(&spec, 3, 100, true);
+        let raw = spec.generate_split(3, Split::Train);
         for c in 0..10 {
             let count = raw.labels.iter().filter(|&&l| l == c).count();
             assert_eq!(count, 10);
@@ -345,7 +361,7 @@ mod tests {
             .with_sizes(50, 10)
             .with_image_side(8);
         spec.distortion_prob = 1.0;
-        let raw = generate_images(&spec, 5, 50, true);
+        let raw = spec.generate_split(5, Split::Train);
         let side2 = 8 * 8;
         let mut found_zeroed = false;
         for e in 0..50 {
@@ -367,7 +383,7 @@ mod tests {
         let spec = SyntheticVectorSpec::small()
             .with_sizes(200, 10)
             .with_noise(0.1);
-        let raw = generate_vectors(&spec, 9, 200, true);
+        let raw = spec.generate_split(9, Split::Train);
         // With tiny noise, examples of the same class should be much closer to each
         // other than to examples of a different class.
         let ex = |i: usize| &raw.features[i * raw.example_len..(i + 1) * raw.example_len];
@@ -388,6 +404,6 @@ mod tests {
     #[should_panic(expected = "at least two classes")]
     fn rejects_single_class() {
         let spec = SyntheticImageSpec::cifar10_like().with_classes(1);
-        generate_images(&spec, 0, 4, true);
+        spec.generate_split(0, Split::Train);
     }
 }

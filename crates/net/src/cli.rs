@@ -99,7 +99,8 @@ pub fn policy_spec(policy: &PolicyKind) -> String {
 /// `--delta-pulls` is part of the config digest, so a server and a worker that
 /// disagree on it are rejected at the `Hello` handshake rather than silently mixing
 /// pull modes. A `--fault` plan naming a worker rank or shard-server index the job
-/// does not have is refused: it would never fire.
+/// does not have is refused: it would never fire. So is a job with more workers than
+/// training examples (`JobConfig::misfit`): a worker would get an empty shard.
 pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
     let policy =
         parse_policy(&flag_value(args, "--policy").unwrap_or_else(|| "dssp:1:8".to_string()))?;
@@ -172,10 +173,7 @@ pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
             )
         })?),
     };
-    if let Some(why) = job
-        .fault_plan
-        .and_then(|plan| plan.misfit(job.num_workers, job.servers))
-    {
+    if let Some(why) = job.misfit() {
         return Err(why);
     }
     job.checkpoint = match flag_value(args, "--checkpoint-dir") {
@@ -474,5 +472,16 @@ mod tests {
         assert!(flags(&["--fault", "worker1:push:evict:1"]).is_ok());
         assert!(flags(&["--fault", "server1:push:abort:3"]).is_ok());
         assert!(flags(&["--fault", "coord:push:abort:3"]).is_ok());
+    }
+
+    /// The alexnet preset has 64 training examples: a 65th worker's shard would be
+    /// empty, and its `BatchIter` would panic while the server waited for it.
+    #[test]
+    fn more_workers_than_training_examples_is_refused() {
+        let flags =
+            |workers: &str| job_from_flags(&strings(&["--model", "alexnet", "--workers", workers]));
+        let why = flags("65").expect_err("a worker without a shard");
+        assert!(why.contains("64") && why.contains("65"), "{why}");
+        assert!(flags("64").is_ok());
     }
 }

@@ -403,22 +403,25 @@ pub trait WorkerTransport: Send {
 
 /// Server end of a [`loopback`] transport.
 pub struct LoopbackServer {
-    events: Receiver<(usize, Message)>,
+    /// Every worker end's messages in the order sent; `None` closes an end (it was
+    /// dropped), like a FIN behind a connection's data.
+    events: Receiver<(usize, Option<Message>)>,
     replies: Vec<Sender<Message>>,
 }
 
-/// Worker end of a [`loopback`] transport.
+/// Worker end of a [`loopback`] transport. Dropping it closes the link: the server
+/// reads [`NetError::ClientLost`] for its rank after every message it sent.
 pub struct LoopbackWorker {
     rank: usize,
-    to_server: Sender<(usize, Message)>,
+    to_server: Sender<(usize, Option<Message>)>,
     from_server: Receiver<Message>,
 }
 
 /// Creates an in-process transport connecting one server to `num_workers` workers over
 /// unbounded channels. Messages are moved, not serialized, so weights and gradients
 /// are trivially bit-preserved; everything else about the protocol (handshake, explicit
-/// pulls, delta negotiation, shutdown broadcast) behaves exactly like the TCP
-/// transport.
+/// pulls, delta negotiation, shutdown broadcast, a lost worker reported as
+/// [`NetError::ClientLost`]) behaves exactly like the TCP transport.
 ///
 /// # Panics
 ///
@@ -452,7 +455,11 @@ impl ServerTransport for LoopbackServer {
     }
 
     fn recv(&mut self) -> Result<(usize, Message), NetError> {
-        self.events.recv().map_err(|_| NetError::Disconnected)
+        match self.events.recv() {
+            Ok((rank, Some(msg))) => Ok((rank, msg)),
+            Ok((rank, None)) => Err(NetError::ClientLost { rank }),
+            Err(_) => Err(NetError::Disconnected),
+        }
     }
 
     fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError> {
@@ -465,12 +472,19 @@ impl ServerTransport for LoopbackServer {
 impl WorkerTransport for LoopbackWorker {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         self.to_server
-            .send((self.rank, msg.clone()))
+            .send((self.rank, Some(msg.clone())))
             .map_err(|_| NetError::Disconnected)
     }
 
     fn recv(&mut self) -> Result<Message, NetError> {
         self.from_server.recv().map_err(|_| NetError::Disconnected)
+    }
+}
+
+impl Drop for LoopbackWorker {
+    fn drop(&mut self) {
+        // A server that is gone already has nobody to tell.
+        let _ = self.to_server.send((self.rank, None));
     }
 }
 
@@ -498,6 +512,24 @@ mod tests {
             workers[0].recv().unwrap(),
             Message::PushReply { version: 5, .. }
         ));
+    }
+
+    #[test]
+    fn a_dropped_worker_end_is_lost_after_what_it_sent() {
+        let (mut server, mut workers) = loopback(2);
+        workers[1].send(&Message::Pull { trace: 0 }).unwrap();
+        drop(workers.remove(1));
+        assert!(matches!(server.recv(), Ok((1, Message::Pull { .. }))));
+        assert!(matches!(
+            server.recv(),
+            Err(NetError::ClientLost { rank: 1 })
+        ));
+        drop(workers);
+        assert!(matches!(
+            server.recv(),
+            Err(NetError::ClientLost { rank: 0 })
+        ));
+        assert!(matches!(server.recv(), Err(NetError::Disconnected)));
     }
 
     #[test]

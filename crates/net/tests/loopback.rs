@@ -1,12 +1,15 @@
 //! End-to-end tests of the networked runtime over the in-process loopback transport:
 //! full training runs, sharded-versus-flat storage equality, and shutdown behaviour.
 
-use dssp_core::driver::JobConfig;
-use dssp_net::transport::loopback;
+use dssp_core::driver::{JobConfig, WorkerStep};
+use dssp_net::transport::{loopback, WorkerTransport};
+use dssp_net::wire::{Message, PROTOCOL_VERSION};
 use dssp_net::{run_worker, serve, NetError, WorkerReport};
 use dssp_ps::PolicyKind;
 use dssp_sim::RunTrace;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 /// Runs a full job over loopback: server on this thread, one thread per worker.
 fn run_loopback(job: &JobConfig) -> (Result<RunTrace, NetError>, Vec<WorkerReport>) {
@@ -148,4 +151,52 @@ fn config_digest_mismatch_is_rejected_at_handshake() {
         // Workers end via Shutdown (clean) or a disconnect error; neither may hang.
         let _ = handle.join().expect("worker thread must exit");
     }
+}
+
+/// A worker end dropped after it was admitted reaches `serve` as `ClientLost`, behind
+/// everything it sent, as a closed socket does: the BSP round is not left waiting on
+/// it, and the survivor finishes alone.
+#[test]
+fn a_dropped_worker_end_is_evicted_not_waited_for() {
+    let job = small_job(PolicyKind::Bsp);
+    let (mut server, mut workers) = loopback(job.num_workers);
+    let mut dying = workers.pop().expect("rank 1's end");
+    let mut survivor = workers.pop().expect("rank 0's end");
+    dying
+        .send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            rank: 1,
+            num_workers: job.num_workers as u32,
+            config_digest: job.stable_digest(),
+        })
+        .unwrap();
+    dying.send(&Message::JoinRequest).unwrap();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let server_job = job.clone();
+    thread::spawn(move || {
+        let _ = done_tx.send(serve(&server_job, &mut server));
+    });
+    // Admitted first, so no send to rank 1 fails before its end is gone.
+    assert!(matches!(dying.recv(), Ok(Message::JoinAck { .. })));
+    drop(dying);
+    let worker_job = job.clone();
+    let worker = thread::spawn(move || run_worker(&worker_job, 0, &mut survivor));
+
+    let trace = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("serve must not wait for a dropped worker end")
+        .expect("the run finishes without rank 1");
+    let report = worker
+        .join()
+        .expect("worker thread")
+        .expect("survivor runs");
+    let target = WorkerStep::for_rank(&job, 0).target();
+    assert_eq!(report.iterations, target);
+    assert!(!report.shutdown_early);
+    assert_eq!(
+        trace.worker_summaries[1].iterations, 0,
+        "rank 1 was evicted"
+    );
+    assert_eq!(trace.total_pushes, target);
 }

@@ -427,8 +427,8 @@ impl JobConfig {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero workers, class mismatch, zero
-    /// shards, a delay vector whose length differs from the worker count, or a fault
-    /// plan the job cannot carry, see [`FaultPlan::misfit`]).
+    /// shards, a delay vector whose length differs from the worker count), or with
+    /// [`JobConfig::misfit`]'s reason.
     pub fn validate(&self) {
         assert!(self.num_workers > 0, "need at least one worker");
         assert!(self.shards > 0, "need at least one storage shard");
@@ -450,12 +450,30 @@ impl JobConfig {
                 || self.extra_compute_delay_ms.len() == self.num_workers,
             "extra_compute_delay_ms must be empty or have one entry per worker"
         );
-        if let Some(why) = self
-            .fault_plan
-            .and_then(|plan| plan.misfit(self.num_workers, self.servers))
-        {
+        if let Some(why) = self.misfit() {
             panic!("{why}");
         }
+    }
+
+    /// Why this job cannot run although each field is well formed, or `None` when it
+    /// can: a worker whose training shard would be empty (fewer training examples
+    /// than workers), or a fault plan the job cannot carry ([`FaultPlan::misfit`]).
+    /// [`JobConfig::validate`] panics with it; `job_from_flags` returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job has zero workers.
+    pub fn misfit(&self) -> Option<String> {
+        let sizes = self.data.shard_sizes(self.num_workers);
+        if sizes.contains(&0) {
+            return Some(format!(
+                "{} training examples cannot give each of {} workers a shard",
+                sizes.iter().sum::<usize>(),
+                self.num_workers
+            ));
+        }
+        self.fault_plan
+            .and_then(|plan| plan.misfit(self.num_workers, self.servers))
     }
 
     /// A stable fingerprint of every training-relevant field (FNV-1a over a canonical
@@ -544,9 +562,10 @@ impl std::fmt::Debug for WorkerStep {
 }
 
 impl WorkerStep {
-    /// Builds the step-loop state for worker `rank`: regenerates the (deterministic)
-    /// dataset from the job seed and takes the rank's shard. Every substrate — and, in
-    /// the networked runtime, every *process* — arrives at identical state this way.
+    /// Builds the step-loop state for worker `rank` from the job seed alone: generates
+    /// only the training split and keeps the rank's shard ([`DataSpec::train_shard`]),
+    /// never the test split a worker does not read. Every substrate — and, in the
+    /// networked runtime, every *process* — arrives at identical state this way.
     ///
     /// # Panics
     ///
@@ -554,18 +573,15 @@ impl WorkerStep {
     pub fn for_rank(config: &JobConfig, rank: usize) -> Self {
         config.validate();
         assert!(rank < config.num_workers, "worker rank out of range");
-        let dataset = config.data.generate(config.seed);
-        let shard = dataset
-            .shard_train(config.num_workers)
-            .into_iter()
-            .nth(rank)
-            .expect("shard for every rank");
+        let shard = config
+            .data
+            .train_shard(config.seed, config.num_workers, rank);
         Self::with_shard(config, rank, shard)
     }
 
     /// Like [`WorkerStep::for_rank`] but takes rank's shard directly, for substrates
-    /// that already generated the dataset in-process (the threaded runtime shares one
-    /// generation across the server and all workers).
+    /// that already generated the dataset in-process (the simulator and the threaded
+    /// runtime share one generation across the server and all workers).
     ///
     /// # Panics
     ///
@@ -803,29 +819,40 @@ impl std::fmt::Debug for ServerLoop {
 }
 
 impl ServerLoop {
-    /// Builds the full server side of a job: dataset, evaluation batch, initial model
-    /// weights and the gated [`ParameterServer`].
+    /// Builds the full server side of a job: evaluation batch, initial model weights
+    /// and the gated [`ParameterServer`]. The server reads the test split and only
+    /// the sizes of the training shards, so it generates the test split alone and
+    /// computes the sizes from the spec ([`DataSpec::test_batch`],
+    /// [`DataSpec::shard_sizes`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent.
     pub fn new(config: &JobConfig) -> Self {
-        let dataset = config.data.generate(config.seed);
-        Self::with_dataset(config, &dataset)
+        Self::from_spec(config, false)
     }
 
-    /// Like [`ServerLoop::new`] but reuses an already generated dataset (the threaded
-    /// runtime shares one generation between the server and all worker shards).
+    /// Like [`ServerLoop::new`] but reads an already generated dataset (the simulator
+    /// and the threaded runtime share one generation between the server and all
+    /// worker shards).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent.
     pub fn with_dataset(config: &JobConfig, dataset: &dssp_data::Dataset) -> Self {
-        Self::build(config, dataset, false)
+        config.validate();
+        let eval_batch = dataset.test_batch(config.eval_max_examples);
+        Self::build(
+            config,
+            dataset.shard_sizes(config.num_workers),
+            eval_batch,
+            false,
+        )
     }
 
-    /// Builds the **gating-only** server side of a job: the same evaluation batch, run
-    /// summary and decision logic as [`ServerLoop::new`], but no parameter storage —
+    /// Builds the **gating-only** server side of a job: the same evaluation batch (from
+    /// the test split alone), run summary and decision logic as [`ServerLoop::new`],
+    /// but no parameter storage —
     /// the weights live on remote shard servers. This is the group coordinator's loop:
     /// it applies pushes with empty gradient slices (only the clock matters), scores
     /// the group's assembled weights when [`ServerLoop::take_pending_eval`] hands it an
@@ -835,13 +862,26 @@ impl ServerLoop {
     ///
     /// Panics if the configuration is inconsistent.
     pub fn clock_only(config: &JobConfig) -> Self {
-        let dataset = config.data.generate(config.seed);
-        Self::build(config, &dataset, true)
+        Self::from_spec(config, true)
     }
 
-    fn build(config: &JobConfig, dataset: &dssp_data::Dataset, clock_only: bool) -> Self {
+    /// A server loop from the spec: the shard sizes without generating the training
+    /// split, and the evaluation batch from the test split alone.
+    fn from_spec(config: &JobConfig, clock_only: bool) -> Self {
         config.validate();
-        let shard_sizes = dataset.shard_sizes(config.num_workers);
+        let eval_batch = config
+            .data
+            .test_batch(config.seed, config.eval_max_examples);
+        let shard_sizes = config.data.shard_sizes(config.num_workers);
+        Self::build(config, shard_sizes, eval_batch, clock_only)
+    }
+
+    fn build(
+        config: &JobConfig,
+        shard_sizes: Vec<usize>,
+        eval_batch: (Tensor, Vec<usize>),
+        clock_only: bool,
+    ) -> Self {
         let targets: Vec<u64> = shard_sizes
             .iter()
             .map(|&len| config.target_iterations(len))
@@ -866,7 +906,7 @@ impl ServerLoop {
             arrivals: VecDeque::new(),
             eval: Arc::new(Mutex::new(Evaluator::new(
                 reference,
-                dataset.test_batch(config.eval_max_examples),
+                eval_batch,
                 config.batch_size,
             ))),
             eval_every: config.eval_every_pushes,
@@ -997,7 +1037,8 @@ impl ServerLoop {
     }
 
     /// Rebuilds a server loop from a checkpoint taken by [`ServerLoop::snapshot`]
-    /// under the same (chaos-masked) job configuration. Worker `Done` bookkeeping
+    /// under the same (chaos-masked) job configuration, reading the data as
+    /// [`ServerLoop::new`] does (the test split alone). Worker `Done` bookkeeping
     /// restarts empty: every worker — including ones already at their target —
     /// reconnects and re-announces its completion, repopulating the summaries. The
     /// deterministic order resumes from the checkpointed push counts, so a rejoining
@@ -1017,8 +1058,7 @@ impl ServerLoop {
         ckpt: &dssp_ps::Checkpoint,
         clock_only: bool,
     ) -> Result<Self, dssp_ps::CheckpointError> {
-        let dataset = config.data.generate(config.seed);
-        let mut sl = Self::build(config, &dataset, clock_only);
+        let mut sl = Self::from_spec(config, clock_only);
         let store_offsets = match &sl.backend {
             Backend::Local(ps) => Some(ps.store().offsets()),
             Backend::Clock(_) => None,
@@ -1587,22 +1627,75 @@ mod tests {
         assert_eq!(push(&mut sl, 0), (decayed, 1));
     }
 
+    /// Both splits in one generation, as the simulator and the threaded runtime hand
+    /// them to `with_dataset` / `with_shard`: the reference the split-wise paths of
+    /// `for_rank` and `new` must match bit for bit.
+    fn whole_dataset(config: &JobConfig) -> dssp_data::Dataset {
+        DataSpec::generate(&config.data, config.seed)
+    }
+
+    /// Jobs whose training sets 3 workers do not divide (512 and 64 examples).
+    fn uneven_jobs() -> [JobConfig; 2] {
+        [
+            JobConfig::small(PolicyKind::Bsp),
+            JobConfig::small_alexnet(PolicyKind::Bsp),
+        ]
+        .map(|config| JobConfig {
+            num_workers: 3,
+            ..config
+        })
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A worker that generates only the training split steps exactly like one handed
+    /// its shard of the whole dataset, at every rank.
     #[test]
     fn worker_step_runs_its_shard_deterministically() {
-        let config = JobConfig::small(PolicyKind::Bsp);
-        let mut a = WorkerStep::for_rank(&config, 0);
-        let mut b = WorkerStep::for_rank(&config, 0);
-        let init = ServerLoop::new(&config).pull();
-        assert_eq!(a.target(), b.target());
-        assert!(a.target() > 0);
-        let ga = a.compute_gradient(&init);
-        let gb = b.compute_gradient(&init);
-        assert_eq!(
-            ga, gb,
-            "same rank and seed must give bitwise-equal gradients"
-        );
-        assert_eq!(a.completed(), 1);
-        assert!(!a.finished());
+        for config in uneven_jobs() {
+            let dataset = whole_dataset(&config);
+            let init = ServerLoop::with_dataset(&config, &dataset).pull();
+            for (rank, shard) in dataset.shard_train(3).into_iter().enumerate() {
+                let mut a = WorkerStep::for_rank(&config, rank);
+                let mut b = WorkerStep::with_shard(&config, rank, shard);
+                assert_eq!(a.target(), b.target());
+                assert!(a.target() > 1);
+                for _ in 0..2 {
+                    let (ga, gb) = (a.compute_gradient(&init), b.compute_gradient(&init));
+                    assert_eq!(bits(&ga), bits(&gb), "rank {rank}: bitwise-equal gradients");
+                }
+                assert_eq!(a.completed(), 2);
+                assert!(!a.finished());
+            }
+        }
+    }
+
+    /// A server that generates only the test split and sizes the shards from the spec
+    /// sets the same targets and scores the same accuracy as one built from the whole
+    /// dataset; so does the clock-only loop.
+    #[test]
+    fn a_server_loop_from_the_spec_matches_one_from_the_whole_dataset() {
+        for config in uneven_jobs() {
+            let reference = ServerLoop::with_dataset(&config, &whole_dataset(&config));
+            let init = reference.pull();
+            for sl in [ServerLoop::new(&config), ServerLoop::clock_only(&config)] {
+                assert_eq!(sl.targets(), reference.targets());
+                assert_eq!(
+                    sl.accuracy(&init).to_bits(),
+                    reference.accuracy(&init).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "64 training examples cannot give each of 65 workers a shard")]
+    fn validate_refuses_a_worker_without_a_shard() {
+        let mut config = JobConfig::small_alexnet(PolicyKind::Asp);
+        config.num_workers = 65;
+        config.validate();
     }
 
     fn done(worker: usize, iterations: u64) -> WorkerSummary {

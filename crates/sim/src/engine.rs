@@ -9,14 +9,24 @@ use crate::pool::{helpers_for, lock, Pool, Tasks};
 use crate::trace::{RunTrace, TracePoint, WorkerSummary};
 use crate::worker::{SimWorker, WorkerLane, WorkerState};
 use dssp_cluster::{ClusterSpec, TimeModel};
-use dssp_data::{Dataset, SyntheticImageSpec, SyntheticVectorSpec};
+use dssp_data::{
+    shard_sizes, Dataset, Examples, Shard, Split, SyntheticImageSpec, SyntheticVectorSpec,
+};
 use dssp_nn::models::ModelSpec;
 use dssp_nn::{CostProfile, Evaluator, SgdConfig};
 use dssp_ps::PolicyKind;
+use dssp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 /// Which synthetic dataset a run trains on.
+///
+/// Every role builds only what it reads, from the same seeded streams: a worker its
+/// training shard ([`DataSpec::train_shard`]), a server or coordinator the shard sizes
+/// and the evaluation batch ([`DataSpec::shard_sizes`], [`DataSpec::test_batch`]). The
+/// simulator and the threaded runtime read both splits in one process and generate
+/// the whole dataset once ([`DataSpec::generate`]). The two splits come from
+/// independent streams, so either way the examples are bit for bit the same.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DataSpec {
     /// Image tensors (`[N, 3, side, side]`) for the convolutional models.
@@ -26,12 +36,49 @@ pub enum DataSpec {
 }
 
 impl DataSpec {
-    /// Generates the dataset with the given seed.
+    /// Generates the dataset, both splits, with the given seed.
     pub fn generate(&self, seed: u64) -> Dataset {
         match self {
             DataSpec::Image(spec) => Dataset::generate(spec, seed),
             DataSpec::Vector(spec) => Dataset::generate_vectors(spec, seed),
         }
+    }
+
+    /// Generates one split alone.
+    fn split(&self, seed: u64, split: Split) -> Examples {
+        match self {
+            DataSpec::Image(spec) => spec.generate_split(seed, split),
+            DataSpec::Vector(spec) => spec.generate_split(seed, split),
+        }
+    }
+
+    /// Worker `rank`'s shard of the training split over `workers`, generating the
+    /// training split only: `generate(seed).shard_train(workers)[rank]`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero or `rank` is out of range.
+    pub fn train_shard(&self, seed: u64, workers: usize, rank: usize) -> Shard {
+        self.split(seed, Split::Train).into_shard(workers, rank)
+    }
+
+    /// The evaluation batch, the first `max_examples` test examples, generating the
+    /// test split only: `generate(seed).test_batch(max_examples)`, bit for bit.
+    pub fn test_batch(&self, seed: u64, max_examples: usize) -> (Tensor, Vec<usize>) {
+        self.split(seed, Split::Test).into_batch(max_examples)
+    }
+
+    /// The example count of each worker's training shard, from the spec alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn shard_sizes(&self, workers: usize) -> Vec<usize> {
+        let train_len = match self {
+            DataSpec::Image(spec) => spec.train_size,
+            DataSpec::Vector(spec) => spec.train_size,
+        };
+        shard_sizes(train_len, workers)
     }
 
     /// Number of classes in the task.

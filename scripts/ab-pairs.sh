@@ -16,8 +16,12 @@
 # median over the parent's, the pairs the change won and tied, and whether the median
 # moved the metric's better way by more than the parent's inter-quartile range. A gain
 # is claimed only if both hold: at least 9 of 10 pairs won, and the median gap beyond
-# that range. The script exits non-zero if any run fails its output checks. No file
-# under benchmark/ is touched.
+# that range. Then two lists: *worse*, every metric whose change median is worse than
+# the parent median by more than the metric's BENCHMARK.json bound (a share of the
+# parent median); *unresolved*, every metric whose parent IQR / median exceeds that
+# bound, so that such a regression could hide in the noise, unless every change run
+# beats every parent run. The script exits non-zero if any run fails its output checks
+# or any metric is worse. No file under benchmark/ is touched.
 set -euo pipefail
 if [[ $# -lt 2 ]]; then
     echo "usage: $0 <parent-rev> <workload>[,<workload>...] [pairs] [seconds]" >&2
@@ -70,9 +74,9 @@ print(f"\n{len(pairs)} pairs; win = the change better in its pair, gap = median 
       "median parent, iqr = parent's q3 - q1")
 print(f"{'metric':<16} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30}"
       f" {'ratio':>7} {'wins':>5} {'ties':>5} {'gap > iqr':>9}")
-claims = []
+claims, worse, unresolved = [], [], []
 for m in spec["end_to_end"]:
-    name, higher = m["name"], m["better"] == "higher"
+    name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     p = [runs["parent"][i][name] for i in pairs]
     c = [runs["change"][i][name] for i in pairs]
     (pq1, pmed, pq3), (cq1, cmed, cq3) = (
@@ -87,8 +91,20 @@ for m in spec["end_to_end"]:
           f"{cq3:<9.4g} {ratio:>7.4f} {wins:>5} {ties:>5} {'yes' if beats else 'no':>9}")
     if wins >= 0.9 * len(pairs) and beats:
         claims.append(name)
+    # How far the change's median is worse than the parent's, as a share of the latter.
+    worsening = (pmed - cmed if higher else cmed - pmed) / pmed if pmed else float("nan")
+    if worsening > bound:
+        worse.append(f"{name} ({worsening:.1%} > {bound:.0%})")
+    spread = (pq3 - pq1) / pmed if pmed else float("inf")
+    separated = min(c) > max(p) if higher else max(c) < min(p)
+    if spread > bound and not separated:
+        unresolved.append(f"{name} (iqr / median {spread:.1%} > {bound:.0%})")
 print("claimable gains (>= 9 of 10 pairs won and gap > iqr):", ", ".join(claims) or "none")
-sys.exit(1 if failed else 0)
+print("worse (median worse than the parent's by more than the bound):",
+      ", ".join(worse) or "none")
+print("unresolved (parent iqr / median above the bound, runs not separated):",
+      ", ".join(unresolved) or "none")
+sys.exit(1 if failed or worse else 0)
 PY
 }
 
