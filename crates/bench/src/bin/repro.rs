@@ -50,8 +50,8 @@
 //! ```
 //!
 //! Live migration: a running group can move shard ownership between its servers
-//! without stopping. `--migrate drain:<server>:<at_version>` /
-//! `--migrate rebalance:<at_version>` schedule one declaratively, and two admin
+//! without stopping. `--migrate drain:<server>:<at_version>` schedules a drain
+//! declaratively (a spec the job can never run is refused up front), and two admin
 //! subcommands drive one from the outside (they dial the coordinator's spare admin
 //! slot and exit once the migration commits or is refused):
 //!

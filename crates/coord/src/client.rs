@@ -589,76 +589,58 @@ impl ShardFan {
         link.transport.recv().map_err(|e| at_link(link, e))
     }
 
-    /// Asks every server for its counters ([`Message::StatsRequest`]) and returns the
-    /// replies in server order as `(pushes, pulls_full, pulls_delta, bytes_sent,
-    /// bytes_received, layout_epoch)`.
-    pub fn collect_stats(&mut self) -> Result<Vec<(u64, u64, u64, u64, u64, u64)>, NetError> {
-        for link in self.links.iter_mut() {
-            link.transport
-                .send(&Message::StatsRequest)
-                .map_err(|e| at_link(link, e))?;
-        }
-        let mut out = Vec::with_capacity(self.links.len());
-        for link in self.links.iter_mut() {
-            match link.transport.recv().map_err(|e| at_link(link, e))? {
-                Message::StatsReply {
-                    pushes,
-                    pulls_full,
-                    pulls_delta,
-                    bytes_sent,
-                    bytes_received,
-                    epoch,
-                } => out.push((
-                    pushes,
-                    pulls_full,
-                    pulls_delta,
-                    bytes_sent,
-                    bytes_received,
-                    epoch,
-                )),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected StatsReply from {}, got {other:?}",
-                        link.label
-                    )))
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Like [`ShardFan::collect_stats`], but per-link tolerant: a server that cannot
-    /// answer (dead link, failed send, unexpected reply) yields `None` instead of
-    /// failing the whole collection, and each link is asked and awaited individually
-    /// so one dead server cannot tear the others' replies. Used for the final
-    /// statistics snapshot in the coordinator's graceful shutdown, where partially
-    /// populated group counters beat none at all.
-    pub fn collect_stats_tolerant(&mut self) -> Vec<Option<(u64, u64, u64, u64, u64, u64)>> {
+    /// Asks every server for its counters ([`Message::StatsRequest`]) and returns each
+    /// link's answer in server order. Each link is asked and awaited on its own, so a
+    /// server that cannot answer (dead link, failed send, unexpected reply) fails only
+    /// its own entry.
+    pub fn collect_stats(&mut self) -> Vec<Result<ServerCounters, NetError>> {
         self.links
             .iter_mut()
             .map(|link| {
-                link.transport.send(&Message::StatsRequest).ok()?;
-                match link.transport.recv() {
-                    Ok(Message::StatsReply {
+                link.transport
+                    .send(&Message::StatsRequest)
+                    .map_err(|e| at_link(link, e))?;
+                match link.transport.recv().map_err(|e| at_link(link, e))? {
+                    Message::StatsReply {
                         pushes,
                         pulls_full,
                         pulls_delta,
                         bytes_sent,
                         bytes_received,
                         epoch,
-                    }) => Some((
+                    } => Ok(ServerCounters {
                         pushes,
                         pulls_full,
                         pulls_delta,
                         bytes_sent,
                         bytes_received,
                         epoch,
-                    )),
-                    _ => None,
+                    }),
+                    other => Err(NetError::Protocol(format!(
+                        "expected StatsReply from {}, got {other:?}",
+                        link.label
+                    ))),
                 }
             })
             .collect()
     }
+}
+
+/// One shard server's counters, as its [`Message::StatsReply`] reports them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerCounters {
+    /// Gradient-slice pushes applied.
+    pub pushes: u64,
+    /// Pulls answered with every owned shard.
+    pub pulls_full: u64,
+    /// Pulls answered incrementally.
+    pub pulls_delta: u64,
+    /// Bytes the server wrote, frame headers included.
+    pub bytes_sent: u64,
+    /// Bytes the server read, frame headers included.
+    pub bytes_received: u64,
+    /// The layout epoch the server is serving at.
+    pub epoch: u64,
 }
 
 /// What a round asks each link for, with the caller's buffers the answers land in.

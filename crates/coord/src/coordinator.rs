@@ -35,7 +35,7 @@
 //! interleave with another mutation — the exact serialization a single server's
 //! command loop gets for free.
 
-use crate::client::{FanOutcome, ServerLink, ShardFan};
+use crate::client::{FanOutcome, ServerCounters, ServerLink, ShardFan};
 use crate::layout::MigrationPlan;
 use dssp_core::driver::{FaultRole, JobConfig, MigrationCommand, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{trace_id, EventKind, Role, NO_TRACE};
@@ -1001,20 +1001,23 @@ fn expect_control_ack(msg: Message, epoch: u64, server: usize) -> Result<(), Net
 fn check_restore_skew(sl: &ServerLoop, fan: &mut ShardFan) -> Result<(), NetError> {
     let expected = sl.version();
     let expected_epoch = fan.layout().epoch();
-    let stats = fan.collect_stats()?;
+    let stats = fan
+        .collect_stats()
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     // Layout-epoch skew first, across the whole fleet: a server restored from the
     // wrong side of a live migration holds shards its checkpoint's layout assigned
     // it, not the ones the coordinator's layout does — push counts alone cannot see
     // that, and a push-count mismatch on an earlier server must not mask it.
-    for &(.., epoch) in &stats {
-        if epoch != expected_epoch {
+    for counters in &stats {
+        if counters.epoch != expected_epoch {
             return Err(NetError::Checkpoint(CheckpointError::LayoutSkew {
-                found: epoch,
+                found: counters.epoch,
                 expected: expected_epoch,
             }));
         }
     }
-    for (server, (pushes, ..)) in stats.into_iter().enumerate() {
+    for (server, ServerCounters { pushes, .. }) in stats.into_iter().enumerate() {
         if pushes != expected {
             return Err(NetError::Protocol(format!(
                 "restore skew: shard server {server} restored to push {pushes} but the \
@@ -1044,29 +1047,27 @@ fn pull_for_eval(
 }
 
 /// Gathers every shard server's counters into [`GroupServerStats`] rows. Per-link
-/// tolerant ([`ShardFan::collect_stats_tolerant`]): an unreachable server contributes
+/// tolerant ([`ShardFan::collect_stats`]): an unreachable server contributes
 /// a zero-countered row (its layout columns still fill in), so one dead link cannot
 /// strip the whole `group_servers` section from the trace of an otherwise graceful
 /// shutdown.
 fn collect_group_stats(fan: &mut ShardFan) -> Vec<GroupServerStats> {
     let layout = fan.layout().clone();
-    let stats = fan.collect_stats_tolerant();
-    stats
+    fan.collect_stats()
         .into_iter()
         .enumerate()
         .map(|(server, counters)| {
-            let (pushes, pulls_full, pulls_delta, bytes_sent, bytes_received, _epoch) =
-                counters.unwrap_or((0, 0, 0, 0, 0, 0));
+            let counters = counters.unwrap_or_default();
             let (start, end) = layout.key_range(server);
             GroupServerStats {
                 server,
                 params: end - start,
                 shards: layout.owned_shards(server),
-                pushes,
-                pulls_full,
-                pulls_delta,
-                bytes_sent,
-                bytes_received,
+                pushes: counters.pushes,
+                pulls_full: counters.pulls_full,
+                pulls_delta: counters.pulls_delta,
+                bytes_sent: counters.bytes_sent,
+                bytes_received: counters.bytes_received,
             }
         })
         .collect()

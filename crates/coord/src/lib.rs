@@ -64,7 +64,8 @@ pub mod run;
 pub mod shard_server;
 
 pub use client::{
-    keeps_weights, run_admin_command, run_group_worker, FanOutcome, ServerLink, ShardFan,
+    keeps_weights, run_admin_command, run_group_worker, FanOutcome, ServerCounters, ServerLink,
+    ShardFan,
 };
 pub use coordinator::coordinate;
 pub use launch::{launch_group, GroupLaunchOutcome, LISTEN_LINE_PREFIX};

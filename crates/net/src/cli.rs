@@ -94,13 +94,14 @@ pub fn policy_spec(policy: &PolicyKind) -> String {
 /// | `--restore` | off | restore from `--checkpoint-dir` instead of starting fresh |
 /// | `--event-log D` | off | flush a structured NDJSON event log per role under `D` |
 /// | `--metrics-addr H:P` | off | serve Prometheus `GET /metrics` (base port; shard server `i` at `P+1+i`) |
-/// | `--migrate SPEC` | off | declarative live migration: `drain:<server>:<at_version>` or `rebalance:<at_version>` |
+/// | `--migrate SPEC` | off | declarative live migration of a group: `drain:<server>:<at_version>` (rebalance is the admin verb `repro rebalance`) |
 ///
 /// `--delta-pulls` is part of the config digest, so a server and a worker that
 /// disagree on it are rejected at the `Hello` handshake rather than silently mixing
 /// pull modes. A `--fault` plan naming a worker rank or shard-server index the job
-/// does not have is refused: it would never fire. So is a job with more workers than
-/// training examples (`JobConfig::misfit`): a worker would get an empty shard.
+/// does not have is refused: it would never fire. So is a `--migrate` spec on a
+/// single server or naming a server the group lacks, and a job with more workers
+/// than training examples (`JobConfig::misfit`): a worker would get an empty shard.
 pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
     let policy =
         parse_policy(&flag_value(args, "--policy").unwrap_or_else(|| "dssp:1:8".to_string()))?;
@@ -173,9 +174,6 @@ pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
             )
         })?),
     };
-    if let Some(why) = job.misfit() {
-        return Err(why);
-    }
     job.checkpoint = match flag_value(args, "--checkpoint-dir") {
         None => {
             if args.iter().any(|a| a == "--restore") {
@@ -194,12 +192,12 @@ pub fn job_from_flags(args: &[String]) -> Result<JobConfig, String> {
     job.migration = match flag_value(args, "--migrate") {
         None => None,
         Some(spec) => Some(MigrationSpec::parse(&spec).ok_or_else(|| {
-            format!(
-                "invalid migration spec '{spec}' (expected drain:<server>:<at_version> or \
-                 rebalance:<at_version>)"
-            )
+            format!("invalid migration spec '{spec}' (expected drain:<server>:<at_version>)")
         })?),
     };
+    if let Some(why) = job.misfit() {
+        return Err(why);
+    }
     job.event_log = flag_value(args, "--event-log").map(std::path::PathBuf::from);
     job.metrics_addr = match flag_value(args, "--metrics-addr") {
         None => None,
@@ -443,9 +441,7 @@ mod tests {
         let fixed = job_from_flags(&strings(&["--shards", "4", "--servers", "3"])).unwrap();
         assert_ne!(dump(&job), dump(&fixed));
         assert_eq!(job.stable_digest(), fixed.stable_digest());
-        // Rebalance specs round-trip too, and malformed ones are rejected.
-        let reb = job_from_flags(&strings(&["--migrate", "rebalance:10"])).unwrap();
-        assert_eq!(reb.migration.unwrap().command, MigrationCommand::Rebalance);
+        // Malformed specs are rejected.
         assert!(job_from_flags(&strings(&["--migrate", "drain:x:1"])).is_err());
         assert!(job_from_flags(&strings(&["--migrate", "shuffle:1"])).is_err());
     }
@@ -472,6 +468,27 @@ mod tests {
         assert!(flags(&["--fault", "worker1:push:evict:1"]).is_ok());
         assert!(flags(&["--fault", "server1:push:abort:3"]).is_ok());
         assert!(flags(&["--fault", "coord:push:abort:3"]).is_ok());
+    }
+
+    /// A migration the job can never run would parse and silently do nothing: a
+    /// rebalance from the (balanced) launch layout, a drain of a server the group
+    /// lacks, or any spec on a single server, which reads none.
+    #[test]
+    fn a_migration_the_job_cannot_run_is_refused() {
+        let flags = |servers: &str, spec: &str| {
+            job_from_flags(&strings(&[
+                "--shards",
+                "4",
+                "--servers",
+                servers,
+                "--migrate",
+                spec,
+            ]))
+        };
+        assert!(flags("3", "rebalance:10").is_err());
+        assert!(flags("3", "drain:3:10").is_err());
+        assert!(flags("1", "drain:0:10").is_err());
+        assert!(flags("3", "drain:2:10").is_ok());
     }
 
     /// The alexnet preset has 64 training examples: a 65th worker's shard would be

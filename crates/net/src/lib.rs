@@ -12,7 +12,7 @@
 //! | module | provides |
 //! |---|---|
 //! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v8: 35 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
-//! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`] traits + in-process [`transport::loopback`] |
+//! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`]: frame primitives plus every message operation written once over bytes; the in-process [`transport::loopback`], whose channels carry encoded frames |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
 //! | [`worker`] | [`worker::run_worker_loop`]: the worker's run, once, over a [`worker::WorkerLink`]; [`run_worker`] is it over the single-server link |
@@ -25,10 +25,11 @@
 //! clock-only coordinator speaking this crate's protocol — lives one layer up in
 //! `dssp-coord`.
 //!
-//! Both runtimes sit on `dssp_core::driver`, so a `LoopbackTransport` run in
+//! Both runtimes sit on `dssp_core::driver`, so a run over [`transport::loopback`] in
 //! deterministic mode is bitwise-equal to a deterministic threaded run — the
-//! workspace-level `net_equivalence` test asserts exactly that, and the TCP transport
-//! ships IEEE-754 bit patterns verbatim so the equality extends across real sockets.
+//! workspace-level `net_equivalence` test asserts exactly that. Loopback moves the
+//! same encoded frames as TCP, which ships IEEE-754 bit patterns verbatim, so the
+//! equality extends across real sockets.
 //!
 //! The steady-state round is **one round trip, delta-shipping, copy-once and
 //! allocation-free**. Since protocol v7 the `OK` carries the weights: the server
@@ -87,6 +88,6 @@ pub use metrics::{Metrics, MetricsServer};
 pub use obs::Obs;
 pub use server::{require_helloed, serve, validate_hello};
 pub use tcp::{TcpServerTransport, TcpWorkerTransport, TransportStats};
-pub use transport::{apply_pull_message, PullOutcome, PullView, ServerTransport, WorkerTransport};
+pub use transport::{PullOutcome, PullView, ServerTransport, WorkerTransport};
 pub use wire::{Message, PullApplied, ShardUpdate, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerReport};

@@ -33,7 +33,7 @@
 //! that violates the protocol (bad magic, wrong version, non-`Hello` first frame)
 //! aborts the run with an error rather than being quarantined.
 
-use crate::transport::{PullOutcome, PullView, ServerTransport, WorkerTransport};
+use crate::transport::{not_a_pull_reply, PullOutcome, PullView, ServerTransport, WorkerTransport};
 use crate::wire::{
     self, read_frame_payload, write_frame_payload, FrameBody, Message, TAG_PULL_DELTA,
     TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA, TAG_PULL_SHARDS, TAG_PUSH, TAG_PUSH_SLICE,
@@ -60,6 +60,20 @@ pub struct TransportStats {
     pub frames_sent: u64,
     /// Frames read.
     pub frames_received: u64,
+}
+
+impl TransportStats {
+    /// Books one frame sent, `wire_len` bytes long with its length prefix.
+    pub(crate) fn sent(&mut self, wire_len: usize) {
+        self.bytes_sent += wire_len as u64;
+        self.frames_sent += 1;
+    }
+
+    /// Books one frame received, `wire_len` bytes long with its length prefix.
+    pub(crate) fn received(&mut self, wire_len: usize) {
+        self.bytes_received += wire_len as u64;
+        self.frames_received += 1;
+    }
 }
 
 /// Receive-side counters shared with the connection reader threads.
@@ -117,8 +131,8 @@ pub struct TcpServerTransport {
     pools: Vec<Option<RankPools>>,
     scratch: Vec<u8>,
     rx: Arc<RxCounters>,
-    bytes_sent: u64,
-    frames_sent: u64,
+    /// The send-side counters (the receive side is `rx`).
+    tx: TransportStats,
 }
 
 impl TcpServerTransport {
@@ -150,8 +164,7 @@ impl TcpServerTransport {
             pools: (0..num_workers).map(|_| None).collect(),
             scratch: Vec::new(),
             rx,
-            bytes_sent: 0,
-            frames_sent: 0,
+            tx: TransportStats::default(),
         })
     }
 
@@ -164,17 +177,10 @@ impl TcpServerTransport {
     /// connection's reader thread).
     pub fn stats(&self) -> TransportStats {
         TransportStats {
-            bytes_sent: self.bytes_sent,
             bytes_received: self.rx.bytes.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent,
             frames_received: self.rx.frames.load(Ordering::Relaxed),
+            ..self.tx
         }
-    }
-
-    /// Books one written frame of `wire_len` bytes, length prefix included.
-    fn sent(&mut self, wire_len: usize) {
-        self.bytes_sent += wire_len as u64;
-        self.frames_sent += 1;
     }
 }
 
@@ -452,18 +458,18 @@ impl ServerTransport for TcpServerTransport {
         }
     }
 
-    fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError> {
+    fn send_frame(&mut self, rank: usize, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
         self.scratch.clear();
-        wire::encode(msg, &mut self.scratch);
+        encode(&mut self.scratch);
         write_frame_payload(writer_of(&mut self.writers, rank)?, &self.scratch)?;
-        self.sent(self.scratch.len() + 4);
+        self.tx.sent(self.scratch.len() + 4);
         Ok(())
     }
 
     fn send_pull_reply(&mut self, rank: usize, view: &PullView<'_>) -> Result<(), NetError> {
         // Straight from the store to the socket: no frame buffer in between.
         let wire_len = view.write_frame(writer_of(&mut self.writers, rank)?)?;
-        self.sent(wire_len);
+        self.tx.sent(wire_len);
         Ok(())
     }
 
@@ -483,8 +489,8 @@ impl ServerTransport for TcpServerTransport {
             }
             None => wire::write_pull_reply_delta_frame(w, view.clock, updates)?,
         };
-        self.sent(wire_len);
-        self.frames_sent += u64::from(ack.is_some());
+        self.tx.sent(wire_len);
+        self.tx.frames_sent += u64::from(ack.is_some());
         Ok(())
     }
 
@@ -492,7 +498,7 @@ impl ServerTransport for TcpServerTransport {
         // The caller encoded straight into its own scratch; ship it as one frame
         // without a decode/re-encode round trip.
         write_frame_payload(writer_of(&mut self.writers, rank)?, payload)?;
-        self.sent(payload.len() + 4);
+        self.tx.sent(payload.len() + 4);
         Ok(())
     }
 
@@ -610,27 +616,11 @@ impl TcpWorkerTransport {
         self.stats
     }
 
-    /// Writes the already-encoded `scratch` payload as one frame.
-    fn flush_scratch(&mut self) -> Result<(), NetError> {
-        let written = write_frame_payload(&mut self.writer, &self.scratch);
-        self.sent(written.map(|()| self.scratch.len() + 4))
-    }
-
     /// Books one written frame (`written` is its size on the wire), or attributes the
     /// write's failure to the peer.
     fn sent(&mut self, written: std::io::Result<usize>) -> Result<(), NetError> {
         let wire_len = written.map_err(|e| self.attribute(e.into()))?;
-        self.stats.bytes_sent += wire_len as u64;
-        self.stats.frames_sent += 1;
-        Ok(())
-    }
-
-    /// Reads the next frame into the reusable payload buffer.
-    fn read_payload(&mut self) -> Result<(), NetError> {
-        let len = read_frame_payload(&mut self.reader, &mut self.payload)
-            .map_err(|e| self.attribute(e))?;
-        self.stats.bytes_received += len as u64 + 4;
-        self.stats.frames_received += 1;
+        self.stats.sent(wire_len);
         Ok(())
     }
 
@@ -690,49 +680,36 @@ impl Xorshift {
 }
 
 impl WorkerTransport for TcpWorkerTransport {
+    fn send_frame(&mut self, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        let written = write_frame_payload(&mut self.writer, &self.scratch);
+        self.sent(written.map(|()| self.scratch.len() + 4))
+    }
+
+    fn recv_frame(&mut self) -> Result<&[u8], NetError> {
+        let len = read_frame_payload(&mut self.reader, &mut self.payload)
+            .map_err(|e| self.attribute(e))?;
+        self.stats.received(len + 4);
+        Ok(&self.payload)
+    }
+
+    /// Also remembers the rank a `Hello` or `GroupHello` announces, for
+    /// [`NetError::PeerLost`].
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         if let Message::Hello { rank, .. } | Message::GroupHello { rank, .. } = msg {
             self.rank = Some(*rank);
         }
-        self.scratch.clear();
-        wire::encode(msg, &mut self.scratch);
-        self.flush_scratch()
+        self.send_frame(&|buf| wire::encode(msg, buf))
     }
 
     fn note_confirmed_clock(&mut self, clock: u64) {
         self.last_clock = Some(clock);
     }
 
-    fn recv(&mut self) -> Result<Message, NetError> {
-        self.read_payload()?;
-        Ok(wire::decode(&self.payload)?)
-    }
-
-    fn recv_with_run(&mut self, run: &mut Vec<u64>) -> Result<Message, NetError> {
-        self.read_payload()?;
-        Ok(wire::decode_with_run(&self.payload, run)?)
-    }
-
     fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
         let written = wire::write_push_frame(&mut self.writer, iteration, trace, grads);
         self.sent(written)
-    }
-
-    fn pull_into(
-        &mut self,
-        delta: bool,
-        trace: u64,
-        weights: &mut Vec<f32>,
-        versions: &mut Vec<u64>,
-    ) -> Result<PullOutcome, NetError> {
-        self.scratch.clear();
-        if delta && !versions.is_empty() {
-            wire::encode_pull_delta(&mut self.scratch, trace, versions);
-        } else {
-            wire::encode_pull(&mut self.scratch, trace);
-        }
-        self.flush_scratch()?;
-        self.recv_pull_apply(weights, versions)
     }
 
     fn send_push_slice(
@@ -748,18 +725,6 @@ impl WorkerTransport for TcpWorkerTransport {
         self.sent(written)
     }
 
-    fn send_pull_shards(
-        &mut self,
-        known_versions: &[u64],
-        all: bool,
-        epoch: u64,
-        trace: u64,
-    ) -> Result<(), NetError> {
-        self.scratch.clear();
-        wire::encode_pull_shards(&mut self.scratch, all, epoch, trace, known_versions);
-        self.flush_scratch()
-    }
-
     fn recv_pull_apply(
         &mut self,
         weights: &mut Vec<f32>,
@@ -773,8 +738,7 @@ impl WorkerTransport for TcpWorkerTransport {
         } = self;
         let received = (|| {
             let body = FrameBody::begin(reader)?;
-            stats.bytes_received += body.wire_len() as u64;
-            stats.frames_received += 1;
+            stats.received(body.wire_len());
             match body.tag() {
                 // The weights go from the socket straight into the caller's cache.
                 TAG_PULL_REPLY | TAG_PULL_REPLY_DELTA => Ok(PullOutcome::Applied(
@@ -782,15 +746,7 @@ impl WorkerTransport for TcpWorkerTransport {
                 )),
                 _ => {
                     body.buffer(payload)?;
-                    match wire::decode(payload)? {
-                        Message::Shutdown { reason } => Ok(PullOutcome::Shutdown { reason }),
-                        Message::EpochRefused { epoch, assignment } => {
-                            Err(NetError::EpochRefused { epoch, assignment })
-                        }
-                        other => Err(NetError::Protocol(format!(
-                            "expected a pull reply, got {other:?}"
-                        ))),
-                    }
+                    not_a_pull_reply(payload)
                 }
             }
         })();

@@ -1,33 +1,38 @@
 //! The transport abstraction and the in-process loopback implementation.
 //!
-//! A transport moves [`Message`]s between one server and `N` ranked workers. Two
+//! A transport moves encoded frames between one server and `N` ranked workers. Two
 //! implementations exist:
 //!
 //! * [`crate::tcp`] — real sockets, one blocking reader thread per connection;
-//! * [`loopback`] — crossbeam channels inside one process, useful for tests and for
-//!   proving that the networked server is bitwise-equivalent to the threaded runtime
-//!   (no serialization happens, but the *protocol* — the opening pull, the weights
-//!   that ride every `OK`, full versus delta replies — is exercised in full).
+//! * [`loopback`] — crossbeam channels inside one process that carry each frame's
+//!   payload bytes: the same codec, the same frames and the same byte counts as TCP,
+//!   without sockets or reader threads.
 //!
-//! Besides the owned-`Message` `send`/`recv` pair, both traits expose a buffer-reuse
-//! fast path for the steady-state hot loop: workers push borrowed gradient slices
-//! ([`WorkerTransport::send_push`]) and receive weights into caller-owned
-//! weight/version caches ([`WorkerTransport::recv_pull_apply`]); the server ships
-//! weights from a borrowed [`PullView`] of its store
-//! ([`ServerTransport::send_pull_reply`]; a shard server through
-//! [`ServerTransport::send_shard_reply`]) and hands consumed bulk buffers back to the
-//! transport for recycling ([`ServerTransport::recycle_f32s`]). The TCP transport
-//! implements these without staging: bulk frames are written from, and read into,
-//! their final buffers, so neither endpoint copies a bulk byte twice or allocates per
-//! message; the loopback transport keeps the simple owned-message defaults (its
-//! purpose is equivalence testing, not throughput).
+//! Each trait requires only its frame primitives. A worker sends a frame whose payload
+//! the caller encodes into the transport's buffer ([`WorkerTransport::send_frame`]) and
+//! receives the next frame's payload ([`WorkerTransport::recv_frame`]); a server sends
+//! a frame to a rank ([`ServerTransport::send_frame`]) and receives decoded messages
+//! its own way ([`ServerTransport::recv`]). Every message operation — `send`, `recv`,
+//! the borrowed-slice pushes, the pulls applied into caller-owned weight and version
+//! caches, the replies written from a borrowed [`PullView`] of the server's store — is
+//! a provided method written once over those bytes with the buffered codecs of
+//! [`crate::wire`]. That is the loopback transport's whole path.
+//!
+//! The TCP transport overrides where it streams: bulk frames are written from, and
+//! read into, their final buffers ([`WorkerTransport::send_push`],
+//! [`WorkerTransport::send_push_slice`], [`WorkerTransport::recv_pull_apply`];
+//! [`ServerTransport::send_pull_reply`], [`ServerTransport::send_shard_reply`],
+//! [`ServerTransport::send_payload`]), so neither endpoint copies a bulk byte twice or
+//! allocates per message, and its command loop hands consumed bulk buffers back to the
+//! connection readers ([`ServerTransport::recycle_f32s`]).
 //!
 //! [`WorkerTransport::pull_into`] — a request/reply pull carrying the *worker's*
 //! cached versions (`PullDelta`) — predates the fused round; `run_worker` no longer
 //! calls it and `serve` no longer answers `PullDelta`. It stays for the callers that
 //! run their own serving loop over these transports.
 
-use crate::wire::{self, Message, PullApplied, ShardUpdate};
+use crate::tcp::TransportStats;
+use crate::wire::{self, Message, PullApplied, TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA};
 use crate::NetError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
@@ -79,9 +84,8 @@ impl<'a> PullView<'a> {
     }
 
     /// Encodes the reply this view answers with — a delta when applicable, a full
-    /// reply otherwise — appending the payload to `buf`. Byte-identical to encoding
-    /// [`PullView::to_message`], but without materializing owned vectors (the server's
-    /// zero-copy path).
+    /// reply otherwise — appending the payload to `buf`, with the weights memcpy'd
+    /// straight from the store (the provided [`ServerTransport::send_pull_reply`]).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         if self.delta_applicable() {
             wire::encode_pull_reply_delta(buf, self.clock, self.shard_updates(0));
@@ -102,36 +106,6 @@ impl<'a> PullView<'a> {
             wire::write_pull_reply_frame(w, self.clock, self.versions, self.weights)
         }
     }
-
-    /// Builds the owned reply message — a delta when applicable, a full reply
-    /// otherwise. Used by the loopback transport, which moves messages instead of
-    /// serializing them.
-    pub fn to_message(&self) -> Message {
-        if self.delta_applicable() {
-            self.delta_message(0)
-        } else {
-            Message::PullReply {
-                clock: self.clock,
-                shard_versions: self.versions.to_vec(),
-                weights: self.weights.to_vec(),
-            }
-        }
-    }
-
-    /// The owned [`Message::PullReplyDelta`] of [`PullView::shard_updates`].
-    fn delta_message(&self, first: u32) -> Message {
-        Message::PullReplyDelta {
-            clock: self.clock,
-            updates: self
-                .shard_updates(first)
-                .map(|(shard, version, weights)| ShardUpdate {
-                    shard,
-                    version,
-                    weights: weights.to_vec(),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Outcome of a [`WorkerTransport::pull_into`] exchange.
@@ -146,51 +120,10 @@ pub enum PullOutcome {
     },
 }
 
-/// Applies an owned pull-reply message to a worker's cached weight and version
-/// vectors, mirroring [`wire::apply_pull_reply`]'s semantics for transports that move
-/// messages instead of bytes (loopback, tests).
-pub fn apply_pull_message(
-    msg: Message,
-    weights: &mut Vec<f32>,
-    versions: &mut Vec<u64>,
-) -> Result<PullOutcome, NetError> {
-    match msg {
-        Message::PullReply {
-            clock,
-            shard_versions,
-            weights: fresh,
-        } => {
-            versions.clear();
-            versions.extend_from_slice(&shard_versions);
-            weights.clear();
-            weights.extend_from_slice(&fresh);
-            Ok(PullOutcome::Applied(PullApplied {
-                clock,
-                full: true,
-                shards_updated: versions.len(),
-            }))
-        }
-        Message::PullReplyDelta { clock, updates } => {
-            let shards_updated = updates.len();
-            for update in &updates {
-                let shard = update.shard;
-                if (shard as usize) >= versions.len() {
-                    return Err(wire::WireError::BadShard { shard }.into());
-                }
-                let (start, end) =
-                    dssp_ps::shard_range(weights.len(), versions.len(), shard as usize);
-                if update.weights.len() != end - start {
-                    return Err(wire::WireError::BadShard { shard }.into());
-                }
-                weights[start..end].copy_from_slice(&update.weights);
-                versions[shard as usize] = update.version;
-            }
-            Ok(PullOutcome::Applied(PullApplied {
-                clock,
-                full: false,
-                shards_updated,
-            }))
-        }
+/// The outcome of a pull whose answer is not a pull reply: the server shut the run
+/// down, refused the layout epoch, or broke the protocol.
+pub(crate) fn not_a_pull_reply(payload: &[u8]) -> Result<PullOutcome, NetError> {
+    match wire::decode(payload)? {
         Message::Shutdown { reason } => Ok(PullOutcome::Shutdown { reason }),
         // Typed, retryable: the caller (the group fan) waits out a frozen server or
         // adopts the committed layout and retries the round.
@@ -215,16 +148,25 @@ pub trait ServerTransport: Send {
     /// Blocks for the next message from any worker, attributed with its rank.
     fn recv(&mut self) -> Result<(usize, Message), NetError>;
 
+    /// Sends one frame to `rank`, its payload appended by `encode` to the transport's
+    /// empty frame buffer.
+    fn send_frame(&mut self, rank: usize, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError>;
+
+    /// Byte and frame counters accumulated by this transport so far, length prefixes
+    /// included.
+    fn transport_stats(&self) -> TransportStats;
+
     /// Sends a message to one worker.
-    fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError>;
+    fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError> {
+        self.send_frame(rank, &|buf| wire::encode(msg, buf))
+    }
 
     /// Ships a pull reply from a borrowed snapshot of the server's store —
-    /// incrementally when `view.known` permits, fully otherwise. Implementations may
-    /// write straight from the view (the TCP transport hands the socket the stale
-    /// shard ranges themselves, [`PullView::write_frame`]); the default builds an owned
-    /// message.
+    /// incrementally when `view.known` permits, fully otherwise ([`PullView::encode`]).
+    /// The TCP transport hands the socket the stale shard ranges themselves
+    /// ([`PullView::write_frame`]).
     fn send_pull_reply(&mut self, rank: usize, view: &PullView<'_>) -> Result<(), NetError> {
-        self.send(rank, &view.to_message())
+        self.send_frame(rank, &|buf| view.encode(buf))
     }
 
     /// Hands a consumed bulk `f32` buffer (a processed push's gradients) back to the
@@ -241,7 +183,7 @@ pub trait ServerTransport: Send {
     /// [`Message::SliceApplied`] `{ version, applied }` when `ack` is set (the answer
     /// to a pulling [`Message::PushSlice`]). The TCP transport writes both frames
     /// straight from the store in one gathered write
-    /// ([`wire::write_slice_applied_frames`]); the default sends owned messages.
+    /// ([`wire::write_slice_applied_frames`]).
     fn send_shard_reply(
         &mut self,
         rank: usize,
@@ -250,24 +192,19 @@ pub trait ServerTransport: Send {
         view: &PullView<'_>,
     ) -> Result<(), NetError> {
         if let Some((version, applied)) = ack {
-            let applied = applied.to_vec();
-            self.send(rank, &Message::SliceApplied { version, applied })?;
+            self.send_frame(rank, &|buf| {
+                wire::encode_slice_applied(buf, version, applied)
+            })?;
         }
-        self.send(rank, &view.delta_message(first_shard))
+        self.send_frame(rank, &|buf| {
+            wire::encode_pull_reply_delta(buf, view.clock, view.shard_updates(first_shard))
+        })
     }
 
     /// Sends an already-encoded payload as one frame to `rank`, for callers that run
-    /// their own serving loop over a transport and encode replies themselves. The
-    /// default decodes and re-sends as an owned message, so transports that move
-    /// messages instead of bytes (loopback) stay correct.
+    /// their own serving loop over a transport and encode replies themselves.
     fn send_payload(&mut self, rank: usize, payload: &[u8]) -> Result<(), NetError> {
-        self.send(rank, &wire::decode(payload)?)
-    }
-
-    /// Byte/frame counters accumulated by this transport so far. Defaults to zero for
-    /// transports that do not serialize (loopback).
-    fn transport_stats(&self) -> crate::tcp::TransportStats {
-        crate::tcp::TransportStats::default()
+        self.send_frame(rank, &|buf| buf.extend_from_slice(payload))
     }
 
     /// Best-effort broadcast (used for `Shutdown`); per-worker failures are ignored
@@ -279,10 +216,20 @@ pub trait ServerTransport: Send {
     }
 }
 
-/// Worker side of a transport: a bidirectional message pipe to the server.
+/// Worker side of a transport: a bidirectional frame pipe to the server.
 pub trait WorkerTransport: Send {
+    /// Sends one frame to the server, its payload appended by `encode` to the
+    /// transport's empty frame buffer.
+    fn send_frame(&mut self, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError>;
+
+    /// Blocks for the next frame from the server and returns its payload, which lives
+    /// in the transport's buffer until the next receive.
+    fn recv_frame(&mut self) -> Result<&[u8], NetError>;
+
     /// Sends a message to the server.
-    fn send(&mut self, msg: &Message) -> Result<(), NetError>;
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        self.send_frame(&|buf| wire::encode(msg, buf))
+    }
 
     /// Records the last server clock (weight version) this side saw confirmed, so a
     /// transport that later reports [`NetError::PeerLost`] can say where the session
@@ -290,33 +237,23 @@ pub trait WorkerTransport: Send {
     fn note_confirmed_clock(&mut self, _clock: u64) {}
 
     /// Blocks for the next message from the server.
-    fn recv(&mut self) -> Result<Message, NetError>;
+    fn recv(&mut self) -> Result<Message, NetError> {
+        Ok(wire::decode(self.recv_frame()?)?)
+    }
 
     /// Blocks for the next message like [`WorkerTransport::recv`], except that the
     /// per-rank run of a [`Message::SliceApplied`] or [`Message::GroupGrant`] lands in
-    /// `run` (overwritten) and the message holds an empty one: what keeps a warm
-    /// group round allocation-free. The TCP transport decodes into `run`
-    /// ([`wire::decode_with_run`]); the default moves the run out of the message.
+    /// `run` (overwritten) and the message holds an empty one
+    /// ([`wire::decode_with_run`]): what keeps a warm group round allocation-free.
     fn recv_with_run(&mut self, run: &mut Vec<u64>) -> Result<Message, NetError> {
-        let mut msg = self.recv()?;
-        if let Message::SliceApplied { applied: got, .. }
-        | Message::GroupGrant { counted: got, .. } = &mut msg
-        {
-            run.clear();
-            run.append(got);
-        }
-        Ok(msg)
+        Ok(wire::decode_with_run(self.recv_frame()?, run)?)
     }
 
     /// Pushes one iteration's gradients from a borrowed slice, stamped with the
     /// worker's causal `trace` id. The TCP transport writes the frame to the socket
-    /// straight from the slice; the default copies into an owned [`Message::Push`].
+    /// straight from the slice.
     fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
-        self.send(&Message::Push {
-            iteration,
-            trace,
-            grads: grads.to_vec(),
-        })
+        self.send_frame(&|buf| wire::encode_push(buf, iteration, trace, grads))
     }
 
     /// One pull exchange against the caller's weight/version caches: requests a delta
@@ -332,23 +269,18 @@ pub trait WorkerTransport: Send {
         versions: &mut Vec<u64>,
     ) -> Result<PullOutcome, NetError> {
         if delta && !versions.is_empty() {
-            self.send(&Message::PullDelta {
-                trace,
-                known_versions: versions.clone(),
-            })?;
+            self.send_frame(&|buf| wire::encode_pull_delta(buf, trace, versions))?;
         } else {
-            self.send(&Message::Pull { trace })?;
+            self.send_frame(&|buf| wire::encode_pull(buf, trace))?;
         }
-        let msg = self.recv()?;
-        apply_pull_message(msg, weights, versions)
+        self.recv_pull_apply(weights, versions)
     }
 
     /// Pushes one iteration's gradient **slice** (a shard server's key range of the
     /// full gradient vector) from a borrowed slice, asking for the server's shards
     /// behind the ack when `pull` is set. The TCP transport writes the frame to the
-    /// socket straight from the slice; the default copies into an owned
-    /// [`Message::PushSlice`]. Part of a group worker's fan-out: requests go to every
-    /// server first, then the answers are collected, so the servers work
+    /// socket straight from the slice. Part of a group worker's fan-out: requests go
+    /// to every server first, then the answers are collected, so the servers work
     /// concurrently.
     fn send_push_slice(
         &mut self,
@@ -358,19 +290,12 @@ pub trait WorkerTransport: Send {
         pull: bool,
         grads: &[f32],
     ) -> Result<(), NetError> {
-        self.send(&Message::PushSlice {
-            iteration,
-            epoch,
-            trace,
-            pull,
-            grads: grads.to_vec(),
-        })
+        self.send_frame(&|buf| wire::encode_push_slice(buf, iteration, epoch, trace, pull, grads))
     }
 
     /// Sends a shard-scoped pull request ([`Message::PullShards`]) from a borrowed
     /// sub-range of the caller's global version cache, stamped with the layout
-    /// `epoch` the worker believes is current. The TCP transport encodes from the
-    /// borrow; the default copies.
+    /// `epoch` the worker believes is current.
     fn send_pull_shards(
         &mut self,
         known_versions: &[u64],
@@ -378,50 +303,57 @@ pub trait WorkerTransport: Send {
         epoch: u64,
         trace: u64,
     ) -> Result<(), NetError> {
-        self.send(&Message::PullShards {
-            known_versions: known_versions.to_vec(),
-            all,
-            epoch,
-            trace,
-        })
+        self.send_frame(&|buf| wire::encode_pull_shards(buf, all, epoch, trace, known_versions))
     }
 
     /// Receives one pull reply — requested, or riding an `OK` — and applies it to the
-    /// caller's **global** weight and version buffers in place (a shard server's reply
-    /// carries global shard indices, so each update lands in its own key range). The
-    /// TCP transport reads each run from the socket straight into its key range; the
-    /// default goes through an owned message.
+    /// caller's **global** weight and version buffers in place
+    /// ([`wire::apply_pull_reply`]; a shard server's reply carries global shard
+    /// indices, so each update lands in its own key range). The TCP transport reads
+    /// each run from the socket straight into its key range.
     fn recv_pull_apply(
         &mut self,
         weights: &mut Vec<f32>,
         versions: &mut Vec<u64>,
     ) -> Result<PullOutcome, NetError> {
-        let msg = self.recv()?;
-        apply_pull_message(msg, weights, versions)
+        let payload = self.recv_frame()?;
+        match payload.first() {
+            Some(&(TAG_PULL_REPLY | TAG_PULL_REPLY_DELTA)) => Ok(PullOutcome::Applied(
+                wire::apply_pull_reply(payload, weights, versions)?,
+            )),
+            _ => not_a_pull_reply(payload),
+        }
     }
 }
 
+/// What travels from the worker ends of a [`loopback`] transport to its server end:
+/// the sender's rank and a frame's payload, or `None` when that end was dropped.
+type Upstream = (usize, Option<Vec<u8>>);
+
 /// Server end of a [`loopback`] transport.
 pub struct LoopbackServer {
-    /// Every worker end's messages in the order sent; `None` closes an end (it was
+    /// Every worker end's frames in the order sent; `None` closes an end (it was
     /// dropped), like a FIN behind a connection's data.
-    events: Receiver<(usize, Option<Message>)>,
-    replies: Vec<Sender<Message>>,
+    events: Receiver<Upstream>,
+    replies: Vec<Sender<Vec<u8>>>,
+    stats: TransportStats,
 }
 
 /// Worker end of a [`loopback`] transport. Dropping it closes the link: the server
-/// reads [`NetError::ClientLost`] for its rank after every message it sent.
+/// reads [`NetError::ClientLost`] for its rank after every frame it sent.
 pub struct LoopbackWorker {
     rank: usize,
-    to_server: Sender<(usize, Option<Message>)>,
-    from_server: Receiver<Message>,
+    to_server: Sender<Upstream>,
+    from_server: Receiver<Vec<u8>>,
+    /// The last frame received, which [`WorkerTransport::recv_frame`] lends out.
+    payload: Vec<u8>,
 }
 
 /// Creates an in-process transport connecting one server to `num_workers` workers over
-/// unbounded channels. Messages are moved, not serialized, so weights and gradients
-/// are trivially bit-preserved; everything else about the protocol (handshake, explicit
-/// pulls, delta negotiation, shutdown broadcast, a lost worker reported as
-/// [`NetError::ClientLost`]) behaves exactly like the TCP transport.
+/// unbounded channels that carry encoded frame payloads. Every message goes through
+/// the wire codec, so the protocol (handshake, explicit pulls, delta negotiation,
+/// shutdown broadcast, a lost worker reported as [`NetError::ClientLost`]) and the
+/// byte and frame counts behave exactly like the TCP transport's.
 ///
 /// # Panics
 ///
@@ -438,15 +370,24 @@ pub fn loopback(num_workers: usize) -> (LoopbackServer, Vec<LoopbackWorker>) {
             rank,
             to_server: event_tx.clone(),
             from_server: reply_rx,
+            payload: Vec::new(),
         });
     }
     (
         LoopbackServer {
             events: event_rx,
             replies,
+            stats: TransportStats::default(),
         },
         workers,
     )
+}
+
+/// One frame's payload, encoded into a buffer of its own (it moves through a channel).
+fn encoded(encode: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode(&mut payload);
+    payload
 }
 
 impl ServerTransport for LoopbackServer {
@@ -456,28 +397,43 @@ impl ServerTransport for LoopbackServer {
 
     fn recv(&mut self) -> Result<(usize, Message), NetError> {
         match self.events.recv() {
-            Ok((rank, Some(msg))) => Ok((rank, msg)),
+            Ok((rank, Some(payload))) => {
+                self.stats.received(payload.len() + 4);
+                Ok((rank, wire::decode(&payload)?))
+            }
             Ok((rank, None)) => Err(NetError::ClientLost { rank }),
             Err(_) => Err(NetError::Disconnected),
         }
     }
 
-    fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError> {
+    fn send_frame(&mut self, rank: usize, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
+        let payload = encoded(encode);
+        let len = payload.len();
         self.replies[rank]
-            .send(msg.clone())
-            .map_err(|_| NetError::Disconnected)
+            .send(payload)
+            .map_err(|_| NetError::Disconnected)?;
+        self.stats.sent(len + 4);
+        Ok(())
+    }
+
+    fn transport_stats(&self) -> TransportStats {
+        self.stats
     }
 }
 
 impl WorkerTransport for LoopbackWorker {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+    fn send_frame(&mut self, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
         self.to_server
-            .send((self.rank, Some(msg.clone())))
+            .send((self.rank, Some(encoded(encode))))
             .map_err(|_| NetError::Disconnected)
     }
 
-    fn recv(&mut self) -> Result<Message, NetError> {
-        self.from_server.recv().map_err(|_| NetError::Disconnected)
+    fn recv_frame(&mut self) -> Result<&[u8], NetError> {
+        self.payload = self
+            .from_server
+            .recv()
+            .map_err(|_| NetError::Disconnected)?;
+        Ok(&self.payload)
     }
 }
 
@@ -491,6 +447,7 @@ impl Drop for LoopbackWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::ShardUpdate;
 
     #[test]
     fn loopback_routes_by_rank() {
@@ -592,68 +549,43 @@ mod tests {
         let versions = [5u64, 5, 7];
         let offsets = [0usize, 2, 4, 5];
         let weights = [0.5f32, 1.5, 2.5, 3.5, 4.5];
-        for known in [
-            None,
-            Some(&[5u64, 5, 7][..]), // nothing stale -> empty delta
-            Some(&[4u64, 5, 0][..]), // two stale shards
-            Some(&[5u64, 5][..]),    // incompatible -> full
+        let full = Message::PullReply {
+            clock: 9,
+            shard_versions: versions.to_vec(),
+            weights: weights.to_vec(),
+        };
+        let update = |shard: u32, version: u64, weights: &[f32]| ShardUpdate {
+            shard,
+            version,
+            weights: weights.to_vec(),
+        };
+        for (known, owned) in [
+            (None, full.clone()),
+            // Nothing stale: an empty delta.
+            (
+                Some(&[5u64, 5, 7][..]),
+                Message::PullReplyDelta {
+                    clock: 9,
+                    updates: Vec::new(),
+                },
+            ),
+            // Two stale shards.
+            (
+                Some(&[4u64, 5, 0][..]),
+                Message::PullReplyDelta {
+                    clock: 9,
+                    updates: vec![update(0, 5, &weights[..2]), update(2, 7, &weights[4..])],
+                },
+            ),
+            // Incompatible: a full reply.
+            (Some(&[5u64, 5][..]), full),
         ] {
             let v = view(9, &versions, &offsets, &weights, known);
             let mut zero_copy = Vec::new();
             v.encode(&mut zero_copy);
-            let mut owned = Vec::new();
-            wire::encode(&v.to_message(), &mut owned);
-            assert_eq!(zero_copy, owned, "known={known:?}");
+            let mut expected = Vec::new();
+            wire::encode(&owned, &mut expected);
+            assert_eq!(zero_copy, expected, "known={known:?}");
         }
-    }
-
-    #[test]
-    fn apply_pull_message_mirrors_the_byte_level_apply() {
-        let mut weights = Vec::new();
-        let mut versions = Vec::new();
-        let full = Message::PullReply {
-            clock: 3,
-            shard_versions: vec![1, 1],
-            weights: vec![1.0, 2.0, 3.0],
-        };
-        let outcome = apply_pull_message(full, &mut weights, &mut versions).unwrap();
-        assert_eq!(
-            outcome,
-            PullOutcome::Applied(PullApplied {
-                clock: 3,
-                full: true,
-                shards_updated: 2
-            })
-        );
-        // Layout of 3 params over 2 shards: [0..2), [2..3).
-        let delta = Message::PullReplyDelta {
-            clock: 5,
-            updates: vec![ShardUpdate {
-                shard: 1,
-                version: 2,
-                weights: vec![-3.0],
-            }],
-        };
-        let outcome = apply_pull_message(delta, &mut weights, &mut versions).unwrap();
-        assert_eq!(
-            outcome,
-            PullOutcome::Applied(PullApplied {
-                clock: 5,
-                full: false,
-                shards_updated: 1
-            })
-        );
-        assert_eq!(weights, vec![1.0, 2.0, -3.0]);
-        assert_eq!(versions, vec![1, 2]);
-        // A wrong-length update is rejected.
-        let bad = Message::PullReplyDelta {
-            clock: 6,
-            updates: vec![ShardUpdate {
-                shard: 0,
-                version: 3,
-                weights: vec![0.0; 3],
-            }],
-        };
-        assert!(apply_pull_message(bad, &mut weights, &mut versions).is_err());
     }
 }

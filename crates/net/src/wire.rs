@@ -13,7 +13,7 @@
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
 //! on. On little-endian hosts a bulk `f32`/`u32`/`u64` run's in-memory bytes *are* its
-//! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on the
+//! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on TCP's
 //! training path, not copied at all: the streaming writers
 //! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`],
 //! [`write_pull_reply_delta_frame`], [`write_slice_applied_frames`]) hand the socket
@@ -37,6 +37,10 @@
 //! [`decode_with_run`] / [`apply_pull_reply`] readers of the training path stay
 //! hand-written; `tests/proptest_wire.rs` holds them to the table's codec byte for
 //! byte and error for error.
+//!
+//! The buffered codecs are the loopback transport's whole path: every provided method
+//! of the `crate::transport` traits encodes and decodes with them. They are also the
+//! reference for the streaming codecs, with which TCP overrides those methods.
 //!
 //! Protocol flow (client = worker, server = parameter server):
 //!

@@ -4,7 +4,7 @@
 
 use dssp_core::driver::{JobConfig, WorkerStep};
 use dssp_net::{
-    run_worker, serve, wire, Message, NetError, PullOutcome, TcpServerTransport,
+    run_worker, serve, wire, Message, NetError, PullOutcome, ServerTransport, TcpServerTransport,
     TcpWorkerTransport, WorkerTransport, PROTOCOL_VERSION,
 };
 use dssp_ps::PolicyKind;
@@ -68,7 +68,8 @@ fn wire_len(msg: &Message) -> u64 {
 /// One worker's whole run, frame by frame and byte by byte: a round is one frame out
 /// (the push) and two in (the `OK`, then the weights it carries); the only `Pull` the
 /// worker ever sends is the one before its first iteration; the `OK` of its final push
-/// comes alone; and nothing crosses the socket that this list does not name.
+/// comes alone; and nothing crosses the socket that this list does not name. The
+/// loopback transport moves the same frames, so its server end counts the same bytes.
 #[test]
 fn a_round_is_one_frame_out_and_two_in_and_every_byte_is_accounted_for() {
     let mut job = JobConfig::small(PolicyKind::Asp);
@@ -90,8 +91,15 @@ fn a_round_is_one_frame_out_and_two_in_and_every_byte_is_accounted_for() {
     });
     let trace = serve(&job, &mut server).expect("run completes");
     let (report, worker_stats) = worker.join().expect("worker thread");
-    let server_stats = server.stats();
     assert_eq!(trace.total_pushes, rounds);
+
+    let (mut loop_server, mut loop_workers) = dssp_net::transport::loopback(1);
+    let mut loop_worker = loop_workers.pop().expect("one worker end");
+    let worker_job = job.clone();
+    let worker = thread::spawn(move || run_worker(&worker_job, 0, &mut loop_worker));
+    let loop_trace = serve(&job, &mut loop_server).expect("loopback run completes");
+    worker.join().expect("worker thread").expect("worker runs");
+    assert_eq!(loop_trace.total_pushes, rounds);
 
     // Hello, JoinRequest, Pull, one Push per round, Done.
     assert_eq!(worker_stats.frames_sent, rounds + 4);
@@ -133,10 +141,21 @@ fn a_round_is_one_frame_out_and_two_in_and_every_byte_is_accounted_for() {
     assert_eq!(worker_stats.bytes_received, received);
     // The server's view is the mirror image: per push it moved one push frame, one
     // `PushReply` and one reply frame, and nothing else.
-    assert_eq!(server_stats.bytes_received, sent);
-    assert_eq!(server_stats.bytes_sent, received);
-    assert_eq!(server_stats.frames_received, worker_stats.frames_sent);
-    assert_eq!(server_stats.frames_sent, worker_stats.frames_received);
+    for (name, server_stats) in [
+        ("tcp", server.stats()),
+        ("loopback", loop_server.transport_stats()),
+    ] {
+        assert_eq!(server_stats.bytes_received, sent, "{name}");
+        assert_eq!(server_stats.bytes_sent, received, "{name}");
+        assert_eq!(
+            server_stats.frames_received, worker_stats.frames_sent,
+            "{name}"
+        );
+        assert_eq!(
+            server_stats.frames_sent, worker_stats.frames_received,
+            "{name}"
+        );
+    }
 }
 
 /// A client speaking the protocol by hand up to its opening weights.

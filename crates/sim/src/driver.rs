@@ -126,9 +126,9 @@ pub struct JobConfig {
     /// `None` disables the listeners. Excluded from [`JobConfig::stable_digest`] like
     /// [`JobConfig::event_log`].
     pub metrics_addr: Option<String>,
-    /// Declarative live-migration trigger for group runs: run this drain/rebalance
-    /// once the coordinator's clock reaches the spec's version (at the next quiescent
-    /// round boundary). `None` means migrations happen only via the admin channel.
+    /// Declarative live-migration trigger for group runs: run this drain once the
+    /// coordinator's clock reaches the spec's version (at the next quiescent round
+    /// boundary). `None` means migrations happen only via the admin channel.
     /// Excluded from [`JobConfig::stable_digest`]: migration moves shard ownership
     /// between servers, never shard boundaries or weight arithmetic, so the computed
     /// model is bitwise unchanged.
@@ -148,24 +148,25 @@ pub enum MigrationCommand {
 /// version (total applied pushes) reaches `at_version`. Fires at most once per
 /// group life — only while the layout is still at epoch 0 — so a restarted
 /// coordinator that restored a migrated (epoch ≥ 1) layout does not migrate again.
+/// Only a drain can fire: the launch layout is the balanced one, so a rebalance from
+/// it has nothing to move ([`MigrationSpec::misfit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationSpec {
-    /// The drain or rebalance to run.
+    /// The drain to run.
     pub command: MigrationCommand,
     /// Fire at the first quiescent round boundary at or after this model version.
     pub at_version: u64,
 }
 
 impl MigrationSpec {
-    /// Parses the CLI form `drain:<server>:<at_version>` or `rebalance:<at_version>`.
-    /// Returns `None` on any malformed component.
+    /// Parses the CLI form `drain:<server>:<at_version>`. Returns `None` on any
+    /// malformed component.
     pub fn parse(spec: &str) -> Option<Self> {
         let mut parts = spec.split(':');
-        let command = match parts.next()? {
-            "drain" => MigrationCommand::Drain(parts.next()?.parse().ok()?),
-            "rebalance" => MigrationCommand::Rebalance,
-            _ => return None,
-        };
+        if parts.next()? != "drain" {
+            return None;
+        }
+        let command = MigrationCommand::Drain(parts.next()?.parse().ok()?);
         let at_version: u64 = parts.next()?.parse().ok()?;
         if parts.next().is_some() {
             return None;
@@ -176,7 +177,29 @@ impl MigrationSpec {
         })
     }
 
-    /// Renders the spec back into the CLI form accepted by [`MigrationSpec::parse`].
+    /// Why a job with `servers` shard servers can never run this spec, if it cannot:
+    /// a single server reads no spec, a drain must name a server the group has, and
+    /// a rebalance from the launch layout has nothing to move.
+    pub fn misfit(&self, servers: usize) -> Option<String> {
+        let spec = self.to_spec();
+        if servers == 1 {
+            return Some(format!(
+                "migration {spec} needs a multi-server group, the job has one server"
+            ));
+        }
+        match self.command {
+            MigrationCommand::Drain(server) if server >= servers => Some(format!(
+                "migration {spec} names server {server}, the job has {servers} servers"
+            )),
+            MigrationCommand::Drain(_) => None,
+            MigrationCommand::Rebalance => Some(format!(
+                "migration {spec} would never run: the launch layout is already balanced"
+            )),
+        }
+    }
+
+    /// Renders the spec in its CLI form: what [`MigrationSpec::parse`] accepts for a
+    /// drain, `rebalance:<at_version>` for the rebalance it refuses.
     pub fn to_spec(&self) -> String {
         match self.command {
             MigrationCommand::Drain(server) => format!("drain:{server}:{}", self.at_version),
@@ -457,7 +480,8 @@ impl JobConfig {
 
     /// Why this job cannot run although each field is well formed, or `None` when it
     /// can: a worker whose training shard would be empty (fewer training examples
-    /// than workers), or a fault plan the job cannot carry ([`FaultPlan::misfit`]).
+    /// than workers), a fault plan the job cannot carry ([`FaultPlan::misfit`]), or
+    /// a migration it can never run ([`MigrationSpec::misfit`]).
     /// [`JobConfig::validate`] panics with it; `job_from_flags` returns it.
     ///
     /// # Panics
@@ -474,6 +498,7 @@ impl JobConfig {
         }
         self.fault_plan
             .and_then(|plan| plan.misfit(self.num_workers, self.servers))
+            .or_else(|| self.migration.and_then(|spec| spec.misfit(self.servers)))
     }
 
     /// A stable fingerprint of every training-relevant field (FNV-1a over a canonical
