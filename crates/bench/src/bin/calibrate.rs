@@ -36,9 +36,8 @@ fn train(
         let (loss, grad) = loss_fn.loss_and_grad(&logits, &labels);
         model.zero_grads();
         model.backward(&grad);
-        let mut params = model.params_flat();
-        sgd.step(&mut params, &model.grads_flat());
-        model.set_params_flat(&params);
+        let (params, grads) = model.arenas();
+        sgd.step(params, grads);
         if step % (steps / 8).max(1) == 0 || step + 1 == steps {
             let test_logits = model.forward(&tx, false);
             let acc = accuracy(&test_logits, &ty);

@@ -81,8 +81,7 @@ impl ShardServerState {
     /// Panics if the configuration is inconsistent or `index` is out of range.
     pub fn from_job(job: &JobConfig, index: usize) -> Self {
         job.validate();
-        let initial = job.model.build(job.seed).params_flat();
-        Self::with_initial(job, index, &initial)
+        Self::with_initial(job, index, job.model.build(job.seed).params())
     }
 
     /// Like [`ShardServerState::from_job`] but slices an already materialized full
@@ -578,6 +577,14 @@ fn serve_shard_inner(
                     transport.recycle_f32s(rank, grads);
                     transport.send(rank, &reply)?;
                     continue;
+                }
+                if grads.len() != state.slice_len() {
+                    return Err(NetError::Protocol(format!(
+                        "worker {rank} pushed a slice of {} gradients to server {index}, \
+                         which holds {} parameters",
+                        grads.len(),
+                        state.slice_len()
+                    )));
                 }
                 let version = state.apply_slice(&grads);
                 // Max, not assignment: a slice replayed by a restarted worker must not

@@ -4,10 +4,11 @@
 
 use dssp_coord::{
     connect_links, coordinate, run_group_threads, run_group_worker, serve_shard, ServerLink,
+    ShardServerState,
 };
 use dssp_core::driver::{FaultPlan, JobConfig};
 use dssp_net::transport::loopback;
-use dssp_net::wire::PROTOCOL_VERSION;
+use dssp_net::wire::{PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
 use dssp_net::{Message, NetError, TcpServerTransport, TcpWorkerTransport, WorkerTransport};
 use dssp_ps::PolicyKind;
 use std::time::Duration;
@@ -408,4 +409,47 @@ fn shard_server_rejects_mismatched_topology_and_digest() {
         matches!(result, Err(NetError::Protocol(_))),
         "mismatched topology must be refused: {result:?}"
     );
+}
+
+/// A worker slice longer than the server's key range: `serve_shard` refuses it with a
+/// protocol error naming the rank, before its optimizer steps, and its `Shutdown`
+/// still goes out.
+#[test]
+fn a_shard_server_refuses_a_slice_of_the_wrong_length() {
+    let job = group_job(PolicyKind::Bsp, 2);
+    let slice = ShardServerState::from_job(&job, 0).slice_len();
+    let mut transport = TcpServerTransport::bind("127.0.0.1:0", job.num_workers + 1).unwrap();
+    let addr = transport.local_addr().to_string();
+    let job_for_server = job.clone();
+    let handle = std::thread::spawn(move || serve_shard(&job_for_server, 0, &mut transport));
+    let mut links = connect_links(&[addr], None).expect("connect");
+    let link = &mut links[0].transport;
+    link.send(&Message::GroupHello {
+        version: PROTOCOL_VERSION,
+        rank: 0,
+        num_workers: job.num_workers as u32,
+        config_digest: job.stable_digest(),
+        servers: job.servers as u32,
+        server_index: 0,
+    })
+    .unwrap();
+    link.send(&Message::PushSlice {
+        iteration: 1,
+        epoch: 0,
+        trace: 0,
+        pull: false,
+        grads: vec![0.0; slice + 3],
+    })
+    .unwrap();
+    let result = handle
+        .join()
+        .expect("the shard server must refuse the slice, not panic");
+    assert!(
+        matches!(result, Err(NetError::Protocol(ref msg)) if msg.contains("worker 0")),
+        "{result:?}"
+    );
+    assert!(matches!(
+        link.recv(),
+        Ok(Message::Shutdown { reason }) if reason == SHUTDOWN_SERVER_ERROR
+    ));
 }

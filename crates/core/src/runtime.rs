@@ -221,15 +221,16 @@ fn worker_loop(
 ) {
     let worker = step.rank();
     let target = step.target();
-    let mut weights = initial_params;
+    // Weights arrive as owned vectors and move into the replica, uncopied.
+    *step.arenas().0 = initial_params;
     let mut waiting_time_s = 0.0;
     for iter in 0..target {
-        let grads = step.compute_gradient(&weights);
+        step.compute();
         if tx
             .send(WorkerEvent::Push {
                 worker,
                 iteration: iter + 1,
-                grads,
+                grads: step.grads().to_vec(),
             })
             .is_err()
         {
@@ -240,7 +241,7 @@ fn worker_loop(
             match ok_rx.recv() {
                 Ok(WorkerCommand::Proceed(w)) => {
                     waiting_time_s += wait_start.elapsed().as_secs_f64();
-                    weights = w;
+                    *step.arenas().0 = w;
                 }
                 Ok(WorkerCommand::Shutdown) | Err(_) => return,
             }

@@ -268,6 +268,14 @@ impl Serving<'_> {
                     grads,
                 } => {
                     require_helloed(&helloed, rank)?;
+                    // Refused before it is queued: no weight or optimizer state moves.
+                    let params = self.sl.server().weights().len();
+                    if grads.len() != params {
+                        return Err(NetError::Protocol(format!(
+                            "worker {rank} pushed {} gradients for {params} parameters",
+                            grads.len()
+                        )));
+                    }
                     self.last_trace[rank] = trace;
                     self.sl.offer(WorkerEvent::Push {
                         worker: rank,

@@ -7,10 +7,11 @@
 //! coordinator.
 //!
 //! The loop owns what must not exist twice: the resume point and the replayed batch
-//! schedule, the three buffers reused across the whole run (cached weights, cached
-//! per-shard versions, gradients), the [`WorkerReport`], the causal trace-id
-//! sequence, every worker-side event record and the worker's chaos fault points. A
-//! link owns only the messages.
+//! schedule, the model replica (its weights are the cache every pull writes into and
+//! its gradient is what every push sends, one copy of each for the whole run), the
+//! cached per-shard versions, the [`WorkerReport`], the causal trace-id sequence,
+//! every worker-side event record and the worker's chaos fault points. A link owns
+//! only the messages.
 //!
 //! Against a single server a round is one round trip: the worker pushes, waits for
 //! its `OK` (`PushReply`) and reads the weights the server sends right behind it
@@ -25,10 +26,11 @@
 //! again otherwise.
 //!
 //! Because the buffers are reused, a TCP worker performs zero heap allocations per
-//! round: gradients are computed into the reused buffer and written to the socket
-//! straight from it ([`WorkerTransport::send_push`]), and the weights are read from
-//! the socket straight into the cache, a delta's shard runs each into their own key
-//! range.
+//! round: gradients are accumulated in the replica and written to the socket straight
+//! from it ([`WorkerTransport::send_push`]), and the weights are read from the socket
+//! straight into the replica, a delta's shard runs each into their own key range. A
+//! reply that leaves the weights at another length than the model's ends the run with
+//! a protocol error naming both counts, before the step runs.
 
 use crate::transport::{PullOutcome, WorkerTransport};
 use crate::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_OK};
@@ -184,10 +186,8 @@ pub fn run_worker_loop<L: WorkerLink>(
         rank,
         ..WorkerReport::default()
     };
-    // The three buffers of the steady-state loop, reused across every iteration.
-    let mut weights: Vec<f32> = Vec::new();
+    // The per-shard versions of the weights the replica holds.
     let mut versions: Vec<u64> = Vec::new();
-    let mut grads: Vec<f32> = Vec::new();
     // This process's structured chaos hook, if the plan targets this rank.
     let fault = job.fault_plan.filter(|p| p.role == FaultRole::Worker(rank));
     let due = |phase: FaultPhase, count: u64| match fault {
@@ -223,7 +223,7 @@ pub fn run_worker_loop<L: WorkerLink>(
             // `OK` are the second half of that push and share its trace id.
             let pull_trace = if ask { fresh_trace() } else { push_trace };
             ev(EventKind::SpanBegin, SpanOp::Pull.code(), pull_trace);
-            let (full, clock) = link.pull(ask, pull_trace, &mut weights, &mut versions)?;
+            let (full, clock) = link.pull(ask, pull_trace, step.arenas().0, &mut versions)?;
             if full {
                 report.full_pulls += 1;
             } else {
@@ -238,14 +238,20 @@ pub fn run_worker_loop<L: WorkerLink>(
                 break; // resumed at the target: nothing left to push
             }
 
-            step.compute_gradient_into(&weights, &mut grads);
+            let (pulled, params) = (step.arenas().0.len(), step.param_len());
+            if pulled != params {
+                let msg = format!("worker {rank} pulled {pulled} weights for {params} parameters");
+                return Err(LinkEnd::Failed(NetError::Protocol(msg)));
+            }
+            step.compute();
             let iteration = step.completed();
             // One trace id per push. Its span covers the send plus the gate wait, so
             // the analyzer can split "network + apply" from "blocked on the DSSP gate".
             push_trace = fresh_trace();
             ev(EventKind::SpanBegin, SpanOp::Push.code(), push_trace);
-            let fetch = (iteration < target).then_some((&mut weights, &mut versions));
-            link.push(iteration, push_trace, &grads, fetch)?;
+            let (weights, grads) = step.arenas();
+            let fetch = (iteration < target).then_some((weights, &mut versions));
+            link.push(iteration, push_trace, grads, fetch)?;
             ev(EventKind::Push, iteration, push_trace);
             due(FaultPhase::Push, iteration)?;
             if iteration == target {

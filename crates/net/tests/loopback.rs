@@ -2,8 +2,8 @@
 //! full training runs, sharded-versus-flat storage equality, and shutdown behaviour.
 
 use dssp_core::driver::{JobConfig, WorkerStep};
-use dssp_net::transport::{loopback, WorkerTransport};
-use dssp_net::wire::{Message, PROTOCOL_VERSION};
+use dssp_net::transport::{loopback, ServerTransport, WorkerTransport};
+use dssp_net::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
 use dssp_net::{run_worker, serve, NetError, WorkerReport};
 use dssp_ps::PolicyKind;
 use dssp_sim::RunTrace;
@@ -199,4 +199,85 @@ fn a_dropped_worker_end_is_evicted_not_waited_for() {
         "rank 1 was evicted"
     );
     assert_eq!(trace.total_pushes, target);
+}
+
+/// A server that answers the opening pull with more weights than the model has: the
+/// worker refuses the reply with an error naming both counts instead of panicking in
+/// its step.
+#[test]
+fn a_pull_reply_of_the_wrong_length_is_refused_by_the_worker() {
+    let job = small_job(PolicyKind::Asp);
+    let params = WorkerStep::for_rank(&job, 0).param_len();
+    let (mut server, mut workers) = loopback(job.num_workers);
+    let mut transport = workers.swap_remove(0);
+    let worker_job = job.clone();
+    let worker = thread::spawn(move || run_worker(&worker_job, 0, &mut transport));
+    assert!(matches!(server.recv(), Ok((0, Message::Hello { .. }))));
+    assert!(matches!(server.recv(), Ok((0, Message::JoinRequest))));
+    let ack = Message::JoinAck {
+        clock: 0,
+        epoch: 0,
+        assignment: Vec::new(),
+    };
+    server.send(0, &ack).unwrap();
+    assert!(matches!(server.recv(), Ok((0, Message::Pull { .. }))));
+    let reply = Message::PullReply {
+        clock: 0,
+        shard_versions: vec![0],
+        weights: vec![0.0; params + 3],
+    };
+    server.send(0, &reply).unwrap();
+    match worker
+        .join()
+        .expect("the worker must refuse the reply, not panic")
+    {
+        Err(NetError::Protocol(msg)) => assert!(
+            msg.contains(&format!("{} weights for {params} parameters", params + 3)),
+            "{msg}"
+        ),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
+/// A worker that pushes more gradients than the model has parameters: `serve` refuses
+/// the push with a protocol error naming the rank, before any weight moves, and its
+/// `Shutdown` still goes out.
+#[test]
+fn a_push_of_the_wrong_length_is_refused_by_the_server() {
+    let mut job = small_job(PolicyKind::Asp);
+    job.num_workers = 1;
+    let params = WorkerStep::for_rank(&job, 0).param_len();
+    let (mut server, mut workers) = loopback(job.num_workers);
+    let mut worker = workers.swap_remove(0);
+    let server_job = job.clone();
+    let serving = thread::spawn(move || serve(&server_job, &mut server));
+    worker
+        .send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            rank: 0,
+            num_workers: 1,
+            config_digest: job.stable_digest(),
+        })
+        .unwrap();
+    worker.send(&Message::JoinRequest).unwrap();
+    assert!(matches!(worker.recv(), Ok(Message::JoinAck { .. })));
+    worker.send(&Message::Pull { trace: 0 }).unwrap();
+    assert!(matches!(worker.recv(), Ok(Message::PullReply { .. })));
+    let push = Message::Push {
+        iteration: 1,
+        trace: 0,
+        grads: vec![0.0; params + 3],
+    };
+    worker.send(&push).unwrap();
+    match serving
+        .join()
+        .expect("serve must refuse the push, not panic")
+    {
+        Err(NetError::Protocol(msg)) => assert!(msg.contains("worker 0"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(matches!(
+        worker.recv(),
+        Ok(Message::Shutdown { reason }) if reason == SHUTDOWN_SERVER_ERROR
+    ));
 }

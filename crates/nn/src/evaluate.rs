@@ -61,14 +61,19 @@ impl Evaluator {
         self.model.param_len()
     }
 
-    /// Installs `weights` in the replica and returns the fraction of held-out examples
-    /// whose argmax logit equals the label (0.0 for an empty held-out batch).
+    /// Copies `weights` into the replica and returns the fraction of held-out examples
+    /// whose argmax logit equals the label (0.0 for an empty held-out batch). The
+    /// replica only runs forward passes, so it never holds a gradient vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the parameter count.
     pub fn accuracy(&mut self, weights: &[f32]) -> f32 {
         let n = self.labels.len();
         if n == 0 {
             return 0.0;
         }
-        self.model.set_params_flat(weights);
+        self.model.params_mut().copy_from_slice(weights);
         let row_len = self.features.len() / n;
         let mut correct = 0usize;
         for (rows, labels) in self
@@ -118,7 +123,7 @@ mod tests {
             // Non-trivial weights: the residual blocks' second convolutions start at zero.
             let weights = uniform_init(&[build().param_len()], 0.3, seed + 2);
             let mut whole = build();
-            whole.set_params_flat(weights.as_slice());
+            whole.params_mut().copy_from_slice(weights.as_slice());
             let reference = accuracy(&whole.forward(&x, false), &labels);
             let mut chunked = Evaluator::new(build(), (x, labels), chunk);
             prop_assert_eq!(chunked.accuracy(weights.as_slice()).to_bits(), reference.to_bits());

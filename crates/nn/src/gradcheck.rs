@@ -45,33 +45,28 @@ pub fn check_model_gradients(
 ) -> GradCheckReport {
     assert!(stride > 0, "stride must be positive");
     let loss_fn = SoftmaxCrossEntropy::new();
-    let params = model.params_flat();
-    assert!(!params.is_empty(), "model has no parameters to check");
+    assert!(model.param_len() > 0, "model has no parameters to check");
 
     // Analytic gradients from one forward + backward pass.
-    model.set_params_flat(&params);
     model.zero_grads();
     let logits = model.forward(input, true);
     let (_, grad) = loss_fn.loss_and_grad(&logits, labels);
     model.backward(&grad);
-    let analytic = model.grads_flat();
+    let analytic = model.grads().to_vec();
 
     let mut max_abs = 0.0f32;
     let mut max_rel = 0.0f32;
     let mut checked = 0usize;
-    let mut perturbed = params.clone();
-    for i in (0..params.len()).step_by(stride) {
-        let original = params[i];
+    for i in (0..model.param_len()).step_by(stride) {
+        let original = model.params()[i];
 
-        perturbed[i] = original + epsilon;
-        model.set_params_flat(&perturbed);
+        model.params_mut()[i] = original + epsilon;
         let plus = loss_fn.loss(&model.forward(input, true), labels);
 
-        perturbed[i] = original - epsilon;
-        model.set_params_flat(&perturbed);
+        model.params_mut()[i] = original - epsilon;
         let minus = loss_fn.loss(&model.forward(input, true), labels);
 
-        perturbed[i] = original;
+        model.params_mut()[i] = original;
         let numeric = (plus - minus) / (2.0 * epsilon);
         let a = analytic[i];
         let abs = (a - numeric).abs();
@@ -80,8 +75,6 @@ pub fn check_model_gradients(
         max_rel = max_rel.max(rel);
         checked += 1;
     }
-    // Restore the original parameters so the caller's model is unchanged.
-    model.set_params_flat(&params);
 
     GradCheckReport {
         max_abs_diff: max_abs,

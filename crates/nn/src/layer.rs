@@ -6,33 +6,32 @@ use dssp_tensor::Tensor;
 
 /// A differentiable layer.
 ///
-/// Layers own their parameters and accumulated gradients. The forward pass caches
-/// whatever intermediate state the backward pass needs **in the layer itself**, so a
-/// layer instance must be used in strict forward → backward order for a given
-/// mini-batch (which is how both the simulator and the threaded runtime drive it).
+/// A layer owns no parameters. Its model keeps one flat parameter vector and one flat
+/// gradient vector for all of its layers (the replica's "arena", see
+/// [`crate::Sequential`]); a pass hands each layer its own range of both, `param_len()`
+/// values long, in layer order. A layer reads its weights from its parameter range
+/// and accumulates its gradients into its gradient range. That flat view is exactly
+/// what a worker pulls from the parameter server and pushes back to it, mirroring the
+/// key-value tensor slices MXNet's KVStore exchanges in the paper's implementation.
 ///
-/// A layer implements the workspace-backed pair [`Layer::forward_ws`] /
-/// [`Layer::backward_ws`]; the allocating [`Layer::forward`] / [`Layer::backward`] are
-/// provided on top of it, so there is one implementation of every pass and no layer
-/// can fall off the zero-allocation path.
-///
-/// Parameters and gradients are exposed as flat `f32` slices via offset-based reads and
-/// writes. That flat view is exactly what a worker pushes to the parameter server and
-/// pulls back from it, mirroring the key-value tensor slices MXNet's KVStore exchanges
-/// in the paper's implementation.
+/// The forward pass caches whatever intermediate state the backward pass needs **in
+/// the layer itself**, so a layer instance must be used in strict forward → backward
+/// order for a given mini-batch (which is how both the simulator and the threaded
+/// runtime drive it).
 pub trait Layer: Send {
     /// Human-readable layer name used in diagnostics.
     fn name(&self) -> &str;
 
-    /// Forward pass: writes the output into `out`, taking any temporary it needs from
-    /// `scratch`, so a warmed workspace runs without heap allocations. `train` selects
-    /// training-time behaviour where relevant.
+    /// Forward pass on the parameters `params` (this layer's range of the model's
+    /// parameter vector): writes the output into `out`, taking any temporary it needs
+    /// from `scratch`, so a warmed workspace runs without heap allocations. `train`
+    /// selects training-time behaviour where relevant.
     ///
     /// `scratch` holds reusable buffers only; it carries nothing from this call to the
-    /// matching [`Layer::backward_ws`] (that state lives in the layer), which is why
-    /// the provided allocating methods may hand each call a fresh one.
+    /// matching [`Layer::backward_ws`] (that state lives in the layer).
     fn forward_ws(
         &mut self,
+        params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         train: bool,
@@ -40,8 +39,10 @@ pub trait Layer: Send {
     );
 
     /// Backward pass given the gradient with respect to this layer's output:
-    /// accumulates parameter gradients internally and, when `grad_input` is `Some`,
-    /// writes the gradient with respect to the layer input into it.
+    /// accumulates the parameter gradients into `grads` (this layer's range of the
+    /// model's gradient vector) and, when `grad_input` is `Some`, writes the gradient
+    /// with respect to the layer input into it. `params` is the range the matching
+    /// forward pass read.
     ///
     /// `None` means nobody reads the input gradient: the layer accumulates its
     /// parameter gradients, bitwise as with `Some`, and computes nothing else (a layer
@@ -50,47 +51,21 @@ pub trait Layer: Send {
     /// layer with parameters and runs no layer below it.
     fn backward_ws(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
     );
 
-    /// Allocating forward pass: [`Layer::forward_ws`] into a fresh tensor with fresh
-    /// scratch (bitwise the same result).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_ws(input, &mut out, train, &mut LayerScratch::default());
-        out
-    }
-
-    /// Allocating backward pass: [`Layer::backward_ws`] into a fresh tensor with fresh
-    /// scratch; returns the gradient with respect to the layer input.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::default();
-        self.backward_ws(
-            grad_output,
-            Some(&mut grad_input),
-            &mut LayerScratch::default(),
-        );
-        grad_input
-    }
-
-    /// Number of learnable parameters in this layer.
+    /// Number of learnable parameters in this layer: the length of its ranges.
     fn param_len(&self) -> usize {
         0
     }
 
-    /// Copies this layer's parameters into `out` (length must be `param_len()`).
-    fn read_params(&self, _out: &mut [f32]) {}
-
-    /// Overwrites this layer's parameters from `src` (length must be `param_len()`).
-    fn write_params(&mut self, _src: &[f32]) {}
-
-    /// Copies this layer's accumulated gradients into `out`.
-    fn read_grads(&self, _out: &mut [f32]) {}
-
-    /// Resets the accumulated gradients to zero.
-    fn zero_grads(&mut self) {}
+    /// Writes this layer's initial parameters into `params` (its range of a freshly
+    /// built model's parameter vector), each layer from its own seed.
+    fn init_params(&self, _params: &mut [f32]) {}
 
     /// Floating-point operations needed for one example's forward + backward pass.
     ///
@@ -99,6 +74,11 @@ pub trait Layer: Send {
 }
 
 /// A trainable model: the object a data-parallel worker replicates.
+///
+/// A replica holds one copy of its parameters, the flat vector a pull writes into
+/// ([`Model::params_mut`]), and, once it has run a backward pass, one flat gradient
+/// vector a push reads ([`Model::grads`]); both are in layer order, row-major within
+/// layers. A replica that only evaluates never holds gradients.
 ///
 /// [`crate::Sequential`] is the only implementation in this crate, but the trait keeps
 /// the distributed runtimes decoupled from the concrete architecture.
@@ -112,18 +92,22 @@ pub trait Model: Send {
     /// Total number of learnable parameters.
     fn param_len(&self) -> usize;
 
-    /// Returns all parameters as one flat vector (layer order, row-major within layers).
-    fn params_flat(&self) -> Vec<f32>;
+    /// The parameter vector (layer order, row-major within layers).
+    fn params(&self) -> &[f32];
 
-    /// Overwrites all parameters from a flat vector.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `src.len() != param_len()`.
-    fn set_params_flat(&mut self, src: &[f32]);
+    /// The parameter vector, for a pull to write in place. A caller that changes its
+    /// length breaks the replica until it is restored: a pass over a vector of any
+    /// length but [`Model::param_len`] panics.
+    fn params_mut(&mut self) -> &mut Vec<f32>;
 
-    /// Returns all accumulated gradients as one flat vector.
-    fn grads_flat(&self) -> Vec<f32>;
+    /// Returns a copy of the parameter vector.
+    fn params_flat(&self) -> Vec<f32> {
+        self.params().to_vec()
+    }
+
+    /// The accumulated gradients, in the parameter vector's order: empty until the
+    /// first backward pass allocates them, [`Model::param_len`] long after.
+    fn grads(&self) -> &[f32];
 
     /// Resets accumulated gradients to zero.
     fn zero_grads(&mut self);

@@ -7,8 +7,9 @@
 //!
 //! Every layer implements the workspace-backed [`Layer::forward_ws`] /
 //! [`Layer::backward_ws`] pair on the `*_into` kernels, reusing every intermediate
-//! buffer across iterations; the allocating [`Layer::forward`] / [`Layer::backward`]
-//! are the trait's provided wrappers over that pair.
+//! buffer across iterations. A parameter layer's range of its model's parameter
+//! vector is its weights, row-major, then its bias; its gradient range is laid out the
+//! same way.
 
 use crate::workspace::LayerScratch;
 use crate::Layer;
@@ -17,7 +18,15 @@ use dssp_tensor::{
     max_pool2d_into, xavier_uniform, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
 };
 
-/// Fully connected (dense) layer: `y = x W + b`.
+/// Adds `add` into `acc` elementwise: a layer's per-batch gradient into its range of
+/// the model's gradient vector.
+fn accumulate(acc: &mut [f32], add: &Tensor) {
+    for (a, b) in acc.iter_mut().zip(add.as_slice()) {
+        *a += *b;
+    }
+}
+
+/// Fully connected (dense) layer: `y = x W + b`, with `W` its `in x out` weights.
 ///
 /// Dense layers are what give the paper's "DNNs with fully connected layers" category
 /// (the downsized AlexNet) its large parameter count relative to compute, and therefore
@@ -27,41 +36,25 @@ pub struct DenseLayer {
     name: String,
     in_features: usize,
     out_features: usize,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    seed: u64,
     cached_input: Option<Tensor>,
 }
 
 impl DenseLayer {
-    /// Creates a dense layer with Xavier-uniform initialised weights.
+    /// Creates a dense layer whose weights initialise Xavier-uniform from `seed`.
     pub fn new(in_features: usize, out_features: usize, seed: u64) -> Self {
         Self {
             name: format!("dense_{in_features}x{out_features}"),
             in_features,
             out_features,
-            weight: xavier_uniform(
-                in_features,
-                out_features,
-                &[in_features, out_features],
-                seed,
-            ),
-            bias: Tensor::zeros(&[out_features]),
-            grad_weight: Tensor::zeros(&[in_features, out_features]),
-            grad_bias: Tensor::zeros(&[out_features]),
+            seed,
             cached_input: None,
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
+    /// Length of the weight part of the layer's range; the bias follows it.
+    fn weight_len(&self) -> usize {
+        self.in_features * self.out_features
     }
 
     /// Stores a copy of the forward input for the backward pass, reusing the cache
@@ -80,6 +73,7 @@ impl Layer for DenseLayer {
 
     fn forward_ws(
         &mut self,
+        params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         _train: bool,
@@ -87,12 +81,15 @@ impl Layer for DenseLayer {
     ) {
         debug_assert_eq!(input.shape().dim(1), self.in_features);
         self.cache_input(input);
-        input.matmul_into(&self.weight, out);
-        out.add_row_broadcast_inplace(&self.bias);
+        let (weight, bias) = params.split_at(self.weight_len());
+        input.matmul_slice_into(weight, self.out_features, out);
+        out.add_row_broadcast_inplace(bias);
     }
 
     fn backward_ws(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
@@ -101,41 +98,26 @@ impl Layer for DenseLayer {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
+        let w = self.weight_len();
+        let (grad_weight, grad_bias) = grads.split_at_mut(w);
         // dW += x^T g (in one pass) ; db += sum_rows(g) ; dx = g W^T if asked for
-        self.grad_weight.add_matmul_tn(input, grad_output);
+        input.matmul_tn_add_into(grad_output, grad_weight);
         let db = scratch.buf(0);
         grad_output.sum_rows_into(db);
-        self.grad_bias.add_assign(db);
+        accumulate(grad_bias, db);
         if let Some(grad_input) = grad_input {
-            grad_output.matmul_nt_into(&self.weight, grad_input);
+            grad_output.matmul_nt_slice_into(&params[..w], self.in_features, grad_input);
         }
     }
 
     fn param_len(&self) -> usize {
-        self.weight.len() + self.bias.len()
+        self.weight_len() + self.out_features
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let w = self.weight.len();
-        out[..w].copy_from_slice(self.weight.as_slice());
-        out[w..].copy_from_slice(self.bias.as_slice());
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let w = self.weight.len();
-        self.weight.as_mut_slice().copy_from_slice(&src[..w]);
-        self.bias.as_mut_slice().copy_from_slice(&src[w..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let w = self.grad_weight.len();
-        out[..w].copy_from_slice(self.grad_weight.as_slice());
-        out[w..].copy_from_slice(self.grad_bias.as_slice());
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
+    fn init_params(&self, params: &mut [f32]) {
+        let (weight, bias) = params.split_at_mut(self.weight_len());
+        xavier_uniform(self.in_features, self.out_features, weight, self.seed);
+        bias.fill(0.0);
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -156,6 +138,7 @@ impl Layer for PackLanes {
 
     fn forward_ws(
         &mut self,
+        _params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         _train: bool,
@@ -166,6 +149,8 @@ impl Layer for PackLanes {
 
     fn backward_ws(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
@@ -180,29 +165,26 @@ impl Layer for PackLanes {
     }
 }
 
-/// 2-D convolution layer over `[C, H, W, N]` input with square kernels.
+/// 2-D convolution layer over `[C, H, W, N]` input with square kernels. Its weights
+/// are `[OC, C*K*K]` (filters flattened row-major).
 #[derive(Debug)]
 pub struct Conv2dLayer {
     name: String,
     spec: Conv2dSpec,
     in_h: usize,
     in_w: usize,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    seed: u64,
     /// The input as the convolution kernels packed it (`[C, H+2p, W+2p, N]`).
     cached_packed: Option<Tensor>,
     conv_scratch: ConvScratch,
 }
 
 impl Conv2dLayer {
-    /// Creates a convolution layer with He-normal initialised filters.
+    /// Creates a convolution layer whose filters initialise He-normal from `seed`.
     ///
     /// `in_h`/`in_w` are the spatial dimensions this layer will receive; our models use
     /// fixed input sizes so the output size is known statically.
     pub fn new(spec: Conv2dSpec, in_h: usize, in_w: usize, seed: u64) -> Self {
-        let fan_in = spec.in_channels * spec.kernel * spec.kernel;
         Self {
             name: format!(
                 "conv_{}x{}x{}k{}",
@@ -211,18 +193,10 @@ impl Conv2dLayer {
             spec,
             in_h,
             in_w,
-            weight: he_normal(fan_in, &[spec.out_channels, fan_in], seed),
-            bias: Tensor::zeros(&[spec.out_channels]),
-            grad_weight: Tensor::zeros(&[spec.out_channels, fan_in]),
-            grad_bias: Tensor::zeros(&[spec.out_channels]),
+            seed,
             cached_packed: None,
             conv_scratch: ConvScratch::default(),
         }
-    }
-
-    /// The convolution specification (channels, kernel, stride, padding).
-    pub fn spec(&self) -> &Conv2dSpec {
-        &self.spec
     }
 
     /// Output spatial side length.
@@ -243,16 +217,18 @@ impl Layer for Conv2dLayer {
 
     fn forward_ws(
         &mut self,
+        params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         _train: bool,
         _scratch: &mut LayerScratch,
     ) {
+        let (weight, bias) = params.split_at(self.spec.weight_count());
         let packed = self.cached_packed.get_or_insert_with(Tensor::default);
         conv2d_lanes_into(
             input,
-            &self.weight,
-            &self.bias,
+            weight,
+            bias,
             self.in_h,
             self.in_w,
             &self.spec,
@@ -264,6 +240,8 @@ impl Layer for Conv2dLayer {
 
     fn backward_ws(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
@@ -272,12 +250,13 @@ impl Layer for Conv2dLayer {
             .cached_packed
             .as_ref()
             .expect("backward called before forward");
+        let w = self.spec.weight_count();
         let (bufs, _) = scratch.parts(2, 0);
         let (dw, db) = bufs.split_at_mut(1);
         conv2d_lanes_backward_into(
             grad_output,
             packed,
-            &self.weight,
+            &params[..w],
             self.in_h,
             self.in_w,
             &self.spec,
@@ -286,35 +265,20 @@ impl Layer for Conv2dLayer {
             &mut dw[0],
             &mut db[0],
         );
-        self.grad_weight.add_assign(&dw[0]);
-        self.grad_bias.add_assign(&db[0]);
+        let (grad_weight, grad_bias) = grads.split_at_mut(w);
+        accumulate(grad_weight, &dw[0]);
+        accumulate(grad_bias, &db[0]);
     }
 
     fn param_len(&self) -> usize {
-        self.weight.len() + self.bias.len()
+        self.spec.weight_count() + self.spec.out_channels
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let w = self.weight.len();
-        out[..w].copy_from_slice(self.weight.as_slice());
-        out[w..].copy_from_slice(self.bias.as_slice());
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let w = self.weight.len();
-        self.weight.as_mut_slice().copy_from_slice(&src[..w]);
-        self.bias.as_mut_slice().copy_from_slice(&src[w..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let w = self.grad_weight.len();
-        out[..w].copy_from_slice(self.grad_weight.as_slice());
-        out[w..].copy_from_slice(self.grad_bias.as_slice());
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
+    fn init_params(&self, params: &mut [f32]) {
+        let fan_in = self.spec.in_channels * self.spec.kernel * self.spec.kernel;
+        let (weight, bias) = params.split_at_mut(self.spec.weight_count());
+        he_normal(fan_in, weight, self.seed);
+        bias.fill(0.0);
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -346,6 +310,7 @@ impl Layer for ReluLayer {
 
     fn forward_ws(
         &mut self,
+        _params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         _train: bool,
@@ -370,6 +335,8 @@ impl Layer for ReluLayer {
 
     fn backward_ws(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
@@ -412,11 +379,6 @@ impl MaxPool2dLayer {
             winners: Vec::new(),
         }
     }
-
-    /// Output spatial side length.
-    pub fn out_h(&self) -> usize {
-        self.spec.out_size(self.in_h)
-    }
 }
 
 impl Layer for MaxPool2dLayer {
@@ -426,6 +388,7 @@ impl Layer for MaxPool2dLayer {
 
     fn forward_ws(
         &mut self,
+        _params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         _train: bool,
@@ -443,6 +406,8 @@ impl Layer for MaxPool2dLayer {
 
     fn backward_ws(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
@@ -483,6 +448,7 @@ impl Layer for Flatten {
 
     fn forward_ws(
         &mut self,
+        _params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         _train: bool,
@@ -497,6 +463,8 @@ impl Layer for Flatten {
 
     fn backward_ws(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         _scratch: &mut LayerScratch,
@@ -550,13 +518,11 @@ impl ResidualBlock {
             stride: 1,
             padding: 1,
         };
-        let mut conv2 = Conv2dLayer::new(spec, h, w, seed.wrapping_mul(31).wrapping_add(2));
-        conv2.write_params(&vec![0.0; conv2.param_len()]);
         Self {
             name: format!("resblock_{channels}ch"),
             conv1: Conv2dLayer::new(spec, h, w, seed.wrapping_mul(31).wrapping_add(1)),
             relu1: ReluLayer::new(),
-            conv2,
+            conv2: Conv2dLayer::new(spec, h, w, seed.wrapping_mul(31).wrapping_add(2)),
             relu_out: ReluLayer::new(),
         }
     }
@@ -569,28 +535,35 @@ impl Layer for ResidualBlock {
 
     fn forward_ws(
         &mut self,
+        params: &[f32],
         input: &Tensor,
         out: &mut Tensor,
         train: bool,
         scratch: &mut LayerScratch,
     ) {
+        let (p1, p2) = params.split_at(self.conv1.param_len());
         let (bufs, kids) = scratch.parts(2, 4);
         let (a, b) = bufs.split_at_mut(1);
         let (a, b) = (&mut a[0], &mut b[0]);
-        self.conv1.forward_ws(input, a, train, &mut kids[0]);
-        self.relu1.forward_ws(a, b, train, &mut kids[1]);
-        self.conv2.forward_ws(b, a, train, &mut kids[2]);
+        self.conv1.forward_ws(p1, input, a, train, &mut kids[0]);
+        self.relu1.forward_ws(&[], a, b, train, &mut kids[1]);
+        self.conv2.forward_ws(p2, b, a, train, &mut kids[2]);
         // summed = conv2(..) + x, accumulated in place.
         a.add_assign(input);
-        self.relu_out.forward_ws(a, out, train, &mut kids[3]);
+        self.relu_out.forward_ws(&[], a, out, train, &mut kids[3]);
     }
 
     fn backward_ws(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
         scratch: &mut LayerScratch,
     ) {
+        let n1 = self.conv1.param_len();
+        let (p1, p2) = params.split_at(n1);
+        let (g1, g2) = grads.split_at_mut(n1);
         let (bufs, kids) = scratch.parts(3, 4);
         let [a, b, own_sum, ..] = bufs else {
             unreachable!("parts(3, _) gives at least three buffers")
@@ -600,12 +573,14 @@ impl Layer for ResidualBlock {
         let wants_input = grad_input.is_some();
         let g_sum = grad_input.unwrap_or(own_sum);
         self.relu_out
-            .backward_ws(grad_output, Some(&mut *g_sum), &mut kids[3]);
+            .backward_ws(&[], &mut [], grad_output, Some(&mut *g_sum), &mut kids[3]);
         // Branch path: conv2 -> relu1 -> conv1.
-        self.conv2.backward_ws(g_sum, Some(&mut *a), &mut kids[2]);
-        self.relu1.backward_ws(a, Some(&mut *b), &mut kids[1]);
+        self.conv2
+            .backward_ws(p2, g2, g_sum, Some(&mut *a), &mut kids[2]);
+        self.relu1
+            .backward_ws(&[], &mut [], a, Some(&mut *b), &mut kids[1]);
         self.conv1
-            .backward_ws(b, wants_input.then_some(&mut *a), &mut kids[0]);
+            .backward_ws(p1, g1, b, wants_input.then_some(&mut *a), &mut kids[0]);
         if wants_input {
             // Skip path contributes g_sum directly: grad_input = g_branch + g_sum.
             for (o, &branch) in g_sum.as_mut_slice().iter_mut().zip(a.as_slice()) {
@@ -618,27 +593,11 @@ impl Layer for ResidualBlock {
         self.conv1.param_len() + self.conv2.param_len()
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let n1 = self.conv1.param_len();
-        self.conv1.read_params(&mut out[..n1]);
-        self.conv2.read_params(&mut out[n1..]);
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let n1 = self.conv1.param_len();
-        self.conv1.write_params(&src[..n1]);
-        self.conv2.write_params(&src[n1..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let n1 = self.conv1.param_len();
-        self.conv1.read_grads(&mut out[..n1]);
-        self.conv2.read_grads(&mut out[n1..]);
-    }
-
-    fn zero_grads(&mut self) {
-        self.conv1.zero_grads();
-        self.conv2.zero_grads();
+    fn init_params(&self, params: &mut [f32]) {
+        let (p1, p2) = params.split_at_mut(self.conv1.param_len());
+        self.conv1.init_params(p1);
+        // The second convolution starts at zero: see `ResidualBlock::new`.
+        p2.fill(0.0);
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -651,15 +610,35 @@ mod tests {
     use super::*;
     use dssp_tensor::uniform_init;
 
+    /// The layer's initial parameters, as a freshly built model holds them.
+    fn init(layer: &dyn Layer) -> Vec<f32> {
+        let mut params = vec![0.0; layer.param_len()];
+        layer.init_params(&mut params);
+        params
+    }
+
+    /// Forward pass on `params` into a fresh tensor with fresh scratch.
+    fn fwd(layer: &mut dyn Layer, params: &[f32], x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        layer.forward_ws(params, x, &mut out, true, &mut LayerScratch::default());
+        out
+    }
+
+    /// Backward pass accumulating into `grads`; returns the input gradient.
+    fn bwd(layer: &mut dyn Layer, params: &[f32], grads: &mut [f32], g: &Tensor) -> Tensor {
+        let mut grad_input = Tensor::default();
+        let scratch = &mut LayerScratch::default();
+        layer.backward_ws(params, grads, g, Some(&mut grad_input), scratch);
+        grad_input
+    }
+
     #[test]
     fn dense_forward_matches_manual_matmul() {
         let mut layer = DenseLayer::new(3, 2, 1);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        let params_len = layer.param_len();
-        assert_eq!(params_len, 3 * 2 + 2);
-        let mut params = vec![0.0; params_len];
-        layer.read_params(&mut params);
-        let y = layer.forward(&x, true);
+        assert_eq!(layer.param_len(), 3 * 2 + 2);
+        let params = init(&layer);
+        let y = fwd(&mut layer, &params, &x);
         // Manual: y_j = sum_i x_i * W[i][j] + b[j]
         let w = &params[..6];
         let b = &params[6..];
@@ -676,25 +655,20 @@ mod tests {
     fn dense_gradient_check() {
         let mut layer = DenseLayer::new(4, 3, 7);
         let x = uniform_init(&[2, 4], 1.0, 8);
-        let y = layer.forward(&x, true);
+        let params = init(&layer);
+        let y = fwd(&mut layer, &params, &x);
         let grad_out = Tensor::ones(y.shape().dims());
-        let grad_in = layer.backward(&grad_out);
         let mut grads = vec![0.0; layer.param_len()];
-        layer.read_grads(&mut grads);
+        let grad_in = bwd(&mut layer, &params, &mut grads, &grad_out);
 
-        let mut params = vec![0.0; layer.param_len()];
-        layer.read_params(&mut params);
         let eps = 1e-2f32;
         for &i in &[0usize, 5, 11, 13] {
             let mut p_plus = params.clone();
             p_plus[i] += eps;
-            layer.write_params(&p_plus);
-            let out_plus = layer.forward(&x, true).sum();
+            let out_plus = fwd(&mut layer, &p_plus, &x).sum();
             let mut p_minus = params.clone();
             p_minus[i] -= eps;
-            layer.write_params(&p_minus);
-            let out_minus = layer.forward(&x, true).sum();
-            layer.write_params(&params);
+            let out_minus = fwd(&mut layer, &p_minus, &x).sum();
             let numeric = (out_plus - out_minus) / (2.0 * eps);
             assert!(
                 (numeric - grads[i]).abs() < 0.02 * grads[i].abs().max(1.0),
@@ -717,9 +691,9 @@ mod tests {
     fn relu_masks_negative_gradients() {
         let mut relu = ReluLayer::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[1, 4]);
-        let y = relu.forward(&x, true);
+        let y = fwd(&mut relu, &[], &x);
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = relu.backward(&Tensor::ones(&[1, 4]));
+        let g = bwd(&mut relu, &[], &mut [], &Tensor::ones(&[1, 4]));
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -727,9 +701,9 @@ mod tests {
     fn flatten_round_trips_shape() {
         let mut f = Flatten::new();
         let x = uniform_init(&[3, 4, 4, 2], 1.0, 3);
-        let y = f.forward(&x, true);
+        let y = fwd(&mut f, &[], &x);
         assert_eq!(y.shape().dims(), &[2, 48]);
-        let g = f.backward(&y);
+        let g = bwd(&mut f, &[], &mut [], &y);
         assert_eq!(g.shape().dims(), &[3, 4, 4, 2]);
         assert_eq!(g.as_slice(), x.as_slice());
     }
@@ -737,13 +711,13 @@ mod tests {
     #[test]
     fn pack_lanes_and_flatten_compose_to_the_nchw_flatten() {
         let x = uniform_init(&[5, 3, 4, 2], 1.0, 3);
-        let lanes = PackLanes.forward(&x, true);
+        let lanes = fwd(&mut PackLanes, &[], &x);
         assert_eq!(lanes.shape().dims(), &[3, 4, 2, 5]);
         assert_eq!(lanes.as_slice()[7 * 5 + 2], x.as_slice()[2 * 24 + 7]);
-        let rows = Flatten::new().forward(&lanes, true);
+        let rows = fwd(&mut Flatten::new(), &[], &lanes);
         assert_eq!(rows.shape().dims(), &[5, 24]);
         assert_eq!(rows.as_slice(), x.as_slice());
-        let back = PackLanes.backward(&lanes);
+        let back = bwd(&mut PackLanes, &[], &mut [], &lanes);
         assert_eq!(back.shape().dims(), x.shape().dims());
         assert_eq!(back.as_slice(), x.as_slice());
     }
@@ -752,9 +726,9 @@ mod tests {
     fn maxpool_layer_halves_spatial_size() {
         let mut p = MaxPool2dLayer::new(2, 2, 4, 4);
         let x = uniform_init(&[2, 4, 4, 1], 1.0, 5);
-        let y = p.forward(&x, true);
+        let y = fwd(&mut p, &[], &x);
         assert_eq!(y.shape().dims(), &[2, 2, 2, 1]);
-        let g = p.backward(&Tensor::ones(y.shape().dims()));
+        let g = bwd(&mut p, &[], &mut [], &Tensor::ones(y.shape().dims()));
         assert_eq!(g.shape().dims(), &[2, 4, 4, 1]);
         assert_eq!(g.sum(), 8.0);
     }
@@ -763,7 +737,11 @@ mod tests {
     #[should_panic(expected = "max_pool2d input has shape [2, 6, 6, 1], expected [2, 4, 4]")]
     fn maxpool_layer_rejects_a_plane_of_another_side() {
         // 36 pixels a plane cut as 16-pixel planes would pool across plane boundaries.
-        MaxPool2dLayer::new(2, 2, 4, 4).forward(&Tensor::zeros(&[2, 6, 6, 1]), true);
+        fwd(
+            &mut MaxPool2dLayer::new(2, 2, 4, 4),
+            &[],
+            &Tensor::zeros(&[2, 6, 6, 1]),
+        );
     }
 
     #[test]
@@ -776,7 +754,9 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        Conv2dLayer::new(spec, 8, 8, 11).forward(&Tensor::zeros(&[5, 2, 8, 8]), true);
+        let mut layer = Conv2dLayer::new(spec, 8, 8, 11);
+        let params = init(&layer);
+        fwd(&mut layer, &params, &Tensor::zeros(&[5, 2, 8, 8]));
     }
 
     #[test]
@@ -789,22 +769,39 @@ mod tests {
             padding: 1,
         };
         let mut layer = Conv2dLayer::new(spec, 8, 8, 11);
-        let mut params = vec![0.0; layer.param_len()];
-        layer.read_params(&mut params);
-        let new_params: Vec<f32> = (0..params.len()).map(|i| i as f32 * 0.01).collect();
-        layer.write_params(&new_params);
-        let mut read_back = vec![0.0; layer.param_len()];
-        layer.read_params(&mut read_back);
-        assert_eq!(read_back, new_params);
+        // The range is the filters, then one bias per output channel (zero at first).
+        let params = init(&layer);
+        assert_eq!(params.len(), 4 * 2 * 9 + 4);
+        assert!(params[..72].iter().any(|&v| v != 0.0));
+        assert!(params[72..].iter().all(|&v| v == 0.0));
+        // With only the bias set, every output element is its channel's bias.
+        let mut bias_only = vec![0.0; params.len()];
+        bias_only[72..].copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let y = fwd(
+            &mut layer,
+            &bias_only,
+            &uniform_init(&[2, 8, 8, 3], 1.0, 12),
+        );
+        assert_eq!(y.shape().dims(), &[4, 8, 8, 3]);
+        for (c, plane) in y.as_slice().chunks(8 * 8 * 3).enumerate() {
+            assert!(plane.iter().all(|&v| v == (c + 1) as f32), "channel {c}");
+        }
     }
 
     #[test]
     fn residual_block_preserves_shape_and_has_skip_path() {
         let mut block = ResidualBlock::new(4, 6, 6, 3);
+        let params = init(&block);
         let x = uniform_init(&[4, 6, 6, 2], 1.0, 4);
-        let y = block.forward(&x, true);
+        let y = fwd(&mut block, &params, &x);
         assert_eq!(y.shape().dims(), x.shape().dims());
-        let g = block.backward(&Tensor::ones(y.shape().dims()));
+        let mut grads = vec![0.0; block.param_len()];
+        let g = bwd(
+            &mut block,
+            &params,
+            &mut grads,
+            &Tensor::ones(y.shape().dims()),
+        );
         assert_eq!(g.shape().dims(), x.shape().dims());
         // The skip connection guarantees a non-zero gradient path even if the conv
         // weights were zero.
@@ -814,27 +811,19 @@ mod tests {
     #[test]
     fn residual_block_gradient_check() {
         let mut block = ResidualBlock::new(2, 4, 4, 9);
+        let params = init(&block);
         let x = uniform_init(&[2, 4, 4, 1], 1.0, 10);
-        let y = block.forward(&x, true);
+        let y = fwd(&mut block, &params, &x);
         let grad_out = Tensor::ones(y.shape().dims());
-        block.zero_grads();
-        // Re-run forward so caches match the parameters used for the check.
-        let _ = block.forward(&x, true);
-        block.backward(&grad_out);
         let mut grads = vec![0.0; block.param_len()];
-        block.read_grads(&mut grads);
-        let mut params = vec![0.0; block.param_len()];
-        block.read_params(&mut params);
+        bwd(&mut block, &params, &mut grads, &grad_out);
         let eps = 1e-2f32;
         for &i in &[0usize, 17, 36, 53] {
             let mut p = params.clone();
             p[i] += eps;
-            block.write_params(&p);
-            let plus = block.forward(&x, true).sum();
+            let plus = fwd(&mut block, &p, &x).sum();
             p[i] -= 2.0 * eps;
-            block.write_params(&p);
-            let minus = block.forward(&x, true).sum();
-            block.write_params(&params);
+            let minus = fwd(&mut block, &p, &x).sum();
             let numeric = (plus - minus) / (2.0 * eps);
             assert!(
                 (numeric - grads[i]).abs() < 0.05 * grads[i].abs().max(1.0),

@@ -14,8 +14,10 @@
 //! * a [`CostProfile`] per model (FLOPs per example, parameter bytes) that feeds the
 //!   cluster time model in `dssp-cluster`.
 //!
-//! All parameters and gradients can be read and written as flat `f32` slices, which is
-//! the representation the parameter server (`dssp-ps`) pushes and pulls.
+//! A model replica holds its parameters as one flat `f32` vector and its gradients as
+//! another, laid out alike (each layer reads and accumulates into its own range):
+//! the representation the parameter server (`dssp-ps`) pushes and pulls, so a worker
+//! pulls straight into the one and pushes straight from the other.
 //!
 //! # Example
 //!

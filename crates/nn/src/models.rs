@@ -17,7 +17,7 @@
 use crate::layers::{
     Conv2dLayer, DenseLayer, Flatten, MaxPool2dLayer, PackLanes, ReluLayer, ResidualBlock,
 };
-use crate::Sequential;
+use crate::{Layer, Sequential};
 use dssp_tensor::Conv2dSpec;
 use serde::{Deserialize, Serialize};
 
@@ -122,28 +122,31 @@ impl ModelSpec {
 
 /// Builds a multi-layer perceptron with ReLU activations.
 pub fn mlp(input_dim: usize, hidden: &[usize], classes: usize, seed: u64) -> Sequential {
-    let mut model = Sequential::new(format!("mlp-{}h", hidden.len()));
+    let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     let mut prev = input_dim;
     for (i, &h) in hidden.iter().enumerate() {
-        model.add(Box::new(DenseLayer::new(
+        layers.push(Box::new(DenseLayer::new(
             prev,
             h,
             seed.wrapping_add(i as u64 * 101),
         )));
-        model.add(Box::new(ReluLayer::new()));
+        layers.push(Box::new(ReluLayer::new()));
         prev = h;
     }
-    model.add(Box::new(DenseLayer::new(
+    layers.push(Box::new(DenseLayer::new(
         prev,
         classes,
         seed.wrapping_add(9999),
     )));
-    model
+    Sequential::new(format!("mlp-{}h", hidden.len()), layers)
 }
 
 /// Builds a multinomial logistic-regression model (a single dense layer).
 pub fn logistic_regression(input_dim: usize, classes: usize, seed: u64) -> Sequential {
-    Sequential::new("logreg").push(Box::new(DenseLayer::new(input_dim, classes, seed)))
+    Sequential::new(
+        "logreg",
+        vec![Box::new(DenseLayer::new(input_dim, classes, seed))],
+    )
 }
 
 /// Builds the downsized-AlexNet analogue: 3 convolutional layers, 2 fully connected
@@ -165,48 +168,27 @@ pub fn downsized_alexnet(image_side: usize, classes: usize, seed: u64) -> Sequen
         stride: 1,
         padding: 1,
     };
-    let mut m = Sequential::new("downsized-alexnet");
-    m.add(Box::new(PackLanes));
-    m.add(Box::new(Conv2dLayer::new(
-        conv(3, 8),
-        s,
-        s,
-        seed.wrapping_add(1),
-    )));
-    m.add(Box::new(ReluLayer::new()));
-    m.add(Box::new(MaxPool2dLayer::new(2, 2, s, s)));
-    let s2 = s / 2;
-    m.add(Box::new(Conv2dLayer::new(
-        conv(8, 16),
-        s2,
-        s2,
-        seed.wrapping_add(2),
-    )));
-    m.add(Box::new(ReluLayer::new()));
-    m.add(Box::new(MaxPool2dLayer::new(2, 2, s2, s2)));
-    let s4 = s / 4;
-    m.add(Box::new(Conv2dLayer::new(
-        conv(16, 16),
-        s4,
-        s4,
-        seed.wrapping_add(3),
-    )));
-    m.add(Box::new(ReluLayer::new()));
-    m.add(Box::new(MaxPool2dLayer::new(2, 2, s4, s4)));
-    let s8 = s / 8;
-    m.add(Box::new(Flatten::new()));
-    let feat = 16 * s8 * s8;
-    // A wide hidden layer keeps the parameter count dominated by the fully connected
-    // part, as in the real (downsized) AlexNet, so the model lands in the paper's
-    // communication-bound category.
-    m.add(Box::new(DenseLayer::new(feat, 384, seed.wrapping_add(4))));
-    m.add(Box::new(ReluLayer::new()));
-    m.add(Box::new(DenseLayer::new(
-        384,
-        classes,
-        seed.wrapping_add(5),
-    )));
-    m
+    let (s2, s4, s8) = (s / 2, s / 4, s / 8);
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(PackLanes),
+        Box::new(Conv2dLayer::new(conv(3, 8), s, s, seed.wrapping_add(1))),
+        Box::new(ReluLayer::new()),
+        Box::new(MaxPool2dLayer::new(2, 2, s, s)),
+        Box::new(Conv2dLayer::new(conv(8, 16), s2, s2, seed.wrapping_add(2))),
+        Box::new(ReluLayer::new()),
+        Box::new(MaxPool2dLayer::new(2, 2, s2, s2)),
+        Box::new(Conv2dLayer::new(conv(16, 16), s4, s4, seed.wrapping_add(3))),
+        Box::new(ReluLayer::new()),
+        Box::new(MaxPool2dLayer::new(2, 2, s4, s4)),
+        Box::new(Flatten::new()),
+        // A wide hidden layer keeps the parameter count dominated by the fully
+        // connected part, as in the real (downsized) AlexNet, so the model lands in
+        // the paper's communication-bound category.
+        Box::new(DenseLayer::new(16 * s8 * s8, 384, seed.wrapping_add(4))),
+        Box::new(ReluLayer::new()),
+        Box::new(DenseLayer::new(384, classes, seed.wrapping_add(5))),
+    ];
+    Sequential::new("downsized-alexnet", layers)
 }
 
 /// Builds a CIFAR-style residual network: a stem convolution followed by `blocks`
@@ -229,41 +211,33 @@ pub fn resnet_cifar(image_side: usize, blocks: usize, classes: usize, seed: u64)
     // the stacked 3x3 convolutions keep the FLOP count high — the paper's
     // "compute-bound, few parameters" category.
     let channels = 8usize;
-    let mut m = Sequential::new(format!("resnet-cifar-{blocks}b"));
-    m.add(Box::new(PackLanes));
+    let (s2, s4) = (s / 2, s / 4);
+    let stem = Conv2dSpec {
+        in_channels: 3,
+        out_channels: channels,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
     // Stem: 3 -> channels, then halve spatial size to keep block compute bounded.
-    m.add(Box::new(Conv2dLayer::new(
-        Conv2dSpec {
-            in_channels: 3,
-            out_channels: channels,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        },
-        s,
-        s,
-        seed.wrapping_add(1),
-    )));
-    m.add(Box::new(ReluLayer::new()));
-    m.add(Box::new(MaxPool2dLayer::new(2, 2, s, s)));
-    let s2 = s / 2;
+    let mut layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(PackLanes),
+        Box::new(Conv2dLayer::new(stem, s, s, seed.wrapping_add(1))),
+        Box::new(ReluLayer::new()),
+        Box::new(MaxPool2dLayer::new(2, 2, s, s)),
+    ];
     for b in 0..blocks {
-        m.add(Box::new(ResidualBlock::new(
-            channels,
-            s2,
-            s2,
-            seed.wrapping_add(100 + b as u64),
-        )));
+        let seed = seed.wrapping_add(100 + b as u64);
+        layers.push(Box::new(ResidualBlock::new(channels, s2, s2, seed)));
     }
-    m.add(Box::new(MaxPool2dLayer::new(2, 2, s2, s2)));
-    let s4 = s / 4;
-    m.add(Box::new(Flatten::new()));
-    m.add(Box::new(DenseLayer::new(
+    layers.push(Box::new(MaxPool2dLayer::new(2, 2, s2, s2)));
+    layers.push(Box::new(Flatten::new()));
+    layers.push(Box::new(DenseLayer::new(
         channels * s4 * s4,
         classes,
         seed.wrapping_add(9999),
     )));
-    m
+    Sequential::new(format!("resnet-cifar-{blocks}b"), layers)
 }
 
 #[cfg(test)]
@@ -366,9 +340,8 @@ mod tests {
             let (_, grad) = ce.loss_and_grad(&logits, &labels);
             model.zero_grads();
             model.backward(&grad);
-            let mut params = model.params_flat();
-            sgd.step(&mut params, &model.grads_flat());
-            model.set_params_flat(&params);
+            let (params, grads) = model.arenas();
+            sgd.step(params, grads);
         }
         let logits = model.forward(&x, false);
         assert!(accuracy(&logits, &labels) > 0.95);

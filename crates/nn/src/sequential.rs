@@ -3,15 +3,29 @@
 use crate::workspace::Workspace;
 use crate::{Layer, Model};
 use dssp_tensor::Tensor;
+use std::ops::Range;
 
 /// A feed-forward stack of layers executed in order.
 ///
 /// `Sequential` is the model representation every worker replica holds in the DSSP
 /// reproduction: the downsized AlexNet, the CIFAR ResNets and the MLP baselines are all
 /// built as `Sequential` stacks by [`crate::models`].
+///
+/// It holds the replica's one copy of the parameters, a flat vector in layer order
+/// (each layer's weights row-major, then its bias), and one flat gradient vector laid
+/// out the same way; every pass hands each layer its own range of both (the
+/// "arena"). A pull writes the parameter vector in place and a push reads the gradient
+/// vector as it is: nothing is copied between the model and the wire. The gradient
+/// vector is allocated by the first backward pass, so a replica that only evaluates
+/// holds none.
 pub struct Sequential {
     arch_name: String,
     layers: Vec<Box<dyn Layer>>,
+    /// Each layer's range of the two vectors, in layer order.
+    ranges: Vec<Range<usize>>,
+    params: Vec<f32>,
+    /// Empty until the first backward pass, then as long as `params`.
+    grads: Vec<f32>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -25,37 +39,67 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Sequential {
-    /// Creates an empty model with the given architecture name.
-    pub fn new(arch_name: impl Into<String>) -> Self {
+    /// Builds a model from its layers, in order: allocates the parameter vector once
+    /// and has every layer initialise its range of it.
+    pub fn new(arch_name: impl Into<String>, layers: Vec<Box<dyn Layer>>) -> Self {
+        let mut end = 0;
+        let ranges: Vec<Range<usize>> = layers
+            .iter()
+            .map(|layer| {
+                let start = end;
+                end += layer.param_len();
+                start..end
+            })
+            .collect();
+        let mut params = vec![0.0; end];
+        for (layer, range) in layers.iter().zip(&ranges) {
+            layer.init_params(&mut params[range.clone()]);
+        }
         Self {
             arch_name: arch_name.into(),
-            layers: Vec::new(),
+            layers,
+            ranges,
+            params,
+            grads: Vec::new(),
         }
     }
 
-    /// Appends a layer, returning `self` for chaining.
-    pub fn push(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
-        self
+    /// The parameter vector for a pull to write and the gradient vector for the push
+    /// that goes out at the same time (a group worker's push reads the weights of the
+    /// next round in).
+    pub fn arenas(&mut self) -> (&mut Vec<f32>, &[f32]) {
+        (&mut self.params, &self.grads)
     }
 
-    /// Appends a layer in place.
-    pub fn add(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
+    /// Panics unless the parameter vector has the model's length.
+    fn check_params(&self) {
+        assert_eq!(
+            self.params.len(),
+            self.param_len(),
+            "the parameter vector of {} holds {} values, the model has {} parameters",
+            self.arch_name,
+            self.params.len(),
+            self.param_len()
+        );
     }
 
-    /// Workspace-backed forward pass over the whole stack.
+    /// Workspace-backed forward pass over the whole stack, on the parameter vector.
     ///
     /// Activations ping-pong between the workspace's two activation buffers, and each
     /// layer keeps its intermediates in its own [`crate::LayerScratch`], so once `ws`
     /// has been warmed by one step this performs no heap allocations. Returns a
     /// reference to the output activation (owned by `ws`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter vector's length is not [`Model::param_len`].
     pub fn forward_ws<'w>(
         &mut self,
         input: &Tensor,
         train: bool,
         ws: &'w mut Workspace,
     ) -> &'w Tensor {
+        self.check_params();
         ws.ensure_layers(self.layers.len());
         ws.ping.assign(input);
         let mut flip = false;
@@ -65,7 +109,8 @@ impl Sequential {
             } else {
                 (&ws.ping, &mut ws.pong)
             };
-            layer.forward_ws(src, dst, train, &mut ws.layers[i]);
+            let params = &self.params[self.ranges[i].clone()];
+            layer.forward_ws(params, src, dst, train, &mut ws.layers[i]);
             flip = !flip;
         }
         if flip {
@@ -77,9 +122,8 @@ impl Sequential {
 
     /// Workspace-backed backward pass, mirroring [`Sequential::forward_ws`].
     ///
-    /// Parameter gradients accumulate inside the layers exactly as with
-    /// [`Model::backward`]; the returned reference is the gradient with respect to the
-    /// model input (owned by `ws`).
+    /// Parameter gradients accumulate into the gradient vector; the returned reference
+    /// is the gradient with respect to the model input (owned by `ws`).
     pub fn backward_ws<'w>(&mut self, grad_output: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
         if self.layers.is_empty() {
             ws.input_grad.assign(grad_output);
@@ -100,8 +144,13 @@ impl Sequential {
     /// The one backward loop. Gradients ping-pong between the workspace's two buffers
     /// from the top layer down. With `input_grad` every layer runs and the bottom one
     /// writes the model input's gradient into `ws.input_grad`; without, the loop ends at
-    /// the first layer with parameters, which is handed no input-gradient buffer.
+    /// the first layer with parameters, which is handed no input-gradient buffer. The
+    /// first call allocates the gradient vector, zeroed.
     fn backward_layers(&mut self, grad_output: &Tensor, ws: &mut Workspace, input_grad: bool) {
+        self.check_params();
+        if self.grads.is_empty() {
+            self.grads = vec![0.0; self.params.len()];
+        }
         ws.ensure_layers(self.layers.len());
         let bottom = if input_grad {
             0
@@ -122,29 +171,15 @@ impl Sequential {
             } else {
                 input_grad.then_some(&mut ws.input_grad)
             };
-            layer.backward_ws(src, dst, &mut ws.layers[i]);
+            let range = self.ranges[i].clone();
+            layer.backward_ws(
+                &self.params[range.clone()],
+                &mut self.grads[range],
+                src,
+                dst,
+                &mut ws.layers[i],
+            );
             flip = !flip;
-        }
-    }
-
-    /// Copies all accumulated gradients into `out` (length must be
-    /// [`Model::param_len`]), the allocation-free sibling of [`Model::grads_flat`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.param_len()`.
-    pub fn read_grads_into(&self, out: &mut [f32]) {
-        assert_eq!(
-            out.len(),
-            self.param_len(),
-            "gradient buffer length mismatch for {}",
-            self.arch_name
-        );
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_len();
-            layer.read_grads(&mut out[offset..offset + n]);
-            offset += n;
         }
     }
 
@@ -172,66 +207,31 @@ impl Sequential {
 
 impl Model for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
+        self.forward_ws(input, train, &mut Workspace::new()).clone()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        self.backward_ws(grad_output, &mut Workspace::new()).clone()
     }
 
     fn param_len(&self) -> usize {
-        self.layers.iter().map(|l| l.param_len()).sum()
+        self.ranges.last().map_or(0, |r| r.end)
     }
 
-    fn params_flat(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.param_len()];
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_len();
-            layer.read_params(&mut out[offset..offset + n]);
-            offset += n;
-        }
-        out
+    fn params(&self) -> &[f32] {
+        &self.params
     }
 
-    fn set_params_flat(&mut self, src: &[f32]) {
-        assert_eq!(
-            src.len(),
-            self.param_len(),
-            "parameter vector length mismatch for {}",
-            self.arch_name
-        );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            let n = layer.param_len();
-            layer.write_params(&src[offset..offset + n]);
-            offset += n;
-        }
+    fn params_mut(&mut self) -> &mut Vec<f32> {
+        &mut self.params
     }
 
-    fn grads_flat(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.param_len()];
-        let mut offset = 0;
-        for layer in &self.layers {
-            let n = layer.param_len();
-            layer.read_grads(&mut out[offset..offset + n]);
-            offset += n;
-        }
-        out
+    fn grads(&self) -> &[f32] {
+        &self.grads
     }
 
     fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 
     fn flops_per_example(&self) -> u64 {
@@ -250,10 +250,14 @@ mod tests {
     use dssp_tensor::uniform_init;
 
     fn tiny_mlp() -> Sequential {
-        Sequential::new("tiny")
-            .push(Box::new(DenseLayer::new(4, 8, 1)))
-            .push(Box::new(ReluLayer::new()))
-            .push(Box::new(DenseLayer::new(8, 3, 2)))
+        Sequential::new(
+            "tiny",
+            vec![
+                Box::new(DenseLayer::new(4, 8, 1)),
+                Box::new(ReluLayer::new()),
+                Box::new(DenseLayer::new(8, 3, 2)),
+            ],
+        )
     }
 
     #[test]
@@ -267,18 +271,32 @@ mod tests {
     #[test]
     fn params_flat_roundtrip() {
         let mut m = tiny_mlp();
-        let p = m.params_flat();
-        assert_eq!(p.len(), m.param_len());
-        let new: Vec<f32> = (0..p.len()).map(|i| i as f32 * 1e-3).collect();
-        m.set_params_flat(&new);
+        assert_eq!(m.params_flat().len(), m.param_len());
+        let new: Vec<f32> = (0..m.param_len()).map(|i| i as f32 * 1e-3).collect();
+        m.params_mut().copy_from_slice(&new);
         assert_eq!(m.params_flat(), new);
+        // A pass runs on the vector as written: all-zero weights, all-zero logits.
+        m.params_mut().fill(0.0);
+        let x = uniform_init(&[2, 4], 1.0, 4);
+        assert!(m.forward(&x, true).as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    #[should_panic(expected = "parameter vector length mismatch")]
+    #[should_panic(expected = "the parameter vector of tiny holds 3 values, the model has 67")]
     fn set_params_with_wrong_length_panics() {
         let mut m = tiny_mlp();
-        m.set_params_flat(&[0.0; 3]);
+        m.params_mut().truncate(3);
+        m.forward(&uniform_init(&[2, 4], 1.0, 4), true);
+    }
+
+    #[test]
+    fn gradients_are_allocated_by_the_first_backward() {
+        let mut m = tiny_mlp();
+        m.zero_grads();
+        assert!(m.grads().is_empty());
+        let y = m.forward(&uniform_init(&[2, 4], 1.0, 5), true);
+        m.backward(&Tensor::ones(y.shape().dims()));
+        assert_eq!(m.grads().len(), m.param_len());
     }
 
     #[test]
@@ -286,10 +304,10 @@ mod tests {
         let mut m = tiny_mlp();
         let x = uniform_init(&[2, 4], 1.0, 5);
         let y = m.forward(&x, true);
-        m.backward(&dssp_tensor::Tensor::ones(y.shape().dims()));
-        assert!(m.grads_flat().iter().any(|&g| g != 0.0));
+        m.backward(&Tensor::ones(y.shape().dims()));
+        assert!(m.grads().iter().any(|&g| g != 0.0));
         m.zero_grads();
-        assert!(m.grads_flat().iter().all(|&g| g == 0.0));
+        assert!(m.grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -297,13 +315,12 @@ mod tests {
         let mut m = tiny_mlp();
         let x = uniform_init(&[2, 4], 1.0, 6);
         let y = m.forward(&x, true);
-        let ones = dssp_tensor::Tensor::ones(y.shape().dims());
+        let ones = Tensor::ones(y.shape().dims());
         m.backward(&ones);
-        let g1 = m.grads_flat();
+        let g1 = m.grads().to_vec();
         let _ = m.forward(&x, true);
         m.backward(&ones);
-        let g2 = m.grads_flat();
-        for (a, b) in g1.iter().zip(&g2) {
+        for (a, b) in g1.iter().zip(m.grads()) {
             assert!((b - 2.0 * a).abs() < 1e-4);
         }
     }

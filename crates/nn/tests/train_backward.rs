@@ -6,7 +6,7 @@
 //! the presets build, this suite holds it to the full [`Sequential::backward_ws`]:
 //!
 //! * over several batches of varying size and changing weights, the flat gradient and
-//!   the loss are bit for bit those of `zero_grads` + `backward_ws` + `read_grads_into`;
+//!   the loss are bit for bit those of `zero_grads` + `backward_ws`, read from `grads`;
 //! * a workspace that only trains never sizes the model input's gradient: it is smaller
 //!   than a fully run one by exactly that buffer, and nothing else differs.
 
@@ -53,7 +53,7 @@ fn training_gradient_is_bitwise_the_full_backward_gradient() {
         let mut full = build();
         let mut ws = Workspace::new();
         let loss_fn = SoftmaxCrossEntropy::new();
-        let (mut grad_logits, mut trained, mut expected) = (Tensor::default(), vec![], vec![]);
+        let (mut grad_logits, mut trained) = (Tensor::default(), vec![]);
         let mut weights = full.params_flat();
         for (i, &size) in [4usize, 7, 2, 7].iter().enumerate() {
             // A pull between steps: every weight moves.
@@ -63,16 +63,15 @@ fn training_gradient_is_bitwise_the_full_backward_gradient() {
             let (x, labels) = batch(&example, size, 100 + i as u64);
             let loss = step.gradient_into(&weights, &x, &labels, &mut trained);
 
-            full.set_params_flat(&weights);
+            full.params_mut().copy_from_slice(&weights);
             let logits = full.forward_ws(&x, true, &mut ws);
             let full_loss = loss_fn.loss_and_grad_into(logits, &labels, &mut grad_logits);
             full.zero_grads();
             full.backward_ws(&grad_logits, &mut ws);
-            expected.resize(full.param_len(), 0.0);
-            full.read_grads_into(&mut expected);
+            let expected = full.grads();
 
             assert_eq!(loss.to_bits(), full_loss.to_bits(), "{arch} step {i}: loss");
-            assert_eq!(bits(&trained), bits(&expected), "{arch} step {i}: gradient");
+            assert_eq!(bits(&trained), bits(expected), "{arch} step {i}: gradient");
         }
     }
 }

@@ -42,7 +42,7 @@ fn assert_paths_agree(
     let gin_ws = ws_model.backward_ws(&grad_ws, ws);
     assert_eq!(gin_ws.as_slice(), gin_alloc.as_slice());
 
-    assert_eq!(ws_model.grads_flat(), alloc_model.grads_flat());
+    assert_eq!(ws_model.grads(), alloc_model.grads());
 }
 
 #[test]

@@ -664,7 +664,7 @@ impl WorkerStep {
     }
 
     /// Total number of model parameters (the flat weight/gradient vector length).
-    /// Group workers size their global weight cache from this before the first pull.
+    /// A group worker's link lays its fan out from this before the first pull.
     pub fn param_len(&self) -> usize {
         self.step.param_len()
     }
@@ -693,33 +693,54 @@ impl WorkerStep {
         self.completed = completed;
     }
 
-    /// Runs one training iteration on `weights`: installs them in the local replica,
-    /// draws the next mini-batch, and returns the flat gradient vector to push.
-    /// Allocating convenience over [`WorkerStep::compute_gradient_into`] for substrates
-    /// that move the gradient across a thread boundary (the server consumes the
-    /// vector).
-    pub fn compute_gradient(&mut self, weights: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.compute_gradient_into(weights, &mut out);
-        out
+    /// The replica's weights, for a pull to write in place, and the gradient of its
+    /// last iteration, for the push that goes out at the same time: the worker's one
+    /// copy of each ([`TrainStep::arenas`]).
+    pub fn arenas(&mut self) -> (&mut Vec<f32>, &[f32]) {
+        self.step.arenas()
     }
 
-    /// Runs one training iteration on `weights`, writing the flat gradient into the
-    /// caller-owned `out` buffer (resized to the parameter count; no allocation once
-    /// warm). The networked worker reuses one buffer across its whole run and encodes
-    /// the push frame straight from it.
+    /// The flat gradient of the last iteration, for the push (empty before the first).
+    pub fn grads(&self) -> &[f32] {
+        self.step.grads()
+    }
+
+    /// Runs one training iteration on the weights the replica holds: draws the next
+    /// mini-batch and leaves the flat gradient in [`WorkerStep::grads`]. After the
+    /// first iteration no heap allocation happens.
     ///
-    /// Applies the configured artificial compute delay first (heterogeneity emulation).
+    /// # Panics
+    ///
+    /// Panics if a pull left the weights at another length than the parameter count.
+    pub fn compute(&mut self) {
+        self.next_batch();
+        self.loss = self.step.gradient(&self.batch_x, &self.batch_labels);
+        self.completed += 1;
+    }
+
+    /// [`WorkerStep::compute`] on a copy of `weights`, with a copy of the flat gradient
+    /// written into the caller-owned `out` (resized to the parameter count; no
+    /// allocation once warm).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the parameter count.
     pub fn compute_gradient_into(&mut self, weights: &[f32], out: &mut Vec<f32>) {
+        self.next_batch();
+        self.loss = self
+            .step
+            .gradient_into(weights, &self.batch_x, &self.batch_labels, out);
+        self.completed += 1;
+    }
+
+    /// Applies the configured artificial compute delay (heterogeneity emulation), then
+    /// draws the iteration's mini-batch.
+    fn next_batch(&mut self) {
         if let Some(d) = self.delay {
             std::thread::sleep(d);
         }
         self.batches
             .next_batch_into(&mut self.batch_x, &mut self.batch_labels);
-        self.loss = self
-            .step
-            .gradient_into(weights, &self.batch_x, &self.batch_labels, out);
-        self.completed += 1;
     }
 
     /// The training loss of the last iteration's mini-batch (0 before the first).
@@ -1688,8 +1709,15 @@ mod tests {
                 assert_eq!(a.target(), b.target());
                 assert!(a.target() > 1);
                 for _ in 0..2 {
-                    let (ga, gb) = (a.compute_gradient(&init), b.compute_gradient(&init));
-                    assert_eq!(bits(&ga), bits(&gb), "rank {rank}: bitwise-equal gradients");
+                    for step in [&mut a, &mut b] {
+                        step.arenas().0.copy_from_slice(&init);
+                        step.compute();
+                    }
+                    assert_eq!(
+                        bits(a.grads()),
+                        bits(b.grads()),
+                        "rank {rank}: bitwise-equal gradients"
+                    );
                 }
                 assert_eq!(a.completed(), 2);
                 assert!(!a.finished());

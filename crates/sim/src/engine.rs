@@ -7,7 +7,7 @@ use crate::driver::{JobConfig, OkReply, ServerLoop, WorkerStep};
 use crate::event::{EventKind, EventQueue};
 use crate::pool::{helpers_for, lock, Pool, Tasks};
 use crate::trace::{RunTrace, TracePoint, WorkerSummary};
-use crate::worker::{SimWorker, WorkerLane, WorkerState};
+use crate::worker::{SimWorker, WorkerState};
 use dssp_cluster::{ClusterSpec, TimeModel};
 use dssp_data::{
     shard_sizes, Dataset, Examples, Shard, Split, SyntheticImageSpec, SyntheticVectorSpec,
@@ -200,7 +200,7 @@ struct EvalLane {
 /// [`worker_lane`]`(w)` computes worker `w`'s gradient.
 struct Lanes {
     eval: Mutex<EvalLane>,
-    workers: Vec<Mutex<WorkerLane>>,
+    workers: Vec<Mutex<WorkerStep>>,
 }
 
 impl Tasks for Lanes {
@@ -209,7 +209,7 @@ impl Tasks for Lanes {
             let eval = &mut *lock(&self.eval);
             eval.accuracy = lock(&eval.evaluator).accuracy(&eval.weights);
         } else {
-            lock(&self.workers[lane - 1]).compute_gradient();
+            lock(&self.workers[lane - 1]).compute();
         }
     }
 }
@@ -267,10 +267,7 @@ impl Simulation {
             .shard_train(job.num_workers)
             .into_iter()
             .enumerate()
-            .map(|(rank, shard)| {
-                let step = WorkerStep::with_shard(&job, rank, shard);
-                Mutex::new(WorkerLane::new(step, initial_params.clone()))
-            })
+            .map(|(rank, shard)| Mutex::new(WorkerStep::with_shard(&job, rank, shard)))
             .collect();
         let eval = EvalLane {
             evaluator: server.evaluator(),
@@ -393,10 +390,11 @@ impl EventLoop {
     /// Pulls the global weights for `worker` (queuing the pull transfer on the server
     /// link), submits its gradient to the pool, and schedules the `ComputeDone` event.
     fn start_iteration(&mut self, pool: &Pool<Lanes>, worker: usize, now: f64) {
-        // Copy the global weights into the worker's lane (same length every iteration,
+        // Copy the global weights into the lane's replica (same length every iteration,
         // so no allocation). The lane is idle: its last gradient was joined at its push.
         lock(&pool.tasks().workers[worker])
-            .weights
+            .arenas()
+            .0
             .copy_from_slice(self.server.server().weights());
         pool.submit(worker_lane(worker));
         let pull_done = self.reserve_link(now);
@@ -423,7 +421,7 @@ impl EventLoop {
         self.replies.clear();
         let decision = self
             .server
-            .handle_push_slice(worker, &lane.grad, now, &mut self.replies);
+            .handle_push_slice(worker, lane.grads(), now, &mut self.replies);
         drop(lane);
         self.workers[worker].last_push_time = now;
 

@@ -31,9 +31,10 @@
 //! threads (none on a 1-core host):
 //!
 //! * **A gradient is a task from its pull to its push.** The event loop copies the
-//!   global weights into the worker's lane (its [`driver::WorkerStep`], pulled weights
-//!   and gradient) and submits the lane's task when the iteration starts. It joins the
-//!   task when the worker's push arrives and hands the gradient to the server loop.
+//!   global weights into the worker's lane (its [`driver::WorkerStep`], whose replica
+//!   holds the weights and the gradient) and submits the lane's task when the iteration
+//!   starts. It joins the task when the worker's push arrives and hands the server loop
+//!   the gradient where the replica left it.
 //! * **An evaluation is a task on a weight snapshot.** When the server loop hands out
 //!   a due evaluation, the event loop copies the server weights into the evaluator's
 //!   lane, which scores them with the job's one evaluator replica, and submits the

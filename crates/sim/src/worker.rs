@@ -1,9 +1,9 @@
 //! A simulated worker — Algorithm 1, worker part — in the two halves the simulator's
 //! pool cuts it into: the event loop's bookkeeping ([`SimWorker`]) and the compute
-//! lane ([`WorkerLane`]) whose gradient task runs between the worker's pull and its
-//! push. How far a worker has got is the server loop's push count, not either half's.
-
-use crate::driver::WorkerStep;
+//! lane, the worker's [`WorkerStep`], whose gradient task runs between the worker's
+//! pull and its push: the pull copies the global weights into its replica, the task
+//! leaves the gradient there, and the push reads it from there. How far a worker has
+//! got is the server loop's push count, not either half's.
 
 /// The lifecycle state of a simulated worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,49 +30,10 @@ pub(crate) struct SimWorker {
     pub loss_sum: f64,
 }
 
-/// The compute side of one worker: its [`WorkerStep`] (replica and batch stream), the
-/// weights it pulled, and the gradient its last task produced.
-pub(crate) struct WorkerLane {
-    step: WorkerStep,
-    /// The global weights pulled at the start of the iteration.
-    pub weights: Vec<f32>,
-    pub grad: Vec<f32>,
-}
-
-impl WorkerLane {
-    /// A lane running `step` from the pulled `weights`.
-    pub fn new(step: WorkerStep, weights: Vec<f32>) -> Self {
-        Self {
-            step,
-            weights,
-            grad: Vec::new(),
-        }
-    }
-
-    /// Runs one mini-batch forward/backward pass against the pulled weights
-    /// (Algorithm 1, worker lines 2–5) and keeps the gradient for the push. The
-    /// gradient is the mean over the mini-batch, matching the paper's
-    /// `g ← (1/m) Σ ∂loss`; after the first iteration no heap allocation happens.
-    pub fn compute_gradient(&mut self) {
-        self.step
-            .compute_gradient_into(&self.weights, &mut self.grad);
-    }
-
-    /// The training loss of the gradient in [`WorkerLane::grad`].
-    pub fn loss(&self) -> f32 {
-        self.step.loss()
-    }
-
-    /// Completed passes over the worker's shard, as of the last batch drawn.
-    pub fn epoch(&self) -> usize {
-        self.step.epoch()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::JobConfig;
+    use crate::driver::{JobConfig, WorkerStep};
     use crate::DataSpec;
     use dssp_data::SyntheticVectorSpec;
     use dssp_nn::models::ModelSpec;
@@ -101,25 +62,24 @@ mod tests {
         }
     }
 
-    fn lane() -> WorkerLane {
-        let job = job();
-        let params = job.model.build(job.seed).params_flat();
-        WorkerLane::new(WorkerStep::for_rank(&job, 0), params)
+    fn lane() -> WorkerStep {
+        WorkerStep::for_rank(&job(), 0)
     }
 
     #[test]
     fn gradient_has_model_parameter_length() {
         let mut lane = lane();
-        lane.compute_gradient();
-        assert_eq!(lane.grad.len(), lane.weights.len());
-        assert!(lane.grad.iter().any(|&g| g != 0.0));
+        lane.compute();
+        let grads = lane.grads();
+        assert_eq!(grads.len(), job().model.build(1).param_len());
+        assert!(grads.iter().any(|&g| g != 0.0));
     }
 
     #[test]
     fn compute_gradient_adopts_global_weights() {
         let mut lane = lane();
-        lane.weights.fill(0.0);
-        lane.compute_gradient();
+        lane.arenas().0.fill(0.0);
+        lane.compute();
         // All-zero weights give all-zero logits, so the loss is exactly that of a
         // uniform prediction over the 3 classes — not the initial replica's.
         assert!(
@@ -134,11 +94,11 @@ mod tests {
         let mut lane = lane();
         let mut worker = SimWorker::default();
         for i in 0..6 {
-            assert!(!lane.step.finished(), "not finished before iteration {i}");
-            lane.compute_gradient();
+            assert!(!lane.finished(), "not finished before iteration {i}");
+            lane.compute();
             worker.loss_sum += f64::from(lane.loss());
         }
-        assert!(lane.step.finished());
+        assert!(lane.finished());
         assert!(worker.loss_sum > 0.0);
     }
 
@@ -147,7 +107,7 @@ mod tests {
         let mut lane = lane();
         assert_eq!(lane.epoch(), 0);
         for _ in 0..4 {
-            lane.compute_gradient();
+            lane.compute();
         }
         assert_eq!(lane.epoch(), 1);
     }

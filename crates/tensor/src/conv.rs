@@ -406,8 +406,8 @@ fn lanes_of(what: &str, t: &Tensor, expected: [usize; 3]) -> usize {
 /// Forward 2-D convolution over a batch-lane input.
 ///
 /// * `input`  — `[C, H, W, N]`
-/// * `weight` — `[OC, C*K*K]` (filters flattened row-major)
-/// * `bias`   — `[OC]`
+/// * `weight` — `OC x C*K*K` values (filters flattened row-major), and `bias` — `OC`
+///   values: a convolution layer's two ranges of its model's parameter vector
 /// * `packed` receives the input as zero-bordered `[C, H+2p, W+2p, N]` (needed again
 ///   by the backward pass);
 /// * `scratch` holds the tap lists;
@@ -422,8 +422,8 @@ fn lanes_of(what: &str, t: &Tensor, expected: [usize; 3]) -> usize {
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_lanes_into(
     input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
+    weight: &[f32],
+    bias: &[f32],
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
@@ -463,8 +463,8 @@ pub fn conv2d_into(
     let mut lanes = std::mem::take(&mut scratch.grad_rows);
     forward(
         n,
-        weight,
-        bias,
+        weight.as_slice(),
+        bias.as_slice(),
         h,
         w,
         spec,
@@ -482,8 +482,8 @@ pub fn conv2d_into(
 #[allow(clippy::too_many_arguments)]
 fn forward(
     n: usize,
-    weight: &Tensor,
-    bias: &Tensor,
+    weight: &[f32],
+    bias: &[f32],
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
@@ -509,8 +509,8 @@ fn forward(
     let mut kernel = Forward {
         g,
         lists: &scratch.lists,
-        weight: weight.as_slice(),
-        bias: bias.as_slice(),
+        weight,
+        bias,
         packed: xp,
         out: out.as_mut_slice(),
     };
@@ -563,7 +563,7 @@ pub fn conv2d(
 pub fn conv2d_lanes_backward_into(
     grad_out: &Tensor,
     packed: &Tensor,
-    weight: &Tensor,
+    weight: &[f32],
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
@@ -605,7 +605,7 @@ pub fn conv2d_lanes_backward_into(
     let mut kernel = InputGrad {
         g,
         lists: &scratch.lists,
-        weight: weight.as_slice(),
+        weight,
         grad_out: grad,
         grad_input: grad_input.as_mut_slice(),
     };
@@ -637,7 +637,7 @@ pub fn conv2d_backward_into(
     conv2d_lanes_backward_into(
         packed_grad,
         packed,
-        weight,
+        weight.as_slice(),
         h,
         w,
         spec,
@@ -1051,8 +1051,8 @@ mod tests {
                     let (mut packed, mut out) = (Tensor::default(), Tensor::default());
                     conv2d_lanes_into(
                         &x,
-                        &weight,
-                        &bias,
+                        weight.as_slice(),
+                        bias.as_slice(),
                         h,
                         w,
                         &s,
@@ -1066,7 +1066,7 @@ mod tests {
                     conv2d_lanes_backward_into(
                         &grad_out,
                         &packed,
-                        &weight,
+                        weight.as_slice(),
                         h,
                         w,
                         &s,

@@ -1,6 +1,6 @@
 //! The GEMM microkernels behind [`Tensor::matmul_into`],
 //! [`Tensor::matmul_tn_into`](crate::Tensor::matmul_tn_into) and its accumulate form
-//! [`Tensor::add_matmul_tn`](crate::Tensor::add_matmul_tn).
+//! [`Tensor::matmul_tn_add_into`](crate::Tensor::matmul_tn_add_into).
 //!
 //! `C = op(A) · B` is computed tile by tile on the cascade of `tiles.rs` (rows of `C`
 //! are its rows, columns its lanes): an `R × NR` tile of `C` lives in registers while

@@ -4,10 +4,17 @@
 //! caller-provided buffer. The `*_into` kernels are the training hot path: together
 //! with the workspace machinery in `dssp-nn` they let a steady-state training step run
 //! without touching the allocator. `matmul_into` and `matmul_tn_into` are two layouts
-//! of one register-tiled microkernel (the private `gemm` module), and `add_matmul_tn`
-//! is its accumulate form; all three keep the per-element accumulation order of the
-//! naive loops (ascending shared dimension from 0.0), so tiled and naive results are
-//! bitwise identical; `matmul_nt_into` is the one kernel that reassociates (see there).
+//! of one register-tiled microkernel (the private `gemm` module), and
+//! `matmul_tn_add_into` is its accumulate form; all three keep the per-element
+//! accumulation order of the naive loops (ascending shared dimension from 0.0), so
+//! tiled and naive results are bitwise identical; `matmul_nt_into` is the one kernel
+//! that reassociates (see there).
+//!
+//! A layer's parameters and gradients are ranges of its model's flat vectors, not
+//! tensors, so the kernels a parameter layer calls take them as slices:
+//! `matmul_slice_into` and `matmul_nt_slice_into` read the weight operand from one,
+//! `matmul_tn_add_into` accumulates into one, `add_row_broadcast_inplace` reads the
+//! bias from one. The `&Tensor` forms are one-line calls into them.
 
 use crate::gemm::{gemm, gemm_tn_add};
 use crate::{Tensor, TensorError};
@@ -290,7 +297,19 @@ impl Tensor {
         out
     }
 
-    /// Matrix multiplication `(m x k) * (k x n) -> (m x n)` written into `out`.
+    /// Matrix multiplication `(m x k) * (k x n) -> (m x n)` written into `out`: the
+    /// `&Tensor` form of [`Tensor::matmul_slice_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand is not rank 2 or if the inner dimensions disagree.
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.matmul_slice_into(other.as_slice(), other.cols(), out);
+    }
+
+    /// Matrix multiplication `(m x k) * (k x n) -> (m x n)` with the right operand a
+    /// row-major `k x n` slice (a dense layer's weight range of its model's parameter
+    /// vector), written into `out`.
     ///
     /// Runs the register-tiled microkernel: each output tile is accumulated over the
     /// whole shared dimension in ascending order from 0.0, so the result is bitwise
@@ -298,26 +317,18 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if either operand is not rank 2 or if the inner dimensions disagree.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+    /// Panics if `self` is not rank 2 or `rhs` does not hold `k x n` values.
+    pub fn matmul_slice_into(&self, rhs: &[f32], n: usize, out: &mut Tensor) {
         assert_eq!(self.shape().rank(), 2, "matmul lhs must be rank-2");
-        assert_eq!(other.shape().rank(), 2, "matmul rhs must be rank-2");
         let (m, k) = (self.rows(), self.cols());
-        let (k2, n) = (other.rows(), other.cols());
         assert_eq!(
-            k, k2,
-            "matmul inner dimensions must agree: lhs {}x{}, rhs {}x{}",
-            m, k, k2, n
+            rhs.len(),
+            k * n,
+            "matmul inner dimensions must agree: lhs {m}x{k}, rhs {} values for {n} columns",
+            rhs.len()
         );
         out.ensure_shape(&[m, n]);
-        gemm::<false>(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
+        gemm::<false>(self.as_slice(), rhs, out.as_mut_slice(), m, k, n);
     }
 
     /// Matrix multiplication with the left operand transposed: `A^T * B`.
@@ -359,29 +370,30 @@ impl Tensor {
         );
     }
 
-    /// Adds `a^T * b` into `self` in place: the accumulate form of
-    /// [`Tensor::matmul_tn_into`], for a weight gradient that sums over mini-batches.
+    /// Adds `self^T * other` into `acc`: the accumulate form of
+    /// [`Tensor::matmul_tn_into`], for a weight gradient that sums over mini-batches
+    /// into its range of the model's gradient vector.
     ///
-    /// `a` is `(k x m)`, `b` is `(k x n)`, `self` is `(m x n)`. Every element becomes
-    /// `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending `p`: bit for bit
-    /// `matmul_tn_into` into a scratch followed by [`Tensor::add_assign`], in one pass
-    /// over `self` on the same tile cascade and without the scratch.
+    /// `self` is `(k x m)`, `other` is `(k x n)`, `acc` holds `m x n` values row-major.
+    /// Every element becomes `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending
+    /// `p`: bit for bit `matmul_tn_into` into a scratch followed by an elementwise add,
+    /// in one pass over `acc` on the same tile cascade and without the scratch.
     ///
     /// # Panics
     ///
     /// Panics if an operand is not rank 2 or the shapes disagree.
-    pub fn add_matmul_tn(&mut self, a: &Tensor, b: &Tensor) {
-        assert_eq!(a.shape().rank(), 2, "add_matmul_tn lhs must be rank-2");
-        assert_eq!(b.shape().rank(), 2, "add_matmul_tn rhs must be rank-2");
-        let (k, m) = (a.rows(), a.cols());
-        let (k2, n) = (b.rows(), b.cols());
-        assert_eq!(k, k2, "add_matmul_tn shared dimension must agree");
+    pub fn matmul_tn_add_into(&self, other: &Tensor, acc: &mut [f32]) {
+        assert_eq!(self.shape().rank(), 2, "matmul_tn_add lhs must be rank-2");
+        assert_eq!(other.shape().rank(), 2, "matmul_tn_add rhs must be rank-2");
+        let (k, m) = (self.rows(), self.cols());
+        let (k2, n) = (other.rows(), other.cols());
+        assert_eq!(k, k2, "matmul_tn_add shared dimension must agree");
         assert_eq!(
-            self.shape().dims(),
-            [m, n],
-            "add_matmul_tn accumulator must be {m}x{n}"
+            acc.len(),
+            m * n,
+            "matmul_tn_add accumulator must be {m}x{n}"
         );
-        gemm_tn_add(a.as_slice(), b.as_slice(), self.as_mut_slice(), m, k, n);
+        gemm_tn_add(self.as_slice(), other.as_slice(), acc, m, k, n);
     }
 
     /// Matrix multiplication with the right operand transposed: `A * B^T`.
@@ -397,12 +409,22 @@ impl Tensor {
         out
     }
 
-    /// Transposed-right matrix multiplication `A * B^T` written into `out`.
+    /// Transposed-right matrix multiplication `A * B^T` written into `out`: the
+    /// `&Tensor` form of [`Tensor::matmul_nt_slice_into`].
     ///
-    /// `self` is `(m x k)`, `other` is `(n x k)`, the result is `(m x n)`. Each row of
-    /// `other` is reused across a block of `self` rows before the kernel moves on, so
-    /// large `other` operands are streamed through cache once per row block rather
-    /// than once per output row.
+    /// # Panics
+    ///
+    /// Panics if either operand is not rank 2 or the shared dimension differs.
+    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.matmul_nt_slice_into(other.as_slice(), other.rows(), out);
+    }
+
+    /// Transposed-right matrix multiplication `A * B^T` with the right operand a
+    /// row-major `n x k` slice (a dense layer's weight range), written into `out`.
+    ///
+    /// `self` is `(m x k)`, the result is `(m x n)`. Each row of `rhs` is reused
+    /// across a block of `self` rows before the kernel moves on, so a large `rhs` is
+    /// streamed through cache once per row block rather than once per output row.
     ///
     /// Each dot product accumulates in eight interleaved lanes that are combined in a
     /// fixed order at the end (the internal `dot_lanes` helper): the result is
@@ -411,7 +433,7 @@ impl Tensor {
     /// not on the register-tiled kernel. Its callers are the dense layers' input
     /// gradients, which training computes for every dense layer but a model's first
     /// (that one gets none): the MLPs' classifier heads (`[4, 10] x [1024, 10]^T` on
-    /// the `tcp_comm` job) and the dense layers of the image models. Packing `other`
+    /// the `tcp_comm` job) and the dense layers of the image models. Packing `rhs`
     /// into the tiled kernel's layout cost more than the kernel saved at the `tcp_comm`
     /// shape. A tiled kernel that keeps the `dot_lanes` order (ROADMAP 6(a)) waits for
     /// a faster server round (4(a)): on `tcp_comm` a shorter step mostly lengthens the
@@ -419,21 +441,17 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if either operand is not rank 2 or the shared dimension differs.
-    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
+    /// Panics if `self` is not rank 2 or `rhs` does not hold `n x k` values.
+    pub fn matmul_nt_slice_into(&self, rhs: &[f32], n: usize, out: &mut Tensor) {
         assert_eq!(self.shape().rank(), 2, "matmul_nt lhs must be rank-2");
-        assert_eq!(other.shape().rank(), 2, "matmul_nt rhs must be rank-2");
         let (m, k) = (self.rows(), self.cols());
-        let (n, k2) = (other.rows(), other.cols());
-        assert_eq!(k, k2, "matmul_nt shared dimension must agree");
+        assert_eq!(rhs.len(), n * k, "matmul_nt shared dimension must agree");
         out.ensure_shape(&[m, n]);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let o = out.as_mut_slice();
+        let (a, o) = (self.as_slice(), out.as_mut_slice());
         for ib in (0..m).step_by(NT_BLOCK_M) {
             let i_end = (ib + NT_BLOCK_M).min(m);
             for j in 0..n {
-                let b_row = &b[j * k..(j + 1) * k];
+                let b_row = &rhs[j * k..(j + 1) * k];
                 for i in ib..i_end {
                     let a_row = &a[i * k..(i + 1) * k];
                     o[i * n + j] = dot_lanes(a_row, b_row);
@@ -494,29 +512,17 @@ impl Tensor {
         transpose(self.as_slice(), cols, out.as_mut_slice(), rows, rows, cols);
     }
 
-    /// Adds a bias row vector to every row of a rank-2 tensor, returning a new tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not rank 2 or `bias` length differs from the column count.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.add_row_broadcast_inplace(bias);
-        out
-    }
-
     /// Adds a bias row vector to every row of a rank-2 tensor in place.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not rank 2 or `bias` length differs from the column count.
-    pub fn add_row_broadcast_inplace(&mut self, bias: &Tensor) {
+    pub fn add_row_broadcast_inplace(&mut self, bias: &[f32]) {
         assert_eq!(self.shape().rank(), 2, "add_row_broadcast requires rank-2");
         let n = self.cols();
         assert_eq!(bias.len(), n, "bias length must equal column count");
-        let b = bias.as_slice();
         for row in self.as_mut_slice().chunks_mut(n) {
-            for (v, &bi) in row.iter_mut().zip(b) {
+            for (v, &bi) in row.iter_mut().zip(bias) {
                 *v += bi;
             }
         }
@@ -721,9 +727,8 @@ mod tests {
 
     #[test]
     fn bias_broadcast_and_row_sum_are_inverse_shapes() {
-        let x = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = t(&[10.0, 20.0], &[2]);
-        let y = x.add_row_broadcast(&b);
+        let mut y = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        y.add_row_broadcast_inplace(&[10.0, 20.0]);
         assert_eq!(y.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
         assert_eq!(y.sum_rows().as_slice(), &[24.0, 46.0]);
     }

@@ -407,14 +407,14 @@ proptest! {
         // The lane entry points, called as the layers call them, against the shells.
         let mut scratch = ConvScratch::default();
         let [mut lane_packed, mut lane_out]: [Tensor; 2] = Default::default();
-        conv2d_lanes_into(&to_lanes(&x), &wgt, &bias, h, w, &spec, &mut lane_packed, &mut scratch, &mut lane_out);
+        conv2d_lanes_into(&to_lanes(&x), wgt.as_slice(), bias.as_slice(), h, w, &spec, &mut lane_packed, &mut scratch, &mut lane_out);
         prop_assert_eq!(lane_out.shape().dims(), &[oc, oh, ow, n]);
         prop_assert_eq!(bits(lane_out.as_slice()), bits(to_lanes(&out).as_slice()));
         prop_assert_eq!(lane_packed.shape().dims(), packed.shape().dims());
         prop_assert_eq!(bits(lane_packed.as_slice()), bits(packed.as_slice()));
         let [mut lane_grad_x, mut lane_grad_w, mut lane_grad_b]: [Tensor; 3] = Default::default();
         conv2d_lanes_backward_into(
-            &to_lanes(&grad_out), &lane_packed, &wgt, h, w, &spec, &mut scratch,
+            &to_lanes(&grad_out), &lane_packed, wgt.as_slice(), h, w, &spec, &mut scratch,
             Some(&mut lane_grad_x), &mut lane_grad_w, &mut lane_grad_b,
         );
         prop_assert_eq!(lane_grad_x.shape().dims(), &[c, h, w, n]);
@@ -425,7 +425,7 @@ proptest! {
         // parameter gradients are those of the full call.
         let [mut param_grad_w, mut param_grad_b]: [Tensor; 2] = Default::default();
         conv2d_lanes_backward_into(
-            &to_lanes(&grad_out), &lane_packed, &wgt, h, w, &spec, &mut scratch,
+            &to_lanes(&grad_out), &lane_packed, wgt.as_slice(), h, w, &spec, &mut scratch,
             None, &mut param_grad_w, &mut param_grad_b,
         );
         prop_assert_eq!(bits(param_grad_w.as_slice()), bits(grad_w.as_slice()));
@@ -442,9 +442,9 @@ proptest! {
         let mut product = Tensor::default();
         a.matmul_tn_into(&b, &mut product);
         expected.add_assign(&product);
-        let mut acc = Tensor::from_vec(c, &[m, n]);
-        acc.add_matmul_tn(&a, &b);
-        prop_assert_eq!(canonical_bits(acc.as_slice()), canonical_bits(expected.as_slice()));
+        let mut acc = c;
+        a.matmul_tn_add_into(&b, &mut acc);
+        prop_assert_eq!(canonical_bits(&acc), canonical_bits(expected.as_slice()));
     }
 
     #[test]
