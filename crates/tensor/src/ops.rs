@@ -438,6 +438,8 @@ impl Tensor {
     /// shape. A tiled kernel that keeps the `dot_lanes` order (ROADMAP 6(a)) waits for
     /// a faster server round (4(a)): on `tcp_comm` a shorter step mostly lengthens the
     /// wait for the server's reply, and that kernel took `busy_share` past its bound.
+    /// Removing the worker's two per-round parameter copies alone moved it 0.649 →
+    /// 0.622 (−4.1 %, median of 10 pairs).
     ///
     /// # Panics
     ///

@@ -5,7 +5,7 @@
 //!   microkernel that preserves the naive accumulation order exactly: bitwise equality
 //!   is asserted for `m, k, n` in `1..40`, which reaches every edge-tile combination
 //!   (the crate's own unit test walks them exhaustively, per compiled instance).
-//! * `add_matmul_tn` (the dense layers' weight-gradient accumulate) is bitwise
+//! * `matmul_tn_add_into` (the dense layers' weight-gradient accumulate) is bitwise
 //!   `matmul_tn_into` followed by `add_assign`, with -0.0, ±inf and NaN among the
 //!   operands and the accumulator (NaN compared as NaN, whatever its payload).
 //! * `matmul_nt_into` accumulates in interleaved lanes and is held to a 1e-5 relative
