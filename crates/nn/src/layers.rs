@@ -14,17 +14,10 @@
 use crate::workspace::LayerScratch;
 use crate::Layer;
 use dssp_tensor::{
-    conv2d_lanes_backward_into, conv2d_lanes_into, he_normal, max_pool2d_backward_into,
-    max_pool2d_into, xavier_uniform, Conv2dSpec, ConvScratch, Pool2dSpec, Tensor,
+    add_assign_slice, conv2d_lanes_backward_into, conv2d_lanes_into, he_normal,
+    max_pool2d_backward_into, max_pool2d_into, xavier_uniform, Conv2dSpec, ConvScratch, Pool2dSpec,
+    Tensor,
 };
-
-/// Adds `add` into `acc` elementwise: a layer's per-batch gradient into its range of
-/// the model's gradient vector.
-fn accumulate(acc: &mut [f32], add: &Tensor) {
-    for (a, b) in acc.iter_mut().zip(add.as_slice()) {
-        *a += *b;
-    }
-}
 
 /// Fully connected (dense) layer: `y = x W + b`, with `W` its `in x out` weights.
 ///
@@ -104,7 +97,7 @@ impl Layer for DenseLayer {
         input.matmul_tn_add_into(grad_output, grad_weight);
         let db = scratch.buf(0);
         grad_output.sum_rows_into(db);
-        accumulate(grad_bias, db);
+        add_assign_slice(grad_bias, db.as_slice());
         if let Some(grad_input) = grad_input {
             grad_output.matmul_nt_slice_into(&params[..w], self.in_features, grad_input);
         }
@@ -266,8 +259,8 @@ impl Layer for Conv2dLayer {
             &mut db[0],
         );
         let (grad_weight, grad_bias) = grads.split_at_mut(w);
-        accumulate(grad_weight, &dw[0]);
-        accumulate(grad_bias, &db[0]);
+        add_assign_slice(grad_weight, dw[0].as_slice());
+        add_assign_slice(grad_bias, db[0].as_slice());
     }
 
     fn param_len(&self) -> usize {

@@ -1,6 +1,6 @@
 //! A sequential container over [`Layer`]s implementing [`Model`].
 
-use crate::workspace::Workspace;
+use crate::workspace::{LayerScratch, Workspace};
 use crate::{Layer, Model};
 use dssp_tensor::Tensor;
 use std::ops::Range;
@@ -83,6 +83,13 @@ impl Sequential {
         );
     }
 
+    /// Allocates the gradient vector, zeroed, unless a backward pass already has.
+    fn ensure_grads(&mut self) {
+        if self.grads.is_empty() {
+            self.grads = vec![0.0; self.params.len()];
+        }
+    }
+
     /// Workspace-backed forward pass over the whole stack, on the parameter vector.
     ///
     /// Activations ping-pong between the workspace's two activation buffers, and each
@@ -148,9 +155,7 @@ impl Sequential {
     /// first call allocates the gradient vector, zeroed.
     fn backward_layers(&mut self, grad_output: &Tensor, ws: &mut Workspace, input_grad: bool) {
         self.check_params();
-        if self.grads.is_empty() {
-            self.grads = vec![0.0; self.params.len()];
-        }
+        self.ensure_grads();
         ws.ensure_layers(self.layers.len());
         let bottom = if input_grad {
             0
@@ -205,13 +210,38 @@ impl Sequential {
     }
 }
 
+/// The allocating passes are a plain chain, independent of the workspace's ping-pong:
+/// every layer writes into a fresh tensor with fresh scratch (bitwise the same result
+/// as [`Sequential::forward_ws`] and [`Sequential::backward_ws`]).
 impl Model for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.forward_ws(input, train, &mut Workspace::new()).clone()
+        self.check_params();
+        let mut x = input.clone();
+        for (layer, range) in self.layers.iter_mut().zip(&self.ranges) {
+            let mut out = Tensor::default();
+            let params = &self.params[range.clone()];
+            layer.forward_ws(params, &x, &mut out, train, &mut LayerScratch::default());
+            x = out;
+        }
+        x
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_ws(grad_output, &mut Workspace::new()).clone()
+        self.check_params();
+        self.ensure_grads();
+        let mut g = grad_output.clone();
+        for (layer, range) in self.layers.iter_mut().zip(&self.ranges).rev() {
+            let mut grad_input = Tensor::default();
+            layer.backward_ws(
+                &self.params[range.clone()],
+                &mut self.grads[range.clone()],
+                &g,
+                Some(&mut grad_input),
+                &mut LayerScratch::default(),
+            );
+            g = grad_input;
+        }
+        g
     }
 
     fn param_len(&self) -> usize {

@@ -31,6 +31,7 @@ pub use conv::{
     Conv2dSpec, ConvScratch, Pool2dSpec,
 };
 pub use init::{he_normal, uniform_init, xavier_uniform};
+pub use ops::add_assign_slice;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

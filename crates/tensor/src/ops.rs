@@ -48,6 +48,23 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
+/// Adds `add` into `acc` elementwise: the slice form of [`Tensor::add_assign`], for a
+/// layer accumulating a batch's gradient into its range of a model's gradient vector.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn add_assign_slice(acc: &mut [f32], add: &[f32]) {
+    assert_eq!(
+        acc.len(),
+        add.len(),
+        "add_assign_slice requires equal lengths"
+    );
+    for (a, b) in acc.iter_mut().zip(add) {
+        *a += *b;
+    }
+}
+
 impl Tensor {
     /// Returns the elementwise sum of `self` and `other`.
     ///
@@ -99,9 +116,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += *b;
-        }
+        add_assign_slice(self.as_mut_slice(), other.as_slice());
     }
 
     /// Adds `scale * other` into `self` in place (axpy).
