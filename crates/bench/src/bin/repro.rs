@@ -519,7 +519,7 @@ fn run_admin_mode(args: &[String], subcommand: &str) {
 /// the coordinator's `/metrics` endpoint must report the layout-epoch bump while the
 /// run is still live, and the coordinator's event log must record the commit.
 fn run_migration_smoke_mode(args: &[String]) {
-    use dssp_core::driver::{JobConfig, MigrationCommand, MigrationSpec};
+    use dssp_core::driver::{JobConfig, MigrationSpec};
     use dssp_net::metrics::{parse_exposition, scrape};
 
     let out_path =
@@ -554,7 +554,7 @@ fn run_migration_smoke_mode(args: &[String]) {
     delays[job.num_workers - 1] = 10;
     job.extra_compute_delay_ms = delays;
     job.migration = Some(MigrationSpec {
-        command: MigrationCommand::Drain(2),
+        drain: 2,
         at_version: 8,
     });
     job.event_log = Some(scratch.clone());

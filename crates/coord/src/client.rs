@@ -996,7 +996,9 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut payload, mut scratch) = (Vec::new(), Vec::new());
             let mut next = |stream: &mut TcpStream| {
-                wire::read_frame_payload(stream, &mut payload).unwrap();
+                wire::FrameBody::begin(stream)
+                    .and_then(|body| body.buffer(&mut payload))
+                    .unwrap();
                 wire::decode(&payload).unwrap()
             };
             let (mut first, _) = listener.accept().unwrap();

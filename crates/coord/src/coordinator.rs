@@ -705,7 +705,7 @@ impl<'job> Coordinator<'job> {
         if let Some(spec) = self.job.migration.as_ref() {
             if fan.layout().epoch() == 0 && self.sl.version() >= spec.at_version {
                 self.armed = Some(ArmedMigration {
-                    command: spec.command,
+                    command: MigrationCommand::Drain(spec.drain),
                     requester: None,
                 });
             }

@@ -97,7 +97,9 @@ impl Stub {
 
     fn recv(&mut self) -> Message {
         let mut payload = Vec::new();
-        wire::read_frame_payload(self.conn.as_mut().unwrap(), &mut payload).unwrap();
+        wire::FrameBody::begin(self.conn.as_mut().unwrap())
+            .and_then(|body| body.buffer(&mut payload))
+            .unwrap();
         wire::decode(&payload).unwrap()
     }
 

@@ -62,7 +62,9 @@ impl RawClient {
     /// The next frame's payload.
     fn frame(&mut self) -> Vec<u8> {
         let mut payload = Vec::new();
-        wire::read_frame_payload(&mut self.stream, &mut payload).unwrap();
+        wire::FrameBody::begin(&mut self.stream)
+            .and_then(|body| body.buffer(&mut payload))
+            .unwrap();
         payload
     }
 

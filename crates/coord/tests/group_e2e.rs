@@ -1,15 +1,19 @@
 //! End-to-end group runs over real localhost TCP: correctness, chaos shutdown, and
 //! the timeout hardening that names a lost shard server — plus one loopback run that
-//! scripts a worker dying before its grant.
+//! scripts a worker dying before its grant, and the shard servers' frame accounting
+//! compared across the two transports.
 
 use dssp_coord::{
     connect_links, coordinate, run_group_threads, run_group_worker, serve_shard, ServerLink,
     ShardServerState,
 };
 use dssp_core::driver::{FaultPlan, JobConfig};
-use dssp_net::transport::loopback;
+use dssp_net::transport::{loopback, FrameWriter};
 use dssp_net::wire::{PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
-use dssp_net::{Message, NetError, TcpServerTransport, TcpWorkerTransport, WorkerTransport};
+use dssp_net::{
+    Message, NetError, ServerTransport, TcpServerTransport, TcpWorkerTransport, TransportStats,
+    WorkerTransport,
+};
 use dssp_ps::PolicyKind;
 use std::time::Duration;
 
@@ -246,6 +250,136 @@ fn a_worker_that_dies_before_its_grant_is_evicted_not_fatal() {
     let survivors: u64 = reports.iter().map(|r| r.iterations).sum();
     assert!(survivors > 2);
     assert_eq!(trace.total_pushes, survivors + 1);
+}
+
+/// A shard server's transport that keeps its counters as of its latest `recv`. After
+/// the run they are the ones read when the coordinator's `Shutdown` arrived, before
+/// the server forwards it to a worker that may already have hung up.
+struct CountedAtRecv<T> {
+    inner: T,
+    at_recv: TransportStats,
+}
+
+impl<T: ServerTransport> ServerTransport for CountedAtRecv<T> {
+    fn num_workers(&self) -> usize {
+        self.inner.num_workers()
+    }
+
+    fn recv(&mut self) -> Result<(usize, Message), NetError> {
+        let got = self.inner.recv();
+        self.at_recv = self.inner.transport_stats();
+        got
+    }
+
+    fn send_frame(
+        &mut self,
+        rank: usize,
+        frames: u64,
+        write: FrameWriter<'_>,
+    ) -> Result<(), NetError> {
+        self.inner.send_frame(rank, frames, write)
+    }
+
+    fn transport_stats(&self) -> TransportStats {
+        self.inner.transport_stats()
+    }
+
+    fn recycle_f32s(&mut self, rank: usize, buf: Vec<f32>) {
+        self.inner.recycle_f32s(rank, buf)
+    }
+
+    fn recycle_u64s(&mut self, rank: usize, buf: Vec<u64>) {
+        self.inner.recycle_u64s(rank, buf)
+    }
+}
+
+/// Runs a one-worker group over the given ends — each shard server's transport, the
+/// worker's and the coordinator's links to them, the coordinator's transport and the
+/// worker's end of it — and returns each shard server's counters as the run ended.
+fn shard_server_counters<S: ServerTransport + 'static>(
+    job: &JobConfig,
+    shard_servers: Vec<S>,
+    mut coord: impl ServerTransport,
+    mut worker_coord: impl WorkerTransport + 'static,
+    worker_links: Vec<ServerLink>,
+    coord_links: Vec<ServerLink>,
+) -> Vec<TransportStats> {
+    let servers: Vec<_> = shard_servers
+        .into_iter()
+        .enumerate()
+        .map(|(index, inner)| {
+            let job = job.clone();
+            std::thread::spawn(move || {
+                let mut transport = CountedAtRecv {
+                    inner,
+                    at_recv: TransportStats::default(),
+                };
+                serve_shard(&job, index, &mut transport).expect("shard server");
+                transport.at_recv
+            })
+        })
+        .collect();
+    let worker_job = job.clone();
+    let worker = std::thread::spawn(move || {
+        run_group_worker(&worker_job, 0, &mut worker_coord, worker_links)
+    });
+    coordinate(job, &mut coord, coord_links).expect("group run completes");
+    worker.join().expect("worker thread").expect("worker runs");
+    servers
+        .into_iter()
+        .map(|h| h.join().expect("shard server thread"))
+        .collect()
+}
+
+/// Every shard server moves the same frames and bytes over loopback as over TCP: a
+/// pulling push round's `SliceApplied` and `PullReplyDelta`, written together, count
+/// as two frames on both.
+#[test]
+fn shard_servers_count_the_same_frames_and_bytes_on_both_transports() {
+    let mut job = group_job(PolicyKind::Dssp { s_l: 1, r_max: 4 }, 2);
+    (job.num_workers, job.deterministic) = (1, true);
+    let slots = job.num_workers + 1;
+
+    let shard_servers: Vec<_> = (0..job.servers)
+        .map(|_| TcpServerTransport::bind("127.0.0.1:0", slots).unwrap())
+        .collect();
+    let addrs: Vec<_> = shard_servers
+        .iter()
+        .map(|t| t.local_addr().to_string())
+        .collect();
+    let coord = TcpServerTransport::bind("127.0.0.1:0", job.num_workers).unwrap();
+    let worker_coord = TcpWorkerTransport::connect(&coord.local_addr().to_string()).unwrap();
+    let links = || connect_links(&addrs, None).unwrap();
+    let tcp = shard_server_counters(&job, shard_servers, coord, worker_coord, links(), links());
+
+    let (mut shard_servers, mut worker_links, mut coord_links) =
+        (Vec::new(), Vec::new(), Vec::new());
+    for index in 0..job.servers {
+        let (server, mut ends) = loopback(slots);
+        let label = format!("shard server {index} (loopback)");
+        coord_links.push(ServerLink::new(
+            Box::new(ends.pop().unwrap()),
+            label.clone(),
+        ));
+        worker_links.push(ServerLink::new(Box::new(ends.pop().unwrap()), label));
+        shard_servers.push(server);
+    }
+    let (coord, mut coord_ends) = loopback(job.num_workers);
+    let worker_coord = coord_ends.pop().unwrap();
+    let over_loopback = shard_server_counters(
+        &job,
+        shard_servers,
+        coord,
+        worker_coord,
+        worker_links,
+        coord_links,
+    );
+
+    assert_eq!(over_loopback, tcp);
+    for stats in &tcp {
+        // A push in, two frames out: the server writes more frames than it reads.
+        assert!(stats.frames_sent > stats.frames_received, "{stats:?}");
+    }
 }
 
 #[test]

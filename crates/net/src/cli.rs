@@ -427,11 +427,10 @@ mod tests {
 
     #[test]
     fn migration_flags_round_trip_but_stay_out_of_the_stable_digest() {
-        use dssp_core::driver::MigrationCommand;
         let args = strings(&["--shards", "4", "--servers", "3", "--migrate", "drain:2:64"]);
         let job = job_from_flags(&args).unwrap();
         let spec = job.migration.expect("migration spec parsed");
-        assert_eq!(spec.command, MigrationCommand::Drain(2));
+        assert_eq!(spec.drain, 2);
         assert_eq!(spec.at_version, 64);
         let rebuilt = job_from_flags(&job_args(&job)).unwrap();
         assert_eq!(dump(&job), dump(&rebuilt));

@@ -12,7 +12,7 @@
 //! | module | provides |
 //! |---|---|
 //! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v8: 35 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
-//! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`]: frame primitives plus every message operation written once over bytes; the in-process [`transport::loopback`], whose channels carry encoded frames |
+//! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`]: one frame writer and one frame reader per end, plus every message operation written once over them with the streaming codecs; the in-process [`transport::loopback`], whose channels carry the bytes TCP writes |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
 //! | [`worker`] | [`worker::run_worker_loop`]: the worker's run, once, over a [`worker::WorkerLink`]; [`run_worker`] is it over the single-server link |

@@ -8,14 +8,21 @@
 //! loop is the only consumer of that channel and the only writer to the sockets, so
 //! the parameter server itself stays single-threaded and lock-free.
 //!
-//! On the training path every bulk byte is moved once per hop, by the socket copy
-//! itself, and nothing is allocated per frame on either end:
+//! Every message operation is the traits' provided one (`crate::transport`); this
+//! module supplies the primitives over the socket — the frame writer is the stream
+//! itself, the worker's frame reader its `BufReader` — plus what only a socket needs:
+//! the rank a worker announced and the last clock it saw confirmed (for
+//! [`NetError::PeerLost`]), read errors attributed to the peer, byte counters, and the
+//! pools that hand consumed bulk buffers back to the connection readers
+//! ([`ServerTransport::recycle_f32s`]). On the training path every bulk byte is moved
+//! once per hop, by the socket copy itself, and nothing is allocated per frame on
+//! either end:
 //!
 //! * frames that carry an `f32` run (`Push`, `PushSlice`, pull replies) are written
 //!   as one vectored write of a small stack header plus the run's own bytes — the
 //!   worker's gradient slice, the server store's shard ranges
-//!   ([`PullView::write_frame`]; a shard server's slice ack rides in front of its
-//!   shards in the same write) — with no frame buffer in between;
+//!   ([`crate::transport::PullView::write_frame`]; a shard server's slice ack rides
+//!   in front of its shards in the same write) — with no frame buffer in between;
 //! * they are read through [`FrameBody`]: length, tag and fixed fields come through
 //!   the connection's `BufReader` and are validated like the buffered decoders
 //!   validate them, then the run is read from that same reader straight into where it
@@ -33,14 +40,13 @@
 //! that violates the protocol (bad magic, wrong version, non-`Hello` first frame)
 //! aborts the run with an error rather than being quarantined.
 
-use crate::transport::{not_a_pull_reply, PullOutcome, PullView, ServerTransport, WorkerTransport};
+use crate::transport::{FrameWriter, ServerTransport, WorkerTransport};
 use crate::wire::{
-    self, read_frame_payload, write_frame_payload, FrameBody, Message, TAG_PULL_DELTA,
-    TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA, TAG_PULL_SHARDS, TAG_PUSH, TAG_PUSH_SLICE,
+    self, FrameBody, Message, TAG_PULL_DELTA, TAG_PULL_SHARDS, TAG_PUSH, TAG_PUSH_SLICE,
 };
 use crate::NetError;
-use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
-use std::io::BufReader;
+use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -63,10 +69,10 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
-    /// Books one frame sent, `wire_len` bytes long with its length prefix.
-    pub(crate) fn sent(&mut self, wire_len: usize) {
+    /// Books `frames` frames sent, `wire_len` bytes long with their length prefixes.
+    pub(crate) fn sent(&mut self, frames: u64, wire_len: usize) {
         self.bytes_sent += wire_len as u64;
-        self.frames_sent += 1;
+        self.frames_sent += frames;
     }
 
     /// Books one frame received, `wire_len` bytes long with its length prefix.
@@ -96,6 +102,12 @@ impl RxCounters {
 struct RankPools {
     grads: Sender<Vec<f32>>,
     known: Sender<Vec<u64>>,
+}
+
+/// The receiving ends of [`RankPools`], which a connection's reader decodes into.
+pub(crate) struct Recycled {
+    grads: Receiver<Vec<f32>>,
+    known: Receiver<Vec<u64>>,
 }
 
 enum Event {
@@ -271,12 +283,19 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
     };
     let mut reader = BufReader::new(stream);
     let mut payload: Vec<u8> = Vec::new();
+    // Recycle channels: the command loop returns consumed bulk buffers here so the
+    // steady-state decode below never allocates.
+    let (grads_tx, grads) = unbounded::<Vec<f32>>();
+    let (known_tx, known) = unbounded::<Vec<u64>>();
+    let pools = Recycled { grads, known };
+    let mut next = |reader: &mut BufReader<TcpStream>| {
+        let (msg, wire_len) = read_message(reader, &mut payload, Some(&pools))?;
+        rx.record(wire_len);
+        Ok::<_, NetError>(msg)
+    };
     // The first frame must be a Hello (or, on a shard server, a GroupHello)
     // announcing the connection's rank.
-    let hello = match read_frame_payload(&mut reader, &mut payload).and_then(|len| {
-        rx.record(len + 4);
-        Ok(wire::decode(&payload)?)
-    }) {
+    let hello = match next(&mut reader) {
         Ok(msg @ (Message::Hello { .. } | Message::GroupHello { .. })) => msg,
         Ok(other) => {
             let _ = tx.send(Event::Unattributed(NetError::Protocol(format!(
@@ -303,10 +322,6 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
         ))));
         return;
     };
-    // Recycle channels: the command loop returns consumed bulk buffers here so the
-    // steady-state decode below never allocates.
-    let (grads_tx, grads_pool) = unbounded::<Vec<f32>>();
-    let (known_tx, known_pool) = unbounded::<Vec<u64>>();
     // Registration travels on the same channel before the Hello frame, so the command
     // loop always owns the write half by the time it sees the rank's first message.
     if tx
@@ -326,8 +341,7 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
         return;
     }
     loop {
-        let msg = read_pooled(&mut reader, &mut payload, &grads_pool, &known_pool, &rx);
-        match msg {
+        match next(&mut reader) {
             Ok(msg) => {
                 if tx.send(Event::Frame(rank, Ok(msg))).is_err() {
                     return; // server gone
@@ -343,28 +357,27 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
     }
 }
 
-/// Reads the connection's next frame, routing the bulk kinds into buffers recycled
-/// from the command loop (an empty pool falls back to a fresh `Vec`, so correctness
-/// never depends on the recycling): gradients stream from the socket straight into
-/// their `Vec`, version vectors are decoded from the small buffered frame.
-fn read_pooled(
-    reader: &mut BufReader<TcpStream>,
+/// The one frame-to-message reader of both server ends (TCP's connection readers, the
+/// loopback server's `recv`): reads the next frame from `reader` and returns it
+/// decoded with its size on the wire, length prefix included. The bulk kinds go into
+/// buffers recycled from the command loop through `pools` (an empty or absent pool
+/// falls back to a fresh `Vec`, so correctness never depends on the recycling):
+/// gradients stream straight into their `Vec`, version vectors are decoded from the
+/// small buffered frame. Every other kind is buffered in `payload` and decoded.
+pub(crate) fn read_message<R: Read + ?Sized>(
+    reader: &mut R,
     payload: &mut Vec<u8>,
-    grads_pool: &Receiver<Vec<f32>>,
-    known_pool: &Receiver<Vec<u64>>,
-    rx: &RxCounters,
-) -> Result<Message, NetError> {
-    fn recycled<T>(pool: &Receiver<Vec<T>>) -> Vec<T> {
-        match pool.try_recv() {
-            Ok(buf) => buf,
-            Err(TryRecvError::Empty | TryRecvError::Disconnected) => Vec::new(),
-        }
+    pools: Option<&Recycled>,
+) -> Result<(Message, usize), NetError> {
+    fn recycled<T>(pool: Option<&Receiver<Vec<T>>>) -> Vec<T> {
+        pool.and_then(|pool| pool.try_recv().ok())
+            .unwrap_or_default()
     }
     let body = FrameBody::begin(reader)?;
     let wire_len = body.wire_len();
     let msg = match body.tag() {
         TAG_PUSH => {
-            let mut grads = recycled(grads_pool);
+            let mut grads = recycled(pools.map(|p| &p.grads));
             let (iteration, trace) = body.push_into(&mut grads)?;
             Message::Push {
                 iteration,
@@ -373,7 +386,7 @@ fn read_pooled(
             }
         }
         TAG_PUSH_SLICE => {
-            let mut grads = recycled(grads_pool);
+            let mut grads = recycled(pools.map(|p| &p.grads));
             let (iteration, epoch, trace, pull) = body.push_slice_into(&mut grads)?;
             Message::PushSlice {
                 iteration,
@@ -383,33 +396,47 @@ fn read_pooled(
                 grads,
             }
         }
-        TAG_PULL_DELTA => {
+        TAG_PULL_DELTA | TAG_PULL_SHARDS => {
             body.buffer(payload)?;
-            let mut known = recycled(known_pool);
-            let trace = wire::decode_pull_delta_into(payload, &mut known)?;
-            Message::PullDelta {
-                trace,
-                known_versions: known,
+            let mut known = recycled(pools.map(|p| &p.known));
+            let mut msg = wire::decode_with_run(payload, &mut known)?;
+            if let Message::PullDelta { known_versions, .. }
+            | Message::PullShards { known_versions, .. } = &mut msg
+            {
+                *known_versions = known;
             }
-        }
-        TAG_PULL_SHARDS => {
-            body.buffer(payload)?;
-            let mut known = recycled(known_pool);
-            let (all, epoch, trace) = wire::decode_pull_shards_into(payload, &mut known)?;
-            Message::PullShards {
-                known_versions: known,
-                all,
-                epoch,
-                trace,
-            }
+            msg
         }
         _ => {
             body.buffer(payload)?;
             wire::decode(payload)?
         }
     };
-    rx.record(wire_len);
-    Ok(msg)
+    Ok((msg, wire_len))
+}
+
+/// What a failed read on `rank`'s connection ends a server's `recv` with, on either
+/// transport. A clean EOF at a frame boundary keeps its rank as
+/// [`NetError::ClientLost`], so serving loops can decide whether the departure is
+/// fatal (shard servers outlive their finished workers; a single server does not). A
+/// reset carries the same meaning: a killed worker with an unread reply in its
+/// receive buffer closes with RST rather than FIN. Anything else — a frame that does
+/// not decode — is a protocol failure naming the rank.
+pub(crate) fn connection_failed(rank: usize, e: NetError) -> NetError {
+    match e {
+        NetError::Disconnected => NetError::ClientLost { rank },
+        NetError::Io(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionReset
+                    | std::io::ErrorKind::ConnectionAborted
+                    | std::io::ErrorKind::BrokenPipe
+            ) =>
+        {
+            NetError::ClientLost { rank }
+        }
+        e => NetError::Protocol(format!("connection of worker {rank} failed: {e}")),
+    }
 }
 
 impl ServerTransport for TcpServerTransport {
@@ -430,75 +457,20 @@ impl ServerTransport for TcpServerTransport {
                     self.pools[rank] = Some(pools);
                 }
                 Event::Frame(rank, Ok(msg)) => return Ok((rank, msg)),
-                // A clean EOF at a frame boundary keeps its rank so serving loops can
-                // decide whether the departure is fatal (shard servers outlive their
-                // finished workers; a single server does not). A reset carries the
-                // same meaning: a killed worker with an unread reply in its receive
-                // buffer closes with RST rather than FIN.
-                Event::Frame(rank, Err(NetError::Disconnected)) => {
-                    return Err(NetError::ClientLost { rank })
-                }
-                Event::Frame(rank, Err(NetError::Io(e)))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::ConnectionReset
-                            | std::io::ErrorKind::ConnectionAborted
-                            | std::io::ErrorKind::BrokenPipe
-                    ) =>
-                {
-                    return Err(NetError::ClientLost { rank })
-                }
-                Event::Frame(rank, Err(e)) => {
-                    return Err(NetError::Protocol(format!(
-                        "connection of worker {rank} failed: {e}"
-                    )))
-                }
+                Event::Frame(rank, Err(e)) => return Err(connection_failed(rank, e)),
                 Event::Unattributed(e) => return Err(e),
             }
         }
     }
 
-    fn send_frame(&mut self, rank: usize, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
-        self.scratch.clear();
-        encode(&mut self.scratch);
-        write_frame_payload(writer_of(&mut self.writers, rank)?, &self.scratch)?;
-        self.tx.sent(self.scratch.len() + 4);
-        Ok(())
-    }
-
-    fn send_pull_reply(&mut self, rank: usize, view: &PullView<'_>) -> Result<(), NetError> {
-        // Straight from the store to the socket: no frame buffer in between.
-        let wire_len = view.write_frame(writer_of(&mut self.writers, rank)?)?;
-        self.tx.sent(wire_len);
-        Ok(())
-    }
-
-    fn send_shard_reply(
+    fn send_frame(
         &mut self,
         rank: usize,
-        ack: Option<(u64, &[u64])>,
-        first_shard: u32,
-        view: &PullView<'_>,
+        frames: u64,
+        write: FrameWriter<'_>,
     ) -> Result<(), NetError> {
-        // Straight from the store to the socket, the ack in the same gathered write.
-        let w = writer_of(&mut self.writers, rank)?;
-        let updates = view.shard_updates(first_shard);
-        let wire_len = match ack {
-            Some((version, applied)) => {
-                wire::write_slice_applied_frames(w, version, applied, view.clock, updates)?
-            }
-            None => wire::write_pull_reply_delta_frame(w, view.clock, updates)?,
-        };
-        self.tx.sent(wire_len);
-        self.tx.frames_sent += u64::from(ack.is_some());
-        Ok(())
-    }
-
-    fn send_payload(&mut self, rank: usize, payload: &[u8]) -> Result<(), NetError> {
-        // The caller encoded straight into its own scratch; ship it as one frame
-        // without a decode/re-encode round trip.
-        write_frame_payload(writer_of(&mut self.writers, rank)?, payload)?;
-        self.tx.sent(payload.len() + 4);
+        let wire_len = write(writer_of(&mut self.writers, rank)?, &mut self.scratch)?;
+        self.tx.sent(frames, wire_len);
         Ok(())
     }
 
@@ -615,38 +587,6 @@ impl TcpWorkerTransport {
     pub fn stats(&self) -> TransportStats {
         self.stats
     }
-
-    /// Books one written frame (`written` is its size on the wire), or attributes the
-    /// write's failure to the peer.
-    fn sent(&mut self, written: std::io::Result<usize>) -> Result<(), NetError> {
-        let wire_len = written.map_err(|e| self.attribute(e.into()))?;
-        self.stats.sent(wire_len);
-        Ok(())
-    }
-
-    /// Rewrites anonymous transport failures into peer-attributed ones.
-    fn attribute(&self, e: NetError) -> NetError {
-        match e {
-            NetError::Io(io)
-                if matches!(
-                    io.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && self.read_timeout.is_some() =>
-            {
-                NetError::PeerTimeout {
-                    peer: self.peer.clone(),
-                    timeout_ms: self.read_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
-                }
-            }
-            NetError::Disconnected => NetError::PeerLost {
-                peer: self.peer.clone(),
-                addr: Some(self.addr.clone()),
-                rank: self.rank,
-                last_clock: self.last_clock,
-            },
-            other => other,
-        }
-    }
 }
 
 /// Minimal xorshift64* generator used only to jitter reconnect backoff — not
@@ -680,18 +620,42 @@ impl Xorshift {
 }
 
 impl WorkerTransport for TcpWorkerTransport {
-    fn send_frame(&mut self, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
-        self.scratch.clear();
-        encode(&mut self.scratch);
-        let written = write_frame_payload(&mut self.writer, &self.scratch);
-        self.sent(written.map(|()| self.scratch.len() + 4))
+    fn send_frame(&mut self, write: FrameWriter<'_>) -> Result<(), NetError> {
+        let wire_len =
+            write(&mut self.writer, &mut self.scratch).map_err(|e| self.peer_error(e.into()))?;
+        self.stats.sent(1, wire_len);
+        Ok(())
     }
 
-    fn recv_frame(&mut self) -> Result<&[u8], NetError> {
-        let len = read_frame_payload(&mut self.reader, &mut self.payload)
-            .map_err(|e| self.attribute(e))?;
-        self.stats.received(len + 4);
-        Ok(&self.payload)
+    fn recv_frame(&mut self) -> Result<(FrameBody<'_, dyn Read + '_>, &mut Vec<u8>), NetError> {
+        let body = FrameBody::begin(&mut self.reader as &mut dyn Read)?;
+        self.stats.received(body.wire_len());
+        Ok((body, &mut self.payload))
+    }
+
+    /// Rewrites anonymous transport failures — a timeout, a lost connection — into
+    /// ones that name the peer; the write path's failures go through it too.
+    fn peer_error(&self, e: NetError) -> NetError {
+        match e {
+            NetError::Io(io)
+                if matches!(
+                    io.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) && self.read_timeout.is_some() =>
+            {
+                NetError::PeerTimeout {
+                    peer: self.peer.clone(),
+                    timeout_ms: self.read_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
+                }
+            }
+            NetError::Disconnected => NetError::PeerLost {
+                peer: self.peer.clone(),
+                addr: Some(self.addr.clone()),
+                rank: self.rank,
+                last_clock: self.last_clock,
+            },
+            other => other,
+        }
     }
 
     /// Also remembers the rank a `Hello` or `GroupHello` announces, for
@@ -700,63 +664,18 @@ impl WorkerTransport for TcpWorkerTransport {
         if let Message::Hello { rank, .. } | Message::GroupHello { rank, .. } = msg {
             self.rank = Some(*rank);
         }
-        self.send_frame(&|buf| wire::encode(msg, buf))
+        self.send_frame(&|w, scratch| wire::write_frame(w, msg, scratch))
     }
 
     fn note_confirmed_clock(&mut self, clock: u64) {
         self.last_clock = Some(clock);
-    }
-
-    fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
-        let written = wire::write_push_frame(&mut self.writer, iteration, trace, grads);
-        self.sent(written)
-    }
-
-    fn send_push_slice(
-        &mut self,
-        iteration: u64,
-        epoch: u64,
-        trace: u64,
-        pull: bool,
-        grads: &[f32],
-    ) -> Result<(), NetError> {
-        let written =
-            wire::write_push_slice_frame(&mut self.writer, iteration, epoch, trace, pull, grads);
-        self.sent(written)
-    }
-
-    fn recv_pull_apply(
-        &mut self,
-        weights: &mut Vec<f32>,
-        versions: &mut Vec<u64>,
-    ) -> Result<PullOutcome, NetError> {
-        let Self {
-            reader,
-            payload,
-            stats,
-            ..
-        } = self;
-        let received = (|| {
-            let body = FrameBody::begin(reader)?;
-            stats.received(body.wire_len());
-            match body.tag() {
-                // The weights go from the socket straight into the caller's cache.
-                TAG_PULL_REPLY | TAG_PULL_REPLY_DELTA => Ok(PullOutcome::Applied(
-                    body.pull_reply_apply(weights, versions)?,
-                )),
-                _ => {
-                    body.buffer(payload)?;
-                    not_a_pull_reply(payload)
-                }
-            }
-        })();
-        received.map_err(|e| self.attribute(e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{PullOutcome, PullView};
     use crate::wire::PROTOCOL_VERSION;
 
     #[test]

@@ -1,40 +1,59 @@
 //! The transport abstraction and the in-process loopback implementation.
 //!
-//! A transport moves encoded frames between one server and `N` ranked workers. Two
-//! implementations exist:
+//! A transport moves length-prefixed frames between one server and `N` ranked
+//! workers. Two implementations exist:
 //!
 //! * [`crate::tcp`] — real sockets, one blocking reader thread per connection;
-//! * [`loopback`] — crossbeam channels inside one process that carry each frame's
-//!   payload bytes: the same codec, the same frames and the same byte counts as TCP,
-//!   without sockets or reader threads.
+//! * [`loopback`] — crossbeam channels inside one process that carry each write's
+//!   bytes, length prefixes included: the same codec, the same frames and the same
+//!   byte counts as TCP, without sockets or reader threads.
 //!
-//! Each trait requires only its frame primitives. A worker sends a frame whose payload
-//! the caller encodes into the transport's buffer ([`WorkerTransport::send_frame`]) and
-//! receives the next frame's payload ([`WorkerTransport::recv_frame`]); a server sends
-//! a frame to a rank ([`ServerTransport::send_frame`]) and receives decoded messages
-//! its own way ([`ServerTransport::recv`]). Every message operation — `send`, `recv`,
-//! the borrowed-slice pushes, the pulls applied into caller-owned weight and version
-//! caches, the replies written from a borrowed [`PullView`] of the server's store — is
-//! a provided method written once over those bytes with the buffered codecs of
-//! [`crate::wire`]. That is the loopback transport's whole path.
+//! Each trait requires only its frame primitives. Sending is one frame writer for both
+//! sides ([`WorkerTransport::send_frame`], [`ServerTransport::send_frame`]): it hands an
+//! operation a [`Write`] — the socket, or the bytes one channel message will carry —
+//! plus the transport's scratch buffer for small frames. The worker receives through
+//! one frame reader ([`WorkerTransport::recv_frame`]): a [`FrameBody`] over a [`Read`]
+//! — the socket's buffered reader, or the bytes received so far. A server end receives
+//! decoded messages its own way ([`ServerTransport::recv`]), and both ends run the
+//! same frame-to-message reader to do it.
 //!
-//! The TCP transport overrides where it streams: bulk frames are written from, and
-//! read into, their final buffers ([`WorkerTransport::send_push`],
-//! [`WorkerTransport::send_push_slice`], [`WorkerTransport::recv_pull_apply`];
-//! [`ServerTransport::send_pull_reply`], [`ServerTransport::send_shard_reply`],
-//! [`ServerTransport::send_payload`]), so neither endpoint copies a bulk byte twice or
-//! allocates per message, and its command loop hands consumed bulk buffers back to the
-//! connection readers ([`ServerTransport::recycle_f32s`]).
+//! Every message operation — `send`, `recv`, the borrowed-slice pushes, the pulls
+//! applied into caller-owned weight and version caches, the replies written from a
+//! borrowed [`PullView`] of the server's store — is a provided method written once
+//! over those primitives with the streaming codecs of [`crate::wire`]: bulk frames
+//! are written from, and read into, their final buffers (`write_*_frame`,
+//! [`PullView::write_frame`], [`FrameBody`]), every other frame is encoded into the
+//! scratch buffer and decoded from a reused payload buffer. So every loopback run
+//! executes the codec a TCP run does, and a shard server's acknowledgement plus its
+//! weights arrive in one write on both.
 //!
 //! [`WorkerTransport::pull_into`] — a request/reply pull carrying the *worker's*
 //! cached versions (`PullDelta`) — predates the fused round; `run_worker` no longer
 //! calls it and `serve` no longer answers `PullDelta`. It stays for the callers that
 //! run their own serving loop over these transports.
 
-use crate::tcp::TransportStats;
-use crate::wire::{self, Message, PullApplied, TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA};
+use crate::tcp::{connection_failed, read_message, TransportStats};
+use crate::wire::{self, FrameBody, Message, PullApplied, TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA};
 use crate::NetError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::io::{self, Cursor, Read, Write};
+
+/// One send operation: writes one or more whole frames to the transport's writer —
+/// a small frame encoded through the scratch buffer first — and returns the bytes it
+/// wrote, length prefixes included.
+pub type FrameWriter<'a> = &'a dyn Fn(&mut dyn Write, &mut Vec<u8>) -> io::Result<usize>;
+
+/// The send operation of one small frame: `encode` appends its payload to the
+/// transport's (emptied) scratch buffer, which goes out length-prefixed.
+fn small(
+    encode: impl Fn(&mut Vec<u8>),
+) -> impl Fn(&mut dyn Write, &mut Vec<u8>) -> io::Result<usize> {
+    move |w, scratch| {
+        scratch.clear();
+        encode(scratch);
+        wire::write_frame_payload(w, scratch)
+    }
+}
 
 /// A borrowed snapshot of the server's parameter store, from which a pull reply —
 /// full or delta — is written without copying the weights anywhere first.
@@ -83,23 +102,13 @@ impl<'a> PullView<'a> {
             })
     }
 
-    /// Encodes the reply this view answers with — a delta when applicable, a full
-    /// reply otherwise — appending the payload to `buf`, with the weights memcpy'd
-    /// straight from the store (the provided [`ServerTransport::send_pull_reply`]).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        if self.delta_applicable() {
-            wire::encode_pull_reply_delta(buf, self.clock, self.shard_updates(0));
-        } else {
-            wire::encode_pull_reply(buf, self.clock, self.versions, self.weights);
-        }
-    }
-
-    /// Writes the reply this view answers with as one frame, straight from the store —
-    /// stack headers plus the weights' own bytes in vectored writes, no frame buffer
-    /// in between (the TCP server's reply path). Byte-identical to
-    /// [`PullView::encode`] followed by [`wire::write_frame_payload`]. Returns the
-    /// bytes written, length prefix included.
-    pub fn write_frame<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<usize> {
+    /// Writes the reply this view answers with — a delta when applicable, a full
+    /// reply otherwise — as one frame, straight from the store: stack headers plus the
+    /// weights' own bytes in vectored writes, no frame buffer in between (the path of
+    /// [`ServerTransport::send_pull_reply`]). Byte-identical to [`PullView::encode`]
+    /// followed by [`wire::write_frame_payload`]. Returns the bytes written, length
+    /// prefix included.
+    pub fn write_frame<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<usize> {
         if self.delta_applicable() {
             wire::write_pull_reply_delta_frame(w, self.clock, self.shard_updates(0))
         } else {
@@ -122,7 +131,7 @@ pub enum PullOutcome {
 
 /// The outcome of a pull whose answer is not a pull reply: the server shut the run
 /// down, refused the layout epoch, or broke the protocol.
-pub(crate) fn not_a_pull_reply(payload: &[u8]) -> Result<PullOutcome, NetError> {
+fn not_a_pull_reply(payload: &[u8]) -> Result<PullOutcome, NetError> {
     match wire::decode(payload)? {
         Message::Shutdown { reason } => Ok(PullOutcome::Shutdown { reason }),
         // Typed, retryable: the caller (the group fan) waits out a frozen server or
@@ -145,12 +154,18 @@ pub trait ServerTransport: Send {
     /// Number of workers this transport serves.
     fn num_workers(&self) -> usize;
 
-    /// Blocks for the next message from any worker, attributed with its rank.
+    /// Blocks for the next message from any worker, attributed with its rank. A
+    /// connection whose read fails ends it with that failure, naming the rank.
     fn recv(&mut self) -> Result<(usize, Message), NetError>;
 
-    /// Sends one frame to `rank`, its payload appended by `encode` to the transport's
-    /// empty frame buffer.
-    fn send_frame(&mut self, rank: usize, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError>;
+    /// Sends `frames` whole frames to `rank` in one operation: `write` writes them to
+    /// the transport's writer for that rank.
+    fn send_frame(
+        &mut self,
+        rank: usize,
+        frames: u64,
+        write: FrameWriter<'_>,
+    ) -> Result<(), NetError>;
 
     /// Byte and frame counters accumulated by this transport so far, length prefixes
     /// included.
@@ -158,15 +173,14 @@ pub trait ServerTransport: Send {
 
     /// Sends a message to one worker.
     fn send(&mut self, rank: usize, msg: &Message) -> Result<(), NetError> {
-        self.send_frame(rank, &|buf| wire::encode(msg, buf))
+        self.send_frame(rank, 1, &|w, scratch| wire::write_frame(w, msg, scratch))
     }
 
     /// Ships a pull reply from a borrowed snapshot of the server's store —
-    /// incrementally when `view.known` permits, fully otherwise ([`PullView::encode`]).
-    /// The TCP transport hands the socket the stale shard ranges themselves
-    /// ([`PullView::write_frame`]).
+    /// incrementally when `view.known` permits, fully otherwise — handing the writer
+    /// the stale shard ranges themselves ([`PullView::write_frame`]).
     fn send_pull_reply(&mut self, rank: usize, view: &PullView<'_>) -> Result<(), NetError> {
-        self.send_frame(rank, &|buf| view.encode(buf))
+        self.send_frame(rank, 1, &|w, _| view.write_frame(w))
     }
 
     /// Hands a consumed bulk `f32` buffer (a processed push's gradients) back to the
@@ -181,9 +195,8 @@ pub trait ServerTransport: Send {
     /// [`Message::PullReplyDelta`] of [`PullView::shard_updates`] numbered from the
     /// server's first owned global shard `first_shard`, preceded by a
     /// [`Message::SliceApplied`] `{ version, applied }` when `ack` is set (the answer
-    /// to a pulling [`Message::PushSlice`]). The TCP transport writes both frames
-    /// straight from the store in one gathered write
-    /// ([`wire::write_slice_applied_frames`]).
+    /// to a pulling [`Message::PushSlice`]). Both frames are written straight from the
+    /// store in one gathered write ([`wire::write_slice_applied_frames`]).
     fn send_shard_reply(
         &mut self,
         rank: usize,
@@ -191,20 +204,22 @@ pub trait ServerTransport: Send {
         first_shard: u32,
         view: &PullView<'_>,
     ) -> Result<(), NetError> {
-        if let Some((version, applied)) = ack {
-            self.send_frame(rank, &|buf| {
-                wire::encode_slice_applied(buf, version, applied)
-            })?;
+        let clock = view.clock;
+        match ack {
+            Some((version, applied)) => self.send_frame(rank, 2, &|w, _| {
+                let updates = view.shard_updates(first_shard);
+                wire::write_slice_applied_frames(w, version, applied, clock, updates)
+            }),
+            None => self.send_frame(rank, 1, &|w, _| {
+                wire::write_pull_reply_delta_frame(w, clock, view.shard_updates(first_shard))
+            }),
         }
-        self.send_frame(rank, &|buf| {
-            wire::encode_pull_reply_delta(buf, view.clock, view.shard_updates(first_shard))
-        })
     }
 
     /// Sends an already-encoded payload as one frame to `rank`, for callers that run
     /// their own serving loop over a transport and encode replies themselves.
     fn send_payload(&mut self, rank: usize, payload: &[u8]) -> Result<(), NetError> {
-        self.send_frame(rank, &|buf| buf.extend_from_slice(payload))
+        self.send_frame(rank, 1, &|w, _| wire::write_frame_payload(w, payload))
     }
 
     /// Best-effort broadcast (used for `Shutdown`); per-worker failures are ignored
@@ -218,17 +233,24 @@ pub trait ServerTransport: Send {
 
 /// Worker side of a transport: a bidirectional frame pipe to the server.
 pub trait WorkerTransport: Send {
-    /// Sends one frame to the server, its payload appended by `encode` to the
-    /// transport's empty frame buffer.
-    fn send_frame(&mut self, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError>;
+    /// Sends one frame to the server: `write` writes it whole to the transport's
+    /// writer.
+    fn send_frame(&mut self, write: FrameWriter<'_>) -> Result<(), NetError>;
 
-    /// Blocks for the next frame from the server and returns its payload, which lives
-    /// in the transport's buffer until the next receive.
-    fn recv_frame(&mut self) -> Result<&[u8], NetError>;
+    /// Blocks for the next frame from the server and returns it with its length
+    /// prefix and tag read, plus the transport's reusable payload buffer for
+    /// [`FrameBody::buffer`]. Consume the body before the next receive.
+    fn recv_frame(&mut self) -> Result<(FrameBody<'_, dyn Read + '_>, &mut Vec<u8>), NetError>;
+
+    /// Rewrites a failure met on the link — a receive's included, at a frame's start
+    /// or inside its body — so it names the peer. Default: unchanged.
+    fn peer_error(&self, e: NetError) -> NetError {
+        e
+    }
 
     /// Sends a message to the server.
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        self.send_frame(&|buf| wire::encode(msg, buf))
+        self.send_frame(&|w, scratch| wire::write_frame(w, msg, scratch))
     }
 
     /// Records the last server clock (weight version) this side saw confirmed, so a
@@ -238,7 +260,10 @@ pub trait WorkerTransport: Send {
 
     /// Blocks for the next message from the server.
     fn recv(&mut self) -> Result<Message, NetError> {
-        Ok(wire::decode(self.recv_frame()?)?)
+        read_frame(self, |body, payload| {
+            body.buffer(payload)?;
+            Ok(wire::decode(payload)?)
+        })
     }
 
     /// Blocks for the next message like [`WorkerTransport::recv`], except that the
@@ -246,14 +271,16 @@ pub trait WorkerTransport: Send {
     /// `run` (overwritten) and the message holds an empty one
     /// ([`wire::decode_with_run`]): what keeps a warm group round allocation-free.
     fn recv_with_run(&mut self, run: &mut Vec<u64>) -> Result<Message, NetError> {
-        Ok(wire::decode_with_run(self.recv_frame()?, run)?)
+        read_frame(self, |body, payload| {
+            body.buffer(payload)?;
+            Ok(wire::decode_with_run(payload, run)?)
+        })
     }
 
-    /// Pushes one iteration's gradients from a borrowed slice, stamped with the
-    /// worker's causal `trace` id. The TCP transport writes the frame to the socket
-    /// straight from the slice.
+    /// Pushes one iteration's gradients straight from a borrowed slice, stamped with
+    /// the worker's causal `trace` id ([`wire::write_push_frame`]).
     fn send_push(&mut self, iteration: u64, trace: u64, grads: &[f32]) -> Result<(), NetError> {
-        self.send_frame(&|buf| wire::encode_push(buf, iteration, trace, grads))
+        self.send_frame(&|w, _| wire::write_push_frame(w, iteration, trace, grads))
     }
 
     /// One pull exchange against the caller's weight/version caches: requests a delta
@@ -269,19 +296,18 @@ pub trait WorkerTransport: Send {
         versions: &mut Vec<u64>,
     ) -> Result<PullOutcome, NetError> {
         if delta && !versions.is_empty() {
-            self.send_frame(&|buf| wire::encode_pull_delta(buf, trace, versions))?;
+            self.send_frame(&small(|buf| wire::encode_pull_delta(buf, trace, versions)))?;
         } else {
-            self.send_frame(&|buf| wire::encode_pull(buf, trace))?;
+            self.send_frame(&small(|buf| wire::encode_pull(buf, trace)))?;
         }
         self.recv_pull_apply(weights, versions)
     }
 
     /// Pushes one iteration's gradient **slice** (a shard server's key range of the
-    /// full gradient vector) from a borrowed slice, asking for the server's shards
-    /// behind the ack when `pull` is set. The TCP transport writes the frame to the
-    /// socket straight from the slice. Part of a group worker's fan-out: requests go
-    /// to every server first, then the answers are collected, so the servers work
-    /// concurrently.
+    /// full gradient vector) straight from a borrowed slice, asking for the server's
+    /// shards behind the ack when `pull` is set ([`wire::write_push_slice_frame`]).
+    /// Part of a group worker's fan-out: requests go to every server first, then the
+    /// answers are collected, so the servers work concurrently.
     fn send_push_slice(
         &mut self,
         iteration: u64,
@@ -290,7 +316,9 @@ pub trait WorkerTransport: Send {
         pull: bool,
         grads: &[f32],
     ) -> Result<(), NetError> {
-        self.send_frame(&|buf| wire::encode_push_slice(buf, iteration, epoch, trace, pull, grads))
+        self.send_frame(&|w, _| {
+            wire::write_push_slice_frame(w, iteration, epoch, trace, pull, grads)
+        })
     }
 
     /// Sends a shard-scoped pull request ([`Message::PullShards`]) from a borrowed
@@ -303,31 +331,47 @@ pub trait WorkerTransport: Send {
         epoch: u64,
         trace: u64,
     ) -> Result<(), NetError> {
-        self.send_frame(&|buf| wire::encode_pull_shards(buf, all, epoch, trace, known_versions))
+        self.send_frame(&small(|buf| {
+            wire::encode_pull_shards(buf, all, epoch, trace, known_versions)
+        }))
     }
 
     /// Receives one pull reply — requested, or riding an `OK` — and applies it to the
-    /// caller's **global** weight and version buffers in place
-    /// ([`wire::apply_pull_reply`]; a shard server's reply carries global shard
-    /// indices, so each update lands in its own key range). The TCP transport reads
-    /// each run from the socket straight into its key range.
+    /// caller's **global** weight and version buffers in place, each run read straight
+    /// into its key range ([`FrameBody::pull_reply_apply`]; a shard server's reply
+    /// carries global shard indices, so each update lands in its own key range).
     fn recv_pull_apply(
         &mut self,
         weights: &mut Vec<f32>,
         versions: &mut Vec<u64>,
     ) -> Result<PullOutcome, NetError> {
-        let payload = self.recv_frame()?;
-        match payload.first() {
-            Some(&(TAG_PULL_REPLY | TAG_PULL_REPLY_DELTA)) => Ok(PullOutcome::Applied(
-                wire::apply_pull_reply(payload, weights, versions)?,
+        read_frame(self, |body, payload| match body.tag() {
+            TAG_PULL_REPLY | TAG_PULL_REPLY_DELTA => Ok(PullOutcome::Applied(
+                body.pull_reply_apply(weights, versions)?,
             )),
-            _ => not_a_pull_reply(payload),
-        }
+            _ => {
+                body.buffer(payload)?;
+                not_a_pull_reply(payload)
+            }
+        })
     }
 }
 
+/// Reads `t`'s next frame through its frame reader and hands it to `read`; a failure
+/// at the frame's start or inside its body goes through [`WorkerTransport::peer_error`].
+fn read_frame<T: WorkerTransport + ?Sized, R>(
+    t: &mut T,
+    read: impl FnOnce(FrameBody<'_, dyn Read + '_>, &mut Vec<u8>) -> Result<R, NetError>,
+) -> Result<R, NetError> {
+    let got = t
+        .recv_frame()
+        .and_then(|(body, payload)| read(body, payload));
+    got.map_err(|e| t.peer_error(e))
+}
+
 /// What travels from the worker ends of a [`loopback`] transport to its server end:
-/// the sender's rank and a frame's payload, or `None` when that end was dropped.
+/// the sender's rank and one frame, length prefix included, or `None` when that end
+/// was dropped.
 type Upstream = (usize, Option<Vec<u8>>);
 
 /// Server end of a [`loopback`] transport.
@@ -336,6 +380,8 @@ pub struct LoopbackServer {
     /// dropped), like a FIN behind a connection's data.
     events: Receiver<Upstream>,
     replies: Vec<Sender<Vec<u8>>>,
+    scratch: Vec<u8>,
+    payload: Vec<u8>,
     stats: TransportStats,
 }
 
@@ -345,15 +391,19 @@ pub struct LoopbackWorker {
     rank: usize,
     to_server: Sender<Upstream>,
     from_server: Receiver<Vec<u8>>,
-    /// The last frame received, which [`WorkerTransport::recv_frame`] lends out.
+    /// The bytes of the server's last write not read yet: whole frames, one or more.
+    inbox: Cursor<Vec<u8>>,
+    scratch: Vec<u8>,
     payload: Vec<u8>,
 }
 
 /// Creates an in-process transport connecting one server to `num_workers` workers over
-/// unbounded channels that carry encoded frame payloads. Every message goes through
-/// the wire codec, so the protocol (handshake, explicit pulls, delta negotiation,
-/// shutdown broadcast, a lost worker reported as [`NetError::ClientLost`]) and the
-/// byte and frame counts behave exactly like the TCP transport's.
+/// unbounded channels. Each channel message carries the bytes of one write — whole
+/// frames, length prefixes included, encoded and decoded by the same operations as
+/// TCP's — so the protocol (handshake, explicit pulls, delta negotiation, shutdown
+/// broadcast, a lost worker reported as [`NetError::ClientLost`], a malformed frame
+/// refused naming its rank) and the byte and frame counts behave exactly like the TCP
+/// transport's.
 ///
 /// # Panics
 ///
@@ -370,6 +420,8 @@ pub fn loopback(num_workers: usize) -> (LoopbackServer, Vec<LoopbackWorker>) {
             rank,
             to_server: event_tx.clone(),
             from_server: reply_rx,
+            inbox: Cursor::default(),
+            scratch: Vec::new(),
             payload: Vec::new(),
         });
     }
@@ -377,17 +429,12 @@ pub fn loopback(num_workers: usize) -> (LoopbackServer, Vec<LoopbackWorker>) {
         LoopbackServer {
             events: event_rx,
             replies,
+            scratch: Vec::new(),
+            payload: Vec::new(),
             stats: TransportStats::default(),
         },
         workers,
     )
-}
-
-/// One frame's payload, encoded into a buffer of its own (it moves through a channel).
-fn encoded(encode: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode(&mut payload);
-    payload
 }
 
 impl ServerTransport for LoopbackServer {
@@ -397,22 +444,29 @@ impl ServerTransport for LoopbackServer {
 
     fn recv(&mut self) -> Result<(usize, Message), NetError> {
         match self.events.recv() {
-            Ok((rank, Some(payload))) => {
-                self.stats.received(payload.len() + 4);
-                Ok((rank, wire::decode(&payload)?))
+            Ok((rank, Some(frame))) => {
+                let (msg, wire_len) = read_message(&mut &frame[..], &mut self.payload, None)
+                    .map_err(|e| connection_failed(rank, e))?;
+                self.stats.received(wire_len);
+                Ok((rank, msg))
             }
             Ok((rank, None)) => Err(NetError::ClientLost { rank }),
             Err(_) => Err(NetError::Disconnected),
         }
     }
 
-    fn send_frame(&mut self, rank: usize, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
-        let payload = encoded(encode);
-        let len = payload.len();
+    fn send_frame(
+        &mut self,
+        rank: usize,
+        frames: u64,
+        write: FrameWriter<'_>,
+    ) -> Result<(), NetError> {
+        let mut bytes = Vec::new();
+        let wire_len = write(&mut bytes, &mut self.scratch)?;
         self.replies[rank]
-            .send(payload)
+            .send(bytes)
             .map_err(|_| NetError::Disconnected)?;
-        self.stats.sent(len + 4);
+        self.stats.sent(frames, wire_len);
         Ok(())
     }
 
@@ -422,18 +476,26 @@ impl ServerTransport for LoopbackServer {
 }
 
 impl WorkerTransport for LoopbackWorker {
-    fn send_frame(&mut self, encode: &dyn Fn(&mut Vec<u8>)) -> Result<(), NetError> {
+    fn send_frame(&mut self, write: FrameWriter<'_>) -> Result<(), NetError> {
+        let mut frame = Vec::new();
+        write(&mut frame, &mut self.scratch)?;
         self.to_server
-            .send((self.rank, Some(encoded(encode))))
+            .send((self.rank, Some(frame)))
             .map_err(|_| NetError::Disconnected)
     }
 
-    fn recv_frame(&mut self) -> Result<&[u8], NetError> {
-        self.payload = self
-            .from_server
-            .recv()
-            .map_err(|_| NetError::Disconnected)?;
-        Ok(&self.payload)
+    fn recv_frame(&mut self) -> Result<(FrameBody<'_, dyn Read + '_>, &mut Vec<u8>), NetError> {
+        if self.inbox.position() == self.inbox.get_ref().len() as u64 {
+            let bytes = self
+                .from_server
+                .recv()
+                .map_err(|_| NetError::Disconnected)?;
+            self.inbox = Cursor::new(bytes);
+        }
+        Ok((
+            FrameBody::begin(&mut self.inbox as &mut dyn Read)?,
+            &mut self.payload,
+        ))
     }
 }
 

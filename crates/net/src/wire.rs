@@ -13,12 +13,12 @@
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
 //! on. On little-endian hosts a bulk `f32`/`u32`/`u64` run's in-memory bytes *are* its
-//! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on TCP's
-//! training path, not copied at all: the streaming writers
+//! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on the
+//! transports' path, not copied at all: the streaming writers
 //! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`],
-//! [`write_pull_reply_delta_frame`], [`write_slice_applied_frames`]) hand the socket
-//! a small stack header plus the run's own bytes in one vectored write, and the
-//! streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
+//! [`write_pull_reply_delta_frame`], [`write_slice_applied_frames`]) hand the
+//! writer a small stack header plus the run's own bytes in one vectored write, and
+//! the streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
 //! the run straight into the buffer it is for. Big-endian hosts convert element-wise
 //! through the buffered codecs.
 //!
@@ -33,14 +33,17 @@
 //! generated body as the owned arm of [`encode`]. Adding a kind is one row plus its
 //! handling in the roles that send and receive it. A new or changed row changes the
 //! protocol: bump [`PROTOCOL_VERSION`] and recapture `tests/golden_frames.rs`, which
-//! pins every kind's bytes. The streaming codecs and the `decode_*_into` /
-//! [`decode_with_run`] / [`apply_pull_reply`] readers of the training path stay
-//! hand-written; `tests/proptest_wire.rs` holds them to the table's codec byte for
-//! byte and error for error.
+//! pins every kind's bytes. The streaming codecs and the [`decode_push_into`] /
+//! [`decode_with_run`] / [`apply_pull_reply`] readers stay hand-written;
+//! `tests/proptest_wire.rs` holds them to the table's codec byte for byte and error
+//! for error.
 //!
-//! The buffered codecs are the loopback transport's whole path: every provided method
-//! of the `crate::transport` traits encodes and decodes with them. They are also the
-//! reference for the streaming codecs, with which TCP overrides those methods.
+//! Both transports run the streaming codecs: every message operation of the
+//! `crate::transport` traits writes through the `write_*_frame` writers and reads
+//! through [`FrameBody`], over a socket or over the bytes of an in-process channel
+//! alike. The buffered bulk codecs ([`encode_push`], [`decode_push_into`],
+//! `PullView::encode`, [`apply_pull_reply`], [`encode_pull_reply_delta`]) are the
+//! reference the streaming ones are tested against, and the big-endian path.
 //!
 //! Protocol flow (client = worker, server = parameter server):
 //!
@@ -912,6 +915,21 @@ pub fn encode_pull_reply_delta<'a>(
     put_updates(buf, updates);
 }
 
+impl crate::transport::PullView<'_> {
+    /// Encodes the reply this view answers with — a delta when applicable, a full
+    /// reply otherwise — appending the payload to `buf`, with the weights memcpy'd
+    /// straight from the store. The buffered reference for
+    /// [`PullView::write_frame`](crate::transport::PullView::write_frame), which the
+    /// transports run.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        if self.delta_applicable() {
+            encode_pull_reply_delta(buf, self.clock, self.shard_updates(0));
+        } else {
+            encode_pull_reply(buf, self.clock, self.versions, self.weights);
+        }
+    }
+}
+
 /// Appends a delta reply's updates: the count, then each update.
 fn put_updates<'a>(buf: &mut Vec<u8>, updates: impl Iterator<Item = (u32, u64, &'a [f32])>) {
     // The update count is only known after iterating; write a placeholder and patch.
@@ -948,7 +966,7 @@ fn put_run<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
 /// Decodes a [`Message::Push`] payload into a caller-owned gradient buffer
 /// (overwritten; no allocation once warm) and returns the push's `(iteration, trace)`
 /// pair. Same strictness as [`decode`]. The buffered reference for
-/// [`FrameBody::push_into`], which the TCP transport uses.
+/// [`FrameBody::push_into`], which the transports use.
 ///
 /// Returns [`WireError::UnknownTag`] if the payload is not a `Push`.
 pub fn decode_push_into(payload: &[u8], grads: &mut Vec<f32>) -> Result<(u64, u64), WireError> {
@@ -964,56 +982,35 @@ pub fn decode_push_into(payload: &[u8], grads: &mut Vec<f32>) -> Result<(u64, u6
     Ok((iteration, trace))
 }
 
-/// Decodes a [`Message::PullDelta`] payload into a caller-owned version buffer
-/// (overwritten; no allocation once warm) and returns the pull's trace id. Same
-/// strictness as [`decode`].
-///
-/// Returns [`WireError::UnknownTag`] if the payload is not a `PullDelta`.
-pub fn decode_pull_delta_into(payload: &[u8], known: &mut Vec<u64>) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    if tag != TAG_PULL_DELTA {
-        return Err(WireError::UnknownTag(tag));
-    }
-    let trace = r.u64()?;
-    r.u64s_into(known)?;
-    r.finish()?;
-    Ok(trace)
-}
-
-/// Decodes a [`Message::PullShards`] payload into a caller-owned version buffer
-/// (overwritten; no allocation once warm) and returns the `(all, epoch, trace)`
-/// triple. Same strictness as [`decode`].
-///
-/// Returns [`WireError::UnknownTag`] if the payload is not a `PullShards`.
-pub fn decode_pull_shards_into(
-    payload: &[u8],
-    known: &mut Vec<u64>,
-) -> Result<(bool, u64, u64), WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    if tag != TAG_PULL_SHARDS {
-        return Err(WireError::UnknownTag(tag));
-    }
-    let all = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(WireError::UnknownTag(other)),
-    };
-    let epoch = r.u64()?;
-    let trace = r.u64()?;
-    r.u64s_into(known)?;
-    r.finish()?;
-    Ok((all, epoch, trace))
-}
-
-/// Decodes one payload like [`decode`], except that the per-rank run of a
-/// [`Message::SliceApplied`] or a [`Message::GroupGrant`] goes into the caller-owned
-/// `run` (overwritten; no allocation once warm) and the message comes back holding an
-/// empty one. Same strictness as [`decode`]; no other kind writes to `run`.
+/// Decodes one payload like [`decode`], except that the `u64` run of a
+/// [`Message::SliceApplied`], a [`Message::GroupGrant`] (per-rank counts), a
+/// [`Message::PullDelta`] or a [`Message::PullShards`] (known versions) goes into the
+/// caller-owned `run` (overwritten; no allocation once warm) and the message comes
+/// back holding an empty one. Same strictness as [`decode`]; no other kind writes to
+/// `run`.
 pub fn decode_with_run(payload: &[u8], run: &mut Vec<u64>) -> Result<Message, WireError> {
     let mut r = Reader::new(payload);
     let msg = match r.u8()? {
+        TAG_PULL_DELTA => {
+            let trace = r.u64()?;
+            r.u64s_into(run)?;
+            Message::PullDelta {
+                trace,
+                known_versions: Vec::new(),
+            }
+        }
+        TAG_PULL_SHARDS => {
+            let all = bool::get(&mut r)?;
+            let epoch = r.u64()?;
+            let trace = r.u64()?;
+            r.u64s_into(run)?;
+            Message::PullShards {
+                known_versions: Vec::new(),
+                all,
+                epoch,
+                trace,
+            }
+        }
         TAG_SLICE_APPLIED => {
             let version = r.u64()?;
             r.u64s_into(run)?;
@@ -1054,7 +1051,7 @@ pub struct PullApplied {
 /// version vector, in place: a full reply overwrites both buffers wholesale; a delta
 /// memcpys each update into its shard's key range (derived via
 /// [`dssp_ps::shard_range`]) and bumps that shard's cached version. The buffered
-/// reference for [`FrameBody::pull_reply_apply`], which the TCP transport uses.
+/// reference for [`FrameBody::pull_reply_apply`], which the transports use.
 ///
 /// Strict like [`decode`], plus layout validation: a delta against an empty cache, an
 /// out-of-range shard index, or a weight run that does not exactly fill its shard's
@@ -1117,7 +1114,12 @@ pub fn apply_pull_reply(
 
 /// Writes one length-prefixed frame to `w`, reusing `scratch` as the serialization
 /// buffer (cleared first). The header and payload go out in one vectored write.
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message, scratch: &mut Vec<u8>) -> io::Result<()> {
+/// Returns the bytes written, length prefix included.
+pub fn write_frame<W: Write + ?Sized>(
+    w: &mut W,
+    msg: &Message,
+    scratch: &mut Vec<u8>,
+) -> io::Result<usize> {
     scratch.clear();
     encode(msg, scratch);
     write_frame_payload(w, scratch)
@@ -1126,7 +1128,7 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message, scratch: &mut Vec<u8>) ->
 /// Writes every byte of `slices` to `w`, then flushes: one `write_vectored` when the
 /// writer takes it all, resumed where it stopped after a partial or interrupted
 /// write. The slices are advanced as they go out.
-fn write_gathered<W: Write>(w: &mut W, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+fn write_gathered<W: Write + ?Sized>(w: &mut W, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
     // Drop leading empty slices, so "nothing left to write" is never read as `Ok(0)`.
     IoSlice::advance_slices(&mut slices, 0);
     while !slices.is_empty() {
@@ -1147,10 +1149,12 @@ fn write_gathered<W: Write>(w: &mut W, mut slices: &mut [IoSlice<'_>]) -> io::Re
 
 /// Writes an already-encoded payload as one length-prefixed frame, using a vectored
 /// write so header and payload reach the socket in a single syscall without being
-/// copied into a combined buffer first.
-pub fn write_frame_payload<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+/// copied into a combined buffer first. Returns the bytes written, length prefix
+/// included.
+pub fn write_frame_payload<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<usize> {
     let prefix = len_prefix(payload.len());
-    write_gathered(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])
+    write_gathered(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])?;
+    Ok(payload.len() + 4)
 }
 
 /// Concatenates the fixed-size leading fields of a frame — length prefix, tag,
@@ -1170,18 +1174,20 @@ fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
 /// The big-endian form of every streaming writer: the run's bytes are not its wire
 /// bytes there, so the frame is encoded into a buffer and written from it.
 #[cfg(not(target_endian = "little"))]
-fn write_encoded<W: Write>(w: &mut W, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+fn write_encoded<W: Write + ?Sized>(
+    w: &mut W,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<usize> {
     let mut payload = Vec::new();
     encode(&mut payload);
-    write_frame_payload(w, &payload)?;
-    Ok(payload.len() + 4)
+    write_frame_payload(w, &payload)
 }
 
 /// Writes a [`Message::Push`] frame straight from the gradient slice: one vectored
 /// write of a stack header plus the run's own bytes — byte for byte what
 /// [`encode_push`] and [`write_frame_payload`] produce, without staging the run in a
 /// frame buffer first. Returns the bytes written, length prefix included.
-pub fn write_push_frame<W: Write>(
+pub fn write_push_frame<W: Write + ?Sized>(
     w: &mut W,
     iteration: u64,
     trace: u64,
@@ -1207,7 +1213,7 @@ pub fn write_push_frame<W: Write>(
 /// Writes a [`Message::PushSlice`] frame straight from the gradient slice, like
 /// [`write_push_frame`]; byte for byte [`encode_push_slice`] and
 /// [`write_frame_payload`]. Returns the bytes written, length prefix included.
-pub fn write_push_slice_frame<W: Write>(
+pub fn write_push_slice_frame<W: Write + ?Sized>(
     w: &mut W,
     iteration: u64,
     epoch: u64,
@@ -1239,7 +1245,7 @@ pub fn write_push_slice_frame<W: Write>(
 /// Writes a full [`Message::PullReply`] frame straight from the server's store; byte
 /// for byte [`encode_pull_reply`] and [`write_frame_payload`]. Returns the bytes
 /// written, length prefix included.
-pub fn write_pull_reply_frame<W: Write>(
+pub fn write_pull_reply_frame<W: Write + ?Sized>(
     w: &mut W,
     clock: u64,
     shard_versions: &[u64],
@@ -1286,7 +1292,7 @@ const DELTA_SHARDS_PER_WRITE: usize = 16;
 /// [`encode_pull_reply_delta`] and [`write_frame_payload`]. `updates` is walked twice
 /// — once to size the frame, once to write it — so it must be cheap to clone. Returns
 /// the bytes written, length prefix included.
-pub fn write_pull_reply_delta_frame<'a, W: Write>(
+pub fn write_pull_reply_delta_frame<'a, W: Write + ?Sized>(
     w: &mut W,
     clock: u64,
     updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
@@ -1305,7 +1311,7 @@ pub fn write_pull_reply_delta_frame<'a, W: Write>(
 /// Byte for byte [`encode_slice_applied`] and [`encode_pull_reply_delta`], each
 /// through [`write_frame_payload`]. Returns the bytes written, both length prefixes
 /// included.
-pub fn write_slice_applied_frames<'a, W: Write>(
+pub fn write_slice_applied_frames<'a, W: Write + ?Sized>(
     w: &mut W,
     version: u64,
     applied: &[u64],
@@ -1335,7 +1341,7 @@ pub fn write_slice_applied_frames<'a, W: Write>(
 /// [`write_slice_applied_frames`]: `lead`'s bytes go out first, in the same vectored
 /// write as the frame's header and first shards. Returns the delta frame's bytes.
 #[cfg(target_endian = "little")]
-fn write_delta_frame_after<'a, W: Write>(
+fn write_delta_frame_after<'a, W: Write + ?Sized>(
     w: &mut W,
     lead: [&[u8]; 2],
     clock: u64,
@@ -1384,7 +1390,7 @@ fn write_delta_frame_after<'a, W: Write>(
 
 /// Reads a frame's length prefix. [`crate::NetError::Disconnected`] on a clean EOF at
 /// the frame boundary; [`WireError::Oversized`] before anything is sized from it.
-fn read_frame_prefix<R: Read>(r: &mut R) -> Result<usize, crate::NetError> {
+fn read_frame_prefix<R: Read + ?Sized>(r: &mut R) -> Result<usize, crate::NetError> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
         Ok(()) => {}
@@ -1400,44 +1406,25 @@ fn read_frame_prefix<R: Read>(r: &mut R) -> Result<usize, crate::NetError> {
     Ok(len)
 }
 
-/// Reads one length-prefixed frame from `r` into the caller-owned `payload` buffer
-/// (no allocation once the buffer reached the connection's largest frame) and returns
-/// the payload length. Returns [`crate::NetError::Disconnected`] on a clean EOF at a
-/// frame boundary.
-///
-/// `resize` zero-fills whatever lies past the buffer's current length before
-/// `read_exact` overwrites it. That is free only while a connection's frames keep one
-/// size; a training connection alternates a 21-byte `PushReply` with a model-sized
-/// frame, which would cost a memset of the large frame every round — the reason the
-/// bulk kinds are read through [`FrameBody`] instead, and what still comes through
-/// here is small.
-pub fn read_frame_payload<R: Read>(
-    r: &mut R,
-    payload: &mut Vec<u8>,
-) -> Result<usize, crate::NetError> {
-    let len = read_frame_prefix(r)?;
-    payload.resize(len, 0);
-    r.read_exact(payload)?;
-    Ok(len)
-}
-
 /// One incoming frame, consumed from its stream field by field: the length prefix and
-/// the tag have been read, the rest is still on the stream. The streaming counterpart
-/// of the buffered decoders, for the frames that carry an `f32` run on the training
-/// path — it validates exactly what they validate, in the same order and with the
-/// same [`WireError`]s (field truncation, a run's declared count against the bytes
-/// left in the frame, shard index and key-range length, trailing bytes), and then
-/// reads the run from the stream straight into the buffer it is for, so a received
-/// gradient or weight byte is written once. Every read is bounded by the frame's
-/// declared length, so a malformed frame can neither make this read into the next
-/// frame nor size a buffer past [`MAX_FRAME_LEN`].
+/// the tag have been read, the rest is still on the stream. Every frame either
+/// transport reads starts here. A frame that carries an `f32` run is streamed: its
+/// fixed fields are validated exactly as the buffered decoders validate them, in the
+/// same order and with the same [`WireError`]s (field truncation, a run's declared
+/// count against the bytes left in the frame, shard index and key-range length,
+/// trailing bytes), and then the run is read from the stream straight into the buffer
+/// it is for, so a received gradient or weight byte is written once. Every other frame
+/// is read whole ([`FrameBody::buffer`]) for the table's decoders. Every read is
+/// bounded by the frame's declared length, so a malformed frame can neither make this
+/// read into the next frame nor size a buffer past [`MAX_FRAME_LEN`].
 ///
-/// Read through the connection's one buffered reader: by the time a frame's tag is
-/// known that reader already holds the first kilobytes of its body.
+/// Read through a buffered source — a socket's `BufReader`, or the bytes an
+/// in-process channel delivered — so by the time a frame's tag is known the source
+/// already holds the first kilobytes of its body.
 ///
 /// A frame that fails part-way leaves the stream mid-frame; like every decoding
 /// failure it ends the connection.
-pub struct FrameBody<'r, R> {
+pub struct FrameBody<'r, R: ?Sized> {
     r: &'r mut R,
     /// Declared payload length.
     len: usize,
@@ -1446,7 +1433,7 @@ pub struct FrameBody<'r, R> {
     tag: u8,
 }
 
-impl<'r, R: Read> FrameBody<'r, R> {
+impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
     /// Reads the next frame's length prefix and tag. [`crate::NetError::Disconnected`]
     /// on a clean EOF at the frame boundary, [`WireError::Oversized`] for a length
     /// past [`MAX_FRAME_LEN`], and [`WireError::Truncated`] for an empty frame, which
@@ -1474,7 +1461,8 @@ impl<'r, R: Read> FrameBody<'r, R> {
     }
 
     /// Reads the rest of the frame into `payload`, tag first, for the buffered
-    /// decoders — the path of every frame kind that carries no bulk run.
+    /// decoders — the path of every frame kind that carries no bulk run. `payload` is
+    /// reused: no allocation once it reached the source's largest such frame.
     pub fn buffer(self, payload: &mut Vec<u8>) -> Result<(), crate::NetError> {
         payload.resize(self.len, 0);
         payload[0] = self.tag;
@@ -1746,10 +1734,10 @@ mod tests {
         decode(&buf).expect("decodes")
     }
 
-    /// Reads one length-prefixed frame through the buffered path and decodes it.
+    /// Reads one length-prefixed frame whole and decodes it.
     fn read_frame<R: Read>(r: &mut R) -> Result<Message, crate::NetError> {
         let mut payload = Vec::new();
-        read_frame_payload(r, &mut payload)?;
+        FrameBody::begin(r)?.buffer(&mut payload)?;
         Ok(decode(&payload)?)
     }
 
@@ -1937,7 +1925,15 @@ mod tests {
         let mut buf = Vec::new();
         encode_pull_shards(&mut buf, true, 1, 78, &[2, 3]);
         let mut known = vec![0u64; 4]; // stale content must be cleared
-        assert_eq!(decode_pull_shards_into(&buf, &mut known), Ok((true, 1, 78)));
+        assert_eq!(
+            decode_with_run(&buf, &mut known),
+            Ok(Message::PullShards {
+                all: true,
+                epoch: 1,
+                trace: 78,
+                known_versions: Vec::new(),
+            })
+        );
         assert_eq!(known, vec![2, 3]);
         assert_eq!(
             decode(&buf),
@@ -1948,14 +1944,10 @@ mod tests {
                 known_versions: known.clone(),
             })
         );
-        assert_eq!(
-            decode_pull_shards_into(&[4u8], &mut known),
-            Err(WireError::UnknownTag(4))
-        );
         // A corrupt bool discriminant is rejected, not guessed at.
         buf[1] = 7;
         assert_eq!(
-            decode_pull_shards_into(&buf, &mut known),
+            decode_with_run(&buf, &mut known),
             Err(WireError::UnknownTag(7))
         );
         assert_eq!(decode(&buf), Err(WireError::UnknownTag(7)));
@@ -2039,7 +2031,13 @@ mod tests {
         let mut buf = Vec::new();
         encode_pull_delta(&mut buf, 100, &[5, 6]);
         let mut known = vec![0u64; 3];
-        assert_eq!(decode_pull_delta_into(&buf, &mut known), Ok(100));
+        assert_eq!(
+            decode_with_run(&buf, &mut known),
+            Ok(Message::PullDelta {
+                trace: 100,
+                known_versions: Vec::new()
+            })
+        );
         assert_eq!(known, vec![5, 6]);
 
         // The per-rank runs of the group round land in the caller's buffer.
@@ -2346,11 +2344,14 @@ mod tests {
         write_frame(&mut stream, &Message::Pull { trace: 7 }, &mut scratch).unwrap();
         let mut cursor = std::io::Cursor::new(stream);
         let mut payload = Vec::new();
-        let len = read_frame_payload(&mut cursor, &mut payload).unwrap();
+        let body = FrameBody::begin(&mut cursor).unwrap();
+        let len = body.wire_len() - 4;
+        body.buffer(&mut payload).unwrap();
         assert_eq!(payload.len(), len);
         let cap_after_big = payload.capacity();
-        let len = read_frame_payload(&mut cursor, &mut payload).unwrap();
-        assert_eq!(len, 9);
+        let body = FrameBody::begin(&mut cursor).unwrap();
+        assert_eq!(body.wire_len(), 4 + 9);
+        body.buffer(&mut payload).unwrap();
         assert_eq!(decode(&payload), Ok(Message::Pull { trace: 7 }));
         assert_eq!(payload.capacity(), cap_after_big, "buffer must be reused");
     }

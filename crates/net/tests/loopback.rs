@@ -1,12 +1,14 @@
 //! End-to-end tests of the networked runtime over the in-process loopback transport:
-//! full training runs, sharded-versus-flat storage equality, and shutdown behaviour.
+//! full training runs, sharded-versus-flat storage equality, shutdown behaviour, and
+//! malformed frames refused the way TCP refuses them.
 
 use dssp_core::driver::{JobConfig, WorkerStep};
 use dssp_net::transport::{loopback, ServerTransport, WorkerTransport};
-use dssp_net::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
-use dssp_net::{run_worker, serve, NetError, WorkerReport};
+use dssp_net::wire::{self, Message, PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
+use dssp_net::{run_worker, serve, NetError, TcpServerTransport, TcpWorkerTransport, WorkerReport};
 use dssp_ps::PolicyKind;
 use dssp_sim::RunTrace;
+use std::io::{self, Write};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -280,4 +282,49 @@ fn a_push_of_the_wrong_length_is_refused_by_the_server() {
         worker.recv(),
         Ok(Message::Shutdown { reason }) if reason == SHUTDOWN_SERVER_ERROR
     ));
+}
+
+/// Writes a `Push` frame whose gradient run declares more elements than the frame
+/// holds: the frame itself is whole, so only its decode can refuse it.
+fn overrunning_push(w: &mut dyn Write, _scratch: &mut Vec<u8>) -> io::Result<usize> {
+    let mut payload = Vec::new();
+    wire::encode_push(&mut payload, 1, 0, &[0.5, -0.5]);
+    // The run's element count follows the tag, the iteration and the trace id.
+    payload[17..21].copy_from_slice(&1000u32.to_le_bytes());
+    wire::write_frame_payload(w, &payload)
+}
+
+/// Rank 1 says Hello and then sends [`overrunning_push`]: `serve` must end with the
+/// same protocol error on both transports, naming the rank whose connection failed.
+#[test]
+fn a_malformed_frame_is_refused_naming_its_rank_on_both_transports() {
+    let job = small_job(PolicyKind::Asp);
+    let hello = Message::Hello {
+        version: PROTOCOL_VERSION,
+        rank: 1,
+        num_workers: job.num_workers as u32,
+        config_digest: job.stable_digest(),
+    };
+
+    let (mut server, mut ends) = loopback(job.num_workers);
+    let mut worker = ends.pop().expect("rank 1's end");
+    worker.send(&hello).unwrap();
+    worker.send_frame(&overrunning_push).unwrap();
+    let over_loopback = serve(&job, &mut server);
+
+    let mut server = TcpServerTransport::bind("127.0.0.1:0", job.num_workers).unwrap();
+    let mut worker = TcpWorkerTransport::connect(&server.local_addr().to_string()).unwrap();
+    worker.send(&hello).unwrap();
+    worker.send_frame(&overrunning_push).unwrap();
+    let over_tcp = serve(&job, &mut server);
+
+    for (name, result) in [("loopback", over_loopback), ("tcp", over_tcp)] {
+        match result {
+            Err(NetError::Protocol(msg)) => assert!(
+                msg.starts_with("connection of worker 1 failed:") && msg.contains("1000"),
+                "{name}: {msg}"
+            ),
+            other => panic!("{name}: expected a protocol error, got {other:?}"),
+        }
+    }
 }

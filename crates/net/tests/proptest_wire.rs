@@ -1,8 +1,8 @@
 //! Property-based tests for the wire codec: encode→decode is the identity on every
 //! message kind, and corrupted frames (truncation, trailing bytes, absurd lengths) are
 //! rejected rather than misparsed; frames with arbitrary bytes overwritten never panic
-//! a decoder or make it size a buffer past what the frame holds. The streaming path the TCP transport runs for the
-//! bulk frames — `FrameBody` in, the `write_*_frame` family out — is held to the
+//! a decoder or make it size a buffer past what the frame holds. The streaming path both
+//! transports run for the bulk frames — `FrameBody` in, the `write_*_frame` family out — is held to the
 //! buffered codecs as its reference: same values, same errors, same bytes, over
 //! streams that move only a few bytes per call.
 
@@ -343,7 +343,9 @@ fn buffered(
     shards: usize,
 ) -> Result<Decoded, WireError> {
     let mut payload = Vec::new();
-    wire::read_frame_payload(&mut &stream[..], &mut payload).map_err(wire_error)?;
+    wire::FrameBody::begin(&mut &stream[..])
+        .and_then(|body| body.buffer(&mut payload))
+        .map_err(wire_error)?;
     let mut grads = Vec::new();
     match kind {
         BulkKind::Push => wire::decode_push_into(&payload, &mut grads)
@@ -457,7 +459,15 @@ fn assert_decodes_with_run_like_decode(payload: &[u8]) {
         (Ok(mut msg), Ok(_)) => {
             match &mut msg {
                 Message::SliceApplied { applied: kept, .. }
-                | Message::GroupGrant { counted: kept, .. } => {
+                | Message::GroupGrant { counted: kept, .. }
+                | Message::PullDelta {
+                    known_versions: kept,
+                    ..
+                }
+                | Message::PullShards {
+                    known_versions: kept,
+                    ..
+                } => {
                     assert!(kept.is_empty(), "the run goes to the caller's buffer");
                     *kept = run;
                 }

@@ -135,7 +135,8 @@ pub struct JobConfig {
     pub migration: Option<MigrationSpec>,
 }
 
-/// Which layout change a [`MigrationSpec`] runs.
+/// Which layout change a migration runs: a declared [`MigrationSpec`] always drains,
+/// the admin channel asks for either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationCommand {
     /// Move every shard off this server (it stays in the fleet, empty).
@@ -144,16 +145,16 @@ pub enum MigrationCommand {
     Rebalance,
 }
 
-/// A declarative migration trigger: run `command` once the coordinator's model
-/// version (total applied pushes) reaches `at_version`. Fires at most once per
-/// group life — only while the layout is still at epoch 0 — so a restarted
-/// coordinator that restored a migrated (epoch ≥ 1) layout does not migrate again.
-/// Only a drain can fire: the launch layout is the balanced one, so a rebalance from
-/// it has nothing to move ([`MigrationSpec::misfit`]).
+/// A declarative migration trigger: drain server `drain` once the coordinator's model
+/// version (total applied pushes) reaches `at_version`. Fires at most once per group
+/// life — only while the layout is still at epoch 0 — so a restarted coordinator that
+/// restored a migrated (epoch ≥ 1) layout does not migrate again. Only a drain is
+/// declared: the launch layout is the balanced one, so a rebalance from it would have
+/// nothing to move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationSpec {
-    /// The drain to run.
-    pub command: MigrationCommand,
+    /// The server whose shards move off.
+    pub drain: usize,
     /// Fire at the first quiescent round boundary at or after this model version.
     pub at_version: u64,
 }
@@ -166,45 +167,35 @@ impl MigrationSpec {
         if parts.next()? != "drain" {
             return None;
         }
-        let command = MigrationCommand::Drain(parts.next()?.parse().ok()?);
-        let at_version: u64 = parts.next()?.parse().ok()?;
+        let drain = parts.next()?.parse().ok()?;
+        let at_version = parts.next()?.parse().ok()?;
         if parts.next().is_some() {
             return None;
         }
-        Some(Self {
-            command,
-            at_version,
-        })
+        Some(Self { drain, at_version })
     }
 
     /// Why a job with `servers` shard servers can never run this spec, if it cannot:
-    /// a single server reads no spec, a drain must name a server the group has, and
-    /// a rebalance from the launch layout has nothing to move.
+    /// a single server reads no spec, and a drain must name a server the group has.
     pub fn misfit(&self, servers: usize) -> Option<String> {
         let spec = self.to_spec();
         if servers == 1 {
-            return Some(format!(
+            Some(format!(
                 "migration {spec} needs a multi-server group, the job has one server"
-            ));
-        }
-        match self.command {
-            MigrationCommand::Drain(server) if server >= servers => Some(format!(
-                "migration {spec} names server {server}, the job has {servers} servers"
-            )),
-            MigrationCommand::Drain(_) => None,
-            MigrationCommand::Rebalance => Some(format!(
-                "migration {spec} would never run: the launch layout is already balanced"
-            )),
+            ))
+        } else if self.drain >= servers {
+            Some(format!(
+                "migration {spec} names server {}, the job has {servers} servers",
+                self.drain
+            ))
+        } else {
+            None
         }
     }
 
-    /// Renders the spec in its CLI form: what [`MigrationSpec::parse`] accepts for a
-    /// drain, `rebalance:<at_version>` for the rebalance it refuses.
+    /// Renders the spec in the CLI form [`MigrationSpec::parse`] accepts.
     pub fn to_spec(&self) -> String {
-        match self.command {
-            MigrationCommand::Drain(server) => format!("drain:{server}:{}", self.at_version),
-            MigrationCommand::Rebalance => format!("rebalance:{}", self.at_version),
-        }
+        format!("drain:{}:{}", self.drain, self.at_version)
     }
 }
 

@@ -25,8 +25,7 @@
 
 use dssp::coord::run_group_threads;
 use dssp::core::driver::{
-    CheckpointSpec, FaultAction, FaultPhase, FaultPlan, FaultRole, JobConfig, MigrationCommand,
-    MigrationSpec,
+    CheckpointSpec, FaultAction, FaultPhase, FaultPlan, FaultRole, JobConfig, MigrationSpec,
 };
 use dssp::core::events::{encode_line, live_logs};
 use dssp::net::{
@@ -760,7 +759,7 @@ fn migration_job(policy: PolicyKind) -> JobConfig {
     job.servers = 3;
     job.shards = 4;
     job.migration = Some(MigrationSpec {
-        command: MigrationCommand::Drain(2),
+        drain: 2,
         at_version: 2,
     });
     job

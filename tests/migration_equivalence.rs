@@ -5,7 +5,7 @@
 //! must not differ by a single bit between the two fleets.
 
 use dssp::coord::run_group_threads;
-use dssp::core::driver::{CheckpointSpec, JobConfig, MigrationCommand, MigrationSpec};
+use dssp::core::driver::{CheckpointSpec, JobConfig, MigrationSpec};
 use dssp::ps::{shard_checkpoint_name, Checkpoint, StoreSnapshot};
 use dssp::PolicyKind;
 use std::path::PathBuf;
@@ -77,7 +77,7 @@ fn mid_job_drain_is_bitwise_equal_to_the_statically_smaller_group() {
     // closed-form two-server layout fleet B launches with.
     let mut migrated = group_job(3, migrated_dir.path().clone());
     migrated.migration = Some(MigrationSpec {
-        command: MigrationCommand::Drain(2),
+        drain: 2,
         at_version: 8,
     });
     let migrated_outcome = run_group_threads(&migrated).expect("migrated run completes");
