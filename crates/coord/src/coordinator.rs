@@ -21,7 +21,11 @@
 //! `Done` to the [`ServerLoop`], drain what it is ready to release, apply it (a clock
 //! push is [`ServerLoop::handle_push_slice`] with no gradients) and deliver the
 //! grants. A reply that cannot be delivered — the worker died between its message and
-//! the answer — evicts that worker; it never fails the group.
+//! the answer — evicts that worker; it never fails the group. Restore, events and
+//! metrics, the hooks after each clock push, the forced and final checkpoints and
+//! the closing `Shutdown` (to the workers and, as the extra recipient, the shard
+//! servers) are `dssp-net`'s [`Lifecycle`] and [`goodbye`], which every serving role
+//! runs.
 //!
 //! # Deterministic mode
 //!
@@ -37,12 +41,11 @@
 
 use crate::client::{FanOutcome, ServerCounters, ServerLink, ShardFan};
 use crate::layout::MigrationPlan;
-use dssp_core::driver::{FaultRole, JobConfig, MigrationCommand, OkReply, ServerLoop, WorkerEvent};
+use dssp_core::driver::{JobConfig, MigrationCommand, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{trace_id, EventKind, Role, NO_TRACE};
-use dssp_net::wire::{MIGRATE_CONTROL, PROTOCOL_VERSION, SHUTDOWN_OK, SHUTDOWN_SERVER_ERROR};
+use dssp_net::wire::{MIGRATE_CONTROL, PROTOCOL_VERSION, SHUTDOWN_OK};
 use dssp_net::{
-    require_helloed, validate_hello, CheckpointSink, FaultClock, Message, NetError, Obs,
-    ServerTransport,
+    goodbye, require_helloed, validate_hello, Lifecycle, Message, NetError, ServerTransport,
 };
 use dssp_ps::{CheckpointError, LayoutSnapshot};
 use dssp_sim::{GroupServerStats, RunTrace, WorkerSummary};
@@ -79,90 +82,35 @@ pub fn coordinate(
         )));
     }
     let admin = (extra == 1).then_some(job.num_workers);
-    // Start fresh, or resume the synchronization state (clocks, credits, interval
-    // tick) from the coordinator's durable checkpoint. A load failure still shuts the
-    // fleet down cleanly: workers get the broadcast, and the dropped shard-server
-    // links tell the shard servers their coordinator is gone.
-    let restoring = job.checkpoint.as_ref().filter(|c| c.restore);
-    // The layout the coordinator's checkpoint recorded, if the group had migrated
-    // before the crash; adopted into the fan before any traffic flows.
-    let mut restored_layout: Option<LayoutSnapshot> = None;
-    let sl = match restoring {
-        Some(spec) => {
-            let path = spec.dir.join(dssp_ps::coord_checkpoint_name());
-            let restored = dssp_ps::Checkpoint::load_for_job(&path, job.stable_digest())
-                .and_then(|ckpt| Ok((ServerLoop::restore(job, &ckpt, true)?, ckpt.layout)));
-            match restored {
-                Ok((sl, layout)) => {
-                    restored_layout = layout;
-                    sl
-                }
-                Err(e) => {
-                    transport.broadcast(&Message::Shutdown {
-                        reason: SHUTDOWN_SERVER_ERROR,
-                    });
-                    return Err(e.into());
-                }
-            }
-        }
-        None => ServerLoop::clock_only(job),
-    };
-    // The coordinator's observability bundle: events to `coord.ndjson`, metrics at
-    // the base `--metrics-addr` (shard servers derive their own ports from it).
-    let obs = match Obs::new(
-        Role::Coordinator,
-        0,
-        job.event_log.as_deref(),
-        job.metrics_addr.as_deref(),
-    ) {
-        Ok(obs) => obs,
-        Err(e) => {
-            transport.broadcast(&Message::Shutdown {
-                reason: SHUTDOWN_SERVER_ERROR,
-            });
-            return Err(e);
-        }
-    };
-    let mut fan = ShardFan::new(job, sl.param_len(), links);
-    fan.set_event_log(obs.event_log().cloned());
-    let result = fan.hello(job, job.num_workers as u32).and_then(|()| {
+    // The fan exists once the clock state does; a restore that fails before it
+    // still shuts the workers down, and the dropped shard-server links tell the
+    // shard servers their coordinator is gone.
+    let mut fan = None;
+    let result = Lifecycle::open(job, Role::Coordinator, 0).and_then(|(life, restored)| {
+        // Start fresh, or resume the synchronization state (clocks, credits, interval
+        // tick) and the layout the group had migrated to before the crash, adopted
+        // into the fan before any traffic flows.
+        let restoring = restored.is_some();
+        let (sl, restored_layout) = match restored {
+            Some(ckpt) => (ServerLoop::restore(job, &ckpt, true)?, ckpt.layout),
+            None => (ServerLoop::clock_only(job), None),
+        };
+        let fan = fan.insert(ShardFan::new(job, sl.param_len(), links));
+        fan.set_event_log(life.obs.event_log().cloned());
+        fan.hello(job, job.num_workers as u32)?;
         if let Some(l) = restored_layout.filter(|l| l.epoch != 0) {
             fan.adopt(l.epoch, &l.assignment)?;
         }
-        if restoring.is_some() {
-            check_restore_skew(&sl, &mut fan)?;
+        if restoring {
+            check_restore_skew(&sl, fan)?;
         }
-        Coordinator::new(job, sl, admin, &obs).run(transport, &mut fan)
+        Coordinator::new(job, sl, admin, life).run(transport, fan)
     });
-    // Best-effort on the error path (the Ok path already flushed with `?`): a crashed
-    // run should still leave its coordinator timeline behind when possible.
-    if result.is_err() {
-        let _ = obs.flush();
-    }
-    match result {
-        Ok(trace) => {
-            transport.broadcast(&Message::Shutdown {
-                reason: SHUTDOWN_OK,
-            });
-            fan.send_all(&Message::Shutdown {
-                reason: SHUTDOWN_OK,
-            });
-            Ok(trace)
+    goodbye(result, SHUTDOWN_OK, transport, |bye| {
+        if let Some(fan) = &mut fan {
+            fan.send_all(bye);
         }
-        Err(e) => {
-            // An injected fault simulates a crash: die without the protocol goodbye
-            // so peers observe the same abrupt connection loss a real kill produces.
-            if !matches!(e, NetError::FaultInjected { .. }) {
-                transport.broadcast(&Message::Shutdown {
-                    reason: SHUTDOWN_SERVER_ERROR,
-                });
-                fan.send_all(&Message::Shutdown {
-                    reason: SHUTDOWN_SERVER_ERROR,
-                });
-            }
-            Err(e)
-        }
-    }
+    })
 }
 
 /// The coordinator's per-run state: the clock-only decision loop plus the
@@ -187,17 +135,13 @@ struct Coordinator<'job> {
     /// Which workers have a granted pull in flight (everyone's initial pull at the
     /// start). Per-worker so evicting a dead worker cancels exactly its pull.
     pull_pending: Vec<bool>,
-    /// This process's structured chaos hooks.
-    fault: FaultClock,
-    /// Durable checkpoint cadence (clock state only — the weights live on the shard
-    /// servers, which checkpoint themselves).
-    sink: CheckpointSink,
-    digest: u64,
+    /// The role's lifecycle: chaos hooks, events and counters, and the durable
+    /// checkpoint (clock state only — the weights live on the shard servers, which
+    /// checkpoint themselves).
+    life: Lifecycle,
     /// Reused assembly buffers for evaluation pulls.
     eval_weights: Vec<f32>,
     eval_versions: Vec<u64>,
-    /// Structured events + Prometheus counters for this process.
-    obs: &'job Obs,
     start: Instant,
     /// The admin channel's transport rank (`num_workers`) when the transport bound
     /// the spare slot, `None` on transports sized exactly to the worker count.
@@ -230,7 +174,7 @@ struct ArmedMigration {
 }
 
 impl<'job> Coordinator<'job> {
-    fn new(job: &'job JobConfig, sl: ServerLoop, admin: Option<usize>, obs: &'job Obs) -> Self {
+    fn new(job: &'job JobConfig, sl: ServerLoop, admin: Option<usize>, life: Lifecycle) -> Self {
         let det = job.deterministic;
         // Zero on a fresh run, the checkpointed clocks after a restore.
         let last_iter = sl.push_counts();
@@ -245,12 +189,9 @@ impl<'job> Coordinator<'job> {
             // Deterministic mode: every worker — finished or not, on a restore —
             // pulls before anything else.
             pull_pending: vec![det; job.num_workers],
-            fault: FaultClock::new(job, FaultRole::Coordinator),
-            sink: CheckpointSink::new(job.checkpoint.as_ref(), &dssp_ps::coord_checkpoint_name()),
-            digest: job.stable_digest(),
+            life,
             eval_weights: Vec::new(),
             eval_versions: Vec::new(),
-            obs,
             start: Instant::now(),
             admin,
             admin_helloed: false,
@@ -293,15 +234,15 @@ impl<'job> Coordinator<'job> {
         let now = self.start.elapsed().as_secs_f64();
         let mut released = Vec::new();
         self.sl.evict_worker(rank, now, &mut released);
-        self.obs.on_eviction(rank);
+        self.life.obs.on_eviction(rank);
         for reply in &released {
-            self.obs.event_traced(
+            self.life.obs.event_traced(
                 EventKind::GateRelease,
                 reply.worker as u64,
                 self.last_trace[reply.worker],
             );
         }
-        self.obs.sync_loop(&self.sl);
+        self.life.obs.sync_loop(&self.sl);
         for reply in &released {
             self.send_grant(transport, reply.worker, reply.granted_extra)?;
         }
@@ -384,8 +325,8 @@ impl<'job> Coordinator<'job> {
         fan: &mut ShardFan,
     ) -> Result<RunTrace, NetError> {
         let det = self.job.deterministic;
-        let expected_digest = self.job.stable_digest();
-        self.obs
+        self.life
+            .obs
             .set_layout(fan.layout().epoch(), fan.layout().shards() as u64);
 
         while !self.sl.all_done() {
@@ -398,14 +339,15 @@ impl<'job> Coordinator<'job> {
             // while a granted pull is in flight — before blocking on the transport
             // again.
             while self.pending_apply.is_none() && !self.sl.all_done() {
-                if det && self.armed.is_some() {
-                    // Freeze point: release nothing more while armed. Once every
-                    // granted pull has drained the group is quiescent (no granted
-                    // push is pending either — `pending_apply` is `None` here).
-                    if self.pulls_in_flight() {
-                        break;
-                    }
-                    self.execute_armed(transport, fan)?;
+                // Freeze point: release nothing more while armed. Once every granted
+                // pull has drained the group is quiescent (no granted push is pending
+                // either — `pending_apply` is `None` here).
+                let frozen = det && self.armed.is_some();
+                if frozen && self.pulls_in_flight() {
+                    break;
+                }
+                if let Some(armed) = self.armed.take_if(|_| frozen) {
+                    self.execute_armed(transport, fan, armed)?;
                     continue;
                 }
                 if self.held.is_none() {
@@ -433,15 +375,20 @@ impl<'job> Coordinator<'job> {
             }
             // Non-deterministic mode reaches quiescence when every worker is blocked
             // at the gate (their grants withheld while armed).
-            if !det && self.armed.is_some() && self.quiescent() {
-                self.execute_armed(transport, fan)?;
+            let quiescent = !det && self.armed.is_some() && self.quiescent();
+            if let Some(armed) = self.armed.take_if(|_| quiescent) {
+                self.execute_armed(transport, fan, armed)?;
             }
             if self.sl.all_done() {
                 break;
             }
 
-            self.obs.mirror_transport(&transport.transport_stats());
-            self.obs.metrics().reconnects.store(fan.reconnects, Relaxed);
+            self.life.obs.mirror_transport(&transport.transport_stats());
+            self.life
+                .obs
+                .metrics()
+                .reconnects
+                .store(fan.reconnects, Relaxed);
             let (rank, msg) = match transport.recv() {
                 Ok(pair) => pair,
                 // The operator's CLI hung up after its ack (or mid-request): the
@@ -455,8 +402,11 @@ impl<'job> Coordinator<'job> {
                 Err(e) => return Err(e),
             };
             if Some(rank) == self.admin {
-                self.handle_admin(transport, fan, msg)?;
+                self.handle_admin(transport, fan, rank, msg)?;
                 continue;
+            }
+            if !matches!(msg, Message::Hello { .. }) {
+                require_helloed(&self.helloed, rank)?;
             }
             match msg {
                 Message::Hello {
@@ -472,13 +422,12 @@ impl<'job> Coordinator<'job> {
                         num_workers,
                         config_digest,
                         self.job.num_workers,
-                        expected_digest,
+                        self.life.digest,
                         &mut self.helloed,
                     )?;
-                    self.obs.on_join(rank);
+                    self.life.obs.on_join(rank);
                 }
                 Message::JoinRequest => {
-                    require_helloed(&self.helloed, rank)?;
                     // Membership: admit the worker at the number of pushes already
                     // confirmed from its rank — zero on a fresh run, the restored
                     // clock after a checkpoint restore — and hand it the committed
@@ -497,7 +446,6 @@ impl<'job> Coordinator<'job> {
                     self.send_or_evict(transport, rank, &ack)?;
                 }
                 Message::Evict { rank: victim } => {
-                    require_helloed(&self.helloed, rank)?;
                     let victim = victim as usize;
                     if victim >= self.job.num_workers {
                         return Err(NetError::Protocol(format!(
@@ -508,7 +456,6 @@ impl<'job> Coordinator<'job> {
                     self.evict(transport, victim)?;
                 }
                 Message::ClockPush { iteration, trace } => {
-                    require_helloed(&self.helloed, rank)?;
                     // The worker's fan-out for this iteration fully acked before it
                     // announced the push; until its grant goes out it is blocked.
                     self.awaiting_grant[rank] = true;
@@ -521,7 +468,6 @@ impl<'job> Coordinator<'job> {
                     });
                 }
                 Message::PushApplied { iteration } => {
-                    require_helloed(&self.helloed, rank)?;
                     match self.pending_apply.take() {
                         Some(WorkerEvent::Push {
                             worker,
@@ -544,7 +490,6 @@ impl<'job> Coordinator<'job> {
                     self.apply_push(transport, fan, rank)?;
                 }
                 Message::PullDone => {
-                    require_helloed(&self.helloed, rank)?;
                     if !det {
                         return Err(NetError::Protocol(format!(
                             "PullDone from worker {rank} outside deterministic mode"
@@ -562,7 +507,6 @@ impl<'job> Coordinator<'job> {
                     epochs,
                     waiting_time_s,
                 } => {
-                    require_helloed(&self.helloed, rank)?;
                     self.finished[rank] = true;
                     self.sl.offer(WorkerEvent::Done(WorkerSummary {
                         worker: rank,
@@ -592,24 +536,24 @@ impl<'job> Coordinator<'job> {
             &mut self.eval_weights,
             &mut self.eval_versions,
         )?;
-        self.fault.pull()?;
-        // The run's terminal clock state is always durable, regardless of cadence.
-        let digest = self.digest;
-        let sl = &self.sl;
-        self.sink.finalize(|| sl.snapshot(digest))?;
-        if self.job.checkpoint.is_some() {
-            self.obs.on_checkpoint(self.sl.version());
-        }
-        // Terminal counter sync before `finish_external` consumes the decision loop.
-        self.obs.sync_loop(&self.sl);
-        let mut trace = self.sl.finish_external(&self.eval_weights, total);
+        self.life.fault.pull()?;
+        self.life.obs.sync_loop(&self.sl);
         // Final statistics snapshot, per-link tolerant: a shard server that died (or
         // a link torn by a mid-run worker eviction) yields a zeroed row instead of
         // discarding every survivor's counters from the trace.
-        trace.group_servers = collect_group_stats(fan);
-        self.obs.metrics().reconnects.store(fan.reconnects, Relaxed);
-        self.obs.mirror_transport(&transport.transport_stats());
-        self.obs.flush()?;
+        let group_servers = collect_group_stats(fan);
+        self.life
+            .obs
+            .metrics()
+            .reconnects
+            .store(fan.reconnects, Relaxed);
+        // Closed before `finish_external` consumes the decision loop the terminal
+        // clock checkpoint is cut from.
+        let stats = transport.transport_stats();
+        self.life
+            .close(self.sl.version(), |digest| self.sl.snapshot(digest), &stats)?;
+        let mut trace = self.sl.finish_external(&self.eval_weights, total);
+        trace.group_servers = group_servers;
         Ok(trace)
     }
 
@@ -628,7 +572,7 @@ impl<'job> Coordinator<'job> {
         let now = self.start.elapsed().as_secs_f64();
         let mut replies = Vec::new();
         let decision = self.sl.handle_push_slice(pusher, &[], now, &mut replies);
-        self.obs.on_push(
+        self.life.obs.on_push(
             pusher,
             decision.staleness,
             &replies,
@@ -636,20 +580,10 @@ impl<'job> Coordinator<'job> {
             &self.last_trace,
         );
         self.deliver(transport, fan, &replies)?;
-        self.fault.push()?;
-        if !replies.iter().any(|r| r.worker == pusher) {
-            self.fault.gate_blocked()?;
-        }
-        let digest = self.digest;
-        let sl = &self.sl;
-        if self
-            .sink
-            .maybe_write(sl.version(), || sl.snapshot(digest))?
-        {
-            self.obs.on_checkpoint(self.sl.version());
-            self.fault.checkpoint()?;
-        }
-        Ok(())
+        let granted = replies.iter().any(|r| r.worker == pusher);
+        self.life.after_push(granted, self.sl.version(), |digest| {
+            self.sl.snapshot(digest)
+        })
     }
 
     /// Applies one worker's `Done` and delivers the grants its retirement releases.
@@ -690,7 +624,7 @@ impl<'job> Coordinator<'job> {
             )?;
             let accuracy = self.sl.accuracy(&self.eval_weights);
             self.sl.record_eval(point, accuracy);
-            self.fault.pull()?;
+            self.life.fault.pull()?;
         }
         Ok(())
     }
@@ -720,6 +654,7 @@ impl<'job> Coordinator<'job> {
         &mut self,
         transport: &mut dyn ServerTransport,
         fan: &ShardFan,
+        admin: usize,
         msg: Message,
     ) -> Result<(), NetError> {
         match msg {
@@ -733,10 +668,11 @@ impl<'job> Coordinator<'job> {
                 self.admin_helloed = true;
             }
             Message::Drain { server } => {
-                self.admin_request(transport, fan, MigrationCommand::Drain(server as usize))?;
+                let command = MigrationCommand::Drain(server as usize);
+                self.admin_request(transport, fan, admin, command)?;
             }
             Message::Rebalance => {
-                self.admin_request(transport, fan, MigrationCommand::Rebalance)?;
+                self.admin_request(transport, fan, admin, MigrationCommand::Rebalance)?;
             }
             other => {
                 return Err(NetError::Protocol(format!(
@@ -755,9 +691,9 @@ impl<'job> Coordinator<'job> {
         &mut self,
         transport: &mut dyn ServerTransport,
         fan: &ShardFan,
+        admin: usize,
         command: MigrationCommand,
     ) -> Result<(), NetError> {
-        let admin = self.admin.expect("handle_admin implies the admin slot");
         if !self.admin_helloed {
             return Err(NetError::Protocol(
                 "admin command before the channel's hello".to_string(),
@@ -795,9 +731,9 @@ impl<'job> Coordinator<'job> {
         &mut self,
         transport: &mut dyn ServerTransport,
         fan: &mut ShardFan,
+        armed: ArmedMigration,
     ) -> Result<(), NetError> {
-        let ArmedMigration { command, requester } =
-            self.armed.take().expect("execute_armed is gated on armed");
+        let ArmedMigration { command, requester } = armed;
         let plan = match plan_for(fan, command) {
             Ok(plan) => plan,
             Err(reason) => {
@@ -841,9 +777,10 @@ impl<'job> Coordinator<'job> {
                 // simulates a crash and dies abruptly instead; the workers' bounded
                 // freeze probes then degrade the orphaned freeze into a typed error,
                 // and the shard servers exit when their coordinator link drops.
-                if !matches!(e, NetError::FaultInjected { .. }) {
+                if !e.is_injected_kill() {
                     fan.send_all(&Message::MigrateAbort { epoch });
-                    self.obs
+                    self.life
+                        .obs
                         .event_traced(EventKind::MigrationRollback, epoch, mig_trace);
                 }
                 if let Some(admin) = requester {
@@ -875,7 +812,8 @@ impl<'job> Coordinator<'job> {
         epoch: u64,
         mig_trace: u64,
     ) -> Result<(), NetError> {
-        self.obs
+        self.life
+            .obs
             .event_traced(EventKind::MigrationPrepare, epoch, mig_trace);
         for server in 0..fan.num_links() {
             fan.send_to(server, &Message::MigratePrepare { epoch })?;
@@ -883,9 +821,9 @@ impl<'job> Coordinator<'job> {
         for server in 0..fan.num_links() {
             expect_control_ack(fan.recv_from(server)?, epoch, server)?;
         }
-        self.fault.migrate_prepare()?;
+        self.life.fault.migrate_prepare()?;
         for mv in &plan.moves {
-            self.fault.migrate_transfer()?;
+            self.life.fault.migrate_transfer()?;
             fan.send_to(
                 mv.from as usize,
                 &Message::MigrateRequest {
@@ -918,13 +856,14 @@ impl<'job> Coordinator<'job> {
                     )))
                 }
             }
-            self.obs
+            self.life
+                .obs
                 .event_traced(EventKind::ShardTransfer, u64::from(mv.shard), mig_trace);
         }
         for server in 0..fan.num_links() {
             // The hook sits between the per-server sends, so the chaos matrix can
             // tear a commit mid-broadcast.
-            self.fault.migrate_commit()?;
+            self.life.fault.migrate_commit()?;
             fan.send_to(
                 server,
                 &Message::LayoutUpdate {
@@ -937,23 +876,21 @@ impl<'job> Coordinator<'job> {
             expect_control_ack(fan.recv_from(server)?, epoch, server)?;
         }
         fan.adopt(epoch, &plan.assignment)?;
-        self.obs
+        self.life
+            .obs
             .event_traced(EventKind::MigrationCommit, epoch, mig_trace);
-        self.obs.set_layout(epoch, fan.layout().shards() as u64);
+        self.life
+            .obs
+            .set_layout(epoch, fan.layout().shards() as u64);
         // Force the clock checkpoint with the committed layout, regardless of
         // cadence: a coordinator restored from anything older would route by a
         // retired assignment and refuse the (migrated) shard servers' state.
-        let digest = self.digest;
-        let sl = &self.sl;
         let assignment = plan.assignment.clone();
-        self.sink.force(move || {
-            let mut ckpt = sl.snapshot(digest);
+        self.life.checkpoint(self.sl.version(), |digest| {
+            let mut ckpt = self.sl.snapshot(digest);
             ckpt.layout = Some(LayoutSnapshot { epoch, assignment });
             ckpt
         })?;
-        if self.job.checkpoint.is_some() {
-            self.obs.on_checkpoint(self.sl.version());
-        }
         // Re-route every live worker *before* any withheld grant reaches it: on one
         // TCP connection the layout always arrives ahead of the grant that lets the
         // worker fan out again. Best-effort per worker — a rank that is between

@@ -58,11 +58,42 @@ pub fn launch_group(
 ) -> Result<GroupLaunchOutcome, NetError> {
     job.validate();
     let mut children: Vec<Child> = Vec::new();
+    // The coordinator's worker-facing listener outlives the run: its connections
+    // close only once every child has been reaped.
+    let mut listener = None;
+    let result = spawn_and_coordinate(job, listen, exe, &mut children, &mut listener);
+    // The one exit path: a failed launch or run kills whatever it spawned and sweeps
+    // the temp files a killed child may have left mid-checkpoint.
+    let failed = result.is_err();
+    let failures = reap(&mut children, failed, GROUP_CHILD);
+    if failed {
+        clean_checkpoint_tmps(job);
+    }
+    let outcome = result?;
+    if let Some(failures) = failures {
+        return Err(NetError::WorkerProcess(format!(
+            "group child processes exited unsuccessfully (children 0..{} are the shard \
+             servers, the workers follow in rank order): {failures}",
+            job.servers
+        )));
+    }
+    Ok(outcome)
+}
 
+/// Spawns the shard servers, binds the coordinator's listener into `listener`,
+/// spawns the workers and coordinates the run, pushing every child it spawns onto
+/// `children` for the caller to reap.
+fn spawn_and_coordinate(
+    job: &JobConfig,
+    listen: &str,
+    exe: &Path,
+    children: &mut Vec<Child>,
+    listener: &mut Option<TcpServerTransport>,
+) -> Result<GroupLaunchOutcome, NetError> {
     // Phase 1: shard servers. Each prints its DSSP_LISTEN line before serving.
     let mut server_addrs: Vec<String> = Vec::with_capacity(job.servers);
     for index in 0..job.servers {
-        let spawned = Command::new(exe)
+        let mut child = Command::new(exe)
             .arg("serve")
             .arg("--server-index")
             .arg(index.to_string())
@@ -71,30 +102,17 @@ pub fn launch_group(
             .args(dssp_net::cli::job_args(job))
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
-            .spawn();
-        let mut child = match spawned {
-            Ok(child) => child,
-            Err(e) => {
-                reap(&mut children, true, GROUP_CHILD);
-                clean_checkpoint_tmps(job);
-                return Err(NetError::WorkerProcess(format!(
-                    "failed to spawn shard server {index}: {e}"
-                )));
-            }
-        };
-        match read_listen_line(&mut child) {
-            Ok(addr) => server_addrs.push(addr),
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                reap(&mut children, true, GROUP_CHILD);
-                clean_checkpoint_tmps(job);
-                return Err(NetError::WorkerProcess(format!(
-                    "shard server {index} never announced its address: {e}"
-                )));
-            }
-        }
+            .spawn()
+            .map_err(|e| {
+                NetError::WorkerProcess(format!("failed to spawn shard server {index}: {e}"))
+            })?;
+        let announced = read_listen_line(&mut child);
         children.push(child);
+        server_addrs.push(announced.map_err(|e| {
+            NetError::WorkerProcess(format!(
+                "shard server {index} never announced its address: {e}"
+            ))
+        })?);
     }
 
     // Phase 2: the coordinator's worker-facing listener and its server links. One
@@ -102,29 +120,14 @@ pub fn launch_group(
     // `repro -- drain`/`repro -- rebalance` CLI dials mid-run to request a live
     // migration. Left unused it costs nothing — the transport's drop path reaps
     // never-connected slots.
-    let bind = TcpServerTransport::bind(listen, job.num_workers + 1);
-    let mut transport = match bind {
-        Ok(t) => t,
-        Err(e) => {
-            reap(&mut children, true, GROUP_CHILD);
-            clean_checkpoint_tmps(job);
-            return Err(e);
-        }
-    };
+    let transport = listener.insert(TcpServerTransport::bind(listen, job.num_workers + 1)?);
     let coord_addr = transport.local_addr();
     let timeout = Some(Duration::from_millis(job.stall_timeout_ms.max(1)));
-    let links = match connect_links(&server_addrs, timeout) {
-        Ok(links) => links,
-        Err(e) => {
-            reap(&mut children, true, GROUP_CHILD);
-            clean_checkpoint_tmps(job);
-            return Err(e);
-        }
-    };
+    let links = connect_links(&server_addrs, timeout)?;
 
     // Phase 3: worker processes.
     for rank in 0..job.num_workers {
-        let spawned = Command::new(exe)
+        let child = Command::new(exe)
             .arg("worker")
             .arg("--connect")
             .arg(coord_addr.to_string())
@@ -134,34 +137,12 @@ pub fn launch_group(
             .arg(rank.to_string())
             .args(dssp_net::cli::job_args(job))
             .stdin(Stdio::null())
-            .spawn();
-        match spawned {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                reap(&mut children, true, GROUP_CHILD);
-                clean_checkpoint_tmps(job);
-                return Err(NetError::WorkerProcess(format!(
-                    "failed to spawn worker {rank}: {e}"
-                )));
-            }
-        }
+            .spawn()
+            .map_err(|e| NetError::WorkerProcess(format!("failed to spawn worker {rank}: {e}")))?;
+        children.push(child);
     }
 
-    let result = coordinate(job, &mut transport, links);
-    let kill = result.is_err();
-    let failures = reap(&mut children, kill, GROUP_CHILD);
-    if kill {
-        clean_checkpoint_tmps(job);
-    }
-
-    let trace = result?;
-    if let Some(failures) = failures {
-        return Err(NetError::WorkerProcess(format!(
-            "group child processes exited unsuccessfully (children 0..{} are the shard \
-             servers, the workers follow in rank order): {failures}",
-            job.servers
-        )));
-    }
+    let trace = coordinate(job, transport, links)?;
     Ok(GroupLaunchOutcome {
         trace,
         coord_addr,

@@ -24,8 +24,11 @@
 //! client's version vector permits, fully otherwise.
 //!
 //! The loop tolerates worker disconnects (finished workers drop their connections
-//! while slower peers keep training) and exits on the coordinator's `Shutdown`, which
-//! it forwards to any worker still connected.
+//! while slower peers keep training) and exits on the coordinator's `Shutdown`, whose
+//! reason its goodbye passes on to every client still connected. Restore, events and
+//! metrics, the hooks after each push, the forced and final checkpoints and that
+//! goodbye are `dssp-net`'s [`Lifecycle`] and [`goodbye`], which every serving role
+//! runs; this module keeps the slice's state and protocol.
 //!
 //! **Live migration** (coordinator-driven, two-phase): a [`Message::MigratePrepare`]
 //! freezes the server at its current epoch — every epoch-stamped push or pull is
@@ -42,12 +45,11 @@
 //! acking (empty) push slices so per-server clocks stay uniform.
 
 use crate::layout::GroupLayout;
-use dssp_core::driver::{FaultRole, JobConfig};
+use dssp_core::driver::JobConfig;
 use dssp_core::events::{EventKind, Role};
-use dssp_net::metrics::derive_metrics_addr;
-use dssp_net::wire::{MIGRATE_CONTROL, SHUTDOWN_SERVER_ERROR};
+use dssp_net::wire::{MIGRATE_CONTROL, SHUTDOWN_OK};
 use dssp_net::{
-    require_helloed, validate_hello, CheckpointSink, FaultClock, Message, NetError, Obs, PullView,
+    goodbye, require_helloed, validate_hello, Lifecycle, Message, NetError, Obs, PullView,
     ServerTransport,
 };
 use dssp_nn::{Model, Sgd};
@@ -432,45 +434,22 @@ pub fn serve_shard(
         "a group's shard servers cannot step {:?}: use a constant schedule",
         job.sgd.schedule
     );
-    // Shard server i scrapes at the base `--metrics-addr` port + 1 + i — the base
-    // port belongs to the coordinator, which shares the host in in-process runs.
-    let metrics_addr = job
-        .metrics_addr
-        .as_deref()
-        .map(|base| derive_metrics_addr(base, 1 + index as u16))
-        .transpose()?;
-    let obs = Obs::new(
-        Role::ShardServer,
-        index as u32,
-        job.event_log.as_deref(),
-        metrics_addr.as_deref(),
-    )?;
-    let result = serve_shard_inner(job, index, transport, &obs);
-    match &result {
-        Ok(_) => {
-            obs.flush()?;
-        }
-        Err(e) => {
-            // Like every serving loop, a failing shard server tells its clients; only
-            // an injected kill dies without the goodbye, as a real crash would.
-            if !matches!(e, NetError::FaultInjected { .. }) {
-                transport.broadcast(&Message::Shutdown {
-                    reason: SHUTDOWN_SERVER_ERROR,
-                });
-            }
-            // A failed shard server still leaves its timeline behind, best effort.
-            let _ = obs.flush();
-        }
-    }
-    result
+    let result = Lifecycle::open(job, Role::ShardServer, index)
+        .and_then(|(life, restored)| serve_shard_inner(job, index, transport, life, restored));
+    // A completed run passes on the reason the coordinator ended the group with.
+    let ok = result.as_ref().map_or(SHUTDOWN_OK, |&(_, reason)| reason);
+    goodbye(result, ok, transport, |_| {}).map(|(report, _)| report)
 }
 
+/// The shard server's protocol loop, from its first frame to the coordinator's
+/// `Shutdown`: returns the run's counters and that `Shutdown`'s reason.
 fn serve_shard_inner(
     job: &JobConfig,
     index: usize,
     transport: &mut dyn ServerTransport,
-    obs: &Obs,
-) -> Result<ShardServeReport, NetError> {
+    mut life: Lifecycle,
+    restored: Option<Checkpoint>,
+) -> Result<(ShardServeReport, u8), NetError> {
     let coordinator_rank = job.num_workers;
     if transport.num_workers() != job.num_workers + 1 {
         return Err(NetError::Protocol(format!(
@@ -479,24 +458,16 @@ fn serve_shard_inner(
             job.num_workers + 1
         )));
     }
-    let expected_digest = job.stable_digest();
-    let mut state = if let Some(spec) = job.checkpoint.as_ref().filter(|c| c.restore) {
-        let path = spec.dir.join(dssp_ps::shard_checkpoint_name(index));
-        let ckpt = Checkpoint::load_for_job(&path, expected_digest)?;
-        ShardServerState::restore(job, index, &ckpt)?
-    } else {
-        ShardServerState::from_job(job, index)
+    let mut state = match restored {
+        Some(ckpt) => ShardServerState::restore(job, index, &ckpt)?,
+        None => ShardServerState::from_job(job, index),
     };
-    let mut fault = FaultClock::new(job, FaultRole::ShardServer(index));
-    let mut sink = CheckpointSink::new(
-        job.checkpoint.as_ref(),
-        &dssp_ps::shard_checkpoint_name(index),
-    );
     let mut helloed = vec![false; job.num_workers + 1];
     // Per rank, the highest iteration applied since this server started: what a
     // `SliceApplied` tells the worker its weights hold.
     let mut applied = vec![0u64; job.num_workers];
-    obs.set_layout(state.epoch(), state.owned_shards() as u64);
+    life.obs
+        .set_layout(state.epoch(), state.owned_shards() as u64);
 
     // Builds the typed, retryable refusal for an epoch-stale or mid-migration
     // request: while frozen the assignment is withheld (empty — the client must wait
@@ -513,7 +484,7 @@ fn serve_shard_inner(
     };
 
     loop {
-        obs.mirror_transport(&transport.transport_stats());
+        life.obs.mirror_transport(&transport.transport_stats());
         let (rank, msg) = match transport.recv() {
             Ok(pair) => pair,
             // Finished workers drop their connections while the run continues; only
@@ -526,6 +497,28 @@ fn serve_shard_inner(
             }
             Err(e) => return Err(e),
         };
+        // The coordinator's `Shutdown` is exempt from the handshake: its fan can
+        // reach a server a failed hello never reached.
+        if !matches!(msg, Message::GroupHello { .. } | Message::Shutdown { .. }) {
+            require_helloed(&helloed, rank)?;
+        }
+        let coordinator_only = matches!(
+            msg,
+            Message::MigratePrepare { .. }
+                | Message::MigrateRequest { .. }
+                | Message::MigrateShard { .. }
+                | Message::LayoutUpdate { .. }
+                | Message::MigrateAbort { .. }
+                | Message::StatsRequest
+                | Message::Shutdown { .. }
+        );
+        if coordinator_only && rank != coordinator_rank {
+            let sent = format!("{msg:?}");
+            let kind = sent.split([' ', '(']).next().unwrap_or_default();
+            return Err(NetError::Protocol(format!(
+                "worker {rank} sent {kind} (coordinator-only)"
+            )));
+        }
         match msg {
             Message::GroupHello {
                 version,
@@ -551,10 +544,10 @@ fn serve_shard_inner(
                     num_workers,
                     config_digest,
                     job.num_workers,
-                    expected_digest,
+                    life.digest,
                     &mut helloed,
                 )?;
-                obs.on_join(rank);
+                life.obs.on_join(rank);
             }
             Message::PushSlice {
                 iteration,
@@ -563,7 +556,6 @@ fn serve_shard_inner(
                 pull,
                 grads,
             } => {
-                require_helloed(&helloed, rank)?;
                 if rank == coordinator_rank {
                     return Err(NetError::Protocol(
                         "coordinator must not push gradients".to_string(),
@@ -600,20 +592,14 @@ fn serve_shard_inner(
                 }
                 // A shard server has no gate: its pushes counter is also its local
                 // clock, so the version gauge mirrors it.
-                obs.event_traced(EventKind::Push, rank as u64, trace);
-                obs.metrics().pushes.store(state.pushes, Relaxed);
-                obs.metrics().version.store(state.pushes, Relaxed);
+                life.obs.event_traced(EventKind::Push, rank as u64, trace);
+                life.obs.metrics().pushes.store(state.pushes, Relaxed);
+                life.obs.metrics().version.store(state.pushes, Relaxed);
                 if pull {
-                    on_pull(obs, &state, rank, trace);
+                    on_pull(&life.obs, &state, rank, trace);
+                    life.fault.pull()?;
                 }
-                fault.push()?;
-                if pull {
-                    fault.pull()?;
-                }
-                if sink.maybe_write(state.pushes, || state.snapshot(expected_digest))? {
-                    obs.on_checkpoint(state.pushes);
-                    fault.checkpoint()?;
-                }
+                life.after_push(true, state.pushes, |digest| state.snapshot(digest))?;
             }
             Message::PullShards {
                 known_versions,
@@ -621,7 +607,6 @@ fn serve_shard_inner(
                 epoch,
                 trace,
             } => {
-                require_helloed(&helloed, rank)?;
                 if state.pending_epoch().is_some() || epoch != state.epoch() {
                     let reply = refusal(&state);
                     transport.recycle_u64s(rank, known_versions);
@@ -640,22 +625,16 @@ fn serve_shard_inner(
                 transport.send_shard_reply(rank, None, first, &view)?;
                 state.count_pull(delta);
                 transport.recycle_u64s(rank, known_versions);
-                on_pull(obs, &state, rank, trace);
-                fault.pull()?;
+                on_pull(&life.obs, &state, rank, trace);
+                life.fault.pull()?;
             }
             // --- Migration protocol (coordinator-only, two-phase) -------------
             Message::MigratePrepare { epoch } => {
-                require_helloed(&helloed, rank)?;
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} sent MigratePrepare (coordinator-only)"
-                    )));
-                }
                 // The chaos hook fires before the ack so a kill here leaves the
                 // coordinator with an unacknowledged prepare — the rollback path.
-                fault.migrate_prepare()?;
+                life.fault.migrate_prepare()?;
                 state.freeze(epoch)?;
-                obs.event(EventKind::MigrationPrepare, epoch);
+                life.obs.event(EventKind::MigrationPrepare, epoch);
                 transport.send(
                     rank,
                     &Message::MigrateAck {
@@ -669,13 +648,7 @@ fn serve_shard_inner(
                 shard,
                 trace,
             } => {
-                require_helloed(&helloed, rank)?;
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} sent MigrateRequest (coordinator-only)"
-                    )));
-                }
-                fault.migrate_transfer()?;
+                life.fault.migrate_transfer()?;
                 let (version, weights, velocity) = state.extract(epoch, shard)?;
                 // The outgoing shard carries the migration's trace, so the
                 // destination's stage event joins the same causal chain.
@@ -688,7 +661,8 @@ fn serve_shard_inner(
                     velocity: velocity.to_vec(),
                 };
                 transport.send(rank, &payload)?;
-                obs.event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
+                life.obs
+                    .event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
             }
             Message::MigrateShard {
                 epoch,
@@ -698,37 +672,24 @@ fn serve_shard_inner(
                 weights,
                 velocity,
             } => {
-                require_helloed(&helloed, rank)?;
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} sent MigrateShard (coordinator-only)"
-                    )));
-                }
-                fault.migrate_transfer()?;
+                life.fault.migrate_transfer()?;
                 state.stage(epoch, shard, version, weights, velocity)?;
-                obs.event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
+                life.obs
+                    .event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
                 transport.send(rank, &Message::MigrateAck { epoch, shard })?;
             }
             Message::LayoutUpdate { epoch, assignment } => {
-                require_helloed(&helloed, rank)?;
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} sent LayoutUpdate (coordinator-only)"
-                    )));
-                }
                 // The chaos hook fires before the commit is applied: a kill here
                 // models a server that never learned the outcome and must restore
                 // into a typed refusal, never a silent divergence.
-                fault.migrate_commit()?;
+                life.fault.migrate_commit()?;
                 state.commit_layout(epoch, &assignment)?;
-                obs.event(EventKind::MigrationCommit, epoch);
-                obs.set_layout(state.epoch(), state.owned_shards() as u64);
+                life.obs.event(EventKind::MigrationCommit, epoch);
+                life.obs
+                    .set_layout(state.epoch(), state.owned_shards() as u64);
                 // Force a checkpoint at the commit boundary so a later restore can
                 // never resurrect the pre-migration layout.
-                sink.force(|| state.snapshot(expected_digest))?;
-                if job.checkpoint.is_some() {
-                    obs.on_checkpoint(state.pushes);
-                }
+                life.checkpoint(state.pushes, |digest| state.snapshot(digest))?;
                 transport.send(
                     rank,
                     &Message::MigrateAck {
@@ -738,27 +699,13 @@ fn serve_shard_inner(
                 )?;
             }
             Message::MigrateAbort { epoch } => {
-                require_helloed(&helloed, rank)?;
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} sent MigrateAbort (coordinator-only)"
-                    )));
-                }
                 state.thaw(epoch);
-                obs.event(EventKind::MigrationRollback, epoch);
+                life.obs.event(EventKind::MigrationRollback, epoch);
             }
             // Membership is the coordinator's business; a shard server has no clocks
             // to reap, so an eviction notice is acknowledged by simply ignoring it.
-            Message::Evict { .. } => {
-                require_helloed(&helloed, rank)?;
-            }
+            Message::Evict { .. } => {}
             Message::StatsRequest => {
-                require_helloed(&helloed, rank)?;
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} requested stats (coordinator-only)"
-                    )));
-                }
                 let t = transport.transport_stats();
                 transport.send(
                     rank,
@@ -773,26 +720,17 @@ fn serve_shard_inner(
                 )?;
             }
             Message::Shutdown { reason } => {
-                if rank != coordinator_rank {
-                    return Err(NetError::Protocol(format!(
-                        "worker {rank} sent Shutdown (coordinator-only)"
-                    )));
-                }
-                // Forward to any worker still connected (e.g. blocked mid-fan-out on
-                // an abort), persist the terminal slice state, then exit.
-                for w in 0..job.num_workers {
-                    let _ = transport.send(w, &Message::Shutdown { reason });
-                }
-                sink.finalize(|| state.snapshot(expected_digest))?;
-                if job.checkpoint.is_some() {
-                    obs.on_checkpoint(state.pushes);
-                }
-                obs.mirror_transport(&transport.transport_stats());
-                return Ok(ShardServeReport {
+                // Persist the terminal slice state, then exit; the goodbye passes
+                // `reason` on to any worker still connected (e.g. blocked
+                // mid-fan-out on an abort).
+                let stats = transport.transport_stats();
+                life.close(state.pushes, |digest| state.snapshot(digest), &stats)?;
+                let report = ShardServeReport {
                     pushes: state.pushes,
                     pulls_full: state.pulls_full,
                     pulls_delta: state.pulls_delta,
-                });
+                };
+                return Ok((report, reason));
             }
             other => {
                 return Err(NetError::Protocol(format!(

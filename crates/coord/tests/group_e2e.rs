@@ -397,6 +397,37 @@ fn chaos_abort_at_group_scale_shuts_every_role_down() {
     assert!(started.elapsed() < Duration::from_secs(20));
 }
 
+#[test]
+fn every_serving_role_of_an_aborted_group_leaves_its_event_log() {
+    use dssp_core::events::{read_dir_events, EventKind, Role};
+    for (plan, role, rank) in [
+        ("coord:push:abort:3", Role::Coordinator, 0),
+        ("server1:push:abort:3", Role::ShardServer, 1),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "dssp-group-abort-{}-{}",
+            std::process::id(),
+            role.as_str()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut job = group_job(PolicyKind::Asp, 2);
+        job.fault_plan = FaultPlan::parse(plan);
+        job.event_log = Some(dir.clone());
+        run_group_threads(&job).expect_err("chaos hook must abort the run");
+        for file in ["coord.ndjson", "shard-0.ndjson", "shard-1.ndjson"] {
+            assert!(dir.join(file).exists(), "{plan}: no {file}");
+        }
+        // The aborting role recorded every push it applied, the third included.
+        let applied = read_dir_events(&dir)
+            .expect("event logs read back")
+            .iter()
+            .filter(|e| e.role == role && e.rank == rank && e.kind == EventKind::Push)
+            .count();
+        assert_eq!(applied, 3, "{plan}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// How every role of one group run ended.
 #[derive(Debug)]
 struct RoleEndings {

@@ -1,5 +1,14 @@
-//! Elasticity plumbing shared by every serving loop: structured fault injection
-//! ([`FaultClock`]) and durable checkpoint cadence ([`CheckpointSink`]).
+//! The lifecycle every serving role runs — the single server, the group coordinator
+//! and each shard server — written once: [`Lifecycle`] opens the role (its
+//! checkpoint, its observability bundle, its fault clock), runs the hooks after
+//! every push, writes forced and final checkpoints, and closes the role;
+//! [`goodbye`] ends its run on its peers. Each loop keeps only its protocol.
+//!
+//! A role is named by the [`Role`] and index its event log and metrics already
+//! use. [`Lifecycle::open`] is the one place that works out what else the role is
+//! called: its checkpoint file, its metrics port (shard server `i` serves at the
+//! base `--metrics-addr` port + 1 + `i`, the others at the base) and the role a
+//! [`FaultPlan`] names it by (the single server plays the group's server 0).
 //!
 //! The chaos matrix in the workspace tests kills processes at precise protocol
 //! phases. Rather than each loop re-implementing "count occurrences of phase X and
@@ -10,22 +19,27 @@
 //! plan returns [`NetError::Aborted`] instead: the one way to stop a run from inside,
 //! through the role's ordinary error path and its `Shutdown` broadcast.
 //!
-//! [`CheckpointSink`] is the durable half: it decides *when* a snapshot is due
-//! (every [`CheckpointSpec::every_pushes`] applied pushes) and writes it atomically
-//! (temp file + rename, via [`Checkpoint::save_atomic`]) under the role-conventional
-//! file name, so a restarted process can pick the run back up with
-//! `--restore`.
+//! The durable half writes a snapshot every [`CheckpointSpec::every_pushes`] applied
+//! pushes, on a migration commit and at run end, always atomically (temp file +
+//! rename, via [`Checkpoint::save_atomic`]) under the role's file name, so a
+//! restarted process can pick the run back up with `--restore`.
 
+use crate::metrics::derive_metrics_addr;
+use crate::obs::Obs;
+use crate::tcp::TransportStats;
+use crate::transport::ServerTransport;
+use crate::wire::{Message, SHUTDOWN_SERVER_ERROR};
 use crate::NetError;
 use dssp_core::driver::{CheckpointSpec, FaultAction, FaultPhase, FaultPlan, FaultRole, JobConfig};
+use dssp_core::events::Role;
 use dssp_ps::Checkpoint;
 use std::path::PathBuf;
 
 /// Per-role occurrence counters for the fault phases, firing the job's
 /// [`FaultPlan`] when it comes due.
 ///
-/// Each serving loop creates one clock for its own role and calls the phase hook at
-/// the canonical point: [`FaultClock::push`] after a push is applied (or granted),
+/// Each serving role's [`Lifecycle`] holds one clock for that role (a group worker's
+/// link keeps its own), and the phase hook runs at the canonical point: [`FaultClock::push`] after a push is applied (or granted),
 /// [`FaultClock::pull`] after a pull is served, [`FaultClock::gate_blocked`] when a
 /// push is deferred by the synchronization policy, and [`FaultClock::checkpoint`]
 /// right after a checkpoint file lands. A plan for a *different* role is ignored, so
@@ -117,66 +131,206 @@ impl FaultClock {
     }
 }
 
-/// Writes a role's checkpoint file on the configured push cadence, always
-/// atomically (temp + rename), and once more unconditionally at run end.
+/// One serving role's life, from its restore to its final checkpoint and event-log
+/// flush. See the module docs for what it owns.
 ///
-/// Inactive when the job carries no [`CheckpointSpec`] — every hook is then a no-op,
-/// so serving loops call the sink unconditionally.
+/// Dropped without [`Lifecycle::close`] — on any error path, an injected kill
+/// included — it still flushes the role's event log, best effort, so a failed role
+/// leaves its timeline behind.
+pub struct Lifecycle {
+    /// The role's structured events and metrics.
+    pub obs: Obs,
+    /// The role's fault clock, for the phases only some roles run (pulls served,
+    /// migration legs); the push-phase hooks run in [`Lifecycle::after_push`].
+    pub fault: FaultClock,
+    /// The job digest every client's hello must carry and every checkpoint of the
+    /// run is stamped with.
+    pub digest: u64,
+    sink: CheckpointSink,
+    closed: bool,
+}
+
+impl Lifecycle {
+    /// Opens serving role `role` number `index` (0 for the single server and the
+    /// coordinator) of `job`: loads the role's checkpoint when the job restores, and
+    /// builds its observability bundle, fault clock and checkpoint cadence. Returns
+    /// the loaded checkpoint, which the role rebuilds its own state from.
+    pub fn open(
+        job: &JobConfig,
+        role: Role,
+        index: usize,
+    ) -> Result<(Self, Option<Checkpoint>), NetError> {
+        // Checkpoint file, metrics port offset, fault-plan name. The base metrics
+        // port is the coordinator's, which shares the host with its shard servers in
+        // in-process runs; the single server plays the group's server 0.
+        let (file, port, fault) = match role {
+            Role::Server => (
+                dssp_ps::server_checkpoint_name(),
+                0,
+                FaultRole::ShardServer(0),
+            ),
+            Role::Coordinator => (dssp_ps::coord_checkpoint_name(), 0, FaultRole::Coordinator),
+            Role::ShardServer => (
+                dssp_ps::shard_checkpoint_name(index),
+                1 + index as u16,
+                FaultRole::ShardServer(index),
+            ),
+            Role::Worker => {
+                return Err(NetError::Protocol(
+                    "a worker is not a serving role".to_string(),
+                ))
+            }
+        };
+        let digest = job.stable_digest();
+        let restored = match job.checkpoint.as_ref().filter(|c| c.restore) {
+            Some(spec) => Some(Checkpoint::load_for_job(&spec.dir.join(&file), digest)?),
+            None => None,
+        };
+        let metrics_addr = job
+            .metrics_addr
+            .as_deref()
+            .map(|base| derive_metrics_addr(base, port))
+            .transpose()?;
+        let obs = Obs::new(
+            role,
+            index as u32,
+            job.event_log.as_deref(),
+            metrics_addr.as_deref(),
+        )?;
+        let life = Self {
+            obs,
+            fault: FaultClock::new(job, fault),
+            sink: CheckpointSink::new(job.checkpoint.as_ref(), &file),
+            digest,
+            closed: false,
+        };
+        Ok((life, restored))
+    }
+
+    /// The hooks after an applied push, in order: the push fault, the gate fault
+    /// when the push was deferred (`granted` false), the cadence checkpoint once
+    /// `version` reaches its mark, its event and the checkpoint fault. `snapshot`
+    /// is given the job digest and runs only when a file is due.
+    pub fn after_push(
+        &mut self,
+        granted: bool,
+        version: u64,
+        snapshot: impl FnOnce(u64) -> Checkpoint,
+    ) -> Result<(), NetError> {
+        self.fault.push()?;
+        if !granted {
+            self.fault.gate_blocked()?;
+        }
+        let digest = self.digest;
+        if self.sink.maybe_write(version, || snapshot(digest))? {
+            self.obs.on_checkpoint(version);
+            self.fault.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Writes a checkpoint at model version `version` now, whatever the cadence —
+    /// a migration commit forces one, so a later restore never resurrects the
+    /// pre-migration layout — and records it. A no-op when the job keeps none.
+    pub fn checkpoint(
+        &mut self,
+        version: u64,
+        snapshot: impl FnOnce(u64) -> Checkpoint,
+    ) -> Result<(), NetError> {
+        let digest = self.digest;
+        if self.sink.write(|| snapshot(digest))? {
+            self.obs.on_checkpoint(version);
+        }
+        Ok(())
+    }
+
+    /// Closes a completed run: the final checkpoint, so `--restore` always finds
+    /// the terminal state whatever the cadence, the transport's byte counters, then
+    /// the event log.
+    pub fn close(
+        &mut self,
+        version: u64,
+        snapshot: impl FnOnce(u64) -> Checkpoint,
+        stats: &TransportStats,
+    ) -> Result<(), NetError> {
+        self.checkpoint(version, snapshot)?;
+        self.obs.mirror_transport(stats);
+        self.closed = true;
+        self.obs.flush()?;
+        Ok(())
+    }
+}
+
+impl Drop for Lifecycle {
+    fn drop(&mut self) {
+        if !self.closed {
+            let _ = self.obs.flush();
+        }
+    }
+}
+
+/// Ends a serving role's run on its peers and returns `result`: the `ok` reason's
+/// `Shutdown` after a completed run, the server-error one after any failure — an
+/// `abort` plan's included — to every client of `transport` and to whatever `also`
+/// reaches (the coordinator's shard servers). An injected kill dies without it, as
+/// a crash would. `ok` is [`SHUTDOWN_OK`](crate::wire::SHUTDOWN_OK) except on a
+/// shard server, which passes on the reason its coordinator ended the group with.
+pub fn goodbye<T>(
+    result: Result<T, NetError>,
+    ok: u8,
+    transport: &mut dyn ServerTransport,
+    also: impl FnOnce(&Message),
+) -> Result<T, NetError> {
+    let reason = match &result {
+        Ok(_) => ok,
+        Err(e) if e.is_injected_kill() => return result,
+        Err(_) => SHUTDOWN_SERVER_ERROR,
+    };
+    let bye = Message::Shutdown { reason };
+    transport.broadcast(&bye);
+    also(&bye);
+    result
+}
+
+/// Writes a role's checkpoint file on the configured push cadence and whenever
+/// asked, always atomically (temp + rename). Inert when the job carries no
+/// [`CheckpointSpec`]: every write is then a no-op.
 #[derive(Debug)]
-pub struct CheckpointSink {
+struct CheckpointSink {
     path: Option<PathBuf>,
     every: u64,
     next_at: u64,
-    /// Checkpoint files written so far (tests assert cadence through this).
-    pub written: u64,
 }
 
 impl CheckpointSink {
     /// A sink writing `file_name` inside the spec's directory, or an inert sink when
     /// the job has no checkpoint spec.
-    pub fn new(spec: Option<&CheckpointSpec>, file_name: &str) -> Self {
+    fn new(spec: Option<&CheckpointSpec>, file_name: &str) -> Self {
         match spec {
             Some(s) => Self {
                 path: Some(s.dir.join(file_name)),
                 every: s.every_pushes.max(1),
                 next_at: s.every_pushes.max(1),
-                written: 0,
             },
             None => Self {
                 path: None,
                 every: 0,
                 next_at: u64::MAX,
-                written: 0,
             },
         }
-    }
-
-    /// Whether this sink actually persists anything.
-    pub fn active(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// The file this sink writes, when active.
-    pub fn path(&self) -> Option<&PathBuf> {
-        self.path.as_ref()
     }
 
     /// Writes a checkpoint if `version` (applied pushes so far) reached the cadence
     /// mark. `make` is only invoked when a write actually happens. Returns whether a
     /// file was written.
-    pub fn maybe_write(
+    fn maybe_write(
         &mut self,
         version: u64,
         make: impl FnOnce() -> Checkpoint,
     ) -> Result<bool, NetError> {
-        let Some(path) = &self.path else {
-            return Ok(false);
-        };
-        if version < self.next_at {
+        if version < self.next_at || !self.write(make)? {
             return Ok(false);
         }
-        make().save_atomic(path)?;
-        self.written += 1;
         // Catch up past `version` so a burst of pushes between polls writes once.
         while self.next_at <= version {
             self.next_at += self.every;
@@ -184,25 +338,14 @@ impl CheckpointSink {
         Ok(true)
     }
 
-    /// Writes the final checkpoint unconditionally (run end), so `--restore` always
-    /// finds the run's terminal state regardless of cadence alignment.
-    pub fn finalize(&mut self, make: impl FnOnce() -> Checkpoint) -> Result<(), NetError> {
-        if let Some(path) = &self.path {
-            make().save_atomic(path)?;
-            self.written += 1;
-        }
-        Ok(())
-    }
-
-    /// Writes a checkpoint now regardless of cadence (migration commits force one, so
-    /// a post-commit restore never resurrects a pre-migration layout). No-op when
-    /// inert; does not advance the cadence mark.
-    pub fn force(&mut self, make: impl FnOnce() -> Checkpoint) -> Result<(), NetError> {
-        if let Some(path) = &self.path {
-            make().save_atomic(path)?;
-            self.written += 1;
-        }
-        Ok(())
+    /// Writes a checkpoint now, without moving the cadence mark. Returns whether a
+    /// file was written (false when inert).
+    fn write(&mut self, make: impl FnOnce() -> Checkpoint) -> Result<bool, NetError> {
+        let Some(path) = &self.path else {
+            return Ok(false);
+        };
+        make().save_atomic(path)?;
+        Ok(true)
     }
 }
 

@@ -82,6 +82,14 @@ pub enum NetError {
     },
 }
 
+impl NetError {
+    /// Whether this is an injected kill ([`NetError::FaultInjected`]): the process
+    /// dies as a crash would, without any goodbye to its peers.
+    pub fn is_injected_kill(&self) -> bool {
+        matches!(self, NetError::FaultInjected { .. })
+    }
+}
+
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -14,6 +14,7 @@
 //! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v8: 35 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
 //! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`]: one frame writer and one frame reader per end, plus every message operation written once over them with the streaming codecs; the in-process [`transport::loopback`], whose channels carry the bytes TCP writes |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
+//! | [`elastic`] | [`Lifecycle`]: the one lifecycle of every serving role (open, push hooks, checkpoints, close) and its [`goodbye`]; the [`FaultClock`] |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
 //! | [`worker`] | [`worker::run_worker_loop`]: the worker's run, once, over a [`worker::WorkerLink`]; [`run_worker`] is it over the single-server link |
 //! | [`launch`] | [`launch::launch`]: server in-process + one child process per worker |
@@ -82,7 +83,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use elastic::{CheckpointSink, FaultClock};
+pub use elastic::{goodbye, FaultClock, Lifecycle};
 pub use error::{NetError, FAULT_EXIT_CODE};
 pub use metrics::{Metrics, MetricsServer};
 pub use obs::Obs;

@@ -27,13 +27,17 @@
 //! the one `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
 //! scratch, the consumed gradient buffer recycled back to the transport's per-connection
 //! pool — so the bitwise equivalence suites exercise the code wall-clock runs serve with.
+//!
+//! The role's elastic life — restoring its checkpoint, its events and metrics, the
+//! fault and checkpoint hooks after each push, the final checkpoint and the
+//! `Shutdown` it ends with — is the [`Lifecycle`] and [`goodbye`] every serving role
+//! shares; this module keeps only the protocol.
 
-use crate::elastic::{CheckpointSink, FaultClock};
-use crate::obs::Obs;
+use crate::elastic::{goodbye, Lifecycle};
 use crate::transport::{PullView, ServerTransport};
-use crate::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_OK, SHUTDOWN_SERVER_ERROR};
+use crate::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_OK};
 use crate::NetError;
-use dssp_core::driver::{FaultRole, JobConfig, OkReply, ServerLoop, WorkerEvent};
+use dssp_core::driver::{JobConfig, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{EventKind, Role, NO_TRACE};
 use dssp_sim::{RunTrace, WorkerSummary};
 use std::time::Instant;
@@ -65,36 +69,42 @@ pub fn serve(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<Run
             job.num_workers
         )));
     }
-    match serve_inner(job, transport) {
-        Ok(trace) => {
-            transport.broadcast(&Message::Shutdown {
-                reason: SHUTDOWN_OK,
-            });
-            Ok(trace)
-        }
-        Err(e) => {
-            // An injected fault simulates a crash: die without the protocol goodbye
-            // so peers observe the same abrupt connection loss a real kill produces.
-            if !matches!(e, NetError::FaultInjected { .. }) {
-                transport.broadcast(&Message::Shutdown {
-                    reason: SHUTDOWN_SERVER_ERROR,
-                });
-            }
-            Err(e)
-        }
-    }
+    let result = Lifecycle::open(job, Role::Server, 0).and_then(|(life, restored)| {
+        // Start fresh, or pick the run back up from the durable checkpoint: weights,
+        // optimizer momentum, per-worker clocks and the policy's credit state all
+        // resume, and every worker re-handshakes and is re-admitted at its restored
+        // push count.
+        let mut sl = match restored {
+            Some(ckpt) => ServerLoop::restore(job, &ckpt, false)?,
+            None => ServerLoop::new(job),
+        };
+        // Networked workers open every life — first contact, or first contact after
+        // a restore — with an explicit pull.
+        sl.expect_opening_pulls();
+        life.obs.sync_loop(&sl);
+        let mut serving = Serving {
+            sl,
+            transport: &mut *transport,
+            life,
+            last_trace: vec![NO_TRACE; job.num_workers],
+            shipped: vec![Vec::new(); job.num_workers],
+            delta_pulls: job.delta_pulls,
+            replies: Vec::new(),
+            start: Instant::now(),
+        };
+        serving.run(job.num_workers)?;
+        serving.finish()
+    });
+    goodbye(result, SHUTDOWN_OK, transport, |_| {})
 }
 
 /// Everything the command loop threads through one run.
 struct Serving<'a> {
     sl: ServerLoop,
     transport: &'a mut dyn ServerTransport,
-    /// The elasticity hooks every push runs through: the structured fault clock, the
-    /// durable checkpoint cadence, and the digest checkpoints are stamped with.
-    fault: FaultClock,
-    sink: CheckpointSink,
-    digest: u64,
-    obs: Obs,
+    /// The role's lifecycle: the elasticity hooks every push runs through and the
+    /// observability bundle.
+    life: Lifecycle,
     /// Per-rank causal trace table: a worker has at most one operation in flight, so
     /// its most recent trace id is the one its gate-block/release events — and the
     /// weights that ride its `OK` — belong to. `NO_TRACE` for ranks that have not sent
@@ -110,84 +120,20 @@ struct Serving<'a> {
     start: Instant,
 }
 
-fn serve_inner(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<RunTrace, NetError> {
-    let expected_digest = job.stable_digest();
-    // Start fresh, or pick the run back up from the durable checkpoint: weights,
-    // optimizer momentum, per-worker clocks and the policy's credit state all resume,
-    // and every worker re-handshakes and is re-admitted at its restored push count.
-    let mut sl = match job.checkpoint.as_ref().filter(|c| c.restore) {
-        Some(spec) => {
-            let path = spec.dir.join(dssp_ps::server_checkpoint_name());
-            let ckpt = dssp_ps::Checkpoint::load_for_job(&path, expected_digest)?;
-            ServerLoop::restore(job, &ckpt, false)?
-        }
-        None => ServerLoop::new(job),
-    };
-    // Networked workers open every life — first contact, or first contact after a
-    // restore — with an explicit pull.
-    sl.expect_opening_pulls();
-    let obs = Obs::new(
-        Role::Server,
-        0,
-        job.event_log.as_deref(),
-        job.metrics_addr.as_deref(),
-    )?;
-    obs.sync_loop(&sl);
-    let mut serving = Serving {
-        sl,
-        transport,
-        // The classic single server plays the group's "server 0" in a fault plan.
-        fault: FaultClock::new(job, FaultRole::ShardServer(0)),
-        sink: CheckpointSink::new(job.checkpoint.as_ref(), &dssp_ps::server_checkpoint_name()),
-        digest: expected_digest,
-        obs,
-        last_trace: vec![NO_TRACE; job.num_workers],
-        shipped: vec![Vec::new(); job.num_workers],
-        delta_pulls: job.delta_pulls,
-        replies: Vec::new(),
-        start: Instant::now(),
-    };
-    serving.run(job.num_workers)?;
-    serving.finish(job.checkpoint.is_some())
-}
-
 impl Serving<'_> {
     fn now(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Closes a completed run: terminal checkpoint, final counters, event log, trace.
-    fn finish(mut self, checkpointing: bool) -> Result<RunTrace, NetError> {
-        // The run's terminal state is always durable, regardless of cadence alignment.
-        let (sl, digest) = (&self.sl, self.digest);
-        self.sink.finalize(|| sl.snapshot(digest))?;
-        if checkpointing {
-            self.obs.on_checkpoint(self.sl.version());
-        }
-        self.obs.sync_loop(&self.sl);
-        self.obs.mirror_transport(&self.transport.transport_stats());
-        self.obs.flush()?;
+    /// Closes a completed run: final counters, then the lifecycle's close (terminal
+    /// checkpoint, transport counters, event log), then the trace.
+    fn finish(mut self) -> Result<RunTrace, NetError> {
+        self.life.obs.sync_loop(&self.sl);
+        let stats = self.transport.transport_stats();
+        self.life
+            .close(self.sl.version(), |digest| self.sl.snapshot(digest), &stats)?;
         let wall = self.now();
         Ok(self.sl.finish(wall))
-    }
-
-    /// Runs the post-push hooks: the push-phase fault, the gate-phase fault when the
-    /// pusher was deferred, the cadence write (recorded in the observability bundle
-    /// when a file lands), and the checkpoint-phase fault.
-    fn after_push(&mut self, pusher_granted: bool) -> Result<(), NetError> {
-        self.fault.push()?;
-        if !pusher_granted {
-            self.fault.gate_blocked()?;
-        }
-        let (sl, digest) = (&self.sl, self.digest);
-        if self
-            .sink
-            .maybe_write(sl.version(), || sl.snapshot(digest))?
-        {
-            self.obs.on_checkpoint(sl.version());
-            self.fault.checkpoint()?;
-        }
-        Ok(())
     }
 
     /// The command loop: runs until every worker has reported `Done`.
@@ -202,7 +148,9 @@ impl Serving<'_> {
             if self.sl.all_done() {
                 return Ok(());
             }
-            self.obs.mirror_transport(&self.transport.transport_stats());
+            self.life
+                .obs
+                .mirror_transport(&self.transport.transport_stats());
 
             let (rank, msg) = match self.transport.recv() {
                 Ok(pair) => pair,
@@ -214,6 +162,9 @@ impl Serving<'_> {
                 }
                 Err(e) => return Err(e),
             };
+            if !matches!(msg, Message::Hello { .. }) {
+                require_helloed(&helloed, rank)?;
+            }
             match msg {
                 Message::Hello {
                     version,
@@ -228,13 +179,12 @@ impl Serving<'_> {
                         hello_workers,
                         config_digest,
                         num_workers,
-                        self.digest,
+                        self.life.digest,
                         &mut helloed,
                     )?;
-                    self.obs.on_join(rank);
+                    self.life.obs.on_join(rank);
                 }
                 Message::JoinRequest => {
-                    require_helloed(&helloed, rank)?;
                     // Membership: admit the worker at the number of pushes this server
                     // has already confirmed from its rank — zero on a fresh run, the
                     // restored clock after a checkpoint restore.
@@ -248,7 +198,6 @@ impl Serving<'_> {
                     }
                 }
                 Message::Evict { rank: victim } => {
-                    require_helloed(&helloed, rank)?;
                     let victim = victim as usize;
                     if victim >= num_workers {
                         return Err(NetError::Protocol(format!(
@@ -258,7 +207,6 @@ impl Serving<'_> {
                     self.evict_client(victim)?;
                 }
                 Message::Pull { trace } => {
-                    require_helloed(&helloed, rank)?;
                     self.last_trace[rank] = trace;
                     self.sl.offer(WorkerEvent::Pull { worker: rank });
                 }
@@ -267,7 +215,6 @@ impl Serving<'_> {
                     trace,
                     grads,
                 } => {
-                    require_helloed(&helloed, rank)?;
                     // Refused before it is queued: no weight or optimizer state moves.
                     let params = self.sl.server().weights().len();
                     if grads.len() != params {
@@ -288,7 +235,6 @@ impl Serving<'_> {
                     epochs,
                     waiting_time_s,
                 } => {
-                    require_helloed(&helloed, rank)?;
                     self.sl.offer(WorkerEvent::Done(WorkerSummary {
                         worker: rank,
                         iterations,
@@ -314,12 +260,14 @@ impl Serving<'_> {
         let now = self.now();
         let mut released = Vec::new();
         self.sl.evict_worker(worker, now, &mut released);
-        self.obs.on_eviction(worker);
+        self.life.obs.on_eviction(worker);
         self.shipped[worker].clear();
         for reply in &released {
-            self.obs.event(EventKind::GateRelease, reply.worker as u64);
+            self.life
+                .obs
+                .event(EventKind::GateRelease, reply.worker as u64);
         }
-        self.obs.sync_loop(&self.sl);
+        self.life.obs.sync_loop(&self.sl);
         self.deliver_replies(&released)
     }
 
@@ -346,11 +294,11 @@ impl Serving<'_> {
                 let shipped = &mut self.shipped[rank];
                 shipped.clear();
                 shipped.extend_from_slice(store.versions());
-                self.obs.on_pull(rank, delta, self.last_trace[rank]);
+                self.life.obs.on_pull(rank, delta, self.last_trace[rank]);
             }
             Err(_) => self.evict_client(rank)?,
         }
-        self.fault.pull()
+        self.life.fault.pull()
     }
 
     /// Delivers every released `OK`: the `PushReply` and, unless it answers the rank's
@@ -412,7 +360,7 @@ impl Serving<'_> {
             self.sl.record_eval(point, accuracy);
         }
         let granted = replies.iter().any(|r| r.worker == rank);
-        self.obs.on_push(
+        self.life.obs.on_push(
             rank,
             decision.staleness,
             &replies,
@@ -422,7 +370,9 @@ impl Serving<'_> {
         let delivered = self.deliver_replies(&replies);
         self.replies = replies;
         delivered?;
-        self.after_push(granted)
+        self.life.after_push(granted, self.sl.version(), |digest| {
+            self.sl.snapshot(digest)
+        })
     }
 }
 

@@ -131,6 +131,28 @@ fn chaos_abort_shuts_workers_down_cleanly() {
 }
 
 #[test]
+fn an_aborted_server_still_leaves_its_event_log() {
+    use dssp_core::events::{read_dir_events, EventKind, Role};
+    let dir = std::env::temp_dir().join(format!("dssp-loopback-abort-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut job = small_job(PolicyKind::Asp);
+    job.fault_plan = dssp_core::driver::FaultPlan::parse("server0:push:abort:3");
+    job.event_log = Some(dir.clone());
+    let (result, _) = run_loopback(&job);
+    let Err(NetError::Aborted { pushes }) = result else {
+        panic!("expected Aborted, got {result:?}");
+    };
+    assert!(dir.join("server.ndjson").exists(), "no server event log");
+    let applied = read_dir_events(&dir)
+        .expect("event logs read back")
+        .iter()
+        .filter(|e| e.role == Role::Server && e.kind == EventKind::Push)
+        .count() as u64;
+    assert_eq!(applied, pushes);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn config_digest_mismatch_is_rejected_at_handshake() {
     let server_job = small_job(PolicyKind::Bsp);
     let mut worker_job = server_job.clone();
