@@ -11,8 +11,8 @@ use dssp_core::driver::{FaultPlan, JobConfig};
 use dssp_net::transport::{loopback, FrameWriter};
 use dssp_net::wire::{PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
 use dssp_net::{
-    Message, NetError, ServerTransport, TcpServerTransport, TcpWorkerTransport, TransportStats,
-    WorkerTransport,
+    Message, NetError, ServerReplies, ServerTransport, TcpServerTransport, TcpWorkerTransport,
+    TransportStats, WorkerTransport,
 };
 use dssp_ps::PolicyKind;
 use std::time::Duration;
@@ -261,14 +261,16 @@ struct CountedAtRecv<T> {
 }
 
 impl<T: ServerTransport> ServerTransport for CountedAtRecv<T> {
-    fn num_workers(&self) -> usize {
-        self.inner.num_workers()
-    }
-
     fn recv(&mut self) -> Result<(usize, Message), NetError> {
         let got = self.inner.recv();
         self.at_recv = self.inner.transport_stats();
         got
+    }
+}
+
+impl<T: ServerTransport> ServerReplies for CountedAtRecv<T> {
+    fn num_workers(&self) -> usize {
+        self.inner.num_workers()
     }
 
     fn send_frame(

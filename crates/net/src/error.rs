@@ -72,6 +72,10 @@ pub enum NetError {
         /// The committed shard→server assignment, empty while the server is frozen.
         assignment: Vec<u32>,
     },
+    /// A connection thread of a TCP server end panicked while it read a frame or ran
+    /// the serving step on one: the run ends with this error instead of waiting for a
+    /// thread that is gone.
+    ReaderPanicked,
     /// A ranked client connection closed cleanly mid-run (server side). The serving
     /// loop decides whether that is fatal — a single server treats any worker EOF as a
     /// failed run, while a shard server outlives workers that already finished and
@@ -145,6 +149,9 @@ impl std::fmt::Display for NetError {
             }
             NetError::ClientLost { rank } => {
                 write!(f, "client {rank} closed its connection mid-run")
+            }
+            NetError::ReaderPanicked => {
+                write!(f, "a connection thread panicked while serving the run")
             }
         }
     }

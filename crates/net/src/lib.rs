@@ -12,10 +12,10 @@
 //! | module | provides |
 //! |---|---|
 //! | [`wire`] | versioned, length-prefixed little-endian codec for the protocol messages (v8: 35 kinds incl. the multi-server group and migration sets), streaming writers/reader for the bulk frames |
-//! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`]: one frame writer and one frame reader per end, plus every message operation written once over them with the streaming codecs; the in-process [`transport::loopback`], whose channels carry the bytes TCP writes |
-//! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
+//! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`]: one frame writer and one frame reader per end, plus every message operation written once over them with the streaming codecs; a server end's [`ServerReplies`] and the [`ServeStep`] it runs on every arrival; the in-process [`transport::loopback`], whose channels carry the bytes TCP writes |
+//! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection that runs the serving step on the frame it read, read-timeout peer attribution) |
 //! | [`elastic`] | [`Lifecycle`]: the one lifecycle of every serving role (open, push hooks, checkpoints, close) and its [`goodbye`]; the [`FaultClock`] |
-//! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
+//! | [`server`] | [`serve`]: the single server's serving step, one message at a time |
 //! | [`worker`] | [`worker::run_worker_loop`]: the worker's run, once, over a [`worker::WorkerLink`]; [`run_worker`] is it over the single-server link |
 //! | [`launch`] | [`launch::launch`]: server in-process + one child process per worker |
 //! | [`cli`] | flag parsing shared by the `repro` subcommands and the launchers |
@@ -89,6 +89,9 @@ pub use metrics::{Metrics, MetricsServer};
 pub use obs::Obs;
 pub use server::{require_helloed, serve, validate_hello};
 pub use tcp::{TcpServerTransport, TcpWorkerTransport, TransportStats};
-pub use transport::{PullOutcome, PullView, ServerTransport, WorkerTransport};
+pub use transport::{
+    Arrival, PullOutcome, PullView, ServeStep, ServerReplies, ServerTransport, StepsRun,
+    WorkerTransport,
+};
 pub use wire::{Message, PullApplied, ShardUpdate, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerReport};

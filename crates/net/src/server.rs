@@ -1,9 +1,13 @@
-//! The networked parameter server: a single-threaded, lock-free command loop over a
-//! [`ServerTransport`], driving the shared [`dssp_core::driver::ServerLoop`].
+//! The networked parameter server: one serving step over a [`ServerTransport`],
+//! driving the shared [`dssp_core::driver::ServerLoop`].
 //!
-//! Connection reader threads (or loopback channels) feed one message stream; this loop
-//! is the only code that touches the [`dssp_ps::ParameterServer`], so the decision
-//! logic needs no mutex. A round is **one round trip**: the `OK` carries the weights.
+//! The step is "message (or lost connection) in → dispatch → drain what the loop is
+//! ready to release → all done?". The transport runs it on every arrival, one at a
+//! time ([`ServerTransport::run_steps`]): loopback on the serving thread, TCP on the
+//! connection thread that read the frame, under its lock. The step is the only code
+//! that touches the [`dssp_ps::ParameterServer`] and answers through the reply side it
+//! is handed ([`ServerReplies`]). A round is **one round trip**: the `OK` carries the
+//! weights.
 //! Whenever the loop grants a worker its `OK` — when the push arrives, or later, when
 //! another push, a `Done` or an eviction releases it — it writes the `PushReply` and,
 //! straight after it on the same connection, the pull reply the worker would
@@ -26,7 +30,8 @@
 //! the DSSP decision path in `dssp-ps`'s `zero_alloc_push.rs`): every push is applied by
 //! the one `Serving::apply_push` — [`ServerLoop::handle_push_slice`] with reusable reply
 //! scratch, the consumed gradient buffer recycled back to the transport's per-connection
-//! pool — so the bitwise equivalence suites exercise the code wall-clock runs serve with.
+//! pool — and every transport runs the same step, so the bitwise equivalence suites
+//! exercise the code wall-clock runs serve with.
 //!
 //! The role's elastic life — restoring its checkpoint, its events and metrics, the
 //! fault and checkpoint hooks after each push, the final checkpoint and the
@@ -34,12 +39,14 @@
 //! shares; this module keeps only the protocol.
 
 use crate::elastic::{goodbye, Lifecycle};
-use crate::transport::{PullView, ServerTransport};
+use crate::tcp::TransportStats;
+use crate::transport::{Arrival, PullView, ServeStep, ServerReplies, ServerTransport};
 use crate::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_OK};
 use crate::NetError;
 use dssp_core::driver::{JobConfig, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{EventKind, Role, NO_TRACE};
 use dssp_sim::{RunTrace, WorkerSummary};
+use std::any::Any;
 use std::time::Instant;
 
 /// Runs a full training job as the server side of the given transport and returns the
@@ -82,29 +89,37 @@ pub fn serve(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<Run
         // a restore — with an explicit pull.
         sl.expect_opening_pulls();
         life.obs.sync_loop(&sl);
-        let mut serving = Serving {
+        let mut serving = Box::new(Serving {
             sl,
-            transport: &mut *transport,
             life,
+            helloed: vec![false; job.num_workers],
             last_trace: vec![NO_TRACE; job.num_workers],
             shipped: vec![Vec::new(); job.num_workers],
             delta_pulls: job.delta_pulls,
-            replies: Vec::new(),
+            oks: Vec::new(),
             start: Instant::now(),
-        };
-        serving.run(job.num_workers)?;
-        serving.finish()
+        });
+        if !serving.settle(&mut *transport)? {
+            let (step, outcome) = transport.run_steps(serving);
+            outcome?;
+            serving = (step as Box<dyn Any>)
+                .downcast()
+                .map_err(|_| NetError::Protocol("the transport swapped the serving step".into()))?;
+        }
+        serving.finish(transport.transport_stats())
     });
     goodbye(result, SHUTDOWN_OK, transport, |_| {})
 }
 
-/// Everything the command loop threads through one run.
-struct Serving<'a> {
+/// Everything one run threads through its messages: the serving step a transport
+/// runs on every arrival.
+struct Serving {
     sl: ServerLoop,
-    transport: &'a mut dyn ServerTransport,
     /// The role's lifecycle: the elasticity hooks every push runs through and the
     /// observability bundle.
     life: Lifecycle,
+    /// Which ranks completed their handshake.
+    helloed: Vec<bool>,
     /// Per-rank causal trace table: a worker has at most one operation in flight, so
     /// its most recent trace id is the one its gate-block/release events — and the
     /// weights that ride its `OK` — belong to. `NO_TRACE` for ranks that have not sent
@@ -116,139 +131,151 @@ struct Serving<'a> {
     shipped: Vec<Vec<u64>>,
     delta_pulls: bool,
     /// Reusable scratch for the `OK`s one push releases.
-    replies: Vec<OkReply>,
+    oks: Vec<OkReply>,
     start: Instant,
 }
 
-impl Serving<'_> {
+impl ServeStep for Serving {
+    /// One message (or lost connection) in: dispatch it, then settle.
+    fn step(
+        &mut self,
+        arrival: Arrival,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<bool, NetError> {
+        match arrival {
+            Ok((rank, msg)) => self.dispatch(rank, msg, replies)?,
+            // A worker died mid-run: reap it instead of stalling the gate — reclaim
+            // its credits, retire its clock, and release anyone it was blocking.
+            Err(NetError::ClientLost { rank }) => self.evict_client(rank, replies)?,
+            Err(e) => return Err(e),
+        }
+        self.settle(replies)
+    }
+}
+
+impl Serving {
     fn now(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 
     /// Closes a completed run: final counters, then the lifecycle's close (terminal
     /// checkpoint, transport counters, event log), then the trace.
-    fn finish(mut self) -> Result<RunTrace, NetError> {
+    fn finish(mut self, stats: TransportStats) -> Result<RunTrace, NetError> {
         self.life.obs.sync_loop(&self.sl);
-        let stats = self.transport.transport_stats();
         self.life
             .close(self.sl.version(), |digest| self.sl.snapshot(digest), &stats)?;
         let wall = self.now();
         Ok(self.sl.finish(wall))
     }
 
-    /// The command loop: runs until every worker has reported `Done`.
-    fn run(&mut self, num_workers: usize) -> Result<(), NetError> {
-        let mut helloed = vec![false; num_workers];
-        loop {
-            // Apply everything the loop is ready to release before blocking on the
-            // transport again.
-            while let Some(event) = self.sl.next_ready() {
-                self.process_event(event)?;
-            }
-            if self.sl.all_done() {
-                return Ok(());
-            }
-            self.life
-                .obs
-                .mirror_transport(&self.transport.transport_stats());
+    /// Applies everything the loop is ready to release, then reports whether every
+    /// worker has reported `Done`; until then, mirrors the transport's counters.
+    fn settle(&mut self, replies: &mut dyn ServerReplies) -> Result<bool, NetError> {
+        while let Some(event) = self.sl.next_ready() {
+            self.process_event(event, replies)?;
+        }
+        if self.sl.all_done() {
+            return Ok(true);
+        }
+        self.life.obs.mirror_transport(&replies.transport_stats());
+        Ok(false)
+    }
 
-            let (rank, msg) = match self.transport.recv() {
-                Ok(pair) => pair,
-                // A worker died mid-run: reap it instead of stalling the gate — reclaim
-                // its credits, retire its clock, and release anyone it was blocking.
-                Err(NetError::ClientLost { rank }) => {
-                    self.evict_client(rank)?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if !matches!(msg, Message::Hello { .. }) {
-                require_helloed(&helloed, rank)?;
-            }
-            match msg {
-                Message::Hello {
+    /// Offers one message to the loop, or answers it at the protocol level.
+    fn dispatch(
+        &mut self,
+        rank: usize,
+        msg: Message,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
+        let num_workers = self.helloed.len();
+        if !matches!(msg, Message::Hello { .. }) {
+            require_helloed(&self.helloed, rank)?;
+        }
+        match msg {
+            Message::Hello {
+                version,
+                rank: hello_rank,
+                num_workers: hello_workers,
+                config_digest,
+            } => {
+                validate_hello(
+                    rank,
                     version,
-                    rank: hello_rank,
-                    num_workers: hello_workers,
+                    hello_rank,
+                    hello_workers,
                     config_digest,
-                } => {
-                    validate_hello(
-                        rank,
-                        version,
-                        hello_rank,
-                        hello_workers,
-                        config_digest,
-                        num_workers,
-                        self.life.digest,
-                        &mut helloed,
-                    )?;
-                    self.life.obs.on_join(rank);
+                    num_workers,
+                    self.life.digest,
+                    &mut self.helloed,
+                )?;
+                self.life.obs.on_join(rank);
+            }
+            Message::JoinRequest => {
+                // Membership: admit the worker at the number of pushes this server
+                // has already confirmed from its rank — zero on a fresh run, the
+                // restored clock after a checkpoint restore.
+                let ack = Message::JoinAck {
+                    clock: self.sl.push_count(rank),
+                    epoch: 0,
+                    assignment: Vec::new(),
+                };
+                if replies.send(rank, &ack).is_err() {
+                    self.evict_client(rank, replies)?;
                 }
-                Message::JoinRequest => {
-                    // Membership: admit the worker at the number of pushes this server
-                    // has already confirmed from its rank — zero on a fresh run, the
-                    // restored clock after a checkpoint restore.
-                    let ack = Message::JoinAck {
-                        clock: self.sl.push_count(rank),
-                        epoch: 0,
-                        assignment: Vec::new(),
-                    };
-                    if self.transport.send(rank, &ack).is_err() {
-                        self.evict_client(rank)?;
-                    }
-                }
-                Message::Evict { rank: victim } => {
-                    let victim = victim as usize;
-                    if victim >= num_workers {
-                        return Err(NetError::Protocol(format!(
-                            "eviction of rank {victim}, job has {num_workers} workers"
-                        )));
-                    }
-                    self.evict_client(victim)?;
-                }
-                Message::Pull { trace } => {
-                    self.last_trace[rank] = trace;
-                    self.sl.offer(WorkerEvent::Pull { worker: rank });
-                }
-                Message::Push {
-                    iteration,
-                    trace,
-                    grads,
-                } => {
-                    // Refused before it is queued: no weight or optimizer state moves.
-                    let params = self.sl.server().weights().len();
-                    if grads.len() != params {
-                        return Err(NetError::Protocol(format!(
-                            "worker {rank} pushed {} gradients for {params} parameters",
-                            grads.len()
-                        )));
-                    }
-                    self.last_trace[rank] = trace;
-                    self.sl.offer(WorkerEvent::Push {
-                        worker: rank,
-                        iteration,
-                        grads,
-                    });
-                }
-                Message::Done {
-                    iterations,
-                    epochs,
-                    waiting_time_s,
-                } => {
-                    self.sl.offer(WorkerEvent::Done(WorkerSummary {
-                        worker: rank,
-                        iterations,
-                        epochs: epochs as usize,
-                        waiting_time_s,
-                    }));
-                }
-                other => {
+            }
+            Message::Evict { rank: victim } => {
+                let victim = victim as usize;
+                if victim >= num_workers {
                     return Err(NetError::Protocol(format!(
-                        "unexpected {other:?} from worker {rank}"
-                    )))
+                        "eviction of rank {victim}, job has {num_workers} workers"
+                    )));
                 }
+                self.evict_client(victim, replies)?;
+            }
+            Message::Pull { trace } => {
+                self.last_trace[rank] = trace;
+                self.sl.offer(WorkerEvent::Pull { worker: rank });
+            }
+            Message::Push {
+                iteration,
+                trace,
+                grads,
+            } => {
+                // Refused before it is queued: no weight or optimizer state moves.
+                let params = self.sl.server().weights().len();
+                if grads.len() != params {
+                    return Err(NetError::Protocol(format!(
+                        "worker {rank} pushed {} gradients for {params} parameters",
+                        grads.len()
+                    )));
+                }
+                self.last_trace[rank] = trace;
+                self.sl.offer(WorkerEvent::Push {
+                    worker: rank,
+                    iteration,
+                    grads,
+                });
+            }
+            Message::Done {
+                iterations,
+                epochs,
+                waiting_time_s,
+            } => {
+                self.sl.offer(WorkerEvent::Done(WorkerSummary {
+                    worker: rank,
+                    iterations,
+                    epochs: epochs as usize,
+                    waiting_time_s,
+                }));
+            }
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "unexpected {other:?} from worker {rank}"
+                )))
             }
         }
+        Ok(())
     }
 
     /// Reaps one dead (or explicitly evicted) worker: reclaims its policy credits,
@@ -256,7 +283,11 @@ impl Serving<'_> {
     /// and delivers the `OK`s its departure releases to the survivors. The replies
     /// are a fresh vector, not the member scratch: a failed delivery reaps the next
     /// rank from inside this one's delivery loop.
-    fn evict_client(&mut self, worker: usize) -> Result<(), NetError> {
+    fn evict_client(
+        &mut self,
+        worker: usize,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
         let now = self.now();
         let mut released = Vec::new();
         self.sl.evict_worker(worker, now, &mut released);
@@ -268,7 +299,7 @@ impl Serving<'_> {
                 .event(EventKind::GateRelease, reply.worker as u64);
         }
         self.life.obs.sync_loop(&self.sl);
-        self.deliver_replies(&released)
+        self.deliver_replies(&released, replies)
     }
 
     /// Ships the current weights to `rank` from a borrowed view of the store — the
@@ -278,7 +309,11 @@ impl Serving<'_> {
     /// at the transport level: it never enters the decision loop (and must not advance
     /// its logical clock). A failed send means the rank died awaiting the reply; it is
     /// reaped instead of crashing the run.
-    fn ship_weights(&mut self, rank: usize) -> Result<(), NetError> {
+    fn ship_weights(
+        &mut self,
+        rank: usize,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
         let store = self.sl.server().store();
         let view = PullView {
             clock: self.sl.version(),
@@ -289,14 +324,14 @@ impl Serving<'_> {
         };
         // Whether the reply ships as a delta: the exported delta-hit-rate signal.
         let delta = view.delta_applicable();
-        match self.transport.send_pull_reply(rank, &view) {
+        match replies.send_pull_reply(rank, &view) {
             Ok(()) => {
                 let shipped = &mut self.shipped[rank];
                 shipped.clear();
                 shipped.extend_from_slice(store.versions());
                 self.life.obs.on_pull(rank, delta, self.last_trace[rank]);
             }
-            Err(_) => self.evict_client(rank)?,
+            Err(_) => self.evict_client(rank, replies)?,
         }
         self.life.fault.pull()
     }
@@ -308,17 +343,21 @@ impl Serving<'_> {
     /// and delivery continues with whatever its departure releases (each failure
     /// retires one more worker, so the mutual recursion with
     /// [`Serving::evict_client`] is bounded by the fleet size).
-    fn deliver_replies(&mut self, replies: &[OkReply]) -> Result<(), NetError> {
-        for reply in replies {
+    fn deliver_replies(
+        &mut self,
+        oks: &[OkReply],
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
+        for reply in oks {
             let rank = reply.worker;
             let msg = Message::PushReply {
                 granted_extra: reply.granted_extra,
                 version: self.sl.version(),
             };
-            if self.transport.send(rank, &msg).is_err() {
-                self.evict_client(rank)?;
+            if replies.send(rank, &msg).is_err() {
+                self.evict_client(rank, replies)?;
             } else if self.sl.push_count(rank) < self.sl.targets()[rank] {
-                self.ship_weights(rank)?;
+                self.ship_weights(rank, replies)?;
             }
         }
         Ok(())
@@ -326,21 +365,25 @@ impl Serving<'_> {
 
     /// Applies one event the loop released and delivers the resulting protocol
     /// messages.
-    fn process_event(&mut self, event: WorkerEvent) -> Result<(), NetError> {
+    fn process_event(
+        &mut self,
+        event: WorkerEvent,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
         match event {
             WorkerEvent::Pull { worker } => {
                 // An explicit pull is a worker with an empty cache — first contact, or
                 // first contact after a restore: whatever was shipped to the rank
                 // before no longer describes what it holds.
                 self.shipped[worker].clear();
-                self.ship_weights(worker)
+                self.ship_weights(worker, replies)
             }
-            WorkerEvent::Push { worker, grads, .. } => self.apply_push(worker, grads),
+            WorkerEvent::Push { worker, grads, .. } => self.apply_push(worker, grads, replies),
             WorkerEvent::Done(summary) => {
                 let now = self.now();
-                let mut replies = Vec::new();
-                self.sl.handle_done(summary, now, &mut replies);
-                self.deliver_replies(&replies)
+                let mut oks = Vec::new();
+                self.sl.handle_done(summary, now, &mut oks);
+                self.deliver_replies(&oks, replies)
             }
         }
     }
@@ -349,26 +392,27 @@ impl Serving<'_> {
     /// gradients into reusable reply scratch, the buffer back to the connection pool,
     /// the staleness sample and events exported, the `OK`s delivered, then the
     /// elasticity hooks of the push phase.
-    fn apply_push(&mut self, rank: usize, grads: Vec<f32>) -> Result<(), NetError> {
+    fn apply_push(
+        &mut self,
+        rank: usize,
+        grads: Vec<f32>,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
         let now = self.now();
-        let mut replies = std::mem::take(&mut self.replies);
-        replies.clear();
-        let decision = self.sl.handle_push_slice(rank, &grads, now, &mut replies);
-        self.transport.recycle_f32s(rank, grads);
+        let mut oks = std::mem::take(&mut self.oks);
+        oks.clear();
+        let decision = self.sl.handle_push_slice(rank, &grads, now, &mut oks);
+        replies.recycle_f32s(rank, grads);
         if let Some(point) = self.sl.take_pending_eval() {
             let accuracy = self.sl.accuracy(self.sl.server().weights());
             self.sl.record_eval(point, accuracy);
         }
-        let granted = replies.iter().any(|r| r.worker == rank);
-        self.life.obs.on_push(
-            rank,
-            decision.staleness,
-            &replies,
-            &self.sl,
-            &self.last_trace,
-        );
-        let delivered = self.deliver_replies(&replies);
-        self.replies = replies;
+        let granted = oks.iter().any(|r| r.worker == rank);
+        self.life
+            .obs
+            .on_push(rank, decision.staleness, &oks, &self.sl, &self.last_trace);
+        let delivered = self.deliver_replies(&oks, replies);
+        self.oks = oks;
         delivered?;
         self.life.after_push(granted, self.sl.version(), |digest| {
             self.sl.snapshot(digest)

@@ -3,18 +3,28 @@
 //!
 //! Threading model: the server binds a listener; an acceptor thread accepts exactly
 //! `num_workers` connections; each connection gets a reader thread that blocks on the
-//! next frame and forwards it decoded — attributed with the rank announced in the
-//! connection's leading `Hello` — into one crossbeam channel. The server's command
-//! loop is the only consumer of that channel and the only writer to the sockets, so
-//! the parameter server itself stays single-threaded and lock-free.
+//! next frame and delivers it decoded, attributed with the rank announced in the
+//! connection's leading `Hello`. While a serving loop runs
+//! ([`ServerTransport::run_steps`], what `serve` does), the reader that holds the
+//! frame runs the loop's step itself: it takes the one lock, applies the message, and
+//! writes the replies — to its own peer or, for a released `OK`, to another — so a
+//! message costs one wake-up, not a hand-off to a second thread. Steps run one at a
+//! time, each to its end, so the parameter server still sees one message at a time.
+//! Frames that arrive while no step is installed (workers that connect and say Hello
+//! before the server starts serving) wait in one inbox under the same lock, in
+//! arrival order; `run_steps` serves them first, and [`ServerTransport::recv`] — the
+//! loops that receive on their own thread: the group coordinator and the shard
+//! servers — reads from it. A step's writes hold the lock, which is safe while every
+//! peer has at most one operation in flight and reads its replies before it writes
+//! again, as a single server's workers do.
 //!
 //! Every message operation is the traits' provided one (`crate::transport`); this
 //! module supplies the primitives over the socket — the frame writer is the stream
 //! itself, the worker's frame reader its `BufReader` — plus what only a socket needs:
 //! the rank a worker announced and the last clock it saw confirmed (for
 //! [`NetError::PeerLost`]), read errors attributed to the peer, byte counters, and the
-//! pools that hand consumed bulk buffers back to the connection readers
-//! ([`ServerTransport::recycle_f32s`]). On the training path every bulk byte is moved
+//! per-connection pools that hand consumed bulk buffers back to the connection readers
+//! ([`ServerReplies::recycle_f32s`]). On the training path every bulk byte is moved
 //! once per hop, by the socket copy itself, and nothing is allocated per frame on
 //! either end:
 //!
@@ -26,8 +36,8 @@
 //! * they are read through [`FrameBody`]: length, tag and fixed fields come through
 //!   the connection's `BufReader` and are validated like the buffered decoders
 //!   validate them, then the run is read from that same reader straight into where it
-//!   belongs — on the server a gradient `Vec` recycled back from the command loop
-//!   through a per-rank pool channel, on the worker its own `weights[start..end]`;
+//!   belongs — on the server a gradient `Vec` the serving loop handed back to the
+//!   connection's pool, on the worker its own `weights[start..end]`;
 //! * every other frame is small: it is encoded into a reusable scratch buffer and
 //!   read into a reusable payload buffer (version vectors of `PullDelta` /
 //!   `PullShards` decode into pooled `Vec`s as well, and the per-rank runs of
@@ -40,16 +50,19 @@
 //! that violates the protocol (bad magic, wrong version, non-`Hello` first frame)
 //! aborts the run with an error rather than being quarantined.
 
-use crate::transport::{FrameWriter, ServerTransport, WorkerTransport};
+use crate::transport::{
+    Arrival, FrameWriter, ServeStep, ServerReplies, ServerTransport, StepsRun, WorkerTransport,
+};
 use crate::wire::{
     self, FrameBody, Message, TAG_PULL_DELTA, TAG_PULL_SHARDS, TAG_PUSH, TAG_PUSH_SLICE,
 };
 use crate::NetError;
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -97,54 +110,202 @@ impl RxCounters {
     }
 }
 
-/// The recycle-channel senders of one rank's connection: the command loop pushes
-/// consumed bulk buffers back so the reader can decode the next message into them.
-struct RankPools {
-    grads: Sender<Vec<f32>>,
-    known: Sender<Vec<u64>>,
-}
-
-/// The receiving ends of [`RankPools`], which a connection's reader decodes into.
-pub(crate) struct Recycled {
-    grads: Receiver<Vec<f32>>,
-    known: Receiver<Vec<u64>>,
-}
-
-enum Event {
-    /// A connection completed its `Hello`; `stream` is the write half for its rank and
-    /// `pools` the recycle channels feeding its reader's decode buffers.
-    Register {
-        rank: usize,
-        stream: TcpStream,
-        pools: RankPools,
-    },
-    /// A decoded frame from `rank` (or the error that ended its connection).
-    Frame(usize, Result<Message, NetError>),
-    /// A failure on a connection that never identified itself.
-    Unattributed(NetError),
-}
-
-/// Every connection the acceptor took, and whether the transport is gone. `Drop` and
-/// the acceptor meet under its lock, so each accepted socket is shut down by exactly
-/// one of them: by `Drop` if it was accepted before, by the acceptor if after.
+/// The consumed bulk buffers of one connection, handed back by the serving loop
+/// ([`ServerReplies::recycle_f32s`]) for its reader to decode the next bulk frame into.
 #[derive(Default)]
-struct Accepted {
-    streams: Vec<TcpStream>,
+pub(crate) struct Pool {
+    grads: Vec<Vec<f32>>,
+    known: Vec<Vec<u64>>,
+}
+
+/// Where a serving loop's step stands.
+enum Slot {
+    /// No step is installed: arrivals queue in the inbox, for [`ServerTransport::recv`]
+    /// or the next [`ServerTransport::run_steps`].
+    Idle,
+    /// Installed by `run_steps`: the thread that holds an arrival runs it.
+    Running(Box<dyn ServeStep>),
+    /// The step reported the run complete, or it failed: `run_steps` takes it back.
+    Ended(Box<dyn ServeStep>, Result<(), NetError>),
+}
+
+/// What the connection threads and the server end share under [`Shared::state`].
+struct State {
+    /// Every connection the acceptor took, for `Drop` to shut down. `Drop` and the
+    /// acceptor meet under the lock, so each accepted socket is shut down by exactly
+    /// one of them: by `Drop` if it was accepted before, by the acceptor if after.
+    accepted: Vec<TcpStream>,
+    /// Set by `Drop`.
     closed: bool,
+    /// Arrivals that came while no step was installed, in arrival order.
+    inbox: VecDeque<Arrival>,
+    step: Slot,
+    /// The acceptor and the connection readers still running.
+    sources: usize,
+}
+
+/// Each rank's write half, once its connection said `Hello`, with what writing needs.
+struct Writers {
+    streams: Vec<Option<TcpStream>>,
+    scratch: Vec<u8>,
+    /// The send-side counters (the receive side is [`Shared::rx`]).
+    tx: TransportStats,
+}
+
+/// The server end's state, shared with its acceptor and connection reader threads.
+struct Shared {
+    /// Arrivals and the installed step. A step runs with this lock held, so steps
+    /// run one at a time, each to its end, in the order their arrivals took it.
+    state: Mutex<State>,
+    /// Signalled when an arrival is queued, a step's run ends or a source stops.
+    changed: Condvar,
+    /// Taken for each write, inside `state` by a step and alone otherwise: a loop that
+    /// receives with `recv` writes without holding up the readers.
+    writers: Mutex<Writers>,
+    /// Per rank, the buffers its connection reader decodes bulk frames into; locked
+    /// apart from `state`, so a reader refills without waiting for a running step.
+    pools: Vec<Mutex<Pool>>,
+    rx: RxCounters,
+}
+
+/// Locks `mutex`; a thread that panicked holding it left nothing half-written that
+/// this module reads.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    /// Hands `arrival` to the installed step, on this thread and under the lock, or
+    /// queues it when no step is installed. `wire_len` is the size of the frame it
+    /// was read from (0 for a failure that read none).
+    fn deliver(&self, arrival: Arrival, wire_len: usize) {
+        if wire_len > 0 {
+            self.rx.record(wire_len);
+        }
+        let mut state = lock(&self.state);
+        let wake = match std::mem::replace(&mut state.step, Slot::Idle) {
+            Slot::Running(mut step) => match self.run_step(&mut *step, arrival) {
+                None => {
+                    state.step = Slot::Running(step);
+                    false
+                }
+                Some(outcome) => {
+                    state.step = Slot::Ended(step, outcome);
+                    true
+                }
+            },
+            idle_or_ended => {
+                state.step = idle_or_ended;
+                state.inbox.push_back(arrival);
+                true
+            }
+        };
+        // Woken after the unlock, the waiter does not wake into a held lock.
+        drop(state);
+        if wake {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Runs `step` on one arrival: `Some` outcome once the run has ended. A panic in
+    /// the step ends the run with [`NetError::ReaderPanicked`] rather than unwinding
+    /// through a reader thread while the serving thread waits for it.
+    fn run_step(&self, step: &mut dyn ServeStep, arrival: Arrival) -> Option<Result<(), NetError>> {
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| step.step(arrival, &mut &*self)));
+        match ran {
+            Ok(Ok(false)) => None,
+            Ok(Ok(true)) => Some(Ok(())),
+            Ok(Err(e)) => Some(Err(e)),
+            Err(_) => Some(Err(NetError::ReaderPanicked)),
+        }
+    }
+}
+
+/// The reply side a step answers through: every write takes the writers' lock.
+impl ServerReplies for &Shared {
+    fn num_workers(&self) -> usize {
+        self.pools.len()
+    }
+
+    fn send_frame(
+        &mut self,
+        rank: usize,
+        frames: u64,
+        write: FrameWriter<'_>,
+    ) -> Result<(), NetError> {
+        let mut writers = lock(&self.writers);
+        let Writers {
+            streams,
+            scratch,
+            tx,
+        } = &mut *writers;
+        let stream = streams[rank]
+            .as_mut()
+            .ok_or_else(|| NetError::Protocol(format!("worker {rank} never said Hello")))?;
+        let wire_len = write(stream, scratch)?;
+        tx.sent(frames, wire_len);
+        Ok(())
+    }
+
+    fn transport_stats(&self) -> TransportStats {
+        TransportStats {
+            bytes_received: self.rx.bytes.load(Ordering::Relaxed),
+            frames_received: self.rx.frames.load(Ordering::Relaxed),
+            ..lock(&self.writers).tx
+        }
+    }
+
+    fn recycle_f32s(&mut self, rank: usize, buf: Vec<f32>) {
+        lock(&self.pools[rank]).grads.push(buf);
+    }
+
+    fn recycle_u64s(&mut self, rank: usize, buf: Vec<u64>) {
+        lock(&self.pools[rank]).known.push(buf);
+    }
+}
+
+/// Counts a thread that delivers arrivals — the acceptor or a connection reader —
+/// among the live sources for as long as it runs. When the last one stops, or one
+/// panics, an installed step's run ends instead of waiting for arrivals that cannot
+/// come.
+struct Source(Arc<Shared>);
+
+impl Source {
+    /// Counts a source in before its thread is spawned, so that the count never reads
+    /// zero while a thread that is about to deliver has yet to start.
+    fn start(shared: &Arc<Shared>) -> Self {
+        lock(&shared.state).sources += 1;
+        Self(Arc::clone(shared))
+    }
+}
+
+impl Drop for Source {
+    fn drop(&mut self) {
+        let mut state = lock(&self.0.state);
+        state.sources -= 1;
+        let failure = if thread::panicking() {
+            Some(NetError::ReaderPanicked)
+        } else if state.sources == 0 {
+            Some(NetError::Disconnected)
+        } else {
+            None
+        };
+        if let Some(e) = failure {
+            state.step = match std::mem::replace(&mut state.step, Slot::Idle) {
+                Slot::Running(step) => Slot::Ended(step, Err(e)),
+                other => other,
+            };
+        }
+        drop(state);
+        self.0.changed.notify_all();
+    }
 }
 
 /// Server end of the TCP transport.
 pub struct TcpServerTransport {
     local_addr: SocketAddr,
     num_workers: usize,
-    accepted: Arc<Mutex<Accepted>>,
-    events: Receiver<Event>,
-    writers: Vec<Option<TcpStream>>,
-    pools: Vec<Option<RankPools>>,
-    scratch: Vec<u8>,
-    rx: Arc<RxCounters>,
-    /// The send-side counters (the receive side is `rx`).
-    tx: TransportStats,
+    shared: Arc<Shared>,
 }
 
 impl TcpServerTransport {
@@ -158,25 +319,31 @@ impl TcpServerTransport {
         assert!(num_workers > 0, "need at least one worker");
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (event_tx, events) = unbounded();
-        let rx = Arc::new(RxCounters::default());
-        let rx_for_readers = Arc::clone(&rx);
-        let accepted = Arc::new(Mutex::new(Accepted::default()));
-        let taken = Arc::clone(&accepted);
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                accepted: Vec::new(),
+                closed: false,
+                inbox: VecDeque::new(),
+                step: Slot::Idle,
+                sources: 0,
+            }),
+            changed: Condvar::new(),
+            writers: Mutex::new(Writers {
+                streams: (0..num_workers).map(|_| None).collect(),
+                scratch: Vec::new(),
+                tx: TransportStats::default(),
+            }),
+            pools: (0..num_workers).map(|_| Mutex::default()).collect(),
+            rx: RxCounters::default(),
+        });
+        let acceptor = Source::start(&shared);
         thread::Builder::new()
             .name("dssp-net-acceptor".into())
-            .spawn(move || accept_loop(listener, num_workers, &taken, event_tx, rx_for_readers))
-            .expect("spawn acceptor thread");
+            .spawn(move || accept_loop(listener, acceptor))?;
         Ok(Self {
             local_addr,
             num_workers,
-            accepted,
-            events,
-            writers: (0..num_workers).map(|_| None).collect(),
-            pools: (0..num_workers).map(|_| None).collect(),
-            scratch: Vec::new(),
-            rx,
-            tx: TransportStats::default(),
+            shared,
         })
     }
 
@@ -188,19 +355,8 @@ impl TcpServerTransport {
     /// Byte/frame counters accumulated so far (receive side includes every
     /// connection's reader thread).
     pub fn stats(&self) -> TransportStats {
-        TransportStats {
-            bytes_received: self.rx.bytes.load(Ordering::Relaxed),
-            frames_received: self.rx.frames.load(Ordering::Relaxed),
-            ..self.tx
-        }
+        (&*self.shared).transport_stats()
     }
-}
-
-/// `rank`'s write half, once its connection has registered.
-fn writer_of(writers: &mut [Option<TcpStream>], rank: usize) -> Result<&mut TcpStream, NetError> {
-    writers[rank]
-        .as_mut()
-        .ok_or_else(|| NetError::Protocol(format!("worker {rank} never said Hello")))
 }
 
 impl Drop for TcpServerTransport {
@@ -211,15 +367,14 @@ impl Drop for TcpServerTransport {
     /// that cannot come. `shutdown` acts on the socket itself, across every
     /// duplicate, unblocking both the peer and this connection's reader thread. It
     /// reaches every connection the acceptor took, registered or not: a reader thread
-    /// that registers during the drop has its write half parked in the event channel,
-    /// where no shutdown of the known writers would find it.
+    /// may register its write half during the drop.
     fn drop(&mut self) {
-        let mut accepted = self.accepted.lock().unwrap_or_else(PoisonError::into_inner);
-        accepted.closed = true;
-        for stream in accepted.streams.drain(..) {
+        let mut state = lock(&self.shared.state);
+        state.closed = true;
+        for stream in state.accepted.drain(..) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        drop(accepted);
+        drop(state);
         // Unblock the acceptor if any client slot was never claimed (a coordinator
         // binds an optional admin slot that only `repro -- drain/rebalance` dials):
         // a bounded burst of self-connects makes `accept` return so the thread can
@@ -236,123 +391,77 @@ impl Drop for TcpServerTransport {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    num_workers: usize,
-    accepted: &Mutex<Accepted>,
-    event_tx: Sender<Event>,
-    rx: Arc<RxCounters>,
-) {
-    for _ in 0..num_workers {
+fn accept_loop(listener: TcpListener, acceptor: Source) {
+    let shared = &acceptor.0;
+    for _ in 0..shared.pools.len() {
         let stream = match listener.accept().and_then(|(stream, _)| {
             let kept = stream.try_clone()?;
             Ok((stream, kept))
         }) {
             Ok((stream, kept)) => {
-                let mut accepted = accepted.lock().unwrap_or_else(PoisonError::into_inner);
-                if accepted.closed {
+                let mut state = lock(&shared.state);
+                if state.closed {
                     // The transport is gone: this is one of its drop's self-connects,
                     // or a client that came too late. Either way nobody will serve it.
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                     continue;
                 }
-                accepted.streams.push(kept);
+                state.accepted.push(kept);
                 stream
             }
-            Err(e) => {
-                let _ = event_tx.send(Event::Unattributed(e.into()));
-                return;
-            }
+            Err(e) => return shared.deliver(Err(e.into()), 0),
         };
-        let tx = event_tx.clone();
-        let rx = Arc::clone(&rx);
+        let reader = Source::start(shared);
         let _ = thread::Builder::new()
             .name("dssp-net-reader".into())
-            .spawn(move || reader_loop(stream, num_workers, tx, rx));
+            .spawn(move || reader_loop(stream, reader));
     }
 }
 
-fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc<RxCounters>) {
+/// One connection's thread: reads its frames and delivers each, attributed with the
+/// rank its leading `Hello` announced — running the installed step itself, or queueing
+/// the frame when none is installed.
+fn reader_loop(stream: TcpStream, source: Source) {
+    let shared = &source.0;
     let _ = stream.set_nodelay(true);
     let write_half = match stream.try_clone() {
         Ok(s) => s,
-        Err(e) => {
-            let _ = tx.send(Event::Unattributed(e.into()));
-            return;
-        }
+        Err(e) => return shared.deliver(Err(e.into()), 0),
     };
     let mut reader = BufReader::new(stream);
     let mut payload: Vec<u8> = Vec::new();
-    // Recycle channels: the command loop returns consumed bulk buffers here so the
-    // steady-state decode below never allocates.
-    let (grads_tx, grads) = unbounded::<Vec<f32>>();
-    let (known_tx, known) = unbounded::<Vec<u64>>();
-    let pools = Recycled { grads, known };
-    let mut next = |reader: &mut BufReader<TcpStream>| {
-        let (msg, wire_len) = read_message(reader, &mut payload, Some(&pools))?;
-        rx.record(wire_len);
-        Ok::<_, NetError>(msg)
-    };
     // The first frame must be a Hello (or, on a shard server, a GroupHello)
     // announcing the connection's rank.
-    let hello = match next(&mut reader) {
-        Ok(msg @ (Message::Hello { .. } | Message::GroupHello { .. })) => msg,
-        Ok(other) => {
-            let _ = tx.send(Event::Unattributed(NetError::Protocol(format!(
-                "first frame was {other:?}, expected Hello"
-            ))));
-            return;
+    let (hello, announced, wire_len) = match read_message(&mut reader, &mut payload, None) {
+        Ok((hello @ (Message::Hello { rank, .. } | Message::GroupHello { rank, .. }), len)) => {
+            (hello, rank, len)
         }
-        Err(e) => {
-            let _ = tx.send(Event::Unattributed(e));
-            return;
+        Ok((other, len)) => {
+            let e = NetError::Protocol(format!("first frame was {other:?}, expected Hello"));
+            return shared.deliver(Err(e), len);
         }
+        Err(e) => return shared.deliver(Err(e), 0),
     };
-    let announced = match &hello {
-        Message::Hello { rank, .. } | Message::GroupHello { rank, .. } => *rank,
-        _ => unreachable!("matched a hello above"),
-    };
-    // `num_workers` here is really the transport's client-slot count: a shard server
+    // The slot count is really the transport's client-slot count: a shard server
     // binds `workers + 1` slots and its coordinator announces the extra top rank.
-    let rank = if (announced as usize) < num_workers {
-        announced as usize
-    } else {
-        let _ = tx.send(Event::Unattributed(NetError::Protocol(format!(
-            "rank {announced} out of range for {num_workers} client slots"
-        ))));
-        return;
-    };
-    // Registration travels on the same channel before the Hello frame, so the command
-    // loop always owns the write half by the time it sees the rank's first message.
-    if tx
-        .send(Event::Register {
-            rank,
-            stream: write_half,
-            pools: RankPools {
-                grads: grads_tx,
-                known: known_tx,
-            },
-        })
-        .is_err()
-    {
-        return;
+    let slots = shared.pools.len();
+    let rank = announced as usize;
+    if rank >= slots {
+        let e = NetError::Protocol(format!(
+            "rank {announced} out of range for {slots} client slots"
+        ));
+        return shared.deliver(Err(e), wire_len);
     }
-    if tx.send(Event::Frame(rank, Ok(hello))).is_err() {
-        return;
-    }
+    // Registered before the Hello is delivered, so whoever serves the rank's first
+    // message can already answer it.
+    lock(&shared.writers).streams[rank] = Some(write_half);
+    shared.deliver(Ok((rank, hello)), wire_len);
+    let pool = &shared.pools[rank];
     loop {
-        match next(&mut reader) {
-            Ok(msg) => {
-                if tx.send(Event::Frame(rank, Ok(msg))).is_err() {
-                    return; // server gone
-                }
-            }
-            Err(e) => {
-                // EOF after shutdown is the normal end of a connection; the command
-                // loop has stopped receiving by then, so a failed send is fine too.
-                let _ = tx.send(Event::Frame(rank, Err(e)));
-                return;
-            }
+        match read_message(&mut reader, &mut payload, Some(pool)) {
+            Ok((msg, wire_len)) => shared.deliver(Ok((rank, msg)), wire_len),
+            // EOF after shutdown is the normal end of a connection.
+            Err(e) => return shared.deliver(Err(connection_failed(rank, e)), 0),
         }
     }
 }
@@ -360,24 +469,25 @@ fn reader_loop(stream: TcpStream, num_workers: usize, tx: Sender<Event>, rx: Arc
 /// The one frame-to-message reader of both server ends (TCP's connection readers, the
 /// loopback server's `recv`): reads the next frame from `reader` and returns it
 /// decoded with its size on the wire, length prefix included. The bulk kinds go into
-/// buffers recycled from the command loop through `pools` (an empty or absent pool
-/// falls back to a fresh `Vec`, so correctness never depends on the recycling):
-/// gradients stream straight into their `Vec`, version vectors are decoded from the
-/// small buffered frame. Every other kind is buffered in `payload` and decoded.
+/// buffers the serving loop handed back to the connection's `pool`, taken once the
+/// frame's header has arrived (an empty or absent pool falls back to a fresh `Vec`, so
+/// correctness never depends on the recycling): gradients stream straight into their
+/// `Vec`, version vectors are decoded from the small buffered frame. Every other kind
+/// is buffered in `payload` and decoded.
 pub(crate) fn read_message<R: Read + ?Sized>(
     reader: &mut R,
     payload: &mut Vec<u8>,
-    pools: Option<&Recycled>,
+    pool: Option<&Mutex<Pool>>,
 ) -> Result<(Message, usize), NetError> {
-    fn recycled<T>(pool: Option<&Receiver<Vec<T>>>) -> Vec<T> {
-        pool.and_then(|pool| pool.try_recv().ok())
+    fn recycled<T>(pool: Option<&Mutex<Pool>>, kind: fn(&mut Pool) -> &mut Vec<Vec<T>>) -> Vec<T> {
+        pool.and_then(|pool| kind(&mut lock(pool)).pop())
             .unwrap_or_default()
     }
     let body = FrameBody::begin(reader)?;
     let wire_len = body.wire_len();
     let msg = match body.tag() {
         TAG_PUSH => {
-            let mut grads = recycled(pools.map(|p| &p.grads));
+            let mut grads = recycled(pool, |p| &mut p.grads);
             let (iteration, trace) = body.push_into(&mut grads)?;
             Message::Push {
                 iteration,
@@ -386,7 +496,7 @@ pub(crate) fn read_message<R: Read + ?Sized>(
             }
         }
         TAG_PUSH_SLICE => {
-            let mut grads = recycled(pools.map(|p| &p.grads));
+            let mut grads = recycled(pool, |p| &mut p.grads);
             let (iteration, epoch, trace, pull) = body.push_slice_into(&mut grads)?;
             Message::PushSlice {
                 iteration,
@@ -398,7 +508,7 @@ pub(crate) fn read_message<R: Read + ?Sized>(
         }
         TAG_PULL_DELTA | TAG_PULL_SHARDS => {
             body.buffer(payload)?;
-            let mut known = recycled(pools.map(|p| &p.known));
+            let mut known = recycled(pool, |p| &mut p.known);
             let mut msg = wire::decode_with_run(payload, &mut known)?;
             if let Message::PullDelta { known_versions, .. }
             | Message::PullShards { known_versions, .. } = &mut msg
@@ -440,27 +550,55 @@ pub(crate) fn connection_failed(rank: usize, e: NetError) -> NetError {
 }
 
 impl ServerTransport for TcpServerTransport {
-    fn num_workers(&self) -> usize {
-        self.num_workers
+    fn recv(&mut self) -> Result<(usize, Message), NetError> {
+        let mut state = lock(&self.shared.state);
+        loop {
+            if let Some(arrival) = state.inbox.pop_front() {
+                return arrival;
+            }
+            if state.sources == 0 {
+                return Err(NetError::Disconnected);
+            }
+            state = self
+                .shared
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
-    fn recv(&mut self) -> Result<(usize, Message), NetError> {
-        loop {
-            match self.events.recv().map_err(|_| NetError::Disconnected)? {
-                Event::Register {
-                    rank,
-                    stream,
-                    pools,
-                } => {
-                    let _ = stream.set_nodelay(true);
-                    self.writers[rank] = Some(stream);
-                    self.pools[rank] = Some(pools);
-                }
-                Event::Frame(rank, Ok(msg)) => return Ok((rank, msg)),
-                Event::Frame(rank, Err(e)) => return Err(connection_failed(rank, e)),
-                Event::Unattributed(e) => return Err(e),
+    /// Runs `step` on the connection threads: whichever reader holds an arrival runs
+    /// it, under the lock, and writes its replies itself. What arrived before the step
+    /// was installed (the workers may connect, say Hello and pull before the server
+    /// starts serving) is run first, here, in arrival order.
+    fn run_steps(&mut self, mut step: Box<dyn ServeStep>) -> StepsRun {
+        let shared = &*self.shared;
+        let mut state = lock(&shared.state);
+        while let Some(arrival) = state.inbox.pop_front() {
+            if let Some(outcome) = shared.run_step(&mut *step, arrival) {
+                return (step, outcome);
             }
         }
+        if state.sources == 0 {
+            return (step, Err(NetError::Disconnected));
+        }
+        state.step = Slot::Running(step);
+        loop {
+            state = shared
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            match std::mem::replace(&mut state.step, Slot::Idle) {
+                Slot::Ended(step, outcome) => return (step, outcome),
+                running => state.step = running,
+            }
+        }
+    }
+}
+
+impl ServerReplies for TcpServerTransport {
+    fn num_workers(&self) -> usize {
+        self.num_workers
     }
 
     fn send_frame(
@@ -469,9 +607,7 @@ impl ServerTransport for TcpServerTransport {
         frames: u64,
         write: FrameWriter<'_>,
     ) -> Result<(), NetError> {
-        let wire_len = write(writer_of(&mut self.writers, rank)?, &mut self.scratch)?;
-        self.tx.sent(frames, wire_len);
-        Ok(())
+        (&*self.shared).send_frame(rank, frames, write)
     }
 
     fn transport_stats(&self) -> TransportStats {
@@ -479,15 +615,11 @@ impl ServerTransport for TcpServerTransport {
     }
 
     fn recycle_f32s(&mut self, rank: usize, buf: Vec<f32>) {
-        if let Some(pools) = &self.pools[rank] {
-            let _ = pools.grads.send(buf);
-        }
+        (&*self.shared).recycle_f32s(rank, buf)
     }
 
     fn recycle_u64s(&mut self, rank: usize, buf: Vec<u64>) {
-        if let Some(pools) = &self.pools[rank] {
-            let _ = pools.known.send(buf);
-        }
+        (&*self.shared).recycle_u64s(rank, buf)
     }
 }
 
@@ -823,6 +955,53 @@ mod tests {
             .unwrap();
         server.recycle_u64s(rank, known);
         client.join().unwrap();
+    }
+
+    /// A step that says when it has served a `Hello` and panics on anything else.
+    struct PanicsAfterHello(std::sync::mpsc::Sender<()>);
+
+    impl ServeStep for PanicsAfterHello {
+        fn step(&mut self, arrival: Arrival, _: &mut dyn ServerReplies) -> Result<bool, NetError> {
+            match arrival {
+                Ok((_, Message::Hello { .. })) => {
+                    let _ = self.0.send(());
+                    Ok(false)
+                }
+                _ => panic!("the step fails on purpose"),
+            }
+        }
+    }
+
+    /// The step runs on a connection thread while the serving thread waits for the
+    /// run to end: a panic there must end the run with a typed error, not leave the
+    /// serving thread waiting for a thread that is gone.
+    #[test]
+    fn a_step_that_panics_on_a_reader_thread_ends_the_run_with_an_error() {
+        let mut server = TcpServerTransport::bind("127.0.0.1:0", 1).unwrap();
+        let addr = server.local_addr().to_string();
+        let (helloed_tx, helloed) = std::sync::mpsc::channel();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let (_, outcome) = server.run_steps(Box::new(PanicsAfterHello(helloed_tx)));
+            let _ = done_tx.send(outcome);
+        });
+        let mut worker = TcpWorkerTransport::connect(&addr).unwrap();
+        worker
+            .send(&Message::Hello {
+                version: PROTOCOL_VERSION,
+                rank: 0,
+                num_workers: 1,
+                config_digest: 0,
+            })
+            .unwrap();
+        // Once the Hello is served, the next frame finds the step installed, so its
+        // reader runs it.
+        helloed.recv_timeout(Duration::from_secs(10)).unwrap();
+        worker.send(&Message::Pull { trace: 0 }).unwrap();
+        assert!(matches!(
+            done.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(NetError::ReaderPanicked))
+        ));
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //!   byte counts as TCP, without sockets or reader threads.
 //!
 //! Each trait requires only its frame primitives. Sending is one frame writer for both
-//! sides ([`WorkerTransport::send_frame`], [`ServerTransport::send_frame`]): it hands an
+//! sides ([`WorkerTransport::send_frame`], [`ServerReplies::send_frame`]): it hands an
 //! operation a [`Write`] — the socket, or the bytes one channel message will carry —
 //! plus the transport's scratch buffer for small frames. The worker receives through
 //! one frame reader ([`WorkerTransport::recv_frame`]): a [`FrameBody`] over a [`Read`]
 //! — the socket's buffered reader, or the bytes received so far. A server end receives
-//! decoded messages its own way ([`ServerTransport::recv`]), and both ends run the
-//! same frame-to-message reader to do it.
+//! decoded messages its own way, and both ends run the same frame-to-message reader to
+//! do it. A serving loop either receives them ([`ServerTransport::recv`]) or hands the
+//! transport a [`ServeStep`] to run on each ([`ServerTransport::run_steps`]): loopback
+//! runs it on the calling thread, TCP on the connection thread that read the frame.
 //!
 //! Every message operation — `send`, `recv`, the borrowed-slice pushes, the pulls
 //! applied into caller-owned weight and version caches, the replies written from a
@@ -36,6 +38,7 @@ use crate::tcp::{connection_failed, read_message, TransportStats};
 use crate::wire::{self, FrameBody, Message, PullApplied, TAG_PULL_REPLY, TAG_PULL_REPLY_DELTA};
 use crate::NetError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::any::Any;
 use std::io::{self, Cursor, Read, Write};
 
 /// One send operation: writes one or more whole frames to the transport's writer —
@@ -105,7 +108,7 @@ impl<'a> PullView<'a> {
     /// Writes the reply this view answers with — a delta when applicable, a full
     /// reply otherwise — as one frame, straight from the store: stack headers plus the
     /// weights' own bytes in vectored writes, no frame buffer in between (the path of
-    /// [`ServerTransport::send_pull_reply`]). Byte-identical to [`PullView::encode`]
+    /// [`ServerReplies::send_pull_reply`]). Byte-identical to [`PullView::encode`]
     /// followed by [`wire::write_frame_payload`]. Returns the bytes written, length
     /// prefix included.
     pub fn write_frame<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<usize> {
@@ -145,18 +148,13 @@ fn not_a_pull_reply(payload: &[u8]) -> Result<PullOutcome, NetError> {
     }
 }
 
-/// Server side of a transport: a stream of rank-attributed incoming messages plus a
-/// way to address each worker.
-///
-/// Implementations attribute messages to ranks from each connection's `Hello`; the
-/// server logic on top still validates the handshake contents.
-pub trait ServerTransport: Send {
+/// The reply side of a server end: one frame writer per rank, and every reply
+/// operation written once over it. A serving step answers through it
+/// ([`ServeStep::step`]); a [`ServerTransport`] is one, for the loops that receive
+/// with [`ServerTransport::recv`].
+pub trait ServerReplies {
     /// Number of workers this transport serves.
     fn num_workers(&self) -> usize;
-
-    /// Blocks for the next message from any worker, attributed with its rank. A
-    /// connection whose read fails ends it with that failure, naming the rank.
-    fn recv(&mut self) -> Result<(usize, Message), NetError>;
 
     /// Sends `frames` whole frames to `rank` in one operation: `write` writes them to
     /// the transport's writer for that rank.
@@ -230,6 +228,81 @@ pub trait ServerTransport: Send {
         }
     }
 }
+
+/// A reply side borrowed for one call: what lets the default
+/// [`ServerTransport::run_steps`] hand a transport to a step as its reply side.
+impl<T: ServerReplies + ?Sized> ServerReplies for &mut T {
+    fn num_workers(&self) -> usize {
+        (**self).num_workers()
+    }
+
+    fn send_frame(
+        &mut self,
+        rank: usize,
+        frames: u64,
+        write: FrameWriter<'_>,
+    ) -> Result<(), NetError> {
+        (**self).send_frame(rank, frames, write)
+    }
+
+    fn transport_stats(&self) -> TransportStats {
+        (**self).transport_stats()
+    }
+
+    fn recycle_f32s(&mut self, rank: usize, buf: Vec<f32>) {
+        (**self).recycle_f32s(rank, buf)
+    }
+
+    fn recycle_u64s(&mut self, rank: usize, buf: Vec<u64>) {
+        (**self).recycle_u64s(rank, buf)
+    }
+}
+
+/// What reaches a serving loop from its transport: a message attributed with its
+/// sender's rank, or the failure that ended a connection (naming the rank when the
+/// connection had announced one).
+pub type Arrival = Result<(usize, Message), NetError>;
+
+/// One step of a serving loop, handed to [`ServerTransport::run_steps`] by value so
+/// that a transport may run it on whichever thread holds the arrival.
+pub trait ServeStep: Any + Send {
+    /// Handles one arrival, answering through `replies`. Returns whether the run is
+    /// complete; an error ends the run.
+    fn step(&mut self, arrival: Arrival, replies: &mut dyn ServerReplies)
+        -> Result<bool, NetError>;
+}
+
+/// Server side of a transport: the [`ServerReplies`] to every worker plus the stream
+/// of rank-attributed messages they send.
+///
+/// Implementations attribute messages to ranks from each connection's `Hello`; the
+/// server logic on top still validates the handshake contents.
+pub trait ServerTransport: ServerReplies + Send {
+    /// Blocks for the next message from any worker, attributed with its rank. A
+    /// connection whose read fails ends it with that failure, naming the rank.
+    fn recv(&mut self) -> Result<(usize, Message), NetError>;
+
+    /// Runs a serving loop: hands `step` every arrival, in order, with this
+    /// transport's replies, until it reports the run complete or fails, then hands it
+    /// back with the outcome. Default: on the calling thread, from
+    /// [`ServerTransport::recv`]. TCP runs each step on the connection thread that
+    /// read the frame.
+    fn run_steps(&mut self, mut step: Box<dyn ServeStep>) -> StepsRun {
+        let outcome = loop {
+            let arrival = self.recv();
+            match step.step(arrival, &mut &mut *self) {
+                Ok(false) => {}
+                Ok(true) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        (step, outcome)
+    }
+}
+
+/// What [`ServerTransport::run_steps`] returns: the step it was handed, and whether
+/// the run completed or how it failed.
+pub type StepsRun = (Box<dyn ServeStep>, Result<(), NetError>);
 
 /// Worker side of a transport: a bidirectional frame pipe to the server.
 pub trait WorkerTransport: Send {
@@ -438,10 +511,6 @@ pub fn loopback(num_workers: usize) -> (LoopbackServer, Vec<LoopbackWorker>) {
 }
 
 impl ServerTransport for LoopbackServer {
-    fn num_workers(&self) -> usize {
-        self.replies.len()
-    }
-
     fn recv(&mut self) -> Result<(usize, Message), NetError> {
         match self.events.recv() {
             Ok((rank, Some(frame))) => {
@@ -453,6 +522,12 @@ impl ServerTransport for LoopbackServer {
             Ok((rank, None)) => Err(NetError::ClientLost { rank }),
             Err(_) => Err(NetError::Disconnected),
         }
+    }
+}
+
+impl ServerReplies for LoopbackServer {
+    fn num_workers(&self) -> usize {
+        self.replies.len()
     }
 
     fn send_frame(

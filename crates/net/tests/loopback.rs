@@ -3,7 +3,7 @@
 //! malformed frames refused the way TCP refuses them.
 
 use dssp_core::driver::{JobConfig, WorkerStep};
-use dssp_net::transport::{loopback, ServerTransport, WorkerTransport};
+use dssp_net::transport::{loopback, ServerReplies, ServerTransport, WorkerTransport};
 use dssp_net::wire::{self, Message, PROTOCOL_VERSION, SHUTDOWN_SERVER_ERROR};
 use dssp_net::{run_worker, serve, NetError, TcpServerTransport, TcpWorkerTransport, WorkerReport};
 use dssp_ps::PolicyKind;

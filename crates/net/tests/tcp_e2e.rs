@@ -3,12 +3,18 @@
 //! loopback transport, and the fused round itself, frame by frame.
 
 use dssp_core::driver::{JobConfig, WorkerStep};
+use dssp_core::events::trace_id;
+use dssp_net::transport::FrameWriter;
+use dssp_net::wire::FrameBody;
 use dssp_net::{
-    run_worker, serve, wire, Message, NetError, PullOutcome, ServerTransport, TcpServerTransport,
+    run_worker, serve, wire, Message, NetError, PullOutcome, ServerReplies, TcpServerTransport,
     TcpWorkerTransport, WorkerTransport, PROTOCOL_VERSION,
 };
 use dssp_ps::PolicyKind;
+use std::io::Read;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 #[test]
 fn dssp_trains_over_real_sockets_and_matches_a_deterministic_loopback_run() {
@@ -352,4 +358,174 @@ fn a_traced_run_still_joins_every_push_across_roles_in_the_analyzer() {
         );
     }
     std::fs::remove_dir_all(&events_dir).ok();
+}
+
+/// A worker end that sent its opening frames — `Hello`, `JoinRequest` and the opening
+/// `Pull` — as soon as it connected. `run_worker`'s own sends of those frames are
+/// matched against them, byte for byte, and not sent again.
+struct OpenedEarly {
+    inner: TcpWorkerTransport,
+    /// The opening frames not matched yet, the next one last.
+    unmatched: Vec<Vec<u8>>,
+}
+
+impl OpenedEarly {
+    fn connect(addr: &str, job: &JobConfig, rank: usize) -> Self {
+        let mut inner = TcpWorkerTransport::connect(addr).expect("connect");
+        let opening = [
+            Message::Hello {
+                version: PROTOCOL_VERSION,
+                rank: rank as u32,
+                num_workers: job.num_workers as u32,
+                config_digest: job.stable_digest(),
+            },
+            Message::JoinRequest,
+            Message::Pull {
+                trace: trace_id(rank as u32, 1),
+            },
+        ];
+        let mut unmatched = Vec::new();
+        for msg in opening.iter().rev() {
+            let mut frame = Vec::new();
+            wire::write_frame(&mut frame, msg, &mut Vec::new()).expect("encode");
+            unmatched.push(frame);
+        }
+        for msg in &opening {
+            inner.send(msg).expect("opening frame");
+        }
+        Self { inner, unmatched }
+    }
+}
+
+impl WorkerTransport for OpenedEarly {
+    fn send_frame(&mut self, write: FrameWriter<'_>) -> Result<(), NetError> {
+        let mut frame = Vec::new();
+        write(&mut frame, &mut Vec::new())?;
+        if self.unmatched.last() == Some(&frame) {
+            self.unmatched.pop();
+            return Ok(());
+        }
+        self.inner
+            .send_frame(&|w, _| w.write_all(&frame).map(|()| frame.len()))
+    }
+
+    fn recv_frame(&mut self) -> Result<(FrameBody<'_, dyn Read + '_>, &mut Vec<u8>), NetError> {
+        self.inner.recv_frame()
+    }
+
+    fn peer_error(&self, e: NetError) -> NetError {
+        self.inner.peer_error(e)
+    }
+}
+
+/// Workers that connect, say Hello, ask to join and pull before `serve` starts: the
+/// server end keeps those frames and serves them first, in arrival order, so the run
+/// is the deterministic loopback run to the bit.
+#[test]
+fn frames_that_arrive_before_serve_starts_are_served_in_order() {
+    let mut job = JobConfig::small(PolicyKind::Dssp { s_l: 1, r_max: 4 });
+    job.epochs = 1;
+    job.deterministic = true;
+
+    let mut server = TcpServerTransport::bind("127.0.0.1:0", job.num_workers).unwrap();
+    let addr = server.local_addr().to_string();
+    let handles: Vec<_> = (0..job.num_workers)
+        .map(|rank| {
+            let mut transport = OpenedEarly::connect(&addr, &job, rank);
+            let job = job.clone();
+            thread::spawn(move || {
+                run_worker(&job, rank, &mut transport).expect("worker runs");
+                transport.unmatched.is_empty()
+            })
+        })
+        .collect();
+    // Every opening frame is in before `serve` starts.
+    let opening_frames = 3 * job.num_workers as u64;
+    let waiting = std::time::Instant::now();
+    while server.stats().frames_received < opening_frames {
+        assert!(
+            waiting.elapsed() < Duration::from_secs(10),
+            "opening frames lost"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    let tcp_trace = serve(&job, &mut server).expect("tcp run completes");
+    for handle in handles {
+        assert!(
+            handle.join().expect("worker thread"),
+            "the worker sent exactly the opening frames it had sent early"
+        );
+    }
+
+    let (mut loop_server, loop_workers) = dssp_net::transport::loopback(job.num_workers);
+    let handles: Vec<_> = loop_workers
+        .into_iter()
+        .enumerate()
+        .map(|(rank, mut transport)| {
+            let job = job.clone();
+            thread::spawn(move || run_worker(&job, rank, &mut transport).expect("worker runs"))
+        })
+        .collect();
+    let loop_trace = serve(&job, &mut loop_server).expect("loopback run completes");
+    for handle in handles {
+        handle.join().expect("worker thread");
+    }
+    assert_eq!(
+        tcp_trace.with_times_zeroed(),
+        loop_trace.with_times_zeroed(),
+        "a run whose opening frames waited for the server is the loopback run"
+    );
+}
+
+/// The TCP twin of `loopback.rs`'s `a_dropped_worker_end_is_evicted_not_waited_for`:
+/// a connection closed after its worker was admitted reaches the serving step, on that
+/// connection's own reader thread, as `ClientLost`. The BSP round is not left waiting
+/// on it, and the survivor finishes alone.
+#[test]
+fn a_closed_worker_connection_is_evicted_not_waited_for() {
+    let mut job = JobConfig::small(PolicyKind::Bsp);
+    job.epochs = 1;
+    let mut server = TcpServerTransport::bind("127.0.0.1:0", job.num_workers).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut dying = TcpWorkerTransport::connect(&addr).expect("connect");
+    dying
+        .send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            rank: 1,
+            num_workers: job.num_workers as u32,
+            config_digest: job.stable_digest(),
+        })
+        .unwrap();
+    dying.send(&Message::JoinRequest).unwrap();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let server_job = job.clone();
+    thread::spawn(move || {
+        let _ = done_tx.send(serve(&server_job, &mut server));
+    });
+    // Admitted first, so no send to rank 1 fails before its connection is gone.
+    assert!(matches!(dying.recv(), Ok(Message::JoinAck { .. })));
+    drop(dying);
+    let worker_job = job.clone();
+    let worker = thread::spawn(move || {
+        let mut transport = TcpWorkerTransport::connect(&addr).expect("connect");
+        run_worker(&worker_job, 0, &mut transport)
+    });
+
+    let trace = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("serve must not wait for a closed connection")
+        .expect("the run finishes without rank 1");
+    let report = worker
+        .join()
+        .expect("worker thread")
+        .expect("survivor runs");
+    let target = WorkerStep::for_rank(&job, 0).target();
+    assert_eq!(report.iterations, target);
+    assert!(!report.shutdown_early);
+    assert_eq!(
+        trace.worker_summaries[1].iterations, 0,
+        "rank 1 was evicted"
+    );
+    assert_eq!(trace.total_pushes, target);
 }
