@@ -363,7 +363,9 @@ impl ShardServerState {
             .map_err(|_| CheckpointError::RoleMismatch("malformed layout assignment"))?;
         }
         ckpt.require_role(None, Some(&fresh.layout.local_offsets(index)))?;
-        let snap = ckpt.store.as_ref().expect("require_role checked the store");
+        let Some(snap) = &ckpt.store else {
+            return Err(CheckpointError::RoleMismatch("no store section"));
+        };
         (fresh.store, fresh.sgd) = snap.rebuild(job.sgd.clone());
         fresh.pushes = snap.versions.iter().copied().max().unwrap_or(0);
         Ok(fresh)

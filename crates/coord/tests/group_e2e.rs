@@ -513,8 +513,11 @@ fn losing_a_shard_server_names_it_instead_of_stalling() {
     // worker-side read timeout must fire with an error naming the shard server.
     let server = TcpServerTransport::bind("127.0.0.1:0", 2).unwrap();
     let addr = server.local_addr().to_string();
-    let mut links =
-        connect_links(&[addr.clone()], Some(Duration::from_millis(200))).expect("connect");
+    let mut links = connect_links(
+        std::slice::from_ref(&addr),
+        Some(Duration::from_millis(200)),
+    )
+    .expect("connect");
     let link = &mut links[0];
     link.transport
         .send(&Message::GroupHello {

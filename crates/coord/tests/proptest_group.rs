@@ -189,22 +189,22 @@ proptest! {
             delta_w.resize(params, 0.0);
             delta_v.resize(shards, 0);
             let cold = round == 0;
-            for s in 0..servers {
-                pull_from_server(&layout, s, &stores[s], cold, &mut delta_w, &mut delta_v);
+            for (s, store) in stores.iter().enumerate() {
+                pull_from_server(&layout, s, store, cold, &mut delta_w, &mut delta_v);
             }
 
             // Full fan-out from scratch.
             let (mut full_w, mut full_v) = (vec![0.0f32; params], vec![0u64; shards]);
-            for s in 0..servers {
-                pull_from_server(&layout, s, &stores[s], true, &mut full_w, &mut full_v);
+            for (s, store) in stores.iter().enumerate() {
+                pull_from_server(&layout, s, store, true, &mut full_w, &mut full_v);
             }
 
             prop_assert_eq!(&delta_w, &full_w, "round {} weights diverged", round);
             prop_assert_eq!(&delta_v, &full_v, "round {} versions diverged", round);
             // And both match the authoritative per-server slices bitwise.
-            for s in 0..servers {
+            for (s, store) in stores.iter().enumerate() {
                 let (start, end) = layout.key_range(s);
-                prop_assert_eq!(&full_w[start..end], stores[s].as_flat());
+                prop_assert_eq!(&full_w[start..end], store.as_flat());
             }
         }
     }

@@ -436,6 +436,7 @@ pub fn require_helloed(helloed: &[bool], rank: usize) -> Result<(), NetError> {
 /// vs. connection attribution, worker count and config digest — and records the
 /// client in `helloed` (rejecting duplicates). The serving loops layer their own
 /// topology checks (a shard server's `servers`/`server_index`) on top.
+#[allow(clippy::too_many_arguments)]
 pub fn validate_hello(
     rank: usize,
     version: u16,

@@ -33,10 +33,10 @@
 //!   worker's gradient slice, the server store's shard ranges
 //!   ([`crate::transport::PullView::write_frame`]; a shard server's slice ack rides
 //!   in front of its shards in the same write) — with no frame buffer in between;
-//! * they are read through [`FrameBody`]: length, tag and fixed fields come through
-//!   the connection's `BufReader` and are validated like the buffered decoders
-//!   validate them, then the run is read from that same reader straight into where it
-//!   belongs — on the server a gradient `Vec` the serving loop handed back to the
+//! * they are read through [`FrameBody`], the codec's one bulk reader: length, tag
+//!   and fixed fields come through the connection's `BufReader` and are validated as
+//!   strictly as the table's decoder validates them, then the run is read from that
+//!   same reader straight into where it belongs — on the server a gradient `Vec` the serving loop handed back to the
 //!   connection's pool, on the worker its own `weights[start..end]`;
 //! * every other frame is small: it is encoded into a reusable scratch buffer and
 //!   read into a reusable payload buffer (version vectors of `PullDelta` /
@@ -471,9 +471,11 @@ fn reader_loop(stream: TcpStream, source: Source) {
 /// decoded with its size on the wire, length prefix included. The bulk kinds go into
 /// buffers the serving loop handed back to the connection's `pool`, taken once the
 /// frame's header has arrived (an empty or absent pool falls back to a fresh `Vec`, so
-/// correctness never depends on the recycling): gradients stream straight into their
-/// `Vec`, version vectors are decoded from the small buffered frame. Every other kind
-/// is buffered in `payload` and decoded.
+/// correctness never depends on the recycling): gradients stream through
+/// [`FrameBody`] straight into their `Vec`; the kinds with a version vector are read
+/// whole into `payload` and their vector decoded into its pooled `Vec`
+/// ([`crate::wire::decode_with_run`]). Every other kind is read whole into `payload`
+/// and decoded.
 pub(crate) fn read_message<R: Read + ?Sized>(
     reader: &mut R,
     payload: &mut Vec<u8>,

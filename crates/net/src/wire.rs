@@ -13,14 +13,15 @@
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
 //! on. On little-endian hosts a bulk `f32`/`u32`/`u64` run's in-memory bytes *are* its
-//! wire bytes, so a run is encoded with one memcpy (the buffered codecs) or, on the
+//! wire bytes, so a run is encoded with one memcpy (the table's encoders) or, on the
 //! transports' path, not copied at all: the streaming writers
 //! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`],
 //! [`write_pull_reply_delta_frame`], [`write_slice_applied_frames`]) hand the
 //! writer a small stack header plus the run's own bytes in one vectored write, and
 //! the streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
-//! the run straight into the buffer it is for. Big-endian hosts convert element-wise
-//! through the buffered codecs.
+//! the run straight into the buffer it is for. Every encoder and writer takes a run's
+//! bytes from one view, which a big-endian host fills with a converted copy instead;
+//! there [`FrameBody`] converts an `f32` run element by element as it reads it.
 //!
 //! # The message table
 //!
@@ -33,17 +34,18 @@
 //! generated body as the owned arm of [`encode`]. Adding a kind is one row plus its
 //! handling in the roles that send and receive it. A new or changed row changes the
 //! protocol: bump [`PROTOCOL_VERSION`] and recapture `tests/golden_frames.rs`, which
-//! pins every kind's bytes. The streaming codecs and the [`decode_push_into`] /
-//! [`decode_with_run`] / [`apply_pull_reply`] readers stay hand-written;
-//! `tests/proptest_wire.rs` holds them to the table's codec byte for byte and error
-//! for error.
+//! pins every kind's bytes. The streaming codecs and [`decode_with_run`] are written
+//! by hand; `tests/proptest_wire.rs` holds them to the table's codec (the pull-reply
+//! reader, which has no table counterpart, to a reference implementation) byte for
+//! byte and error for error.
 //!
 //! Both transports run the streaming codecs: every message operation of the
 //! `crate::transport` traits writes through the `write_*_frame` writers and reads
 //! through [`FrameBody`], over a socket or over the bytes of an in-process channel
-//! alike. The buffered bulk codecs ([`encode_push`], [`decode_push_into`],
-//! `PullView::encode`, [`apply_pull_reply`], [`encode_pull_reply_delta`]) are the
-//! reference the streaming ones are tested against, and the big-endian path.
+//! alike. [`FrameBody`] is the one bulk reader: [`decode_push_into`] and
+//! [`apply_pull_reply`] run it over a payload already in memory. The buffered bulk
+//! encoders ([`encode_push`], `PullView::encode`, [`encode_pull_reply_delta`]) are the
+//! table's own encoder bodies; the streaming writers write the same bytes.
 //!
 //! Protocol flow (client = worker, server = parameter server):
 //!
@@ -120,6 +122,7 @@
 //! with [`Message::PullDone`] before the coordinator dispatches the next mutating
 //! event.
 
+use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol version carried in [`Message::Hello`]; peers with a different version are
@@ -808,16 +811,16 @@ impl Field for [ShardUpdate] {
 // On little-endian hosts an `f32`/`u32`/`u64` run's in-memory bytes *are* its wire
 // bytes, so a run is encoded, written to a socket or read from one through a plain
 // byte view of the slice. The two views below are the only `unsafe` in this crate;
-// big-endian hosts convert element-wise instead. Every decode keeps the strict
-// truncation semantics: the byte count is validated before a single element is
-// converted.
+// on big-endian hosts `le_bytes` converts instead, and `FrameBody` reads an `f32`
+// run element by element. Every decode keeps the strict truncation semantics: the
+// byte count is validated before a single element is converted.
 // ---------------------------------------------------------------------------
 
 /// The element types of bulk runs. Each is plain data — no padding bytes, every bit
 /// pattern a valid value — which is what [`le_bytes`] and [`le_bytes_mut`] rely on.
 /// The trait is private, so the three impls below are the only ones there can be.
 trait LeScalar: Copy {
-    /// Appends the value's little-endian bytes (the element-wise fallback).
+    /// Appends the value's little-endian bytes (the big-endian [`le_bytes`]).
     #[cfg(not(target_endian = "little"))]
     fn put_le(self, buf: &mut Vec<u8>);
     /// Appends the values whose little-endian bytes are `bytes` (a whole number of
@@ -841,15 +844,22 @@ macro_rules! le_scalar {
 }
 le_scalar!(f32, u32, u64);
 
-/// The wire bytes of a bulk run, viewed in place.
-#[cfg(target_endian = "little")]
-fn le_bytes<T: LeScalar>(values: &[T]) -> &[u8] {
+/// The wire bytes of a bulk run: on little-endian hosts its own bytes, viewed in
+/// place; on big-endian hosts a converted copy.
+fn le_bytes<T: LeScalar>(values: &[T]) -> Cow<'_, [u8]> {
     // SAFETY: `T` is `f32`, `u32` or `u64` (the only `LeScalar`s): it has no padding,
     // so all `size_of_val(values)` bytes are initialized; `u8` has alignment 1; and
     // the view borrows `values`, so it can neither outlive the run nor overlap a
     // mutable use of it.
-    unsafe {
+    #[cfg(target_endian = "little")]
+    return Cow::Borrowed(unsafe {
         std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    });
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut bytes = Vec::with_capacity(std::mem::size_of_val(values));
+        values.iter().for_each(|v| v.put_le(&mut bytes));
+        Cow::Owned(bytes)
     }
 }
 
@@ -865,36 +875,6 @@ fn le_bytes_mut(values: &mut [f32]) -> &mut [u8] {
             values.as_mut_ptr().cast::<u8>(),
             std::mem::size_of_val(values),
         )
-    }
-}
-
-/// Appends the little-endian bytes of `values` to `buf` in one chunk.
-fn extend_le<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
-    #[cfg(target_endian = "little")]
-    buf.extend_from_slice(le_bytes(values));
-    #[cfg(not(target_endian = "little"))]
-    for v in values {
-        v.put_le(buf);
-    }
-}
-
-/// Overwrites `out` with the f32s decoded from little-endian `bytes`.
-///
-/// # Panics
-///
-/// Panics if `bytes.len() != out.len() * 4` (callers validate the byte count against
-/// the declared element count first).
-fn copy_f32s_from_le(bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(
-        bytes.len(),
-        out.len() * 4,
-        "byte run / slice length mismatch"
-    );
-    #[cfg(target_endian = "little")]
-    le_bytes_mut(out).copy_from_slice(bytes);
-    #[cfg(not(target_endian = "little"))]
-    for (chunk, v) in bytes.as_chunks::<4>().0.iter().zip(out.iter_mut()) {
-        *v = f32::from_le_bytes(*chunk);
     }
 }
 
@@ -956,7 +936,7 @@ fn len_prefix(len: usize) -> [u8; 4] {
 /// Appends a length-prefixed run.
 fn put_run<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
     buf.extend_from_slice(&len_prefix(values.len()));
-    extend_le(buf, values);
+    buf.extend_from_slice(&le_bytes(values));
 }
 
 // ---------------------------------------------------------------------------
@@ -965,21 +945,27 @@ fn put_run<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
 
 /// Decodes a [`Message::Push`] payload into a caller-owned gradient buffer
 /// (overwritten; no allocation once warm) and returns the push's `(iteration, trace)`
-/// pair. Same strictness as [`decode`]. The buffered reference for
-/// [`FrameBody::push_into`], which the transports use.
+/// pair: [`FrameBody::push_into`] over the payload. Same strictness as [`decode`].
 ///
 /// Returns [`WireError::UnknownTag`] if the payload is not a `Push`.
 pub fn decode_push_into(payload: &[u8], grads: &mut Vec<f32>) -> Result<(u64, u64), WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    if tag != TAG_PUSH {
-        return Err(WireError::UnknownTag(tag));
-    }
-    let iteration = r.u64()?;
-    let trace = r.u64()?;
-    r.f32s_into(grads)?;
-    r.finish()?;
-    Ok((iteration, trace))
+    read_payload(payload, |body| body.push_into(grads))
+}
+
+/// Runs a [`FrameBody`] reader over a payload already in memory (tag first, no length
+/// prefix).
+fn read_payload<T>(
+    mut payload: &[u8],
+    read: impl FnOnce(FrameBody<'_, &[u8]>) -> Result<T, crate::NetError>,
+) -> Result<T, WireError> {
+    let len = payload.len();
+    FrameBody::with_len(&mut payload, len)
+        .and_then(read)
+        .map_err(|e| match e {
+            crate::NetError::Wire(e) => e,
+            // Every read is bounded by the payload's own length, so none runs dry.
+            _ => WireError::Truncated,
+        })
 }
 
 /// Decodes one payload like [`decode`], except that the `u64` run of a
@@ -1048,10 +1034,10 @@ pub struct PullApplied {
 
 /// Applies a pull reply payload — full ([`Message::PullReply`]) or incremental
 /// ([`Message::PullReplyDelta`]) — to a worker's cached weight vector and per-shard
-/// version vector, in place: a full reply overwrites both buffers wholesale; a delta
-/// memcpys each update into its shard's key range (derived via
-/// [`dssp_ps::shard_range`]) and bumps that shard's cached version. The buffered
-/// reference for [`FrameBody::pull_reply_apply`], which the transports use.
+/// version vector, in place: [`FrameBody::pull_reply_apply`] over the payload, so a
+/// full reply overwrites both buffers wholesale and a delta copies each update into
+/// its shard's key range (derived via [`dssp_ps::shard_range`]) and bumps that
+/// shard's cached version.
 ///
 /// Strict like [`decode`], plus layout validation: a delta against an empty cache, an
 /// out-of-range shard index, or a weight run that does not exactly fill its shard's
@@ -1063,49 +1049,7 @@ pub fn apply_pull_reply(
     weights: &mut Vec<f32>,
     versions: &mut Vec<u64>,
 ) -> Result<PullApplied, WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    match tag {
-        TAG_PULL_REPLY => {
-            let clock = r.u64()?;
-            r.u64s_into(versions)?;
-            r.f32s_into(weights)?;
-            r.finish()?;
-            Ok(PullApplied {
-                clock,
-                full: true,
-                shards_updated: versions.len(),
-            })
-        }
-        TAG_PULL_REPLY_DELTA => {
-            let clock = r.u64()?;
-            // An update is at least its 16 header bytes, which bounds the count.
-            let count = r.run_len(16)?;
-            for _ in 0..count {
-                let shard = r.u32()?;
-                let version = r.u64()?;
-                let declared = r.run_len(4)?;
-                let bytes = r.take(declared * 4)?;
-                if (shard as usize) >= versions.len() {
-                    return Err(WireError::BadShard { shard });
-                }
-                let (start, end) =
-                    dssp_ps::shard_range(weights.len(), versions.len(), shard as usize);
-                if declared != end - start {
-                    return Err(WireError::BadShard { shard });
-                }
-                copy_f32s_from_le(bytes, &mut weights[start..end]);
-                versions[shard as usize] = version;
-            }
-            r.finish()?;
-            Ok(PullApplied {
-                clock,
-                full: false,
-                shards_updated: count,
-            })
-        }
-        other => Err(WireError::UnknownTag(other)),
-    }
+    read_payload(payload, |body| body.pull_reply_apply(weights, versions))
 }
 
 // ---------------------------------------------------------------------------
@@ -1152,14 +1096,25 @@ fn write_gathered<W: Write + ?Sized>(w: &mut W, mut slices: &mut [IoSlice<'_>]) 
 /// copied into a combined buffer first. Returns the bytes written, length prefix
 /// included.
 pub fn write_frame_payload<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<usize> {
-    let prefix = len_prefix(payload.len());
+    let prefix = frame_prefix(payload.len())?;
     write_gathered(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])?;
     Ok(payload.len() + 4)
 }
 
+/// The length prefix of a frame of `payload_len` bytes. Every frame writer takes it
+/// before it writes a byte, so a frame past [`MAX_FRAME_LEN`], which every reader
+/// refuses, is refused at the sender instead: [`io::ErrorKind::InvalidInput`],
+/// carrying [`WireError::Oversized`].
+fn frame_prefix(payload_len: usize) -> io::Result<[u8; 4]> {
+    if payload_len > MAX_FRAME_LEN {
+        let oversized = WireError::Oversized { len: payload_len };
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, oversized));
+    }
+    Ok(len_prefix(payload_len))
+}
+
 /// Concatenates the fixed-size leading fields of a frame — length prefix, tag,
 /// scalars, a run's element count — into a stack array of exactly their total size.
-#[cfg(target_endian = "little")]
 fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
     let mut out = [0u8; N];
     let mut at = 0;
@@ -1169,18 +1124,6 @@ fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
     }
     assert_eq!(at, N, "the fields fill the header exactly");
     out
-}
-
-/// The big-endian form of every streaming writer: the run's bytes are not its wire
-/// bytes there, so the frame is encoded into a buffer and written from it.
-#[cfg(not(target_endian = "little"))]
-fn write_encoded<W: Write + ?Sized>(
-    w: &mut W,
-    encode: impl FnOnce(&mut Vec<u8>),
-) -> io::Result<usize> {
-    let mut payload = Vec::new();
-    encode(&mut payload);
-    write_frame_payload(w, &payload)
 }
 
 /// Writes a [`Message::Push`] frame straight from the gradient slice: one vectored
@@ -1193,21 +1136,19 @@ pub fn write_push_frame<W: Write + ?Sized>(
     trace: u64,
     grads: &[f32],
 ) -> io::Result<usize> {
-    #[cfg(target_endian = "little")]
-    {
-        let payload_len = 21 + grads.len() * 4;
-        let head: [u8; 25] = header(&[
-            &len_prefix(payload_len),
-            &[TAG_PUSH],
-            &iteration.to_le_bytes(),
-            &trace.to_le_bytes(),
-            &len_prefix(grads.len()),
-        ]);
-        write_gathered(w, &mut [IoSlice::new(&head), IoSlice::new(le_bytes(grads))])?;
-        Ok(payload_len + 4)
-    }
-    #[cfg(not(target_endian = "little"))]
-    write_encoded(w, |buf| encode_push(buf, iteration, trace, grads))
+    let payload_len = 21 + grads.len() * 4;
+    let head: [u8; 25] = header(&[
+        &frame_prefix(payload_len)?,
+        &[TAG_PUSH],
+        &iteration.to_le_bytes(),
+        &trace.to_le_bytes(),
+        &len_prefix(grads.len()),
+    ]);
+    write_gathered(
+        w,
+        &mut [IoSlice::new(&head), IoSlice::new(&le_bytes(grads))],
+    )?;
+    Ok(payload_len + 4)
 }
 
 /// Writes a [`Message::PushSlice`] frame straight from the gradient slice, like
@@ -1221,25 +1162,21 @@ pub fn write_push_slice_frame<W: Write + ?Sized>(
     pull: bool,
     grads: &[f32],
 ) -> io::Result<usize> {
-    #[cfg(target_endian = "little")]
-    {
-        let payload_len = 30 + grads.len() * 4;
-        let head: [u8; 34] = header(&[
-            &len_prefix(payload_len),
-            &[TAG_PUSH_SLICE],
-            &iteration.to_le_bytes(),
-            &epoch.to_le_bytes(),
-            &trace.to_le_bytes(),
-            &[u8::from(pull)],
-            &len_prefix(grads.len()),
-        ]);
-        write_gathered(w, &mut [IoSlice::new(&head), IoSlice::new(le_bytes(grads))])?;
-        Ok(payload_len + 4)
-    }
-    #[cfg(not(target_endian = "little"))]
-    write_encoded(w, |buf| {
-        encode_push_slice(buf, iteration, epoch, trace, pull, grads)
-    })
+    let payload_len = 30 + grads.len() * 4;
+    let head: [u8; 34] = header(&[
+        &frame_prefix(payload_len)?,
+        &[TAG_PUSH_SLICE],
+        &iteration.to_le_bytes(),
+        &epoch.to_le_bytes(),
+        &trace.to_le_bytes(),
+        &[u8::from(pull)],
+        &len_prefix(grads.len()),
+    ]);
+    write_gathered(
+        w,
+        &mut [IoSlice::new(&head), IoSlice::new(&le_bytes(grads))],
+    )?;
+    Ok(payload_len + 4)
 }
 
 /// Writes a full [`Message::PullReply`] frame straight from the server's store; byte
@@ -1251,38 +1188,30 @@ pub fn write_pull_reply_frame<W: Write + ?Sized>(
     shard_versions: &[u64],
     weights: &[f32],
 ) -> io::Result<usize> {
-    #[cfg(target_endian = "little")]
-    {
-        let payload_len = 17 + shard_versions.len() * 8 + weights.len() * 4;
-        let head: [u8; 17] = header(&[
-            &len_prefix(payload_len),
-            &[TAG_PULL_REPLY],
-            &clock.to_le_bytes(),
-            &len_prefix(shard_versions.len()),
-        ]);
-        let weight_count = len_prefix(weights.len());
-        write_gathered(
-            w,
-            &mut [
-                IoSlice::new(&head),
-                IoSlice::new(le_bytes(shard_versions)),
-                IoSlice::new(&weight_count),
-                IoSlice::new(le_bytes(weights)),
-            ],
-        )?;
-        Ok(payload_len + 4)
-    }
-    #[cfg(not(target_endian = "little"))]
-    write_encoded(w, |buf| {
-        encode_pull_reply(buf, clock, shard_versions, weights)
-    })
+    let payload_len = 17 + shard_versions.len() * 8 + weights.len() * 4;
+    let head: [u8; 17] = header(&[
+        &frame_prefix(payload_len)?,
+        &[TAG_PULL_REPLY],
+        &clock.to_le_bytes(),
+        &len_prefix(shard_versions.len()),
+    ]);
+    let weight_count = len_prefix(weights.len());
+    write_gathered(
+        w,
+        &mut [
+            IoSlice::new(&head),
+            IoSlice::new(&le_bytes(shard_versions)),
+            IoSlice::new(&weight_count),
+            IoSlice::new(&le_bytes(weights)),
+        ],
+    )?;
+    Ok(payload_len + 4)
 }
 
 /// Stale shards one vectored write of [`write_pull_reply_delta_frame`] gathers: each
 /// takes two slices (its 16-byte header, its weights), three more carry the frame's
 /// own header and an acknowledgement riding in front of it, and the total stays far
 /// below any platform's `IOV_MAX`.
-#[cfg(target_endian = "little")]
 const DELTA_SHARDS_PER_WRITE: usize = 16;
 
 /// Writes a [`Message::PullReplyDelta`] frame straight from the server's store: the
@@ -1297,10 +1226,7 @@ pub fn write_pull_reply_delta_frame<'a, W: Write + ?Sized>(
     clock: u64,
     updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
 ) -> io::Result<usize> {
-    #[cfg(target_endian = "little")]
-    return write_delta_frame_after(w, [&[], &[]], clock, updates);
-    #[cfg(not(target_endian = "little"))]
-    write_encoded(w, |buf| encode_pull_reply_delta(buf, clock, updates))
+    write_delta_frame_after(w, [&[], &[]], clock, updates)
 }
 
 /// Writes a [`Message::SliceApplied`] frame and, right behind it, a
@@ -1318,29 +1244,20 @@ pub fn write_slice_applied_frames<'a, W: Write + ?Sized>(
     clock: u64,
     updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
 ) -> io::Result<usize> {
-    #[cfg(target_endian = "little")]
-    {
-        let ack_len = 13 + applied.len() * 8;
-        let ack_head: [u8; 17] = header(&[
-            &len_prefix(ack_len),
-            &[TAG_SLICE_APPLIED],
-            &version.to_le_bytes(),
-            &len_prefix(applied.len()),
-        ]);
-        let written = write_delta_frame_after(w, [&ack_head, le_bytes(applied)], clock, updates)?;
-        Ok(ack_len + 4 + written)
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let ack = write_encoded(w, |buf| encode_slice_applied(buf, version, applied))?;
-        Ok(ack + write_pull_reply_delta_frame(w, clock, updates)?)
-    }
+    let ack_len = 13 + applied.len() * 8;
+    let ack_head: [u8; 17] = header(&[
+        &frame_prefix(ack_len)?,
+        &[TAG_SLICE_APPLIED],
+        &version.to_le_bytes(),
+        &len_prefix(applied.len()),
+    ]);
+    let written = write_delta_frame_after(w, [&ack_head, &le_bytes(applied)], clock, updates)?;
+    Ok(ack_len + 4 + written)
 }
 
 /// The delta-frame writer behind [`write_pull_reply_delta_frame`] and
 /// [`write_slice_applied_frames`]: `lead`'s bytes go out first, in the same vectored
 /// write as the frame's header and first shards. Returns the delta frame's bytes.
-#[cfg(target_endian = "little")]
 fn write_delta_frame_after<'a, W: Write + ?Sized>(
     w: &mut W,
     lead: [&[u8]; 2],
@@ -1353,7 +1270,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
         payload_len += 16 + weights.len() * 4;
     }
     let frame_head: [u8; 17] = header(&[
-        &len_prefix(payload_len),
+        &frame_prefix(payload_len)?,
         &[TAG_PULL_REPLY_DELTA],
         &clock.to_le_bytes(),
         &len_prefix(count),
@@ -1362,7 +1279,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
     // At least one write, so an empty delta still sends its frame header.
     for chunk in 0..count.div_ceil(DELTA_SHARDS_PER_WRITE).max(1) {
         let mut heads = [[0u8; 16]; DELTA_SHARDS_PER_WRITE];
-        let mut runs: [&[u8]; DELTA_SHARDS_PER_WRITE] = [&[]; DELTA_SHARDS_PER_WRITE];
+        let mut runs: [Cow<[u8]>; DELTA_SHARDS_PER_WRITE] = Default::default();
         let mut gathered = 0;
         for (shard, version, weights) in updates.by_ref().take(DELTA_SHARDS_PER_WRITE) {
             heads[gathered] = header(&[
@@ -1381,7 +1298,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
         }
         for i in 0..gathered {
             slices[3 + 2 * i] = IoSlice::new(&heads[i]);
-            slices[4 + 2 * i] = IoSlice::new(runs[i]);
+            slices[4 + 2 * i] = IoSlice::new(&runs[i]);
         }
         write_gathered(w, &mut slices[..3 + 2 * gathered])?;
     }
@@ -1409,14 +1326,15 @@ fn read_frame_prefix<R: Read + ?Sized>(r: &mut R) -> Result<usize, crate::NetErr
 /// One incoming frame, consumed from its stream field by field: the length prefix and
 /// the tag have been read, the rest is still on the stream. Every frame either
 /// transport reads starts here. A frame that carries an `f32` run is streamed: its
-/// fixed fields are validated exactly as the buffered decoders validate them, in the
-/// same order and with the same [`WireError`]s (field truncation, a run's declared
-/// count against the bytes left in the frame, shard index and key-range length,
-/// trailing bytes), and then the run is read from the stream straight into the buffer
-/// it is for, so a received gradient or weight byte is written once. Every other frame
-/// is read whole ([`FrameBody::buffer`]) for the table's decoders. Every read is
-/// bounded by the frame's declared length, so a malformed frame can neither make this
-/// read into the next frame nor size a buffer past [`MAX_FRAME_LEN`].
+/// fixed fields are validated as strictly as [`decode`] validates them (field
+/// truncation, a run's declared count against the bytes left in the frame, shard
+/// index and key-range length, trailing bytes), and then the run is read from the
+/// stream straight into the buffer it is for, so a received gradient or weight byte
+/// is written once. Every other frame is read whole ([`FrameBody::buffer`]) for the
+/// table's decoders. Every read is bounded by the frame's declared length, so a
+/// malformed frame can neither make this read into the next frame nor size a buffer
+/// past [`MAX_FRAME_LEN`]. The bulk readers are the only ones: [`decode_push_into`]
+/// and [`apply_pull_reply`] run them over a payload already in memory.
 ///
 /// Read through a buffered source — a socket's `BufReader`, or the bytes an
 /// in-process channel delivered — so by the time a frame's tag is known the source
@@ -1440,6 +1358,11 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
     /// is what every buffered decoder makes of one.
     pub fn begin(r: &'r mut R) -> Result<Self, crate::NetError> {
         let len = read_frame_prefix(r)?;
+        Self::with_len(r, len)
+    }
+
+    /// Reads the tag of a frame whose `len` payload bytes follow on `r`.
+    fn with_len(r: &'r mut R, len: usize) -> Result<Self, crate::NetError> {
         let mut body = Self {
             r,
             len,
@@ -1472,8 +1395,8 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
 
     /// Streams a [`Message::Push`] into a caller-owned gradient buffer (resized to the
     /// run, otherwise untouched before the socket read fills it) and returns the
-    /// push's `(iteration, trace)` pair. Same value and errors as
-    /// [`decode_push_into`] on the buffered frame.
+    /// push's `(iteration, trace)` pair. Same value and errors as [`decode`] on the
+    /// buffered frame, once the tag is known to be `Push`.
     pub fn push_into(mut self, grads: &mut Vec<f32>) -> Result<(u64, u64), crate::NetError> {
         self.expect_tag(TAG_PUSH)?;
         let iteration = self.u64()?;
@@ -1505,8 +1428,8 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
     /// Streams a pull reply — full or delta — into a worker's cached weight and
     /// version vectors: a full reply's weights are read into `weights` wholesale, a
     /// delta's shard runs each into their own key range, and a shard's cached version
-    /// is written only once its run has arrived whole. Same value and errors as
-    /// [`apply_pull_reply`] on the buffered frame.
+    /// is written only once its run has arrived whole. Errors as [`apply_pull_reply`]
+    /// documents.
     pub fn pull_reply_apply(
         mut self,
         weights: &mut Vec<f32>,
@@ -1690,17 +1613,6 @@ impl<'a> Reader<'a> {
         let mut out = Vec::with_capacity(declared);
         T::extend_from_le(&mut out, self.take(declared * size)?);
         Ok(out)
-    }
-
-    /// Overwrites `out` with a length-prefixed f32 run in one bulk conversion. A
-    /// buffer that already has the run's length is not touched before the copy, so
-    /// decoding same-sized frames into one buffer costs no zero-fill.
-    fn f32s_into(&mut self, out: &mut Vec<f32>) -> Result<(), WireError> {
-        let declared = self.run_len(4)?;
-        let bytes = self.take(declared * 4)?;
-        out.resize(declared, 0.0);
-        copy_f32s_from_le(bytes, out);
-        Ok(())
     }
 
     /// Overwrites `out` with a length-prefixed u64 run (version vectors: a handful of
@@ -1981,15 +1893,17 @@ mod tests {
         let values: Vec<f32> = (0..257)
             .map(|i| f32::from_bits(0x9e37_79b9_u32.wrapping_mul(i as u32 + 1)))
             .collect();
-        let mut bulk = Vec::new();
-        extend_le(&mut bulk, &values);
         let mut reference = Vec::new();
         for v in &values {
             reference.extend_from_slice(&v.to_le_bytes());
         }
-        assert_eq!(bulk, reference);
-        let mut decoded = vec![0.0f32; values.len()];
-        copy_f32s_from_le(&bulk, &mut decoded);
+        assert_eq!(&*le_bytes(&values), &reference[..]);
+        // Back through the one bulk reader, into a buffer of another length.
+        let mut push = vec![TAG_PUSH];
+        push.extend_from_slice(&[0; 16]); // iteration, trace
+        put_run(&mut push, &values);
+        let mut decoded = vec![1.0f32; 3];
+        assert_eq!(decode_push_into(&push, &mut decoded), Ok((0, 0)));
         assert_eq!(
             decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -2297,6 +2211,44 @@ mod tests {
             }
             other => panic!("expected Oversized, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn writers_refuse_a_frame_past_the_cap_before_writing() {
+        // One element past the cap in a full pull reply, the frame with the fewest
+        // fixed bytes (17). Zeroed on demand by the allocator: no page is touched.
+        let run = vec![0.0f32; (MAX_FRAME_LEN - 17) / 4 + 1];
+        assert_eq!(17 + run.len() * 4, MAX_FRAME_LEN + 1);
+        let refused = |written: io::Result<usize>, sink: &[u8]| {
+            let e = written.expect_err("the frame exceeds MAX_FRAME_LEN");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert!(
+                sink.is_empty(),
+                "{} bytes written before the refusal",
+                sink.len()
+            );
+        };
+        let mut sink = Vec::new();
+        refused(write_push_frame(&mut sink, 1, 0, &run), &sink);
+        refused(
+            write_push_slice_frame(&mut sink, 1, 0, 0, true, &run),
+            &sink,
+        );
+        refused(write_pull_reply_frame(&mut sink, 1, &[], &run), &sink);
+        let updates = [(0u32, 1u64, &run[..])];
+        refused(
+            write_pull_reply_delta_frame(&mut sink, 1, updates.into_iter()),
+            &sink,
+        );
+        refused(
+            write_slice_applied_frames(&mut sink, 1, &[], 1, updates.into_iter()),
+            &sink,
+        );
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
+        refused(write_frame_payload(&mut sink, &payload), &sink);
+        // One element fewer fits: a payload of `MAX_FRAME_LEN - 3` bytes, prefix included.
+        let fits = write_pull_reply_frame(&mut io::sink(), 1, &[], &run[1..]);
+        assert_eq!(fits.unwrap(), MAX_FRAME_LEN + 1);
     }
 
     #[test]

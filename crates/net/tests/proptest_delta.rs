@@ -74,7 +74,7 @@ proptest! {
         for (&op, &val) in ops.iter().zip(&vals) {
             match op % 5 {
                 // Update a random shard (the skew source: some shards advance more).
-                0 | 1 | 2 => {
+                0..=2 => {
                     let shard = (op / 5) as usize % shards;
                     let (a, b) = store.key_range(shard);
                     let grads: Vec<f32> = (0..b - a).map(|j| val + j as f32 * 0.1).collect();
@@ -169,7 +169,7 @@ proptest! {
         prop_assert!(decode(&buf[..cut]).is_err());
         // ...and trailing garbage is rejected.
         let mut extended = buf.clone();
-        extended.extend(std::iter::repeat(0xcdu8).take(garbage));
+        extended.extend(std::iter::repeat_n(0xcdu8, garbage));
         prop_assert!(matches!(
             decode(&extended),
             Err(WireError::TrailingBytes { .. }) | Err(WireError::BadLength { .. })

@@ -2,9 +2,11 @@
 //! message kind, and corrupted frames (truncation, trailing bytes, absurd lengths) are
 //! rejected rather than misparsed; frames with arbitrary bytes overwritten never panic
 //! a decoder or make it size a buffer past what the frame holds. The streaming path both
-//! transports run for the bulk frames — `FrameBody` in, the `write_*_frame` family out — is held to the
-//! buffered codecs as its reference: same values, same errors, same bytes, over
-//! streams that move only a few bytes per call.
+//! transports run for the bulk frames — `FrameBody` in, the `write_*_frame` family out —
+//! is held to references that share none of its code: the table's codec for pushes and
+//! for every writer's bytes, and for pull replies, which the table cannot apply to a
+//! cache, a second pull-reply reader kept in this file. Same values, same errors, same
+//! bytes, over streams that move only a few bytes per call.
 
 use dssp_net::transport::PullView;
 use dssp_net::wire::{
@@ -100,13 +102,13 @@ fn build_message(
             iteration: a,
             epoch: b % 1024,
             trace: a.rotate_right(9),
-            pull: a % 3 == 0,
+            pull: a.is_multiple_of(3),
             grads: floats,
         },
         15 => Message::SliceAck { version: a },
         16 => Message::PullShards {
             known_versions: versions,
-            all: a % 2 == 0,
+            all: a.is_multiple_of(2),
             epoch: b % 1024,
             trace: b.wrapping_mul(3),
         },
@@ -162,7 +164,7 @@ fn build_message(
         31 => Message::Rebalance,
         32 => Message::AdminAck {
             epoch: a,
-            accepted: b % 2 == 0,
+            accepted: b.is_multiple_of(2),
             reason: format!("r{}", a % 1000),
         },
         33 => Message::SliceApplied {
@@ -238,7 +240,10 @@ impl Write for TrickleWriter<'_> {
     }
 }
 
-/// The payload tag of `Message::PushSlice` (`golden_frames.rs` pins it).
+/// Payload tags (`golden_frames.rs` pins them).
+const PUSH_TAG: u8 = 2;
+const PULL_REPLY_TAG: u8 = 5;
+const PULL_REPLY_DELTA_TAG: u8 = 9;
 const PUSH_SLICE_TAG: u8 = 15;
 
 /// The bulk frame kinds of the training path.
@@ -294,9 +299,14 @@ fn bulk_payload(
     let mut payload = Vec::new();
     match kind {
         BulkKind::Push => wire::encode_push(&mut payload, a, b, &run(params)),
-        BulkKind::PushSlice => {
-            wire::encode_push_slice(&mut payload, a, b % 1024, !b, a % 2 == 0, &run(params))
-        }
+        BulkKind::PushSlice => wire::encode_push_slice(
+            &mut payload,
+            a,
+            b % 1024,
+            !b,
+            a.is_multiple_of(2),
+            &run(params),
+        ),
         BulkKind::PullReply => {
             let versions: Vec<u64> = (0..shards as u64).map(|i| b.wrapping_add(i)).collect();
             wire::encode_pull_reply(&mut payload, a, &versions, &run(params));
@@ -335,7 +345,119 @@ fn wire_error(e: NetError) -> WireError {
     }
 }
 
-/// The reference: the frame is read whole into a buffer, then decoded from it.
+/// A bounds-checked reader over a buffered payload, for [`reference_apply_pull_reply`].
+struct Payload<'a>(&'a [u8]);
+
+impl<'a> Payload<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if n > self.0.len() {
+            return Err(WireError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A run's element count, refused when `elem_bytes` per element overrun the payload.
+    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
+        let declared = self.u32()? as usize;
+        if declared.saturating_mul(elem_bytes) > self.0.len() {
+            return Err(WireError::BadLength { declared });
+        }
+        Ok(declared)
+    }
+
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
+        let bytes = self.take(n * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect())
+    }
+
+    fn finish(&self) -> Result<(), WireError> {
+        match self.0.len() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
+        }
+    }
+}
+
+/// The pull-reply reader written a second time, over a buffered payload: a full reply
+/// replaces the cache, a delta copies each update into the key range
+/// [`shard_range`] gives its shard. It checks what `FrameBody::pull_reply_apply`
+/// checks in the same order, so the two agree error for error when a payload has
+/// several faults.
+fn reference_apply_pull_reply(
+    payload: &[u8],
+    weights: &mut Vec<f32>,
+    versions: &mut Vec<u64>,
+) -> Result<PullApplied, WireError> {
+    let mut r = Payload(payload);
+    match r.take(1)?[0] {
+        PULL_REPLY_TAG => {
+            let clock = r.u64()?;
+            let shards = r.count(8)?;
+            *versions = (0..shards).map(|_| r.u64()).collect::<Result<_, _>>()?;
+            let declared = r.count(4)?;
+            let run = r.f32s(declared)?;
+            r.finish()?;
+            *weights = run;
+            Ok(PullApplied {
+                clock,
+                full: true,
+                shards_updated: shards,
+            })
+        }
+        PULL_REPLY_DELTA_TAG => {
+            let clock = r.u64()?;
+            // An update is at least its 16 header bytes, which bounds the count.
+            let count = r.count(16)?;
+            for _ in 0..count {
+                let shard = r.u32()?;
+                let version = r.u64()?;
+                let declared = r.count(4)?;
+                let run = r.f32s(declared)?;
+                if shard as usize >= versions.len() {
+                    return Err(WireError::BadShard { shard });
+                }
+                let (start, end) = shard_range(weights.len(), versions.len(), shard as usize);
+                if declared != end - start {
+                    return Err(WireError::BadShard { shard });
+                }
+                weights[start..end].copy_from_slice(&run);
+                versions[shard as usize] = version;
+            }
+            r.finish()?;
+            Ok(PullApplied {
+                clock,
+                full: false,
+                shards_updated: count,
+            })
+        }
+        other => Err(WireError::UnknownTag(other)),
+    }
+}
+
+/// The owned codec, narrowed the way the streaming reader narrows: another tag is
+/// refused before any field is read.
+fn decode_as(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
+    match payload.first() {
+        Some(&other) if other != tag => Err(WireError::UnknownTag(other)),
+        _ => decode(payload),
+    }
+}
+
+/// The reference: the frame is read whole into a buffer, then decoded from it by a
+/// reader that is not `FrameBody`.
 fn buffered(
     kind: BulkKind,
     stream: &[u8],
@@ -346,28 +468,28 @@ fn buffered(
     wire::FrameBody::begin(&mut &stream[..])
         .and_then(|body| body.buffer(&mut payload))
         .map_err(wire_error)?;
-    let mut grads = Vec::new();
     match kind {
-        BulkKind::Push => wire::decode_push_into(&payload, &mut grads)
-            .map(|(iteration, trace)| Decoded::Push(iteration, trace, bits(&grads))),
-        // The owned codec, narrowed the way the streaming reader narrows: another tag
-        // is refused before any field is read.
-        BulkKind::PushSlice => match payload.first() {
-            Some(&tag) if tag != PUSH_SLICE_TAG => Err(WireError::UnknownTag(tag)),
-            _ => decode(&payload).map(|msg| match msg {
-                Message::PushSlice {
-                    iteration,
-                    epoch,
-                    trace,
-                    pull,
-                    grads,
-                } => Decoded::PushSlice(iteration, epoch, trace, pull, bits(&grads)),
-                other => unreachable!("tag {PUSH_SLICE_TAG} decoded as {other:?}"),
-            }),
-        },
+        BulkKind::Push => decode_as(PUSH_TAG, &payload).map(|msg| match msg {
+            Message::Push {
+                iteration,
+                trace,
+                grads,
+            } => Decoded::Push(iteration, trace, bits(&grads)),
+            other => unreachable!("tag {PUSH_TAG} decoded as {other:?}"),
+        }),
+        BulkKind::PushSlice => decode_as(PUSH_SLICE_TAG, &payload).map(|msg| match msg {
+            Message::PushSlice {
+                iteration,
+                epoch,
+                trace,
+                pull,
+                grads,
+            } => Decoded::PushSlice(iteration, epoch, trace, pull, bits(&grads)),
+            other => unreachable!("tag {PUSH_SLICE_TAG} decoded as {other:?}"),
+        }),
         BulkKind::PullReply | BulkKind::PullReplyDelta => {
             let (mut weights, mut versions) = cache(params, shards);
-            wire::apply_pull_reply(&payload, &mut weights, &mut versions)
+            reference_apply_pull_reply(&payload, &mut weights, &mut versions)
                 .map(|applied| Decoded::Pull(applied, bits(&weights), versions))
         }
     }
@@ -538,7 +660,7 @@ proptest! {
         let msg = build_message(variant, a, b, c, floats, float_len, versions, version_len);
         let mut buf = Vec::new();
         encode(&msg, &mut buf);
-        buf.extend(std::iter::repeat(0xabu8).take(garbage));
+        buf.extend(std::iter::repeat_n(0xabu8, garbage));
         prop_assert!(matches!(
             decode(&buf),
             Err(WireError::TrailingBytes { .. }) | Err(WireError::BadLength { .. })
@@ -558,7 +680,7 @@ proptest! {
         buf.extend_from_slice(&77u64.to_le_bytes()); // trace id
         buf.extend_from_slice(&declared.to_le_bytes());
         let supplied = (available).min((declared as usize).saturating_sub(1));
-        buf.extend(std::iter::repeat(0u8).take(supplied * 4));
+        buf.extend(std::iter::repeat_n(0u8, supplied * 4));
         prop_assert!(decode(&buf).is_err());
     }
 

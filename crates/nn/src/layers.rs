@@ -577,7 +577,7 @@ impl Layer for ResidualBlock {
         if wants_input {
             // Skip path contributes g_sum directly: grad_input = g_branch + g_sum.
             for (o, &branch) in g_sum.as_mut_slice().iter_mut().zip(a.as_slice()) {
-                *o = branch + *o;
+                *o += branch;
             }
         }
     }
@@ -674,8 +674,8 @@ mod tests {
             .map(|i| (0..3).map(|j| params[i * 3 + j]).sum())
             .collect();
         for r in 0..2 {
-            for i in 0..4 {
-                assert!((grad_in.at2(r, i) - w_row_sums[i]).abs() < 1e-4);
+            for (i, &sum) in w_row_sums.iter().enumerate() {
+                assert!((grad_in.at2(r, i) - sum).abs() < 1e-4);
             }
         }
     }

@@ -157,7 +157,7 @@ pub fn logistic_regression(input_dim: usize, classes: usize, seed: u64) -> Seque
 /// Panics if `image_side` is not divisible by 8 (three 2×2 poolings).
 pub fn downsized_alexnet(image_side: usize, classes: usize, seed: u64) -> Sequential {
     assert!(
-        image_side % 8 == 0 && image_side >= 8,
+        image_side.is_multiple_of(8) && image_side >= 8,
         "image_side must be a multiple of 8, got {image_side}"
     );
     let s = image_side;
@@ -203,7 +203,7 @@ pub fn downsized_alexnet(image_side: usize, classes: usize, seed: u64) -> Sequen
 /// Panics if `image_side` is not divisible by 4.
 pub fn resnet_cifar(image_side: usize, blocks: usize, classes: usize, seed: u64) -> Sequential {
     assert!(
-        image_side % 4 == 0 && image_side >= 4,
+        image_side.is_multiple_of(4) && image_side >= 4,
         "image_side must be a multiple of 4, got {image_side}"
     );
     let s = image_side;

@@ -77,6 +77,9 @@ fn warm_train_steps_are_allocation_free_for_every_preset() {
     }
 }
 
+/// A model to build: its name, its constructor and an input batch it trains on.
+type BuildCase<'a> = (&'static str, fn() -> Sequential, &'a Tensor);
+
 /// A replica holds one copy of its parameters until it trains: building the
 /// communication-bound MLP (64 → 1024 → 10, 76 810 parameters) or the downsized
 /// AlexNet asks the allocator for less than 1.5 × the parameter bytes, and the
@@ -85,7 +88,7 @@ fn warm_train_steps_are_allocation_free_for_every_preset() {
 fn a_replica_holds_one_parameter_copy_until_it_trains() {
     let vector = uniform_init(&[4, 64], 1.0, 4);
     let image = uniform_init(&[4, 3, 8, 8], 1.0, 3);
-    let cases: [(&str, fn() -> Sequential, &Tensor); 2] = [
+    let cases: [BuildCase; 2] = [
         ("mlp", || mlp(64, &[1024], 10, 1), &vector),
         ("downsized-alexnet", || downsized_alexnet(8, 10, 1), &image),
     ];

@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn shard_range_matches_the_constructed_offsets() {
         for total in [0usize, 1, 5, 10, 23, 64] {
-            for shards in 1..=total.max(1).min(8) {
+            for shards in 1..=total.clamp(1, 8) {
                 let store = ShardedStore::new(vec![0.0; total], shards);
                 for i in 0..shards {
                     assert_eq!(

@@ -22,6 +22,7 @@ const BYTES_PER_PAYLOAD_BYTE: u64 = 16;
 /// Builds an arbitrary checkpoint from flat random draws (the proptest shim has no
 /// enum/recursive strategies, so section presence and vector shapes are derived from
 /// scalar draws, the same way the wire-codec property suite builds its messages).
+#[allow(clippy::too_many_arguments)]
 fn build_checkpoint(
     digest: u64,
     tick: f64,
@@ -36,7 +37,7 @@ fn build_checkpoint(
     let counts = &counts[..count_len.clamp(1, counts.len())];
     let workers = workers.max(1);
     let take = |i: usize| counts[i % counts.len()];
-    let store = (sections % 4 != 0).then(|| {
+    let store = (!sections.is_multiple_of(4)).then(|| {
         let shards = counts.len().clamp(1, 4);
         let per_shard = floats.len() / shards;
         let mut offsets: Vec<u64> = (0..=shards).map(|i| (i * per_shard) as u64).collect();
@@ -49,14 +50,14 @@ fn build_checkpoint(
             epoch: take(0) % 64,
         }
     });
-    let gate = (sections % 3 != 0).then(|| GateSnapshot {
+    let gate = (!sections.is_multiple_of(3)).then(|| GateSnapshot {
         counts: (0..workers).map(|w| take(w) % 500).collect(),
         retired: (0..workers).map(|w| take(w + 1) % 2 == 0).collect(),
         latest: (0..workers)
-            .map(|w| (take(w + 2) % 3 != 0).then(|| tick + w as f64))
+            .map(|w| (take(w + 2) % 3 != 0).then_some(tick + w as f64))
             .collect(),
         previous: (0..workers)
-            .map(|w| (take(w + 3) % 3 != 0).then(|| tick + w as f64 - 1.0))
+            .map(|w| (take(w + 3) % 3 != 0).then_some(tick + w as f64 - 1.0))
             .collect(),
         blocked: (0..workers).filter(|&w| take(w + 4) % 4 == 0).collect(),
         stats: ServerStats {
@@ -71,7 +72,7 @@ fn build_checkpoint(
         credits: (0..workers).map(|w| take(w + 5) % 8).collect(),
         controller_invocations: take(10),
     });
-    let layout = (sections % 5 != 0).then(|| LayoutSnapshot {
+    let layout = (!sections.is_multiple_of(5)).then(|| LayoutSnapshot {
         epoch: take(1) % 64,
         assignment: (0..counts.len().clamp(1, 8))
             .map(|i| (take(i) % 4) as u32)

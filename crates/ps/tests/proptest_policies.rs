@@ -40,16 +40,13 @@ fn run_schedule(
     let iteration_time =
         |w: usize, k: usize| -> f64 { durations[w] * (1.0 + jitters[w][k % jitters[w].len()]) };
 
-    loop {
-        // Pick the earliest pending push.
-        let Some((w, t)) = next_push
-            .iter()
-            .enumerate()
-            .filter_map(|(w, t)| t.map(|t| (w, t)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        else {
-            break;
-        };
+    // Each round takes the earliest pending push.
+    while let Some((w, t)) = next_push
+        .iter()
+        .enumerate()
+        .filter_map(|(w, t)| t.map(|t| (w, t)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+    {
         next_push[w] = None;
         let mut released = Vec::new();
         let result = server.handle_push_into(w, &[0.0], t, &mut released);

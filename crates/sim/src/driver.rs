@@ -1544,7 +1544,7 @@ impl DeterministicGate {
             if matches!(self.states[w], GateState::Running | GateState::Draining) {
                 if let Some(front) = self.queues[w].front() {
                     let key = Self::event_key(front);
-                    if best.map_or(true, |(k, r)| (key, w) < (k, r)) {
+                    if best.is_none_or(|(k, r)| (key, w) < (k, r)) {
                         best = Some((key, w));
                     }
                 }

@@ -986,7 +986,7 @@ fn restore_refuses_layout_epoch_skew_across_roles() {
     let migrated = ScratchDir::new("mig_skew_migrated");
     let mut job = migration_job(dssp);
     job.checkpoint = checkpointing(migrated.path(), false);
-    job.fault_plan = mid_run_coordinator_kill.clone();
+    job.fault_plan = mid_run_coordinator_kill;
     watched("migrated donor", &job, GROUP_BOUND_S, run_group_threads)
         .expect_err("the migrated donor dies by plan");
 

@@ -122,5 +122,5 @@ fn simulator_and_threaded_runtime_agree_on_synchronization_invariants() {
 fn auc_metric_is_consistent_with_final_accuracy_ordering_for_identical_curves() {
     let trace = ExperimentBuilder::small_mlp().epochs(2).run();
     let auc = accuracy_time_auc(&trace);
-    assert!(auc >= 0.0 && auc <= 1.0, "AUC {auc} out of range");
+    assert!((0.0..=1.0).contains(&auc), "AUC {auc} out of range");
 }

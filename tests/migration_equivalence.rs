@@ -8,7 +8,7 @@ use dssp::coord::run_group_threads;
 use dssp::core::driver::{CheckpointSpec, JobConfig, MigrationSpec};
 use dssp::ps::{shard_checkpoint_name, Checkpoint, StoreSnapshot};
 use dssp::PolicyKind;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A per-test scratch directory under the system temp dir, removed on drop.
 struct ScratchDir(PathBuf);
@@ -49,14 +49,14 @@ fn group_job(servers: usize, dir: PathBuf) -> JobConfig {
 }
 
 /// Loads a shard server's terminal checkpoint.
-fn terminal_checkpoint(dir: &PathBuf, index: usize, job: &JobConfig) -> Checkpoint {
+fn terminal_checkpoint(dir: &Path, index: usize, job: &JobConfig) -> Checkpoint {
     let path = dir.join(shard_checkpoint_name(index));
     Checkpoint::load_for_job(&path, job.stable_digest())
         .unwrap_or_else(|e| panic!("shard {index} checkpoint loads: {e}"))
 }
 
 /// Loads a shard server's terminal store snapshot.
-fn terminal_store(dir: &PathBuf, index: usize, job: &JobConfig) -> StoreSnapshot {
+fn terminal_store(dir: &Path, index: usize, job: &JobConfig) -> StoreSnapshot {
     terminal_checkpoint(dir, index, job)
         .store
         .unwrap_or_else(|| panic!("shard {index} checkpoint carries a store section"))
