@@ -17,13 +17,15 @@
 //! its events, trace ids and fault points are not repeated here.
 //!
 //! **A round is two exchanges.** The push round asks every server for its shards
-//! ([`ShardFan::push_and_pull`]): each answers its slice with a `SliceApplied` — per
-//! rank, the highest iteration it has applied — and all its shards in the same write,
-//! and the worker reads both from every link into its weight and version buffers
-//! before it sends `ClockPush`. The coordinator's `GroupGrant` carries the gate's
-//! per-rank push counts at the decision. The worker keeps the weights it holds iff
-//! every counted push is in them ([`keeps_weights`]); otherwise it pulls exactly as
-//! before the fusion. The rule is exact:
+//! ([`ShardFan::push_and_pull_announcing`]): each answers its slice with a
+//! `SliceApplied` — per rank, the highest iteration it has applied — and all its shards
+//! in the same write, and the worker reads both from every link, in link order, into
+//! its weight and version buffers. It sends `ClockPush` (`PushApplied` in deterministic
+//! mode) as soon as the last link's ack is in, so the clock hop travels while that
+//! link's shards are read. The coordinator's `GroupGrant` carries the gate's per-rank
+//! push counts at the decision. The worker keeps the weights it holds iff every
+//! counted push is in them ([`keeps_weights`]); otherwise it pulls exactly as before
+//! the fusion. The rule is exact:
 //!
 //! * the gate counts a push only once every server acked its slices (free-running:
 //!   `ClockPush` follows the acks; deterministic: the clock advances on
@@ -36,9 +38,11 @@
 //!   replays cannot stand in for another rank's missing push, and a restored server
 //!   reports zeros until it has seen each rank again.
 //!
-//! The weights are read right behind each link's ack, never left in the socket while
-//! the worker waits at the gate: a server blocked writing to a parked worker could
-//! stall a peer the gate is waiting for.
+//! The weights are read right behind each link's ack — the last link's while
+//! `ClockPush` travels — and never left in the socket while the worker waits at the
+//! gate: a shard server writes them from a step that holds its lock, so a parked
+//! worker would stall every peer behind it (`dssp_net::tcp`'s module docs give the
+//! whole argument).
 //!
 //! **One failure policy.** Push and pull rounds meet a lost, frozen or re-laid-out
 //! shard server in one place, the per-link exchange behind both:
@@ -84,6 +88,9 @@ pub fn keeps_weights<'a>(counted: &[u64], applied: impl IntoIterator<Item = &'a 
 
 /// The caller's global weight and version buffers, filled by a pulling push round.
 type Fetch<'b> = Option<(&'b mut Vec<f32>, &'b mut Vec<u64>)>;
+
+/// What a pulling push round calls once every server acked its slice.
+type Announce<'b> = Option<&'b mut dyn FnMut()>;
 
 /// One connection to a shard server, with the label used to attribute failures.
 pub struct ServerLink {
@@ -268,7 +275,7 @@ impl ShardFan {
         trace: u64,
         grads: &[f32],
     ) -> Result<FanOutcome, NetError> {
-        self.push_round(iteration, trace, grads, None)
+        self.push_round(iteration, trace, grads, None, None)
     }
 
     /// A pulling push round: [`ShardFan::push_slices`], with every server asked to
@@ -286,9 +293,28 @@ impl ShardFan {
         weights: &mut Vec<f32>,
         versions: &mut Vec<u64>,
     ) -> Result<FanOutcome, NetError> {
+        self.push_and_pull_announcing(iteration, trace, grads, weights, versions, &mut || {})
+    }
+
+    /// [`ShardFan::push_and_pull`] that calls `announce` as soon as every server's
+    /// [`Message::SliceApplied`] is in: once the links before the last one were read
+    /// whole, and before the last link's shards are read. So whatever `announce`
+    /// sends travels while those shards are still coming in. It is called at most
+    /// once per round, and never on a refusal, a commit or a relayed shutdown; a link
+    /// lost behind its ack is re-dialed as in any round.
+    pub fn push_and_pull_announcing(
+        &mut self,
+        iteration: u64,
+        trace: u64,
+        grads: &[f32],
+        weights: &mut Vec<f32>,
+        versions: &mut Vec<u64>,
+        announce: &mut dyn FnMut(),
+    ) -> Result<FanOutcome, NetError> {
         weights.resize(self.layout.params(), 0.0);
         versions.resize(self.layout.shards(), 0);
-        self.push_round(iteration, trace, grads, Some((weights, versions)))
+        let fetch = Some((weights, versions));
+        self.push_round(iteration, trace, grads, fetch, Some(announce))
     }
 
     /// Whether the weights the last push round fetched hold every push a grant
@@ -299,16 +325,19 @@ impl ShardFan {
     }
 
     /// The push round behind [`ShardFan::push_slices`] and
-    /// [`ShardFan::push_and_pull`]: one attempt, and one more after a re-adoption.
-    /// One re-adoption per round is the legitimate race (a commit landed between our
-    /// last layout update and this push); a second means the group is committing
-    /// migrations faster than we can push, which is a protocol anomaly.
+    /// [`ShardFan::push_and_pull_announcing`]: one attempt, and one more after a
+    /// re-adoption. One re-adoption per round is the legitimate race (a commit landed
+    /// between our last layout update and this push); a second means the group is
+    /// committing migrations faster than we can push, which is a protocol anomaly.
+    /// `announce` is handed to the last link's exchange only when every link before
+    /// it acked, and it is taken when called, so it is called at most once.
     fn push_round(
         &mut self,
         iteration: u64,
         trace: u64,
         grads: &[f32],
         fetch: Fetch<'_>,
+        mut announce: Announce<'_>,
     ) -> Result<FanOutcome, NetError> {
         assert_eq!(
             grads.len(),
@@ -331,7 +360,13 @@ impl ShardFan {
             let mut acked = 0usize;
             let mut committed = None;
             for i in 0..self.links.len() {
-                match self.exchange(i, &mut ask)? {
+                let mut unarmed = None;
+                let hook = if i + 1 == self.links.len() && committed.is_none() {
+                    &mut announce
+                } else {
+                    &mut unarmed
+                };
+                match self.exchange(i, &mut ask, hook)? {
                     Answer::Answered(FanOutcome::Applied) => acked += 1,
                     Answer::Answered(shutdown) => return Ok(shutdown),
                     Answer::Committed { epoch, assignment } => {
@@ -388,7 +423,7 @@ impl ShardFan {
             // Pull replies carry global shard indices, so a commit re-routes this link
             // alone: shards the retired owners already shipped stay valid.
             loop {
-                match self.exchange(i, &mut ask)? {
+                match self.exchange(i, &mut ask, &mut None)? {
                     Answer::Answered(FanOutcome::Applied) => break,
                     Answer::Answered(shutdown) => return Ok(shutdown),
                     Answer::Committed { epoch, assignment } => {
@@ -467,11 +502,17 @@ impl ShardFan {
     /// wherever the loss is met) and asked again. A frozen server is asked again
     /// every [`FREEZE_PROBE_INTERVAL`] until its migration resolves, and a freeze
     /// that outlives [`FREEZE_PROBES`] probes is a typed error rather than a hang. A
-    /// committed layout goes back to the caller to adopt and re-route by.
-    fn exchange(&mut self, i: usize, ask: &mut Ask<'_>) -> Result<Answer, NetError> {
+    /// committed layout goes back to the caller to adopt and re-route by. `announce`
+    /// is called once the link's ack is in, if it is handed one.
+    fn exchange(
+        &mut self,
+        i: usize,
+        ask: &mut Ask<'_>,
+        announce: &mut Announce<'_>,
+    ) -> Result<Answer, NetError> {
         let mut probes = 0;
         loop {
-            match self.recv(i, ask) {
+            match self.recv(i, ask, announce) {
                 Ok(outcome) => return Ok(Answer::Answered(outcome)),
                 Err(NetError::EpochRefused { epoch, assignment }) if !assignment.is_empty() => {
                     return Ok(Answer::Committed { epoch, assignment })
@@ -498,8 +539,14 @@ impl ShardFan {
     /// `applied`, and the shards behind it; a plain one with a [`Message::SliceAck`];
     /// a pull with the shards. A shutdown relayed in place of any of them reads as the
     /// shutdown, and a refusal comes back as [`NetError::EpochRefused`] whichever
-    /// request it answers.
-    fn recv(&mut self, i: usize, ask: &mut Ask<'_>) -> Result<FanOutcome, NetError> {
+    /// request it answers. `announce`, if any, is taken and called between a
+    /// `SliceApplied` and its shards.
+    fn recv(
+        &mut self,
+        i: usize,
+        ask: &mut Ask<'_>,
+        announce: &mut Announce<'_>,
+    ) -> Result<FanOutcome, NetError> {
         let link = &mut self.links[i];
         let shards = match ask {
             Ask::Pull {
@@ -513,6 +560,9 @@ impl ShardFan {
                     .map_err(|e| at_link(link, e))?;
                 match (ack, fetch) {
                     (Message::SliceApplied { .. }, Some((weights, versions))) => {
+                        if let Some(announce) = announce.take() {
+                            announce();
+                        }
                         link.transport.recv_pull_apply(weights, versions)
                     }
                     (Message::SliceAck { .. }, None) => return Ok(FanOutcome::Applied),
@@ -871,8 +921,9 @@ impl WorkerLink for GroupLink<'_> {
 
     /// The same trace id stamps the `ClockPush` and the fan slices, so the
     /// coordinator's gate decision and every shard server's apply join back to this
-    /// iteration. The weights come back with the slice acks, before the coordinator
-    /// hears of the push.
+    /// iteration. What tells the coordinator the push is applied everywhere —
+    /// `ClockPush`, or `PushApplied` in deterministic mode — goes out once every
+    /// server's ack is in, while the last server's shards are still being read.
     fn push(
         &mut self,
         iteration: u64,
@@ -881,7 +932,7 @@ impl WorkerLink for GroupLink<'_> {
         weights: Option<(&mut Vec<f32>, &mut Vec<u64>)>,
     ) -> Result<(), LinkEnd> {
         let clock_push = Message::ClockPush { iteration, trace };
-        if self.job.deterministic {
+        let applied = if self.job.deterministic {
             // Canonical order: announce the push, wait to be granted the apply slot,
             // fan the slices out, and confirm so the coordinator's clock can advance.
             self.coord.send(&clock_push)?;
@@ -889,18 +940,25 @@ impl WorkerLink for GroupLink<'_> {
                 Message::PushGrant => {}
                 other => return Err(LinkEnd::unexpected(self.rank, other)),
             }
-        }
-        let fanned = match weights {
-            Some((weights, versions)) => self
-                .fan
-                .push_and_pull(iteration, trace, grads, weights, versions)?,
-            None => self.fan.push_slices(iteration, trace, grads)?,
+            Message::PushApplied { iteration }
+        } else {
+            clock_push
         };
-        Self::fanned(fanned)?;
-        if self.job.deterministic {
-            return Ok(self.coord.send(&Message::PushApplied { iteration })?);
-        }
-        Ok(self.coord.send(&clock_push)?)
+        let Some((weights, versions)) = weights else {
+            Self::fanned(self.fan.push_slices(iteration, trace, grads)?)?;
+            return Ok(self.coord.send(&applied)?);
+        };
+        let mut sent = None;
+        let fanned = self.fan.push_and_pull_announcing(
+            iteration,
+            trace,
+            grads,
+            weights,
+            versions,
+            &mut || sent = Some(self.coord.send(&applied)),
+        );
+        Self::fanned(fanned?)?;
+        Ok(sent.unwrap_or_else(|| self.coord.send(&applied))?)
     }
 
     fn await_ok(&mut self, iteration: u64) -> Result<u64, LinkEnd> {

@@ -10,18 +10,23 @@
 //! collection, and shutdown propagation.
 //!
 //! A group round is two exchanges: the push round, in which every shard server
-//! writes its weights right behind the slice ack, and this clock hop. Every grant
-//! ([`Message::GroupGrant`]) carries the gate's per-rank push counts at the moment of
-//! the decision, and the worker keeps the weights it already holds iff every counted
-//! push is in them (`dssp_coord::keeps_weights`); the gate counts a push only after
-//! all its slices were acked, so a pull after the grant would see every counted push
-//! and the rule is exact.
+//! writes its weights right behind the slice ack, and this clock hop, which the
+//! worker starts once every ack is in, while the last server's weights are still on
+//! their way. Every grant ([`Message::GroupGrant`]) carries the gate's per-rank push
+//! counts at the moment of the decision, and the worker keeps the weights it already
+//! holds iff every counted push is in them (`dssp_coord::keeps_weights`); the gate
+//! counts a push only after all its slices were acked, so a pull after the grant
+//! would see every counted push and the rule is exact.
 //!
-//! The loop has the shape of every serving loop: offer each arriving `ClockPush` /
-//! `Done` to the [`ServerLoop`], drain what it is ready to release, apply it (a clock
-//! push is [`ServerLoop::handle_push_slice`] with no gradients) and deliver the
-//! grants. A reply that cannot be delivered — the worker died between its message and
-//! the answer — evicts that worker; it never fails the group. Restore, events and
+//! The loop is a serving step with the shape of every serving loop, and the transport
+//! runs it on every arrival ([`ServerTransport::run_steps`]; over TCP on the connection
+//! thread that read the frame, which runs the gate and writes the grant itself): offer
+//! each arriving `ClockPush` / `Done` to the [`ServerLoop`], drain what it is ready to
+//! release, apply it (a clock push is [`ServerLoop::handle_push_slice`] with no
+//! gradients) and deliver the grants. The closing evaluation, the shard servers'
+//! counters and the final checkpoint follow once the step reports every worker done.
+//! A reply that cannot be delivered — the worker died between its message and the
+//! answer — evicts that worker; it never fails the group. Restore, events and
 //! metrics, the hooks after each clock push, the forced and final checkpoints and
 //! the closing `Shutdown` (to the workers and, as the extra recipient, the shard
 //! servers) are `dssp-net`'s [`Lifecycle`] and [`goodbye`], which every serving role
@@ -33,7 +38,9 @@
 //! group so an N-server run is bitwise equal to a single server: the loop releases
 //! events in canonical `(iteration, rank)` order; a released push is granted back to
 //! its worker ([`Message::PushGrant`]) and the clock only advances once the worker
-//! confirms every shard server acked its slices ([`Message::PushApplied`]); granted
+//! confirms every shard server acked its slices ([`Message::PushApplied`], sent
+//! before the last server's shards are read: that server wrote them before it serves
+//! anything else, so what the worker reads is its store at the apply); granted
 //! workers' pulls are awaited ([`Message::PullDone`]) before the next mutating event
 //! is dispatched. No gradient application, pull, or evaluation can therefore
 //! interleave with another mutation — the exact serialization a single server's
@@ -45,7 +52,8 @@ use dssp_core::driver::{JobConfig, MigrationCommand, OkReply, ServerLoop, Worker
 use dssp_core::events::{trace_id, EventKind, Role, NO_TRACE};
 use dssp_net::wire::{MIGRATE_CONTROL, PROTOCOL_VERSION, SHUTDOWN_OK};
 use dssp_net::{
-    goodbye, require_helloed, validate_hello, Lifecycle, Message, NetError, ServerTransport,
+    goodbye, reclaim, require_helloed, validate_hello, Arrival, Lifecycle, Message, NetError,
+    ServeStep, ServerReplies, ServerTransport, TransportStats,
 };
 use dssp_ps::{CheckpointError, LayoutSnapshot};
 use dssp_sim::{GroupServerStats, RunTrace, WorkerSummary};
@@ -82,9 +90,10 @@ pub fn coordinate(
         )));
     }
     let admin = (extra == 1).then_some(job.num_workers);
-    // The fan exists once the clock state does; a restore that fails before it
-    // still shuts the workers down, and the dropped shard-server links tell the
-    // shard servers their coordinator is gone.
+    // The fan comes back out of the coordinator however its run ends, for the
+    // goodbye; a restore that fails before the fan exists still shuts the workers
+    // down, and the dropped shard-server links tell the shard servers their
+    // coordinator is gone.
     let mut fan = None;
     let result = Lifecycle::open(job, Role::Coordinator, 0).and_then(|(life, restored)| {
         // Start fresh, or resume the synchronization state (clocks, credits, interval
@@ -95,16 +104,19 @@ pub fn coordinate(
             Some(ckpt) => (ServerLoop::restore(job, &ckpt, true)?, ckpt.layout),
             None => (ServerLoop::clock_only(job), None),
         };
-        let fan = fan.insert(ShardFan::new(job, sl.param_len(), links));
-        fan.set_event_log(life.obs.event_log().cloned());
-        fan.hello(job, job.num_workers as u32)?;
-        if let Some(l) = restored_layout.filter(|l| l.epoch != 0) {
-            fan.adopt(l.epoch, &l.assignment)?;
+        let group = ShardFan::new(job, sl.param_len(), links);
+        let mut coordinator = Box::new(Coordinator::new(job, sl, admin, life, group));
+        let mut settled = coordinator
+            .open(restored_layout, restoring)
+            .and_then(|()| coordinator.settle(&mut *transport));
+        if let Ok(false) = settled {
+            let (step, outcome) = transport.run_steps(coordinator);
+            coordinator = reclaim(step)?;
+            settled = outcome.map(|()| true);
         }
-        if restoring {
-            check_restore_skew(&sl, fan)?;
-        }
-        Coordinator::new(job, sl, admin, life).run(transport, fan)
+        let (trace, group) = coordinator.finish(settled, transport.transport_stats());
+        fan = Some(group);
+        trace
     });
     goodbye(result, SHUTDOWN_OK, transport, |bye| {
         if let Some(fan) = &mut fan {
@@ -114,10 +126,13 @@ pub fn coordinate(
 }
 
 /// The coordinator's per-run state: the clock-only decision loop plus the
-/// deterministic-mode serialization bookkeeping.
-struct Coordinator<'job> {
-    job: &'job JobConfig,
+/// deterministic-mode serialization bookkeeping. It is the serving step the
+/// transport runs on every arrival.
+struct Coordinator {
+    job: JobConfig,
     sl: ServerLoop,
+    /// The links to the shard servers: evaluation pulls, migrations, statistics.
+    fan: ShardFan,
     helloed: Vec<bool>,
     /// Last announced ClockPush iteration per worker (a granted worker whose push was
     /// final will never pull again, so no PullDone is expected from it).
@@ -173,13 +188,40 @@ struct ArmedMigration {
     requester: Option<usize>,
 }
 
-impl<'job> Coordinator<'job> {
-    fn new(job: &'job JobConfig, sl: ServerLoop, admin: Option<usize>, life: Lifecycle) -> Self {
+impl ServeStep for Coordinator {
+    /// One message (or lost connection) in: dispatch it, then settle.
+    fn step(
+        &mut self,
+        arrival: Arrival,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<bool, NetError> {
+        match arrival {
+            // The operator's CLI hung up after its ack (or mid-request): the admin
+            // slot is not a worker, nothing to evict.
+            Err(NetError::ClientLost { rank }) if Some(rank) == self.admin => {}
+            // A worker died mid-run: reap it instead of stalling the gate.
+            Err(NetError::ClientLost { rank }) => self.evict(replies, rank)?,
+            Err(e) => return Err(e),
+            Ok((rank, msg)) if Some(rank) == self.admin => self.handle_admin(replies, rank, msg)?,
+            Ok((rank, msg)) => self.dispatch(replies, rank, msg)?,
+        }
+        self.settle(replies)
+    }
+}
+
+impl Coordinator {
+    fn new(
+        job: &JobConfig,
+        sl: ServerLoop,
+        admin: Option<usize>,
+        life: Lifecycle,
+        fan: ShardFan,
+    ) -> Self {
         let det = job.deterministic;
         // Zero on a fresh run, the checkpointed clocks after a restore.
         let last_iter = sl.push_counts();
         Self {
-            job,
+            job: job.clone(),
             helloed: vec![false; job.num_workers],
             last_iter,
             last_trace: vec![NO_TRACE; job.num_workers],
@@ -200,7 +242,30 @@ impl<'job> Coordinator<'job> {
             awaiting_grant: vec![false; job.num_workers],
             finished: vec![false; job.num_workers],
             sl,
+            fan,
         }
+    }
+
+    /// Handshakes every shard server and adopts the layout a restored group had
+    /// migrated to, checking that the restored shard servers agree with the clocks.
+    fn open(
+        &mut self,
+        restored_layout: Option<LayoutSnapshot>,
+        restoring: bool,
+    ) -> Result<(), NetError> {
+        let fan = &mut self.fan;
+        fan.set_event_log(self.life.obs.event_log().cloned());
+        fan.hello(&self.job, self.job.num_workers as u32)?;
+        if let Some(l) = restored_layout.filter(|l| l.epoch != 0) {
+            fan.adopt(l.epoch, &l.assignment)?;
+        }
+        if restoring {
+            check_restore_skew(&self.sl, fan)?;
+        }
+        self.life
+            .obs
+            .set_layout(fan.layout().epoch(), fan.layout().shards() as u64);
+        Ok(())
     }
 
     fn pulls_in_flight(&self) -> bool {
@@ -217,7 +282,7 @@ impl<'job> Coordinator<'job> {
     /// flight (a granted-but-unconfirmed push, a pending pull, queued events),
     /// reclaims its policy credits, retires its clock, and delivers the grants its
     /// departure releases to the survivors.
-    fn evict(&mut self, transport: &mut dyn ServerTransport, rank: usize) -> Result<(), NetError> {
+    fn evict(&mut self, replies: &mut dyn ServerReplies, rank: usize) -> Result<(), NetError> {
         if self
             .pending_apply
             .as_ref()
@@ -244,7 +309,7 @@ impl<'job> Coordinator<'job> {
         }
         self.life.obs.sync_loop(&self.sl);
         for reply in &released {
-            self.send_grant(transport, reply.worker, reply.granted_extra)?;
+            self.send_grant(replies, reply.worker, reply.granted_extra)?;
         }
         Ok(())
     }
@@ -257,14 +322,14 @@ impl<'job> Coordinator<'job> {
     /// released grants come back through here) is bounded by the fleet size.
     fn send_or_evict(
         &mut self,
-        transport: &mut dyn ServerTransport,
+        replies: &mut dyn ServerReplies,
         worker: usize,
         msg: &Message,
     ) -> Result<bool, NetError> {
-        if transport.send(worker, msg).is_ok() {
+        if replies.send(worker, msg).is_ok() {
             return Ok(true);
         }
-        self.evict(transport, worker)?;
+        self.evict(replies, worker)?;
         Ok(false)
     }
 
@@ -275,7 +340,7 @@ impl<'job> Coordinator<'job> {
     /// quiescence follows from the drained pulls.
     fn send_grant(
         &mut self,
-        transport: &mut dyn ServerTransport,
+        replies: &mut dyn ServerReplies,
         worker: usize,
         granted_extra: u64,
     ) -> Result<(), NetError> {
@@ -288,7 +353,7 @@ impl<'job> Coordinator<'job> {
         };
         if self.armed.is_some() && !self.job.deterministic {
             self.withheld.push((worker, msg));
-        } else if self.send_or_evict(transport, worker, &msg)? {
+        } else if self.send_or_evict(replies, worker, &msg)? {
             self.awaiting_grant[worker] = false;
         } else {
             return Ok(());
@@ -301,9 +366,9 @@ impl<'job> Coordinator<'job> {
 
     /// Sends every withheld grant (after a commit's layout broadcast, or after a
     /// refused/rolled-back migration disarms).
-    fn flush_withheld(&mut self, transport: &mut dyn ServerTransport) -> Result<(), NetError> {
+    fn flush_withheld(&mut self, replies: &mut dyn ServerReplies) -> Result<(), NetError> {
         for (worker, msg) in std::mem::take(&mut self.withheld) {
-            if self.send_or_evict(transport, worker, &msg)? {
+            if self.send_or_evict(replies, worker, &msg)? {
                 self.awaiting_grant[worker] = false;
             }
         }
@@ -311,227 +376,242 @@ impl<'job> Coordinator<'job> {
     }
 
     /// Non-deterministic quiescence: every worker is finished or blocked at the gate
-    /// awaiting a grant. A worker sends `ClockPush` only after its push fan-out fully
-    /// acked and the weights behind the acks are read, and it pulls again only after
-    /// receiving a grant — so when all are blocked, no slice or pull is in flight
-    /// anywhere in the group.
+    /// awaiting a grant. A worker sends `ClockPush` only once every shard server acked
+    /// its slices, and it pulls again only after receiving a grant — so when all are
+    /// blocked, no slice or pull request is in flight anywhere in the group. The last
+    /// server's shards may still be on their way to a worker, but that server wrote
+    /// them before it reads anything the migration sends it.
     fn quiescent(&self) -> bool {
         (0..self.job.num_workers).all(|w| self.finished[w] || self.awaiting_grant[w])
     }
 
-    fn run(
-        mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &mut ShardFan,
-    ) -> Result<RunTrace, NetError> {
+    /// Dispatches everything the loop is ready to release — under deterministic
+    /// mode's serialization rules: one granted push at a time, no mutation while a
+    /// granted pull is in flight — and runs an armed migration once the group is
+    /// quiescent. Then reports whether every worker is done; until then, mirrors the
+    /// transport's counters.
+    fn settle(&mut self, replies: &mut dyn ServerReplies) -> Result<bool, NetError> {
         let det = self.job.deterministic;
-        self.life
-            .obs
-            .set_layout(fan.layout().epoch(), fan.layout().shards() as u64);
-
-        while !self.sl.all_done() {
-            // Arm the declarative migration, if it came due (admin requests arm
-            // inside the message loop instead); execution always waits for group
-            // quiescence below.
-            self.maybe_arm(fan);
-            // Dispatch everything the loop is ready to release — under deterministic
-            // mode's serialization rules: one granted push at a time, no mutation
-            // while a granted pull is in flight — before blocking on the transport
-            // again.
-            while self.pending_apply.is_none() && !self.sl.all_done() {
-                // Freeze point: release nothing more while armed. Once every granted
-                // pull has drained the group is quiescent (no granted push is pending
-                // either — `pending_apply` is `None` here).
-                let frozen = det && self.armed.is_some();
-                if frozen && self.pulls_in_flight() {
-                    break;
-                }
-                if let Some(armed) = self.armed.take_if(|_| frozen) {
-                    self.execute_armed(transport, fan, armed)?;
-                    continue;
-                }
-                if self.held.is_none() {
-                    self.held = self.sl.next_ready();
-                }
-                let Some(event) = self.held.take() else { break };
-                // Mutating events wait until every granted pull completed.
-                if self.pulls_in_flight() {
-                    self.held = Some(event);
-                    break;
-                }
-                match event {
-                    WorkerEvent::Push { worker, .. } if det => {
-                        // Grant the apply slot; the clock advances on PushApplied.
-                        if self.send_or_evict(transport, worker, &Message::PushGrant)? {
-                            self.pending_apply = Some(event);
-                        }
-                    }
-                    WorkerEvent::Push { worker, .. } => self.apply_push(transport, fan, worker)?,
-                    WorkerEvent::Done(summary) => self.apply_done(transport, fan, summary)?,
-                    WorkerEvent::Pull { .. } => {
-                        unreachable!("group coordinators never offer Pull events")
-                    }
-                }
-            }
-            // Non-deterministic mode reaches quiescence when every worker is blocked
-            // at the gate (their grants withheld while armed).
-            let quiescent = !det && self.armed.is_some() && self.quiescent();
-            if let Some(armed) = self.armed.take_if(|_| quiescent) {
-                self.execute_armed(transport, fan, armed)?;
-            }
-            if self.sl.all_done() {
+        // Arm the declarative migration, if it came due (admin requests arm as they
+        // arrive); execution always waits for group quiescence below.
+        self.maybe_arm();
+        while self.pending_apply.is_none() && !self.sl.all_done() {
+            // Freeze point: release nothing more while armed. Once every granted
+            // pull has drained the group is quiescent (no granted push is pending
+            // either — `pending_apply` is `None` here).
+            let frozen = det && self.armed.is_some();
+            if frozen && self.pulls_in_flight() {
                 break;
             }
-
-            self.life.obs.mirror_transport(&transport.transport_stats());
-            self.life
-                .obs
-                .metrics()
-                .reconnects
-                .store(fan.reconnects, Relaxed);
-            let (rank, msg) = match transport.recv() {
-                Ok(pair) => pair,
-                // The operator's CLI hung up after its ack (or mid-request): the
-                // admin slot is not a worker, nothing to evict.
-                Err(NetError::ClientLost { rank }) if Some(rank) == self.admin => continue,
-                // A worker died mid-run: reap it instead of stalling the gate.
-                Err(NetError::ClientLost { rank }) => {
-                    self.evict(transport, rank)?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if Some(rank) == self.admin {
-                self.handle_admin(transport, fan, rank, msg)?;
+            if let Some(armed) = self.armed.take_if(|_| frozen) {
+                self.execute_armed(replies, armed)?;
                 continue;
             }
-            if !matches!(msg, Message::Hello { .. }) {
-                require_helloed(&self.helloed, rank)?;
+            if self.held.is_none() {
+                self.held = self.sl.next_ready();
             }
-            match msg {
-                Message::Hello {
-                    version,
-                    rank: hello_rank,
-                    num_workers,
-                    config_digest,
-                } => {
-                    validate_hello(
-                        rank,
-                        version,
-                        hello_rank,
-                        num_workers,
-                        config_digest,
-                        self.job.num_workers,
-                        self.life.digest,
-                        &mut self.helloed,
-                    )?;
-                    self.life.obs.on_join(rank);
-                }
-                Message::JoinRequest => {
-                    // Membership: admit the worker at the number of pushes already
-                    // confirmed from its rank — zero on a fresh run, the restored
-                    // clock after a checkpoint restore — and hand it the committed
-                    // layout, so a (re)joiner of a migrated group routes correctly
-                    // from its very first fan-out.
-                    let epoch = fan.layout().epoch();
-                    let ack = Message::JoinAck {
-                        clock: self.sl.push_count(rank),
-                        epoch,
-                        assignment: if epoch == 0 {
-                            Vec::new()
-                        } else {
-                            fan.layout().assignment().to_vec()
-                        },
-                    };
-                    self.send_or_evict(transport, rank, &ack)?;
-                }
-                Message::Evict { rank: victim } => {
-                    let victim = victim as usize;
-                    if victim >= self.job.num_workers {
-                        return Err(NetError::Protocol(format!(
-                            "eviction of rank {victim}, job has {} workers",
-                            self.job.num_workers
-                        )));
+            let Some(event) = self.held.take() else { break };
+            // Mutating events wait until every granted pull completed.
+            if self.pulls_in_flight() {
+                self.held = Some(event);
+                break;
+            }
+            match event {
+                WorkerEvent::Push { worker, .. } if det => {
+                    // Grant the apply slot; the clock advances on PushApplied.
+                    if self.send_or_evict(replies, worker, &Message::PushGrant)? {
+                        self.pending_apply = Some(event);
                     }
-                    self.evict(transport, victim)?;
                 }
-                Message::ClockPush { iteration, trace } => {
-                    // The worker's fan-out for this iteration fully acked before it
-                    // announced the push; until its grant goes out it is blocked.
-                    self.awaiting_grant[rank] = true;
-                    self.last_iter[rank] = iteration;
-                    self.last_trace[rank] = trace;
-                    self.sl.offer(WorkerEvent::Push {
-                        worker: rank,
-                        iteration,
-                        grads: Vec::new(), // the gradients went to the shard servers
-                    });
-                }
-                Message::PushApplied { iteration } => {
-                    match self.pending_apply.take() {
-                        Some(WorkerEvent::Push {
-                            worker,
-                            iteration: granted,
-                            ..
-                        }) if worker == rank && granted == iteration => {}
-                        Some(ev) => {
-                            return Err(NetError::Protocol(format!(
-                                "PushApplied({iteration}) from worker {rank} does not \
-                                 match the granted push {ev:?}"
-                            )))
-                        }
-                        None => {
-                            return Err(NetError::Protocol(format!(
-                                "PushApplied({iteration}) from worker {rank} without a \
-                                 granted push"
-                            )))
-                        }
-                    }
-                    self.apply_push(transport, fan, rank)?;
-                }
-                Message::PullDone => {
-                    if !det {
-                        return Err(NetError::Protocol(format!(
-                            "PullDone from worker {rank} outside deterministic mode"
-                        )));
-                    }
-                    if !self.pull_pending[rank] {
-                        return Err(NetError::Protocol(format!(
-                            "unexpected PullDone from worker {rank}"
-                        )));
-                    }
-                    self.pull_pending[rank] = false;
-                }
-                Message::Done {
-                    iterations,
-                    epochs,
-                    waiting_time_s,
-                } => {
-                    self.finished[rank] = true;
-                    self.sl.offer(WorkerEvent::Done(WorkerSummary {
-                        worker: rank,
-                        iterations,
-                        epochs: epochs as usize,
-                        waiting_time_s,
-                    }));
-                }
-                other => {
+                WorkerEvent::Push { worker, .. } => self.apply_push(replies, worker)?,
+                WorkerEvent::Done(summary) => self.apply_done(replies, summary)?,
+                WorkerEvent::Pull { worker } => {
                     return Err(NetError::Protocol(format!(
-                        "unexpected {other:?} from worker {rank} at the coordinator"
+                        "the coordinator's loop released a pull of worker {worker}, but \
+                         group workers pull from the shard servers"
                     )))
                 }
             }
         }
+        // Non-deterministic mode reaches quiescence when every worker is blocked at
+        // the gate (their grants withheld while armed).
+        let quiescent = !det && self.armed.is_some() && self.quiescent();
+        if let Some(armed) = self.armed.take_if(|_| quiescent) {
+            self.execute_armed(replies, armed)?;
+        }
+        if self.sl.all_done() {
+            return Ok(true);
+        }
+        self.life.obs.mirror_transport(&replies.transport_stats());
+        self.life
+            .obs
+            .metrics()
+            .reconnects
+            .store(self.fan.reconnects, Relaxed);
+        Ok(false)
+    }
 
-        // All workers reported Done, and every push they made was acked by every
-        // shard server before that — the group state is final. Assemble the weights
-        // for the closing evaluation, then gather per-server statistics before
-        // shutting down.
+    /// Offers one worker's message to the loop, or answers it at the protocol level.
+    fn dispatch(
+        &mut self,
+        replies: &mut dyn ServerReplies,
+        rank: usize,
+        msg: Message,
+    ) -> Result<(), NetError> {
+        if !matches!(msg, Message::Hello { .. }) {
+            require_helloed(&self.helloed, rank)?;
+        }
+        match msg {
+            Message::Hello {
+                version,
+                rank: hello_rank,
+                num_workers,
+                config_digest,
+            } => {
+                validate_hello(
+                    rank,
+                    version,
+                    hello_rank,
+                    num_workers,
+                    config_digest,
+                    self.job.num_workers,
+                    self.life.digest,
+                    &mut self.helloed,
+                )?;
+                self.life.obs.on_join(rank);
+            }
+            Message::JoinRequest => {
+                // Membership: admit the worker at the number of pushes already
+                // confirmed from its rank — zero on a fresh run, the restored clock
+                // after a checkpoint restore — and hand it the committed layout, so a
+                // (re)joiner of a migrated group routes correctly from its very first
+                // fan-out.
+                let epoch = self.fan.layout().epoch();
+                let ack = Message::JoinAck {
+                    clock: self.sl.push_count(rank),
+                    epoch,
+                    assignment: if epoch == 0 {
+                        Vec::new()
+                    } else {
+                        self.fan.layout().assignment().to_vec()
+                    },
+                };
+                self.send_or_evict(replies, rank, &ack)?;
+            }
+            Message::Evict { rank: victim } => {
+                let victim = victim as usize;
+                if victim >= self.job.num_workers {
+                    return Err(NetError::Protocol(format!(
+                        "eviction of rank {victim}, job has {} workers",
+                        self.job.num_workers
+                    )));
+                }
+                self.evict(replies, victim)?;
+            }
+            Message::ClockPush { iteration, trace } => {
+                // Every shard server acked the worker's slices for this iteration
+                // before it announced the push; until its grant goes out it is
+                // blocked.
+                self.awaiting_grant[rank] = true;
+                self.last_iter[rank] = iteration;
+                self.last_trace[rank] = trace;
+                self.sl.offer(WorkerEvent::Push {
+                    worker: rank,
+                    iteration,
+                    grads: Vec::new(), // the gradients went to the shard servers
+                });
+            }
+            Message::PushApplied { iteration } => {
+                match self.pending_apply.take() {
+                    Some(WorkerEvent::Push {
+                        worker,
+                        iteration: granted,
+                        ..
+                    }) if worker == rank && granted == iteration => {}
+                    Some(ev) => {
+                        return Err(NetError::Protocol(format!(
+                            "PushApplied({iteration}) from worker {rank} does not \
+                             match the granted push {ev:?}"
+                        )))
+                    }
+                    None => {
+                        return Err(NetError::Protocol(format!(
+                            "PushApplied({iteration}) from worker {rank} without a \
+                             granted push"
+                        )))
+                    }
+                }
+                self.apply_push(replies, rank)?;
+            }
+            Message::PullDone => {
+                if !self.job.deterministic {
+                    return Err(NetError::Protocol(format!(
+                        "PullDone from worker {rank} outside deterministic mode"
+                    )));
+                }
+                if !self.pull_pending[rank] {
+                    return Err(NetError::Protocol(format!(
+                        "unexpected PullDone from worker {rank}"
+                    )));
+                }
+                self.pull_pending[rank] = false;
+            }
+            Message::Done {
+                iterations,
+                epochs,
+                waiting_time_s,
+            } => {
+                self.finished[rank] = true;
+                self.sl.offer(WorkerEvent::Done(WorkerSummary {
+                    worker: rank,
+                    iterations,
+                    epochs: epochs as usize,
+                    waiting_time_s,
+                }));
+            }
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "unexpected {other:?} from worker {rank} at the coordinator"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Closes a run and hands the fan back for the goodbye. A completed run (all
+    /// workers reported Done, and every push they made was acked by every shard
+    /// server before that — the group state is final) assembles the weights for the
+    /// closing evaluation, gathers per-server statistics and closes the role; a
+    /// failed one only hands the fan back.
+    fn finish(
+        mut self: Box<Self>,
+        settled: Result<bool, NetError>,
+        stats: TransportStats,
+    ) -> (Result<RunTrace, NetError>, ShardFan) {
+        let closed = settled.and_then(|_| self.close(stats));
+        let Coordinator {
+            sl,
+            fan,
+            eval_weights,
+            ..
+        } = *self;
+        let trace = closed.map(|(total, group_servers)| {
+            let mut trace = sl.finish_external(&eval_weights, total);
+            trace.group_servers = group_servers;
+            trace
+        });
+        (trace, fan)
+    }
+
+    /// The end of a completed run: the closing evaluation's weights, every shard
+    /// server's counters and the terminal checkpoint. Yields the run's wall time and
+    /// the counters.
+    fn close(&mut self, stats: TransportStats) -> Result<(f64, Vec<GroupServerStats>), NetError> {
         let total = self.start.elapsed().as_secs_f64();
         let eval_trace = self.next_coord_trace();
         pull_for_eval(
-            self.job,
-            fan,
+            &self.job,
+            &mut self.fan,
             eval_trace,
             &mut self.eval_weights,
             &mut self.eval_versions,
@@ -541,20 +621,17 @@ impl<'job> Coordinator<'job> {
         // Final statistics snapshot, per-link tolerant: a shard server that died (or
         // a link torn by a mid-run worker eviction) yields a zeroed row instead of
         // discarding every survivor's counters from the trace.
-        let group_servers = collect_group_stats(fan);
+        let group_servers = collect_group_stats(&mut self.fan);
         self.life
             .obs
             .metrics()
             .reconnects
-            .store(fan.reconnects, Relaxed);
+            .store(self.fan.reconnects, Relaxed);
         // Closed before `finish_external` consumes the decision loop the terminal
         // clock checkpoint is cut from.
-        let stats = transport.transport_stats();
         self.life
             .close(self.sl.version(), |digest| self.sl.snapshot(digest), &stats)?;
-        let mut trace = self.sl.finish_external(&self.eval_weights, total);
-        trace.group_servers = group_servers;
-        Ok(trace)
+        Ok((total, group_servers))
     }
 
     /// Applies one clock push (released by the loop, or confirmed by its worker's
@@ -565,22 +642,17 @@ impl<'job> Coordinator<'job> {
     /// the clock state.
     fn apply_push(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &mut ShardFan,
+        replies: &mut dyn ServerReplies,
         pusher: usize,
     ) -> Result<(), NetError> {
         let now = self.start.elapsed().as_secs_f64();
-        let mut replies = Vec::new();
-        let decision = self.sl.handle_push_slice(pusher, &[], now, &mut replies);
-        self.life.obs.on_push(
-            pusher,
-            decision.staleness,
-            &replies,
-            &self.sl,
-            &self.last_trace,
-        );
-        self.deliver(transport, fan, &replies)?;
-        let granted = replies.iter().any(|r| r.worker == pusher);
+        let mut oks = Vec::new();
+        let decision = self.sl.handle_push_slice(pusher, &[], now, &mut oks);
+        self.life
+            .obs
+            .on_push(pusher, decision.staleness, &oks, &self.sl, &self.last_trace);
+        self.deliver(replies, &oks)?;
+        let granted = oks.iter().any(|r| r.worker == pusher);
         self.life.after_push(granted, self.sl.version(), |digest| {
             self.sl.snapshot(digest)
         })
@@ -589,35 +661,33 @@ impl<'job> Coordinator<'job> {
     /// Applies one worker's `Done` and delivers the grants its retirement releases.
     fn apply_done(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &mut ShardFan,
+        replies: &mut dyn ServerReplies,
         summary: WorkerSummary,
     ) -> Result<(), NetError> {
         let now = self.start.elapsed().as_secs_f64();
-        let mut replies = Vec::new();
-        self.sl.handle_done(summary, now, &mut replies);
-        self.deliver(transport, fan, &replies)
+        let mut oks = Vec::new();
+        self.sl.handle_done(summary, now, &mut oks);
+        self.deliver(replies, &oks)
     }
 
     /// Delivers the grants one applied event released and runs any evaluation that
     /// came due (pulling the group's weights first).
     fn deliver(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &mut ShardFan,
-        replies: &[OkReply],
+        replies: &mut dyn ServerReplies,
+        oks: &[OkReply],
     ) -> Result<(), NetError> {
         // A granted worker that has not run its final iteration will pull next; in
         // deterministic mode the coordinator must wait for that pull before the next
         // mutation (tracked inside `send_grant`).
-        for reply in replies {
-            self.send_grant(transport, reply.worker, reply.granted_extra)?;
+        for ok in oks {
+            self.send_grant(replies, ok.worker, ok.granted_extra)?;
         }
         if let Some(point) = self.sl.take_pending_eval() {
             let eval_trace = self.next_coord_trace();
             pull_for_eval(
-                self.job,
-                fan,
+                &self.job,
+                &mut self.fan,
                 eval_trace,
                 &mut self.eval_weights,
                 &mut self.eval_versions,
@@ -632,12 +702,12 @@ impl<'job> Coordinator<'job> {
     /// Arms the declarative migration spec when it comes due. It fires at most once
     /// per group life — only from the launch layout (epoch 0), so a coordinator
     /// restored after its commit does not migrate again.
-    fn maybe_arm(&mut self, fan: &ShardFan) {
+    fn maybe_arm(&mut self) {
         if self.armed.is_some() {
             return;
         }
         if let Some(spec) = self.job.migration.as_ref() {
-            if fan.layout().epoch() == 0 && self.sl.version() >= spec.at_version {
+            if self.fan.layout().epoch() == 0 && self.sl.version() >= spec.at_version {
                 self.armed = Some(ArmedMigration {
                     command: MigrationCommand::Drain(spec.drain),
                     requester: None,
@@ -652,8 +722,7 @@ impl<'job> Coordinator<'job> {
     /// and `Rebalance`.
     fn handle_admin(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &ShardFan,
+        replies: &mut dyn ServerReplies,
         admin: usize,
         msg: Message,
     ) -> Result<(), NetError> {
@@ -669,10 +738,10 @@ impl<'job> Coordinator<'job> {
             }
             Message::Drain { server } => {
                 let command = MigrationCommand::Drain(server as usize);
-                self.admin_request(transport, fan, admin, command)?;
+                self.admin_request(replies, admin, command)?;
             }
             Message::Rebalance => {
-                self.admin_request(transport, fan, admin, MigrationCommand::Rebalance)?;
+                self.admin_request(replies, admin, MigrationCommand::Rebalance)?;
             }
             other => {
                 return Err(NetError::Protocol(format!(
@@ -689,8 +758,7 @@ impl<'job> Coordinator<'job> {
     /// refusal, if it does not), so the operator's exit status reflects the outcome.
     fn admin_request(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &ShardFan,
+        replies: &mut dyn ServerReplies,
         admin: usize,
         command: MigrationCommand,
     ) -> Result<(), NetError> {
@@ -702,7 +770,7 @@ impl<'job> Coordinator<'job> {
         let reason = if self.armed.is_some() {
             "a migration is already in flight".to_string()
         } else {
-            match plan_for(fan, command) {
+            match plan_for(&self.fan, command) {
                 Ok(_) => {
                     self.armed = Some(ArmedMigration {
                         command,
@@ -713,10 +781,10 @@ impl<'job> Coordinator<'job> {
                 Err(reason) => reason,
             }
         };
-        transport.send(
+        replies.send(
             admin,
             &Message::AdminAck {
-                epoch: fan.layout().epoch(),
+                epoch: self.fan.layout().epoch(),
                 accepted: false,
                 reason,
             },
@@ -729,27 +797,26 @@ impl<'job> Coordinator<'job> {
     /// group never stays frozen.
     fn execute_armed(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &mut ShardFan,
+        replies: &mut dyn ServerReplies,
         armed: ArmedMigration,
     ) -> Result<(), NetError> {
         let ArmedMigration { command, requester } = armed;
-        let plan = match plan_for(fan, command) {
+        let plan = match plan_for(&self.fan, command) {
             Ok(plan) => plan,
             Err(reason) => {
                 // The layout changed between arming and quiescence (an interleaved
                 // admin migration): refuse, thaw, carry on.
                 if let Some(admin) = requester {
-                    let _ = transport.send(
+                    let _ = replies.send(
                         admin,
                         &Message::AdminAck {
-                            epoch: fan.layout().epoch(),
+                            epoch: self.fan.layout().epoch(),
                             accepted: false,
                             reason,
                         },
                     );
                 }
-                return self.flush_withheld(transport);
+                return self.flush_withheld(replies);
             }
         };
         let epoch = plan.from_epoch + 1;
@@ -757,10 +824,10 @@ impl<'job> Coordinator<'job> {
         // control leg, shard transfer and the commit/rollback terminal carry it, so
         // `repro analyze`/`repro trace` can follow a drain end-to-end like a push.
         let mig_trace = self.next_coord_trace();
-        match self.migrate(transport, fan, &plan, epoch, mig_trace) {
+        match self.migrate(replies, &plan, epoch, mig_trace) {
             Ok(()) => {
                 if let Some(admin) = requester {
-                    let _ = transport.send(
+                    let _ = replies.send(
                         admin,
                         &Message::AdminAck {
                             epoch,
@@ -769,7 +836,7 @@ impl<'job> Coordinator<'job> {
                         },
                     );
                 }
-                self.flush_withheld(transport)
+                self.flush_withheld(replies)
             }
             Err(e) => {
                 // Commit-or-rollback: any failed leg thaws every frozen server
@@ -778,13 +845,13 @@ impl<'job> Coordinator<'job> {
                 // freeze probes then degrade the orphaned freeze into a typed error,
                 // and the shard servers exit when their coordinator link drops.
                 if !e.is_injected_kill() {
-                    fan.send_all(&Message::MigrateAbort { epoch });
+                    self.fan.send_all(&Message::MigrateAbort { epoch });
                     self.life
                         .obs
                         .event_traced(EventKind::MigrationRollback, epoch, mig_trace);
                 }
                 if let Some(admin) = requester {
-                    let _ = transport.send(
+                    let _ = replies.send(
                         admin,
                         &Message::AdminAck {
                             epoch,
@@ -806,8 +873,7 @@ impl<'job> Coordinator<'job> {
     /// the fan and the workers, and forces a durable checkpoint recording the layout.
     fn migrate(
         &mut self,
-        transport: &mut dyn ServerTransport,
-        fan: &mut ShardFan,
+        replies: &mut dyn ServerReplies,
         plan: &MigrationPlan,
         epoch: u64,
         mig_trace: u64,
@@ -815,16 +881,17 @@ impl<'job> Coordinator<'job> {
         self.life
             .obs
             .event_traced(EventKind::MigrationPrepare, epoch, mig_trace);
-        for server in 0..fan.num_links() {
-            fan.send_to(server, &Message::MigratePrepare { epoch })?;
+        for server in 0..self.fan.num_links() {
+            self.fan
+                .send_to(server, &Message::MigratePrepare { epoch })?;
         }
-        for server in 0..fan.num_links() {
-            expect_control_ack(fan.recv_from(server)?, epoch, server)?;
+        for server in 0..self.fan.num_links() {
+            expect_control_ack(self.fan.recv_from(server)?, epoch, server)?;
         }
         self.life.fault.migrate_prepare()?;
         for mv in &plan.moves {
             self.life.fault.migrate_transfer()?;
-            fan.send_to(
+            self.fan.send_to(
                 mv.from as usize,
                 &Message::MigrateRequest {
                     epoch,
@@ -832,7 +899,7 @@ impl<'job> Coordinator<'job> {
                     trace: mig_trace,
                 },
             )?;
-            let payload = fan.recv_from(mv.from as usize)?;
+            let payload = self.fan.recv_from(mv.from as usize)?;
             match &payload {
                 Message::MigrateShard {
                     epoch: e, shard, ..
@@ -845,8 +912,8 @@ impl<'job> Coordinator<'job> {
                     )))
                 }
             }
-            fan.send_to(mv.to as usize, &payload)?;
-            match fan.recv_from(mv.to as usize)? {
+            self.fan.send_to(mv.to as usize, &payload)?;
+            match self.fan.recv_from(mv.to as usize)? {
                 Message::MigrateAck { epoch: e, shard } if e == epoch && shard == mv.shard => {}
                 other => {
                     return Err(NetError::Protocol(format!(
@@ -860,11 +927,11 @@ impl<'job> Coordinator<'job> {
                 .obs
                 .event_traced(EventKind::ShardTransfer, u64::from(mv.shard), mig_trace);
         }
-        for server in 0..fan.num_links() {
+        for server in 0..self.fan.num_links() {
             // The hook sits between the per-server sends, so the chaos matrix can
             // tear a commit mid-broadcast.
             self.life.fault.migrate_commit()?;
-            fan.send_to(
+            self.fan.send_to(
                 server,
                 &Message::LayoutUpdate {
                     epoch,
@@ -872,16 +939,16 @@ impl<'job> Coordinator<'job> {
                 },
             )?;
         }
-        for server in 0..fan.num_links() {
-            expect_control_ack(fan.recv_from(server)?, epoch, server)?;
+        for server in 0..self.fan.num_links() {
+            expect_control_ack(self.fan.recv_from(server)?, epoch, server)?;
         }
-        fan.adopt(epoch, &plan.assignment)?;
+        self.fan.adopt(epoch, &plan.assignment)?;
         self.life
             .obs
             .event_traced(EventKind::MigrationCommit, epoch, mig_trace);
         self.life
             .obs
-            .set_layout(epoch, fan.layout().shards() as u64);
+            .set_layout(epoch, self.fan.layout().shards() as u64);
         // Force the clock checkpoint with the committed layout, regardless of
         // cadence: a coordinator restored from anything older would route by a
         // retired assignment and refuse the (migrated) shard servers' state.
@@ -897,7 +964,7 @@ impl<'job> Coordinator<'job> {
         // `Done` and the shutdown broadcast may already have hung up.
         for worker in 0..self.job.num_workers {
             if self.helloed[worker] && !self.finished[worker] {
-                let _ = transport.send(
+                let _ = replies.send(
                     worker,
                     &Message::LayoutUpdate {
                         epoch,

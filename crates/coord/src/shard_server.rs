@@ -23,9 +23,13 @@
 //! requests are answered by the same streaming writer — incrementally when the
 //! client's version vector permits, fully otherwise.
 //!
-//! The loop tolerates worker disconnects (finished workers drop their connections
-//! while slower peers keep training) and exits on the coordinator's `Shutdown`, whose
-//! reason its goodbye passes on to every client still connected. Restore, events and
+//! The loop is a serving step the transport runs on every arrival
+//! ([`ServerTransport::run_steps`]); over TCP the connection thread that read a slice
+//! applies it and writes the reply itself, under the server's lock (why that write
+//! cannot deadlock is in `dssp_net::tcp`'s module docs). It tolerates worker
+//! disconnects (finished workers drop their connections while slower peers keep
+//! training) and ends on the coordinator's `Shutdown`, whose reason its goodbye passes
+//! on to every client still connected. Restore, events and
 //! metrics, the hooks after each push, the forced and final checkpoints and that
 //! goodbye are `dssp-net`'s [`Lifecycle`] and [`goodbye`], which every serving role
 //! runs; this module keeps the slice's state and protocol.
@@ -49,8 +53,8 @@ use dssp_core::driver::JobConfig;
 use dssp_core::events::{EventKind, Role};
 use dssp_net::wire::{MIGRATE_CONTROL, SHUTDOWN_OK};
 use dssp_net::{
-    goodbye, require_helloed, validate_hello, Lifecycle, Message, NetError, Obs, PullView,
-    ServerTransport,
+    goodbye, reclaim, require_helloed, validate_hello, Arrival, Lifecycle, Message, NetError, Obs,
+    PullView, ServeStep, ServerReplies, ServerTransport,
 };
 use dssp_nn::{Model, Sgd};
 use dssp_ps::{Checkpoint, CheckpointError, LayoutSnapshot, ShardedStore, StoreSnapshot};
@@ -387,6 +391,22 @@ impl ShardServerState {
         (first as u32, view)
     }
 
+    /// The typed, retryable refusal of an epoch-stale or mid-migration request: while
+    /// frozen the assignment is withheld (empty — the client must wait and retry),
+    /// after a commit it carries the new truth so the client re-routes.
+    fn refusal(&self) -> Message {
+        match self.pending_epoch {
+            Some(pending) => Message::EpochRefused {
+                epoch: pending,
+                assignment: Vec::new(),
+            },
+            None => Message::EpochRefused {
+                epoch: self.epoch(),
+                assignment: self.layout.assignment().to_vec(),
+            },
+        }
+    }
+
     /// Counts one served pull, incremental or full.
     fn count_pull(&mut self, delta: bool) {
         if delta {
@@ -443,16 +463,15 @@ pub fn serve_shard(
     goodbye(result, ok, transport, |_| {}).map(|(report, _)| report)
 }
 
-/// The shard server's protocol loop, from its first frame to the coordinator's
+/// The shard server's protocol, from its first frame to the coordinator's
 /// `Shutdown`: returns the run's counters and that `Shutdown`'s reason.
 fn serve_shard_inner(
     job: &JobConfig,
     index: usize,
     transport: &mut dyn ServerTransport,
-    mut life: Lifecycle,
+    life: Lifecycle,
     restored: Option<Checkpoint>,
 ) -> Result<(ShardServeReport, u8), NetError> {
-    let coordinator_rank = job.num_workers;
     if transport.num_workers() != job.num_workers + 1 {
         return Err(NetError::Protocol(format!(
             "shard server transport has {} client slots, need workers + coordinator = {}",
@@ -460,49 +479,89 @@ fn serve_shard_inner(
             job.num_workers + 1
         )));
     }
-    let mut state = match restored {
+    let state = match restored {
         Some(ckpt) => ShardServerState::restore(job, index, &ckpt)?,
         None => ShardServerState::from_job(job, index),
     };
-    let mut helloed = vec![false; job.num_workers + 1];
-    // Per rank, the highest iteration applied since this server started: what a
-    // `SliceApplied` tells the worker its weights hold.
-    let mut applied = vec![0u64; job.num_workers];
     life.obs
         .set_layout(state.epoch(), state.owned_shards() as u64);
+    life.obs.mirror_transport(&transport.transport_stats());
+    let serving = Box::new(ShardServing {
+        state,
+        helloed: vec![false; job.num_workers + 1],
+        applied: vec![0; job.num_workers],
+        servers: job.servers,
+        delta_pulls: job.delta_pulls,
+        life,
+        ended: None,
+    });
+    let (step, outcome) = transport.run_steps(serving);
+    outcome?;
+    reclaim::<ShardServing>(step)?
+        .ended
+        .ok_or_else(|| NetError::Protocol("the shard server's run ended without Shutdown".into()))
+}
 
-    // Builds the typed, retryable refusal for an epoch-stale or mid-migration
-    // request: while frozen the assignment is withheld (empty — the client must wait
-    // and retry), after commit it carries the new truth so the client re-routes.
-    let refusal = |state: &ShardServerState| match state.pending_epoch() {
-        Some(pending) => Message::EpochRefused {
-            epoch: pending,
-            assignment: Vec::new(),
-        },
-        None => Message::EpochRefused {
-            epoch: state.epoch(),
-            assignment: state.layout().assignment().to_vec(),
-        },
-    };
+/// One shard server's run: its slice and what its protocol tracks, the serving step
+/// the transport runs on every arrival.
+struct ShardServing {
+    state: ShardServerState,
+    /// Which clients completed their handshake: the workers, then the coordinator.
+    helloed: Vec<bool>,
+    /// Per rank, the highest iteration applied since this server started: what a
+    /// `SliceApplied` tells the worker its weights hold.
+    applied: Vec<u64>,
+    servers: usize,
+    delta_pulls: bool,
+    life: Lifecycle,
+    /// The counters and the reason of the coordinator's `Shutdown`, once it came.
+    ended: Option<(ShardServeReport, u8)>,
+}
 
-    loop {
-        life.obs.mirror_transport(&transport.transport_stats());
-        let (rank, msg) = match transport.recv() {
-            Ok(pair) => pair,
+impl ServeStep for ShardServing {
+    /// One message (or lost connection) in; the run is complete at the coordinator's
+    /// `Shutdown`.
+    fn step(
+        &mut self,
+        arrival: Arrival,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<bool, NetError> {
+        let coordinator_rank = self.applied.len();
+        match arrival {
+            Ok((rank, msg)) => self.dispatch(rank, msg, replies)?,
             // Finished workers drop their connections while the run continues; only
             // the coordinator's departure is fatal (it always sends Shutdown first).
-            Err(NetError::ClientLost { rank }) if rank != coordinator_rank => continue,
+            Err(NetError::ClientLost { rank }) if rank != coordinator_rank => {}
             Err(NetError::ClientLost { rank }) => {
                 return Err(NetError::Protocol(format!(
                     "coordinator (rank {rank}) vanished without Shutdown"
                 )))
             }
             Err(e) => return Err(e),
-        };
+        }
+        if self.ended.is_some() {
+            return Ok(true);
+        }
+        self.life.obs.mirror_transport(&replies.transport_stats());
+        Ok(false)
+    }
+}
+
+impl ShardServing {
+    /// Answers one client's message.
+    fn dispatch(
+        &mut self,
+        rank: usize,
+        msg: Message,
+        replies: &mut dyn ServerReplies,
+    ) -> Result<(), NetError> {
+        let coordinator_rank = self.applied.len();
+        let index = self.state.index();
+        let (state, life) = (&mut self.state, &mut self.life);
         // The coordinator's `Shutdown` is exempt from the handshake: its fan can
         // reach a server a failed hello never reached.
         if !matches!(msg, Message::GroupHello { .. } | Message::Shutdown { .. }) {
-            require_helloed(&helloed, rank)?;
+            require_helloed(&self.helloed, rank)?;
         }
         let coordinator_only = matches!(
             msg,
@@ -532,11 +591,11 @@ fn serve_shard_inner(
             } => {
                 // Topology first (this server's identity), then the checks every
                 // handshake shares.
-                if servers as usize != job.servers || server_index as usize != index {
+                if servers as usize != self.servers || server_index as usize != index {
                     return Err(NetError::Protocol(format!(
                         "client {rank} expects a {servers}-server group talking to server \
                          {server_index}; this is server {index} of a {}-server group",
-                        job.servers
+                        self.servers
                     )));
                 }
                 validate_hello(
@@ -545,9 +604,9 @@ fn serve_shard_inner(
                     hello_rank,
                     num_workers,
                     config_digest,
-                    job.num_workers,
+                    coordinator_rank,
                     life.digest,
-                    &mut helloed,
+                    &mut self.helloed,
                 )?;
                 life.obs.on_join(rank);
             }
@@ -567,10 +626,8 @@ fn serve_shard_inner(
                     // Frozen mid-migration, or the worker routed by a retired
                     // layout: refuse retryably instead of corrupting the slice. The
                     // refusal comes alone; the worker retries the whole slice.
-                    let reply = refusal(&state);
-                    transport.recycle_f32s(rank, grads);
-                    transport.send(rank, &reply)?;
-                    continue;
+                    replies.recycle_f32s(rank, grads);
+                    return replies.send(rank, &state.refusal());
                 }
                 if grads.len() != state.slice_len() {
                     return Err(NetError::Protocol(format!(
@@ -583,14 +640,15 @@ fn serve_shard_inner(
                 let version = state.apply_slice(&grads);
                 // Max, not assignment: a slice replayed by a restarted worker must not
                 // lower what this server vouches for.
-                applied[rank] = applied[rank].max(iteration);
-                transport.recycle_f32s(rank, grads);
+                self.applied[rank] = self.applied[rank].max(iteration);
+                replies.recycle_f32s(rank, grads);
                 if pull {
                     let (first, view) = state.pull_view(None);
-                    transport.send_shard_reply(rank, Some((version, &applied)), first, &view)?;
-                    state.count_pull(job.delta_pulls);
+                    let ack = Some((version, &self.applied[..]));
+                    replies.send_shard_reply(rank, ack, first, &view)?;
+                    state.count_pull(self.delta_pulls);
                 } else {
-                    transport.send(rank, &Message::SliceAck { version })?;
+                    replies.send(rank, &Message::SliceAck { version })?;
                 }
                 // A shard server has no gate: its pushes counter is also its local
                 // clock, so the version gauge mirrors it.
@@ -598,7 +656,7 @@ fn serve_shard_inner(
                 life.obs.metrics().pushes.store(state.pushes, Relaxed);
                 life.obs.metrics().version.store(state.pushes, Relaxed);
                 if pull {
-                    on_pull(&life.obs, &state, rank, trace);
+                    on_pull(&life.obs, state, rank, trace);
                     life.fault.pull()?;
                 }
                 life.after_push(true, state.pushes, |digest| state.snapshot(digest))?;
@@ -610,10 +668,8 @@ fn serve_shard_inner(
                 trace,
             } => {
                 if state.pending_epoch().is_some() || epoch != state.epoch() {
-                    let reply = refusal(&state);
-                    transport.recycle_u64s(rank, known_versions);
-                    transport.send(rank, &reply)?;
-                    continue;
+                    replies.recycle_u64s(rank, known_versions);
+                    return replies.send(rank, &state.refusal());
                 }
                 if known_versions.len() != state.owned_shards() {
                     return Err(NetError::Protocol(format!(
@@ -624,20 +680,20 @@ fn serve_shard_inner(
                 }
                 let (first, view) = state.pull_view((!all).then_some(&known_versions[..]));
                 let delta = view.delta_applicable();
-                transport.send_shard_reply(rank, None, first, &view)?;
+                replies.send_shard_reply(rank, None, first, &view)?;
                 state.count_pull(delta);
-                transport.recycle_u64s(rank, known_versions);
-                on_pull(&life.obs, &state, rank, trace);
+                replies.recycle_u64s(rank, known_versions);
+                on_pull(&life.obs, state, rank, trace);
                 life.fault.pull()?;
             }
-            // --- Migration protocol (coordinator-only, two-phase) -------------
+            // --- Migration protocol (coordinator-only, two-phase) -----------------
             Message::MigratePrepare { epoch } => {
                 // The chaos hook fires before the ack so a kill here leaves the
                 // coordinator with an unacknowledged prepare — the rollback path.
                 life.fault.migrate_prepare()?;
                 state.freeze(epoch)?;
                 life.obs.event(EventKind::MigrationPrepare, epoch);
-                transport.send(
+                replies.send(
                     rank,
                     &Message::MigrateAck {
                         epoch,
@@ -662,7 +718,7 @@ fn serve_shard_inner(
                     weights: weights.to_vec(),
                     velocity: velocity.to_vec(),
                 };
-                transport.send(rank, &payload)?;
+                replies.send(rank, &payload)?;
                 life.obs
                     .event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
             }
@@ -678,7 +734,7 @@ fn serve_shard_inner(
                 state.stage(epoch, shard, version, weights, velocity)?;
                 life.obs
                     .event_traced(EventKind::ShardTransfer, u64::from(shard), trace);
-                transport.send(rank, &Message::MigrateAck { epoch, shard })?;
+                replies.send(rank, &Message::MigrateAck { epoch, shard })?;
             }
             Message::LayoutUpdate { epoch, assignment } => {
                 // The chaos hook fires before the commit is applied: a kill here
@@ -692,7 +748,7 @@ fn serve_shard_inner(
                 // Force a checkpoint at the commit boundary so a later restore can
                 // never resurrect the pre-migration layout.
                 life.checkpoint(state.pushes, |digest| state.snapshot(digest))?;
-                transport.send(
+                replies.send(
                     rank,
                     &Message::MigrateAck {
                         epoch,
@@ -708,8 +764,8 @@ fn serve_shard_inner(
             // to reap, so an eviction notice is acknowledged by simply ignoring it.
             Message::Evict { .. } => {}
             Message::StatsRequest => {
-                let t = transport.transport_stats();
-                transport.send(
+                let t = replies.transport_stats();
+                replies.send(
                     rank,
                     &Message::StatsReply {
                         pushes: state.pushes,
@@ -722,17 +778,17 @@ fn serve_shard_inner(
                 )?;
             }
             Message::Shutdown { reason } => {
-                // Persist the terminal slice state, then exit; the goodbye passes
-                // `reason` on to any worker still connected (e.g. blocked
+                // Persist the terminal slice state, then end the run; the goodbye
+                // passes `reason` on to any worker still connected (e.g. blocked
                 // mid-fan-out on an abort).
-                let stats = transport.transport_stats();
+                let stats = replies.transport_stats();
                 life.close(state.pushes, |digest| state.snapshot(digest), &stats)?;
                 let report = ShardServeReport {
                     pushes: state.pushes,
                     pulls_full: state.pulls_full,
                     pulls_delta: state.pulls_delta,
                 };
-                return Ok((report, reason));
+                self.ended = Some((report, reason));
             }
             other => {
                 return Err(NetError::Protocol(format!(
@@ -740,6 +796,7 @@ fn serve_shard_inner(
                 )))
             }
         }
+        Ok(())
     }
 }
 

@@ -1,18 +1,25 @@
 //! The fused group round at its two ends: what a real shard server writes for each
-//! kind of push slice, byte for byte against the buffered encoders, and a worker
-//! fan's warm pulling round against two real shard servers, which allocates nothing
-//! on the fan's thread.
+//! kind of push slice, byte for byte against the buffered encoders; a worker fan's
+//! warm pulling round against two real shard servers, which allocates nothing on the
+//! fan's thread; and the order a real group worker's round puts its frames in,
+//! against scripted servers.
 
 use dssp_coord::{
-    connect_links, initial_params, serve_shard, FanOutcome, ShardFan, ShardServerState,
+    connect_links, initial_params, run_group_worker, serve_shard, FanOutcome, GroupLayout,
+    ShardFan, ShardServerState,
 };
 use dssp_core::driver::JobConfig;
-use dssp_net::wire::{self, Message, PROTOCOL_VERSION, SHUTDOWN_OK};
+use dssp_net::wire::{self, Message, ShardUpdate, PROTOCOL_VERSION, SHUTDOWN_OK};
 use dssp_net::{TcpServerTransport, TcpWorkerTransport, WorkerTransport};
 use dssp_ps::PolicyKind;
+use dssp_sim::DataSpec;
 use dssp_testalloc::{thread_allocations_during, CountingAlloc};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -225,4 +232,184 @@ fn a_warm_pulling_round_allocates_nothing_on_the_fan_thread() {
     for server in servers {
         server.join().unwrap();
     }
+}
+
+/// How long scripted shard server 1 holds a pulling slice's shards for a `ClockPush`.
+const HOLD: Duration = Duration::from_secs(2);
+
+/// The next frame on `stream`, decoded; `None` once the peer has hung up.
+fn next_message(stream: &mut TcpStream) -> Option<Message> {
+    let mut payload = Vec::new();
+    wire::FrameBody::begin(stream)
+        .and_then(|body| body.buffer(&mut payload))
+        .ok()?;
+    Some(wire::decode(&payload).unwrap())
+}
+
+/// A scripted shard server `index` of `layout`: it answers the one worker's pulls and
+/// slices with its shards of `params` and counts each slice ack in `acks` before it
+/// writes it. With `hold`, it writes a pulling slice's ack, then holds the shards
+/// until `hold` says the coordinator has read a `ClockPush`, or for [`HOLD`]; it
+/// returns how many holds ran out.
+fn scripted_shard_server(
+    listener: TcpListener,
+    index: usize,
+    layout: GroupLayout,
+    params: Vec<f32>,
+    acks: Arc<AtomicU64>,
+    hold: Option<Receiver<()>>,
+) -> JoinHandle<u32> {
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut scratch = Vec::new();
+        let mut send = |stream: &mut TcpStream, msg: &Message| {
+            wire::write_frame(stream, msg, &mut scratch).unwrap();
+        };
+        let (lo, hi) = layout.shard_span(index);
+        let shards = |version: u64| Message::PullReplyDelta {
+            clock: version,
+            updates: (lo..hi)
+                .map(|s| {
+                    let (start, end) = layout.shard_key_range(s);
+                    ShardUpdate {
+                        shard: s as u32,
+                        version,
+                        weights: params[start..end].to_vec(),
+                    }
+                })
+                .collect(),
+        };
+        let mut ran_out = 0;
+        while let Some(msg) = next_message(&mut stream) {
+            match msg {
+                Message::GroupHello { .. } => {}
+                Message::PullShards { .. } => send(&mut stream, &shards(0)),
+                Message::PushSlice {
+                    iteration,
+                    pull: true,
+                    ..
+                } => {
+                    // Late, so that a `ClockPush` sent before this ack was read
+                    // reaches the coordinator while the ack count is short.
+                    if hold.is_some() {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    acks.fetch_add(1, Ordering::SeqCst);
+                    let applied = vec![iteration];
+                    let ack = Message::SliceApplied {
+                        version: iteration,
+                        applied,
+                    };
+                    send(&mut stream, &ack);
+                    if let Some(hold) = &hold {
+                        if hold.recv_timeout(HOLD).is_err() {
+                            ran_out += 1;
+                        }
+                    }
+                    send(&mut stream, &shards(iteration));
+                }
+                Message::PushSlice { iteration, .. } => {
+                    acks.fetch_add(1, Ordering::SeqCst);
+                    send(&mut stream, &Message::SliceAck { version: iteration });
+                }
+                other => panic!("shard server {index} did not expect {other:?}"),
+            }
+        }
+        ran_out
+    })
+}
+
+/// A real group worker against a scripted coordinator and two scripted shard
+/// servers. Server 1 writes each pulling slice's `SliceApplied`, then holds its
+/// shards until the coordinator has read the worker's `ClockPush`. Every round must
+/// complete without the hold running out, and every `ClockPush` must reach the
+/// coordinator after both servers acked that round's slices.
+#[test]
+fn a_group_worker_announces_its_push_before_the_last_servers_shards() {
+    let mut job = job();
+    job.epochs = 1;
+    let DataSpec::Vector(data) = &mut job.data else {
+        panic!("the small job trains on vectors")
+    };
+    // 80 examples at batch 16: five rounds, four of them pulling.
+    data.train_size = 80;
+    let params = initial_params(&job);
+    let layout = GroupLayout::new(params.len(), job.shards, job.servers);
+    let acks = Arc::new(AtomicU64::new(0));
+    let (announced, heard) = mpsc::channel();
+
+    let coord_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let coord_addr = coord_listener.local_addr().unwrap().to_string();
+    let coordinator = {
+        let acks = Arc::clone(&acks);
+        std::thread::spawn(move || {
+            let (mut stream, _) = coord_listener.accept().unwrap();
+            let mut scratch = Vec::new();
+            let mut announced_pushes = 0;
+            loop {
+                let reply = match next_message(&mut stream).expect("the worker says Done") {
+                    Message::Hello { .. } => continue,
+                    Message::JoinRequest => Message::JoinAck {
+                        clock: 0,
+                        epoch: 0,
+                        assignment: Vec::new(),
+                    },
+                    Message::ClockPush { iteration, .. } => {
+                        assert_eq!(
+                            acks.load(Ordering::SeqCst),
+                            2 * iteration,
+                            "ClockPush {iteration} came before both servers acked it"
+                        );
+                        announced_pushes += 1;
+                        let _ = announced.send(());
+                        Message::GroupGrant {
+                            granted_extra: 0,
+                            version: iteration,
+                            counted: vec![iteration],
+                        }
+                    }
+                    Message::Done { .. } => {
+                        let bye = Message::Shutdown {
+                            reason: SHUTDOWN_OK,
+                        };
+                        wire::write_frame(&mut stream, &bye, &mut scratch).unwrap();
+                        return announced_pushes;
+                    }
+                    other => panic!("the coordinator did not expect {other:?}"),
+                };
+                wire::write_frame(&mut stream, &reply, &mut scratch).unwrap();
+            }
+        })
+    };
+    let mut hold = Some(heard);
+    let (addrs, servers): (Vec<String>, Vec<JoinHandle<u32>>) = (0..job.servers)
+        .map(|index| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let hold = if index == 1 { hold.take() } else { None };
+            let params = params.clone();
+            let server = scripted_shard_server(
+                listener,
+                index,
+                layout.clone(),
+                params,
+                Arc::clone(&acks),
+                hold,
+            );
+            (addr, server)
+        })
+        .unzip();
+
+    let mut coord = TcpWorkerTransport::connect(&coord_addr).unwrap();
+    let links = connect_links(&addrs, Some(Duration::from_secs(10))).unwrap();
+    let report = run_group_worker(&job, 0, &mut coord, links).expect("the worker finishes");
+    assert_eq!(report.iterations, 5);
+    assert!(!report.shutdown_early);
+    assert_eq!(coordinator.join().unwrap(), 5, "one ClockPush per round");
+    let ran_out: Vec<u32> = servers.into_iter().map(|s| s.join().unwrap()).collect();
+    assert_eq!(
+        ran_out,
+        [0, 0],
+        "server 1 held its shards for {HOLD:?} waiting for a ClockPush"
+    );
 }

@@ -4,8 +4,8 @@
 //! compared across the two transports.
 
 use dssp_coord::{
-    connect_links, coordinate, run_group_threads, run_group_worker, serve_shard, ServerLink,
-    ShardServerState,
+    connect_links, coordinate, initial_params, run_group_threads, run_group_worker, serve_shard,
+    ServerLink, ShardServerState,
 };
 use dssp_core::driver::{FaultPlan, JobConfig};
 use dssp_net::transport::{loopback, FrameWriter};
@@ -14,7 +14,9 @@ use dssp_net::{
     Message, NetError, ServerReplies, ServerTransport, TcpServerTransport, TcpWorkerTransport,
     TransportStats, WorkerTransport,
 };
+use dssp_nn::models::ModelSpec;
 use dssp_ps::PolicyKind;
+use dssp_sim::DataSpec;
 use std::time::Duration;
 
 fn group_job(policy: PolicyKind, servers: usize) -> JobConfig {
@@ -505,6 +507,42 @@ fn a_shard_server_abort_ends_every_role_without_a_hang() {
             "{endings:?}"
         );
     }
+}
+
+/// Every group role serves on its connections' reader threads, and a shard server's
+/// step writes its reply while it holds the server's lock. With `group_comm`'s
+/// shape — 76,810 parameters in 8 shards over 2 shard servers — each pulling slice
+/// is answered with ≈ 153 KB, more than a socket's initial buffers hold, so those
+/// writes block until their worker reads. Two free-running workers of 256 rounds
+/// each must still finish, within the chaos matrix's group bound.
+#[test]
+fn reader_thread_steps_finish_a_comm_sized_group_without_a_hang() {
+    let mut job = group_job(PolicyKind::Dssp { s_l: 3, r_max: 12 }, 2);
+    job.shards = 8;
+    job.model = ModelSpec::Mlp {
+        input_dim: 64,
+        hidden: vec![1024],
+        classes: 10,
+    };
+    let DataSpec::Vector(data) = &mut job.data else {
+        panic!("the small job trains on vectors")
+    };
+    // 2048 examples over 2 workers at batch 4: 256 rounds per worker.
+    (data.classes, data.dim, data.train_size, data.test_size) = (10, 64, 2048, 256);
+    job.batch_size = 4;
+    job.eval_every_pushes = u64::MAX;
+    assert_eq!(initial_params(&job).len(), 76_810);
+    let endings = run_every_role(&job, Duration::from_secs(180));
+    let trace = endings.coordinator.expect("the coordinator finishes");
+    for server in &endings.servers {
+        assert!(server.is_ok(), "{server:?}");
+    }
+    for worker in &endings.workers {
+        let report = worker.as_ref().expect("every worker finishes");
+        assert!(!report.shutdown_early, "{report:?}");
+        assert_eq!(report.iterations, 256, "{report:?}");
+    }
+    assert_eq!(trace.total_pushes, 512);
 }
 
 #[test]

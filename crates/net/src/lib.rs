@@ -90,7 +90,7 @@ pub use obs::Obs;
 pub use server::{require_helloed, serve, validate_hello};
 pub use tcp::{TcpServerTransport, TcpWorkerTransport, TransportStats};
 pub use transport::{
-    Arrival, PullOutcome, PullView, ServeStep, ServerReplies, ServerTransport, StepsRun,
+    reclaim, Arrival, PullOutcome, PullView, ServeStep, ServerReplies, ServerTransport, StepsRun,
     WorkerTransport,
 };
 pub use wire::{Message, PullApplied, ShardUpdate, PROTOCOL_VERSION};

@@ -40,13 +40,12 @@
 
 use crate::elastic::{goodbye, Lifecycle};
 use crate::tcp::TransportStats;
-use crate::transport::{Arrival, PullView, ServeStep, ServerReplies, ServerTransport};
+use crate::transport::{reclaim, Arrival, PullView, ServeStep, ServerReplies, ServerTransport};
 use crate::wire::{Message, PROTOCOL_VERSION, SHUTDOWN_OK};
 use crate::NetError;
 use dssp_core::driver::{JobConfig, OkReply, ServerLoop, WorkerEvent};
 use dssp_core::events::{EventKind, Role, NO_TRACE};
 use dssp_sim::{RunTrace, WorkerSummary};
-use std::any::Any;
 use std::time::Instant;
 
 /// Runs a full training job as the server side of the given transport and returns the
@@ -102,9 +101,7 @@ pub fn serve(job: &JobConfig, transport: &mut dyn ServerTransport) -> Result<Run
         if !serving.settle(&mut *transport)? {
             let (step, outcome) = transport.run_steps(serving);
             outcome?;
-            serving = (step as Box<dyn Any>)
-                .downcast()
-                .map_err(|_| NetError::Protocol("the transport swapped the serving step".into()))?;
+            serving = reclaim(step)?;
         }
         serving.finish(transport.transport_stats())
     });

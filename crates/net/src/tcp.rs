@@ -5,18 +5,43 @@
 //! `num_workers` connections; each connection gets a reader thread that blocks on the
 //! next frame and delivers it decoded, attributed with the rank announced in the
 //! connection's leading `Hello`. While a serving loop runs
-//! ([`ServerTransport::run_steps`], what `serve` does), the reader that holds the
-//! frame runs the loop's step itself: it takes the one lock, applies the message, and
-//! writes the replies — to its own peer or, for a released `OK`, to another — so a
-//! message costs one wake-up, not a hand-off to a second thread. Steps run one at a
-//! time, each to its end, so the parameter server still sees one message at a time.
-//! Frames that arrive while no step is installed (workers that connect and say Hello
-//! before the server starts serving) wait in one inbox under the same lock, in
-//! arrival order; `run_steps` serves them first, and [`ServerTransport::recv`] — the
-//! loops that receive on their own thread: the group coordinator and the shard
-//! servers — reads from it. A step's writes hold the lock, which is safe while every
-//! peer has at most one operation in flight and reads its replies before it writes
-//! again, as a single server's workers do.
+//! ([`ServerTransport::run_steps`]: the single server, the group coordinator and every
+//! shard server), the reader that holds the frame runs the loop's step itself: it
+//! takes the one lock, applies the message, and writes the replies — to its own peer
+//! or, for a released `OK` or grant, to another — so a message costs one wake-up, not
+//! a hand-off to a second thread. Steps run one at a time, each to its end, so a
+//! serving loop still sees one message at a time. Frames that arrive while no step is
+//! installed (peers that connect and say Hello before the role starts serving) wait in
+//! one inbox under the same lock, in arrival order; `run_steps` serves them first.
+//! [`ServerTransport::recv`] reads from that inbox for the loops that receive on their
+//! own thread, which are only the round-cost ledger's stub servers now.
+//!
+//! **Why a step may write while it holds the lock.** A write blocks until its peer
+//! reads, and a reader waiting for the lock is not reading its own socket. So a step's
+//! write is safe while every peer it waits on keeps reading. Four facts see to that:
+//!
+//! 1. A reader consumes a whole frame before it takes the lock. A peer writes a frame
+//!    larger than the socket buffers (a worker's slice, a relayed migration shard)
+//!    only once it has read the answer to its previous frame on that connection — except
+//!    behind the connection's leading `Hello`, which nothing answers: a worker that
+//!    re-dials a restarted shard server sends its slice right behind it. That `Hello` is
+//!    delivered from a second thread while the reader reads on. So no peer's write
+//!    waits on a reader that waits for the lock.
+//! 2. The coordinator's steps write small frames (grants, acks, layouts) that the
+//!    socket buffers hold, and every frame sent to it is small. A shard server's step
+//!    writes only to the peer whose frame it serves; its pulling-slice reply (≈ 153 KB
+//!    on the ledger's `group_comm`) is larger than the initial socket buffers.
+//! 3. A group worker reads its shard links in one fixed order, reads each reply whole
+//!    before it writes to that link again, and waits on the coordinator only once it
+//!    has read every link's reply. A shard server's step that waits for a worker
+//!    therefore waits for one that is reading an earlier link, whose server's step in
+//!    turn waits for a worker reading a still earlier one: the chain ends at a worker
+//!    that is reading.
+//! 4. The coordinator's steps that talk to the shard servers read the links in the
+//!    same order, and its migrations run only at quiescence, when no worker has a
+//!    request in flight.
+//!
+//! `dssp-coord`'s `group_e2e.rs` runs a group with replies of that size to the end.
 //!
 //! Every message operation is the traits' provided one (`crate::transport`); this
 //! module supplies the primitives over the socket — the frame writer is the stream
@@ -455,14 +480,33 @@ fn reader_loop(stream: TcpStream, source: Source) {
     // Registered before the Hello is delivered, so whoever serves the rank's first
     // message can already answer it.
     lock(&shared.writers).streams[rank] = Some(write_half);
-    shared.deliver(Ok((rank, hello)), wire_len);
     let pool = &shared.pools[rank];
+    // Nothing answers a Hello, so its peer may write a bulk frame right behind it: that
+    // frame is read here while a second thread waits for the lock with the Hello (the
+    // module docs give the argument this keeps whole). Without a thread to spare, the
+    // Hello is delivered here first.
+    let hello = Mutex::new(Some(hello));
+    let deliver_hello = || {
+        if let Some(hello) = lock(&hello).take() {
+            shared.deliver(Ok((rank, hello)), wire_len);
+        }
+    };
+    let mut next = thread::scope(|scope| {
+        if thread::Builder::new()
+            .spawn_scoped(scope, deliver_hello)
+            .is_err()
+        {
+            deliver_hello();
+        }
+        read_message(&mut reader, &mut payload, Some(pool))
+    });
     loop {
-        match read_message(&mut reader, &mut payload, Some(pool)) {
+        match next {
             Ok((msg, wire_len)) => shared.deliver(Ok((rank, msg)), wire_len),
             // EOF after shutdown is the normal end of a connection.
             Err(e) => return shared.deliver(Err(connection_failed(rank, e)), 0),
         }
+        next = read_message(&mut reader, &mut payload, Some(pool));
     }
 }
 

@@ -15,9 +15,11 @@
 //! one frame reader ([`WorkerTransport::recv_frame`]): a [`FrameBody`] over a [`Read`]
 //! — the socket's buffered reader, or the bytes received so far. A server end receives
 //! decoded messages its own way, and both ends run the same frame-to-message reader to
-//! do it. A serving loop either receives them ([`ServerTransport::recv`]) or hands the
-//! transport a [`ServeStep`] to run on each ([`ServerTransport::run_steps`]): loopback
-//! runs it on the calling thread, TCP on the connection thread that read the frame.
+//! do it. A serving loop hands the transport a [`ServeStep`] to run on each
+//! ([`ServerTransport::run_steps`]), as every serving role does: loopback runs it on
+//! the calling thread, TCP on the connection thread that read the frame. Or it
+//! receives them itself ([`ServerTransport::recv`]), as the round-cost ledger's stub
+//! servers do.
 //!
 //! Every message operation — `send`, `recv`, the borrowed-slice pushes, the pulls
 //! applied into caller-owned weight and version caches, the replies written from a
@@ -303,6 +305,14 @@ pub trait ServerTransport: ServerReplies + Send {
 /// What [`ServerTransport::run_steps`] returns: the step it was handed, and whether
 /// the run completed or how it failed.
 pub type StepsRun = (Box<dyn ServeStep>, Result<(), NetError>);
+
+/// Takes back the step [`ServerTransport::run_steps`] returned as the type it was
+/// handed in as: what a serving loop reads its run's state from.
+pub fn reclaim<S: ServeStep>(step: Box<dyn ServeStep>) -> Result<Box<S>, NetError> {
+    (step as Box<dyn Any>)
+        .downcast()
+        .map_err(|_| NetError::Protocol("the transport swapped the serving step".into()))
+}
 
 /// Worker side of a transport: a bidirectional frame pipe to the server.
 pub trait WorkerTransport: Send {
