@@ -17,7 +17,7 @@
 //! its events, trace ids and fault points are not repeated here.
 //!
 //! **A round is two exchanges.** The push round asks every server for its shards
-//! ([`ShardFan::push_and_pull_announcing`]): each answers its slice with a
+//! ([`ShardFan::push_and_pull`]): each answers its slice with a
 //! `SliceApplied` — per rank, the highest iteration it has applied — and all its shards
 //! in the same write, and the worker reads both from every link, in link order, into
 //! its weight and version buffers. It sends `ClockPush` (`PushApplied` in deterministic
@@ -285,24 +285,14 @@ impl ShardFan {
     /// of the round it answers. [`ShardFan::keeps_weights`] then says whether those
     /// weights hold the pushes a grant counted. A round that re-dialed a link leaves
     /// nothing to keep: the next pull asks for every shard.
+    ///
+    /// `announce` is called as soon as every server's [`Message::SliceApplied`] is in:
+    /// once the links before the last one were read whole, and before the last link's
+    /// shards are read. So whatever `announce` sends travels while those shards are
+    /// still coming in. It is called at most once per round, and never on a refusal, a
+    /// commit or a relayed shutdown; a link lost behind its ack is re-dialed as in any
+    /// round.
     pub fn push_and_pull(
-        &mut self,
-        iteration: u64,
-        trace: u64,
-        grads: &[f32],
-        weights: &mut Vec<f32>,
-        versions: &mut Vec<u64>,
-    ) -> Result<FanOutcome, NetError> {
-        self.push_and_pull_announcing(iteration, trace, grads, weights, versions, &mut || {})
-    }
-
-    /// [`ShardFan::push_and_pull`] that calls `announce` as soon as every server's
-    /// [`Message::SliceApplied`] is in: once the links before the last one were read
-    /// whole, and before the last link's shards are read. So whatever `announce`
-    /// sends travels while those shards are still coming in. It is called at most
-    /// once per round, and never on a refusal, a commit or a relayed shutdown; a link
-    /// lost behind its ack is re-dialed as in any round.
-    pub fn push_and_pull_announcing(
         &mut self,
         iteration: u64,
         trace: u64,
@@ -325,7 +315,7 @@ impl ShardFan {
     }
 
     /// The push round behind [`ShardFan::push_slices`] and
-    /// [`ShardFan::push_and_pull_announcing`]: one attempt, and one more after a
+    /// [`ShardFan::push_and_pull`]: one attempt, and one more after a
     /// re-adoption. One re-adoption per round is the legitimate race (a commit landed
     /// between our last layout update and this push); a second means the group is
     /// committing migrations faster than we can push, which is a protocol anomaly.
@@ -949,14 +939,10 @@ impl WorkerLink for GroupLink<'_> {
             return Ok(self.coord.send(&applied)?);
         };
         let mut sent = None;
-        let fanned = self.fan.push_and_pull_announcing(
-            iteration,
-            trace,
-            grads,
-            weights,
-            versions,
-            &mut || sent = Some(self.coord.send(&applied)),
-        );
+        let mut announce = || sent = Some(self.coord.send(&applied));
+        let fanned =
+            self.fan
+                .push_and_pull(iteration, trace, grads, weights, versions, &mut announce);
         Self::fanned(fanned?)?;
         Ok(sent.unwrap_or_else(|| self.coord.send(&applied))?)
     }

@@ -245,7 +245,7 @@ fn run(
 ) -> Result<FanOutcome, NetError> {
     let grads = vec![0.25f32; PARAMS];
     match kind {
-        Kind::PushAndPull => fan.push_and_pull(iteration, 9, &grads, weights, versions),
+        Kind::PushAndPull => fan.push_and_pull(iteration, 9, &grads, weights, versions, &mut || {}),
         Kind::PushSlices => fan.push_slices(iteration, 9, &grads),
         Kind::PullGroup => fan.pull_group(true, 9, weights, versions),
     }

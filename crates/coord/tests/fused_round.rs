@@ -207,7 +207,14 @@ fn a_warm_pulling_round_allocates_nothing_on_the_fan_thread() {
         .unwrap();
     let mut round = |iteration: u64| {
         let outcome = fan
-            .push_and_pull(iteration, 0, &grads, &mut weights, &mut versions)
+            .push_and_pull(
+                iteration,
+                0,
+                &grads,
+                &mut weights,
+                &mut versions,
+                &mut || {},
+            )
             .unwrap();
         assert_eq!(outcome, FanOutcome::Applied);
         // The lone worker's own push is in what came back, and nothing later is.
