@@ -12,16 +12,13 @@
 //! tags and oversized frames are all rejected rather than guessed at. `f32`/`f64`
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
-//! on. On little-endian hosts a bulk `f32`/`u32`/`u64` run's in-memory bytes *are* its
-//! wire bytes, so a run is encoded with one memcpy (the table's encoders) or, on the
-//! transports' path, not copied at all: the streaming writers
-//! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`],
-//! [`write_pull_reply_delta_frame`], [`write_slice_applied_frames`]) hand the
-//! writer a small stack header plus the run's own bytes in one vectored write, and
-//! the streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
-//! the run straight into the buffer it is for. Every encoder and writer takes a run's
-//! bytes from one view, which a big-endian host fills with a converted copy instead;
-//! there [`FrameBody`] converts an `f32` run element by element as it reads it.
+//! on. The table's codec writes and reads through [`dssp_ps::codec`], the strict
+//! byte codec a checkpoint is written and read through too, with `u32` run counts.
+//! The transports' path copies no bulk run: the streaming writers
+//! ([`write_push_frame`] and the other `write_*_frame` writers) hand the writer a
+//! small stack header plus the run's own bytes in one vectored write, and the
+//! streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
+//! the run straight into the buffer it is for (a big-endian host converts instead).
 //!
 //! # The message table
 //!
@@ -122,6 +119,7 @@
 //! with [`Message::PullDone`] before the coordinator dispatches the next mutating
 //! event.
 
+use dssp_ps::codec::{put_run, CodecError, LeScalar, Reader, RunLen as _};
 use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -232,11 +230,11 @@ macro_rules! messages {
         /// Deserializes one payload produced by [`encode`]. Strict: rejects unknown
         /// tags, a hello without [`HELLO_MAGIC`], truncation and trailing bytes.
         pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-            let mut r = Reader::new(payload);
-            let msg = match r.u8()? {
+            let mut r = Reader::<u32>::new(payload);
+            let msg = match r.get::<u8>()? {
                 $( $tag_name => {
                     $(
-                        let magic = r.u32()?;
+                        let magic = r.get()?;
                         if magic != $magic {
                             return Err(WireError::BadMagic(magic));
                         }
@@ -697,6 +695,17 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    #[inline]
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => WireError::Truncated,
+            CodecError::Trailing { extra } => WireError::TrailingBytes { extra },
+            CodecError::Oversized { declared } => WireError::BadLength { declared },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Field types
 // ---------------------------------------------------------------------------
@@ -711,34 +720,24 @@ trait Field {
     /// Appends the value's wire bytes.
     fn put(&self, buf: &mut Vec<u8>);
     /// Reads one value, refusing what [`put`](Field::put) never writes.
-    fn get(r: &mut Reader<'_>) -> Result<Self::Owned, WireError>;
+    fn get(r: &mut Reader<'_, u32>) -> Result<Self::Owned, WireError>;
 }
 
+/// A scalar is its little-endian bytes; an `f64`, its bit pattern's.
 macro_rules! scalar_field {
     ($($t:ty),*) => {$(
         impl Field for $t {
             type Owned = $t;
             fn put(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
+                self.put_le(buf);
             }
-            fn get(r: &mut Reader<'_>) -> Result<$t, WireError> {
-                Ok(<$t>::from_le_bytes(r.array()?))
+            fn get(r: &mut Reader<'_, u32>) -> Result<$t, WireError> {
+                Ok(r.get()?)
             }
         }
     )*};
 }
-scalar_field!(u8, u16, u32, u64);
-
-/// An `f64` travels as its bit pattern.
-impl Field for f64 {
-    type Owned = f64;
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.to_bits().put(buf);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<f64, WireError> {
-        r.u64().map(f64::from_bits)
-    }
-}
+scalar_field!(u8, u16, u32, u64, f64);
 
 /// A `bool` is one byte, 0 or 1; any other byte is [`WireError::UnknownTag`].
 impl Field for bool {
@@ -746,12 +745,8 @@ impl Field for bool {
     fn put(&self, buf: &mut Vec<u8>) {
         buf.push(u8::from(*self));
     }
-    fn get(r: &mut Reader<'_>) -> Result<bool, WireError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::UnknownTag(other)),
-        }
+    fn get(r: &mut Reader<'_, u32>) -> Result<bool, WireError> {
+        r.flag(WireError::UnknownTag)
     }
 }
 
@@ -759,10 +754,10 @@ impl Field for bool {
 impl<T: LeScalar> Field for [T] {
     type Owned = Vec<T>;
     fn put(&self, buf: &mut Vec<u8>) {
-        put_run(buf, self);
+        put_run::<u32, T>(buf, self);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
-        r.run()
+    fn get(r: &mut Reader<'_, u32>) -> Result<Vec<T>, WireError> {
+        Ok(r.run()?)
     }
 }
 
@@ -770,11 +765,10 @@ impl<T: LeScalar> Field for [T] {
 impl Field for str {
     type Owned = String;
     fn put(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&len_prefix(self.len()));
-        buf.extend_from_slice(self.as_bytes());
+        put_run::<u32, u8>(buf, self.as_bytes());
     }
-    fn get(r: &mut Reader<'_>) -> Result<String, WireError> {
-        let len = r.u32()? as usize;
+    fn get(r: &mut Reader<'_, u32>) -> Result<String, WireError> {
+        let len = r.get::<u32>()? as usize;
         Ok(String::from_utf8_lossy(r.take(len)?).into_owned())
     }
 }
@@ -790,75 +784,41 @@ impl Field for [ShardUpdate] {
                 .map(|u| (u.shard, u.version, u.weights.as_slice())),
         );
     }
-    fn get(r: &mut Reader<'_>) -> Result<Vec<ShardUpdate>, WireError> {
+    fn get(r: &mut Reader<'_, u32>) -> Result<Vec<ShardUpdate>, WireError> {
         // An update is at least its 16 header bytes, which bounds the count.
-        let count = r.run_len(16)?;
-        (0..count)
-            .map(|_| {
-                Ok(ShardUpdate {
-                    shard: u32::get(r)?,
-                    version: u64::get(r)?,
-                    weights: <[f32] as Field>::get(r)?,
-                })
+        r.run_with(16, |r| {
+            Ok(ShardUpdate {
+                shard: r.get()?,
+                version: r.get()?,
+                weights: r.run()?,
             })
-            .collect()
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Bulk little-endian conversions.
-//
-// On little-endian hosts an `f32`/`u32`/`u64` run's in-memory bytes *are* its wire
-// bytes, so a run is encoded, written to a socket or read from one through a plain
-// byte view of the slice. The two views below are the only `unsafe` in this crate;
-// on big-endian hosts `le_bytes` converts instead, and `FrameBody` reads an `f32`
-// run element by element. Every decode keeps the strict truncation semantics: the
-// byte count is validated before a single element is converted.
+// Zero-copy views: on little-endian hosts a run's in-memory bytes *are* its wire
+// bytes, so the streaming writers and `FrameBody` move a run through a plain byte
+// view of its slice. The two views below are the only `unsafe` in this crate; on
+// big-endian hosts `le_bytes` converts instead, and `FrameBody` reads an `f32` run
+// element by element.
 // ---------------------------------------------------------------------------
-
-/// The element types of bulk runs. Each is plain data — no padding bytes, every bit
-/// pattern a valid value — which is what [`le_bytes`] and [`le_bytes_mut`] rely on.
-/// The trait is private, so the three impls below are the only ones there can be.
-trait LeScalar: Copy {
-    /// Appends the value's little-endian bytes (the big-endian [`le_bytes`]).
-    #[cfg(not(target_endian = "little"))]
-    fn put_le(self, buf: &mut Vec<u8>);
-    /// Appends the values whose little-endian bytes are `bytes` (a whole number of
-    /// elements).
-    fn extend_from_le(out: &mut Vec<Self>, bytes: &[u8]);
-}
-
-macro_rules! le_scalar {
-    ($($t:ty),*) => {$(
-        impl LeScalar for $t {
-            #[cfg(not(target_endian = "little"))]
-            fn put_le(self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
-            }
-            fn extend_from_le(out: &mut Vec<Self>, bytes: &[u8]) {
-                let (elems, _) = bytes.as_chunks::<{ std::mem::size_of::<$t>() }>();
-                out.extend(elems.iter().map(|e| <$t>::from_le_bytes(*e)));
-            }
-        }
-    )*};
-}
-le_scalar!(f32, u32, u64);
 
 /// The wire bytes of a bulk run: on little-endian hosts its own bytes, viewed in
 /// place; on big-endian hosts a converted copy.
 fn le_bytes<T: LeScalar>(values: &[T]) -> Cow<'_, [u8]> {
-    // SAFETY: `T` is `f32`, `u32` or `u64` (the only `LeScalar`s): it has no padding,
-    // so all `size_of_val(values)` bytes are initialized; `u8` has alignment 1; and
-    // the view borrows `values`, so it can neither outlive the run nor overlap a
-    // mutable use of it.
+    // SAFETY: `T` is one of `dssp_ps::codec`'s sealed `LeScalar`s (`u8`, `u16`, `u32`,
+    // `u64`, `f32`, `f64`): it has no padding, so all `size_of_val(values)` bytes are
+    // initialized; `u8` has alignment 1; and the view borrows `values`, so it can
+    // neither outlive the run nor overlap a mutable use of it.
     #[cfg(target_endian = "little")]
     return Cow::Borrowed(unsafe {
         std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
     });
     #[cfg(not(target_endian = "little"))]
     {
-        let mut bytes = Vec::with_capacity(std::mem::size_of_val(values));
-        values.iter().for_each(|v| v.put_le(&mut bytes));
+        let mut bytes = Vec::new();
+        T::put_all(values, &mut bytes);
         Cow::Owned(bytes)
     }
 }
@@ -919,28 +879,15 @@ fn put_updates<'a>(buf: &mut Vec<u8>, updates: impl Iterator<Item = (u32, u64, &
     for (shard, version, weights) in updates {
         shard.put(buf);
         version.put(buf);
-        put_run(buf, weights);
+        put_run::<u32, f32>(buf, weights);
         count += 1;
     }
     buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
-/// The `u32` length that prefixes every frame (payload bytes) and every embedded run
-/// (elements).
-fn len_prefix(len: usize) -> [u8; 4] {
-    u32::try_from(len)
-        .expect("length fits in u32")
-        .to_le_bytes()
-}
-
-/// Appends a length-prefixed run.
-fn put_run<T: LeScalar>(buf: &mut Vec<u8>, values: &[T]) {
-    buf.extend_from_slice(&len_prefix(values.len()));
-    buf.extend_from_slice(&le_bytes(values));
-}
-
 // ---------------------------------------------------------------------------
-// Decoding
+// Decoding. The table's `decode` and `decode_with_run` read through
+// `dssp_ps::codec::Reader`; the bulk decoders are `FrameBody` over a payload.
 // ---------------------------------------------------------------------------
 
 /// Decodes a [`Message::Push`] payload into a caller-owned gradient buffer
@@ -975,48 +922,31 @@ fn read_payload<T>(
 /// back holding an empty one. Same strictness as [`decode`]; no other kind writes to
 /// `run`.
 pub fn decode_with_run(payload: &[u8], run: &mut Vec<u64>) -> Result<Message, WireError> {
-    let mut r = Reader::new(payload);
-    let msg = match r.u8()? {
-        TAG_PULL_DELTA => {
-            let trace = r.u64()?;
-            r.u64s_into(run)?;
-            Message::PullDelta {
-                trace,
-                known_versions: Vec::new(),
-            }
-        }
-        TAG_PULL_SHARDS => {
-            let all = bool::get(&mut r)?;
-            let epoch = r.u64()?;
-            let trace = r.u64()?;
-            r.u64s_into(run)?;
-            Message::PullShards {
-                known_versions: Vec::new(),
-                all,
-                epoch,
-                trace,
-            }
-        }
-        TAG_SLICE_APPLIED => {
-            let version = r.u64()?;
-            r.u64s_into(run)?;
-            Message::SliceApplied {
-                version,
-                applied: Vec::new(),
-            }
-        }
-        TAG_GROUP_GRANT => {
-            let granted_extra = r.u64()?;
-            let version = r.u64()?;
-            r.u64s_into(run)?;
-            Message::GroupGrant {
-                granted_extra,
-                version,
-                counted: Vec::new(),
-            }
-        }
+    let mut r = Reader::<u32>::new(payload);
+    // Each kind's fields before its run, in wire order (a literal's order).
+    let msg = match r.get::<u8>()? {
+        TAG_PULL_DELTA => Message::PullDelta {
+            trace: r.get()?,
+            known_versions: Vec::new(),
+        },
+        TAG_PULL_SHARDS => Message::PullShards {
+            all: bool::get(&mut r)?,
+            epoch: r.get()?,
+            trace: r.get()?,
+            known_versions: Vec::new(),
+        },
+        TAG_SLICE_APPLIED => Message::SliceApplied {
+            version: r.get()?,
+            applied: Vec::new(),
+        },
+        TAG_GROUP_GRANT => Message::GroupGrant {
+            granted_extra: r.get()?,
+            version: r.get()?,
+            counted: Vec::new(),
+        },
         _ => return decode(payload),
     };
+    r.run_into(run)?;
     r.finish()?;
     Ok(msg)
 }
@@ -1110,7 +1040,7 @@ fn frame_prefix(payload_len: usize) -> io::Result<[u8; 4]> {
         let oversized = WireError::Oversized { len: payload_len };
         return Err(io::Error::new(io::ErrorKind::InvalidInput, oversized));
     }
-    Ok(len_prefix(payload_len))
+    Ok(u32::from_len(payload_len).to_le_bytes())
 }
 
 /// Concatenates the fixed-size leading fields of a frame — length prefix, tag,
@@ -1142,7 +1072,7 @@ pub fn write_push_frame<W: Write + ?Sized>(
         &[TAG_PUSH],
         &iteration.to_le_bytes(),
         &trace.to_le_bytes(),
-        &len_prefix(grads.len()),
+        &u32::from_len(grads.len()).to_le_bytes(),
     ]);
     write_gathered(
         w,
@@ -1170,7 +1100,7 @@ pub fn write_push_slice_frame<W: Write + ?Sized>(
         &epoch.to_le_bytes(),
         &trace.to_le_bytes(),
         &[u8::from(pull)],
-        &len_prefix(grads.len()),
+        &u32::from_len(grads.len()).to_le_bytes(),
     ]);
     write_gathered(
         w,
@@ -1193,9 +1123,9 @@ pub fn write_pull_reply_frame<W: Write + ?Sized>(
         &frame_prefix(payload_len)?,
         &[TAG_PULL_REPLY],
         &clock.to_le_bytes(),
-        &len_prefix(shard_versions.len()),
+        &u32::from_len(shard_versions.len()).to_le_bytes(),
     ]);
-    let weight_count = len_prefix(weights.len());
+    let weight_count = u32::from_len(weights.len()).to_le_bytes();
     write_gathered(
         w,
         &mut [
@@ -1249,7 +1179,7 @@ pub fn write_slice_applied_frames<'a, W: Write + ?Sized>(
         &frame_prefix(ack_len)?,
         &[TAG_SLICE_APPLIED],
         &version.to_le_bytes(),
-        &len_prefix(applied.len()),
+        &u32::from_len(applied.len()).to_le_bytes(),
     ]);
     let written = write_delta_frame_after(w, [&ack_head, &le_bytes(applied)], clock, updates)?;
     Ok(ack_len + 4 + written)
@@ -1273,7 +1203,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
         &frame_prefix(payload_len)?,
         &[TAG_PULL_REPLY_DELTA],
         &clock.to_le_bytes(),
-        &len_prefix(count),
+        &u32::from_len(count).to_le_bytes(),
     ]);
     let mut updates = updates;
     // At least one write, so an empty delta still sends its frame header.
@@ -1285,7 +1215,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
             heads[gathered] = header(&[
                 &shard.to_le_bytes(),
                 &version.to_le_bytes(),
-                &len_prefix(weights.len()),
+                &u32::from_len(weights.len()).to_le_bytes(),
             ]);
             runs[gathered] = le_bytes(weights);
             gathered += 1;
@@ -1550,88 +1480,6 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
             Ok(())
         } else {
             Err(WireError::TrailingBytes { extra: self.left })
-        }
-    }
-}
-
-/// Bounds-checked little-endian payload reader.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let bytes = *self.bytes[self.pos..]
-            .first_chunk()
-            .ok_or(WireError::Truncated)?;
-        self.pos += N;
-        Ok(bytes)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Reads a run's element count and validates it against the bytes left, at
-    /// `elem_bytes` per element at least, so an absurd count is rejected before
-    /// anything is sized from it.
-    fn run_len(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let declared = self.u32()? as usize;
-        if declared.saturating_mul(elem_bytes) > self.bytes.len() - self.pos {
-            return Err(WireError::BadLength { declared });
-        }
-        Ok(declared)
-    }
-
-    /// A length-prefixed run, converted element by element.
-    fn run<T: LeScalar>(&mut self) -> Result<Vec<T>, WireError> {
-        let size = std::mem::size_of::<T>();
-        let declared = self.run_len(size)?;
-        let mut out = Vec::with_capacity(declared);
-        T::extend_from_le(&mut out, self.take(declared * size)?);
-        Ok(out)
-    }
-
-    /// Overwrites `out` with a length-prefixed u64 run (version vectors: a handful of
-    /// elements, converted one by one).
-    fn u64s_into(&mut self, out: &mut Vec<u64>) -> Result<(), WireError> {
-        let declared = self.run_len(8)?;
-        let bytes = self.take(declared * 8)?;
-        out.clear();
-        u64::extend_from_le(out, bytes);
-        Ok(())
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes {
-                extra: self.bytes.len() - self.pos,
-            })
         }
     }
 }
@@ -1901,7 +1749,7 @@ mod tests {
         // Back through the one bulk reader, into a buffer of another length.
         let mut push = vec![TAG_PUSH];
         push.extend_from_slice(&[0; 16]); // iteration, trace
-        put_run(&mut push, &values);
+        put_run::<u32, f32>(&mut push, &values);
         let mut decoded = vec![1.0f32; 3];
         assert_eq!(decode_push_into(&push, &mut decoded), Ok((0, 0)));
         assert_eq!(
@@ -1911,23 +1759,23 @@ mod tests {
 
         let u64s: Vec<u64> = (0..129).map(|i| u64::MAX / 3 + i * 0x1_0001).collect();
         let mut bulk = Vec::new();
-        put_run(&mut bulk, &u64s);
+        put_run::<u32, u64>(&mut bulk, &u64s);
         let mut reference = (u64s.len() as u32).to_le_bytes().to_vec();
         for v in &u64s {
             reference.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(bulk, reference);
-        assert_eq!(Reader::new(&bulk).run::<u64>(), Ok(u64s));
+        assert_eq!(Reader::<u32>::new(&bulk).run::<u64>(), Ok(u64s));
 
         let u32s: Vec<u32> = (0..67).map(|i| u32::MAX / 7 + i * 0x101).collect();
         let mut bulk = Vec::new();
-        put_run(&mut bulk, &u32s);
+        put_run::<u32, u32>(&mut bulk, &u32s);
         let mut reference = (u32s.len() as u32).to_le_bytes().to_vec();
         for v in &u32s {
             reference.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(bulk, reference);
-        assert_eq!(Reader::new(&bulk).run::<u32>(), Ok(u32s));
+        assert_eq!(Reader::<u32>::new(&bulk).run::<u32>(), Ok(u32s));
     }
 
     #[test]

@@ -6,21 +6,22 @@
 //! weights with their per-shard versions, the SGD momentum that makes the next step
 //! depend on history, and the gate (clock array `t`, interval table `A`, DSSP credit
 //! balances, statistics). [`Checkpoint`] captures all three in one length-prefixed
-//! binary format with the same strictness discipline as the wire protocol: decoding
-//! rejects truncation, trailing bytes, absurd declared lengths, unknown format
-//! versions, and checkpoints taken under a different job configuration (via the job
-//! digest).
+//! binary format, written and read through the byte codec the wire protocol shares
+//! ([`crate::codec`], with `u64` run counts): decoding rejects truncation, trailing
+//! bytes and absurd declared lengths, and here also unknown format versions and
+//! checkpoints taken under a different job configuration (via the job digest).
 //!
 //! Files are written atomically — encode to `<name>.tmp` in the same directory, then
 //! `rename` over the final name — so a crash mid-write leaves either the previous
 //! complete checkpoint or a stray `.tmp`, never a torn file. A decoder therefore never
 //! needs to "repair" anything: a checkpoint file that exists and decodes is complete.
 
+use crate::codec::{put_opt, put_run, put_run_with, CodecError, LeScalar as _, Reader};
 use crate::gate::GateSnapshot;
 use crate::server::ServerStats;
 use crate::sharded::ShardedStore;
 use dssp_nn::{Sgd, SgdConfig};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// First bytes of every checkpoint file.
@@ -224,215 +225,58 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Strict little-endian reader over a checkpoint payload, mirroring the wire
-/// protocol's decoder discipline: every read is bounds-checked, vector lengths are
-/// validated against the remaining payload *before* allocating, and `finish` rejects
-/// trailing bytes.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated);
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => CheckpointError::Truncated,
+            CodecError::Trailing { .. } => CheckpointError::TrailingBytes,
+            CodecError::Oversized { .. } => CheckpointError::BadLength,
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Corrupt(what)),
-        }
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
-        let bytes = *self.buf[self.pos..]
-            .first_chunk()
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos += N;
-        Ok(bytes)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a declared element count and validates that `count * elem_size` bytes are
-    /// actually present before any allocation happens.
-    fn len(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
-        let count = self.u64()?;
-        let count = usize::try_from(count).map_err(|_| CheckpointError::BadLength)?;
-        let bytes = count
-            .checked_mul(elem_size)
-            .ok_or(CheckpointError::BadLength)?;
-        if bytes > self.remaining() {
-            return Err(CheckpointError::BadLength);
-        }
-        Ok(count)
-    }
-
-    /// A length-prefixed vector of `N`-byte little-endian elements, each decoded by
-    /// `from_le` (`f32::from_le_bytes`, `u64::from_le_bytes`, ...).
-    fn vec<const N: usize, T>(
-        &mut self,
-        from_le: fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, CheckpointError> {
-        let count = self.len(N)?;
-        let (elems, _) = self.take(count * N)?.as_chunks();
-        Ok(elems.iter().map(|e| from_le(*e)).collect())
-    }
-
-    fn bools(&mut self, what: &'static str) -> Result<Vec<bool>, CheckpointError> {
-        let count = self.len(1)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.bool(what)?);
-        }
-        Ok(out)
-    }
-
-    /// A vector of optional timestamps: each entry is a presence byte followed by the
-    /// `f64` bits when present.
-    fn opt_f64s(&mut self, what: &'static str) -> Result<Vec<Option<f64>>, CheckpointError> {
-        let count = self.len(1)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(if self.bool(what)? {
-                Some(self.f64()?)
-            } else {
-                None
-            });
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.remaining() != 0 {
-            return Err(CheckpointError::TrailingBytes);
-        }
-        Ok(())
     }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u32s(out: &mut Vec<u8>, v: &[u32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_bools(out: &mut Vec<u8>, v: &[bool]) {
-    put_u64(out, v.len() as u64);
-    out.extend(v.iter().map(|&b| b as u8));
-}
-
-fn put_opt_f64s(out: &mut Vec<u8>, v: &[Option<f64>]) {
-    put_u64(out, v.len() as u64);
-    for x in v {
-        match x {
-            Some(t) => {
-                out.push(1);
-                put_u64(out, t.to_bits());
-            }
-            None => out.push(0),
-        }
-    }
+/// What a flag byte that is neither 0 nor 1 is refused as: a corrupt `what`.
+fn corrupt(what: &'static str) -> impl FnOnce(u8) -> CheckpointError {
+    move |_| CheckpointError::Corrupt(what)
 }
 
 impl Checkpoint {
     /// Serializes the checkpoint into its little-endian binary form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        put_u64(&mut out, self.job_digest);
-        put_u64(&mut out, self.tick.to_bits());
-        match &self.store {
-            Some(s) => {
-                out.push(1);
-                put_f32s(&mut out, &s.flat);
-                put_u64s(&mut out, &s.offsets);
-                put_u64s(&mut out, &s.versions);
-                put_f32s(&mut out, &s.velocity);
-                put_u64(&mut out, s.epoch);
+        let mut out = CHECKPOINT_MAGIC.to_vec();
+        CHECKPOINT_VERSION.put_le(&mut out);
+        self.job_digest.put_le(&mut out);
+        self.tick.put_le(&mut out);
+        put_opt(&mut out, self.store.as_ref(), |s, out| {
+            put_run::<u64, _>(out, &s.flat);
+            put_run::<u64, _>(out, &s.offsets);
+            put_run::<u64, _>(out, &s.versions);
+            put_run::<u64, _>(out, &s.velocity);
+            s.epoch.put_le(out);
+        });
+        put_opt(&mut out, self.gate.as_ref(), |g, out| {
+            put_run::<u64, _>(out, &g.counts);
+            put_run_with::<u64, _>(out, &g.retired, |&r, out| out.push(u8::from(r)));
+            for timestamps in [&g.latest, &g.previous] {
+                put_run_with::<u64, _>(out, timestamps, |t, out| {
+                    put_opt(out, t.as_ref(), |t, out| t.put_le(out))
+                });
             }
-            None => out.push(0),
-        }
-        match &self.gate {
-            Some(g) => {
-                out.push(1);
-                put_u64s(&mut out, &g.counts);
-                put_bools(&mut out, &g.retired);
-                put_opt_f64s(&mut out, &g.latest);
-                put_opt_f64s(&mut out, &g.previous);
-                put_u64s(
-                    &mut out,
-                    &g.blocked.iter().map(|&w| w as u64).collect::<Vec<_>>(),
-                );
-                put_u64(&mut out, g.stats.pushes);
-                put_u64(&mut out, g.stats.blocked_pushes);
-                put_u64(&mut out, g.stats.releases);
-                put_u64(&mut out, g.stats.staleness_sum);
-                put_u64(&mut out, g.stats.staleness_max);
-                put_u64(&mut out, g.stats.credits_granted);
-                put_u64(&mut out, g.stats.credits_reclaimed);
-                put_u64s(&mut out, &g.credits);
-                put_u64(&mut out, g.controller_invocations);
-            }
-            None => out.push(0),
-        }
-        match &self.layout {
-            Some(l) => {
-                out.push(1);
-                put_u64(&mut out, l.epoch);
-                put_u32s(&mut out, &l.assignment);
-            }
-            None => out.push(0),
-        }
+            put_run_with::<u64, _>(out, &g.blocked, |&w, out| (w as u64).put_le(out));
+            g.stats.pushes.put_le(out);
+            g.stats.blocked_pushes.put_le(out);
+            g.stats.releases.put_le(out);
+            g.stats.staleness_sum.put_le(out);
+            g.stats.staleness_max.put_le(out);
+            g.stats.credits_granted.put_le(out);
+            g.stats.credits_reclaimed.put_le(out);
+            put_run::<u64, _>(out, &g.credits);
+            g.controller_invocations.put_le(out);
+        });
+        put_opt(&mut out, self.layout.as_ref(), |l, out| {
+            l.epoch.put_le(out);
+            put_run::<u64, _>(out, &l.assignment);
+        });
         out
     }
 
@@ -443,75 +287,62 @@ impl Checkpoint {
         if bytes.len() > MAX_CHECKPOINT_LEN {
             return Err(CheckpointError::BadLength);
         }
-        let mut r = Reader::new(bytes);
+        let mut r = Reader::<u64>::new(bytes);
         if r.take(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = r.u32()?;
+        let version = r.get()?;
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let job_digest = r.u64()?;
-        let tick = r.f64()?;
-        let store = if r.bool("store presence flag")? {
-            Some(StoreSnapshot {
-                flat: r.vec(f32::from_le_bytes)?,
-                offsets: r.vec(u64::from_le_bytes)?,
-                versions: r.vec(u64::from_le_bytes)?,
-                velocity: r.vec(f32::from_le_bytes)?,
-                epoch: r.u64()?,
-            })
-        } else {
-            None
+        let opt_f64s = |r: &mut Reader<'_, u64>, what| {
+            r.run_with(1, |r| r.opt(corrupt(what), |r| Ok(r.get()?)))
         };
-        let gate = if r.bool("gate presence flag")? {
-            let counts = r.vec(u64::from_le_bytes)?;
-            let retired = r.bools("retired flag")?;
-            let latest = r.opt_f64s("latest timestamp flag")?;
-            let previous = r.opt_f64s("previous timestamp flag")?;
-            let blocked = r
-                .vec(u64::from_le_bytes)?
-                .into_iter()
-                .map(|w| usize::try_from(w).map_err(|_| CheckpointError::Corrupt("blocked worker")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let stats = ServerStats {
-                pushes: r.u64()?,
-                blocked_pushes: r.u64()?,
-                releases: r.u64()?,
-                staleness_sum: r.u64()?,
-                staleness_max: r.u64()?,
-                credits_granted: r.u64()?,
-                credits_reclaimed: r.u64()?,
-            };
-            Some(GateSnapshot {
-                counts,
-                retired,
-                latest,
-                previous,
-                blocked,
-                stats,
-                credits: r.vec(u64::from_le_bytes)?,
-                controller_invocations: r.u64()?,
-            })
-        } else {
-            None
-        };
-        let layout = if r.bool("layout presence flag")? {
-            Some(LayoutSnapshot {
-                epoch: r.u64()?,
-                assignment: r.vec(u32::from_le_bytes)?,
-            })
-        } else {
-            None
+        // A literal's fields are read in the order written: the format's order.
+        let ckpt = Self {
+            job_digest: r.get()?,
+            tick: r.get()?,
+            store: r.opt(corrupt("store presence flag"), |r| {
+                Ok(StoreSnapshot {
+                    flat: r.run()?,
+                    offsets: r.run()?,
+                    versions: r.run()?,
+                    velocity: r.run()?,
+                    epoch: r.get()?,
+                })
+            })?,
+            gate: r.opt(corrupt("gate presence flag"), |r| {
+                Ok(GateSnapshot {
+                    counts: r.run()?,
+                    retired: r.run_with(1, |r| r.flag(corrupt("retired flag")))?,
+                    latest: opt_f64s(r, "latest timestamp flag")?,
+                    previous: opt_f64s(r, "previous timestamp flag")?,
+                    blocked: r.run_with(8, |r| {
+                        usize::try_from(r.get::<u64>()?)
+                            .map_err(|_| CheckpointError::Corrupt("blocked worker"))
+                    })?,
+                    stats: ServerStats {
+                        pushes: r.get()?,
+                        blocked_pushes: r.get()?,
+                        releases: r.get()?,
+                        staleness_sum: r.get()?,
+                        staleness_max: r.get()?,
+                        credits_granted: r.get()?,
+                        credits_reclaimed: r.get()?,
+                    },
+                    credits: r.run()?,
+                    controller_invocations: r.get()?,
+                })
+            })?,
+            layout: r.opt(corrupt("layout presence flag"), |r| {
+                Ok(LayoutSnapshot {
+                    epoch: r.get()?,
+                    assignment: r.run()?,
+                })
+            })?,
         };
         r.finish()?;
-        Ok(Self {
-            job_digest,
-            tick,
-            store,
-            gate,
-            layout,
-        })
+        Ok(ckpt)
     }
 
     /// Decodes a checkpoint and verifies it was taken under the job with digest
@@ -551,17 +382,16 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Reads and decodes the checkpoint at `path` without checking its job digest.
+    /// Reads and decodes the checkpoint at `path` without checking its job digest. A
+    /// file longer than [`MAX_CHECKPOINT_LEN`] is refused before it is read.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path)?;
-        Self::decode(&bytes)
+        Self::decode(&read_bounded(path)?)
     }
 
-    /// Reads the checkpoint at `path` and verifies it was taken under the job with
-    /// digest `job_digest`.
+    /// Reads the checkpoint at `path`, like [`Checkpoint::load`], and verifies it was
+    /// taken under the job with digest `job_digest`.
     pub fn load_for_job(path: &Path, job_digest: u64) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path)?;
-        Self::decode_for_job(&bytes, job_digest)
+        Self::decode_for_job(&read_bounded(path)?, job_digest)
     }
 
     /// Checks that a role can build from this checkpoint, before it does — the
@@ -646,6 +476,22 @@ impl Checkpoint {
         }
         Ok(())
     }
+}
+
+/// The bytes of the file at `path`, refusing ([`CheckpointError::BadLength`]) one
+/// longer than [`MAX_CHECKPOINT_LEN`] before reading it, so a corrupt or foreign file
+/// at a checkpoint path is never read whole. The read is bounded as well: a file that
+/// grew since is read one byte past the ceiling, which `decode` refuses.
+fn read_bounded(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    if len > MAX_CHECKPOINT_LEN as u64 {
+        return Err(CheckpointError::BadLength);
+    }
+    let mut bytes = Vec::with_capacity(len as usize);
+    file.take(MAX_CHECKPOINT_LEN as u64 + 1)
+        .read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Conventional checkpoint file name for a classic single-process server.

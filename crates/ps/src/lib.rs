@@ -17,7 +17,9 @@
 //!   [`ParameterServer::handle_push_into`], that applies the pushed gradient to the
 //!   globally shared weights via SGD at once and gates the worker's next iteration
 //!   with an `OK` decision ([`SyncGate::on_push`]);
-//! * [`theory`] — numeric helpers for the regret bounds of Theorems 1 and 2.
+//! * [`theory`] — numeric helpers for the regret bounds of Theorems 1 and 2;
+//! * [`codec`] — the strict little-endian byte codec a [`Checkpoint`] and the wire
+//!   protocol (`dssp_net::wire`) are both read and written through.
 //!
 //! The crate is runtime-agnostic: it contains no threads and no virtual clock. Both the
 //! discrete-event simulator (`dssp-sim`) and the multi-threaded runtime
@@ -42,6 +44,7 @@
 
 mod checkpoint;
 mod clock;
+pub mod codec;
 mod controller;
 mod gate;
 mod policy;
