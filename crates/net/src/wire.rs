@@ -12,13 +12,14 @@
 //! tags and oversized frames are all rejected rather than guessed at. `f32`/`f64`
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
-//! on. The table's codec writes and reads through [`dssp_ps::codec`], the strict
-//! byte codec a checkpoint is written and read through too, with `u32` run counts.
-//! The transports' path copies no bulk run: the streaming writers
-//! ([`write_push_frame`] and the other `write_*_frame` writers) hand the writer a
-//! small stack header plus the run's own bytes in one vectored write, and the
-//! streaming reader ([`FrameBody`]) validates a frame's fixed fields and then reads
-//! the run straight into the buffer it is for (a big-endian host converts instead).
+//! on. The table's codec reads, and writes its scalars and `u32` run counts, through
+//! [`dssp_ps::codec`], the strict byte codec of a checkpoint too. Every writer takes a
+//! run's elements from one view, the run's own bytes on a little-endian host: one
+//! memcpy in the table's encoders, none on the transports' path, where the streaming
+//! writers ([`write_push_frame`] and the other `write_*_frame` writers) hand the writer
+//! a stack header plus those bytes in one vectored write and the streaming reader
+//! ([`FrameBody`]) checks a frame's fixed fields, then reads the run straight into the
+//! buffer it is for. A big-endian host converts instead.
 //!
 //! # The message table
 //!
@@ -750,11 +751,13 @@ impl Field for bool {
     }
 }
 
-/// A run: its `u32` element count, then the elements.
+/// A run: its `u32` element count, then the elements from their zero-copy view, as
+/// every writer appends a run (one `memcpy` on little-endian hosts).
 impl<T: LeScalar> Field for [T] {
     type Owned = Vec<T>;
     fn put(&self, buf: &mut Vec<u8>) {
-        put_run::<u32, T>(buf, self);
+        u32::from_len(self.len()).put_le(buf);
+        buf.extend_from_slice(&le_bytes(self));
     }
     fn get(r: &mut Reader<'_, u32>) -> Result<Vec<T>, WireError> {
         Ok(r.run()?)
@@ -798,8 +801,8 @@ impl Field for [ShardUpdate] {
 
 // ---------------------------------------------------------------------------
 // Zero-copy views: on little-endian hosts a run's in-memory bytes *are* its wire
-// bytes, so the streaming writers and `FrameBody` move a run through a plain byte
-// view of its slice. The two views below are the only `unsafe` in this crate; on
+// bytes, so every writer appends a run, and `FrameBody` reads one, through a plain
+// byte view of its slice. The two views below are the only `unsafe` in this crate; on
 // big-endian hosts `le_bytes` converts instead, and `FrameBody` reads an `f32` run
 // element by element.
 // ---------------------------------------------------------------------------
@@ -879,7 +882,7 @@ fn put_updates<'a>(buf: &mut Vec<u8>, updates: impl Iterator<Item = (u32, u64, &
     for (shard, version, weights) in updates {
         shard.put(buf);
         version.put(buf);
-        put_run::<u32, f32>(buf, weights);
+        weights.put(buf);
         count += 1;
     }
     buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());

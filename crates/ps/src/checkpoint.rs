@@ -479,9 +479,8 @@ impl Checkpoint {
 }
 
 /// The bytes of the file at `path`, refusing ([`CheckpointError::BadLength`]) one
-/// longer than [`MAX_CHECKPOINT_LEN`] before reading it, so a corrupt or foreign file
-/// at a checkpoint path is never read whole. The read is bounded as well: a file that
-/// grew since is read one byte past the ceiling, which `decode` refuses.
+/// longer than [`MAX_CHECKPOINT_LEN`] before reading it. The read is bounded too: of a
+/// file that grew since, one byte past the ceiling is read, which `decode` refuses.
 fn read_bounded(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     let file = std::fs::File::open(path)?;
     let len = file.metadata()?.len();
