@@ -122,17 +122,16 @@ impl<'a, L> Reader<'a, L> {
     /// A reader at the start of `bytes`.
     #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
-        let width = PhantomData;
         Self {
             bytes,
             pos: 0,
-            width,
+            width: PhantomData,
         }
     }
 
     /// Bytes not read yet.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -148,7 +147,7 @@ impl<'a, L> Reader<'a, L> {
 
     /// The next `N` bytes, by value.
     #[inline]
-    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         self.take(N)?.try_into().map_err(|_| CodecError::Truncated)
     }
 
