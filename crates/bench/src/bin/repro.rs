@@ -7,7 +7,8 @@
 //!
 //! Experiments: `fig1 fig2 fig3a fig3b fig3c fig3d fig3e fig3f fig4 table1 throughput
 //! theory ablation all`. By default experiments run at the quick scale; `--full` uses
-//! the scale documented in EXPERIMENTS.md. None of the modes measures speed: that is
+//! the scale README's "Reproducing the paper's figures and tables" documents. None of
+//! the modes measures speed: that is
 //! the round-cost ledger's job (`bash benchmark/run.sh`, see `benchmark/README.md`).
 //!
 //! The deployment modes run real networked training over TCP (`dssp-net`, and

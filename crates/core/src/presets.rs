@@ -1,7 +1,8 @@
 //! Ready-made experiment configurations for every experiment in the paper.
 //!
 //! Each preset mirrors one workload of the paper's evaluation section at a reduced
-//! scale (see `EXPERIMENTS.md` for the scaling table):
+//! scale (see README's "Reproducing the paper's figures and tables" for the two
+//! scales):
 //!
 //! | paper workload | preset |
 //! |---|---|
@@ -61,8 +62,8 @@ pub enum Scale {
     /// Small datasets and few epochs: seconds per run, used by tests and Criterion
     /// benches.
     Quick,
-    /// The scale used to regenerate the figures in `EXPERIMENTS.md` (tens of seconds per
-    /// run).
+    /// The scale `repro --full` regenerates the figures at (tens of seconds per run; see
+    /// README's "Reproducing the paper's figures and tables").
     Full,
 }
 

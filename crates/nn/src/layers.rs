@@ -237,15 +237,15 @@ impl Layer for Conv2dLayer {
         grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
-        scratch: &mut LayerScratch,
+        _scratch: &mut LayerScratch,
     ) {
         let packed = self
             .cached_packed
             .as_ref()
             .expect("backward called before forward");
         let w = self.spec.weight_count();
-        let (bufs, _) = scratch.parts(2, 0);
-        let (dw, db) = bufs.split_at_mut(1);
+        // The kernels add the weight and bias gradients into their ranges themselves.
+        let (grad_weight, grad_bias) = grads.split_at_mut(w);
         conv2d_lanes_backward_into(
             grad_output,
             packed,
@@ -255,12 +255,9 @@ impl Layer for Conv2dLayer {
             &self.spec,
             &mut self.conv_scratch,
             grad_input,
-            &mut dw[0],
-            &mut db[0],
+            grad_weight,
+            grad_bias,
         );
-        let (grad_weight, grad_bias) = grads.split_at_mut(w);
-        add_assign_slice(grad_weight, dw[0].as_slice());
-        add_assign_slice(grad_bias, db[0].as_slice());
     }
 
     fn param_len(&self) -> usize {

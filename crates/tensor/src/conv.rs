@@ -16,15 +16,22 @@
 //! where it lies, the input-gradient kernel (which runs only when an input gradient is
 //! asked for) writes the input gradient itself, and one operand is still permuted: the
 //! upstream gradient as `[N*OH*OW][OC]`, where the output channel is the lane of the
-//! weight-gradient kernel. No column matrix exists anywhere.
+//! weight-gradient kernel. The weight and bias gradients are added into the layer's
+//! gradient ranges where they lie, each element `c` becoming `c + (0.0 + Σ)` (the
+//! accumulate form the dense layers' `AddTn` uses): no scratch holds them and no second
+//! pass adds them. No column matrix exists anywhere.
 //!
 //! [`conv2d_into`] and [`conv2d_backward_into`] take and return `[N, C, H, W]`: shells
 //! that transpose in, run the same kernels, and transpose out. No layer calls them; the
 //! property tests do, as the oracle the lane entry points are compared with.
 //!
-//! **Kernels.** Three bodies run on the tile cascade of `tiles.rs`, as the GEMM does
-//! (baseline and AVX2 instances that agree bit for bit): an `R × L` tile of the result
-//! lives in registers while one flat list of taps is walked.
+//! **Kernels.** Three bodies run on the tile cascade of `tiles.rs`, as the GEMM does: an
+//! `R × L` tile of the result lives in registers while one flat list of taps is walked.
+//! They run on its three instances (baseline, AVX2, AVX-512), which agree bit for bit.
+//! On AVX-512 the forward and input-gradient kernels, whose lane is the batch, run
+//! 4×32 tiles (eight 512-bit accumulators); the weight-gradient kernel, whose lane is
+//! the output channel (8 in the model zoo), keeps 8-lane strips and runs 8-row bands.
+//! Elsewhere every kernel runs the instance's 4-row bands.
 //!
 //! **Summation orders** are those of the naive `im2col` formulation, each sum starting
 //! from 0.0:
@@ -44,7 +51,7 @@
 //! reads the zero border, so neither depends on the operands being finite.
 
 use crate::ops::transpose;
-use crate::tiles::{run_tiles, Tiles};
+use crate::tiles::{run_tiles, Avx512Tile, Tiles};
 use crate::Tensor;
 
 /// Static description of a 2-D convolution.
@@ -262,6 +269,35 @@ fn axpy_tile<const R: usize, const L: usize>(acc: &mut [[f32; L]; R], scale: [f3
     }
 }
 
+/// `R` slices of `v`, each `len` long, the `r`-th starting at `start(r)`: slices of one
+/// length, so that one bounds check serves a tile step's `R` reads of the same index.
+/// Built in a loop: `array::from_fn` is called out of line, and the lengths it returns
+/// are `R` values to check.
+#[inline(always)]
+fn row_slices<const R: usize>(
+    v: &[f32],
+    len: usize,
+    start: impl Fn(usize) -> usize,
+) -> [&[f32]; R] {
+    let mut rows: [&[f32]; R] = [&[]; R];
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = &v[start(r)..][..len];
+    }
+    rows
+}
+
+/// Element `at` of each of `R` slices: the `R` values one step of a tile scales by.
+/// A loop, not `array::map`, which the AVX-512 instance called out of line at every
+/// step.
+#[inline(always)]
+fn gather<const R: usize>(slices: &[&[f32]; R], at: usize) -> [f32; R] {
+    let mut values = [0.0f32; R];
+    for (v, s) in values.iter_mut().zip(slices) {
+        *v = s[at];
+    }
+    values
+}
+
 /// Forward: rows are output channels, lanes are examples. Reads the packed input,
 /// writes the output, `[OC][OH][OW][N]`.
 struct Forward<'a> {
@@ -274,23 +310,29 @@ struct Forward<'a> {
 }
 
 impl Tiles for Forward<'_> {
+    const AVX512: Avx512Tile = Avx512Tile::Lanes32;
+
     #[inline(always)]
     fn tile<const R: usize, const L: usize>(&mut self, oc0: usize, n0: usize) {
         let (ckk, ohow) = (self.g.ckk, self.g.oh * self.g.ow);
-        let filters: [&[f32]; R] = std::array::from_fn(|r| &self.weight[(oc0 + r) * ckk..][..ckk]);
+        let filters: [&[f32]; R] = row_slices(self.weight, ckk, |r| (oc0 + r) * ckk);
+        let bias: [f32; R] = self.bias[oc0..][..R].try_into().expect("R biases");
         for (pos, window) in self.lists.windows.iter().enumerate() {
             let x = &self.packed[window.origin as usize + n0..];
             let mut acc = [[0.0f32; L]; R];
             for &(col, at) in &self.lists.fwd_taps[window.taps.0 as usize..window.taps.1 as usize] {
-                let w = filters.map(|f| f[col as usize]);
+                let w = gather(&filters, col as usize);
                 axpy_tile(&mut acc, w, &x[at as usize..]);
             }
-            for (r, acc_row) in acc.iter().enumerate() {
-                let b = self.bias[oc0 + r];
-                let dst = &mut self.out[((oc0 + r) * ohow + pos) * self.g.n + n0..][..L];
-                for (d, &a) in dst.iter_mut().zip(acc_row) {
-                    *d = a + b;
+            // The bias added in registers, then whole rows copied out: adding it on the
+            // way out kept the tile in memory (30 % slower).
+            for (acc_row, &b) in acc.iter_mut().zip(&bias) {
+                for a in acc_row {
+                    *a += b;
                 }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                self.out[((oc0 + r) * ohow + pos) * self.g.n + n0..][..L].copy_from_slice(acc_row);
             }
         }
     }
@@ -307,6 +349,8 @@ struct InputGrad<'a> {
 }
 
 impl Tiles for InputGrad<'_> {
+    const AVX512: Avx512Tile = Avx512Tile::Lanes32;
+
     #[inline(always)]
     fn tile<const R: usize, const L: usize>(&mut self, ci0: usize, n0: usize) {
         let g = &self.g;
@@ -314,7 +358,8 @@ impl Tiles for InputGrad<'_> {
         let channel_stride = g.oh * g.ow * g.n;
         // Row r's filter column for kernel point t in output channel oc is
         // `columns[r][oc * ckk + t]`.
-        let columns: [&[f32]; R] = std::array::from_fn(|r| &self.weight[(ci0 + r) * kk..]);
+        let columns_len = (g.oc - 1) * ckk + kk;
+        let columns: [&[f32]; R] = row_slices(self.weight, columns_len, |r| (ci0 + r) * kk);
         let mut start = 0;
         for (pos, &end) in self.lists.bwd_ends.iter().enumerate() {
             let mut acc = [[0.0f32; L]; R];
@@ -322,7 +367,7 @@ impl Tiles for InputGrad<'_> {
                 let mut point = [[0.0f32; L]; R];
                 let channels = self.grad_out[at as usize + n0..].chunks(channel_stride);
                 for (oc, grad) in channels.enumerate() {
-                    let w = columns.map(|c| c[oc * ckk + t as usize]);
+                    let w = gather(&columns, oc * ckk + t as usize);
                     axpy_tile(&mut point, w, grad);
                 }
                 for (acc_row, point_row) in acc.iter_mut().zip(&point) {
@@ -341,42 +386,67 @@ impl Tiles for InputGrad<'_> {
 
 /// Weight gradient: rows are filter columns `(ci, ky, kx)`, lanes are output channels.
 /// Reads the packed input (border included: a tap there contributes the same `g * 0.0`
-/// the column matrix's zero did) and the upstream gradient as `[N*OH*OW][OC]`, writes
-/// the weight gradient as `[C*K*K][OC]`.
+/// the column matrix's zero did) and the upstream gradient as `[N*OH*OW][OC]`, and adds
+/// each finished tile into the weight gradient, `[OC][C*K*K]`, as `c + (0.0 + Σ)`.
 struct WeightGrad<'a> {
     g: Geometry,
     lists: &'a TapLists,
     packed: &'a [f32],
     grad_rows: &'a [f32],
-    grad_weight_t: &'a mut [f32],
+    grad_weight: &'a mut [f32],
 }
 
 impl Tiles for WeightGrad<'_> {
+    const AVX512: Avx512Tile = Avx512Tile::Rows8;
+
     #[inline(always)]
     fn tile<const R: usize, const L: usize>(&mut self, col0: usize, oc0: usize) {
         let g = &self.g;
         // Each row's kernel point as the window slides, from the first example of the
-        // first window to the last example of the last: slices of one length, so that
-        // one bounds check serves the R reads of a step.
+        // first window to the last example of the last.
         let span = ((g.oh - 1) * g.stride * g.pw + (g.ow - 1) * g.stride + 1) * g.n;
-        let taps: [&[f32]; R] = std::array::from_fn(|r| {
+        let taps: [&[f32]; R] = row_slices(self.packed, span, |r| {
             let (ci, ky, kx) = (
                 (col0 + r) / (g.k * g.k),
                 (col0 + r) / g.k % g.k,
                 (col0 + r) % g.k,
             );
-            &self.packed[((ci * g.ph + ky) * g.pw + kx) * g.n..][..span]
+            ((ci * g.ph + ky) * g.pw + kx) * g.n
         });
         let mut acc = [[0.0f32; L]; R];
         let mut grads = self.grad_rows.chunks_exact(g.oc);
         for n in 0..g.n {
             for (window, grad) in self.lists.windows.iter().zip(&mut grads) {
-                let x = taps.map(|t| t[window.origin as usize + n]);
+                let x = gather(&taps, window.origin as usize + n);
                 axpy_tile(&mut acc, x, &grad[oc0..]);
             }
         }
-        for (r, acc_row) in acc.iter().enumerate() {
-            self.grad_weight_t[(col0 + r) * g.oc + oc0..][..L].copy_from_slice(acc_row);
+        // Lane `l` of the tile is `R` consecutive filter columns of output channel
+        // `oc0 + l`, so the tile is added in transposed, out of line, from rows staged
+        // `2 L` apart. Added in inline, or staged back to back, the rows were vectorised
+        // in pairs across the loop above, which then shuffled them at every step (3-5x
+        // slower).
+        let mut stage = [[[0.0f32; L]; 2]; R];
+        for (st, row) in stage.iter_mut().zip(&acc) {
+            st[0] = *row;
+        }
+        add_transposed(&stage, &mut self.grad_weight[oc0 * g.ckk + col0..], g.ckk);
+    }
+}
+
+/// `dst[l * stride + r] += tile[r][0][l]`: a weight-gradient tile, its row `r` staged in
+/// `tile[r][0]` (`tile[r][1]` is a gap, see the caller), added into the `[OC][C*K*K]`
+/// gradient.
+#[inline(never)]
+fn add_transposed<const R: usize, const L: usize>(
+    tile: &[[[f32; L]; 2]; R],
+    dst: &mut [f32],
+    stride: usize,
+) {
+    for l in 0..L {
+        let dst = &mut dst[l * stride..][..R];
+        for r in 0..R {
+            dst[r] += tile[r][0][l];
         }
     }
 }
@@ -386,11 +456,9 @@ impl Tiles for WeightGrad<'_> {
 pub struct ConvScratch {
     /// The tap lists of the geometry last seen, rebuilt only when it changes.
     lists: TapLists,
-    /// The upstream gradient as `[N*OH*OW, OC]` and the weight gradient as
-    /// `[C*K*K, OC]`: the operand and the result of the weight-gradient kernel, whose
-    /// lane is the output channel.
+    /// The upstream gradient as `[N*OH*OW, OC]`: the operand of the weight-gradient
+    /// kernel, whose lane is the output channel.
     grad_rows: Tensor,
-    grad_weight_t: Tensor,
 }
 
 /// The batch size of a batch-lane tensor whose other dimensions must be `expected`.
@@ -543,22 +611,25 @@ pub fn conv2d(
     (out, packed)
 }
 
-/// Backward 2-D convolution over a batch-lane gradient.
+/// Backward 2-D convolution over a batch-lane gradient, its weight and bias gradients
+/// added into a layer's gradient ranges.
 ///
 /// `grad_out` is the upstream gradient, `[OC, OH, OW, N]`, and `packed` the packed
-/// input cached by the forward pass; `scratch` provides the tap lists and the operands
-/// of the weight-gradient kernel. `grad_input` (`[C, H, W, N]`, written by the kernel
-/// itself), `grad_weight` and `grad_bias` receive the results (overwritten, not
-/// accumulated). With `grad_input` `None` the input-gradient kernel does not run; the
-/// weight and bias gradients are the same either way.
+/// input cached by the forward pass; `scratch` provides the tap lists and the operand
+/// of the weight-gradient kernel. `grad_input` (`[C, H, W, N]`) is written by the kernel
+/// itself; with `None` the input-gradient kernel does not run. `grad_weight`
+/// (`OC x C*K*K`, row-major) and `grad_bias` (`OC`) are accumulated: each element `c`
+/// becomes `c + (0.0 + Σ)`, bit for bit the gradient into a scratch followed by an
+/// elementwise add.
 ///
-/// Every output is bitwise equal to the naive formulation that sums over output
-/// positions (per kernel point over output channels for the input gradient) in
-/// ascending order (module docs).
+/// Every sum `Σ` is bitwise the naive formulation that sums over output positions (per
+/// kernel point over output channels for the input gradient) in ascending order
+/// (module docs).
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` is not `[OC, OH, OW, N]` or `packed` and `weight` do not fit.
+/// Panics if `grad_out` is not `[OC, OH, OW, N]` or `packed`, `weight`, `grad_weight`
+/// and `grad_bias` do not fit.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_lanes_backward_into(
     grad_out: &Tensor,
@@ -569,8 +640,8 @@ pub fn conv2d_lanes_backward_into(
     spec: &Conv2dSpec,
     scratch: &mut ConvScratch,
     grad_input: Option<&mut Tensor>,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut Tensor,
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
 ) {
     let out_dims = [spec.out_channels, spec.out_size(h), spec.out_size(w)];
     let n = lanes_of("conv2d upstream gradient", grad_out, out_dims);
@@ -578,6 +649,16 @@ pub fn conv2d_lanes_backward_into(
     let (ohow, ckk) = (g.oh * g.ow, g.ckk);
     assert_eq!(packed.len(), g.c * g.ph * g.pw * n, "packed input length");
     assert_eq!(weight.len(), g.oc * ckk, "conv2d_backward weight length");
+    assert_eq!(
+        grad_weight.len(),
+        g.oc * ckk,
+        "conv2d_backward weight gradient length"
+    );
+    assert_eq!(
+        grad_bias.len(),
+        g.oc,
+        "conv2d_backward bias gradient length"
+    );
     // The one operand still permuted: per output position, `[OC][N]` (rows a channel
     // apart) becomes `[N][OC]` (rows an example apart).
     let grad = grad_out.as_slice();
@@ -587,17 +668,15 @@ pub fn conv2d_lanes_backward_into(
         let (src, dst) = (&grad[pos * n..], &mut grad_rows[pos * g.oc..]);
         transpose(src, ohow * n, dst, ohow * g.oc, g.oc, n);
     }
-    scratch.grad_rows.sum_rows_into(grad_bias);
-    scratch.grad_weight_t.ensure_shape(&[ckk, g.oc]);
+    add_column_sums(grad_rows, grad_bias);
     let mut kernel = WeightGrad {
         g,
         lists: &scratch.lists,
         packed: packed.as_slice(),
-        grad_rows: scratch.grad_rows.as_slice(),
-        grad_weight_t: scratch.grad_weight_t.as_mut_slice(),
+        grad_rows,
+        grad_weight,
     };
     run_tiles(&mut kernel, ckk, g.oc);
-    scratch.grad_weight_t.transposed_into(grad_weight);
     let Some(grad_input) = grad_input else {
         return;
     };
@@ -612,9 +691,41 @@ pub fn conv2d_lanes_backward_into(
     run_tiles(&mut kernel, g.c, n);
 }
 
+/// `acc[j] += 0.0 + Σ_i rows[i][j]`, the sum in ascending `i`, for the rows of
+/// `acc.len()` columns that make up `rows`: the bias gradient, eight columns at a time
+/// in registers and then one at a time.
+fn add_column_sums(rows: &[f32], acc: &mut [f32]) {
+    let mut j = 0;
+    while j + 8 <= acc.len() {
+        add_columns::<8>(rows, j, acc);
+        j += 8;
+    }
+    while j < acc.len() {
+        add_columns::<1>(rows, j, acc);
+        j += 1;
+    }
+}
+
+/// Columns `j..j + L` of [`add_column_sums`].
+#[inline(always)]
+fn add_columns<const L: usize>(rows: &[f32], j: usize, acc: &mut [f32]) {
+    let mut sum = [0.0f32; L];
+    for row in rows.chunks_exact(acc.len()) {
+        let v: &[f32; L] = row[j..][..L].try_into().expect("L columns");
+        for l in 0..L {
+            sum[l] += v[l];
+        }
+    }
+    for (a, s) in acc[j..][..L].iter_mut().zip(sum) {
+        *a += s;
+    }
+}
+
 /// [`conv2d_lanes_backward_into`] for an `[N, OC, OH, OW]` gradient and an
-/// `[N, C, H, W]` input gradient. `packed_grad` and `packed_grad_input` are pure
-/// scratch: the two in their lane layout, before and after the kernels.
+/// `[N, C, H, W]` input gradient, overwriting `grad_weight` (`[OC, C*K*K]`) and
+/// `grad_bias` (`[OC]`) rather than adding into them. `packed_grad` and
+/// `packed_grad_input` are pure scratch: the two in their lane layout, before and after
+/// the kernels.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_into(
     grad_out: &Tensor,
@@ -634,6 +745,13 @@ pub fn conv2d_backward_into(
     let dims = [n, spec.out_channels, spec.out_size(h), spec.out_size(w)];
     assert_eq!(grad_out.shape().dims(), dims, "upstream gradient shape");
     grad_out.batch_to_lanes_into(packed_grad);
+    // Overwriting is adding into zeros: a sum from 0.0 is never -0.0, so `0.0 + s` is
+    // `s` bit for bit.
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    grad_weight.ensure_shape(&[spec.out_channels, ckk]);
+    grad_weight.as_mut_slice().fill(0.0);
+    grad_bias.ensure_shape(&[spec.out_channels]);
+    grad_bias.as_mut_slice().fill(0.0);
     conv2d_lanes_backward_into(
         packed_grad,
         packed,
@@ -643,8 +761,8 @@ pub fn conv2d_backward_into(
         spec,
         scratch,
         Some(packed_grad_input),
-        grad_weight,
-        grad_bias,
+        grad_weight.as_mut_slice(),
+        grad_bias.as_mut_slice(),
     );
     packed_grad_input.lanes_to_batch_into(grad_input);
 }
@@ -835,7 +953,7 @@ pub fn max_pool2d_backward_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiles::cover;
+    use crate::tiles::{run_on, Instance};
 
     fn spec(c: usize, oc: usize, k: usize, stride: usize, pad: usize) -> Conv2dSpec {
         Conv2dSpec {
@@ -1030,18 +1148,20 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every step of the lane cascade (batches and output-channel counts of 1..=19 and
-    /// 33 leave every remainder of the 16- and 8-wide strips) and of the row cascade,
-    /// at strides 1 and 2 with and without padding: each of the three kernels run on
-    /// the baseline instance writes, bit for bit, what the dispatched one wrote, which
-    /// is the AVX2 instance wherever the CPU has AVX2. (That both equal the naive
-    /// formulation is `tests/proptest_kernels.rs`.)
+    /// Every step of the lane cascades (batches and output-channel counts of 1..=19, 31
+    /// and 33..=65 leave every remainder of the 32-, 16- and 8-wide strips) and of the
+    /// row cascades (1..=7 input channels give 9..=63 filter columns, every remainder of
+    /// the weight gradient's 8-row bands), at strides 1 and 2 with and without padding:
+    /// each of the three kernels writes, bit for bit, the same result on every instance
+    /// the CPU runs it on (baseline, AVX2, AVX-512), each checked by name, as the
+    /// dispatched entry points did. The weight gradient is added into a nonzero
+    /// gradient. (That all equal the naive formulation is `tests/proptest_kernels.rs`.)
     #[test]
     fn baseline_and_dispatched_instances_agree_bitwise() {
-        for size in (1..20).chain([33]) {
+        for size in (1..20).chain([31, 33, 47, 63, 64, 65]) {
             for (stride, pad) in [(1, 1), (2, 0)] {
                 // `size` examples over few channels, then few examples over `size`
-                // channels in and out.
+                // channels out and up to 7 in.
                 for (n, c, oc) in [(size, 3, 5), (2, size.min(7), size)] {
                     let (h, w, s) = (4, 5, spec(c, oc, 3, stride, pad));
                     let x = crate::uniform_init(&[c, h, w, n], 1.0, size as u64);
@@ -1061,8 +1181,9 @@ mod tests {
                         &mut out,
                     );
                     let grad_out = crate::uniform_init(out.shape().dims(), 1.0, 3);
-                    let (mut gi, mut gw, mut gb) =
-                        (Tensor::default(), Tensor::default(), Tensor::default());
+                    let grad_weight = crate::uniform_init(&[oc, c * 9], 1.0, 4);
+                    let mut gi = Tensor::default();
+                    let (mut gw, mut gb) = (grad_weight.clone(), Tensor::zeros(&[oc]));
                     conv2d_lanes_backward_into(
                         &grad_out,
                         &packed,
@@ -1072,53 +1193,114 @@ mod tests {
                         &s,
                         &mut scratch,
                         Some(&mut gi),
-                        &mut gw,
-                        &mut gb,
+                        gw.as_mut_slice(),
+                        gb.as_mut_slice(),
                     );
                     let g = Geometry::new(n, h, w, &s);
-                    let case = format!("n={n} c={c} oc={oc} stride={stride} pad={pad}");
-                    // NaN-filled outputs: every element must be overwritten.
-                    let mut baseline = vec![f32::NAN; out.len()];
-                    let mut kernel = Forward {
-                        g,
-                        lists: &scratch.lists,
-                        weight: weight.as_slice(),
-                        bias: bias.as_slice(),
-                        packed: packed.as_slice(),
-                        out: &mut baseline,
-                    };
-                    cover::<8, _>(&mut kernel, oc, n);
-                    assert_eq!(bits(&baseline), bits(out.as_slice()), "forward {case}");
-                    let mut baseline = vec![f32::NAN; gi.len()];
-                    let mut kernel = InputGrad {
-                        g,
-                        lists: &scratch.lists,
-                        weight: weight.as_slice(),
-                        grad_out: grad_out.as_slice(),
-                        grad_input: &mut baseline,
-                    };
-                    cover::<8, _>(&mut kernel, c, n);
-                    assert_eq!(
-                        bits(&baseline),
-                        bits(gi.as_slice()),
-                        "input gradient {case}"
-                    );
-                    let mut baseline = vec![f32::NAN; scratch.grad_weight_t.len()];
-                    let mut kernel = WeightGrad {
-                        g,
-                        lists: &scratch.lists,
-                        packed: packed.as_slice(),
-                        grad_rows: scratch.grad_rows.as_slice(),
-                        grad_weight_t: &mut baseline,
-                    };
-                    cover::<8, _>(&mut kernel, g.ckk, oc);
-                    assert_eq!(
-                        bits(&baseline),
-                        bits(scratch.grad_weight_t.as_slice()),
-                        "weight gradient {case}"
-                    );
+                    for instance in Instance::ALL.into_iter().filter(|i| i.runs::<Forward>()) {
+                        let case =
+                            format!("{instance:?} n={n} c={c} oc={oc} stride={stride} pad={pad}");
+                        // NaN-filled outputs: every element must be overwritten.
+                        let mut result = vec![f32::NAN; out.len()];
+                        let mut kernel = Forward {
+                            g,
+                            lists: &scratch.lists,
+                            weight: weight.as_slice(),
+                            bias: bias.as_slice(),
+                            packed: packed.as_slice(),
+                            out: &mut result,
+                        };
+                        run_on(instance, &mut kernel, oc, n);
+                        assert_eq!(bits(&result), bits(out.as_slice()), "forward {case}");
+                        let mut result = vec![f32::NAN; gi.len()];
+                        let mut kernel = InputGrad {
+                            g,
+                            lists: &scratch.lists,
+                            weight: weight.as_slice(),
+                            grad_out: grad_out.as_slice(),
+                            grad_input: &mut result,
+                        };
+                        run_on(instance, &mut kernel, c, n);
+                        assert_eq!(bits(&result), bits(gi.as_slice()), "input gradient {case}");
+                        let mut result = grad_weight.as_slice().to_vec();
+                        let mut kernel = WeightGrad {
+                            g,
+                            lists: &scratch.lists,
+                            packed: packed.as_slice(),
+                            grad_rows: scratch.grad_rows.as_slice(),
+                            grad_weight: &mut result,
+                        };
+                        run_on(instance, &mut kernel, g.ckk, oc);
+                        assert_eq!(bits(&result), bits(gw.as_slice()), "weight gradient {case}");
+                    }
                 }
             }
+        }
+    }
+
+    /// The lane backward adds its weight and bias gradients into the ranges it is
+    /// handed: from a nonzero gradient (-0.0, ±inf and NaN among it) each element is
+    /// that element plus what the backward writes into zeros, bit for bit.
+    #[test]
+    fn backward_adds_the_parameter_gradients_into_their_ranges() {
+        let (n, h, w, s) = (33, 5, 4, spec(2, 9, 3, 1, 1));
+        let x = crate::uniform_init(&[2, h, w, n], 1.0, 7);
+        let weight = crate::uniform_init(&[9, 18], 1.0, 8);
+        let bias = crate::uniform_init(&[9], 1.0, 9);
+        let mut scratch = ConvScratch::default();
+        let (mut packed, mut out) = (Tensor::default(), Tensor::default());
+        let (weight, bias) = (weight.as_slice(), bias.as_slice());
+        conv2d_lanes_into(
+            &x,
+            weight,
+            bias,
+            h,
+            w,
+            &s,
+            &mut packed,
+            &mut scratch,
+            &mut out,
+        );
+        let grad_out = crate::uniform_init(out.shape().dims(), 1.0, 10);
+        let mut backward = |grad_weight: &mut [f32], grad_bias: &mut [f32]| {
+            let (scratch, packed) = (&mut scratch, &packed);
+            conv2d_lanes_backward_into(
+                &grad_out,
+                packed,
+                weight,
+                h,
+                w,
+                &s,
+                scratch,
+                None,
+                grad_weight,
+                grad_bias,
+            )
+        };
+        let (mut fresh_w, mut fresh_b) = (vec![0.0; 9 * 18], vec![0.0; 9]);
+        backward(&mut fresh_w, &mut fresh_b);
+        let special = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.5];
+        let start = |len: usize| -> Vec<f32> { (0..len).map(|i| special[i % 5]).collect() };
+        let (mut grad_w, mut grad_b) = (start(9 * 18), start(9));
+        backward(&mut grad_w, &mut grad_b);
+        // NaN compared as NaN, whatever its payload.
+        let expect = |start: Vec<f32>, fresh: &[f32]| -> Vec<u32> {
+            start
+                .iter()
+                .zip(fresh)
+                .map(|(c, g)| canonical(c + g))
+                .collect()
+        };
+        let canonical_all = |v: &[f32]| -> Vec<u32> { v.iter().map(|&x| canonical(x)).collect() };
+        assert_eq!(canonical_all(&grad_w), expect(start(9 * 18), &fresh_w));
+        assert_eq!(canonical_all(&grad_b), expect(start(9), &fresh_b));
+    }
+
+    fn canonical(x: f32) -> u32 {
+        if x.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            x.to_bits()
         }
     }
 

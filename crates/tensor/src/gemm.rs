@@ -20,7 +20,7 @@
 //!
 //! [`Tensor::matmul_into`]: crate::Tensor::matmul_into
 
-use crate::tiles::{run_tiles, Tiles};
+use crate::tiles::{run_tiles, Avx512Tile, Tiles};
 
 /// `C[m×n] = op(A) · B[k×n]`, overwriting `c`. With `TA == false`, `A` is `m × k`
 /// row-major; with `TA == true` it is stored transposed, `k × m` row-major.
@@ -92,6 +92,11 @@ struct AddTn<'a> {
 }
 
 impl Tiles for AddTn<'_> {
+    /// On the AVX2 instance everywhere: 32-lane strips ran the MLP steps 2x slower, and
+    /// faster dense kernels lower `tcp_comm`'s `busy_share` (the step waits longer on
+    /// the server round).
+    const AVX512: Avx512Tile = Avx512Tile::None;
+
     /// One `R × NR` tile of `C` at `(i0, j0)`: summed in registers from 0.0 over the
     /// shared dimension, then added into `C` (an empty sum adds 0.0). The shared
     /// dimension is a mini-batch, a handful of rows, so the operands are indexed
@@ -132,6 +137,9 @@ struct Gemm<'a, const TA: bool> {
 }
 
 impl<const TA: bool> Tiles for Gemm<'_, TA> {
+    /// On the AVX2 instance everywhere, as [`AddTn`] is.
+    const AVX512: Avx512Tile = Avx512Tile::None;
+
     /// One `R × NR` tile of `C` at `(i0, j0)`: accumulated in registers over the whole
     /// shared dimension, then stored.
     #[inline(always)]
@@ -177,7 +185,7 @@ impl<const TA: bool> Tiles for Gemm<'_, TA> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiles::cover;
+    use crate::tiles::{run_on, Instance};
 
     /// Deterministic pseudo-random values in `[-1, 1)`.
     fn synth(len: usize, seed: u64) -> Vec<f32> {
@@ -218,13 +226,14 @@ mod tests {
     }
 
     /// Every edge-tile combination — row remainders 0..3 with and without a full band,
-    /// every column remainder of the 16- and 8-wide strips — for both layouts of `A`:
-    /// the baseline instance equals the naive loop bit for bit, and so does the
-    /// dispatched kernel, which is the AVX2 instance wherever the CPU has AVX2.
+    /// every column remainder of the 16- and 8-wide strips, up to 65 columns — for both
+    /// layouts of `A`: on every instance the CPU runs the GEMM on, each checked by name
+    /// (baseline and AVX2: the dense kernels have no AVX-512 tile), and through the
+    /// dispatching entry point, the product equals the naive loop bit for bit.
     #[test]
     fn every_instance_and_edge_tile_is_bitwise_the_naive_loop() {
         for m in 1..10 {
-            for n in 1..40 {
+            for n in 1..66 {
                 for k in [1, 3, 17] {
                     let a = synth(m * k, (m * 64 + n) as u64);
                     let b = synth(k * n, (n * 64 + k) as u64);
@@ -232,33 +241,18 @@ mod tests {
                     let expect_tn = bits(&naive(|i, p| a[p * m + i], &b, m, k, n));
                     // NaN-filled outputs: every element must be overwritten.
                     let mut c = vec![f32::NAN; m * n];
-                    cover::<8, _>(
-                        &mut Gemm::<false> {
-                            a: &a,
-                            b: &b,
-                            c: &mut c,
-                            m,
-                            k,
-                            n,
-                        },
-                        m,
-                        n,
-                    );
-                    assert_eq!(bits(&c), expect_nn, "baseline nn {m}x{k}x{n}");
-                    c.fill(f32::NAN);
-                    cover::<8, _>(
-                        &mut Gemm::<true> {
-                            a: &a,
-                            b: &b,
-                            c: &mut c,
-                            m,
-                            k,
-                            n,
-                        },
-                        m,
-                        n,
-                    );
-                    assert_eq!(bits(&c), expect_tn, "baseline tn {m}x{k}x{n}");
+                    for instance in Instance::ALL
+                        .into_iter()
+                        .filter(|i| i.runs::<Gemm<false>>())
+                    {
+                        c.fill(f32::NAN);
+                        let (a, b, c) = (&a[..], &b[..], &mut c[..]);
+                        run_on(instance, &mut Gemm::<false> { a, b, c, m, k, n }, m, n);
+                        assert_eq!(bits(c), expect_nn, "{instance:?} nn {m}x{k}x{n}");
+                        c.fill(f32::NAN);
+                        run_on(instance, &mut Gemm::<true> { a, b, c, m, k, n }, m, n);
+                        assert_eq!(bits(c), expect_tn, "{instance:?} tn {m}x{k}x{n}");
+                    }
                     c.fill(f32::NAN);
                     gemm::<false>(&a, &b, &mut c, m, k, n);
                     assert_eq!(bits(&c), expect_nn, "dispatched nn {m}x{k}x{n}");
@@ -296,9 +290,10 @@ mod tests {
 
     /// The accumulate crosses every strip and band edge (`m` and `n` in 1..=33: a
     /// 16-wide strip, every narrower one, every row remainder; `k` in 1..=9), with
-    /// -0.0, ±inf and NaN in both operands and in the accumulator. On the baseline
-    /// instance and on the dispatched one (AVX2 where the CPU has it) it equals the
-    /// product into a scratch followed by an elementwise add, bit for bit.
+    /// -0.0, ±inf and NaN in both operands and in the accumulator. On every instance the
+    /// CPU runs it on, each checked by name (baseline and AVX2), and through the
+    /// dispatching entry point, it equals the product into a scratch followed by an
+    /// elementwise add, bit for bit.
     #[test]
     fn accumulate_is_the_product_then_an_add_on_every_instance() {
         for m in 1..=33 {
@@ -311,25 +306,25 @@ mod tests {
                     gemm::<true>(&a, &b, &mut product, m, k, n);
                     let expect: Vec<f32> = c0.iter().zip(&product).map(|(c, p)| c + p).collect();
                     let expect = canonical_bits(&expect);
-                    let mut c = c0.clone();
-                    for band in (0..m).step_by(4) {
-                        let rows = 4.min(m - band);
-                        let c = &mut c[band * n..][..rows * n];
-                        cover::<8, _>(
-                            &mut AddTn {
-                                a: &a,
-                                b: &b,
+                    for instance in Instance::ALL.into_iter().filter(|i| i.runs::<AddTn>()) {
+                        let mut c = c0.clone();
+                        for band in (0..m).step_by(4) {
+                            let rows = 4.min(m - band);
+                            let c = &mut c[band * n..][..rows * n];
+                            let (a, b) = (&a[..], &b[..]);
+                            let mut kernel = AddTn {
+                                a,
+                                b,
                                 c,
                                 band,
                                 m,
                                 k,
                                 n,
-                            },
-                            rows,
-                            n,
-                        );
+                            };
+                            run_on(instance, &mut kernel, rows, n);
+                        }
+                        assert_eq!(canonical_bits(&c), expect, "{instance:?} {m}x{k}x{n}");
                     }
-                    assert_eq!(canonical_bits(&c), expect, "baseline {m}x{k}x{n}");
                     let mut c = c0;
                     gemm_tn_add(&a, &b, &mut c, m, k, n);
                     assert_eq!(canonical_bits(&c), expect, "dispatched {m}x{k}x{n}");

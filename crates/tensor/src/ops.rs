@@ -450,11 +450,12 @@ impl Tensor {
     /// (that one gets none): the MLPs' classifier heads (`[4, 10] x [1024, 10]^T` on
     /// the `tcp_comm` job) and the dense layers of the image models. Packing `rhs`
     /// into the tiled kernel's layout cost more than the kernel saved at the `tcp_comm`
-    /// shape. A tiled kernel that keeps the `dot_lanes` order (ROADMAP 6(a)) waits for
-    /// a faster server round (4(a)): on `tcp_comm` a shorter step mostly lengthens the
-    /// wait for the server's reply, and that kernel took `busy_share` past its bound.
-    /// Removing the worker's two per-round parameter copies alone moved it 0.649 →
-    /// 0.622 (−4.1 %, median of 10 pairs).
+    /// shape. A tiled kernel that keeps the `dot_lanes` order is ROADMAP 6(a), still
+    /// open. The faster server rounds (4(a)) have landed, but on `tcp_comm` a shorter
+    /// step still mostly lengthens the wait for the server's reply: a prototype that
+    /// ran the dense GEMMs on the AVX-512 instance of the tile cascade lowered
+    /// `tcp_comm`'s `busy_share` 0.739 → 0.695 (−6 %, medians of 8 pairs), so the dense
+    /// kernels stay on AVX2 there (see `tiles.rs`).
     ///
     /// # Panics
     ///

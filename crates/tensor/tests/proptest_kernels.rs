@@ -17,9 +17,10 @@
 //!   through every step of the lane cascade, channel counts through the row cascade,
 //!   non-square planes, `K = 1`, `padding = 0`. `naive_im2col` and `naive_col2im_t` are
 //!   that formulation's private references; the library has no column matrix. The lane
-//!   entry points the layers call (`[C, H, W, N]` in and out) are held bitwise to the
-//!   shells in the same property, and so are the weight and bias gradients of the lane
-//!   backward asked for no input gradient.
+//!   entry points the layers call (`[C, H, W, N]` in and out, the parameter gradients
+//!   added into zeroed ranges) are held bitwise to the shells in the same property, and
+//!   so are the weight and bias gradients of the lane backward asked for no input
+//!   gradient.
 //! * The packed input `conv2d` hands to the backward pass is the zero-bordered,
 //!   batch-innermost copy of the input, whatever the reused buffer held before.
 //! * `max_pool2d` (`[C, H, W, N]`) picks the winners of the plain `[N, C, H, W]` loop it
@@ -357,7 +358,7 @@ proptest! {
 
     #[test]
     fn conv2d_forward_and_backward_are_bitwise_the_naive_formulation(
-        n in 1usize..41, c in 1usize..11, oc in 1usize..11, h in 1usize..7, w in 1usize..10,
+        n in 1usize..70, c in 1usize..11, oc in 1usize..11, h in 1usize..7, w in 1usize..10,
         k in 1usize..4, stride in 1usize..4, padding in 0usize..2, seed in 0u64..1000,
     ) {
         let (h, w) = (h.max(k), w.max(k));
@@ -412,24 +413,25 @@ proptest! {
         prop_assert_eq!(bits(lane_out.as_slice()), bits(to_lanes(&out).as_slice()));
         prop_assert_eq!(lane_packed.shape().dims(), packed.shape().dims());
         prop_assert_eq!(bits(lane_packed.as_slice()), bits(packed.as_slice()));
-        let [mut lane_grad_x, mut lane_grad_w, mut lane_grad_b]: [Tensor; 3] = Default::default();
+        let mut lane_grad_x = Tensor::default();
+        let (mut lane_grad_w, mut lane_grad_b) = (vec![0.0; wgt.len()], vec![0.0; oc]);
         conv2d_lanes_backward_into(
             &to_lanes(&grad_out), &lane_packed, wgt.as_slice(), h, w, &spec, &mut scratch,
             Some(&mut lane_grad_x), &mut lane_grad_w, &mut lane_grad_b,
         );
         prop_assert_eq!(lane_grad_x.shape().dims(), &[c, h, w, n]);
         prop_assert_eq!(bits(lane_grad_x.as_slice()), bits(to_lanes(&grad_x).as_slice()));
-        prop_assert_eq!(bits(lane_grad_w.as_slice()), bits(grad_w.as_slice()));
-        prop_assert_eq!(bits(lane_grad_b.as_slice()), bits(grad_b.as_slice()));
+        prop_assert_eq!(bits(&lane_grad_w), bits(grad_w.as_slice()));
+        prop_assert_eq!(bits(&lane_grad_b), bits(grad_b.as_slice()));
         // Asked for no input gradient (a model's first layer in training), the
         // parameter gradients are those of the full call.
-        let [mut param_grad_w, mut param_grad_b]: [Tensor; 2] = Default::default();
+        let (mut param_grad_w, mut param_grad_b) = (vec![0.0; wgt.len()], vec![0.0; oc]);
         conv2d_lanes_backward_into(
             &to_lanes(&grad_out), &lane_packed, wgt.as_slice(), h, w, &spec, &mut scratch,
             None, &mut param_grad_w, &mut param_grad_b,
         );
-        prop_assert_eq!(bits(param_grad_w.as_slice()), bits(grad_w.as_slice()));
-        prop_assert_eq!(bits(param_grad_b.as_slice()), bits(grad_b.as_slice()));
+        prop_assert_eq!(bits(&param_grad_w), bits(grad_w.as_slice()));
+        prop_assert_eq!(bits(&param_grad_b), bits(grad_b.as_slice()));
     }
 
     #[test]
