@@ -357,8 +357,9 @@ impl Tiles for InputGrad<'_> {
         let (kk, ckk, hw) = (g.k * g.k, g.ckk, g.h * g.w);
         let channel_stride = g.oh * g.ow * g.n;
         // Row r's filter column for kernel point t in output channel oc is
-        // `columns[r][oc * ckk + t]`.
-        let columns_len = (g.oc - 1) * ckk + kk;
+        // `columns[r][oc * ckk + t]`; each row reaches as far as the last input
+        // channel's does, to the end of the weights.
+        let columns_len = self.weight.len().saturating_sub((g.c - 1) * kk);
         let columns: [&[f32]; R] = row_slices(self.weight, columns_len, |r| (ci0 + r) * kk);
         let mut start = 0;
         for (pos, &end) in self.lists.bwd_ends.iter().enumerate() {
