@@ -12,38 +12,35 @@
 //! tags and oversized frames are all rejected rather than guessed at. `f32`/`f64`
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
-//! on. The table's codec reads, and writes its scalars and `u32` run counts, through
-//! [`dssp_ps::codec`], the strict byte codec of a checkpoint too. Every writer takes a
-//! run's elements from one view, the run's own bytes on a little-endian host: one
-//! memcpy in the table's encoders, none on the transports' path, where the streaming
-//! writers ([`write_push_frame`] and the other `write_*_frame` writers) hand the writer
-//! a stack header plus those bytes in one vectored write and the streaming reader
-//! ([`FrameBody`]) checks a frame's fixed fields, then reads the run straight into the
-//! buffer it is for. A big-endian host converts instead.
+//! on. A run travels as a view of its own bytes on a little-endian host (a big-endian
+//! host converts): one memcpy into a buffered encoder's payload, none on the
+//! transports' path, where a streaming writer sends it from where it lies and
+//! [`FrameBody`] reads it straight into the buffer it is for.
 //!
 //! # The message table
 //!
 //! Every message kind is one row of the `messages!` table below: its tag, the name
-//! of its tag constant, the [`HELLO_MAGIC`] prefix if it has one, the name of its
-//! borrowed encoder if it has one, and its fields in wire order. [`Message`],
-//! [`Message::tag`], [`encode`], [`decode`] and the borrowed encoders
-//! ([`encode_push`], [`encode_pull_reply`], …) are generated from it, so a field's
-//! place on the wire is written down once. A borrowed encoder runs the same
-//! generated body as the owned arm of [`encode`]. Adding a kind is one row plus its
-//! handling in the roles that send and receive it. A new or changed row changes the
-//! protocol: bump [`PROTOCOL_VERSION`] and recapture `tests/golden_frames.rs`, which
-//! pins every kind's bytes. The streaming codecs and [`decode_with_run`] are written
-//! by hand; `tests/proptest_wire.rs` holds them to the table's codec (the pull-reply
-//! reader, which has no table counterpart, to a reference implementation) byte for
-//! byte and error for error.
+//! of its tag constant, the [`HELLO_MAGIC`] prefix if it has one, the names of its
+//! borrowed codecs if it has them, and its fields in wire order, fixed-size ones
+//! first. Every codec that only restates a row's field order is generated from it:
+//! [`Message`], [`Message::tag`], [`encode`], [`decode`], [`decode_with_run`], the
+//! borrowed encoders ([`encode_push`], …), the streaming writers
+//! ([`write_push_frame`], [`write_push_slice_frame`], [`write_pull_reply_frame`]) and
+//! the stream readers ([`FrameBody::push_into`], [`FrameBody::push_slice_into`], the
+//! full arm of [`FrameBody::pull_reply_apply`]). One generated body per row puts the
+//! fixed fields into a stack header and hands each run over as a view of its own
+//! bytes; a buffered encoder appends those parts, a streaming writer sends the length
+//! prefix and the parts in one vectored write, and every reader reads the fields back
+//! through [`FrameBody`]. Only the `[ShardUpdate]` delta forms are written by hand
+//! ([`encode_pull_reply_delta`], [`write_pull_reply_delta_frame`], the delta halves
+//! of [`write_slice_applied_frames`] and [`FrameBody::pull_reply_apply`]): they gather
+//! up to 16 shards per write and check each shard's key range. Adding a kind is one
+//! row plus its handling in the roles that send and receive it. A new or changed row
+//! changes the protocol: bump [`PROTOCOL_VERSION`] and recapture
+//! `tests/golden_frames.rs`, which pins every kind's bytes and every writer's output.
 //!
-//! Both transports run the streaming codecs: every message operation of the
-//! `crate::transport` traits writes through the `write_*_frame` writers and reads
-//! through [`FrameBody`], over a socket or over the bytes of an in-process channel
-//! alike. [`FrameBody`] is the one bulk reader: [`decode_push_into`] and
-//! [`apply_pull_reply`] run it over a payload already in memory. The buffered bulk
-//! encoders ([`encode_push`], `PullView::encode`, [`encode_pull_reply_delta`]) are the
-//! table's own encoder bodies; the streaming writers write the same bytes.
+//! Both transports run the streaming codecs, over a socket or over the bytes of an
+//! in-process channel alike.
 //!
 //! Protocol flow (client = worker, server = parameter server):
 //!
@@ -120,9 +117,13 @@
 //! with [`Message::PullDone`] before the coordinator dispatches the next mutating
 //! event.
 
-use dssp_ps::codec::{put_run, CodecError, LeScalar, Reader, RunLen as _};
+use crate::NetError;
+use dssp_ps::codec::{LeScalar, RunLen as _};
 use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
+
+/// The result of a frame read: a [`WireError`] or a failure of the stream under it.
+type Result<T, E = NetError> = std::result::Result<T, E>;
 
 /// Protocol version carried in [`Message::Hello`]; peers with a different version are
 /// rejected during the handshake. Version 2 added the incremental pull pair
@@ -181,26 +182,33 @@ pub struct ShardUpdate {
 /// Generates the protocol from its table (see the module docs). A row is
 ///
 /// ```text
-/// tag TAG_NAME Kind [MAGIC]? (=> borrowed_encoder)? ({ field: wire type, ... })?,
+/// tag TAG_NAME Kind [MAGIC]? (=> encoder (, writer, reader)?)? ({ fixed: ty, ..; run: ty, .. })?,
 /// ```
 ///
-/// with the fields in wire order. A wire type is a [`Field`] impl: `u8`, `u16`,
-/// `u32`, `u64`, `f64`, `bool`, `str`, or a length-prefixed run `[f32]`, `[u32]`,
-/// `[u64]`, `[ShardUpdate]`. A [`Message`] holds a run as a `Vec` and `str` as a
-/// `String`; a borrowed encoder takes them as slices. A row without fields is a unit
-/// variant.
+/// with the fields in wire order, each a [`Field`] type: the fixed-size ones (`u8`,
+/// `u16`, `u32`, `u64`, `f64`, `bool`), then, after a `;`, the length-prefixed runs
+/// (`[f32]`, `[u32]`, `[u64]`, `[ShardUpdate]`, `str`). A [`Message`] holds a run as a
+/// `Vec` and `str` as a `String`; the borrowed codecs take them as slices. A row
+/// without fields is a unit variant.
 macro_rules! messages {
     ($(
         $(#[$doc:meta])*
-        $tag:literal $tag_name:ident $kind:ident $([$magic:ident])? $(=> $encoder:ident)?
-        $({ $( $(#[$field_doc:meta])* $field:ident: $ty:tt ),* $(,)? })?
+        $tag:literal $tag_name:ident $kind:ident $([$magic:ident])?
+        $(=> $encoder:ident $(, $writer:ident, $reader_vis:vis $reader:ident)?)?
+        $({
+            $( $(#[$fixed_doc:meta])* $fixed:ident: $fixed_ty:tt ),*
+            $(; $( $(#[$run_doc:meta])* $run:ident: $run_ty:tt ),+ )? $(,)?
+        })?
     ),* $(,)?) => {
         /// One protocol message.
         #[derive(Debug, Clone, PartialEq)]
         pub enum Message {
             $(
                 $(#[$doc])*
-                $kind $({ $( $(#[$field_doc])* $field: owned!($ty), )* })?,
+                $kind $({
+                    $( $(#[$fixed_doc])* $fixed: $fixed_ty, )*
+                    $($( $(#[$run_doc])* $run: owned!($run_ty), )+)?
+                })?,
             )*
         }
 
@@ -222,77 +230,155 @@ macro_rules! messages {
         /// to `buf`.
         pub fn encode(msg: &Message, buf: &mut Vec<u8>) {
             match msg {
-                $( Message::$kind { $($($field),*)? } => {
-                    put!(buf, $tag_name $([$magic])?; $($($field),*)?)
+                $( Message::$kind { $($($fixed,)* $($($run,)+)?)? } => {
+                    frame!($tag_name $([$magic])?; $($($fixed,)* $($($run,)+)?)?).append(buf)
                 } )*
             }
         }
 
-        /// Deserializes one payload produced by [`encode`]. Strict: rejects unknown
-        /// tags, a hello without [`HELLO_MAGIC`], truncation and trailing bytes.
+        /// Deserializes one payload produced by [`encode`]. Strict: rejects unknown tags,
+        /// a hello without [`HELLO_MAGIC`], truncation and trailing bytes.
         pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-            let mut r = Reader::<u32>::new(payload);
-            let msg = match r.get::<u8>()? {
-                $( $tag_name => {
-                    $(
-                        let magic = r.get()?;
-                        if magic != $magic {
-                            return Err(WireError::BadMagic(magic));
-                        }
-                    )?
-                    Message::$kind { $($( $field: <$ty as Field>::get(&mut r)?, )*)? }
-                } )*
-                other => return Err(WireError::UnknownTag(other)),
-            };
-            r.finish()?;
-            Ok(msg)
+            read_payload(payload, |mut body| {
+                let msg = match body.tag {
+                    $( $tag_name => {
+                        $(
+                            let magic = body.field::<u32>()?;
+                            if magic != $magic {
+                                return Err(WireError::BadMagic(magic).into());
+                            }
+                        )?
+                        Message::$kind { $(
+                            $( $fixed: body.field::<$fixed_ty>()?, )*
+                            $($( $run: body.field::<$run_ty>()?, )+)?
+                        )? }
+                    } )*
+                    other => return Err(WireError::UnknownTag(other).into()),
+                };
+                body.finish()?;
+                Ok(msg)
+            })
         }
 
-        $( borrowed_encoder!($kind $tag_name $([$magic])? $(=> $encoder)?; $($($field: $ty),*)?); )*
+        /// Decodes one payload like [`decode`], except that the `[u64]` run of a kind
+        /// whose one length-prefixed field it is ([`Message::PullDelta`],
+        /// [`Message::PullShards`], [`Message::SliceApplied`], [`Message::GroupGrant`])
+        /// goes into the caller-owned `run` (overwritten; no allocation once warm) and the
+        /// message comes back holding an empty one. No other kind writes to `run`.
+        pub fn decode_with_run(payload: &[u8], run: &mut Vec<u64>) -> Result<Message, WireError> {
+            read_payload(payload, |mut body| {
+                $( with_run!(body run $kind $tag_name $([$magic])?;
+                    $($($fixed: $fixed_ty),*)?; $($($($run: $run_ty),+)?)?); )*
+                Ok(decode(payload)?)
+            })
+        }
+
+        $( row_codecs!($kind $tag_name $([$magic])?
+            $(=> $encoder $(, $writer, $reader_vis $reader)?)?;
+            $($($fixed: $fixed_ty),*)?; $($($($run: $run_ty),+)?)?); )*
     };
 }
 
-/// A wire type as a [`Message`] holds it.
+/// A run as a [`Message`] holds it.
 macro_rules! owned {
     ([$t:ty]) => { Vec<$t> };
     (str) => { String };
-    ($t:ty) => { $t };
 }
 
-/// A wire type as a borrowed encoder takes it.
+/// A run as the borrowed codecs take it, borrowed for `$lt`.
 macro_rules! borrowed {
-    ([$t:ty]) => {
-        &[$t]
-    };
-    (str) => {
-        &str
-    };
-    ($t:ty) => {
-        $t
-    };
+    ($lt:lifetime [$t:ty]) => { &$lt [$t] };
+    ($lt:lifetime str) => { &$lt str };
 }
 
-/// The one body that appends a payload: the owned arm of [`encode`] and the borrowed
-/// encoder of a kind both expand it.
-macro_rules! put {
-    ($buf:ident, $tag_name:ident $([$magic:ident])?; $($field:ident),*) => {{
-        $buf.push($tag_name);
-        $( $magic.put($buf); )?
-        $( $field.put($buf); )*
+/// The one body that lays a row's payload out: a [`Frame`] of the tag, the magic and
+/// the fields, in wire order.
+macro_rules! frame {
+    ($tag_name:ident $([$magic:ident])?; $($field:ident,)*) => {{
+        let mut frame = Frame { head: [0; 64], len: 4, runs: Default::default(), count: 0 };
+        frame.fixed(&[$tag_name]);
+        $( (&$magic).put(&mut frame); )?
+        $( $field.put(&mut frame); )*
+        frame
     }};
 }
 
-/// A row's borrowed encoder, when the row names one.
-macro_rules! borrowed_encoder {
-    ($kind:ident $tag_name:ident $([$magic:ident])?; $($field:ident: $ty:tt),*) => {};
-    ($kind:ident $tag_name:ident $([$magic:ident])? => $encoder:ident; $($field:ident: $ty:tt),*) => {
+/// A row's early return in [`decode_with_run`], for a row whose one length-prefixed
+/// field is a `[u64]` run; any other row adds nothing.
+macro_rules! with_run {
+    ($body:ident $buf:ident $kind:ident $tag_name:ident;
+     $($fixed:ident: $fixed_ty:tt),*; $run:ident: [u64]) => {
+        if $body.tag == $tag_name {
+            let msg = Message::$kind { $($fixed: $body.field::<$fixed_ty>()?,)* $run: Vec::new() };
+            <[u64] as Field>::read(&mut $body, $buf)?;
+            $body.finish()?;
+            return Ok(msg);
+        }
+    };
+    ($($other:tt)*) => {};
+}
+
+/// A row's borrowed codecs, when it names them: its [`Frame`] constructor and the
+/// encoder that appends that frame to a buffer, and for a streamed row the writer that
+/// writes it and the [`FrameBody`] reader that reads it back.
+macro_rules! row_codecs {
+    ($kind:ident $tag_name:ident $([$magic:ident])?; $($rest:tt)*) => {};
+    ($kind:ident $tag_name:ident $([$magic:ident])? => $encoder:ident;
+     $($fixed:ident: $fixed_ty:tt),*; $($run:ident: $run_ty:tt),*) => {
+        impl<'a> Frame<'a> {
+            #[allow(non_snake_case)]
+            fn $kind($($fixed: &'a $fixed_ty,)* $($run: borrowed!('a $run_ty)),*) -> Self {
+                frame!($tag_name $([$magic])?; $($fixed,)* $($run,)*)
+            }
+        }
+
         #[doc = concat!(
             "Appends a [`Message::", stringify!($kind), "`] payload built from borrowed ",
-            "fields: byte for byte what [`encode`] appends for the owned message, without ",
-            "building one."
+            "fields: byte for byte what [`encode`] appends for the owned message."
         )]
-        pub fn $encoder(buf: &mut Vec<u8>, $($field: borrowed!($ty)),*) {
-            put!(buf, $tag_name $([$magic])?; $($field),*)
+        pub fn $encoder(
+            buf: &mut Vec<u8>,
+            $($fixed: $fixed_ty,)* $($run: borrowed!('_ $run_ty)),*
+        ) {
+            Frame::$kind($(&$fixed,)* $($run),*).append(buf)
+        }
+    };
+    ($kind:ident $tag_name:ident => $encoder:ident, $writer:ident, $reader_vis:vis $reader:ident;
+     $($fixed:ident: $fixed_ty:tt),*; $($run:ident: $run_ty:tt),*) => {
+        row_codecs!($kind $tag_name => $encoder; $($fixed: $fixed_ty),*; $($run: $run_ty),*);
+
+        #[doc = concat!(
+            "Writes a [`Message::", stringify!($kind), "`] frame straight from borrowed ",
+            "fields, in one vectored write of a stack header and each run's own bytes: byte ",
+            "for byte [`", stringify!($encoder), "`] and [`write_frame_payload`]. Returns the ",
+            "bytes written, length prefix included."
+        )]
+        pub fn $writer<W: Write + ?Sized>(
+            w: &mut W,
+            $($fixed: $fixed_ty,)* $($run: borrowed!('_ $run_ty)),*
+        ) -> io::Result<usize> {
+            Frame::$kind($(&$fixed,)* $($run),*).write(w)
+        }
+
+        impl<R: Read + ?Sized> FrameBody<'_, R> {
+            #[doc = concat!(
+                "Streams a [`Message::", stringify!($kind), "`]: returns its fixed fields in ",
+                "wire order and reads each run straight into the caller's buffer (resized to ",
+                "the run). Same values and errors as [`decode`] on the buffered frame, once ",
+                "the tag is known to be this kind's."
+            )]
+            $reader_vis fn $reader(
+                mut self,
+                $($run: &mut owned!($run_ty)),*
+            ) -> Result<($($fixed_ty,)*)> {
+                if self.tag != $tag_name {
+                    return Err(WireError::UnknownTag(self.tag).into());
+                }
+                let fixed = ($(self.field::<$fixed_ty>()?,)*);
+                $( <$run_ty as Field>::read(&mut self, $run)?; )*
+                self.finish()?;
+                Ok(fixed)
+            }
         }
     };
 }
@@ -311,11 +397,11 @@ messages! {
         config_digest: u64,
     },
     /// Worker → server: gradients of one completed iteration (1-based).
-    2 TAG_PUSH Push => encode_push {
+    2 TAG_PUSH Push => encode_push, write_push_frame, pub push_into {
         /// 1-based iteration number of this push.
         iteration: u64,
         /// Causal trace id (`dssp_core::events::trace_id`), or 0 for untraced.
-        trace: u64,
+        trace: u64;
         /// Flat gradient vector.
         grads: [f32],
     },
@@ -335,9 +421,9 @@ messages! {
         trace: u64,
     },
     /// Server → worker: the current global weights.
-    5 TAG_PULL_REPLY PullReply => encode_pull_reply {
+    5 TAG_PULL_REPLY PullReply => encode_pull_reply, write_pull_reply_frame, pull_reply_into {
         /// Server weight version (total pushes applied).
-        clock: u64,
+        clock: u64;
         /// Per-shard update versions of the server's `ShardedStore`, in shard order.
         shard_versions: [u64],
         /// The flat weight vector.
@@ -364,7 +450,7 @@ messages! {
     /// vector is incompatible.
     8 TAG_PULL_DELTA PullDelta => encode_pull_delta {
         /// Causal trace id (`dssp_core::events::trace_id`), or 0 for untraced.
-        trace: u64,
+        trace: u64;
         /// The per-shard versions the worker already holds, in shard order.
         known_versions: [u64],
     },
@@ -374,7 +460,7 @@ messages! {
     /// iterator.
     9 TAG_PULL_REPLY_DELTA PullReplyDelta {
         /// Server weight version (total pushes applied).
-        clock: u64,
+        clock: u64;
         /// The stale shards' fresh weights, in ascending shard order.
         updates: [ShardUpdate],
     },
@@ -432,7 +518,7 @@ messages! {
     /// [`Message::SliceAck`], or with [`Message::SliceApplied`] and the server's
     /// shards when `pull` is set — so a worker's `Done` implies every slice it pushed
     /// is in the weights.
-    15 TAG_PUSH_SLICE PushSlice => encode_push_slice {
+    15 TAG_PUSH_SLICE PushSlice => encode_push_slice, write_push_slice_frame, pub push_slice_into {
         /// 1-based iteration number of this push.
         iteration: u64,
         /// The layout epoch the sender sliced against. A server at a different epoch
@@ -444,7 +530,7 @@ messages! {
         /// Answer with [`Message::SliceApplied`] followed by a
         /// [`Message::PullReplyDelta`] of every owned shard (global indices), written
         /// straight after the apply: the group round's pull, fused into its push.
-        pull: bool,
+        pull: bool;
         /// The gradient run for the server's key range (its owned shards, in order).
         grads: [f32],
     },
@@ -465,7 +551,7 @@ messages! {
         /// The layout epoch the sender routed against (see [`Message::PushSlice`]).
         epoch: u64,
         /// Causal trace id (`dssp_core::events::trace_id`), or 0 for untraced.
-        trace: u64,
+        trace: u64;
         /// The client's cached per-shard versions of the server's owned shards.
         known_versions: [u64],
     },
@@ -503,7 +589,7 @@ messages! {
         clock: u64,
         /// The group's current layout epoch (0 for single-server runs and
         /// never-migrated groups).
-        epoch: u64,
+        epoch: u64;
         /// The current shard → server assignment; empty for single-server runs and
         /// epoch-0 groups (where the joiner derives the closed form itself).
         assignment: [u32],
@@ -545,7 +631,7 @@ messages! {
         /// stays bitwise-equal to a never-migrated group's).
         version: u64,
         /// Causal trace id of this migration leg (rank slot `num_workers`), or 0.
-        trace: u64,
+        trace: u64;
         /// The shard's weights (its full key range).
         weights: [f32],
         /// The shard's SGD momentum slice, same length as `weights` (empty when the
@@ -566,7 +652,7 @@ messages! {
     /// [`Message::MigrateAck`]; workers adopt silently.
     28 TAG_LAYOUT_UPDATE LayoutUpdate {
         /// The now-current layout epoch.
-        epoch: u64,
+        epoch: u64;
         /// The now-current shard → server assignment.
         assignment: [u32],
     },
@@ -582,7 +668,7 @@ messages! {
     /// newer layout the client should adopt before retrying.
     30 TAG_EPOCH_REFUSED EpochRefused {
         /// The epoch the server is at (or migrating to, while frozen).
-        epoch: u64,
+        epoch: u64;
         /// The committed assignment to adopt, or empty while frozen.
         assignment: [u32],
     },
@@ -601,7 +687,7 @@ messages! {
         /// The layout epoch after the command was handled.
         epoch: u64,
         /// Whether the migration committed.
-        accepted: bool,
+        accepted: bool;
         /// Why the command was refused; empty on success.
         reason: str,
     },
@@ -610,7 +696,7 @@ messages! {
     /// owns follows in the same write; `applied` says which pushes those weights hold.
     34 TAG_SLICE_APPLIED SliceApplied => encode_slice_applied {
         /// The server's local weight version (slice pushes applied) after this one.
-        version: u64,
+        version: u64;
         /// Per rank, the highest iteration the server has applied from it since it
         /// started (a restored server starts from zeros).
         applied: [u64],
@@ -622,7 +708,7 @@ messages! {
         /// Extra iterations the DSSP controller granted at this push (`r*`).
         granted_extra: u64,
         /// Coordinator clock (total pushes) when the grant was issued.
-        version: u64,
+        version: u64;
         /// Per rank, the pushes the gate had counted when it decided. The worker's
         /// weights must hold every one of them.
         counted: [u64],
@@ -696,32 +782,19 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<CodecError> for WireError {
-    #[inline]
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Truncated => WireError::Truncated,
-            CodecError::Trailing { extra } => WireError::TrailingBytes { extra },
-            CodecError::Oversized { declared } => WireError::BadLength { declared },
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Field types
 // ---------------------------------------------------------------------------
 
-/// A wire type of the message table: how a value is appended to a payload, and how
-/// it is read back, strictly. The trait is private, so the impls below are every
-/// type a row can name.
+/// A wire type of the message table: how a value goes into a [`Frame`], and how it is
+/// read back, strictly. The trait is private, so the impls below are every type a row
+/// can name.
 trait Field {
-    /// What [`decode`] builds: the type itself for a scalar, a `Vec` for a run, a
-    /// `String` for `str`.
-    type Owned;
-    /// Appends the value's wire bytes.
-    fn put(&self, buf: &mut Vec<u8>);
-    /// Reads one value, refusing what [`put`](Field::put) never writes.
-    fn get(r: &mut Reader<'_, u32>) -> Result<Self::Owned, WireError>;
+    /// What a [`Message`] holds: the type itself, or a `Vec` / `String` for a run.
+    type Owned: Default;
+    fn put<'a>(&'a self, frame: &mut Frame<'a>);
+    /// Reads one value over `into`; a run reuses its buffer.
+    fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut Self::Owned) -> Result<()>;
 }
 
 /// A scalar is its little-endian bytes; an `f64`, its bit pattern's.
@@ -729,11 +802,12 @@ macro_rules! scalar_field {
     ($($t:ty),*) => {$(
         impl Field for $t {
             type Owned = $t;
-            fn put(&self, buf: &mut Vec<u8>) {
-                self.put_le(buf);
+            fn put<'a>(&'a self, frame: &mut Frame<'a>) {
+                frame.fixed(&self.to_le_bytes());
             }
-            fn get(r: &mut Reader<'_, u32>) -> Result<$t, WireError> {
-                Ok(r.get()?)
+            fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut $t) -> Result<()> {
+                *into = <$t>::from_le_bytes(body.take()?);
+                Ok(())
             }
         }
     )*};
@@ -743,59 +817,77 @@ scalar_field!(u8, u16, u32, u64, f64);
 /// A `bool` is one byte, 0 or 1; any other byte is [`WireError::UnknownTag`].
 impl Field for bool {
     type Owned = bool;
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
+    fn put<'a>(&'a self, frame: &mut Frame<'a>) {
+        frame.fixed(&[u8::from(*self)]);
     }
-    fn get(r: &mut Reader<'_, u32>) -> Result<bool, WireError> {
-        r.flag(WireError::UnknownTag)
+    fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut bool) -> Result<()> {
+        *into = match body.take()? {
+            [0] => false,
+            [1] => true,
+            [other] => return Err(WireError::UnknownTag(other).into()),
+        };
+        Ok(())
     }
 }
 
-/// A run: its `u32` element count, then the elements from their zero-copy view, as
-/// every writer appends a run (one `memcpy` on little-endian hosts).
-impl<T: LeScalar> Field for [T] {
+/// A run: its `u32` count into the frame's header, its elements as a view of their own
+/// bytes, and read back straight into the buffer they are for.
+impl<T: LeScalar + Default> Field for [T] {
     type Owned = Vec<T>;
-    fn put(&self, buf: &mut Vec<u8>) {
-        u32::from_len(self.len()).put_le(buf);
-        buf.extend_from_slice(&le_bytes(self));
+    fn put<'a>(&'a self, frame: &mut Frame<'a>) {
+        frame.fixed(&u32::from_len(self.len()).to_le_bytes());
+        frame.run(le_bytes(self));
     }
-    fn get(r: &mut Reader<'_, u32>) -> Result<Vec<T>, WireError> {
-        Ok(r.run()?)
+    fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut Vec<T>) -> Result<()> {
+        let len = body.run_len(std::mem::size_of::<T>())?;
+        into.resize(len, T::default());
+        body.scalars(into)
     }
 }
 
-/// A string: its `u32` byte count, then the bytes (read back lossily as UTF-8).
+/// A string: its `u32` byte count, then the bytes (read back lossily as UTF-8). A count
+/// past the frame's end is [`WireError::Truncated`].
 impl Field for str {
     type Owned = String;
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_run::<u32, u8>(buf, self.as_bytes());
+    fn put<'a>(&'a self, frame: &mut Frame<'a>) {
+        frame.fixed(&u32::from_len(self.len()).to_le_bytes());
+        frame.run(Cow::Borrowed(self.as_bytes()));
     }
-    fn get(r: &mut Reader<'_, u32>) -> Result<String, WireError> {
-        let len = r.get::<u32>()? as usize;
-        Ok(String::from_utf8_lossy(r.take(len)?).into_owned())
+    fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut String) -> Result<()> {
+        let len = body.field::<u32>()? as usize;
+        if len > body.left {
+            return Err(WireError::Truncated.into());
+        }
+        let mut bytes = vec![0; len];
+        body.scalars(&mut bytes)?;
+        *into = String::from_utf8_lossy(&bytes).into_owned();
+        Ok(())
     }
 }
 
-/// The updates of a delta reply: their `u32` count, then per update its shard,
-/// version and weight run.
+/// The updates of a delta reply: their `u32` count, then per update its shard, version
+/// and weight run. The owned message hands them to the frame as one run, laid out by
+/// the borrowed delta encoder.
 impl Field for [ShardUpdate] {
     type Owned = Vec<ShardUpdate>;
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_updates(
-            buf,
-            self.iter()
-                .map(|u| (u.shard, u.version, u.weights.as_slice())),
-        );
+    fn put<'a>(&'a self, frame: &mut Frame<'a>) {
+        let mut payload = Vec::new();
+        let updates = self.iter().map(|u| (u.shard, u.version, &u.weights[..]));
+        encode_pull_reply_delta(&mut payload, 0, updates);
+        frame.run(Cow::Owned(payload.split_off(9))); // past the tag and the clock
     }
-    fn get(r: &mut Reader<'_, u32>) -> Result<Vec<ShardUpdate>, WireError> {
+    fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut Self::Owned) -> Result<()> {
         // An update is at least its 16 header bytes, which bounds the count.
-        r.run_with(16, |r| {
-            Ok(ShardUpdate {
-                shard: r.get()?,
-                version: r.get()?,
-                weights: r.run()?,
-            })
-        })
+        let count = body.run_len(16)?;
+        into.clear();
+        for _ in 0..count {
+            into.push(ShardUpdate {
+                shard: body.field::<u32>()?,
+                version: body.field::<u64>()?,
+                weights: body.field::<[f32]>()?,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -803,8 +895,8 @@ impl Field for [ShardUpdate] {
 // Zero-copy views: on little-endian hosts a run's in-memory bytes *are* its wire
 // bytes, so every writer appends a run, and `FrameBody` reads one, through a plain
 // byte view of its slice. The two views below are the only `unsafe` in this crate; on
-// big-endian hosts `le_bytes` converts instead, and `FrameBody` reads an `f32` run
-// element by element.
+// big-endian hosts `le_bytes` converts instead, and `FrameBody` reads a run through a
+// converted copy.
 // ---------------------------------------------------------------------------
 
 /// The wire bytes of a bulk run: on little-endian hosts its own bytes, viewed in
@@ -826,13 +918,14 @@ fn le_bytes<T: LeScalar>(values: &[T]) -> Cow<'_, [u8]> {
     }
 }
 
-/// The wire bytes of an `f32` run, viewed in place for writing — what lets a socket
-/// read land in a gradient or weight buffer without a staging copy.
+/// The wire bytes of a run, viewed in place for writing — what lets a socket read land
+/// in a gradient, weight or version buffer without a staging copy.
 #[cfg(target_endian = "little")]
-fn le_bytes_mut(values: &mut [f32]) -> &mut [u8] {
-    // SAFETY: as in `le_bytes`; in addition every bit pattern is a valid `f32`, so no
-    // write through the view can leave the run holding an invalid value, and the view
-    // holds the unique borrow of `values` for as long as it lives.
+fn le_bytes_mut<T: LeScalar>(values: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in `le_bytes`; in addition every bit pattern is a valid value of each
+    // sealed `LeScalar`, so no write through the view can leave the run holding an
+    // invalid value, and the view holds the unique borrow of `values` for as long as it
+    // lives.
     unsafe {
         std::slice::from_raw_parts_mut(
             values.as_mut_ptr().cast::<u8>(),
@@ -845,6 +938,66 @@ fn le_bytes_mut(values: &mut [f32]) -> &mut [u8] {
 // Encoding
 // ---------------------------------------------------------------------------
 
+/// One message laid out by the table's body without copying a run: the length prefix
+/// and every fixed-size field (a run's count too) in a stack header, which holds the
+/// largest row's, and each run (two at most) a view of its own bytes, with the header
+/// offset it follows. [`Frame::append`] encodes it, [`Frame::write`] streams it.
+struct Frame<'a> {
+    head: [u8; 64],
+    /// Header bytes in use, the four of the length prefix included.
+    len: usize,
+    runs: [(usize, Cow<'a, [u8]>); 2],
+    count: usize,
+}
+
+impl<'a> Frame<'a> {
+    fn fixed(&mut self, bytes: &[u8]) {
+        self.head[self.len..][..bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn run(&mut self, bytes: Cow<'a, [u8]>) {
+        self.runs[self.count] = (self.len, bytes);
+        self.count += 1;
+    }
+
+    /// The frame's bytes in wire order from header offset `from` (0 with the length
+    /// prefix, 4 without): the header's pieces and the runs between them.
+    fn parts(&self, from: usize) -> [&[u8]; 5] {
+        let mut parts = [&[][..]; 5];
+        let mut at = from;
+        for (i, (end, run)) in self.runs[..self.count].iter().enumerate() {
+            parts[2 * i] = &self.head[at..*end];
+            parts[2 * i + 1] = run;
+            at = *end;
+        }
+        parts[2 * self.count] = &self.head[at..self.len];
+        parts
+    }
+
+    /// Appends the payload to `buf`.
+    fn append(&self, buf: &mut Vec<u8>) {
+        for part in self.parts(4) {
+            buf.extend_from_slice(part);
+        }
+    }
+
+    /// Fills in the length prefix ([`frame_prefix`], so an oversized frame is refused
+    /// here) and returns the frame's size, length prefix included.
+    fn seal(&mut self) -> io::Result<usize> {
+        let payload_len = self.parts(4).iter().map(|part| part.len()).sum();
+        self.head[..4].copy_from_slice(&frame_prefix(payload_len)?);
+        Ok(payload_len + 4)
+    }
+
+    /// Writes the frame in one vectored write and returns its size.
+    fn write<W: Write + ?Sized>(mut self, w: &mut W) -> io::Result<usize> {
+        let len = self.seal()?;
+        write_gathered(w, &mut self.parts(0).map(IoSlice::new)[..=2 * self.count])?;
+        Ok(len)
+    }
+}
+
 /// Appends a [`Message::PullReplyDelta`] payload from an iterator of
 /// `(shard, version, weights)` updates — the server's zero-copy delta path (shard
 /// weights are memcpy'd straight from the store into the frame buffer).
@@ -854,8 +1007,26 @@ pub fn encode_pull_reply_delta<'a>(
     updates: impl Iterator<Item = (u32, u64, &'a [f32])>,
 ) {
     buf.push(TAG_PULL_REPLY_DELTA);
-    clock.put(buf);
-    put_updates(buf, updates);
+    buf.extend_from_slice(&clock.to_le_bytes());
+    // The update count is only known after iterating; write a placeholder and patch.
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let mut count = 0u32;
+    for (shard, version, weights) in updates {
+        buf.extend_from_slice(&update_head(shard, version, weights));
+        buf.extend_from_slice(&le_bytes(weights));
+        count += 1;
+    }
+    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+}
+
+/// The 16 bytes in front of an update's weights: its shard, version and weight count.
+fn update_head(shard: u32, version: u64, weights: &[f32]) -> [u8; 16] {
+    let mut head = [0; 16];
+    head[..4].copy_from_slice(&shard.to_le_bytes());
+    head[4..12].copy_from_slice(&version.to_le_bytes());
+    head[12..].copy_from_slice(&u32::from_len(weights.len()).to_le_bytes());
+    head
 }
 
 impl crate::transport::PullView<'_> {
@@ -873,24 +1044,8 @@ impl crate::transport::PullView<'_> {
     }
 }
 
-/// Appends a delta reply's updates: the count, then each update.
-fn put_updates<'a>(buf: &mut Vec<u8>, updates: impl Iterator<Item = (u32, u64, &'a [f32])>) {
-    // The update count is only known after iterating; write a placeholder and patch.
-    let count_at = buf.len();
-    buf.extend_from_slice(&0u32.to_le_bytes());
-    let mut count: u32 = 0;
-    for (shard, version, weights) in updates {
-        shard.put(buf);
-        version.put(buf);
-        weights.put(buf);
-        count += 1;
-    }
-    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-}
-
 // ---------------------------------------------------------------------------
-// Decoding. The table's `decode` and `decode_with_run` read through
-// `dssp_ps::codec::Reader`; the bulk decoders are `FrameBody` over a payload.
+// Decoding: every decoder is `FrameBody` over a payload in memory.
 // ---------------------------------------------------------------------------
 
 /// Decodes a [`Message::Push`] payload into a caller-owned gradient buffer
@@ -902,56 +1057,19 @@ pub fn decode_push_into(payload: &[u8], grads: &mut Vec<f32>) -> Result<(u64, u6
     read_payload(payload, |body| body.push_into(grads))
 }
 
-/// Runs a [`FrameBody`] reader over a payload already in memory (tag first, no length
-/// prefix).
+/// Runs a [`FrameBody`] reader over a payload in memory (tag first, no length prefix).
 fn read_payload<T>(
     mut payload: &[u8],
-    read: impl FnOnce(FrameBody<'_, &[u8]>) -> Result<T, crate::NetError>,
+    read: impl FnOnce(FrameBody<'_, &[u8]>) -> Result<T>,
 ) -> Result<T, WireError> {
     let len = payload.len();
     FrameBody::with_len(&mut payload, len)
         .and_then(read)
         .map_err(|e| match e {
-            crate::NetError::Wire(e) => e,
+            NetError::Wire(e) => e,
             // Every read is bounded by the payload's own length, so none runs dry.
             _ => WireError::Truncated,
         })
-}
-
-/// Decodes one payload like [`decode`], except that the `u64` run of a
-/// [`Message::SliceApplied`], a [`Message::GroupGrant`] (per-rank counts), a
-/// [`Message::PullDelta`] or a [`Message::PullShards`] (known versions) goes into the
-/// caller-owned `run` (overwritten; no allocation once warm) and the message comes
-/// back holding an empty one. Same strictness as [`decode`]; no other kind writes to
-/// `run`.
-pub fn decode_with_run(payload: &[u8], run: &mut Vec<u64>) -> Result<Message, WireError> {
-    let mut r = Reader::<u32>::new(payload);
-    // Each kind's fields before its run, in wire order (a literal's order).
-    let msg = match r.get::<u8>()? {
-        TAG_PULL_DELTA => Message::PullDelta {
-            trace: r.get()?,
-            known_versions: Vec::new(),
-        },
-        TAG_PULL_SHARDS => Message::PullShards {
-            all: bool::get(&mut r)?,
-            epoch: r.get()?,
-            trace: r.get()?,
-            known_versions: Vec::new(),
-        },
-        TAG_SLICE_APPLIED => Message::SliceApplied {
-            version: r.get()?,
-            applied: Vec::new(),
-        },
-        TAG_GROUP_GRANT => Message::GroupGrant {
-            granted_extra: r.get()?,
-            version: r.get()?,
-            counted: Vec::new(),
-        },
-        _ => return decode(payload),
-    };
-    r.run_into(run)?;
-    r.finish()?;
-    Ok(msg)
 }
 
 /// What [`apply_pull_reply`] reconstructed from a pull reply payload.
@@ -1046,104 +1164,9 @@ fn frame_prefix(payload_len: usize) -> io::Result<[u8; 4]> {
     Ok(u32::from_len(payload_len).to_le_bytes())
 }
 
-/// Concatenates the fixed-size leading fields of a frame — length prefix, tag,
-/// scalars, a run's element count — into a stack array of exactly their total size.
-fn header<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
-    let mut out = [0u8; N];
-    let mut at = 0;
-    for field in fields {
-        out[at..at + field.len()].copy_from_slice(field);
-        at += field.len();
-    }
-    assert_eq!(at, N, "the fields fill the header exactly");
-    out
-}
-
-/// Writes a [`Message::Push`] frame straight from the gradient slice: one vectored
-/// write of a stack header plus the run's own bytes — byte for byte what
-/// [`encode_push`] and [`write_frame_payload`] produce, without staging the run in a
-/// frame buffer first. Returns the bytes written, length prefix included.
-pub fn write_push_frame<W: Write + ?Sized>(
-    w: &mut W,
-    iteration: u64,
-    trace: u64,
-    grads: &[f32],
-) -> io::Result<usize> {
-    let payload_len = 21 + grads.len() * 4;
-    let head: [u8; 25] = header(&[
-        &frame_prefix(payload_len)?,
-        &[TAG_PUSH],
-        &iteration.to_le_bytes(),
-        &trace.to_le_bytes(),
-        &u32::from_len(grads.len()).to_le_bytes(),
-    ]);
-    write_gathered(
-        w,
-        &mut [IoSlice::new(&head), IoSlice::new(&le_bytes(grads))],
-    )?;
-    Ok(payload_len + 4)
-}
-
-/// Writes a [`Message::PushSlice`] frame straight from the gradient slice, like
-/// [`write_push_frame`]; byte for byte [`encode_push_slice`] and
-/// [`write_frame_payload`]. Returns the bytes written, length prefix included.
-pub fn write_push_slice_frame<W: Write + ?Sized>(
-    w: &mut W,
-    iteration: u64,
-    epoch: u64,
-    trace: u64,
-    pull: bool,
-    grads: &[f32],
-) -> io::Result<usize> {
-    let payload_len = 30 + grads.len() * 4;
-    let head: [u8; 34] = header(&[
-        &frame_prefix(payload_len)?,
-        &[TAG_PUSH_SLICE],
-        &iteration.to_le_bytes(),
-        &epoch.to_le_bytes(),
-        &trace.to_le_bytes(),
-        &[u8::from(pull)],
-        &u32::from_len(grads.len()).to_le_bytes(),
-    ]);
-    write_gathered(
-        w,
-        &mut [IoSlice::new(&head), IoSlice::new(&le_bytes(grads))],
-    )?;
-    Ok(payload_len + 4)
-}
-
-/// Writes a full [`Message::PullReply`] frame straight from the server's store; byte
-/// for byte [`encode_pull_reply`] and [`write_frame_payload`]. Returns the bytes
-/// written, length prefix included.
-pub fn write_pull_reply_frame<W: Write + ?Sized>(
-    w: &mut W,
-    clock: u64,
-    shard_versions: &[u64],
-    weights: &[f32],
-) -> io::Result<usize> {
-    let payload_len = 17 + shard_versions.len() * 8 + weights.len() * 4;
-    let head: [u8; 17] = header(&[
-        &frame_prefix(payload_len)?,
-        &[TAG_PULL_REPLY],
-        &clock.to_le_bytes(),
-        &u32::from_len(shard_versions.len()).to_le_bytes(),
-    ]);
-    let weight_count = u32::from_len(weights.len()).to_le_bytes();
-    write_gathered(
-        w,
-        &mut [
-            IoSlice::new(&head),
-            IoSlice::new(&le_bytes(shard_versions)),
-            IoSlice::new(&weight_count),
-            IoSlice::new(&le_bytes(weights)),
-        ],
-    )?;
-    Ok(payload_len + 4)
-}
-
 /// Stale shards one vectored write of [`write_pull_reply_delta_frame`] gathers: each
-/// takes two slices (its 16-byte header, its weights), three more carry the frame's
-/// own header and an acknowledgement riding in front of it, and the total stays far
+/// takes two slices (its 16-byte header, its weights), six more carry the frame's own
+/// header and an acknowledgement frame riding in front of it, and the total stays far
 /// below any platform's `IOV_MAX`.
 const DELTA_SHARDS_PER_WRITE: usize = 16;
 
@@ -1159,7 +1182,7 @@ pub fn write_pull_reply_delta_frame<'a, W: Write + ?Sized>(
     clock: u64,
     updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
 ) -> io::Result<usize> {
-    write_delta_frame_after(w, [&[], &[]], clock, updates)
+    write_delta_frame_after(w, Default::default(), clock, updates)
 }
 
 /// Writes a [`Message::SliceApplied`] frame and, right behind it, a
@@ -1177,15 +1200,9 @@ pub fn write_slice_applied_frames<'a, W: Write + ?Sized>(
     clock: u64,
     updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
 ) -> io::Result<usize> {
-    let ack_len = 13 + applied.len() * 8;
-    let ack_head: [u8; 17] = header(&[
-        &frame_prefix(ack_len)?,
-        &[TAG_SLICE_APPLIED],
-        &version.to_le_bytes(),
-        &u32::from_len(applied.len()).to_le_bytes(),
-    ]);
-    let written = write_delta_frame_after(w, [&ack_head, &le_bytes(applied)], clock, updates)?;
-    Ok(ack_len + 4 + written)
+    let mut ack = Frame::SliceApplied(&version, applied);
+    let ack_len = ack.seal()?;
+    Ok(ack_len + write_delta_frame_after(w, ack.parts(0), clock, updates)?)
 }
 
 /// The delta-frame writer behind [`write_pull_reply_delta_frame`] and
@@ -1193,81 +1210,56 @@ pub fn write_slice_applied_frames<'a, W: Write + ?Sized>(
 /// write as the frame's header and first shards. Returns the delta frame's bytes.
 fn write_delta_frame_after<'a, W: Write + ?Sized>(
     w: &mut W,
-    lead: [&[u8]; 2],
+    lead: [&[u8]; 5],
     clock: u64,
-    updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
+    mut updates: impl Iterator<Item = (u32, u64, &'a [f32])> + Clone,
 ) -> io::Result<usize> {
+    const HEAD: usize = 5;
     let (mut count, mut payload_len) = (0usize, 13usize);
     for (_, _, weights) in updates.clone() {
         count += 1;
         payload_len += 16 + weights.len() * 4;
     }
-    let frame_head: [u8; 17] = header(&[
-        &frame_prefix(payload_len)?,
-        &[TAG_PULL_REPLY_DELTA],
-        &clock.to_le_bytes(),
-        &u32::from_len(count).to_le_bytes(),
-    ]);
-    let mut updates = updates;
+    let mut frame_head = [TAG_PULL_REPLY_DELTA; 17];
+    frame_head[..4].copy_from_slice(&frame_prefix(payload_len)?);
+    frame_head[5..13].copy_from_slice(&clock.to_le_bytes());
+    frame_head[13..].copy_from_slice(&u32::from_len(count).to_le_bytes());
     // At least one write, so an empty delta still sends its frame header.
     for chunk in 0..count.div_ceil(DELTA_SHARDS_PER_WRITE).max(1) {
         let mut heads = [[0u8; 16]; DELTA_SHARDS_PER_WRITE];
         let mut runs: [Cow<[u8]>; DELTA_SHARDS_PER_WRITE] = Default::default();
         let mut gathered = 0;
         for (shard, version, weights) in updates.by_ref().take(DELTA_SHARDS_PER_WRITE) {
-            heads[gathered] = header(&[
-                &shard.to_le_bytes(),
-                &version.to_le_bytes(),
-                &u32::from_len(weights.len()).to_le_bytes(),
-            ]);
+            heads[gathered] = update_head(shard, version, weights);
             runs[gathered] = le_bytes(weights);
             gathered += 1;
         }
-        let mut slices = [IoSlice::new(&[]); 3 + 2 * DELTA_SHARDS_PER_WRITE];
+        let mut slices = [IoSlice::new(&[]); HEAD + 1 + 2 * DELTA_SHARDS_PER_WRITE];
         if chunk == 0 {
-            slices[0] = IoSlice::new(lead[0]);
-            slices[1] = IoSlice::new(lead[1]);
-            slices[2] = IoSlice::new(&frame_head);
+            for (slice, part) in slices.iter_mut().zip(lead) {
+                *slice = IoSlice::new(part);
+            }
+            slices[HEAD] = IoSlice::new(&frame_head);
         }
         for i in 0..gathered {
-            slices[3 + 2 * i] = IoSlice::new(&heads[i]);
-            slices[4 + 2 * i] = IoSlice::new(&runs[i]);
+            slices[HEAD + 1 + 2 * i] = IoSlice::new(&heads[i]);
+            slices[HEAD + 2 + 2 * i] = IoSlice::new(&runs[i]);
         }
-        write_gathered(w, &mut slices[..3 + 2 * gathered])?;
+        write_gathered(w, &mut slices[..HEAD + 1 + 2 * gathered])?;
     }
     Ok(payload_len + 4)
 }
 
-/// Reads a frame's length prefix. [`crate::NetError::Disconnected`] on a clean EOF at
-/// the frame boundary; [`WireError::Oversized`] before anything is sized from it.
-fn read_frame_prefix<R: Read + ?Sized>(r: &mut R) -> Result<usize, crate::NetError> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            return Err(crate::NetError::Disconnected)
-        }
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized { len }.into());
-    }
-    Ok(len)
-}
-
 /// One incoming frame, consumed from its stream field by field: the length prefix and
-/// the tag have been read, the rest is still on the stream. Every frame either
-/// transport reads starts here. A frame that carries an `f32` run is streamed: its
-/// fixed fields are validated as strictly as [`decode`] validates them (field
-/// truncation, a run's declared count against the bytes left in the frame, shard
-/// index and key-range length, trailing bytes), and then the run is read from the
-/// stream straight into the buffer it is for, so a received gradient or weight byte
-/// is written once. Every other frame is read whole ([`FrameBody::buffer`]) for the
-/// table's decoders. Every read is bounded by the frame's declared length, so a
-/// malformed frame can neither make this read into the next frame nor size a buffer
-/// past [`MAX_FRAME_LEN`]. The bulk readers are the only ones: [`decode_push_into`]
-/// and [`apply_pull_reply`] run them over a payload already in memory.
+/// the tag have been read, the rest is still on the stream. It is the one reader: every
+/// frame either transport reads starts here, and the decoders run it over a payload in
+/// memory. A bulk frame's reader ([`FrameBody::push_into`],
+/// [`FrameBody::push_slice_into`], [`FrameBody::pull_reply_apply`]) checks its fixed
+/// fields, then reads each run from the stream straight into the buffer it is for, so
+/// a received gradient or weight byte is written once; every other frame is read whole
+/// ([`FrameBody::buffer`]) for the buffered decoders. Every read is bounded by the
+/// frame's declared length, so a malformed frame can neither make this read into the
+/// next frame nor size a buffer past [`MAX_FRAME_LEN`].
 ///
 /// Read through a buffered source — a socket's `BufReader`, or the bytes an
 /// in-process channel delivered — so by the time a frame's tag is known the source
@@ -1285,17 +1277,24 @@ pub struct FrameBody<'r, R: ?Sized> {
 }
 
 impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
-    /// Reads the next frame's length prefix and tag. [`crate::NetError::Disconnected`]
+    /// Reads the next frame's length prefix and tag. [`NetError::Disconnected`]
     /// on a clean EOF at the frame boundary, [`WireError::Oversized`] for a length
     /// past [`MAX_FRAME_LEN`], and [`WireError::Truncated`] for an empty frame, which
     /// is what every buffered decoder makes of one.
-    pub fn begin(r: &'r mut R) -> Result<Self, crate::NetError> {
-        let len = read_frame_prefix(r)?;
-        Self::with_len(r, len)
+    pub fn begin(r: &'r mut R) -> Result<Self> {
+        let mut len = [0u8; 4];
+        r.read_exact(&mut len).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => NetError::Disconnected,
+            _ => e.into(),
+        })?;
+        match u32::from_le_bytes(len) as usize {
+            len if len > MAX_FRAME_LEN => Err(WireError::Oversized { len }.into()),
+            len => Self::with_len(r, len),
+        }
     }
 
     /// Reads the tag of a frame whose `len` payload bytes follow on `r`.
-    fn with_len(r: &'r mut R, len: usize) -> Result<Self, crate::NetError> {
+    fn with_len(r: &'r mut R, len: usize) -> Result<Self> {
         let mut body = Self {
             r,
             len,
@@ -1319,43 +1318,11 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
     /// Reads the rest of the frame into `payload`, tag first, for the buffered
     /// decoders — the path of every frame kind that carries no bulk run. `payload` is
     /// reused: no allocation once it reached the source's largest such frame.
-    pub fn buffer(self, payload: &mut Vec<u8>) -> Result<(), crate::NetError> {
+    pub fn buffer(self, payload: &mut Vec<u8>) -> Result<()> {
         payload.resize(self.len, 0);
         payload[0] = self.tag;
         self.r.read_exact(&mut payload[1..])?;
         Ok(())
-    }
-
-    /// Streams a [`Message::Push`] into a caller-owned gradient buffer (resized to the
-    /// run, otherwise untouched before the socket read fills it) and returns the
-    /// push's `(iteration, trace)` pair. Same value and errors as [`decode`] on the
-    /// buffered frame, once the tag is known to be `Push`.
-    pub fn push_into(mut self, grads: &mut Vec<f32>) -> Result<(u64, u64), crate::NetError> {
-        self.expect_tag(TAG_PUSH)?;
-        let iteration = self.u64()?;
-        let trace = self.u64()?;
-        self.closing_f32_run(grads)?;
-        Ok((iteration, trace))
-    }
-
-    /// Streams a [`Message::PushSlice`] into a caller-owned gradient buffer and returns
-    /// the push's `(iteration, epoch, trace, pull)` fields. Same value and errors as
-    /// [`decode`] on the buffered frame, once the tag is known to be `PushSlice`.
-    pub fn push_slice_into(
-        mut self,
-        grads: &mut Vec<f32>,
-    ) -> Result<(u64, u64, u64, bool), crate::NetError> {
-        self.expect_tag(TAG_PUSH_SLICE)?;
-        let iteration = self.u64()?;
-        let epoch = self.u64()?;
-        let trace = self.u64()?;
-        let pull = match self.take::<1>()? {
-            [0] => false,
-            [1] => true,
-            [other] => return Err(WireError::UnknownTag(other).into()),
-        };
-        self.closing_f32_run(grads)?;
-        Ok((iteration, epoch, trace, pull))
     }
 
     /// Streams a pull reply — full or delta — into a worker's cached weight and
@@ -1367,29 +1334,23 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
         mut self,
         weights: &mut Vec<f32>,
         versions: &mut Vec<u64>,
-    ) -> Result<PullApplied, crate::NetError> {
+    ) -> Result<PullApplied> {
         match self.tag {
             TAG_PULL_REPLY => {
-                let clock = self.u64()?;
-                let shards = self.run_len(8)?;
-                versions.clear();
-                for _ in 0..shards {
-                    versions.push(self.u64()?);
-                }
-                self.closing_f32_run(weights)?;
+                let (clock,) = self.pull_reply_into(versions, weights)?;
                 Ok(PullApplied {
                     clock,
                     full: true,
-                    shards_updated: shards,
+                    shards_updated: versions.len(),
                 })
             }
             TAG_PULL_REPLY_DELTA => {
-                let clock = self.u64()?;
+                let clock = self.field::<u64>()?;
                 // An update is at least its 16 header bytes, which bounds the count.
                 let count = self.run_len(16)?;
                 for _ in 0..count {
-                    let shard = self.u32()?;
-                    let version = self.u64()?;
+                    let shard = self.field::<u32>()?;
+                    let version = self.field::<u64>()?;
                     let declared = self.run_len(4)?;
                     if (shard as usize) >= versions.len() {
                         return Err(WireError::BadShard { shard }.into());
@@ -1399,7 +1360,7 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
                     if declared != end - start {
                         return Err(WireError::BadShard { shard }.into());
                     }
-                    self.f32s(&mut weights[start..end])?;
+                    self.scalars(&mut weights[start..end])?;
                     versions[shard as usize] = version;
                 }
                 self.finish()?;
@@ -1413,16 +1374,8 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
         }
     }
 
-    fn expect_tag(&self, tag: u8) -> Result<(), WireError> {
-        if self.tag == tag {
-            Ok(())
-        } else {
-            Err(WireError::UnknownTag(self.tag))
-        }
-    }
-
     /// Reads one fixed-size field, refusing to read past the frame's end.
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], crate::NetError> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
         if N > self.left {
             return Err(WireError::Truncated.into());
         }
@@ -1432,18 +1385,17 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
         Ok(bytes)
     }
 
-    fn u32(&mut self) -> Result<u32, crate::NetError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, crate::NetError> {
-        Ok(u64::from_le_bytes(self.take()?))
+    /// Reads one value of a wire type, into a new buffer for a run.
+    fn field<F: Field + ?Sized>(&mut self) -> Result<F::Owned> {
+        let mut value = F::Owned::default();
+        F::read(self, &mut value)?;
+        Ok(value)
     }
 
     /// Reads a run's element count and validates it against the bytes left in the
     /// frame, at `elem_bytes` per element.
-    fn run_len(&mut self, elem_bytes: usize) -> Result<usize, crate::NetError> {
-        let declared = self.u32()? as usize;
+    fn run_len(&mut self, elem_bytes: usize) -> Result<usize> {
+        let declared = self.field::<u32>()? as usize;
         if declared.saturating_mul(elem_bytes) > self.left {
             return Err(WireError::BadLength { declared }.into());
         }
@@ -1452,37 +1404,25 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
 
     /// Fills `out` from the stream. The caller has validated the run against the
     /// frame ([`FrameBody::run_len`]).
-    fn f32s(&mut self, out: &mut [f32]) -> Result<(), crate::NetError> {
+    fn scalars<T: LeScalar>(&mut self, out: &mut [T]) -> Result<()> {
         #[cfg(target_endian = "little")]
         self.r.read_exact(le_bytes_mut(out))?;
         #[cfg(not(target_endian = "little"))]
-        for v in out.iter_mut() {
-            let mut bytes = [0u8; 4];
+        {
+            let mut bytes = vec![0; std::mem::size_of_val(out)];
             self.r.read_exact(&mut bytes)?;
-            *v = f32::from_le_bytes(bytes);
+            let mut values = Vec::with_capacity(out.len());
+            T::extend_from_le(&mut values, &bytes);
+            out.copy_from_slice(&values);
         }
-        self.left -= out.len() * 4;
+        self.left -= std::mem::size_of_val(out);
         Ok(())
     }
 
-    /// Reads the length-prefixed f32 run that closes a frame into `out`. Because the
-    /// run is the frame's last field, trailing bytes are known — and refused — before
-    /// a byte of it is read.
-    fn closing_f32_run(mut self, out: &mut Vec<f32>) -> Result<(), crate::NetError> {
-        let declared = self.run_len(4)?;
-        let extra = self.left - declared * 4;
-        if extra > 0 {
-            return Err(WireError::TrailingBytes { extra }.into());
-        }
-        out.resize(declared, 0.0);
-        self.f32s(out)
-    }
-
     fn finish(&self) -> Result<(), WireError> {
-        if self.left == 0 {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes { extra: self.left })
+        match self.left {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
         }
     }
 }
@@ -1490,6 +1430,7 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dssp_ps::codec::{put_run, Reader};
 
     fn round_trip(msg: &Message) -> Message {
         let mut buf = Vec::new();

@@ -1,10 +1,10 @@
-//! The strict little-endian byte codec under the checkpoint format ([`crate::Checkpoint`])
-//! and the wire protocol (`dssp_net::wire`): scalars ([`LeScalar`]) and
-//! length-prefixed runs, written by [`put_run`] and read by a [`Reader`], which refuses
-//! truncation, a declared count the bytes left cannot hold (before anything is sized
-//! from it) and trailing bytes. The formats differ only in the width of a run's count,
-//! `u32` on the wire and `u64` in a checkpoint: the [`RunLen`] parameter. Everything
-//! is `#[inline]`: the wire decodes every small message through it.
+//! The strict little-endian byte codec under the checkpoint format ([`crate::Checkpoint`]):
+//! scalars ([`LeScalar`]) and length-prefixed runs, written by [`put_run`] and read by a
+//! [`Reader`], which refuses truncation, a declared count the bytes left cannot hold
+//! (before anything is sized from it) and trailing bytes. A run's count is a [`RunLen`]:
+//! `u64` in a checkpoint, `u32` on the wire, whose frames (`dssp_net::wire`) take their
+//! scalars' and runs' bytes from [`LeScalar`] and read them back through the wire's own
+//! stream reader. Everything is `#[inline]`.
 
 use std::marker::PhantomData;
 

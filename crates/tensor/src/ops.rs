@@ -442,20 +442,20 @@ impl Tensor {
     /// streamed through cache once per row block rather than once per output row.
     ///
     /// Each dot product accumulates in eight interleaved lanes that are combined in a
-    /// fixed order at the end (the internal `dot_lanes` helper): the result is
-    /// deterministic but may differ from the naive left-to-right sum by floating-point
-    /// reassociation (within the usual 1e-6 relative tolerance). This is the one GEMM
-    /// not on the register-tiled kernel. Its callers are the dense layers' input
-    /// gradients, which training computes for every dense layer but a model's first
-    /// (that one gets none): the MLPs' classifier heads (`[4, 10] x [1024, 10]^T` on
-    /// the `tcp_comm` job) and the dense layers of the image models. Packing `rhs`
-    /// into the tiled kernel's layout cost more than the kernel saved at the `tcp_comm`
-    /// shape. A tiled kernel that keeps the `dot_lanes` order is ROADMAP 6(a), still
-    /// open. The faster server rounds (4(a)) have landed, but on `tcp_comm` a shorter
-    /// step still mostly lengthens the wait for the server's reply: a prototype that
-    /// ran the dense GEMMs on the AVX-512 instance of the tile cascade lowered
-    /// `tcp_comm`'s `busy_share` 0.739 → 0.695 (−6 %, medians of 8 pairs), so the dense
-    /// kernels stay on AVX2 there (see `tiles.rs`).
+    /// fixed order at the end (the internal `dot_lanes` helper): deterministic, and the
+    /// ascending order for `k < 16`, but reassociated past that (`proptest_kernels.rs`
+    /// pins the order bit for bit). This is the one GEMM not on the register-tiled
+    /// kernel. Its callers are the dense layers' input gradients, for every dense layer
+    /// but a model's first: the MLPs' classifier heads (`[4, 10] x [1024, 10]^T` on
+    /// `tcp_comm`, `[16, 10] x [256, 10]^T` on `thr_straggler`) and the image models'
+    /// dense layers. On a 2-core AVX-512 host it takes 18.5–24.6 µs of a 77–84 µs
+    /// `tcp_comm` step and 21.5–23.7 of 54–66 µs on `thr_straggler` (≈ 30 %), and
+    /// packing pays: transposing `rhs` takes 5.4 and 1.7 µs, the tiled `Gemm<false>`
+    /// then 2.1 and 2.3 µs. Yet a bit-exact prototype moved neither workload's
+    /// `cpu_ms_per_push` beyond noise (ROADMAP 6(a)): on `tcp_comm` a shorter step
+    /// mostly lengthens the wait for the server's reply, and a prototype that ran the
+    /// dense GEMMs on the AVX-512 instance of the tile cascade lowered its `busy_share`
+    /// 0.739 → 0.695 (−6 %, medians of 8 pairs), so they stay on AVX2 (`tiles.rs`).
     ///
     /// # Panics
     ///

@@ -8,8 +8,12 @@
 //! * `matmul_tn_add_into` (the dense layers' weight-gradient accumulate) is bitwise
 //!   `matmul_tn_into` followed by `add_assign`, with -0.0, ±inf and NaN among the
 //!   operands and the accumulator (NaN compared as NaN, whatever its payload).
-//! * `matmul_nt_into` accumulates in interleaved lanes and is held to a 1e-5 relative
-//!   tolerance — the one kernel that reassociates.
+//! * `matmul_nt_into` accumulates in interleaved lanes — the one kernel that
+//!   reassociates. It is held bitwise to that order, written out here (`lanes_dot`),
+//!   with ±0.0 and subnormals among the operands, for `k` across 8 and 16 and `n` past
+//!   40; below `k = 16` that order is the naive ascending one, and the property checks
+//!   that too. A 1e-5 relative tolerance against the naive product holds beside it. A
+//!   faster kernel for this product must keep the bits.
 //! * `conv2d` / `conv2d_backward` (the `[N, C, H, W]` shells) — output, weight, bias and
 //!   input gradient — are bitwise equal to the naive `im2col` formulation (`cols x W^T`,
 //!   `g^T x cols`, `g x W` folded back in kernel-point-major order), each sum taken in
@@ -169,6 +173,41 @@ fn canonical_bits(v: &[f32]) -> Vec<u32> {
         .collect()
 }
 
+/// `synth` with about one value in five replaced by ±0.0 or a subnormal.
+fn zeros_and_tiny(len: usize, seed: u64) -> Vec<f32> {
+    const SPECIAL: [f32; 4] = [-0.0, 0.0, 1e-40, -3e-39];
+    let picks = synth(len, seed ^ 0x7A11);
+    synth(len, seed)
+        .into_iter()
+        .zip(picks)
+        .map(|(v, p)| {
+            SPECIAL
+                .get(((p + 1.0) * 10.0) as usize)
+                .copied()
+                .unwrap_or(v)
+        })
+        .collect()
+}
+
+/// The summation order of `matmul_nt_into`, written out: lane `j` of eight sums the
+/// products at `j, j + 8, …` over the whole chunks of eight, the lanes are added onto
+/// 0.0 from lane 0 to lane 7, then the leftover products in ascending order.
+fn lanes_dot(a: &[f32], b: &[f32]) -> f32 {
+    let whole = a.len() / 8 * 8;
+    let mut acc = 0.0f32;
+    for lane in 0..8 {
+        let mut sum = 0.0f32;
+        for i in (lane..whole).step_by(8) {
+            sum += a[i] * b[i];
+        }
+        acc += sum;
+    }
+    for i in whole..a.len() {
+        acc += a[i] * b[i];
+    }
+    acc
+}
+
 fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
     a.iter()
         .zip(b)
@@ -247,6 +286,23 @@ proptest! {
         let mut tiled = Tensor::default();
         a.matmul_tn_into(&b, &mut tiled);
         prop_assert_eq!(tiled.as_slice(), naive_matmul(&a.transposed(), &b).as_slice());
+    }
+
+    #[test]
+    fn matmul_nt_into_is_bitwise_its_lane_order(m in 1usize..10, k in 1usize..40, n in 1usize..48, seed in 0u64..1000) {
+        let a = Tensor::from_vec(zeros_and_tiny(m * k, seed), &[m, k]);
+        let b = Tensor::from_vec(zeros_and_tiny(n * k, seed + 5), &[n, k]);
+        let mut out = Tensor::default();
+        a.matmul_nt_into(&b, &mut out);
+        let (rows, cols) = (a.as_slice(), b.as_slice());
+        let lanes: Vec<f32> = (0..m * n)
+            .map(|o| lanes_dot(&rows[o / n * k..][..k], &cols[o % n * k..][..k]))
+            .collect();
+        prop_assert_eq!(bits(out.as_slice()), bits(&lanes));
+        if k < 16 {
+            let ascending = naive_matmul(&a, &b.transposed());
+            prop_assert_eq!(bits(out.as_slice()), bits(ascending.as_slice()));
+        }
     }
 
     #[test]
