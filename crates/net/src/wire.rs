@@ -12,8 +12,8 @@
 //! tags and oversized frames are all rejected rather than guessed at. `f32`/`f64`
 //! values travel as their IEEE-754 bit patterns, so weights and gradients cross the
 //! network bitwise intact — the property the cross-substrate equivalence tests rely
-//! on. A run travels as a view of its own bytes on a little-endian host (a big-endian
-//! host converts): one memcpy into a buffered encoder's payload, none on the
+//! on. A run travels as a view of its own bytes (only little-endian hosts are
+//! supported): one memcpy into a buffered encoder's payload, none on the
 //! transports' path, where a streaming writer sends it from where it lies and
 //! [`FrameBody`] reads it straight into the buffer it is for.
 //!
@@ -836,7 +836,7 @@ impl<T: LeScalar + Default> Field for [T] {
     type Owned = Vec<T>;
     fn put<'a>(&'a self, frame: &mut Frame<'a>) {
         frame.fixed(&u32::from_len(self.len()).to_le_bytes());
-        frame.run(le_bytes(self));
+        frame.run(Cow::Borrowed(le_bytes(self)));
     }
     fn read<R: Read + ?Sized>(body: &mut FrameBody<'_, R>, into: &mut Vec<T>) -> Result<()> {
         let len = body.run_len(std::mem::size_of::<T>())?;
@@ -892,35 +892,30 @@ impl Field for [ShardUpdate] {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy views: on little-endian hosts a run's in-memory bytes *are* its wire
-// bytes, so every writer appends a run, and `FrameBody` reads one, through a plain
-// byte view of its slice. The two views below are the only `unsafe` in this crate; on
-// big-endian hosts `le_bytes` converts instead, and `FrameBody` reads a run through a
-// converted copy.
+// Zero-copy views: on a little-endian host a run's in-memory bytes *are* its wire
+// bytes, so every writer appends a run, and `FrameBody` reads one, through a plain byte
+// view of its slice. The two views below are the only `unsafe` in this crate. Only
+// little-endian hosts are supported: a big-endian build stops here.
 // ---------------------------------------------------------------------------
 
-/// The wire bytes of a bulk run: on little-endian hosts its own bytes, viewed in
-/// place; on big-endian hosts a converted copy.
-fn le_bytes<T: LeScalar>(values: &[T]) -> Cow<'_, [u8]> {
+#[cfg(not(target_endian = "little"))]
+compile_error!(
+    "dssp-net supports little-endian hosts only: its runs travel as their in-memory bytes"
+);
+
+/// The wire bytes of a bulk run: its own bytes, viewed in place.
+fn le_bytes<T: LeScalar>(values: &[T]) -> &[u8] {
     // SAFETY: `T` is one of `dssp_ps::codec`'s sealed `LeScalar`s (`u8`, `u16`, `u32`,
     // `u64`, `f32`, `f64`): it has no padding, so all `size_of_val(values)` bytes are
     // initialized; `u8` has alignment 1; and the view borrows `values`, so it can
     // neither outlive the run nor overlap a mutable use of it.
-    #[cfg(target_endian = "little")]
-    return Cow::Borrowed(unsafe {
+    unsafe {
         std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
-    });
-    #[cfg(not(target_endian = "little"))]
-    {
-        let mut bytes = Vec::new();
-        T::put_all(values, &mut bytes);
-        Cow::Owned(bytes)
     }
 }
 
 /// The wire bytes of a run, viewed in place for writing — what lets a socket read land
 /// in a gradient, weight or version buffer without a staging copy.
-#[cfg(target_endian = "little")]
 fn le_bytes_mut<T: LeScalar>(values: &mut [T]) -> &mut [u8] {
     // SAFETY: as in `le_bytes`; in addition every bit pattern is a valid value of each
     // sealed `LeScalar`, so no write through the view can leave the run holding an
@@ -1014,7 +1009,7 @@ pub fn encode_pull_reply_delta<'a>(
     let mut count = 0u32;
     for (shard, version, weights) in updates {
         buf.extend_from_slice(&update_head(shard, version, weights));
-        buf.extend_from_slice(&le_bytes(weights));
+        buf.extend_from_slice(le_bytes(weights));
         count += 1;
     }
     buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
@@ -1227,7 +1222,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
     // At least one write, so an empty delta still sends its frame header.
     for chunk in 0..count.div_ceil(DELTA_SHARDS_PER_WRITE).max(1) {
         let mut heads = [[0u8; 16]; DELTA_SHARDS_PER_WRITE];
-        let mut runs: [Cow<[u8]>; DELTA_SHARDS_PER_WRITE] = Default::default();
+        let mut runs: [&[u8]; DELTA_SHARDS_PER_WRITE] = [&[]; DELTA_SHARDS_PER_WRITE];
         let mut gathered = 0;
         for (shard, version, weights) in updates.by_ref().take(DELTA_SHARDS_PER_WRITE) {
             heads[gathered] = update_head(shard, version, weights);
@@ -1243,7 +1238,7 @@ fn write_delta_frame_after<'a, W: Write + ?Sized>(
         }
         for i in 0..gathered {
             slices[HEAD + 1 + 2 * i] = IoSlice::new(&heads[i]);
-            slices[HEAD + 2 + 2 * i] = IoSlice::new(&runs[i]);
+            slices[HEAD + 2 + 2 * i] = IoSlice::new(runs[i]);
         }
         write_gathered(w, &mut slices[..HEAD + 1 + 2 * gathered])?;
     }
@@ -1405,16 +1400,7 @@ impl<'r, R: Read + ?Sized> FrameBody<'r, R> {
     /// Fills `out` from the stream. The caller has validated the run against the
     /// frame ([`FrameBody::run_len`]).
     fn scalars<T: LeScalar>(&mut self, out: &mut [T]) -> Result<()> {
-        #[cfg(target_endian = "little")]
         self.r.read_exact(le_bytes_mut(out))?;
-        #[cfg(not(target_endian = "little"))]
-        {
-            let mut bytes = vec![0; std::mem::size_of_val(out)];
-            self.r.read_exact(&mut bytes)?;
-            let mut values = Vec::with_capacity(out.len());
-            T::extend_from_le(&mut values, &bytes);
-            out.copy_from_slice(&values);
-        }
         self.left -= std::mem::size_of_val(out);
         Ok(())
     }
@@ -1689,7 +1675,7 @@ mod tests {
         for v in &values {
             reference.extend_from_slice(&v.to_le_bytes());
         }
-        assert_eq!(&*le_bytes(&values), &reference[..]);
+        assert_eq!(le_bytes(&values), &reference[..]);
         // Back through the one bulk reader, into a buffer of another length.
         let mut push = vec![TAG_PUSH];
         push.extend_from_slice(&[0; 16]); // iteration, trace

@@ -1,5 +1,6 @@
 //! SGD with momentum and the step learning-rate schedule used in the paper.
 
+use dssp_tensor::sgd_apply;
 use serde::{Deserialize, Serialize};
 
 /// An epoch-indexed learning-rate schedule.
@@ -119,7 +120,8 @@ impl Sgd {
         self.config.schedule.lr_at_epoch(self.current_epoch)
     }
 
-    /// Applies one SGD update: `v = momentum*v + grad + wd*param; param -= lr * v`.
+    /// Applies one SGD update: `v = momentum*v + (grad + wd*param); param -= lr * v`,
+    /// element by element on the tile cascade ([`dssp_tensor::sgd_apply`]).
     ///
     /// # Panics
     ///
@@ -129,13 +131,8 @@ impl Sgd {
         assert_eq!(params.len(), self.velocity.len(), "param length mismatch");
         assert_eq!(grads.len(), self.velocity.len(), "grad length mismatch");
         let lr = self.current_lr();
-        let momentum = self.config.momentum;
-        let wd = self.config.weight_decay;
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(self.velocity.iter_mut()) {
-            let effective = g + wd * *p;
-            *v = momentum * *v + effective;
-            *p -= lr * *v;
-        }
+        let (momentum, wd) = (self.config.momentum, self.config.weight_decay);
+        sgd_apply(params, grads, &mut self.velocity, lr, momentum, wd);
     }
 
     /// The optimizer configuration.

@@ -31,7 +31,7 @@ pub use conv::{
     Conv2dSpec, ConvScratch, Pool2dSpec,
 };
 pub use init::{he_normal, uniform_init, xavier_uniform};
-pub use ops::add_assign_slice;
+pub use ops::{add_assign_slice, sgd_apply};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

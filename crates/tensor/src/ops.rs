@@ -8,7 +8,8 @@
 //! `matmul_tn_add_into` is its accumulate form; all three keep the per-element
 //! accumulation order of the naive loops (ascending shared dimension from 0.0), so
 //! tiled and naive results are bitwise identical; `matmul_nt_into` is the one kernel
-//! that reassociates (see there).
+//! that reassociates, from a shared dimension of 16 on (see there). `sgd_apply`, the
+//! server's optimizer step, runs on the same tile cascade.
 //!
 //! A layer's parameters and gradients are ranges of its model's flat vectors, not
 //! tensors, so the kernels a parameter layer calls take them as slices:
@@ -17,6 +18,7 @@
 //! bias from one. The `&Tensor` forms are one-line calls into them.
 
 use crate::gemm::{gemm, gemm_tn_add};
+use crate::tiles::{run_tiles, Avx512Tile, Tiles};
 use crate::{Tensor, TensorError};
 
 /// Rows of `self` that share one pass over a row of `other` in `matmul_nt_into`.
@@ -62,6 +64,73 @@ pub fn add_assign_slice(acc: &mut [f32], add: &[f32]) {
     );
     for (a, b) in acc.iter_mut().zip(add) {
         *a += *b;
+    }
+}
+
+/// One SGD-with-momentum update of a flat parameter vector, element by element:
+/// `v = momentum·v + (g + weight_decay·p)`, then `p -= lr·v`. The lanes of the tile
+/// cascade run over the vector (one row), so every instance computes each element in
+/// that order and they agree bit for bit with the scalar loop.
+///
+/// # Panics
+///
+/// Panics if the three lengths differ.
+pub fn sgd_apply(
+    params: &mut [f32],
+    grads: &[f32],
+    velocity: &mut [f32],
+    lr: f32,
+    momentum: f32,
+    weight_decay: f32,
+) {
+    assert_eq!(params.len(), grads.len(), "sgd_apply gradient length");
+    assert_eq!(params.len(), velocity.len(), "sgd_apply velocity length");
+    let lanes = params.len();
+    let mut kernel = SgdApply {
+        params,
+        grads,
+        velocity,
+        lr,
+        momentum,
+        weight_decay,
+    };
+    run_tiles(&mut kernel, 1, lanes);
+}
+
+/// [`sgd_apply`] as the tile cascade sees it: one row, the parameter vector its lanes.
+struct SgdApply<'a> {
+    params: &'a mut [f32],
+    grads: &'a [f32],
+    velocity: &'a mut [f32],
+    lr: f32,
+    momentum: f32,
+    weight_decay: f32,
+}
+
+impl Tiles for SgdApply<'_> {
+    /// On the AVX2 instance everywhere: at 76 810 parameters on a 2-core AVX-512 host
+    /// 32-lane strips were no faster (minimum 19.0 µs against 18.2).
+    const AVX512: Avx512Tile = Avx512Tile::None;
+
+    /// `L` parameters from `lane0` on; `R` is 1.
+    #[inline(always)]
+    fn tile<const R: usize, const L: usize>(&mut self, _row0: usize, lane0: usize) {
+        let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
+        let p: &mut [f32; L] = (&mut self.params[lane0..][..L])
+            .try_into()
+            .expect("L-wide segment");
+        let g: &[f32; L] = self.grads[lane0..][..L].try_into().expect("L-wide segment");
+        let v: &mut [f32; L] = (&mut self.velocity[lane0..][..L])
+            .try_into()
+            .expect("L-wide segment");
+        // Computed on copies: the stores through `p` and `v`, which the compiler cannot
+        // tell apart, kept the loop scalar (4x slower).
+        let (mut pv, mut vv) = (*p, *v);
+        for l in 0..L {
+            vv[l] = momentum * vv[l] + (g[l] + wd * pv[l]);
+            pv[l] -= lr * vv[l];
+        }
+        (*p, *v) = (pv, vv);
     }
 }
 
@@ -391,13 +460,15 @@ impl Tensor {
     ///
     /// `self` is `(k x m)`, `other` is `(k x n)`, `acc` holds `m x n` values row-major.
     /// Every element becomes `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending
-    /// `p`: bit for bit `matmul_tn_into` into a scratch followed by an elementwise add,
-    /// in one pass over `acc` on the same tile cascade and without the scratch.
+    /// `p`: bit for bit `matmul_tn_into` into a scratch followed by an elementwise add.
+    /// Where `n` is under 16 the product is computed transposed into `scratch` (resized
+    /// as needed) and added back; otherwise in one pass over `acc` and `scratch` is
+    /// left alone (see the `gemm` module).
     ///
     /// # Panics
     ///
     /// Panics if an operand is not rank 2 or the shapes disagree.
-    pub fn matmul_tn_add_into(&self, other: &Tensor, acc: &mut [f32]) {
+    pub fn matmul_tn_add_into(&self, other: &Tensor, acc: &mut [f32], scratch: &mut Tensor) {
         assert_eq!(self.shape().rank(), 2, "matmul_tn_add lhs must be rank-2");
         assert_eq!(other.shape().rank(), 2, "matmul_tn_add rhs must be rank-2");
         let (k, m) = (self.rows(), self.cols());
@@ -408,7 +479,7 @@ impl Tensor {
             m * n,
             "matmul_tn_add accumulator must be {m}x{n}"
         );
-        gemm_tn_add(self.as_slice(), other.as_slice(), acc, m, k, n);
+        gemm_tn_add(self.as_slice(), other.as_slice(), acc, m, k, n, scratch);
     }
 
     /// Matrix multiplication with the right operand transposed: `A * B^T`.
@@ -425,47 +496,52 @@ impl Tensor {
     }
 
     /// Transposed-right matrix multiplication `A * B^T` written into `out`: the
-    /// `&Tensor` form of [`Tensor::matmul_nt_slice_into`].
+    /// `&Tensor` form of [`Tensor::matmul_nt_slice_into`], packing into a buffer of its
+    /// own where that packs.
     ///
     /// # Panics
     ///
     /// Panics if either operand is not rank 2 or the shared dimension differs.
     pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
-        self.matmul_nt_slice_into(other.as_slice(), other.rows(), out);
+        self.matmul_nt_slice_into(other.as_slice(), other.rows(), out, &mut Tensor::default());
     }
 
     /// Transposed-right matrix multiplication `A * B^T` with the right operand a
     /// row-major `n x k` slice (a dense layer's weight range), written into `out`.
     ///
-    /// `self` is `(m x k)`, the result is `(m x n)`. Each row of `rhs` is reused
-    /// across a block of `self` rows before the kernel moves on, so a large `rhs` is
-    /// streamed through cache once per row block rather than once per output row.
+    /// `self` is `(m x k)`, the result is `(m x n)`. Each output element is the dot
+    /// product of a row of `self` and a row of `rhs` accumulated in eight interleaved
+    /// lanes that are combined in a fixed order at the end (the internal `dot_lanes`
+    /// helper): deterministic, and the ascending order for `k < 16`, but reassociated
+    /// past that (`proptest_kernels.rs` pins the order bit for bit).
     ///
-    /// Each dot product accumulates in eight interleaved lanes that are combined in a
-    /// fixed order at the end (the internal `dot_lanes` helper): deterministic, and the
-    /// ascending order for `k < 16`, but reassociated past that (`proptest_kernels.rs`
-    /// pins the order bit for bit). This is the one GEMM not on the register-tiled
-    /// kernel. Its callers are the dense layers' input gradients, for every dense layer
-    /// but a model's first: the MLPs' classifier heads (`[4, 10] x [1024, 10]^T` on
-    /// `tcp_comm`, `[16, 10] x [256, 10]^T` on `thr_straggler`) and the image models'
-    /// dense layers. On a 2-core AVX-512 host it takes 18.5–24.6 µs of a 77–84 µs
-    /// `tcp_comm` step and 21.5–23.7 of 54–66 µs on `thr_straggler` (≈ 30 %), and
-    /// packing pays: transposing `rhs` takes 5.4 and 1.7 µs, the tiled `Gemm<false>`
-    /// then 2.1 and 2.3 µs. Yet a bit-exact prototype moved neither workload's
-    /// `cpu_ms_per_push` beyond noise (ROADMAP 6(a)): on `tcp_comm` a shorter step
-    /// mostly lengthens the wait for the server's reply, and a prototype that ran the
-    /// dense GEMMs on the AVX-512 instance of the tile cascade lowered its `busy_share`
-    /// 0.739 → 0.695 (−6 %, medians of 8 pairs), so they stay on AVX2 (`tiles.rs`).
+    /// Below `k = 16`, where that order is the ascending one, `rhs` is packed
+    /// transposed into `pack` (resized as needed) and the product runs on the
+    /// register-tiled kernel of [`Tensor::matmul_slice_into`], which keeps the bits.
+    /// That is the input gradient of the MLPs' 10-class heads: `[4, 10] x [1024, 10]^T`
+    /// on `tcp_comm`, `[16, 10] x [256, 10]^T` on `thr_straggler`. On a 2-core AVX-512
+    /// host the first took 41–58 µs with one `dot_lanes` per output element, longer
+    /// than the first layer's tiled product of 6x its multiply-adds, and takes 8–16 µs
+    /// packed. From `k = 16` on (the image models' dense layers, whose sums the figure
+    /// digests fix) each row of `rhs` is reused across a block of `self` rows, so a
+    /// large `rhs` is streamed through cache once per row block rather than once per
+    /// output row, and `pack` is left alone.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not rank 2 or `rhs` does not hold `n x k` values.
-    pub fn matmul_nt_slice_into(&self, rhs: &[f32], n: usize, out: &mut Tensor) {
+    pub fn matmul_nt_slice_into(&self, rhs: &[f32], n: usize, out: &mut Tensor, pack: &mut Tensor) {
         assert_eq!(self.shape().rank(), 2, "matmul_nt lhs must be rank-2");
         let (m, k) = (self.rows(), self.cols());
         assert_eq!(rhs.len(), n * k, "matmul_nt shared dimension must agree");
         out.ensure_shape(&[m, n]);
         let (a, o) = (self.as_slice(), out.as_mut_slice());
+        if k < 16 {
+            pack.ensure_shape(&[k, n]);
+            transpose(rhs, k, pack.as_mut_slice(), n, n, k);
+            gemm::<false>(a, pack.as_slice(), o, m, k, n);
+            return;
+        }
         for ib in (0..m).step_by(NT_BLOCK_M) {
             let i_end = (ib + NT_BLOCK_M).min(m);
             for j in 0..n {
@@ -617,8 +693,7 @@ impl Tensor {
 
 /// `dst[j * dst_stride + i] = src[i * src_stride + j]` for every `i < rows` and
 /// `j < cols`: a transpose whose source rows are `src_stride` apart and whose
-/// destination rows are `dst_stride` apart. Moved in 4x4 blocks — four row loads,
-/// register shuffles, four row stores — with the ragged edges element by element.
+/// destination rows are `dst_stride` apart (see [`transpose_with`]).
 pub(crate) fn transpose(
     src: &[f32],
     src_stride: usize,
@@ -626,6 +701,22 @@ pub(crate) fn transpose(
     dst_stride: usize,
     rows: usize,
     cols: usize,
+) {
+    transpose_with(src, src_stride, dst, dst_stride, rows, cols, |d, s| *d = s);
+}
+
+/// [`transpose`] with each destination element combined with its source element by
+/// `op(dst, src)` instead of overwritten. Moved in 4x4 blocks — four row loads,
+/// register shuffles, four row updates — with the ragged edges element by element.
+#[inline(always)]
+pub(crate) fn transpose_with(
+    src: &[f32],
+    src_stride: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+    rows: usize,
+    cols: usize,
+    op: impl Fn(&mut f32, f32),
 ) {
     let (block_rows, block_cols) = (rows / 4 * 4, cols / 4 * 4);
     for j0 in (0..block_cols).step_by(4) {
@@ -637,13 +728,16 @@ pub(crate) fn transpose(
             });
             for j in 0..4 {
                 let column: [f32; 4] = std::array::from_fn(|i| block[i][j]);
-                dst[(j0 + j) * dst_stride + i0..][..4].copy_from_slice(&column);
+                let dst = &mut dst[(j0 + j) * dst_stride + i0..][..4];
+                for (d, s) in dst.iter_mut().zip(&column) {
+                    op(d, *s);
+                }
             }
         }
     }
     for j in 0..cols {
         for i in if j < block_cols { block_rows } else { 0 }..rows {
-            dst[j * dst_stride + i] = src[i * src_stride + j];
+            op(&mut dst[j * dst_stride + i], src[i * src_stride + j]);
         }
     }
 }
@@ -651,9 +745,78 @@ pub(crate) fn transpose(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiles::{run_on, Instance};
 
     fn t(data: &[f32], dims: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), dims)
+    }
+
+    /// Bit patterns with every NaN mapped to one: IEEE 754 leaves a NaN result's
+    /// payload open, so two equal computations may differ there.
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// The SGD kernel across every strip edge (lengths 0..=70: 16-wide strips and
+    /// every narrower one, up to four of them and each remainder), with weight decay
+    /// on and off and momentum on and off, and -0.0, NaN and ±inf among the
+    /// parameters, gradients and velocities. On every instance the CPU runs it on,
+    /// each checked by name (baseline and AVX2), and through `sgd_apply`, it equals the
+    /// scalar loop bit for bit (NaN compared as NaN).
+    #[test]
+    fn sgd_apply_is_the_scalar_loop_on_every_instance() {
+        const SPECIAL: [f32; 5] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0];
+        // Pseudo-random values in [-2, 2), about one in five of them special.
+        let values = |len: usize, seed: u64| -> Vec<f32> {
+            (0..len as u64)
+                .map(|i| {
+                    let h = (i ^ (seed << 8)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                    SPECIAL
+                        .get((h % 25) as usize)
+                        .copied()
+                        .unwrap_or((h as f32 / (1u64 << 22) as f32) - 2.0)
+                })
+                .collect()
+        };
+        let coefficients = [
+            (0.1, 0.9, 0.0),
+            (0.05, 0.9, 5e-4),
+            (0.5, 0.0, 0.0),
+            (0.2, 0.0, 0.25),
+        ];
+        for (lr, momentum, wd) in coefficients {
+            for len in 0..=70 {
+                let (p0, g, v0) = (values(len, 1), values(len, 2), values(len, 3));
+                let (mut p, mut v) = (p0.clone(), v0.clone());
+                for ((p, &g), v) in p.iter_mut().zip(&g).zip(&mut v) {
+                    let effective = g + wd * *p;
+                    *v = momentum * *v + effective;
+                    *p -= lr * *v;
+                }
+                let expect = (canonical_bits(&p), canonical_bits(&v));
+                let case = format!("len {len}, lr {lr}, momentum {momentum}, wd {wd}");
+                for instance in Instance::ALL.into_iter().filter(|i| i.runs::<SgdApply>()) {
+                    let (mut p, mut v) = (p0.clone(), v0.clone());
+                    let mut kernel = SgdApply {
+                        params: &mut p,
+                        grads: &g,
+                        velocity: &mut v,
+                        lr,
+                        momentum,
+                        weight_decay: wd,
+                    };
+                    run_on(instance, &mut kernel, 1, len);
+                    let got = (canonical_bits(&p), canonical_bits(&v));
+                    assert_eq!(got, expect, "{instance:?} {case}");
+                }
+                let (mut p, mut v) = (p0, v0);
+                sgd_apply(&mut p, &g, &mut v, lr, momentum, wd);
+                let got = (canonical_bits(&p), canonical_bits(&v));
+                assert_eq!(got, expect, "dispatched {case}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The register-tile cascade every kernel of this crate runs on: the GEMM of `gemm.rs`
-//! and its accumulate form, and the three convolution kernels of `conv.rs`.
+//! and its accumulate form, the three convolution kernels of `conv.rs`, and the SGD
+//! apply of `ops.rs` (one row, the parameter vector its lanes).
 //!
 //! A kernel produces an `R × L` tile of its result in registers. The result is covered
 //! by lane strips (`NR`, then 16 where `NR` is wider, 8, 4, 2, 1 lanes wide, outermost,
@@ -17,8 +18,8 @@
 //!   ([`Avx512Tile`]): the convolutions. The forward and input-gradient kernels, whose
 //!   lane is the batch, run 32-lane strips (a 4×32 tile is eight 512-bit accumulators);
 //!   the weight-gradient kernel, whose lane is the output channel, keeps 8-lane strips
-//!   and runs 8-row bands. The dense GEMMs have no AVX-512 tile: they run on the AVX2
-//!   instance there too.
+//!   and runs 8-row bands. The dense GEMMs and the SGD apply have no AVX-512 tile: they
+//!   run on the AVX2 instance there too.
 //!
 //! `avx512f` implies the FMA target feature, but Rust never fuses `a * b + c`: in every
 //! instance a multiply and an add are two roundings, so the instances agree bit for bit

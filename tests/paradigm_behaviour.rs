@@ -78,7 +78,8 @@ fn dssp_makes_faster_update_progress_than_bsp_and_ssp_on_the_mixed_cluster() {
     // keeps contributing updates under DSSP instead of idling at BSP's barrier or SSP's
     // fixed threshold, so by any given wall-clock point DSSP has applied at least as many
     // updates — which is what lets it reach the target accuracy earlier at full scale
-    // (the full-scale accuracy reproduction is recorded in EXPERIMENTS.md / `repro fig4`).
+    // (the full-scale accuracy reproduction is `repro fig4 table1 --full`, the paper's
+    // Figure 4 and Table I; see README, "Reproducing the paper's figures and tables").
     let bsp = run(resnet110_heterogeneous(PolicyKind::Bsp, Scale::Quick));
     let ssp3 = run(resnet110_heterogeneous(
         PolicyKind::Ssp { s: 3 },
