@@ -93,15 +93,13 @@ impl Layer for DenseLayer {
             .expect("backward called before forward");
         let w = self.weight_len();
         let (grad_weight, grad_bias) = grads.split_at_mut(w);
-        // dW += x^T g ; db += sum_rows(g) ; dx = g W^T if asked for. Buffer 1 is the
-        // kernels' pack buffer: the transposed product of a narrow dW, then W^T.
-        input.matmul_tn_add_into(grad_output, grad_weight, scratch.buf(1));
+        // dW += x^T g (in one pass) ; db += sum_rows(g) ; dx = g W^T if asked for
+        input.matmul_tn_add_into(grad_output, grad_weight);
         let db = scratch.buf(0);
         grad_output.sum_rows_into(db);
         add_assign_slice(grad_bias, db.as_slice());
         if let Some(grad_input) = grad_input {
-            let w_t = scratch.buf(1);
-            grad_output.matmul_nt_slice_into(&params[..w], self.in_features, grad_input, w_t);
+            grad_output.matmul_nt_slice_into(&params[..w], self.in_features, grad_input);
         }
     }
 

@@ -18,15 +18,11 @@
 //! `c + (0.0 + Σ)`, bit for bit the product into a scratch followed by an elementwise
 //! add, without the scratch or the second pass. Its callers are the dense layers'
 //! weight gradients, whose shared dimension is the mini-batch, so it has a kernel of its
-//! own (see [`AddTn`]). A `C` under 16 columns wide (a 10-class head's gradient) is the
-//! exception: there the product is computed transposed, on wide lanes, into a scratch
-//! and added back transposed, the same `c + (0.0 + Σ)`.
+//! own (see [`AddTn`]).
 //!
 //! [`Tensor::matmul_into`]: crate::Tensor::matmul_into
 
-use crate::ops::transpose_with;
 use crate::tiles::{run_tiles, Avx512Tile, Tiles};
-use crate::Tensor;
 
 /// `C[m×n] = op(A) · B[k×n]`, overwriting `c`. With `TA == false`, `A` is `m × k`
 /// row-major; with `TA == true` it is stored transposed, `k × m` row-major.
@@ -53,35 +49,15 @@ pub(crate) fn gemm<const TA: bool>(
 }
 
 /// `C[m×n] += A^T · B[k×n]` with `A` stored `k × m` row-major: every element becomes
-/// `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending `p`. Below 16 columns the
-/// product is computed transposed into `scratch` (resized to `n × m`) and added back;
-/// otherwise `scratch` is left alone.
+/// `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending `p`.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with `m`, `k`, `n`.
-pub(crate) fn gemm_tn_add(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut Tensor,
-) {
+pub(crate) fn gemm_tn_add(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "gemm lhs length");
     assert_eq!(b.len(), k * n, "gemm rhs length");
     assert_eq!(c.len(), m * n, "gemm output length");
-    if n < 16 {
-        // A narrow `C` (a 10-class head's `[1024 × 10]` gradient) would run on strips
-        // of 8, 2 lanes and less. `B^T · A` is the same sums on `m`-wide lanes, each
-        // from 0.0 in ascending `p`, so adding it back transposed gives the same bits.
-        scratch.ensure_shape(&[n, m]);
-        let product = scratch.as_mut_slice();
-        gemm::<true>(b, a, product, n, k, m);
-        transpose_with(product, m, c, n, n, m, |c, p| *c += p);
-        return;
-    }
     // Row bands are the outer loop, the cascade's strips run inside each band, so `C`
     // is read and written in row order. Strips outermost would walk each strip down
     // every row of `C`, a row apart: 4 KB at the 1024-wide dense gradient, one cache set
@@ -318,12 +294,10 @@ mod tests {
     /// 16-wide strip, every narrower one, every row remainder; `k` in 1..=9), with
     /// -0.0, ±inf and NaN in both operands and in the accumulator. On every instance the
     /// CPU runs it on, each checked by name (baseline and AVX2), and through the
-    /// dispatching entry point (the transposed product below 16 columns, into a scratch
-    /// reused across shapes), it equals the product into a scratch followed by an
+    /// dispatching entry point, it equals the product into a scratch followed by an
     /// elementwise add, bit for bit.
     #[test]
     fn accumulate_is_the_product_then_an_add_on_every_instance() {
-        let mut scratch = Tensor::default();
         for m in 1..=33 {
             for n in 1..=33 {
                 for k in 1..=9 {
@@ -354,7 +328,7 @@ mod tests {
                         assert_eq!(canonical_bits(&c), expect, "{instance:?} {m}x{k}x{n}");
                     }
                     let mut c = c0;
-                    gemm_tn_add(&a, &b, &mut c, m, k, n, &mut scratch);
+                    gemm_tn_add(&a, &b, &mut c, m, k, n);
                     assert_eq!(canonical_bits(&c), expect, "dispatched {m}x{k}x{n}");
                 }
             }
@@ -368,7 +342,7 @@ mod tests {
         assert_eq!(c, vec![0.0; 6]);
         // Accumulating the empty sum adds 0.0, which turns -0.0 into +0.0.
         let mut c = vec![-0.0, 1.5, -0.0, f32::NEG_INFINITY, 2.0, -0.0];
-        gemm_tn_add(&[], &[], &mut c, 6, 0, 1, &mut Tensor::default());
+        gemm_tn_add(&[], &[], &mut c, 6, 0, 1);
         let expect = [0.0, 1.5, 0.0, f32::NEG_INFINITY, 2.0, 0.0];
         assert_eq!(canonical_bits(&c), canonical_bits(&expect));
     }

@@ -17,12 +17,19 @@
 //! `matmul_tn_add_into` accumulates into one, `add_row_broadcast_inplace` reads the
 //! bias from one. The `&Tensor` forms are one-line calls into them.
 
+use std::cell::RefCell;
+
 use crate::gemm::{gemm, gemm_tn_add};
 use crate::tiles::{run_tiles, Avx512Tile, Tiles};
 use crate::{Tensor, TensorError};
 
 /// Rows of `self` that share one pass over a row of `other` in `matmul_nt_into`.
 const NT_BLOCK_M: usize = 64;
+
+thread_local! {
+    /// `matmul_nt_slice_into`'s right operand packed transposed, below `k = 16`.
+    static NT_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Dot product accumulated in eight interleaved lanes (lane `j` sums every eighth
 /// element starting at `j`), combined lane 0 through lane 7 and then the remainder in
@@ -460,15 +467,13 @@ impl Tensor {
     ///
     /// `self` is `(k x m)`, `other` is `(k x n)`, `acc` holds `m x n` values row-major.
     /// Every element becomes `c + (0.0 + Σ_p a[p][i] b[p][j])`, the sum in ascending
-    /// `p`: bit for bit `matmul_tn_into` into a scratch followed by an elementwise add.
-    /// Where `n` is under 16 the product is computed transposed into `scratch` (resized
-    /// as needed) and added back; otherwise in one pass over `acc` and `scratch` is
-    /// left alone (see the `gemm` module).
+    /// `p`: bit for bit `matmul_tn_into` into a scratch followed by an elementwise add,
+    /// in one pass over `acc` on the same tile cascade and without the scratch.
     ///
     /// # Panics
     ///
     /// Panics if an operand is not rank 2 or the shapes disagree.
-    pub fn matmul_tn_add_into(&self, other: &Tensor, acc: &mut [f32], scratch: &mut Tensor) {
+    pub fn matmul_tn_add_into(&self, other: &Tensor, acc: &mut [f32]) {
         assert_eq!(self.shape().rank(), 2, "matmul_tn_add lhs must be rank-2");
         assert_eq!(other.shape().rank(), 2, "matmul_tn_add rhs must be rank-2");
         let (k, m) = (self.rows(), self.cols());
@@ -479,7 +484,7 @@ impl Tensor {
             m * n,
             "matmul_tn_add accumulator must be {m}x{n}"
         );
-        gemm_tn_add(self.as_slice(), other.as_slice(), acc, m, k, n, scratch);
+        gemm_tn_add(self.as_slice(), other.as_slice(), acc, m, k, n);
     }
 
     /// Matrix multiplication with the right operand transposed: `A * B^T`.
@@ -496,14 +501,13 @@ impl Tensor {
     }
 
     /// Transposed-right matrix multiplication `A * B^T` written into `out`: the
-    /// `&Tensor` form of [`Tensor::matmul_nt_slice_into`], packing into a buffer of its
-    /// own where that packs.
+    /// `&Tensor` form of [`Tensor::matmul_nt_slice_into`].
     ///
     /// # Panics
     ///
     /// Panics if either operand is not rank 2 or the shared dimension differs.
     pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
-        self.matmul_nt_slice_into(other.as_slice(), other.rows(), out, &mut Tensor::default());
+        self.matmul_nt_slice_into(other.as_slice(), other.rows(), out);
     }
 
     /// Transposed-right matrix multiplication `A * B^T` with the right operand a
@@ -516,30 +520,33 @@ impl Tensor {
     /// past that (`proptest_kernels.rs` pins the order bit for bit).
     ///
     /// Below `k = 16`, where that order is the ascending one, `rhs` is packed
-    /// transposed into `pack` (resized as needed) and the product runs on the
-    /// register-tiled kernel of [`Tensor::matmul_slice_into`], which keeps the bits.
-    /// That is the input gradient of the MLPs' 10-class heads: `[4, 10] x [1024, 10]^T`
-    /// on `tcp_comm`, `[16, 10] x [256, 10]^T` on `thr_straggler`. On a 2-core AVX-512
+    /// transposed into a buffer of the calling thread's, kept from call to call so a
+    /// warm call allocates nothing, and the product runs on the register-tiled kernel
+    /// of [`Tensor::matmul_slice_into`], which keeps the bits. That is the input
+    /// gradient of the MLPs' 10-class heads: `[4, 10] x [1024, 10]^T` on `tcp_comm`,
+    /// `[16, 10] x [256, 10]^T` on `thr_straggler`. On a 2-core AVX-512
     /// host the first took 41–58 µs with one `dot_lanes` per output element, longer
     /// than the first layer's tiled product of 6x its multiply-adds, and takes 8–16 µs
     /// packed. From `k = 16` on (the image models' dense layers, whose sums the figure
     /// digests fix) each row of `rhs` is reused across a block of `self` rows, so a
     /// large `rhs` is streamed through cache once per row block rather than once per
-    /// output row, and `pack` is left alone.
+    /// output row.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not rank 2 or `rhs` does not hold `n x k` values.
-    pub fn matmul_nt_slice_into(&self, rhs: &[f32], n: usize, out: &mut Tensor, pack: &mut Tensor) {
+    pub fn matmul_nt_slice_into(&self, rhs: &[f32], n: usize, out: &mut Tensor) {
         assert_eq!(self.shape().rank(), 2, "matmul_nt lhs must be rank-2");
         let (m, k) = (self.rows(), self.cols());
         assert_eq!(rhs.len(), n * k, "matmul_nt shared dimension must agree");
         out.ensure_shape(&[m, n]);
         let (a, o) = (self.as_slice(), out.as_mut_slice());
         if k < 16 {
-            pack.ensure_shape(&[k, n]);
-            transpose(rhs, k, pack.as_mut_slice(), n, n, k);
-            gemm::<false>(a, pack.as_slice(), o, m, k, n);
+            NT_PACK.with_borrow_mut(|pack| {
+                pack.resize(k * n, 0.0);
+                transpose(rhs, k, pack, n, n, k);
+                gemm::<false>(a, pack, o, m, k, n);
+            });
             return;
         }
         for ib in (0..m).step_by(NT_BLOCK_M) {
@@ -693,7 +700,8 @@ impl Tensor {
 
 /// `dst[j * dst_stride + i] = src[i * src_stride + j]` for every `i < rows` and
 /// `j < cols`: a transpose whose source rows are `src_stride` apart and whose
-/// destination rows are `dst_stride` apart (see [`transpose_with`]).
+/// destination rows are `dst_stride` apart. Moved in 4x4 blocks — four row loads,
+/// register shuffles, four row stores — with the ragged edges element by element.
 pub(crate) fn transpose(
     src: &[f32],
     src_stride: usize,
@@ -701,22 +709,6 @@ pub(crate) fn transpose(
     dst_stride: usize,
     rows: usize,
     cols: usize,
-) {
-    transpose_with(src, src_stride, dst, dst_stride, rows, cols, |d, s| *d = s);
-}
-
-/// [`transpose`] with each destination element combined with its source element by
-/// `op(dst, src)` instead of overwritten. Moved in 4x4 blocks — four row loads,
-/// register shuffles, four row updates — with the ragged edges element by element.
-#[inline(always)]
-pub(crate) fn transpose_with(
-    src: &[f32],
-    src_stride: usize,
-    dst: &mut [f32],
-    dst_stride: usize,
-    rows: usize,
-    cols: usize,
-    op: impl Fn(&mut f32, f32),
 ) {
     let (block_rows, block_cols) = (rows / 4 * 4, cols / 4 * 4);
     for j0 in (0..block_cols).step_by(4) {
@@ -728,16 +720,13 @@ pub(crate) fn transpose_with(
             });
             for j in 0..4 {
                 let column: [f32; 4] = std::array::from_fn(|i| block[i][j]);
-                let dst = &mut dst[(j0 + j) * dst_stride + i0..][..4];
-                for (d, s) in dst.iter_mut().zip(&column) {
-                    op(d, *s);
-                }
+                dst[(j0 + j) * dst_stride + i0..][..4].copy_from_slice(&column);
             }
         }
     }
     for j in 0..cols {
         for i in if j < block_cols { block_rows } else { 0 }..rows {
-            op(&mut dst[j * dst_stride + i], src[i * src_stride + j]);
+            dst[j * dst_stride + i] = src[i * src_stride + j];
         }
     }
 }
